@@ -137,4 +137,10 @@ trap 'rm -f "$TRACE_JSON"; rm -rf "$TASK_DIR" "$PARITY_DIR" "$CKPT_DIR" "$BENCH_
 ( cd "$BENCH_DIR" && "$OLDPWD/target/release/bench_json" > /dev/null )
 cargo run --release -p gml-bench --bin bench_regress -- . "$BENCH_DIR"
 
+echo "== e2e benchmark smoke (every workload runs and checks its result) =="
+# Tenth-size iteration counts, two repetitions, end-to-end metrics only;
+# the exit code says whether every run completed and matched its baseline.
+# The numbers of so short a run are not compared against anything.
+cargo run --release --offline --manifest-path e2e_bench/Cargo.toml -- --quick --trace 0 > /dev/null
+
 echo "CI OK"

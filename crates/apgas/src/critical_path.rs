@@ -404,9 +404,9 @@ mod tests {
 
     #[test]
     fn merged_len_handles_overlap_and_gaps() {
-        assert_eq!(merged_len(&mut vec![(0, 10), (5, 15), (20, 25)]), 20);
-        assert_eq!(merged_len(&mut vec![]), 0);
-        assert_eq!(merged_len(&mut vec![(3, 3)]), 0);
+        assert_eq!(merged_len(&mut [(0, 10), (5, 15), (20, 25)]), 20);
+        assert_eq!(merged_len(&mut []), 0);
+        assert_eq!(merged_len(&mut [(3, 3)]), 0);
     }
 
     #[test]

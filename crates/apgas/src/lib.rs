@@ -58,7 +58,7 @@ pub mod runtime;
 pub mod stats;
 pub mod trace;
 
-pub use digest::{fnv1a_bytes, fnv1a_f64s, Fnv1a};
+pub use digest::{content_digest, fnv1a_bytes, fnv1a_f64s, Fnv1a};
 pub use error::{ApgasError, DeadPlaceException, Result};
 pub use finish::{FinishScope, LedgerEntry, TaskPolicy};
 pub use mem::{MemReport, MemScope, MemTag};
@@ -75,7 +75,7 @@ pub use trace::{SpanGuard, SpanKind, TraceCtx, TraceEvent, Tracer};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
-    pub use crate::digest::{fnv1a_bytes, fnv1a_f64s, Fnv1a};
+    pub use crate::digest::{content_digest, fnv1a_bytes, fnv1a_f64s, Fnv1a};
     pub use crate::error::{ApgasError, DeadPlaceException, Result as ApgasResult};
     pub use crate::finish::{FinishScope, LedgerEntry, TaskPolicy};
     pub use crate::mem::{self, MemReport, MemScope, MemTag};

@@ -500,7 +500,7 @@ mod tests {
         for len in [0usize, 1, 7, 64, 65, 1000, 12345] {
             for min in [1usize, 8, 100, 4096] {
                 let n = chunk_count(len, min);
-                assert!(n >= 1 && n <= MAX_CHUNKS);
+                assert!((1..=MAX_CHUNKS).contains(&n));
                 let mut next = 0;
                 for i in 0..n {
                     let r = chunk_range(len, n, i);
@@ -534,11 +534,11 @@ mod tests {
                         let r = chunk_range_granular(len, n, i, granule);
                         assert_eq!(r.start, next, "contiguous at len={len} g={granule}");
                         assert!(
-                            r.start % granule == 0,
+                            r.start.is_multiple_of(granule),
                             "start aligned at len={len} g={granule}"
                         );
                         assert!(
-                            r.end % granule == 0 || r.end == len,
+                            r.end.is_multiple_of(granule) || r.end == len,
                             "end aligned or final at len={len} g={granule}"
                         );
                         next = r.end;

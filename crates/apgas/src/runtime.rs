@@ -365,9 +365,10 @@ impl Ctx {
 
     /// Execute a replicated, digest-voted computation: run `f` at up to
     /// `policy.replicas` live places (the `target` first, then other live
-    /// world places), hash each replica's returned bytes with FNV-1a *at
-    /// the executing place* (only the 8-byte digest crosses back), and
-    /// majority-vote on the digests.
+    /// world places), hash each replica's returned bytes with
+    /// [`content_digest`](crate::digest::content_digest) *at the executing
+    /// place* (only the 8-byte digest crosses back), and majority-vote on
+    /// the digests.
     ///
     /// Returns the majority digest. A non-unanimous vote that still has a
     /// majority is a silent error caught by replication: it bumps
@@ -393,7 +394,7 @@ impl Ctx {
         let mut votes: Vec<(Place, u64)> = Vec::with_capacity(replicas.len());
         for &p in &replicas {
             let body = f.clone();
-            let digest = self.at(p, move |ctx| crate::digest::fnv1a_bytes(&body(ctx)))?;
+            let digest = self.at(p, move |ctx| crate::digest::content_digest(&body(ctx)))?;
             votes.push((p, digest));
         }
         let mut counts: Vec<(u64, usize)> = Vec::new();
@@ -1387,7 +1388,7 @@ mod tests {
                     vec![1u8, 2, 3, 4]
                 })
                 .unwrap();
-            assert_eq!(digest, crate::digest::fnv1a_bytes(&[1, 2, 3, 4]));
+            assert_eq!(digest, crate::digest::content_digest(&[1, 2, 3, 4]));
             assert_eq!(ctx.stats().task_vote_mismatches, 0);
         })
         .unwrap();
@@ -1406,7 +1407,7 @@ mod tests {
                     }
                 })
                 .unwrap();
-            assert_eq!(digest, crate::digest::fnv1a_bytes(&[1, 2, 3, 4]));
+            assert_eq!(digest, crate::digest::content_digest(&[1, 2, 3, 4]));
             assert_eq!(ctx.stats().task_vote_mismatches, 1);
         })
         .unwrap();

@@ -165,46 +165,45 @@ fn compare_file(name: &str, baseline_dir: &str, fresh_dir: &str, tol: f64) -> Fi
 
     // Host-metadata guard: widths must match for the numbers to compare.
     for guard in ["workers", "available_parallelism"] {
-        let (b, f) = (base.get(guard), fresh.get(guard));
-        if b.is_some() && f.is_some() && b != f {
-            let reason = format!(
-                "{guard} differs (baseline {:?}, fresh {:?}); numbers taken at different \
-                 widths are not comparable — regenerate baselines on this host",
-                b.unwrap(),
-                f.unwrap()
-            );
-            println!("bench regress: {name}: {reason}");
-            return FileOutcome::Skipped(reason);
+        match (base.get(guard), fresh.get(guard)) {
+            (Some(b), Some(f)) if b != f => {
+                let reason = format!(
+                    "{guard} differs (baseline {b:?}, fresh {f:?}); numbers taken at \
+                     different widths are not comparable — regenerate baselines on this host"
+                );
+                println!("bench regress: {name}: {reason}");
+                return FileOutcome::Skipped(reason);
+            }
+            _ => {}
         }
     }
 
     // Checkpoint-codec guard: wire-byte metrics taken under different codec
     // configurations (mode string, level/chunk/tolerance numerics) measure
     // different pipelines — skip with a reason rather than fail noisily.
-    let (b_codec, f_codec) =
-        (extract_top_str(&base_json, "ckpt_codec"), extract_top_str(&fresh_json, "ckpt_codec"));
-    if b_codec.is_some() && f_codec.is_some() && b_codec != f_codec {
-        let reason = format!(
-            "ckpt_codec differs (baseline {:?}, fresh {:?}); wire-byte numbers under \
-             different checkpoint codecs are not comparable — regenerate baselines with \
-             the current GML_CKPT_* configuration",
-            b_codec.unwrap(),
-            f_codec.unwrap()
-        );
-        println!("bench regress: {name}: {reason}");
-        return FileOutcome::Skipped(reason);
-    }
-    for guard in ["ckpt_level", "ckpt_chunk", "ckpt_lossy_tol"] {
-        let (b, f) = (base.get(guard), fresh.get(guard));
-        if b.is_some() && f.is_some() && b != f {
+    match (extract_top_str(&base_json, "ckpt_codec"), extract_top_str(&fresh_json, "ckpt_codec")) {
+        (Some(b), Some(f)) if b != f => {
             let reason = format!(
-                "{guard} differs (baseline {:?}, fresh {:?}); codec knobs changed — \
-                 regenerate baselines with the current GML_CKPT_* configuration",
-                b.unwrap(),
-                f.unwrap()
+                "ckpt_codec differs (baseline {b:?}, fresh {f:?}); wire-byte numbers under \
+                 different checkpoint codecs are not comparable — regenerate baselines with \
+                 the current GML_CKPT_* configuration"
             );
             println!("bench regress: {name}: {reason}");
             return FileOutcome::Skipped(reason);
+        }
+        _ => {}
+    }
+    for guard in ["ckpt_level", "ckpt_chunk", "ckpt_lossy_tol"] {
+        match (base.get(guard), fresh.get(guard)) {
+            (Some(b), Some(f)) if b != f => {
+                let reason = format!(
+                    "{guard} differs (baseline {b:?}, fresh {f:?}); codec knobs changed — \
+                     regenerate baselines with the current GML_CKPT_* configuration"
+                );
+                println!("bench regress: {name}: {reason}");
+                return FileOutcome::Skipped(reason);
+            }
+            _ => {}
         }
     }
 

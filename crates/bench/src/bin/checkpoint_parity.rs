@@ -43,7 +43,7 @@ fn val(i: usize) -> f64 {
 /// in 4096 moves, so the payloads stay far under the delta codec's
 /// dirty-ratio fallback and the second epoch genuinely ships delta frames.
 fn val_mutated(i: usize) -> f64 {
-    if i % 4096 == 0 {
+    if i.is_multiple_of(4096) {
         val(i) + 0.5
     } else {
         val(i)
@@ -96,7 +96,7 @@ fn main() {
         // The same objects, ids, and contents in every mode: creation order
         // fixes the object ids, the store counter fixes the snap ids.
         let mut dv = DistVector::make(ctx, 10_000, &g).unwrap();
-        dv.init(ctx, |i| val(i)).unwrap();
+        dv.init(ctx, val).unwrap();
         let mut dup = DupVector::make(ctx, 4_096, &g).unwrap();
         dup.init(ctx, |i| val(i + 17)).unwrap();
         let mut dd = DupDenseMatrix::make(ctx, 64, 48, &g).unwrap();
@@ -171,7 +171,7 @@ fn main() {
         // every value off the quantization grid so the error bound is
         // exercised for real, not vacuously satisfied by on-grid inputs.
         let fill: fn(usize) -> f64 = if lossy { val_off_grid } else { val_mutated };
-        dv.init(ctx, move |i| fill(i)).unwrap();
+        dv.init(ctx, fill).unwrap();
         dup.init(ctx, move |i| fill(i + 17)).unwrap();
         dd.init(ctx, move |i, j| fill(i * 48 + j)).unwrap();
         dm.init(ctx, move |i, j| fill(i * 64 + j + 3)).unwrap();

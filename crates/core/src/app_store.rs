@@ -634,6 +634,39 @@ mod tests {
     }
 
     #[test]
+    fn wild_codec_knobs_are_clamped_and_the_longest_chain_still_restores() {
+        run(2, |ctx| {
+            let g = ctx.world();
+            // chunk 0 used to divide by zero; full_every above 255 used to
+            // wrap the frame's u8 chain depth at the 256th delta epoch.
+            let wild = CodecConfig { chunk: 0, full_every: 100_000, ..CodecConfig::from_env() };
+            let mut store = AppResilientStore::make_with_codec(ctx, wild).unwrap();
+            let cfg = *store.store().codec_config();
+            assert_eq!((cfg.chunk, cfg.full_every), (64, 255));
+            let v = DupVector::make(ctx, 4096, &g).unwrap();
+            v.init(ctx, |i| i as f64).unwrap();
+            let mut longest = 0;
+            for epoch in 0..300 {
+                v.apply(ctx, move |x| x.as_mut_slice()[0] = epoch as f64).unwrap();
+                store.start_new_snapshot();
+                store.save(ctx, &v).unwrap();
+                store.commit(ctx).unwrap();
+                longest = longest.max(store.snapshot_of(v.object_id()).unwrap().chain.len());
+            }
+            assert_eq!(longest, 254, "255 frames: a full base and 254 deltas");
+            let head = store.snapshot_of(v.object_id()).unwrap();
+            let got = head.fetch(ctx, store.store(), 0).unwrap();
+            let want = ctx.encode(&*v.local(ctx).unwrap().lock());
+            assert_eq!(&got[..], &want[..], "a deep chain replays bit-identically");
+            // A chain whose base is gone is data loss, never data.
+            assert!(!head.chain.is_empty());
+            store.store().delete_snapshot(ctx, head.chain[0]).unwrap();
+            let err = head.fetch(ctx, store.store(), 0).unwrap_err();
+            assert!(matches!(err, GmlError::DataLoss(_)), "{err}");
+        });
+    }
+
+    #[test]
     fn read_only_snapshot_is_reused_across_commits() {
         run(2, |ctx| {
             let g = ctx.world();

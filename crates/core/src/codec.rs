@@ -5,38 +5,50 @@
 //! self-describing **frame**:
 //!
 //! * **Delta frames** — the payload is split into fixed-size chunks and a
-//!   per-chunk FNV digest manifest is compared against the digests carried by
-//!   the last committed frame for the same key; only dirty chunks are
-//!   stored/shipped. The manifest always covers the *full* new state, so the
-//!   next epoch can diff against this frame without decoding it. Chains are
-//!   bounded: a full base is re-emitted when the dirty ratio exceeds
-//!   `GML_CKPT_DIRTY_MAX`, every `GML_CKPT_FULL_EVERY` epochs, and after
-//!   every restore.
+//!   per-chunk digest manifest ([`content_digest`], eight bytes per step) is
+//!   compared against the digests carried by the last committed frame for
+//!   the same key; only dirty chunks are stored/shipped. The manifest always
+//!   covers the *full* new state, so the next epoch can diff against this
+//!   frame without decoding it. Chains are bounded: a full base is
+//!   re-emitted when the dirty ratio exceeds `GML_CKPT_DIRTY_MAX`, every
+//!   `GML_CKPT_FULL_EVERY` epochs, and after every restore.
 //! * **Lossless compression** (`GML_CKPT_LEVEL=1`) — each stored chunk is
 //!   XOR-ed against its previous 64-bit word (Gorilla/fpzip idiom: iterative
 //!   f64 state mutates low mantissa bits, so residuals are mostly zero
-//!   bytes), byte-plane transposed, and run-length packed. Chunks that do
-//!   not shrink are stored raw, so the wire size never exceeds raw + frame
-//!   overhead. Encoding fans out across the kernel pool; buffers come from
-//!   the serial arena.
+//!   bytes) and byte-plane transposed with u64 mask-and-shift rounds; each
+//!   plane is run-length packed or copied, decided per plane from its zero
+//!   bytes and zero runs (a mode byte per chunk records the choice). Chunks
+//!   that do not shrink are stored raw, so the wire size never exceeds raw +
+//!   frame overhead.
 //! * **Lossy quantization** (`GML_CKPT_LOSSY_TOL`, off by default) — f64
 //!   payloads ([`PayloadClass::F64Tail`]) are rounded to a uniform grid of
 //!   step `2·tol` *before* digesting, bounding the absolute restore error by
 //!   `tol`. Opaque payloads (topology, integer indices, mixed metadata)
 //!   reject quantization and stay bit-exact.
 //!
-//! Restore reconstructs bit-identical state in the lossless modes: the frame
-//! carries an FNV digest of the whole logical payload (post-quantization)
-//! and every decode re-derives and verifies it, so a corrupt or mismatched
-//! chain surfaces as [`GmlError::DataLoss`](crate::error::GmlError) instead
-//! of silently wrong data.
+//! **One pass each way.** Encoding reads a payload once: a chunk is digested
+//! and, if it has to be stored, compressed while still in cache, through one
+//! reusable scratch, into a frame buffer drawn from the serial arena; large
+//! payloads fan out over the kernel pool in contiguous chunk ranges.
+//! Decoding writes chunks straight into the output, a delta patching the
+//! buffer its base was decoded into.
+//!
+//! **What a frame guarantees.** Restore is bit-identical in the lossless
+//! modes (exactly the quantized payload in the lossy one). The header
+//! carries a digest of its own fields and of the manifest — a whole-payload
+//! digest derived from the chunk digests, not a second pass — and decode
+//! verifies it, then *every* chunk of the reconstructed payload, stored or
+//! inherited from the delta base, against the manifest. Truncation, a bit
+//! flipped anywhere in the frame, trailing bytes, a missing base and a wrong
+//! base all surface as [`GmlError::DataLoss`](crate::error::GmlError), never
+//! as silently wrong data. The digest is error detection, not cryptography
+//! (see [`apgas::digest`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use apgas::digest::fnv1a_bytes;
-use bytes::{BufMut, Bytes};
+use apgas::digest::content_digest;
+use bytes::{BufMut, Bytes, BytesMut};
 use apgas::monitor::{env_parsed, env_parsed_float};
 use apgas::pool;
 use apgas::serial::arena;
@@ -55,10 +67,18 @@ const FLAG_COMPRESSED: u8 = 2;
 /// Frame flag: the payload was lossily quantized before digesting.
 const FLAG_LOSSY: u8 = 4;
 
-/// Fixed header bytes before the chunk-digest manifest.
-const HEADER_FIXED: usize = 4 + 1 + 1 + 4 + 8 + 8 + 8 + 4;
-/// Per-stored-chunk record overhead: index (u32) + encoding (u8) + len (u32).
+/// Fixed header bytes before the chunk-digest manifest: magic (u32), header
+/// digest (u64), flags (u8), chain depth (u8), chunk size (u32), logical
+/// length (u64), delta-base snapshot id (u64), chunk count (u32), stored
+/// record count (u32).
+const HEADER_FIXED: usize = 4 + 8 + 1 + 1 + 4 + 8 + 8 + 4 + 4;
+/// The header digest covers everything from here to the end of the manifest.
+const DIGEST_COVERS_FROM: usize = 4 + 8;
+/// Per-stored-chunk record overhead: index (u32) + plane mask (u8) + len (u32).
 const CHUNK_RECORD: usize = 4 + 1 + 4;
+/// Fewest chunks worth a pool worker of their own (1 MiB at the default
+/// chunk size).
+const PAR_MIN_CHUNKS: usize = 256;
 
 /// How the codec treats a snapshot payload for the *lossy* mode.
 ///
@@ -102,13 +122,15 @@ pub struct CodecConfig {
     /// Compression level (`GML_CKPT_LEVEL`): 0 stores chunks raw, 1 applies
     /// XOR-residual byte-plane RLE.
     pub level: u8,
-    /// Chunk size in bytes (`GML_CKPT_CHUNK`), the delta granularity.
+    /// Chunk size in bytes (`GML_CKPT_CHUNK`), the delta granularity;
+    /// clamped to 64 ..= 16 MiB and rounded down to a multiple of 8.
     pub chunk: usize,
     /// Dirty-chunk ratio above which a delta degenerates to a full base
     /// (`GML_CKPT_DIRTY_MAX`).
     pub dirty_max: f64,
     /// Emit a full base at least every this many epochs per entry
     /// (`GML_CKPT_FULL_EVERY`); equivalently the maximum chain length.
+    /// Clamped to 1 ..= 255, what the frame's `u8` chain depth can count.
     pub full_every: u32,
     /// Absolute-error bound for lossy quantization (`GML_CKPT_LOSSY_TOL`);
     /// `None` keeps every payload lossless.
@@ -140,9 +162,9 @@ impl CodecConfig {
             _ => CodecMode::Delta,
         };
         let level = env_parsed::<u64>("GML_CKPT_LEVEL", 1).min(1) as u8;
-        let chunk = (env_parsed::<u64>("GML_CKPT_CHUNK", 4096) as usize).clamp(64, 1 << 24);
+        let chunk = env_parsed::<usize>("GML_CKPT_CHUNK", 4096);
         let dirty_max = env_parsed_float("GML_CKPT_DIRTY_MAX", 0.5, 0.0, 1.0);
-        let full_every = (env_parsed::<u64>("GML_CKPT_FULL_EVERY", 16) as u32).max(1);
+        let full_every = env_parsed::<u32>("GML_CKPT_FULL_EVERY", 16);
         let tol = env_parsed_float("GML_CKPT_LOSSY_TOL", 0.0, 0.0, f64::MAX);
         CodecConfig {
             mode,
@@ -152,6 +174,18 @@ impl CodecConfig {
             full_every,
             lossy_tol: (tol > 0.0).then_some(tol),
         }
+        .clamped()
+    }
+
+    /// Bring the knobs into the ranges the frame format can hold: a chunk of
+    /// 64 B ..= 16 MiB in whole 8-byte words (rounded down), and a chain of
+    /// at most 255 frames (`chain_depth` is a `u8`). Applied to every
+    /// config a store is built with, whether it came from the environment
+    /// or from a caller.
+    fn clamped(mut self) -> Self {
+        self.chunk = self.chunk.clamp(64, 1 << 24) & !7;
+        self.full_every = self.full_every.clamp(1, 255);
+        self
     }
 
     /// Whether the codec plane is bypassed.
@@ -202,7 +236,7 @@ pub(crate) struct CodecState {
 impl CodecState {
     pub(crate) fn new(config: CodecConfig) -> Self {
         CodecState {
-            config,
+            config: config.clamped(),
             capture: parking_lot::Mutex::new(None),
             used_delta: AtomicBool::new(false),
             force_full: AtomicBool::new(false),
@@ -237,9 +271,12 @@ pub struct CodecSnapshot {
     pub frames_delta: u64,
     /// Frames whose payload was lossily quantized.
     pub frames_lossy: u64,
-    /// Wall nanoseconds spent encoding frames.
+    /// Nanoseconds place threads were busy encoding frames, summed over the
+    /// places encoding concurrently — codec CPU time, which can exceed the
+    /// wall time of the checkpoint it was spent in.
     pub encode_nanos: u64,
-    /// Wall nanoseconds spent decoding frames (chain replay included).
+    /// Nanoseconds place threads were busy decoding frames (chain replay
+    /// included), summed over places like `encode_nanos`.
     pub decode_nanos: u64,
 }
 
@@ -304,24 +341,25 @@ pub fn render_codec(out: &mut String) {
 // Frame header
 // ---------------------------------------------------------------------------
 
-/// Parsed frame header (everything before the stored-chunk records).
-pub(crate) struct FrameHeader {
+/// Parsed, digest-verified frame header borrowing the frame's bytes.
+pub(crate) struct FrameHeader<'a> {
     pub flags: u8,
     /// 0 for a full base, `base.depth + 1` for a delta.
     pub chain_depth: u8,
-    pub chunk_size: u32,
+    pub chunk_size: usize,
     pub logical_len: u64,
-    /// FNV-1a of the full logical payload (post-quantization).
-    pub payload_fnv: u64,
     /// Snapshot id of the delta base (0 and unused for full frames).
     pub ref_snap_id: u64,
-    /// Per-chunk FNV digests of the full logical payload.
-    pub digests: Vec<u64>,
-    /// Byte offset of the first stored-chunk record.
-    pub records_at: usize,
+    /// Number of stored-chunk records that follow the manifest.
+    n_stored: usize,
+    /// The chunk manifest: one LE `content_digest` per chunk of the full
+    /// logical payload.
+    manifest: &'a [u8],
+    /// Everything after the manifest: the stored-chunk records.
+    records: &'a [u8],
 }
 
-impl FrameHeader {
+impl FrameHeader<'_> {
     pub(crate) fn is_delta(&self) -> bool {
         self.flags & FLAG_DELTA != 0
     }
@@ -330,184 +368,288 @@ impl FrameHeader {
     pub(crate) fn is_lossy(&self) -> bool {
         self.flags & FLAG_LOSSY != 0
     }
+
+    fn n_chunks(&self) -> usize {
+        self.manifest.len() / 8
+    }
+
+    /// The manifest's digest of chunk `i`.
+    fn digest(&self, i: usize) -> u64 {
+        le_word(&self.manifest[i * 8..i * 8 + 8])
+    }
 }
 
-fn rd_u32(b: &[u8], at: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(b.get(at..at + 4)?.try_into().ok()?))
+fn le_word(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte word"))
 }
 
-fn rd_u64(b: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?))
+fn rd_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("4-byte field"))
 }
 
-/// Parse a frame header; `Err` describes the corruption.
-pub(crate) fn parse_header(frame: &[u8]) -> Result<FrameHeader, String> {
-    let magic = rd_u32(frame, 0).ok_or("frame truncated before magic")?;
+/// Parse a frame header and verify its digest, which covers every header
+/// field and the manifest; `Err` describes the corruption.
+pub(crate) fn parse_header(frame: &[u8]) -> Result<FrameHeader<'_>, String> {
+    let fixed = frame.get(..HEADER_FIXED).ok_or("frame truncated in header")?;
+    let magic = rd_u32(fixed, 0);
     if magic != FRAME_MAGIC {
         return Err(format!("bad frame magic {magic:#x}"));
     }
-    let flags = *frame.get(4).ok_or("frame truncated at flags")?;
-    let chain_depth = *frame.get(5).ok_or("frame truncated at depth")?;
-    let chunk_size = rd_u32(frame, 6).ok_or("frame truncated at chunk size")?;
-    let logical_len = rd_u64(frame, 10).ok_or("frame truncated at logical len")?;
-    let payload_fnv = rd_u64(frame, 18).ok_or("frame truncated at payload fnv")?;
-    let ref_snap_id = rd_u64(frame, 26).ok_or("frame truncated at ref id")?;
-    let n_chunks = rd_u32(frame, 34).ok_or("frame truncated at chunk count")? as usize;
+    let chunk_size = rd_u32(fixed, 14) as usize;
+    let logical_len = le_word(&fixed[18..26]);
+    let n_chunks = rd_u32(fixed, 34) as usize;
+    let n_stored = rd_u32(fixed, 38) as usize;
     if chunk_size == 0 {
         return Err("zero chunk size".into());
     }
-    let expect = logical_len.div_ceil(chunk_size as u64) as usize;
-    if n_chunks != expect {
+    let expect = logical_len.div_ceil(chunk_size as u64);
+    if n_chunks as u64 != expect {
         return Err(format!("chunk count {n_chunks} != expected {expect}"));
     }
-    let mut digests = Vec::with_capacity(n_chunks);
-    let mut at = HEADER_FIXED;
-    for _ in 0..n_chunks {
-        digests.push(rd_u64(frame, at).ok_or("frame truncated in digest manifest")?);
-        at += 8;
+    if n_stored > n_chunks {
+        return Err(format!("stored chunk count {n_stored} > chunk count {n_chunks}"));
+    }
+    let head = HEADER_FIXED + 8 * n_chunks;
+    let manifest = frame.get(HEADER_FIXED..head).ok_or("frame truncated in digest manifest")?;
+    if content_digest(&frame[DIGEST_COVERS_FROM..head]) != le_word(&fixed[4..12]) {
+        return Err("header digest mismatch".into());
     }
     Ok(FrameHeader {
-        flags,
-        chain_depth,
+        flags: fixed[12],
+        chain_depth: fixed[13],
         chunk_size,
         logical_len,
-        payload_fnv,
-        ref_snap_id,
-        digests,
-        records_at: at,
+        ref_snap_id: le_word(&fixed[26..34]),
+        n_stored,
+        manifest,
+        records: &frame[head..],
     })
 }
 
 // ---------------------------------------------------------------------------
-// Chunk compression: XOR-vs-previous-word residuals, byte-plane transpose,
-// run-length packing of the (mostly zero) planes.
+// Chunk compression: XOR-vs-previous-word residuals, 8x8 byte-plane
+// transpose, run-length packing of the planes that are mostly zero.
 // ---------------------------------------------------------------------------
 
-/// RLE token space: `0x00..=0x7f` introduces a literal run of `t+1` bytes,
-/// `0x80..=0xff` encodes a zero run of `t - 0x7f` (1..=128) bytes.
-fn rle_pack(plane: &[u8], out: &mut Vec<u8>) {
-    let mut i = 0;
-    while i < plane.len() {
-        if plane[i] == 0 {
-            let mut z = 1;
-            while z < 128 && i + z < plane.len() && plane[i + z] == 0 {
-                z += 1;
-            }
-            out.push(0x80 + (z - 1) as u8);
-            i += z;
-        } else {
-            let start = i;
-            let mut l = 0;
-            // A literal run ends at a zero worth encoding (two zeros in a
-            // row always are; a lone zero between literals costs the same
-            // either way, so break on any zero for simplicity).
-            while l < 128 && i < plane.len() && plane[i] != 0 {
-                l += 1;
-                i += 1;
-            }
-            out.push((l - 1) as u8);
-            out.extend_from_slice(&plane[start..start + l]);
+/// Transpose the 8x8 byte matrix held in eight words (row `r` is `x[r]`,
+/// column `c` its byte `c`) with three rounds of masked block swaps — 2x2
+/// blocks of bytes, then of byte pairs, then of byte quads. Its own inverse.
+fn transpose8x8(x: &mut [u64; 8]) {
+    for (shift, mask, pairs) in [
+        (8, 0x00ff_00ff_00ff_00ffu64, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        (16, 0x0000_ffff_0000_ffff, [(0, 2), (1, 3), (4, 6), (5, 7)]),
+        (32, 0x0000_0000_ffff_ffff, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+    ] {
+        for (a, b) in pairs {
+            let t = ((x[a] >> shift) ^ x[b]) & mask;
+            x[a] ^= t << shift;
+            x[b] ^= t;
         }
     }
 }
 
-/// Inverse of [`rle_pack`]: consume tokens from `src[*at..]` until exactly
-/// `n` bytes are produced.
-fn rle_unpack(src: &[u8], at: &mut usize, n: usize, out: &mut Vec<u8>) -> Result<(), String> {
-    let start = out.len();
-    while out.len() - start < n {
-        let t = *src.get(*at).ok_or("compressed chunk truncated at token")?;
-        *at += 1;
-        if t >= 0x80 {
-            let z = (t - 0x7f) as usize;
-            out.resize(out.len() + z, 0);
-        } else {
-            let l = t as usize + 1;
-            let lit = src.get(*at..*at + l).ok_or("compressed chunk truncated in literal")?;
-            out.extend_from_slice(lit);
-            *at += l;
+/// `0x80` in exactly the bytes of `w` that are zero (the sum cannot carry
+/// from one byte into the next).
+fn zero_bytes(w: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    !(((w & LOW7) + LOW7) | w | LOW7)
+}
+
+/// Length of the run of zero (`zeros`) or of non-zero bytes that `bytes`
+/// starts with, scanned eight at a time.
+fn run_len(bytes: &[u8], zeros: bool) -> usize {
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0;
+    for w in &mut words {
+        let w = le_word(w);
+        // `0x80` in the bytes that end the run.
+        let stop = if zeros { !zero_bytes(w) & 0x8080_8080_8080_8080 } else { zero_bytes(w) };
+        if stop != 0 {
+            return n + (stop.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + words.remainder().iter().take_while(|&&b| (b == 0) == zeros).count()
+}
+
+/// Run-length pack `plane` into `dst`, returning the bytes written. Token
+/// space: `0x00..=0x7f` introduces a literal run of `t+1` bytes,
+/// `0x80..=0xff` encodes a zero run of `t - 0x7f` (1..=128) bytes. A literal
+/// run ends at any zero byte. `dst` must hold `plane.len() * 3 / 2 + 1`.
+fn rle_pack(plane: &[u8], dst: &mut [u8]) -> usize {
+    let (mut i, mut at) = (0, 0);
+    while i < plane.len() {
+        let zeros = run_len(&plane[i..], true);
+        i += zeros;
+        for z in (0..zeros).step_by(128) {
+            dst[at] = 0x7f + (zeros - z).min(128) as u8;
+            at += 1;
+        }
+        let rest = &plane[i..plane.len().min(i + 128)];
+        let l = run_len(rest, false);
+        if l > 0 {
+            dst[at] = (l - 1) as u8;
+            dst[at + 1..at + 1 + l].copy_from_slice(&rest[..l]);
+            at += 1 + l;
+            i += l;
         }
     }
-    if out.len() - start != n {
-        return Err("compressed chunk overran plane boundary".into());
+    at
+}
+
+/// Inverse of [`rle_pack`]: consume tokens from `src` until `plane` is
+/// exactly full; returns the bytes consumed.
+fn rle_unpack(src: &[u8], plane: &mut [u8]) -> Result<usize, String> {
+    let (mut at, mut i) = (0, 0);
+    while i < plane.len() {
+        let t = *src.get(at).ok_or("compressed chunk truncated at token")?;
+        at += 1;
+        let run = if t >= 0x80 { (t - 0x7f) as usize } else { t as usize + 1 };
+        let dst = plane.get_mut(i..i + run).ok_or("compressed chunk overran plane boundary")?;
+        if t >= 0x80 {
+            dst.fill(0);
+        } else {
+            dst.copy_from_slice(
+                src.get(at..at + run).ok_or("compressed chunk truncated in literal")?,
+            );
+            at += run;
+        }
+        i += run;
+    }
+    Ok(at)
+}
+
+/// Reusable buffers of [`compress_chunk`] / [`decompress_chunk`]: one per
+/// encode part or decode call, small enough to stay cache-resident.
+#[derive(Default)]
+struct Scratch {
+    /// The chunk's eight byte planes, each as long as the chunk's word count
+    /// rounded up to whole transpose groups.
+    planes: Vec<u8>,
+    /// The compressed chunk before it is appended to the frame.
+    packed: Vec<u8>,
+}
+
+/// Compress one chunk into `scratch.packed`. Words are XOR-ed against their
+/// predecessor (iterative f64 state leaves sign, exponent and high mantissa
+/// unchanged, so those residual bytes are zero) and transposed into eight
+/// byte planes. On the way the zero bytes and zero runs of every plane are
+/// counted, in byte lanes of one word; a plane is run-length packed exactly
+/// when those two counts prove the tokens cost less than the zeros save — a
+/// mantissa-noise plane is copied, never tokenised. The 1–7 byte tail
+/// follows verbatim. Returns the mask of packed planes and the compressed
+/// bytes, or `None` when the chunk is to be stored raw (no plane packs, or
+/// the result is no smaller).
+fn compress_chunk<'a>(chunk: &[u8], scratch: &'a mut Scratch) -> Option<(u8, &'a [u8])> {
+    /// Words per counting block: a byte lane holds their count without carry.
+    const BLOCK_GROUPS: usize = 31;
+    let n_words = chunk.len() / 8;
+    let (body, tail) = chunk.split_at(n_words * 8);
+    let stride = n_words.next_multiple_of(8);
+    let Scratch { planes, packed: dst } = scratch;
+    planes.resize(8 * stride, 0);
+    // Packing grows a plane by at most half (literal, zero, literal, ...).
+    dst.resize(chunk.len() * 3 / 2 + 16, 0);
+    let (mut zeros, mut runs) = ([0usize; 8], [0usize; 8]);
+    let (mut prev, mut prev_zero) = (0u64, 0u64);
+    for (b, block) in body.chunks(64 * BLOCK_GROUPS).enumerate() {
+        let (mut zero_lanes, mut run_lanes) = (0u64, 0u64);
+        for (g, group) in block.chunks(64).enumerate() {
+            // A short last group leaves zero residuals: padding, never emitted.
+            let mut x = [0u64; 8];
+            for (r, w) in x.iter_mut().zip(group.chunks_exact(8)) {
+                let w = le_word(w);
+                *r = w ^ prev;
+                prev = w;
+                // Byte `p` of a residual belongs to plane `p`: 1 in the
+                // lanes whose byte is zero, and in those where a run starts.
+                let zero = zero_bytes(*r) >> 7;
+                zero_lanes += zero;
+                run_lanes += zero & !prev_zero;
+                prev_zero = zero;
+            }
+            transpose8x8(&mut x);
+            let at = (b * BLOCK_GROUPS + g) * 8;
+            for (p, row) in x.iter().enumerate() {
+                planes[p * stride + at..][..8].copy_from_slice(&row.to_le_bytes());
+            }
+        }
+        for p in 0..8 {
+            zeros[p] += (zero_lanes >> (8 * p)) as usize & 0xff;
+            runs[p] += (run_lanes >> (8 * p)) as usize & 0xff;
+        }
+    }
+    // Packed, a plane costs its literals plus at most one token per zero
+    // run, one per literal run between them, and one per 128-byte split.
+    let packs = |p: usize| zeros[p] > 2 * runs[p] + 1 + n_words / 128;
+    let mask = (0..8).fold(0u8, |m, p| m | u8::from(packs(p)) << p);
+    if mask == 0 {
+        return None;
+    }
+    let mut at = 0;
+    for p in 0..8 {
+        let plane = &planes[p * stride..p * stride + n_words];
+        if mask >> p & 1 == 1 {
+            at += rle_pack(plane, &mut dst[at..]);
+        } else {
+            dst[at..at + n_words].copy_from_slice(plane);
+            at += n_words;
+        }
+    }
+    dst[at..at + tail.len()].copy_from_slice(tail);
+    at += tail.len();
+    (at < chunk.len()).then_some((mask, &dst[..at]))
+}
+
+/// Decompress one stored chunk into `out` (its exact logical extent).
+/// `mask == 0` is a raw chunk; otherwise bit `p` says plane `p` is packed.
+fn decompress_chunk(
+    mask: u8,
+    data: &[u8],
+    out: &mut [u8],
+    scratch: &mut Scratch,
+) -> Result<(), String> {
+    if mask == 0 {
+        if data.len() != out.len() {
+            return Err(format!("raw chunk len {} != logical {}", data.len(), out.len()));
+        }
+        out.copy_from_slice(data);
+        return Ok(());
+    }
+    let n_words = out.len() / 8;
+    let stride = n_words.next_multiple_of(8);
+    let planes = &mut scratch.planes;
+    planes.resize(8 * stride, 0);
+    let mut at = 0;
+    for p in 0..8 {
+        let plane = &mut planes[p * stride..p * stride + n_words];
+        if mask >> p & 1 == 1 {
+            at += rle_unpack(&data[at..], plane)?;
+        } else {
+            plane.copy_from_slice(
+                data.get(at..at + n_words).ok_or("compressed chunk truncated in raw plane")?,
+            );
+            at += n_words;
+        }
+    }
+    let (body, tail) = out.split_at_mut(n_words * 8);
+    if data.len() - at != tail.len() {
+        return Err("compressed chunk tail length mismatch".into());
+    }
+    tail.copy_from_slice(&data[at..]);
+    let mut prev = 0u64;
+    for (g, group) in body.chunks_mut(64).enumerate() {
+        let mut x = [0u64; 8];
+        for (p, row) in x.iter_mut().enumerate() {
+            *row = le_word(&planes[p * stride + g * 8..][..8]);
+        }
+        transpose8x8(&mut x);
+        for (r, w) in x.iter().zip(group.chunks_exact_mut(8)) {
+            prev ^= r;
+            w.copy_from_slice(&prev.to_le_bytes());
+        }
     }
     Ok(())
-}
-
-/// Compress one chunk. Returns `(encoding, bytes)` where encoding 0 means
-/// the chunk is stored raw (compression did not shrink it) and 1 means
-/// XOR + transpose + RLE.
-fn compress_chunk(chunk: &[u8]) -> (u8, Vec<u8>) {
-    let n_words = chunk.len() / 8;
-    let tail = &chunk[n_words * 8..];
-    // XOR residuals vs the previous word: iterative-state f64 runs leave
-    // most residual bytes zero (sign/exponent/high mantissa unchanged).
-    let mut residuals = Vec::with_capacity(n_words);
-    let mut prev = 0u64;
-    for i in 0..n_words {
-        let w = u64::from_le_bytes(chunk[i * 8..i * 8 + 8].try_into().expect("8-byte word"));
-        residuals.push(if i == 0 { w } else { w ^ prev });
-        prev = w;
-    }
-    // Byte-plane transpose + per-plane RLE. Planes are self-terminating on
-    // decode (each holds exactly n_words bytes).
-    let mut out = Vec::with_capacity(chunk.len() / 2);
-    let mut plane = Vec::with_capacity(n_words);
-    for b in 0..8 {
-        plane.clear();
-        for r in &residuals {
-            plane.push(r.to_le_bytes()[b]);
-        }
-        rle_pack(&plane, &mut out);
-    }
-    out.extend_from_slice(tail);
-    if out.len() < chunk.len() {
-        (1, out)
-    } else {
-        (0, chunk.to_vec())
-    }
-}
-
-/// Decompress one chunk of logical length `n` into `out`.
-fn decompress_chunk(enc: u8, data: &[u8], n: usize, out: &mut Vec<u8>) -> Result<(), String> {
-    match enc {
-        0 => {
-            if data.len() != n {
-                return Err(format!("raw chunk len {} != logical {n}", data.len()));
-            }
-            out.extend_from_slice(data);
-            Ok(())
-        }
-        1 => {
-            let n_words = n / 8;
-            let tail_len = n - n_words * 8;
-            let mut planes = Vec::with_capacity(n_words * 8);
-            let mut at = 0;
-            for _ in 0..8 {
-                rle_unpack(data, &mut at, n_words, &mut planes)?;
-            }
-            let tail = data.get(at..at + tail_len).ok_or("compressed chunk missing tail")?;
-            if at + tail_len != data.len() {
-                return Err("trailing garbage after compressed chunk".into());
-            }
-            let start = out.len();
-            out.resize(start + n, 0);
-            let mut prev = 0u64;
-            for i in 0..n_words {
-                let mut wb = [0u8; 8];
-                for (b, byte) in wb.iter_mut().enumerate() {
-                    *byte = planes[b * n_words + i];
-                }
-                let r = u64::from_le_bytes(wb);
-                let w = if i == 0 { r } else { r ^ prev };
-                out[start + i * 8..start + i * 8 + 8].copy_from_slice(&w.to_le_bytes());
-                prev = w;
-            }
-            out[start + n_words * 8..start + n].copy_from_slice(tail);
-            Ok(())
-        }
-        e => Err(format!("unknown chunk encoding {e}")),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -523,6 +665,53 @@ pub(crate) struct EncodeOutcome {
     pub delta: bool,
 }
 
+/// One contiguous range of a payload's chunks, encoded by one pool worker
+/// into its own buffer. Part 0's buffer is the frame itself (header space
+/// reserved up front); the others are appended to it in order.
+struct Part {
+    chunks: std::ops::Range<usize>,
+    digests: Vec<u64>,
+    out: BytesMut,
+    stored: usize,
+    compressed: bool,
+}
+
+impl Part {
+    /// Read each chunk of the range once: digest it and, if it differs from
+    /// `base`'s (or there is no base), append its record. With `spill` the
+    /// digests are known and the chunks *equal* to the base are appended —
+    /// the second half of a delta that turned out too dirty.
+    fn encode(
+        &mut self,
+        cfg: &CodecConfig,
+        payload: &[u8],
+        base: Option<&FrameHeader>,
+        spill: bool,
+    ) {
+        let mut scratch = Scratch::default();
+        for ci in self.chunks.clone() {
+            let lo = ci * cfg.chunk;
+            let data = &payload[lo..payload.len().min(lo + cfg.chunk)];
+            let slot = ci - self.chunks.start;
+            if !spill {
+                self.digests[slot] = content_digest(data);
+            }
+            let clean = base.is_some_and(|b| b.digest(ci) == self.digests[slot]);
+            if clean != spill {
+                continue;
+            }
+            let packed = if cfg.level >= 1 { compress_chunk(data, &mut scratch) } else { None };
+            let (mask, body) = packed.unwrap_or((0, data));
+            self.out.put_u32_le(ci as u32);
+            self.out.put_u8(mask);
+            self.out.put_u32_le(body.len() as u32);
+            self.out.put_slice(body);
+            self.stored += 1;
+            self.compressed |= mask != 0;
+        }
+    }
+}
+
 /// Encode one logical payload into a frame. `ref_frame` is the candidate
 /// delta base (same key, same owner/backup, locally present); `lossy` marks
 /// that `payload` was already quantized. Placement eligibility is the
@@ -535,97 +724,104 @@ pub(crate) fn encode_entry(
     ref_snap_id: u64,
     lossy: bool,
 ) -> EncodeOutcome {
-    let t0 = Instant::now();
-    let chunk = cfg.chunk;
-    let n_chunks = payload.len().div_ceil(chunk);
-    let digests: Vec<u64> =
-        payload.chunks(chunk.max(1)).map(fnv1a_bytes).collect::<Vec<_>>();
-    debug_assert_eq!(digests.len(), n_chunks);
-
-    // Delta eligibility: a parseable base with identical geometry, a bounded
-    // chain, and a dirty ratio within the knob.
-    let mut delta_base: Option<FrameHeader> = None;
-    if cfg.mode == CodecMode::Delta && n_chunks > 0 {
-        if let Some(rf) = ref_frame {
-            if let Ok(h) = parse_header(rf) {
-                let depth_ok = (h.chain_depth as u32 + 1) < cfg.full_every;
-                let geo_ok = h.logical_len == payload.len() as u64
-                    && h.chunk_size as usize == chunk
-                    && h.digests.len() == n_chunks;
-                if depth_ok && geo_ok {
-                    delta_base = Some(h);
-                }
-            }
-        }
-    }
-    let (stored, is_delta, depth) = match &delta_base {
-        Some(h) => {
-            let dirty: Vec<usize> =
-                (0..n_chunks).filter(|&i| digests[i] != h.digests[i]).collect();
-            if dirty.len() as f64 > cfg.dirty_max * n_chunks as f64 {
-                ((0..n_chunks).collect(), false, 0u8)
-            } else {
-                (dirty, true, h.chain_depth + 1)
-            }
-        }
-        None => ((0..n_chunks).collect::<Vec<usize>>(), false, 0u8),
+    // Fan out over contiguous chunk ranges when there is enough to compress.
+    let n_parts = match payload.len() / cfg.chunk / PAR_MIN_CHUNKS {
+        wide if wide >= 2 && cfg.level >= 1 => pool::workers().min(wide),
+        _ => 1,
     };
+    encode_in_parts(cfg, payload, ref_frame, ref_snap_id, lossy, n_parts)
+}
 
-    // Compress the stored chunks across the kernel pool; deterministic
-    // in-order assembly from per-chunk slots.
-    let slots: Vec<Mutex<(u8, Vec<u8>)>> =
-        (0..stored.len()).map(|_| Mutex::new((0, Vec::new()))).collect();
-    if cfg.level >= 1 {
-        pool::run(stored.len(), &|i| {
-            let ci = stored[i];
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(payload.len());
-            *slots[i].lock().expect("codec slot") = compress_chunk(&payload[lo..hi]);
+/// [`encode_entry`] over `n_parts` contiguous chunk ranges. The decoded
+/// payload and the frame's size do not depend on `n_parts`; neither do its
+/// bytes, except for the record order of a too-dirty delta.
+fn encode_in_parts(
+    cfg: &CodecConfig,
+    payload: &[u8],
+    ref_frame: Option<&[u8]>,
+    ref_snap_id: u64,
+    lossy: bool,
+    n_parts: usize,
+) -> EncodeOutcome {
+    let t0 = Instant::now();
+    let n_chunks = payload.len().div_ceil(cfg.chunk);
+    // Delta eligibility: a parseable base with identical geometry and a
+    // bounded chain. The dirty ratio is judged once the chunks are read.
+    let base = ref_frame
+        .filter(|_| cfg.mode == CodecMode::Delta && n_chunks > 0)
+        .and_then(|rf| parse_header(rf).ok())
+        .filter(|h| {
+            u32::from(h.chain_depth) + 1 < cfg.full_every.min(256)
+                && h.logical_len == payload.len() as u64
+                && h.chunk_size == cfg.chunk
         });
-    } else {
-        for (i, &ci) in stored.iter().enumerate() {
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(payload.len());
-            *slots[i].lock().expect("codec slot") = (0, payload[lo..hi].to_vec());
-        }
+
+    let head = HEADER_FIXED + 8 * n_chunks;
+    let mut parts: Vec<Part> = (0..n_parts)
+        .map(|i| {
+            let chunks = pool::chunk_range(n_chunks, n_parts, i);
+            // Worst case (every chunk stored raw) so appending never
+            // regrows; part 0 also has room for the header and for the other
+            // parts. `with_capacity` draws from the serial arena.
+            let mut out = BytesMut::with_capacity(if i == 0 {
+                head + payload.len() + n_chunks * CHUNK_RECORD
+            } else {
+                chunks.len() * (cfg.chunk + CHUNK_RECORD)
+            });
+            out.resize(if i == 0 { head } else { 0 }, 0);
+            Part { digests: vec![0; chunks.len()], chunks, out, stored: 0, compressed: false }
+        })
+        .collect();
+    let run = |parts: &mut [Part], spill| {
+        pool::run_split(parts, n_parts, |i| i..i + 1, |_, p| {
+            p[0].encode(cfg, payload, base.as_ref(), spill)
+        })
+    };
+    run(&mut parts, false);
+    let dirty: usize = parts.iter().map(|p| p.stored).sum();
+    let is_delta = base.is_some() && dirty as f64 <= cfg.dirty_max * n_chunks as f64;
+    if base.is_some() && !is_delta {
+        // Too dirty for a delta: add the clean chunks, making it a full base
+        // (records carry their index, so their order is free).
+        run(&mut parts, true);
     }
 
-    let mut flags = 0u8;
-    if is_delta {
-        flags |= FLAG_DELTA;
+    let mut parts = parts.into_iter();
+    let Part { out: mut frame, mut digests, mut stored, mut compressed, .. } =
+        parts.next().expect("at least one part");
+    for p in parts {
+        frame.put_slice(&p.out);
+        digests.extend_from_slice(&p.digests);
+        stored += p.stored;
+        compressed |= p.compressed;
     }
-    if lossy {
-        flags |= FLAG_LOSSY;
+    let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+    let flags =
+        flag(is_delta, FLAG_DELTA) | flag(compressed, FLAG_COMPRESSED) | flag(lossy, FLAG_LOSSY);
+    let depth = base.as_ref().filter(|_| is_delta).map_or(0, |h| h.chain_depth + 1);
+    let mut fixed = Vec::with_capacity(HEADER_FIXED);
+    fixed.put_u32_le(FRAME_MAGIC);
+    fixed.put_u64_le(0); // header digest, below
+    fixed.put_u8(flags);
+    fixed.put_u8(depth);
+    fixed.put_u32_le(cfg.chunk as u32);
+    fixed.put_u64_le(payload.len() as u64);
+    fixed.put_u64_le(if is_delta { ref_snap_id } else { 0 });
+    fixed.put_u32_le(n_chunks as u32);
+    fixed.put_u32_le(stored as u32);
+    frame[..HEADER_FIXED].copy_from_slice(&fixed);
+    for (slot, d) in frame[HEADER_FIXED..head].chunks_exact_mut(8).zip(&digests) {
+        slot.copy_from_slice(&d.to_le_bytes());
     }
-    let any_compressed =
-        slots.iter().any(|s| s.lock().expect("codec slot").0 != 0);
-    if any_compressed {
-        flags |= FLAG_COMPRESSED;
-    }
-    let stored_bytes: usize =
-        slots.iter().map(|s| s.lock().expect("codec slot").1.len()).sum();
-    let size = HEADER_FIXED + 8 * n_chunks + stored.len() * CHUNK_RECORD + stored_bytes;
-    let frame = arena::encode_with(size, |buf| {
-        buf.put_u32_le(FRAME_MAGIC);
-        buf.put_u8(flags);
-        buf.put_u8(depth);
-        buf.put_u32_le(chunk as u32);
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_u64_le(fnv1a_bytes(payload));
-        buf.put_u64_le(if is_delta { ref_snap_id } else { 0 });
-        buf.put_u32_le(n_chunks as u32);
-        for d in &digests {
-            buf.put_u64_le(*d);
-        }
-        buf.put_u32_le(stored.len() as u32);
-        for (i, &ci) in stored.iter().enumerate() {
-            let slot = slots[i].lock().expect("codec slot");
-            buf.put_u32_le(ci as u32);
-            buf.put_u8(slot.0);
-            buf.put_u32_le(slot.1.len() as u32);
-            buf.extend_from_slice(&slot.1);
-        }
-    });
+    let header_digest = content_digest(&frame[DIGEST_COVERS_FROM..head]);
+    frame[4..12].copy_from_slice(&header_digest.to_le_bytes());
+    // A sparse delta fills a sliver of its worst-case buffer: keep the
+    // sliver, hand the buffer back to the arena.
+    let frame = if frame.len() < frame.capacity() / 2 {
+        Bytes::copy_from_slice(&frame)
+    } else {
+        frame.freeze()
+    };
 
     LOGICAL_BYTES.fetch_add(payload.len() as u64, Ordering::Relaxed);
     WIRE_BYTES.fetch_add(frame.len() as u64, Ordering::Relaxed);
@@ -643,69 +839,61 @@ pub(crate) fn encode_entry(
 
 /// Decode one frame back into its full logical payload. `base` is the
 /// *decoded* logical payload of the delta base (required iff the frame is a
-/// delta). The reconstructed payload is verified against the frame's FNV
-/// digest — a mismatch is corruption, never returned as data.
-pub(crate) fn decode_frame(frame: &[u8], base: Option<&[u8]>) -> Result<Bytes, String> {
+/// delta); it is patched in place and returned. After the header digest
+/// (checked by [`parse_header`]) every chunk of the result, stored or
+/// inherited, is verified against the manifest — a truncated or flipped
+/// frame, a missing base and a wrong base are corruption, never data.
+pub(crate) fn decode_frame(frame: &[u8], base: Option<BytesMut>) -> Result<BytesMut, String> {
     let t0 = Instant::now();
     let h = parse_header(frame)?;
     let n = h.logical_len as usize;
-    let chunk = h.chunk_size as usize;
-    let n_chunks = h.digests.len();
-    let n_stored =
-        rd_u32(frame, h.records_at).ok_or("frame truncated at stored count")? as usize;
-    if n_stored > n_chunks {
-        return Err(format!("stored chunk count {n_stored} > chunk count {n_chunks}"));
+    if !h.is_delta() && h.n_stored != h.n_chunks() {
+        return Err(format!("full frame stores {} of {} chunks", h.n_stored, h.n_chunks()));
     }
-
-    let base = if h.is_delta() {
-        let b = base.ok_or("delta frame decoded without its base")?;
-        if b.len() != n {
+    let mut out = match (h.is_delta(), base) {
+        (true, None) => return Err("delta frame decoded without its base".into()),
+        (true, Some(b)) if b.len() != n => {
             return Err(format!("delta base len {} != logical len {n}", b.len()));
         }
-        Some(b)
-    } else {
-        None
-    };
-
-    // Start from the base (delta) or zeroes (full — every chunk is stored),
-    // then overwrite the stored chunks.
-    let mut out: Vec<u8> = match base {
-        Some(b) => b.to_vec(),
-        None => Vec::with_capacity(n),
-    };
-    if base.is_none() {
-        out.resize(n, 0);
-    }
-    let mut covered = vec![base.is_some(); n_chunks];
-    let mut at = h.records_at + 4;
-    let mut scratch = Vec::new();
-    for _ in 0..n_stored {
-        let ci = rd_u32(frame, at).ok_or("frame truncated at chunk index")? as usize;
-        let enc = *frame.get(at + 4).ok_or("frame truncated at chunk encoding")?;
-        let len = rd_u32(frame, at + 5).ok_or("frame truncated at chunk len")? as usize;
-        at += CHUNK_RECORD;
-        let data = frame.get(at..at + len).ok_or("frame truncated in chunk data")?;
-        at += len;
-        if ci >= n_chunks {
-            return Err(format!("chunk index {ci} out of range"));
+        (true, Some(b)) => b,
+        (false, _) => {
+            let mut b = BytesMut::with_capacity(n);
+            b.resize(n, 0);
+            b
         }
-        let lo = ci * chunk;
-        let hi = (lo + chunk).min(n);
-        scratch.clear();
-        decompress_chunk(enc, data, hi - lo, &mut scratch)?;
-        out[lo..hi].copy_from_slice(&scratch);
-        covered[ci] = true;
+    };
+    let verify = |ci: usize, chunk: &[u8]| {
+        if content_digest(chunk) == h.digest(ci) {
+            Ok(())
+        } else {
+            Err(format!("chunk {ci} does not match the manifest"))
+        }
+    };
+    let extent = |ci: usize| ci * h.chunk_size..n.min((ci + 1) * h.chunk_size);
+    let mut stored = vec![false; h.n_chunks()];
+    let mut scratch = Scratch::default();
+    let mut records = h.records;
+    for _ in 0..h.n_stored {
+        let (rec, rest) =
+            records.split_at_checked(CHUNK_RECORD).ok_or("frame truncated at chunk record")?;
+        let (ci, mask, len) = (rd_u32(rec, 0) as usize, rec[4], rd_u32(rec, 5) as usize);
+        let (data, rest) = rest.split_at_checked(len).ok_or("frame truncated in chunk data")?;
+        records = rest;
+        if stored.get(ci) != Some(&false) {
+            return Err(format!("chunk index {ci} out of range or repeated"));
+        }
+        stored[ci] = true;
+        let dst = &mut out[extent(ci)];
+        decompress_chunk(mask, data, dst, &mut scratch)?;
+        verify(ci, dst)?;
     }
-    if at != frame.len() {
+    if !records.is_empty() {
         return Err("trailing garbage after frame".into());
     }
-    if let Some(miss) = covered.iter().position(|c| !c) {
-        return Err(format!("full frame missing chunk {miss}"));
+    // What a delta did not store it inherited from its base.
+    for ci in (0..stored.len()).filter(|&ci| !stored[ci]) {
+        verify(ci, &out[extent(ci)])?;
     }
-    if fnv1a_bytes(&out) != h.payload_fnv {
-        return Err("decoded payload digest mismatch".into());
-    }
-    let out = Bytes::from(out);
     DECODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     Ok(out)
 }
@@ -742,10 +930,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn roundtrip_full(cfg: &CodecConfig, payload: &[u8]) -> Bytes {
+    /// `decode_frame` against a borrowed base (copied: decode patches it).
+    fn decode(frame: &[u8], base: Option<&[u8]>) -> Result<BytesMut, String> {
+        decode_frame(
+            frame,
+            base.map(|b| {
+                let mut copy = BytesMut::new();
+                copy.extend_from_slice(b);
+                copy
+            }),
+        )
+    }
+
+    fn roundtrip_full(cfg: &CodecConfig, payload: &[u8]) -> BytesMut {
         let out = encode_entry(cfg, payload, None, 0, false);
         assert!(!out.delta);
-        decode_frame(&out.frame, None).expect("full frame decodes")
+        decode(&out.frame, None).expect("full frame decodes")
     }
 
     fn cfg_delta() -> CodecConfig {
@@ -758,6 +958,205 @@ mod tests {
             v.extend_from_slice(&x.to_le_bytes());
         }
         v
+    }
+
+
+    /// xorshift64 stream for the fixed-seed guard payloads.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// The three fixed-seed payloads of the wire-size guard.
+    fn guard_payloads() -> [Vec<u8>; 3] {
+        let ramp: Vec<f64> = (0..8192).map(|i| 1.0 + i as f64 * 1e-9).collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let noise: Vec<f64> =
+            (0..8192).map(|_| xorshift(&mut x) as f64 / u64::MAX as f64).collect();
+        // CSR index arrays: 1024 row pointers 10 apart, then 10 ascending
+        // column indices below 400 per row.
+        let mut csr: Vec<u8> = Vec::new();
+        for r in 0..=1024u64 {
+            csr.extend_from_slice(&(r * 10).to_le_bytes());
+        }
+        for _ in 0..1024 {
+            let mut cols: Vec<u64> = (0..10).map(|_| xorshift(&mut x) % 400).collect();
+            cols.sort_unstable();
+            for c in cols {
+                csr.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        [f64_payload(&ramp), f64_payload(&noise), csr]
+    }
+
+    #[test]
+    fn frames_are_no_larger_than_the_byte_serial_encoder_made_them() {
+        // Frame sizes of the encoder this one replaced (RLE on all eight
+        // planes or none), recorded before it was deleted.
+        const BEFORE: [usize; 3] = [32_095, 58_499, 18_486];
+        for (payload, before) in guard_payloads().iter().zip(BEFORE) {
+            let out = encode_entry(&cfg_delta(), payload, None, 0, false);
+            assert!(out.frame.len() <= before, "{} > {before}", out.frame.len());
+            assert_eq!(&decode(&out.frame, None).unwrap()[..], &payload[..]);
+        }
+    }
+
+    #[test]
+    fn transpose_matches_the_naive_double_loop() {
+        let mut seed = 0x0123_4567_89ab_cdefu64;
+        for _ in 0..200 {
+            let rows: [u64; 8] = std::array::from_fn(|_| xorshift(&mut seed));
+            let mut naive = [0u64; 8];
+            for (r, row) in rows.iter().enumerate() {
+                for (c, col) in naive.iter_mut().enumerate() {
+                    *col |= (row >> (8 * c) & 0xff) << (8 * r);
+                }
+            }
+            let mut fast = rows;
+            transpose8x8(&mut fast);
+            assert_eq!(fast, naive);
+            transpose8x8(&mut fast);
+            assert_eq!(fast, rows, "its own inverse");
+        }
+    }
+
+    #[test]
+    fn rle_roundtrips_runs_of_every_shape() {
+        let mut seed = 0xdead_beef_0bad_f00du64;
+        for len in [0usize, 1, 7, 8, 9, 127, 128, 129, 300, 512, 1000] {
+            for zero_share in [0u64, 1, 4, 7, 8] {
+                // Zeros and literals arrive in bursts of random length.
+                let mut plane = Vec::with_capacity(len);
+                while plane.len() < len {
+                    let burst = (xorshift(&mut seed) % 40 + 1) as usize;
+                    let zero = xorshift(&mut seed) % 8 < zero_share;
+                    for _ in 0..burst.min(len - plane.len()) {
+                        plane.push(if zero { 0 } else { (xorshift(&mut seed) % 255 + 1) as u8 });
+                    }
+                }
+                let mut packed = vec![0u8; len * 3 / 2 + 1];
+                let n = rle_pack(&plane, &mut packed);
+                let mut back = vec![0xaau8; len];
+                assert_eq!(rle_unpack(&packed[..n], &mut back), Ok(n));
+                assert_eq!(back, plane, "len {len} zero share {zero_share}/8");
+                if n > 0 {
+                    assert!(rle_unpack(&packed[..n - 1], &mut back).is_err(), "truncated");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn noise_planes_are_copied_and_quiet_planes_packed() {
+        // Smooth values with random low mantissas: the top planes of the
+        // residuals are zero, the bottom ones noise.
+        let mut seed = 0x5eed_5eed_5eed_5eedu64;
+        let chunk: Vec<u8> = (0..512)
+            .flat_map(|_| (1.0f64.to_bits() | xorshift(&mut seed) >> 40).to_le_bytes())
+            .collect();
+        let mut scratch = Scratch::default();
+        let (mask, packed) = compress_chunk(&chunk, &mut scratch).expect("compresses");
+        assert_eq!(mask, 0b1111_1000, "planes 0-2 carry the noise, 3-7 are quiet");
+        assert!(packed.len() < chunk.len() / 2);
+        let packed = packed.to_vec();
+        let mut back = vec![0u8; chunk.len()];
+        decompress_chunk(mask, &packed, &mut back, &mut scratch).unwrap();
+        assert_eq!(back, chunk);
+        // All noise: no plane is worth packing, the chunk is stored raw.
+        let noise: Vec<u8> = (0..4096).map(|_| (xorshift(&mut seed) >> 32) as u8).collect();
+        assert!(compress_chunk(&noise, &mut scratch).is_none());
+    }
+
+    #[test]
+    fn too_dirty_delta_spills_into_a_full_base_for_any_part_count() {
+        let cfg = CodecConfig { chunk: 64, dirty_max: 0.25, ..cfg_delta() };
+        let mut seed = 0x1357_9bdf_0246_8aceu64;
+        let base: Vec<u8> = (0..64 * 40 + 13).map(|_| (xorshift(&mut seed) >> 8) as u8).collect();
+        let base_frame = encode_entry(&cfg, &base, None, 0, false).frame;
+        for dirty_chunks in [3usize, 20] {
+            let mut next = base.clone();
+            for c in 0..dirty_chunks {
+                next[c * 128 + 5] ^= 0x10; // every other chunk
+            }
+            let one = encode_in_parts(&cfg, &next, Some(&base_frame), 9, false, 1);
+            assert_eq!(one.delta, dirty_chunks == 3);
+            for n_parts in [2, 3, 7] {
+                let many = encode_in_parts(&cfg, &next, Some(&base_frame), 9, false, n_parts);
+                assert_eq!(many.delta, one.delta);
+                assert_eq!(many.frame.len(), one.frame.len());
+                if one.delta {
+                    assert_eq!(many.frame, one.frame, "in-order records: identical bytes");
+                }
+                let got = decode(&many.frame, one.delta.then_some(&base[..])).unwrap();
+                assert_eq!(&got[..], &next[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_payload_wide_enough_to_fan_out_encodes_to_the_same_frame() {
+        // 3 MiB: two pool-sized ranges wherever the pool has two workers.
+        let values: Vec<f64> = (0..3 << 17).map(|i| (i as f64).sqrt()).collect();
+        let payload = f64_payload(&values);
+        let fanned = encode_entry(&cfg_delta(), &payload, None, 0, false);
+        let serial = encode_in_parts(&cfg_delta(), &payload, None, 0, false, 1);
+        assert_eq!(fanned.frame, serial.frame);
+        assert_eq!(&decode(&fanned.frame, None).unwrap()[..], &payload[..]);
+    }
+
+    #[test]
+    fn every_single_bit_flip_and_every_truncation_fails_to_decode() {
+        let cfg = CodecConfig { chunk: 64, ..cfg_delta() };
+        let values: Vec<f64> = (0..40).map(|i| 1.0 + i as f64 * 1e-9).collect();
+        let base = f64_payload(&values);
+        let mut next = base.clone();
+        next[100] ^= 1;
+        let full = encode_entry(&cfg, &base, None, 0, false);
+        let delta = encode_entry(&cfg, &next, Some(&full.frame), 5, false);
+        assert!(delta.delta && parse_header(&full.frame).unwrap().flags & FLAG_COMPRESSED != 0);
+        for (frame, base) in [(&full.frame, None), (&delta.frame, Some(&base[..]))] {
+            assert!(decode(frame, base).is_ok());
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.to_vec();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(decode(&bad, base).is_err(), "bit {bit} flipped silently");
+            }
+            for len in 0..frame.len() {
+                assert!(decode(&frame[..len], base).is_err(), "truncated to {len}");
+            }
+            let mut long = frame.to_vec();
+            long.push(0);
+            assert!(decode(&long, base).unwrap_err().contains("trailing garbage"));
+        }
+        // A manifest that no longer matches the header digest is caught
+        // before any chunk is touched.
+        let mut bad = full.frame.to_vec();
+        bad[HEADER_FIXED] ^= 1;
+        assert_eq!(decode(&bad, None).unwrap_err(), "header digest mismatch");
+    }
+
+    #[test]
+    fn out_of_range_knobs_are_clamped_where_the_store_is_built() {
+        let wild = CodecConfig { chunk: 0, full_every: 100_000, ..cfg_delta() };
+        let cfg = CodecState::new(wild).config;
+        assert_eq!((cfg.chunk, cfg.full_every), (64, 255));
+        let odd = CodecConfig { chunk: 1003, full_every: 0, ..cfg_delta() };
+        let cfg = CodecState::new(odd).config;
+        assert_eq!((cfg.chunk, cfg.full_every), (1000, 1));
+        assert_eq!(CodecState::new(cfg_delta()).config, cfg_delta(), "in range: untouched");
+        // The longest chain `full_every` can ask for still fits the frame's
+        // u8 depth: 254 deltas, then a full base again.
+        let cfg = CodecState::new(wild).config;
+        let data = vec![3u8; 256];
+        let mut frame = encode_entry(&cfg, &data, None, 0, false).frame;
+        for epoch in 1..=600u64 {
+            let out = encode_entry(&cfg, &data, Some(&frame), epoch, false);
+            assert_eq!(out.delta, epoch % 255 != 0, "epoch {epoch}");
+            assert_eq!(parse_header(&out.frame).unwrap().chain_depth as u64, epoch % 255);
+            frame = out.frame;
+        }
     }
 
     #[test]
@@ -786,7 +1185,7 @@ mod tests {
             out.frame.len(),
             payload.len()
         );
-        assert_eq!(&decode_frame(&out.frame, None).unwrap()[..], &payload[..]);
+        assert_eq!(&decode(&out.frame, None).unwrap()[..], &payload[..]);
     }
 
     #[test]
@@ -807,8 +1206,8 @@ mod tests {
         let hdr = parse_header(&delta_out.frame).unwrap();
         assert_eq!(hdr.ref_snap_id, 41);
         assert_eq!(hdr.chain_depth, 1);
-        let base_logical = decode_frame(&base_out.frame, None).unwrap();
-        let got = decode_frame(&delta_out.frame, Some(&base_logical)).unwrap();
+        let base_logical = decode(&base_out.frame, None).unwrap();
+        let got = decode(&delta_out.frame, Some(&base_logical)).unwrap();
         assert_eq!(&got[..], &next[..]);
     }
 
@@ -821,7 +1220,7 @@ mod tests {
         assert!(delta.delta);
         assert!(delta.frame.len() < 300, "no dirty chunks: manifest only");
         let got =
-            decode_frame(&delta.frame, Some(&decode_frame(&base.frame, None).unwrap())).unwrap();
+            decode(&delta.frame, Some(&decode(&base.frame, None).unwrap())).unwrap();
         assert_eq!(&got[..], &data[..]);
     }
 
@@ -837,7 +1236,7 @@ mod tests {
         }
         let out = encode_entry(&cfg, &next, Some(&base_out.frame), 1, false);
         assert!(!out.delta, "over-dirty delta degrades to a full base");
-        assert_eq!(&decode_frame(&out.frame, None).unwrap()[..], &next[..]);
+        assert_eq!(&decode(&out.frame, None).unwrap()[..], &next[..]);
     }
 
     #[test]
@@ -869,10 +1268,10 @@ mod tests {
         let mut bad = out.frame.to_vec();
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
-        assert!(decode_frame(&bad, None).is_err(), "bit flip must not decode silently");
+        assert!(decode(&bad, None).is_err(), "bit flip must not decode silently");
         let truncated = &out.frame[..out.frame.len() - 3];
-        assert!(decode_frame(truncated, None).is_err());
-        assert!(decode_frame(b"not a frame", None).is_err());
+        assert!(decode(truncated, None).is_err());
+        assert!(decode(b"not a frame", None).is_err());
     }
 
     #[test]
@@ -882,10 +1281,10 @@ mod tests {
         let base = encode_entry(&cfg, &data, None, 0, false);
         let delta = encode_entry(&cfg, &data, Some(&base.frame), 7, false);
         assert!(delta.delta);
-        assert!(decode_frame(&delta.frame, None).is_err());
+        assert!(decode(&delta.frame, None).is_err());
         // A wrong base fails the digest check instead of returning garbage.
         let wrong = vec![8u8; 1024];
-        assert!(decode_frame(&delta.frame, Some(&wrong)).is_err());
+        assert!(decode(&delta.frame, Some(&wrong)).is_err());
     }
 
     #[test]
@@ -908,7 +1307,7 @@ mod tests {
             (0..1024).contains(&overhead),
             "noise must be stored raw with bounded overhead, got {overhead}"
         );
-        assert_eq!(&decode_frame(&out.frame, None).unwrap()[..], &payload[..]);
+        assert_eq!(&decode(&out.frame, None).unwrap()[..], &payload[..]);
     }
 
     #[test]
@@ -937,7 +1336,7 @@ mod tests {
         let out = encode_entry(&cfg_delta(), &q, None, 0, true);
         let header = parse_header(&out.frame).unwrap();
         assert!(header.is_lossy());
-        assert_eq!(&decode_frame(&out.frame, None).unwrap()[..], &q[..]);
+        assert_eq!(&decode(&out.frame, None).unwrap()[..], &q[..]);
     }
 
     #[test]
@@ -960,13 +1359,14 @@ mod tests {
 
     proptest! {
         // Adversarial payload roundtrip: NaN/±0/inf/denormal f64 soups of
-        // every alignment, empty and 1-element included, at level 0 and 1,
-        // full and delta — decode must be bit-identical.
+        // every alignment (1–7 byte tails included), empty and 1-element
+        // included, at level 0 and 1, full and delta — decode must be
+        // bit-identical.
         #[test]
         fn codec_roundtrip_bit_identity(
             specials in prop::collection::vec(0u8..8, 0..64),
             raw_tail in prop::collection::vec(any::<u8>(), 0..41),
-            chunk_exp in 6u32..10,
+            chunk_words in 8usize..130,
             level in 0u8..2,
         ) {
             let mut payload: Vec<u8> = Vec::new();
@@ -987,11 +1387,13 @@ mod tests {
             let cfg = CodecConfig {
                 mode: CodecMode::Delta,
                 level,
-                chunk: 1usize << chunk_exp,
+                // Every multiple of 8 from 64 up, most of them not a
+                // multiple of the 64-byte transpose group.
+                chunk: 8 * chunk_words,
                 ..CodecConfig::raw()
             };
             let full = encode_entry(&cfg, &payload, None, 0, false);
-            let round = decode_frame(&full.frame, None).unwrap();
+            let round = decode(&full.frame, None).unwrap();
             prop_assert_eq!(&round[..], &payload[..]);
             // Mutate one byte (if any) and delta against the base.
             let mut next = payload.clone();
@@ -1000,8 +1402,8 @@ mod tests {
                 next[mid] = next[mid].wrapping_add(1);
             }
             let second = encode_entry(&cfg, &next, Some(&full.frame), 9, false);
-            let base = decode_frame(&full.frame, None).unwrap();
-            let got = decode_frame(
+            let base = decode(&full.frame, None).unwrap();
+            let got = decode(
                 &second.frame,
                 if second.delta { Some(&base[..]) } else { None },
             ).unwrap();

@@ -934,7 +934,7 @@ mod tests {
         }
 
         fn as_checksummed(&self) -> Option<&dyn ChecksummedStep> {
-            self.checksummed.then(|| self as &dyn ChecksummedStep)
+            self.checksummed.then_some(self as &dyn ChecksummedStep)
         }
     }
 

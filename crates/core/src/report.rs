@@ -80,7 +80,10 @@ pub struct IterRow {
     /// Wire (post-codec) checkpoint bytes the codec emitted this pass; the
     /// ratio `ckpt_wire / ckpt_logical` is the pass's compression factor.
     pub ckpt_wire: u64,
-    /// Wall time the codec spent encoding + decoding frames this pass.
+    /// Time the checkpoint codec was busy encoding + decoding frames this
+    /// pass, **summed over the place threads** that ran it. Places encode
+    /// concurrently, so this is CPU time of the codec, not wall time: it can
+    /// exceed the wall time of the checkpoint it was spent in.
     pub codec_time: Duration,
     /// Runtime counter deltas consumed by this pass.
     pub delta: StatsSnapshot,
@@ -137,7 +140,7 @@ impl CostReport {
         self.summed() == self.totals
     }
 
-    /// Do the rows' codec columns (logical bytes, wire bytes, codec wall
+    /// Do the rows' codec columns (logical bytes, wire bytes, codec busy
     /// time) telescope to [`CostReport::codec_totals`]? True by construction
     /// — the codec counters are sampled at the same shared row boundaries as
     /// the runtime counters. Vacuously true on raw-codec runs (all zeros).
@@ -180,15 +183,16 @@ impl CostReport {
     /// boundary (live heap, store-ledger bytes) rather than deltas; both
     /// read 0 with `mem-profile` compiled out. `logical / wire` split this
     /// pass's checkpoint volume into pre-codec payload bytes and post-codec
-    /// frame bytes (both 0 on raw-codec runs), and `codec(t)` is the wall
-    /// time the checkpoint codec spent encoding + decoding frames.
+    /// frame bytes (both 0 on raw-codec runs), and `codec(cpu)` is the time
+    /// the checkpoint codec was busy encoding + decoding frames, summed over
+    /// the place threads that did so concurrently (not wall time).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>24} {:>6} {:>10} {:>10} {:>10} \
              {:>9} {:>9} {:>9} {:>9} {:>10}\n",
             "iter", "step", "ckpt", "capture", "ship(t)", "detect(t)", "restore", "ctl",
-            "enc+dec", "ship", "recv", "resident", "ckptmem", "logical", "wire", "codec(t)"
+            "enc+dec", "ship", "recv", "resident", "ckptmem", "logical", "wire", "codec(cpu)"
         ));
         for r in &self.rows {
             let opt = |d: Option<Duration>| {
@@ -385,9 +389,8 @@ mod tests {
         let mut b = row(1, 0, 0, 0);
         b.detect = Some(Duration::from_millis(3));
         b.delta.task_vote_mismatches = 1;
-        let mut totals = StatsSnapshot::default();
-        totals.task_replays = 1;
-        totals.task_vote_mismatches = 1;
+        let totals =
+            StatsSnapshot { task_replays: 1, task_vote_mismatches: 1, ..Default::default() };
         let report =
             CostReport { rows: vec![a, b], totals, codec_totals: Default::default(), bundles: vec![] };
         // The new counters participate in the telescoping check.
@@ -481,7 +484,7 @@ mod tests {
         let text = report.render();
         assert!(text.contains("logical"), "logical byte column present");
         assert!(text.contains("wire"), "wire byte column present");
-        assert!(text.contains("codec(t)"), "codec time column present");
+        assert!(text.contains("codec(cpu)"), "codec time column present");
         assert!(text.contains("ckpt logical 8.0KB wire 2.0KB (ratio 0.25) codec 5.00ms"));
         // A wire-byte mismatch breaks the telescoping check.
         let mut bad = report.clone();

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use apgas::prelude::*;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use crate::codec::{self, CaptureCtx, CodecConfig, CodecState};
@@ -461,7 +461,8 @@ impl ResilientStore {
     /// this is a passthrough (raw unframed entries). With it on, each
     /// payload is (optionally) quantized, diffed against its last committed
     /// frame when eligible, and compressed — the multi-chunk work fans out
-    /// over the kernel worker pool inside `codec::encode_entry`.
+    /// over contiguous chunk ranges on the kernel worker pool inside
+    /// `codec::encode_entry`.
     fn encode_batch(
         &self,
         ctx: &Ctx,
@@ -635,7 +636,10 @@ impl ResilientStore {
             return Ok(bytes);
         }
         let _span = ctx.trace_span(SpanKind::CkptDecode, bytes.len() as u64);
-        self.decode_chain(ctx, bytes, key, owner, backup, 0)
+        // Chain entries share their head's owner/backup placement (delta
+        // eligibility enforces this at encode time), so the base lookups
+        // reuse the same replica pair.
+        decode_chain(bytes, key, |base_id| self.fetch_stored(ctx, base_id, key, owner, backup))
     }
 
     /// Fetch an entry's **stored** bytes (frame or raw) from this place's
@@ -693,70 +697,24 @@ impl ResilientStore {
         )))
     }
 
-    /// Decode a frame into its logical payload, recursively fetching and
-    /// decoding the delta bases it references. Chain entries share their
-    /// head's owner/backup placement (delta eligibility enforces this at
-    /// encode time), so the base lookup reuses the same replica pair.
-    fn decode_chain(
-        &self,
-        ctx: &Ctx,
-        frame: Bytes,
-        key: u64,
-        owner: Place,
-        backup: Place,
-        depth: usize,
-    ) -> GmlResult<Bytes> {
-        if depth > 255 {
-            return Err(GmlError::data_loss(format!("key {key}: delta chain exceeds depth 255")));
-        }
-        let header = codec::parse_header(&frame)
-            .map_err(|e| GmlError::data_loss(format!("key {key}: corrupt frame: {e}")))?;
-        let base = if header.is_delta() {
-            let (bframe, bframed) =
-                self.fetch_stored(ctx, header.ref_snap_id, key, owner, backup)?;
-            Some(if bframed {
-                self.decode_chain(ctx, bframe, key, owner, backup, depth + 1)?
-            } else {
-                bframe
-            })
-        } else {
-            None
-        };
-        codec::decode_frame(&frame, base.as_deref())
-            .map_err(|e| GmlError::data_loss(format!("key {key}: frame decode failed: {e}")))
-    }
-
     /// This place's shard copy of an entry's logical payload, if the entry
     /// — and, for delta frames, its whole base chain — is present locally
     /// (no communication). Chain replicas are co-located with their head by
     /// the delta-eligibility rule, so a local head implies a local chain.
+    /// Any decode failure is a shard miss: the caller falls back to a remote
+    /// fetch.
     pub(crate) fn local_get(&self, ctx: &Ctx, snap_id: u64, key: u64) -> Option<Bytes> {
-        let e = self.plh.local(ctx).ok()?.get(snap_id, key)?;
+        let shard = self.plh.local(ctx).ok()?;
+        let e = shard.get(snap_id, key)?;
         if !e.framed {
             return Some(e.bytes);
         }
-        self.local_decode_chain(ctx, e.bytes, key, 0)
-    }
-
-    /// Local-shard-only version of [`decode_chain`](Self::decode_chain);
-    /// returns `None` (treated as a shard miss) on any decode failure so the
-    /// caller falls back to a remote fetch.
-    fn local_decode_chain(&self, ctx: &Ctx, frame: Bytes, key: u64, depth: usize) -> Option<Bytes> {
-        if depth > 255 {
-            return None;
-        }
-        let header = codec::parse_header(&frame).ok()?;
-        let base = if header.is_delta() {
-            let b = self.plh.local(ctx).ok()?.get(header.ref_snap_id, key)?;
-            Some(if b.framed {
-                self.local_decode_chain(ctx, b.bytes, key, depth + 1)?
-            } else {
-                b.bytes
-            })
-        } else {
-            None
-        };
-        codec::decode_frame(&frame, base.as_deref()).ok()
+        decode_chain(e.bytes, key, |base_id| {
+            let base = shard.get(base_id, key);
+            base.map(|b| (b.bytes, b.framed))
+                .ok_or_else(|| GmlError::data_loss("delta base not in the local shard"))
+        })
+        .ok()
     }
 
     /// True if the entry is still reachable (some replica's place is alive).
@@ -909,6 +867,43 @@ impl ResilientStore {
             out
         });
     }
+}
+
+/// Decode a frame into its logical payload. The delta chain is walked down
+/// to its full base, `fetch_base` supplying each base's stored bytes by
+/// snapshot id, and replayed upwards: the base decodes into one buffer and
+/// every delta patches that buffer in place.
+fn decode_chain(
+    head: Bytes,
+    key: u64,
+    mut fetch_base: impl FnMut(u64) -> GmlResult<(Bytes, bool)>,
+) -> GmlResult<Bytes> {
+    let corrupt = |e| GmlError::data_loss(format!("key {key}: frame decode failed: {e}"));
+    let mut chain = vec![head];
+    let mut payload = None;
+    loop {
+        let header = codec::parse_header(&chain[chain.len() - 1]).map_err(corrupt)?;
+        if !header.is_delta() {
+            break;
+        }
+        if chain.len() > 255 {
+            return Err(GmlError::data_loss(format!("key {key}: delta chain exceeds depth 255")));
+        }
+        let (base, framed) = fetch_base(header.ref_snap_id)?;
+        if !framed {
+            // A raw base is the payload itself; it may be shared, so the
+            // deltas patch a copy.
+            let mut copy = BytesMut::with_capacity(base.len());
+            copy.extend_from_slice(&base);
+            payload = Some(copy);
+            break;
+        }
+        chain.push(base);
+    }
+    for frame in chain.iter().rev() {
+        payload = Some(codec::decode_frame(frame, payload).map_err(corrupt)?);
+    }
+    Ok(payload.expect("the chain holds at least its head").freeze())
 }
 
 /// Render the process-wide tile-pool rent counters (`gml_tile_*` families).

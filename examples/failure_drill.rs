@@ -265,9 +265,9 @@ fn main() {
             assert!(rt_stats.task_replays >= 1, "the panicking task must be replayed");
 
             let final_state = app.m.gather_dense(ctx).expect("gather final");
-            let local_digest = fnv1a_f64s(final_state.as_slice());
             let bytes: Vec<u8> =
                 final_state.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+            let local_digest = content_digest(&bytes);
             let voted = ctx
                 .replicated_vote(Place::new(0), TaskPolicy::from_env(), move |_| bytes.clone())
                 .expect("replicated vote");
