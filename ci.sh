@@ -131,7 +131,9 @@ echo "== bench regress (fresh bench_json vs committed baselines) =="
 # delta table; per-file noise factor over the base tolerance, default ±25%,
 # override with GML_BENCH_TOLERANCE). Files stamped at a different worker
 # width than this host are skipped — regenerate baselines with bench_json
-# at the repo root when a perf change is intentional.
+# at the repo root when a perf change is intentional. It first checks
+# BENCH_history.jsonl (the e2e benchmark's per-PR trajectory): every line
+# parses, `pr` strictly ascends.
 BENCH_DIR="$(mktemp -d -t gml_bench_regress_XXXXXX)"
 trap 'rm -f "$TRACE_JSON"; rm -rf "$TASK_DIR" "$PARITY_DIR" "$CKPT_DIR" "$BENCH_DIR"' EXIT
 ( cd "$BENCH_DIR" && "$OLDPWD/target/release/bench_json" > /dev/null )

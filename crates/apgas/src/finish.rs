@@ -6,14 +6,44 @@
 //! original (non-resilient) X10, where a crash left `finish` waiting forever
 //! and the paper's §III-C observation that GML applications simply died.
 //!
-//! **Resilient finish** routes every spawn and termination through a
+//! **Resilient finish** records every spawn and termination in a
 //! bookkeeping registry owned by **place zero** (the design of Resilient X10
-//! that the paper evaluates). Spawn records are *synchronous round trips* to
-//! place zero, which is precisely why the paper measures resilient overhead
-//! that grows with the number of places (Figs 2–4): all control traffic
-//! funnels through one mailbox. In exchange, when a place dies the registry
+//! that the paper evaluates). In exchange, when a place dies the registry
 //! knows exactly which tasks are lost, adjusts the counts, and delivers
 //! [`DeadPlaceException`]s to the waiting `finish` instead of hanging.
+//!
+//! How an operation reaches the registry depends only on **where it is
+//! issued** (`ctx.here()`), as in Resilient X10's place-zero finish:
+//!
+//! * From any place other than zero it is a [`CtlMsg`] through place zero's
+//!   mailbox. A spawn record is a *synchronous round trip* (the spawner
+//!   blocks on the ack), a task's termination is one message, and so is the
+//!   wait registration of a finish opened there. `PlaceDied` always takes
+//!   this route. This is the funnel the paper measures (Figs 2–4): one Term
+//!   per remote task, all through one mailbox, so the cost of a finish over
+//!   *n* places grows with *n*.
+//! * At place zero the registry is local memory, so the activity calls
+//!   [`FinishService::record_spawn`] / [`record_term`](FinishService::record_term)
+//!   / [`register_wait`](FinishService::register_wait) directly: no message,
+//!   no ack channel, no dispatcher wake-up. These are counted as `ctl_local`,
+//!   not as messages.
+//!
+//! Both routes apply the same four functions under the same registry lock,
+//! which is what keeps the direct route safe:
+//!
+//! * **A Term never precedes its Spawn.** The spawn record (liveness check
+//!   and count) completes under the lock *before* the task is sent, on
+//!   either route, so the task cannot run — let alone terminate — before it
+//!   is counted.
+//! * **A spawn and a place death are ordered.** `kill_place` clears the
+//!   alive flag first and then posts `PlaceDied`; both the liveness check in
+//!   `record_spawn` and `place_died` run under the lock. So a spawn either
+//!   sees the place dead (a [`DeadPlaceException`] is recorded, nothing is
+//!   counted) or counts the task while `PlaceDied` is still to come, which
+//!   then removes the count and records the exception. A count for a dead
+//!   place can never outlive its `PlaceDied`.
+//! * A Term that arrives after `PlaceDied` zeroed its place is ignored, as
+//!   before; place zero is immortal, so its direct Terms are never stray.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -184,19 +214,18 @@ impl Waiter {
 struct Rec {
     /// Live task count per place id.
     pending: HashMap<u32, u32>,
+    /// Sum of `pending`'s counts, kept beside them so that the completion
+    /// check on every Term is a compare, not a walk over the places.
+    total: u32,
     report: FinishReport,
     waiter: Option<Arc<Waiter>>,
 }
 
-impl Rec {
-    fn total_pending(&self) -> u32 {
-        self.pending.values().sum()
-    }
-}
-
-/// The place-zero finish registry. The *data* lives here, but every mutation
-/// arrives as a [`CtlMsg`] through place zero's mailbox, so the funnel and
-/// its serialization are real.
+/// The place-zero finish registry. Operations issued at place zero call the
+/// four `record_*`/`register_wait`/`place_died` functions directly; every
+/// other place's arrive as a [`CtlMsg`] through place zero's mailbox and are
+/// applied by [`handle`](Self::handle) — so the funnel and its
+/// serialization are real for exactly the traffic that crosses places.
 #[derive(Default)]
 pub(crate) struct FinishService {
     recs: Mutex<HashMap<u64, Rec>>,
@@ -205,52 +234,79 @@ pub(crate) struct FinishService {
 impl FinishService {
     /// Apply one bookkeeping message. Runs on place zero's dispatcher thread.
     pub(crate) fn handle(&self, is_alive: impl Fn(Place) -> bool, msg: CtlMsg) {
-        let mut recs = self.recs.lock();
         match msg {
             CtlMsg::Spawn { fid, dst, ack, tctx: _ } => {
-                let rec = recs.entry(fid).or_default();
-                if is_alive(dst) {
-                    *rec.pending.entry(dst.id()).or_insert(0) += 1;
-                    let _ = ack.send(SpawnAck::Ok);
-                } else {
-                    rec.report.dead.push(DeadPlaceException::new(dst, "spawn target dead"));
-                    let _ = ack.send(SpawnAck::Dead);
-                    Self::maybe_complete(&mut recs, fid);
+                let _ = ack.send(self.record_spawn(is_alive, fid, dst));
+            }
+            CtlMsg::Term { fid, place, outcome, tctx: _ } => self.record_term(fid, place, outcome),
+            CtlMsg::Wait { fid, waiter } => self.register_wait(fid, waiter),
+            CtlMsg::PlaceDied { place, tctx: _ } => self.place_died(place),
+        }
+    }
+
+    /// Count a task about to be sent to `dst` under finish `fid`, or record
+    /// a [`DeadPlaceException`] if `dst` is already dead. The liveness check
+    /// runs under the registry lock so that it is ordered against
+    /// [`place_died`](Self::place_died) (see the module docs).
+    pub(crate) fn record_spawn(
+        &self,
+        is_alive: impl Fn(Place) -> bool,
+        fid: u64,
+        dst: Place,
+    ) -> SpawnAck {
+        let mut recs = self.recs.lock();
+        let rec = recs.entry(fid).or_default();
+        if is_alive(dst) {
+            *rec.pending.entry(dst.id()).or_insert(0) += 1;
+            rec.total += 1;
+            SpawnAck::Ok
+        } else {
+            rec.report.dead.push(DeadPlaceException::new(dst, "spawn target dead"));
+            Self::maybe_complete(&mut recs, fid);
+            SpawnAck::Dead
+        }
+    }
+
+    /// A task under finish `fid` finished at `place`.
+    pub(crate) fn record_term(&self, fid: u64, place: Place, outcome: TaskOutcome) {
+        let mut recs = self.recs.lock();
+        let Some(rec) = recs.get_mut(&fid) else { return };
+        match rec.pending.get_mut(&place.id()) {
+            Some(c) if *c > 0 => *c -= 1,
+            // Already zeroed by `place_died`, or stray: ignore.
+            _ => return,
+        }
+        rec.total -= 1;
+        if let TaskOutcome::Panicked(msg) = outcome {
+            rec.report.panics.push(msg);
+        }
+        Self::maybe_complete(&mut recs, fid);
+    }
+
+    /// The body of finish `fid` is done: signal `waiter` once every task
+    /// counted under it has terminated (possibly at once).
+    pub(crate) fn register_wait(&self, fid: u64, waiter: Arc<Waiter>) {
+        let mut recs = self.recs.lock();
+        recs.entry(fid).or_default().waiter = Some(waiter);
+        Self::maybe_complete(&mut recs, fid);
+    }
+
+    /// `place` died: every finish loses the tasks it had there.
+    pub(crate) fn place_died(&self, place: Place) {
+        let mut recs = self.recs.lock();
+        let fids: Vec<u64> = recs.keys().copied().collect();
+        for fid in fids {
+            let rec = recs.get_mut(&fid).expect("fid just listed");
+            if let Some(c) = rec.pending.remove(&place.id()) {
+                rec.total -= c;
+                if c > 0 {
+                    rec.report.dead.push(DeadPlaceException::new(
+                        place,
+                        format!("{c} task(s) lost at place {}", place.id()),
+                    ));
                 }
             }
-            CtlMsg::Term { fid, place, outcome, tctx: _ } => {
-                if let Some(rec) = recs.get_mut(&fid) {
-                    match rec.pending.get_mut(&place.id()) {
-                        Some(c) if *c > 0 => *c -= 1,
-                        // Already zeroed by PlaceDied, or stray: ignore.
-                        _ => return,
-                    }
-                    if let TaskOutcome::Panicked(msg) = outcome {
-                        rec.report.panics.push(msg);
-                    }
-                    Self::maybe_complete(&mut recs, fid);
-                }
-            }
-            CtlMsg::Wait { fid, waiter } => {
-                let rec = recs.entry(fid).or_default();
-                rec.waiter = Some(waiter);
-                Self::maybe_complete(&mut recs, fid);
-            }
-            CtlMsg::PlaceDied { place, tctx: _ } => {
-                let fids: Vec<u64> = recs.keys().copied().collect();
-                for fid in fids {
-                    let rec = recs.get_mut(&fid).expect("fid just listed");
-                    if let Some(c) = rec.pending.remove(&place.id()) {
-                        if c > 0 {
-                            rec.report.dead.push(DeadPlaceException::new(
-                                place,
-                                format!("{c} task(s) lost at place {}", place.id()),
-                            ));
-                        }
-                    }
-                    Self::maybe_complete(&mut recs, fid);
-                }
-            }
+            Self::maybe_complete(&mut recs, fid);
         }
     }
 
@@ -258,7 +314,7 @@ impl FinishService {
     /// report and drop the record.
     fn maybe_complete(recs: &mut HashMap<u64, Rec>, fid: u64) {
         let done = match recs.get(&fid) {
-            Some(rec) => rec.waiter.is_some() && rec.total_pending() == 0,
+            Some(rec) => rec.waiter.is_some() && rec.total == 0,
             None => false,
         };
         if done {
@@ -432,23 +488,36 @@ impl FinishHandle {
             }
             FinishHandle::Resilient { fid } => {
                 let fid = *fid;
-                // Synchronous spawn record at place zero — the expensive
-                // round trip that makes resilient finish costly.
-                RuntimeStats::bump(&rt.stats.ctl_spawns);
-                {
+                let ack = if ctx.here() == Place::ZERO {
+                    // The registry is this place's own memory: record the
+                    // spawn directly, as Resilient X10's place-zero finish
+                    // does, and take the ack as a return value.
+                    RuntimeStats::bump(&rt.stats.ctl_local);
+                    Some(rt.finish_svc.record_spawn(|q| rt.is_alive(q), fid, p))
+                } else {
+                    // Synchronous spawn record at place zero — the expensive
+                    // round trip that makes resilient finish costly.
+                    RuntimeStats::bump(&rt.stats.ctl_spawns);
                     let _span =
                         rt.tracer.span(ctx.here().id(), SpanKind::CtlSpawn, p.id() as u64);
                     let (ack_tx, ack_rx) = bounded(1);
                     // Parent the place-zero bookkeeping instant to this
                     // CtlSpawn span (captured inside its guard scope).
                     let spawn_tctx = TraceCtx::capture(&rt.tracer, ctx.here().id());
-                    rt.send_ctl(CtlMsg::Spawn { fid, dst: p, ack: ack_tx, tctx: spawn_tctx });
-                    match ack_rx.recv() {
-                        Ok(SpawnAck::Ok) => {}
-                        // Dead target: exception already recorded at the registry.
-                        Ok(SpawnAck::Dead) => return,
-                        Err(_) => return, // runtime shutting down
-                    }
+                    // An undeliverable record (runtime shutting down) drops
+                    // `ack_tx` with the message, so the recv below fails.
+                    let _ = rt.send_ctl(CtlMsg::Spawn {
+                        fid,
+                        dst: p,
+                        ack: ack_tx,
+                        tctx: spawn_tctx,
+                    });
+                    ack_rx.recv().ok()
+                };
+                // Dead target: the exception is already recorded at the
+                // registry. No ack at all: the runtime is shutting down.
+                if ack != Some(SpawnAck::Ok) {
+                    return;
                 }
                 let sent = rt.send(
                     p,
@@ -456,23 +525,28 @@ impl FinishHandle {
                         run: Box::new(move |ctx| {
                             let outcome = run_catching(ctx, tctx, SpanKind::AsyncTask, f);
                             let rt = ctx.rt();
-                            if rt.is_alive(ctx.here()) {
+                            let here = ctx.here();
+                            if here == Place::ZERO {
+                                RuntimeStats::bump(&rt.stats.ctl_local);
+                                rt.finish_svc.record_term(fid, here, outcome);
+                            } else if rt.is_alive(here) {
                                 // Re-adopt the sender context just for the
                                 // bookkeeping instant so CtlTerm still links
                                 // into the causal chain; nothing in this
                                 // scope unwinds, so the guard cannot leak.
                                 let _adopt = tctx.adopt();
                                 RuntimeStats::bump(&rt.stats.ctl_terms);
-                                let term =
-                                    rt.tracer.instant(ctx.here().id(), SpanKind::CtlTerm, fid);
+                                let term = rt.tracer.instant(here.id(), SpanKind::CtlTerm, fid);
                                 let term_tctx = if term != 0 {
-                                    TraceCtx { parent: term, origin: ctx.here().id() }
+                                    TraceCtx { parent: term, origin: here.id() }
                                 } else {
                                     TraceCtx::NONE
                                 };
-                                rt.send_ctl(CtlMsg::Term {
+                                // Undeliverable only at shutdown, when no
+                                // finish is left to hear of it.
+                                let _ = rt.send_ctl(CtlMsg::Term {
                                     fid,
-                                    place: ctx.here(),
+                                    place: here,
                                     outcome,
                                     tctx: term_tctx,
                                 });
@@ -700,11 +774,24 @@ impl<'a> FinishScope<'a> {
         let report = match self.handle {
             FinishHandle::Local(state) => state.wait(),
             FinishHandle::Resilient { fid } => {
-                RuntimeStats::bump(&rt.stats.ctl_waits);
-                let _span =
-                    rt.tracer.span(self.ctx.here().id(), SpanKind::CtlWait, fid);
+                let here = self.ctx.here();
+                let _span = rt.tracer.span(here.id(), SpanKind::CtlWait, fid);
                 let waiter = Waiter::new();
-                rt.send_ctl(CtlMsg::Wait { fid, waiter: Arc::clone(&waiter) });
+                if here == Place::ZERO {
+                    RuntimeStats::bump(&rt.stats.ctl_local);
+                    rt.finish_svc.register_wait(fid, Arc::clone(&waiter));
+                } else {
+                    RuntimeStats::bump(&rt.stats.ctl_waits);
+                    // A Wait that cannot be enqueued would leave this
+                    // finish blocked on a waiter nobody holds.
+                    let wait = CtlMsg::Wait { fid, waiter: Arc::clone(&waiter) };
+                    if rt.send_ctl(wait).is_err() {
+                        return Err(ApgasError::Unsupported(
+                            "runtime shut down: finish cannot register its wait at place zero"
+                                .into(),
+                        ));
+                    }
+                }
                 waiter.block()
             }
         };
@@ -745,16 +832,18 @@ mod tests {
 
     #[test]
     fn service_spawn_to_dead_place_records_exception() {
+        // The direct (place-zero) entry points, without a message.
         let svc = FinishService::default();
         let dead = Place::new(3);
-        let (ack, ack_rx) = bounded(1);
-        svc.handle(|p| p != dead, CtlMsg::Spawn { fid: 7, dst: dead, ack, tctx: TraceCtx::NONE });
-        assert_eq!(ack_rx.recv().unwrap(), SpawnAck::Dead);
+        assert_eq!(svc.record_spawn(|p| p != dead, 7, dead), SpawnAck::Dead);
+        assert_eq!(svc.record_spawn(|p| p != dead, 7, Place::new(1)), SpawnAck::Ok);
+        svc.record_term(7, Place::new(1), TaskOutcome::Completed);
         let waiter = Waiter::new();
-        svc.handle(|p| p != dead, CtlMsg::Wait { fid: 7, waiter: Arc::clone(&waiter) });
+        svc.register_wait(7, Arc::clone(&waiter));
         let report = waiter.block();
         assert_eq!(report.dead.len(), 1);
         assert_eq!(report.dead[0].place, dead);
+        assert_eq!(svc.open_finishes(), 0);
     }
 
     #[test]
@@ -777,20 +866,20 @@ mod tests {
     #[test]
     fn service_ignores_stray_terms_after_death() {
         let svc = FinishService::default();
-        let p = Place::new(1);
-        let (ack, ack_rx) = bounded(1);
-        svc.handle(alive_all, CtlMsg::Spawn { fid: 4, dst: p, ack, tctx: TraceCtx::NONE });
-        ack_rx.recv().unwrap();
-        svc.handle(alive_all, CtlMsg::PlaceDied { place: p, tctx: TraceCtx::NONE });
-        // The task actually completed and its Term raced in late.
-        svc.handle(
-            alive_all,
-            CtlMsg::Term { fid: 4, place: p, outcome: TaskOutcome::Completed, tctx: TraceCtx::NONE },
-        );
+        let (p, q) = (Place::new(1), Place::new(2));
+        assert_eq!(svc.record_spawn(alive_all, 4, p), SpawnAck::Ok);
+        assert_eq!(svc.record_spawn(alive_all, 4, q), SpawnAck::Ok);
+        svc.place_died(p);
+        // The task actually completed and its Term raced in late: it must
+        // neither be counted twice nor eat the other place's count.
+        svc.record_term(4, p, TaskOutcome::Completed);
         let waiter = Waiter::new();
-        svc.handle(alive_all, CtlMsg::Wait { fid: 4, waiter: Arc::clone(&waiter) });
+        svc.register_wait(4, Arc::clone(&waiter));
+        assert_eq!(svc.ledger()[0].pending, vec![(2, 1)], "q's task is still owed");
+        svc.record_term(4, q, TaskOutcome::Completed);
         let report = waiter.block();
         assert_eq!(report.dead.len(), 1);
+        assert_eq!(svc.open_finishes(), 0);
     }
 
     #[test]

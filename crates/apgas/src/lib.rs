@@ -67,7 +67,7 @@ pub use monitor::watchdog::{Watchdog, WatchdogReport};
 pub use monitor::{HealthBoard, HealthSnapshot, MonitorServer, PlaceHealth};
 pub use place::{Place, PlaceGroup};
 pub use plh::PlaceLocalHandle;
-pub use runtime::{Ctx, Runtime, RuntimeConfig};
+pub use runtime::{Ctx, Helper, Runtime, RuntimeConfig};
 pub use serial::Serial;
 pub use stats::RuntimeStats;
 pub use trace::critical_path::{CostClass, IterProfile, SpanDag};
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::place::{Place, PlaceGroup};
     pub use crate::plh::PlaceLocalHandle;
     pub use crate::pool;
-    pub use crate::runtime::{Ctx, Runtime, RuntimeConfig};
+    pub use crate::runtime::{Ctx, Helper, Runtime, RuntimeConfig};
     pub use crate::serial::Serial;
     pub use crate::trace::critical_path::IterProfile;
     pub use crate::trace::{SpanGuard, SpanKind, TraceCtx, TraceEvent, Tracer};

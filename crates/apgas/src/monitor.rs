@@ -262,12 +262,13 @@ fn family_header(out: &mut String, name: &str, kind: &str, help: &str) {
 
 /// Render the flat runtime counters as `gml_*_total` counter families.
 pub fn render_stats(out: &mut String, s: &StatsSnapshot) {
-    let counters: [(&str, u64, &str); 14] = [
+    let counters: [(&str, u64, &str); 15] = [
         ("gml_tasks_spawned_total", s.tasks_spawned, "Tasks spawned via at/async_at."),
         ("gml_at_calls_total", s.at_calls, "Synchronous at() round trips."),
         ("gml_ctl_spawns_total", s.ctl_spawns, "Resilient-finish spawn records at place zero."),
         ("gml_ctl_terms_total", s.ctl_terms, "Resilient-finish termination records."),
         ("gml_ctl_waits_total", s.ctl_waits, "Resilient-finish wait registrations."),
+        ("gml_ctl_local_total", s.ctl_local, "Resilient-finish registry operations applied directly at place zero."),
         ("gml_bytes_shipped_total", s.bytes_shipped, "Payload bytes serialized for a place crossing."),
         ("gml_bytes_received_total", s.bytes_received, "Payload bytes landed at a receiving place."),
         ("gml_encode_nanos_total", s.encode_nanos, "Wall nanoseconds spent encoding payloads."),

@@ -212,11 +212,10 @@ impl RtInner {
         place
     }
 
-    /// Route a bookkeeping message through place zero's mailbox.
-    pub(crate) fn send_ctl(&self, msg: CtlMsg) {
-        // Place zero is immortal; a failure here means shutdown, which the
-        // callers tolerate by their ack channels disconnecting.
-        let _ = self.send(Place::ZERO, Envelope::FinishCtl(msg));
+    /// Route a bookkeeping message through place zero's mailbox. Place zero
+    /// is immortal, so an error means the runtime has shut down.
+    pub(crate) fn send_ctl(&self, msg: CtlMsg) -> std::result::Result<(), DeadPlaceException> {
+        self.send(Place::ZERO, Envelope::FinishCtl(msg))
     }
 
     fn fresh_finish_id(&self) -> u64 {
@@ -443,6 +442,24 @@ impl Ctx {
         scope.wait()
     }
 
+    /// Run `f` on one of the runtime's cached threads with a handle *at this
+    /// place* — for work that must proceed beside the caller (a checkpoint's
+    /// backup ships) without creating an OS thread per call. It is a local
+    /// helper, not a task: no finish tracks it, so the caller joins it.
+    pub fn spawn_helper<R, F>(&self, f: F) -> Helper<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&Ctx) -> R + Send + 'static,
+    {
+        let (tx, rx) = bounded(1);
+        let ctx = self.clone();
+        self.rt.cache.submit(Box::new(move || {
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx)));
+            let _ = tx.send(res.map_err(finish::panic_message));
+        }));
+        Helper { rx }
+    }
+
     /// Inject a fail-stop failure at `p`: its place-local data is wiped, its
     /// queued tasks are dropped, and subsequent operations touching it raise
     /// [`DeadPlaceException`].
@@ -613,6 +630,19 @@ impl Ctx {
     }
 }
 
+/// The pending result of [`Ctx::spawn_helper`].
+pub struct Helper<R> {
+    rx: Receiver<std::result::Result<R, String>>,
+}
+
+impl<R> Helper<R> {
+    /// Block until the body has returned. `Err` carries the panic message
+    /// if the body panicked.
+    pub fn join(self) -> std::result::Result<R, String> {
+        self.rx.recv().unwrap_or_else(|_| Err("helper thread exited without a result".into()))
+    }
+}
+
 fn kill_place_inner(rt: &Arc<RtInner>, p: Place) -> Result<()> {
     if p == Place::ZERO {
         return Err(ApgasError::Unsupported("place zero is immortal".into()));
@@ -640,8 +670,9 @@ fn kill_place_inner(rt: &Arc<RtInner>, p: Place) -> Result<()> {
         };
         // The place's memory is gone.
         rt.plh.clear_place(p);
-        // Tell the place-zero registry so open finishes settle their counts.
-        rt.send_ctl(CtlMsg::PlaceDied { place: p, tctx });
+        // Tell the place-zero registry so open finishes settle their counts
+        // (after shutdown there is no registry traffic left to settle).
+        let _ = rt.send_ctl(CtlMsg::PlaceDied { place: p, tctx });
     }
     Ok(())
 }
@@ -1116,7 +1147,7 @@ mod tests {
     #[test]
     fn resilient_mode_counts_bookkeeping() {
         let cfg = RuntimeConfig::new(4).resilient(true);
-        let (ctl, tasks) = Runtime::run(cfg, |ctx| {
+        let d = Runtime::run(cfg, |ctx| {
             let before = ctx.stats();
             ctx.finish(|fs| {
                 for p in ctx.world().iter() {
@@ -1124,14 +1155,15 @@ mod tests {
                 }
             })
             .unwrap();
-            let after = ctx.stats();
-            let d = after.since(&before);
-            (d.ctl_total(), d.tasks_spawned)
+            ctx.stats().since(&before)
         })
         .unwrap();
-        assert_eq!(tasks, 4);
-        // 4 spawns + 4 terms + 1 wait.
-        assert_eq!(ctl, 9);
+        assert_eq!(d.tasks_spawned, 4);
+        // Opened at place zero: only the Terms of the three remote tasks
+        // are messages; 4 spawns + the place-zero task's term + the wait
+        // go to the registry directly.
+        assert_eq!((d.ctl_spawns, d.ctl_terms, d.ctl_waits), (0, 3, 0));
+        assert_eq!(d.ctl_local, 6);
     }
 
     #[test]
@@ -1143,10 +1175,180 @@ mod tests {
                 }
             })
             .unwrap();
-            ctx.stats().ctl_total()
+            let s = ctx.stats();
+            s.ctl_total() + s.ctl_local
         })
         .unwrap();
         assert_eq!(ctl, 0);
+    }
+
+    #[test]
+    fn remote_origin_finish_keeps_the_message_protocol() {
+        // A finish opened at place 2 pays the full place-zero protocol: a
+        // Spawn round trip per task, one Wait, and a Term message from every
+        // task that ran away from place zero. Only the place-zero task's
+        // Term is applied directly.
+        let cfg = RuntimeConfig::new(4).resilient(true);
+        let d = Runtime::run(cfg, |ctx| {
+            ctx.at(Place::new(2), |ctx| {
+                let before = ctx.stats();
+                ctx.finish(|fs| {
+                    for p in ctx.world().iter() {
+                        fs.async_at(p, |_| {});
+                    }
+                })
+                .unwrap();
+                ctx.stats().since(&before)
+            })
+            .unwrap()
+        })
+        .unwrap();
+        assert_eq!(d.tasks_spawned, 4);
+        assert_eq!((d.ctl_spawns, d.ctl_terms, d.ctl_waits), (4, 3, 1));
+        assert_eq!(d.ctl_local, 1);
+    }
+
+    /// Where, relative to a 4-place finish opened at place zero, the victim
+    /// is killed.
+    #[derive(Clone, Copy, Debug)]
+    enum Crossing {
+        BeforeSpawnRecord,
+        BetweenRecordAndSend,
+        WhileTaskRuns,
+        AfterItsTerm,
+        BeforeWait,
+    }
+
+    /// Run the finish with `victim` killed at `crossing`; returns the
+    /// finish's result and the ledger left behind.
+    fn finish_with_kill_at(
+        ctx: &Ctx,
+        victim: Place,
+        crossing: Crossing,
+    ) -> (Result<()>, Vec<LedgerEntry>) {
+        if let Crossing::BetweenRecordAndSend = crossing {
+            // `async_at` offers no seam between its two halves, so they are
+            // staged by hand: the direct spawn record, the kill, then the
+            // send (which finds the place dead) and the finish's wait.
+            let rt = ctx.rt();
+            let fid = rt.fresh_finish_id();
+            let ack = rt.finish_svc.record_spawn(|q| rt.is_alive(q), fid, victim);
+            assert_eq!(ack, finish::SpawnAck::Ok);
+            ctx.kill_place(victim).unwrap();
+            assert!(rt.send(victim, Envelope::Task { run: Box::new(|_| {}) }).is_err());
+            let res = FinishScope::new_resilient(ctx, fid).wait();
+            return (res, ctx.finish_ledger());
+        }
+        let (release, gate) = bounded::<()>(1);
+        if let Crossing::BeforeSpawnRecord = crossing {
+            ctx.kill_place(victim).unwrap();
+        }
+        let res = ctx.finish(|fs| {
+            for p in ctx.world().iter() {
+                let gate = gate.clone();
+                fs.async_at(p, move |ctx| {
+                    if ctx.here() == victim {
+                        if let Crossing::WhileTaskRuns = crossing {
+                            // Parked until the kill has landed.
+                            let _ = gate.recv();
+                        }
+                    }
+                });
+            }
+            match crossing {
+                Crossing::WhileTaskRuns => {
+                    ctx.kill_place(victim).unwrap();
+                    release.send(()).unwrap();
+                }
+                Crossing::AfterItsTerm => {
+                    // The registry has applied the victim's Term once it no
+                    // longer owes a task there.
+                    let t0 = std::time::Instant::now();
+                    while ctx
+                        .finish_ledger()
+                        .iter()
+                        .any(|e| e.pending.iter().any(|&(p, c)| p == victim.id() && c > 0))
+                    {
+                        assert!(t0.elapsed().as_secs() < 20, "victim's Term never arrived");
+                        std::thread::yield_now();
+                    }
+                    ctx.kill_place(victim).unwrap();
+                }
+                Crossing::BeforeWait => ctx.kill_place(victim).unwrap(),
+                Crossing::BeforeSpawnRecord | Crossing::BetweenRecordAndSend => {}
+            }
+        });
+        (res, ctx.finish_ledger())
+    }
+
+    #[test]
+    fn finish_from_place_zero_survives_a_kill_at_every_crossing() {
+        use Crossing::*;
+        for victim in [1u32, 2, 3].map(Place::new) {
+            for crossing in
+                [BeforeSpawnRecord, BetweenRecordAndSend, WhileTaskRuns, AfterItsTerm, BeforeWait]
+            {
+                let rt = Runtime::new(RuntimeConfig::new(4).resilient(true));
+                // Off the test thread, so that a hang is a failure, not a
+                // stuck test run.
+                let (tx, rx) = bounded(1);
+                let ctx = Ctx::new(Arc::clone(&rt.inner), Place::ZERO);
+                ctx.spawn_helper(move |ctx| {
+                    let _ = tx.send(finish_with_kill_at(ctx, victim, crossing));
+                });
+                let (res, ledger) = rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("finish hung: {victim:?} killed {crossing:?}"));
+                let what = format!("{victim:?} killed {crossing:?}: {res:?}");
+                match crossing {
+                    // The victim's task never ran to its Term: it is lost.
+                    BeforeSpawnRecord | BetweenRecordAndSend | WhileTaskRuns => {
+                        assert_eq!(res.unwrap_err().dead_places(), vec![victim], "{what}")
+                    }
+                    // Every task had terminated: nothing was lost.
+                    AfterItsTerm => assert!(res.is_ok(), "{what}"),
+                    // Either, depending on whether the Term beat the kill.
+                    BeforeWait => match res {
+                        Ok(()) => {}
+                        Err(e) => assert_eq!(e.dead_places(), vec![victim], "{what}"),
+                    },
+                }
+                assert!(ledger.is_empty(), "{what} left {ledger:?}");
+                rt.shutdown();
+            }
+        }
+    }
+
+    #[test]
+    fn finish_from_a_remote_place_after_shutdown_fails_instead_of_blocking() {
+        let rt = Runtime::new(RuntimeConfig::new(3).resilient(true));
+        let at_one: Ctx = rt.exec(|ctx| ctx.at(Place::new(1), |ctx| ctx.clone()).unwrap()).unwrap();
+        rt.shutdown();
+        // The Wait cannot be enqueued any more; the finish used to block on
+        // a waiter nobody held.
+        let (tx, rx) = bounded(1);
+        let t = std::thread::spawn(move || {
+            let _ = tx.send(at_one.finish(|fs| fs.async_at(Place::new(2), |_| {})));
+        });
+        let res = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("finish blocked on an undeliverable Wait");
+        t.join().unwrap();
+        assert!(matches!(res, Err(ApgasError::Unsupported(_))), "got {res:?}");
+    }
+
+    #[test]
+    fn spawn_helper_returns_the_result_or_the_panic() {
+        Runtime::run(RuntimeConfig::new(2), |ctx| {
+            ctx.at(Place::new(1), |ctx| {
+                let h = ctx.spawn_helper(|ctx| ctx.here().id() + 41);
+                assert_eq!(h.join(), Ok(42), "a helper runs at its spawner's place");
+                let h = ctx.spawn_helper(|_| -> u32 { panic!("helper boom") });
+                assert_eq!(h.join(), Err("helper boom".to_string()));
+            })
+            .unwrap();
+        })
+        .unwrap();
     }
 
     #[test]

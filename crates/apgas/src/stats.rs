@@ -16,12 +16,17 @@ pub struct RuntimeStats {
     /// Synchronous `at` round trips.
     pub at_calls: AtomicU64,
     /// Place-zero bookkeeping messages: task-spawn records (each is a
-    /// synchronous round trip to place zero in resilient mode).
+    /// synchronous round trip to place zero in resilient mode). The three
+    /// `ctl_spawns`/`ctl_terms`/`ctl_waits` counters count *messages through
+    /// place zero's mailbox*, i.e. operations issued at any other place.
     pub ctl_spawns: AtomicU64,
     /// Place-zero bookkeeping messages: task terminations.
     pub ctl_terms: AtomicU64,
     /// Place-zero bookkeeping messages: finish-wait registrations.
     pub ctl_waits: AtomicU64,
+    /// Registry operations (spawn, term or wait) issued at place zero and
+    /// applied to the registry directly, without a message.
+    pub ctl_local: AtomicU64,
     /// Bytes of payload serialized for cross-place movement (maintained by
     /// the data layers via [`crate::runtime::Ctx::record_bytes`]).
     pub bytes_shipped: AtomicU64,
@@ -66,6 +71,8 @@ pub struct StatsSnapshot {
     pub ctl_terms: u64,
     /// Place-zero finish-wait registrations.
     pub ctl_waits: u64,
+    /// Registry operations applied directly at place zero (no message).
+    pub ctl_local: u64,
     /// Payload bytes serialized across places.
     pub bytes_shipped: u64,
     /// Payload bytes that landed at receiving places.
@@ -87,7 +94,8 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Total place-zero bookkeeping messages (the resilient-finish funnel).
+    /// Total place-zero bookkeeping messages (the resilient-finish funnel);
+    /// `ctl_local` operations are not messages and are not included.
     pub fn ctl_total(&self) -> u64 {
         self.ctl_spawns + self.ctl_terms + self.ctl_waits
     }
@@ -100,6 +108,7 @@ impl StatsSnapshot {
             ctl_spawns: self.ctl_spawns.saturating_sub(earlier.ctl_spawns),
             ctl_terms: self.ctl_terms.saturating_sub(earlier.ctl_terms),
             ctl_waits: self.ctl_waits.saturating_sub(earlier.ctl_waits),
+            ctl_local: self.ctl_local.saturating_sub(earlier.ctl_local),
             bytes_shipped: self.bytes_shipped.saturating_sub(earlier.bytes_shipped),
             bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
             encode_nanos: self.encode_nanos.saturating_sub(earlier.encode_nanos),
@@ -124,6 +133,7 @@ impl StatsSnapshot {
             ctl_spawns: self.ctl_spawns + other.ctl_spawns,
             ctl_terms: self.ctl_terms + other.ctl_terms,
             ctl_waits: self.ctl_waits + other.ctl_waits,
+            ctl_local: self.ctl_local + other.ctl_local,
             bytes_shipped: self.bytes_shipped + other.bytes_shipped,
             bytes_received: self.bytes_received + other.bytes_received,
             encode_nanos: self.encode_nanos + other.encode_nanos,
@@ -146,6 +156,7 @@ impl RuntimeStats {
             ctl_spawns: self.ctl_spawns.load(Ordering::Relaxed),
             ctl_terms: self.ctl_terms.load(Ordering::Relaxed),
             ctl_waits: self.ctl_waits.load(Ordering::Relaxed),
+            ctl_local: self.ctl_local.load(Ordering::Relaxed),
             bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
             encode_nanos: self.encode_nanos.load(Ordering::Relaxed),
@@ -195,6 +206,7 @@ mod tests {
             ctl_spawns: 3,
             ctl_terms: 3,
             ctl_waits: 1,
+            ctl_local: 6,
             bytes_shipped: 1_000,
             bytes_received: 900,
             encode_nanos: 50,
@@ -211,6 +223,7 @@ mod tests {
             ctl_spawns: 8,
             ctl_terms: 7,
             ctl_waits: 3,
+            ctl_local: 15,
             bytes_shipped: 4_000,
             bytes_received: 3_900,
             encode_nanos: 75,
@@ -227,6 +240,7 @@ mod tests {
         assert_eq!(d.ctl_spawns, 5);
         assert_eq!(d.ctl_terms, 4);
         assert_eq!(d.ctl_waits, 2);
+        assert_eq!(d.ctl_local, 9);
         assert_eq!(d.bytes_shipped, 3_000);
         assert_eq!(d.bytes_received, 3_000);
         assert_eq!(d.encode_nanos, 25);
@@ -236,7 +250,8 @@ mod tests {
         assert_eq!(d.task_replays, 3);
         assert_eq!(d.task_timeouts, 1);
         assert_eq!(d.task_vote_mismatches, 1);
-        assert_eq!(d.ctl_total(), 11, "ctl_total sums the three ctl deltas");
+        assert_eq!(d.ctl_total(), 11, "ctl_total sums the three message deltas, not ctl_local");
+        assert_eq!(earlier.merged(&d), later, "merged is the inverse of since");
     }
 
     #[test]
@@ -250,6 +265,7 @@ mod tests {
             ctl_spawns: 30,
             ctl_terms: 30,
             ctl_waits: 10,
+            ctl_local: 40,
             bytes_shipped: 1 << 30,
             bytes_received: 1 << 30,
             encode_nanos: u64::MAX,
@@ -265,6 +281,7 @@ mod tests {
         assert_eq!(d.tasks_spawned, 0, "100 -> 5 saturates, does not wrap");
         assert_eq!(d.at_calls, 0);
         assert_eq!(d.ctl_total(), 0);
+        assert_eq!(d.ctl_local, 0);
         assert_eq!(d.bytes_shipped, 0);
         assert_eq!(d.encode_nanos, 0, "even a u64::MAX earlier value saturates");
         assert_eq!(d.decode_nanos, 2, "fields that did advance still diff exactly");

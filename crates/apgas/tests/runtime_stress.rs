@@ -56,8 +56,13 @@ fn hundreds_of_sequential_finishes() {
             .unwrap();
         }
         assert_eq!(total.load(Ordering::Relaxed), 600);
+        // Per finish, opened at place zero: the two remote tasks' Terms are
+        // messages; 3 spawns + the local task's term + the wait are direct.
+        let s = ctx.stats();
+        assert_eq!(s.ctl_total(), 200 * 2);
+        assert_eq!(s.ctl_local, 200 * (3 + 1 + 1));
         // Every one of the 200 finishes retired its registry record.
-        assert_eq!(ctx.stats().ctl_total(), 200 * (3 + 3 + 1));
+        assert!(ctx.finish_ledger().is_empty());
     })
     .unwrap();
 }

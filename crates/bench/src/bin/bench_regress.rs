@@ -22,6 +22,12 @@
 //! timing minimums with no special casing here: a checkpoint path that
 //! starts retaining substantially more memory fails this gate exactly like
 //! one that got slower. They are deliberately NOT in [`SKIP_KEYS`].
+//!
+//! It also checks `<baseline_dir>/BENCH_history.jsonl`, the append-only
+//! trajectory of the end-to-end benchmark (one JSON object per PR: `pr`, the
+//! commits measured, a box stamp, and each workload's end-to-end medians as
+//! `[parent, change]`): every line must parse and `pr` must strictly ascend,
+//! so a restamp or a rewritten row is a visible step, not a silent edit.
 
 use std::collections::BTreeMap;
 
@@ -238,6 +244,42 @@ fn compare_file(name: &str, baseline_dir: &str, fresh_dir: &str, tol: f64) -> Fi
     FileOutcome::Compared(violations)
 }
 
+/// Check the end-to-end history file: one well-formed JSON object per
+/// line, `pr` strictly ascending. Returns the number of bad lines.
+fn check_history(baseline_dir: &str) -> usize {
+    let path = format!("{baseline_dir}/BENCH_history.jsonl");
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => {
+            println!("bench regress: HISTORY MISSING {path} ({e})");
+            return 1;
+        }
+    };
+    let mut bad = 0usize;
+    let mut last_pr = f64::NEG_INFINITY;
+    for (n, line) in text.lines().enumerate() {
+        let problem = match apgas::trace::validate_json(line) {
+            Err(e) => Some(format!("not JSON ({e})")),
+            Ok(()) => match extract_num(line, "\"pr\": ").filter(|_| line.starts_with('{')) {
+                Some(pr) if pr > last_pr => {
+                    last_pr = pr;
+                    None
+                }
+                Some(pr) => Some(format!("pr {pr} does not ascend past {last_pr}")),
+                None => Some("not an object with a numeric \"pr\"".to_string()),
+            },
+        };
+        if let Some(problem) = problem {
+            println!("bench regress: {path}:{}: {problem}", n + 1);
+            bad += 1;
+        }
+    }
+    if bad == 0 {
+        println!("bench regress: {path}: {} row(s), pr ascending", text.lines().count());
+    }
+    bad
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (baseline_dir, fresh_dir) = match args.as_slice() {
@@ -248,6 +290,10 @@ fn main() {
         }
     };
     let tol = tolerance();
+    if check_history(baseline_dir) > 0 {
+        eprintln!("bench regress: BENCH_history.jsonl is malformed — rows are appended, never edited");
+        std::process::exit(1);
+    }
     let mut violations = 0usize;
     let mut compared = 0usize;
     let mut skipped: Vec<(&str, String)> = Vec::new();

@@ -13,7 +13,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
@@ -42,9 +41,9 @@ struct AppSnapshot {
     end_snap_id: u64,
 }
 
-/// One background ship thread: executes a saved object's deferred backup
-/// transfers, returning the first error and the thread's busy time.
-type ShipTask = JoinHandle<(GmlResult<()>, Duration)>;
+/// One background ship: executes a saved object's deferred backup
+/// transfers, returning the first error and its busy time.
+type ShipTask = Helper<(GmlResult<()>, Duration)>;
 
 /// Driver-side coordinator for atomic application checkpoints.
 ///
@@ -83,18 +82,17 @@ pub struct AppResilientStore {
     retained_chain: HashSet<u64>,
 }
 
-/// Spawn the ship phase for one saved object: a thread executing its
-/// deferred backup transfers through a cloned [`Ctx`] (the documented
-/// helper-thread pattern) while the driver goes on computing.
+/// Start the ship phase for one saved object: its deferred backup transfers
+/// run on one of the runtime's cached threads ([`Ctx::spawn_helper`]) while
+/// the driver goes on computing.
 fn spawn_ship(
     ctx: &Ctx,
     store: &ResilientStore,
     orders: Vec<ShipOrder>,
     gate: Option<Arc<AtomicBool>>,
 ) -> ShipTask {
-    let ctx = ctx.clone();
     let store = store.clone();
-    std::thread::spawn(move || {
+    ctx.spawn_helper(move |ctx| {
         let t0 = Instant::now();
         if let Some(gate) = gate {
             // Failure-drill hook: park until the test releases the gate.
@@ -104,7 +102,7 @@ fn spawn_ship(
         }
         let mut res = Ok(());
         for order in orders {
-            if let Err(e) = store.execute_ship(&ctx, order) {
+            if let Err(e) = store.execute_ship(ctx, order) {
                 res = Err(e);
                 break;
             }
@@ -831,6 +829,22 @@ mod tests {
             let err = store.drain(ctx).unwrap_err();
             assert!(err.is_recoverable(), "dead-place ship error: {err}");
             assert_eq!(store.snapshot_iteration(), Some(5), "rolled back to settled snapshot");
+        });
+    }
+
+    #[test]
+    fn a_panicking_ship_fails_the_drain() {
+        run(2, |ctx| {
+            let mut ships: Vec<ShipTask> = vec![
+                ctx.spawn_helper(|_| (Ok(()), Duration::from_millis(1))),
+                ctx.spawn_helper(|_| panic!("ship boom")),
+            ];
+            let mut busy = Duration::ZERO;
+            let err = drain_ships(&mut ships, &mut busy).unwrap_err();
+            assert!(err.to_string().contains("ship thread panicked"), "{err}");
+            assert!(!err.is_recoverable());
+            assert_eq!(busy, Duration::from_millis(1), "the clean ship's time still counts");
+            assert!(ships.is_empty());
         });
     }
 

@@ -113,24 +113,7 @@ pub struct CostReport {
 impl CostReport {
     /// Counter-wise sum of every row's delta.
     pub fn summed(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        for r in &self.rows {
-            s.tasks_spawned += r.delta.tasks_spawned;
-            s.at_calls += r.delta.at_calls;
-            s.ctl_spawns += r.delta.ctl_spawns;
-            s.ctl_terms += r.delta.ctl_terms;
-            s.ctl_waits += r.delta.ctl_waits;
-            s.bytes_shipped += r.delta.bytes_shipped;
-            s.bytes_received += r.delta.bytes_received;
-            s.encode_nanos += r.delta.encode_nanos;
-            s.decode_nanos += r.delta.decode_nanos;
-            s.failures += r.delta.failures;
-            s.places_spawned += r.delta.places_spawned;
-            s.task_replays += r.delta.task_replays;
-            s.task_timeouts += r.delta.task_timeouts;
-            s.task_vote_mismatches += r.delta.task_vote_mismatches;
-        }
-        s
+        self.rows.iter().fold(StatsSnapshot::default(), |s, r| s.merged(&r.delta))
     }
 
     /// Do the rows account for every counter tick of the run? True by
@@ -235,7 +218,7 @@ impl CostReport {
             self.rows.iter().filter_map(|r| r.detect).sum();
         let c = &self.codec_totals;
         out.push_str(&format!(
-            "total: {} rows, {} restores, ctl {} (spawn {} term {} wait {}), \
+            "total: {} rows, {} restores, ctl {} (spawn {} term {} wait {}; local {}), \
              encode {} decode {}, shipped {} received {}, peak resident {}, \
              detect {}, task replays {} timeouts {} vote mismatches {}, \
              ckpt logical {} wire {} (ratio {:.2}) codec {}\n",
@@ -245,6 +228,7 @@ impl CostReport {
             t.ctl_spawns,
             t.ctl_terms,
             t.ctl_waits,
+            t.ctl_local,
             fmt_nanos(t.encode_nanos),
             fmt_nanos(t.decode_nanos),
             fmt_bytes(t.bytes_shipped),

@@ -175,18 +175,22 @@ fn runtime_stats_show_resilience_costs() {
         alpha: 0.85,
         seed: 1,
     };
-    let ctl_resilient = Runtime::run(RuntimeConfig::new(3).resilient(true), move |ctx| {
+    let resilient = Runtime::run(RuntimeConfig::new(3).resilient(true), move |ctx| {
         PageRank::run_simple(ctx, cfg, &ctx.world()).unwrap();
-        ctx.stats().ctl_total()
+        ctx.stats()
     })
     .unwrap();
-    let ctl_plain = Runtime::run(RuntimeConfig::new(3), move |ctx| {
+    let plain = Runtime::run(RuntimeConfig::new(3), move |ctx| {
         PageRank::run_simple(ctx, cfg, &ctx.world()).unwrap();
-        ctx.stats().ctl_total()
+        ctx.stats()
     })
     .unwrap();
-    assert_eq!(ctl_plain, 0);
-    assert!(ctl_resilient > 100, "resilient finish generates bookkeeping traffic");
+    assert_eq!(plain.ctl_total() + plain.ctl_local, 0);
+    assert!(
+        resilient.ctl_total() + resilient.ctl_local > 100,
+        "resilient finish generates bookkeeping work"
+    );
+    assert!(resilient.ctl_total() > 0, "remote tasks still report through place zero's mailbox");
 
     let shipped = Runtime::run(RuntimeConfig::new(3).resilient(true), move |ctx| {
         let world = ctx.world();
