@@ -144,5 +144,16 @@ echo "== e2e benchmark smoke (every workload runs and checks its result) =="
 # the exit code says whether every run completed and matched its baseline.
 # The numbers of so short a run are not compared against anything.
 cargo run --release --offline --manifest-path e2e_bench/Cargo.toml -- --quick --trace 0 > /dev/null
+# The benchmark package's own tests; among other things they hold
+# BENCHMARK.json equal to the workload catalog.
+cargo test -q --offline --manifest-path e2e_bench/Cargo.toml
+
+echo "== non-test lines (gml-core + gml-apps) =="
+# The ROADMAP code-diet measure: lines of crates/core/src and crates/apps/src
+# above each file's `#[cfg(test)]`, not counting blank lines and lines that
+# are only a `//` comment.
+for f in crates/core/src/*.rs crates/apps/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+done | grep -v '^\s*//' | grep -vc '^\s*$'
 
 echo "CI OK"

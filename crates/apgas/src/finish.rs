@@ -754,15 +754,6 @@ impl<'a> FinishScope<'a> {
         self.handle.async_at(self.ctx, p, move |ctx| run_policied(ctx, policy, f));
     }
 
-    /// [`async_at_policied`](Self::async_at_policied) under the ambient
-    /// `GML_TASK_*` environment policy ([`TaskPolicy::from_env`]).
-    pub fn async_at_resilient<F>(&self, p: Place, f: F)
-    where
-        F: Fn(&Ctx) + Send + Sync + 'static,
-    {
-        self.async_at_policied(p, TaskPolicy::from_env(), f);
-    }
-
     /// A sendable handle for spawning nested tasks from within child tasks.
     pub fn handle(&self) -> FinishHandle {
         self.handle.clone()

@@ -20,12 +20,10 @@ use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
 use gml_core::{
-    AppResilientStore, DistBlockMatrix, DupDenseMatrix, DupOperand, GmlResult,
+    each_place, AppResilientStore, DistBlockMatrix, DupDenseMatrix, DupOperand, GmlResult,
     ResilientIterativeApp,
 };
 use gml_matrix::{builder, BlockData, DenseMatrix};
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 use crate::reference;
 
@@ -147,42 +145,29 @@ impl Gnmf {
         let vh = self.v.handle();
         let wh = self.w.handle();
         let hh = self.h.handle();
-        let pot = gml_core::snapshot::ErrorPot::new();
-        let partials: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                let partials = Arc::clone(&partials);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let vset = vh.blocks(ctx)?;
-                        let vset = vset.lock();
-                        let wset = wh.blocks(ctx)?;
-                        let wset = wset.lock();
-                        let h = hh.local(ctx)?;
-                        let h = h.lock();
-                        for vb in vset.iter() {
-                            let wb = wset.find(vb.bi, vb.bj).ok_or_else(|| {
-                                gml_core::GmlError::shape("W block missing")
-                            })?;
-                            // residual block = V_b − W_b · H
-                            let mut prod =
-                                DenseMatrix::zeros(vb.rows(), h.cols());
-                            wb.data.to_dense().gemm(1.0, &h, 0.0, &mut prod);
-                            prod.scale(-1.0);
-                            prod.cell_add(&vb.data.to_dense());
-                            let sq: f64 = prod.as_slice().iter().map(|x| x * x).sum();
-                            partials.lock().push((vb.bi, sq));
-                        }
-                        Ok(())
-                    });
-                });
+        let gathered = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let vset = vh.blocks(ctx)?;
+            let vset = vset.lock();
+            let wset = wh.blocks(ctx)?;
+            let wset = wset.lock();
+            let h = hh.local(ctx)?;
+            let h = h.lock();
+            let mut local = Vec::with_capacity(vset.len());
+            for vb in vset.iter() {
+                let wb = wset
+                    .find(vb.bi, vb.bj)
+                    .ok_or_else(|| gml_core::GmlError::shape("W block missing"))?;
+                // residual block = V_b − W_b · H
+                let mut prod = DenseMatrix::zeros(vb.rows(), h.cols());
+                wb.data.to_dense().gemm(1.0, &h, 0.0, &mut prod);
+                prod.scale(-1.0);
+                prod.cell_add(&vb.data.to_dense());
+                let sq: f64 = prod.as_slice().iter().map(|x| x * x).sum();
+                local.push((vb.bi, sq));
             }
-        });
-        pot.into_result(res)?;
-        let mut partials = Arc::try_unwrap(partials)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
+            Ok(local)
+        })?;
+        let mut partials: Vec<(usize, f64)> = gathered.into_iter().flatten().collect();
         partials.sort_unstable_by_key(|(bi, _)| *bi);
         Ok(partials.into_iter().map(|(_, v)| v).sum())
     }

@@ -190,11 +190,6 @@ impl AppResilientStore {
         self.overlap = overlap;
     }
 
-    /// Whether commits defer the ship barrier to the next settle point.
-    pub fn is_overlap(&self) -> bool {
-        self.overlap
-    }
-
     /// Test hook: while the gate is `true`, ship threads park before
     /// executing their transfers — lets failure drills deterministically
     /// kill a place "during the async ship phase".
@@ -242,6 +237,12 @@ impl AppResilientStore {
     /// lock and inserts the owner copies; the backup transfers it queued are
     /// handed to a background ship thread before this method returns.
     pub fn save(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
+        // Checked before anything is allocated: without an open attempt
+        // there is no watermark, so nothing `make_snapshot` inserted could
+        // ever be reclaimed by `cancel_snapshot`.
+        if self.pending.is_none() {
+            return Err(GmlError::shape("save() before start_new_snapshot()"));
+        }
         let t0 = Instant::now();
         // Delta base for the codec: the newest settled snapshot of this
         // same object — but only while it is still fully redundant. A
@@ -282,10 +283,7 @@ impl AppResilientStore {
         if !orders.is_empty() {
             self.pending_ships.push(spawn_ship(ctx, &self.store, orders, self.ship_gate.clone()));
         }
-        let pending = self
-            .pending
-            .as_mut()
-            .ok_or_else(|| GmlError::shape("save() before start_new_snapshot()"))?;
+        let pending = self.pending.as_mut().expect("checked on entry");
         pending.map.insert(obj.object_id(), snap);
         Ok(())
     }
@@ -549,12 +547,21 @@ mod tests {
     }
 
     #[test]
-    fn save_requires_open_snapshot() {
+    fn save_requires_open_snapshot_and_leaves_nothing_behind() {
         run(2, |ctx| {
             let g = ctx.world();
             let mut store = AppResilientStore::make(ctx).unwrap();
             let v = DupVector::make(ctx, 2, &g).unwrap();
-            assert!(store.save(ctx, &v).is_err());
+            let next_id = store.store().peek_next_id();
+            assert!(matches!(store.save(ctx, &v), Err(GmlError::Shape(_))));
+            assert!(matches!(store.save_read_only(ctx, &v), Err(GmlError::Shape(_))));
+            // Refused before a snap id was allocated or an owner copy
+            // inserted: with no open attempt there is no watermark, so
+            // `cancel_snapshot` could not have reclaimed either.
+            assert_eq!(store.store().peek_next_id(), next_id);
+            for shard in store.store().inventory(ctx) {
+                assert_eq!((shard.entries, shard.wire_bytes), (0, 0), "{shard:?}");
+            }
             assert!(store.commit(ctx).is_err());
         });
     }

@@ -21,8 +21,9 @@ use parking_lot::Mutex;
 use crate::dist_vector::DistVector;
 use crate::dup_vector::DupVector;
 use crate::codec::PayloadClass;
+use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{ErrorPot, Snapshot, SnapshotBuilder, Snapshottable};
+use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
 
 /// Block-cyclic block → group-index map over a `rp × cp` place grid:
@@ -177,28 +178,19 @@ impl DistBlockMatrix {
             + 'static,
     {
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let f = f.clone();
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let set = plh.local(ctx)?;
-                        let mut set = set.lock();
-                        for b in set.iter_mut() {
-                            let data = f(b.bi, b.bj, b.row_offset, b.col_offset, b.rows(), b.cols());
-                            if data.rows() != b.rows() || data.cols() != b.cols() {
-                                return Err(GmlError::shape("init_with produced wrong block dims"));
-                            }
-                            b.data = data;
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let set = plh.local(ctx)?;
+            let mut set = set.lock();
+            for b in set.iter_mut() {
+                let data = f(b.bi, b.bj, b.row_offset, b.col_offset, b.rows(), b.cols());
+                if data.rows() != b.rows() || data.cols() != b.cols() {
+                    return Err(GmlError::shape("init_with produced wrong block dims"));
+                }
+                b.data = data;
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// The segment layout a `DistVector` must have to receive `self * x`:
@@ -246,35 +238,28 @@ impl DistBlockMatrix {
         let plh = self.plh;
         let ylh = y.plh;
         let xlh = x.plh_handle();
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let set = plh.local(ctx)?;
-                        let set = set.lock();
-                        let ystore = ylh.local(ctx)?;
-                        let mut ystore = ystore.lock();
-                        let xv = xlh.local(ctx)?;
-                        let xv = xv.lock();
-                        // Zero my segments, then accumulate block products.
-                        for seg in ystore.segs.values_mut() {
-                            seg.fill(0.0);
-                        }
-                        for b in set.iter() {
-                            let seg = ystore.segs.get_mut(&b.bi).ok_or_else(|| {
-                                GmlError::data_loss(format!("segment {} missing", b.bi))
-                            })?;
-                            let xs = xv.segment(b.col_offset, b.cols());
-                            b.data.gemv(1.0, xs, 1.0, seg.as_mut_slice());
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let set = plh.local(ctx)?;
+            let set = set.lock();
+            let ystore = ylh.local(ctx)?;
+            let mut ystore = ystore.lock();
+            let xv = xlh.local(ctx)?;
+            let xv = xv.lock();
+            // Zero my segments, then accumulate block products.
+            for seg in ystore.segs.values_mut() {
+                seg.fill(0.0);
             }
-        });
-        pot.into_result(res)
+            for b in set.iter() {
+                let seg = ystore
+                    .segs
+                    .get_mut(&b.bi)
+                    .ok_or_else(|| GmlError::data_loss(format!("segment {} missing", b.bi)))?;
+                let xs = xv.segment(b.col_offset, b.cols());
+                b.data.gemv(1.0, xs, 1.0, seg.as_mut_slice());
+            }
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// `out = selfᵀ * x` where `x` is row-aligned and `out` is duplicated:
@@ -291,43 +276,28 @@ impl DistBlockMatrix {
         let plh = self.plh;
         let xlh = x.plh;
         let cols = self.cols();
-        let pot = ErrorPot::new();
-        let partials: Arc<Mutex<Vec<(usize, Bytes)>>> = Arc::new(Mutex::new(Vec::new()));
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                let pot = pot.clone();
-                let partials = Arc::clone(&partials);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let set = plh.local(ctx)?;
-                        let set = set.lock();
-                        let xstore = xlh.local(ctx)?;
-                        let xstore = xstore.lock();
-                        let mut partial = Vector::zeros(cols);
-                        for b in set.iter() {
-                            let seg = xstore.segs.get(&b.bi).ok_or_else(|| {
-                                GmlError::data_loss(format!("segment {} missing", b.bi))
-                            })?;
-                            let yslice = &mut partial.as_mut_slice()
-                                [b.col_offset..b.col_offset + b.cols()];
-                            b.data.gemv_trans(1.0, seg.as_slice(), 1.0, yslice);
-                        }
-                        let bytes = ctx.encode(&partial);
-                        ctx.record_bytes(bytes.len());
-                        partials.lock().push((idx, bytes));
-                        Ok(())
-                    });
-                });
+        let partials = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let set = plh.local(ctx)?;
+            let set = set.lock();
+            let xstore = xlh.local(ctx)?;
+            let xstore = xstore.lock();
+            let mut partial = Vector::zeros(cols);
+            for b in set.iter() {
+                let seg = xstore
+                    .segs
+                    .get(&b.bi)
+                    .ok_or_else(|| GmlError::data_loss(format!("segment {} missing", b.bi)))?;
+                let yslice = &mut partial.as_mut_slice()[b.col_offset..b.col_offset + b.cols()];
+                b.data.gemv_trans(1.0, seg.as_slice(), 1.0, yslice);
             }
-        });
-        pot.into_result(res)?;
-        // Deterministic reduction in group-index order at the driver.
-        let mut partials = Arc::try_unwrap(partials)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
-        partials.sort_unstable_by_key(|(i, _)| *i);
+            let bytes = ctx.encode(&partial);
+            ctx.record_bytes(bytes.len());
+            Ok(bytes)
+        })?;
+        // Deterministic reduction at the driver: the partials come back in
+        // group-index order.
         let mut sum = Vector::zeros(cols);
-        for (_, bytes) in partials {
+        for bytes in partials {
             ctx.record_bytes_received(bytes.len());
             sum.cell_add(&ctx.decode::<Vector>(bytes));
         }
@@ -378,49 +348,31 @@ impl DistBlockMatrix {
         // both handles then name the same mutex, which must be locked once.
         let same = self.object_id == other.object_id;
         let (k1, k2) = (self.cols(), other.cols());
-        let pot = ErrorPot::new();
-        let partials: Arc<Mutex<Vec<(usize, Bytes)>>> = Arc::new(Mutex::new(Vec::new()));
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                let pot = pot.clone();
-                let partials = Arc::clone(&partials);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let sa = a.local(ctx)?;
-                        let sa = sa.lock();
-                        let mut acc = DenseMatrix::zeros(k1, k2);
-                        if same {
-                            for ba in sa.iter() {
-                                gram_block_acc(&ba.data, &ba.data, &mut acc)?;
-                            }
-                        } else {
-                            let sb = b.local(ctx)?;
-                            let sb = sb.lock();
-                            for ba in sa.iter() {
-                                let bb = sb.find(ba.bi, ba.bj).ok_or_else(|| {
-                                    GmlError::data_loss(format!(
-                                        "block ({},{}) missing",
-                                        ba.bi, ba.bj
-                                    ))
-                                })?;
-                                gram_block_acc(&ba.data, &bb.data, &mut acc)?;
-                            }
-                        }
-                        let bytes = ctx.encode(&acc);
-                        ctx.record_bytes(bytes.len());
-                        partials.lock().push((idx, bytes));
-                        Ok(())
-                    });
-                });
+        let partials = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let sa = a.local(ctx)?;
+            let sa = sa.lock();
+            let mut acc = DenseMatrix::zeros(k1, k2);
+            if same {
+                for ba in sa.iter() {
+                    gram_block_acc(&ba.data, &ba.data, &mut acc)?;
+                }
+            } else {
+                let sb = b.local(ctx)?;
+                let sb = sb.lock();
+                for ba in sa.iter() {
+                    let bb = sb.find(ba.bi, ba.bj).ok_or_else(|| {
+                        GmlError::data_loss(format!("block ({},{}) missing", ba.bi, ba.bj))
+                    })?;
+                    gram_block_acc(&ba.data, &bb.data, &mut acc)?;
+                }
             }
-        });
-        pot.into_result(res)?;
-        let mut partials = Arc::try_unwrap(partials)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
-        partials.sort_unstable_by_key(|(i, _)| *i);
+            let bytes = ctx.encode(&acc);
+            ctx.record_bytes(bytes.len());
+            Ok(bytes)
+        })?;
+        // Summed in group-index order, as the partials come back.
         let mut sum = DenseMatrix::zeros(k1, k2);
-        for (_, bytes) in partials {
+        for bytes in partials {
             ctx.record_bytes_received(bytes.len());
             sum.cell_add(&ctx.decode::<DenseMatrix>(bytes));
         }
@@ -463,53 +415,42 @@ impl DistBlockMatrix {
         let a = self.plh;
         let o = out.plh;
         let d = dup.plh_handle();
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        // Materialise the effective operand once per place.
-                        let local = d.local(ctx)?;
-                        let local = local.lock();
-                        let rhs: DenseMatrix = match operand {
-                            DupOperand::Plain => local.clone(),
-                            DupOperand::Transpose => local.transpose(),
-                            DupOperand::Gram => {
-                                let t = local.transpose();
-                                let mut g = DenseMatrix::zeros(local.rows(), local.rows());
-                                local.gemm(1.0, &t, 0.0, &mut g);
-                                g
-                            }
-                        };
-                        drop(local);
-                        let sa = a.local(ctx)?;
-                        let sa = sa.lock();
-                        let so = o.local(ctx)?;
-                        let mut so = so.lock();
-                        for ba in sa.iter() {
-                            let product = match &ba.data {
-                                BlockData::Dense(m) => {
-                                    let mut c = DenseMatrix::zeros(m.rows(), rhs.cols());
-                                    m.gemm(1.0, &rhs, 0.0, &mut c);
-                                    c
-                                }
-                                BlockData::Sparse(s) => s.spmm(&rhs),
-                            };
-                            let slot = so.find_mut(ba.bi, ba.bj).ok_or_else(|| {
-                                GmlError::data_loss(format!(
-                                    "output block ({},{}) missing",
-                                    ba.bi, ba.bj
-                                ))
-                            })?;
-                            slot.data = BlockData::Dense(product);
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            // Materialise the effective operand once per place.
+            let local = d.local(ctx)?;
+            let local = local.lock();
+            let rhs: DenseMatrix = match operand {
+                DupOperand::Plain => local.clone(),
+                DupOperand::Transpose => local.transpose(),
+                DupOperand::Gram => {
+                    let t = local.transpose();
+                    let mut g = DenseMatrix::zeros(local.rows(), local.rows());
+                    local.gemm(1.0, &t, 0.0, &mut g);
+                    g
+                }
+            };
+            drop(local);
+            let sa = a.local(ctx)?;
+            let sa = sa.lock();
+            let so = o.local(ctx)?;
+            let mut so = so.lock();
+            for ba in sa.iter() {
+                let product = match &ba.data {
+                    BlockData::Dense(m) => {
+                        let mut c = DenseMatrix::zeros(m.rows(), rhs.cols());
+                        m.gemm(1.0, &rhs, 0.0, &mut c);
+                        c
+                    }
+                    BlockData::Sparse(s) => s.spmm(&rhs),
+                };
+                let slot = so.find_mut(ba.bi, ba.bj).ok_or_else(|| {
+                    GmlError::data_loss(format!("output block ({},{}) missing", ba.bi, ba.bj))
+                })?;
+                slot.data = BlockData::Dense(product);
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Element-wise combine with a row-aligned dense matrix:
@@ -529,102 +470,66 @@ impl DistBlockMatrix {
         }
         let a = self.plh;
         let b = other.plh;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                let f = f.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let sa = a.local(ctx)?;
-                        let mut sa = sa.lock();
-                        let sb = b.local(ctx)?;
-                        let sb = sb.lock();
-                        for ba in sa.iter_mut() {
-                            let bb = sb.find(ba.bi, ba.bj).ok_or_else(|| {
-                                GmlError::data_loss(format!("block ({},{}) missing", ba.bi, ba.bj))
-                            })?;
-                            match (&mut ba.data, &bb.data) {
-                                (BlockData::Dense(x), BlockData::Dense(y)) => f(x, y),
-                                _ => return Err(GmlError::shape("zip_blocks dense-only")),
-                            }
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let sa = a.local(ctx)?;
+            let mut sa = sa.lock();
+            let sb = b.local(ctx)?;
+            let sb = sb.lock();
+            for ba in sa.iter_mut() {
+                let bb = sb.find(ba.bi, ba.bj).ok_or_else(|| {
+                    GmlError::data_loss(format!("block ({},{}) missing", ba.bi, ba.bj))
+                })?;
+                match (&mut ba.data, &bb.data) {
+                    (BlockData::Dense(x), BlockData::Dense(y)) => f(x, y),
+                    _ => return Err(GmlError::shape("zip_blocks dense-only")),
+                }
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// `self *= alpha` applied block-wise at every place.
     pub fn scale(&self, ctx: &Ctx, alpha: f64) -> GmlResult<()> {
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let set = plh.local(ctx)?;
-                        let mut set = set.lock();
-                        for b in set.iter_mut() {
-                            match &mut b.data {
-                                BlockData::Dense(d) => {
-                                    d.scale(alpha);
-                                }
-                                BlockData::Sparse(s) => {
-                                    s.scale(alpha);
-                                }
-                            }
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let set = plh.local(ctx)?;
+            let mut set = set.lock();
+            for b in set.iter_mut() {
+                match &mut b.data {
+                    BlockData::Dense(d) => {
+                        d.scale(alpha);
+                    }
+                    BlockData::Sparse(s) => {
+                        s.scale(alpha);
+                    }
+                }
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Squared Frobenius norm, reduced deterministically in block-id order.
     pub fn frobenius_norm_sq(&self, ctx: &Ctx) -> GmlResult<f64> {
         let plh = self.plh;
         let grid = self.grid.clone();
-        let pot = ErrorPot::new();
-        let partials: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                let partials = Arc::clone(&partials);
-                let grid = grid.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let set = plh.local(ctx)?;
-                        let set = set.lock();
-                        let mut local = Vec::with_capacity(set.len());
-                        for b in set.iter() {
-                            let sq = match &b.data {
-                                BlockData::Dense(d) => {
-                                    d.as_slice().iter().map(|v| v * v).sum::<f64>()
-                                }
-                                BlockData::Sparse(s) => {
-                                    s.iter().map(|(_, _, v)| v * v).sum::<f64>()
-                                }
-                            };
-                            local.push((grid.block_id(b.bi, b.bj), sq));
-                        }
-                        ctx.record_bytes(16 * local.len());
-                        ctx.record_bytes_received(16 * local.len());
-                        partials.lock().extend(local);
-                        Ok(())
-                    });
-                });
+        let gathered = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let set = plh.local(ctx)?;
+            let set = set.lock();
+            let mut local = Vec::with_capacity(set.len());
+            for b in set.iter() {
+                let sq = match &b.data {
+                    BlockData::Dense(d) => d.as_slice().iter().map(|v| v * v).sum::<f64>(),
+                    BlockData::Sparse(s) => s.iter().map(|(_, _, v)| v * v).sum::<f64>(),
+                };
+                local.push((grid.block_id(b.bi, b.bj), sq));
             }
-        });
-        pot.into_result(res)?;
-        let mut partials = Arc::try_unwrap(partials)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
+            ctx.record_bytes(16 * local.len());
+            ctx.record_bytes_received(16 * local.len());
+            Ok(local)
+        })?;
+        let mut partials: Vec<(usize, f64)> = gathered.into_iter().flatten().collect();
         partials.sort_unstable_by_key(|(id, _)| *id);
         Ok(partials.into_iter().map(|(_, v)| v).sum())
     }
@@ -633,34 +538,19 @@ impl DistBlockMatrix {
     /// O(rows*cols) memory).
     pub fn gather_dense(&self, ctx: &Ctx) -> GmlResult<DenseMatrix> {
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let pieces: Arc<Mutex<Vec<Bytes>>> = Arc::new(Mutex::new(Vec::new()));
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                let pieces = Arc::clone(&pieces);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let set = plh.local(ctx)?;
-                        let set = set.lock();
-                        let mut local = Vec::with_capacity(set.len());
-                        for b in set.iter() {
-                            let bytes = ctx.encode(b);
-                            ctx.record_bytes(bytes.len());
-                            local.push(bytes);
-                        }
-                        pieces.lock().extend(local);
-                        Ok(())
-                    });
-                });
+        let pieces = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let set = plh.local(ctx)?;
+            let set = set.lock();
+            let mut local = Vec::with_capacity(set.len());
+            for b in set.iter() {
+                let bytes = ctx.encode(b);
+                ctx.record_bytes(bytes.len());
+                local.push(bytes);
             }
-        });
-        pot.into_result(res)?;
+            Ok(local)
+        })?;
         let mut out = DenseMatrix::zeros(self.rows(), self.cols());
-        let pieces = Arc::try_unwrap(pieces)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
-        for bytes in pieces {
+        for bytes in pieces.into_iter().flatten() {
             ctx.record_bytes_received(bytes.len());
             let b: MatrixBlock = ctx.decode(bytes);
             out.paste(b.row_offset, b.col_offset, &b.data.to_dense());
@@ -704,16 +594,10 @@ impl DistBlockMatrix {
             let dist = Arc::clone(&dist);
             let group2 = new_places.clone();
             let sparse = self.sparse;
-            ctx.finish(|fs| {
-                for p in new_places.iter() {
-                    let grid = grid.clone();
-                    let dist = Arc::clone(&dist);
-                    let group2 = group2.clone();
-                    fs.async_at(p, move |ctx| {
-                        let set = Self::local_blocks(&grid, &dist, &group2, ctx.here(), sparse);
-                        plh.set_local(ctx, Mutex::new(set));
-                    });
-                }
+            each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
+                let set = Self::local_blocks(&grid, &dist, &group2, ctx.here(), sparse);
+                plh.set_local(ctx, Mutex::new(set));
+                Ok(())
             })?;
         }
         self.grid = new_grid;
@@ -832,46 +716,25 @@ impl Snapshottable for DistBlockMatrix {
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {
         let _span = ctx.trace_span(SpanKind::SnapshotObj, self.object_id);
         let snap_id = store.fresh_snap_id();
-        let builder = SnapshotBuilder::new();
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let group = self.group.clone();
-        let store2 = store.clone();
-        let grid = self.grid.clone();
-        let res = ctx.finish(|fs| {
-            for (idx, p) in group.iter().enumerate() {
-                let backup = group.place(group.next_index(idx));
-                let pot = pot.clone();
-                let builder = builder.clone();
-                let store2 = store2.clone();
-                let grid = grid.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        // Capture: serialize every block under one short
-                        // lock (the bulk encode path), then hand the whole
-                        // batch to the store — one framed backup transfer
-                        // for the place instead of one round trip per block.
-                        let serialized: Vec<(u64, Bytes)> = {
-                            let set = plh.local(ctx)?;
-                            let set = set.lock();
-                            set.iter()
-                                .map(|b| (grid.block_id(b.bi, b.bj) as u64, ctx.encode(b)))
-                                .collect()
-                        };
-                        for (key, bytes) in &serialized {
-                            builder.record(*key, ctx.here(), backup, bytes.len());
-                        }
-                        store2.save_batch(ctx, snap_id, serialized, backup)?;
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)?;
+        let (group, store, grid) = (self.group.clone(), store.clone(), self.grid.clone());
+        let entries = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            // Capture: serialize every block under one short lock (the bulk
+            // encode path), then hand the whole batch to the store — one
+            // framed backup transfer for the place instead of one round trip
+            // per block.
+            let parts: Vec<(u64, Bytes)> = {
+                let set = plh.local(ctx)?;
+                let set = set.lock();
+                set.iter().map(|b| (grid.block_id(b.bi, b.bj) as u64, ctx.encode(b))).collect()
+            };
+            store.save_local_parts(ctx, snap_id, &group, parts)
+        })?;
         let mut desc = BytesMut::new();
         self.grid.write(&mut desc);
         desc.put_u8(self.sparse as u8);
-        Ok(builder.build_at(ctx, snap_id, self.object_id, self.group.clone(), desc.freeze()))
+        let entries = entries.into_iter().flatten();
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -892,66 +755,48 @@ impl Snapshottable for DistBlockMatrix {
         }
         let same_grid = old_grid == self.grid;
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let store2 = store.clone();
-        let snap = snapshot.clone();
+        let (store, snap) = (store.clone(), snapshot.clone());
         let new_grid = self.grid.clone();
         let sparse = self.sparse;
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                let store2 = store2.clone();
-                let snap = snap.clone();
-                let old_grid = old_grid.clone();
-                let new_grid = new_grid.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        // Which blocks do I own now?
-                        let my_blocks: Vec<(usize, usize)> = {
-                            let set = plh.local(ctx)?;
-                            let set = set.lock();
-                            set.iter().map(|b| (b.bi, b.bj)).collect()
-                        };
-                        for (bi, bj) in my_blocks {
-                            let restored: MatrixBlock = if same_grid {
-                                // Block-by-block restore: whole blocks come
-                                // back exactly as saved.
-                                let key = old_grid.block_id(bi, bj) as u64;
-                                let bytes = snap.fetch(ctx, &store2, key)?;
-                                ctx.decode(bytes)
-                            } else {
-                                // Overlap-copy restore: assemble this new
-                                // block from sub-regions of old blocks.
-                                let mut nb = MatrixBlock::zeros(&new_grid, bi, bj, sparse);
-                                for ov in new_grid.overlaps(&old_grid, bi, bj) {
-                                    let key = old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
-                                    let region = fetch_sub_block(
-                                        ctx, &store2, &snap, key, ov.r0, ov.r1, ov.c0, ov.c1,
-                                    )?;
-                                    nb.data.paste(
-                                        ov.r0 - nb.row_offset,
-                                        ov.c0 - nb.col_offset,
-                                        &region,
-                                    );
-                                }
-                                nb
-                            };
-                            let set = plh.local(ctx)?;
-                            let mut set = set.lock();
-                            let slot = set.find_mut(bi, bj).ok_or_else(|| {
-                                GmlError::data_loss(format!("block ({bi},{bj}) not allocated"))
-                            })?;
-                            if slot.rows() != restored.rows() || slot.cols() != restored.cols() {
-                                return Err(GmlError::shape("restored block dims mismatch"));
-                            }
-                            slot.data = restored.data;
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            // Which blocks do I own now?
+            let my_blocks: Vec<(usize, usize)> = {
+                let set = plh.local(ctx)?;
+                let set = set.lock();
+                set.iter().map(|b| (b.bi, b.bj)).collect()
+            };
+            for (bi, bj) in my_blocks {
+                let restored: MatrixBlock = if same_grid {
+                    // Block-by-block restore: whole blocks come back exactly
+                    // as saved.
+                    let key = old_grid.block_id(bi, bj) as u64;
+                    let bytes = snap.fetch(ctx, &store, key)?;
+                    ctx.decode(bytes)
+                } else {
+                    // Overlap-copy restore: assemble this new block from
+                    // sub-regions of old blocks.
+                    let mut nb = MatrixBlock::zeros(&new_grid, bi, bj, sparse);
+                    for ov in new_grid.overlaps(&old_grid, bi, bj) {
+                        let key = old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
+                        let region =
+                            fetch_sub_block(ctx, &store, &snap, key, ov.r0, ov.r1, ov.c0, ov.c1)?;
+                        nb.data.paste(ov.r0 - nb.row_offset, ov.c0 - nb.col_offset, &region);
+                    }
+                    nb
+                };
+                let set = plh.local(ctx)?;
+                let mut set = set.lock();
+                let slot = set.find_mut(bi, bj).ok_or_else(|| {
+                    GmlError::data_loss(format!("block ({bi},{bj}) not allocated"))
+                })?;
+                if slot.rows() != restored.rows() || slot.cols() != restored.cols() {
+                    return Err(GmlError::shape("restored block dims mismatch"));
+                }
+                slot.data = restored.data;
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 }
 

@@ -16,14 +16,23 @@ use gml_matrix::Vector;
 use parking_lot::Mutex;
 
 use crate::codec::PayloadClass;
+use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{ErrorPot, Snapshot, SnapshotBuilder, Snapshottable};
+use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
 
 /// The segments one place holds: segment id → data.
 #[derive(Default)]
 pub(crate) struct SegmentStore {
     pub(crate) segs: HashMap<usize, Vector>,
+}
+
+impl SegmentStore {
+    /// The zero-filled segments `segs` of the layout cut at `splits`.
+    fn zeroed(segs: &[usize], splits: &[usize]) -> Self {
+        let segs = segs.iter().map(|&s| (s, Vector::zeros(splits[s + 1] - splits[s]))).collect();
+        SegmentStore { segs }
+    }
 }
 
 /// Invert `seg_owner` into per-group-index segment lists (ascending within
@@ -87,17 +96,11 @@ impl DistVector {
         let seg_owner = Arc::new(seg_owner);
         let plh = {
             let splits = Arc::clone(&splits);
-            let seg_owner = Arc::clone(&seg_owner);
+            let place_segs = Arc::clone(&place_segs);
             let group2 = group.clone();
             PlaceLocalHandle::make(ctx, group, move |ctx| {
                 let my_index = group2.index_of(ctx.here()).expect("place in group");
-                let mut store = SegmentStore::default();
-                for (s, &o) in seg_owner.iter().enumerate() {
-                    if o == my_index {
-                        store.segs.insert(s, Vector::zeros(splits[s + 1] - splits[s]));
-                    }
-                }
-                Mutex::new(store)
+                Mutex::new(SegmentStore::zeroed(&place_segs[my_index], &splits))
             })?
         };
         Ok(DistVector {
@@ -140,6 +143,12 @@ impl DistVector {
         self.group.place(self.seg_owner[s])
     }
 
+    /// The `(group index, place)` pairs of the places that hold at least one
+    /// segment — the participants of every segment collective.
+    fn seg_places(&self) -> Vec<(usize, Place)> {
+        self.group.iter().enumerate().filter(|&(idx, _)| !self.place_segs[idx].is_empty()).collect()
+    }
+
     /// Run `f(seg_id, global_offset, segment)` at the owning place of every
     /// segment, concurrently.
     pub fn for_each_segment<F>(&self, ctx: &Ctx, f: F) -> GmlResult<()>
@@ -147,36 +156,22 @@ impl DistVector {
         F: Fn(usize, usize, &mut Vector) + Send + Sync + Clone + 'static,
     {
         let plh = self.plh;
-        let pot = ErrorPot::new();
         let place_segs = Arc::clone(&self.place_segs);
         let splits = Arc::clone(&self.splits);
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                // One task per place touches all that place's segments.
-                if place_segs[idx].is_empty() {
-                    continue;
-                }
-                let f = f.clone();
-                let pot = pot.clone();
-                let place_segs = Arc::clone(&place_segs);
-                let splits = Arc::clone(&splits);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let store = plh.local(ctx)?;
-                        let mut store = store.lock();
-                        for &s in &place_segs[idx] {
-                            let seg = store
-                                .segs
-                                .get_mut(&s)
-                                .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                            f(s, splits[s], seg);
-                        }
-                        Ok(())
-                    });
-                });
+        // One task per place touches all that place's segments.
+        each_place(ctx, self.seg_places(), move |ctx, idx| {
+            let store = plh.local(ctx)?;
+            let mut store = store.lock();
+            for &s in &place_segs[idx] {
+                let seg = store
+                    .segs
+                    .get_mut(&s)
+                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
+                f(s, splits[s], seg);
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Initialise as `v[i] = f(i)` (global index).
@@ -223,100 +218,70 @@ impl DistVector {
         }
         let b = other.plh;
         let plh = self.plh;
-        let pot = ErrorPot::new();
         let place_segs = Arc::clone(&self.place_segs);
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                if place_segs[idx].is_empty() {
-                    continue;
-                }
-                let f = f.clone();
-                let pot = pot.clone();
-                let place_segs = Arc::clone(&place_segs);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let sa = plh.local(ctx)?;
-                        let sb = b.local(ctx)?;
-                        let mut sa = sa.lock();
-                        let sb = sb.lock();
-                        for &s in &place_segs[idx] {
-                            let other_seg = sb
-                                .segs
-                                .get(&s)
-                                .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                            let seg = sa
-                                .segs
-                                .get_mut(&s)
-                                .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                            f(seg, other_seg);
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.seg_places(), move |ctx, idx| {
+            let sa = plh.local(ctx)?;
+            let sb = b.local(ctx)?;
+            let mut sa = sa.lock();
+            let sb = sb.lock();
+            for &s in &place_segs[idx] {
+                let other_seg = sb
+                    .segs
+                    .get(&s)
+                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
+                let seg = sa
+                    .segs
+                    .get_mut(&s)
+                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
+                f(seg, other_seg);
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 
-    /// Per-segment partial reductions gathered to the caller, summed in
-    /// deterministic segment order.
-    fn reduce_segments<F>(&self, ctx: &Ctx, f: F) -> GmlResult<f64>
+    /// One partial per segment, `f(seg_id, global_offset, segment, ctx)`
+    /// computed at its owner and gathered to the caller, in ascending
+    /// segment order whatever the layout — so that a reduction over them is
+    /// deterministic.
+    fn segment_partials<F>(&self, ctx: &Ctx, f: F) -> GmlResult<Vec<f64>>
     where
-        F: Fn(usize, usize, &Vector, &Ctx) -> GmlResult<f64> + Send + Sync + Clone + 'static,
+        F: Fn(usize, usize, &Vector, &Ctx) -> GmlResult<f64> + Send + Sync + 'static,
     {
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        // One slot per group index: each task writes only its own slot, so
-        // there is no contention on a shared gather vector, and the slot
-        // order is fixed by the precomputed per-place segment lists.
-        let slots: Arc<Vec<Mutex<Vec<f64>>>> =
-            Arc::new((0..self.group.len()).map(|_| Mutex::new(Vec::new())).collect());
         let place_segs = Arc::clone(&self.place_segs);
         let splits = Arc::clone(&self.splits);
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                if place_segs[idx].is_empty() {
-                    continue;
-                }
-                let f = f.clone();
-                let pot = pot.clone();
-                let slots = Arc::clone(&slots);
-                let place_segs = Arc::clone(&place_segs);
-                let splits = Arc::clone(&splits);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let store = plh.local(ctx)?;
-                        let store = store.lock();
-                        let mut local = Vec::with_capacity(place_segs[idx].len());
-                        for &s in &place_segs[idx] {
-                            let seg = store
-                                .segs
-                                .get(&s)
-                                .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                            local.push(f(s, splits[s], seg, ctx)?);
-                        }
-                        // One "message" back to the driver per place; the
-                        // driver consumes it, so it counts as received too.
-                        ctx.record_bytes(16 * local.len());
-                        ctx.record_bytes_received(16 * local.len());
-                        *slots[idx].lock() = local;
-                        Ok(())
-                    });
-                });
+        let gathered = each_place(ctx, self.seg_places(), move |ctx, idx| {
+            let store = plh.local(ctx)?;
+            let store = store.lock();
+            let mut local = Vec::with_capacity(place_segs[idx].len());
+            for &s in &place_segs[idx] {
+                let seg = store
+                    .segs
+                    .get(&s)
+                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
+                local.push((s, f(s, splits[s], seg, ctx)?));
             }
-        });
-        pot.into_result(res)?;
-        // Deterministic combine: scatter each place's partials back to their
-        // segment ids, then sum in ascending segment order (bit-identical to
-        // the old sort-by-segment gather).
+            // One "message" back to the driver per place, 16 B per (segment
+            // id, partial) pair; the driver consumes it, so it counts as
+            // received too.
+            ctx.record_bytes(16 * local.len());
+            ctx.record_bytes_received(16 * local.len());
+            Ok(local)
+        })?;
         let mut per_seg = vec![0.0f64; self.num_segments()];
-        for (idx, segs) in place_segs.iter().enumerate() {
-            let vals = slots[idx].lock();
-            for (&s, &v) in segs.iter().zip(vals.iter()) {
-                per_seg[s] = v;
-            }
+        for (s, v) in gathered.into_iter().flatten() {
+            per_seg[s] = v;
         }
-        Ok(per_seg.into_iter().sum())
+        Ok(per_seg)
+    }
+
+    /// Per-segment partials summed in ascending segment order.
+    fn reduce_segments<F>(&self, ctx: &Ctx, f: F) -> GmlResult<f64>
+    where
+        F: Fn(usize, usize, &Vector, &Ctx) -> GmlResult<f64> + Send + Sync + 'static,
+    {
+        Ok(self.segment_partials(ctx, f)?.into_iter().sum())
     }
 
     /// Dot product with a duplicated vector of the same total length —
@@ -366,78 +331,34 @@ impl DistVector {
 
     /// Maximum absolute element (0 for an empty vector).
     pub fn max_abs(&self, ctx: &Ctx) -> GmlResult<f64> {
-        let plh = self.plh;
-        let pot = ErrorPot::new();
-        let maxima: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-        let place_segs = Arc::clone(&self.place_segs);
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                if place_segs[idx].is_empty() {
-                    continue;
-                }
-                let pot = pot.clone();
-                let maxima = Arc::clone(&maxima);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let store = plh.local(ctx)?;
-                        let store = store.lock();
-                        let m = store
-                            .segs
-                            .values()
-                            .flat_map(|s| s.as_slice())
-                            .fold(0.0f64, |m, v| m.max(v.abs()));
-                        maxima.lock().push(m);
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)?;
-        let maxima = maxima.lock();
-        Ok(maxima.iter().fold(0.0f64, |m, &v| m.max(v)))
+        let maxima = self.segment_partials(ctx, |_, _, seg, _| {
+            Ok(seg.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs())))
+        })?;
+        Ok(maxima.into_iter().fold(0.0f64, f64::max))
     }
 
     /// Gather the whole vector to the caller (the paper's
     /// `GP.copyTo(P.local())` gather step). Costs one transfer per segment.
     pub fn gather(&self, ctx: &Ctx) -> GmlResult<Vector> {
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let pieces: Arc<Mutex<Vec<(usize, Bytes)>>> = Arc::new(Mutex::new(Vec::new()));
         let place_segs = Arc::clone(&self.place_segs);
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                if place_segs[idx].is_empty() {
-                    continue;
-                }
-                let pot = pot.clone();
-                let pieces = Arc::clone(&pieces);
-                let place_segs = Arc::clone(&place_segs);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let store = plh.local(ctx)?;
-                        let store = store.lock();
-                        let mut local = Vec::with_capacity(place_segs[idx].len());
-                        for &s in &place_segs[idx] {
-                            let seg = store
-                                .segs
-                                .get(&s)
-                                .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                            let bytes = ctx.encode(seg);
-                            ctx.record_bytes(bytes.len());
-                            local.push((s, bytes));
-                        }
-                        pieces.lock().extend(local);
-                        Ok(())
-                    });
-                });
+        let pieces = each_place(ctx, self.seg_places(), move |ctx, idx| {
+            let store = plh.local(ctx)?;
+            let store = store.lock();
+            let mut local = Vec::with_capacity(place_segs[idx].len());
+            for &s in &place_segs[idx] {
+                let seg = store
+                    .segs
+                    .get(&s)
+                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
+                let bytes = ctx.encode(seg);
+                ctx.record_bytes(bytes.len());
+                local.push((s, bytes));
             }
-        });
-        pot.into_result(res)?;
+            Ok(local)
+        })?;
         let mut out = Vector::zeros(self.len());
-        let pieces = Arc::try_unwrap(pieces)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
-        for (s, bytes) in pieces {
+        for (s, bytes) in pieces.into_iter().flatten() {
             ctx.record_bytes_received(bytes.len());
             let seg: Vector = ctx.decode(bytes);
             out.copy_from_at(self.splits[s], seg.as_slice());
@@ -486,31 +407,16 @@ impl DistVector {
         }
         let place_segs = Arc::new(owner_lists(&seg_owner, new_places.len()));
         let splits = Arc::new(splits);
-        let seg_owner = Arc::new(seg_owner);
         {
+            let place_segs = Arc::clone(&place_segs);
             let splits = Arc::clone(&splits);
-            let seg_owner = Arc::clone(&seg_owner);
-            let group2 = new_places.clone();
-            ctx.finish(|fs| {
-                for p in new_places.iter() {
-                    let splits = Arc::clone(&splits);
-                    let seg_owner = Arc::clone(&seg_owner);
-                    let group2 = group2.clone();
-                    fs.async_at(p, move |ctx| {
-                        let my_index = group2.index_of(ctx.here()).expect("place in group");
-                        let mut store = SegmentStore::default();
-                        for (s, &o) in seg_owner.iter().enumerate() {
-                            if o == my_index {
-                                store.segs.insert(s, Vector::zeros(splits[s + 1] - splits[s]));
-                            }
-                        }
-                        plh.set_local(ctx, Mutex::new(store));
-                    });
-                }
+            each_place(ctx, new_places.iter().enumerate(), move |ctx, idx| {
+                plh.set_local(ctx, Mutex::new(SegmentStore::zeroed(&place_segs[idx], &splits)));
+                Ok(())
             })?;
         }
         self.splits = splits;
-        self.seg_owner = seg_owner;
+        self.seg_owner = Arc::new(seg_owner);
         self.place_segs = place_segs;
         self.group = new_places.clone();
         Ok(())
@@ -530,56 +436,36 @@ impl Snapshottable for DistVector {
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {
         let _span = ctx.trace_span(SpanKind::SnapshotObj, self.object_id);
         let snap_id = store.fresh_snap_id();
-        let builder = SnapshotBuilder::new();
         let plh = self.plh;
-        let pot = ErrorPot::new();
         let place_segs = Arc::clone(&self.place_segs);
-        let group = self.group.clone();
-        let store2 = store.clone();
-        let res = ctx.finish(|fs| {
-            for (idx, p) in group.iter().enumerate() {
-                if place_segs[idx].is_empty() {
-                    continue;
-                }
-                let backup = group.place(group.next_index(idx));
-                let pot = pot.clone();
-                let builder = builder.clone();
-                let store2 = store2.clone();
-                let place_segs = Arc::clone(&place_segs);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        // Capture: encode every local segment under one short
-                        // lock, then ship them as a single framed batch.
-                        let serialized: Vec<(u64, Bytes)> = {
-                            let st = plh.local(ctx)?;
-                            let st = st.lock();
-                            place_segs[idx]
-                                .iter()
-                                .map(|&s| {
-                                    let seg = st.segs.get(&s).ok_or_else(|| {
-                                        GmlError::data_loss(format!("segment {s} missing"))
-                                    })?;
-                                    Ok((s as u64, ctx.encode(seg)))
-                                })
-                                .collect::<GmlResult<_>>()?
-                        };
-                        for (key, bytes) in &serialized {
-                            builder.record(*key, ctx.here(), backup, bytes.len());
-                        }
-                        store2.save_batch(ctx, snap_id, serialized, backup)?;
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)?;
+        let (group, store) = (self.group.clone(), store.clone());
+        let entries = each_place(ctx, self.seg_places(), move |ctx, idx| {
+            // Capture: encode every local segment under one short lock,
+            // then ship them as a single framed batch.
+            let parts: Vec<(u64, Bytes)> = {
+                let st = plh.local(ctx)?;
+                let st = st.lock();
+                place_segs[idx]
+                    .iter()
+                    .map(|&s| {
+                        let seg = st
+                            .segs
+                            .get(&s)
+                            .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
+                        Ok((s as u64, ctx.encode(seg)))
+                    })
+                    .collect::<GmlResult<_>>()?
+            };
+            store.save_local_parts(ctx, snap_id, &group, parts)
+        })?;
         // Descriptor: the splits at snapshot time.
         let mut desc = BytesMut::new();
         desc.put_u64_le(self.splits.len() as u64);
         for &s in self.splits.iter() {
             desc.put_u64_le(s as u64);
         }
-        Ok(builder.build_at(ctx, snap_id, self.object_id, self.group.clone(), desc.freeze()))
+        let entries = entries.into_iter().flatten();
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -597,61 +483,40 @@ impl Snapshottable for DistVector {
         }
         let same_layout = old_splits == **self.splits;
         let plh = self.plh;
-        let pot = ErrorPot::new();
         let place_segs = Arc::clone(&self.place_segs);
         let splits = Arc::clone(&self.splits);
-        let old_splits = Arc::new(old_splits);
-        let store2 = store.clone();
-        let snap = snapshot.clone();
-        let res = ctx.finish(|fs| {
-            for (idx, p) in self.group.iter().enumerate() {
-                if place_segs[idx].is_empty() {
-                    continue;
-                }
-                let pot = pot.clone();
-                let store2 = store2.clone();
-                let snap = snap.clone();
-                let splits = Arc::clone(&splits);
-                let old_splits = Arc::clone(&old_splits);
-                let place_segs = Arc::clone(&place_segs);
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        for &s in &place_segs[idx] {
-                            let (lo, hi) = (splits[s], splits[s + 1]);
-                            let seg = if same_layout {
-                                ctx.decode::<Vector>(snap.fetch(ctx, &store2, s as u64)?)
-                            } else {
-                                // Segment-by-overlap restore: pull every old
-                                // segment this new segment intersects and
-                                // copy the sub-ranges.
-                                let mut seg = Vector::zeros(hi - lo);
-                                let first =
-                                    old_splits.partition_point(|&b| b <= lo).saturating_sub(1);
-                                for os in first..old_splits.len() - 1 {
-                                    let (olo, ohi) = (old_splits[os], old_splits[os + 1]);
-                                    if olo >= hi {
-                                        break;
-                                    }
-                                    if ohi <= lo || olo == ohi {
-                                        continue;
-                                    }
-                                    let old =
-                                        ctx.decode::<Vector>(snap.fetch(ctx, &store2, os as u64)?);
-                                    let a = lo.max(olo);
-                                    let b = hi.min(ohi);
-                                    seg.copy_from_at(a - lo, old.segment(a - olo, b - a));
-                                }
-                                seg
-                            };
-                            let st = plh.local(ctx)?;
-                            st.lock().segs.insert(s, seg);
+        let (store, snap) = (store.clone(), snapshot.clone());
+        each_place(ctx, self.seg_places(), move |ctx, idx| {
+            for &s in &place_segs[idx] {
+                let (lo, hi) = (splits[s], splits[s + 1]);
+                let seg = if same_layout {
+                    ctx.decode::<Vector>(snap.fetch(ctx, &store, s as u64)?)
+                } else {
+                    // Segment-by-overlap restore: pull every old segment
+                    // this new segment intersects and copy the sub-ranges.
+                    let mut seg = Vector::zeros(hi - lo);
+                    let first = old_splits.partition_point(|&b| b <= lo).saturating_sub(1);
+                    for os in first..old_splits.len() - 1 {
+                        let (olo, ohi) = (old_splits[os], old_splits[os + 1]);
+                        if olo >= hi {
+                            break;
                         }
-                        Ok(())
-                    });
-                });
+                        if ohi <= lo || olo == ohi {
+                            continue;
+                        }
+                        let old = ctx.decode::<Vector>(snap.fetch(ctx, &store, os as u64)?);
+                        let a = lo.max(olo);
+                        let b = hi.min(ohi);
+                        seg.copy_from_at(a - lo, old.segment(a - olo, b - a));
+                    }
+                    seg
+                };
+                let st = plh.local(ctx)?;
+                st.lock().segs.insert(s, seg);
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 }
 
@@ -725,6 +590,19 @@ mod tests {
             assert_eq!(v.max_abs(ctx).unwrap(), 10.0);
             let z = DistVector::make(ctx, 4, &g).unwrap();
             assert_eq!(z.max_abs(ctx).unwrap(), 0.0);
+        });
+    }
+
+    #[test]
+    fn max_abs_accounts_its_partials_like_the_other_reductions() {
+        run(4, |ctx| {
+            let v = DistVector::make(ctx, 10, &ctx.world()).unwrap();
+            v.init(ctx, |i| -(i as f64)).unwrap();
+            let before = ctx.stats();
+            assert_eq!(v.max_abs(ctx).unwrap(), 9.0);
+            let d = ctx.stats().since(&before);
+            assert_eq!(d.bytes_shipped, 16 * 4, "16 B per segment partial brought home");
+            assert_eq!(d.bytes_received, d.bytes_shipped);
         });
     }
 

@@ -11,8 +11,9 @@ use gml_matrix::DenseMatrix;
 use parking_lot::Mutex;
 
 use crate::codec::PayloadClass;
+use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{ErrorPot, Snapshot, SnapshotBuilder, Snapshottable};
+use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
 
 /// A dense matrix with one full duplicate per place of its group.
@@ -74,26 +75,17 @@ impl DupDenseMatrix {
         F: Fn(usize, usize) -> f64 + Send + Sync + Clone + 'static,
     {
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let f = f.clone();
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let m = plh.local(ctx)?;
-                        let mut m = m.lock();
-                        for j in 0..m.cols() {
-                            for i in 0..m.rows() {
-                                m.set(i, j, f(i, j));
-                            }
-                        }
-                        Ok(())
-                    });
-                });
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let m = plh.local(ctx)?;
+            let mut m = m.lock();
+            for j in 0..m.cols() {
+                for i in 0..m.rows() {
+                    m.set(i, j, f(i, j));
+                }
             }
-        });
-        pot.into_result(res)
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Broadcast the root copy (group index 0) to all other places.
@@ -103,25 +95,14 @@ impl DupDenseMatrix {
         let payload: Bytes = ctx.at(root, move |ctx| -> ApgasResult<Bytes> {
             Ok(ctx.encode(&*plh.local(ctx)?.lock()))
         })??;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                if p == root {
-                    continue;
-                }
-                ctx.record_bytes(payload.len());
-                let payload = payload.clone();
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        ctx.record_bytes_received(payload.len());
-                        *plh.local(ctx)?.lock() = ctx.decode::<DenseMatrix>(payload);
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)
+        let others: Vec<_> = self.group.iter().enumerate().filter(|&(_, p)| p != root).collect();
+        ctx.record_bytes(payload.len() * others.len());
+        each_place(ctx, others, move |ctx, _| {
+            ctx.record_bytes_received(payload.len());
+            *plh.local(ctx)?.lock() = ctx.decode::<DenseMatrix>(payload.clone());
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Re-duplicate over `new_places` (zeroed; restore to repopulate).
@@ -133,12 +114,9 @@ impl DupDenseMatrix {
                 ctx.at(p, move |ctx| plh.remove_local(ctx))?;
             }
         }
-        ctx.finish(|fs| {
-            for p in new_places.iter() {
-                fs.async_at(p, move |ctx| {
-                    plh.set_local(ctx, Mutex::new(DenseMatrix::zeros(rows, cols)));
-                });
-            }
+        each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
+            plh.set_local(ctx, Mutex::new(DenseMatrix::zeros(rows, cols)));
+            Ok(())
         })?;
         self.group = new_places.clone();
         Ok(())
@@ -172,22 +150,18 @@ impl Snapshottable for DupDenseMatrix {
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {
         let _span = ctx.trace_span(SpanKind::SnapshotObj, self.object_id);
         let snap_id = store.fresh_snap_id();
-        let owner = self.group.place(0);
-        let backup = self.group.place(self.group.next_index(0));
-        let plh = self.plh;
-        let store2 = store.clone();
-        let len = ctx.at(owner, move |ctx| -> GmlResult<usize> {
+        let (plh, store, group) = (self.plh, store.clone(), self.group.clone());
+        // The root's copy is the one saved.
+        let entries = ctx.at(self.group.place(0), move |ctx| -> GmlResult<_> {
             let bytes = ctx.encode(&*plh.local(ctx)?.lock());
             // A single-entry batch: same transport as the multi-block
             // objects, so deferred shipping applies uniformly.
-            store2.save_batch(ctx, snap_id, vec![(0, bytes)], backup)
+            store.save_local_parts(ctx, snap_id, &group, vec![(0, bytes)])
         })??;
-        let builder = SnapshotBuilder::new();
-        builder.record(0, owner, backup, len);
         let mut desc = BytesMut::new();
         desc.put_u64_le(self.rows as u64);
         desc.put_u64_le(self.cols as u64);
-        Ok(builder.build_at(ctx, snap_id, self.object_id, self.group.clone(), desc.freeze()))
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -203,25 +177,13 @@ impl Snapshottable for DupDenseMatrix {
         if rows != self.rows || cols != self.cols {
             return Err(GmlError::shape("snapshot dims != DupDenseMatrix dims"));
         }
-        let plh = self.plh;
-        let pot = ErrorPot::new();
-        let store2 = store.clone();
-        let snap = snapshot.clone();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                let store2 = store2.clone();
-                let snap = snap.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let bytes = snap.fetch(ctx, &store2, 0)?;
-                        *plh.local(ctx)?.lock() = ctx.decode::<DenseMatrix>(bytes);
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)
+        let (plh, store, snap) = (self.plh, store.clone(), snapshot.clone());
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let bytes = snap.fetch(ctx, &store, 0)?;
+            *plh.local(ctx)?.lock() = ctx.decode::<DenseMatrix>(bytes);
+            Ok(())
+        })
+        .map(drop)
     }
 }
 

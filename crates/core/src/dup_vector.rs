@@ -11,8 +11,9 @@ use gml_matrix::Vector;
 use parking_lot::Mutex;
 
 use crate::codec::PayloadClass;
+use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{ErrorPot, Snapshot, SnapshotBuilder, Snapshottable};
+use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
 
 /// A vector with one full duplicate per place of its group.
@@ -81,20 +82,11 @@ impl DupVector {
         F: Fn(&mut Vector) + Send + Sync + Clone + 'static,
     {
         let plh = self.plh;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let f = f.clone();
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        f(&mut plh.local(ctx)?.lock());
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            f(&mut plh.local(ctx)?.lock());
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// `self += alpha * x` applied to every copy (both duplicated over the
@@ -105,20 +97,12 @@ impl DupVector {
         }
         let a = self.plh;
         let b = x.plh;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let xv = b.local(ctx)?.lock().clone();
-                        a.local(ctx)?.lock().axpy(alpha, &xv);
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let xv = b.local(ctx)?.lock().clone();
+            a.local(ctx)?.lock().axpy(alpha, &xv);
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// `self = other` at every place (both duplicated over the same group).
@@ -128,20 +112,12 @@ impl DupVector {
         }
         let a = self.plh;
         let b = other.plh;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let src = b.local(ctx)?.lock().clone();
-                        a.local(ctx)?.lock().copy_from(&src);
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let src = b.local(ctx)?.lock().clone();
+            a.local(ctx)?.lock().copy_from(&src);
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// `self *= alpha` at every place.
@@ -160,26 +136,14 @@ impl DupVector {
         let payload: Bytes = ctx.at(root, move |ctx| -> ApgasResult<Bytes> {
             Ok(ctx.encode(&*plh.local(ctx)?.lock()))
         })??;
-        let pot = ErrorPot::new();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                if p == root {
-                    continue;
-                }
-                ctx.record_bytes(payload.len());
-                let payload = payload.clone();
-                let pot = pot.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        ctx.record_bytes_received(payload.len());
-                        let v: Vector = ctx.decode(payload);
-                        *plh.local(ctx)?.lock() = v;
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)
+        let others: Vec<_> = self.group.iter().enumerate().filter(|&(_, p)| p != root).collect();
+        ctx.record_bytes(payload.len() * others.len());
+        each_place(ctx, others, move |ctx, _| {
+            ctx.record_bytes_received(payload.len());
+            *plh.local(ctx)?.lock() = ctx.decode::<Vector>(payload.clone());
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Read the value of the copy at the current place (clone).
@@ -208,10 +172,9 @@ impl DupVector {
                 ctx.at(p, move |ctx| plh.remove_local(ctx))?;
             }
         }
-        ctx.finish(|fs| {
-            for p in new_places.iter() {
-                fs.async_at(p, move |ctx| plh.set_local(ctx, Mutex::new(Vector::zeros(n))));
-            }
+        each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
+            plh.set_local(ctx, Mutex::new(Vector::zeros(n)));
+            Ok(())
         })?;
         self.group = new_places.clone();
         Ok(())
@@ -231,21 +194,17 @@ impl Snapshottable for DupVector {
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {
         let _span = ctx.trace_span(SpanKind::SnapshotObj, self.object_id);
         let snap_id = store.fresh_snap_id();
-        let owner = self.group.place(0);
-        let backup = self.group.place(self.group.next_index(0));
-        let plh = self.plh;
-        let store2 = store.clone();
-        let len = ctx.at(owner, move |ctx| -> GmlResult<usize> {
+        let (plh, store, group) = (self.plh, store.clone(), self.group.clone());
+        // The root's copy is the one saved.
+        let entries = ctx.at(self.root(), move |ctx| -> GmlResult<_> {
             let bytes = ctx.encode(&*plh.local(ctx)?.lock());
             // A single-entry batch: same transport as the multi-block
             // objects, so deferred shipping applies uniformly.
-            store2.save_batch(ctx, snap_id, vec![(0, bytes)], backup)
+            store.save_local_parts(ctx, snap_id, &group, vec![(0, bytes)])
         })??;
-        let builder = SnapshotBuilder::new();
-        builder.record(0, owner, backup, len);
         let mut desc = BytesMut::new();
         desc.put_u64_le(self.n as u64);
-        Ok(builder.build_at(ctx, snap_id, self.object_id, self.group.clone(), desc.freeze()))
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -265,25 +224,13 @@ impl Snapshottable for DupVector {
         }
         // Each place of the (possibly new) group loads its own duplicate
         // concurrently (§IV-B2).
-        let plh = self.plh;
-        let pot = ErrorPot::new();
-        let store2 = store.clone();
-        let snap = snapshot.clone();
-        let res = ctx.finish(|fs| {
-            for p in self.group.iter() {
-                let pot = pot.clone();
-                let store2 = store2.clone();
-                let snap = snap.clone();
-                fs.async_at(p, move |ctx| {
-                    pot.run(|| {
-                        let bytes = snap.fetch(ctx, &store2, 0)?;
-                        *plh.local(ctx)?.lock() = ctx.decode::<Vector>(bytes);
-                        Ok(())
-                    });
-                });
-            }
-        });
-        pot.into_result(res)
+        let (plh, store, snap) = (self.plh, store.clone(), snapshot.clone());
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            let bytes = snap.fetch(ctx, &store, 0)?;
+            *plh.local(ctx)?.lock() = ctx.decode::<Vector>(bytes);
+            Ok(())
+        })
+        .map(drop)
     }
 }
 

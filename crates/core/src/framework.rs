@@ -312,19 +312,26 @@ impl ResilientExecutor {
                 // one recorded when the step produced the data. A mismatch
                 // means the state mutated between compute and commit;
                 // rather than checkpoint the corrupted state, roll back to
-                // the last *committed* snapshot as if a place had died.
+                // the last *committed* snapshot as if a place had died. The
+                // digest is itself a collective: a place that dies under it
+                // is recovered from like one that dies under a step.
                 let trigger = match (app.as_checksummed(), recorded) {
                     (Some(cs), Some((rec_iter, expected))) => {
                         let t = Instant::now();
-                        let observed = cs.output_digest(ctx)?;
+                        let observed = cs.output_digest(ctx);
                         let d = t.elapsed();
                         row.detect = Some(row.detect.unwrap_or(Duration::ZERO) + d);
                         stats.detect_time += d;
-                        (observed != expected).then_some(GmlError::SilentError {
-                            iteration: rec_iter,
-                            expected,
-                            observed,
-                        })
+                        match observed {
+                            Ok(observed) => (observed != expected).then_some(
+                                GmlError::SilentError { iteration: rec_iter, expected, observed },
+                            ),
+                            Err(e) if e.is_recoverable() => Some(e),
+                            Err(e) => {
+                                let _ = store.drain(ctx);
+                                return Err(e);
+                            }
+                        }
                     }
                     _ => None,
                 };
@@ -408,25 +415,28 @@ impl ResilientExecutor {
                     ctx.observe_iteration(p);
                 }
             }
+            stats.step_time += t.elapsed();
+            // Record the output digest the moment the step produced it —
+            // the reference the pre-commit verification compares against.
+            // The digest is a collective too, so one that fails is handled
+            // like the step failing: the iteration does not count and a
+            // dead place is recovered from.
+            let result = result.and_then(|()| {
+                let Some(cs) = app.as_checksummed() else { return Ok(None) };
+                let td = Instant::now();
+                let digest = cs.output_digest(ctx);
+                let d = td.elapsed();
+                row.detect = Some(row.detect.unwrap_or(Duration::ZERO) + d);
+                stats.detect_time += d;
+                digest.map(Some)
+            });
             match result {
-                Ok(()) => {
-                    stats.step_time += t.elapsed();
+                Ok(digest) => {
                     stats.iterations_run += 1;
-                    // Record the output digest the moment the step produced
-                    // it — the reference the pre-commit verification
-                    // compares against.
-                    if let Some(cs) = app.as_checksummed() {
-                        let td = Instant::now();
-                        let digest = cs.output_digest(ctx)?;
-                        let d = td.elapsed();
-                        row.detect = Some(row.detect.unwrap_or(Duration::ZERO) + d);
-                        stats.detect_time += d;
-                        recorded = Some((iteration, digest));
-                    }
+                    recorded = digest.map(|d| (iteration, d));
                     iteration += 1;
                 }
                 Err(e) if e.is_recoverable() => {
-                    stats.step_time += t.elapsed();
                     recorded = None;
                     let cost = self.recover(
                         ctx, app, store, &mut group, &mut iteration, &mut restores_left,
@@ -1058,6 +1068,100 @@ mod tests {
             assert!(report.rows.iter().any(|r| r.detect.is_some()));
         })
         .unwrap();
+    }
+
+    /// Test app whose output digest is itself a collective — it gathers a
+    /// `DistVector` — so a place can die *under the digest*, between a
+    /// step and the next.
+    struct GatherDigestApp {
+        v: crate::dist_vector::DistVector,
+        total_iters: u64,
+        /// Kill this place just before the n-th digest call gathers.
+        kill_in_digest_call: Option<(u64, Place)>,
+        digest_calls: std::cell::Cell<u64>,
+    }
+
+    impl ResilientIterativeApp for GatherDigestApp {
+        fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+            iteration >= self.total_iters
+        }
+
+        fn step(&mut self, ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
+            self.v.map_all(ctx, |x| 2.0 * x + 1.0)
+        }
+
+        fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
+            store.start_new_snapshot();
+            store.save(ctx, &self.v)?;
+            store.commit(ctx)
+        }
+
+        fn restore(
+            &mut self,
+            ctx: &Ctx,
+            new_places: &PlaceGroup,
+            store: &mut AppResilientStore,
+            _snapshot_iteration: u64,
+            _rebalance: bool,
+        ) -> GmlResult<()> {
+            self.v.remake(ctx, new_places)?;
+            store.restore(ctx, &mut [&mut self.v])
+        }
+
+        fn as_checksummed(&self) -> Option<&dyn ChecksummedStep> {
+            Some(self)
+        }
+    }
+
+    impl ChecksummedStep for GatherDigestApp {
+        fn output_digest(&self, ctx: &Ctx) -> GmlResult<u64> {
+            let n = self.digest_calls.get() + 1;
+            self.digest_calls.set(n);
+            if let Some((at, victim)) = self.kill_in_digest_call {
+                if n == at && ctx.is_alive(victim) {
+                    ctx.kill_place(victim)?;
+                }
+            }
+            Ok(apgas::fnv1a_f64s(self.v.gather(ctx)?.as_slice()))
+        }
+    }
+
+    #[test]
+    fn a_place_dying_under_the_digest_is_recovered_like_a_failed_step() {
+        // Digest calls: one record after each step, one verify before each
+        // checkpoint but the first. With interval 5, call #3 is the record
+        // after step 2 and call #6 is the verify before iteration 5's
+        // checkpoint; `None` is the failure-free reference run.
+        let run_with = |kill_in_digest_call: Option<(u64, Place)>| {
+            Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
+                let g = ctx.world();
+                let v = crate::dist_vector::DistVector::make(ctx, 10, &g).unwrap();
+                v.init(ctx, |i| i as f64).unwrap();
+                let mut app = GatherDigestApp {
+                    v,
+                    total_iters: 10,
+                    kill_in_digest_call,
+                    digest_calls: std::cell::Cell::new(0),
+                };
+                let mut store = AppResilientStore::make(ctx).unwrap();
+                let exec = ResilientExecutor::new(ExecutorConfig::new(5, RestoreMode::Shrink));
+                let (group, stats) = exec.run(ctx, &mut app, &g, &mut store).unwrap();
+                app.kill_in_digest_call = None;
+                (app.output_digest(ctx).unwrap(), group.len(), stats)
+            })
+            .unwrap()
+        };
+        let (expected, _, clean) = run_with(None);
+        assert_eq!((clean.restores, clean.iterations_run), (0, 10));
+        for (call, rerun) in [(3, 2), (6, 5)] {
+            let (digest, places, stats) = run_with(Some((call, Place::new(2))));
+            assert_eq!(digest, expected, "digest call {call}: recovery changed the answer");
+            assert_eq!(places, 3, "digest call {call}: the victim left the group");
+            assert_eq!(stats.restores, 1, "digest call {call}");
+            // Rolled back to the checkpoint of iteration 0; the step whose
+            // record failed does not count as run.
+            assert_eq!(stats.iterations_run, 10 + rerun, "digest call {call}");
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 pub mod app_store;
 pub mod codec;
+pub mod collective;
 pub mod dist_block_matrix;
 pub mod dist_dense;
 pub mod dist_sparse;
@@ -35,6 +36,7 @@ pub mod store;
 
 pub use app_store::AppResilientStore;
 pub use codec::{CodecConfig, CodecMode, CodecSnapshot, PayloadClass};
+pub use collective::each_place;
 pub use dist_block_matrix::{DistBlockHandle, DistBlockMatrix, DupOperand};
 pub use dist_dense::DistDenseMatrix;
 pub use dist_sparse::DistSparseMatrix;

@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use apgas::prelude::*;
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::codec::PayloadClass;
 use crate::error::{GmlError, GmlResult};
@@ -52,7 +51,46 @@ pub struct Snapshot {
     pub chain: Vec<u64>,
 }
 
+/// Wire size of one gathered [`EntryLoc`] record: key, owner, backup and
+/// length, each as a `u64` (the workspace's uniform LE wire width).
+pub const ENTRY_META_WIRE_BYTES: usize = 32;
+
 impl Snapshot {
+    /// Package the entry locations the owning places returned from
+    /// [`ResilientStore::save_local_parts`] into a full (chain-less)
+    /// snapshot, at the driver.
+    ///
+    /// The key → [`EntryLoc`] map is gathered by the driver activity (the
+    /// paper's place-zero checkpoint coordinator), so every entry owned by
+    /// some other place corresponds to [`ENTRY_META_WIRE_BYTES`] of control
+    /// traffic back to the driver. Charging it to `bytes_shipped` /
+    /// `bytes_received` keeps the cost report from undercounting
+    /// checkpoints. Every `make_snapshot` finishes through here.
+    pub fn gathered(
+        ctx: &Ctx,
+        snap_id: u64,
+        object_id: u64,
+        group: &PlaceGroup,
+        descriptor: Bytes,
+        entries: impl IntoIterator<Item = (u64, EntryLoc)>,
+    ) -> Snapshot {
+        let entries: HashMap<u64, EntryLoc> = entries.into_iter().collect();
+        let meta =
+            entries.values().filter(|e| e.owner != ctx.here()).count() * ENTRY_META_WIRE_BYTES;
+        if meta > 0 {
+            ctx.record_bytes(meta);
+            ctx.record_bytes_received(meta);
+        }
+        Snapshot {
+            snap_id,
+            object_id,
+            group: group.clone(),
+            entries: Arc::new(entries),
+            descriptor,
+            chain: Vec::new(),
+        }
+    }
+
     /// Total payload bytes across all entries.
     pub fn total_bytes(&self) -> usize {
         self.entries.values().map(|e| e.len).sum()
@@ -130,187 +168,42 @@ pub trait Snapshottable {
     }
 }
 
-/// Accumulates entry locations produced concurrently by the per-place save
-/// tasks of a collective `make_snapshot`.
-#[derive(Clone)]
-pub struct SnapshotBuilder {
-    entries: Arc<Mutex<HashMap<u64, EntryLoc>>>,
-}
-
-impl SnapshotBuilder {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        SnapshotBuilder { entries: Arc::new(Mutex::new(HashMap::new())) }
-    }
-
-    /// Record that `key` was saved at `owner` with backup `backup`.
-    pub fn record(&self, key: u64, owner: Place, backup: Place, len: usize) {
-        self.entries.lock().insert(key, EntryLoc { owner, backup, len });
-    }
-
-    /// Finish building: package the metadata.
-    pub fn build(
-        self,
-        snap_id: u64,
-        object_id: u64,
-        group: PlaceGroup,
-        descriptor: Bytes,
-    ) -> Snapshot {
-        let entries = Arc::new(
-            Arc::try_unwrap(self.entries)
-                .map(Mutex::into_inner)
-                .unwrap_or_else(|arc| arc.lock().clone()),
-        );
-        Snapshot { snap_id, object_id, group, entries, descriptor, chain: Vec::new() }
-    }
-
-    /// Finish building *with metadata accounting*: the key → [`EntryLoc`]
-    /// map is gathered by the driver activity (the paper's place-zero
-    /// checkpoint coordinator), so every entry recorded by a task at some
-    /// other place corresponds to [`ENTRY_META_WIRE_BYTES`] of control
-    /// traffic back to the driver. Charging it to `bytes_shipped` /
-    /// `bytes_received` keeps the cost report from undercounting
-    /// checkpoints. All collective `make_snapshot` implementations finish
-    /// through here.
-    pub fn build_at(
-        self,
-        ctx: &Ctx,
-        snap_id: u64,
-        object_id: u64,
-        group: PlaceGroup,
-        descriptor: Bytes,
-    ) -> Snapshot {
-        let snap = self.build(snap_id, object_id, group, descriptor);
-        let meta = snap.entries.values().filter(|e| e.owner != ctx.here()).count()
-            * ENTRY_META_WIRE_BYTES;
-        if meta > 0 {
-            ctx.record_bytes(meta);
-            ctx.record_bytes_received(meta);
-        }
-        snap
-    }
-}
-
-/// Wire size of one gathered [`EntryLoc`] record: key, owner, backup and
-/// length, each as a `u64` (the workspace's uniform LE wire width).
-pub const ENTRY_META_WIRE_BYTES: usize = 32;
-
-impl Default for SnapshotBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Collects errors raised inside the per-place tasks of a collective
-/// operation; `finish` only reports *lost* tasks, so tasks that observe
-/// errors (e.g. a dead backup during save) park them here.
-#[derive(Clone)]
-pub struct ErrorPot {
-    errors: Arc<Mutex<Vec<GmlError>>>,
-}
-
-impl ErrorPot {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        ErrorPot { errors: Arc::new(Mutex::new(Vec::new())) }
-    }
-
-    /// Park an error observed by a collective task.
-    pub fn push(&self, e: GmlError) {
-        self.errors.lock().push(e);
-    }
-
-    /// Run `f`, parking its error if it fails.
-    pub fn run(&self, f: impl FnOnce() -> GmlResult<()>) {
-        if let Err(e) = f() {
-            self.push(e);
-        }
-    }
-
-    /// Combine the enclosing finish result with parked errors; dead-place
-    /// errors win (they are recoverable and drive the executor's restore).
-    pub fn into_result(self, finish_result: ApgasResult<()>) -> GmlResult<()> {
-        let mut parked = std::mem::take(&mut *self.errors.lock());
-        if let Err(e) = finish_result {
-            return Err(e.into());
-        }
-        if let Some(pos) = parked.iter().position(|e| e.is_recoverable()) {
-            return Err(parked.swap_remove(pos));
-        }
-        match parked.pop() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Default for ErrorPot {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apgas::ApgasError;
-    use apgas::DeadPlaceException;
+    use apgas::runtime::{Runtime, RuntimeConfig};
 
-    #[test]
-    fn builder_collects_and_builds() {
-        let b = SnapshotBuilder::new();
-        b.record(0, Place::new(0), Place::new(1), 100);
-        b.record(1, Place::new(1), Place::new(0), 50);
-        let s = b.build(9, 42, PlaceGroup::first(2), Bytes::new());
-        assert_eq!(s.snap_id, 9);
-        assert_eq!(s.object_id, 42);
-        assert_eq!(s.total_bytes(), 150);
-        assert_eq!(s.entry(1).unwrap().owner, Place::new(1));
-        assert!(s.entry(7).is_err());
-        assert!(format!("{s:?}").contains("2 entries"));
+    fn loc(owner: u32, backup: u32, len: usize) -> EntryLoc {
+        EntryLoc { owner: Place::new(owner), backup: Place::new(backup), len }
     }
 
     #[test]
-    fn builder_clone_shares_entries() {
-        let b = SnapshotBuilder::new();
-        let b2 = b.clone();
-        b2.record(3, Place::new(0), Place::new(1), 8);
-        let s = b.build(1, 1, PlaceGroup::first(2), Bytes::new());
-        assert_eq!(s.entries.len(), 1);
+    fn gathered_packages_entries_and_metadata() {
+        Runtime::run(RuntimeConfig::new(2), |ctx| {
+            let entries = vec![(0, loc(0, 1, 100)), (1, loc(1, 0, 50))];
+            let s = Snapshot::gathered(ctx, 9, 42, &PlaceGroup::first(2), Bytes::new(), entries);
+            assert_eq!(s.snap_id, 9);
+            assert_eq!(s.object_id, 42);
+            assert!(s.chain.is_empty());
+            assert_eq!(s.total_bytes(), 150);
+            assert_eq!(s.entry(1).unwrap().owner, Place::new(1));
+            assert!(s.entry(7).is_err());
+            assert!(format!("{s:?}").contains("2 entries"));
+        })
+        .unwrap();
     }
 
     #[test]
-    fn error_pot_empty_is_ok() {
-        assert!(ErrorPot::new().into_result(Ok(())).is_ok());
-    }
-
-    #[test]
-    fn error_pot_prefers_recoverable() {
-        let pot = ErrorPot::new();
-        pot.push(GmlError::shape("bad"));
-        pot.push(ApgasError::DeadPlace(DeadPlaceException::new(Place::new(1), "x")).into());
-        let err = pot.into_result(Ok(())).unwrap_err();
-        assert!(err.is_recoverable());
-    }
-
-    #[test]
-    fn error_pot_finish_error_wins() {
-        let pot = ErrorPot::new();
-        pot.push(GmlError::shape("parked"));
-        let err = pot
-            .into_result(Err(ApgasError::DeadPlace(DeadPlaceException::new(
-                Place::new(2),
-                "lost",
-            ))))
-            .unwrap_err();
-        assert_eq!(err.dead_places(), vec![Place::new(2)]);
-    }
-
-    #[test]
-    fn error_pot_run_parks_failures() {
-        let pot = ErrorPot::new();
-        pot.run(|| Err(GmlError::data_loss("oops")));
-        pot.run(|| Ok(()));
-        assert!(pot.into_result(Ok(())).is_err());
+    fn gathered_charges_metadata_for_remote_owners_only() {
+        Runtime::run(RuntimeConfig::new(3), |ctx| {
+            let before = ctx.stats();
+            // Gathered at place zero: the entries of places 1 and 2 crossed.
+            let entries = vec![(0, loc(0, 1, 8)), (1, loc(1, 2, 8)), (2, loc(2, 0, 8))];
+            Snapshot::gathered(ctx, 1, 1, &PlaceGroup::first(3), Bytes::new(), entries);
+            let d = ctx.stats().since(&before);
+            assert_eq!(d.bytes_shipped, 2 * ENTRY_META_WIRE_BYTES as u64);
+            assert_eq!(d.bytes_received, d.bytes_shipped);
+        })
+        .unwrap();
     }
 }

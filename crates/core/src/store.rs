@@ -21,7 +21,9 @@ use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use crate::codec::{self, CaptureCtx, CodecConfig, CodecState};
+use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
+use crate::snapshot::EntryLoc;
 
 /// One stored replica: the wire bytes plus enough metadata to know what
 /// they are. `framed == false` means `bytes` *is* the logical payload (the
@@ -391,6 +393,31 @@ impl ResilientStore {
         Ok(len)
     }
 
+    /// Save the parts of an object that the **current place** owns, and say
+    /// where they went. This is the single home of the §IV-B placement rule:
+    /// the backup of everything a place owns lives at the *next place* of
+    /// the object's group (wrapping; over a one-place group it collapses
+    /// onto the owner). Every `make_snapshot` calls this from a task running
+    /// at the owning place and hands the returned locations to
+    /// [`Snapshot::gathered`](crate::snapshot::Snapshot::gathered);
+    /// [`audit_snapshot`](Self::audit_snapshot) checks the same rule.
+    pub fn save_local_parts(
+        &self,
+        ctx: &Ctx,
+        snap_id: u64,
+        group: &PlaceGroup,
+        parts: Vec<(u64, Bytes)>,
+    ) -> GmlResult<Vec<(u64, EntryLoc)>> {
+        let owner = ctx.here();
+        let backup = group
+            .next_place(owner)
+            .ok_or_else(|| GmlError::shape(format!("{owner} saves into a group it is not in")))?;
+        let locs =
+            parts.iter().map(|(key, v)| (*key, EntryLoc { owner, backup, len: v.len() })).collect();
+        self.save_batch(ctx, snap_id, parts, backup)?;
+        Ok(locs)
+    }
+
     /// Save a whole place's snapshot entries at once: local inserts for
     /// every pair, then **one** batched backup transfer carrying the entire
     /// frame to `backup` — a single `at` round trip where the per-pair path
@@ -727,18 +754,15 @@ impl ResilientStore {
     pub fn delete_snapshot(&self, ctx: &Ctx, snap_id: u64) -> GmlResult<()> {
         let _span = ctx.trace_span(SpanKind::StoreDelete, snap_id);
         let plh = self.plh;
-        ctx.finish(|fs| {
-            for p in ctx.all_places().iter() {
-                if ctx.is_alive(p) {
-                    fs.async_at(p, move |ctx| {
-                        if let Ok(shard) = plh.local(ctx) {
-                            shard.remove_snapshot(snap_id);
-                        }
-                    });
-                }
+        let all = ctx.all_places();
+        let live = all.iter().enumerate().filter(|&(_, p)| ctx.is_alive(p));
+        each_place(ctx, live, move |ctx, _| {
+            if let Ok(shard) = plh.local(ctx) {
+                shard.remove_snapshot(snap_id);
             }
-        })?;
-        Ok(())
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Number of entries stored at `p` (diagnostics/tests).
@@ -838,9 +862,7 @@ impl ResilientStore {
                 (false, false) => audit.lost += 1,
                 _ => audit.degraded += 1,
             }
-            // Placement rule (§IV-B): the backup lives at the owner's next
-            // place in the snapshot's group (collapsing onto the owner for
-            // a single-place group).
+            // The placement rule `save_local_parts` saves by.
             match snap.group.next_place(loc.owner) {
                 Some(expected) if expected == loc.backup => {}
                 _ => audit.placement_violations += 1,
@@ -1127,25 +1149,40 @@ mod tests {
         });
     }
 
-    use crate::snapshot::{Snapshot, SnapshotBuilder};
+    use crate::snapshot::Snapshot;
 
-    /// Save one entry per group place (owner = the place, backup = next in
-    /// group) and package the metadata like a collective `make_snapshot`.
+    /// Save one entry per group place through the owner-side call every
+    /// `make_snapshot` uses, and package the metadata the same way.
     fn saved_snapshot(ctx: &Ctx, store: &ResilientStore, group: &PlaceGroup) -> Snapshot {
         let sid = store.fresh_snap_id();
-        let builder = SnapshotBuilder::new();
+        let mut entries = Vec::new();
         for (i, owner) in group.iter().enumerate() {
-            let backup = group.next_place(owner).unwrap();
-            let payload = Bytes::from(vec![i as u8; 64]);
-            let s2 = store.clone();
-            let p2 = payload.clone();
-            ctx.at(owner, move |ctx| {
-                s2.save_pair(ctx, sid, i as u64, p2, backup).unwrap();
-            })
-            .unwrap();
-            builder.record(i as u64, owner, backup, payload.len());
+            let (s2, g2) = (store.clone(), group.clone());
+            let part = vec![(i as u64, Bytes::from(vec![i as u8; 64]))];
+            let locs = ctx.at(owner, move |ctx| s2.save_local_parts(ctx, sid, &g2, part).unwrap());
+            entries.extend(locs.unwrap());
         }
-        builder.build(sid, 42, group.clone(), Bytes::new())
+        Snapshot::gathered(ctx, sid, 42, group, Bytes::new(), entries)
+    }
+
+    #[test]
+    fn save_local_parts_places_the_backup_at_the_next_group_place() {
+        with_store(4, 0, |ctx, store| {
+            // A group that neither starts at place zero nor is in id order.
+            let group: PlaceGroup =
+                [Place::new(3), Place::new(1), Place::new(2)].into_iter().collect();
+            let snap = saved_snapshot(ctx, &store, &group);
+            for (key, owner, backup) in [(0, 3, 1), (1, 1, 2), (2, 2, 3)] {
+                let loc = snap.entry(key).unwrap();
+                assert_eq!((loc.owner, loc.backup), (Place::new(owner), Place::new(backup)));
+                assert_eq!(loc.len, 64);
+            }
+            assert!(store.audit_snapshot(ctx, &snap).invariant_ok());
+            // A place outside the group has no next place to back up to.
+            let sid = store.fresh_snap_id();
+            let outsider = store.save_local_parts(ctx, sid, &group, vec![(0, Bytes::new())]);
+            assert!(matches!(outsider, Err(GmlError::Shape(_))));
+        });
     }
 
     #[test]
@@ -1211,9 +1248,8 @@ mod tests {
             // Backup deliberately placed two hops away instead of next.
             let wrong_backup = Place::new(2);
             store.save_pair(ctx, sid, 0, Bytes::from_static(b"misplaced"), wrong_backup).unwrap();
-            let builder = SnapshotBuilder::new();
-            builder.record(0, Place::ZERO, wrong_backup, 9);
-            let snap = builder.build(sid, 7, group, Bytes::new());
+            let loc = EntryLoc { owner: Place::ZERO, backup: wrong_backup, len: 9 };
+            let snap = Snapshot::gathered(ctx, sid, 7, &group, Bytes::new(), [(0, loc)]);
             let audit = store.audit_snapshot(ctx, &snap);
             assert_eq!(audit.fully_redundant, 1, "both copies exist...");
             assert_eq!(audit.placement_violations, 1, "...but the backup is misplaced");
