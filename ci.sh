@@ -101,13 +101,21 @@ echo "== checkpoint codec parity (raw vs delta vs delta+compressed, + lossy boun
 # per object. The digest lines must agree three ways. Only digest lines are
 # diffed — per-place wire bytes legitimately differ per codec.
 for C in codec_raw codec_delta codec_delta_comp; do
-    cargo run --release -p gml-bench --bin checkpoint_parity -- "$C" \
-        | grep -E '^(dist|dup)_' > "$CKPT_DIR/$C.txt"
+    cargo run --release -p gml-bench --bin checkpoint_parity -- "$C" > "$CKPT_DIR/$C.out"
+    grep -E '^(dist|dup)_' "$CKPT_DIR/$C.out" > "$CKPT_DIR/$C.txt"
+    grep '^frames' "$CKPT_DIR/$C.out"
 done
 diff "$CKPT_DIR/codec_raw.txt" "$CKPT_DIR/codec_delta.txt" \
     || { echo "checkpoint codec parity: delta restore diverges from raw"; exit 1; }
 diff "$CKPT_DIR/codec_raw.txt" "$CKPT_DIR/codec_delta_comp.txt" \
     || { echo "checkpoint codec parity: delta+compressed restore diverges from raw"; exit 1; }
+# One object is incompressible: the compressing leg must have kept its
+# frames verbatim (payload by reference, no records), and the raw leg, which
+# never frames anything, none.
+grep -Eq '^frames .* verbatim=[1-9]' "$CKPT_DIR/codec_delta_comp.out" \
+    || { echo "checkpoint codec parity: no verbatim frame on the compressing leg"; exit 1; }
+grep -q '^frames .* verbatim=0 ' "$CKPT_DIR/codec_raw.out" \
+    || { echo "checkpoint codec parity: the raw leg framed something"; exit 1; }
 # Lossy leg: the opt-in quantizer must honour its advertised absolute-error
 # bound on deliberately off-grid values. The binary asserts the measured
 # max error is nonzero (the lossy path really ran), within tolerance, and

@@ -10,7 +10,11 @@
 //!   `AppResilientStore` pinned to an explicit codec — a full-base epoch,
 //!   then a small deterministic mutation so the delta legs actually build
 //!   chains — wipes the objects, restores through the chain, and prints the
-//!   restored digests plus a measured `max_abs_err` line. ci.sh diffs the
+//!   restored digests, a measured `max_abs_err` line and the forms the codec
+//!   chose (`frames full=… verbatim=… delta=… lossy=…`). One object has
+//!   random mantissas, so nothing in it packs: its frames must come out
+//!   verbatim on the compressing leg (ci.sh requires `verbatim > 0` there
+//!   and `verbatim == 0` on the raw leg, which never frames). ci.sh diffs the
 //!   digest lines across the three lossless codecs (inventories are *not*
 //!   comparable there: wire bytes legitimately differ per codec) and checks
 //!   the lossy leg honours its advertised error bound. The lossless legs
@@ -37,6 +41,13 @@ fn report(name: &str, values: &[f64]) {
 /// Deterministic pseudo-random fill, identical in both processes.
 fn val(i: usize) -> f64 {
     ((i.wrapping_mul(2654435761)) % 10_000) as f64 * 0.25 - 1250.0
+}
+
+/// Incompressible fill: every mantissa bit pseudo-random, no byte plane of
+/// the XOR residuals worth packing.
+fn noise(i: usize) -> f64 {
+    let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h ^ h >> 29) as f64 / u64::MAX as f64
 }
 
 /// Epoch-1 fill: `val` with a sparse deterministic perturbation. One element
@@ -155,6 +166,10 @@ fn main() {
         let lossy = cfg.lossy_tol.is_some();
         let counters0 = gml_core::codec::counters();
         let mut store = AppResilientStore::make_with_codec(ctx, cfg).unwrap();
+        // The incompressible object, created last so the others keep the
+        // ids they have on the transport axis.
+        let mut dn = DupDenseMatrix::make(ctx, 128, 96, &g).unwrap();
+        dn.init(ctx, |i, j| noise(i * 96 + j)).unwrap();
 
         // Epoch 0: full bases for every object.
         store.start_new_snapshot();
@@ -163,6 +178,7 @@ fn main() {
         store.save(ctx, &dd).unwrap();
         store.save(ctx, &dm).unwrap();
         store.save(ctx, &ds).unwrap();
+        store.save(ctx, &dn).unwrap();
         store.commit(ctx).unwrap();
 
         // Epoch 1: sparse mutation on the dense objects (the sparse matrix
@@ -175,31 +191,37 @@ fn main() {
         dup.init(ctx, move |i| fill(i + 17)).unwrap();
         dd.init(ctx, move |i, j| fill(i * 48 + j)).unwrap();
         dm.init(ctx, move |i, j| fill(i * 64 + j + 3)).unwrap();
+        // The same perturbation on top of the noise: exactly zero where
+        // `fill` leaves `val` alone.
+        dn.init(ctx, move |i, j| noise(i * 96 + j) + (fill(i * 96 + j) - val(i * 96 + j))).unwrap();
         store.start_new_snapshot();
         store.save(ctx, &dv).unwrap();
         store.save(ctx, &dup).unwrap();
         store.save(ctx, &dd).unwrap();
         store.save(ctx, &dm).unwrap();
         store.save(ctx, &ds).unwrap();
+        store.save(ctx, &dn).unwrap();
         store.commit(ctx).unwrap();
 
         print_inventory(&store.store().inventory(ctx));
 
         // Capture the expected post-mutation values, wipe, restore through
         // the committed (possibly chained) snapshots.
-        let want: [Vec<f64>; 5] = [
+        let want: [Vec<f64>; 6] = [
             dv.gather(ctx).unwrap().as_slice().to_vec(),
             dup.read_local(ctx).unwrap().as_slice().to_vec(),
             dd.local(ctx).unwrap().lock().as_slice().to_vec(),
             dm.gather_dense(ctx).unwrap().as_slice().to_vec(),
             ds.gather_dense(ctx).unwrap().as_slice().to_vec(),
+            dn.local(ctx).unwrap().lock().as_slice().to_vec(),
         ];
         dv.init(ctx, |_| 0.0).unwrap();
         dup.init(ctx, |_| 0.0).unwrap();
         dd.init(ctx, |_, _| 0.0).unwrap();
         dm.init(ctx, |_, _| 0.0).unwrap();
+        dn.init(ctx, |_, _| 0.0).unwrap();
         store
-            .restore(ctx, &mut [&mut dv, &mut dup, &mut dd, &mut dm, &mut ds])
+            .restore(ctx, &mut [&mut dv, &mut dup, &mut dd, &mut dm, &mut ds, &mut dn])
             .unwrap();
 
         report("dist_vector", dv.gather(ctx).unwrap().as_slice());
@@ -207,16 +229,18 @@ fn main() {
         report("dup_dense", dd.local(ctx).unwrap().lock().as_slice());
         report("dist_dense", dm.gather_dense(ctx).unwrap().as_slice());
         report("dist_sparse", ds.gather_dense(ctx).unwrap().as_slice());
+        report("dup_dense_noise", dn.local(ctx).unwrap().lock().as_slice());
 
         // Measured restore error against the pre-wipe values. Lossless legs
         // must be *bit-identical* (exactly zero); the lossy leg must stay
         // within the tolerance it was configured with.
-        let got: [Vec<f64>; 5] = [
+        let got: [Vec<f64>; 6] = [
             dv.gather(ctx).unwrap().as_slice().to_vec(),
             dup.read_local(ctx).unwrap().as_slice().to_vec(),
             dd.local(ctx).unwrap().lock().as_slice().to_vec(),
             dm.gather_dense(ctx).unwrap().as_slice().to_vec(),
             ds.gather_dense(ctx).unwrap().as_slice().to_vec(),
+            dn.local(ctx).unwrap().lock().as_slice().to_vec(),
         ];
         let max_err = want
             .iter()
@@ -229,12 +253,17 @@ fn main() {
             max_err <= bound,
             "restore error {max_err:e} exceeds codec bound {bound:e} in mode {mode}"
         );
+        // The forms the codec chose, per leg (all zero on the raw leg: the
+        // raw store never frames).
+        let c = gml_core::codec::counters().since(&counters0);
+        println!(
+            "frames full={} verbatim={} delta={} lossy={}",
+            c.frames_full, c.frames_verbatim, c.frames_delta, c.frames_lossy
+        );
         if lossy {
             // The bound must be exercised, not vacuous: quantization moved
             // off-grid values (nonzero error) and the codec stamped frames
             // as lossy.
-            let c = gml_core::codec::counters().since(&counters0);
-            println!("frames full={} delta={} lossy={}", c.frames_full, c.frames_delta, c.frames_lossy);
             assert!(max_err > 0.0, "lossy leg measured zero error — quantization did not run");
             assert!(c.frames_lossy > 0, "lossy leg produced no lossy-flagged frames");
         }

@@ -414,13 +414,10 @@ impl AppResilientStore {
                 stale.extend(s.chain.iter().copied());
             }
         }
-        for id in stale {
-            if !keep.contains(&id) {
-                // Deleting old checkpoints is best-effort cleanup; a
-                // failure here must not fail the commit.
-                let _ = self.store.delete_snapshot(ctx, id);
-            }
-        }
+        // Deleting old checkpoints is best-effort cleanup; a failure here
+        // must not fail the commit.
+        let dead: Vec<u64> = stale.difference(&keep).copied().collect();
+        let _ = self.store.delete_snapshots(ctx, &dead);
         self.retained_chain =
             new.map.values().flat_map(|s| s.chain.iter().copied()).collect();
         // A snapshot settled cleanly: the post-restore full-base override
@@ -430,11 +427,8 @@ impl AppResilientStore {
 
     /// Best-effort delete of every snap id in `first..end` except `exclude`.
     fn delete_range(&self, ctx: &Ctx, first: u64, end: u64, exclude: &HashSet<u64>) {
-        for snap_id in first..end {
-            if !exclude.contains(&snap_id) {
-                let _ = self.store.delete_snapshot(ctx, snap_id);
-            }
-        }
+        let dead: Vec<u64> = (first..end).filter(|id| !exclude.contains(id)).collect();
+        let _ = self.store.delete_snapshots(ctx, &dead);
     }
 
     /// Barrier: settle the overlap-mode snapshot (joining its in-flight

@@ -2,47 +2,52 @@
 //! sitting between *capture* and *ship* in the resilient store.
 //!
 //! Every snapshot entry the store would ship raw can instead be wrapped in a
-//! self-describing **frame**:
+//! self-describing **frame** of two parts: a *head* (fixed header + one chunk
+//! digest per chunk of the payload) and a *body*.
 //!
 //! * **Delta frames** — the payload is split into fixed-size chunks and a
 //!   per-chunk digest manifest ([`content_digest`], eight bytes per step) is
 //!   compared against the digests carried by the last committed frame for
 //!   the same key; only dirty chunks are stored/shipped. The manifest always
 //!   covers the *full* new state, so the next epoch can diff against this
-//!   frame without decoding it. Chains are bounded: a full base is
+//!   frame's head without its body. Chains are bounded: a full base is
 //!   re-emitted when the dirty ratio exceeds `GML_CKPT_DIRTY_MAX`, every
 //!   `GML_CKPT_FULL_EVERY` epochs, and after every restore.
-//! * **Lossless compression** (`GML_CKPT_LEVEL=1`) — each stored chunk is
+//! * **Lossless compression** (`GML_CKPT_LEVEL=1`) — a stored chunk is
 //!   XOR-ed against its previous 64-bit word (Gorilla/fpzip idiom: iterative
 //!   f64 state mutates low mantissa bits, so residuals are mostly zero
 //!   bytes) and byte-plane transposed with u64 mask-and-shift rounds; each
 //!   plane is run-length packed or copied, decided per plane from its zero
-//!   bytes and zero runs (a mode byte per chunk records the choice). Chunks
-//!   that do not shrink are stored raw, so the wire size never exceeds raw +
-//!   frame overhead.
+//!   bytes and zero runs (a mode byte per chunk records the choice). Only a
+//!   chunk *proven* to shrink by [`PACK_MIN_SAVING`] is packed at all.
+//! * **Verbatim frames** — a full frame in which nothing packs has no
+//!   records: its body *is* the serialized payload, held by refcount, never
+//!   copied into a frame buffer and handed back by refcount on restore.
 //! * **Lossy quantization** (`GML_CKPT_LOSSY_TOL`, off by default) — f64
 //!   payloads ([`PayloadClass::F64Tail`]) are rounded to a uniform grid of
 //!   step `2·tol` *before* digesting, bounding the absolute restore error by
 //!   `tol`. Opaque payloads (topology, integer indices, mixed metadata)
 //!   reject quantization and stay bit-exact.
 //!
-//! **One pass each way.** Encoding reads a payload once: a chunk is digested
-//! and, if it has to be stored, compressed while still in cache, through one
-//! reusable scratch, into a frame buffer drawn from the serial arena; large
-//! payloads fan out over the kernel pool in contiguous chunk ranges.
-//! Decoding writes chunks straight into the output, a delta patching the
-//! buffer its base was decoded into.
+//! **Decide, then emit.** Pass 1 reads each chunk once: its digest and, if a
+//! delta would store it, the zero-byte / zero-run counts of its XOR
+//! residuals — which planes pack and how many bytes that provably saves,
+//! with no transpose and no store. The frame's form (delta / packed /
+//! verbatim) is a pure function of those numbers. Pass 2 writes only the
+//! records the form calls for, in chunk order, so a frame's bytes do not
+//! depend on how many pool workers shared the passes.
 //!
 //! **What a frame guarantees.** Restore is bit-identical in the lossless
 //! modes (exactly the quantized payload in the lossy one). The header
 //! carries a digest of its own fields and of the manifest — a whole-payload
 //! digest derived from the chunk digests, not a second pass — and decode
-//! verifies it, then *every* chunk of the reconstructed payload, stored or
-//! inherited from the delta base, against the manifest. Truncation, a bit
-//! flipped anywhere in the frame, trailing bytes, a missing base and a wrong
-//! base all surface as [`GmlError::DataLoss`](crate::error::GmlError), never
-//! as silently wrong data. The digest is error detection, not cryptography
-//! (see [`apgas::digest`]).
+//! verifies it, then *every* chunk of the payload — stored, inherited from
+//! the delta base, or lying in a verbatim body — against the manifest.
+//! Truncation, a bit flipped anywhere in head or body, trailing bytes, a
+//! missing base and a wrong base all surface as
+//! [`GmlError::DataLoss`](crate::error::GmlError), never as silently wrong
+//! data. The digest is error detection, not cryptography (see
+//! [`apgas::digest`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -66,6 +71,8 @@ const FLAG_DELTA: u8 = 1;
 const FLAG_COMPRESSED: u8 = 2;
 /// Frame flag: the payload was lossily quantized before digesting.
 const FLAG_LOSSY: u8 = 4;
+/// Frame flag: a full frame without records — the body is the payload.
+const FLAG_VERBATIM: u8 = 8;
 
 /// Fixed header bytes before the chunk-digest manifest: magic (u32), header
 /// digest (u64), flags (u8), chain depth (u8), chunk size (u32), logical
@@ -79,6 +86,15 @@ const CHUNK_RECORD: usize = 4 + 1 + 4;
 /// Fewest chunks worth a pool worker of their own (1 MiB at the default
 /// chunk size).
 const PAR_MIN_CHUNKS: usize = 256;
+/// A chunk is packed only if pass 1 proves it shrinks by at least one part
+/// in this many, and a frame packs at all only if its packed chunks together
+/// save that share of everything it stores. Packing never pays in time here
+/// (it runs at about the speed a saved byte ships, DESIGN.md §3.14): what it
+/// buys is resident memory, two replicas per generation, and what it costs
+/// besides CPU is the by-reference body. The recorded payloads save 0.3 %
+/// and 12 % (dense numeric state) or 84 % (CSR indices), nothing in
+/// between; a quarter sits in that gap.
+const PACK_MIN_SAVING: usize = 4;
 
 /// How the codec treats a snapshot payload for the *lossy* mode.
 ///
@@ -251,6 +267,7 @@ impl CodecState {
 static LOGICAL_BYTES: AtomicU64 = AtomicU64::new(0);
 static WIRE_BYTES: AtomicU64 = AtomicU64::new(0);
 static FRAMES_FULL: AtomicU64 = AtomicU64::new(0);
+static FRAMES_VERBATIM: AtomicU64 = AtomicU64::new(0);
 static FRAMES_DELTA: AtomicU64 = AtomicU64::new(0);
 static FRAMES_LOSSY: AtomicU64 = AtomicU64::new(0);
 static ENCODE_NANOS: AtomicU64 = AtomicU64::new(0);
@@ -265,8 +282,11 @@ pub struct CodecSnapshot {
     pub logical_bytes: u64,
     /// Post-codec (wire) frame bytes produced.
     pub wire_bytes: u64,
-    /// Full base frames emitted.
+    /// Full base frames emitted (verbatim ones included).
     pub frames_full: u64,
+    /// Full frames emitted *verbatim*: nothing packed, so the payload was
+    /// stored by reference instead of being copied into records.
+    pub frames_verbatim: u64,
     /// Delta frames emitted.
     pub frames_delta: u64,
     /// Frames whose payload was lossily quantized.
@@ -287,6 +307,7 @@ impl CodecSnapshot {
             logical_bytes: self.logical_bytes - earlier.logical_bytes,
             wire_bytes: self.wire_bytes - earlier.wire_bytes,
             frames_full: self.frames_full - earlier.frames_full,
+            frames_verbatim: self.frames_verbatim - earlier.frames_verbatim,
             frames_delta: self.frames_delta - earlier.frames_delta,
             frames_lossy: self.frames_lossy - earlier.frames_lossy,
             encode_nanos: self.encode_nanos - earlier.encode_nanos,
@@ -310,6 +331,7 @@ pub fn counters() -> CodecSnapshot {
         logical_bytes: LOGICAL_BYTES.load(Ordering::Relaxed),
         wire_bytes: WIRE_BYTES.load(Ordering::Relaxed),
         frames_full: FRAMES_FULL.load(Ordering::Relaxed),
+        frames_verbatim: FRAMES_VERBATIM.load(Ordering::Relaxed),
         frames_delta: FRAMES_DELTA.load(Ordering::Relaxed),
         frames_lossy: FRAMES_LOSSY.load(Ordering::Relaxed),
         encode_nanos: ENCODE_NANOS.load(Ordering::Relaxed),
@@ -327,6 +349,7 @@ pub fn render_codec(out: &mut String) {
     out.push_str(&format!("gml_ckpt_wire_bytes_total {}\n", c.wire_bytes));
     out.push_str("# TYPE gml_ckpt_frames_total counter\n");
     out.push_str(&format!("gml_ckpt_frames_total{{kind=\"full\"}} {}\n", c.frames_full));
+    out.push_str(&format!("gml_ckpt_frames_total{{kind=\"verbatim\"}} {}\n", c.frames_verbatim));
     out.push_str(&format!("gml_ckpt_frames_total{{kind=\"delta\"}} {}\n", c.frames_delta));
     out.push_str(&format!("gml_ckpt_frames_total{{kind=\"lossy\"}} {}\n", c.frames_lossy));
     out.push_str("# TYPE gml_ckpt_encode_nanos_total counter\n");
@@ -341,7 +364,8 @@ pub fn render_codec(out: &mut String) {
 // Frame header
 // ---------------------------------------------------------------------------
 
-/// Parsed, digest-verified frame header borrowing the frame's bytes.
+/// Parsed, digest-verified frame head (header + manifest) borrowing its
+/// bytes.
 pub(crate) struct FrameHeader<'a> {
     pub flags: u8,
     /// 0 for a full base, `base.depth + 1` for a delta.
@@ -350,18 +374,20 @@ pub(crate) struct FrameHeader<'a> {
     pub logical_len: u64,
     /// Snapshot id of the delta base (0 and unused for full frames).
     pub ref_snap_id: u64,
-    /// Number of stored-chunk records that follow the manifest.
+    /// Number of stored-chunk records in the body (0 for a verbatim frame).
     n_stored: usize,
     /// The chunk manifest: one LE `content_digest` per chunk of the full
     /// logical payload.
     manifest: &'a [u8],
-    /// Everything after the manifest: the stored-chunk records.
-    records: &'a [u8],
 }
 
 impl FrameHeader<'_> {
     pub(crate) fn is_delta(&self) -> bool {
         self.flags & FLAG_DELTA != 0
+    }
+
+    fn is_verbatim(&self) -> bool {
+        self.flags & FLAG_VERBATIM != 0
     }
 
     #[cfg(test)]
@@ -387,10 +413,10 @@ fn rd_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(b[at..at + 4].try_into().expect("4-byte field"))
 }
 
-/// Parse a frame header and verify its digest, which covers every header
+/// Parse a frame head and verify its digest, which covers every header
 /// field and the manifest; `Err` describes the corruption.
-pub(crate) fn parse_header(frame: &[u8]) -> Result<FrameHeader<'_>, String> {
-    let fixed = frame.get(..HEADER_FIXED).ok_or("frame truncated in header")?;
+pub(crate) fn parse_header(head: &[u8]) -> Result<FrameHeader<'_>, String> {
+    let fixed = head.get(..HEADER_FIXED).ok_or("frame truncated in header")?;
     let magic = rd_u32(fixed, 0);
     if magic != FRAME_MAGIC {
         return Err(format!("bad frame magic {magic:#x}"));
@@ -409,9 +435,10 @@ pub(crate) fn parse_header(frame: &[u8]) -> Result<FrameHeader<'_>, String> {
     if n_stored > n_chunks {
         return Err(format!("stored chunk count {n_stored} > chunk count {n_chunks}"));
     }
-    let head = HEADER_FIXED + 8 * n_chunks;
-    let manifest = frame.get(HEADER_FIXED..head).ok_or("frame truncated in digest manifest")?;
-    if content_digest(&frame[DIGEST_COVERS_FROM..head]) != le_word(&fixed[4..12]) {
+    if head.len() != HEADER_FIXED + 8 * n_chunks {
+        return Err("frame head is not header + digest manifest".into());
+    }
+    if content_digest(&head[DIGEST_COVERS_FROM..]) != le_word(&fixed[4..12]) {
         return Err("header digest mismatch".into());
     }
     Ok(FrameHeader {
@@ -421,8 +448,7 @@ pub(crate) fn parse_header(frame: &[u8]) -> Result<FrameHeader<'_>, String> {
         logical_len,
         ref_snap_id: le_word(&fixed[26..34]),
         n_stored,
-        manifest,
-        records: &frame[head..],
+        manifest: &head[HEADER_FIXED..],
     })
 }
 
@@ -475,7 +501,8 @@ fn run_len(bytes: &[u8], zeros: bool) -> usize {
 /// Run-length pack `plane` into `dst`, returning the bytes written. Token
 /// space: `0x00..=0x7f` introduces a literal run of `t+1` bytes,
 /// `0x80..=0xff` encodes a zero run of `t - 0x7f` (1..=128) bytes. A literal
-/// run ends at any zero byte. `dst` must hold `plane.len() * 3 / 2 + 1`.
+/// run ends at any zero byte. `dst` must hold the result; `plane.len() * 3 / 2
+/// + 1` bytes always do.
 fn rle_pack(plane: &[u8], dst: &mut [u8]) -> usize {
     let (mut i, mut at) = (0, 0);
     while i < plane.len() {
@@ -519,8 +546,8 @@ fn rle_unpack(src: &[u8], plane: &mut [u8]) -> Result<usize, String> {
     Ok(at)
 }
 
-/// Reusable buffers of [`compress_chunk`] / [`decompress_chunk`]: one per
-/// encode part or decode call, small enough to stay cache-resident.
+/// Reusable buffers of [`pack_chunk`] / [`decompress_chunk`]: one per encode
+/// part or decode call, small enough to stay cache-resident.
 #[derive(Default)]
 struct Scratch {
     /// The chunk's eight byte planes, each as long as the chunk's word count
@@ -530,61 +557,75 @@ struct Scratch {
     packed: Vec<u8>,
 }
 
-/// Compress one chunk into `scratch.packed`. Words are XOR-ed against their
-/// predecessor (iterative f64 state leaves sign, exponent and high mantissa
-/// unchanged, so those residual bytes are zero) and transposed into eight
-/// byte planes. On the way the zero bytes and zero runs of every plane are
-/// counted, in byte lanes of one word; a plane is run-length packed exactly
-/// when those two counts prove the tokens cost less than the zeros save — a
-/// mantissa-noise plane is copied, never tokenised. The 1–7 byte tail
-/// follows verbatim. Returns the mask of packed planes and the compressed
-/// bytes, or `None` when the chunk is to be stored raw (no plane packs, or
-/// the result is no smaller).
-fn compress_chunk<'a>(chunk: &[u8], scratch: &'a mut Scratch) -> Option<(u8, &'a [u8])> {
+/// Pass 1 on one chunk: which byte planes of its XOR residuals (each word
+/// against its predecessor — iterative f64 state leaves sign, exponent and
+/// high mantissa unchanged, so those residual bytes are zero) are worth
+/// run-length packing, and how many bytes packing them is *proven* to save.
+/// The zero bytes and zero runs of every plane are counted in the byte lanes
+/// of one word; nothing is transposed or stored. Packed, a plane costs its
+/// literals plus at most one token per zero run, one per literal run between
+/// them, and one per 128-byte split, so it packs exactly when its zeros
+/// outnumber that — a mantissa-noise plane never does — and the difference
+/// is a lower bound of what [`pack_chunk`] then saves.
+fn probe_chunk(chunk: &[u8]) -> (u8, usize) {
     /// Words per counting block: a byte lane holds their count without carry.
-    const BLOCK_GROUPS: usize = 31;
+    const BLOCK_WORDS: usize = 248;
     let n_words = chunk.len() / 8;
-    let (body, tail) = chunk.split_at(n_words * 8);
-    let stride = n_words.next_multiple_of(8);
-    let Scratch { planes, packed: dst } = scratch;
-    planes.resize(8 * stride, 0);
-    // Packing grows a plane by at most half (literal, zero, literal, ...).
-    dst.resize(chunk.len() * 3 / 2 + 16, 0);
     let (mut zeros, mut runs) = ([0usize; 8], [0usize; 8]);
     let (mut prev, mut prev_zero) = (0u64, 0u64);
-    for (b, block) in body.chunks(64 * BLOCK_GROUPS).enumerate() {
+    for block in chunk[..n_words * 8].chunks(8 * BLOCK_WORDS) {
         let (mut zero_lanes, mut run_lanes) = (0u64, 0u64);
-        for (g, group) in block.chunks(64).enumerate() {
-            // A short last group leaves zero residuals: padding, never emitted.
-            let mut x = [0u64; 8];
-            for (r, w) in x.iter_mut().zip(group.chunks_exact(8)) {
-                let w = le_word(w);
-                *r = w ^ prev;
-                prev = w;
-                // Byte `p` of a residual belongs to plane `p`: 1 in the
-                // lanes whose byte is zero, and in those where a run starts.
-                let zero = zero_bytes(*r) >> 7;
-                zero_lanes += zero;
-                run_lanes += zero & !prev_zero;
-                prev_zero = zero;
-            }
-            transpose8x8(&mut x);
-            let at = (b * BLOCK_GROUPS + g) * 8;
-            for (p, row) in x.iter().enumerate() {
-                planes[p * stride + at..][..8].copy_from_slice(&row.to_le_bytes());
-            }
+        for w in block.chunks_exact(8) {
+            let w = le_word(w);
+            // Byte `p` of a residual belongs to plane `p`: 1 in the lanes
+            // whose byte is zero, and in those where a run starts.
+            let zero = zero_bytes(w ^ prev) >> 7;
+            prev = w;
+            zero_lanes += zero;
+            run_lanes += zero & !prev_zero;
+            prev_zero = zero;
         }
         for p in 0..8 {
             zeros[p] += (zero_lanes >> (8 * p)) as usize & 0xff;
             runs[p] += (run_lanes >> (8 * p)) as usize & 0xff;
         }
     }
-    // Packed, a plane costs its literals plus at most one token per zero
-    // run, one per literal run between them, and one per 128-byte split.
-    let packs = |p: usize| zeros[p] > 2 * runs[p] + 1 + n_words / 128;
-    let mask = (0..8).fold(0u8, |m, p| m | u8::from(packs(p)) << p);
-    if mask == 0 {
-        return None;
+    let (mut mask, mut saving) = (0u8, 0);
+    for p in 0..8 {
+        let tokens = 2 * runs[p] + 1 + n_words / 128;
+        if zeros[p] > tokens {
+            mask |= 1 << p;
+            saving += zeros[p] - tokens;
+        }
+    }
+    (mask, saving)
+}
+
+/// Pass 2 on one chunk that [`probe_chunk`] found worth it: XOR residuals
+/// transposed into eight byte planes, the planes of `mask` run-length
+/// packed, the others copied, the 1–7 byte tail verbatim. Returns the
+/// compressed bytes (in `scratch.packed`), shorter than the chunk by at
+/// least the probe's saving.
+fn pack_chunk<'a>(chunk: &[u8], mask: u8, scratch: &'a mut Scratch) -> &'a [u8] {
+    let n_words = chunk.len() / 8;
+    let (body, tail) = chunk.split_at(n_words * 8);
+    let stride = n_words.next_multiple_of(8);
+    let Scratch { planes, packed: dst } = scratch;
+    planes.resize(8 * stride, 0);
+    dst.resize(chunk.len(), 0);
+    let mut prev = 0u64;
+    for (g, group) in body.chunks(64).enumerate() {
+        // A short last group leaves zero residuals: padding, never emitted.
+        let mut x = [0u64; 8];
+        for (r, w) in x.iter_mut().zip(group.chunks_exact(8)) {
+            let w = le_word(w);
+            *r = w ^ prev;
+            prev = w;
+        }
+        transpose8x8(&mut x);
+        for (p, row) in x.iter().enumerate() {
+            planes[p * stride + g * 8..][..8].copy_from_slice(&row.to_le_bytes());
+        }
     }
     let mut at = 0;
     for p in 0..8 {
@@ -597,8 +638,7 @@ fn compress_chunk<'a>(chunk: &[u8], scratch: &'a mut Scratch) -> Option<(u8, &'a
         }
     }
     dst[at..at + tail.len()].copy_from_slice(tail);
-    at += tail.len();
-    (at < chunk.len()).then_some((mask, &dst[..at]))
+    &dst[..at + tail.len()]
 }
 
 /// Decompress one stored chunk into `out` (its exact logical extent).
@@ -656,89 +696,53 @@ fn decompress_chunk(
 // Frame encode / decode
 // ---------------------------------------------------------------------------
 
-/// The result of encoding one entry.
+/// The result of encoding one entry: the two parts of its frame.
 pub(crate) struct EncodeOutcome {
-    /// The framed wire bytes.
-    pub frame: Bytes,
+    /// Header + digest manifest — all the next epoch's delta needs.
+    pub head: Bytes,
+    /// The record stream, or — verbatim — the payload itself, by refcount.
+    pub body: Bytes,
     /// Whether a delta frame was emitted (the caller must then record the
     /// chain on the snapshot).
     pub delta: bool,
 }
 
-/// One contiguous range of a payload's chunks, encoded by one pool worker
-/// into its own buffer. Part 0's buffer is the frame itself (header space
-/// reserved up front); the others are appended to it in order.
-struct Part {
-    chunks: std::ops::Range<usize>,
-    digests: Vec<u64>,
-    out: BytesMut,
-    stored: usize,
-    compressed: bool,
+/// What pass 1 learned about one chunk.
+#[derive(Clone, Copy, Default)]
+struct Probe {
+    digest: u64,
+    /// [`probe_chunk`]'s verdict; zero for a chunk that equals the delta
+    /// base's (it is not probed) and at level 0.
+    mask: u8,
+    saving: usize,
 }
 
-impl Part {
-    /// Read each chunk of the range once: digest it and, if it differs from
-    /// `base`'s (or there is no base), append its record. With `spill` the
-    /// digests are known and the chunks *equal* to the base are appended —
-    /// the second half of a delta that turned out too dirty.
-    fn encode(
-        &mut self,
-        cfg: &CodecConfig,
-        payload: &[u8],
-        base: Option<&FrameHeader>,
-        spill: bool,
-    ) {
-        let mut scratch = Scratch::default();
-        for ci in self.chunks.clone() {
-            let lo = ci * cfg.chunk;
-            let data = &payload[lo..payload.len().min(lo + cfg.chunk)];
-            let slot = ci - self.chunks.start;
-            if !spill {
-                self.digests[slot] = content_digest(data);
-            }
-            let clean = base.is_some_and(|b| b.digest(ci) == self.digests[slot]);
-            if clean != spill {
-                continue;
-            }
-            let packed = if cfg.level >= 1 { compress_chunk(data, &mut scratch) } else { None };
-            let (mask, body) = packed.unwrap_or((0, data));
-            self.out.put_u32_le(ci as u32);
-            self.out.put_u8(mask);
-            self.out.put_u32_le(body.len() as u32);
-            self.out.put_slice(body);
-            self.stored += 1;
-            self.compressed |= mask != 0;
-        }
-    }
-}
-
-/// Encode one logical payload into a frame. `ref_frame` is the candidate
-/// delta base (same key, same owner/backup, locally present); `lossy` marks
-/// that `payload` was already quantized. Placement eligibility is the
-/// caller's job; this function additionally requires matching geometry and a
-/// bounded chain before emitting a delta.
+/// Encode one logical payload into a frame. `ref_head` is the head of the
+/// candidate delta base (same key, same owner/backup, locally present);
+/// `lossy` marks that `payload` was already quantized. Placement eligibility
+/// is the caller's job; this function additionally requires matching
+/// geometry and a bounded chain before emitting a delta.
 pub(crate) fn encode_entry(
     cfg: &CodecConfig,
-    payload: &[u8],
-    ref_frame: Option<&[u8]>,
+    payload: &Bytes,
+    ref_head: Option<&[u8]>,
     ref_snap_id: u64,
     lossy: bool,
 ) -> EncodeOutcome {
-    // Fan out over contiguous chunk ranges when there is enough to compress.
+    // Fan out over contiguous chunk ranges when there is enough to probe.
     let n_parts = match payload.len() / cfg.chunk / PAR_MIN_CHUNKS {
         wide if wide >= 2 && cfg.level >= 1 => pool::workers().min(wide),
         _ => 1,
     };
-    encode_in_parts(cfg, payload, ref_frame, ref_snap_id, lossy, n_parts)
+    encode_in_parts(cfg, payload, ref_head, ref_snap_id, lossy, n_parts)
 }
 
-/// [`encode_entry`] over `n_parts` contiguous chunk ranges. The decoded
-/// payload and the frame's size do not depend on `n_parts`; neither do its
-/// bytes, except for the record order of a too-dirty delta.
+/// [`encode_entry`] over `n_parts` contiguous chunk ranges; the frame does
+/// not depend on `n_parts`.
 fn encode_in_parts(
     cfg: &CodecConfig,
-    payload: &[u8],
-    ref_frame: Option<&[u8]>,
+    payload: &Bytes,
+    ref_head: Option<&[u8]>,
     ref_snap_id: u64,
     lossy: bool,
     n_parts: usize,
@@ -747,121 +751,163 @@ fn encode_in_parts(
     let n_chunks = payload.len().div_ceil(cfg.chunk);
     // Delta eligibility: a parseable base with identical geometry and a
     // bounded chain. The dirty ratio is judged once the chunks are read.
-    let base = ref_frame
+    let base = ref_head
         .filter(|_| cfg.mode == CodecMode::Delta && n_chunks > 0)
-        .and_then(|rf| parse_header(rf).ok())
+        .and_then(|rh| parse_header(rh).ok())
         .filter(|h| {
             u32::from(h.chain_depth) + 1 < cfg.full_every.min(256)
                 && h.logical_len == payload.len() as u64
                 && h.chunk_size == cfg.chunk
         });
+    let chunk = |ci: usize| &payload[ci * cfg.chunk..payload.len().min((ci + 1) * cfg.chunk)];
+    let dirty = |ci: usize, p: &Probe| base.as_ref().is_none_or(|b| b.digest(ci) != p.digest);
+    let part = |i: usize| pool::chunk_range(n_chunks, n_parts, i);
 
-    let head = HEADER_FIXED + 8 * n_chunks;
-    let mut parts: Vec<Part> = (0..n_parts)
-        .map(|i| {
-            let chunks = pool::chunk_range(n_chunks, n_parts, i);
-            // Worst case (every chunk stored raw) so appending never
-            // regrows; part 0 also has room for the header and for the other
-            // parts. `with_capacity` draws from the serial arena.
-            let mut out = BytesMut::with_capacity(if i == 0 {
-                head + payload.len() + n_chunks * CHUNK_RECORD
-            } else {
-                chunks.len() * (cfg.chunk + CHUNK_RECORD)
-            });
-            out.resize(if i == 0 { head } else { 0 }, 0);
-            Part { digests: vec![0; chunks.len()], chunks, out, stored: 0, compressed: false }
-        })
-        .collect();
-    let run = |parts: &mut [Part], spill| {
-        pool::run_split(parts, n_parts, |i| i..i + 1, |_, p| {
-            p[0].encode(cfg, payload, base.as_ref(), spill)
+    // Pass 1 reads every chunk once: its digest and, for a chunk a delta
+    // would store, what packing it would save.
+    let mut probes = vec![Probe::default(); n_chunks];
+    pool::run_split(&mut probes, n_parts, part, |i, probes| {
+        for (ci, p) in part(i).zip(probes) {
+            p.digest = content_digest(chunk(ci));
+            if cfg.level >= 1 && dirty(ci, p) {
+                (p.mask, p.saving) = probe_chunk(chunk(ci));
+            }
+        }
+    });
+
+    // The frame's form, from pass 1 alone. Delta: few enough chunks differ
+    // from the base. A chunk packs if that saves its share of the chunk, the
+    // frame packs at all if that saves its share of what the frame stores.
+    let n_dirty = probes.iter().enumerate().filter(|(ci, p)| dirty(*ci, p)).count();
+    let is_delta = base.is_some() && n_dirty as f64 <= cfg.dirty_max * n_chunks as f64;
+    let stored = |ci: usize| !is_delta || dirty(ci, &probes[ci]);
+    let packable = |ci: usize| probes[ci].saving * PACK_MIN_SAVING >= chunk(ci).len();
+    // The stored chunks of `range`: how many, their bytes, and how many of
+    // those bytes packing the packable ones is proven to save.
+    let tally = |range: std::ops::Range<usize>| {
+        range.filter(|&ci| stored(ci)).fold((0, 0, 0), |(n, bytes, saved), ci| {
+            let saving = if packable(ci) { probes[ci].saving } else { 0 };
+            (n + 1, bytes + chunk(ci).len(), saved + saving)
         })
     };
-    run(&mut parts, false);
-    let dirty: usize = parts.iter().map(|p| p.stored).sum();
-    let is_delta = base.is_some() && dirty as f64 <= cfg.dirty_max * n_chunks as f64;
-    if base.is_some() && !is_delta {
-        // Too dirty for a delta: add the clean chunks, making it a full base
-        // (records carry their index, so their order is free).
-        run(&mut parts, true);
-    }
+    let (n_stored, bytes, saved) = tally(0..n_chunks);
+    let pack = saved > 0 && saved * PACK_MIN_SAVING >= bytes;
+    let verbatim = !is_delta && !pack;
 
-    let mut parts = parts.into_iter();
-    let Part { out: mut frame, mut digests, mut stored, mut compressed, .. } =
-        parts.next().expect("at least one part");
-    for p in parts {
-        frame.put_slice(&p.out);
-        digests.extend_from_slice(&p.digests);
-        stored += p.stored;
-        compressed |= p.compressed;
-    }
-    let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-    let flags =
-        flag(is_delta, FLAG_DELTA) | flag(compressed, FLAG_COMPRESSED) | flag(lossy, FLAG_LOSSY);
-    let depth = base.as_ref().filter(|_| is_delta).map_or(0, |h| h.chain_depth + 1);
-    let mut fixed = Vec::with_capacity(HEADER_FIXED);
-    fixed.put_u32_le(FRAME_MAGIC);
-    fixed.put_u64_le(0); // header digest, below
-    fixed.put_u8(flags);
-    fixed.put_u8(depth);
-    fixed.put_u32_le(cfg.chunk as u32);
-    fixed.put_u64_le(payload.len() as u64);
-    fixed.put_u64_le(if is_delta { ref_snap_id } else { 0 });
-    fixed.put_u32_le(n_chunks as u32);
-    fixed.put_u32_le(stored as u32);
-    frame[..HEADER_FIXED].copy_from_slice(&fixed);
-    for (slot, d) in frame[HEADER_FIXED..head].chunks_exact_mut(8).zip(&digests) {
-        slot.copy_from_slice(&d.to_le_bytes());
-    }
-    let header_digest = content_digest(&frame[DIGEST_COVERS_FROM..head]);
-    frame[4..12].copy_from_slice(&header_digest.to_le_bytes());
-    // A sparse delta fills a sliver of its worst-case buffer: keep the
-    // sliver, hand the buffer back to the arena.
-    let frame = if frame.len() < frame.capacity() / 2 {
-        Bytes::copy_from_slice(&frame)
+    // Pass 2 writes what the form calls for: nothing for a verbatim frame —
+    // the payload itself, by refcount, is the body — else one record per
+    // stored chunk, in chunk order, each part into its own buffer.
+    let body = if verbatim {
+        payload.clone()
     } else {
-        frame.freeze()
+        let mut outs: Vec<BytesMut> = (0..n_parts).map(|_| BytesMut::new()).collect();
+        pool::run_split(&mut outs, n_parts, |i| i..i + 1, |i, out| {
+            // Part 0's buffer becomes the body: it has room for the others.
+            let (n, bytes, saved) = if i == 0 { (n_stored, bytes, saved) } else { tally(part(i)) };
+            // `with_capacity` draws from the serial arena.
+            let mut buf =
+                BytesMut::with_capacity(n * CHUNK_RECORD + bytes - if pack { saved } else { 0 });
+            let mut scratch = Scratch::default();
+            for ci in part(i).filter(|&ci| stored(ci)) {
+                let (mask, data) = if pack && packable(ci) {
+                    (probes[ci].mask, pack_chunk(chunk(ci), probes[ci].mask, &mut scratch))
+                } else {
+                    (0, chunk(ci))
+                };
+                buf.put_u32_le(ci as u32);
+                buf.put_u8(mask);
+                buf.put_u32_le(data.len() as u32);
+                buf.put_slice(data);
+            }
+            out[0] = buf;
+        });
+        let mut outs = outs.into_iter();
+        let mut body = outs.next().expect("at least one part");
+        outs.for_each(|out| body.put_slice(&out));
+        // The arena may have lent a far bigger buffer than asked for: keep
+        // the records, hand the buffer back.
+        if body.len() < body.capacity() / 2 {
+            Bytes::from(body.to_vec())
+        } else {
+            body.freeze()
+        }
     };
+
+    let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+    let flags = flag(is_delta, FLAG_DELTA)
+        | flag(pack, FLAG_COMPRESSED)
+        | flag(lossy, FLAG_LOSSY)
+        | flag(verbatim, FLAG_VERBATIM);
+    let depth = base.as_ref().filter(|_| is_delta).map_or(0, |h| h.chain_depth + 1);
+    // A plain `Vec`, not an arena buffer: the head outlives the epoch as the
+    // next delta's base and must not pin a payload-sized allocation.
+    let mut head = Vec::with_capacity(HEADER_FIXED + 8 * n_chunks);
+    head.put_u32_le(FRAME_MAGIC);
+    head.put_u64_le(0); // header digest, below
+    head.put_u8(flags);
+    head.put_u8(depth);
+    head.put_u32_le(cfg.chunk as u32);
+    head.put_u64_le(payload.len() as u64);
+    head.put_u64_le(if is_delta { ref_snap_id } else { 0 });
+    head.put_u32_le(n_chunks as u32);
+    head.put_u32_le(if verbatim { 0 } else { n_stored as u32 });
+    probes.iter().for_each(|p| head.put_u64_le(p.digest));
+    let header_digest = content_digest(&head[DIGEST_COVERS_FROM..]);
+    head[4..12].copy_from_slice(&header_digest.to_le_bytes());
 
     LOGICAL_BYTES.fetch_add(payload.len() as u64, Ordering::Relaxed);
-    WIRE_BYTES.fetch_add(frame.len() as u64, Ordering::Relaxed);
-    if is_delta {
-        FRAMES_DELTA.fetch_add(1, Ordering::Relaxed);
-    } else {
-        FRAMES_FULL.fetch_add(1, Ordering::Relaxed);
-    }
-    if lossy {
-        FRAMES_LOSSY.fetch_add(1, Ordering::Relaxed);
-    }
+    WIRE_BYTES.fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
+    let kind = if is_delta { &FRAMES_DELTA } else { &FRAMES_FULL };
+    kind.fetch_add(1, Ordering::Relaxed);
+    FRAMES_VERBATIM.fetch_add(u64::from(verbatim), Ordering::Relaxed);
+    FRAMES_LOSSY.fetch_add(u64::from(lossy), Ordering::Relaxed);
     ENCODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    EncodeOutcome { frame, delta: is_delta }
+    EncodeOutcome { head: Bytes::from(head), body, delta: is_delta }
+}
+
+/// A decoded logical payload: the very buffer a verbatim frame (or the raw
+/// store) holds, shared by refcount, or one built by this decode.
+pub(crate) enum Payload {
+    Shared(Bytes),
+    Built(BytesMut),
+}
+
+impl Payload {
+    pub(crate) fn freeze(self) -> Bytes {
+        match self {
+            Payload::Shared(b) => b,
+            Payload::Built(m) => m.freeze(),
+        }
+    }
+
+    /// A buffer a delta may patch: a shared payload is copied, once.
+    fn into_mut(self) -> BytesMut {
+        match self {
+            Payload::Shared(b) => {
+                let mut copy = BytesMut::with_capacity(b.len());
+                copy.extend_from_slice(&b);
+                copy
+            }
+            Payload::Built(m) => m,
+        }
+    }
 }
 
 /// Decode one frame back into its full logical payload. `base` is the
 /// *decoded* logical payload of the delta base (required iff the frame is a
 /// delta); it is patched in place and returned. After the header digest
-/// (checked by [`parse_header`]) every chunk of the result, stored or
-/// inherited, is verified against the manifest — a truncated or flipped
+/// (checked by [`parse_header`]) every chunk of the result — stored,
+/// inherited, or lying in a verbatim body, which is then handed back by
+/// refcount — is verified against the manifest: a truncated or flipped
 /// frame, a missing base and a wrong base are corruption, never data.
-pub(crate) fn decode_frame(frame: &[u8], base: Option<BytesMut>) -> Result<BytesMut, String> {
+pub(crate) fn decode_frame(
+    head: &[u8],
+    body: &Bytes,
+    base: Option<Payload>,
+) -> Result<Payload, String> {
     let t0 = Instant::now();
-    let h = parse_header(frame)?;
+    let h = parse_header(head)?;
     let n = h.logical_len as usize;
-    if !h.is_delta() && h.n_stored != h.n_chunks() {
-        return Err(format!("full frame stores {} of {} chunks", h.n_stored, h.n_chunks()));
-    }
-    let mut out = match (h.is_delta(), base) {
-        (true, None) => return Err("delta frame decoded without its base".into()),
-        (true, Some(b)) if b.len() != n => {
-            return Err(format!("delta base len {} != logical len {n}", b.len()));
-        }
-        (true, Some(b)) => b,
-        (false, _) => {
-            let mut b = BytesMut::with_capacity(n);
-            b.resize(n, 0);
-            b
-        }
-    };
     let verify = |ci: usize, chunk: &[u8]| {
         if content_digest(chunk) == h.digest(ci) {
             Ok(())
@@ -870,32 +916,59 @@ pub(crate) fn decode_frame(frame: &[u8], base: Option<BytesMut>) -> Result<Bytes
         }
     };
     let extent = |ci: usize| ci * h.chunk_size..n.min((ci + 1) * h.chunk_size);
-    let mut stored = vec![false; h.n_chunks()];
-    let mut scratch = Scratch::default();
-    let mut records = h.records;
-    for _ in 0..h.n_stored {
-        let (rec, rest) =
-            records.split_at_checked(CHUNK_RECORD).ok_or("frame truncated at chunk record")?;
-        let (ci, mask, len) = (rd_u32(rec, 0) as usize, rec[4], rd_u32(rec, 5) as usize);
-        let (data, rest) = rest.split_at_checked(len).ok_or("frame truncated in chunk data")?;
-        records = rest;
-        if stored.get(ci) != Some(&false) {
-            return Err(format!("chunk index {ci} out of range or repeated"));
+    let payload = if h.is_verbatim() {
+        if h.is_delta() || h.n_stored != 0 {
+            return Err("verbatim frame claims a base or records".into());
         }
-        stored[ci] = true;
-        let dst = &mut out[extent(ci)];
-        decompress_chunk(mask, data, dst, &mut scratch)?;
-        verify(ci, dst)?;
-    }
-    if !records.is_empty() {
-        return Err("trailing garbage after frame".into());
-    }
-    // What a delta did not store it inherited from its base.
-    for ci in (0..stored.len()).filter(|&ci| !stored[ci]) {
-        verify(ci, &out[extent(ci)])?;
-    }
+        if body.len() != n {
+            return Err(format!("verbatim body len {} != logical len {n}", body.len()));
+        }
+        (0..h.n_chunks()).try_for_each(|ci| verify(ci, &body[extent(ci)]))?;
+        Payload::Shared(body.clone())
+    } else {
+        if !h.is_delta() && h.n_stored != h.n_chunks() {
+            return Err(format!("full frame stores {} of {} chunks", h.n_stored, h.n_chunks()));
+        }
+        let mut out = match (h.is_delta(), base.map(Payload::into_mut)) {
+            (true, None) => return Err("delta frame decoded without its base".into()),
+            (true, Some(b)) if b.len() != n => {
+                return Err(format!("delta base len {} != logical len {n}", b.len()));
+            }
+            (true, Some(b)) => b,
+            (false, _) => {
+                let mut b = BytesMut::with_capacity(n);
+                b.resize(n, 0);
+                b
+            }
+        };
+        let mut stored = vec![false; h.n_chunks()];
+        let mut scratch = Scratch::default();
+        let mut records = &body[..];
+        for _ in 0..h.n_stored {
+            let (rec, rest) =
+                records.split_at_checked(CHUNK_RECORD).ok_or("frame truncated at chunk record")?;
+            let (ci, mask, len) = (rd_u32(rec, 0) as usize, rec[4], rd_u32(rec, 5) as usize);
+            let (data, rest) = rest.split_at_checked(len).ok_or("frame truncated in chunk data")?;
+            records = rest;
+            if stored.get(ci) != Some(&false) {
+                return Err(format!("chunk index {ci} out of range or repeated"));
+            }
+            stored[ci] = true;
+            let dst = &mut out[extent(ci)];
+            decompress_chunk(mask, data, dst, &mut scratch)?;
+            verify(ci, dst)?;
+        }
+        if !records.is_empty() {
+            return Err("trailing garbage after frame".into());
+        }
+        // What a delta did not store it inherited from its base.
+        for ci in (0..stored.len()).filter(|&ci| !stored[ci]) {
+            verify(ci, &out[extent(ci)])?;
+        }
+        Payload::Built(out)
+    };
     DECODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    Ok(out)
+    Ok(payload)
 }
 
 /// Quantize an f64-tail payload to a uniform grid of step `2·tol` (absolute
@@ -930,22 +1003,38 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// `decode_frame` against a borrowed base (copied: decode patches it).
-    fn decode(frame: &[u8], base: Option<&[u8]>) -> Result<BytesMut, String> {
-        decode_frame(
-            frame,
-            base.map(|b| {
-                let mut copy = BytesMut::new();
-                copy.extend_from_slice(b);
-                copy
-            }),
-        )
+    /// Encode a borrowed payload, optionally against `base` as snapshot `id`.
+    fn encode(
+        cfg: &CodecConfig,
+        payload: &[u8],
+        base: Option<&EncodeOutcome>,
+        id: u64,
+    ) -> EncodeOutcome {
+        encode_entry(cfg, &Bytes::copy_from_slice(payload), base.map(|b| &b.head[..]), id, false)
     }
 
-    fn roundtrip_full(cfg: &CodecConfig, payload: &[u8]) -> BytesMut {
-        let out = encode_entry(cfg, payload, None, 0, false);
+    /// `decode_frame` on borrowed parts, against a borrowed base payload.
+    fn decode_parts(head: &[u8], body: &[u8], base: Option<&[u8]>) -> Result<Bytes, String> {
+        let base = base.map(|b| Payload::Shared(Bytes::copy_from_slice(b)));
+        decode_frame(head, &Bytes::copy_from_slice(body), base).map(Payload::freeze)
+    }
+
+    fn decode(frame: &EncodeOutcome, base: Option<&[u8]>) -> Result<Bytes, String> {
+        decode_parts(&frame.head, &frame.body, base)
+    }
+
+    fn flags(frame: &EncodeOutcome) -> u8 {
+        parse_header(&frame.head).unwrap().flags
+    }
+
+    fn is_verbatim(frame: &EncodeOutcome) -> bool {
+        flags(frame) & FLAG_VERBATIM != 0
+    }
+
+    fn roundtrip_full(cfg: &CodecConfig, payload: &[u8]) -> Bytes {
+        let out = encode(cfg, payload, None, 0);
         assert!(!out.delta);
-        decode(&out.frame, None).expect("full frame decodes")
+        decode(&out, None).expect("full frame decodes")
     }
 
     fn cfg_delta() -> CodecConfig {
@@ -960,7 +1049,6 @@ mod tests {
         v
     }
 
-
     /// xorshift64 stream for the fixed-seed guard payloads.
     fn xorshift(x: &mut u64) -> u64 {
         *x ^= *x << 13;
@@ -969,7 +1057,17 @@ mod tests {
         *x
     }
 
-    /// The three fixed-seed payloads of the wire-size guard.
+    fn noise_bytes(len: usize, seed: &mut u64) -> Vec<u8> {
+        (0..len).map(|_| (xorshift(seed) >> 32) as u8).collect()
+    }
+
+    /// f64s stepping by 1e-9 from 1.0: five quiet byte planes out of eight.
+    fn ramp_bytes(values: usize) -> Vec<u8> {
+        (0..values).flat_map(|i| (1.0 + i as f64 * 1e-9).to_le_bytes()).collect()
+    }
+
+    /// The three fixed-seed payloads of the wire-size guard: a ramp, noise
+    /// in [0, 1) and CSR index arrays.
     fn guard_payloads() -> [Vec<u8>; 3] {
         let ramp: Vec<f64> = (0..8192).map(|i| 1.0 + i as f64 * 1e-9).collect();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -996,11 +1094,40 @@ mod tests {
         // Frame sizes of the encoder this one replaced (RLE on all eight
         // planes or none), recorded before it was deleted.
         const BEFORE: [usize; 3] = [32_095, 58_499, 18_486];
-        for (payload, before) in guard_payloads().iter().zip(BEFORE) {
-            let out = encode_entry(&cfg_delta(), payload, None, 0, false);
-            assert!(out.frame.len() <= before, "{} > {before}", out.frame.len());
-            assert_eq!(&decode(&out.frame, None).unwrap()[..], &payload[..]);
+        let [ramp, noise, csr] = guard_payloads();
+        for (payload, before) in [(&ramp, BEFORE[0]), (&csr, BEFORE[2])] {
+            let out = encode(&cfg_delta(), payload, None, 0);
+            let wire = out.head.len() + out.body.len();
+            assert!(wire <= before && !is_verbatim(&out), "{wire} > {before}");
+            assert_eq!(&decode(&out, None).unwrap()[..], &payload[..]);
         }
+        // Noise in [0, 1): sign and exponent bytes used to pack it down to
+        // 58 499 bytes, 11 % off. Short of a quarter, it is now kept
+        // verbatim: its own bytes plus a head of 42 + 8 per chunk.
+        let out = encode(&cfg_delta(), &noise, None, 0);
+        assert!(is_verbatim(&out));
+        assert_eq!(out.body.len(), noise.len());
+        assert_eq!(out.head.len(), HEADER_FIXED + 8 * noise.len().div_ceil(4096));
+        assert_eq!(out.head.len() + out.body.len(), 65_544 + 178);
+        assert_eq!(&decode(&out, None).unwrap()[..], &noise[..]);
+    }
+
+    #[test]
+    fn the_provable_saving_is_a_lower_bound_of_the_real_one() {
+        let mut scratch = Scratch::default();
+        let mut packed_chunks = 0;
+        for payload in guard_payloads() {
+            for chunk_size in [64, 1000, 4096] {
+                for chunk in payload.chunks(chunk_size) {
+                    let (mask, saving) = probe_chunk(chunk);
+                    assert_eq!(mask == 0, saving == 0);
+                    let packed = pack_chunk(chunk, mask, &mut scratch).len();
+                    assert!(packed + saving <= chunk.len(), "{packed} + {saving}");
+                    packed_chunks += usize::from(mask != 0);
+                }
+            }
+        }
+        assert!(packed_chunks > 100, "the guard payloads exercise the bound");
     }
 
     #[test]
@@ -1057,41 +1184,48 @@ mod tests {
             .flat_map(|_| (1.0f64.to_bits() | xorshift(&mut seed) >> 40).to_le_bytes())
             .collect();
         let mut scratch = Scratch::default();
-        let (mask, packed) = compress_chunk(&chunk, &mut scratch).expect("compresses");
+        let (mask, saving) = probe_chunk(&chunk);
         assert_eq!(mask, 0b1111_1000, "planes 0-2 carry the noise, 3-7 are quiet");
-        assert!(packed.len() < chunk.len() / 2);
-        let packed = packed.to_vec();
+        assert!(saving > chunk.len() / 2);
+        let packed = pack_chunk(&chunk, mask, &mut scratch).to_vec();
+        assert!(packed.len() <= chunk.len() - saving);
         let mut back = vec![0u8; chunk.len()];
         decompress_chunk(mask, &packed, &mut back, &mut scratch).unwrap();
         assert_eq!(back, chunk);
-        // All noise: no plane is worth packing, the chunk is stored raw.
-        let noise: Vec<u8> = (0..4096).map(|_| (xorshift(&mut seed) >> 32) as u8).collect();
-        assert!(compress_chunk(&noise, &mut scratch).is_none());
+        // All noise: no plane is worth packing, nothing is proven saved.
+        assert_eq!(probe_chunk(&noise_bytes(4096, &mut seed)), (0, 0));
     }
 
     #[test]
-    fn too_dirty_delta_spills_into_a_full_base_for_any_part_count() {
+    fn too_dirty_delta_becomes_a_full_frame_identical_for_any_part_count() {
         let cfg = CodecConfig { chunk: 64, dirty_max: 0.25, ..cfg_delta() };
         let mut seed = 0x1357_9bdf_0246_8aceu64;
-        let base: Vec<u8> = (0..64 * 40 + 13).map(|_| (xorshift(&mut seed) >> 8) as u8).collect();
-        let base_frame = encode_entry(&cfg, &base, None, 0, false).frame;
-        for dirty_chunks in [3usize, 20] {
+        // Three chunks of four are zeros and pack, so the frames keep
+        // records; the fourth is noise; a 13-byte tail.
+        let mut base: Vec<u8> = Vec::new();
+        for c in 0..40 {
+            base.extend(if c % 4 == 3 { noise_bytes(64, &mut seed) } else { vec![0; 64] });
+        }
+        base.extend(noise_bytes(13, &mut seed));
+        let base_frame = encode(&cfg, &base, None, 0);
+        assert!(flags(&base_frame) & FLAG_COMPRESSED != 0);
+        for dirty_chunks in [3usize, 30] {
             let mut next = base.clone();
             for c in 0..dirty_chunks {
-                next[c * 128 + 5] ^= 0x10; // every other chunk
+                next[c * 64 + 5] ^= 0x10;
             }
-            let one = encode_in_parts(&cfg, &next, Some(&base_frame), 9, false, 1);
+            let next = Bytes::from(next);
+            let head = Some(&base_frame.head[..]);
+            let one = encode_in_parts(&cfg, &next, head, 9, false, 1);
             assert_eq!(one.delta, dirty_chunks == 3);
+            assert!(flags(&one) & FLAG_COMPRESSED != 0, "records, packed ones among them");
             for n_parts in [2, 3, 7] {
-                let many = encode_in_parts(&cfg, &next, Some(&base_frame), 9, false, n_parts);
+                let many = encode_in_parts(&cfg, &next, head, 9, false, n_parts);
                 assert_eq!(many.delta, one.delta);
-                assert_eq!(many.frame.len(), one.frame.len());
-                if one.delta {
-                    assert_eq!(many.frame, one.frame, "in-order records: identical bytes");
-                }
-                let got = decode(&many.frame, one.delta.then_some(&base[..])).unwrap();
-                assert_eq!(&got[..], &next[..]);
+                assert_eq!((&many.head, &many.body), (&one.head, &one.body), "{n_parts} parts");
             }
+            let got = decode(&one, one.delta.then_some(&base[..])).unwrap();
+            assert_eq!(&got[..], &next[..]);
         }
     }
 
@@ -1099,11 +1233,36 @@ mod tests {
     fn a_payload_wide_enough_to_fan_out_encodes_to_the_same_frame() {
         // 3 MiB: two pool-sized ranges wherever the pool has two workers.
         let values: Vec<f64> = (0..3 << 17).map(|i| (i as f64).sqrt()).collect();
-        let payload = f64_payload(&values);
+        let payload = Bytes::from(f64_payload(&values));
         let fanned = encode_entry(&cfg_delta(), &payload, None, 0, false);
         let serial = encode_in_parts(&cfg_delta(), &payload, None, 0, false, 1);
-        assert_eq!(fanned.frame, serial.frame);
-        assert_eq!(&decode(&fanned.frame, None).unwrap()[..], &payload[..]);
+        assert_eq!((&fanned.head, &fanned.body), (&serial.head, &serial.body));
+        assert_eq!(&decode(&fanned, None).unwrap()[..], &payload[..]);
+    }
+
+    #[test]
+    fn a_verbatim_body_is_the_payload_itself_going_in_and_coming_out() {
+        let mut seed = 0x0f1e_2d3c_4b5a_6978u64;
+        let payload = Bytes::from(noise_bytes(10_000, &mut seed));
+        for level in [0, 1] {
+            let out = encode_entry(
+                &CodecConfig { level, ..cfg_delta() },
+                &payload,
+                None,
+                0,
+                false,
+            );
+            assert!(is_verbatim(&out) && !out.delta);
+            assert_eq!(out.body.as_ptr(), payload.as_ptr(), "stored by reference");
+            let Payload::Shared(back) = decode_frame(&out.head, &out.body, None).unwrap() else {
+                panic!("a verbatim frame decodes to its own body");
+            };
+            assert_eq!(back.as_ptr(), payload.as_ptr(), "and handed back by reference");
+        }
+        // Level 0 never packs, whatever the payload; level 1 packs a ramp.
+        let ramp = ramp_bytes(4096);
+        assert!(is_verbatim(&encode(&CodecConfig { level: 0, ..cfg_delta() }, &ramp, None, 0)));
+        assert!(!is_verbatim(&encode(&cfg_delta(), &ramp, None, 0)));
     }
 
     #[test]
@@ -1113,28 +1272,55 @@ mod tests {
         let base = f64_payload(&values);
         let mut next = base.clone();
         next[100] ^= 1;
-        let full = encode_entry(&cfg, &base, None, 0, false);
-        let delta = encode_entry(&cfg, &next, Some(&full.frame), 5, false);
-        assert!(delta.delta && parse_header(&full.frame).unwrap().flags & FLAG_COMPRESSED != 0);
-        for (frame, base) in [(&full.frame, None), (&delta.frame, Some(&base[..]))] {
+        let full = encode(&cfg, &base, None, 0);
+        let delta = encode(&cfg, &next, Some(&full), 5);
+        assert!(delta.delta && flags(&full) & FLAG_COMPRESSED != 0);
+        // The same pair with a base nothing packs in: a verbatim frame, and
+        // a delta against it.
+        let mut seed = 0x2468_ace0_1357_9bdfu64;
+        let noise = noise_bytes(64 * 5 + 3, &mut seed);
+        let mut noise_next = noise.clone();
+        noise_next[70] ^= 1;
+        let verbatim = encode(&cfg, &noise, None, 0);
+        let on_verbatim = encode(&cfg, &noise_next, Some(&verbatim), 6);
+        assert!(is_verbatim(&verbatim) && on_verbatim.delta);
+        assert_eq!(&decode(&on_verbatim, Some(&noise)).unwrap()[..], &noise_next[..]);
+
+        for (frame, base) in [
+            (&full, None),
+            (&delta, Some(&base[..])),
+            (&verbatim, None),
+            (&on_verbatim, Some(&noise[..])),
+        ] {
             assert!(decode(frame, base).is_ok());
-            for bit in 0..frame.len() * 8 {
-                let mut bad = frame.to_vec();
-                bad[bit / 8] ^= 1 << (bit % 8);
-                assert!(decode(&bad, base).is_err(), "bit {bit} flipped silently");
+            let (head, body) = (&frame.head[..], &frame.body[..]);
+            // Damage one part at a time, the other intact.
+            let with = |bad: &[u8], in_head: bool| {
+                let (h, b) = if in_head { (bad, body) } else { (head, bad) };
+                decode_parts(h, b, base)
+            };
+            for (part, in_head) in [(head, true), (body, false)] {
+                for bit in 0..part.len() * 8 {
+                    let mut bad = part.to_vec();
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                    assert!(with(&bad, in_head).is_err(), "bit {bit} flipped silently");
+                }
+                for len in 0..part.len() {
+                    assert!(with(&part[..len], in_head).is_err(), "truncated to {len}");
+                }
+                let mut long = part.to_vec();
+                long.push(0);
+                assert!(with(&long, in_head).is_err(), "a byte appended");
             }
-            for len in 0..frame.len() {
-                assert!(decode(&frame[..len], base).is_err(), "truncated to {len}");
-            }
-            let mut long = frame.to_vec();
-            long.push(0);
-            assert!(decode(&long, base).unwrap_err().contains("trailing garbage"));
         }
         // A manifest that no longer matches the header digest is caught
         // before any chunk is touched.
-        let mut bad = full.frame.to_vec();
+        let mut bad = full.head.to_vec();
         bad[HEADER_FIXED] ^= 1;
-        assert_eq!(decode(&bad, None).unwrap_err(), "header digest mismatch");
+        assert_eq!(decode_parts(&bad, &full.body, None).unwrap_err(), "header digest mismatch");
+        let mut long = full.body.to_vec();
+        long.push(0);
+        assert!(decode_parts(&full.head, &long, None).unwrap_err().contains("trailing garbage"));
     }
 
     #[test]
@@ -1150,12 +1336,12 @@ mod tests {
         // u8 depth: 254 deltas, then a full base again.
         let cfg = CodecState::new(wild).config;
         let data = vec![3u8; 256];
-        let mut frame = encode_entry(&cfg, &data, None, 0, false).frame;
+        let mut frame = encode(&cfg, &data, None, 0);
         for epoch in 1..=600u64 {
-            let out = encode_entry(&cfg, &data, Some(&frame), epoch, false);
+            let out = encode(&cfg, &data, Some(&frame), epoch);
             assert_eq!(out.delta, epoch % 255 != 0, "epoch {epoch}");
-            assert_eq!(parse_header(&out.frame).unwrap().chain_depth as u64, epoch % 255);
-            frame = out.frame;
+            assert_eq!(parse_header(&out.head).unwrap().chain_depth as u64, epoch % 255);
+            frame = out;
         }
     }
 
@@ -1178,36 +1364,32 @@ mod tests {
         let cfg = cfg_delta();
         let values: Vec<f64> = (0..4096).map(|i| 1.0 + i as f64 * 1e-9).collect();
         let payload = f64_payload(&values);
-        let out = encode_entry(&cfg, &payload, None, 0, false);
-        assert!(
-            out.frame.len() < payload.len() / 2,
-            "smooth run should compress >2x: {} vs {}",
-            out.frame.len(),
-            payload.len()
-        );
-        assert_eq!(&decode(&out.frame, None).unwrap()[..], &payload[..]);
+        let out = encode(&cfg, &payload, None, 0);
+        let wire = out.head.len() + out.body.len();
+        assert!(wire < payload.len() / 2, "smooth run should compress >2x: {wire}");
+        assert_eq!(&decode(&out, None).unwrap()[..], &payload[..]);
     }
 
     #[test]
     fn delta_ships_only_dirty_chunks_and_replays() {
         let cfg = CodecConfig { chunk: 256, ..cfg_delta() };
         let base: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let base_out = encode_entry(&cfg, &base, None, 0, false);
+        let base_out = encode(&cfg, &base, None, 0);
         let mut next = base.clone();
         next[700] ^= 0xff; // dirties exactly one 256-byte chunk
-        let delta_out = encode_entry(&cfg, &next, Some(&base_out.frame), 41, false);
+        let delta_out = encode(&cfg, &next, Some(&base_out), 41);
         assert!(delta_out.delta);
         assert!(
-            delta_out.frame.len() < base_out.frame.len() / 4,
+            delta_out.body.len() < base_out.body.len() / 4,
             "one dirty chunk of sixteen must ship small: {} vs {}",
-            delta_out.frame.len(),
-            base_out.frame.len()
+            delta_out.body.len(),
+            base_out.body.len()
         );
-        let hdr = parse_header(&delta_out.frame).unwrap();
+        let hdr = parse_header(&delta_out.head).unwrap();
         assert_eq!(hdr.ref_snap_id, 41);
         assert_eq!(hdr.chain_depth, 1);
-        let base_logical = decode(&base_out.frame, None).unwrap();
-        let got = decode(&delta_out.frame, Some(&base_logical)).unwrap();
+        let base_logical = decode(&base_out, None).unwrap();
+        let got = decode(&delta_out, Some(&base_logical)).unwrap();
         assert_eq!(&got[..], &next[..]);
     }
 
@@ -1215,12 +1397,11 @@ mod tests {
     fn clean_payload_produces_empty_delta() {
         let cfg = CodecConfig { chunk: 512, ..cfg_delta() };
         let data = vec![7u8; 8192];
-        let base = encode_entry(&cfg, &data, None, 0, false);
-        let delta = encode_entry(&cfg, &data, Some(&base.frame), 1, false);
+        let base = encode(&cfg, &data, None, 0);
+        let delta = encode(&cfg, &data, Some(&base), 1);
         assert!(delta.delta);
-        assert!(delta.frame.len() < 300, "no dirty chunks: manifest only");
-        let got =
-            decode(&delta.frame, Some(&decode(&base.frame, None).unwrap())).unwrap();
+        assert!(delta.body.is_empty() && delta.head.len() < 300, "no dirty chunks: manifest only");
+        let got = decode(&delta, Some(&decode(&base, None).unwrap())).unwrap();
         assert_eq!(&got[..], &data[..]);
     }
 
@@ -1228,35 +1409,35 @@ mod tests {
     fn dirty_ratio_knob_forces_full_base() {
         let cfg = CodecConfig { chunk: 256, dirty_max: 0.25, ..cfg_delta() };
         let base: Vec<u8> = vec![1u8; 4096];
-        let base_out = encode_entry(&cfg, &base, None, 0, false);
+        let base_out = encode(&cfg, &base, None, 0);
         // Dirty 8 of 16 chunks: over the 25% knob, must fall back to full.
         let mut next = base.clone();
         for c in 0..8 {
             next[c * 512] ^= 1;
         }
-        let out = encode_entry(&cfg, &next, Some(&base_out.frame), 1, false);
+        let out = encode(&cfg, &next, Some(&base_out), 1);
         assert!(!out.delta, "over-dirty delta degrades to a full base");
-        assert_eq!(&decode(&out.frame, None).unwrap()[..], &next[..]);
+        assert_eq!(&decode(&out, None).unwrap()[..], &next[..]);
     }
 
     #[test]
     fn chain_depth_is_bounded_by_full_every() {
         let cfg = CodecConfig { chunk: 256, full_every: 3, ..cfg_delta() };
         let data = vec![3u8; 1024];
-        let f0 = encode_entry(&cfg, &data, None, 0, false);
-        let f1 = encode_entry(&cfg, &data, Some(&f0.frame), 1, false);
+        let f0 = encode(&cfg, &data, None, 0);
+        let f1 = encode(&cfg, &data, Some(&f0), 1);
         assert!(f1.delta, "depth 1 < full_every 3");
-        let f2 = encode_entry(&cfg, &data, Some(&f1.frame), 2, false);
+        let f2 = encode(&cfg, &data, Some(&f1), 2);
         assert!(f2.delta, "depth 2 < full_every 3");
-        let f3 = encode_entry(&cfg, &data, Some(&f2.frame), 3, false);
+        let f3 = encode(&cfg, &data, Some(&f2), 3);
         assert!(!f3.delta, "depth 3 would reach full_every: full base re-emitted");
     }
 
     #[test]
     fn geometry_mismatch_refuses_delta() {
         let cfg = CodecConfig { chunk: 256, ..cfg_delta() };
-        let base = encode_entry(&cfg, &vec![1u8; 1024], None, 0, false);
-        let grown = encode_entry(&cfg, &vec![1u8; 2048], Some(&base.frame), 1, false);
+        let base = encode(&cfg, &vec![1u8; 1024], None, 0);
+        let grown = encode(&cfg, &vec![1u8; 2048], Some(&base), 1);
         assert!(!grown.delta, "resized payload must emit a full base");
     }
 
@@ -1264,50 +1445,26 @@ mod tests {
     fn decode_detects_corruption() {
         let cfg = cfg_delta();
         let payload: Vec<u8> = (0..5000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let out = encode_entry(&cfg, &payload, None, 0, false);
-        let mut bad = out.frame.to_vec();
+        let out = encode(&cfg, &payload, None, 0);
+        let mut bad = out.body.to_vec();
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
-        assert!(decode(&bad, None).is_err(), "bit flip must not decode silently");
-        let truncated = &out.frame[..out.frame.len() - 3];
-        assert!(decode(truncated, None).is_err());
-        assert!(decode(b"not a frame", None).is_err());
+        assert!(decode_parts(&out.head, &bad, None).is_err(), "bit flip must not decode silently");
+        assert!(decode_parts(&out.head, &out.body[..out.body.len() - 3], None).is_err());
+        assert!(decode_parts(b"not a frame", &out.body, None).is_err());
     }
 
     #[test]
     fn delta_without_base_is_an_error() {
         let cfg = CodecConfig { chunk: 256, ..cfg_delta() };
         let data = vec![9u8; 1024];
-        let base = encode_entry(&cfg, &data, None, 0, false);
-        let delta = encode_entry(&cfg, &data, Some(&base.frame), 7, false);
+        let base = encode(&cfg, &data, None, 0);
+        let delta = encode(&cfg, &data, Some(&base), 7);
         assert!(delta.delta);
-        assert!(decode(&delta.frame, None).is_err());
+        assert!(decode(&delta, None).is_err());
         // A wrong base fails the digest check instead of returning garbage.
         let wrong = vec![8u8; 1024];
-        assert!(decode(&delta.frame, Some(&wrong)).is_err());
-    }
-
-    #[test]
-    fn incompressible_chunks_are_stored_raw() {
-        let cfg = cfg_delta();
-        // xorshift noise: every byte plane is dense, RLE cannot win.
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let payload: Vec<u8> = (0..8192)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        let out = encode_entry(&cfg, &payload, None, 0, false);
-        // Wire = payload + frame overhead only (digest manifest + records).
-        let overhead = out.frame.len() as i64 - payload.len() as i64;
-        assert!(
-            (0..1024).contains(&overhead),
-            "noise must be stored raw with bounded overhead, got {overhead}"
-        );
-        assert_eq!(&decode(&out.frame, None).unwrap()[..], &payload[..]);
+        assert!(decode(&delta, Some(&wrong)).is_err());
     }
 
     #[test]
@@ -1334,26 +1491,28 @@ mod tests {
         // A lossy encode is flagged in the frame header and still decodes to
         // exactly the quantized payload (lossy-to-wire, lossless-from-wire).
         let out = encode_entry(&cfg_delta(), &q, None, 0, true);
-        let header = parse_header(&out.frame).unwrap();
+        let header = parse_header(&out.head).unwrap();
         assert!(header.is_lossy());
-        assert_eq!(&decode(&out.frame, None).unwrap()[..], &q[..]);
+        assert_eq!(&decode(&out, None).unwrap()[..], &q[..]);
     }
 
     #[test]
     fn counters_accumulate() {
         let before = counters();
         let cfg = cfg_delta();
-        let payload = vec![5u8; 4096];
-        let _ = encode_entry(&cfg, &payload, None, 0, false);
-        let after = counters();
-        let d = after.since(&before);
-        assert!(d.logical_bytes >= 4096);
-        assert!(d.wire_bytes > 0);
-        assert!(d.frames_full >= 1);
+        let _ = encode(&cfg, &vec![5u8; 4096], None, 0);
+        let mut seed = 0x7777_1111_5555_3333u64;
+        let _ = encode(&cfg, &noise_bytes(4096, &mut seed), None, 0);
+        let d = counters().since(&before);
+        assert!(d.logical_bytes >= 2 * 4096);
+        assert!(d.wire_bytes > 4096);
+        assert!(d.frames_full >= 2, "a verbatim frame is a full frame too");
+        assert!(d.frames_verbatim >= 1 && d.frames_verbatim < d.frames_full);
         let mut s = String::new();
         render_codec(&mut s);
         assert!(s.contains("gml_ckpt_wire_bytes_total"));
         assert!(s.contains("gml_ckpt_frames_total{kind=\"delta\"}"));
+        assert!(s.contains("gml_ckpt_frames_total{kind=\"verbatim\"}"));
         assert!(s.contains("gml_ckpt_compression_ratio"));
     }
 
@@ -1392,8 +1551,8 @@ mod tests {
                 chunk: 8 * chunk_words,
                 ..CodecConfig::raw()
             };
-            let full = encode_entry(&cfg, &payload, None, 0, false);
-            let round = decode(&full.frame, None).unwrap();
+            let full = encode(&cfg, &payload, None, 0);
+            let round = decode(&full, None).unwrap();
             prop_assert_eq!(&round[..], &payload[..]);
             // Mutate one byte (if any) and delta against the base.
             let mut next = payload.clone();
@@ -1401,13 +1560,65 @@ mod tests {
                 let mid = next.len() / 2;
                 next[mid] = next[mid].wrapping_add(1);
             }
-            let second = encode_entry(&cfg, &next, Some(&full.frame), 9, false);
-            let base = decode(&full.frame, None).unwrap();
-            let got = decode(
-                &second.frame,
-                if second.delta { Some(&base[..]) } else { None },
-            ).unwrap();
+            let second = encode(&cfg, &next, Some(&full), 9);
+            let got = decode(&second, second.delta.then_some(&round[..])).unwrap();
             prop_assert_eq!(&got[..], &next[..]);
+        }
+
+        // Payloads on both sides of the pack-or-not decision, and across
+        // it: all noise, all ramp, half and half, and one packable chunk in
+        // a thousand. Whatever form the frame takes it decodes to the
+        // payload, and form and bytes — record order included — are the
+        // same however many parts shared the passes.
+        #[test]
+        fn the_form_of_a_frame_does_not_depend_on_the_part_count(
+            shape in 0u8..4,
+            chunk_words in 8usize..40,
+            seed in any::<u64>(),
+            tail in 0usize..8,
+        ) {
+            let chunk = 8 * chunk_words;
+            let mut seed = seed | 1;
+            let (n_chunks, is_ramp): (usize, fn(usize) -> bool) = match shape {
+                0 => (60, |_| false),
+                1 => (60, |_| true),
+                2 => (60, |c| c % 2 == 0),
+                _ => (1000, |c| c == 517),
+            };
+            let mut payload: Vec<u8> = Vec::new();
+            for c in 0..n_chunks {
+                payload.extend(if is_ramp(c) {
+                    ramp_bytes(chunk_words)
+                } else {
+                    noise_bytes(chunk, &mut seed)
+                });
+            }
+            payload.extend(noise_bytes(tail, &mut seed));
+            let payload = Bytes::from(payload);
+            let cfg = CodecConfig { chunk, ..cfg_delta() };
+            let one = encode_in_parts(&cfg, &payload, None, 0, false, 1);
+            // Half and half saves 17 – 28 %, on either side of the line.
+            if shape != 2 {
+                prop_assert_eq!(is_verbatim(&one), shape != 1);
+            }
+            prop_assert_eq!(is_verbatim(&one), flags(&one) & FLAG_COMPRESSED == 0);
+            prop_assert_eq!(&decode(&one, None).unwrap()[..], &payload[..]);
+            // A sparse change on top: a delta whose records pack or not by
+            // the same rule.
+            let mut next = payload.to_vec();
+            for c in [0, n_chunks / 2, n_chunks - 1] {
+                next[c * chunk + 3] ^= 0x5a;
+            }
+            let next = Bytes::from(next);
+            let delta = encode_in_parts(&cfg, &next, Some(&one.head), 4, false, 1);
+            prop_assert!(delta.delta);
+            prop_assert_eq!(&decode(&delta, Some(&payload)).unwrap()[..], &next[..]);
+            for n_parts in [2, 3, 7] {
+                let many = encode_in_parts(&cfg, &payload, None, 0, false, n_parts);
+                prop_assert_eq!((&many.head, &many.body), (&one.head, &one.body));
+                let many = encode_in_parts(&cfg, &next, Some(&one.head), 4, false, n_parts);
+                prop_assert_eq!((&many.head, &many.body), (&delta.head, &delta.body));
+            }
         }
     }
 }

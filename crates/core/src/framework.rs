@@ -303,6 +303,7 @@ impl ResilientExecutor {
                 ckpt_bytes: 0,
                 ckpt_logical: 0,
                 ckpt_wire: 0,
+                ckpt_frames: [0; 3],
                 codec_time: Duration::ZERO,
             };
             // Periodic coordinated checkpoint (also re-taken right after a
@@ -503,6 +504,8 @@ impl ResilientExecutor {
         *prev_codec = now_codec;
         row.ckpt_logical = codec_delta.logical_bytes;
         row.ckpt_wire = codec_delta.wire_bytes;
+        row.ckpt_frames =
+            [codec_delta.frames_full, codec_delta.frames_verbatim, codec_delta.frames_delta];
         row.codec_time =
             Duration::from_nanos(codec_delta.encode_nanos + codec_delta.decode_nanos);
         // Memory levels are read at the same shared boundary as the counter

@@ -80,6 +80,10 @@ pub struct IterRow {
     /// Wire (post-codec) checkpoint bytes the codec emitted this pass; the
     /// ratio `ckpt_wire / ckpt_logical` is the pass's compression factor.
     pub ckpt_wire: u64,
+    /// The form the codec chose for the frames it emitted this pass: full
+    /// frames (verbatim ones included), of those the verbatim ones (nothing
+    /// packed, payload stored by reference), and delta frames.
+    pub ckpt_frames: [u64; 3],
     /// Time the checkpoint codec was busy encoding + decoding frames this
     /// pass, **summed over the place threads** that ran it. Places encode
     /// concurrently, so this is CPU time of the codec, not wall time: it can
@@ -123,17 +127,22 @@ impl CostReport {
         self.summed() == self.totals
     }
 
-    /// Do the rows' codec columns (logical bytes, wire bytes, codec busy
-    /// time) telescope to [`CostReport::codec_totals`]? True by construction
-    /// — the codec counters are sampled at the same shared row boundaries as
-    /// the runtime counters. Vacuously true on raw-codec runs (all zeros).
+    /// Do the rows' codec columns (logical bytes, wire bytes, frame forms,
+    /// codec busy time) telescope to [`CostReport::codec_totals`]? True by
+    /// construction — the codec counters are sampled at the same shared row
+    /// boundaries as the runtime counters. Vacuously true on raw-codec runs
+    /// (all zeros).
     pub fn codec_consistent(&self) -> bool {
         let logical: u64 = self.rows.iter().map(|r| r.ckpt_logical).sum();
         let wire: u64 = self.rows.iter().map(|r| r.ckpt_wire).sum();
         let nanos: u64 = self.rows.iter().map(|r| r.codec_time.as_nanos() as u64).sum();
-        logical == self.codec_totals.logical_bytes
-            && wire == self.codec_totals.wire_bytes
-            && nanos == self.codec_totals.encode_nanos + self.codec_totals.decode_nanos
+        let frames: [u64; 3] =
+            std::array::from_fn(|i| self.rows.iter().map(|r| r.ckpt_frames[i]).sum());
+        let c = &self.codec_totals;
+        logical == c.logical_bytes
+            && wire == c.wire_bytes
+            && frames == [c.frames_full, c.frames_verbatim, c.frames_delta]
+            && nanos == c.encode_nanos + c.decode_nanos
     }
 
     /// Total restores across all rows.
@@ -166,16 +175,19 @@ impl CostReport {
     /// boundary (live heap, store-ledger bytes) rather than deltas; both
     /// read 0 with `mem-profile` compiled out. `logical / wire` split this
     /// pass's checkpoint volume into pre-codec payload bytes and post-codec
-    /// frame bytes (both 0 on raw-codec runs), and `codec(cpu)` is the time
+    /// frame bytes (both 0 on raw-codec runs), `f/v/d` counts the frames the
+    /// codec emitted by the form it chose — full, of those verbatim, delta —
+    /// and `codec(cpu)` is the time
     /// the checkpoint codec was busy encoding + decoding frames, summed over
     /// the place threads that did so concurrently (not wall time).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>24} {:>6} {:>10} {:>10} {:>10} \
-             {:>9} {:>9} {:>9} {:>9} {:>10}\n",
+             {:>9} {:>9} {:>9} {:>9} {:>8} {:>10}\n",
             "iter", "step", "ckpt", "capture", "ship(t)", "detect(t)", "restore", "ctl",
-            "enc+dec", "ship", "recv", "resident", "ckptmem", "logical", "wire", "codec(cpu)"
+            "enc+dec", "ship", "recv", "resident", "ckptmem", "logical", "wire", "f/v/d",
+            "codec(cpu)"
         ));
         for r in &self.rows {
             let opt = |d: Option<Duration>| {
@@ -194,7 +206,7 @@ impl CostReport {
                 .unwrap_or_else(|| "-".into());
             out.push_str(&format!(
                 "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>24} {:>6} {:>10} {:>10} {:>10} \
-                 {:>9} {:>9} {:>9} {:>9} {:>10}\n",
+                 {:>9} {:>9} {:>9} {:>9} {:>8} {:>10}\n",
                 r.iteration,
                 fmt_nanos(r.step.as_nanos() as u64),
                 opt(r.checkpoint),
@@ -210,6 +222,7 @@ impl CostReport {
                 fmt_bytes(r.ckpt_bytes),
                 fmt_bytes(r.ckpt_logical),
                 fmt_bytes(r.ckpt_wire),
+                r.ckpt_frames.map(|n| n.to_string()).join("/"),
                 fmt_nanos(r.codec_time.as_nanos() as u64),
             ));
         }
@@ -221,7 +234,8 @@ impl CostReport {
             "total: {} rows, {} restores, ctl {} (spawn {} term {} wait {}; local {}), \
              encode {} decode {}, shipped {} received {}, peak resident {}, \
              detect {}, task replays {} timeouts {} vote mismatches {}, \
-             ckpt logical {} wire {} (ratio {:.2}) codec {}\n",
+             ckpt logical {} wire {} (ratio {:.2}) frames full {} verbatim {} delta {} \
+             codec {}\n",
             self.rows.len(),
             self.restores(),
             t.ctl_total(),
@@ -241,6 +255,9 @@ impl CostReport {
             fmt_bytes(c.logical_bytes),
             fmt_bytes(c.wire_bytes),
             c.compression_ratio(),
+            c.frames_full,
+            c.frames_verbatim,
+            c.frames_delta,
             fmt_nanos(c.encode_nanos + c.decode_nanos),
         ));
         if self.rows.iter().any(|r| r.path.is_some()) {
@@ -310,6 +327,7 @@ mod tests {
             ckpt_bytes: 0,
             ckpt_logical: 0,
             ckpt_wire: 0,
+            ckpt_frames: [0; 3],
             codec_time: Duration::ZERO,
             delta: StatsSnapshot {
                 bytes_shipped: shipped,
@@ -446,14 +464,19 @@ mod tests {
         let mut a = row(0, 0, 0, 0);
         a.ckpt_logical = 4096;
         a.ckpt_wire = 1024;
+        a.ckpt_frames = [4, 3, 0];
         a.codec_time = Duration::from_millis(2);
         let mut b = row(1, 0, 0, 0);
         b.ckpt_logical = 4096;
         b.ckpt_wire = 1024;
+        b.ckpt_frames = [1, 0, 3];
         b.codec_time = Duration::from_millis(3);
         let codec_totals = CodecSnapshot {
             logical_bytes: 8192,
             wire_bytes: 2048,
+            frames_full: 5,
+            frames_verbatim: 3,
+            frames_delta: 3,
             encode_nanos: 4_000_000,
             decode_nanos: 1_000_000,
             ..Default::default()
@@ -469,10 +492,19 @@ mod tests {
         assert!(text.contains("logical"), "logical byte column present");
         assert!(text.contains("wire"), "wire byte column present");
         assert!(text.contains("codec(cpu)"), "codec time column present");
-        assert!(text.contains("ckpt logical 8.0KB wire 2.0KB (ratio 0.25) codec 5.00ms"));
-        // A wire-byte mismatch breaks the telescoping check.
+        assert!(text.contains("f/v/d"), "frame form column present");
+        assert!(text.contains("   4/3/0 "), "a row shows the forms the codec chose");
+        assert!(text.contains(
+            "ckpt logical 8.0KB wire 2.0KB (ratio 0.25) frames full 5 verbatim 3 delta 3 \
+             codec 5.00ms"
+        ));
+        // A wire-byte mismatch breaks the telescoping check; so does a
+        // frame that changed form between the rows and the totals.
         let mut bad = report.clone();
         bad.rows[0].ckpt_wire += 1;
+        assert!(!bad.codec_consistent());
+        let mut bad = report.clone();
+        bad.rows[1].ckpt_frames[1] += 1;
         assert!(!bad.codec_consistent());
         // Raw-codec runs (all zeros) are vacuously consistent.
         let raw = CostReport {

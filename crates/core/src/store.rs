@@ -11,13 +11,21 @@
 //! The store spans **all** places, spares included, so that a spare place
 //! substituted by the replace-redundant mode can fetch data saved before it
 //! joined the group.
+//!
+//! What a shard holds per entry is decided by the checkpoint codec
+//! ([`crate::codec`]): the bare store keeps the serialized payload as it
+//! came; a codec store keeps a frame — a small *head* (header + chunk-digest
+//! manifest) and a *body*, which for a payload that would not shrink is that
+//! same serialized buffer, held by refcount. Either way a payload is copied
+//! once per place boundary it crosses (owner → backup on save, holder →
+//! fetcher on restore) and nowhere else.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use apgas::prelude::*;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::codec::{self, CaptureCtx, CodecConfig, CodecState};
@@ -25,15 +33,43 @@ use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::EntryLoc;
 
-/// One stored replica: the wire bytes plus enough metadata to know what
-/// they are. `framed == false` means `bytes` *is* the logical payload (the
-/// raw pre-codec path); `framed == true` means `bytes` is a codec frame
-/// whose decoded length is `logical`.
+/// One stored replica. Without a `head` (the raw pre-codec path) `body` *is*
+/// the logical payload. With one, the entry is a codec frame decoding to
+/// `logical` bytes: `head` is its header + digest manifest — all a later
+/// delta needs of its base — and `body` its record stream or, under a
+/// verbatim head, again the payload itself.
 #[derive(Clone)]
 pub(crate) struct StoredEntry {
-    pub(crate) bytes: Bytes,
-    pub(crate) framed: bool,
+    pub(crate) head: Option<Bytes>,
+    pub(crate) body: Bytes,
     pub(crate) logical: u64,
+}
+
+impl StoredEntry {
+    fn raw(payload: Bytes) -> Self {
+        StoredEntry { head: None, logical: payload.len() as u64, body: payload }
+    }
+
+    /// Wire bytes: what the entry occupies in a shard and costs to ship.
+    fn wire(&self) -> usize {
+        self.head.as_ref().map_or(0, |h| h.len()) + self.body.len()
+    }
+
+    /// One-honest-copy invariant: crossing a place boundary costs exactly
+    /// one physical copy of each part, made at the receiving place. The copy
+    /// must not share the sender's allocation, or the simulated failure
+    /// would not cost a transfer (and `kill` would not model memory loss).
+    /// Called at the receiver, which is also where the bytes are accounted.
+    fn received(&self, ctx: &Ctx) -> Self {
+        ctx.record_bytes_received(self.wire());
+        StoredEntry {
+            // A plain allocation: drawn from the buffer pool, a head could
+            // be lent — and would pin — a parked payload-sized buffer.
+            head: self.head.as_deref().map(|h| Bytes::from(h.to_vec())),
+            body: Bytes::copy_from_slice(&self.body),
+            logical: self.logical,
+        }
+    }
 }
 
 /// Per-place storage shard: `(snapshot id, key) → stored replica`.
@@ -57,11 +93,11 @@ impl PlaceStore {
     }
 
     fn insert(&self, snap_id: u64, key: u64, value: StoredEntry) {
-        let added = value.bytes.len();
+        let added = value.wire();
         let replaced = self.map.lock().insert((snap_id, key), value);
         mem::charge(MemTag::StoreShard, added);
         if let Some(old) = replaced {
-            mem::discharge(MemTag::StoreShard, old.bytes.len());
+            mem::discharge(MemTag::StoreShard, old.wire());
         }
     }
 
@@ -69,12 +105,12 @@ impl PlaceStore {
         self.map.lock().get(&(snap_id, key)).cloned()
     }
 
-    fn remove_snapshot(&self, snap_id: u64) {
+    fn remove_snapshots(&self, snap_ids: &[u64]) {
         let mut freed = 0usize;
         self.map.lock().retain(|(sid, _), v| {
-            let keep = *sid != snap_id;
+            let keep = !snap_ids.contains(sid);
             if !keep {
-                freed += v.bytes.len();
+                freed += v.wire();
             }
             keep
         });
@@ -100,7 +136,7 @@ impl PlaceStore {
         for ((sid, _), v) in map.iter() {
             snaps.insert(*sid);
             logical += v.logical;
-            wire += v.bytes.len() as u64;
+            wire += v.wire() as u64;
         }
         (map.len(), snaps.len(), logical, wire)
     }
@@ -111,7 +147,7 @@ impl Drop for PlaceStore {
     /// place-local map), so the remaining charge is discharged here —
     /// keeping the ledger equal to the *live* inventory across failures.
     fn drop(&mut self) {
-        let held: usize = self.map.lock().values().map(|v| v.bytes.len()).sum();
+        let held: usize = self.map.lock().values().map(StoredEntry::wire).sum();
         mem::discharge(MemTag::StoreShard, held);
     }
 }
@@ -365,28 +401,14 @@ impl ResilientStore {
         // Owner copy: a refcount bump only — the serialized buffer produced
         // at this place IS the stored replica; no place boundary is crossed.
         // The per-pair reference path never frames (codec is batched-only).
-        shard.insert(
-            snap_id,
-            key,
-            StoredEntry { bytes: value.clone(), framed: false, logical: len as u64 },
-        );
+        let entry = StoredEntry::raw(value);
+        shard.insert(snap_id, key, entry.clone());
         if self.redundant && backup != ctx.here() {
             let store = self.clone();
             ctx.record_bytes(len);
             ctx.at(backup, move |ctx| -> GmlResult<()> {
-                // One-honest-copy invariant: crossing a place boundary costs
-                // exactly one physical copy, made here at the receiving
-                // place. The backup must not share the owner's allocation,
-                // or the simulated failure would not cost a transfer (and
-                // `kill` would not model memory loss). This is the only
-                // wire copy on the save path.
-                let owned = Bytes::copy_from_slice(&value);
-                ctx.record_bytes_received(owned.len());
-                store.shard(ctx)?.insert(
-                    snap_id,
-                    key,
-                    StoredEntry { bytes: owned, framed: false, logical: len as u64 },
-                );
+                // The only wire copy on the save path.
+                store.shard(ctx)?.insert(snap_id, key, entry.received(ctx));
                 Ok(())
             })??;
         }
@@ -454,7 +476,7 @@ impl ResilientStore {
         // Codec plane: frame the batch (delta + compression) before it is
         // stored or shipped. The raw store bypasses this entirely, keeping
         // bare stores byte-for-byte identical to the pre-codec behavior.
-        let stored = self.encode_batch(ctx, snap_id, entries, backup)?;
+        let stored = self.encode_batch(ctx, entries, backup)?;
         for (key, entry) in &stored {
             // Owner copies: refcount bumps only, as in `save_pair`.
             shard.insert(snap_id, *key, entry.clone());
@@ -475,7 +497,7 @@ impl ResilientStore {
                     owner: ctx.here(),
                     backup,
                     keys: stored.iter().map(|(k, _)| *k).collect(),
-                    total: stored.iter().map(|(_, e)| e.bytes.len()).sum(),
+                    total: stored.iter().map(|(_, e)| e.wire()).sum(),
                 });
             } else {
                 self.ship_entries(ctx, snap_id, stored, backup)?;
@@ -486,26 +508,19 @@ impl ResilientStore {
 
     /// Run one place's batch through the codec plane. With the codec off
     /// this is a passthrough (raw unframed entries). With it on, each
-    /// payload is (optionally) quantized, diffed against its last committed
-    /// frame when eligible, and compressed — the multi-chunk work fans out
-    /// over contiguous chunk ranges on the kernel worker pool inside
-    /// `codec::encode_entry`.
+    /// payload is (optionally) quantized and framed by
+    /// `codec::encode_entry`: diffed against its last committed frame when
+    /// eligible, packed where that is proven to pay, else kept verbatim —
+    /// the serialized buffer itself becomes the entry's body.
     fn encode_batch(
         &self,
         ctx: &Ctx,
-        _snap_id: u64,
         entries: Vec<(u64, Bytes)>,
         backup: Place,
     ) -> GmlResult<Vec<(u64, StoredEntry)>> {
         let cfg = &self.codec.config;
         if cfg.is_raw() {
-            return Ok(entries
-                .into_iter()
-                .map(|(k, v)| {
-                    let logical = v.len() as u64;
-                    (k, StoredEntry { bytes: v, framed: false, logical })
-                })
-                .collect());
+            return Ok(entries.into_iter().map(|(k, v)| (k, StoredEntry::raw(v))).collect());
         }
         let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
         let _span = ctx.trace_span(SpanKind::CkptEncode, total as u64);
@@ -525,10 +540,10 @@ impl ResilientStore {
                 _ => (value, false),
             };
             // Delta eligibility, placement half: the reference frame must
-            // describe this same key at this same owner/backup pair and be
-            // locally present as a frame. Geometry and chain-depth checks
-            // live in `codec::encode_entry`.
-            let ref_frame = if force_full {
+            // describe this same key at this same owner/backup pair and its
+            // head be locally present. Geometry and chain-depth checks live
+            // in `codec::encode_entry`.
+            let ref_head = if force_full {
                 None
             } else {
                 capture
@@ -539,28 +554,21 @@ impl ResilientStore {
                         if loc.owner != ctx.here() || loc.backup != backup {
                             return None;
                         }
-                        let prev = shard.get(rs.snap_id, key)?;
-                        prev.framed.then_some((prev.bytes, rs.snap_id))
+                        Some((shard.get(rs.snap_id, key)?.head?, rs.snap_id))
                     })
             };
             let outcome = codec::encode_entry(
                 cfg,
                 &payload,
-                ref_frame.as_ref().map(|(b, _)| &b[..]),
-                ref_frame.as_ref().map(|(_, id)| *id).unwrap_or(0),
+                ref_head.as_ref().map(|(h, _)| &h[..]),
+                ref_head.as_ref().map(|(_, id)| *id).unwrap_or(0),
                 lossy,
             );
             if outcome.delta {
                 self.codec.used_delta.store(true, Ordering::Release);
             }
-            out.push((
-                key,
-                StoredEntry {
-                    bytes: outcome.frame,
-                    framed: true,
-                    logical: payload.len() as u64,
-                },
-            ));
+            let logical = payload.len() as u64;
+            out.push((key, StoredEntry { head: Some(outcome.head), body: outcome.body, logical }));
         }
         Ok(out)
     }
@@ -577,7 +585,7 @@ impl ResilientStore {
         // Wire accounting: what actually crosses the place boundary is the
         // stored (possibly framed) bytes — with the codec on this is where
         // the delta/compression win shows up in `bytes_shipped`.
-        let total: usize = entries.iter().map(|(_, e)| e.bytes.len()).sum();
+        let total: usize = entries.iter().map(|(_, e)| e.wire()).sum();
         let store = self.clone();
         ctx.record_bytes(total);
         // Causal context rides the batch frame as a real 12-byte serialized
@@ -585,26 +593,19 @@ impl ResilientStore {
         // receiving side does its work, so the backup's copies link back to
         // the owning place's save span. Trace plumbing, not payload: the
         // header is deliberately excluded from `record_bytes` accounting,
-        // as is the per-entry framed/logical metadata.
+        // as is the per-entry logical length.
         let header = TraceCtx::capture(ctx.tracer(), ctx.here().id()).to_bytes();
         ctx.at(backup, move |ctx| -> GmlResult<()> {
             let _adopt = TraceCtx::from_bytes(header).adopt();
             let shard = store.shard(ctx)?;
             for (key, entry) in entries {
-                // One-honest-copy invariant, per entry: batching collapses B
-                // round trips into one, but each entry still costs exactly
-                // one physical copy, made here at the receiving place — the
-                // backup must not share the owner's allocation, or `kill`
-                // would not model memory loss. This is the only wire copy
-                // on the batched save path. Frames ship verbatim, so the
-                // backup replica is bit-identical to the owner's.
-                let owned = Bytes::copy_from_slice(&entry.bytes);
-                ctx.record_bytes_received(owned.len());
-                shard.insert(
-                    snap_id,
-                    key,
-                    StoredEntry { bytes: owned, framed: entry.framed, logical: entry.logical },
-                );
+                // Batching collapses B round trips into one, but each entry
+                // still costs its one copy — the only wire copy on the
+                // batched save path, and for a verbatim frame the only copy
+                // of the payload after it was serialized. Frames ship as
+                // stored, so the backup replica is bit-identical to the
+                // owner's.
+                shard.insert(snap_id, key, entry.received(ctx));
             }
             Ok(())
         })??;
@@ -658,19 +659,19 @@ impl ResilientStore {
         owner: Place,
         backup: Place,
     ) -> GmlResult<Bytes> {
-        let (bytes, framed) = self.fetch_stored(ctx, snap_id, key, owner, backup)?;
-        if !framed {
-            return Ok(bytes);
+        let entry = self.fetch_stored(ctx, snap_id, key, owner, backup)?;
+        if entry.head.is_none() {
+            return Ok(entry.body);
         }
-        let _span = ctx.trace_span(SpanKind::CkptDecode, bytes.len() as u64);
+        let _span = ctx.trace_span(SpanKind::CkptDecode, entry.wire() as u64);
         // Chain entries share their head's owner/backup placement (delta
         // eligibility enforces this at encode time), so the base lookups
         // reuse the same replica pair.
-        decode_chain(bytes, key, |base_id| self.fetch_stored(ctx, base_id, key, owner, backup))
+        decode_chain(entry, key, |base_id| self.fetch_stored(ctx, base_id, key, owner, backup))
     }
 
-    /// Fetch an entry's **stored** bytes (frame or raw) from this place's
-    /// shard first, then the owner's, then the backup's.
+    /// Fetch an entry **as stored** (frame or raw) from this place's shard
+    /// first, then the owner's, then the backup's.
     fn fetch_stored(
         &self,
         ctx: &Ctx,
@@ -678,14 +679,14 @@ impl ResilientStore {
         key: u64,
         owner: Place,
         backup: Place,
-    ) -> GmlResult<(Bytes, bool)> {
+    ) -> GmlResult<StoredEntry> {
         let mut span = ctx.trace_span(SpanKind::StoreFetch, 0);
         // Local shard hit: no place boundary crossed, so a refcount handoff
         // of the stored buffer is honest (and free).
         if let Ok(shard) = self.plh.local(ctx) {
             if let Some(e) = shard.get(snap_id, key) {
-                span.set_arg(e.bytes.len() as u64);
-                return Ok((e.bytes, e.framed));
+                span.set_arg(e.wire() as u64);
+                return Ok(e);
             }
         }
         for source in [owner, backup] {
@@ -699,24 +700,21 @@ impl ResilientStore {
             // fetch's causal context crosses as a framed 12-byte header,
             // excluded from byte accounting like the save path's.
             let header = TraceCtx::capture(ctx.tracer(), ctx.here().id()).to_bytes();
-            let got: Option<(Bytes, bool)> = ctx
+            let got: Option<StoredEntry> = ctx
                 .at(source, move |ctx| {
                     let _adopt = TraceCtx::from_bytes(header).adopt();
-                    plh.local(ctx)
-                        .ok()
-                        .and_then(|s| s.get(snap_id, key))
-                        .map(|e| (e.bytes, e.framed))
+                    plh.local(ctx).ok().and_then(|s| s.get(snap_id, key))
                 })
                 .unwrap_or(None);
-            if let Some((v, framed)) = got {
-                span.set_arg(v.len() as u64);
-                ctx.record_bytes(v.len());
-                ctx.record_bytes_received(v.len());
-                // One-honest-copy invariant: the only wire copy on the fetch
-                // path — the payload lands in this place's "memory". With
-                // the codec on, what crosses (and is accounted) is the
-                // frame, not its decoded expansion.
-                return Ok((Bytes::copy_from_slice(&v), framed));
+            if let Some(e) = got {
+                span.set_arg(e.wire() as u64);
+                ctx.record_bytes(e.wire());
+                // The only wire copy on the fetch path — the entry lands in
+                // this place's "memory". With the codec on, what crosses
+                // (and is accounted) is the frame, not its decoded
+                // expansion; a verbatim frame needs no other copy to become
+                // the payload again.
+                return Ok(e.received(ctx));
             }
         }
         Err(GmlError::data_loss(format!(
@@ -733,12 +731,9 @@ impl ResilientStore {
     pub(crate) fn local_get(&self, ctx: &Ctx, snap_id: u64, key: u64) -> Option<Bytes> {
         let shard = self.plh.local(ctx).ok()?;
         let e = shard.get(snap_id, key)?;
-        if !e.framed {
-            return Some(e.bytes);
-        }
-        decode_chain(e.bytes, key, |base_id| {
-            let base = shard.get(base_id, key);
-            base.map(|b| (b.bytes, b.framed))
+        decode_chain(e, key, |base_id| {
+            shard
+                .get(base_id, key)
                 .ok_or_else(|| GmlError::data_loss("delta base not in the local shard"))
         })
         .ok()
@@ -752,13 +747,23 @@ impl ResilientStore {
     /// Drop every entry of `snap_id` at all live places (old checkpoints are
     /// deleted once a new one commits).
     pub fn delete_snapshot(&self, ctx: &Ctx, snap_id: u64) -> GmlResult<()> {
-        let _span = ctx.trace_span(SpanKind::StoreDelete, snap_id);
+        self.delete_snapshots(ctx, &[snap_id])
+    }
+
+    /// Drop every entry of every snapshot in `snap_ids` at all live places,
+    /// in one fan-out: a task per live place whatever the number of ids.
+    pub fn delete_snapshots(&self, ctx: &Ctx, snap_ids: &[u64]) -> GmlResult<()> {
+        let Some(&first) = snap_ids.first() else {
+            return Ok(());
+        };
+        let _span = ctx.trace_span(SpanKind::StoreDelete, first);
         let plh = self.plh;
+        let ids: Arc<[u64]> = snap_ids.into();
         let all = ctx.all_places();
         let live = all.iter().enumerate().filter(|&(_, p)| ctx.is_alive(p));
         each_place(ctx, live, move |ctx, _| {
             if let Ok(shard) = plh.local(ctx) {
-                shard.remove_snapshot(snap_id);
+                shard.remove_snapshots(&ids);
             }
             Ok(())
         })
@@ -891,39 +896,35 @@ impl ResilientStore {
     }
 }
 
-/// Decode a frame into its logical payload. The delta chain is walked down
-/// to its full base, `fetch_base` supplying each base's stored bytes by
-/// snapshot id, and replayed upwards: the base decodes into one buffer and
-/// every delta patches that buffer in place.
+/// Turn a stored entry into its logical payload. A delta chain is walked
+/// down to its base, `fetch_base` supplying each base entry by snapshot id,
+/// and replayed upwards: the base yields one buffer and every delta patches
+/// that buffer in place. A raw entry is its payload; so is the body of a
+/// verbatim frame once `codec::decode_frame` has checked it, and either is
+/// handed on by refcount — copied, once, only if a delta has to patch it.
 fn decode_chain(
-    head: Bytes,
+    top: StoredEntry,
     key: u64,
-    mut fetch_base: impl FnMut(u64) -> GmlResult<(Bytes, bool)>,
+    mut fetch_base: impl FnMut(u64) -> GmlResult<StoredEntry>,
 ) -> GmlResult<Bytes> {
     let corrupt = |e| GmlError::data_loss(format!("key {key}: frame decode failed: {e}"));
-    let mut chain = vec![head];
-    let mut payload = None;
-    loop {
-        let header = codec::parse_header(&chain[chain.len() - 1]).map_err(corrupt)?;
+    let mut chain = vec![top];
+    while let Some(head) = &chain[chain.len() - 1].head {
+        let header = codec::parse_header(head).map_err(corrupt)?;
         if !header.is_delta() {
             break;
         }
         if chain.len() > 255 {
             return Err(GmlError::data_loss(format!("key {key}: delta chain exceeds depth 255")));
         }
-        let (base, framed) = fetch_base(header.ref_snap_id)?;
-        if !framed {
-            // A raw base is the payload itself; it may be shared, so the
-            // deltas patch a copy.
-            let mut copy = BytesMut::with_capacity(base.len());
-            copy.extend_from_slice(&base);
-            payload = Some(copy);
-            break;
-        }
-        chain.push(base);
+        chain.push(fetch_base(header.ref_snap_id)?);
     }
-    for frame in chain.iter().rev() {
-        payload = Some(codec::decode_frame(frame, payload).map_err(corrupt)?);
+    let mut payload = None;
+    for entry in chain.into_iter().rev() {
+        payload = Some(match &entry.head {
+            None => codec::Payload::Shared(entry.body),
+            Some(head) => codec::decode_frame(head, &entry.body, payload).map_err(corrupt)?,
+        });
     }
     Ok(payload.expect("the chain holds at least its head").freeze())
 }
@@ -1350,6 +1351,44 @@ mod tests {
             assert_eq!(ctx.stats().bytes_shipped - before, 256, "ship ran");
             assert_eq!(store.entries_at(ctx, Place::new(1)).unwrap(), 1);
         });
+    }
+
+    #[test]
+    fn a_verbatim_entry_is_the_serialized_buffer_at_the_owner_and_one_copy_at_the_backup() {
+        Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+            let cfg = CodecConfig { mode: codec::CodecMode::Delta, level: 1, ..CodecConfig::raw() };
+            let store = ResilientStore::make_with_codec(ctx, cfg).unwrap();
+            let sid = store.fresh_snap_id();
+            // Noise: no byte plane packs, so the frame is verbatim.
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let noise = (0..10_000).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            });
+            let payload = Bytes::from(noise.collect::<Vec<u8>>());
+            let before = ctx.stats().bytes_shipped;
+            store.save_batch(ctx, sid, vec![(0, payload.clone())], Place::new(1)).unwrap();
+
+            let owner = store.shard(ctx).unwrap().get(sid, 0).unwrap();
+            let s2 = store.clone();
+            let at_backup = move |ctx: &Ctx| s2.shard(ctx).unwrap().get(sid, 0).unwrap();
+            let backup = ctx.at(Place::new(1), at_backup).unwrap();
+            let (owner_head, backup_head) = (owner.head.unwrap(), backup.head.unwrap());
+            // One honest copy per hop: none at the owner, one at the backup.
+            assert_eq!(owner.body.as_ptr(), payload.as_ptr(), "the owner holds the serializer's buffer");
+            assert_ne!(backup.body.as_ptr(), payload.as_ptr(), "the backup holds its own");
+            assert_ne!(backup_head.as_ptr(), owner_head.as_ptr());
+            assert_eq!((&backup_head, &backup.body), (&owner_head, &payload), "bit-identical");
+            let wire = (owner_head.len() + payload.len()) as u64;
+            assert_eq!(ctx.stats().bytes_shipped - before, wire, "head and body are what ships");
+            assert_eq!(store.inventory(ctx)[1].wire_bytes, wire);
+            // Reading it back at the owner verifies it and copies nothing.
+            let got = store.fetch(ctx, sid, 0, Place::ZERO, Place::new(1)).unwrap();
+            assert_eq!(got.as_ptr(), payload.as_ptr());
+        })
+        .unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Traffic pins for the per-place collectives: one per migrated family
 //! (block-matrix reduction, segment reduction, root broadcast, snapshot
-//! save). Each pins the message pattern of one call on a 4-place resilient
+//! save, snapshot delete). Each pins the message pattern of one call on a 4-place resilient
 //! runtime driven from place zero — tasks spawned, finish bookkeeping
 //! operations (messages + place-zero-local) and payload bytes shipped — so
 //! that a change to how collectives are spelled cannot silently change what
@@ -14,7 +14,10 @@
 use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use apgas::stats::StatsSnapshot;
-use gml_core::{DistBlockMatrix, DistVector, DupVector, ResilientStore, Snapshottable};
+use gml_core::{
+    AppResilientStore, CodecConfig, DistBlockMatrix, DistVector, DupVector, ResilientStore,
+    Snapshottable,
+};
 use gml_matrix::{builder, BlockData};
 
 /// `Vector::write`: a u64 length, then the packed f64s.
@@ -116,5 +119,36 @@ fn dist_vector_make_snapshot_skips_places_without_segments() {
             assert_eq!(loc.backup, g.place(owner + 1), "backup = next place of the group");
             assert_eq!(loc.len as u64, vector_wire(4));
         }
+    });
+}
+
+#[test]
+fn a_two_object_commit_retires_both_old_snapshots_in_one_fan_out() {
+    on_four_places(|ctx| {
+        let g = ctx.world();
+        // Raw codec: a retired snapshot is deleted, never kept as a delta base.
+        let mut store = AppResilientStore::make_with_codec(ctx, CodecConfig::raw()).unwrap();
+        let u = DistVector::make(ctx, 16, &g).unwrap();
+        let p = DupVector::make(ctx, 16, &g).unwrap();
+        let mut checkpoint = || {
+            delta(ctx, || {
+                store.start_new_snapshot();
+                store.save(ctx, &u).unwrap();
+                store.save(ctx, &p).unwrap();
+                store.commit(ctx).unwrap();
+            })
+        };
+        let first = checkpoint();
+        let second = checkpoint();
+        // The same saves and ships; the second commit also deletes the two
+        // snapshot ids of the first: one task per place, not one per place
+        // and id.
+        assert_eq!(second.tasks_spawned - first.tasks_spawned, 4);
+        assert_eq!(ctl_ops(&second) - ctl_ops(&first), 2 * 4 + 1);
+        assert_eq!(second.bytes_shipped, first.bytes_shipped);
+        // Only the second checkpoint is left: four segments and one
+        // duplicated vector, each at its owner and its backup.
+        let entries: usize = store.store().inventory(ctx).iter().map(|i| i.entries).sum();
+        assert_eq!(entries, 2 * (4 + 1));
     });
 }

@@ -2,7 +2,9 @@
 //! a backup killed mid-`save_batch` must abort the checkpoint atomically
 //! (cancelled snapshot, no partial inventory), and a place killed during
 //! the asynchronous ship phase must surface at the commit barrier so the
-//! executor restores from the previous committed snapshot.
+//! executor restores from the previous committed snapshot. The same drills
+//! run on **verbatim** frames — payloads the codec keeps by reference
+//! because nothing in them packs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -337,6 +339,144 @@ fn owner_killed_after_delta_commit_replays_chain_from_backups() {
         replayed, undisturbed,
         "chain replay from backups must be bit-identical to the never-killed run"
     );
+}
+
+/// Element `i` of an incompressible vector: every mantissa bit random, so
+/// no byte plane packs and the codec keeps the payload verbatim.
+fn noise(i: usize, version: u64) -> f64 {
+    let h = (i as u64 ^ version << 40).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h ^ h >> 29) as f64 / u64::MAX as f64
+}
+
+/// Wire bytes over logical bytes of a verbatim frame of a 1024-element
+/// `DistVector` segment under [`delta_codec`]: 8 200 payload bytes in nine
+/// chunks, so a 42-byte header and nine digests — and no record headers.
+const VERBATIM_HEAD: u64 = 42 + 8 * 9;
+
+/// Every live entry of the store is a verbatim frame: its wire size is its
+/// payload plus exactly one head.
+fn assert_all_verbatim(ctx: &Ctx, store: &AppResilientStore) {
+    for inv in store.store().inventory(ctx).iter().filter(|inv| inv.alive) {
+        assert_eq!(inv.wire_bytes - inv.bytes, inv.entries as u64 * VERBATIM_HEAD, "{inv:?}");
+    }
+}
+
+/// Drill 1d — the **owner** dies after a verbatim epoch committed: the only
+/// surviving replica is the backup's one copy of the payload, and restoring
+/// from it must hash identically to a run where nothing was ever killed.
+#[test]
+fn owner_killed_after_verbatim_commit_restores_from_the_backup_copy() {
+    let run_once = |kill_owner: bool| -> u64 {
+        let digest = Arc::new(std::sync::Mutex::new(0u64));
+        let out = Arc::clone(&digest);
+        Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
+            let world = ctx.world();
+            let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
+            dv.init(ctx, |i| noise(i, 0)).unwrap();
+            let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
+            store.start_new_snapshot();
+            store.save(ctx, &dv).unwrap();
+            store.commit(ctx).unwrap();
+            assert_all_verbatim(ctx, &store);
+
+            if kill_owner {
+                ctx.kill_place(Place::new(2)).unwrap();
+                dv.remake(ctx, &world.without(&[Place::new(2)])).unwrap();
+            } else {
+                dv.for_each_segment(ctx, |_, _, seg| seg.as_mut_slice().fill(0.0)).unwrap();
+            }
+            store.restore(ctx, &mut [&mut dv]).unwrap();
+            *out.lock().unwrap() = vector_fnv(&dv.gather(ctx).unwrap());
+        })
+        .unwrap();
+        let d = *digest.lock().unwrap();
+        d
+    };
+    assert_eq!(run_once(true), run_once(false));
+}
+
+/// Drill 2b — the backup dies while the ship of a **verbatim** epoch is
+/// parked in flight: the owner copies (the serialized payloads themselves)
+/// are in place, the backup copies never land, `commit` fails at the
+/// barrier, and cancelling leaves the inventory bit-identical to what the
+/// kill alone would have left. The committed epoch still restores.
+#[test]
+fn backup_killed_mid_ship_of_a_verbatim_frame_aborts_atomically() {
+    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+        let world = ctx.world();
+        let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
+        dv.init(ctx, |i| noise(i, 0)).unwrap();
+        let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
+        let gate = Arc::new(AtomicBool::new(false));
+        store.set_ship_gate(Arc::clone(&gate));
+        store.set_current_iteration(0);
+        store.start_new_snapshot();
+        store.save(ctx, &dv).unwrap();
+        store.commit(ctx).unwrap();
+        let mut baseline = inventory_fingerprint(ctx, &store);
+
+        // Every value changes: the second epoch is verbatim frames again.
+        dv.init(ctx, |i| noise(i, 1)).unwrap();
+        gate.store(true, Ordering::Release);
+        store.set_current_iteration(4);
+        store.start_new_snapshot();
+        store.save(ctx, &dv).unwrap();
+        assert_ne!(inventory_fingerprint(ctx, &store), baseline, "owner copies are in");
+        ctx.kill_place(Place::new(1)).unwrap();
+        gate.store(false, Ordering::Release);
+        let err = store.commit(ctx).unwrap_err();
+        assert!(err.is_recoverable(), "a dead backup is a recoverable failure: {err}");
+        store.cancel_snapshot(ctx);
+
+        baseline[1] = (1, false, 0, 0, 0);
+        assert_eq!(inventory_fingerprint(ctx, &store), baseline, "partial epoch left behind");
+        assert_all_verbatim(ctx, &store);
+        assert_eq!(store.snapshot_iteration(), Some(0));
+        dv.remake(ctx, &world.without(&[Place::new(1)])).unwrap();
+        store.restore(ctx, &mut [&mut dv]).unwrap();
+        let v = dv.gather(ctx).unwrap();
+        assert!((0..4_096).all(|i| v.get(i) == noise(i, 0)));
+    })
+    .unwrap();
+}
+
+/// Drill 1e — a verbatim base under two sparse deltas: restore copies the
+/// base's body once and patches both deltas into the copy, from the owners'
+/// replicas and — after an owner dies — from the backups'.
+#[test]
+fn verbatim_base_and_two_sparse_deltas_replay_on_restore() {
+    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+        let world = ctx.world();
+        let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
+        dv.init(ctx, |i| noise(i, 0)).unwrap();
+        let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
+        for epoch in 0..3u64 {
+            if epoch > 0 {
+                // One element per segment: one dirty chunk of nine.
+                dv.for_each_segment(ctx, move |s, _, seg| {
+                    seg.as_mut_slice()[epoch as usize] = s as f64 + epoch as f64;
+                })
+                .unwrap();
+            }
+            store.set_current_iteration(epoch);
+            store.start_new_snapshot();
+            store.save(ctx, &dv).unwrap();
+            store.commit(ctx).unwrap();
+        }
+        let want = dv.gather(ctx).unwrap();
+        let head = store.snapshot_of(dv.object_id()).unwrap();
+        assert_eq!(head.chain.len(), 2, "a base and the first delta under the head");
+
+        dv.for_each_segment(ctx, |_, _, seg| seg.as_mut_slice().fill(0.0)).unwrap();
+        store.restore(ctx, &mut [&mut dv]).unwrap();
+        assert_eq!(vector_fnv(&dv.gather(ctx).unwrap()), vector_fnv(&want));
+
+        ctx.kill_place(Place::new(3)).unwrap();
+        dv.remake(ctx, &world.without(&[Place::new(3)])).unwrap();
+        store.restore(ctx, &mut [&mut dv]).unwrap();
+        assert_eq!(vector_fnv(&dv.gather(ctx).unwrap()), vector_fnv(&want));
+    })
+    .unwrap();
 }
 
 /// Drill 2, overlap variant — with overlap on (the executor default),

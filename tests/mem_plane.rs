@@ -100,6 +100,13 @@ fn store_ledger_reconciles_with_inventory_through_lifecycle() {
         let world = ctx.world();
         let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
         dv.init(ctx, |i| i as f64 * 0.25).unwrap();
+        // A second object nothing packs in: its frames are verbatim, a head
+        // beside the payload itself, and the ledger is charged for both.
+        let mut noisy = DupVector::make(ctx, 4_096, &world).unwrap();
+        noisy
+            .init(ctx, |i| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) as f64)
+            .unwrap();
+        let verbatim_before = resilient_gml::core::codec::counters().frames_verbatim;
         let mut store = AppResilientStore::make(ctx).unwrap();
 
         let reconcile = |ctx: &Ctx, store: &AppResilientStore, when: &str| {
@@ -112,22 +119,27 @@ fn store_ledger_reconciles_with_inventory_through_lifecycle() {
         store.set_current_iteration(0);
         store.start_new_snapshot();
         store.save(ctx, &dv).unwrap();
+        store.save(ctx, &noisy).unwrap();
         store.commit(ctx).unwrap();
         let after_first = inventory_bytes(ctx, &store);
         assert!(after_first > 0, "snapshot must occupy the store");
+        let verbatim = resilient_gml::core::codec::counters().frames_verbatim - verbatim_before;
+        assert_eq!(verbatim, 1, "the noisy vector, and only it, is kept verbatim");
         reconcile(ctx, &store, "after first commit");
 
         // Second snapshot: the commit's watermark delete evicts the first,
         // discharging exactly what it charged.
         dv.scale(ctx, 2.0).unwrap();
+        noisy.apply(ctx, |v| v.as_mut_slice()[9] = 1.0).unwrap();
         store.set_current_iteration(1);
         store.start_new_snapshot();
         store.save(ctx, &dv).unwrap();
+        store.save(ctx, &noisy).unwrap();
         store.commit(ctx).unwrap();
         reconcile(ctx, &store, "after second commit (old snapshot evicted)");
 
         // Restore re-reads without moving ownership: levels unchanged.
-        store.restore(ctx, &mut [&mut dv]).unwrap();
+        store.restore(ctx, &mut [&mut dv, &mut noisy]).unwrap();
         reconcile(ctx, &store, "after restore");
 
         // Kill a place: its shard dies with it, and the ledger must drop
