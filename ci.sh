@@ -26,8 +26,18 @@ cargo run --release -p gml-bench --bin trace_smoke -- "$TRACE_JSON"
 echo "== forensics smoke =="
 # Kills a place mid-run, scrapes the Prometheus endpoint over localhost
 # (gml_place_up must flip), and validates every post-mortem bundle with the
-# built-in JSON parser — one bundle per restore, in memory and on disk.
+# built-in JSON parser — one bundle per restore, in memory and on disk, each
+# showing the snapshots degraded by the kill and a non-zero repair.
 cargo run --release -p gml-bench --bin forensics_smoke
+
+echo "== recovery traffic (a recovery ships what the dead place held) =="
+# The deterministic gate on recovery cost (ROADMAP 2(b) in small): for a
+# fixed shape, a kill under each restore mode must ship exactly the dead
+# place's share of the snapshot plus what its blocks' new owners fetch, take
+# no checkpoint beyond a failure-free run's and encode nothing until the
+# next one is due. Runs in tier-1 already; re-run by name so that a recovery
+# that grows with the application's state is attributed loudly here.
+cargo test -q -p gml-core --test recovery_traffic > /dev/null
 
 echo "== task resilience (chaos drill + replica vote parity) =="
 # The combined chaos drill: one executor run absorbs a task panic (replayed

@@ -4,8 +4,9 @@
 //! 1. the Prometheus endpoint is scrapeable over localhost and its
 //!    `gml_place_up` gauges flip when the kill fires,
 //! 2. exactly one post-mortem flight-recorder bundle is captured per
-//!    restore, its JSON validates with the built-in parser, and its
-//!    recorded restore mode matches what was configured,
+//!    restore, its JSON validates with the built-in parser, its recorded
+//!    restore mode matches what was configured, and it shows a non-zero
+//!    repair of what the kill took from the snapshots,
 //! 3. bundles written to `GML_FORENSICS_DIR` land on disk as valid JSON.
 //!
 //! Exits non-zero on any violation.
@@ -97,6 +98,12 @@ fn main() {
         assert_eq!(b.decision.effective_label, "shrink");
         assert!(b.decision.dead_places.contains(&victim.id()));
         assert!(!b.trace_tail.is_empty(), "tracing was on: the tail must hold events");
+        // The kill cost snapshot entries a replica; the bundle says what the
+        // recovery re-replicated, and from where to where.
+        assert!(b.snapshots.iter().any(|a| a.degraded > 0), "audited before the repair");
+        let repair = &b.repair;
+        assert!(repair.entries > 0 && repair.wire_bytes > 0, "nothing repaired: {repair:?}");
+        assert!(!repair.pairs.is_empty());
     }
 
     // The bundles also landed on disk, as valid JSON.
@@ -107,6 +114,7 @@ fn main() {
         validate_json(&json)
             .unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()));
         assert!(json.contains("\"effective_label\":\"shrink\""));
+        assert!(!json.contains("\"repair\":{\"entries\":0,"), "the bundle on disk shows a repair");
         on_disk += 1;
     }
     assert_eq!(on_disk as u64, stats.restores, "every bundle must be written to disk");

@@ -9,9 +9,17 @@
 //! except that **read-only** objects' snapshots are shared across
 //! application snapshots (`save_read_only`), which is why the paper's
 //! PageRank checkpoints are so much cheaper than a full re-save.
+//!
+//! After a failure the committed snapshot is still the state the
+//! application rolled back to, only short of a replica for the entries the
+//! dead place held. [`AppResilientStore::repair`] re-replicates exactly
+//! those; the executor calls it at the end of every recovery, so the next
+//! `save_read_only` reuses the snapshot as before. A direct user of this
+//! store that restores without repairing gets the older behaviour: the
+//! degraded snapshot is refused for reuse and the object re-saved.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,7 +28,7 @@ use apgas::prelude::*;
 use crate::codec::{CaptureCtx, CodecConfig};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
-use crate::store::{ResilientStore, ShipOrder};
+use crate::store::{wait_while_set, RepairReport, ResilientStore, ShipOrder};
 
 /// One committed (or in-flight) application snapshot.
 #[derive(Clone)]
@@ -94,12 +102,7 @@ fn spawn_ship(
     let store = store.clone();
     ctx.spawn_helper(move |ctx| {
         let t0 = Instant::now();
-        if let Some(gate) = gate {
-            // Failure-drill hook: park until the test releases the gate.
-            while gate.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
+        wait_while_set(gate.as_deref());
         let mut res = Ok(());
         for order in orders {
             if let Err(e) = store.execute_ship(ctx, order) {
@@ -190,9 +193,10 @@ impl AppResilientStore {
         self.overlap = overlap;
     }
 
-    /// Test hook: while the gate is `true`, ship threads park before
-    /// executing their transfers — lets failure drills deterministically
-    /// kill a place "during the async ship phase".
+    /// Test hook: while the gate is `true`, ship threads — and a
+    /// [`repair`](Self::repair)'s planned transfers — park before executing,
+    /// which lets failure drills deterministically kill a place "during the
+    /// async ship phase" or "during the repair".
     #[doc(hidden)]
     pub fn set_ship_gate(&mut self, gate: Arc<AtomicBool>) {
         self.ship_gate = Some(gate);
@@ -291,8 +295,10 @@ impl AppResilientStore {
     /// Snapshot `obj` unless a **fully redundant** snapshot of it exists in
     /// the committed application snapshot, in which case that one is reused
     /// (the paper's `saveReadOnly`). A snapshot that lost one replica to a
-    /// failure is *not* reused — it is re-saved, so that every committed
-    /// checkpoint can absorb the next failure.
+    /// failure and was not [repaired](Self::repair) — the executor repairs,
+    /// a direct user of this store may not have — is *not* reused: it is
+    /// re-saved, so that every committed checkpoint can absorb the next
+    /// failure.
     pub fn save_read_only(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
         // With overlap on, the newest committed state may still be the
         // provisional snapshot — reuse from it first so the reuse chain
@@ -492,6 +498,24 @@ impl AppResilientStore {
             .unwrap_or_default()
     }
 
+    /// Re-replicate what a failure took from the committed application
+    /// snapshot: every entry of it that is down to one live replica gets its
+    /// stored frame copied to the holder's next place in `group` — the group
+    /// the application continues on — and is fully redundant again under the
+    /// snap id it always had. Costs what the dead places held, whatever the
+    /// application's size; with nothing degraded (a silent-error rollback)
+    /// it does nothing. Errors as [`ResilientStore`]'s repair does: data
+    /// loss when an entry has no live replica, a recoverable dead-place
+    /// error — locations untouched — when a place dies underneath it.
+    pub fn repair(&mut self, ctx: &Ctx, group: &PlaceGroup) -> GmlResult<RepairReport> {
+        let Some(committed) = self.committed.as_mut() else {
+            return Ok(RepairReport::default());
+        };
+        let mut snaps: Vec<&mut Snapshot> = committed.map.values_mut().collect();
+        snaps.sort_unstable_by_key(|s| s.snap_id);
+        self.store.repair(ctx, &mut snaps, group, self.ship_gate.as_deref())
+    }
+
     /// Restore every object in `objs` from the committed application
     /// snapshot (the paper's single `restore()` call restoring all saved
     /// GML objects).
@@ -514,6 +538,7 @@ mod tests {
     use super::*;
     use crate::dup_vector::DupVector;
     use apgas::runtime::{Runtime, RuntimeConfig};
+    use std::sync::atomic::Ordering;
 
     fn run(places: usize, f: impl FnOnce(&Ctx) + Send + 'static) {
         Runtime::run(RuntimeConfig::new(places).resilient(true), f).unwrap();

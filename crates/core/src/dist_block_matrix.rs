@@ -10,12 +10,16 @@
 //! recalculated for even load (shrink-rebalance, Fig 1-c) at the price of a
 //! sub-block overlap-copy restore.
 
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use apgas::prelude::*;
 use apgas::serial::Serial;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gml_matrix::{BlockData, BlockSet, DenseMatrix, Grid, MatrixBlock, Vector};
+use gml_matrix::{
+    BlockData, BlockSet, DenseBlockWire, DenseMatrix, Grid, MatrixBlock, Overlap, Vector,
+};
 use parking_lot::Mutex;
 
 use crate::dist_vector::DistVector;
@@ -109,23 +113,26 @@ impl DistBlockMatrix {
         let dist = Arc::clone(dist);
         let group2 = group.clone();
         Ok(PlaceLocalHandle::make(ctx, group, move |ctx| {
-            Mutex::new(Self::local_blocks(&grid, &dist, &group2, ctx.here(), sparse))
+            let spare = &mut BlockSet::new();
+            Mutex::new(Self::local_blocks(&grid, &dist, &group2, ctx.here(), sparse, spare))
         })?)
     }
 
-    /// Build the (zeroed) block set that `place` owns under a layout.
+    /// Build the (zeroed) block set that `place` owns under a layout, in the
+    /// buffers of `spare`'s blocks where their dimensions fit.
     fn local_blocks(
         grid: &Grid,
         dist: &[usize],
         group: &PlaceGroup,
         place: Place,
         sparse: bool,
+        spare: &mut BlockSet,
     ) -> BlockSet {
         let mut set = BlockSet::new();
         if let Some(idx) = group.index_of(place) {
             for (bi, bj) in grid.block_iter() {
                 if dist[grid.block_id(bi, bj)] == idx {
-                    set.push(MatrixBlock::zeros(grid, bi, bj, sparse));
+                    set.push(MatrixBlock::zeros_reusing(grid, bi, bj, sparse, spare));
                 }
             }
         }
@@ -567,7 +574,12 @@ impl DistBlockMatrix {
     ///   the new group size (preserving the blocks-per-place ratio), giving
     ///   even load at the cost of an overlap-copy restore.
     ///
-    /// Contents are zeroed; call `restore_snapshot` to repopulate.
+    /// Contents are zeroed; call `restore_snapshot` to repopulate. A place
+    /// that stays in the group keeps the buffers of the blocks it held for
+    /// the blocks of the same dimensions it owns now (zero-filled in place),
+    /// so the restore that follows writes into memory the place has already
+    /// touched; only a block of new dimensions, or one more block than the
+    /// place held, is a fresh allocation.
     pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup, rebalance: bool) -> GmlResult<()> {
         if !new_places.len().is_multiple_of(self.col_places) {
             return Err(GmlError::shape("new group size not divisible by col_places"));
@@ -595,8 +607,14 @@ impl DistBlockMatrix {
             let group2 = new_places.clone();
             let sparse = self.sparse;
             each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
-                let set = Self::local_blocks(&grid, &dist, &group2, ctx.here(), sparse);
-                plh.set_local(ctx, Mutex::new(set));
+                let held = plh.local(ctx).ok();
+                let mut spare =
+                    held.as_ref().map(|set| std::mem::take(&mut *set.lock())).unwrap_or_default();
+                let set = Self::local_blocks(&grid, &dist, &group2, ctx.here(), sparse, &mut spare);
+                match held {
+                    Some(slot) => *slot.lock() = set,
+                    None => plh.set_local(ctx, Mutex::new(set)),
+                }
                 Ok(())
             })?;
         }
@@ -657,49 +675,135 @@ fn gram_block_acc(a: &BlockData, b: &BlockData, acc: &mut DenseMatrix) -> GmlRes
     }
 }
 
-/// Fetch a (sub-)region of an old snapshot block, extracting **at the data
-/// holder** so only the needed region crosses places; for sparse blocks the
-/// holder runs the nnz-counting pre-pass (§IV-B2).
-#[allow(clippy::too_many_arguments)] // snapshot coords + region bounds
-fn fetch_sub_block(
+/// What one block of the restored layout needs from the stored blocks **one**
+/// holder has: the unit of transfer of a restore. Under an unchanged grid
+/// that is the one stored block it was saved as; under a re-cut grid, the
+/// overlaps with each stored block it straddles.
+struct RestoreRequest {
+    dest: Place,
+    bi: usize,
+    bj: usize,
+    parts: Vec<Overlap>,
+}
+
+/// A stored block as its holder hands it out during a restore.
+enum StoredBlock {
+    /// A dense block stays the verified serialized payload it is: regions
+    /// are copied out of its f64 image at the destination.
+    Dense(Bytes),
+    /// Anything else is decoded, once.
+    Decoded(MatrixBlock),
+}
+
+/// One overlap on its way into a destination block.
+enum Piece {
+    /// The holder's dense payload, by refcount; the destination copies the
+    /// overlap's column runs out of it — the one copy of this transfer.
+    Dense(Bytes),
+    /// The overlap cut out of a decoded (sparse) block at the holder; the
+    /// whole block, moved, when the overlap is all of it.
+    Cut(BlockData),
+}
+
+impl Piece {
+    /// Bytes the overlap `ov` moves to its destination.
+    fn wire_len(&self, ov: &Overlap) -> usize {
+        match self {
+            Piece::Dense(_) => 8 * (ov.r1 - ov.r0) * (ov.c1 - ov.c0),
+            Piece::Cut(region) => region.payload_bytes(),
+        }
+    }
+
+    /// Write the overlap into `block`. A piece that is all of `block`
+    /// becomes its payload; a dense one is copied into the buffer `block`
+    /// already has.
+    fn paste_into(self, block: &mut MatrixBlock, ov: &Overlap) {
+        let (rows, cols) = (block.rows(), block.cols());
+        match self {
+            Piece::Dense(payload) => {
+                let src = DenseBlockWire::parse(&payload).expect("parsed at the holder");
+                if !matches!(block.data, BlockData::Dense(_)) {
+                    block.data = BlockData::Dense(DenseMatrix::zeros(rows, cols));
+                }
+                block.paste_dense_wire(&src, ov.r0, ov.r1, ov.c0, ov.c1);
+            }
+            Piece::Cut(region) if (region.rows(), region.cols()) == (rows, cols) => {
+                block.data = region;
+            }
+            Piece::Cut(region) => {
+                block.data.paste(ov.r0 - block.row_offset, ov.c0 - block.col_offset, &region);
+            }
+        }
+    }
+}
+
+/// The holder's side of a restore, running at the holder: serve every
+/// request in `requests` from this place's replicas. Each stored block is
+/// fetched — digest-verified, and decoded unless dense — **once**, however
+/// many requests and overlaps read it; a request's pieces go to their
+/// destination block in one transfer (none when that block is here).
+fn serve_restore(
     ctx: &Ctx,
     store: &ResilientStore,
     snap: &Snapshot,
-    key: u64,
-    r0: usize,
-    r1: usize,
-    c0: usize,
-    c1: usize,
-) -> GmlResult<BlockData> {
-    // Local shard hit: extract in place.
-    if let Some(bytes) = store.local_get(ctx, snap.snap_id, key) {
-        let mb: MatrixBlock = ctx.decode(bytes);
-        return Ok(mb.sub_region_global(r0, r1, c0, c1));
-    }
-    let loc = snap.entry(key)?;
-    for src in [loc.owner, loc.backup] {
-        if src == ctx.here() || !ctx.is_alive(src) {
-            continue;
-        }
-        let store2 = store.clone();
-        let sid = snap.snap_id;
-        let got: ApgasResult<Option<Bytes>> = ctx.at(src, move |ctx| {
-            store2.local_get(ctx, sid, key).map(|bytes| {
-                let mb: MatrixBlock = ctx.decode(bytes);
-                ctx.encode(&mb.sub_region_global(r0, r1, c0, c1))
-            })
-        });
-        match got {
-            Ok(Some(bytes)) => {
-                ctx.record_bytes(bytes.len());
-                ctx.record_bytes_received(bytes.len());
-                return Ok(ctx.decode(bytes));
+    old_grid: &Grid,
+    plh: PlaceLocalHandle<Mutex<BlockSet>>,
+    requests: &[RestoreRequest],
+) -> GmlResult<()> {
+    let key_of = |ov: &Overlap| old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
+    let mut stored: HashMap<u64, StoredBlock> = HashMap::new();
+    for req in requests {
+        let mut pieces = Vec::with_capacity(req.parts.len());
+        for ov in &req.parts {
+            let key = key_of(ov);
+            if let Entry::Vacant(slot) = stored.entry(key) {
+                let payload = snap.fetch(ctx, store, key)?;
+                slot.insert(match DenseBlockWire::parse(&payload) {
+                    Some(_) => StoredBlock::Dense(payload),
+                    None => StoredBlock::Decoded(ctx.decode(payload)),
+                });
             }
-            Ok(None) => continue,
-            Err(_) => continue, // source died mid-fetch; try the other replica
+            // An overlap that is all of a stored block is that block's only
+            // reader (the restored layout's blocks are disjoint), so it may
+            // take a decoded block whole instead of copying out of it.
+            let whole = |b: &MatrixBlock| b.global_range() == (ov.r0, ov.r1, ov.c0, ov.c1);
+            let piece = match &stored[&key] {
+                StoredBlock::Dense(payload) => Piece::Dense(payload.clone()),
+                StoredBlock::Decoded(b) if whole(b) => match stored.remove(&key) {
+                    Some(StoredBlock::Decoded(b)) => Piece::Cut(b.data),
+                    _ => unreachable!("matched as decoded"),
+                },
+                StoredBlock::Decoded(b) => {
+                    Piece::Cut(b.sub_region_global(ov.r0, ov.r1, ov.c0, ov.c1))
+                }
+            };
+            pieces.push((*ov, piece));
+        }
+        let (bi, bj) = (req.bi, req.bj);
+        let remote = req.dest != ctx.here();
+        let shipped: usize = pieces.iter().map(|(ov, piece)| piece.wire_len(ov)).sum();
+        let paste = move |ctx: &Ctx| -> GmlResult<()> {
+            let set = plh.local(ctx)?;
+            let mut set = set.lock();
+            let block = set
+                .find_mut(bi, bj)
+                .ok_or_else(|| GmlError::data_loss(format!("block ({bi},{bj}) not allocated")))?;
+            for (ov, piece) in pieces {
+                piece.paste_into(block, &ov);
+            }
+            if remote {
+                ctx.record_bytes_received(shipped);
+            }
+            Ok(())
+        };
+        if remote {
+            ctx.record_bytes(shipped);
+            ctx.at(req.dest, paste)??;
+        } else {
+            paste(ctx)?;
         }
     }
-    Err(GmlError::data_loss(format!("block {key}: no live replica")))
+    Ok(())
 }
 
 impl Snapshottable for DistBlockMatrix {
@@ -747,54 +851,40 @@ impl Snapshottable for DistBlockMatrix {
         let mut desc = snapshot.descriptor.clone();
         let old_grid = Grid::read(&mut desc);
         let was_sparse = desc.get_u8() != 0;
-        if old_grid.rows() != self.rows() || old_grid.cols() != self.cols() {
+        if (old_grid.rows(), old_grid.cols()) != (self.rows(), self.cols()) {
             return Err(GmlError::shape("snapshot matrix dims mismatch"));
         }
         if was_sparse != self.sparse {
             return Err(GmlError::shape("snapshot payload kind mismatch"));
         }
-        let same_grid = old_grid == self.grid;
-        let plh = self.plh;
-        let (store, snap) = (store.clone(), snapshot.clone());
-        let new_grid = self.grid.clone();
-        let sparse = self.sparse;
-        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
-            // Which blocks do I own now?
-            let my_blocks: Vec<(usize, usize)> = {
-                let set = plh.local(ctx)?;
-                let set = set.lock();
-                set.iter().map(|b| (b.bi, b.bj)).collect()
-            };
-            for (bi, bj) in my_blocks {
-                let restored: MatrixBlock = if same_grid {
-                    // Block-by-block restore: whole blocks come back exactly
-                    // as saved.
-                    let key = old_grid.block_id(bi, bj) as u64;
-                    let bytes = snap.fetch(ctx, &store, key)?;
-                    ctx.decode(bytes)
-                } else {
-                    // Overlap-copy restore: assemble this new block from
-                    // sub-regions of old blocks.
-                    let mut nb = MatrixBlock::zeros(&new_grid, bi, bj, sparse);
-                    for ov in new_grid.overlaps(&old_grid, bi, bj) {
-                        let key = old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
-                        let region =
-                            fetch_sub_block(ctx, &store, &snap, key, ov.r0, ov.r1, ov.c0, ov.c1)?;
-                        nb.data.paste(ov.r0 - nb.row_offset, ov.c0 - nb.col_offset, &region);
-                    }
-                    nb
-                };
-                let set = plh.local(ctx)?;
-                let mut set = set.lock();
-                let slot = set.find_mut(bi, bj).ok_or_else(|| {
-                    GmlError::data_loss(format!("block ({bi},{bj}) not allocated"))
-                })?;
-                if slot.rows() != restored.rows() || slot.cols() != restored.cols() {
-                    return Err(GmlError::shape("restored block dims mismatch"));
-                }
-                slot.data = restored.data;
+        // Every block of the current layout is assembled, in the zeroed
+        // buffer `remake` gave it, from the stored blocks it overlaps: the
+        // block it was saved as when the grid is unchanged (block-by-block
+        // restore), sub-regions of several when it was re-cut (overlap-copy
+        // restore). Planned here, per holder; carried out by the holders.
+        let mut plan: BTreeMap<Place, Vec<RestoreRequest>> = BTreeMap::new();
+        for (bi, bj) in self.grid.block_iter() {
+            let dest = self.group.place(self.block_owner(bi, bj));
+            let mut by_holder: BTreeMap<Place, Vec<Overlap>> = BTreeMap::new();
+            for ov in self.grid.overlaps(&old_grid, bi, bj) {
+                let key = old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
+                let loc = snapshot.entry(key)?;
+                // The destination's own replica if it has one, else the
+                // first live one.
+                let holder = [dest, loc.owner, loc.backup]
+                    .into_iter()
+                    .find(|&p| (p == loc.owner || p == loc.backup) && ctx.is_alive(p))
+                    .ok_or_else(|| GmlError::data_loss(format!("block {key}: no live replica")))?;
+                by_holder.entry(holder).or_default().push(ov);
             }
-            Ok(())
+            for (holder, parts) in by_holder {
+                plan.entry(holder).or_default().push(RestoreRequest { dest, bi, bj, parts });
+            }
+        }
+        let (holders, requests): (Vec<Place>, Vec<Vec<RestoreRequest>>) = plan.into_iter().unzip();
+        let (plh, store, snap) = (self.plh, store.clone(), snapshot.clone());
+        each_place(ctx, holders.into_iter().enumerate(), move |ctx, i| {
+            serve_restore(ctx, &store, &snap, &old_grid, plh, &requests[i])
         })
         .map(drop)
     }
@@ -1139,8 +1229,19 @@ mod tests {
             for idx in 0..3 {
                 assert_eq!(m.blocks_at(idx), 1);
             }
+            let (reads, shipped) = (store.payloads_handed_out(), ctx.stats().bytes_shipped);
             m.restore_snapshot(ctx, &store, &snap).unwrap();
             assert_eq!(m.gather_dense(ctx).unwrap(), coord_reference(12, 6));
+            // Six overlaps (each new block of 4 rows straddles two stored
+            // blocks of 3) read five (holder, stored block) pairs: block 1,
+            // whose owner died, serves both its overlaps from place 2, and
+            // block 2 is read where each of its overlaps lands (2 and 3).
+            // Each pair is verified and handed out once.
+            assert_eq!(store.payloads_handed_out() - reads, 5);
+            // One overlap crosses places: row 3 of block 1, from place 2 to
+            // place 0, as six one-element column runs.
+            let gathered = 12 * 6 * 8 + 3 * (32 + 1 + 24);
+            assert_eq!(ctx.stats().bytes_shipped - shipped, 6 * 8 + gathered);
         });
     }
 
@@ -1159,8 +1260,84 @@ mod tests {
             ctx.kill_place(Place::new(3)).unwrap();
             let survivors = g.without(&[Place::new(3)]);
             m.remake(ctx, &survivors, true).unwrap();
+            let reads = store.payloads_handed_out();
             m.restore_snapshot(ctx, &store, &snap).unwrap();
             assert_eq!(m.gather_dense(ctx).unwrap(), reference);
+            // Blocks of 5 rows re-cut into 7 + 7 + 6: six overlaps again,
+            // over four (holder, stored block) pairs — blocks 1 and 2 serve
+            // two overlaps each from their owner, decoded once.
+            assert_eq!(store.payloads_handed_out() - reads, 4);
+        });
+    }
+
+    #[test]
+    fn a_failed_overlap_request_is_reported_as_itself() {
+        run(4, |ctx| {
+            let g = ctx.world();
+            let store = ResilientStore::make(ctx).unwrap();
+            // A matrix declared dense but filled with sparse blocks: re-cut,
+            // its new (dense) blocks cannot take the sparse pieces and the
+            // paste at the destination panics. That is a bug to hear about
+            // as what it is, not a missing replica.
+            let mut m = DistBlockMatrix::make(ctx, 12, 6, 4, 1, 4, 1, &g, false).unwrap();
+            m.init_with(ctx, |_, _, r0, c0, r, c| {
+                BlockData::Sparse(builder::random_csr(r, c, 2, (r0 + c0) as u64))
+            })
+            .unwrap();
+            let snap = m.make_snapshot(ctx, &store).unwrap();
+            ctx.kill_place(Place::new(1)).unwrap();
+            m.remake(ctx, &g.without(&[Place::new(1)]), true).unwrap();
+            let err = m.restore_snapshot(ctx, &store, &snap).unwrap_err();
+            assert!(err.to_string().contains("cannot paste between dense and sparse"), "{err}");
+            assert!(!matches!(err, GmlError::DataLoss(_)) && !err.is_recoverable(), "{err}");
+        });
+    }
+
+    #[test]
+    fn remake_keeps_a_surviving_places_buffers_and_restore_fills_them() {
+        run(4, |ctx| {
+            let g = ctx.world();
+            let store = ResilientStore::make(ctx).unwrap();
+            let mut m = DistBlockMatrix::make(ctx, 8, 4, 4, 1, 4, 1, &g, false).unwrap();
+            m.init_with(ctx, coord_fill).unwrap();
+            let snap = m.make_snapshot(ctx, &store).unwrap();
+            let handle = m.handle();
+            // Where each place's dense buffers are, by block.
+            type Buffers = Vec<Vec<((usize, usize), usize)>>;
+            let buffers = move |ctx: &Ctx, places: &PlaceGroup| -> Buffers {
+                places
+                    .iter()
+                    .map(|p| {
+                        ctx.at(p, move |ctx| {
+                            let set = handle.blocks(ctx).unwrap();
+                            let set = set.lock();
+                            set.iter()
+                                .map(|b| match &b.data {
+                                    BlockData::Dense(d) => {
+                                        ((b.bi, b.bj), d.as_slice().as_ptr() as usize)
+                                    }
+                                    BlockData::Sparse(_) => unreachable!(),
+                                })
+                                .collect()
+                        })
+                        .unwrap()
+                    })
+                    .collect()
+            };
+            let before = buffers(ctx, &g);
+            ctx.kill_place(Place::new(2)).unwrap();
+            let survivors = g.without(&[Place::new(2)]);
+            m.remake(ctx, &survivors, false).unwrap();
+            assert_eq!(m.gather_dense(ctx).unwrap(), DenseMatrix::zeros(8, 4), "zeroed in place");
+            m.restore_snapshot(ctx, &store, &snap).unwrap();
+            assert_eq!(m.gather_dense(ctx).unwrap(), coord_reference(8, 4));
+            let after = buffers(ctx, &survivors);
+            // Place 0 keeps block 0's buffer and takes block 3 in a new one;
+            // place 1 keeps block 1's; place 3 gives block 3's to block 2.
+            assert_eq!(after[0][0], before[0][0]);
+            assert_eq!(after[0][1].0, (3, 0));
+            assert_eq!(after[1], before[1]);
+            assert_eq!(after[2], vec![((2, 0), before[3][0].1)]);
         });
     }
 

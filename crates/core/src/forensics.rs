@@ -4,8 +4,9 @@
 //! who was dead, what the resilient-finish ledger still had pending, which
 //! snapshot replicas survived, and *why* the executor picked the restore
 //! mode it did — is gone moments later: the group is rebuilt, the ledger
-//! drains, the next checkpoint re-establishes redundancy. This module
-//! captures all of it at the restore point as one [`PostMortem`] bundle,
+//! drains, the repair re-establishes redundancy. This module captures all
+//! of it at the restore point, before that repair, and then what the repair
+//! did, as one [`PostMortem`] bundle,
 //! serialized as plain JSON (validated with the tracer's built-in parser, so
 //! the workspace stays dependency-free). [`ResilientExecutor`] attaches one
 //! bundle per restore to the [`CostReport`]; set `GML_FORENSICS_DIR` to also
@@ -22,7 +23,7 @@ use apgas::prelude::*;
 use apgas::trace::{critical_path, Phase};
 
 use crate::snapshot::Snapshot;
-use crate::store::{PlaceInventory, ResilientStore, SnapshotAudit};
+use crate::store::{PlaceInventory, RepairReport, ResilientStore, SnapshotAudit};
 
 /// How many trailing trace events per place a bundle retains.
 const TRACE_TAIL_PER_PLACE: usize = 64;
@@ -86,8 +87,12 @@ pub struct PostMortem {
     pub ledger: Vec<LedgerEntry>,
     /// Per-place snapshot-store inventory (dead places report zeroes).
     pub store: Vec<PlaceInventory>,
-    /// Redundancy audit of every committed object snapshot.
+    /// Redundancy audit of every committed object snapshot, as the failure
+    /// left it: taken before the recovery's repair.
     pub snapshots: Vec<SnapshotAudit>,
+    /// What that repair then re-replicated (the executor fills this in after
+    /// capturing the bundle; all-zero when nothing was degraded).
+    pub repair: RepairReport,
     /// The last [`TRACE_TAIL_PER_PLACE`] trace events of each place, in
     /// global time order (empty when tracing is off).
     pub trace_tail: Vec<TraceEvent>,
@@ -112,7 +117,8 @@ pub struct PostMortem {
 
 impl PostMortem {
     /// Capture a bundle from the live runtime. `committed` is the set of
-    /// object snapshots the application just restored from.
+    /// object snapshots the application just restored from, not yet
+    /// repaired.
     pub fn capture(
         ctx: &Ctx,
         store: &ResilientStore,
@@ -134,6 +140,7 @@ impl PostMortem {
             ledger: ctx.finish_ledger(),
             store: store.inventory(ctx),
             snapshots: committed.iter().map(|s| store.audit_snapshot(ctx, s)).collect(),
+            repair: RepairReport::default(),
             trace_tail: trace_tail(&events, TRACE_TAIL_PER_PLACE),
             path_rows,
             mem: apgas::mem::report(),
@@ -228,7 +235,16 @@ impl PostMortem {
                 a.invariant_ok(),
             ));
         }
-        s.push_str("],\"trace_tail\":[");
+        let pairs: Vec<String> =
+            self.repair.pairs.iter().map(|(h, t)| format!("[{},{}]", h.id(), t.id())).collect();
+        s.push_str(&format!(
+            "],\"repair\":{{\"entries\":{},\"wire_bytes\":{},\"pairs\":[{}],\"nanos\":{}}}",
+            self.repair.entries,
+            self.repair.wire_bytes,
+            pairs.join(","),
+            self.repair.time.as_nanos(),
+        ));
+        s.push_str(",\"trace_tail\":[");
         for (i, e) in self.trace_tail.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -434,6 +450,7 @@ mod tests {
             ledger: vec![],
             store: vec![],
             snapshots: vec![],
+            repair: RepairReport::default(),
             trace_tail: vec![],
             path_rows: vec![],
             mem: MemReport::default(),
@@ -450,6 +467,7 @@ mod tests {
         assert!(json.contains("\"tag\":\"store_shard\""), "every ledger tag is listed");
         assert!(json.contains("\"expected_digest\":null"), "fail-stop restore: no digests");
         assert!(json.contains("\"task_replays\":0"), "task-layer counters present");
+        assert!(json.contains("\"repair\":{\"entries\":0,\"wire_bytes\":0,\"pairs\":[],"));
     }
 
     #[test]
@@ -488,6 +506,12 @@ mod tests {
                 placement_violations: 0,
                 bytes: 256,
             }],
+            repair: RepairReport {
+                entries: 2,
+                wire_bytes: 512,
+                pairs: vec![(Place::new(3), Place::new(0)), (Place::new(1), Place::new(3))],
+                time: std::time::Duration::from_nanos(750),
+            },
             trace_tail: vec![event(1, 0), event(2, 1)],
             path_rows: vec![IterProfile {
                 iteration: 9,
@@ -516,6 +540,9 @@ mod tests {
         assert!(json.contains("\"task_timeouts\":2"));
         assert!(json.contains("\"task_vote_mismatches\":1"));
         assert!(json.contains("\"invariant_ok\":false"));
+        assert!(json.contains(
+            "\"repair\":{\"entries\":2,\"wire_bytes\":512,\"pairs\":[[3,0],[1,3]],\"nanos\":750}"
+        ));
         assert!(json.contains("\"kind\":\"exec.step\""));
         assert!(json.contains("\"phase\":\"instant\""));
         assert!(json.contains("\"span_id\":2"), "trace tail carries span identity");

@@ -9,6 +9,14 @@
 //! operation), the executor picks a new place group according to the
 //! configured [`RestoreMode`], rolls the application back to the last
 //! committed snapshot, and resumes from that iteration.
+//!
+//! A recovery is restore, repair, resume: once the application is back on
+//! the snapshot, the executor has the store re-replicate the snapshot
+//! entries the dead place owned or backed up
+//! ([`AppResilientStore::repair`]) — the only thing the failure took from
+//! the checkpoint — and carries on. It takes no checkpoint of its own: the
+//! restored state *is* the committed snapshot, and the next one is due a
+//! full interval after it, as if nothing had happened.
 
 use std::time::{Duration, Instant};
 
@@ -209,7 +217,9 @@ pub struct RunStats {
     /// silent-error detection (zero when the app opted out of
     /// [`ChecksummedStep`]).
     pub detect_time: Duration,
-    /// Wall time spent restoring.
+    /// Wall time spent recovering — settle, decide, restore, repair and
+    /// post-mortem, every attempt: the sum of the report's
+    /// `RestoreCost::time`.
     pub restore_time: Duration,
     /// Wall time of the whole run.
     pub total_time: Duration,
@@ -306,8 +316,9 @@ impl ResilientExecutor {
                 ckpt_frames: [0; 3],
                 codec_time: Duration::ZERO,
             };
-            // Periodic coordinated checkpoint (also re-taken right after a
-            // restore, re-establishing full snapshot redundancy).
+            // Periodic coordinated checkpoint. A recovery leaves
+            // `next_checkpoint` alone: it was set an interval past the
+            // snapshot the run has just returned to.
             if interval > 0 && iteration >= next_checkpoint {
                 // Re-derive the output digest and compare it against the
                 // one recorded when the step produced the data. A mismatch
@@ -343,7 +354,6 @@ impl ResilientExecutor {
                         &mut stats, &mut bundles, &trigger,
                     )?;
                     row.restore = Some(cost);
-                    next_checkpoint = iteration;
                     Self::close_row(ctx, &mut rows, row, &mut prev_snap, &mut prev_codec);
                     continue;
                 }
@@ -382,7 +392,6 @@ impl ResilientExecutor {
                             &mut stats, &mut bundles, &e,
                         )?;
                         row.restore = Some(cost);
-                        next_checkpoint = iteration;
                         Self::close_row(ctx, &mut rows, row, &mut prev_snap, &mut prev_codec);
                         continue;
                     }
@@ -444,7 +453,6 @@ impl ResilientExecutor {
                         &mut stats, &mut bundles, &e,
                     )?;
                     row.restore = Some(cost);
-                    next_checkpoint = iteration;
                 }
                 Err(e) => {
                     let _ = store.drain(ctx);
@@ -516,12 +524,15 @@ impl ResilientExecutor {
         rows.push(row);
     }
 
-    /// Pick a new group per the restore mode and roll the application back.
-    /// Returns the wall time and effective shape of the recovery, and pushes
-    /// one flight-recorder [`PostMortem`] bundle when it succeeds. `trigger`
-    /// is the error being recovered from: a dead-place error selects the
-    /// configured restore mode, a [`GmlError::SilentError`] restores on the
-    /// unchanged group under the `silent_error` effective mode.
+    /// Pick a new group per the restore mode, roll the application back and
+    /// re-replicate what the failure took from the snapshot it rolled back
+    /// to. Returns the wall time and effective shape of the recovery, and
+    /// pushes one flight-recorder [`PostMortem`] bundle when it succeeds —
+    /// the snapshots audited as the failure left them, then what the repair
+    /// did. `trigger` is the error being recovered from: a dead-place error
+    /// selects the configured restore mode, a [`GmlError::SilentError`]
+    /// restores on the unchanged group under the `silent_error` effective
+    /// mode.
     #[allow(clippy::too_many_arguments)]
     fn recover<A: ResilientIterativeApp>(
         &self,
@@ -668,19 +679,17 @@ impl ResilientExecutor {
             if new_group.is_empty() {
                 return Err(GmlError::Unrecoverable("no live places remain".into()));
             }
-            let t = Instant::now();
             let result = {
                 let _span = ctx.trace_span_labeled(SpanKind::Restore, label, snapshot_iter);
                 app.restore(ctx, &new_group, store, snapshot_iter, rebalance)
             };
-            stats.restore_time += t.elapsed();
             match result {
                 Ok(()) => {
-                    stats.restores += 1;
-                    // Flight recorder: one bundle per successful restore.
-                    // `label` is the same value the Restore span above was
-                    // tagged with, so the recorded mode matches the trace by
-                    // construction.
+                    // Flight recorder: one bundle per successful restore,
+                    // captured before the repair so that its audit shows
+                    // what the failure did to the snapshots. `label` is the
+                    // same value the Restore span above was tagged with, so
+                    // the recorded mode matches the trace by construction.
                     let decision = RestoreDecision {
                         configured_mode: self.cfg.mode.label(),
                         effective_label: label,
@@ -694,21 +703,38 @@ impl ResilientExecutor {
                         expected_digest: digests.map(|(e, _)| e),
                         observed_digest: digests.map(|(_, o)| o),
                     };
-                    let bundle = PostMortem::capture(
+                    let mut bundle = PostMortem::capture(
                         ctx,
                         store.store(),
                         &store.committed_snapshots(),
                         decision,
-                        stats.restores,
+                        stats.restores + 1,
                     );
+                    // The restored state is the committed snapshot; all the
+                    // failure took from it is a replica of the entries the
+                    // dead places held. Put those back and resume.
+                    bundle.repair = match store.repair(ctx, &new_group) {
+                        Ok(report) => report,
+                        // A place died under the repair: like one dying
+                        // under the restore, below.
+                        Err(e) if e.is_recoverable() => continue,
+                        Err(e) => return Err(e),
+                    };
                     bundle.maybe_write_env_dir();
+                    let (repaired_entries, repaired_bytes) =
+                        (bundle.repair.entries, bundle.repair.wire_bytes);
                     bundles.push(bundle);
+                    stats.restores += 1;
                     *group = new_group;
                     *iteration = snapshot_iter;
+                    let time = recover_t0.elapsed();
+                    stats.restore_time += time;
                     return Ok(RestoreCost {
                         label,
                         rebalance,
-                        time: recover_t0.elapsed(),
+                        time,
+                        repaired_entries,
+                        repaired_bytes,
                         rolled_back_to: snapshot_iter,
                         attempts,
                     });
@@ -1015,6 +1041,7 @@ mod tests {
             // Iterations 10..15 re-ran: 30 + (15 - 10) = 35.
             assert_eq!(stats.iterations_run, 35);
             assert!(stats.restore_time > Duration::ZERO);
+            assert_eq!(stats.checkpoints, 3, "at 0, 10 and 20: none is re-taken after the restore");
         })
         .unwrap();
     }
@@ -1048,6 +1075,11 @@ mod tests {
             let observed = pm.decision.observed_digest.unwrap();
             assert_ne!(expected, observed);
             pm.validate().unwrap();
+            // No place died: every replica is where it was, so there is
+            // nothing to repair, and the rollback takes no checkpoint of its
+            // own — 0 and 5, as in a clean run.
+            assert_eq!(pm.repair, crate::store::RepairReport::default());
+            assert_eq!(stats.checkpoints, 2);
             // The cost report renders the silent restore and stays
             // telescoped.
             assert!(report.render().contains("silent_error"));
@@ -1147,7 +1179,12 @@ mod tests {
                     digest_calls: std::cell::Cell::new(0),
                 };
                 let mut store = AppResilientStore::make(ctx).unwrap();
-                let exec = ResilientExecutor::new(ExecutorConfig::new(5, RestoreMode::Shrink));
+                // The commit is the ship barrier here: with the ships in the
+                // background, a victim killed three short steps after the
+                // only checkpoint may die before its segment's backup left,
+                // and that is a lost snapshot, not what this test is about.
+                let cfg = ExecutorConfig::new(5, RestoreMode::Shrink).overlap_ship(false);
+                let exec = ResilientExecutor::new(cfg);
                 let (group, stats) = exec.run(ctx, &mut app, &g, &mut store).unwrap();
                 app.kill_in_digest_call = None;
                 (app.output_digest(ctx).unwrap(), group.len(), stats)

@@ -28,8 +28,15 @@ pub struct RestoreCost {
     pub label: &'static str,
     /// Whether the data grid was repartitioned.
     pub rebalance: bool,
-    /// Total wall time across all attempts of this recovery.
+    /// Total wall time of this recovery, all attempts: settle, decide,
+    /// restore, repair and post-mortem. `RunStats::restore_time` is the sum
+    /// of these over a run's recoveries.
     pub time: Duration,
+    /// Snapshot entries the recovery's repair re-replicated (those the dead
+    /// places had owned or backed up).
+    pub repaired_entries: usize,
+    /// Wire bytes that repair copied.
+    pub repaired_bytes: u64,
     /// The iteration rolled back to (the snapshot's iteration).
     pub rolled_back_to: u64,
     /// Restore attempts made (> 1 when another place died mid-restore).
@@ -179,11 +186,12 @@ impl CostReport {
     /// codec emitted by the form it chose — full, of those verbatim, delta —
     /// and `codec(cpu)` is the time
     /// the checkpoint codec was busy encoding + decoding frames, summed over
-    /// the place threads that did so concurrently (not wall time).
+    /// the place threads that did so concurrently (not wall time). A
+    /// restore cell ends with what its repair re-replicated: `+entries/bytes`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>24} {:>6} {:>10} {:>10} {:>10} \
+            "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>36} {:>6} {:>10} {:>10} {:>10} \
              {:>9} {:>9} {:>9} {:>9} {:>8} {:>10}\n",
             "iter", "step", "ckpt", "capture", "ship(t)", "detect(t)", "restore", "ctl",
             "enc+dec", "ship", "recv", "resident", "ckptmem", "logical", "wire", "f/v/d",
@@ -197,15 +205,17 @@ impl CostReport {
                 .restore
                 .map(|rc| {
                     format!(
-                        "{} ({}→it{})",
+                        "{} ({}→it{} +{}/{})",
                         fmt_nanos(rc.time.as_nanos() as u64),
                         rc.label,
-                        rc.rolled_back_to
+                        rc.rolled_back_to,
+                        rc.repaired_entries,
+                        fmt_bytes(rc.repaired_bytes)
                     )
                 })
                 .unwrap_or_else(|| "-".into());
             out.push_str(&format!(
-                "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>24} {:>6} {:>10} {:>10} {:>10} \
+                "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>36} {:>6} {:>10} {:>10} {:>10} \
                  {:>9} {:>9} {:>9} {:>9} {:>8} {:>10}\n",
                 r.iteration,
                 fmt_nanos(r.step.as_nanos() as u64),
@@ -365,6 +375,8 @@ mod tests {
             label: "shrink_rebalance",
             rebalance: true,
             time: Duration::from_millis(9),
+            repaired_entries: 4,
+            repaired_bytes: 3 << 20,
             rolled_back_to: 5,
             attempts: 1,
         });
@@ -376,7 +388,7 @@ mod tests {
         };
         let text = report.render();
         assert!(text.contains("shrink_rebalance"));
-        assert!(text.contains("→it5"));
+        assert!(text.contains("→it5 +4/3.0MB)"), "the restore cell carries its repair");
         assert!(text.contains("2.0KB"));
         assert!(text.contains("capture"), "two-phase capture column present");
         assert!(text.contains("ship(t)"), "two-phase ship-time column present");

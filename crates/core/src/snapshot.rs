@@ -21,9 +21,11 @@ use crate::store::ResilientStore;
 /// Where one snapshot entry's replicas live.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EntryLoc {
-    /// The place that produced (and locally stores) the entry.
+    /// The first replica's place: the place that produced the entry or,
+    /// once a repair re-replicated it, the holder that survived.
     pub owner: Place,
-    /// The next place in the group, holding the backup copy.
+    /// The second replica's place: `owner`'s next place in the group the
+    /// copy was placed under.
     pub backup: Place,
     /// Payload size in bytes.
     pub len: usize,
@@ -49,6 +51,11 @@ pub struct Snapshot {
     /// chain must outlive this snapshot in the store (they promote and
     /// discard with it — see `AppResilientStore`'s chain-aware GC).
     pub chain: Vec<u64>,
+    /// For each entry a repair re-replicated
+    /// ([`AppResilientStore::repair`](crate::app_store::AppResilientStore::repair)),
+    /// the group its replica pair was placed under; every other entry was
+    /// placed under `group`.
+    pub placed_under: HashMap<u64, PlaceGroup>,
 }
 
 /// Wire size of one gathered [`EntryLoc`] record: key, owner, backup and
@@ -88,6 +95,7 @@ impl Snapshot {
             entries: Arc::new(entries),
             descriptor,
             chain: Vec::new(),
+            placed_under: HashMap::new(),
         }
     }
 
@@ -103,9 +111,9 @@ impl Snapshot {
 
     /// True if every entry still has **both** replicas alive, i.e. the
     /// snapshot can absorb one more failure. Read-only snapshot reuse
-    /// requires this: after a failure degrades an entry to a single
-    /// replica, the next checkpoint must re-save the object to restore
-    /// double redundancy.
+    /// requires this: a snapshot that a failure degraded to single replicas
+    /// is reused only once a repair has re-replicated them, and re-saved
+    /// otherwise.
     pub fn fully_redundant(&self, ctx: &Ctx) -> bool {
         self.entries.values().all(|e| ctx.is_alive(e.owner) && ctx.is_alive(e.backup))
     }

@@ -12,6 +12,16 @@
 //! substituted by the replace-redundant mode can fetch data saved before it
 //! joined the group.
 //!
+//! A failure leaves the entries the dead place owned or backed up with one
+//! replica. [`AppResilientStore::repair`] gives exactly those their second
+//! copy back — the surviving frame shipped as stored to the holder's next
+//! place in the group the application continues on — so recovering costs
+//! what the dead place held, not what the application holds. The executor
+//! repairs after every restore; a direct store user that does not call it
+//! re-saves instead (`save_read_only` will not reuse a degraded snapshot).
+//!
+//! [`AppResilientStore::repair`]: crate::app_store::AppResilientStore::repair
+//!
 //! What a shard holds per entry is decided by the checkpoint codec
 //! ([`crate::codec`]): the bare store keeps the serialized payload as it
 //! came; a codec store keeps a frame — a small *head* (header + chunk-digest
@@ -20,9 +30,10 @@
 //! once per place boundary it crosses (owner → backup on save, holder →
 //! fetcher on restore) and nowhere else.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
 use bytes::Bytes;
@@ -31,7 +42,7 @@ use parking_lot::Mutex;
 use crate::codec::{self, CaptureCtx, CodecConfig, CodecState};
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::EntryLoc;
+use crate::snapshot::{EntryLoc, Snapshot};
 
 /// One stored replica. Without a `head` (the raw pre-codec path) `body` *is*
 /// the logical payload. With one, the entry is a codec frame decoding to
@@ -176,8 +187,8 @@ pub struct PlaceInventory {
 
 /// Result of auditing one [`Snapshot`](crate::snapshot::Snapshot) against
 /// the double-redundancy invariant (§IV-B): every entry present at both its
-/// owner and its backup, with the backup at the *next place* of the
-/// snapshot's group.
+/// replica places, the second of them the first's *next place* in the group
+/// the copy was placed under (the rule of `second_replica`).
 #[derive(Clone, Copy, Debug)]
 pub struct SnapshotAudit {
     /// The audited snapshot's store namespace.
@@ -196,8 +207,9 @@ pub struct SnapshotAudit {
     /// double failure produces.
     pub lost: usize,
     /// Entries whose recorded backup is not the owner's next place in the
-    /// snapshot's group (misplacement would silently void the
-    /// one-failure-survivability guarantee).
+    /// group the copy was placed under — the snapshot's, or for a repaired
+    /// entry the one it was repaired under (misplacement would silently void
+    /// the one-failure-survivability guarantee).
     pub placement_violations: usize,
     /// Metadata payload bytes across all entries.
     pub bytes: u64,
@@ -209,6 +221,35 @@ impl SnapshotAudit {
     pub fn invariant_ok(&self) -> bool {
         self.lost == 0 && self.placement_violations == 0
     }
+}
+
+/// What one [`AppResilientStore::repair`] did.
+///
+/// [`AppResilientStore::repair`]: crate::app_store::AppResilientStore::repair
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RepairReport {
+    /// Entries that were down to one replica and have two again.
+    pub entries: usize,
+    /// Wire bytes copied: those entries' frames and the delta-chain frames
+    /// under them, as stored.
+    pub wire_bytes: u64,
+    /// The holder → target transfers; distinct pairs ran concurrently.
+    pub pairs: Vec<(Place, Place)>,
+    /// Wall time of the repair.
+    pub time: Duration,
+}
+
+/// The §IV-B placement rule, stated once: an entry's two replicas live at
+/// two distinct places, the second the first's successor (wrapping) in the
+/// group the copy was placed under; over a one-place group the pair
+/// collapses onto that place. [`ResilientStore::save_local_parts`] places a
+/// save by it (first = the owner), [`ResilientStore::repair`] a
+/// re-replication (first = the surviving holder), and
+/// [`ResilientStore::audit_snapshot`] checks every recorded pair against it.
+fn second_replica(group: &PlaceGroup, first: Place) -> GmlResult<Place> {
+    group
+        .next_place(first)
+        .ok_or_else(|| GmlError::shape(format!("{first} keeps a replica for a group it is not in")))
 }
 
 /// One deferred backup transfer: everything needed to ship a place's batch
@@ -256,6 +297,8 @@ pub struct ResilientStore {
     /// the per-place save tasks. Bare stores run with the codec off
     /// ([`CodecConfig::raw`]); `AppResilientStore` turns it on by default.
     codec: Arc<CodecState>,
+    /// Entry payloads handed out by [`fetch`](Self::fetch), at any place.
+    handed_out: Arc<AtomicU64>,
 }
 
 impl ResilientStore {
@@ -302,6 +345,7 @@ impl ResilientStore {
                 queue: Mutex::new(Vec::new()),
             }),
             codec: Arc::new(CodecState::new(config)),
+            handed_out: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -416,13 +460,10 @@ impl ResilientStore {
     }
 
     /// Save the parts of an object that the **current place** owns, and say
-    /// where they went. This is the single home of the §IV-B placement rule:
-    /// the backup of everything a place owns lives at the *next place* of
-    /// the object's group (wrapping; over a one-place group it collapses
-    /// onto the owner). Every `make_snapshot` calls this from a task running
-    /// at the owning place and hands the returned locations to
-    /// [`Snapshot::gathered`](crate::snapshot::Snapshot::gathered);
-    /// [`audit_snapshot`](Self::audit_snapshot) checks the same rule.
+    /// where they went: the backup of everything a place owns lives at its
+    /// `second_replica` in the object's group. Every `make_snapshot` calls
+    /// this from a task running at the owning place and hands the returned
+    /// locations to [`Snapshot::gathered`](crate::snapshot::Snapshot::gathered).
     pub fn save_local_parts(
         &self,
         ctx: &Ctx,
@@ -431,9 +472,7 @@ impl ResilientStore {
         parts: Vec<(u64, Bytes)>,
     ) -> GmlResult<Vec<(u64, EntryLoc)>> {
         let owner = ctx.here();
-        let backup = group
-            .next_place(owner)
-            .ok_or_else(|| GmlError::shape(format!("{owner} saves into a group it is not in")))?;
+        let backup = second_replica(group, owner)?;
         let locs =
             parts.iter().map(|(key, v)| (*key, EntryLoc { owner, backup, len: v.len() })).collect();
         self.save_batch(ctx, snap_id, parts, backup)?;
@@ -632,19 +671,140 @@ impl ResilientStore {
     pub(crate) fn execute_ship(&self, ctx: &Ctx, order: ShipOrder) -> GmlResult<()> {
         let _span = ctx.trace_span(SpanKind::CkptShip, order.total as u64);
         let store = self.clone();
-        ctx.at(order.owner, move |ctx| -> GmlResult<()> {
-            let shard = store.shard(ctx)?;
-            let entries: Vec<(u64, StoredEntry)> = order
-                .keys
-                .iter()
-                // A missing key means the snapshot was cancelled between
-                // capture and ship; the order is stale and skipping is the
-                // correct quiet outcome.
-                .filter_map(|&k| shard.get(order.snap_id, k).map(|v| (k, v)))
-                .collect();
-            store.ship_entries(ctx, order.snap_id, entries, order.backup)
-        })??;
+        ctx.at(order.owner, move |ctx| store.ship_from_here(ctx, &order))??;
         Ok(())
+    }
+
+    /// The owner's half of a [`ShipOrder`]: re-read the entries from this
+    /// place's shard and ship them as stored. Returns how many entries and
+    /// wire bytes went.
+    fn ship_from_here(&self, ctx: &Ctx, order: &ShipOrder) -> GmlResult<(usize, usize)> {
+        let shard = self.shard(ctx)?;
+        let entries: Vec<(u64, StoredEntry)> = order
+            .keys
+            .iter()
+            // A missing key means the snapshot was cancelled between
+            // capture and ship; the order is stale and skipping is the
+            // correct quiet outcome.
+            .filter_map(|&k| shard.get(order.snap_id, k).map(|v| (k, v)))
+            .collect();
+        let shipped = (entries.len(), entries.iter().map(|(_, e)| e.wire()).sum());
+        self.ship_entries(ctx, order.snap_id, entries, order.backup)?;
+        Ok(shipped)
+    }
+
+    /// Give every entry of `snaps` that a failure left with **one** live
+    /// replica its second one back: the surviving frame — and the same key's
+    /// frames under each id of the snapshot's delta chain — is shipped *as
+    /// stored* (no decode, no re-encode; one copy, at the receiver, like a
+    /// save's backup) from its holder to the holder's `second_replica` in
+    /// `group`, the group the application continues on. Transfers of
+    /// distinct holder → target pairs run concurrently. The snap ids stay
+    /// what they were, so reuse and chain GC are unaffected; the entries'
+    /// recorded locations are rewritten (first replica = the holder) and
+    /// remember the group they were placed under, so the snapshots are
+    /// fully redundant again and audit clean.
+    ///
+    /// An entry with no live replica is [`GmlError::DataLoss`]. A place
+    /// dying under the repair is a recoverable error and leaves every
+    /// recorded location as it was (copies that did land are harmless
+    /// strays under ids the snapshot's deletion sweeps): the caller
+    /// recovers and repairs again. Never reads a dead place and never
+    /// touches a replica that is still alive. `gate` is the failure drills'
+    /// ship gate: while it is set the planned transfers wait.
+    pub(crate) fn repair(
+        &self,
+        ctx: &Ctx,
+        snaps: &mut [&mut Snapshot],
+        group: &PlaceGroup,
+        gate: Option<&AtomicBool>,
+    ) -> GmlResult<RepairReport> {
+        let t0 = Instant::now();
+        let mut report = RepairReport::default();
+        if !self.redundant {
+            // The ablation store keeps one copy by design.
+            return Ok(report);
+        }
+        // Per holder → target pair, the (snapshot index, key) entries to
+        // re-home.
+        let mut plan: BTreeMap<(Place, Place), Vec<(usize, u64)>> = BTreeMap::new();
+        for (si, snap) in snaps.iter().enumerate() {
+            for (&key, loc) in snap.entries.iter() {
+                let holder = match (ctx.is_alive(loc.owner), ctx.is_alive(loc.backup)) {
+                    (true, true) => continue,
+                    (true, false) => loc.owner,
+                    (false, true) => loc.backup,
+                    (false, false) => {
+                        return Err(GmlError::data_loss(format!(
+                            "snapshot {} key {key}: owner {} and backup {} both dead",
+                            snap.snap_id, loc.owner, loc.backup
+                        )))
+                    }
+                };
+                let target = second_replica(group, holder)?;
+                if target != holder {
+                    plan.entry((holder, target)).or_default().push((si, key));
+                }
+            }
+        }
+        if plan.is_empty() {
+            return Ok(report);
+        }
+        // Per pair, one order per snapshot id its entries are stored under:
+        // the ids of the delta chain, then the snapshot's own — flagged,
+        // because under that one every key must be found.
+        let orders: Vec<Vec<(ShipOrder, bool)>> = plan
+            .iter_mut()
+            .map(|(&(owner, backup), moved)| {
+                moved.sort_unstable();
+                let of_one_snap = moved.chunk_by(|a, b| a.0 == b.0);
+                let orders = of_one_snap.flat_map(|moved| {
+                    let snap = &snaps[moved[0].0];
+                    let keys: Vec<u64> = moved.iter().map(|&(_, key)| key).collect();
+                    let total = keys.iter().map(|k| snap.entries[k].len).sum();
+                    let chain = snap.chain.iter().map(|&id| (id, false));
+                    let ids = chain.chain([(snap.snap_id, true)]);
+                    ids.map(move |(snap_id, own)| {
+                        (ShipOrder { snap_id, owner, backup, keys: keys.clone(), total }, own)
+                    })
+                });
+                orders.collect()
+            })
+            .collect();
+        wait_while_set(gate);
+        let (pairs, moved): (Vec<_>, Vec<_>) = plan.into_iter().unzip();
+        let (store, orders) = (self.clone(), Arc::new(orders));
+        let holders = pairs.iter().enumerate().map(|(i, &(holder, _))| (i, holder));
+        let shipped = each_place(ctx, holders, move |ctx, i| {
+            let mut wire = 0;
+            for (order, own) in &orders[i] {
+                let _span = ctx.trace_span(SpanKind::CkptShip, order.total as u64);
+                let (found, bytes) = store.ship_from_here(ctx, order)?;
+                if *own && found != order.keys.len() {
+                    return Err(GmlError::data_loss(format!(
+                        "snapshot {}: {} holds {found} of the {} entries it should",
+                        order.snap_id,
+                        order.owner,
+                        order.keys.len()
+                    )));
+                }
+                wire += bytes as u64;
+            }
+            Ok(wire)
+        })?;
+        for (&(holder, target), moved) in pairs.iter().zip(moved) {
+            for (si, key) in moved {
+                let snap = &mut *snaps[si];
+                let loc = Arc::make_mut(&mut snap.entries).get_mut(&key).expect("planned from it");
+                (loc.owner, loc.backup) = (holder, target);
+                snap.placed_under.insert(key, group.clone());
+                report.entries += 1;
+            }
+        }
+        report.wire_bytes = shipped.iter().sum();
+        report.pairs = pairs;
+        report.time = t0.elapsed();
+        Ok(report)
     }
 
     /// Fetch an entry's **logical payload** from wherever it survives,
@@ -660,14 +820,26 @@ impl ResilientStore {
         backup: Place,
     ) -> GmlResult<Bytes> {
         let entry = self.fetch_stored(ctx, snap_id, key, owner, backup)?;
-        if entry.head.is_none() {
-            return Ok(entry.body);
-        }
-        let _span = ctx.trace_span(SpanKind::CkptDecode, entry.wire() as u64);
-        // Chain entries share their head's owner/backup placement (delta
-        // eligibility enforces this at encode time), so the base lookups
-        // reuse the same replica pair.
-        decode_chain(entry, key, |base_id| self.fetch_stored(ctx, base_id, key, owner, backup))
+        let payload = if entry.head.is_none() {
+            entry.body
+        } else {
+            let _span = ctx.trace_span(SpanKind::CkptDecode, entry.wire() as u64);
+            // Chain entries share their head's owner/backup placement
+            // (delta eligibility enforces this at encode time, a repair
+            // copies them together), so the base lookups reuse the same
+            // replica pair.
+            decode_chain(entry, key, |base_id| self.fetch_stored(ctx, base_id, key, owner, backup))?
+        };
+        self.handed_out.fetch_add(1, Ordering::Relaxed);
+        Ok(payload)
+    }
+
+    /// How many entry payloads [`fetch`](Self::fetch) has handed out so far,
+    /// over all places — verified and decoded each time, so this is what a
+    /// restore's read amplification is counted in (raw and framed stores
+    /// alike).
+    pub fn payloads_handed_out(&self) -> u64 {
+        self.handed_out.load(Ordering::Relaxed)
     }
 
     /// Fetch an entry **as stored** (frame or raw) from this place's shard
@@ -720,23 +892,6 @@ impl ResilientStore {
         Err(GmlError::data_loss(format!(
             "snapshot {snap_id} key {key}: owner {owner} and backup {backup} both unavailable"
         )))
-    }
-
-    /// This place's shard copy of an entry's logical payload, if the entry
-    /// — and, for delta frames, its whole base chain — is present locally
-    /// (no communication). Chain replicas are co-located with their head by
-    /// the delta-eligibility rule, so a local head implies a local chain.
-    /// Any decode failure is a shard miss: the caller falls back to a remote
-    /// fetch.
-    pub(crate) fn local_get(&self, ctx: &Ctx, snap_id: u64, key: u64) -> Option<Bytes> {
-        let shard = self.plh.local(ctx).ok()?;
-        let e = shard.get(snap_id, key)?;
-        decode_chain(e, key, |base_id| {
-            shard
-                .get(base_id, key)
-                .ok_or_else(|| GmlError::data_loss("delta base not in the local shard"))
-        })
-        .ok()
     }
 
     /// True if the entry is still reachable (some replica's place is alive).
@@ -813,7 +968,7 @@ impl ResilientStore {
     pub fn audit_snapshot(
         &self,
         ctx: &Ctx,
-        snap: &crate::snapshot::Snapshot,
+        snap: &Snapshot,
     ) -> SnapshotAudit {
         // Batch presence probes: every (place, key) pair we must check,
         // grouped by place so each live place is visited exactly once.
@@ -867,10 +1022,9 @@ impl ResilientStore {
                 (false, false) => audit.lost += 1,
                 _ => audit.degraded += 1,
             }
-            // The placement rule `save_local_parts` saves by.
-            match snap.group.next_place(loc.owner) {
-                Some(expected) if expected == loc.backup => {}
-                _ => audit.placement_violations += 1,
+            let placed_under = snap.placed_under.get(key).unwrap_or(&snap.group);
+            if second_replica(placed_under, loc.owner).ok() != Some(loc.backup) {
+                audit.placement_violations += 1;
             }
         }
         audit
@@ -893,6 +1047,14 @@ impl ResilientStore {
             codec::render_codec(&mut out);
             out
         });
+    }
+}
+
+/// Failure-drill hook: park while the ship gate is set, so a test can kill a
+/// place between a transfer being planned and being carried out.
+pub(crate) fn wait_while_set(gate: Option<&AtomicBool>) {
+    while gate.is_some_and(|g| g.load(Ordering::Acquire)) {
+        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -1150,8 +1312,6 @@ mod tests {
         });
     }
 
-    use crate::snapshot::Snapshot;
-
     /// Save one entry per group place through the owner-side call every
     /// `make_snapshot` uses, and package the metadata the same way.
     fn saved_snapshot(ctx: &Ctx, store: &ResilientStore, group: &PlaceGroup) -> Snapshot {
@@ -1239,6 +1399,109 @@ mod tests {
             assert!(!audit.invariant_ok());
             assert_eq!(audit.placement_violations, 0, "placement was always correct");
         });
+    }
+
+    fn wire_total(ctx: &Ctx, store: &ResilientStore) -> u64 {
+        store.inventory(ctx).iter().map(|i| i.wire_bytes).sum()
+    }
+
+    #[test]
+    fn repair_gives_the_degraded_entries_their_second_replica_back() {
+        with_store(4, 0, |ctx, store| {
+            let group = ctx.world();
+            let mut snap = saved_snapshot(ctx, &store, &group);
+            let before = wire_total(ctx, &store);
+            // Place 1 owns key 1 (backup at 2) and backs up key 0 (owner 0).
+            ctx.kill_place(Place::new(1)).unwrap();
+            let survivors = group.without(&[Place::new(1)]);
+            let shipped = ctx.stats().bytes_shipped;
+            let report = store.repair(ctx, &mut [&mut snap], &survivors, None).unwrap();
+            // Each holder copies to *its* next place among the survivors;
+            // keys 2 and 3 kept both replicas and are not touched.
+            assert_eq!(report.entries, 2);
+            assert_eq!(report.wire_bytes, 2 * 64);
+            assert_eq!(ctx.stats().bytes_shipped - shipped, 2 * 64);
+            let pairs = [(Place::ZERO, Place::new(2)), (Place::new(2), Place::new(3))];
+            assert_eq!(report.pairs, pairs);
+            for (key, (owner, backup)) in [(0, pairs[0]), (1, pairs[1])] {
+                assert_eq!(snap.entry(key).unwrap(), EntryLoc { owner, backup, len: 64 });
+            }
+            assert_eq!(snap.entry(2).unwrap().owner, Place::new(2));
+            assert_eq!(snap.group, group, "keys still index the group they were saved under");
+            let audit = store.audit_snapshot(ctx, &snap);
+            assert_eq!((audit.fully_redundant, audit.entries), (4, 4));
+            assert_eq!(audit.placement_violations, 0, "placed under the survivors' group");
+            assert!(audit.invariant_ok() && snap.fully_redundant(ctx));
+            assert_eq!(wire_total(ctx, &store), before, "the dead shard's share is back");
+            // Nothing left to do; and any one further failure is survivable.
+            let again = store.repair(ctx, &mut [&mut snap], &survivors, None).unwrap();
+            assert_eq!(again, RepairReport::default());
+            ctx.kill_place(Place::new(2)).unwrap();
+            for key in 0..4u64 {
+                assert_eq!(snap.fetch(ctx, &store, key).unwrap(), Bytes::from(vec![key as u8; 64]));
+            }
+        });
+    }
+
+    #[test]
+    fn repair_reports_an_entry_without_a_live_replica_as_data_loss() {
+        with_store(5, 0, |ctx, store| {
+            let group = ctx.world();
+            let mut snap = saved_snapshot(ctx, &store, &group);
+            let dead = [Place::new(1), Place::new(2)];
+            dead.iter().for_each(|&p| ctx.kill_place(p).unwrap());
+            let before = snap.entries.clone();
+            let err = store.repair(ctx, &mut [&mut snap], &group.without(&dead), None).unwrap_err();
+            assert!(matches!(err, GmlError::DataLoss(_)), "{err}");
+            assert_eq!(snap.entries, before, "nothing is rewritten on the way out");
+        });
+    }
+
+    #[test]
+    fn a_target_dying_under_the_repair_is_recoverable_and_rewrites_nothing() {
+        with_store(5, 0, |ctx, store| {
+            let group = ctx.world();
+            let mut snap = saved_snapshot(ctx, &store, &group);
+            ctx.kill_place(Place::new(1)).unwrap();
+            let survivors = group.without(&[Place::new(1)]);
+            // Planned: 0 → 2 (key 0) and 2 → 3 (key 1). Place 3 dies after
+            // the plan is made, before the transfers run.
+            let gate = Arc::new(AtomicBool::new(true));
+            let (ctx2, gate2) = (ctx.clone(), Arc::clone(&gate));
+            let killer = std::thread::spawn(move || {
+                ctx2.kill_place(Place::new(3)).unwrap();
+                gate2.store(false, Ordering::Release);
+            });
+            let before = snap.entries.clone();
+            let err = store.repair(ctx, &mut [&mut snap], &survivors, Some(&gate)).unwrap_err();
+            killer.join().unwrap();
+            assert!(err.is_recoverable(), "{err}");
+            assert_eq!(snap.entries, before);
+            assert!(snap.placed_under.is_empty());
+            // Going round again, on the group that is left, completes it:
+            // keys 0 and 1 as planned before, keys 2 and 3 for place 3.
+            let left = survivors.without(&[Place::new(3)]);
+            let report = store.repair(ctx, &mut [&mut snap], &left, None).unwrap();
+            assert_eq!(report.entries, 4);
+            let audit = store.audit_snapshot(ctx, &snap);
+            assert_eq!((audit.fully_redundant, audit.entries), (5, 5));
+            assert!(audit.invariant_ok());
+        });
+    }
+
+    #[test]
+    fn a_non_redundant_store_has_nothing_to_repair() {
+        Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
+            let store = ResilientStore::make_with_redundancy(ctx, false).unwrap();
+            let group = ctx.world();
+            let mut snap = saved_snapshot(ctx, &store, &group);
+            ctx.kill_place(Place::new(2)).unwrap();
+            let survivors = group.without(&[Place::new(2)]);
+            let report = store.repair(ctx, &mut [&mut snap], &survivors, None).unwrap();
+            assert_eq!(report, RepairReport::default());
+            assert_eq!(store.entries_at(ctx, Place::ZERO).unwrap(), 1, "one copy by design");
+        })
+        .unwrap();
     }
 
     #[test]

@@ -1,0 +1,140 @@
+//! Traffic pin for a recovery, in the style of `collective_traffic.rs`: what
+//! `ResilientExecutor::recover` ships is the share of the snapshot the dead
+//! place held plus what its blocks' new owners fetch — nothing that grows
+//! with the state the survivors hold — and it takes no checkpoint of its
+//! own. A recovery that re-saves or re-ships the application cannot come
+//! back without this failing.
+//!
+//! One fixed shape: four places (a spare besides, for replace-redundant), a
+//! read-only 16 × 6 dense matrix in four blocks of 4 rows (entry wire size
+//! `B`) and a mutable duplicated vector of 6 (entry wire size `W`, owner
+//! place 0, backup place 1), a checkpoint every 10 of 30 iterations, place 2
+//! killed entering iteration 15. A step ships nothing and the commit is the
+//! ship barrier, so the report row of the failed step holds the recovery's
+//! traffic and only that. The codec counters are process-global, which is
+//! why the three modes share one test.
+
+use apgas::prelude::*;
+use apgas::runtime::{Runtime, RuntimeConfig};
+use gml_core::{
+    AppResilientStore, CostReport, DistBlockMatrix, DupVector, ExecutorConfig, FailureInjector,
+    GmlResult, ResilientExecutor, ResilientIterativeApp, RestoreMode, RunStats,
+};
+use gml_matrix::{builder, BlockData};
+
+struct TrafficApp {
+    x: DistBlockMatrix,
+    w: DupVector,
+}
+
+impl ResilientIterativeApp for TrafficApp {
+    fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+        iteration >= 30
+    }
+
+    fn step(&mut self, ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
+        // Every value changes, none towards a pattern the codec could pack.
+        self.w.apply(ctx, |v| v.as_mut_slice().iter_mut().for_each(|x| *x = *x * 1.0001 + 0.3))
+    }
+
+    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
+        store.start_new_snapshot();
+        store.save_read_only(ctx, &self.x)?;
+        store.save(ctx, &self.w)?;
+        store.commit(ctx)
+    }
+
+    fn restore(
+        &mut self,
+        ctx: &Ctx,
+        new_places: &PlaceGroup,
+        store: &mut AppResilientStore,
+        _snapshot_iteration: u64,
+        rebalance: bool,
+    ) -> GmlResult<()> {
+        self.x.remake(ctx, new_places, rebalance)?;
+        self.w.remake(ctx, new_places)?;
+        store.restore(ctx, &mut [&mut self.x, &mut self.w])
+    }
+}
+
+/// One run; `kill` is the restore mode to kill place 2 under. Returns the
+/// stats, the report, the final per-place wire inventory and the result.
+fn run(kill: Option<RestoreMode>) -> (RunStats, CostReport, Vec<u64>, Vec<f64>) {
+    let mode = kill.unwrap_or(RestoreMode::Shrink);
+    Runtime::run(RuntimeConfig::new(4).spares(1).resilient(true), move |ctx| {
+        let g = ctx.world();
+        let x = DistBlockMatrix::make(ctx, 16, 6, 4, 1, 4, 1, &g, false).unwrap();
+        x.init_with(ctx, |_, _, r0, _, r, c| {
+            BlockData::Dense(builder::random_dense(r, c, 7 + r0 as u64))
+        })
+        .unwrap();
+        let w = DupVector::make(ctx, 6, &g).unwrap();
+        w.init(ctx, |i| 0.37 + i as f64 / 7.0).unwrap();
+        let kill_at = if kill.is_some() { 15 } else { u64::MAX };
+        let mut app = FailureInjector::new(TrafficApp { x, w }, kill_at, Place::new(2));
+        let mut store = AppResilientStore::make(ctx).unwrap();
+        let exec = ResilientExecutor::new(ExecutorConfig::new(10, mode).overlap_ship(false));
+        let (_, stats, report) = exec.run_reported(ctx, &mut app, &g, &mut store).unwrap();
+        let inventory = store.store().inventory(ctx).iter().map(|p| p.wire_bytes).collect();
+        (stats, report, inventory, app.app.w.read_local(ctx).unwrap().as_slice().to_vec())
+    })
+    .unwrap()
+}
+
+fn frames(report: &CostReport) -> u64 {
+    report.codec_totals.frames_full + report.codec_totals.frames_delta
+}
+
+#[test]
+fn a_recovery_ships_what_the_dead_place_held_and_takes_no_checkpoint() {
+    let (clean_stats, clean_report, inventory, expect) = run(None);
+    assert_eq!((clean_stats.checkpoints, clean_stats.restores), (3, 0));
+    // Places 0 and 1 hold two matrix entries and the vector's, 2 and 3 two
+    // matrix entries each.
+    assert_eq!(inventory[..4], [inventory[0], inventory[0], inventory[2], inventory[2]]);
+    let (b, w) = (inventory[2] / 2, inventory[0] - inventory[2]);
+    assert!(b > 4 * 6 * 8 && w > 6 * 8, "entry sizes {b} and {w}");
+
+    // The dead place owned block 2 and backed up block 1: two entries are
+    // re-replicated in every mode. The vector lost nothing; it is fetched by
+    // every place of the new group that holds no replica of it.
+    for (mode, fetched) in [
+        // Every block is restored from a replica its new owner has; place 3
+        // fetches the vector.
+        (RestoreMode::Shrink, w),
+        // Rows 4..6 of block 1 go from place 1 to place 0 and rows 8..11 of
+        // block 2 from place 3 to place 1 (blocks of 6, 5, 5 rows now), as
+        // column runs of 6 columns; place 3 fetches the vector.
+        (RestoreMode::ShrinkRebalance, (2 + 3) * 6 * 8 + w),
+        // Place 3 sends the spare block 2's 4 × 6 values; the spare and
+        // place 3 fetch the vector.
+        (RestoreMode::ReplaceRedundant, 4 * 6 * 8 + 2 * w),
+    ] {
+        let (stats, report, after, got) = run(Some(mode));
+        assert_eq!(got, expect, "{mode:?}: the answer");
+        assert_eq!(stats.restores, 1, "{mode:?}");
+        assert_eq!(stats.checkpoints, clean_stats.checkpoints, "{mode:?}: no checkpoint extra");
+        assert_eq!(frames(&report), frames(&clean_report), "{mode:?}: nothing encoded twice");
+
+        let at = report.rows.iter().position(|r| r.restore.is_some()).expect("one restore row");
+        let (row, cost) = (&report.rows[at], report.rows[at].restore.unwrap());
+        assert_eq!(cost.label, mode.label());
+        assert_eq!((cost.repaired_entries, cost.repaired_bytes), (2, 2 * b), "{mode:?}");
+        assert_eq!(row.delta.bytes_shipped, 2 * b + fetched, "{mode:?}: bytes across recover");
+        assert_eq!(row.checkpoint, None, "{mode:?}");
+        // Rolled back to 10: the ten steps up to the checkpoint of 20 run
+        // (five of them again) before anything is encoded.
+        let next = &report.rows[at + 1..at + 12];
+        assert!(next[..10].iter().all(|r| r.checkpoint.is_none() && r.ckpt_frames == [0; 3]));
+        assert_eq!((next[10].iteration, next[10].checkpoint.is_some()), (20, true), "{mode:?}");
+        // The matrix snapshot is reused, repaired; only the vector is saved.
+        assert_eq!(next[10].ckpt_frames[0] + next[10].ckpt_frames[2], 1, "{mode:?}");
+        assert_eq!(stats.restore_time, cost.time, "{mode:?}: one interval, reported twice");
+        assert_eq!(
+            after.iter().sum::<u64>(),
+            inventory.iter().sum::<u64>(),
+            "{mode:?}: the run ends as redundant as a failure-free one"
+        );
+    }
+}

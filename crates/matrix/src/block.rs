@@ -156,6 +156,33 @@ impl MatrixBlock {
         MatrixBlock { bi, bj, row_offset: r0, col_offset: c0, data }
     }
 
+    /// [`zeros`](Self::zeros), but built in the buffer of a dense block of
+    /// the same dimensions taken out of `spare` when there is one: the
+    /// buffer is re-labelled and zero-filled in place, so a place that is
+    /// re-laid-out keeps writing to pages it has already touched.
+    pub fn zeros_reusing(
+        grid: &Grid,
+        bi: usize,
+        bj: usize,
+        sparse: bool,
+        spare: &mut BlockSet,
+    ) -> Self {
+        let dims = grid.block_dims(bi, bj);
+        let fits = |b: &MatrixBlock| {
+            matches!(b.data, BlockData::Dense(_)) && (b.rows(), b.cols()) == dims
+        };
+        let Some(at) = spare.blocks.iter().position(fits).filter(|_| !sparse) else {
+            return MatrixBlock::zeros(grid, bi, bj, sparse);
+        };
+        let mut block = spare.blocks.swap_remove(at);
+        let (r0, _, c0, _) = grid.block_range(bi, bj);
+        (block.bi, block.bj, block.row_offset, block.col_offset) = (bi, bj, r0, c0);
+        if let BlockData::Dense(d) = &mut block.data {
+            d.as_mut_slice().fill(0.0);
+        }
+        block
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.data.rows()
@@ -184,6 +211,71 @@ impl MatrixBlock {
             c0 - self.col_offset,
             c1 - self.col_offset,
         )
+    }
+}
+
+/// Offset of the f64 image in a serialized dense block: the four labels,
+/// the payload tag, then `DenseMatrix::write`'s rows, cols and length.
+const DENSE_WIRE_DATA: usize = 32 + 1 + 24;
+
+/// A serialized **dense** block read where it lies: its geometry parsed,
+/// its column-major f64 image left as the little-endian bytes they are.
+#[derive(Clone, Copy, Debug)]
+pub struct DenseBlockWire<'a> {
+    row_offset: usize,
+    col_offset: usize,
+    rows: usize,
+    data: &'a [u8],
+}
+
+impl<'a> DenseBlockWire<'a> {
+    /// View `wire` (a block as [`Serial::write`] wrote it) without decoding
+    /// it. `None` when the block is sparse or the bytes are not exactly one
+    /// dense block.
+    pub fn parse(wire: &'a [u8]) -> Option<Self> {
+        let word = |at: usize| {
+            let b = wire.get(at..at + 8)?;
+            Some(u64::from_le_bytes(b.try_into().ok()?) as usize)
+        };
+        if *wire.get(32)? != 0 {
+            return None;
+        }
+        let (rows, cols, len) = (word(33)?, word(41)?, word(49)?);
+        let data = wire.get(DENSE_WIRE_DATA..)?;
+        (rows.checked_mul(cols) == Some(len) && len.checked_mul(8) == Some(data.len()))
+            .then_some(DenseBlockWire { row_offset: word(16)?, col_offset: word(24)?, rows, data })
+    }
+}
+
+impl MatrixBlock {
+    /// Paste the **globally** addressed region `r0..r1 × c0..c1` of a
+    /// serialized dense block into this (dense) block: each wanted column
+    /// run goes from the stored bytes into place in one copy, with no source
+    /// matrix built in between.
+    ///
+    /// # Panics
+    /// Panics if `self` is sparse or the region lies outside either block.
+    pub fn paste_dense_wire(
+        &mut self,
+        src: &DenseBlockWire<'_>,
+        r0: usize,
+        r1: usize,
+        c0: usize,
+        c1: usize,
+    ) {
+        let (dr, dc) = (r0 - self.row_offset, c0 - self.col_offset);
+        let BlockData::Dense(d) = &mut self.data else {
+            panic!("cannot paste between dense and sparse payloads");
+        };
+        let (sr, sc) = (r0 - src.row_offset, c0 - src.col_offset);
+        let rows = r1 - r0;
+        for j in 0..c1 - c0 {
+            let at = 8 * ((sc + j) * src.rows + sr);
+            let run = src.data[at..at + 8 * rows].chunks_exact(8);
+            for (x, le) in d.col_mut(dc + j)[dr..dr + rows].iter_mut().zip(run) {
+                *x = f64::from_le_bytes(le.try_into().expect("8-byte chunk"));
+            }
+        }
     }
 }
 
@@ -321,6 +413,61 @@ mod tests {
 
         let s = MatrixBlock::zeros(&g, 1, 0, true);
         assert_eq!(MatrixBlock::from_bytes(s.to_bytes()), s);
+    }
+
+    #[test]
+    fn zeros_reusing_takes_over_a_matching_dense_buffer() {
+        let g = Grid::partition(8, 4, 2, 1);
+        let mut spare = BlockSet::new();
+        spare.push(dense_block(&g, 0, 0));
+        let held = match &spare.find(0, 0).expect("pushed").data {
+            BlockData::Dense(d) => d.as_slice().as_ptr(),
+            BlockData::Sparse(_) => unreachable!(),
+        };
+        let b = MatrixBlock::zeros_reusing(&g, 1, 0, false, &mut spare);
+        assert_eq!(b, MatrixBlock::zeros(&g, 1, 0, false), "re-labelled and zeroed");
+        let BlockData::Dense(d) = &b.data else { unreachable!() };
+        assert_eq!(d.as_slice().as_ptr(), held, "in the buffer the spare block had");
+        assert!(spare.is_empty());
+        // Nothing that fits: other dimensions, or a sparse block wanted.
+        let other = Grid::partition(8, 4, 4, 1);
+        spare.push(dense_block(&g, 0, 0));
+        assert_eq!(
+            MatrixBlock::zeros_reusing(&other, 2, 0, false, &mut spare),
+            MatrixBlock::zeros(&other, 2, 0, false)
+        );
+        assert_eq!(
+            MatrixBlock::zeros_reusing(&g, 0, 0, true, &mut spare),
+            MatrixBlock::zeros(&g, 0, 0, true)
+        );
+        assert_eq!(spare.len(), 1);
+    }
+
+    #[test]
+    fn a_region_is_pasted_straight_from_a_serialized_dense_block() {
+        // Old grid: two block rows of 5; new grid: one block of all 10 rows.
+        let old = Grid::partition(10, 4, 2, 1);
+        let new = Grid::partition(10, 4, 1, 1);
+        let mut dst = MatrixBlock::zeros(&new, 0, 0, false);
+        for bi in 0..2 {
+            let wire = dense_block(&old, bi, 0).to_bytes();
+            let view = DenseBlockWire::parse(&wire).expect("a dense block");
+            // Rows 3..5 of the first block, rows 5..9 of the second.
+            let (r0, r1) = if bi == 0 { (3, 5) } else { (5, 9) };
+            dst.paste_dense_wire(&view, r0, r1, 1, 3);
+        }
+        let d = dst.data.to_dense();
+        for r in 0..10 {
+            for c in 0..4 {
+                let inside = (3..9).contains(&r) && (1..3).contains(&c);
+                assert_eq!(d.get(r, c), if inside { (r * 100 + c) as f64 } else { 0.0 });
+            }
+        }
+        // Sparse blocks and damaged bytes have no dense view.
+        let wire = dense_block(&old, 0, 0).to_bytes();
+        assert!(DenseBlockWire::parse(&MatrixBlock::zeros(&old, 0, 0, true).to_bytes()).is_none());
+        assert!(DenseBlockWire::parse(&wire[..wire.len() - 1]).is_none());
+        assert!(DenseBlockWire::parse(&wire[..40]).is_none());
     }
 
     #[test]

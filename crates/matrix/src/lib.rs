@@ -62,7 +62,7 @@ pub mod sparse_csr;
 pub mod tile;
 pub mod vector;
 
-pub use block::{BlockData, BlockSet, MatrixBlock};
+pub use block::{BlockData, BlockSet, DenseBlockWire, MatrixBlock};
 pub use dense::DenseMatrix;
 pub use grid::{Grid, Overlap};
 pub use sparse_csc::SparseCSC;

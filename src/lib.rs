@@ -61,9 +61,9 @@ pub mod prelude {
         fmt_bytes, young_interval, AppResilientStore, ChecksummedStep, CodecConfig, CodecMode,
         CodecSnapshot, CostReport, DistBlockMatrix, DistDenseMatrix, DistSparseMatrix,
         DistVector, DupDenseMatrix, DupVector, ExecutorConfig, GmlError, GmlResult, IterRow,
-        PayloadClass, PlaceInventory, PostMortem, ResilientExecutor, ResilientIterativeApp,
-        ResilientStore, RestoreCost, RestoreDecision, RestoreMode, RunStats, Snapshot,
-        SnapshotAudit, Snapshottable,
+        PayloadClass, PlaceInventory, PostMortem, RepairReport, ResilientExecutor,
+        ResilientIterativeApp, ResilientStore, RestoreCost, RestoreDecision, RestoreMode,
+        RunStats, Snapshot, SnapshotAudit, Snapshottable,
     };
     pub use gml_matrix::{
         builder, BlockData, BlockSet, DenseMatrix, Grid, MatrixBlock, SparseCSC, SparseCSR,

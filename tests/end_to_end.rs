@@ -103,7 +103,15 @@ fn logreg_rebalance_recovers_exactly() {
 
 #[test]
 fn two_sequential_failures_with_spares_then_shrink() {
-    // First failure consumes the only spare; the second must shrink.
+    // First failure consumes the only spare; the second must shrink — as
+    // laid out, or re-cut over the three places left: either way it reads
+    // the snapshot the first recovery repaired, under a further regroup.
+    for fallback_rebalance in [false, true] {
+        two_failures_one_spare(fallback_rebalance);
+    }
+}
+
+fn two_failures_one_spare(fallback_rebalance: bool) {
     let cfg = PageRankConfig {
         nodes_per_place: 20,
         out_degree: 3,
@@ -152,11 +160,23 @@ fn two_sequential_failures_with_spares_then_shrink() {
             kills: vec![(8, Place::new(1)), (16, Place::new(2))],
         };
         let mut store = AppResilientStore::make(ctx).unwrap();
-        let exec = ResilientExecutor::new(ExecutorConfig::new(6, RestoreMode::ReplaceRedundant));
-        let (final_group, stats) = exec.run(ctx, &mut app, &world, &mut store).unwrap();
+        let mut exec_cfg = ExecutorConfig::new(6, RestoreMode::ReplaceRedundant);
+        exec_cfg.fallback_rebalance = fallback_rebalance;
+        let exec = ResilientExecutor::new(exec_cfg);
+        let (final_group, stats, report) =
+            exec.run_reported(ctx, &mut app, &world, &mut store).unwrap();
         assert_eq!(stats.restores, 2);
         // First restore replaced (kept 4), second shrank (3 left).
         assert_eq!(final_group.len(), 3);
+        // The R % of the run and the report's restore rows are one interval
+        // each, measured once: settle, decide, restore, repair, post-mortem.
+        let costs: Vec<RestoreCost> = report.rows.iter().filter_map(|r| r.restore).collect();
+        assert_eq!(costs.len(), 2);
+        assert_eq!((costs[0].rebalance, costs[1].rebalance), (false, fallback_rebalance));
+        assert_eq!(costs.iter().map(|c| c.time).sum::<std::time::Duration>(), stats.restore_time);
+        // The second restore read a snapshot the first one's repair had
+        // completed: each re-replicated what its dead place had held.
+        assert!(costs.iter().all(|c| c.repaired_entries > 0 && c.repaired_bytes > 0));
         let ranks = app.inner.app.ranks(ctx).unwrap();
         assert!(ranks.max_abs_diff(&expect) < 1e-12);
     })

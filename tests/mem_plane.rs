@@ -89,7 +89,8 @@ fn inventory_bytes(ctx: &Ctx, store: &AppResilientStore) -> u64 {
 /// discharged at evict / failure, so it must equal the summed live
 /// inventory at every settle point — after a commit, after the watermark
 /// delete of an old snapshot, after a restore, and after a place is killed
-/// (the dead shard's bytes leave both sides).
+/// (the dead shard's bytes leave both sides) and after the repair that puts
+/// the dead shard's share back on the survivors.
 #[test]
 fn store_ledger_reconciles_with_inventory_through_lifecycle() {
     let _guard = PROCESS_STATE.lock().unwrap();
@@ -149,6 +150,19 @@ fn store_ledger_reconciles_with_inventory_through_lifecycle() {
         let after_kill = inventory_bytes(ctx, &store);
         assert!(after_kill < before_kill, "dead shard leaves the inventory");
         reconcile(ctx, &store, "after killing place 2");
+
+        // Repair: every frame the dead shard held — delta bases included —
+        // is copied from its surviving replica, so the store is as full as
+        // before the failure and the ledger was charged for each copy.
+        let report = store.repair(ctx, &world.without(&[Place::new(2)])).unwrap();
+        assert_eq!(report.wire_bytes, before_kill - after_kill);
+        assert_eq!(inventory_bytes(ctx, &store), before_kill, "the dead shard's share is back");
+        reconcile(ctx, &store, "after the repair");
+        for snap in store.committed_snapshots() {
+            let audit = store.store().audit_snapshot(ctx, &snap);
+            assert_eq!(audit.fully_redundant, audit.entries, "{audit:?}");
+            assert!(audit.invariant_ok(), "{audit:?}");
+        }
     })
     .unwrap();
 }

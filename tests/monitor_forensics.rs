@@ -197,7 +197,7 @@ impl ResilientIterativeApp for BackupKillerDrill {
 /// Killing the snapshot *backup* place mid-save must surface a recoverable
 /// dead-place error from the store, roll back to the last committed (now
 /// degraded but not lost) snapshot, and leave a forensics bundle that
-/// records the degraded redundancy.
+/// records the degraded redundancy and the repair that ended it.
 #[test]
 fn backup_death_mid_save_recovers_and_forensics_records_degraded_snapshot() {
     // DupVector snapshots save from the group's place 0 with the backup at
@@ -246,6 +246,11 @@ fn backup_death_mid_save_recovers_and_forensics_records_degraded_snapshot() {
     assert!(audit.degraded >= 1, "backup death leaves the snapshot degraded");
     assert_eq!(audit.lost, 0, "owner replica survives — nothing lost");
     assert!(audit.invariant_ok(), "degradation is not an invariant violation");
+    // ... and that what the recovery then did about it: the one entry, copied
+    // from its owner to the owner's next place among the survivors.
+    assert_eq!(b.repair.entries, 1);
+    assert_eq!(b.repair.pairs, vec![(Place::ZERO, Place::new(2))]);
+    assert!(b.repair.wire_bytes > 0 && b.to_json().contains("\"repair\":{\"entries\":1,"));
 
     // The bundle's store inventory shows the dead backup, and the recorded
     // pool width makes the replay comparable.
