@@ -19,9 +19,8 @@ use apgas::serial::{arena, fallback, read_vec, write_slice, Serial};
 use bytes::BytesMut;
 use criterion::{BatchSize, BenchResult, Criterion};
 use gml_core::{
-    codec, AppResilientStore, CodecConfig, DistBlockMatrix, DistVector, ExecutorConfig,
-    GmlResult, ResilientExecutor, ResilientIterativeApp, ResilientStore, RestoreMode,
-    Snapshottable,
+    AppResilientStore, DistBlockMatrix, ExecutorConfig, GmlResult, ResilientExecutor,
+    ResilientIterativeApp, ResilientStore, RestoreMode, Snapshottable,
 };
 use gml_matrix::{builder, BlockData, DenseMatrix, SparseCSR};
 use std::hint::black_box;
@@ -213,13 +212,6 @@ struct CkptNumbers {
     mem_store_high_water: u64,
     mem_arena_parked_high_water: u64,
     mem_heap_peak: u64,
-    /// Measured backup-transfer wire bytes over the small-mutation workload,
-    /// raw codec vs delta+compressed (same epochs, same mutations).
-    wire_bytes_raw: u64,
-    wire_bytes_delta_comp: u64,
-    /// Codec wall time (encode + decode) spent during the delta leg — the
-    /// honest cost of the wire-byte reduction.
-    codec_ns_small_mutation: u64,
 }
 
 /// Minimal iterative app for the overlap measurement: scale a 16-block-per-
@@ -334,49 +326,6 @@ fn run_checkpoint() -> CkptNumbers {
             }));
         }
 
-        // Small-mutation PageRank-style workload through the checkpoint
-        // codec: a 64k rank vector over 4 places, the same leading slice of
-        // every segment nudged each epoch (a localized update well under the
-        // dirty-chunk threshold), checkpointed every epoch. The raw and
-        // delta+compressed legs run identical epochs; the shipped-bytes
-        // counter measures the wire volume that actually crossed places, and
-        // the timing rows keep the codec's encode cost honest.
-        let mut wire = [0u64; 2];
-        let mut codec_ns = 0u64;
-        for (i, (cfg, name)) in [
-            (CodecConfig::raw(), "small_mutation_raw"),
-            (CodecConfig::from_env(), "small_mutation_delta_comp"),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let dv = DistVector::make(ctx, 65_536, &g).unwrap();
-            dv.init(ctx, |i| 1.0 / (1.0 + i as f64)).unwrap();
-            let mut store = AppResilientStore::make_with_codec(ctx, cfg).unwrap();
-            store.start_new_snapshot();
-            store.save(ctx, &dv).unwrap(); // epoch 0: full bases (warm-up)
-            store.commit(ctx).unwrap();
-            let stats0 = ctx.stats();
-            let codec0 = codec::counters();
-            results.push(sample_ns(&format!("checkpoint_throughput/{name}"), 10, || {
-                dv.for_each_segment(ctx, |_, _, seg| {
-                    let head = &mut seg.as_mut_slice()[..64];
-                    for x in head {
-                        *x = (*x * 0.85) + 0.15;
-                    }
-                })
-                .unwrap();
-                store.start_new_snapshot();
-                store.save(ctx, &dv).unwrap();
-                store.commit(ctx).unwrap();
-            }));
-            wire[i] = ctx.stats().since(&stats0).bytes_shipped;
-            if i == 1 {
-                let d = codec::counters().since(&codec0);
-                codec_ns = d.encode_nanos + d.decode_nanos;
-            }
-        }
-
         CkptNumbers {
             results,
             capture_ns,
@@ -386,9 +335,6 @@ fn run_checkpoint() -> CkptNumbers {
             mem_store_high_water: mem::high_water(MemTag::StoreShard),
             mem_arena_parked_high_water: mem::high_water(MemTag::SerialArena),
             mem_heap_peak: mem::heap_peak_bytes(),
-            wire_bytes_raw: wire[0],
-            wire_bytes_delta_comp: wire[1],
-            codec_ns_small_mutation: codec_ns,
         }
     })
     .unwrap()
@@ -526,20 +472,7 @@ fn main() {
     // threads need a spare core to overlap with compute, so a 1-core
     // container honestly reports ~1.0x.
     let ckpt = run_checkpoint();
-    // Codec-config stamp: wire-byte numbers are only comparable between runs
-    // taken under the same checkpoint codec, and `bench_regress` refuses to
-    // diff this file when the stamps disagree.
-    let ckpt_cfg = CodecConfig::from_env();
-    let codec_meta = format!(
-        "  \"ckpt_codec\": \"{}\",\n  \"ckpt_level\": {},\n  \"ckpt_chunk\": {},\n  \
-         \"ckpt_lossy_tol\": {},\n",
-        ckpt_cfg.mode_label(),
-        ckpt_cfg.level,
-        ckpt_cfg.chunk,
-        ckpt_cfg.lossy_tol.unwrap_or(0.0),
-    );
-    let mut json =
-        format!("{{\n{}{}{}", host_meta_json(), codec_meta, benchmarks_json(&ckpt.results));
+    let mut json = format!("{{\n{}{}", host_meta_json(), benchmarks_json(&ckpt.results));
     push_speedup(
         &mut json,
         &ckpt.results,
@@ -576,23 +509,6 @@ fn main() {
     json.push_str(&format!(
         ",\n  \"mem_store_high_water_bytes\": {},\n  \"mem_arena_parked_high_water_bytes\": {},\n  \"mem_heap_peak_bytes\": {}",
         ckpt.mem_store_high_water, ckpt.mem_arena_parked_high_water, ckpt.mem_heap_peak
-    ));
-    // Small-mutation wire volume: the delta+compressed leg's backup
-    // transfers vs the raw leg's, over identical epochs — the headline
-    // wire-byte reduction, with the codec time spent earning it alongside.
-    json.push_str(&format!(
-        ",\n  \"ckpt_wire_bytes_raw\": {},\n  \"ckpt_wire_bytes_delta_comp\": {}",
-        ckpt.wire_bytes_raw, ckpt.wire_bytes_delta_comp
-    ));
-    if ckpt.wire_bytes_delta_comp > 0 {
-        json.push_str(&format!(
-            ",\n  \"wire_reduction_small_mutation\": {:.2}",
-            ckpt.wire_bytes_raw as f64 / ckpt.wire_bytes_delta_comp as f64
-        ));
-    }
-    json.push_str(&format!(
-        ",\n  \"codec_ns_small_mutation\": {}",
-        ckpt.codec_ns_small_mutation
     ));
     json.push_str("\n}\n");
     write_file("BENCH_checkpoint_throughput.json", &json);

@@ -45,7 +45,7 @@ const FILES: [(&str, f64); 3] = [
 /// allocator counters, and values whose relative delta is meaningless —
 /// near-zero baselines, or background busy time that depends entirely on
 /// how the OS interleaved the ship threads.
-const SKIP_KEYS: [&str; 11] = [
+const SKIP_KEYS: [&str; 7] = [
     "workers",
     "available_parallelism",
     "gml_workers_env",
@@ -53,10 +53,6 @@ const SKIP_KEYS: [&str; 11] = [
     "encode_arena_misses",
     "overlap_saving_ns_per_run",
     "ship_mean_ns",
-    "ckpt_level",
-    "ckpt_chunk",
-    "ckpt_lossy_tol",
-    "codec_ns_small_mutation",
 ];
 
 /// Extract comparable metrics from one `bench_json` output file: every
@@ -91,14 +87,6 @@ fn extract_str(line: &str, prefix: &str) -> Option<String> {
     let start = line.find(prefix)? + prefix.len();
     let end = line[start..].find('"')? + start;
     Some(line[start..end].to_string())
-}
-
-/// Extract a top-level *string* value (`"key": "value"`) — string metadata
-/// like the codec-mode stamp never enters `parse_metrics` (numerics only),
-/// so the guards read it straight from the raw text.
-fn extract_top_str(json: &str, key: &str) -> Option<String> {
-    let prefix = format!("\"{key}\": \"");
-    json.lines().find_map(|line| extract_str(line.trim(), &prefix))
 }
 
 fn extract_num(line: &str, prefix: &str) -> Option<f64> {
@@ -176,35 +164,6 @@ fn compare_file(name: &str, baseline_dir: &str, fresh_dir: &str, tol: f64) -> Fi
                 let reason = format!(
                     "{guard} differs (baseline {b:?}, fresh {f:?}); numbers taken at \
                      different widths are not comparable — regenerate baselines on this host"
-                );
-                println!("bench regress: {name}: {reason}");
-                return FileOutcome::Skipped(reason);
-            }
-            _ => {}
-        }
-    }
-
-    // Checkpoint-codec guard: wire-byte metrics taken under different codec
-    // configurations (mode string, level/chunk/tolerance numerics) measure
-    // different pipelines — skip with a reason rather than fail noisily.
-    match (extract_top_str(&base_json, "ckpt_codec"), extract_top_str(&fresh_json, "ckpt_codec")) {
-        (Some(b), Some(f)) if b != f => {
-            let reason = format!(
-                "ckpt_codec differs (baseline {b:?}, fresh {f:?}); wire-byte numbers under \
-                 different checkpoint codecs are not comparable — regenerate baselines with \
-                 the current GML_CKPT_* configuration"
-            );
-            println!("bench regress: {name}: {reason}");
-            return FileOutcome::Skipped(reason);
-        }
-        _ => {}
-    }
-    for guard in ["ckpt_level", "ckpt_chunk", "ckpt_lossy_tol"] {
-        match (base.get(guard), fresh.get(guard)) {
-            (Some(b), Some(f)) if b != f => {
-                let reason = format!(
-                    "{guard} differs (baseline {b:?}, fresh {f:?}); codec knobs changed — \
-                     regenerate baselines with the current GML_CKPT_* configuration"
                 );
                 println!("bench regress: {name}: {reason}");
                 return FileOutcome::Skipped(reason);

@@ -5,29 +5,27 @@
 //!   and the single-framed-message `save_batch` fast path, then prints every
 //!   place's store inventory and one FNV-1a hash per restored object. The
 //!   `checkpoint_parity` step in `ci.sh` diffs the two dumps bit-for-bit.
-//! * **Codec** (`codec_raw` | `codec_delta` | `codec_delta_comp` |
-//!   `codec_lossy`): runs two checkpoint epochs through an
-//!   `AppResilientStore` pinned to an explicit codec — a full-base epoch,
-//!   then a small deterministic mutation so the delta legs actually build
-//!   chains — wipes the objects, restores through the chain, and prints the
+//! * **Codec** (`codec_raw` | `codec_framed`): runs two checkpoint epochs
+//!   through an `AppResilientStore` — over a raw store, the reference, or
+//!   the framed one `AppResilientStore::make` builds — with a small
+//!   deterministic mutation between them, so the restored generation is not
+//!   the first one saved; wipes the objects, restores, and prints the
 //!   restored digests, a measured `max_abs_err` line and the forms the codec
-//!   chose (`frames full=… verbatim=… delta=… lossy=…`). One object has
-//!   random mantissas, so nothing in it packs: its frames must come out
-//!   verbatim on the compressing leg (ci.sh requires `verbatim > 0` there
-//!   and `verbatim == 0` on the raw leg, which never frames). ci.sh diffs the
-//!   digest lines across the three lossless codecs (inventories are *not*
-//!   comparable there: wire bytes legitimately differ per codec) and checks
-//!   the lossy leg honours its advertised error bound. The lossless legs
-//!   additionally self-assert `max_abs_err == 0` — restore must be
-//!   bit-identical, not merely close.
+//!   chose (`frames full=… verbatim=…`). One object has random mantissas, so
+//!   nothing in it packs: its frames must come out verbatim on the framed
+//!   leg (ci.sh requires `verbatim > 0` there and `verbatim == 0` on the raw
+//!   leg, which never frames). ci.sh diffs the digest lines across the two
+//!   legs (inventories are *not* comparable there: wire bytes legitimately
+//!   differ). Both legs additionally self-assert `max_abs_err == 0` —
+//!   restore must be bit-identical, not merely close.
 //!
 //! Usage: `cargo run --release -p gml-bench --bin checkpoint_parity -- <mode>`
 
 use apgas::digest::fnv1a_f64s;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use gml_core::{
-    AppResilientStore, CodecConfig, CodecMode, DistDenseMatrix, DistSparseMatrix, DistVector,
-    DupDenseMatrix, DupVector, ResilientStore, Snapshottable,
+    AppResilientStore, DistDenseMatrix, DistSparseMatrix, DistVector, DupDenseMatrix, DupVector,
+    ResilientStore, Snapshottable,
 };
 use gml_matrix::builder;
 
@@ -50,9 +48,8 @@ fn noise(i: usize) -> f64 {
     (h ^ h >> 29) as f64 / u64::MAX as f64
 }
 
-/// Epoch-1 fill: `val` with a sparse deterministic perturbation. One element
-/// in 4096 moves, so the payloads stay far under the delta codec's
-/// dirty-ratio fallback and the second epoch genuinely ships delta frames.
+/// Epoch-1 fill: `val` with a sparse deterministic perturbation, one element
+/// in 4096.
 fn val_mutated(i: usize) -> f64 {
     if i.is_multiple_of(4096) {
         val(i) + 0.5
@@ -61,39 +58,15 @@ fn val_mutated(i: usize) -> f64 {
     }
 }
 
-/// Epoch-1 fill for the lossy leg: every value nudged *off* the quantizer's
-/// `2·tol` grid (`k·1e-7` is never a multiple of `2e-6` for `k` in 1..=7),
-/// so quantization provably moves bits — a zero measured error would mean
-/// the lossy path silently didn't run, which the leg also cross-checks via
-/// the `frames_lossy` counter.
-fn val_off_grid(i: usize) -> f64 {
-    val(i) + (i % 7 + 1) as f64 * 1e-7
-}
-
-/// Error bound for the `codec_lossy` leg (also the knob handed to the codec).
-const LOSSY_TOL: f64 = 1e-6;
-
-fn delta_config(level: u8, lossy_tol: Option<f64>) -> CodecConfig {
-    CodecConfig {
-        mode: CodecMode::Delta,
-        level,
-        chunk: 4096,
-        dirty_max: 0.5,
-        full_every: 16,
-        lossy_tol,
-    }
-}
-
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
     let transport_batched = match mode.as_str() {
         "batched" => Some(true),
         "per_pair" => Some(false),
-        "codec_raw" | "codec_delta" | "codec_delta_comp" | "codec_lossy" => None,
+        "codec_raw" | "codec_framed" => None,
         other => {
             eprintln!(
-                "usage: checkpoint_parity \
-                 {{batched|per_pair|codec_raw|codec_delta|codec_delta_comp|codec_lossy}} \
+                "usage: checkpoint_parity {{batched|per_pair|codec_raw|codec_framed}} \
                  (got {other:?})"
             );
             std::process::exit(2);
@@ -121,7 +94,7 @@ fn main() {
         .unwrap();
 
         if let Some(batched) = transport_batched {
-            // ---- Transport axis: raw codec on both legs, one epoch. ----
+            // ---- Transport axis: a raw store on both legs, one epoch. ----
             let store = ResilientStore::make_with_batching(ctx, batched).unwrap();
             let snaps = [
                 dv.make_snapshot(ctx, &store).unwrap(),
@@ -156,22 +129,19 @@ fn main() {
             return;
         }
 
-        // ---- Codec axis: explicit config, two epochs, chain restore. ----
-        let cfg = match mode.as_str() {
-            "codec_raw" => CodecConfig::raw(),
-            "codec_delta" => delta_config(0, None),
-            "codec_delta_comp" => delta_config(1, None),
-            _ => delta_config(1, Some(LOSSY_TOL)),
-        };
-        let lossy = cfg.lossy_tol.is_some();
+        // ---- Codec axis: raw or framed store, two epochs, restore. ----
         let counters0 = gml_core::codec::counters();
-        let mut store = AppResilientStore::make_with_codec(ctx, cfg).unwrap();
+        let mut store = match mode.as_str() {
+            "codec_raw" => AppResilientStore::make_with_redundancy(ctx, true),
+            _ => AppResilientStore::make(ctx),
+        }
+        .unwrap();
         // The incompressible object, created last so the others keep the
         // ids they have on the transport axis.
         let mut dn = DupDenseMatrix::make(ctx, 128, 96, &g).unwrap();
         dn.init(ctx, |i, j| noise(i * 96 + j)).unwrap();
 
-        // Epoch 0: full bases for every object.
+        // Epoch 0: every object.
         store.start_new_snapshot();
         store.save(ctx, &dv).unwrap();
         store.save(ctx, &dup).unwrap();
@@ -182,18 +152,15 @@ fn main() {
         store.commit(ctx).unwrap();
 
         // Epoch 1: sparse mutation on the dense objects (the sparse matrix
-        // re-saves unchanged — a zero-dirty-chunk delta), so the delta legs
-        // ship chains that restore must replay. The lossy leg instead moves
-        // every value off the quantization grid so the error bound is
-        // exercised for real, not vacuously satisfied by on-grid inputs.
-        let fill: fn(usize) -> f64 = if lossy { val_off_grid } else { val_mutated };
-        dv.init(ctx, fill).unwrap();
-        dup.init(ctx, move |i| fill(i + 17)).unwrap();
-        dd.init(ctx, move |i, j| fill(i * 48 + j)).unwrap();
-        dm.init(ctx, move |i, j| fill(i * 64 + j + 3)).unwrap();
+        // re-saves unchanged); the commit retires epoch 0.
+        dv.init(ctx, val_mutated).unwrap();
+        dup.init(ctx, |i| val_mutated(i + 17)).unwrap();
+        dd.init(ctx, |i, j| val_mutated(i * 48 + j)).unwrap();
+        dm.init(ctx, |i, j| val_mutated(i * 64 + j + 3)).unwrap();
         // The same perturbation on top of the noise: exactly zero where
-        // `fill` leaves `val` alone.
-        dn.init(ctx, move |i, j| noise(i * 96 + j) + (fill(i * 96 + j) - val(i * 96 + j))).unwrap();
+        // `val_mutated` leaves `val` alone.
+        dn.init(ctx, |i, j| noise(i * 96 + j) + (val_mutated(i * 96 + j) - val(i * 96 + j)))
+            .unwrap();
         store.start_new_snapshot();
         store.save(ctx, &dv).unwrap();
         store.save(ctx, &dup).unwrap();
@@ -205,8 +172,8 @@ fn main() {
 
         print_inventory(&store.store().inventory(ctx));
 
-        // Capture the expected post-mutation values, wipe, restore through
-        // the committed (possibly chained) snapshots.
+        // Capture the expected post-mutation values, wipe, restore from the
+        // committed snapshots.
         let want: [Vec<f64>; 6] = [
             dv.gather(ctx).unwrap().as_slice().to_vec(),
             dup.read_local(ctx).unwrap().as_slice().to_vec(),
@@ -231,9 +198,8 @@ fn main() {
         report("dist_sparse", ds.gather_dense(ctx).unwrap().as_slice());
         report("dup_dense_noise", dn.local(ctx).unwrap().lock().as_slice());
 
-        // Measured restore error against the pre-wipe values. Lossless legs
-        // must be *bit-identical* (exactly zero); the lossy leg must stay
-        // within the tolerance it was configured with.
+        // Measured restore error against the pre-wipe values: both legs must
+        // be *bit-identical* (exactly zero).
         let got: [Vec<f64>; 6] = [
             dv.gather(ctx).unwrap().as_slice().to_vec(),
             dup.read_local(ctx).unwrap().as_slice().to_vec(),
@@ -247,26 +213,12 @@ fn main() {
             .zip(got.iter())
             .flat_map(|(w, g)| w.iter().zip(g.iter()).map(|(a, b)| (a - b).abs()))
             .fold(0.0f64, f64::max);
-        let bound = if lossy { LOSSY_TOL } else { 0.0 };
-        println!("max_abs_err {max_err:e} tol {bound:e} ok={}", max_err <= bound);
-        assert!(
-            max_err <= bound,
-            "restore error {max_err:e} exceeds codec bound {bound:e} in mode {mode}"
-        );
+        println!("max_abs_err {max_err:e} ok={}", max_err == 0.0);
+        assert!(max_err == 0.0, "restore error {max_err:e} in mode {mode}");
         // The forms the codec chose, per leg (all zero on the raw leg: the
         // raw store never frames).
         let c = gml_core::codec::counters().since(&counters0);
-        println!(
-            "frames full={} verbatim={} delta={} lossy={}",
-            c.frames_full, c.frames_verbatim, c.frames_delta, c.frames_lossy
-        );
-        if lossy {
-            // The bound must be exercised, not vacuous: quantization moved
-            // off-grid values (nonzero error) and the codec stamped frames
-            // as lossy.
-            assert!(max_err > 0.0, "lossy leg measured zero error — quantization did not run");
-            assert!(c.frames_lossy > 0, "lossy leg produced no lossy-flagged frames");
-        }
+        println!("frames full={} verbatim={}", c.frames_full, c.frames_verbatim);
     })
     .unwrap();
 }

@@ -12,7 +12,8 @@
 //!   copying.
 //!
 //! The pool: `BytesMut::with_capacity` first tries to reuse a retired buffer
-//! from the current thread's free list; when the *sole owner* of a pooled
+//! from the current thread's free list — the tightest one that fits, and
+//! none more than twice the request; when the *sole owner* of a pooled
 //! `Bytes` drops it, the backing allocation returns to the free list of the
 //! dropping thread. The pool is bounded (count and per-buffer capacity) so it
 //! can never hoard more than a few megabytes per thread.
@@ -35,6 +36,10 @@ const POOL_MAX_CAPACITY: usize = 16 << 20;
 /// previous checkpoint's buffers drop, so the park list must hold one
 /// checkpoint's worth of encode buffers or steady-state reuse thrashes.
 const POOL_MAX_BUFFERS: usize = 32;
+/// A parked buffer serves a request only if it is at most this many times
+/// the capacity asked for: a small message must not be lent — and, when it
+/// is kept, pin — a parked payload-sized buffer.
+const POOL_MAX_SLACK: usize = 2;
 
 thread_local! {
     static FREE_LIST: RefCell<FreeList> = const { RefCell::new(FreeList(Vec::new())) };
@@ -137,7 +142,10 @@ fn pool_take(min_capacity: usize) -> Option<Vec<u8>> {
     }
     let took = FREE_LIST.with(|fl| {
         let fl = &mut fl.borrow_mut().0;
-        let idx = fl.iter().position(|b| b.capacity() >= min_capacity)?;
+        // Best fit: the tightest parked buffer that holds the request.
+        let fits = min_capacity..=min_capacity.saturating_mul(POOL_MAX_SLACK);
+        let fitting = fl.iter().enumerate().filter(|(_, b)| fits.contains(&b.capacity()));
+        let (idx, _) = fitting.min_by_key(|(_, b)| b.capacity())?;
         Some(fl.swap_remove(idx))
     });
     match &took {
@@ -617,6 +625,30 @@ mod tests {
         let reused = BytesMut::with_capacity(2048);
         assert!(reused.capacity() >= 4096, "must reuse the pooled allocation");
         assert_eq!(pooled_buffer_count(), 0);
+    }
+
+    #[test]
+    fn pool_serves_the_tightest_fit_and_never_a_far_bigger_buffer() {
+        while pool_take(POOL_MIN_CAPACITY).is_some() {}
+        reset_pool_stats();
+        // Park a payload-sized buffer and two message-sized ones, the bigger
+        // of the two first.
+        let cold = [9 << 20, 2048, 1536].map(|cap| BytesMut::with_capacity(cap).freeze());
+        drop(cold);
+        assert_eq!(pool_stats().parked, 3);
+        // A 1 KiB request gets the tightest fit, not the first that fits.
+        let a = BytesMut::with_capacity(1024);
+        let b = BytesMut::with_capacity(1024);
+        assert_eq!((a.capacity(), b.capacity()), (1536, 2048));
+        // The third fits nothing within twice its size: the payload-sized
+        // buffer stays parked and the request is allocated afresh.
+        let c = BytesMut::with_capacity(1024);
+        assert_eq!((c.capacity(), pool_stats().parked), (1024, 1));
+        // Same-size reuse still hits, however large.
+        let big = BytesMut::with_capacity(9 << 20);
+        assert_eq!((big.capacity(), pool_stats().parked), (9 << 20, 0));
+        let s = pool_stats();
+        assert_eq!((s.hits, s.misses), (3, 4), "three cold allocations and the refused fit");
     }
 
     #[test]

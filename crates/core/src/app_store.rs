@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
 
-use crate::codec::{CaptureCtx, CodecConfig};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::{wait_while_set, RepairReport, ResilientStore, ShipOrder};
@@ -83,11 +82,6 @@ pub struct AppResilientStore {
     capture_time: Duration,
     ship_time: Duration,
     ship_gate: Option<Arc<AtomicBool>>,
-    /// Snap ids that are *delta bases* of the committed snapshot's chains —
-    /// older snapshots' ids kept alive past their own retirement because a
-    /// committed delta frame still references them. Swept by the chain-aware
-    /// GC in `promote` once no live chain needs them.
-    retained_chain: HashSet<u64>,
 }
 
 /// Start the ship phase for one saved object: its deferred backup transfers
@@ -146,25 +140,18 @@ fn drain_ships(ships: &mut Vec<ShipTask>, ship_time: &mut Duration) -> GmlResult
 }
 
 impl AppResilientStore {
-    /// Create the store (shards at every place, spares included), with the
-    /// checkpoint codec configured from the `GML_CKPT_*` environment —
-    /// delta frames with lossless compression by default
-    /// (`GML_CKPT_CODEC=raw` restores the pre-codec byte-identical path).
+    /// Create the store (shards at every place, spares included). Its
+    /// entries are *framed*: stored and shipped as self-contained checkpoint
+    /// codec frames ([`crate::codec`]), packed where that is proven to pay.
     pub fn make(ctx: &Ctx) -> GmlResult<Self> {
-        Self::make_with_codec(ctx, CodecConfig::from_env())
-    }
-
-    /// Create the store with an explicit codec configuration (tests and
-    /// parity drills pass configs directly to stay independent of the
-    /// environment, which is shared across concurrently running tests).
-    pub fn make_with_codec(ctx: &Ctx, config: CodecConfig) -> GmlResult<Self> {
-        Ok(Self::with_store(ResilientStore::make_with_codec(ctx, config)?))
+        Ok(Self::with_store(ResilientStore::make_full(ctx, true, true, true)?))
     }
 
     /// Create the store with backup copies toggled (ablation; see
-    /// [`ResilientStore::make_with_redundancy`]). The ablation path keeps
-    /// the codec off so its byte accounting stays directly comparable to
-    /// the historical baselines.
+    /// [`ResilientStore::make_with_redundancy`]). The ablation path stores
+    /// its entries *raw*, so its byte accounting stays directly comparable
+    /// to the historical baselines — and makes it the parity reference the
+    /// framed store is compared against.
     pub fn make_with_redundancy(ctx: &Ctx, redundant: bool) -> GmlResult<Self> {
         Ok(Self::with_store(ResilientStore::make_with_redundancy(ctx, redundant)?))
     }
@@ -183,7 +170,6 @@ impl AppResilientStore {
             capture_time: Duration::ZERO,
             ship_time: Duration::ZERO,
             ship_gate: None,
-            retained_chain: HashSet::new(),
         }
     }
 
@@ -248,42 +234,13 @@ impl AppResilientStore {
             return Err(GmlError::shape("save() before start_new_snapshot()"));
         }
         let t0 = Instant::now();
-        // Delta base for the codec: the newest settled snapshot of this
-        // same object — but only while it is still fully redundant. A
-        // degraded snapshot (one replica lost) is never a delta base: its
-        // frames may live on a dead place, and the next checkpoint must
-        // re-establish a self-contained full base anyway to restore double
-        // redundancy. After a restore, `force_full` does the same for one
-        // epoch so chains never straddle a recovery.
-        let ref_snap = if self.store.codec_config().is_raw() || self.store.force_full() {
-            None
-        } else {
-            self.provisional
-                .as_ref()
-                .or(self.committed.as_ref())
-                .and_then(|c| c.map.get(&obj.object_id()))
-                .filter(|s| s.fully_redundant(ctx))
-                .cloned()
-        };
-        self.store
-            .begin_capture(CaptureCtx { ref_snap: ref_snap.clone(), class: obj.payload_class() });
         self.store.begin_deferred_ships();
         let result = obj.make_snapshot(ctx, &self.store);
         let orders = self.store.take_deferred_ships();
-        let used_delta = self.store.end_capture();
         self.capture_time += t0.elapsed();
         // On failure the queued orders are dropped unexecuted; the
         // watermark in `cancel_snapshot` wipes the partial owner inserts.
-        let mut snap = result?;
-        if used_delta {
-            // At least one place emitted a delta frame: this snapshot's
-            // restore needs the base's frames, so the base id (and whatever
-            // it in turn references) rides along for the chain-aware GC.
-            if let Some(base) = &ref_snap {
-                snap.chain = base.chain.clone();
-                snap.chain.push(base.snap_id);
-            }
-        }
+        let snap = result?;
         if !orders.is_empty() {
             self.pending_ships.push(spawn_ship(ctx, &self.store, orders, self.ship_gate.clone()));
         }
@@ -399,36 +356,18 @@ impl AppResilientStore {
         }
     }
 
-    /// Replace `committed` with `snap` and delete the retired snapshot's
-    /// entries (except those `snap` reuses, and except delta-chain bases the
-    /// new snapshot's frames still reference). A base and its deltas promote
-    /// or retire **atomically**: a chain id is deleted only once no live
-    /// snapshot — head or chain — needs it.
+    /// Replace `committed` with `snap` and delete the retired snapshot's ids
+    /// that the new one does not reuse.
     fn promote(&mut self, ctx: &Ctx, snap: AppSnapshot) {
-        let old = self.committed.replace(snap);
+        let Some(old) = self.committed.replace(snap) else {
+            return;
+        };
         let new = self.committed.as_ref().expect("just replaced");
-        let mut keep: HashSet<u64> = new.map.values().map(|s| s.snap_id).collect();
-        for s in new.map.values() {
-            keep.extend(s.chain.iter().copied());
-        }
-        // Candidates for deletion: the previously retained chain bases plus
-        // the retired snapshot's heads and chains.
-        let mut stale: HashSet<u64> = std::mem::take(&mut self.retained_chain);
-        if let Some(old) = &old {
-            for s in old.map.values() {
-                stale.insert(s.snap_id);
-                stale.extend(s.chain.iter().copied());
-            }
-        }
+        let dead: Vec<u64> =
+            old.map.values().map(|s| s.snap_id).filter(|id| !new.reused.contains(id)).collect();
         // Deleting old checkpoints is best-effort cleanup; a failure here
         // must not fail the commit.
-        let dead: Vec<u64> = stale.difference(&keep).copied().collect();
         let _ = self.store.delete_snapshots(ctx, &dead);
-        self.retained_chain =
-            new.map.values().flat_map(|s| s.chain.iter().copied()).collect();
-        // A snapshot settled cleanly: the post-restore full-base override
-        // (if any) has produced its full frames and can lift.
-        self.store.clear_force_full();
     }
 
     /// Best-effort delete of every snap id in `first..end` except `exclude`.
@@ -520,11 +459,6 @@ impl AppResilientStore {
     /// snapshot (the paper's single `restore()` call restoring all saved
     /// GML objects).
     pub fn restore(&self, ctx: &Ctx, objs: &mut [&mut dyn Snapshottable]) -> GmlResult<()> {
-        // Any restore breaks delta continuity: the surviving replicas may be
-        // mid-rebuild and the restored in-memory state no longer descends
-        // from the last committed frames' successor. The next checkpoint
-        // emits full bases (cleared once that checkpoint settles).
-        self.store.mark_force_full();
         for obj in objs.iter_mut() {
             let snap = self.snapshot_of(obj.object_id())?;
             obj.restore_snapshot(ctx, &self.store, &snap)?;
@@ -536,7 +470,9 @@ impl AppResilientStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist_vector::DistVector;
     use crate::dup_vector::DupVector;
+    use crate::framework::{ExecutorConfig, ResilientExecutor, ResilientIterativeApp, RestoreMode};
     use apgas::runtime::{Runtime, RuntimeConfig};
     use std::sync::atomic::Ordering;
 
@@ -589,10 +525,7 @@ mod tests {
     fn commit_deletes_previous_snapshot_entries() {
         run(2, |ctx| {
             let g = ctx.world();
-            // Raw codec: with deltas on, the previous snapshot would be
-            // *retained* as the new head's chain base (covered below).
-            let mut store =
-                AppResilientStore::make_with_codec(ctx, CodecConfig::raw()).unwrap();
+            let mut store = AppResilientStore::make(ctx).unwrap();
             let v = DupVector::make(ctx, 2, &g).unwrap();
 
             store.start_new_snapshot();
@@ -612,82 +545,162 @@ mod tests {
         });
     }
 
-    #[test]
-    fn delta_commit_retains_chain_bases_until_superseded() {
-        run(2, |ctx| {
+    /// A read-only ramp (its frames pack) beside noise rewritten every step
+    /// (its frame is verbatim). After every commit it holds the store to the
+    /// generation invariant and records what the store then holds.
+    struct TwoObjectApp {
+        x: DistVector,
+        v: DupVector,
+        total_iters: u64,
+        kill_at: Option<(u64, Place)>,
+        /// Per checkpoint: the snap ids of `x` and `v`, and the store's
+        /// entries, logical bytes and wire bytes over all live places.
+        checkpoints: Vec<([u64; 2], [u64; 3])>,
+    }
+
+    /// Element `i` of a vector nothing packs in — every mantissa bit random
+    /// — and different in every version.
+    fn noise(i: usize, version: u64) -> f64 {
+        let h = (i as u64 ^ version << 40).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h ^ h >> 29) as f64 / u64::MAX as f64
+    }
+
+    /// How many replicas of `snap`'s entries `place` should hold, and their
+    /// logical bytes.
+    fn held_at(snap: &Snapshot, place: Place) -> (usize, u64) {
+        let copies = |e: &crate::snapshot::EntryLoc| {
+            usize::from(e.owner == place) + usize::from(e.backup == place && e.backup != e.owner)
+        };
+        let replicas = snap.entries.values().map(copies).sum();
+        let bytes: usize = snap.entries.values().map(|e| e.len * copies(e)).sum();
+        (replicas, bytes as u64)
+    }
+
+    /// Every live place holds exactly the replicas the committed object
+    /// snapshots record there — nothing of a retired generation, of a
+    /// cancelled attempt or of a repair gone astray, and nothing missing.
+    /// Returns the store's entries, logical bytes and wire bytes.
+    fn assert_holds_exactly_the_committed_generation(
+        ctx: &Ctx,
+        store: &AppResilientStore,
+    ) -> [u64; 3] {
+        let snaps = store.committed_snapshots();
+        let mut totals = [0; 3];
+        for inv in store.store().inventory(ctx).iter().filter(|inv| inv.alive) {
+            let held: Vec<(usize, u64)> = snaps.iter().map(|s| held_at(s, inv.place)).collect();
+            let entries: usize = held.iter().map(|h| h.0).sum();
+            let snapshots = held.iter().filter(|h| h.0 > 0).count();
+            let bytes: u64 = held.iter().map(|h| h.1).sum();
+            assert_eq!((inv.entries, inv.snapshots, inv.bytes), (entries, snapshots, bytes), "{inv:?}");
+            totals[0] += inv.entries as u64;
+            totals[1] += inv.bytes;
+            totals[2] += inv.wire_bytes;
+        }
+        for snap in &snaps {
+            let audit = store.store().audit_snapshot(ctx, snap);
+            assert_eq!(audit.fully_redundant, audit.entries, "{audit:?}");
+            assert!(audit.invariant_ok(), "{audit:?}");
+        }
+        totals
+    }
+
+    impl ResilientIterativeApp for TwoObjectApp {
+        fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+            iteration >= self.total_iters
+        }
+
+        fn step(&mut self, ctx: &Ctx, iteration: u64) -> GmlResult<()> {
+            if let Some((_, victim)) = self.kill_at.take_if(|(at, _)| *at == iteration) {
+                ctx.kill_place(victim)?;
+            }
+            self.v.init(ctx, move |i| noise(i, iteration + 1))
+        }
+
+        fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
+            store.start_new_snapshot();
+            store.save_read_only(ctx, &self.x)?;
+            store.save(ctx, &self.v)?;
+            store.commit(ctx)?;
+            if !store.overlap {
+                // The commit has settled: the retired generation is gone.
+                let ids = [&self.x as &dyn Snapshottable, &self.v]
+                    .map(|obj| store.snapshot_of(obj.object_id()).unwrap().snap_id);
+                let totals = assert_holds_exactly_the_committed_generation(ctx, store);
+                self.checkpoints.push((ids, totals));
+            }
+            Ok(())
+        }
+
+        fn restore(
+            &mut self,
+            ctx: &Ctx,
+            new_places: &PlaceGroup,
+            store: &mut AppResilientStore,
+            _snapshot_iteration: u64,
+            _rebalance: bool,
+        ) -> GmlResult<()> {
+            self.x.remake(ctx, new_places)?;
+            self.v.remake(ctx, new_places)?;
+            store.restore(ctx, &mut [&mut self.x, &mut self.v])
+        }
+    }
+
+    /// Three checkpoints, the middle place killed, a restore under `mode`,
+    /// three more checkpoints.
+    fn checkpoints_around_a_restore(mode: RestoreMode, spares: usize, overlap: bool) {
+        Runtime::run(RuntimeConfig::new(4).spares(spares).resilient(true), move |ctx| {
             let g = ctx.world();
-            let mut store =
-                AppResilientStore::make_with_codec(ctx, CodecConfig::from_env()).unwrap();
-            // Big enough to span many chunks, so a one-element mutation
-            // stays under the dirty-ratio threshold and deltas.
-            let mut v = DupVector::make(ctx, 4096, &g).unwrap();
-            v.init(ctx, |i| i as f64).unwrap();
+            let x = DistVector::make(ctx, 4096, &g).unwrap();
+            x.init(ctx, |i| 1.0 + i as f64 * 1e-9).unwrap();
+            let v = DupVector::make(ctx, 1024, &g).unwrap();
+            v.init(ctx, |i| noise(i, 0)).unwrap();
+            let kill_at = Some((7, Place::new(1)));
+            let mut app = TwoObjectApp { x, v, total_iters: 16, kill_at, checkpoints: Vec::new() };
+            let mut store = AppResilientStore::make(ctx).unwrap();
+            let exec = ResilientExecutor::new(ExecutorConfig::new(3, mode).overlap_ship(overlap));
+            let (_, stats) = exec.run(ctx, &mut app, &g, &mut store).unwrap();
+            assert_eq!((stats.checkpoints, stats.restores), (6, 1), "{mode:?}");
 
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-            let first = store.snapshot_of(v.object_id()).unwrap();
-            assert!(first.chain.is_empty(), "first snapshot is a full base");
-
-            // Small mutation → the second snapshot deltas against the first,
-            // so the first's frames must survive the commit as chain bases.
-            v.apply(ctx, |x| x.as_mut_slice()[0] = 7.0).unwrap();
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-            let second = store.snapshot_of(v.object_id()).unwrap();
-            assert_eq!(second.chain, vec![first.snap_id], "head records its base");
-            assert!(first.fetch(ctx, store.store(), 0).is_ok(), "base retained");
-            let got = second.fetch(ctx, store.store(), 0).unwrap();
-            let want = ctx.encode(&*v.local(ctx).unwrap().lock());
-            assert_eq!(&got[..], &want[..], "delta head replays bit-identically");
-
-            // Restoring flips force_full: the next snapshot re-bases (full
-            // frames, empty chain) and promotion garbage-collects the
-            // superseded head *and* its chain bases.
-            store.restore(ctx, &mut [&mut v]).unwrap();
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-            let third = store.snapshot_of(v.object_id()).unwrap();
-            assert!(third.chain.is_empty(), "post-restore snapshot is a full base");
-            assert!(second.fetch(ctx, store.store(), 0).is_err(), "old head GC'd");
-            assert!(first.fetch(ctx, store.store(), 0).is_err(), "old chain base GC'd");
-            assert!(third.fetch(ctx, store.store(), 0).is_ok());
-        });
+            // The run's last settle point: one generation, whatever the mode.
+            let [entries, logical, wire] = assert_holds_exactly_the_committed_generation(ctx, &store);
+            assert_eq!(store.snapshot_iteration(), Some(15));
+            // `x`: four packed frames, kept since the first checkpoint and
+            // repaired after the failure. `v`: one verbatim frame of 8 200
+            // bytes in three chunks, a head beside the payload.
+            let (x_logical, v_wire) = (4 * 8200, 8200 + 33 + 8 * 3);
+            assert_eq!((entries, logical), (2 * (4 + 1), 2 * (x_logical + 8200)), "{mode:?}");
+            assert!(wire - 2 * v_wire < x_logical, "the ramp is stored packed: {wire}");
+            if overlap {
+                return;
+            }
+            // No checkpoint is special: not the first after the restore (the
+            // fourth), nor any other after the first — the same entries, the
+            // same bytes in the same forms, `x` under the id it always had
+            // and `v` under a fresh one.
+            assert_eq!(app.checkpoints.len(), 6);
+            for pair in app.checkpoints.windows(2) {
+                let ((ids, totals), (next_ids, next_totals)) = (pair[0], pair[1]);
+                assert_eq!(next_totals, totals, "{mode:?}");
+                assert_eq!(next_totals, [entries, logical, wire]);
+                assert_eq!(next_ids[0], ids[0], "the read-only snapshot is reused");
+                assert!(next_ids[1] > ids[1], "the mutable one is saved anew");
+            }
+        })
+        .unwrap();
     }
 
     #[test]
-    fn wild_codec_knobs_are_clamped_and_the_longest_chain_still_restores() {
-        run(2, |ctx| {
-            let g = ctx.world();
-            // chunk 0 used to divide by zero; full_every above 255 used to
-            // wrap the frame's u8 chain depth at the 256th delta epoch.
-            let wild = CodecConfig { chunk: 0, full_every: 100_000, ..CodecConfig::from_env() };
-            let mut store = AppResilientStore::make_with_codec(ctx, wild).unwrap();
-            let cfg = *store.store().codec_config();
-            assert_eq!((cfg.chunk, cfg.full_every), (64, 255));
-            let v = DupVector::make(ctx, 4096, &g).unwrap();
-            v.init(ctx, |i| i as f64).unwrap();
-            let mut longest = 0;
-            for epoch in 0..300 {
-                v.apply(ctx, move |x| x.as_mut_slice()[0] = epoch as f64).unwrap();
-                store.start_new_snapshot();
-                store.save(ctx, &v).unwrap();
-                store.commit(ctx).unwrap();
-                longest = longest.max(store.snapshot_of(v.object_id()).unwrap().chain.len());
-            }
-            assert_eq!(longest, 254, "255 frames: a full base and 254 deltas");
-            let head = store.snapshot_of(v.object_id()).unwrap();
-            let got = head.fetch(ctx, store.store(), 0).unwrap();
-            let want = ctx.encode(&*v.local(ctx).unwrap().lock());
-            assert_eq!(&got[..], &want[..], "a deep chain replays bit-identically");
-            // A chain whose base is gone is data loss, never data.
-            assert!(!head.chain.is_empty());
-            store.store().delete_snapshot(ctx, head.chain[0]).unwrap();
-            let err = head.fetch(ctx, store.store(), 0).unwrap_err();
-            assert!(matches!(err, GmlError::DataLoss(_)), "{err}");
-        });
+    fn every_place_holds_exactly_the_live_generation_around_a_restore_under_each_mode() {
+        checkpoints_around_a_restore(RestoreMode::Shrink, 0, false);
+        checkpoints_around_a_restore(RestoreMode::ShrinkRebalance, 0, false);
+        checkpoints_around_a_restore(RestoreMode::ReplaceRedundant, 1, false);
+        checkpoints_around_a_restore(RestoreMode::ReplaceElastic, 0, false);
+    }
+
+    #[test]
+    fn overlapped_ships_settle_to_exactly_the_live_generation_too() {
+        checkpoints_around_a_restore(RestoreMode::Shrink, 0, true);
+        checkpoints_around_a_restore(RestoreMode::ReplaceRedundant, 1, true);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use parking_lot::Mutex;
 
 use crate::dist_vector::DistVector;
 use crate::dup_vector::DupVector;
-use crate::codec::PayloadClass;
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
@@ -809,12 +808,6 @@ fn serve_restore(
 impl Snapshottable for DistBlockMatrix {
     fn object_id(&self) -> u64 {
         self.object_id
-    }
-
-    fn payload_class(&self) -> PayloadClass {
-        // `MatrixBlock::write` mixes placement metadata (and, for sparse
-        // blocks, CSR index arrays) with the values — never quantize.
-        PayloadClass::Opaque
     }
 
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {

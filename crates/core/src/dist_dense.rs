@@ -14,7 +14,6 @@ use gml_matrix::{BlockData, DenseMatrix, Grid};
 use crate::dist_block_matrix::DistBlockMatrix;
 use crate::dist_vector::DistVector;
 use crate::dup_vector::DupVector;
-use crate::codec::PayloadClass;
 use crate::error::GmlResult;
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
@@ -98,12 +97,6 @@ impl DistDenseMatrix {
 impl Snapshottable for DistDenseMatrix {
     fn object_id(&self) -> u64 {
         self.inner.object_id()
-    }
-
-    fn payload_class(&self) -> PayloadClass {
-        // Blocks ship as `MatrixBlock` frames (metadata + values), so the
-        // conservative Opaque class of the inner block matrix applies.
-        self.inner.payload_class()
     }
 
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {

@@ -11,7 +11,6 @@ use gml_matrix::{BlockData, DenseMatrix, Grid, SparseCSR};
 use crate::dist_block_matrix::DistBlockMatrix;
 use crate::dist_vector::DistVector;
 use crate::dup_vector::DupVector;
-use crate::codec::PayloadClass;
 use crate::error::GmlResult;
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
@@ -89,11 +88,6 @@ impl DistSparseMatrix {
 impl Snapshottable for DistSparseMatrix {
     fn object_id(&self) -> u64 {
         self.inner.object_id()
-    }
-
-    fn payload_class(&self) -> PayloadClass {
-        // CSR blocks carry integer index arrays; quantization is rejected.
-        self.inner.payload_class()
     }
 
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {

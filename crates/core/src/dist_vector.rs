@@ -15,7 +15,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::Vector;
 use parking_lot::Mutex;
 
-use crate::codec::PayloadClass;
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
@@ -426,11 +425,6 @@ impl DistVector {
 impl Snapshottable for DistVector {
     fn object_id(&self) -> u64 {
         self.object_id
-    }
-
-    fn payload_class(&self) -> PayloadClass {
-        // Each segment entry is `Vector::write`: u64 length + packed f64s.
-        PayloadClass::F64Tail { offset: 8 }
     }
 
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {

@@ -10,7 +10,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::DenseMatrix;
 use parking_lot::Mutex;
 
-use crate::codec::PayloadClass;
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
@@ -139,12 +138,6 @@ impl DupDenseHandle {
 impl Snapshottable for DupDenseMatrix {
     fn object_id(&self) -> u64 {
         self.object_id
-    }
-
-    fn payload_class(&self) -> PayloadClass {
-        // `DenseMatrix::write` is rows + cols + length (3 u64s) followed by
-        // packed f64s.
-        PayloadClass::F64Tail { offset: 24 }
     }
 
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {

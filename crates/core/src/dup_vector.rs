@@ -10,7 +10,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::Vector;
 use parking_lot::Mutex;
 
-use crate::codec::PayloadClass;
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
@@ -184,11 +183,6 @@ impl DupVector {
 impl Snapshottable for DupVector {
     fn object_id(&self) -> u64 {
         self.object_id
-    }
-
-    fn payload_class(&self) -> PayloadClass {
-        // `Vector::write` is a u64 length followed by packed f64s.
-        PayloadClass::F64Tail { offset: 8 }
     }
 
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {

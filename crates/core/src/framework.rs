@@ -313,7 +313,7 @@ impl ResilientExecutor {
                 ckpt_bytes: 0,
                 ckpt_logical: 0,
                 ckpt_wire: 0,
-                ckpt_frames: [0; 3],
+                ckpt_frames: [0; 2],
                 codec_time: Duration::ZERO,
             };
             // Periodic coordinated checkpoint. A recovery leaves
@@ -512,8 +512,7 @@ impl ResilientExecutor {
         *prev_codec = now_codec;
         row.ckpt_logical = codec_delta.logical_bytes;
         row.ckpt_wire = codec_delta.wire_bytes;
-        row.ckpt_frames =
-            [codec_delta.frames_full, codec_delta.frames_verbatim, codec_delta.frames_delta];
+        row.ckpt_frames = [codec_delta.frames_full, codec_delta.frames_verbatim];
         row.codec_time =
             Duration::from_nanos(codec_delta.encode_nanos + codec_delta.decode_nanos);
         // Memory levels are read at the same shared boundary as the counter

@@ -35,7 +35,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use app_store::AppResilientStore;
-pub use codec::{CodecConfig, CodecMode, CodecSnapshot, PayloadClass};
+pub use codec::CodecSnapshot;
 pub use collective::each_place;
 pub use dist_block_matrix::{DistBlockHandle, DistBlockMatrix, DupOperand};
 pub use dist_dense::DistDenseMatrix;

@@ -82,15 +82,14 @@ pub struct IterRow {
     /// when `mem-profile` is compiled out.
     pub ckpt_bytes: u64,
     /// Logical (pre-codec) checkpoint bytes this pass fed the codec plane.
-    /// Zero on raw-codec runs (nothing was framed).
+    /// Zero over a raw store (nothing was framed).
     pub ckpt_logical: u64,
     /// Wire (post-codec) checkpoint bytes the codec emitted this pass; the
     /// ratio `ckpt_wire / ckpt_logical` is the pass's compression factor.
     pub ckpt_wire: u64,
-    /// The form the codec chose for the frames it emitted this pass: full
-    /// frames (verbatim ones included), of those the verbatim ones (nothing
-    /// packed, payload stored by reference), and delta frames.
-    pub ckpt_frames: [u64; 3],
+    /// The frames the codec emitted this pass (verbatim ones included), and
+    /// of those the verbatim ones (payload stored by reference, not packed).
+    pub ckpt_frames: [u64; 2],
     /// Time the checkpoint codec was busy encoding + decoding frames this
     /// pass, **summed over the place threads** that ran it. Places encode
     /// concurrently, so this is CPU time of the codec, not wall time: it can
@@ -114,7 +113,7 @@ pub struct CostReport {
     pub totals: StatsSnapshot,
     /// Checkpoint-codec counter deltas for the whole run (same shared
     /// boundaries, so the rows' logical/wire/codec-time columns sum to
-    /// exactly this too). All-zero on raw-codec runs.
+    /// exactly this too). All-zero over a raw store.
     pub codec_totals: CodecSnapshot,
     /// One flight-recorder bundle per restore, in restore order (see
     /// [`PostMortem`]).
@@ -137,18 +136,18 @@ impl CostReport {
     /// Do the rows' codec columns (logical bytes, wire bytes, frame forms,
     /// codec busy time) telescope to [`CostReport::codec_totals`]? True by
     /// construction — the codec counters are sampled at the same shared row
-    /// boundaries as the runtime counters. Vacuously true on raw-codec runs
+    /// boundaries as the runtime counters. Vacuously true over a raw store
     /// (all zeros).
     pub fn codec_consistent(&self) -> bool {
         let logical: u64 = self.rows.iter().map(|r| r.ckpt_logical).sum();
         let wire: u64 = self.rows.iter().map(|r| r.ckpt_wire).sum();
         let nanos: u64 = self.rows.iter().map(|r| r.codec_time.as_nanos() as u64).sum();
-        let frames: [u64; 3] =
+        let frames: [u64; 2] =
             std::array::from_fn(|i| self.rows.iter().map(|r| r.ckpt_frames[i]).sum());
         let c = &self.codec_totals;
         logical == c.logical_bytes
             && wire == c.wire_bytes
-            && frames == [c.frames_full, c.frames_verbatim, c.frames_delta]
+            && frames == [c.frames_full, c.frames_verbatim]
             && nanos == c.encode_nanos + c.decode_nanos
     }
 
@@ -182,19 +181,19 @@ impl CostReport {
     /// boundary (live heap, store-ledger bytes) rather than deltas; both
     /// read 0 with `mem-profile` compiled out. `logical / wire` split this
     /// pass's checkpoint volume into pre-codec payload bytes and post-codec
-    /// frame bytes (both 0 on raw-codec runs), `f/v/d` counts the frames the
-    /// codec emitted by the form it chose — full, of those verbatim, delta —
-    /// and `codec(cpu)` is the time
-    /// the checkpoint codec was busy encoding + decoding frames, summed over
-    /// the place threads that did so concurrently (not wall time). A
-    /// restore cell ends with what its repair re-replicated: `+entries/bytes`.
+    /// frame bytes (both 0 over a raw store), `f/v` counts the frames the
+    /// codec emitted and, of those, the verbatim ones, and `codec(cpu)` is
+    /// the time the checkpoint codec was busy encoding + decoding frames,
+    /// summed over the place threads that did so concurrently (not wall
+    /// time). A restore cell ends with what its repair re-replicated:
+    /// `+entries/bytes`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>36} {:>6} {:>10} {:>10} {:>10} \
              {:>9} {:>9} {:>9} {:>9} {:>8} {:>10}\n",
             "iter", "step", "ckpt", "capture", "ship(t)", "detect(t)", "restore", "ctl",
-            "enc+dec", "ship", "recv", "resident", "ckptmem", "logical", "wire", "f/v/d",
+            "enc+dec", "ship", "recv", "resident", "ckptmem", "logical", "wire", "f/v",
             "codec(cpu)"
         ));
         for r in &self.rows {
@@ -244,8 +243,7 @@ impl CostReport {
             "total: {} rows, {} restores, ctl {} (spawn {} term {} wait {}; local {}), \
              encode {} decode {}, shipped {} received {}, peak resident {}, \
              detect {}, task replays {} timeouts {} vote mismatches {}, \
-             ckpt logical {} wire {} (ratio {:.2}) frames full {} verbatim {} delta {} \
-             codec {}\n",
+             ckpt logical {} wire {} (ratio {:.2}) frames {} verbatim {} codec {}\n",
             self.rows.len(),
             self.restores(),
             t.ctl_total(),
@@ -267,7 +265,6 @@ impl CostReport {
             c.compression_ratio(),
             c.frames_full,
             c.frames_verbatim,
-            c.frames_delta,
             fmt_nanos(c.encode_nanos + c.decode_nanos),
         ));
         if self.rows.iter().any(|r| r.path.is_some()) {
@@ -337,7 +334,7 @@ mod tests {
             ckpt_bytes: 0,
             ckpt_logical: 0,
             ckpt_wire: 0,
-            ckpt_frames: [0; 3],
+            ckpt_frames: [0; 2],
             codec_time: Duration::ZERO,
             delta: StatsSnapshot {
                 bytes_shipped: shipped,
@@ -476,19 +473,18 @@ mod tests {
         let mut a = row(0, 0, 0, 0);
         a.ckpt_logical = 4096;
         a.ckpt_wire = 1024;
-        a.ckpt_frames = [4, 3, 0];
+        a.ckpt_frames = [4, 3];
         a.codec_time = Duration::from_millis(2);
         let mut b = row(1, 0, 0, 0);
         b.ckpt_logical = 4096;
         b.ckpt_wire = 1024;
-        b.ckpt_frames = [1, 0, 3];
+        b.ckpt_frames = [1, 0];
         b.codec_time = Duration::from_millis(3);
         let codec_totals = CodecSnapshot {
             logical_bytes: 8192,
             wire_bytes: 2048,
             frames_full: 5,
             frames_verbatim: 3,
-            frames_delta: 3,
             encode_nanos: 4_000_000,
             decode_nanos: 1_000_000,
             ..Default::default()
@@ -504,11 +500,10 @@ mod tests {
         assert!(text.contains("logical"), "logical byte column present");
         assert!(text.contains("wire"), "wire byte column present");
         assert!(text.contains("codec(cpu)"), "codec time column present");
-        assert!(text.contains("f/v/d"), "frame form column present");
-        assert!(text.contains("   4/3/0 "), "a row shows the forms the codec chose");
+        assert!(text.contains("f/v"), "frame form column present");
+        assert!(text.contains("     4/3 "), "a row shows the forms the codec chose");
         assert!(text.contains(
-            "ckpt logical 8.0KB wire 2.0KB (ratio 0.25) frames full 5 verbatim 3 delta 3 \
-             codec 5.00ms"
+            "ckpt logical 8.0KB wire 2.0KB (ratio 0.25) frames 5 verbatim 3 codec 5.00ms"
         ));
         // A wire-byte mismatch breaks the telescoping check; so does a
         // frame that changed form between the rows and the totals.
@@ -518,7 +513,7 @@ mod tests {
         let mut bad = report.clone();
         bad.rows[1].ckpt_frames[1] += 1;
         assert!(!bad.codec_consistent());
-        // Raw-codec runs (all zeros) are vacuously consistent.
+        // A run over a raw store (all zeros) is vacuously consistent.
         let raw = CostReport {
             rows: vec![row(0, 0, 0, 0)],
             totals: StatsSnapshot::default(),

@@ -14,7 +14,6 @@ use std::sync::Arc;
 use apgas::prelude::*;
 use bytes::Bytes;
 
-use crate::codec::PayloadClass;
 use crate::error::{GmlError, GmlResult};
 use crate::store::ResilientStore;
 
@@ -46,11 +45,6 @@ pub struct Snapshot {
     pub entries: Arc<HashMap<u64, EntryLoc>>,
     /// Class-specific metadata (serialized grid, dims, ...).
     pub descriptor: Bytes,
-    /// Snapshot ids whose stored frames this snapshot's delta frames
-    /// reference, oldest base first. Empty for full snapshots. The ids in a
-    /// chain must outlive this snapshot in the store (they promote and
-    /// discard with it — see `AppResilientStore`'s chain-aware GC).
-    pub chain: Vec<u64>,
     /// For each entry a repair re-replicated
     /// ([`AppResilientStore::repair`](crate::app_store::AppResilientStore::repair)),
     /// the group its replica pair was placed under; every other entry was
@@ -64,8 +58,7 @@ pub const ENTRY_META_WIRE_BYTES: usize = 32;
 
 impl Snapshot {
     /// Package the entry locations the owning places returned from
-    /// [`ResilientStore::save_local_parts`] into a full (chain-less)
-    /// snapshot, at the driver.
+    /// [`ResilientStore::save_local_parts`] into a snapshot, at the driver.
     ///
     /// The key → [`EntryLoc`] map is gathered by the driver activity (the
     /// paper's place-zero checkpoint coordinator), so every entry owned by
@@ -94,7 +87,6 @@ impl Snapshot {
             group: group.clone(),
             entries: Arc::new(entries),
             descriptor,
-            chain: Vec::new(),
             placed_under: HashMap::new(),
         }
     }
@@ -166,14 +158,6 @@ pub trait Snapshottable {
         store: &ResilientStore,
         snapshot: &Snapshot,
     ) -> GmlResult<()>;
-
-    /// How the checkpoint codec may treat this object's serialized entries.
-    /// The default is [`PayloadClass::Opaque`] — always bit-exact; objects
-    /// whose payload is a plain f64 tail opt in to lossy quantization by
-    /// overriding this (see `GML_CKPT_LOSSY_TOL`).
-    fn payload_class(&self) -> PayloadClass {
-        PayloadClass::Opaque
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +176,6 @@ mod tests {
             let s = Snapshot::gathered(ctx, 9, 42, &PlaceGroup::first(2), Bytes::new(), entries);
             assert_eq!(s.snap_id, 9);
             assert_eq!(s.object_id, 42);
-            assert!(s.chain.is_empty());
             assert_eq!(s.total_bytes(), 150);
             assert_eq!(s.entry(1).unwrap().owner, Place::new(1));
             assert!(s.entry(7).is_err());

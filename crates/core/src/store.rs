@@ -22,13 +22,18 @@
 //!
 //! [`AppResilientStore::repair`]: crate::app_store::AppResilientStore::repair
 //!
-//! What a shard holds per entry is decided by the checkpoint codec
-//! ([`crate::codec`]): the bare store keeps the serialized payload as it
-//! came; a codec store keeps a frame — a small *head* (header + chunk-digest
+//! What a shard holds per entry is fixed by how the store was made: the bare
+//! store keeps the serialized payload as it came (*raw*); the store under
+//! [`AppResilientStore::make`] keeps a checkpoint-codec frame
+//! ([`crate::codec`], *framed*) — a small *head* (header + chunk-digest
 //! manifest) and a *body*, which for a payload that would not shrink is that
-//! same serialized buffer, held by refcount. Either way a payload is copied
-//! once per place boundary it crosses (owner → backup on save, holder →
-//! fetcher on restore) and nowhere else.
+//! same serialized buffer, held by refcount. A frame restores from itself
+//! alone, so an entry is recoverable exactly when one of its two replica
+//! places is alive. Either way a payload is copied once per place boundary
+//! it crosses (owner → backup on save, holder → fetcher on restore) and
+//! nowhere else.
+//!
+//! [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,16 +44,15 @@ use apgas::prelude::*;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::codec::{self, CaptureCtx, CodecConfig, CodecState};
+use crate::codec;
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{EntryLoc, Snapshot};
 
-/// One stored replica. Without a `head` (the raw pre-codec path) `body` *is*
-/// the logical payload. With one, the entry is a codec frame decoding to
-/// `logical` bytes: `head` is its header + digest manifest — all a later
-/// delta needs of its base — and `body` its record stream or, under a
-/// verbatim head, again the payload itself.
+/// One stored replica. Without a `head` (the raw store) `body` *is* the
+/// logical payload. With one, the entry is a codec frame decoding to
+/// `logical` bytes: `head` is its header + digest manifest and `body` its
+/// record stream or, under a verbatim head, again the payload itself.
 #[derive(Clone)]
 pub(crate) struct StoredEntry {
     pub(crate) head: Option<Bytes>,
@@ -74,9 +78,7 @@ impl StoredEntry {
     fn received(&self, ctx: &Ctx) -> Self {
         ctx.record_bytes_received(self.wire());
         StoredEntry {
-            // A plain allocation: drawn from the buffer pool, a head could
-            // be lent — and would pin — a parked payload-sized buffer.
-            head: self.head.as_deref().map(|h| Bytes::from(h.to_vec())),
+            head: self.head.as_deref().map(Bytes::copy_from_slice),
             body: Bytes::copy_from_slice(&self.body),
             logical: self.logical,
         }
@@ -90,8 +92,8 @@ impl StoredEntry {
 /// frames actually resident), the same quantity
 /// [`ResilientStore::inventory`] reports as `wire_bytes`, so the two
 /// reconcile exactly at any quiescent point. *Logical* payload bytes — what
-/// the frames decode back to — are reported separately; with the codec
-/// disabled the two quantities coincide. (Owner copies may share the
+/// the frames decode back to — are reported separately; in a raw store the
+/// two quantities coincide. (Owner copies may share the
 /// encoder's allocation by refcount; the ledger counts held bytes, not
 /// unique heap blocks — the allocator-level view is `mem::heap_bytes`.)
 pub(crate) struct PlaceStore {
@@ -178,7 +180,7 @@ pub struct PlaceInventory {
     /// Distinct snapshot ids with at least one entry here.
     pub snapshots: usize,
     /// Total *logical* payload bytes held — what the stored entries decode
-    /// back to. Equals `wire_bytes` when the checkpoint codec is off.
+    /// back to. Equals `wire_bytes` in a raw store.
     pub bytes: u64,
     /// Total *wire* bytes actually resident (frames as stored/shipped).
     /// This is the quantity the `StoreShard` memory-ledger tag charges.
@@ -230,8 +232,7 @@ impl SnapshotAudit {
 pub struct RepairReport {
     /// Entries that were down to one replica and have two again.
     pub entries: usize,
-    /// Wire bytes copied: those entries' frames and the delta-chain frames
-    /// under them, as stored.
+    /// Wire bytes copied: those entries' frames, as stored.
     pub wire_bytes: u64,
     /// The holder → target transfers; distinct pairs ran concurrently.
     pub pairs: Vec<(Place, Place)>,
@@ -292,11 +293,12 @@ pub struct ResilientStore {
     /// that proves batching is a pure transport optimisation.
     batched: bool,
     ships: Arc<ShipState>,
-    /// The checkpoint codec plane (delta frames + compression). Shared by
-    /// every clone, so capture context set by the app driver is visible to
-    /// the per-place save tasks. Bare stores run with the codec off
-    /// ([`CodecConfig::raw`]); `AppResilientStore` turns it on by default.
-    codec: Arc<CodecState>,
+    /// When true, `save_batch` stores and ships every entry as a checkpoint
+    /// codec frame ([`crate::codec`]). Bare stores are raw — the parity
+    /// reference; [`AppResilientStore::make`] builds a framed one.
+    ///
+    /// [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
+    framed: bool,
     /// Entry payloads handed out by [`fetch`](Self::fetch), at any place.
     handed_out: Arc<AtomicU64>,
 }
@@ -304,47 +306,42 @@ pub struct ResilientStore {
 impl ResilientStore {
     /// Create the store's shard at every place (including spares).
     pub fn make(ctx: &Ctx) -> GmlResult<Self> {
-        Self::make_full(ctx, true, true, CodecConfig::raw())
+        Self::make_full(ctx, true, true, false)
     }
 
     /// Create the store with the backup copies toggled (see `redundant`).
     pub fn make_with_redundancy(ctx: &Ctx, redundant: bool) -> GmlResult<Self> {
-        Self::make_full(ctx, redundant, true, CodecConfig::raw())
+        Self::make_full(ctx, redundant, true, false)
     }
 
     /// Create the store with batched shipping toggled (see `batched`). The
     /// per-pair path is the semantic reference; `ci.sh`'s `checkpoint_parity`
     /// step diffs the two bit-for-bit.
     pub fn make_with_batching(ctx: &Ctx, batched: bool) -> GmlResult<Self> {
-        Self::make_full(ctx, true, batched, CodecConfig::raw())
+        Self::make_full(ctx, true, batched, false)
     }
 
-    /// Create the store with an explicit checkpoint codec configuration.
-    /// The codec rides the batched transport, so batching is forced on.
-    pub fn make_with_codec(ctx: &Ctx, config: CodecConfig) -> GmlResult<Self> {
-        Self::make_full(ctx, true, true, config)
-    }
-
-    fn make_full(
+    /// Every public constructor, here and on `AppResilientStore`, ends here.
+    /// Frames ride the batched transport only: `framed` implies `batched`.
+    pub(crate) fn make_full(
         ctx: &Ctx,
         redundant: bool,
         batched: bool,
-        config: CodecConfig,
+        framed: bool,
     ) -> GmlResult<Self> {
+        debug_assert!(batched || !framed);
         let all = ctx.all_places();
         let plh = PlaceLocalHandle::make(ctx, &all, |_| PlaceStore::new())?;
         Ok(ResilientStore {
             plh,
             next_snap_id: Arc::new(AtomicU64::new(1)),
             redundant,
-            // The codec plane only hooks the batched transport; the per-pair
-            // reference path stays byte-for-byte raw.
-            batched: batched || !config.is_raw(),
+            batched,
             ships: Arc::new(ShipState {
                 defer: std::sync::atomic::AtomicBool::new(false),
                 queue: Mutex::new(Vec::new()),
             }),
-            codec: Arc::new(CodecState::new(config)),
+            framed,
             handed_out: Arc::new(AtomicU64::new(0)),
         })
     }
@@ -357,43 +354,6 @@ impl ResilientStore {
     /// Whether `save_batch` uses the batched single-`at` transport.
     pub fn is_batched(&self) -> bool {
         self.batched
-    }
-
-    /// The checkpoint codec configuration this store was built with.
-    pub fn codec_config(&self) -> &CodecConfig {
-        &self.codec.config
-    }
-
-    /// Install the capture context for the object whose `make_snapshot` is
-    /// about to run (delta base + payload class); cleared by
-    /// [`end_capture`](Self::end_capture).
-    pub(crate) fn begin_capture(&self, capture: CaptureCtx) {
-        self.codec.used_delta.store(false, Ordering::Release);
-        *self.codec.capture.lock() = Some(capture);
-    }
-
-    /// Clear the capture context; returns whether any place emitted a delta
-    /// frame during the capture (the caller then records the chain).
-    pub(crate) fn end_capture(&self) -> bool {
-        *self.codec.capture.lock() = None;
-        self.codec.used_delta.swap(false, Ordering::AcqRel)
-    }
-
-    /// Force full bases until [`clear_force_full`](Self::clear_force_full)
-    /// (set after every restore).
-    pub(crate) fn mark_force_full(&self) {
-        self.codec.force_full.store(true, Ordering::Release);
-    }
-
-    /// Lift the post-restore full-base override (called once a checkpoint
-    /// commits cleanly).
-    pub(crate) fn clear_force_full(&self) {
-        self.codec.force_full.store(false, Ordering::Release);
-    }
-
-    /// Whether the post-restore full-base override is active.
-    pub(crate) fn force_full(&self) -> bool {
-        self.codec.force_full.load(Ordering::Acquire)
     }
 
     /// Allocate a namespace for one object snapshot.
@@ -444,7 +404,7 @@ impl ResilientStore {
         let shard = self.shard(ctx)?;
         // Owner copy: a refcount bump only — the serialized buffer produced
         // at this place IS the stored replica; no place boundary is crossed.
-        // The per-pair reference path never frames (codec is batched-only).
+        // The per-pair reference path never frames.
         let entry = StoredEntry::raw(value);
         shard.insert(snap_id, key, entry.clone());
         if self.redundant && backup != ctx.here() {
@@ -512,10 +472,7 @@ impl ResilientStore {
             return Ok(total);
         }
         let shard = self.shard(ctx)?;
-        // Codec plane: frame the batch (delta + compression) before it is
-        // stored or shipped. The raw store bypasses this entirely, keeping
-        // bare stores byte-for-byte identical to the pre-codec behavior.
-        let stored = self.encode_batch(ctx, entries, backup)?;
+        let stored = self.encode_batch(ctx, entries);
         for (key, entry) in &stored {
             // Owner copies: refcount bumps only, as in `save_pair`.
             shard.insert(snap_id, *key, entry.clone());
@@ -545,71 +502,21 @@ impl ResilientStore {
         Ok(total)
     }
 
-    /// Run one place's batch through the codec plane. With the codec off
-    /// this is a passthrough (raw unframed entries). With it on, each
-    /// payload is (optionally) quantized and framed by
-    /// `codec::encode_entry`: diffed against its last committed frame when
-    /// eligible, packed where that is proven to pay, else kept verbatim —
-    /// the serialized buffer itself becomes the entry's body.
-    fn encode_batch(
-        &self,
-        ctx: &Ctx,
-        entries: Vec<(u64, Bytes)>,
-        backup: Place,
-    ) -> GmlResult<Vec<(u64, StoredEntry)>> {
-        let cfg = &self.codec.config;
-        if cfg.is_raw() {
-            return Ok(entries.into_iter().map(|(k, v)| (k, StoredEntry::raw(v))).collect());
+    /// What one place's batch is stored and shipped as: the payloads as they
+    /// came in a raw store, else each framed by `codec::encode_entry` —
+    /// packed where that is proven to pay, else kept verbatim, the
+    /// serialized buffer itself becoming the entry's body.
+    fn encode_batch(&self, ctx: &Ctx, entries: Vec<(u64, Bytes)>) -> Vec<(u64, StoredEntry)> {
+        if !self.framed {
+            return entries.into_iter().map(|(k, v)| (k, StoredEntry::raw(v))).collect();
         }
         let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
         let _span = ctx.trace_span(SpanKind::CkptEncode, total as u64);
-        let capture = self.codec.capture.lock().clone();
-        let force_full = self.force_full();
-        let shard = self.shard(ctx)?;
-        let mut out = Vec::with_capacity(entries.len());
-        for (key, value) in entries {
-            // Lossy quantization happens before digesting, so the stored
-            // digests describe exactly what restore will reproduce. Opaque
-            // payloads and misaligned tails are rejected inside.
-            let (payload, lossy) = match (cfg.lossy_tol, &capture) {
-                (Some(tol), Some(cap)) => match codec::quantize_payload(&value, cap.class, tol) {
-                    Some(q) => (q, true),
-                    None => (value, false),
-                },
-                _ => (value, false),
-            };
-            // Delta eligibility, placement half: the reference frame must
-            // describe this same key at this same owner/backup pair and its
-            // head be locally present. Geometry and chain-depth checks live
-            // in `codec::encode_entry`.
-            let ref_head = if force_full {
-                None
-            } else {
-                capture
-                    .as_ref()
-                    .and_then(|cap| cap.ref_snap.as_ref())
-                    .and_then(|rs| {
-                        let loc = rs.entries.get(&key)?;
-                        if loc.owner != ctx.here() || loc.backup != backup {
-                            return None;
-                        }
-                        Some((shard.get(rs.snap_id, key)?.head?, rs.snap_id))
-                    })
-            };
-            let outcome = codec::encode_entry(
-                cfg,
-                &payload,
-                ref_head.as_ref().map(|(h, _)| &h[..]),
-                ref_head.as_ref().map(|(_, id)| *id).unwrap_or(0),
-                lossy,
-            );
-            if outcome.delta {
-                self.codec.used_delta.store(true, Ordering::Release);
-            }
-            let logical = payload.len() as u64;
-            out.push((key, StoredEntry { head: Some(outcome.head), body: outcome.body, logical }));
-        }
-        Ok(out)
+        let framed = entries.into_iter().map(|(key, payload)| {
+            let codec::EncodeOutcome { head, body } = codec::encode_entry(&payload);
+            (key, StoredEntry { head: Some(head), body, logical: payload.len() as u64 })
+        });
+        framed.collect()
     }
 
     /// The batched backup transfer: one `at` to `backup` carrying the whole
@@ -622,8 +529,8 @@ impl ResilientStore {
         backup: Place,
     ) -> GmlResult<()> {
         // Wire accounting: what actually crosses the place boundary is the
-        // stored (possibly framed) bytes — with the codec on this is where
-        // the delta/compression win shows up in `bytes_shipped`.
+        // stored (possibly framed) bytes — in a framed store this is where
+        // packing shows up in `bytes_shipped`.
         let total: usize = entries.iter().map(|(_, e)| e.wire()).sum();
         let store = self.clone();
         ctx.record_bytes(total);
@@ -694,13 +601,12 @@ impl ResilientStore {
     }
 
     /// Give every entry of `snaps` that a failure left with **one** live
-    /// replica its second one back: the surviving frame — and the same key's
-    /// frames under each id of the snapshot's delta chain — is shipped *as
+    /// replica its second one back: the surviving frame is shipped *as
     /// stored* (no decode, no re-encode; one copy, at the receiver, like a
     /// save's backup) from its holder to the holder's `second_replica` in
     /// `group`, the group the application continues on. Transfers of
     /// distinct holder → target pairs run concurrently. The snap ids stay
-    /// what they were, so reuse and chain GC are unaffected; the entries'
+    /// what they were, so read-only reuse is unaffected; the entries'
     /// recorded locations are rewritten (first replica = the holder) and
     /// remember the group they were placed under, so the snapshots are
     /// fully redundant again and audit clean.
@@ -750,23 +656,17 @@ impl ResilientStore {
         if plan.is_empty() {
             return Ok(report);
         }
-        // Per pair, one order per snapshot id its entries are stored under:
-        // the ids of the delta chain, then the snapshot's own — flagged,
-        // because under that one every key must be found.
-        let orders: Vec<Vec<(ShipOrder, bool)>> = plan
+        // Per pair, one order per snapshot with entries to re-home.
+        let orders: Vec<Vec<ShipOrder>> = plan
             .iter_mut()
             .map(|(&(owner, backup), moved)| {
                 moved.sort_unstable();
                 let of_one_snap = moved.chunk_by(|a, b| a.0 == b.0);
-                let orders = of_one_snap.flat_map(|moved| {
+                let orders = of_one_snap.map(|moved| {
                     let snap = &snaps[moved[0].0];
                     let keys: Vec<u64> = moved.iter().map(|&(_, key)| key).collect();
                     let total = keys.iter().map(|k| snap.entries[k].len).sum();
-                    let chain = snap.chain.iter().map(|&id| (id, false));
-                    let ids = chain.chain([(snap.snap_id, true)]);
-                    ids.map(move |(snap_id, own)| {
-                        (ShipOrder { snap_id, owner, backup, keys: keys.clone(), total }, own)
-                    })
+                    ShipOrder { snap_id: snap.snap_id, owner, backup, keys, total }
                 });
                 orders.collect()
             })
@@ -777,10 +677,10 @@ impl ResilientStore {
         let holders = pairs.iter().enumerate().map(|(i, &(holder, _))| (i, holder));
         let shipped = each_place(ctx, holders, move |ctx, i| {
             let mut wire = 0;
-            for (order, own) in &orders[i] {
+            for order in &orders[i] {
                 let _span = ctx.trace_span(SpanKind::CkptShip, order.total as u64);
                 let (found, bytes) = store.ship_from_here(ctx, order)?;
-                if *own && found != order.keys.len() {
+                if found != order.keys.len() {
                     return Err(GmlError::data_loss(format!(
                         "snapshot {}: {} holds {found} of the {} entries it should",
                         order.snap_id,
@@ -807,10 +707,11 @@ impl ResilientStore {
         Ok(report)
     }
 
-    /// Fetch an entry's **logical payload** from wherever it survives,
-    /// decoding codec frames (and replaying their delta chains) as needed.
-    /// Lossless frames are digest-verified on decode; any mismatch is
-    /// reported as data loss, never returned as data.
+    /// Fetch an entry's **logical payload** from wherever it survives. A raw
+    /// entry is its payload; a frame is decoded from its own head and body,
+    /// every chunk digest-verified — the body of a verbatim frame is then
+    /// handed on by refcount. Any mismatch is reported as data loss, never
+    /// returned as data.
     pub fn fetch(
         &self,
         ctx: &Ctx,
@@ -820,15 +721,14 @@ impl ResilientStore {
         backup: Place,
     ) -> GmlResult<Bytes> {
         let entry = self.fetch_stored(ctx, snap_id, key, owner, backup)?;
-        let payload = if entry.head.is_none() {
-            entry.body
-        } else {
-            let _span = ctx.trace_span(SpanKind::CkptDecode, entry.wire() as u64);
-            // Chain entries share their head's owner/backup placement
-            // (delta eligibility enforces this at encode time, a repair
-            // copies them together), so the base lookups reuse the same
-            // replica pair.
-            decode_chain(entry, key, |base_id| self.fetch_stored(ctx, base_id, key, owner, backup))?
+        let payload = match &entry.head {
+            None => entry.body,
+            Some(head) => {
+                let _span = ctx.trace_span(SpanKind::CkptDecode, entry.wire() as u64);
+                codec::decode_frame(head, &entry.body).map_err(|e| {
+                    GmlError::data_loss(format!("key {key}: frame decode failed: {e}"))
+                })?
+            }
         };
         self.handed_out.fetch_add(1, Ordering::Relaxed);
         Ok(payload)
@@ -882,7 +782,7 @@ impl ResilientStore {
                 span.set_arg(e.wire() as u64);
                 ctx.record_bytes(e.wire());
                 // The only wire copy on the fetch path — the entry lands in
-                // this place's "memory". With the codec on, what crosses
+                // this place's "memory". In a framed store, what crosses
                 // (and is accounted) is the frame, not its decoded
                 // expansion; a verbatim frame needs no other copy to become
                 // the payload again.
@@ -1056,39 +956,6 @@ pub(crate) fn wait_while_set(gate: Option<&AtomicBool>) {
     while gate.is_some_and(|g| g.load(Ordering::Acquire)) {
         std::thread::sleep(Duration::from_micros(200));
     }
-}
-
-/// Turn a stored entry into its logical payload. A delta chain is walked
-/// down to its base, `fetch_base` supplying each base entry by snapshot id,
-/// and replayed upwards: the base yields one buffer and every delta patches
-/// that buffer in place. A raw entry is its payload; so is the body of a
-/// verbatim frame once `codec::decode_frame` has checked it, and either is
-/// handed on by refcount — copied, once, only if a delta has to patch it.
-fn decode_chain(
-    top: StoredEntry,
-    key: u64,
-    mut fetch_base: impl FnMut(u64) -> GmlResult<StoredEntry>,
-) -> GmlResult<Bytes> {
-    let corrupt = |e| GmlError::data_loss(format!("key {key}: frame decode failed: {e}"));
-    let mut chain = vec![top];
-    while let Some(head) = &chain[chain.len() - 1].head {
-        let header = codec::parse_header(head).map_err(corrupt)?;
-        if !header.is_delta() {
-            break;
-        }
-        if chain.len() > 255 {
-            return Err(GmlError::data_loss(format!("key {key}: delta chain exceeds depth 255")));
-        }
-        chain.push(fetch_base(header.ref_snap_id)?);
-    }
-    let mut payload = None;
-    for entry in chain.into_iter().rev() {
-        payload = Some(match &entry.head {
-            None => codec::Payload::Shared(entry.body),
-            Some(head) => codec::decode_frame(head, &entry.body, payload).map_err(corrupt)?,
-        });
-    }
-    Ok(payload.expect("the chain holds at least its head").freeze())
 }
 
 /// Render the process-wide tile-pool rent counters (`gml_tile_*` families).
@@ -1619,8 +1486,7 @@ mod tests {
     #[test]
     fn a_verbatim_entry_is_the_serialized_buffer_at_the_owner_and_one_copy_at_the_backup() {
         Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
-            let cfg = CodecConfig { mode: codec::CodecMode::Delta, level: 1, ..CodecConfig::raw() };
-            let store = ResilientStore::make_with_codec(ctx, cfg).unwrap();
+            let store = ResilientStore::make_full(ctx, true, true, true).unwrap();
             let sid = store.fresh_snap_id();
             // Noise: no byte plane packs, so the frame is verbatim.
             let mut x = 0x9e37_79b9_7f4a_7c15u64;

@@ -15,8 +15,7 @@ use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use apgas::stats::StatsSnapshot;
 use gml_core::{
-    AppResilientStore, CodecConfig, DistBlockMatrix, DistVector, DupVector, ResilientStore,
-    Snapshottable,
+    AppResilientStore, DistBlockMatrix, DistVector, DupVector, ResilientStore, Snapshottable,
 };
 use gml_matrix::{builder, BlockData};
 
@@ -126,8 +125,7 @@ fn dist_vector_make_snapshot_skips_places_without_segments() {
 fn a_two_object_commit_retires_both_old_snapshots_in_one_fan_out() {
     on_four_places(|ctx| {
         let g = ctx.world();
-        // Raw codec: a retired snapshot is deleted, never kept as a delta base.
-        let mut store = AppResilientStore::make_with_codec(ctx, CodecConfig::raw()).unwrap();
+        let mut store = AppResilientStore::make(ctx).unwrap();
         let u = DistVector::make(ctx, 16, &g).unwrap();
         let p = DupVector::make(ctx, 16, &g).unwrap();
         let mut checkpoint = || {

@@ -146,9 +146,8 @@ fn main() {
             print!("{}", report.render());
             assert!(report.consistent_with_totals(), "rows must sum to totals");
             // Codec plane, per checkpoint epoch: how many logical bytes the
-            // snapshots fed the codec vs what actually went on the wire.
-            // (Under the default delta codec the ratio drops sharply on the
-            // epochs where little changed since the previous commit.)
+            // snapshots fed the codec vs what actually went on the wire
+            // (the ratio is low where the graph's CSR blocks were packed).
             for row in report.rows.iter().filter(|r| r.ckpt_logical > 0) {
                 println!(
                     "  codec epoch @iter {:>3}: logical {:>10} -> wire {:>10} (ratio {:.2})",

@@ -58,12 +58,12 @@ pub mod prelude {
         ResilientLogReg, ResilientPageRank,
     };
     pub use gml_core::{
-        fmt_bytes, young_interval, AppResilientStore, ChecksummedStep, CodecConfig, CodecMode,
-        CodecSnapshot, CostReport, DistBlockMatrix, DistDenseMatrix, DistSparseMatrix,
-        DistVector, DupDenseMatrix, DupVector, ExecutorConfig, GmlError, GmlResult, IterRow,
-        PayloadClass, PlaceInventory, PostMortem, RepairReport, ResilientExecutor,
-        ResilientIterativeApp, ResilientStore, RestoreCost, RestoreDecision, RestoreMode,
-        RunStats, Snapshot, SnapshotAudit, Snapshottable,
+        fmt_bytes, young_interval, AppResilientStore, ChecksummedStep, CodecSnapshot,
+        CostReport, DistBlockMatrix, DistDenseMatrix, DistSparseMatrix, DistVector,
+        DupDenseMatrix, DupVector, ExecutorConfig, GmlError, GmlResult, IterRow,
+        PlaceInventory, PostMortem, RepairReport, ResilientExecutor, ResilientIterativeApp,
+        ResilientStore, RestoreCost, RestoreDecision, RestoreMode, RunStats, Snapshot,
+        SnapshotAudit, Snapshottable,
     };
     pub use gml_matrix::{
         builder, BlockData, BlockSet, DenseMatrix, Grid, MatrixBlock, SparseCSC, SparseCSR,

@@ -3,8 +3,9 @@
 //! (cancelled snapshot, no partial inventory), and a place killed during
 //! the asynchronous ship phase must surface at the commit barrier so the
 //! executor restores from the previous committed snapshot. The same drills
-//! run on **verbatim** frames — payloads the codec keeps by reference
-//! because nothing in them packs.
+//! run on both forms a stored frame takes: **packed** — a ramp, whose byte
+//! planes compress — and **verbatim** — noise, which the codec keeps by
+//! reference because nothing in it packs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -210,72 +211,6 @@ fn place_killed_during_ship_phase_surfaces_at_commit_and_restores() {
     .unwrap();
 }
 
-/// A delta codec configuration pinned explicitly (not `from_env`) so these
-/// drills are independent of `GML_CKPT_*` set by the surrounding CI run.
-/// The small chunk keeps one-element mutations well under the dirty-ratio
-/// fallback on the 4096-element test vectors.
-fn delta_codec() -> CodecConfig {
-    CodecConfig {
-        mode: CodecMode::Delta,
-        level: 1,
-        chunk: 1024,
-        dirty_max: 0.5,
-        full_every: 16,
-        lossy_tol: None,
-    }
-}
-
-/// Drill 1b — the backup dies mid-`save_batch` of a **delta** epoch: the
-/// attempt aborts atomically (watermark cancel reaps partial delta frames),
-/// the committed base chain stays intact, and restoring from it replays the
-/// pre-mutation state bit-for-bit.
-#[test]
-fn backup_killed_mid_delta_epoch_aborts_atomically_and_base_restores() {
-    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
-        let world = ctx.world();
-        let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
-        dv.init(ctx, |i| (i as f64).sin()).unwrap();
-        let mut dup = DupVector::make(ctx, 4_096, &world).unwrap();
-        dup.init(ctx, |i| 1.0 / (1.0 + i as f64)).unwrap();
-
-        let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
-        store.set_current_iteration(0);
-        store.start_new_snapshot();
-        store.save(ctx, &dv).unwrap();
-        store.save(ctx, &dup).unwrap();
-        store.commit(ctx).unwrap();
-
-        // Small mutations so the doomed second epoch takes the delta path.
-        dv.for_each_segment(ctx, |_, _, seg| seg.as_mut_slice()[0] += 0.5).unwrap();
-        dup.apply(ctx, |v| v.as_mut_slice()[7] = 42.0).unwrap();
-
-        ctx.kill_place(Place::new(1)).unwrap();
-        let baseline = inventory_fingerprint(ctx, &store);
-
-        store.set_current_iteration(5);
-        store.start_new_snapshot();
-        assert!(store.save(ctx, &dup).unwrap_err().is_recoverable());
-        assert!(store.save(ctx, &dv).unwrap_err().is_recoverable());
-        store.cancel_snapshot(ctx);
-        assert_eq!(
-            inventory_fingerprint(ctx, &store),
-            baseline,
-            "cancelled delta epoch left partial frames behind"
-        );
-
-        // The committed (pre-mutation) snapshot restores bit-identically.
-        let survivors = world.without(&[Place::new(1)]);
-        dv.remake(ctx, &survivors).unwrap();
-        dup.remake(ctx, &survivors).unwrap();
-        store.restore(ctx, &mut [&mut dv, &mut dup]).unwrap();
-        let v = dv.gather(ctx).unwrap();
-        assert!((0..4_096).all(|i| v.get(i) == (i as f64).sin()));
-        let d = dup.read_local(ctx).unwrap();
-        assert!((0..4_096).all(|i| d.get(i) == 1.0 / (1.0 + i as f64)));
-    })
-    .unwrap();
-}
-
 /// FNV-1a digest of a vector's packed f64 contents.
 fn vector_fnv(v: &Vector) -> u64 {
     let mut bytes = Vec::with_capacity(v.len() * 8);
@@ -285,99 +220,64 @@ fn vector_fnv(v: &Vector) -> u64 {
     apgas::digest::fnv1a_bytes(&bytes)
 }
 
-/// Drill 1c — the **owner** dies after a delta epoch committed: restore must
-/// replay base + delta frames from the backup copies, and the result must
-/// hash identically to a run where nothing was ever killed.
-#[test]
-fn owner_killed_after_delta_commit_replays_chain_from_backups() {
-    let run_once = |kill_owner: bool| -> u64 {
-        let digest = Arc::new(std::sync::Mutex::new(0u64));
-        let out = Arc::clone(&digest);
-        Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
-            let world = ctx.world();
-            let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
-            dv.init(ctx, |i| (i as f64) * 0.25 - 7.0).unwrap();
-            let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
+/// The two forms a stored frame takes, by the payload that brings each about.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Form {
+    /// A ramp: steps of 1e-9 leave five of the eight byte planes quiet, so
+    /// the codec packs the payload.
+    Packed,
+    /// Noise: every mantissa bit random, so no byte plane packs and the
+    /// codec keeps the payload by reference.
+    Verbatim,
+}
 
-            // Epoch 0: full bases.
-            store.set_current_iteration(0);
-            store.start_new_snapshot();
-            store.save(ctx, &dv).unwrap();
-            store.commit(ctx).unwrap();
-
-            // Epoch 1: sparse mutation → delta frames chained on epoch 0.
-            dv.for_each_segment(ctx, |s, _, seg| {
-                seg.as_mut_slice()[0] = s as f64 + 0.125;
-            })
-            .unwrap();
-            store.set_current_iteration(1);
-            store.start_new_snapshot();
-            store.save(ctx, &dv).unwrap();
-            store.commit(ctx).unwrap();
-
-            if kill_owner {
-                // Place 2 owned its segments; their frames (delta head *and*
-                // chain base) survive only at the backup (place 3).
-                ctx.kill_place(Place::new(2)).unwrap();
-                let survivors = world.without(&[Place::new(2)]);
-                dv.remake(ctx, &survivors).unwrap();
-            } else {
-                dv.for_each_segment(ctx, |_, _, seg| seg.as_mut_slice().fill(0.0))
-                    .unwrap();
+impl Form {
+    /// Element `i` of the vector, different in every `version`.
+    fn value(self, i: usize, version: u64) -> f64 {
+        match self {
+            Form::Packed => 1.0 + version as f64 + i as f64 * 1e-9,
+            Form::Verbatim => {
+                let h = (i as u64 ^ version << 40).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (h ^ h >> 29) as f64 / u64::MAX as f64
             }
-            store.restore(ctx, &mut [&mut dv]).unwrap();
-            *out.lock().unwrap() = vector_fnv(&dv.gather(ctx).unwrap());
-        })
-        .unwrap();
-        let d = *digest.lock().unwrap();
-        d
-    };
-
-    let undisturbed = run_once(false);
-    let replayed = run_once(true);
-    assert_eq!(
-        replayed, undisturbed,
-        "chain replay from backups must be bit-identical to the never-killed run"
-    );
-}
-
-/// Element `i` of an incompressible vector: every mantissa bit random, so
-/// no byte plane packs and the codec keeps the payload verbatim.
-fn noise(i: usize, version: u64) -> f64 {
-    let h = (i as u64 ^ version << 40).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (h ^ h >> 29) as f64 / u64::MAX as f64
-}
-
-/// Wire bytes over logical bytes of a verbatim frame of a 1024-element
-/// `DistVector` segment under [`delta_codec`]: 8 200 payload bytes in nine
-/// chunks, so a 42-byte header and nine digests — and no record headers.
-const VERBATIM_HEAD: u64 = 42 + 8 * 9;
-
-/// Every live entry of the store is a verbatim frame: its wire size is its
-/// payload plus exactly one head.
-fn assert_all_verbatim(ctx: &Ctx, store: &AppResilientStore) {
-    for inv in store.store().inventory(ctx).iter().filter(|inv| inv.alive) {
-        assert_eq!(inv.wire_bytes - inv.bytes, inv.entries as u64 * VERBATIM_HEAD, "{inv:?}");
+        }
     }
 }
 
-/// Drill 1d — the **owner** dies after a verbatim epoch committed: the only
-/// surviving replica is the backup's one copy of the payload, and restoring
+/// The head of a frame of a 1024-element `DistVector` segment: 8 200 payload
+/// bytes in three chunks, so a 33-byte header and three digests.
+const HEAD: u64 = 33 + 8 * 3;
+
+/// Every live entry of the store is a frame of `form`. A verbatim frame's
+/// wire size is its payload plus exactly one head; a packed one's is less
+/// than half its payload, head and record headers included.
+fn assert_all_of_form(ctx: &Ctx, store: &AppResilientStore, form: Form) {
+    for inv in store.store().inventory(ctx).iter().filter(|inv| inv.alive) {
+        match form {
+            Form::Verbatim => {
+                assert_eq!(inv.wire_bytes - inv.bytes, inv.entries as u64 * HEAD, "{inv:?}")
+            }
+            Form::Packed => assert!(inv.wire_bytes < inv.bytes / 2, "{inv:?}"),
+        }
+    }
+}
+
+/// Drill 1d — the **owner** dies after an epoch committed: the only
+/// surviving replica is the backup's one copy of the frame, and restoring
 /// from it must hash identically to a run where nothing was ever killed.
-#[test]
-fn owner_killed_after_verbatim_commit_restores_from_the_backup_copy() {
+fn owner_killed_after_commit_restores_from_the_backup_copy(form: Form) {
     let run_once = |kill_owner: bool| -> u64 {
         let digest = Arc::new(std::sync::Mutex::new(0u64));
         let out = Arc::clone(&digest);
         Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
             let world = ctx.world();
             let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
-            dv.init(ctx, |i| noise(i, 0)).unwrap();
-            let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
+            dv.init(ctx, move |i| form.value(i, 0)).unwrap();
+            let mut store = AppResilientStore::make(ctx).unwrap();
             store.start_new_snapshot();
             store.save(ctx, &dv).unwrap();
             store.commit(ctx).unwrap();
-            assert_all_verbatim(ctx, &store);
+            assert_all_of_form(ctx, &store, form);
 
             if kill_owner {
                 ctx.kill_place(Place::new(2)).unwrap();
@@ -395,18 +295,27 @@ fn owner_killed_after_verbatim_commit_restores_from_the_backup_copy() {
     assert_eq!(run_once(true), run_once(false));
 }
 
-/// Drill 2b — the backup dies while the ship of a **verbatim** epoch is
-/// parked in flight: the owner copies (the serialized payloads themselves)
-/// are in place, the backup copies never land, `commit` fails at the
-/// barrier, and cancelling leaves the inventory bit-identical to what the
-/// kill alone would have left. The committed epoch still restores.
 #[test]
-fn backup_killed_mid_ship_of_a_verbatim_frame_aborts_atomically() {
-    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+fn owner_killed_after_verbatim_commit_restores_from_the_backup_copy() {
+    owner_killed_after_commit_restores_from_the_backup_copy(Form::Verbatim);
+}
+
+#[test]
+fn owner_killed_after_packed_commit_restores_from_the_backup_copy() {
+    owner_killed_after_commit_restores_from_the_backup_copy(Form::Packed);
+}
+
+/// Drill 2b — the backup dies while the ship of an epoch is parked in
+/// flight: the owner copies (for verbatim frames, the serialized payloads
+/// themselves) are in place, the backup copies never land, `commit` fails
+/// at the barrier, and cancelling leaves the inventory bit-identical to
+/// what the kill alone would have left. The committed epoch still restores.
+fn backup_killed_mid_ship_aborts_atomically(form: Form) {
+    Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
         let world = ctx.world();
         let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
-        dv.init(ctx, |i| noise(i, 0)).unwrap();
-        let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
+        dv.init(ctx, move |i| form.value(i, 0)).unwrap();
+        let mut store = AppResilientStore::make(ctx).unwrap();
         let gate = Arc::new(AtomicBool::new(false));
         store.set_ship_gate(Arc::clone(&gate));
         store.set_current_iteration(0);
@@ -415,8 +324,8 @@ fn backup_killed_mid_ship_of_a_verbatim_frame_aborts_atomically() {
         store.commit(ctx).unwrap();
         let mut baseline = inventory_fingerprint(ctx, &store);
 
-        // Every value changes: the second epoch is verbatim frames again.
-        dv.init(ctx, |i| noise(i, 1)).unwrap();
+        // Every value changes: the second epoch is frames of the same form.
+        dv.init(ctx, move |i| form.value(i, 1)).unwrap();
         gate.store(true, Ordering::Release);
         store.set_current_iteration(4);
         store.start_new_snapshot();
@@ -430,53 +339,24 @@ fn backup_killed_mid_ship_of_a_verbatim_frame_aborts_atomically() {
 
         baseline[1] = (1, false, 0, 0, 0);
         assert_eq!(inventory_fingerprint(ctx, &store), baseline, "partial epoch left behind");
-        assert_all_verbatim(ctx, &store);
+        assert_all_of_form(ctx, &store, form);
         assert_eq!(store.snapshot_iteration(), Some(0));
         dv.remake(ctx, &world.without(&[Place::new(1)])).unwrap();
         store.restore(ctx, &mut [&mut dv]).unwrap();
         let v = dv.gather(ctx).unwrap();
-        assert!((0..4_096).all(|i| v.get(i) == noise(i, 0)));
+        assert!((0..4_096).all(|i| v.get(i) == form.value(i, 0)));
     })
     .unwrap();
 }
 
-/// Drill 1e — a verbatim base under two sparse deltas: restore copies the
-/// base's body once and patches both deltas into the copy, from the owners'
-/// replicas and — after an owner dies — from the backups'.
 #[test]
-fn verbatim_base_and_two_sparse_deltas_replay_on_restore() {
-    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
-        let world = ctx.world();
-        let mut dv = DistVector::make(ctx, 4_096, &world).unwrap();
-        dv.init(ctx, |i| noise(i, 0)).unwrap();
-        let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
-        for epoch in 0..3u64 {
-            if epoch > 0 {
-                // One element per segment: one dirty chunk of nine.
-                dv.for_each_segment(ctx, move |s, _, seg| {
-                    seg.as_mut_slice()[epoch as usize] = s as f64 + epoch as f64;
-                })
-                .unwrap();
-            }
-            store.set_current_iteration(epoch);
-            store.start_new_snapshot();
-            store.save(ctx, &dv).unwrap();
-            store.commit(ctx).unwrap();
-        }
-        let want = dv.gather(ctx).unwrap();
-        let head = store.snapshot_of(dv.object_id()).unwrap();
-        assert_eq!(head.chain.len(), 2, "a base and the first delta under the head");
+fn backup_killed_mid_ship_of_a_verbatim_frame_aborts_atomically() {
+    backup_killed_mid_ship_aborts_atomically(Form::Verbatim);
+}
 
-        dv.for_each_segment(ctx, |_, _, seg| seg.as_mut_slice().fill(0.0)).unwrap();
-        store.restore(ctx, &mut [&mut dv]).unwrap();
-        assert_eq!(vector_fnv(&dv.gather(ctx).unwrap()), vector_fnv(&want));
-
-        ctx.kill_place(Place::new(3)).unwrap();
-        dv.remake(ctx, &world.without(&[Place::new(3)])).unwrap();
-        store.restore(ctx, &mut [&mut dv]).unwrap();
-        assert_eq!(vector_fnv(&dv.gather(ctx).unwrap()), vector_fnv(&want));
-    })
-    .unwrap();
+#[test]
+fn backup_killed_mid_ship_of_a_packed_frame_aborts_atomically() {
+    backup_killed_mid_ship_aborts_atomically(Form::Packed);
 }
 
 /// Drill 2, overlap variant — with overlap on (the executor default),

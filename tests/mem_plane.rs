@@ -151,9 +151,9 @@ fn store_ledger_reconciles_with_inventory_through_lifecycle() {
         assert!(after_kill < before_kill, "dead shard leaves the inventory");
         reconcile(ctx, &store, "after killing place 2");
 
-        // Repair: every frame the dead shard held — delta bases included —
-        // is copied from its surviving replica, so the store is as full as
-        // before the failure and the ledger was charged for each copy.
+        // Repair: every frame the dead shard held is copied from its
+        // surviving replica, so the store is as full as before the failure
+        // and the ledger was charged for each copy.
         let report = store.repair(ctx, &world.without(&[Place::new(2)])).unwrap();
         assert_eq!(report.wire_bytes, before_kill - after_kill);
         assert_eq!(inventory_bytes(ctx, &store), before_kill, "the dead shard's share is back");
@@ -163,6 +163,21 @@ fn store_ledger_reconciles_with_inventory_through_lifecycle() {
             assert_eq!(audit.fully_redundant, audit.entries, "{audit:?}");
             assert!(audit.invariant_ok(), "{audit:?}");
         }
+
+        // The next checkpoint, on the survivors, retires the repaired
+        // generation whole — the copies the repair placed included.
+        let survivors = world.without(&[Place::new(2)]);
+        dv.remake(ctx, &survivors).unwrap();
+        noisy.remake(ctx, &survivors).unwrap();
+        store.restore(ctx, &mut [&mut dv, &mut noisy]).unwrap();
+        store.set_current_iteration(2);
+        store.start_new_snapshot();
+        store.save(ctx, &dv).unwrap();
+        store.save(ctx, &noisy).unwrap();
+        store.commit(ctx).unwrap();
+        reconcile(ctx, &store, "after the first commit past the repair");
+        let entries: usize = store.store().inventory(ctx).iter().map(|p| p.entries).sum();
+        assert_eq!(entries, 2 * (3 + 1), "three segments and the vector, twice each");
     })
     .unwrap();
 }
