@@ -49,7 +49,6 @@ pub fn classify(kind: SpanKind) -> CostClass {
         | SpanKind::Decode
         | SpanKind::At
         | SpanKind::AsyncAt
-        | SpanKind::StoreSave
         | SpanKind::StoreSaveBatch
         | SpanKind::StoreFetch
         | SpanKind::StoreDelete

@@ -60,11 +60,9 @@ pub enum SpanKind {
     CtlTerm,
     /// Resilient-finish wait registration + block until quiescence.
     CtlWait,
-    /// `ResilientStore::save_pair` — owner insert plus backup transfer.
-    StoreSave,
     /// `ResilientStore::fetch` — snapshot read (local, owner, or backup).
     StoreFetch,
-    /// `ResilientStore::delete_snapshot` — collective old-snapshot cleanup.
+    /// `ResilientStore::delete_snapshots` — collective old-snapshot cleanup.
     StoreDelete,
     /// A GML object writing its snapshot into the store.
     SnapshotObj,
@@ -114,7 +112,7 @@ pub enum SpanKind {
 }
 
 /// Number of span kinds (size of per-kind arrays).
-pub const SPAN_KIND_COUNT: usize = 27;
+pub const SPAN_KIND_COUNT: usize = 26;
 
 impl SpanKind {
     /// Every kind, in discriminant order.
@@ -126,7 +124,6 @@ impl SpanKind {
         SpanKind::CtlSpawn,
         SpanKind::CtlTerm,
         SpanKind::CtlWait,
-        SpanKind::StoreSave,
         SpanKind::StoreFetch,
         SpanKind::StoreDelete,
         SpanKind::SnapshotObj,
@@ -158,7 +155,6 @@ impl SpanKind {
             SpanKind::CtlSpawn => "finish.ctl_spawn",
             SpanKind::CtlTerm => "finish.ctl_term",
             SpanKind::CtlWait => "finish.ctl_wait",
-            SpanKind::StoreSave => "store.save_pair",
             SpanKind::StoreFetch => "store.fetch",
             SpanKind::StoreDelete => "store.delete_snapshot",
             SpanKind::SnapshotObj => "object.snapshot",

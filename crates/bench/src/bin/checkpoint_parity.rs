@@ -1,23 +1,17 @@
-//! Parity oracle for the checkpoint plane, two axes:
-//!
-//! * **Transport** (`batched` | `per_pair`): checkpoints the same
-//!   deterministic objects through the per-pair `save_pair` reference path
-//!   and the single-framed-message `save_batch` fast path, then prints every
-//!   place's store inventory and one FNV-1a hash per restored object. The
-//!   `checkpoint_parity` step in `ci.sh` diffs the two dumps bit-for-bit.
-//! * **Codec** (`codec_raw` | `codec_framed`): runs two checkpoint epochs
-//!   through an `AppResilientStore` — over a raw store, the reference, or
-//!   the framed one `AppResilientStore::make` builds — with a small
-//!   deterministic mutation between them, so the restored generation is not
-//!   the first one saved; wipes the objects, restores, and prints the
-//!   restored digests, a measured `max_abs_err` line and the forms the codec
-//!   chose (`frames full=… verbatim=…`). One object has random mantissas, so
-//!   nothing in it packs: its frames must come out verbatim on the framed
-//!   leg (ci.sh requires `verbatim > 0` there and `verbatim == 0` on the raw
-//!   leg, which never frames). ci.sh diffs the digest lines across the two
-//!   legs (inventories are *not* comparable there: wire bytes legitimately
-//!   differ). Both legs additionally self-assert `max_abs_err == 0` —
-//!   restore must be bit-identical, not merely close.
+//! Parity oracle for the checkpoint codec (`codec_raw` | `codec_framed`):
+//! runs two checkpoint epochs through an `AppResilientStore` — over a raw
+//! store, the reference, or the framed one `AppResilientStore::make` builds
+//! — with a small deterministic mutation between them, so the restored
+//! generation is not the first one saved; wipes the objects, restores, and
+//! prints every place's store inventory, the restored digests, a measured
+//! `max_abs_err` line and the forms the codec chose (`frames full=…
+//! verbatim=…`). One object has random mantissas, so nothing in it packs:
+//! its frames must come out verbatim on the framed leg (ci.sh requires
+//! `verbatim > 0` there and `verbatim == 0` on the raw leg, which never
+//! frames). ci.sh diffs the digest lines across the two legs (inventories
+//! are *not* comparable: wire bytes legitimately differ). Both legs
+//! additionally self-assert `max_abs_err == 0` — restore must be
+//! bit-identical, not merely close.
 //!
 //! Usage: `cargo run --release -p gml-bench --bin checkpoint_parity -- <mode>`
 
@@ -25,7 +19,6 @@ use apgas::digest::fnv1a_f64s;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use gml_core::{
     AppResilientStore, DistDenseMatrix, DistSparseMatrix, DistVector, DupDenseMatrix, DupVector,
-    ResilientStore, Snapshottable,
 };
 use gml_matrix::builder;
 
@@ -60,18 +53,10 @@ fn val_mutated(i: usize) -> f64 {
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
-    let transport_batched = match mode.as_str() {
-        "batched" => Some(true),
-        "per_pair" => Some(false),
-        "codec_raw" | "codec_framed" => None,
-        other => {
-            eprintln!(
-                "usage: checkpoint_parity {{batched|per_pair|codec_raw|codec_framed}} \
-                 (got {other:?})"
-            );
-            std::process::exit(2);
-        }
-    };
+    if !matches!(mode.as_str(), "codec_raw" | "codec_framed") {
+        eprintln!("usage: checkpoint_parity {{codec_raw|codec_framed}} (got {mode:?})");
+        std::process::exit(2);
+    }
     println!("mode {mode}");
 
     Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
@@ -93,51 +78,14 @@ fn main() {
         })
         .unwrap();
 
-        if let Some(batched) = transport_batched {
-            // ---- Transport axis: a raw store on both legs, one epoch. ----
-            let store = ResilientStore::make_with_batching(ctx, batched).unwrap();
-            let snaps = [
-                dv.make_snapshot(ctx, &store).unwrap(),
-                dup.make_snapshot(ctx, &store).unwrap(),
-                dd.make_snapshot(ctx, &store).unwrap(),
-                dm.make_snapshot(ctx, &store).unwrap(),
-                ds.make_snapshot(ctx, &store).unwrap(),
-            ];
-
-            // Both transports must produce the identical inventory: same
-            // entry placement, same snapshot count, same logical and wire
-            // payload bytes, per place.
-            print_inventory(&store.inventory(ctx));
-
-            // Wipe the mutable objects, restore everything, and hash: the
-            // restored bits must match across transports.
-            dv.init(ctx, |_| 0.0).unwrap();
-            dup.init(ctx, |_| 0.0).unwrap();
-            dd.init(ctx, |_, _| 0.0).unwrap();
-            dm.init(ctx, |_, _| 0.0).unwrap();
-            dv.restore_snapshot(ctx, &store, &snaps[0]).unwrap();
-            dup.restore_snapshot(ctx, &store, &snaps[1]).unwrap();
-            dd.restore_snapshot(ctx, &store, &snaps[2]).unwrap();
-            dm.restore_snapshot(ctx, &store, &snaps[3]).unwrap();
-            ds.restore_snapshot(ctx, &store, &snaps[4]).unwrap();
-
-            report("dist_vector", dv.gather(ctx).unwrap().as_slice());
-            report("dup_vector", dup.read_local(ctx).unwrap().as_slice());
-            report("dup_dense", dd.local(ctx).unwrap().lock().as_slice());
-            report("dist_dense", dm.gather_dense(ctx).unwrap().as_slice());
-            report("dist_sparse", ds.gather_dense(ctx).unwrap().as_slice());
-            return;
-        }
-
-        // ---- Codec axis: raw or framed store, two epochs, restore. ----
+        // Raw or framed store, two epochs, restore.
         let counters0 = gml_core::codec::counters();
         let mut store = match mode.as_str() {
             "codec_raw" => AppResilientStore::make_with_redundancy(ctx, true),
             _ => AppResilientStore::make(ctx),
         }
         .unwrap();
-        // The incompressible object, created last so the others keep the
-        // ids they have on the transport axis.
+        // The incompressible object.
         let mut dn = DupDenseMatrix::make(ctx, 128, 96, &g).unwrap();
         dn.init(ctx, |i, j| noise(i * 96 + j)).unwrap();
 

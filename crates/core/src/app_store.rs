@@ -48,21 +48,21 @@ struct AppSnapshot {
     end_snap_id: u64,
 }
 
-/// One background ship: executes a saved object's deferred backup
-/// transfers, returning the first error and its busy time.
+/// One background ship: executes a saved object's backup transfers,
+/// returning the first error and its busy time.
 type ShipTask = Helper<(GmlResult<()>, Duration)>;
 
 /// Driver-side coordinator for atomic application checkpoints.
 ///
 /// Checkpoints are **two-phase**: `save` runs only the short synchronous
-/// *capture* phase (serialize under the object lock, owner-side inserts),
-/// queueing the backup transfers as [`ShipOrder`]s that a background thread
-/// executes — the *ship* phase. With overlap off (the default) `commit` is
-/// the barrier that drains this snapshot's own ships, failing atomically if
-/// one of them hit a dead place. With overlap on (the executor's default)
-/// `commit` promotes the snapshot optimistically and the ships keep running
-/// while the next iterations compute; the *next* settle point (commit,
-/// [`drain`](Self::drain), or a recovery) becomes the barrier.
+/// *capture* phase (serialize under the object lock, owner-side inserts);
+/// the backup transfers, read off the resulting snapshot as [`ShipOrder`]s,
+/// run on a background thread — the *ship* phase. With overlap off (the
+/// default) `commit` is the barrier that drains this snapshot's own ships,
+/// failing atomically if one of them hit a dead place. With overlap on (the
+/// executor's default) `commit` promotes the snapshot optimistically and the
+/// ships keep running while the next iterations compute; the *next* settle
+/// point (commit, [`drain`](Self::drain), or a recovery) becomes the barrier.
 pub struct AppResilientStore {
     store: ResilientStore,
     committed: Option<AppSnapshot>,
@@ -84,9 +84,12 @@ pub struct AppResilientStore {
     ship_gate: Option<Arc<AtomicBool>>,
 }
 
-/// Start the ship phase for one saved object: its deferred backup transfers
-/// run on one of the runtime's cached threads ([`Ctx::spawn_helper`]) while
-/// the driver goes on computing.
+/// Start the ship phase for one saved object: its backup transfers run on
+/// one of the runtime's cached threads ([`Ctx::spawn_helper`]) while the
+/// driver goes on computing. Every order is attempted: one that fails on a
+/// dead place must not leave an unrelated pair's entries short of the
+/// replica the snapshot records — a settle promotes the snapshot when
+/// nothing is lost, and a repair re-replicates only entries with a dead side.
 fn spawn_ship(
     ctx: &Ctx,
     store: &ResilientStore,
@@ -97,20 +100,26 @@ fn spawn_ship(
     ctx.spawn_helper(move |ctx| {
         let t0 = Instant::now();
         wait_while_set(gate.as_deref());
-        let mut res = Ok(());
+        let mut first_err = None;
         for order in orders {
             if let Err(e) = store.execute_ship(ctx, order) {
-                res = Err(e);
-                break;
+                keep_actionable(&mut first_err, e);
             }
         }
-        (res, t0.elapsed())
+        (first_err.map_or(Ok(()), Err), t0.elapsed())
     })
 }
 
-/// Join every ship task, accumulating busy time into `ship_time` and
-/// returning the first error — preferring a recoverable (dead-place) one,
+/// Keep the first error seen — preferring a recoverable (dead-place) one,
 /// since that is what the executor can act on.
+fn keep_actionable(first_err: &mut Option<GmlError>, e: GmlError) {
+    if first_err.as_ref().is_none_or(|f| !f.is_recoverable() && e.is_recoverable()) {
+        *first_err = Some(e);
+    }
+}
+
+/// Join every ship task, accumulating busy time into `ship_time` and
+/// returning the first error ([`keep_actionable`]).
 fn drain_ships(ships: &mut Vec<ShipTask>, ship_time: &mut Duration) -> GmlResult<()> {
     let mut first_err: Option<GmlError> = None;
     for task in ships.drain(..) {
@@ -118,13 +127,7 @@ fn drain_ships(ships: &mut Vec<ShipTask>, ship_time: &mut Duration) -> GmlResult
             Ok((res, busy)) => {
                 *ship_time += busy;
                 if let Err(e) = res {
-                    let replace = match &first_err {
-                        None => true,
-                        Some(f) => !f.is_recoverable() && e.is_recoverable(),
-                    };
-                    if replace {
-                        first_err = Some(e);
-                    }
+                    keep_actionable(&mut first_err, e);
                 }
             }
             Err(_) => {
@@ -144,7 +147,7 @@ impl AppResilientStore {
     /// entries are *framed*: stored and shipped as self-contained checkpoint
     /// codec frames ([`crate::codec`]), packed where that is proven to pay.
     pub fn make(ctx: &Ctx) -> GmlResult<Self> {
-        Ok(Self::with_store(ResilientStore::make_full(ctx, true, true, true)?))
+        Ok(Self::with_store(ResilientStore::make_full(ctx, true, true)?))
     }
 
     /// Create the store with backup copies toggled (ablation; see
@@ -224,8 +227,9 @@ impl AppResilientStore {
     /// Snapshot `obj` into the pending application snapshot.
     ///
     /// This is the **capture** phase only: the object serializes under its
-    /// lock and inserts the owner copies; the backup transfers it queued are
-    /// handed to a background ship thread before this method returns.
+    /// lock and inserts the owner copies through a capture-only handle; the
+    /// backup transfers its snapshot implies are handed to a background ship
+    /// thread before this method returns.
     pub fn save(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
         // Checked before anything is allocated: without an open attempt
         // there is no watermark, so nothing `make_snapshot` inserted could
@@ -234,13 +238,12 @@ impl AppResilientStore {
             return Err(GmlError::shape("save() before start_new_snapshot()"));
         }
         let t0 = Instant::now();
-        self.store.begin_deferred_ships();
-        let result = obj.make_snapshot(ctx, &self.store);
-        let orders = self.store.take_deferred_ships();
+        let result = obj.make_snapshot(ctx, &self.store.capturing());
         self.capture_time += t0.elapsed();
-        // On failure the queued orders are dropped unexecuted; the
-        // watermark in `cancel_snapshot` wipes the partial owner inserts.
+        // A failed capture yields no snapshot and so no order; the watermark
+        // in `cancel_snapshot` wipes the partial owner inserts.
         let snap = result?;
+        let orders = self.store.ship_orders(&snap);
         if !orders.is_empty() {
             self.pending_ships.push(spawn_ship(ctx, &self.store, orders, self.ship_gate.clone()));
         }
@@ -868,6 +871,42 @@ mod tests {
             let err = store.drain(ctx).unwrap_err();
             assert!(err.is_recoverable(), "dead-place ship error: {err}");
             assert_eq!(store.snapshot_iteration(), Some(5), "rolled back to settled snapshot");
+        });
+    }
+
+    #[test]
+    fn the_orders_of_a_dist_vector_come_out_in_group_order_on_every_run() {
+        run(4, |ctx| {
+            let store = ResilientStore::make_full(ctx, true, true).unwrap();
+            let x = DistVector::make(ctx, 4096, &ctx.world()).unwrap();
+            // A snapshot's entry map iterates in a different order each time.
+            for _ in 0..8 {
+                let snap = x.make_snapshot(ctx, &store.capturing()).unwrap();
+                let pairs: Vec<(u32, u32)> =
+                    store.ship_orders(&snap).iter().map(|o| (o.owner.id(), o.backup.id())).collect();
+                assert_eq!(pairs, [(0, 1), (1, 2), (2, 3), (3, 0)]);
+            }
+        });
+    }
+
+    #[test]
+    fn a_ship_thread_attempts_every_order_and_returns_the_dead_place_error() {
+        run(4, |ctx| {
+            let store = ResilientStore::make(ctx).unwrap();
+            let x = DistVector::make(ctx, 4096, &ctx.world()).unwrap();
+            let snap = x.make_snapshot(ctx, &store.capturing()).unwrap();
+            // p0 → p1, then p2 → p3; p1 dies before either runs.
+            let mut orders = store.ship_orders(&snap);
+            orders.retain(|o| o.owner.id() % 2 == 0);
+            ctx.kill_place(Place::new(1)).unwrap();
+            let (res, _) = spawn_ship(ctx, &store, orders, None).join().unwrap();
+            assert!(res.unwrap_err().is_recoverable());
+            // The failed order did not stop the one behind it: p3 holds its
+            // own segment and p2's backup, so no entry with two live places
+            // is short of a replica the snapshot records.
+            assert_eq!(store.entries_at(ctx, Place::new(3)).unwrap(), 2);
+            let audit = store.audit_snapshot(ctx, &snap);
+            assert_eq!((audit.fully_redundant, audit.degraded, audit.lost), (1, 2, 1));
         });
     }
 

@@ -253,11 +253,9 @@ fn second_replica(group: &PlaceGroup, first: Place) -> GmlResult<Place> {
         .ok_or_else(|| GmlError::shape(format!("{first} keeps a replica for a group it is not in")))
 }
 
-/// One deferred backup transfer: everything needed to ship a place's batch
-/// of snapshot entries to its backup *after* the synchronous capture phase
-/// has returned. The payloads themselves stay in the owner's shard (they
-/// were inserted during capture); the order re-reads them by key at ship
-/// time, so the order itself carries only metadata.
+/// One backup transfer of entries already in their holder's shard: a
+/// capture's ([`ResilientStore::ship_orders`]) or a repair's. The order
+/// carries only metadata; the payloads are re-read by key at ship time.
 #[derive(Clone, Debug)]
 pub(crate) struct ShipOrder {
     pub(crate) snap_id: u64,
@@ -267,15 +265,6 @@ pub(crate) struct ShipOrder {
     /// Total payload bytes (for spans; the authoritative sizes live in the
     /// shard).
     pub(crate) total: usize,
-}
-
-/// Shared ship-deferral state: while `defer` is set, `save_batch` queues
-/// [`ShipOrder`]s instead of performing backup transfers inline. Shared via
-/// `Arc` across the store clones that collectives carry into remote tasks,
-/// so capture tasks at every place feed one queue.
-struct ShipState {
-    defer: std::sync::atomic::AtomicBool,
-    queue: Mutex<Vec<ShipOrder>>,
 }
 
 /// Handle to the distributed double in-memory store. Cheap to clone and
@@ -288,11 +277,11 @@ pub struct ResilientStore {
     /// halves checkpoint cost but loses snapshot data with the owning
     /// place. Production use keeps this on.
     redundant: bool,
-    /// When false, [`save_batch`](Self::save_batch) degrades to the per-pair
-    /// reference path (`save_pair` per entry) — kept for the CI parity check
-    /// that proves batching is a pure transport optimisation.
-    batched: bool,
-    ships: Arc<ShipState>,
+    /// When true, [`save_batch`](Self::save_batch) inserts the owner copies
+    /// and ships nothing: the backup transfers are left to whoever holds the
+    /// resulting [`Snapshot`] ([`ship_orders`](Self::ship_orders)). Only the
+    /// handle an `AppResilientStore` passes to `make_snapshot` is built so.
+    capture_only: bool,
     /// When true, `save_batch` stores and ships every entry as a checkpoint
     /// codec frame ([`crate::codec`]). Bare stores are raw — the parity
     /// reference; [`AppResilientStore::make`] builds a framed one.
@@ -306,54 +295,36 @@ pub struct ResilientStore {
 impl ResilientStore {
     /// Create the store's shard at every place (including spares).
     pub fn make(ctx: &Ctx) -> GmlResult<Self> {
-        Self::make_full(ctx, true, true, false)
+        Self::make_full(ctx, true, false)
     }
 
     /// Create the store with the backup copies toggled (see `redundant`).
     pub fn make_with_redundancy(ctx: &Ctx, redundant: bool) -> GmlResult<Self> {
-        Self::make_full(ctx, redundant, true, false)
-    }
-
-    /// Create the store with batched shipping toggled (see `batched`). The
-    /// per-pair path is the semantic reference; `ci.sh`'s `checkpoint_parity`
-    /// step diffs the two bit-for-bit.
-    pub fn make_with_batching(ctx: &Ctx, batched: bool) -> GmlResult<Self> {
-        Self::make_full(ctx, true, batched, false)
+        Self::make_full(ctx, redundant, false)
     }
 
     /// Every public constructor, here and on `AppResilientStore`, ends here.
-    /// Frames ride the batched transport only: `framed` implies `batched`.
-    pub(crate) fn make_full(
-        ctx: &Ctx,
-        redundant: bool,
-        batched: bool,
-        framed: bool,
-    ) -> GmlResult<Self> {
-        debug_assert!(batched || !framed);
+    pub(crate) fn make_full(ctx: &Ctx, redundant: bool, framed: bool) -> GmlResult<Self> {
         let all = ctx.all_places();
         let plh = PlaceLocalHandle::make(ctx, &all, |_| PlaceStore::new())?;
         Ok(ResilientStore {
             plh,
             next_snap_id: Arc::new(AtomicU64::new(1)),
             redundant,
-            batched,
-            ships: Arc::new(ShipState {
-                defer: std::sync::atomic::AtomicBool::new(false),
-                queue: Mutex::new(Vec::new()),
-            }),
+            capture_only: false,
             framed,
             handed_out: Arc::new(AtomicU64::new(0)),
         })
     }
 
+    /// This store as a handle that only captures (see `capture_only`).
+    pub(crate) fn capturing(&self) -> Self {
+        ResilientStore { capture_only: true, ..self.clone() }
+    }
+
     /// Whether backup copies are being written.
     pub fn is_redundant(&self) -> bool {
         self.redundant
-    }
-
-    /// Whether `save_batch` uses the batched single-`at` transport.
-    pub fn is_batched(&self) -> bool {
-        self.batched
     }
 
     /// Allocate a namespace for one object snapshot.
@@ -381,44 +352,6 @@ impl ResilientStore {
         Ok(self.plh.local(ctx)?)
     }
 
-    /// Save one key/value pair from the current place: a local copy plus a
-    /// backup copy at `backup`. Must be called from a task running at the
-    /// owning place. Returns the payload size.
-    ///
-    /// Note: over a single-place group the backup collapses onto the owner
-    /// (`backup == here`), leaving one copy only — a one-place application
-    /// has no second place to survive on, matching the paper's model.
-    ///
-    /// Fails with a dead-place error if the backup place dies mid-save; the
-    /// enclosing checkpoint then aborts and is cancelled (atomic commit).
-    pub fn save_pair(
-        &self,
-        ctx: &Ctx,
-        snap_id: u64,
-        key: u64,
-        value: Bytes,
-        backup: Place,
-    ) -> GmlResult<usize> {
-        let len = value.len();
-        let _span = ctx.trace_span(SpanKind::StoreSave, len as u64);
-        let shard = self.shard(ctx)?;
-        // Owner copy: a refcount bump only — the serialized buffer produced
-        // at this place IS the stored replica; no place boundary is crossed.
-        // The per-pair reference path never frames.
-        let entry = StoredEntry::raw(value);
-        shard.insert(snap_id, key, entry.clone());
-        if self.redundant && backup != ctx.here() {
-            let store = self.clone();
-            ctx.record_bytes(len);
-            ctx.at(backup, move |ctx| -> GmlResult<()> {
-                // The only wire copy on the save path.
-                store.shard(ctx)?.insert(snap_id, key, entry.received(ctx));
-                Ok(())
-            })??;
-        }
-        Ok(len)
-    }
-
     /// Save the parts of an object that the **current place** owns, and say
     /// where they went: the backup of everything a place owns lives at its
     /// `second_replica` in the object's group. Every `make_snapshot` calls
@@ -441,20 +374,17 @@ impl ResilientStore {
 
     /// Save a whole place's snapshot entries at once: local inserts for
     /// every pair, then **one** batched backup transfer carrying the entire
-    /// frame to `backup` — a single `at` round trip where the per-pair path
-    /// pays one per key. Must be called from a task running at the owning
-    /// place. Returns the total payload size.
+    /// frame to `backup` — a single `at` round trip whatever the number of
+    /// keys. Must be called from a task running at the owning place. Returns
+    /// the total payload size.
     ///
-    /// Semantically identical to calling [`save_pair`](Self::save_pair) per
-    /// entry (the `checkpoint_parity` CI step enforces this bit-for-bit);
-    /// only the transport differs. With batching disabled
-    /// ([`make_with_batching`](Self::make_with_batching)) it *is* that loop.
+    /// Over a single-place group the backup collapses onto the owner
+    /// (`backup == here`), leaving one copy only — a one-place application
+    /// has no second place to survive on, matching the paper's model.
     ///
-    /// While ship deferral is active (the two-phase checkpoint pipeline in
-    /// `AppResilientStore`), the backup transfer is queued as a
-    /// [`ShipOrder`] instead of executed inline; the dead-backup fail-fast
-    /// below still applies, so capture-time saves surface a backup that was
-    /// already dead exactly like the per-pair path does.
+    /// A capture-only handle stops after the owner inserts. Either way a
+    /// backup that is already dead fails the save here, so the enclosing
+    /// checkpoint aborts and is cancelled (atomic commit).
     pub fn save_batch(
         &self,
         ctx: &Ctx,
@@ -464,17 +394,12 @@ impl ResilientStore {
     ) -> GmlResult<usize> {
         let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
         let _span = ctx.trace_span(SpanKind::StoreSaveBatch, total as u64);
-        if !self.batched {
-            // Reference path: B sequential per-pair round trips.
-            for (key, value) in entries {
-                self.save_pair(ctx, snap_id, key, value, backup)?;
-            }
-            return Ok(total);
-        }
         let shard = self.shard(ctx)?;
         let stored = self.encode_batch(ctx, entries);
         for (key, entry) in &stored {
-            // Owner copies: refcount bumps only, as in `save_pair`.
+            // Owner copies: a refcount bump only — the serialized buffer
+            // produced at this place IS the stored replica; no place
+            // boundary is crossed.
             shard.insert(snap_id, *key, entry.clone());
         }
         if self.redundant && backup != ctx.here() && !stored.is_empty() {
@@ -487,15 +412,7 @@ impl ResilientStore {
                     apgas::DeadPlaceException::new(backup, "backup died before batch ship"),
                 )));
             }
-            if self.ships.defer.load(Ordering::Acquire) {
-                self.ships.queue.lock().push(ShipOrder {
-                    snap_id,
-                    owner: ctx.here(),
-                    backup,
-                    keys: stored.iter().map(|(k, _)| *k).collect(),
-                    total: stored.iter().map(|(_, e)| e.wire()).sum(),
-                });
-            } else {
+            if !self.capture_only {
                 self.ship_entries(ctx, snap_id, stored, backup)?;
             }
         }
@@ -558,21 +475,27 @@ impl ResilientStore {
         Ok(())
     }
 
-    /// Start queueing backup transfers instead of executing them inline
-    /// (capture phase of the two-phase checkpoint).
-    pub(crate) fn begin_deferred_ships(&self) {
-        self.ships.defer.store(true, Ordering::Release);
+    /// The backup transfers a capture of `snap` left undone, read off the
+    /// snapshot: its entries grouped by `(owner, backup)` replica pair, in
+    /// the owner's group order, keys ascending — the same on every run. None
+    /// for a non-redundant store, nor for a pair collapsed onto one place.
+    pub(crate) fn ship_orders(&self, snap: &Snapshot) -> Vec<ShipOrder> {
+        let shipped = snap.entries.iter().filter(|(_, loc)| self.redundant && loc.owner != loc.backup);
+        let mut entries: Vec<(u64, EntryLoc)> = shipped.map(|(&key, &loc)| (key, loc)).collect();
+        entries.sort_unstable_by_key(|&(key, loc)| (snap.group.index_of(loc.owner), loc.backup, key));
+        let of_one_pair = entries.chunk_by(|a, b| (a.1.owner, a.1.backup) == (b.1.owner, b.1.backup));
+        let orders = of_one_pair.map(|entries| ShipOrder {
+            snap_id: snap.snap_id,
+            owner: entries[0].1.owner,
+            backup: entries[0].1.backup,
+            keys: entries.iter().map(|&(key, _)| key).collect(),
+            total: entries.iter().map(|(_, loc)| loc.len).sum(),
+        });
+        orders.collect()
     }
 
-    /// Stop queueing and take every order accumulated since
-    /// [`begin_deferred_ships`](Self::begin_deferred_ships).
-    pub(crate) fn take_deferred_ships(&self) -> Vec<ShipOrder> {
-        self.ships.defer.store(false, Ordering::Release);
-        std::mem::take(&mut *self.ships.queue.lock())
-    }
-
-    /// Execute one deferred backup transfer: re-read the captured payloads
-    /// from the owner's shard and run the batched ship. Callable from any
+    /// Execute one backup transfer: re-read the captured payloads from the
+    /// owner's shard and run the batched ship. Callable from any
     /// place (the checkpoint pipeline runs it from a driver-side helper
     /// thread while the next iteration computes).
     pub(crate) fn execute_ship(&self, ctx: &Ctx, order: ShipOrder) -> GmlResult<()> {
@@ -799,14 +722,9 @@ impl ResilientStore {
         ctx.is_alive(owner) || ctx.is_alive(backup)
     }
 
-    /// Drop every entry of `snap_id` at all live places (old checkpoints are
-    /// deleted once a new one commits).
-    pub fn delete_snapshot(&self, ctx: &Ctx, snap_id: u64) -> GmlResult<()> {
-        self.delete_snapshots(ctx, &[snap_id])
-    }
-
-    /// Drop every entry of every snapshot in `snap_ids` at all live places,
-    /// in one fan-out: a task per live place whatever the number of ids.
+    /// Drop every entry of every snapshot in `snap_ids` at all live places
+    /// (old checkpoints are deleted once a new one commits), in one fan-out:
+    /// a task per live place whatever the number of ids.
     pub fn delete_snapshots(&self, ctx: &Ctx, snap_ids: &[u64]) -> GmlResult<()> {
         let Some(&first) = snap_ids.first() else {
             return Ok(());
@@ -1015,7 +933,7 @@ mod tests {
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
             let payload = Bytes::from_static(b"hello");
-            store.save_pair(ctx, sid, 7, payload.clone(), Place::new(1)).unwrap();
+            store.save_batch(ctx, sid, vec![(7, payload.clone())], Place::new(1)).unwrap();
             let got = store.fetch(ctx, sid, 7, Place::ZERO, Place::new(1)).unwrap();
             assert_eq!(got, payload);
         });
@@ -1028,7 +946,7 @@ mod tests {
             let s2 = store.clone();
             // Save at place 1, backup at place 2.
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_pair(ctx, sid, 3, Bytes::from_static(b"xyz"), Place::new(2)).unwrap();
+                s2.save_batch(ctx, sid, vec![(3, Bytes::from_static(b"xyz"))], Place::new(2)).unwrap();
             })
             .unwrap();
             // Fetch from place 3 (neither owner nor backup): goes remote.
@@ -1048,7 +966,7 @@ mod tests {
             let sid = store.fresh_snap_id();
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_pair(ctx, sid, 1, Bytes::from_static(b"vital"), Place::new(2)).unwrap();
+                s2.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"vital"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
@@ -1063,7 +981,7 @@ mod tests {
             let sid = store.fresh_snap_id();
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_pair(ctx, sid, 1, Bytes::from_static(b"vital"), Place::new(2)).unwrap();
+                s2.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"vital"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(2)).unwrap();
@@ -1078,7 +996,7 @@ mod tests {
             let sid = store.fresh_snap_id();
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_pair(ctx, sid, 1, Bytes::from_static(b"gone"), Place::new(2)).unwrap();
+                s2.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"gone"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
@@ -1095,7 +1013,7 @@ mod tests {
             let sid = store.fresh_snap_id();
             let before = ctx.stats().bytes_shipped;
             store
-                .save_pair(ctx, sid, 0, Bytes::from(vec![7u8; 1024]), Place::new(1))
+                .save_batch(ctx, sid, vec![(0, Bytes::from(vec![7u8; 1024]))], Place::new(1))
                 .unwrap();
             let after = ctx.stats().bytes_shipped;
             assert_eq!(after - before, 1024, "backup transfer is accounted");
@@ -1106,11 +1024,11 @@ mod tests {
     fn delete_snapshot_removes_everywhere() {
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
-            store.save_pair(ctx, sid, 0, Bytes::from_static(b"a"), Place::new(1)).unwrap();
-            store.save_pair(ctx, sid, 1, Bytes::from_static(b"b"), Place::new(1)).unwrap();
+            store.save_batch(ctx, sid, vec![(0, Bytes::from_static(b"a"))], Place::new(1)).unwrap();
+            store.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"b"))], Place::new(1)).unwrap();
             assert_eq!(store.entries_at(ctx, Place::ZERO).unwrap(), 2);
             assert_eq!(store.entries_at(ctx, Place::new(1)).unwrap(), 2);
-            store.delete_snapshot(ctx, sid).unwrap();
+            store.delete_snapshots(ctx, &[sid]).unwrap();
             for p in ctx.world().iter() {
                 assert_eq!(store.entries_at(ctx, p).unwrap(), 0);
             }
@@ -1122,9 +1040,9 @@ mod tests {
         with_store(2, 0, |ctx, store| {
             let a = store.fresh_snap_id();
             let b = store.fresh_snap_id();
-            store.save_pair(ctx, a, 0, Bytes::from_static(b"a"), Place::new(1)).unwrap();
-            store.save_pair(ctx, b, 0, Bytes::from_static(b"b"), Place::new(1)).unwrap();
-            store.delete_snapshot(ctx, a).unwrap();
+            store.save_batch(ctx, a, vec![(0, Bytes::from_static(b"a"))], Place::new(1)).unwrap();
+            store.save_batch(ctx, b, vec![(0, Bytes::from_static(b"b"))], Place::new(1)).unwrap();
+            store.delete_snapshots(ctx, &[a]).unwrap();
             assert!(store.fetch(ctx, a, 0, Place::ZERO, Place::new(1)).is_err());
             assert!(store.fetch(ctx, b, 0, Place::ZERO, Place::new(1)).is_ok());
         });
@@ -1137,7 +1055,7 @@ mod tests {
             // Owner place 1, backup the *spare* place 2 (stores span spares).
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_pair(ctx, sid, 9, Bytes::from_static(b"s"), Place::new(2)).unwrap();
+                s2.save_batch(ctx, sid, vec![(9, Bytes::from_static(b"s"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
@@ -1155,7 +1073,7 @@ mod tests {
             let s2 = store.clone();
             let before = ctx.stats().bytes_shipped;
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_pair(ctx, sid, 0, Bytes::from(vec![1u8; 512]), Place::new(2)).unwrap();
+                s2.save_batch(ctx, sid, vec![(0, Bytes::from(vec![1u8; 512]))], Place::new(2)).unwrap();
             })
             .unwrap();
             // Ablation: no backup transfer happened...
@@ -1172,8 +1090,10 @@ mod tests {
         with_store(3, 0, |ctx, store| {
             ctx.kill_place(Place::new(2)).unwrap();
             let sid = store.fresh_snap_id();
+            // A capture ships nothing, and still refuses a dead backup.
             let err = store
-                .save_pair(ctx, sid, 0, Bytes::from_static(b"x"), Place::new(2))
+                .capturing()
+                .save_batch(ctx, sid, vec![(0, Bytes::from_static(b"x"))], Place::new(2))
                 .unwrap_err();
             assert!(err.is_recoverable(), "dead backup is a recoverable failure: {err}");
         });
@@ -1378,7 +1298,7 @@ mod tests {
             let group = ctx.world();
             // Backup deliberately placed two hops away instead of next.
             let wrong_backup = Place::new(2);
-            store.save_pair(ctx, sid, 0, Bytes::from_static(b"misplaced"), wrong_backup).unwrap();
+            store.save_batch(ctx, sid, vec![(0, Bytes::from_static(b"misplaced"))], wrong_backup).unwrap();
             let loc = EntryLoc { owner: Place::ZERO, backup: wrong_backup, len: 9 };
             let snap = Snapshot::gathered(ctx, sid, 7, &group, Bytes::new(), [(0, loc)]);
             let audit = store.audit_snapshot(ctx, &snap);
@@ -1441,52 +1361,62 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_store_takes_the_per_pair_reference_path() {
-        Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
-            let store = ResilientStore::make_with_batching(ctx, false).unwrap();
-            assert!(!store.is_batched());
-            let sid = store.fresh_snap_id();
-            let before = ctx.stats();
-            let entries: Vec<(u64, Bytes)> =
-                (0..4u64).map(|k| (k, Bytes::from(vec![k as u8; 32]))).collect();
-            store.save_batch(ctx, sid, entries, Place::new(1)).unwrap();
-            let after = ctx.stats();
-            // Same bytes, but one round trip per pair.
-            assert_eq!(after.bytes_shipped - before.bytes_shipped, 4 * 32);
-            assert_eq!(after.at_calls - before.at_calls, 4, "reference path is per-pair");
-            for k in 0..4u64 {
-                assert!(store.fetch(ctx, sid, k, Place::ZERO, Place::new(1)).is_ok());
+    fn a_capture_ships_nothing_and_its_snapshots_orders_ship_exactly_the_backups() {
+        with_store(4, 0, |ctx, store| {
+            let group = ctx.world();
+            let before = ctx.stats().bytes_shipped;
+            let (a, b) = (
+                saved_snapshot(ctx, &store.capturing(), &group),
+                saved_snapshot(ctx, &store.capturing(), &group),
+            );
+            // Each owner holds its copy of both objects; nothing has shipped
+            // but the entry metadata gathered from places 1 to 3.
+            let meta = 2 * 3 * crate::snapshot::ENTRY_META_WIRE_BYTES as u64;
+            assert_eq!(ctx.stats().bytes_shipped - before, meta, "no backup shipped");
+            for p in group.iter() {
+                assert_eq!(store.entries_at(ctx, p).unwrap(), 2);
             }
+            assert_eq!(store.audit_snapshot(ctx, &a).degraded, 4);
+            // One order per owner, in group order whatever order the map
+            // yields its entries in, and the two objects' orders disjoint.
+            let orders = |snap: &Snapshot| -> Vec<(u64, u32, u32, Vec<u64>, usize)> {
+                let orders = store.ship_orders(snap).into_iter();
+                orders.map(|o| (o.snap_id, o.owner.id(), o.backup.id(), o.keys, o.total)).collect()
+            };
+            for snap in [&a, &b] {
+                let expected: Vec<_> =
+                    (0..4).map(|p| (snap.snap_id, p, (p + 1) % 4, vec![p as u64], 64)).collect();
+                assert_eq!(orders(snap), expected);
+            }
+            for order in store.ship_orders(&a) {
+                store.execute_ship(ctx, order).unwrap();
+            }
+            assert_eq!(ctx.stats().bytes_shipped - before, meta + 4 * 64, "exactly a's backups");
+            let (a, b) = (store.audit_snapshot(ctx, &a), store.audit_snapshot(ctx, &b));
+            assert_eq!((a.fully_redundant, b.fully_redundant), (4, 0));
+            assert!(a.invariant_ok() && b.invariant_ok());
+        });
+    }
+
+    #[test]
+    fn a_one_place_group_and_a_non_redundant_store_yield_no_ship_order() {
+        Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
+            let alone: PlaceGroup = [Place::new(1)].into_iter().collect();
+            let store = ResilientStore::make(ctx).unwrap();
+            let snap = saved_snapshot(ctx, &store.capturing(), &alone);
+            assert_eq!(snap.entry(0).unwrap().backup, Place::new(1), "collapsed onto the owner");
+            assert!(store.ship_orders(&snap).is_empty());
+            let single = ResilientStore::make_with_redundancy(ctx, false).unwrap();
+            let snap = saved_snapshot(ctx, &single.capturing(), &ctx.world());
+            assert!(single.ship_orders(&snap).is_empty());
         })
         .unwrap();
     }
 
     #[test]
-    fn deferred_ships_queue_then_execute() {
-        with_store(2, 0, |ctx, store| {
-            let sid = store.fresh_snap_id();
-            store.begin_deferred_ships();
-            let before = ctx.stats().bytes_shipped;
-            store
-                .save_batch(ctx, sid, vec![(0, Bytes::from(vec![9u8; 256]))], Place::new(1))
-                .unwrap();
-            // Capture inserted the owner copy but shipped nothing yet.
-            assert_eq!(ctx.stats().bytes_shipped - before, 0, "ship deferred");
-            assert_eq!(store.entries_at(ctx, Place::new(1)).unwrap(), 0);
-            let orders = store.take_deferred_ships();
-            assert_eq!(orders.len(), 1);
-            for order in orders {
-                store.execute_ship(ctx, order).unwrap();
-            }
-            assert_eq!(ctx.stats().bytes_shipped - before, 256, "ship ran");
-            assert_eq!(store.entries_at(ctx, Place::new(1)).unwrap(), 1);
-        });
-    }
-
-    #[test]
     fn a_verbatim_entry_is_the_serialized_buffer_at_the_owner_and_one_copy_at_the_backup() {
         Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
-            let store = ResilientStore::make_full(ctx, true, true, true).unwrap();
+            let store = ResilientStore::make_full(ctx, true, true).unwrap();
             let sid = store.fresh_snap_id();
             // Noise: no byte plane packs, so the frame is verbatim.
             let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -1542,11 +1472,11 @@ mod tests {
         }
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
-            store.save_pair(ctx, sid, 0, Bytes::from(vec![1u8; 4096]), Place::new(1)).unwrap();
+            store.save_batch(ctx, sid, vec![(0, Bytes::from(vec![1u8; 4096]))], Place::new(1)).unwrap();
             let inv: u64 = store.inventory(ctx).iter().map(|i| i.bytes).sum();
             assert_eq!(inv, 2 * 4096, "owner + backup copies");
             assert!(mem::current(MemTag::StoreShard) >= inv);
-            store.delete_snapshot(ctx, sid).unwrap();
+            store.delete_snapshots(ctx, &[sid]).unwrap();
             let inv_after: u64 = store.inventory(ctx).iter().map(|i| i.bytes).sum();
             assert_eq!(inv_after, 0);
         });
@@ -1556,8 +1486,8 @@ mod tests {
     fn inventory_counts_entries_and_zeroes_dead_places() {
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
-            store.save_pair(ctx, sid, 0, Bytes::from(vec![1u8; 100]), Place::new(1)).unwrap();
-            store.save_pair(ctx, sid, 1, Bytes::from(vec![2u8; 50]), Place::new(1)).unwrap();
+            store.save_batch(ctx, sid, vec![(0, Bytes::from(vec![1u8; 100]))], Place::new(1)).unwrap();
+            store.save_batch(ctx, sid, vec![(1, Bytes::from(vec![2u8; 50]))], Place::new(1)).unwrap();
             ctx.kill_place(Place::new(2)).unwrap();
             let inv = store.inventory(ctx);
             assert_eq!(inv.len(), 3);

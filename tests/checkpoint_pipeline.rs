@@ -390,6 +390,12 @@ fn ship_failure_under_overlap_settles_degraded_and_restores() {
             .expect("one restore row expected");
         assert_eq!(restore.rolled_back_to, 3, "degraded snapshot must be promoted and used");
         assert_eq!(app.v.read_local(ctx).unwrap().get(0), 8.0);
+        // Redundant by presence, not by liveness alone: the recovery's repair
+        // gave every entry the failed ship left short its second replica.
+        for snap in store.committed_snapshots() {
+            let audit = store.store().audit_snapshot(ctx, &snap);
+            assert_eq!(audit.fully_redundant, audit.entries, "{audit:?}");
+        }
     })
     .unwrap();
 }

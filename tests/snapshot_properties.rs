@@ -111,7 +111,7 @@ proptest! {
                 let store2 = store.clone();
                 let payload = bytes::Bytes::from(vec![k as u8; 64]);
                 ctx.at(owner, move |ctx| {
-                    store2.save_pair(ctx, sid, k as u64, payload, backup).unwrap();
+                    store2.save_batch(ctx, sid, vec![(k as u64, payload)], backup).unwrap();
                 })
                 .unwrap();
                 locs.push((k as u64, owner, backup));
