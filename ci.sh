@@ -114,9 +114,11 @@ grep -q '^frames full=0 verbatim=0$' "$CKPT_DIR/codec_raw.out" \
 echo "== mem overhead (profiled cost ceiling + compiled-out no-op path) =="
 # The memory plane's two-sided cost contract: with the default features the
 # ledger's charge/discharge pair must stay within a small fixed ceiling and
-# the counting allocator must observe traffic (mem_overhead asserts both);
-# with mem-profile off, every ledger path must compile to a no-op and the
-# whole apgas suite must still pass.
+# the counting allocator must observe traffic, and an uncontended rent +
+# drop through the `bytes` pool's lock must hit and stay under its own
+# ceiling (mem_overhead asserts all three); with mem-profile off, every
+# ledger path must compile to a no-op and the whole apgas suite must still
+# pass.
 cargo run --release -p gml-bench --bin mem_overhead
 cargo test -q -p apgas --no-default-features --features trace > /dev/null
 

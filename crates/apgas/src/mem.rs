@@ -40,8 +40,8 @@ pub enum MemTag {
     /// the encoder's allocation via refcounting).
     #[default]
     StoreShard = 0,
-    /// Serial-arena encode buffers parked for reuse across all threads
-    /// (level mirrors the `bytes` pool; folded in by [`report`]).
+    /// Encode and payload buffers parked in the process-wide `bytes` pool
+    /// (level mirrors the pool's own; folded in by [`report`]).
     SerialArena = 1,
     /// Tile scratch buffers parked in per-thread freelists (`gml-matrix`).
     TileFreelist = 2,

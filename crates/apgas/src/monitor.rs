@@ -468,14 +468,14 @@ pub fn render_mem(out: &mut String) {
     out.push_str(&format!("gml_mem_heap_allocs_total {}\n", r.heap_allocs));
 }
 
-/// Render the serial-arena (encode-buffer pool) reuse counters, aggregated
-/// across every thread.
+/// Render the `bytes` buffer pool's reuse counters and parked level (the
+/// `serial_arena` ledger tag).
 pub fn render_arena(out: &mut String) {
     let s = bytes::global_pool_stats();
     let counters: [(&str, u64, &str); 3] = [
-        ("gml_arena_hits_total", s.hits, "Encode-buffer requests served from the arena pool."),
-        ("gml_arena_misses_total", s.misses, "Encode-buffer requests that hit the allocator."),
-        ("gml_arena_recycled_total", s.recycled, "Encode buffers parked back into the pool."),
+        ("gml_arena_hits_total", s.hits, "Buffer requests served from the pool."),
+        ("gml_arena_misses_total", s.misses, "Buffer requests that hit the allocator."),
+        ("gml_arena_recycled_total", s.recycled, "Retired buffers parked back into the pool."),
     ];
     for (name, v, help) in counters {
         family_header(out, name, "counter", help);
@@ -485,14 +485,14 @@ pub fn render_arena(out: &mut String) {
         out,
         "gml_arena_parked_bytes",
         "gauge",
-        "Capacity currently parked in arena free lists, all threads.",
+        "Capacity currently parked in the buffer pool.",
     );
     out.push_str(&format!("gml_arena_parked_bytes {}\n", s.parked_bytes));
     family_header(
         out,
         "gml_arena_parked_high_water_bytes",
         "gauge",
-        "High-water mark of parked arena capacity.",
+        "High-water mark of parked pool capacity.",
     );
     out.push_str(&format!("gml_arena_parked_high_water_bytes {}\n", s.parked_bytes_high_water));
 }

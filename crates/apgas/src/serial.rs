@@ -18,8 +18,8 @@
 //! one bounds-checked push per element. Big-endian targets transparently
 //! fall back to an element-wise `to_le_bytes` loop (also exposed as
 //! [`fallback`] so the byte-identity property is testable on any host).
-//! Encode buffers come from a thread-local pool inside the vendored `bytes`
-//! crate, so steady-state checkpoint loops reallocate nothing.
+//! Encode buffers come from the process-wide pool inside the vendored
+//! `bytes` crate, so steady-state checkpoint loops reallocate nothing.
 //!
 //! The fast path changes how many *intermediate* copies the codec makes,
 //! never how many wire crossings the simulation charges for: each place
@@ -40,10 +40,13 @@ pub trait Serial: Sized {
     /// Exact encoded size in bytes, used to pre-reserve buffers.
     fn byte_len(&self) -> usize;
 
-    /// Serialize a single value into a freshly owned buffer drawn from the
-    /// per-place encode arena (see [`arena`]).
+    /// Serialize a single value into a freshly owned buffer sized by
+    /// `byte_len()` (a parked one when the `bytes` pool has a fit, so a
+    /// steady-state checkpoint loop reallocates nothing).
     fn to_bytes(&self) -> Bytes {
-        arena::encode_with(self.byte_len(), |buf| self.write(buf))
+        let mut buf = BytesMut::with_capacity(self.byte_len());
+        self.write(&mut buf);
+        buf.freeze()
     }
 
     /// Deserialize a single value, asserting the buffer is fully consumed.
@@ -440,49 +443,6 @@ pub fn read_usize_vec(buf: &mut Bytes) -> Vec<usize> {
     read_vec(buf)
 }
 
-/// The per-place encode-buffer arena.
-///
-/// Every place's workers encode onto buffers recycled through the vendored
-/// `bytes` crate's thread-local free list: [`encode_with`](arena::encode_with)
-/// draws a parked allocation (or mallocs on a cold start), the caller fills
-/// it, and the frozen [`Bytes`] returns its allocation to the list when its
-/// *last* owner drops — typically when the next checkpoint's `commit`
-/// deletes the previous snapshot's entries. A steady-state checkpoint loop
-/// therefore cycles the same few buffers forever instead of reallocating
-/// every snapshot; [`reuse_stats`](arena::reuse_stats) exposes the hit/miss
-/// counters so benches and tests can assert that.
-pub mod arena {
-    use super::*;
-
-    /// Acquire a recycled (or fresh) buffer of at least `size_hint` bytes,
-    /// let `fill` encode into it, and freeze the result. Exact-size hints
-    /// avoid growth reallocations mid-encode, which would defeat the reuse.
-    pub fn encode_with<F: FnOnce(&mut BytesMut)>(size_hint: usize, fill: F) -> Bytes {
-        let mut buf = BytesMut::with_capacity(size_hint);
-        fill(&mut buf);
-        buf.freeze()
-    }
-
-    /// This thread's arena reuse counters (hits/misses/recycles/parked).
-    pub fn reuse_stats() -> bytes::PoolStats {
-        bytes::pool_stats()
-    }
-
-    /// Process-wide arena reuse counters plus the current/high-water parked
-    /// capacity, aggregated over every thread. This is what the monitor's
-    /// `gml_arena_*` families and the memory ledger's `serial_arena` tag
-    /// read — the thread-local [`reuse_stats`] view can't see reuse
-    /// happening inside pool worker threads.
-    pub fn global_reuse_stats() -> bytes::GlobalPoolStats {
-        bytes::global_pool_stats()
-    }
-
-    /// Reset this thread's arena reuse counters (parked buffers are kept).
-    pub fn reset_reuse_stats() {
-        bytes::reset_pool_stats()
-    }
-}
-
 /// The element-wise reference codec, kept callable on every target so the
 /// byte-identity of the bulk fast path is testable on LE hardware (where the
 /// `cfg`-selected big-endian fallback would otherwise never compile in).
@@ -601,28 +561,6 @@ mod tests {
         assert_eq!(read_vec::<u64>(&mut r), data);
         assert_eq!(u32::read(&mut r), 17);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn arena_reuses_encode_buffers_across_iterations() {
-        // Fresh thread-local state (each #[test] runs on its own thread).
-        arena::reset_reuse_stats();
-        let data: Vec<f64> = (0..1024).map(|i| i as f64).collect();
-        // Simulated checkpoint loop: encode, "ship", drop — the drop is the
-        // last-owner recycle that feeds the next iteration's encode.
-        for _ in 0..10 {
-            let encoded = data.to_bytes();
-            assert_eq!(encoded.len(), data.byte_len());
-            drop(encoded);
-        }
-        let s = arena::reuse_stats();
-        assert!(
-            s.hits >= 9,
-            "steady-state encodes must reuse the arena (hits={}, misses={})",
-            s.hits,
-            s.misses
-        );
-        assert!(s.misses <= 1, "only the cold start may malloc (misses={})", s.misses);
     }
 
     #[test]

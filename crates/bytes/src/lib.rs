@@ -1,8 +1,8 @@
 //! Vendored, offline subset of the `bytes` crate: just the pieces this
 //! workspace uses (`Bytes`, `BytesMut`, `Buf`, `BufMut` with little-endian
-//! accessors), plus one deliberate extension — a **thread-local buffer pool**
-//! so per-message encode buffers are recycled instead of reallocated on every
-//! cross-place send (see `apgas::serial`).
+//! accessors), plus one deliberate extension — a **process-wide buffer
+//! pool** so payload and encode buffers are recycled instead of reallocated
+//! on every cross-place send and checkpoint (see `apgas::serial`).
 //!
 //! Semantics preserved from the real crate:
 //! * `Bytes` is a cheaply clonable, shareable, immutable byte buffer;
@@ -12,154 +12,100 @@
 //!   copying.
 //!
 //! The pool: `BytesMut::with_capacity` first tries to reuse a retired buffer
-//! from the current thread's free list — the tightest one that fits, and
-//! none more than twice the request; when the *sole owner* of a pooled
-//! `Bytes` drops it, the backing allocation returns to the free list of the
-//! dropping thread. The pool is bounded (count and per-buffer capacity) so it
-//! can never hoard more than a few megabytes per thread.
+//! from one free list shared by every thread — the tightest one that fits,
+//! and none more than twice the request; when the *sole owner* of a pooled
+//! `Bytes` drops it, on whichever thread, the backing allocation returns to
+//! that list. A buffer is usually dropped on another thread (a ship thread,
+//! a dispatcher) than the one that asks for the next, so per-thread lists
+//! would mostly miss. The list is bounded in count, per-buffer capacity and
+//! total parked capacity ([`POOL_MAX_PARKED`]), so what it holds on top of
+//! the live data is a stated constant.
 
-use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
-// Thread-local buffer pool
+// Process-wide buffer pool
 // ---------------------------------------------------------------------------
 
 /// Buffers smaller than this are not worth pooling.
 const POOL_MIN_CAPACITY: usize = 1024;
 /// Buffers larger than this are returned to the allocator, not the pool.
 const POOL_MAX_CAPACITY: usize = 16 << 20;
-/// At most this many retired buffers are kept per thread. Sized for a
-/// checkpoint capture: a place encodes every local block *before* the
-/// previous checkpoint's buffers drop, so the park list must hold one
-/// checkpoint's worth of encode buffers or steady-state reuse thrashes.
+/// At most this many retired buffers are parked. Sized for a checkpoint
+/// capture: a place encodes every local block *before* the previous
+/// checkpoint's buffers drop, so the list must hold one checkpoint's worth
+/// of encode buffers or steady-state reuse thrashes.
 const POOL_MAX_BUFFERS: usize = 32;
 /// A parked buffer serves a request only if it is at most this many times
 /// the capacity asked for: a small message must not be lent — and, when it
 /// is kept, pin — a parked payload-sized buffer.
 const POOL_MAX_SLACK: usize = 2;
+/// Parked capacity never exceeds this many bytes: a retired buffer that
+/// would lift it higher goes back to the allocator.
+pub const POOL_MAX_PARKED: usize = 64 << 20;
 
-thread_local! {
-    static FREE_LIST: RefCell<FreeList> = const { RefCell::new(FreeList(Vec::new())) };
-    static POOL_HITS: Cell<u64> = const { Cell::new(0) };
-    static POOL_MISSES: Cell<u64> = const { Cell::new(0) };
-    static POOL_RECYCLED: Cell<u64> = const { Cell::new(0) };
+/// The free list and its counters, all behind one lock.
+struct Pool {
+    free: Vec<Vec<u8>>,
+    stats: GlobalPoolStats,
 }
 
-// Process-wide mirrors of the per-thread reuse counters, plus a live
-// parked-bytes level. The thread-local `pool_stats()` view only sees the
-// calling thread; a metrics scrape thread (or a memory ledger) needs the
-// whole process. Relaxed ordering: these are monitoring counters, not
-// synchronization.
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_RECYCLED: AtomicU64 = AtomicU64::new(0);
-static PARKED_BYTES: AtomicU64 = AtomicU64::new(0);
-static PARKED_BYTES_HIGH: AtomicU64 = AtomicU64::new(0);
+static POOL: Mutex<Pool> = Mutex::new(Pool {
+    free: Vec::new(),
+    stats: GlobalPoolStats {
+        hits: 0,
+        misses: 0,
+        recycled: 0,
+        parked_bytes: 0,
+        parked_bytes_high_water: 0,
+    },
+});
 
-/// The per-thread park list. The wrapper exists so a dying thread's parked
-/// capacity is subtracted from the process-wide level instead of leaking
-/// into it forever.
-struct FreeList(Vec<Vec<u8>>);
-
-impl Drop for FreeList {
-    fn drop(&mut self) {
-        let held: u64 = self.0.iter().map(|b| b.capacity() as u64).sum();
-        saturating_sub(&PARKED_BYTES, held);
-    }
+/// The pool's state is consistent after every statement, so a panic on
+/// another thread leaves nothing to repair; a `Bytes` dropped while
+/// unwinding must not panic again on the poison flag.
+fn pool() -> MutexGuard<'static, Pool> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn saturating_sub(counter: &AtomicU64, n: u64) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-        Some(v.saturating_sub(n))
-    });
-}
-
-/// Process-wide pool reuse counters and the current/high-water parked-bytes
-/// level, aggregated over every thread since process start.
+/// Pool reuse counters and the current/high-water parked-bytes level, since
+/// process start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GlobalPoolStats {
     /// Pool-eligible allocations served from a parked buffer (no malloc).
     pub hits: u64,
     /// Pool-eligible allocations that had to hit the allocator.
     pub misses: u64,
-    /// Retired buffers returned to a park list.
+    /// Retired buffers returned to the free list.
     pub recycled: u64,
-    /// Bytes of capacity currently parked across all threads' free lists.
+    /// Bytes of capacity currently parked.
     pub parked_bytes: u64,
-    /// High-water mark of `parked_bytes`.
+    /// High-water mark of `parked_bytes`; never above [`POOL_MAX_PARKED`].
     pub parked_bytes_high_water: u64,
 }
 
-/// Snapshot the process-wide pool counters (all threads).
+/// Snapshot the pool counters.
 pub fn global_pool_stats() -> GlobalPoolStats {
-    GlobalPoolStats {
-        hits: GLOBAL_HITS.load(Ordering::Relaxed),
-        misses: GLOBAL_MISSES.load(Ordering::Relaxed),
-        recycled: GLOBAL_RECYCLED.load(Ordering::Relaxed),
-        parked_bytes: PARKED_BYTES.load(Ordering::Relaxed),
-        parked_bytes_high_water: PARKED_BYTES_HIGH.load(Ordering::Relaxed),
-    }
-}
-
-/// Reuse counters for this thread's buffer pool. Hits/misses count only
-/// pool-eligible allocations (capacity ≥ the pooling threshold); `recycled`
-/// counts sole-owner buffers successfully parked for reuse.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Pool-eligible allocations served from a parked buffer (no malloc).
-    pub hits: u64,
-    /// Pool-eligible allocations that had to hit the allocator.
-    pub misses: u64,
-    /// Retired buffers returned to the park list.
-    pub recycled: u64,
-    /// Buffers currently parked.
-    pub parked: u64,
-}
-
-/// Snapshot this thread's pool reuse counters.
-pub fn pool_stats() -> PoolStats {
-    PoolStats {
-        hits: POOL_HITS.with(Cell::get),
-        misses: POOL_MISSES.with(Cell::get),
-        recycled: POOL_RECYCLED.with(Cell::get),
-        parked: FREE_LIST.with(|fl| fl.borrow().0.len()) as u64,
-    }
-}
-
-/// Reset this thread's pool reuse counters (the park list itself is kept).
-pub fn reset_pool_stats() {
-    POOL_HITS.with(|c| c.set(0));
-    POOL_MISSES.with(|c| c.set(0));
-    POOL_RECYCLED.with(|c| c.set(0));
+    pool().stats
 }
 
 fn pool_take(min_capacity: usize) -> Option<Vec<u8>> {
     if min_capacity < POOL_MIN_CAPACITY {
         return None;
     }
-    let took = FREE_LIST.with(|fl| {
-        let fl = &mut fl.borrow_mut().0;
-        // Best fit: the tightest parked buffer that holds the request.
-        let fits = min_capacity..=min_capacity.saturating_mul(POOL_MAX_SLACK);
-        let fitting = fl.iter().enumerate().filter(|(_, b)| fits.contains(&b.capacity()));
-        let (idx, _) = fitting.min_by_key(|(_, b)| b.capacity())?;
-        Some(fl.swap_remove(idx))
-    });
-    match &took {
-        Some(buf) => {
-            POOL_HITS.with(|c| c.set(c.get() + 1));
-            GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-            saturating_sub(&PARKED_BYTES, buf.capacity() as u64);
-        }
-        None => {
-            POOL_MISSES.with(|c| c.set(c.get() + 1));
-            GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    took
+    let mut pool = pool();
+    // Best fit: the tightest parked buffer that holds the request.
+    let fits = min_capacity..=min_capacity.saturating_mul(POOL_MAX_SLACK);
+    let fitting = pool.free.iter().enumerate().filter(|(_, b)| fits.contains(&b.capacity()));
+    let Some((idx, _)) = fitting.min_by_key(|(_, b)| b.capacity()) else {
+        pool.stats.misses += 1;
+        return None;
+    };
+    let buf = pool.free.swap_remove(idx);
+    pool.stats.hits += 1;
+    pool.stats.parked_bytes -= buf.capacity() as u64;
+    Some(buf)
 }
 
 fn pool_put(mut buf: Vec<u8>) {
@@ -168,22 +114,16 @@ fn pool_put(mut buf: Vec<u8>) {
         return;
     }
     buf.clear();
-    FREE_LIST.with(|fl| {
-        let fl = &mut fl.borrow_mut().0;
-        if fl.len() < POOL_MAX_BUFFERS {
-            fl.push(buf);
-            POOL_RECYCLED.with(|c| c.set(c.get() + 1));
-            GLOBAL_RECYCLED.fetch_add(1, Ordering::Relaxed);
-            let now = PARKED_BYTES.fetch_add(cap as u64, Ordering::Relaxed) + cap as u64;
-            PARKED_BYTES_HIGH.fetch_max(now, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Number of buffers currently parked in this thread's free list (for tests).
-#[doc(hidden)]
-pub fn pooled_buffer_count() -> usize {
-    FREE_LIST.with(|fl| fl.borrow().0.len())
+    let mut pool = pool();
+    let parked = pool.stats.parked_bytes + cap as u64;
+    if pool.free.len() < POOL_MAX_BUFFERS && parked <= POOL_MAX_PARKED as u64 {
+        pool.free.push(buf);
+        let s = &mut pool.stats;
+        s.recycled += 1;
+        s.parked_bytes = parked;
+        s.parked_bytes_high_water = s.parked_bytes_high_water.max(parked);
+    }
+    // A refused buffer is freed after the guard is released.
 }
 
 // ---------------------------------------------------------------------------
@@ -382,8 +322,8 @@ impl BytesMut {
         BytesMut { vec: Vec::new() }
     }
 
-    /// Pool-aware allocation: reuses a retired encode buffer from this
-    /// thread's free list when one is large enough.
+    /// Pool-aware allocation: reuses a retired buffer from the shared free
+    /// list when one fits.
     pub fn with_capacity(cap: usize) -> Self {
         match pool_take(cap) {
             Some(vec) => BytesMut { vec },
@@ -577,6 +517,7 @@ impl BufMut for Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn roundtrip_all_widths() {
@@ -614,28 +555,44 @@ mod tests {
         assert_eq!(b.len(), 5);
     }
 
+    /// Serializes the tests that touch the pool: it is one list for the
+    /// whole process, so each of them starts from an empty one.
+    static POOL_TESTS: Mutex<()> = Mutex::new(());
+
+    /// Lock out the other pool tests and empty the list.
+    fn empty_pool() -> MutexGuard<'static, ()> {
+        let guard = POOL_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut pool = pool();
+        pool.free.clear();
+        pool.stats.parked_bytes = 0;
+        guard
+    }
+
+    /// How far (hits, misses, recycled) moved since `before`.
+    fn moved(before: GlobalPoolStats) -> (u64, u64, u64) {
+        let s = global_pool_stats();
+        (s.hits - before.hits, s.misses - before.misses, s.recycled - before.recycled)
+    }
+
     #[test]
     fn pool_recycles_sole_owner_buffers() {
-        // Drain whatever is in the pool first.
-        while pool_take(POOL_MIN_CAPACITY).is_some() {}
-        let b = BytesMut::with_capacity(4096);
-        let frozen = b.freeze();
-        drop(frozen);
-        assert_eq!(pooled_buffer_count(), 1, "sole-owner drop must recycle");
+        let _pool = empty_pool();
+        drop(BytesMut::with_capacity(4096).freeze());
+        assert_eq!(global_pool_stats().parked_bytes, 4096, "sole-owner drop must recycle");
         let reused = BytesMut::with_capacity(2048);
-        assert!(reused.capacity() >= 4096, "must reuse the pooled allocation");
-        assert_eq!(pooled_buffer_count(), 0);
+        assert_eq!(reused.capacity(), 4096, "must reuse the pooled allocation");
+        assert_eq!(global_pool_stats().parked_bytes, 0);
     }
 
     #[test]
     fn pool_serves_the_tightest_fit_and_never_a_far_bigger_buffer() {
-        while pool_take(POOL_MIN_CAPACITY).is_some() {}
-        reset_pool_stats();
+        let _pool = empty_pool();
+        let before = global_pool_stats();
         // Park a payload-sized buffer and two message-sized ones, the bigger
         // of the two first.
         let cold = [9 << 20, 2048, 1536].map(|cap| BytesMut::with_capacity(cap).freeze());
         drop(cold);
-        assert_eq!(pool_stats().parked, 3);
+        assert_eq!(global_pool_stats().parked_bytes, (9 << 20) + 2048 + 1536);
         // A 1 KiB request gets the tightest fit, not the first that fits.
         let a = BytesMut::with_capacity(1024);
         let b = BytesMut::with_capacity(1024);
@@ -643,65 +600,99 @@ mod tests {
         // The third fits nothing within twice its size: the payload-sized
         // buffer stays parked and the request is allocated afresh.
         let c = BytesMut::with_capacity(1024);
-        assert_eq!((c.capacity(), pool_stats().parked), (1024, 1));
+        assert_eq!((c.capacity(), global_pool_stats().parked_bytes), (1024, 9 << 20));
         // Same-size reuse still hits, however large.
         let big = BytesMut::with_capacity(9 << 20);
-        assert_eq!((big.capacity(), pool_stats().parked), (9 << 20, 0));
-        let s = pool_stats();
-        assert_eq!((s.hits, s.misses), (3, 4), "three cold allocations and the refused fit");
+        assert_eq!((big.capacity(), global_pool_stats().parked_bytes), (9 << 20, 0));
+        let (hits, misses, _) = moved(before);
+        assert_eq!((hits, misses), (3, 4), "three cold allocations and the refused fit");
     }
 
     #[test]
     fn pool_does_not_recycle_shared_buffers() {
-        while pool_take(POOL_MIN_CAPACITY).is_some() {}
+        let _pool = empty_pool();
         let mut b = BytesMut::with_capacity(4096);
         b.put_slice(&[0u8; 100]);
         let frozen = b.freeze();
         let keep = frozen.clone();
         drop(frozen); // not sole owner: no recycle
-        assert_eq!(pooled_buffer_count(), 0);
+        assert_eq!(global_pool_stats().parked_bytes, 0);
         drop(keep); // last owner: recycle
-        assert_eq!(pooled_buffer_count(), 1);
+        assert_eq!(global_pool_stats().parked_bytes, 4096);
     }
 
     #[test]
     fn pool_stats_track_hits_misses_and_recycles() {
-        while pool_take(POOL_MIN_CAPACITY).is_some() {}
-        reset_pool_stats();
+        let _pool = empty_pool();
+        let before = global_pool_stats();
         let a = BytesMut::with_capacity(4096); // cold: miss
         drop(a.freeze()); // sole owner: recycled
         let b = BytesMut::with_capacity(2048); // warm: hit
         drop(b.freeze());
-        let s = pool_stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.recycled, 2);
-        assert_eq!(s.parked, 1);
+        assert_eq!(moved(before), (1, 1, 2));
+        assert_eq!(global_pool_stats().parked_bytes, 4096);
         // Tiny buffers bypass the pool entirely: no counter movement.
         drop(BytesMut::with_capacity(16).freeze());
-        assert_eq!(pool_stats().hits + pool_stats().misses, 2);
+        assert_eq!(moved(before), (1, 1, 2));
     }
 
     #[test]
     fn global_stats_track_parked_bytes_across_threads() {
-        // The process-wide counters are cumulative and shared with every
-        // other test thread, so assert deltas from a fresh worker thread.
+        let _pool = empty_pool();
         let before = global_pool_stats();
-        std::thread::spawn(|| {
-            let b = BytesMut::with_capacity(8192);
-            drop(b.freeze()); // parked: level rises on this thread
-            let during = global_pool_stats();
-            assert!(during.recycled > 0);
-            assert!(during.parked_bytes_high_water >= 8192);
-            let again = BytesMut::with_capacity(4096); // unparked: level falls
-            assert!(again.capacity() >= 8192);
-        })
-        .join()
-        .unwrap();
-        let after = global_pool_stats();
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
-        assert!(after.recycled > before.recycled);
+        // Parked by a thread that has exited: the buffer and the level stay.
+        std::thread::spawn(|| drop(BytesMut::with_capacity(8192).freeze())).join().unwrap();
+        let parked = global_pool_stats();
+        assert_eq!(parked.parked_bytes, 8192);
+        assert!(parked.parked_bytes_high_water >= 8192);
+        let again = BytesMut::with_capacity(4096); // unparked: level falls
+        assert_eq!(again.capacity(), 8192);
+        assert_eq!(global_pool_stats().parked_bytes, 0);
+        assert_eq!(moved(before), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_buffer_dropped_on_one_thread_serves_a_request_on_another() {
+        let _pool = empty_pool();
+        let before = global_pool_stats();
+        let (to_b, at_b) = mpsc::channel::<Bytes>();
+        let (dropped, b_dropped) = mpsc::channel::<()>();
+        let (c_asked, b_may_exit) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // A freezes a payload and hands it over.
+            let a = s.spawn(move || {
+                let frozen = BytesMut::with_capacity(64 << 10).freeze();
+                let addr = frozen.as_ptr() as usize;
+                to_b.send(frozen).unwrap();
+                addr
+            });
+            // B is its last owner, and stays alive until C has asked, so
+            // nothing B's exit could free serves C.
+            s.spawn(move || {
+                drop(at_b.recv().unwrap());
+                dropped.send(()).unwrap();
+                b_may_exit.recv().unwrap();
+            });
+            let freed = a.join().unwrap();
+            b_dropped.recv().unwrap();
+            let c = s.spawn(|| BytesMut::with_capacity(64 << 10).as_ptr() as usize);
+            let served = c.join().unwrap();
+            c_asked.send(()).unwrap();
+            assert_eq!(served, freed, "C must get the allocation B dropped");
+        });
+        assert_eq!(moved(before), (1, 1, 1));
+    }
+
+    #[test]
+    fn parked_capacity_never_exceeds_the_budget() {
+        let _pool = empty_pool();
+        let before = global_pool_stats();
+        let five = [(); 5].map(|()| BytesMut::with_capacity(16 << 20).freeze());
+        drop(five);
+        let s = global_pool_stats();
+        assert_eq!(s.parked_bytes, 4 * (16 << 20), "four fill the budget");
+        assert_eq!(moved(before).2, 4, "the fifth goes back to the allocator");
+        assert!(s.parked_bytes_high_water <= POOL_MAX_PARKED as u64);
     }
 
     #[test]

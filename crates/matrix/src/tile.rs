@@ -3,9 +3,9 @@
 //! The blocked GEMM kernels copy panels of A and B into contiguous,
 //! register-tile-ordered scratch buffers before the microkernel streams
 //! them (the classic packed-panel scheme). The buffers come from a
-//! thread-local free list — the `f64` sibling of the `gml-apgas` encode
-//! arena, which parks `Vec<u8>` and therefore cannot hand out aligned
-//! `f64` storage. Renting is `clear` + `resize(len, 0.0)`: steady-state
+//! thread-local free list — the `f64` sibling of the `bytes` buffer pool,
+//! which parks `Vec<u8>` and therefore cannot hand out aligned `f64`
+//! storage. Renting is `clear` + `resize(len, 0.0)`: steady-state
 //! iterative solvers hit the parked capacity every iteration and pay only
 //! the zero-fill (which doubles as tile padding), never an allocation.
 //!

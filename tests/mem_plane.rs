@@ -1,7 +1,9 @@
 //! Memory-observability drills: the `GML_MEM_BUDGET` watchdog pressure
-//! alarm, and the store ledger tag reconciling byte-for-byte with the
+//! alarm, the store ledger tag reconciling byte-for-byte with the
 //! resilient store's live inventory through save / delete / restore / kill
-//! cycles.
+//! cycles, and the memory bound of a checkpointing run: the heap stays flat
+//! from checkpoint to checkpoint and the buffer pool parks no more than its
+//! budget.
 //!
 //! The ledger and the allocator counters are process-global, so the tests
 //! here serialize on one mutex and this binary keeps the whole process to
@@ -10,6 +12,7 @@
 use std::sync::Mutex;
 
 use apgas::runtime::{Runtime, RuntimeConfig};
+use resilient_gml::core::FailureInjector;
 use resilient_gml::prelude::*;
 
 /// Serializes the tests: both read process-global state (env knobs, the
@@ -178,6 +181,145 @@ fn store_ledger_reconciles_with_inventory_through_lifecycle() {
         reconcile(ctx, &store, "after the first commit past the repair");
         let entries: usize = store.store().inventory(ctx).iter().map(|p| p.entries).sum();
         assert_eq!(entries, 2 * (3 + 1), "three segments and the vector, twice each");
+    })
+    .unwrap();
+}
+
+/// Elements of the distributed state: 2 MiB over four places, so that one
+/// checkpoint dwarfs what the rest of the process allocates per iteration.
+const DIST_LEN: usize = 1 << 18;
+
+/// A distributed and a duplicated vector, both rewritten by every step and
+/// saved by every checkpoint.
+struct Steady {
+    dv: DistVector,
+    dup: DupVector,
+}
+
+impl ResilientIterativeApp for Steady {
+    fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+        iteration >= 10
+    }
+
+    fn step(&mut self, ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
+        self.dv.map_all(ctx, |x| x * 1.0001 + 0.3)?;
+        self.dup.apply(ctx, |v| v.as_mut_slice().iter_mut().for_each(|x| *x = *x * 1.0001 + 0.3))
+    }
+
+    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
+        store.start_new_snapshot();
+        store.save(ctx, &self.dv)?;
+        store.save(ctx, &self.dup)?;
+        store.commit(ctx)
+    }
+
+    fn restore(
+        &mut self,
+        ctx: &Ctx,
+        new_places: &PlaceGroup,
+        store: &mut AppResilientStore,
+        _snapshot_iteration: u64,
+        _rebalance: bool,
+    ) -> GmlResult<()> {
+        self.dv.remake(ctx, new_places)?;
+        self.dup.remake(ctx, new_places)?;
+        store.restore(ctx, &mut [&mut self.dv, &mut self.dup])
+    }
+}
+
+/// Forwards to the app and records the process heap level after every
+/// checkpoint it takes.
+struct HeapAfterCheckpoint<A> {
+    app: A,
+    heap: Vec<u64>,
+}
+
+impl<A: ResilientIterativeApp> ResilientIterativeApp for HeapAfterCheckpoint<A> {
+    fn is_finished(&self, ctx: &Ctx, iteration: u64) -> bool {
+        self.app.is_finished(ctx, iteration)
+    }
+
+    fn step(&mut self, ctx: &Ctx, iteration: u64) -> GmlResult<()> {
+        self.app.step(ctx, iteration)
+    }
+
+    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
+        self.app.checkpoint(ctx, store)?;
+        self.heap.push(mem::heap_bytes());
+        Ok(())
+    }
+
+    fn restore(
+        &mut self,
+        ctx: &Ctx,
+        new_places: &PlaceGroup,
+        store: &mut AppResilientStore,
+        snapshot_iteration: u64,
+        rebalance: bool,
+    ) -> GmlResult<()> {
+        self.app.restore(ctx, new_places, store, snapshot_iteration, rebalance)
+    }
+}
+
+/// The memory bound as a test: resident ≤ app state + two replicas of the
+/// committed and the provisional checkpoint + the pool's parked budget. A
+/// run with overlap on checkpoints every iteration, ten times, then loses a
+/// place and repairs. From the third checkpoint on, a checkpoint's buffers
+/// are ones an earlier checkpoint retired, so the heap stays within a
+/// checkpoint of where it stood; the pool never parks more than its budget;
+/// and the store ledger still equals the inventory after the kill and the
+/// repair.
+#[test]
+fn checkpointing_heap_is_flat_and_the_pool_stays_within_its_budget() {
+    let _guard = PROCESS_STATE.lock().unwrap();
+    if !mem::enabled() {
+        return;
+    }
+    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+        let world = ctx.world();
+        let dv = DistVector::make(ctx, DIST_LEN, &world).unwrap();
+        // Values nothing packs: every frame is verbatim and as long as the
+        // last, so a retired buffer fits the next checkpoint's request.
+        let noise = |i: usize| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) as f64;
+        dv.init(ctx, noise).unwrap();
+        let dup = DupVector::make(ctx, 4_096, &world).unwrap();
+        dup.init(ctx, noise).unwrap();
+        let app = HeapAfterCheckpoint { app: Steady { dv, dup }, heap: Vec::new() };
+        // Killed entering step 9, after the tenth checkpoint: the run rolls
+        // back, repairs, and finishes before another one is due.
+        let mut app = FailureInjector::new(app, 9, Place::new(2));
+        let mut store = AppResilientStore::make(ctx).unwrap();
+        let exec =
+            ResilientExecutor::new(ExecutorConfig::new(1, RestoreMode::Shrink).overlap_ship(true));
+        let (group, stats, report) = exec.run_reported(ctx, &mut app, &world, &mut store).unwrap();
+        assert_eq!((stats.checkpoints, stats.restores, group.len()), (10, 1, 3));
+        let repaired = report.rows.iter().find_map(|r| r.restore).expect("one restore row");
+        assert!(repaired.repaired_entries > 0, "the dead place's copies are re-replicated");
+
+        let heap = &app.app.heap;
+        assert_eq!(heap.len(), 10, "one reading per checkpoint");
+        let logical = report.rows.iter().map(|r| r.ckpt_logical).max().unwrap();
+        assert!(logical >= (DIST_LEN * 8) as u64, "a checkpoint saves the whole state");
+        // A ship that runs late holds one generation of backup copies past
+        // the next capture, so the pool may settle up to one checkpoint
+        // higher than it stood after the third. A pool whose buffers stay
+        // on the thread that dropped them grows about a checkpoint per
+        // checkpoint instead.
+        assert!(
+            heap[9].saturating_sub(heap[2]) < 2 * logical,
+            "heap after checkpoint 10 grew by two checkpoints or more over checkpoint 3: \
+             {heap:?} (one checkpoint: {logical} B)"
+        );
+
+        let pool = bytes::global_pool_stats();
+        assert!(pool.parked_bytes_high_water <= bytes::POOL_MAX_PARKED as u64, "{pool:?}");
+
+        let inventory = inventory_bytes(ctx, &store);
+        assert_eq!(mem::current(MemTag::StoreShard), inventory, "ledger != inventory");
+        for snap in store.committed_snapshots() {
+            let audit = store.store().audit_snapshot(ctx, &snap);
+            assert_eq!(audit.fully_redundant, audit.entries, "{audit:?}");
+        }
     })
     .unwrap();
 }
