@@ -38,6 +38,10 @@ echo "== recovery traffic (a recovery ships what the dead place held) =="
 # next one is due. Runs in tier-1 already; re-run by name so that a recovery
 # that grows with the application's state is attributed loudly here.
 cargo test -q -p gml-core --test recovery_traffic > /dev/null
+# The same pin per application: for each of the four apps, a failure-free
+# run and a shrink recovery save, encode, ship, keep and compute exactly the
+# recorded literals — how an app declares its state cannot move a byte.
+cargo test -q --test app_state_traffic > /dev/null
 
 echo "== task resilience (chaos drill + replica vote parity) =="
 # The combined chaos drill: one executor run absorbs a task panic (replayed
