@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
 use gml_core::{
-    each_place, AppResilientStore, DistBlockMatrix, DupDenseMatrix, DupOperand, GmlResult,
+    each_place, AppState, DistBlockMatrix, DupDenseMatrix, DupOperand, GmlResult,
     ResilientIterativeApp,
 };
 use gml_matrix::{builder, BlockData, DenseMatrix};
@@ -65,7 +65,6 @@ impl Default for GnmfConfig {
 pub struct Gnmf {
     /// The workload configuration.
     pub cfg: GnmfConfig,
-    group: PlaceGroup,
     /// The matrix being factorised (sparse, row-distributed).
     v: DistBlockMatrix,
     /// Left factor (dense, row-aligned with `v`).
@@ -105,7 +104,7 @@ impl Gnmf {
         let wtw = DupDenseMatrix::make(ctx, k, k, group)?;
         let vht = DistBlockMatrix::make(ctx, m, k, places, 1, places, 1, group, false)?;
         let whh = DistBlockMatrix::make(ctx, m, k, places, 1, places, 1, group, false)?;
-        Ok(Gnmf { cfg, group: group.clone(), v, w, h, wtv, wtw, vht, whh })
+        Ok(Gnmf { cfg, v, w, h, wtv, wtw, vht, whh })
     }
 
     /// One multiplicative update of `H` then `W`.
@@ -145,7 +144,7 @@ impl Gnmf {
         let vh = self.v.handle();
         let wh = self.w.handle();
         let hh = self.h.handle();
-        let gathered = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        let gathered = each_place(ctx, self.v.group().iter().enumerate(), move |ctx, _| {
             let vset = vh.blocks(ctx)?;
             let vset = vset.lock();
             let wset = wh.blocks(ctx)?;
@@ -220,37 +219,18 @@ impl ResilientIterativeApp for ResilientGnmf {
     }
 
     // ===== TABLE2 CHECKPOINT BEGIN =====
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save_read_only(ctx, &self.app.v)?;
-        store.save(ctx, &self.app.w)?;
-        store.save(ctx, &self.app.h)?;
-        store.commit(ctx)
+    fn state(&mut self) -> AppState<'_> {
+        let a = &mut self.app;
+        AppState::default()
+            .read_only("v", &mut a.v)
+            .mutable("w", &mut a.w)
+            .scratch("vht", &mut a.vht)
+            .scratch("whh", &mut a.whh)
+            .mutable("h", &mut a.h)
+            .scratch("wtv", &mut a.wtv)
+            .scratch("wtw", &mut a.wtw)
     }
     // ===== TABLE2 CHECKPOINT END =====
-
-    // ===== TABLE2 RESTORE BEGIN =====
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        let a = &mut self.app;
-        a.v.remake(ctx, new_places, rebalance)?;
-        a.w.remake(ctx, new_places, rebalance)?;
-        a.vht.remake(ctx, new_places, rebalance)?;
-        a.whh.remake(ctx, new_places, rebalance)?;
-        a.h.remake(ctx, new_places)?;
-        a.wtv.remake(ctx, new_places)?;
-        a.wtw.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut a.v, &mut a.w, &mut a.h])?;
-        a.group = new_places.clone();
-        Ok(())
-    }
-    // ===== TABLE2 RESTORE END =====
 }
 // ===== TABLE2 RESILIENT END =====
 
@@ -258,7 +238,9 @@ impl ResilientIterativeApp for ResilientGnmf {
 mod tests {
     use super::*;
     use apgas::runtime::{Runtime, RuntimeConfig};
-    use gml_core::{ExecutorConfig, FailureInjector, ResilientExecutor, RestoreMode};
+    use gml_core::{
+        AppResilientStore, ExecutorConfig, FailureInjector, ResilientExecutor, RestoreMode,
+    };
 
     fn small_cfg() -> GnmfConfig {
         GnmfConfig {

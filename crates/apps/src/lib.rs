@@ -9,8 +9,10 @@
 //!   what Figs 2–4 time under non-resilient vs resilient runtimes;
 //! * a **resilient** wrapper implementing
 //!   [`ResilientIterativeApp`](gml_core::ResilientIterativeApp), adding only
-//!   the `checkpoint` and `restore` methods — the paper's Table II counts
-//!   exactly these lines to show the programming effort is minimal.
+//!   a `state()` declaration of its GML objects (and, for LinReg, an
+//!   `after_restore`) from which the framework derives `checkpoint` and
+//!   `restore` — the paper's Table II counts exactly these lines to show the
+//!   programming effort is minimal.
 //!
 //! The `TABLE2` marker comments delimit the regions the Table II harness
 //! counts; they follow the paper's methodology (total, checkpoint-method and

@@ -10,10 +10,7 @@
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
-use gml_core::{
-    AppResilientStore, DistBlockMatrix, DistVector, DupVector, GmlResult,
-    ResilientIterativeApp,
-};
+use gml_core::{AppState, DistBlockMatrix, DistVector, DupVector, GmlResult, ResilientIterativeApp};
 use gml_matrix::{builder, BlockData, Vector};
 
 /// Workload parameters (weak scaling: examples grow with the group size).
@@ -48,7 +45,6 @@ impl Default for LinRegConfig {
 pub struct LinReg {
     /// The workload configuration.
     pub cfg: LinRegConfig,
-    group: PlaceGroup,
     /// Training examples (dense, row-block-distributed).
     x: DistBlockMatrix,
     /// Labels (distributed, row-aligned with `x`).
@@ -92,7 +88,7 @@ impl LinReg {
         let q = DupVector::make(ctx, f, group)?;
         let tmp = x.make_aligned_vector(ctx)?;
         let rho = r.read_local(ctx)?.norm2_sq();
-        Ok(LinReg { cfg, group: group.clone(), x, y, w, r, p, q, tmp, rho })
+        Ok(LinReg { cfg, x, y, w, r, p, q, tmp, rho })
     }
 
     /// One CG iteration.
@@ -168,38 +164,22 @@ impl ResilientIterativeApp for ResilientLinReg {
     }
 
     // ===== TABLE2 CHECKPOINT BEGIN =====
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save_read_only(ctx, &self.app.x)?;
-        store.save_read_only(ctx, &self.app.y)?;
-        store.save(ctx, &self.app.w)?;
-        store.save(ctx, &self.app.r)?;
-        store.save(ctx, &self.app.p)?;
-        store.commit(ctx)
+    fn state(&mut self) -> AppState<'_> {
+        let a = &mut self.app;
+        AppState::default()
+            .read_only("x", &mut a.x)
+            .read_only("y", &mut a.y).aligned("x")
+            .scratch("tmp", &mut a.tmp).aligned("x")
+            .mutable("w", &mut a.w)
+            .mutable("r", &mut a.r)
+            .mutable("p", &mut a.p)
+            .scratch("q", &mut a.q)
     }
     // ===== TABLE2 CHECKPOINT END =====
 
     // ===== TABLE2 RESTORE BEGIN =====
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        let a = &mut self.app;
-        a.x.remake(ctx, new_places, rebalance)?;
-        let (splits, owners) = a.x.aligned_layout()?;
-        a.y.remake_with_layout(ctx, splits.clone(), owners.clone(), new_places)?;
-        a.tmp.remake_with_layout(ctx, splits, owners, new_places)?;
-        a.w.remake(ctx, new_places)?;
-        a.r.remake(ctx, new_places)?;
-        a.p.remake(ctx, new_places)?;
-        a.q.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut a.x, &mut a.y, &mut a.w, &mut a.r, &mut a.p])?;
-        a.rho = a.r.read_local(ctx)?.norm2_sq();
-        a.group = new_places.clone();
+    fn after_restore(&mut self, ctx: &Ctx) -> GmlResult<()> {
+        self.app.rho = self.app.r.read_local(ctx)?.norm2_sq();
         Ok(())
     }
     // ===== TABLE2 RESTORE END =====
@@ -211,7 +191,9 @@ mod tests {
     use super::*;
     use crate::reference;
     use apgas::runtime::{Runtime, RuntimeConfig};
-    use gml_core::{ExecutorConfig, ResilientExecutor, RestoreMode};
+    use gml_core::{
+        AppResilientStore, ExecutorConfig, FailureInjector, ResilientExecutor, RestoreMode,
+    };
 
     fn small_cfg() -> LinRegConfig {
         LinRegConfig {
@@ -264,49 +246,14 @@ mod tests {
                 // Failure-free baseline.
                 let (w_expect, _) = LinReg::run_simple(ctx, cfg, &g).unwrap();
 
-                struct Killer {
-                    inner: ResilientLinReg,
-                    done: bool,
-                }
-                impl ResilientIterativeApp for Killer {
-                    fn is_finished(&self, ctx: &Ctx, it: u64) -> bool {
-                        self.inner.is_finished(ctx, it)
-                    }
-                    fn step(&mut self, ctx: &Ctx, it: u64) -> GmlResult<()> {
-                        if it == 11 && !self.done {
-                            self.done = true;
-                            ctx.kill_place(Place::new(1))?;
-                        }
-                        self.inner.step(ctx, it)
-                    }
-                    fn checkpoint(
-                        &mut self,
-                        ctx: &Ctx,
-                        s: &mut AppResilientStore,
-                    ) -> GmlResult<()> {
-                        self.inner.checkpoint(ctx, s)
-                    }
-                    fn restore(
-                        &mut self,
-                        ctx: &Ctx,
-                        g: &PlaceGroup,
-                        s: &mut AppResilientStore,
-                        si: u64,
-                        rb: bool,
-                    ) -> GmlResult<()> {
-                        self.inner.restore(ctx, g, s, si, rb)
-                    }
-                }
-                let mut killer = Killer {
-                    inner: ResilientLinReg::make(ctx, cfg, &g).unwrap(),
-                    done: false,
-                };
+                let app = ResilientLinReg::make(ctx, cfg, &g).unwrap();
+                let mut injected = FailureInjector::new(app, 11, Place::new(1));
                 let mut store = AppResilientStore::make(ctx).unwrap();
                 let exec = ResilientExecutor::new(ExecutorConfig::new(10, mode));
-                let (final_group, stats) = exec.run(ctx, &mut killer, &g, &mut store).unwrap();
+                let (final_group, stats) = exec.run(ctx, &mut injected, &g, &mut store).unwrap();
                 assert_eq!(final_group.len(), 3);
                 assert_eq!(stats.restores, 1);
-                let w = killer.inner.app.weights(ctx).unwrap();
+                let w = injected.app.app.weights(ctx).unwrap();
                 assert!(
                     w.max_abs_diff(&w_expect) < 1e-9,
                     "mode {mode:?}: rollback re-execution reproduces the run (diff {})",

@@ -9,10 +9,7 @@
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
-use gml_core::{
-    AppResilientStore, DistBlockMatrix, DistVector, DupVector, GmlResult,
-    ResilientIterativeApp,
-};
+use gml_core::{AppState, DistBlockMatrix, DistVector, DupVector, GmlResult, ResilientIterativeApp};
 use gml_matrix::{builder, BlockData, Vector};
 
 use crate::sigmoid;
@@ -52,7 +49,6 @@ impl Default for LogRegConfig {
 pub struct LogReg {
     /// The workload configuration.
     pub cfg: LogRegConfig,
-    group: PlaceGroup,
     /// Training examples (dense, row-block-distributed).
     x: DistBlockMatrix,
     /// Binary labels (distributed, row-aligned with `x`).
@@ -86,7 +82,7 @@ impl LogReg {
         let w = DupVector::make(ctx, f, group)?;
         let grad = DupVector::make(ctx, f, group)?;
         let tmp = x.make_aligned_vector(ctx)?;
-        Ok(LogReg { cfg, group: group.clone(), x, y, w, grad, tmp })
+        Ok(LogReg { cfg, x, y, w, grad, tmp })
     }
 
     /// One gradient-descent iteration.
@@ -168,36 +164,16 @@ impl ResilientIterativeApp for ResilientLogReg {
     }
 
     // ===== TABLE2 CHECKPOINT BEGIN =====
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save_read_only(ctx, &self.app.x)?;
-        store.save_read_only(ctx, &self.app.y)?;
-        store.save(ctx, &self.app.w)?;
-        store.commit(ctx)
+    fn state(&mut self) -> AppState<'_> {
+        let a = &mut self.app;
+        AppState::default()
+            .read_only("x", &mut a.x)
+            .read_only("y", &mut a.y).aligned("x")
+            .scratch("tmp", &mut a.tmp).aligned("x")
+            .mutable("w", &mut a.w)
+            .scratch("grad", &mut a.grad)
     }
     // ===== TABLE2 CHECKPOINT END =====
-
-    // ===== TABLE2 RESTORE BEGIN =====
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        let a = &mut self.app;
-        a.x.remake(ctx, new_places, rebalance)?;
-        let (splits, owners) = a.x.aligned_layout()?;
-        a.y.remake_with_layout(ctx, splits.clone(), owners.clone(), new_places)?;
-        a.tmp.remake_with_layout(ctx, splits, owners, new_places)?;
-        a.w.remake(ctx, new_places)?;
-        a.grad.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut a.x, &mut a.y, &mut a.w])?;
-        a.group = new_places.clone();
-        Ok(())
-    }
-    // ===== TABLE2 RESTORE END =====
 }
 // ===== TABLE2 RESILIENT END =====
 
@@ -206,7 +182,9 @@ mod tests {
     use super::*;
     use crate::reference;
     use apgas::runtime::{Runtime, RuntimeConfig};
-    use gml_core::{ExecutorConfig, ResilientExecutor, RestoreMode};
+    use gml_core::{
+        AppResilientStore, ExecutorConfig, FailureInjector, ResilientExecutor, RestoreMode,
+    };
 
     fn small_cfg() -> LogRegConfig {
         LogRegConfig {
@@ -264,44 +242,15 @@ mod tests {
             let g = ctx.world();
             let (w_expect, _) = LogReg::run_simple(ctx, cfg, &g).unwrap();
 
-            struct Killer {
-                inner: ResilientLogReg,
-                done: bool,
-            }
-            impl ResilientIterativeApp for Killer {
-                fn is_finished(&self, ctx: &Ctx, it: u64) -> bool {
-                    self.inner.is_finished(ctx, it)
-                }
-                fn step(&mut self, ctx: &Ctx, it: u64) -> GmlResult<()> {
-                    if it == 15 && !self.done {
-                        self.done = true;
-                        ctx.kill_place(Place::new(3))?;
-                    }
-                    self.inner.step(ctx, it)
-                }
-                fn checkpoint(&mut self, ctx: &Ctx, s: &mut AppResilientStore) -> GmlResult<()> {
-                    self.inner.checkpoint(ctx, s)
-                }
-                fn restore(
-                    &mut self,
-                    ctx: &Ctx,
-                    g: &PlaceGroup,
-                    s: &mut AppResilientStore,
-                    si: u64,
-                    rb: bool,
-                ) -> GmlResult<()> {
-                    self.inner.restore(ctx, g, s, si, rb)
-                }
-            }
-            let mut killer =
-                Killer { inner: ResilientLogReg::make(ctx, cfg, &g).unwrap(), done: false };
+            let app = ResilientLogReg::make(ctx, cfg, &g).unwrap();
+            let mut injected = FailureInjector::new(app, 15, Place::new(3));
             let mut store = AppResilientStore::make(ctx).unwrap();
             let exec =
                 ResilientExecutor::new(ExecutorConfig::new(10, RestoreMode::ReplaceRedundant));
-            let (final_group, stats) = exec.run(ctx, &mut killer, &g, &mut store).unwrap();
+            let (final_group, stats) = exec.run(ctx, &mut injected, &g, &mut store).unwrap();
             assert_eq!(final_group.len(), 4, "spare kept the group at full strength");
             assert_eq!(stats.restores, 1);
-            let w = killer.inner.app.weights(ctx).unwrap();
+            let w = injected.app.app.weights(ctx).unwrap();
             assert!(
                 w.max_abs_diff(&w_expect) < 1e-9,
                 "replace-redundant reproduces the failure-free run (diff {})",

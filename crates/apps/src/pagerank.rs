@@ -11,10 +11,7 @@
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
-use gml_core::{
-    AppResilientStore, DistBlockMatrix, DistVector, DupVector, GmlResult,
-    ResilientIterativeApp,
-};
+use gml_core::{AppState, DistBlockMatrix, DistVector, DupVector, GmlResult, ResilientIterativeApp};
 use gml_matrix::{builder, BlockData, Vector};
 
 /// Workload parameters (weak scaling: the node count grows with the group).
@@ -49,7 +46,6 @@ impl Default for PageRankConfig {
 pub struct PageRank {
     /// The workload configuration.
     pub cfg: PageRankConfig,
-    group: PlaceGroup,
     /// Link matrix (sparse, row-block-distributed).
     g: DistBlockMatrix,
     /// Rank vector (duplicated).
@@ -75,7 +71,7 @@ impl PageRank {
         let u = g.make_aligned_vector(ctx)?;
         u.init(ctx, move |_| 1.0 / n as f64)?;
         let gp = g.make_aligned_vector(ctx)?;
-        Ok(PageRank { cfg, group: group.clone(), g, p, u, gp })
+        Ok(PageRank { cfg, g, p, u, gp })
     }
 
     /// One PageRank iteration (Listing 2, lines 12–18).
@@ -125,7 +121,7 @@ impl PageRank {
 
 // ===== TABLE2 RESILIENT BEGIN =====
 /// PageRank under the resilient iterative framework (§V): the same program
-/// plus the four framework methods.
+/// plus `is_finished`, `step` and the declaration of its state.
 pub struct ResilientPageRank {
     /// The wrapped application.
     pub app: PageRank,
@@ -148,35 +144,15 @@ impl ResilientIterativeApp for ResilientPageRank {
     }
 
     // ===== TABLE2 CHECKPOINT BEGIN =====
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save_read_only(ctx, &self.app.g)?;
-        store.save_read_only(ctx, &self.app.u)?;
-        store.save(ctx, &self.app.p)?;
-        store.commit(ctx)
+    fn state(&mut self) -> AppState<'_> {
+        let a = &mut self.app;
+        AppState::default()
+            .read_only("g", &mut a.g)
+            .read_only("u", &mut a.u).aligned("g")
+            .scratch("gp", &mut a.gp).aligned("g")
+            .mutable("p", &mut a.p)
     }
     // ===== TABLE2 CHECKPOINT END =====
-
-    // ===== TABLE2 RESTORE BEGIN =====
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        let a = &mut self.app;
-        a.g.remake(ctx, new_places, rebalance)?;
-        let (splits, owners) = a.g.aligned_layout()?;
-        a.u.remake_with_layout(ctx, splits.clone(), owners.clone(), new_places)?;
-        a.gp.remake_with_layout(ctx, splits, owners, new_places)?;
-        a.p.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut a.g, &mut a.u, &mut a.p])?;
-        a.group = new_places.clone();
-        Ok(())
-    }
-    // ===== TABLE2 RESTORE END =====
 }
 // ===== TABLE2 RESILIENT END =====
 
@@ -185,7 +161,9 @@ mod tests {
     use super::*;
     use crate::reference;
     use apgas::runtime::{Runtime, RuntimeConfig};
-    use gml_core::{ExecutorConfig, ResilientExecutor, RestoreMode};
+    use gml_core::{
+        AppResilientStore, ExecutorConfig, FailureInjector, ResilientExecutor, RestoreMode,
+    };
 
     fn small_cfg() -> PageRankConfig {
         PageRankConfig { nodes_per_place: 25, out_degree: 3, iterations: 15, alpha: 0.85, seed: 11 }
@@ -229,47 +207,12 @@ mod tests {
             Runtime::run(RuntimeConfig::new(4).spares(spares).resilient(true), move |ctx| {
                 let cfg = small_cfg();
                 let g = ctx.world();
-                let mut app = ResilientPageRank::make(ctx, cfg, &g).unwrap();
+                let app = ResilientPageRank::make(ctx, cfg, &g).unwrap();
                 let mut store = AppResilientStore::make(ctx).unwrap();
-                // Kill place 2 at iteration 7 via a wrapper.
-                struct Killer {
-                    inner: ResilientPageRank,
-                    done: bool,
-                }
-                impl ResilientIterativeApp for Killer {
-                    fn is_finished(&self, ctx: &Ctx, it: u64) -> bool {
-                        self.inner.is_finished(ctx, it)
-                    }
-                    fn step(&mut self, ctx: &Ctx, it: u64) -> GmlResult<()> {
-                        if it == 7 && !self.done {
-                            self.done = true;
-                            ctx.kill_place(Place::new(2))?;
-                        }
-                        self.inner.step(ctx, it)
-                    }
-                    fn checkpoint(
-                        &mut self,
-                        ctx: &Ctx,
-                        s: &mut AppResilientStore,
-                    ) -> GmlResult<()> {
-                        self.inner.checkpoint(ctx, s)
-                    }
-                    fn restore(
-                        &mut self,
-                        ctx: &Ctx,
-                        g: &PlaceGroup,
-                        s: &mut AppResilientStore,
-                        si: u64,
-                        rb: bool,
-                    ) -> GmlResult<()> {
-                        self.inner.restore(ctx, g, s, si, rb)
-                    }
-                }
-                let mut killer = Killer { inner: app, done: false };
+                let mut injected = FailureInjector::new(app, 7, Place::new(2));
                 let exec = ResilientExecutor::new(ExecutorConfig::new(5, mode));
                 let (final_group, stats) =
-                    exec.run(ctx, &mut killer, &g, &mut store).unwrap();
-                app = killer.inner;
+                    exec.run(ctx, &mut injected, &g, &mut store).unwrap();
                 let expect = reference::pagerank(
                     100,
                     cfg.out_degree,
@@ -277,7 +220,7 @@ mod tests {
                     cfg.alpha,
                     cfg.iterations as usize,
                 );
-                let ranks = app.app.ranks(ctx).unwrap();
+                let ranks = injected.app.app.ranks(ctx).unwrap();
                 assert!(
                     ranks.max_abs_diff(&expect) < 1e-12,
                     "mode {mode:?}: result identical despite failure"

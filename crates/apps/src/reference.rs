@@ -8,8 +8,6 @@
 
 use gml_matrix::{builder, DenseMatrix, Vector};
 
-use crate::sigmoid;
-
 /// Sequential PageRank: `P = α·G·P + (1-α)·(UᵀP)·1` for `iters` iterations.
 ///
 /// Matches the distributed computation's floating-point result exactly: the
@@ -30,8 +28,27 @@ pub fn pagerank(n: usize, out_degree: usize, seed: u64, alpha: f64, iters: usize
     p
 }
 
+/// A dense matrix with entries uniform in `(0, 1]` (strictly positive, as
+/// NMF factors must be). Row `i` depends only on `(seed, i)` so distributed
+/// builds can generate their own row blocks.
+pub fn nonneg_dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    nonneg_dense_rows(cols, seed, 0, rows)
+}
+
+/// The row slice `r0..r1` of [`nonneg_dense`].
+pub fn nonneg_dense_rows(cols: usize, seed: u64, r0: usize, r1: usize) -> DenseMatrix {
+    let mut out = builder::random_dense_rows(cols, seed, r0, r1);
+    for v in out.as_mut_slice() {
+        *v = (*v + 1.0) / 2.0 + 1e-3; // map [-1,1) → (0,1]
+    }
+    out
+}
+
+// The sequential twins below are compiled for the unit tests only.
+
 /// The training set the distributed LinReg/LogReg build, assembled at one
 /// place: `X` from [`builder::random_dense_rows`] and the hidden weights.
+#[cfg(test)]
 pub fn training_matrix(examples: usize, features: usize, seed: u64) -> (DenseMatrix, Vector) {
     let x = builder::random_dense_rows(features, seed, 0, examples);
     let w_star = builder::random_vector(features, seed.wrapping_add(1));
@@ -40,6 +57,7 @@ pub fn training_matrix(examples: usize, features: usize, seed: u64) -> (DenseMat
 
 /// Sequential conjugate-gradient ridge regression: solves
 /// `(XᵀX + λI) w = Xᵀy` with `iters` CG steps from `w = 0`.
+#[cfg(test)]
 pub fn linreg_cg(x: &DenseMatrix, y: &Vector, lambda: f64, iters: usize) -> Vector {
     let features = x.cols();
     let mut w = Vector::zeros(features);
@@ -71,6 +89,7 @@ pub fn linreg_cg(x: &DenseMatrix, y: &Vector, lambda: f64, iters: usize) -> Vect
 }
 
 /// Sequential batch gradient-descent logistic regression.
+#[cfg(test)]
 pub fn logreg_gd(
     x: &DenseMatrix,
     y: &Vector,
@@ -82,7 +101,7 @@ pub fn logreg_gd(
     let mut w = Vector::zeros(x.cols());
     for _ in 0..iters {
         let mut z = x.mult_vec(&w);
-        z.map_inplace(sigmoid);
+        z.map_inplace(crate::sigmoid);
         // z - y (prediction error)
         for (zi, yi) in z.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *zi -= *yi;
@@ -101,6 +120,7 @@ pub fn logreg_gd(
 ///
 /// Update order matches the distributed implementation exactly:
 /// `H ← H ∘ (WᵀV) ⊘ (WᵀW·H + ε)`, then `W ← W ∘ (V·Hᵀ) ⊘ (W·(H·Hᵀ) + ε)`.
+#[cfg(test)]
 pub fn gnmf(
     v: &DenseMatrix,
     rank: usize,
@@ -137,6 +157,7 @@ pub fn gnmf(
 }
 
 /// `‖V − W·H‖²_F` — the GNMF objective.
+#[cfg(test)]
 pub fn gnmf_objective(v: &DenseMatrix, w: &DenseMatrix, h: &DenseMatrix) -> f64 {
     let mut wh = DenseMatrix::zeros(v.rows(), v.cols());
     w.gemm(1.0, h, 0.0, &mut wh);
@@ -145,24 +166,8 @@ pub fn gnmf_objective(v: &DenseMatrix, w: &DenseMatrix, h: &DenseMatrix) -> f64 
     wh.as_slice().iter().map(|x| x * x).sum()
 }
 
-/// A dense matrix with entries uniform in `(0, 1]` (strictly positive, as
-/// NMF factors must be). Row `i` depends only on `(seed, i)` so distributed
-/// builds can generate their own row blocks.
-pub fn nonneg_dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
-    nonneg_dense_rows(cols, seed, 0, rows)
-}
-
-/// The row slice `r0..r1` of [`nonneg_dense`].
-pub fn nonneg_dense_rows(cols: usize, seed: u64, r0: usize, r1: usize) -> DenseMatrix {
-    let mut out = builder::random_dense_rows(cols, seed, r0, r1);
-    for v in out.as_mut_slice() {
-        *v = (*v + 1.0) / 2.0 + 1e-3; // map [-1,1) → (0,1]
-    }
-    out
-}
-
-/// Binary labels from a hidden separator (shared by LogReg's distributed
-/// and sequential builds).
+/// Binary labels from a hidden separator, as LogReg's `make` derives them.
+#[cfg(test)]
 pub fn classification_labels(x: &DenseMatrix, w_star: &Vector) -> Vector {
     let scores = x.mult_vec(w_star);
     Vector::from_vec(

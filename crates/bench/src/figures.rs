@@ -209,7 +209,9 @@ fn region_loc(source: &str, marker: &str) -> usize {
 
 /// Table II: lines-of-code comparison, counted from the real application
 /// sources (the same methodology as the paper: totals plus the checkpoint
-/// and restore methods).
+/// and restore methods). An app's checkpoint and restore are derived from
+/// its `state()` declaration, so the checkpoint column counts `state()` and
+/// the restore column `after_restore`, 0 for an app that has none.
 pub fn loc_table() {
     let sources: [(&str, &str); 4] = [
         ("LinReg", include_str!("../../apps/src/linreg.rs")),
@@ -220,7 +222,7 @@ pub fn loc_table() {
     ];
     let mut t = Table::new(
         "Table II: lines of code, non-resilient vs resilient",
-        &["app", "non-resilient total", "resilient total", "checkpoint", "restore"],
+        &["app", "non-resilient total", "resilient total", "checkpoint (state)", "restore (after_restore)"],
     );
     for (name, src) in sources {
         let nonres = region_loc(src, "NONRESILIENT");
@@ -264,11 +266,12 @@ outside();
             include_str!("../../apps/src/linreg.rs"),
             include_str!("../../apps/src/logreg.rs"),
             include_str!("../../apps/src/pagerank.rs"),
+            include_str!("../../apps/src/gnmf.rs"),
         ] {
             assert!(region_loc(src, "NONRESILIENT") > 20);
             assert!(region_loc(src, "RESILIENT") > 10);
+            // `state()` declares the objects; `after_restore` may be absent.
             assert!(region_loc(src, "CHECKPOINT") > 3);
-            assert!(region_loc(src, "RESTORE") > 5);
             // The paper's headline: checkpoint+restore are a small fraction.
             let extra = region_loc(src, "CHECKPOINT") + region_loc(src, "RESTORE");
             assert!(extra < region_loc(src, "NONRESILIENT"));

@@ -619,11 +619,12 @@ mod tests {
             self.v.init(ctx, move |i| noise(i, iteration + 1))
         }
 
+        fn state(&mut self) -> crate::AppState<'_> {
+            crate::AppState::default().read_only("x", &mut self.x).mutable("v", &mut self.v)
+        }
+
         fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-            store.start_new_snapshot();
-            store.save_read_only(ctx, &self.x)?;
-            store.save(ctx, &self.v)?;
-            store.commit(ctx)?;
+            self.state().checkpoint(ctx, store)?;
             if !store.overlap {
                 // The commit has settled: the retired generation is gone.
                 let ids = [&self.x as &dyn Snapshottable, &self.v]
@@ -632,19 +633,6 @@ mod tests {
                 self.checkpoints.push((ids, totals));
             }
             Ok(())
-        }
-
-        fn restore(
-            &mut self,
-            ctx: &Ctx,
-            new_places: &PlaceGroup,
-            store: &mut AppResilientStore,
-            _snapshot_iteration: u64,
-            _rebalance: bool,
-        ) -> GmlResult<()> {
-            self.x.remake(ctx, new_places)?;
-            self.v.remake(ctx, new_places)?;
-            store.restore(ctx, &mut [&mut self.x, &mut self.v])
         }
     }
 

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use apgas::prelude::*;
 use apgas::trace::critical_path;
 
+use crate::app_state::AppState;
 use crate::app_store::AppResilientStore;
 use crate::error::{GmlError, GmlResult};
 use crate::forensics::{PostMortem, RestoreDecision};
@@ -140,9 +141,24 @@ fn young_iterations(stats: &RunStats, mttf: Duration, current: u64) -> u64 {
     (opt_secs / mean_step).round().clamp(1.0, 1e12) as u64
 }
 
-/// What the application must implement (§V-A2): the four-method programming
-/// model. `iteration` is maintained by the executor and rolls back on
-/// restore.
+/// What the application must implement (§V-A2): `is_finished`, `step` and
+/// a declaration of its state. `iteration` is maintained by the executor
+/// and rolls back on restore.
+///
+/// The paper's `checkpoint` and `restore` (Listing 5) are derived from
+/// [`state`](Self::state): the application names each of its GML objects
+/// once, and the contract is
+/// - declaration order = save order = remake order = restore order;
+/// - an [aligned](AppState::aligned) vector follows its matrix, which is
+///   declared before it and remade before it;
+/// - a [scratch](AppState::scratch) object is remade but never saved;
+/// - derived scalars are recomputed in [`after_restore`](Self::after_restore).
+///
+/// `checkpoint` and `restore` stay overridable. A test that injects a fault
+/// inside a checkpoint overrides only that method; an app that overrides
+/// both needs no `state`. A wrapper that forwards to an inner app (like
+/// [`FailureInjector`]) forwards `checkpoint`, `restore` and
+/// `as_checksummed`; the inner app's `state` is read through them.
 pub trait ResilientIterativeApp {
     /// The termination condition (iteration count, convergence, ...).
     fn is_finished(&self, ctx: &Ctx, iteration: u64) -> bool;
@@ -150,21 +166,43 @@ pub trait ResilientIterativeApp {
     /// One iteration of the algorithm.
     fn step(&mut self, ctx: &Ctx, iteration: u64) -> GmlResult<()>;
 
-    /// Save all state-carrying GML objects:
-    /// `start_new_snapshot` / `save*` / `commit` (Listing 5, lines 3–7).
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()>;
+    /// Declare every GML object the application holds, in the order it is
+    /// to be saved and remade, each with its role (mutable, read-only or
+    /// scratch) and layout. The default declares nothing, which the derived
+    /// `checkpoint` refuses.
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default()
+    }
 
-    /// Roll back to the snapshot: `remake` every GML object over
-    /// `new_places` (repartitioning if `rebalance`), then restore their
-    /// contents from `store` (Listing 5, lines 9–14).
+    /// Recompute what the application derives from its restored objects
+    /// (a residual norm, a convergence history); runs at the end of the
+    /// derived `restore`.
+    fn after_restore(&mut self, _ctx: &Ctx) -> GmlResult<()> {
+        Ok(())
+    }
+
+    /// Save the declared state atomically: `start_new_snapshot`, one `save`
+    /// / `save_read_only` per non-scratch object, `commit` (Listing 5,
+    /// lines 3–7). An error on an empty declaration.
+    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
+        self.state().checkpoint(ctx, store)
+    }
+
+    /// Roll back to the snapshot: remake every declared object over
+    /// `new_places` (repartitioning if `rebalance`), restore the non-scratch
+    /// ones from `store`, then [`after_restore`](Self::after_restore)
+    /// (Listing 5, lines 9–14).
     fn restore(
         &mut self,
         ctx: &Ctx,
         new_places: &PlaceGroup,
         store: &mut AppResilientStore,
-        snapshot_iteration: u64,
+        _snapshot_iteration: u64,
         rebalance: bool,
-    ) -> GmlResult<()>;
+    ) -> GmlResult<()> {
+        self.state().restore(ctx, new_places, store, rebalance)?;
+        self.after_restore(ctx)
+    }
 
     /// Opt into executor-side silent-error detection: apps that also
     /// implement [`ChecksummedStep`] override this to `Some(self)`;
@@ -915,7 +953,6 @@ mod tests {
     /// configurable failure is injected at a given iteration.
     struct CounterApp {
         v: DupVector,
-        group: PlaceGroup,
         total_iters: u64,
         kill_at: Option<(u64, Place)>,
         kill_during_checkpoint: Option<Place>,
@@ -946,29 +983,17 @@ mod tests {
             })
         }
 
+        fn state(&mut self) -> AppState<'_> {
+            AppState::default().mutable("v", &mut self.v)
+        }
+
         fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
             if let Some(victim) = self.kill_during_checkpoint.take() {
                 if ctx.is_alive(victim) {
                     ctx.kill_place(victim)?;
                 }
             }
-            store.start_new_snapshot();
-            store.save(ctx, &self.v)?;
-            store.commit(ctx)
-        }
-
-        fn restore(
-            &mut self,
-            ctx: &Ctx,
-            new_places: &PlaceGroup,
-            store: &mut AppResilientStore,
-            _snapshot_iteration: u64,
-            _rebalance: bool,
-        ) -> GmlResult<()> {
-            self.v.remake(ctx, new_places)?;
-            store.restore(ctx, &mut [&mut self.v])?;
-            self.group = new_places.clone();
-            Ok(())
+            self.state().checkpoint(ctx, store)
         }
 
         fn as_checksummed(&self) -> Option<&dyn ChecksummedStep> {
@@ -997,7 +1022,6 @@ mod tests {
         (
             CounterApp {
                 v,
-                group: group.clone(),
                 total_iters: total,
                 kill_at: None,
                 kill_during_checkpoint: None,
@@ -1124,22 +1148,8 @@ mod tests {
             self.v.map_all(ctx, |x| 2.0 * x + 1.0)
         }
 
-        fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-            store.start_new_snapshot();
-            store.save(ctx, &self.v)?;
-            store.commit(ctx)
-        }
-
-        fn restore(
-            &mut self,
-            ctx: &Ctx,
-            new_places: &PlaceGroup,
-            store: &mut AppResilientStore,
-            _snapshot_iteration: u64,
-            _rebalance: bool,
-        ) -> GmlResult<()> {
-            self.v.remake(ctx, new_places)?;
-            store.restore(ctx, &mut [&mut self.v])
+        fn state(&mut self) -> AppState<'_> {
+            AppState::default().mutable("v", &mut self.v)
         }
 
         fn as_checksummed(&self) -> Option<&dyn ChecksummedStep> {
@@ -1259,7 +1269,7 @@ mod tests {
                     if self.kills.first() == Some(&it) {
                         self.kills.remove(0);
                         // Kill the current incarnation of group slot 1.
-                        let victim = self.inner.group.place(self.victim_idx);
+                        let victim = self.inner.v.group().place(self.victim_idx);
                         if ctx.is_alive(victim) {
                             ctx.kill_place(victim)?;
                         }
@@ -1396,6 +1406,87 @@ mod tests {
             assert_eq!(app.inner.value(ctx), 24.0);
             assert_eq!(final_group.len(), 2);
             assert_eq!(stats.restores, 3);
+        })
+        .unwrap();
+    }
+
+    /// A matrix, a vector that may be aligned to it and a duplicated
+    /// vector, declared one of five ways.
+    struct Declared {
+        m: crate::dist_block_matrix::DistBlockMatrix,
+        t: crate::dist_vector::DistVector,
+        w: DupVector,
+        case: u8,
+    }
+
+    impl ResilientIterativeApp for Declared {
+        fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+            iteration >= 1
+        }
+
+        fn step(&mut self, _ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
+            Ok(())
+        }
+
+        fn state(&mut self) -> AppState<'_> {
+            let (s, m, t, w) = (AppState::default(), &mut self.m, &mut self.t, &mut self.w);
+            match self.case {
+                0 => s,
+                // Aligned to a matrix declared after it.
+                1 => s.scratch("t", t).aligned("m").read_only("m", m),
+                // Aligned to something that is not a DistBlockMatrix.
+                2 => s.mutable("w", w).scratch("t", t).aligned("w"),
+                3 => s.read_only("m", m).scratch("t", t).aligned("m").mutable("w", w),
+                _ => s.read_only("m", m).mutable("t", t).aligned("m").mutable("w", w),
+            }
+        }
+    }
+
+    #[test]
+    fn declaration_errors_are_errors_and_a_scratch_object_is_never_saved() {
+        Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
+            let g = ctx.world();
+            let m = crate::dist_block_matrix::DistBlockMatrix::make(ctx, 6, 2, 3, 1, 3, 1, &g, false)
+                .unwrap();
+            let t = m.make_aligned_vector(ctx).unwrap();
+            let w = DupVector::make(ctx, 2, &g).unwrap();
+            let mut app = Declared { m, t, w, case: 0 };
+            let mut store = AppResilientStore::make(ctx).unwrap();
+            let entries = |store: &AppResilientStore| -> usize {
+                store.store().inventory(ctx).iter().map(|p| p.entries).sum()
+            };
+            let shape = |r: GmlResult<()>| matches!(r, Err(GmlError::Shape(_)));
+            // An app that declares nothing and overrides neither method
+            // cannot checkpoint: the run fails, and nothing is committed.
+            let cfg = ExecutorConfig::new(1, RestoreMode::Shrink).overlap_ship(false);
+            let exec = ResilientExecutor::new(cfg);
+            assert!(shape(exec.run(ctx, &mut app, &g, &mut store).map(drop)));
+            assert!(shape(app.restore(ctx, &g, &mut store, 0, false)));
+            // An alignment to a later or to a non-matrix object is refused
+            // by both derived methods before anything is saved or remade.
+            for case in [1, 2] {
+                app.case = case;
+                assert!(shape(app.checkpoint(ctx, &mut store)), "case {case}");
+                assert!(shape(app.restore(ctx, &g, &mut store, 0, false)), "case {case}");
+                assert_eq!(app.t.group(), &g, "case {case}: nothing was remade");
+            }
+            assert!(!store.has_snapshot());
+            assert_eq!(entries(&store), 0);
+            // A scratch object is remade by a restore but never saved: the
+            // store holds the matrix's three blocks and the vector, twice.
+            app.case = 3;
+            app.checkpoint(ctx, &mut store).unwrap();
+            assert_eq!(entries(&store), 2 * (3 + 1));
+            ctx.kill_place(Place::new(2)).unwrap();
+            let survivors = g.without(&[Place::new(2)]);
+            app.restore(ctx, &survivors, &mut store, 0, true).unwrap();
+            assert_eq!(app.t.group(), &survivors);
+            assert!(app.m.is_aligned(&app.t), "remade with its matrix's new layout");
+            // A declared object the committed snapshot lacks is data loss,
+            // never a silent rollback that leaves it as it was.
+            app.case = 4;
+            let err = app.restore(ctx, &survivors, &mut store, 0, true).unwrap_err();
+            assert!(matches!(err, GmlError::DataLoss(_)), "{err}");
         })
         .unwrap();
     }

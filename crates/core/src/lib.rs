@@ -16,8 +16,11 @@
 //! | Matrix | [`DupDenseMatrix`] | [`DistBlockMatrix`], [`DistDenseMatrix`], [`DistSparseMatrix`] |
 //!
 //! plus the resilience machinery: [`Snapshottable`], [`ResilientStore`],
-//! [`AppResilientStore`], [`ResilientExecutor`] and [`RestoreMode`].
+//! [`AppResilientStore`], [`ResilientExecutor`] and [`RestoreMode`], and
+//! [`AppState`], the declaration of an application's objects from which the
+//! executor derives its checkpoints and restores.
 
+pub mod app_state;
 pub mod app_store;
 pub mod codec;
 pub mod collective;
@@ -34,6 +37,7 @@ pub mod report;
 pub mod snapshot;
 pub mod store;
 
+pub use app_state::AppState;
 pub use app_store::AppResilientStore;
 pub use codec::CodecSnapshot;
 pub use collective::each_place;

@@ -6,7 +6,7 @@
 use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use gml_core::{
-    AppResilientStore, DistBlockMatrix, DistSparseMatrix, DistVector, DupDenseMatrix,
+    AppResilientStore, AppState, DistBlockMatrix, DistSparseMatrix, DistVector, DupDenseMatrix,
     DupVector, ExecutorConfig, FailureInjector, GmlResult, ResilientExecutor,
     ResilientIterativeApp, RestoreMode,
 };
@@ -75,39 +75,13 @@ impl ResilientIterativeApp for Menagerie {
         Ok(())
     }
 
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save_read_only(ctx, &self.dense)?;
-        store.save_read_only(ctx, &self.sparse)?;
-        store.save(ctx, &self.dist_vec)?;
-        store.save(ctx, &self.dup_vec)?;
-        store.save(ctx, &self.dup_mat)?;
-        store.commit(ctx)
-    }
-
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        self.dense.remake(ctx, new_places, rebalance)?;
-        self.sparse.remake(ctx, new_places)?;
-        self.dist_vec.remake(ctx, new_places)?;
-        self.dup_vec.remake(ctx, new_places)?;
-        self.dup_mat.remake(ctx, new_places)?;
-        store.restore(
-            ctx,
-            &mut [
-                &mut self.dense,
-                &mut self.sparse,
-                &mut self.dist_vec,
-                &mut self.dup_vec,
-                &mut self.dup_mat,
-            ],
-        )
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default()
+            .read_only("dense", &mut self.dense)
+            .read_only("sparse", &mut self.sparse)
+            .mutable("dist_vec", &mut self.dist_vec)
+            .mutable("dup_vec", &mut self.dup_vec)
+            .mutable("dup_mat", &mut self.dup_mat)
     }
 }
 
@@ -176,17 +150,8 @@ fn atomicity_no_partial_snapshot_is_ever_restored() {
             store.save(ctx, &self.b)?;
             store.commit(ctx)
         }
-        fn restore(
-            &mut self,
-            ctx: &Ctx,
-            g: &PlaceGroup,
-            store: &mut AppResilientStore,
-            _si: u64,
-            _rb: bool,
-        ) -> GmlResult<()> {
-            self.a.remake(ctx, g)?;
-            self.b.remake(ctx, g)?;
-            store.restore(ctx, &mut [&mut self.a, &mut self.b])
+        fn state(&mut self) -> AppState<'_> {
+            AppState::default().mutable("a", &mut self.a).mutable("b", &mut self.b)
         }
     }
 

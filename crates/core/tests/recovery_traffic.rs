@@ -17,8 +17,8 @@
 use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use gml_core::{
-    AppResilientStore, CostReport, DistBlockMatrix, DupVector, ExecutorConfig, FailureInjector,
-    GmlResult, ResilientExecutor, ResilientIterativeApp, RestoreMode, RunStats,
+    AppResilientStore, AppState, CostReport, DistBlockMatrix, DupVector, ExecutorConfig,
+    FailureInjector, GmlResult, ResilientExecutor, ResilientIterativeApp, RestoreMode, RunStats,
 };
 use gml_matrix::{builder, BlockData};
 
@@ -37,24 +37,8 @@ impl ResilientIterativeApp for TrafficApp {
         self.w.apply(ctx, |v| v.as_mut_slice().iter_mut().for_each(|x| *x = *x * 1.0001 + 0.3))
     }
 
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save_read_only(ctx, &self.x)?;
-        store.save(ctx, &self.w)?;
-        store.commit(ctx)
-    }
-
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        self.x.remake(ctx, new_places, rebalance)?;
-        self.w.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut self.x, &mut self.w])
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default().read_only("x", &mut self.x).mutable("w", &mut self.w)
     }
 }
 

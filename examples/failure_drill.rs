@@ -102,22 +102,8 @@ impl ResilientIterativeApp for NormDrill {
         Ok(())
     }
 
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save(ctx, &self.m)?;
-        store.commit(ctx)
-    }
-
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        self.m.remake(ctx, new_places, rebalance)?;
-        store.restore(ctx, &mut [&mut self.m])
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default().mutable("m", &mut self.m)
     }
 }
 

@@ -4,8 +4,9 @@
 //!
 //! Unlike the paper's three benchmarks this app terminates on a
 //! *convergence condition* rather than an iteration count, and its
-//! `restore` must re-derive that convergence state from the restored
-//! vectors — a pattern the four-method programming model handles naturally.
+//! `after_restore` must re-derive that convergence state from the restored
+//! vectors — a pattern the declared-state programming model handles
+//! naturally.
 //!
 //! ```sh
 //! cargo run --release --example power_iteration
@@ -85,26 +86,14 @@ impl ResilientIterativeApp for PowerIteration {
         self.rayleigh_step(ctx)
     }
 
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save_read_only(ctx, &self.a)?;
-        store.save(ctx, &self.v)?;
-        store.commit(ctx)
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default()
+            .read_only("a", &mut self.a)
+            .scratch("av", &mut self.av).aligned("a")
+            .mutable("v", &mut self.v)
     }
 
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        rebalance: bool,
-    ) -> GmlResult<()> {
-        self.a.remake(ctx, new_places, rebalance)?;
-        let (splits, owners) = self.a.aligned_layout()?;
-        self.av.remake_with_layout(ctx, splits, owners, new_places)?;
-        self.v.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut self.a, &mut self.v])?;
+    fn after_restore(&mut self, ctx: &Ctx) -> GmlResult<()> {
         // Convergence state is derived, not checkpointed: recompute the
         // Rayleigh quotient from the restored iterate and reset history.
         self.a.mult(ctx, &self.av, &self.v)?;

@@ -58,7 +58,7 @@ pub mod prelude {
         ResilientLogReg, ResilientPageRank,
     };
     pub use gml_core::{
-        fmt_bytes, young_interval, AppResilientStore, ChecksummedStep, CodecSnapshot,
+        fmt_bytes, young_interval, AppResilientStore, AppState, ChecksummedStep, CodecSnapshot,
         CostReport, DistBlockMatrix, DistDenseMatrix, DistSparseMatrix, DistVector,
         DupDenseMatrix, DupVector, ExecutorConfig, GmlError, GmlResult, IterRow,
         PlaceInventory, PostMortem, RepairReport, ResilientExecutor, ResilientIterativeApp,

@@ -96,7 +96,6 @@ fn backup_killed_mid_batch_aborts_checkpoint_atomically() {
 /// gate — so the backup transfer always runs against a dead place.
 struct ShipKillerApp {
     v: DupVector,
-    group: PlaceGroup,
     total_iters: u64,
     gate: Arc<AtomicBool>,
     victim: Place,
@@ -146,18 +145,8 @@ impl ResilientIterativeApp for ShipKillerApp {
         store.commit(ctx)
     }
 
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        _rebalance: bool,
-    ) -> GmlResult<()> {
-        self.v.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut self.v])?;
-        self.group = new_places.clone();
-        Ok(())
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default().mutable("v", &mut self.v)
     }
 }
 
@@ -165,7 +154,6 @@ fn ship_killer_app(ctx: &Ctx, group: &PlaceGroup, total: u64, victim: Place) -> 
     let v = DupVector::make(ctx, 3, group).unwrap();
     ShipKillerApp {
         v,
-        group: group.clone(),
         total_iters: total,
         gate: Arc::new(AtomicBool::new(false)),
         victim,

@@ -9,8 +9,9 @@ use std::sync::Mutex;
 use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use resilient_gml::core::{
-    AppResilientStore, ChecksummedStep, DistBlockMatrix, DupVector, ExecutorConfig, GmlResult,
-    ResilientExecutor, ResilientIterativeApp, ResilientStore, RestoreMode, Snapshottable,
+    AppResilientStore, AppState, ChecksummedStep, DistBlockMatrix, DupVector, ExecutorConfig,
+    GmlResult, ResilientExecutor, ResilientIterativeApp, ResilientStore, RestoreMode,
+    Snapshottable,
 };
 use resilient_gml::matrix::{builder, BlockData};
 
@@ -234,22 +235,8 @@ fn chaos_drill_replay_timeout_and_silent_error_in_one_run() {
             })
         }
 
-        fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-            store.start_new_snapshot();
-            store.save(ctx, &self.v)?;
-            store.commit(ctx)
-        }
-
-        fn restore(
-            &mut self,
-            ctx: &Ctx,
-            new_places: &PlaceGroup,
-            store: &mut AppResilientStore,
-            _snapshot_iteration: u64,
-            _rebalance: bool,
-        ) -> GmlResult<()> {
-            self.v.remake(ctx, new_places)?;
-            store.restore(ctx, &mut [&mut self.v])
+        fn state(&mut self) -> AppState<'_> {
+            AppState::default().mutable("v", &mut self.v)
         }
 
         fn as_checksummed(&self) -> Option<&dyn ChecksummedStep> {

@@ -206,24 +206,8 @@ impl ResilientIterativeApp for Steady {
         self.dup.apply(ctx, |v| v.as_mut_slice().iter_mut().for_each(|x| *x = *x * 1.0001 + 0.3))
     }
 
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save(ctx, &self.dv)?;
-        store.save(ctx, &self.dup)?;
-        store.commit(ctx)
-    }
-
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        _rebalance: bool,
-    ) -> GmlResult<()> {
-        self.dv.remake(ctx, new_places)?;
-        self.dup.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut self.dv, &mut self.dup])
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default().mutable("dv", &mut self.dv).mutable("dup", &mut self.dup)
     }
 }
 

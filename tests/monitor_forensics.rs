@@ -36,21 +36,8 @@ impl ResilientIterativeApp for CounterDrill {
             x.cell_add_scalar(1.0);
         })
     }
-    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
-        store.start_new_snapshot();
-        store.save(ctx, &self.v)?;
-        store.commit(ctx)
-    }
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        _rebalance: bool,
-    ) -> GmlResult<()> {
-        self.v.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut self.v])
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default().mutable("v", &mut self.v)
     }
 }
 
@@ -181,16 +168,8 @@ impl ResilientIterativeApp for BackupKillerDrill {
         }
         store.commit(ctx)
     }
-    fn restore(
-        &mut self,
-        ctx: &Ctx,
-        new_places: &PlaceGroup,
-        store: &mut AppResilientStore,
-        _snapshot_iteration: u64,
-        _rebalance: bool,
-    ) -> GmlResult<()> {
-        self.v.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut self.v])
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default().mutable("v", &mut self.v)
     }
 }
 
