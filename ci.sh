@@ -86,6 +86,12 @@ for W in 1 4 8; do
     GML_WORKERS=$W cargo test -q -p gml-matrix --test blocked_vs_reference > /dev/null
 done
 
+echo "== apgas unit tests at GML_WORKERS=4 (the pool's job queue) =="
+# An auto-sized pool on a 2-vCPU box is usually one worker wide and runs
+# every job inline; at four workers the pool's own tests (helper-thread
+# panics, run_split) go through the job queue its helper threads share.
+GML_WORKERS=4 cargo test -q -p apgas > /dev/null
+
 echo "== kernel reference (blocked vs scalar twins) =="
 # Every rewritten kernel against its *_reference scalar twin on large
 # fixed-seed inputs: element-wise relative error must stay within 1e-10
@@ -140,9 +146,9 @@ cargo test -q --offline --manifest-path e2e_bench/Cargo.toml
 echo "== non-test lines (per workspace crate) =="
 # The ROADMAP code-diet measures: lines of each crate's src/ (binaries
 # included) above each file's `#[cfg(test)]`, not counting blank lines and
-# lines that are only a `//` comment — per crate, for gml-core + gml-apps
-# (item 3's first target), for the checkpoint store's three files (item 1's)
-# and over the whole workspace.
+# lines that are only a `//` comment — per crate, over the whole workspace,
+# for the four vendored shims together, for gml-core + gml-apps (item 3's
+# first target) and for the checkpoint store's three files (item 1's).
 non_test_lines() {
     for f in "$@"; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
@@ -155,6 +161,8 @@ for crate in . crates/*; do
     printf '%-22s %6d\n' "$(sed -n 's/^name = "\(.*\)"/\1/p' "$crate/Cargo.toml" | head -1)" "$N"
 done
 printf '%-22s %6d\n' "workspace" "$TOTAL"
+printf '%-22s %6d\n' "vendored shims" \
+    "$(non_test_lines $(find crates/bytes/src crates/rand/src crates/proptest/src crates/criterion/src -name '*.rs' | sort))"
 printf '%-22s %6d\n' "gml-core + gml-apps" "$(non_test_lines crates/core/src/*.rs crates/apps/src/*.rs)"
 printf '%-22s %6d\n' "codec+store+app_store" \
     "$(non_test_lines crates/core/src/codec.rs crates/core/src/store.rs crates/core/src/app_store.rs)"

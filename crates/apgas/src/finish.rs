@@ -46,16 +46,15 @@
 //!   before; place zero is immortal, so its direct Terms are never stray.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::{ApgasError, DeadPlaceException};
 use crate::place::Place;
 use crate::runtime::{Ctx, Envelope};
 use crate::stats::RuntimeStats;
+use crate::sync::{Condvar, Mutex};
 use crate::trace::{SpanKind, TraceCtx};
 
 /// Per-task resilience policy: how often a panicked or timed-out task body
@@ -145,7 +144,7 @@ pub(crate) enum TaskOutcome {
 pub(crate) enum CtlMsg {
     /// Record a task about to be sent to `dst` under finish `fid`.
     /// Synchronous: the spawner blocks until `ack` fires.
-    Spawn { fid: u64, dst: Place, ack: Sender<SpawnAck>, tctx: TraceCtx },
+    Spawn { fid: u64, dst: Place, ack: SyncSender<SpawnAck>, tctx: TraceCtx },
     /// A task under finish `fid` finished at `place`.
     Term { fid: u64, place: Place, outcome: TaskOutcome, tctx: TraceCtx },
     /// The finish body is done; signal `waiter` when all tasks are done.
@@ -191,7 +190,7 @@ pub(crate) struct Waiter {
 
 impl Waiter {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Waiter { slot: Mutex::new(None), cv: Condvar::new() })
+        Arc::new(Waiter { slot: Mutex::new(None), cv: Condvar::default() })
     }
 
     pub(crate) fn signal(&self, report: FinishReport) {
@@ -201,10 +200,7 @@ impl Waiter {
     }
 
     pub(crate) fn block(&self) -> FinishReport {
-        let mut s = self.slot.lock();
-        while s.is_none() {
-            self.cv.wait(&mut s);
-        }
+        let mut s = self.cv.wait_while(self.slot.lock(), |s| s.is_none());
         s.take().expect("report present after wait")
     }
 }
@@ -390,7 +386,7 @@ impl LocalFinish {
     fn new() -> Arc<Self> {
         Arc::new(LocalFinish {
             pending: Mutex::new(0),
-            cv: Condvar::new(),
+            cv: Condvar::default(),
             report: Mutex::new(FinishReport::default()),
         })
     }
@@ -421,11 +417,7 @@ impl LocalFinish {
     /// still-running tasks are safe: the parent's count is released only
     /// after it has registered its children.
     fn wait(&self) -> FinishReport {
-        let mut pending = self.pending.lock();
-        while *pending > 0 {
-            self.cv.wait(&mut pending);
-        }
-        drop(pending);
+        drop(self.cv.wait_while(self.pending.lock(), |pending| *pending > 0));
         std::mem::take(&mut self.report.lock())
     }
 }
@@ -500,7 +492,7 @@ impl FinishHandle {
                     RuntimeStats::bump(&rt.stats.ctl_spawns);
                     let _span =
                         rt.tracer.span(ctx.here().id(), SpanKind::CtlSpawn, p.id() as u64);
-                    let (ack_tx, ack_rx) = bounded(1);
+                    let (ack_tx, ack_rx) = sync_channel(1);
                     // Parent the place-zero bookkeeping instant to this
                     // CtlSpawn span (captured inside its guard scope).
                     let spawn_tctx = TraceCtx::capture(&rt.tracer, ctx.here().id());
@@ -637,7 +629,7 @@ fn attempt_once(ctx: &Ctx, policy: &TaskPolicy, f: &Arc<TaskFn>) -> Attempt {
             Err(payload) => Attempt::Panicked(panic_message(payload)),
         };
     }
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     let body = Arc::clone(f);
     let helper_ctx = ctx.clone();
     let spawned = std::thread::Builder::new().name("gml-task-attempt".into()).spawn(move || {
@@ -801,7 +793,7 @@ mod tests {
     #[test]
     fn service_counts_spawn_term_wait() {
         let svc = FinishService::default();
-        let (ack, ack_rx) = bounded(1);
+        let (ack, ack_rx) = sync_channel(1);
         svc.handle(alive_all, CtlMsg::Spawn { fid: 1, dst: Place::new(2), ack, tctx: TraceCtx::NONE });
         assert_eq!(ack_rx.recv().unwrap(), SpawnAck::Ok);
         assert_eq!(svc.open_finishes(), 1);
@@ -842,7 +834,7 @@ mod tests {
         let svc = FinishService::default();
         let p = Place::new(2);
         for _ in 0..3 {
-            let (ack, ack_rx) = bounded(1);
+            let (ack, ack_rx) = sync_channel(1);
             svc.handle(alive_all, CtlMsg::Spawn { fid: 9, dst: p, ack, tctx: TraceCtx::NONE });
             assert_eq!(ack_rx.recv().unwrap(), SpawnAck::Ok);
         }

@@ -17,8 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::sync::Mutex;
 use crate::trace::{SpanKind, SPAN_KIND_COUNT};
 
 /// Number of power-of-two buckets: one for zero plus one per bit of `u64`.

@@ -98,10 +98,11 @@ pub(crate) fn port_from_env() -> Option<u16> {
 
 /// Per-place heartbeat counters, updated with relaxed atomics only.
 ///
-/// Mailbox depth is derived as `enqueued - dequeued` because the vendored
-/// channel has no `len()`; both counters are bumped on paths that already
-/// hold the data they need (the sender just looked the place up, the
-/// dispatcher owns its receiver), so no extra synchronization is added.
+/// Mailbox depth is derived as `enqueued - dequeued` because a
+/// `std::sync::mpsc` channel does not report its length; both counters are
+/// bumped on paths that already hold the data they need (the sender just
+/// looked the place up, the dispatcher owns its receiver), so no extra
+/// synchronization is added.
 #[derive(Default)]
 pub struct PlaceHealth {
     enqueued: AtomicU64,

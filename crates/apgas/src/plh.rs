@@ -16,11 +16,10 @@ use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::error::{ApgasError, Result};
 use crate::place::{Place, PlaceGroup};
 use crate::runtime::Ctx;
+use crate::sync::{Mutex, RwLock};
 
 type AnyArc = Arc<dyn Any + Send + Sync>;
 /// One place's handle-id → value map (the place's "local memory").
@@ -29,13 +28,13 @@ type PlaceSlot = Arc<Mutex<HashMap<u64, AnyArc>>>;
 /// Per-place storage keyed by handle id. Growable: elastic place creation
 /// appends fresh slots at runtime.
 pub(crate) struct PlhRegistry {
-    slots: parking_lot::RwLock<Vec<PlaceSlot>>,
+    slots: RwLock<Vec<PlaceSlot>>,
 }
 
 impl PlhRegistry {
     pub(crate) fn new(places: usize) -> Self {
         PlhRegistry {
-            slots: parking_lot::RwLock::new(
+            slots: RwLock::new(
                 (0..places).map(|_| Arc::new(Mutex::new(HashMap::new()))).collect(),
             ),
         }
@@ -168,7 +167,6 @@ impl<T: Send + Sync + 'static> PlaceLocalHandle<T> {
 mod tests {
     use super::*;
     use crate::runtime::{Runtime, RuntimeConfig};
-    use parking_lot::Mutex as PlMutex;
 
     #[test]
     fn make_initializes_every_place() {
@@ -188,7 +186,7 @@ mod tests {
     fn local_values_are_independent_and_mutable() {
         Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
             let world = ctx.world();
-            let plh = PlaceLocalHandle::make(ctx, &world, |_| PlMutex::new(0u64)).unwrap();
+            let plh = PlaceLocalHandle::make(ctx, &world, |_| Mutex::new(0u64)).unwrap();
             ctx.finish(|fs| {
                 for p in world.iter() {
                     fs.async_at(p, move |ctx| {

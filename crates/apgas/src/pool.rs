@@ -49,11 +49,11 @@ use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::sync::{Condvar, Mutex, RwLock};
 
 /// Upper bound on the number of chunks any job is split into. Small enough
 /// that per-chunk bookkeeping stays negligible, large enough to feed every
@@ -100,15 +100,18 @@ fn shared() -> &'static SharedPool {
         if workers == 1 {
             return SharedPool { workers: 1, injector: None };
         }
-        let (tx, rx) = unbounded::<Arc<Job>>();
+        // One queue, many consumers: the helpers take turns holding the
+        // receiver, and the guard drops at the end of the `let`, before the
+        // job runs.
+        let (tx, rx) = channel::<Arc<Job>>();
+        let rx = Arc::new(Mutex::new(rx));
         for i in 1..workers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             std::thread::Builder::new()
                 .name(format!("gml-worker-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job.help();
-                    }
+                .spawn(move || loop {
+                    let Ok(job) = rx.lock().recv() else { return };
+                    job.help();
                 })
                 .expect("spawn pool worker thread");
         }
@@ -346,7 +349,7 @@ pub fn run(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
         n_chunks,
         next: AtomicUsize::new(0),
         state: Mutex::new(JobState { helpers: 0, closed: false }),
-        done: Condvar::new(),
+        done: Condvar::default(),
         panic: Mutex::new(None),
     });
     // Announce at most one job per idle helper; the caller covers the rest.
@@ -366,9 +369,7 @@ pub fn run(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     {
         let mut st = job.state.lock();
         st.closed = true;
-        while st.helpers > 0 {
-            job.done.wait(&mut st);
-        }
+        drop(job.done.wait_while(st, |st| st.helpers > 0));
     }
     let elapsed = started.elapsed();
     JOBS_PARALLEL.fetch_add(1, Ordering::Relaxed);

@@ -10,11 +10,9 @@
 //! identifies as the source of resilient overhead.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
 
 use crate::error::{ApgasError, DeadPlaceException, Result};
 use crate::finish::{self, CtlMsg, FinishScope, LedgerEntry, TaskPolicy};
@@ -23,6 +21,7 @@ use crate::monitor::{self, HealthBoard, HealthSnapshot, MonitorServer, PlaceHeal
 use crate::place::{Place, PlaceGroup};
 use crate::plh::PlhRegistry;
 use crate::stats::{RuntimeStats, StatsSnapshot};
+use crate::sync::{Mutex, RwLock};
 use crate::thread_cache::ThreadCache;
 use crate::trace::critical_path::IterProfile;
 use crate::trace::{SpanGuard, SpanKind, TraceCtx, Tracer};
@@ -189,7 +188,7 @@ impl RtInner {
     fn start_place(self: &Arc<Self>) -> Place {
         let mut places = self.places.write();
         let id = places.len() as u32;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let health = Arc::new(PlaceHealth::new());
         places.push(Arc::new(PlaceState {
             alive: AtomicBool::new(true),
@@ -329,7 +328,7 @@ impl Ctx {
         // place's body span parents to it and the Chrome export can draw a
         // sender→receiver flow arrow.
         let tctx = TraceCtx::capture(&self.rt.tracer, self.here.id());
-        let (tx, rx) = bounded::<std::result::Result<R, String>>(1);
+        let (tx, rx) = sync_channel::<std::result::Result<R, String>>(1);
         self.rt.send(
             p,
             Envelope::Task {
@@ -451,7 +450,7 @@ impl Ctx {
         R: Send + 'static,
         F: FnOnce(&Ctx) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let ctx = self.clone();
         self.rt.cache.submit(Box::new(move || {
             let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx)));
@@ -1239,26 +1238,27 @@ mod tests {
             let res = FinishScope::new_resilient(ctx, fid).wait();
             return (res, ctx.finish_ledger());
         }
-        let (release, gate) = bounded::<()>(1);
+        let (release, gate) = sync_channel::<()>(1);
+        let mut gate = Some(gate);
         if let Crossing::BeforeSpawnRecord = crossing {
             ctx.kill_place(victim).unwrap();
         }
         let res = ctx.finish(|fs| {
             for p in ctx.world().iter() {
-                let gate = gate.clone();
-                fs.async_at(p, move |ctx| {
-                    if ctx.here() == victim {
-                        if let Crossing::WhileTaskRuns = crossing {
-                            // Parked until the kill has landed.
-                            let _ = gate.recv();
-                        }
+                let gate = if p == victim { gate.take() } else { None };
+                fs.async_at(p, move |_| {
+                    if let (Some(gate), Crossing::WhileTaskRuns) = (gate, crossing) {
+                        // Parked until the kill has landed.
+                        let _ = gate.recv();
                     }
                 });
             }
             match crossing {
                 Crossing::WhileTaskRuns => {
                     ctx.kill_place(victim).unwrap();
-                    release.send(()).unwrap();
+                    // Fails only if the kill dropped the victim's task, and
+                    // its gate with it, before it ran.
+                    let _ = release.send(());
                 }
                 Crossing::AfterItsTerm => {
                     // The registry has applied the victim's Term once it no
@@ -1291,7 +1291,7 @@ mod tests {
                 let rt = Runtime::new(RuntimeConfig::new(4).resilient(true));
                 // Off the test thread, so that a hang is a failure, not a
                 // stuck test run.
-                let (tx, rx) = bounded(1);
+                let (tx, rx) = sync_channel(1);
                 let ctx = Ctx::new(Arc::clone(&rt.inner), Place::ZERO);
                 ctx.spawn_helper(move |ctx| {
                     let _ = tx.send(finish_with_kill_at(ctx, victim, crossing));
@@ -1326,7 +1326,7 @@ mod tests {
         rt.shutdown();
         // The Wait cannot be enqueued any more; the finish used to block on
         // a waiter nobody held.
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let t = std::thread::spawn(move || {
             let _ = tx.send(at_one.finish(|fs| fs.async_at(Place::new(2), |_| {})));
         });

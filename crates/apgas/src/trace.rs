@@ -35,9 +35,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
-
 use crate::metrics::MetricsRegistry;
+use crate::sync::RwLock;
 
 /// What an instrumented operation is. Kinds are POD (`u8`) so events pack
 /// into atomic words; [`SpanKind::name`] gives the dotted display name used

@@ -34,9 +34,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
 use crate::monitor::{env_parsed, HealthSnapshot};
+use crate::sync::Mutex;
 use crate::trace::critical_path::IterProfile;
 
 /// Mutable trend state, behind one short-lived lock (the watchdog is

@@ -1,19 +1,21 @@
 #![warn(missing_docs)]
 //! # gml-bench — harnesses regenerating the paper's evaluation
 //!
-//! One binary per table/figure of the paper (§VII):
+//! `all_figures` regenerates every table and figure of the paper (§VII);
+//! `all_figures --only fig2,table3` regenerates the named ones:
 //!
-//! | target | regenerates |
+//! | `--only` name | regenerates |
 //! |---|---|
-//! | `fig2_linreg` | Fig 2 — LinReg time/iteration, resilient vs non-resilient |
-//! | `fig3_logreg` | Fig 3 — LogReg time/iteration |
-//! | `fig4_pagerank` | Fig 4 — PageRank time/iteration |
-//! | `table2_loc` | Table II — lines-of-code comparison |
-//! | `table3_checkpoint` | Table III — time per checkpoint |
-//! | `fig5_linreg_restore` | Fig 5 — LinReg total time with one failure |
-//! | `fig6_logreg_restore` | Fig 6 — LogReg total time with one failure |
-//! | `fig7_pagerank_restore` | Fig 7 — PageRank total time with one failure |
-//! | `table4_breakdown` | Table IV — checkpoint/restore % of total time |
+//! | `table2` | Table II — lines-of-code comparison |
+//! | `fig2` | Fig 2 — LinReg time/iteration, resilient vs non-resilient |
+//! | `fig3` | Fig 3 — LogReg time/iteration |
+//! | `fig4` | Fig 4 — PageRank time/iteration |
+//! | `table3` | Table III — time per checkpoint |
+//! | `fig5` | Fig 5 — LinReg total time with one failure |
+//! | `fig6` | Fig 6 — LogReg total time with one failure |
+//! | `fig7` | Fig 7 — PageRank total time with one failure |
+//! | `table4` | Table IV — checkpoint/restore % of total time |
+//! | `ablations` | the bookkeeping and store-redundancy ablations (DESIGN.md) |
 //!
 //! `cargo bench -p gml-bench` runs the criterion microbenches plus a quick
 //! pass over every figure/table. Environment knobs:

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use apgas::prelude::*;
-use parking_lot::Mutex;
+use apgas::sync::Mutex;
 
 use crate::error::{GmlError, GmlResult};
 

@@ -16,11 +16,11 @@ use std::sync::Arc;
 
 use apgas::prelude::*;
 use apgas::serial::Serial;
+use apgas::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::{
     BlockData, BlockSet, DenseBlockWire, DenseMatrix, Grid, MatrixBlock, Overlap, Vector,
 };
-use parking_lot::Mutex;
 
 use crate::dist_vector::DistVector;
 use crate::dup_vector::DupVector;

@@ -11,9 +11,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use apgas::prelude::*;
+use apgas::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::Vector;
-use parking_lot::Mutex;
 
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};

@@ -6,9 +6,9 @@
 //! restore re-loads a full copy per place.
 
 use apgas::prelude::*;
+use apgas::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::DenseMatrix;
-use parking_lot::Mutex;
 
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};

@@ -6,9 +6,9 @@
 //! [`DupVector::sync`] — the `P.sync()` of the paper's PageRank listing.
 
 use apgas::prelude::*;
+use apgas::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::Vector;
-use parking_lot::Mutex;
 
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};

@@ -41,8 +41,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
+use apgas::sync::Mutex;
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::codec;
 use crate::collective::each_place;
