@@ -58,7 +58,7 @@ cargo test -q --test failure_semantics \
 TASK_DIR="$(mktemp -d -t gml_task_parity_XXXXXX)"
 trap 'rm -f "$TRACE_JSON"; rm -rf "$TASK_DIR"' EXIT
 for R in 1 3; do
-    GML_TASK_REPLICAS=$R cargo run --release --example failure_drill 2> /dev/null \
+    cargo run --release --example failure_drill -- --replicas $R 2> /dev/null \
         | grep '^final_state_digest' > "$TASK_DIR/r$R.txt"
 done
 diff "$TASK_DIR/r1.txt" "$TASK_DIR/r3.txt" \
@@ -142,6 +142,28 @@ cargo run --release --offline --manifest-path e2e_bench/Cargo.toml -- --quick --
 # The benchmark package's own tests; among other things they hold
 # BENCHMARK.json equal to the workload catalog.
 cargo test -q --offline --manifest-path e2e_bench/Cargo.toml
+
+echo "== deterministic counts (BENCH_counts.txt) =="
+# The count gate (ROADMAP 2(b)): six per-step and per-checkpoint counts of
+# each benchmark workload depend on the code and the seed alone — not on
+# the run length or the timing — so a fixed-seed run must reproduce the
+# committed file line for line. A change that moves a message, a task or a
+# byte shows up here even where no timing bound would notice it.
+COUNTS="$(mktemp -t gml_counts_XXXXXX.txt)"
+trap 'rm -f "$TRACE_JSON" "$COUNTS"; rm -rf "$TASK_DIR" "$PARITY_DIR" "$CKPT_DIR"' EXIT
+COUNTED='ctl_msgs_per_step|tasks_per_step|bytes_shipped_per_step'
+COUNTED="$COUNTED|logical_mb_per_ckpt|reexecuted_steps|wire_mb_resident"
+for W in logreg_ctl pagerank_spmv gnmf_ckpt linreg_restore; do
+    cargo run --release --quiet --offline --manifest-path e2e_bench/Cargo.toml -- \
+        --workload "$W" --seed 11 --seconds 3 --trace 1 \
+        | grep -E "^metric [a-z_]+ [a-z_.]+[.]($COUNTED) " \
+        | sed 's/ n=[0-9]*$//'
+done > "$COUNTS"
+diff BENCH_counts.txt "$COUNTS" || {
+    echo "count gate: the counts above differ from BENCH_counts.txt;"
+    echo "a change meant to move a count must edit that file"
+    exit 1
+}
 
 echo "== non-test lines (per workspace crate) =="
 # The ROADMAP code-diet measures: lines of each crate's src/ (binaries

@@ -61,9 +61,8 @@ use crate::trace::{SpanKind, TraceCtx};
 /// is replayed, whether attempts carry a deadline, and how many places a
 /// replicated task runs at (see [`Ctx::replicated_vote`]).
 ///
-/// Attach a policy per spawn with [`FinishScope::async_at_policied`], or
-/// read the ambient one from the `GML_TASK_RETRIES` / `GML_TASK_TIMEOUT_MS`
-/// / `GML_TASK_REPLICAS` environment knobs via [`TaskPolicy::from_env`].
+/// Attach a policy per spawn with [`FinishScope::async_at_policied`]; the
+/// default is one attempt at one place.
 ///
 /// Replay semantics follow the HPX software-resiliency model: a failed
 /// attempt is re-executed up to `retries` more times with jittered backoff.
@@ -92,17 +91,6 @@ impl Default for TaskPolicy {
 }
 
 impl TaskPolicy {
-    /// Read the ambient policy from the `GML_TASK_*` environment knobs,
-    /// warning loudly (and defaulting) on unparsable values.
-    pub fn from_env() -> Self {
-        TaskPolicy {
-            retries: crate::monitor::env_parsed("GML_TASK_RETRIES", 0u32),
-            timeout_ms: crate::monitor::env_parsed("GML_TASK_TIMEOUT_MS", 0u64),
-            replicas: crate::monitor::env_parsed("GML_TASK_REPLICAS", 1u32).max(1),
-            backoff_ms: crate::monitor::env_parsed("GML_TASK_BACKOFF_MS", 2u64),
-        }
-    }
-
     /// Builder: set the replay budget.
     pub fn retries(mut self, n: u32) -> Self {
         self.retries = n;

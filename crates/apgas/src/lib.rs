@@ -44,6 +44,7 @@
 //! ```
 
 pub mod digest;
+pub mod env;
 pub mod error;
 pub mod mem;
 pub mod metrics;

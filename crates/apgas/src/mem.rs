@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of ledger tags. Kept in sync with [`MemTag`] by `TAGS`.
-pub const TAG_COUNT: usize = 6;
+pub const TAG_COUNT: usize = 5;
 
 /// Subsystem scopes of the byte ledger.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -43,22 +43,19 @@ pub enum MemTag {
     /// Encode and payload buffers parked in the process-wide `bytes` pool
     /// (level mirrors the pool's own; folded in by [`report`]).
     SerialArena = 1,
-    /// Tile scratch buffers parked in per-thread freelists (`gml-matrix`).
-    TileFreelist = 2,
     /// Trace event ring slots, allocated once per place when tracing is on.
-    TraceRing = 3,
+    TraceRing = 2,
     /// Envelopes queued in place mailboxes (header-size accounting: the
     /// closure's captures are opaque to the runtime and not charged).
-    Mailbox = 4,
+    Mailbox = 3,
     /// Application matrices/vectors, charged cooperatively via [`MemScope`].
-    AppMatrix = 5,
+    AppMatrix = 4,
 }
 
 /// Every tag, in discriminant order (for iteration in renderers).
 pub const TAGS: [MemTag; TAG_COUNT] = [
     MemTag::StoreShard,
     MemTag::SerialArena,
-    MemTag::TileFreelist,
     MemTag::TraceRing,
     MemTag::Mailbox,
     MemTag::AppMatrix,
@@ -70,7 +67,6 @@ impl MemTag {
         match self {
             MemTag::StoreShard => "store_shard",
             MemTag::SerialArena => "serial_arena",
-            MemTag::TileFreelist => "tile_freelist",
             MemTag::TraceRing => "trace_ring",
             MemTag::Mailbox => "mailbox",
             MemTag::AppMatrix => "app_matrix",

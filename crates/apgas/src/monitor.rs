@@ -31,71 +31,6 @@ use std::time::{Duration, Instant};
 use crate::metrics::HistogramSnapshot;
 use crate::stats::StatsSnapshot;
 
-/// Parse an environment variable, falling back to `default` — loudly — when
-/// the value is present but unparsable. A silent fallback hides typos like
-/// `GML_TRACE_BUF=64k`; the paper's evaluation methodology depends on
-/// knowing which knobs were actually in effect.
-pub fn env_parsed<T>(name: &str, default: T) -> T
-where
-    T: std::str::FromStr + std::fmt::Display,
-{
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(raw) => match raw.trim().parse::<T>() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("{name}: unparsable value {raw:?}; using default {default}");
-                default
-            }
-        },
-    }
-}
-
-/// Parse a float-valued environment variable with range validation, falling
-/// back to `default` — loudly — on any value that is unparsable, non-finite,
-/// or outside `[min, max]`. [`env_parsed`] alone is not enough for floats:
-/// `f64::from_str` happily accepts `"nan"`, `"inf"`, and wildly out-of-range
-/// values, which then silently poison downstream math (an EWMA fed a NaN
-/// alpha never recovers — `NaN.clamp(..)` is still NaN).
-pub fn env_parsed_float(name: &str, default: f64, min: f64, max: f64) -> f64 {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(raw) => match raw.trim().parse::<f64>() {
-            Ok(v) if v.is_finite() && v >= min && v <= max => v,
-            Ok(v) => {
-                eprintln!(
-                    "{name}: value {v} outside valid range [{min}, {max}]; \
-                     using default {default}"
-                );
-                default
-            }
-            Err(_) => {
-                eprintln!("{name}: unparsable value {raw:?}; using default {default}");
-                default
-            }
-        },
-    }
-}
-
-/// Read `GML_MONITOR_PORT`: unset → monitoring disabled; a valid port
-/// (including `0` for an ephemeral bind) → enabled; an unparsable value →
-/// disabled, with a one-line stderr warning naming the variable.
-pub(crate) fn port_from_env() -> Option<u16> {
-    match std::env::var("GML_MONITOR_PORT") {
-        Err(_) => None,
-        Ok(raw) => match raw.trim().parse::<u16>() {
-            Ok(p) => Some(p),
-            Err(_) => {
-                eprintln!(
-                    "GML_MONITOR_PORT: unparsable value {raw:?}; \
-                     using default (monitoring disabled)"
-                );
-                None
-            }
-        },
-    }
-}
-
 /// Per-place heartbeat counters, updated with relaxed atomics only.
 ///
 /// Mailbox depth is derived as `enqueued - dequeued` because a
@@ -739,44 +674,6 @@ mod tests {
         assert!(resp.contains("gml_test_metric 42"));
         srv.stop();
         srv.stop(); // idempotent
-    }
-
-    #[test]
-    fn env_parsed_accepts_and_rejects() {
-        // No env manipulation here (tests run concurrently); exercise the
-        // parse paths the helper wraps instead.
-        assert_eq!("64".trim().parse::<usize>().ok(), Some(64));
-        assert_eq!("64k".trim().parse::<usize>().ok(), None);
-        // Unset variable falls straight through to the default.
-        assert_eq!(env_parsed("GML_TEST_UNSET_VAR_XYZ", 7usize), 7);
-    }
-
-    #[test]
-    fn env_parsed_float_rejects_nonfinite_and_out_of_range() {
-        // Unset → default.
-        assert_eq!(env_parsed_float("GML_TEST_UNSET_FLOAT_XYZ", 0.2, 0.01, 1.0), 0.2);
-        // Var names are unique to this test, so concurrent tests never read
-        // them and set_var is race-free in practice.
-        let var = "GML_TEST_FLOAT_VALIDATION_XYZ";
-        // These all *parse* as f64 — that is exactly the silent-poison
-        // hazard — and must be rejected by the finite/range check.
-        for bad in ["nan", "inf", "-inf", "-3", "1.5e300", "0.0"] {
-            std::env::set_var(var, bad);
-            assert_eq!(
-                env_parsed_float(var, 0.2, 0.01, 1.0),
-                0.2,
-                "{bad} must fall back to the default for an alpha knob"
-            );
-        }
-        // Unparsable text takes the other warn path, same fallback.
-        std::env::set_var(var, "fast");
-        assert_eq!(env_parsed_float(var, 0.2, 0.01, 1.0), 0.2);
-        // In-range values pass through exactly.
-        for (good, want) in [("0.5", 0.5), ("1", 1.0), ("0.01", 0.01)] {
-            std::env::set_var(var, good);
-            assert_eq!(env_parsed_float(var, 0.2, 0.01, 1.0), want);
-        }
-        std::env::remove_var(var);
     }
 
     #[test]

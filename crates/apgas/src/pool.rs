@@ -11,8 +11,8 @@
 //!
 //! * `GML_WORKERS=n` forces exactly `n` workers (`1` disables helper threads
 //!   entirely and is bit- and path-identical to the historical serial code);
-//!   an unparsable value warns via [`monitor::env_parsed`](crate::monitor::env_parsed)
-//!   and falls back to auto-sizing.
+//!   an unparsable value warns (see [`crate::env`]) and falls back to
+//!   auto-sizing.
 //! * Otherwise the pool takes [`std::thread::available_parallelism`] minus
 //!   the place-dispatcher threads the runtime has already started, with a
 //!   floor of one.
@@ -89,7 +89,7 @@ static POOL: OnceLock<SharedPool> = OnceLock::new();
 
 fn shared() -> &'static SharedPool {
     POOL.get_or_init(|| {
-        let configured = crate::monitor::env_parsed::<usize>("GML_WORKERS", 0);
+        let configured = crate::env::workers();
         let workers = if configured == 0 {
             let avail =
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

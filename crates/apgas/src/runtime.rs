@@ -119,6 +119,9 @@ pub(crate) struct RtInner {
     health: HealthBoard,
     /// Online anomaly detection: iteration-time EWMA + backlog trends.
     watchdog: Arc<Watchdog>,
+    /// Where the trace is exported at shutdown (`GML_TRACE_OUT`, read once
+    /// at startup; `None` when tracing is off).
+    trace_out: Option<std::path::PathBuf>,
     /// The Prometheus scrape server, when monitoring is enabled.
     monitor: Mutex<Option<MonitorServer>>,
     /// Extra Prometheus collectors (e.g. the snapshot-store inventory),
@@ -587,7 +590,8 @@ impl Ctx {
     }
 
     /// The runtime's performance watchdog (always present; it only does
-    /// work when fed via [`Self::observe_iteration`]).
+    /// work when fed via [`Self::observe_iteration`] and
+    /// [`Self::observe_memory`]).
     pub fn watchdog(&self) -> &Watchdog {
         &self.rt.watchdog
     }
@@ -607,14 +611,21 @@ impl Ctx {
                 self.rt.health.raise_anomaly(p);
             }
         }
-        // Memory is process-wide (places share one address space here), so
-        // a pressure alarm flags place zero, the coordinator. With
-        // `mem-profile` compiled out the heap level reads 0 and a
-        // configured budget simply never trips.
-        if self.rt.watchdog.observe_memory(crate::mem::heap_bytes()) {
+        regressed
+    }
+
+    /// Feed the live heap level to the watchdog's memory-pressure check
+    /// (a no-op without a `GML_MEM_BUDGET`). Memory is process-wide
+    /// (places share one address space here), so a pressure alarm flags
+    /// place zero, the coordinator. With `mem-profile` compiled out the
+    /// heap level reads 0 and a budget never trips. Returns whether the
+    /// sample signalled pressure.
+    pub fn observe_memory(&self) -> bool {
+        let pressed = self.rt.watchdog.observe_memory(crate::mem::heap_bytes());
+        if pressed {
             self.rt.health.raise_anomaly(0);
         }
-        regressed
+        pressed
     }
 
     /// A point-in-time copy of every place's heartbeat gauges (including
@@ -688,12 +699,19 @@ impl Runtime {
     /// Start dispatcher threads for every configured place.
     pub fn new(cfg: RuntimeConfig) -> Self {
         assert!(cfg.places >= 1, "need at least one place");
-        let tracer = match cfg.trace {
-            Some(true) => Tracer::enabled(crate::trace::DEFAULT_RING_CAPACITY),
-            Some(false) => Tracer::disabled(),
-            None => Tracer::from_env(),
+        let tracer = if cfg.trace.unwrap_or_else(crate::env::trace) {
+            Tracer::enabled(crate::trace::DEFAULT_RING_CAPACITY)
+        } else {
+            Tracer::disabled()
         };
-        let monitor_port = cfg.monitor_port.or_else(monitor::port_from_env);
+        // Probe the export destination up front (creating missing parent
+        // directories) so an unwritable path is reported before the run,
+        // not at export time when the data is already collected.
+        let trace_out = crate::env::trace_out().filter(|_| tracer.is_on());
+        if let Some(path) = &trace_out {
+            crate::trace::prepare_out_path(path);
+        }
+        let monitor_port = cfg.monitor_port.or_else(crate::env::monitor_port);
         let inner = Arc::new(RtInner {
             cfg,
             places: RwLock::new(Vec::new()),
@@ -704,7 +722,8 @@ impl Runtime {
             stats: RuntimeStats::default(),
             tracer,
             health: HealthBoard::new(monitor_port.is_some()),
-            watchdog: Arc::new(Watchdog::from_env()),
+            watchdog: Arc::new(Watchdog::new(crate::env::mem_budget())),
+            trace_out,
             monitor: Mutex::new(None),
             collectors: Mutex::new(Vec::new()),
             next_finish_id: AtomicU64::new(1),
@@ -714,16 +733,6 @@ impl Runtime {
         });
         for _ in 0..cfg.total_places() {
             inner.start_place();
-        }
-        // Probe the GML_TRACE_OUT destination up front (creating missing
-        // parent directories) so an unwritable path is reported before the
-        // run, not at export time when the data is already collected.
-        if inner.tracer.is_on() {
-            if let Ok(path) = std::env::var("GML_TRACE_OUT") {
-                if !path.is_empty() {
-                    crate::trace::prepare_out_path(std::path::Path::new(&path));
-                }
-            }
         }
         // Surface compute-pool jobs as `pool.run` spans on this runtime's
         // tracer. The observer holds only a Weak handle: after shutdown it
@@ -814,17 +823,14 @@ impl Runtime {
 
     /// Stop all dispatchers and join them. Idempotent.
     pub fn shutdown(&self) {
-        // First transition only: flush the trace where GML_TRACE_OUT points.
-        if !self.inner.stopping.swap(true, Ordering::AcqRel) && self.inner.tracer.is_on() {
-            if let Ok(path) = std::env::var("GML_TRACE_OUT") {
-                if !path.is_empty() {
-                    // Re-create any parent directories removed since the
-                    // startup probe; only then attempt the export.
-                    let p = std::path::Path::new(&path);
-                    if crate::trace::prepare_out_path(p) {
-                        if let Err(e) = self.write_chrome_trace(p) {
-                            eprintln!("GML_TRACE_OUT: failed to write {path}: {e}");
-                        }
+        // First transition only: export the trace. Re-create any parent
+        // directories removed since the startup probe; only then write.
+        if !self.inner.stopping.swap(true, Ordering::AcqRel) {
+            if let Some(p) = self.inner.trace_out.as_deref() {
+                if crate::trace::prepare_out_path(p) {
+                    if let Err(e) = self.write_chrome_trace(p) {
+                        let var = crate::env::TRACE_OUT;
+                        eprintln!("{var}: failed to write {}: {e}", p.display());
                     }
                 }
             }

@@ -525,7 +525,7 @@ fn unpack_meta(meta: u64) -> (u32, u16, Option<SpanKind>, Option<Phase>) {
 // Tracer.
 // ---------------------------------------------------------------------------
 
-/// Default per-place ring capacity (events), overridable via `GML_TRACE_BUF`.
+/// Per-place ring capacity (events) of an enabled runtime tracer.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Whether tracing support is compiled in at all. With the `trace` cargo
@@ -570,20 +570,6 @@ impl Tracer {
     /// An enabled tracer with the given per-place ring capacity.
     pub fn enabled(ring_capacity: usize) -> Self {
         Tracer { enabled: true, ring_capacity, ..Tracer::disabled() }
-    }
-
-    /// Build from the environment: enabled iff `GML_TRACE` is truthy
-    /// (`1`/`true`/`on`/`yes`), ring capacity from `GML_TRACE_BUF`.
-    pub fn from_env() -> Self {
-        if env_truthy("GML_TRACE") {
-            // Warns on stderr (naming the variable and the default) when the
-            // value is present but unparsable, instead of silently ignoring
-            // a typo like GML_TRACE_BUF=64k.
-            let cap = crate::monitor::env_parsed("GML_TRACE_BUF", DEFAULT_RING_CAPACITY);
-            Tracer::enabled(cap)
-        } else {
-            Tracer::disabled()
-        }
     }
 
     /// Is this tracer collecting events? Inlined to a constant `false` when
@@ -886,9 +872,8 @@ pub fn count_flow_events(chrome_json: &str) -> usize {
 }
 
 /// Prepare a trace export destination: create any missing parent
-/// directories and probe writability, warning on stderr (in the loud
-/// [`env_parsed`](crate::monitor::env_parsed) style) when the path cannot
-/// be used. Returns whether an export to `path` can be expected to
+/// directories and probe writability, warning on stderr when the path
+/// cannot be used. Returns whether an export to `path` can be expected to
 /// succeed. Called at runtime startup so a bad `GML_TRACE_OUT` is
 /// reported *before* the run, not after its data is already collected.
 pub fn prepare_out_path(path: &std::path::Path) -> bool {
@@ -896,8 +881,9 @@ pub fn prepare_out_path(path: &std::path::Path) -> bool {
         if !parent.as_os_str().is_empty() && !parent.exists() {
             if let Err(e) = std::fs::create_dir_all(parent) {
                 eprintln!(
-                    "GML_TRACE_OUT: cannot create parent directory {}: {e}; \
+                    "{}: cannot create parent directory {}: {e}; \
                      trace export will be skipped",
+                    crate::env::TRACE_OUT,
                     parent.display()
                 );
                 return false;
@@ -910,7 +896,8 @@ pub fn prepare_out_path(path: &std::path::Path) -> bool {
         Ok(_) => true,
         Err(e) => {
             eprintln!(
-                "GML_TRACE_OUT: {} is not writable: {e}; trace export will be skipped",
+                "{}: {} is not writable: {e}; trace export will be skipped",
+                crate::env::TRACE_OUT,
                 path.display()
             );
             false
@@ -929,13 +916,6 @@ fn escape_json(s: &str) -> String {
         }
     }
     out
-}
-
-fn env_truthy(name: &str) -> bool {
-    matches!(
-        std::env::var(name).unwrap_or_default().to_ascii_lowercase().as_str(),
-        "1" | "true" | "on" | "yes"
-    )
 }
 
 /// RAII span: emits the end event and feeds the kind's latency histogram on
@@ -1444,10 +1424,10 @@ mod tests {
 
     #[test]
     fn from_env_defaults_off() {
-        // The test runner does not set GML_TRACE; default must be disabled
-        // (acceptance criterion: zero impact when unset).
-        if std::env::var("GML_TRACE").is_err() {
-            assert!(!Tracer::from_env().is_on());
+        // The test runner does not set the variable; tracing must then be
+        // off (zero impact when unset).
+        if std::env::var_os(crate::env::TRACE).is_none() {
+            assert!(!crate::env::trace());
         }
     }
 }

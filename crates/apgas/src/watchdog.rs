@@ -6,7 +6,7 @@
 //! the executor produces them* and keeps just enough state to answer "is
 //! this run degrading right now": an exponentially weighted moving average
 //! of iteration wall time (flagging iterations slower than
-//! `factor × EWMA` after a warm-up), and per-place mailbox-depth trend
+//! `2 × EWMA` after a warm-up), and per-place mailbox-depth trend
 //! tracking (flagging a place whose backlog grows for several consecutive
 //! observations). Both alarm kinds raise
 //! [`HealthBoard`](crate::monitor::HealthBoard) anomaly flags through the
@@ -14,17 +14,9 @@
 //! (`gml_iter_critical_path_nanos`, `gml_straggler_ratio`,
 //! `gml_watchdog_anomalies_total`).
 //!
-//! Tuning knobs (all parsed loudly via
-//! [`env_parsed`](crate::monitor::env_parsed)):
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `GML_WATCHDOG_ALPHA` | `0.2` | EWMA smoothing factor |
-//! | `GML_WATCHDOG_FACTOR` | `2.0` | regression threshold multiplier |
-//! | `GML_WATCHDOG_WARMUP` | `3` | iterations observed before flagging |
-//! | `GML_WATCHDOG_BACKLOG_MIN` | `8` | mailbox depth below which growth is ignored |
-//! | `GML_WATCHDOG_BACKLOG_RUNS` | `3` | consecutive growth observations before an alarm |
-//! | `GML_MEM_BUDGET` | `0` (off) | process heap budget in bytes for memory-pressure alarms |
+//! The tuning is fixed: an EWMA weight of 0.2, a regression threshold of
+//! 2× the EWMA after a warm-up of 3 iterations, and a backlog alarm after
+//! 3 consecutive rises of a mailbox at least 8 deep.
 //!
 //! With a nonzero `GML_MEM_BUDGET`, [`Watchdog::observe_memory`] samples
 //! the live heap level once per executor iteration and raises a
@@ -34,9 +26,20 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::monitor::{env_parsed, HealthSnapshot};
+use crate::monitor::HealthSnapshot;
 use crate::sync::Mutex;
 use crate::trace::critical_path::IterProfile;
+
+/// EWMA weight of the newest sample (iteration time and heap growth).
+const ALPHA: f64 = 0.2;
+/// An iteration slower than `FACTOR × EWMA` is a regression.
+const FACTOR: f64 = 2.0;
+/// Iterations observed before a regression can be flagged.
+const WARMUP: u64 = 3;
+/// Mailbox depth below which backlog growth is ignored.
+const BACKLOG_MIN: u64 = 8;
+/// Consecutive backlog rises that raise an alarm.
+const BACKLOG_RUNS: u32 = 3;
 
 /// Mutable trend state, behind one short-lived lock (the watchdog is
 /// sampled once per executor iteration, not on the task hot path).
@@ -60,11 +63,6 @@ struct WatchState {
 
 /// The watchdog proper. One per runtime, shared via `Arc`.
 pub struct Watchdog {
-    alpha: f64,
-    factor: f64,
-    warmup: u64,
-    backlog_min: u64,
-    backlog_runs: u32,
     /// Process heap budget in bytes; 0 disables memory-pressure alarms.
     mem_budget: u64,
     state: Mutex<WatchState>,
@@ -93,22 +91,12 @@ pub struct WatchdogReport {
     pub last: Option<IterProfile>,
 }
 
-impl Default for Watchdog {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl Watchdog {
-    /// Build a watchdog with explicit tuning (tests, simulations).
-    pub fn new(alpha: f64, factor: f64, warmup: u64) -> Self {
+    /// A watchdog with the given process heap budget in bytes (0 disables
+    /// memory-pressure alarms).
+    pub fn new(mem_budget: u64) -> Self {
         Watchdog {
-            alpha: alpha.clamp(0.01, 1.0),
-            factor: factor.max(1.0),
-            warmup,
-            backlog_min: 8,
-            backlog_runs: 3,
-            mem_budget: 0,
+            mem_budget,
             state: Mutex::new(WatchState::default()),
             regressions: AtomicU64::new(0),
             backlog_alarms: AtomicU64::new(0),
@@ -116,44 +104,19 @@ impl Watchdog {
         }
     }
 
-    /// Set the process heap budget in bytes (0 disables memory-pressure
-    /// alarms). Builder-style, for tests and simulations.
-    pub fn with_mem_budget(mut self, budget: u64) -> Self {
-        self.mem_budget = budget;
-        self
-    }
-
-    /// Build a watchdog from the `GML_WATCHDOG_*` environment knobs. The
-    /// float knobs go through the validated parse: `f64::from_str` accepts
-    /// `nan`/`inf`/out-of-range values that [`Watchdog::new`]'s clamps would
-    /// otherwise swallow silently (and `NaN.clamp(..)` stays NaN, poisoning
-    /// the EWMA forever).
-    pub fn from_env() -> Self {
-        let mut w = Watchdog::new(
-            crate::monitor::env_parsed_float("GML_WATCHDOG_ALPHA", 0.2, 0.01, 1.0),
-            crate::monitor::env_parsed_float("GML_WATCHDOG_FACTOR", 2.0, 1.0, 1e6),
-            env_parsed("GML_WATCHDOG_WARMUP", 3u64),
-        );
-        w.backlog_min = env_parsed("GML_WATCHDOG_BACKLOG_MIN", 8u64);
-        w.backlog_runs = env_parsed("GML_WATCHDOG_BACKLOG_RUNS", 3u32);
-        w.mem_budget = env_parsed("GML_MEM_BUDGET", 0u64);
-        w
-    }
-
     /// Feed one iteration profile. Returns `true` when the iteration's wall
-    /// time regressed past `factor × EWMA` (after the warm-up period); the
+    /// time regressed past `FACTOR × EWMA` (after the warm-up period); the
     /// EWMA is updated either way, so a sustained slowdown re-baselines
     /// instead of alarming forever.
     pub fn observe_iteration(&self, profile: &IterProfile) -> bool {
         let wall = profile.wall_nanos as f64;
         let mut st = self.state.lock();
-        let regressed = st.observed >= self.warmup
-            && st.ewma_nanos > 0.0
-            && wall > self.factor * st.ewma_nanos;
+        let regressed =
+            st.observed >= WARMUP && st.ewma_nanos > 0.0 && wall > FACTOR * st.ewma_nanos;
         st.ewma_nanos = if st.observed == 0 {
             wall
         } else {
-            self.alpha * wall + (1.0 - self.alpha) * st.ewma_nanos
+            ALPHA * wall + (1.0 - ALPHA) * st.ewma_nanos
         };
         st.observed += 1;
         st.last = Some(*profile);
@@ -165,8 +128,8 @@ impl Watchdog {
     }
 
     /// Feed one round of per-place heartbeat snapshots. Returns the first
-    /// place whose mailbox depth has now grown for `backlog_runs`
-    /// consecutive observations while at least `backlog_min` deep —
+    /// place whose mailbox depth has now grown for `BACKLOG_RUNS`
+    /// consecutive observations while at least `BACKLOG_MIN` deep —
     /// the signature of a dispatcher that stopped keeping up.
     pub fn observe_backlog(&self, snaps: &[HealthSnapshot]) -> Option<u32> {
         let mut st = self.state.lock();
@@ -177,13 +140,13 @@ impl Watchdog {
         let mut flagged = None;
         for s in snaps {
             let slot = &mut st.backlog[s.place as usize];
-            if s.mailbox_depth > slot.0 && s.mailbox_depth >= self.backlog_min {
+            if s.mailbox_depth > slot.0 && s.mailbox_depth >= BACKLOG_MIN {
                 slot.1 += 1;
             } else {
                 slot.1 = 0;
             }
             slot.0 = s.mailbox_depth;
-            if slot.1 >= self.backlog_runs {
+            if slot.1 >= BACKLOG_RUNS {
                 slot.1 = 0; // re-arm: a persisting backlog alarms again later
                 if flagged.is_none() {
                     flagged = Some(s.place);
@@ -198,23 +161,22 @@ impl Watchdog {
     /// signals memory pressure against the configured budget: the level
     /// crossed 90% of the budget, or the EWMA'd growth trend projects the
     /// budget being crossed within the next 8 observations. With no budget
-    /// (`mem_budget == 0`) this never alarms; the growth EWMA is still
-    /// maintained so enabling a budget mid-run has a warm baseline.
+    /// this returns at once, without taking the lock.
     pub fn observe_memory(&self, resident: u64) -> bool {
+        if self.mem_budget == 0 {
+            return false;
+        }
         let mut st = self.state.lock();
         let growth = resident as f64 - st.last_resident as f64;
         st.mem_growth_ewma = if st.mem_observed == 0 {
             0.0 // the first sample has no predecessor: no growth signal yet
         } else {
-            self.alpha * growth + (1.0 - self.alpha) * st.mem_growth_ewma
+            ALPHA * growth + (1.0 - ALPHA) * st.mem_growth_ewma
         };
         st.last_resident = resident;
         st.mem_observed += 1;
         let trend = st.mem_growth_ewma;
         drop(st);
-        if self.mem_budget == 0 {
-            return false;
-        }
         let budget = self.mem_budget as f64;
         let pressed =
             resident as f64 > 0.9 * budget || resident as f64 + 8.0 * trend.max(0.0) > budget;
@@ -309,7 +271,7 @@ mod tests {
 
     #[test]
     fn steady_iterations_never_flag() {
-        let w = Watchdog::new(0.2, 2.0, 3);
+        let w = Watchdog::new(0);
         for i in 0..20 {
             assert!(!w.observe_iteration(&profile(i, 1_000_000 + i * 1_000)));
         }
@@ -321,10 +283,10 @@ mod tests {
 
     #[test]
     fn regression_flags_after_warmup_and_rebaselines() {
-        let w = Watchdog::new(0.2, 2.0, 3);
+        let w = Watchdog::new(0);
         // A huge first iteration during warm-up must not flag.
         assert!(!w.observe_iteration(&profile(0, 50_000_000)));
-        let w = Watchdog::new(0.2, 2.0, 3);
+        let w = Watchdog::new(0);
         for i in 0..5 {
             assert!(!w.observe_iteration(&profile(i, 1_000_000)));
         }
@@ -337,7 +299,7 @@ mod tests {
 
     #[test]
     fn backlog_growth_alarms_after_consecutive_runs() {
-        let w = Watchdog::new(0.2, 2.0, 3);
+        let w = Watchdog::new(0);
         let snap = |place, depth| HealthSnapshot {
             place,
             up: true,
@@ -362,7 +324,7 @@ mod tests {
 
     #[test]
     fn render_emits_gauges_and_counters() {
-        let w = Watchdog::new(0.2, 2.0, 0);
+        let w = Watchdog::new(0);
         w.observe_iteration(&profile(0, 2_000_000));
         let mut out = String::new();
         w.render(&mut out);
@@ -374,30 +336,8 @@ mod tests {
     }
 
     #[test]
-    fn from_env_rejects_poisonous_float_knobs() {
-        // "nan" and "inf" PARSE as f64, and NaN survives Watchdog::new's
-        // clamp — the EWMA would be poisoned forever. from_env must route
-        // through the validated float parse and fall back to the defaults.
-        // Unique values are restored immediately; concurrent from_env
-        // callers would at worst see the (default-equal) fallback.
-        std::env::set_var("GML_WATCHDOG_ALPHA", "nan");
-        std::env::set_var("GML_WATCHDOG_FACTOR", "inf");
-        let w = Watchdog::from_env();
-        std::env::remove_var("GML_WATCHDOG_ALPHA");
-        std::env::remove_var("GML_WATCHDOG_FACTOR");
-        assert_eq!(w.alpha, 0.2, "nan alpha must fall back to the default");
-        assert_eq!(w.factor, 2.0, "inf factor must fall back to the default");
-        // The EWMA stays healthy: iterations are observed and flagged
-        // normally instead of vanishing into NaN comparisons.
-        for i in 0..5 {
-            assert!(!w.observe_iteration(&profile(i, 1_000_000)));
-        }
-        assert!(w.observe_iteration(&profile(5, 10_000_000)));
-    }
-
-    #[test]
     fn no_budget_never_raises_memory_pressure() {
-        let w = Watchdog::new(0.2, 2.0, 3);
+        let w = Watchdog::new(0);
         for level in [1u64 << 30, 2 << 30, 3 << 30] {
             assert!(!w.observe_memory(level));
         }
@@ -406,7 +346,7 @@ mod tests {
 
     #[test]
     fn budget_fraction_threshold_alarms() {
-        let w = Watchdog::new(0.2, 2.0, 3).with_mem_budget(1000);
+        let w = Watchdog::new(1000);
         assert!(!w.observe_memory(100));
         assert!(!w.observe_memory(120)); // gentle growth, far from the wall
         assert!(w.observe_memory(950), "past 90% of budget must alarm");
@@ -415,19 +355,19 @@ mod tests {
 
     #[test]
     fn growth_trend_projection_alarms_before_the_wall() {
-        let w = Watchdog::new(0.5, 2.0, 3).with_mem_budget(1_000_000);
+        let w = Watchdog::new(1_000_000);
         // Steady level far below budget: no alarm.
         assert!(!w.observe_memory(100_000));
         assert!(!w.observe_memory(100_000));
         // Sustained +100k/iteration growth: the 8-step projection crosses
-        // the budget while the level itself is still under half of it.
+        // the budget while the level itself is still under two thirds of it.
         let mut alarmed = false;
-        for step in 1..=4u64 {
+        for step in 1..=5u64 {
             alarmed |= w.observe_memory(100_000 + step * 100_000);
         }
         assert!(alarmed, "growth trend must project over the budget");
         // Shrinking levels (negative trend) with plenty of headroom: quiet.
-        let w2 = Watchdog::new(0.5, 2.0, 3).with_mem_budget(1_000_000);
+        let w2 = Watchdog::new(1_000_000);
         assert!(!w2.observe_memory(500_000));
         assert!(!w2.observe_memory(400_000));
         assert!(!w2.observe_memory(300_000));

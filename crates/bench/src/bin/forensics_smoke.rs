@@ -41,7 +41,7 @@ fn gauge(body: &str, family: &str, place: u32) -> Option<u64> {
 fn main() {
     let forensics_dir = std::env::temp_dir().join(format!("gml-forensics-{}", std::process::id()));
     std::fs::create_dir_all(&forensics_dir).expect("create forensics dir");
-    std::env::set_var("GML_FORENSICS_DIR", &forensics_dir);
+    std::env::set_var(apgas::env::FORENSICS_DIR, &forensics_dir);
 
     let victim = Place::new(2);
     let rt = Runtime::new(

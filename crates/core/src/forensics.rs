@@ -323,10 +323,7 @@ impl PostMortem {
     /// written; logs and returns `None` on failure instead of erroring — the
     /// flight recorder must never take down a recovery that just succeeded.
     pub fn maybe_write_env_dir(&self) -> Option<PathBuf> {
-        let dir = std::env::var("GML_FORENSICS_DIR").ok()?;
-        if dir.is_empty() {
-            return None;
-        }
+        let dir = apgas::env::forensics_dir()?;
         let json = self.to_json();
         if let Err(e) = apgas::trace::validate_json(&json) {
             eprintln!("gml: post-mortem bundle {} failed validation, not written: {e}", self.seq);
@@ -334,7 +331,7 @@ impl PostMortem {
         }
         static ORDINAL: AtomicU64 = AtomicU64::new(0);
         let n = ORDINAL.fetch_add(1, Ordering::Relaxed);
-        let path = PathBuf::from(dir).join(format!("postmortem-{n}.json"));
+        let path = dir.join(format!("postmortem-{n}.json"));
         match std::fs::write(&path, json) {
             Ok(()) => {
                 eprintln!("gml: post-mortem bundle written to {}", path.display());

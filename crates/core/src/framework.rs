@@ -463,6 +463,9 @@ impl ResilientExecutor {
                     ctx.observe_iteration(p);
                 }
             }
+            // The heap sample needs no trace: a memory budget is checked on
+            // every pass, traced or not.
+            ctx.observe_memory();
             stats.step_time += t.elapsed();
             // Record the output digest the moment the step produced it —
             // the reference the pre-commit verification compares against.

@@ -849,10 +849,9 @@ impl ResilientStore {
     }
 
     /// Register a Prometheus collector reporting this store's per-place
-    /// inventory (`gml_store_*` gauges) plus the data-plane pool counters
-    /// the runtime can't see from `apgas` (`gml_tile_*`, the kernel
-    /// scratch-buffer pool in `gml-matrix`) on every scrape of the
-    /// runtime's monitor endpoint. No-op when monitoring is disabled.
+    /// inventory (`gml_store_*` gauges) plus the checkpoint codec's
+    /// counters on every scrape of the runtime's monitor endpoint. No-op
+    /// when monitoring is disabled.
     pub fn register_monitor(&self, ctx: &Ctx) {
         if ctx.monitor_addr().is_none() {
             return;
@@ -861,7 +860,6 @@ impl ResilientStore {
         let cx = ctx.clone();
         ctx.add_monitor_collector(move || {
             let mut out = render_inventory(&store.inventory(&cx));
-            render_tile_stats(&mut out);
             codec::render_codec(&mut out);
             out
         });
@@ -873,17 +871,6 @@ impl ResilientStore {
 pub(crate) fn wait_while_set(gate: Option<&AtomicBool>) {
     while gate.is_some_and(|g| g.load(Ordering::Acquire)) {
         std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
-/// Render the process-wide tile-pool rent counters (`gml_tile_*` families).
-pub fn render_tile_stats(out: &mut String) {
-    let s = gml_matrix::tile::stats();
-    for (name, v, help) in [
-        ("gml_tile_hits_total", s.hits, "Tile scratch rents served from parked capacity."),
-        ("gml_tile_misses_total", s.misses, "Tile scratch rents that had to allocate."),
-    ] {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"));
     }
 }
 
@@ -1448,14 +1435,6 @@ mod tests {
             assert_eq!(got.as_ptr(), payload.as_ptr());
         })
         .unwrap();
-    }
-
-    #[test]
-    fn tile_families_render_as_counters() {
-        let mut out = String::new();
-        render_tile_stats(&mut out);
-        assert!(out.contains("# TYPE gml_tile_hits_total counter"));
-        assert!(out.contains("gml_tile_misses_total "));
     }
 
     #[test]

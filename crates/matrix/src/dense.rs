@@ -273,8 +273,8 @@ impl DenseMatrix {
     /// `alpha == 0` reads neither `A` nor `B`). Packed-panel cache
     /// blocking: A is packed once into `MR`-row strips shared read-only by
     /// every chunk; each column chunk packs its own alpha-folded
-    /// `NR`-column B panels per `KC` K-block (buffers rented from the tile
-    /// pool) and streams them through the register microkernel. Column
+    /// `NR`-column B panels per `KC` K-block into a zeroed scratch `Vec`
+    /// and streams them through the register microkernel. Column
     /// chunks fan out onto the compute pool on `NR`-aligned boundaries, a
     /// pure function of the shape, so worker-count parity is untouched.
     pub fn gemm(&self, alpha: f64, b: &DenseMatrix, beta: f64, c: &mut DenseMatrix) {
@@ -292,13 +292,12 @@ impl DenseMatrix {
             return;
         }
         let strips_a = m.div_ceil(MR);
-        let mut pa = tile::rent(strips_a * MR * kk);
+        let mut pa = vec![0.0; strips_a * MR * kk];
         for k0 in (0..kk).step_by(KC) {
             let kb = KC.min(kk - k0);
             let block = &mut pa[strips_a * MR * k0..][..strips_a * MR * kb];
             tile::pack_a_strips(&self.data, m, k0, kb, block);
         }
-        let pa = &*pa;
         let n = pool::chunk_count_granular(ccols, min_chunk_items(kk * m), NR);
         pool::run_split(
             &mut c.data,
@@ -312,7 +311,7 @@ impl DenseMatrix {
                 let nc = r.len();
                 apply_beta(beta, sub);
                 let strips_b = nc.div_ceil(NR);
-                let mut pb = tile::rent(strips_b * NR * KC.min(kk));
+                let mut pb = vec![0.0; strips_b * NR * KC.min(kk)];
                 for k0 in (0..kk).step_by(KC) {
                     let kb = KC.min(kk - k0);
                     let pbuf = &mut pb[..strips_b * NR * kb];
@@ -411,13 +410,12 @@ impl DenseMatrix {
             return;
         }
         let strips_a = mt.div_ceil(MR);
-        let mut pa = tile::rent(strips_a * MR * kdim);
+        let mut pa = vec![0.0; strips_a * MR * kdim];
         for k0 in (0..kdim).step_by(KC) {
             let kb = KC.min(kdim - k0);
             let block = &mut pa[strips_a * MR * k0..][..strips_a * MR * kb];
             tile::pack_at_strips(&self.data, kdim, mt, k0, kb, block);
         }
-        let pa = &*pa;
         let n = pool::chunk_count_granular(ccols, min_chunk_items(kdim * mt), NR);
         pool::run_split(
             &mut c.data,
@@ -430,7 +428,7 @@ impl DenseMatrix {
                 let r = pool::chunk_range_granular(ccols, n, i, NR);
                 let nc = r.len();
                 let strips_b = nc.div_ceil(NR);
-                let mut pb = tile::rent(strips_b * NR * KC.min(kdim));
+                let mut pb = vec![0.0; strips_b * NR * KC.min(kdim)];
                 for k0 in (0..kdim).step_by(KC) {
                     let kb = KC.min(kdim - k0);
                     let pbuf = &mut pb[..strips_b * NR * kb];

@@ -59,7 +59,7 @@ pub mod grid;
 mod microkernel;
 pub mod sparse_csc;
 pub mod sparse_csr;
-pub mod tile;
+mod tile;
 pub mod vector;
 
 pub use block::{BlockData, BlockSet, DenseBlockWire, MatrixBlock};

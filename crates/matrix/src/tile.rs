@@ -1,129 +1,18 @@
-//! Rented, recycled packing buffers and the GEMM panel packers.
+//! The GEMM panel packers.
 //!
 //! The blocked GEMM kernels copy panels of A and B into contiguous,
 //! register-tile-ordered scratch buffers before the microkernel streams
-//! them (the classic packed-panel scheme). The buffers come from a
-//! thread-local free list — the `f64` sibling of the `bytes` buffer pool,
-//! which parks `Vec<u8>` and therefore cannot hand out aligned `f64`
-//! storage. Renting is `clear` + `resize(len, 0.0)`: steady-state
-//! iterative solvers hit the parked capacity every iteration and pay only
-//! the zero-fill (which doubles as tile padding), never an allocation.
-//!
-//! The free lists stay thread-local (no cross-thread synchronization on
-//! the rent path), but the hit/miss counters are **process-wide** atomics:
-//! most rents happen inside `gml-worker-{i}` pool threads, so per-thread
-//! counters read from the caller would always show zero. [`stats`] is the
-//! aggregated view the `gml_tile_*` monitor families export; parked
-//! capacity is charged to the memory ledger's `tile_freelist` tag.
-
-use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use apgas::mem::{self, MemTag};
+//! them (the classic packed-panel scheme). Each packer writes every slot
+//! of its output, zero padding included, so the scratch it fills needs no
+//! particular prior contents.
 
 use crate::microkernel::{MR, NR};
-
-/// Park at most this many buffers per thread.
-const MAX_PARKED: usize = 4;
-/// Buffers above this capacity (8 Mi doubles = 64 MiB) go back to the
-/// allocator instead of the free list.
-const MAX_PARK_CAP: usize = 8 << 20;
-
-thread_local! {
-    static FREE: RefCell<FreeList> = const { RefCell::new(FreeList(Vec::new())) };
-}
-
-// Process-wide rent counters: rents happen on whatever thread runs the
-// kernel chunk (usually a pool worker), so thread-local counters would be
-// invisible to monitoring and tests running on the submitting thread.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// One thread's park list; the wrapper discharges the parked capacity from
-/// the memory ledger when the thread (and its list) dies.
-struct FreeList(Vec<Vec<f64>>);
-
-impl Drop for FreeList {
-    fn drop(&mut self) {
-        let held: usize = self.0.iter().map(|b| b.capacity() * 8).sum();
-        mem::discharge(MemTag::TileFreelist, held);
-    }
-}
-
-/// Process-wide tile-pool rent counters, aggregated over every thread
-/// since process start.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TileStats {
-    /// Rents served from parked capacity (no allocation).
-    pub hits: u64,
-    /// Rents that had to allocate (cold start, or a larger size).
-    pub misses: u64,
-}
-
-/// Snapshot the process-wide tile-pool rent counters. Cumulative and
-/// cross-thread: a caller observing a kernel's reuse sees pool-worker
-/// rents too, not just its own thread's.
-pub fn stats() -> TileStats {
-    TileStats { hits: HITS.load(Ordering::Relaxed), misses: MISSES.load(Ordering::Relaxed) }
-}
-
-/// A zero-filled `f64` scratch buffer rented from the thread-local pool;
-/// dropping it parks the storage for the next rent on this thread.
-pub(crate) struct TileBuf {
-    data: Vec<f64>,
-}
-
-/// Rent a zero-filled buffer of exactly `len` doubles.
-pub(crate) fn rent(len: usize) -> TileBuf {
-    let mut data = FREE.with(|fl| fl.borrow_mut().0.pop()).unwrap_or_default();
-    // Unparked capacity leaves the freelist's ledger charge.
-    mem::discharge(MemTag::TileFreelist, data.capacity() * 8);
-    if data.capacity() >= len && len > 0 {
-        HITS.fetch_add(1, Ordering::Relaxed);
-    } else {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-    data.clear();
-    data.resize(len, 0.0);
-    TileBuf { data }
-}
-
-impl Drop for TileBuf {
-    fn drop(&mut self) {
-        let data = std::mem::take(&mut self.data);
-        if data.capacity() == 0 || data.capacity() > MAX_PARK_CAP {
-            return;
-        }
-        FREE.with(|fl| {
-            let fl = &mut fl.borrow_mut().0;
-            if fl.len() < MAX_PARKED {
-                mem::charge(MemTag::TileFreelist, data.capacity() * 8);
-                fl.push(data);
-            }
-        });
-    }
-}
-
-impl Deref for TileBuf {
-    type Target = [f64];
-    fn deref(&self) -> &[f64] {
-        &self.data
-    }
-}
-
-impl DerefMut for TileBuf {
-    fn deref_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-}
 
 /// Pack rows of the column-major matrix `a` (`m` rows) for the K-block
 /// `k0..k0 + kb` into `MR`-row strips:
 /// `out[s*kb*MR + p*MR + i] = a[s*MR + i, k0 + p]`, with rows beyond `m`
 /// zero-padded so the microkernel never branches on the edge. `out` must
-/// hold exactly `m.div_ceil(MR) * kb * MR` doubles (zero-filled by
-/// [`rent`], so only live rows are written).
+/// hold exactly `m.div_ceil(MR) * kb * MR` doubles.
 pub(crate) fn pack_a_strips(a: &[f64], m: usize, k0: usize, kb: usize, out: &mut [f64]) {
     let strips = m.div_ceil(MR);
     debug_assert_eq!(out.len(), strips * kb * MR);
@@ -214,32 +103,6 @@ pub(crate) fn pack_b_strips(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rent_reuses_parked_capacity() {
-        // Warm the pool, then check repeated rents of the same size hit.
-        // stats() is process-wide (other test threads rent concurrently),
-        // so assert only on the monotone delta this thread contributes.
-        drop(rent(1000));
-        let h0 = stats().hits;
-        for _ in 0..5 {
-            let buf = rent(1000);
-            assert_eq!(buf.len(), 1000);
-            assert!(buf.iter().all(|&v| v == 0.0), "rented buffers are zeroed");
-        }
-        let h1 = stats().hits;
-        assert!(h1 >= h0 + 5, "parked buffer must be reused: {h0} -> {h1}");
-    }
-
-    #[test]
-    fn rented_buffers_are_zeroed_after_dirty_return() {
-        {
-            let mut buf = rent(64);
-            buf.iter_mut().for_each(|v| *v = f64::NAN);
-        }
-        let buf = rent(32);
-        assert!(buf.iter().all(|&v| v == 0.0));
-    }
 
     #[test]
     fn pack_a_round_trip_with_padding() {

@@ -15,13 +15,16 @@
 //!
 //! A third phase exercises the task-resilience layer: a policied async task
 //! panics once and is replayed, and the final matrix state is replicated
-//! and digest-voted across live places (the `final_state_digest` line it
-//! prints is diffed across `GML_TASK_REPLICAS` settings by `ci.sh`).
+//! and digest-voted across `--replicas N` live places (default 1; the
+//! `final_state_digest` line it prints is diffed across replica counts by
+//! `ci.sh`).
 //!
 //! ```sh
 //! cargo run --release --example failure_drill
 //! # with structured tracing exported as Chrome trace JSON:
 //! cargo run --release --example failure_drill -- --trace-out /tmp/drill.json
+//! # the replicated vote over three places instead of one:
+//! cargo run --release --example failure_drill -- --replicas 3
 //! # or via the environment (equivalent; works for any binary):
 //! GML_TRACE=1 GML_TRACE_OUT=/tmp/drill.json cargo run --release --example failure_drill
 //! # with the live Prometheus endpoint (0 picks a free port, printed at start):
@@ -107,19 +110,21 @@ impl ResilientIterativeApp for NormDrill {
     }
 }
 
-/// Parse `--trace-out <path>` from the command line, if present.
-fn trace_out_arg() -> Option<std::path::PathBuf> {
+/// The value following the command-line flag `flag`, if present.
+fn arg(flag: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(std::path::PathBuf::from);
+        if a == flag {
+            return args.next();
         }
     }
     None
 }
 
 fn main() {
-    let trace_out = trace_out_arg();
+    let trace_out = arg("--trace-out").map(std::path::PathBuf::from);
+    let replicas: u32 =
+        arg("--replicas").map_or(1, |n| n.parse().expect("--replicas takes a count"));
     // `--trace-out` forces tracing on; otherwise GML_TRACE decides.
     let mut cfg = RuntimeConfig::new(6).resilient(true);
     if trace_out.is_some() {
@@ -129,7 +134,7 @@ fn main() {
     if let Some(addr) = rt.monitor_addr() {
         println!("monitor: scrape http://{addr}/metrics");
     }
-    rt.exec(|ctx| {
+    rt.exec(move |ctx| {
         let world = ctx.world();
         let store = ResilientStore::make(ctx).expect("store");
         // Created up-front: the store spans every place, so it must exist
@@ -219,11 +224,11 @@ fn main() {
 
         // Phase 3: the task-resilience layer. A policied async task panics
         // on its first attempt and is replayed by `run_policied`; then the
-        // final matrix state is replicated and digest-voted across live
-        // places under the ambient `GML_TASK_*` policy. The `task_parity`
-        // step in `ci.sh` runs this drill at GML_TASK_REPLICAS=1 and =3 and
-        // diffs the `final_state_digest` line — a replicated vote that
-        // disagrees with the single-replica digest fails CI.
+        // final matrix state is replicated and digest-voted across
+        // `--replicas` live places. The `task_parity` step in `ci.sh` runs
+        // this drill at `--replicas 1` and `--replicas 3` and diffs the
+        // `final_state_digest` line — a replicated vote that disagrees with
+        // the single-replica digest fails CI.
         println!("\n=== task layer drill (replay + replicated vote) ===");
         {
             use std::sync::atomic::{AtomicU64, Ordering};
@@ -255,7 +260,11 @@ fn main() {
                 final_state.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
             let local_digest = content_digest(&bytes);
             let voted = ctx
-                .replicated_vote(Place::new(0), TaskPolicy::from_env(), move |_| bytes.clone())
+                .replicated_vote(
+                    Place::new(0),
+                    TaskPolicy::default().replicas(replicas),
+                    move |_| bytes.clone(),
+                )
                 .expect("replicated vote");
             assert_eq!(voted, local_digest, "majority digest must equal the local digest");
             println!(

@@ -19,27 +19,9 @@ use resilient_gml::prelude::*;
 /// memory ledger), so they must not interleave.
 static PROCESS_STATE: Mutex<()> = Mutex::new(());
 
-/// A synthetic one-iteration profile to feed the watchdog: the memory
-/// observation rides on the same per-iteration hook as the wall-time
-/// regression check.
-fn profile(iteration: u64) -> IterProfile {
-    IterProfile {
-        iteration,
-        wall_nanos: 1_000_000,
-        critical_path_nanos: 800_000,
-        compute_nanos: 700_000,
-        ship_nanos: 50_000,
-        ctl_nanos: 50_000,
-        idle_nanos: 200_000,
-        dominant_place: 1,
-        straggler_ratio: 1.0,
-        complete: true,
-    }
-}
-
-/// Drill: with a tiny `GML_MEM_BUDGET`, the first observed iteration must
-/// trip the watchdog's memory-pressure anomaly (the process heap is far
-/// above any 1 KiB budget) and flag place zero on the health board.
+/// Drill: with a tiny `GML_MEM_BUDGET`, the first heap sample must trip
+/// the watchdog's memory-pressure anomaly (the process heap is far above
+/// any 1 KiB budget) and flag place zero on the health board.
 #[test]
 fn tiny_mem_budget_trips_memory_pressure_anomaly() {
     let _guard = PROCESS_STATE.lock().unwrap();
@@ -49,8 +31,8 @@ fn tiny_mem_budget_trips_memory_pressure_anomaly() {
     std::env::set_var("GML_MEM_BUDGET", "1024");
     Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
         assert_eq!(ctx.anomaly_mask(), 0, "board starts clean");
-        ctx.observe_iteration(&profile(0));
-        ctx.observe_iteration(&profile(1));
+        ctx.observe_memory();
+        ctx.observe_memory();
         let wd = ctx.watchdog().report();
         assert!(
             wd.mem_alarms >= 1,
@@ -74,12 +56,36 @@ fn unset_mem_budget_stays_quiet() {
     let _guard = PROCESS_STATE.lock().unwrap();
     std::env::remove_var("GML_MEM_BUDGET");
     Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
-        ctx.observe_iteration(&profile(0));
-        ctx.observe_iteration(&profile(1));
+        assert!(!ctx.observe_memory());
+        assert!(!ctx.observe_memory());
         assert_eq!(ctx.watchdog().report().mem_alarms, 0);
         assert_eq!(ctx.anomaly_mask(), 0);
     })
     .unwrap();
+}
+
+/// The executor samples the heap on every pass whether or not tracing is
+/// on: an untraced run under a tiny budget raises the alarm too.
+#[test]
+fn untraced_executor_run_raises_memory_pressure() {
+    let _guard = PROCESS_STATE.lock().unwrap();
+    if !mem::enabled() {
+        return;
+    }
+    std::env::set_var("GML_MEM_BUDGET", "1024");
+    Runtime::run(RuntimeConfig::new(2).resilient(true).trace(false), |ctx| {
+        let world = ctx.world();
+        let dv = DistVector::make(ctx, 64, &world).unwrap();
+        let dup = DupVector::make(ctx, 64, &world).unwrap();
+        let mut store = AppResilientStore::make(ctx).unwrap();
+        let exec = ResilientExecutor::new(ExecutorConfig::new(5, RestoreMode::Shrink));
+        exec.run(ctx, &mut Steady { dv, dup }, &world, &mut store).unwrap();
+        assert!(!ctx.tracer().is_on());
+        assert!(ctx.watchdog().report().mem_alarms >= 1, "an untraced run must sample the heap");
+        assert_ne!(ctx.anomaly_mask() & 1, 0, "memory pressure flags place zero");
+    })
+    .unwrap();
+    std::env::remove_var("GML_MEM_BUDGET");
 }
 
 /// Sum of live-place **wire** bytes, as the store reports them — the ledger
