@@ -30,7 +30,7 @@ echo "== forensics smoke =="
 # showing the snapshots degraded by the kill and a non-zero repair.
 cargo run --release -p gml-bench --bin forensics_smoke
 
-echo "== recovery traffic (a recovery ships what the dead place held) =="
+echo "== traffic pins (per recovery, per app, per class) =="
 # The deterministic gate on recovery cost (ROADMAP 2(b) in small): for a
 # fixed shape, a kill under each restore mode must ship exactly the dead
 # place's share of the snapshot plus what its blocks' new owners fetch, take
@@ -42,6 +42,12 @@ cargo test -q -p gml-core --test recovery_traffic > /dev/null
 # run and a shrink recovery save, encode, ship, keep and compute exactly the
 # recorded literals — how an app declares its state cannot move a byte.
 cargo test -q --test app_state_traffic > /dev/null
+# The same pin per class: each Table I class's broadcast and snapshot save
+# and restore send exactly the recorded messages, tasks and bytes, and all
+# six classes roll back together under every restore mode — a refactor that
+# moves one class's traffic or breaks its restore fails here by name.
+cargo test -q -p gml-core --test collective_traffic > /dev/null
+cargo test -q -p gml-core --test multi_object_checkpoints > /dev/null
 
 echo "== task resilience (chaos drill + replica vote parity) =="
 # The combined chaos drill: one executor run absorbs a task panic (replayed

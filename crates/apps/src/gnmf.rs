@@ -145,9 +145,9 @@ impl Gnmf {
         let wh = self.w.handle();
         let hh = self.h.handle();
         let gathered = each_place(ctx, self.v.group().iter().enumerate(), move |ctx, _| {
-            let vset = vh.blocks(ctx)?;
+            let vset = vh.local(ctx)?;
             let vset = vset.lock();
-            let wset = wh.blocks(ctx)?;
+            let wset = wh.local(ctx)?;
             let wset = wset.lock();
             let h = hh.local(ctx)?;
             let h = h.lock();

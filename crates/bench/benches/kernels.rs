@@ -1,11 +1,11 @@
 //! Criterion microbenchmarks for the single-place kernels the distributed
 //! layer is built on: dense/sparse matrix-vector products, sub-block
-//! extraction (the restore hot path) and serialization (the checkpoint hot
-//! path).
+//! extraction (the restore hot path), serialization (the checkpoint hot
+//! path), and every blocked kernel against its scalar reference twin.
 
 use apgas::serial::{fallback, read_vec, write_slice, Serial};
 use bytes::BytesMut;
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use gml_matrix::{builder, DenseMatrix, SparseCSR, Vector};
 use std::hint::black_box;
 
@@ -143,12 +143,144 @@ fn bench_serial_throughput(c: &mut Criterion) {
     g.finish();
 }
 
+/// Register one kernel's blocked form and its `*_reference` twin as
+/// `<id>/blocked` and `<id>/reference`, back to back.
+fn blocked_pair(
+    g: &mut BenchmarkGroup<'_>,
+    id: &str,
+    mut blocked: impl FnMut(),
+    mut reference: impl FnMut(),
+) {
+    g.bench_function(format!("{id}/blocked"), |b| b.iter(&mut blocked));
+    g.bench_function(format!("{id}/reference"), |b| b.iter(&mut reference));
+}
+
+/// Every blocked kernel against its scalar `*_reference` twin at the shapes
+/// the four `e2e_bench` workloads run it at: PageRank's SpMV over one of
+/// four places' link-matrix rows (and the same rows sparser), LinReg's and
+/// LogReg's mat-vecs, their vectors' dot, sum and axpy, GNMF's products,
+/// Gram accumulation and transpose. Run with `GML_WORKERS=1` to compare
+/// the kernels themselves, not the pool; the time ratio of each pair is the
+/// verdict EXPERIMENTS.md records ("Blocked kernels on trial").
+fn bench_blocked_vs_reference(c: &mut Criterion) {
+    let mut g = c.benchmark_group("blocked_vs_reference");
+    let (rows, nodes) = (32_768, 131_072);
+    let x = builder::random_vector(nodes, 1);
+    let link = builder::link_matrix_rows(nodes, 50, 2, 0, rows);
+    let mut csrs = vec![(format!("spmv_{rows}x{nodes}_link_nnz{}", link.nnz() / rows), link)];
+    for nnz in [10, 3] {
+        let a = builder::random_csr_rows(nodes, nnz, 3, 0, rows);
+        csrs.push((format!("spmv_{rows}x{nodes}_nnz{nnz}"), a));
+    }
+    for (id, a) in &csrs {
+        let (mut y, mut y_ref) = (Vector::zeros(rows), Vector::zeros(rows));
+        blocked_pair(
+            &mut g,
+            id,
+            || a.spmv(1.0, black_box(x.as_slice()), 0.0, y.as_mut_slice()),
+            || a.spmv_reference(1.0, black_box(x.as_slice()), 0.0, y_ref.as_mut_slice()),
+        );
+    }
+    // LinReg's and LogReg's examples × features blocks.
+    for (m, n) in [(8000, 141), (1000, 50)] {
+        let a = builder::random_dense(m, n, 4);
+        let (xn, xm) = (builder::random_vector(n, 5), builder::random_vector(m, 6));
+        let (mut y, mut y_ref) = (Vector::zeros(m), Vector::zeros(m));
+        blocked_pair(
+            &mut g,
+            &format!("gemv_{m}x{n}"),
+            || a.gemv(1.0, black_box(xn.as_slice()), 0.0, y.as_mut_slice()),
+            || a.gemv_reference(1.0, black_box(xn.as_slice()), 0.0, y_ref.as_mut_slice()),
+        );
+        let (mut y, mut y_ref) = (Vector::zeros(n), Vector::zeros(n));
+        blocked_pair(
+            &mut g,
+            &format!("gemv_trans_{m}x{n}"),
+            || a.gemv_trans(1.0, black_box(xm.as_slice()), 0.0, y.as_mut_slice()),
+            || a.gemv_trans_reference(1.0, black_box(xm.as_slice()), 0.0, y_ref.as_mut_slice()),
+        );
+    }
+    // Features, examples per place and PageRank's rank segment.
+    for n in [50, 141, 1000, 8000, 32_768] {
+        let (a, b) = (builder::random_vector(n, 7), builder::random_vector(n, 8));
+        blocked_pair(
+            &mut g,
+            &format!("dot_{n}"),
+            || {
+                black_box(a.dot(black_box(&b)));
+            },
+            || {
+                black_box(a.dot_reference(black_box(&b)));
+            },
+        );
+        blocked_pair(
+            &mut g,
+            &format!("sum_{n}"),
+            || {
+                black_box(black_box(&a).sum());
+            },
+            || {
+                black_box(black_box(&a).sum_reference());
+            },
+        );
+        let (mut acc, mut acc_ref) = (a.clone(), a.clone());
+        blocked_pair(
+            &mut g,
+            &format!("axpy_{n}"),
+            || {
+                black_box(acc.axpy(1e-9, black_box(&b)));
+            },
+            || {
+                black_box(acc_ref.axpy_reference(1e-9, black_box(&b)));
+            },
+        );
+    }
+    // GNMF: W (20 000 × 32) times H·Hᵀ, H (32 × 400) times its transpose,
+    // WᵀW accumulated, and H transposed; plus a square transpose.
+    let (m, k, n) = (20_000, 32, 400);
+    let w = builder::random_dense(m, k, 10);
+    let h = builder::random_dense(k, n, 11);
+    let (ht, hht) = (h.transpose(), builder::random_dense(k, k, 12));
+    for (id, a, b) in [("gemm_20000x32x32", &w, &hht), ("gemm_32x400x32", &h, &ht)] {
+        let mut out = DenseMatrix::zeros(a.rows(), b.cols());
+        let mut out_ref = out.clone();
+        blocked_pair(
+            &mut g,
+            id,
+            || a.gemm(1.0, black_box(b), 0.0, &mut out),
+            || a.gemm_reference(1.0, black_box(b), 0.0, &mut out_ref),
+        );
+    }
+    let (mut gram, mut gram_ref) = (DenseMatrix::zeros(k, k), DenseMatrix::zeros(k, k));
+    blocked_pair(
+        &mut g,
+        "gemm_tn_acc_20000x32x32",
+        || w.gemm_tn_acc(black_box(&w), &mut gram),
+        || w.gemm_tn_acc_reference(black_box(&w), &mut gram_ref),
+    );
+    let square = builder::random_dense(1024, 1024, 13);
+    for (id, a) in [("transpose_32x400", &h), ("transpose_1024x1024", &square)] {
+        blocked_pair(
+            &mut g,
+            id,
+            || {
+                black_box(a.transpose());
+            },
+            || {
+                black_box(a.transpose_reference());
+            },
+        );
+    }
+    g.finish();
+}
+
 criterion_group!(
     kernels,
     bench_gemv,
     bench_spmv,
     bench_extraction,
     bench_serialization,
-    bench_serial_throughput
+    bench_serial_throughput,
+    bench_blocked_vs_reference
 );
 criterion_main!(kernels);

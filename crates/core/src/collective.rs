@@ -7,6 +7,9 @@
 //! serialized segments, snapshot entry locations); they do not write into
 //! driver-owned state. The helper's slot vector is the only shared reference
 //! through which a remote task writes home.
+//!
+//! `leave_group` is its counterpart for a `remake`: what every class does
+//! at the places it no longer occupies.
 
 use std::sync::Arc;
 
@@ -65,6 +68,24 @@ where
         Some(e) => Err(e),
         None => Ok(results),
     }
+}
+
+/// Drop the value `plh` names at every live place of `old` that `new` does
+/// not contain: the places an object leaves when it is remade over `new`
+/// (dead places lost theirs already). One synchronous `at` per leaving
+/// place, in `old`'s order.
+pub(crate) fn leave_group<T: Send + Sync + 'static>(
+    ctx: &Ctx,
+    plh: PlaceLocalHandle<T>,
+    old: &PlaceGroup,
+    new: &PlaceGroup,
+) -> GmlResult<()> {
+    for p in old.iter() {
+        if ctx.is_alive(p) && !new.contains(p) {
+            ctx.at(p, move |ctx| plh.remove_local(ctx))?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

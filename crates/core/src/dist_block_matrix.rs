@@ -22,9 +22,9 @@ use gml_matrix::{
     BlockData, BlockSet, DenseBlockWire, DenseMatrix, Grid, MatrixBlock, Overlap, Vector,
 };
 
+use crate::collective::{each_place, leave_group};
 use crate::dist_vector::DistVector;
-use crate::dup_vector::DupVector;
-use crate::collective::each_place;
+use crate::dup_vector::{DupDenseMatrix, DupVector};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
@@ -243,7 +243,7 @@ impl DistBlockMatrix {
         }
         let plh = self.plh;
         let ylh = y.plh;
-        let xlh = x.plh_handle();
+        let xlh = x.handle();
         each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
             let set = plh.local(ctx)?;
             let set = set.lock();
@@ -256,10 +256,7 @@ impl DistBlockMatrix {
                 seg.fill(0.0);
             }
             for b in set.iter() {
-                let seg = ystore
-                    .segs
-                    .get_mut(&b.bi)
-                    .ok_or_else(|| GmlError::data_loss(format!("segment {} missing", b.bi)))?;
+                let seg = ystore.get_mut(b.bi)?;
                 let xs = xv.segment(b.col_offset, b.cols());
                 b.data.gemv(1.0, xs, 1.0, seg.as_mut_slice());
             }
@@ -289,10 +286,7 @@ impl DistBlockMatrix {
             let xstore = xstore.lock();
             let mut partial = Vector::zeros(cols);
             for b in set.iter() {
-                let seg = xstore
-                    .segs
-                    .get(&b.bi)
-                    .ok_or_else(|| GmlError::data_loss(format!("segment {} missing", b.bi)))?;
+                let seg = xstore.get(b.bi)?;
                 let yslice = &mut partial.as_mut_slice()[b.col_offset..b.col_offset + b.cols()];
                 b.data.gemv_trans(1.0, seg.as_slice(), 1.0, yslice);
             }
@@ -312,10 +306,10 @@ impl DistBlockMatrix {
         out.sync(ctx)
     }
 
-    /// A lightweight `Copy` handle for building custom per-place
-    /// collectives over this matrix's block sets.
-    pub fn handle(&self) -> DistBlockHandle {
-        DistBlockHandle { plh: self.plh }
+    /// The copyable handle naming every place's block set, for building
+    /// custom per-place collectives over them.
+    pub fn handle(&self) -> PlaceLocalHandle<Mutex<BlockSet>> {
+        self.plh
     }
 
     /// True when `other` has the same row partitioning **and** the same
@@ -339,7 +333,7 @@ impl DistBlockMatrix {
     pub fn gram_into(
         &self,
         ctx: &Ctx,
-        out: &crate::dup_dense::DupDenseMatrix,
+        out: &DupDenseMatrix,
         other: &DistBlockMatrix,
     ) -> GmlResult<()> {
         if !self.row_aligned_with(other) {
@@ -394,7 +388,7 @@ impl DistBlockMatrix {
         &self,
         ctx: &Ctx,
         out: &DistBlockMatrix,
-        dup: &crate::dup_dense::DupDenseMatrix,
+        dup: &DupDenseMatrix,
         operand: DupOperand,
     ) -> GmlResult<()> {
         let eff_cols = match operand {
@@ -420,7 +414,7 @@ impl DistBlockMatrix {
         }
         let a = self.plh;
         let o = out.plh;
-        let d = dup.plh_handle();
+        let d = dup.handle();
         each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
             // Materialise the effective operand once per place.
             let local = d.local(ctx)?;
@@ -594,11 +588,7 @@ impl DistBlockMatrix {
             (self.grid.clone(), block_cyclic(&self.grid, new_rp, self.col_places))
         };
         let plh = self.plh;
-        for p in self.group.iter() {
-            if ctx.is_alive(p) && !new_places.contains(p) {
-                ctx.at(p, move |ctx| plh.remove_local(ctx))?;
-            }
-        }
+        leave_group(ctx, plh, &self.group, new_places)?;
         let dist = Arc::new(new_dist);
         {
             let grid = new_grid.clone();
@@ -635,20 +625,6 @@ pub enum DupOperand {
     Transpose,
     /// Multiply by `D·Dᵀ` (e.g. GNMF's `H·Hᵀ`).
     Gram,
-}
-
-/// A copyable handle to a distributed matrix's per-place block sets, for
-/// app-defined collectives.
-#[derive(Clone, Copy)]
-pub struct DistBlockHandle {
-    plh: PlaceLocalHandle<Mutex<BlockSet>>,
-}
-
-impl DistBlockHandle {
-    /// The block set stored at the current place.
-    pub fn blocks(&self, ctx: &Ctx) -> GmlResult<std::sync::Arc<Mutex<BlockSet>>> {
-        Ok(self.plh.local(ctx)?)
-    }
 }
 
 /// `acc += aᵀ × b` for one block pair, dispatching on payload kinds.
@@ -995,7 +971,7 @@ mod tests {
             let got = out.read_local(ctx).unwrap();
             assert!(got.max_abs_diff(&expect) < 1e-9);
             // And every duplicate copy agrees after the broadcast.
-            let plh = out.plh_handle();
+            let plh = out.handle();
             for p in g.iter() {
                 let vv = ctx.at(p, move |ctx| plh.local(ctx).unwrap().lock().clone()).unwrap();
                 assert_eq!(vv, got);
@@ -1302,7 +1278,7 @@ mod tests {
                     .iter()
                     .map(|p| {
                         ctx.at(p, move |ctx| {
-                            let set = handle.blocks(ctx).unwrap();
+                            let set = handle.local(ctx).unwrap();
                             let set = set.lock();
                             set.iter()
                                 .map(|b| match &b.data {

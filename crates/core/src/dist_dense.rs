@@ -1,15 +1,19 @@
-//! `DistDenseMatrix`: a dense matrix with **one block per place**.
+//! Table I's matrices with **one block per place**: the generic
+//! [`DistMatrix`] and its two instances, [`DistDenseMatrix`] and
+//! [`DistSparseMatrix`].
 //!
-//! Table I's plain distributed dense class. Because each place holds exactly
-//! one block, changing the place group *must* recalculate the data grid
-//! (§IV-A2: "classes that assign one block to each place ... must
-//! recalculate the data grid to generate new blocks equal in number to the
-//! size of the new PlaceGroup") — so every post-failure restore is an
-//! overlap-copy restore. This is exactly the flexibility `DistBlockMatrix`
-//! was designed to add.
+//! Because each place holds exactly one block, changing the place group
+//! *must* recalculate the data grid (§IV-A2: "classes that assign one block
+//! to each place ... must recalculate the data grid to generate new blocks
+//! equal in number to the size of the new PlaceGroup") — so every
+//! post-failure restore is an overlap-copy restore, whose sparse sub-block
+//! extraction includes the nnz-counting pre-pass (§IV-B2). This is exactly
+//! the flexibility `DistBlockMatrix` was designed to add.
+
+use std::marker::PhantomData;
 
 use apgas::prelude::*;
-use gml_matrix::{BlockData, DenseMatrix, Grid};
+use gml_matrix::{BlockData, DenseMatrix, Grid, SparseCSR};
 
 use crate::dist_block_matrix::DistBlockMatrix;
 use crate::dist_vector::DistVector;
@@ -18,17 +22,39 @@ use crate::error::GmlResult;
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
 
-/// A dense matrix row-partitioned with exactly one block per place.
-pub struct DistDenseMatrix {
-    inner: DistBlockMatrix,
+/// The payload of a one-block-per-place matrix's blocks.
+pub trait BlockKind {
+    /// True for sparse blocks.
+    const SPARSE: bool;
 }
 
-impl DistDenseMatrix {
+impl BlockKind for DenseMatrix {
+    const SPARSE: bool = false;
+}
+
+impl BlockKind for SparseCSR {
+    const SPARSE: bool = true;
+}
+
+/// A matrix row-partitioned with exactly one block per place, its blocks
+/// of kind `T`.
+pub struct DistMatrix<T> {
+    inner: DistBlockMatrix,
+    kind: PhantomData<T>,
+}
+
+/// A dense matrix row-partitioned with exactly one block per place.
+pub type DistDenseMatrix = DistMatrix<DenseMatrix>;
+
+/// A sparse matrix row-partitioned with exactly one block per place.
+pub type DistSparseMatrix = DistMatrix<SparseCSR>;
+
+impl<T: BlockKind> DistMatrix<T> {
     /// Create an all-zero `rows × cols` matrix, one row block per place.
     pub fn make(ctx: &Ctx, rows: usize, cols: usize, group: &PlaceGroup) -> GmlResult<Self> {
         let n = group.len();
-        let inner = DistBlockMatrix::make(ctx, rows, cols, n, 1, n, 1, group, false)?;
-        Ok(DistDenseMatrix { inner })
+        let inner = DistBlockMatrix::make(ctx, rows, cols, n, 1, n, 1, group, T::SPARSE)?;
+        Ok(DistMatrix { inner, kind: PhantomData })
     }
 
     /// Number of rows.
@@ -51,22 +77,6 @@ impl DistDenseMatrix {
         self.inner.group()
     }
 
-    /// Fill with `f(global_row, global_col)`.
-    pub fn init<F>(&self, ctx: &Ctx, f: F) -> GmlResult<()>
-    where
-        F: Fn(usize, usize) -> f64 + Send + Sync + Clone + 'static,
-    {
-        self.inner.init_with(ctx, move |_, _, r0, c0, rows, cols| {
-            let mut d = DenseMatrix::zeros(rows, cols);
-            for j in 0..cols {
-                for i in 0..rows {
-                    d.set(i, j, f(r0 + i, c0 + j));
-                }
-            }
-            BlockData::Dense(d)
-        })
-    }
-
     /// `y = self * x` (see [`DistBlockMatrix::mult`]).
     pub fn mult(&self, ctx: &Ctx, y: &DistVector, x: &DupVector) -> GmlResult<()> {
         self.inner.mult(ctx, y, x)
@@ -82,7 +92,7 @@ impl DistDenseMatrix {
         self.inner.make_aligned_vector(ctx)
     }
 
-    /// Gather as a single dense matrix (testing aid).
+    /// Gather as a single dense matrix (testing aid; O(rows*cols)).
     pub fn gather_dense(&self, ctx: &Ctx) -> GmlResult<DenseMatrix> {
         self.inner.gather_dense(ctx)
     }
@@ -94,7 +104,37 @@ impl DistDenseMatrix {
     }
 }
 
-impl Snapshottable for DistDenseMatrix {
+impl DistMatrix<DenseMatrix> {
+    /// Fill with `f(global_row, global_col)`.
+    pub fn init<F>(&self, ctx: &Ctx, f: F) -> GmlResult<()>
+    where
+        F: Fn(usize, usize) -> f64 + Send + Sync + Clone + 'static,
+    {
+        self.inner.init_with(ctx, move |_, _, r0, c0, rows, cols| {
+            let mut d = DenseMatrix::zeros(rows, cols);
+            for j in 0..cols {
+                for i in 0..rows {
+                    d.set(i, j, f(r0 + i, c0 + j));
+                }
+            }
+            BlockData::Dense(d)
+        })
+    }
+}
+
+impl DistMatrix<SparseCSR> {
+    /// Fill each place's block with `f(bi, r0, c0, rows, cols) -> SparseCSR`.
+    pub fn init_blocks<F>(&self, ctx: &Ctx, f: F) -> GmlResult<()>
+    where
+        F: Fn(usize, usize, usize, usize, usize) -> SparseCSR + Send + Sync + Clone + 'static,
+    {
+        self.inner.init_with(ctx, move |bi, _bj, r0, c0, rows, cols| {
+            BlockData::Sparse(f(bi, r0, c0, rows, cols))
+        })
+    }
+}
+
+impl<T> Snapshottable for DistMatrix<T> {
     fn object_id(&self) -> u64 {
         self.inner.object_id()
     }
@@ -117,6 +157,7 @@ impl Snapshottable for DistDenseMatrix {
 mod tests {
     use super::*;
     use apgas::runtime::{Runtime, RuntimeConfig};
+    use gml_matrix::builder;
 
     fn run(places: usize, f: impl FnOnce(&Ctx) + Send + 'static) {
         Runtime::run(RuntimeConfig::new(places).resilient(true), f).unwrap();
@@ -161,6 +202,43 @@ mod tests {
             let survivors = g.without(&[Place::new(2)]);
             m.remake(ctx, &survivors).unwrap();
             assert_eq!(m.grid().row_blocks(), 3, "grid recalculated to one block/place");
+            m.restore_snapshot(ctx, &store, &snap).unwrap();
+            assert_eq!(m.gather_dense(ctx).unwrap(), reference);
+        });
+    }
+
+    #[test]
+    fn sparse_block_per_place_and_mult() {
+        run(3, |ctx| {
+            let g = ctx.world();
+            let m = DistSparseMatrix::make(ctx, 12, 12, &g).unwrap();
+            m.init_blocks(ctx, |_, r0, _, rows, cols| builder::random_csr(rows, cols, 3, r0 as u64))
+                .unwrap();
+            let x = DupVector::make(ctx, 12, &g).unwrap();
+            x.init(ctx, |i| i as f64).unwrap();
+            let y = m.make_aligned_vector(ctx).unwrap();
+            m.mult(ctx, &y, &x).unwrap();
+            let expect = m.gather_dense(ctx).unwrap().mult_vec(&x.read_local(ctx).unwrap());
+            assert!(y.gather(ctx).unwrap().max_abs_diff(&expect) < 1e-10);
+        });
+    }
+
+    #[test]
+    fn sparse_shrink_restore_repartitions() {
+        run(4, |ctx| {
+            let g = ctx.world();
+            let store = ResilientStore::make(ctx).unwrap();
+            let mut m = DistSparseMatrix::make(ctx, 16, 10, &g).unwrap();
+            m.init_blocks(ctx, |_, r0, _, rows, cols| {
+                builder::random_csr(rows, cols, 2, (r0 + 3) as u64)
+            })
+            .unwrap();
+            let reference = m.gather_dense(ctx).unwrap();
+            let snap = m.make_snapshot(ctx, &store).unwrap();
+            ctx.kill_place(Place::new(1)).unwrap();
+            let survivors = g.without(&[Place::new(1)]);
+            m.remake(ctx, &survivors).unwrap();
+            assert_eq!(m.grid().row_blocks(), 3);
             m.restore_snapshot(ctx, &store, &snap).unwrap();
             assert_eq!(m.gather_dense(ctx).unwrap(), reference);
         });

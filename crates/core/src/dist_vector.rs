@@ -15,7 +15,7 @@ use apgas::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::Vector;
 
-use crate::collective::each_place;
+use crate::collective::{each_place, leave_group};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
@@ -32,6 +32,32 @@ impl SegmentStore {
         let segs = segs.iter().map(|&s| (s, Vector::zeros(splits[s + 1] - splits[s]))).collect();
         SegmentStore { segs }
     }
+
+    /// Segment `s`, which the layout places here: its absence is data loss.
+    pub(crate) fn get(&self, s: usize) -> GmlResult<&Vector> {
+        self.segs.get(&s).ok_or_else(|| Self::missing(s))
+    }
+
+    /// Segment `s` for writing (see [`get`](Self::get)).
+    pub(crate) fn get_mut(&mut self, s: usize) -> GmlResult<&mut Vector> {
+        self.segs.get_mut(&s).ok_or_else(|| Self::missing(s))
+    }
+
+    fn missing(s: usize) -> GmlError {
+        GmlError::data_loss(format!("segment {s} missing"))
+    }
+}
+
+/// The default layout's splits: `n` cut into `parts` segments whose lengths
+/// differ by at most one, the longer ones first.
+fn even_splits(n: usize, parts: usize) -> Vec<usize> {
+    let (base, rem) = (n / parts, n % parts);
+    let mut splits = Vec::with_capacity(parts + 1);
+    splits.push(0);
+    for i in 0..parts {
+        splits.push(splits[i] + base + usize::from(i < rem));
+    }
+    splits
 }
 
 /// Invert `seg_owner` into per-group-index segment lists (ascending within
@@ -64,17 +90,7 @@ impl DistVector {
     /// Create a zero vector of length `n` with one segment per place.
     pub fn make(ctx: &Ctx, n: usize, group: &PlaceGroup) -> GmlResult<Self> {
         let parts = group.len();
-        let base = n / parts;
-        let rem = n % parts;
-        let mut splits = Vec::with_capacity(parts + 1);
-        splits.push(0);
-        let mut acc = 0;
-        for i in 0..parts {
-            acc += base + usize::from(i < rem);
-            splits.push(acc);
-        }
-        let seg_owner = (0..parts).collect();
-        Self::make_with_layout(ctx, splits, seg_owner, group)
+        Self::make_with_layout(ctx, even_splits(n, parts), (0..parts).collect(), group)
     }
 
     /// Create a zero vector with an explicit segment layout.
@@ -162,11 +178,7 @@ impl DistVector {
             let store = plh.local(ctx)?;
             let mut store = store.lock();
             for &s in &place_segs[idx] {
-                let seg = store
-                    .segs
-                    .get_mut(&s)
-                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                f(s, splits[s], seg);
+                f(s, splits[s], store.get_mut(s)?);
             }
             Ok(())
         })
@@ -224,15 +236,7 @@ impl DistVector {
             let mut sa = sa.lock();
             let sb = sb.lock();
             for &s in &place_segs[idx] {
-                let other_seg = sb
-                    .segs
-                    .get(&s)
-                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                let seg = sa
-                    .segs
-                    .get_mut(&s)
-                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                f(seg, other_seg);
+                f(sa.get_mut(s)?, sb.get(s)?);
             }
             Ok(())
         })
@@ -255,11 +259,7 @@ impl DistVector {
             let store = store.lock();
             let mut local = Vec::with_capacity(place_segs[idx].len());
             for &s in &place_segs[idx] {
-                let seg = store
-                    .segs
-                    .get(&s)
-                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                local.push((s, f(s, splits[s], seg, ctx)?));
+                local.push((s, f(s, splits[s], store.get(s)?, ctx)?));
             }
             // One "message" back to the driver per place, 16 B per (segment
             // id, partial) pair; the driver consumes it, so it counts as
@@ -289,7 +289,7 @@ impl DistVector {
         if x.len() != self.len() {
             return Err(GmlError::shape("dot_dup length mismatch"));
         }
-        let xl = x.plh_handle();
+        let xl = x.handle();
         self.reduce_segments(ctx, move |_, off, seg, ctx| {
             let dup = xl.local(ctx)?;
             let dup = dup.lock();
@@ -312,9 +312,7 @@ impl DistVector {
         self.reduce_segments(ctx, move |s, _, seg, ctx| {
             let sb = b.local(ctx)?;
             let sb = sb.lock();
-            let other_seg =
-                sb.segs.get(&s).ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-            Ok(seg.dot(other_seg))
+            Ok(seg.dot(sb.get(s)?))
         })
     }
 
@@ -346,11 +344,7 @@ impl DistVector {
             let store = store.lock();
             let mut local = Vec::with_capacity(place_segs[idx].len());
             for &s in &place_segs[idx] {
-                let seg = store
-                    .segs
-                    .get(&s)
-                    .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                let bytes = ctx.encode(seg);
+                let bytes = ctx.encode(store.get(s)?);
                 ctx.record_bytes(bytes.len());
                 local.push((s, bytes));
             }
@@ -369,17 +363,8 @@ impl DistVector {
     /// per place), zero-filled. For distributed classes the data grid must
     /// be recalculated when the group changes (§IV-A2).
     pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup) -> GmlResult<()> {
-        let n = self.len();
         let parts = new_places.len();
-        let base = n / parts;
-        let rem = n % parts;
-        let mut splits = Vec::with_capacity(parts + 1);
-        splits.push(0);
-        let mut acc = 0;
-        for i in 0..parts {
-            acc += base + usize::from(i < rem);
-            splits.push(acc);
-        }
+        let splits = even_splits(self.len(), parts);
         self.remake_with_layout(ctx, splits, (0..parts).collect(), new_places)
     }
 
@@ -399,11 +384,7 @@ impl DistVector {
             return Err(GmlError::shape("remake cannot change total length"));
         }
         let plh = self.plh;
-        for p in self.group.iter() {
-            if ctx.is_alive(p) && !new_places.contains(p) {
-                ctx.at(p, move |ctx| plh.remove_local(ctx))?;
-            }
-        }
+        leave_group(ctx, plh, &self.group, new_places)?;
         let place_segs = Arc::new(owner_lists(&seg_owner, new_places.len()));
         let splits = Arc::new(splits);
         {
@@ -441,13 +422,7 @@ impl Snapshottable for DistVector {
                 let st = st.lock();
                 place_segs[idx]
                     .iter()
-                    .map(|&s| {
-                        let seg = st
-                            .segs
-                            .get(&s)
-                            .ok_or_else(|| GmlError::data_loss(format!("segment {s} missing")))?;
-                        Ok((s as u64, ctx.encode(seg)))
-                    })
+                    .map(|&s| Ok((s as u64, ctx.encode(st.get(s)?))))
                     .collect::<GmlResult<_>>()?
             };
             store.save_local_parts(ctx, snap_id, &group, parts)

@@ -1,43 +1,70 @@
-//! A vector duplicated at every place of a group (`DupVector`).
+//! Objects duplicated at every place of a group: the generic [`Dup`] and
+//! Table I's two duplicated classes, [`DupVector`] and [`DupDenseMatrix`].
 //!
 //! Every place holds a full copy. Mutating collectives either apply the
 //! same deterministic operation to every copy in place (no communication)
 //! or modify the *root* copy (group index 0) and re-broadcast it with
-//! [`DupVector::sync`] — the `P.sync()` of the paper's PageRank listing.
+//! [`Dup::sync`] — the `P.sync()` of the paper's PageRank listing. Copies
+//! trade memory for communication-free reads. Changing the place group
+//! "simply means duplicating the vector on a different number of places"
+//! (§IV-A2), and restore re-loads a full copy per place.
+
+use std::sync::Arc;
 
 use apgas::prelude::*;
+use apgas::serial::Serial;
 use apgas::sync::Mutex;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gml_matrix::Vector;
+use bytes::{Bytes, BytesMut};
+use gml_matrix::{DenseMatrix, Vector};
 
-use crate::collective::each_place;
+use crate::collective::{each_place, leave_group};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::ResilientStore;
 
-/// A vector with one full duplicate per place of its group.
-pub struct DupVector {
-    object_id: u64,
-    n: usize,
-    group: PlaceGroup,
-    plh: PlaceLocalHandle<Mutex<Vector>>,
+/// What a duplicated payload supplies beyond its wire form: the shape that
+/// fixes its dimensions, and the zeroed value of a shape. The shape is what
+/// a snapshot's descriptor records, in the shape's own wire form.
+pub trait DupPayload: Serial + Send + 'static {
+    /// A vector's length, a matrix's rows and columns.
+    type Shape: Serial + Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static;
+    /// The all-zero value of `shape`.
+    fn zeros(shape: Self::Shape) -> Self;
 }
 
-impl DupVector {
-    /// Create a zero vector of length `n`, duplicated over `group`.
-    pub fn make(ctx: &Ctx, n: usize, group: &PlaceGroup) -> GmlResult<Self> {
-        let plh = PlaceLocalHandle::make(ctx, group, move |_| Mutex::new(Vector::zeros(n)))?;
-        Ok(DupVector { object_id: crate::fresh_object_id(), n, group: group.clone(), plh })
+impl DupPayload for Vector {
+    type Shape = usize;
+    fn zeros(n: usize) -> Self {
+        Vector::zeros(n)
     }
+}
 
-    /// Length.
-    pub fn len(&self) -> usize {
-        self.n
+impl DupPayload for DenseMatrix {
+    type Shape = (usize, usize);
+    fn zeros((rows, cols): (usize, usize)) -> Self {
+        DenseMatrix::zeros(rows, cols)
     }
+}
 
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+/// An object with one full duplicate per place of its group.
+pub struct Dup<T: DupPayload> {
+    object_id: u64,
+    shape: T::Shape,
+    group: PlaceGroup,
+    plh: PlaceLocalHandle<Mutex<T>>,
+}
+
+/// A vector with one full duplicate per place of its group.
+pub type DupVector = Dup<Vector>;
+
+/// A dense matrix with one full duplicate per place of its group.
+pub type DupDenseMatrix = Dup<DenseMatrix>;
+
+impl<T: DupPayload> Dup<T> {
+    /// An all-zero object of `shape`, duplicated over `group`.
+    fn make_shaped(ctx: &Ctx, shape: T::Shape, group: &PlaceGroup) -> GmlResult<Self> {
+        let plh = PlaceLocalHandle::make(ctx, group, move |_| Mutex::new(T::zeros(shape)))?;
+        Ok(Dup { object_id: crate::fresh_object_id(), shape, group: group.clone(), plh })
     }
 
     /// The place group this object is laid out over.
@@ -47,19 +74,82 @@ impl DupVector {
 
     /// The copy at the current place (X10's `local()`); the caller must be
     /// executing at a place of the group.
-    pub fn local(&self, ctx: &Ctx) -> GmlResult<std::sync::Arc<Mutex<Vector>>> {
+    pub fn local(&self, ctx: &Ctx) -> GmlResult<Arc<Mutex<T>>> {
         Ok(self.plh.local(ctx)?)
     }
 
-    /// The root place (group index 0) whose copy `sync` broadcasts.
+    /// The root place (group index 0): its copy is the one `sync`
+    /// broadcasts and a snapshot saves.
     pub fn root(&self) -> Place {
         self.group.place(0)
     }
 
-    /// The underlying place-local handle (for sibling collectives that need
-    /// to read the local copy inside their own tasks).
-    pub(crate) fn plh_handle(&self) -> PlaceLocalHandle<Mutex<Vector>> {
+    /// The copyable handle naming every place's copy, for collectives that
+    /// read the local copy inside their own tasks.
+    pub fn handle(&self) -> PlaceLocalHandle<Mutex<T>> {
         self.plh
+    }
+
+    /// Apply the same in-place operation to the copy at every place.
+    pub fn apply<F>(&self, ctx: &Ctx, f: F) -> GmlResult<()>
+    where
+        F: Fn(&mut T) + Send + Sync + Clone + 'static,
+    {
+        let plh = self.plh;
+        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+            f(&mut plh.local(ctx)?.lock());
+            Ok(())
+        })
+        .map(drop)
+    }
+
+    /// Broadcast the root copy to every other place of the group — the
+    /// paper's `P.sync()` gather/broadcast step.
+    pub fn sync(&self, ctx: &Ctx) -> GmlResult<()> {
+        let root = self.root();
+        let plh = self.plh;
+        // Serialize once at the root.
+        let payload: Bytes = ctx.at(root, move |ctx| -> ApgasResult<Bytes> {
+            Ok(ctx.encode(&*plh.local(ctx)?.lock()))
+        })??;
+        let others: Vec<_> = self.group.iter().enumerate().filter(|&(_, p)| p != root).collect();
+        ctx.record_bytes(payload.len() * others.len());
+        each_place(ctx, others, move |ctx, _| {
+            ctx.record_bytes_received(payload.len());
+            *plh.local(ctx)?.lock() = ctx.decode::<T>(payload.clone());
+            Ok(())
+        })
+        .map(drop)
+    }
+
+    /// Re-duplicate over `new_places`, zeroed. Old contents are discarded;
+    /// call [`Snapshottable::restore_snapshot`] to repopulate.
+    pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup) -> GmlResult<()> {
+        let (plh, shape) = (self.plh, self.shape);
+        leave_group(ctx, plh, &self.group, new_places)?;
+        each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
+            plh.set_local(ctx, Mutex::new(T::zeros(shape)));
+            Ok(())
+        })?;
+        self.group = new_places.clone();
+        Ok(())
+    }
+}
+
+impl Dup<Vector> {
+    /// Create a zero vector of length `n`, duplicated over `group`.
+    pub fn make(ctx: &Ctx, n: usize, group: &PlaceGroup) -> GmlResult<Self> {
+        Self::make_shaped(ctx, n, group)
+    }
+
+    /// Length.
+    pub fn len(&self) -> usize {
+        self.shape
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.shape == 0
     }
 
     /// Initialise every copy as `v[i] = f(i)` — deterministic, so all
@@ -75,23 +165,10 @@ impl DupVector {
         })
     }
 
-    /// Apply the same in-place operation to the copy at every place.
-    pub fn apply<F>(&self, ctx: &Ctx, f: F) -> GmlResult<()>
-    where
-        F: Fn(&mut Vector) + Send + Sync + Clone + 'static,
-    {
-        let plh = self.plh;
-        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
-            f(&mut plh.local(ctx)?.lock());
-            Ok(())
-        })
-        .map(drop)
-    }
-
     /// `self += alpha * x` applied to every copy (both duplicated over the
     /// same group).
     pub fn axpy_all(&self, ctx: &Ctx, alpha: f64, x: &DupVector) -> GmlResult<()> {
-        if x.n != self.n {
+        if x.shape != self.shape {
             return Err(GmlError::shape("axpy_all length mismatch"));
         }
         let a = self.plh;
@@ -106,7 +183,7 @@ impl DupVector {
 
     /// `self = other` at every place (both duplicated over the same group).
     pub fn copy_from_all(&self, ctx: &Ctx, other: &DupVector) -> GmlResult<()> {
-        if other.n != self.n {
+        if other.shape != self.shape {
             return Err(GmlError::shape("copy_from_all length mismatch"));
         }
         let a = self.plh;
@@ -126,25 +203,6 @@ impl DupVector {
         })
     }
 
-    /// Broadcast the root copy to every other place of the group — the
-    /// paper's `P.sync()` gather/broadcast step.
-    pub fn sync(&self, ctx: &Ctx) -> GmlResult<()> {
-        let root = self.root();
-        let plh = self.plh;
-        // Serialize once at the root.
-        let payload: Bytes = ctx.at(root, move |ctx| -> ApgasResult<Bytes> {
-            Ok(ctx.encode(&*plh.local(ctx)?.lock()))
-        })??;
-        let others: Vec<_> = self.group.iter().enumerate().filter(|&(_, p)| p != root).collect();
-        ctx.record_bytes(payload.len() * others.len());
-        each_place(ctx, others, move |ctx, _| {
-            ctx.record_bytes_received(payload.len());
-            *plh.local(ctx)?.lock() = ctx.decode::<Vector>(payload.clone());
-            Ok(())
-        })
-        .map(drop)
-    }
-
     /// Read the value of the copy at the current place (clone).
     pub fn read_local(&self, ctx: &Ctx) -> GmlResult<Vector> {
         Ok(self.local(ctx)?.lock().clone())
@@ -157,30 +215,41 @@ impl DupVector {
         let r = a.dot(&b.lock());
         Ok(r)
     }
+}
 
-    /// Re-lay the duplicate copies out over `new_places` (§IV-A: "changing
-    /// the PlaceGroup simply means duplicating the vector on a different
-    /// number of places"). Old contents are discarded; call
-    /// [`Snapshottable::restore_snapshot`] to repopulate.
-    pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup) -> GmlResult<()> {
-        let plh = self.plh;
-        let n = self.n;
-        // Drop copies at old live places that leave the group.
-        for p in self.group.iter() {
-            if ctx.is_alive(p) && !new_places.contains(p) {
-                ctx.at(p, move |ctx| plh.remove_local(ctx))?;
+impl Dup<DenseMatrix> {
+    /// Create an all-zero `rows × cols` matrix duplicated over `group`.
+    pub fn make(ctx: &Ctx, rows: usize, cols: usize, group: &PlaceGroup) -> GmlResult<Self> {
+        Self::make_shaped(ctx, (rows, cols), group)
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.shape.0
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.shape.1
+    }
+
+    /// Initialise every copy as `m[i][j] = f(i, j)` (deterministic at each
+    /// place, no communication).
+    pub fn init<F>(&self, ctx: &Ctx, f: F) -> GmlResult<()>
+    where
+        F: Fn(usize, usize) -> f64 + Send + Sync + Clone + 'static,
+    {
+        self.apply(ctx, move |m| {
+            for j in 0..m.cols() {
+                for i in 0..m.rows() {
+                    m.set(i, j, f(i, j));
+                }
             }
-        }
-        each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
-            plh.set_local(ctx, Mutex::new(Vector::zeros(n)));
-            Ok(())
-        })?;
-        self.group = new_places.clone();
-        Ok(())
+        })
     }
 }
 
-impl Snapshottable for DupVector {
+impl<T: DupPayload> Snapshottable for Dup<T> {
     fn object_id(&self) -> u64 {
         self.object_id
     }
@@ -197,7 +266,7 @@ impl Snapshottable for DupVector {
             store.save_local_parts(ctx, snap_id, &group, vec![(0, bytes)])
         })??;
         let mut desc = BytesMut::new();
-        desc.put_u64_le(self.n as u64);
+        self.shape.write(&mut desc);
         Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
@@ -208,12 +277,11 @@ impl Snapshottable for DupVector {
         snapshot: &Snapshot,
     ) -> GmlResult<()> {
         let _span = ctx.trace_span(SpanKind::RestoreObj, self.object_id);
-        let mut desc = snapshot.descriptor.clone();
-        let n = desc.get_u64_le() as usize;
-        if n != self.n {
+        let shape = T::Shape::read(&mut snapshot.descriptor.clone());
+        if shape != self.shape {
             return Err(GmlError::shape(format!(
-                "snapshot length {n} != DupVector length {}",
-                self.n
+                "snapshot shape {shape:?} != object shape {:?}",
+                self.shape
             )));
         }
         // Each place of the (possibly new) group loads its own duplicate
@@ -221,7 +289,7 @@ impl Snapshottable for DupVector {
         let (plh, store, snap) = (self.plh, store.clone(), snapshot.clone());
         each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
             let bytes = snap.fetch(ctx, &store, 0)?;
-            *plh.local(ctx)?.lock() = ctx.decode::<Vector>(bytes);
+            *plh.local(ctx)?.lock() = ctx.decode::<T>(bytes);
             Ok(())
         })
         .map(drop)
@@ -377,6 +445,61 @@ mod tests {
                 w.restore_snapshot(ctx, &store, &snap),
                 Err(GmlError::Shape(_))
             ));
+        });
+    }
+
+    #[test]
+    fn init_sync_and_read() {
+        run(3, 0, |ctx| {
+            let g = ctx.world();
+            let m = DupDenseMatrix::make(ctx, 2, 2, &g).unwrap();
+            m.init(ctx, |i, j| (i * 2 + j) as f64).unwrap();
+            // Mutate root only, then broadcast.
+            m.local(ctx).unwrap().lock().set(0, 0, 99.0);
+            m.sync(ctx).unwrap();
+            let plh = m.plh;
+            let far = ctx
+                .at(g.place(2), move |ctx| plh.local(ctx).unwrap().lock().clone())
+                .unwrap();
+            assert_eq!(far.get(0, 0), 99.0);
+            assert_eq!(far.get(1, 1), 3.0);
+        });
+    }
+
+    #[test]
+    fn read_only_reuse_and_replica_placement() {
+        run(3, 0, |ctx| {
+            let g = ctx.world();
+            let store = ResilientStore::make(ctx).unwrap();
+            let m = DupDenseMatrix::make(ctx, 2, 2, &g).unwrap();
+            m.init(ctx, |i, j| (i + j) as f64).unwrap();
+            let snap = m.make_snapshot(ctx, &store).unwrap();
+            // Owner is the group root, backup the next group member.
+            let loc = snap.entry(0).unwrap();
+            assert_eq!(loc.owner, g.place(0));
+            assert_eq!(loc.backup, g.place(1));
+            assert!(snap.fully_redundant(ctx));
+            ctx.kill_place(g.place(1)).unwrap();
+            assert!(!snap.fully_redundant(ctx), "lost the backup replica");
+            assert!(snap.reachable(ctx, &store), "owner copy still serves reads");
+        });
+    }
+
+    #[test]
+    fn snapshot_restore_over_shrunk_group() {
+        run(4, 0, |ctx| {
+            let g = ctx.world();
+            let store = ResilientStore::make(ctx).unwrap();
+            let mut m = DupDenseMatrix::make(ctx, 3, 2, &g).unwrap();
+            m.init(ctx, |i, j| (10 * i + j) as f64).unwrap();
+            let snap = m.make_snapshot(ctx, &store).unwrap();
+            ctx.kill_place(Place::new(3)).unwrap();
+            let survivors = g.without(&[Place::new(3)]);
+            m.remake(ctx, &survivors).unwrap();
+            m.restore_snapshot(ctx, &store, &snap).unwrap();
+            let got = m.local(ctx).unwrap().lock().clone();
+            assert_eq!(got.get(2, 1), 21.0);
+            assert_eq!(m.group().len(), 3);
         });
     }
 }

@@ -39,7 +39,9 @@ pub struct RestoreDecision {
     /// was configured with.
     pub configured_mode: &'static str,
     /// The label of what actually ran — differs from `configured_mode` when
-    /// a replace mode fell back to a shrink variant. Matches the label on
+    /// replace-redundant ran out of spares and fell back to a shrink variant
+    /// (the only mode that can fall back), or when a silent error rolled
+    /// back on the unchanged group (`silent_error`). Matches the label on
     /// the corresponding `exec.restore` trace span by construction.
     pub effective_label: &'static str,
     /// Whether the data grid was repartitioned.

@@ -690,29 +690,19 @@ impl ResilientExecutor {
                             fresh.push(ctx.spawn_place()?);
                         }
                         spawned = fresh.clone();
-                        match group.replace(&dead, &fresh) {
-                            Some(g) => (
-                                g,
-                                false,
-                                RestoreMode::ReplaceElastic.label(),
-                                format!(
-                                    "configured replace_elastic: spawned {} fresh place(s) to \
-                                     substitute for the dead ones",
-                                    fresh.len()
-                                ),
+                        let g = group.replace(&dead, &fresh).expect(
+                            "one spawned place per dead one, each outside every existing group",
+                        );
+                        (
+                            g,
+                            false,
+                            RestoreMode::ReplaceElastic.label(),
+                            format!(
+                                "configured replace_elastic: spawned {} fresh place(s) to \
+                                 substitute for the dead ones",
+                                fresh.len()
                             ),
-                            None => (
-                                group.without(&dead),
-                                self.cfg.fallback_rebalance,
-                                Self::fallback_label(self.cfg.fallback_rebalance),
-                                format!(
-                                    "replace_elastic fell back: could not substitute {} dead \
-                                     place(s); shrinking{}",
-                                    dead.len(),
-                                    if self.cfg.fallback_rebalance { " with rebalance" } else { "" }
-                                ),
-                            ),
-                        }
+                        )
                     }
                 }
             };

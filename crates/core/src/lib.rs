@@ -15,6 +15,13 @@
 //! | Vector | [`DupVector`] | [`DistVector`] |
 //! | Matrix | [`DupDenseMatrix`] | [`DistBlockMatrix`], [`DistDenseMatrix`], [`DistSparseMatrix`] |
 //!
+//! Each twin is one type: [`DupVector`] and [`DupDenseMatrix`] are the
+//! generic duplicated object [`Dup`] over a vector and a dense matrix, and
+//! [`DistDenseMatrix`] and [`DistSparseMatrix`] the one-block-per-place
+//! [`DistMatrix`] over dense and sparse blocks, a `DistBlockMatrix` inside.
+//! The `handle()` of a duplicated object or a `DistBlockMatrix`, for
+//! app-defined collectives, is its [`apgas::PlaceLocalHandle`].
+//!
 //! plus the resilience machinery: [`Snapshottable`], [`ResilientStore`],
 //! [`AppResilientStore`], [`ResilientExecutor`] and [`RestoreMode`], and
 //! [`AppState`], the declaration of an application's objects from which the
@@ -26,9 +33,7 @@ pub mod codec;
 pub mod collective;
 pub mod dist_block_matrix;
 pub mod dist_dense;
-pub mod dist_sparse;
 pub mod dist_vector;
-pub mod dup_dense;
 pub mod dup_vector;
 pub mod error;
 pub mod forensics;
@@ -41,12 +46,10 @@ pub use app_state::AppState;
 pub use app_store::AppResilientStore;
 pub use codec::CodecSnapshot;
 pub use collective::each_place;
-pub use dist_block_matrix::{DistBlockHandle, DistBlockMatrix, DupOperand};
-pub use dist_dense::DistDenseMatrix;
-pub use dist_sparse::DistSparseMatrix;
+pub use dist_block_matrix::{DistBlockMatrix, DupOperand};
+pub use dist_dense::{DistDenseMatrix, DistMatrix, DistSparseMatrix};
 pub use dist_vector::DistVector;
-pub use dup_dense::{DupDenseHandle, DupDenseMatrix};
-pub use dup_vector::DupVector;
+pub use dup_vector::{Dup, DupDenseMatrix, DupVector};
 pub use error::{GmlError, GmlResult};
 pub use forensics::{PostMortem, RestoreDecision};
 pub use framework::{

@@ -6,8 +6,8 @@
 use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use gml_core::{
-    AppResilientStore, AppState, DistBlockMatrix, DistSparseMatrix, DistVector, DupDenseMatrix,
-    DupVector, ExecutorConfig, FailureInjector, GmlResult, ResilientExecutor,
+    AppResilientStore, AppState, DistBlockMatrix, DistDenseMatrix, DistSparseMatrix, DistVector,
+    DupDenseMatrix, DupVector, ExecutorConfig, FailureInjector, GmlResult, ResilientExecutor,
     ResilientIterativeApp, RestoreMode,
 };
 use gml_matrix::{builder, BlockData, DenseMatrix};
@@ -15,6 +15,7 @@ use gml_matrix::{builder, BlockData, DenseMatrix};
 /// A deliberately heterogeneous app: every multi-place class participates.
 struct Menagerie {
     dense: DistBlockMatrix,
+    one_block: DistDenseMatrix,
     sparse: DistSparseMatrix,
     dist_vec: DistVector,
     dup_vec: DupVector,
@@ -29,6 +30,8 @@ impl Menagerie {
         dense.init_with(ctx, |_, _, r0, c0, r, c| {
             BlockData::Dense(builder::random_dense(r, c, (r0 * 17 + c0) as u64))
         })?;
+        let one_block = DistDenseMatrix::make(ctx, 5 * n, 4, group)?;
+        one_block.init(ctx, |r, c| (r * 4 + c) as f64 * 0.5)?;
         let sparse = DistSparseMatrix::make(ctx, 12 * n, 12 * n, group)?;
         sparse.init_blocks(ctx, |_, r0, _, rows, cols| {
             builder::random_csr(rows, cols, 3, r0 as u64)
@@ -39,12 +42,13 @@ impl Menagerie {
         dup_vec.init(ctx, |i| -(i as f64))?;
         let dup_mat = DupDenseMatrix::make(ctx, 3, 3, group)?;
         dup_mat.init(ctx, |i, j| (i * 3 + j) as f64)?;
-        Ok(Menagerie { dense, sparse, dist_vec, dup_vec, dup_mat, iters })
+        Ok(Menagerie { dense, one_block, sparse, dist_vec, dup_vec, dup_mat, iters })
     }
 
     fn fingerprint(&self, ctx: &Ctx) -> GmlResult<Vec<f64>> {
         Ok(vec![
             self.dense.frobenius_norm_sq(ctx)?,
+            self.one_block.gather_dense(ctx)?.frobenius_norm(),
             self.sparse.gather_dense(ctx)?.frobenius_norm(),
             self.dist_vec.sum(ctx)?,
             self.dup_vec.read_local(ctx)?.sum(),
@@ -78,6 +82,7 @@ impl ResilientIterativeApp for Menagerie {
     fn state(&mut self) -> AppState<'_> {
         AppState::default()
             .read_only("dense", &mut self.dense)
+            .mutable("one_block", &mut self.one_block)
             .read_only("sparse", &mut self.sparse)
             .mutable("dist_vec", &mut self.dist_vec)
             .mutable("dup_vec", &mut self.dup_vec)
@@ -86,10 +91,13 @@ impl ResilientIterativeApp for Menagerie {
 }
 
 #[test]
-fn five_object_checkpoint_survives_failure() {
-    for (mode, spares) in
-        [(RestoreMode::Shrink, 0usize), (RestoreMode::ShrinkRebalance, 0), (RestoreMode::ReplaceElastic, 0)]
-    {
+fn six_object_checkpoint_survives_failure() {
+    for (mode, spares) in [
+        (RestoreMode::Shrink, 0usize),
+        (RestoreMode::ShrinkRebalance, 0),
+        (RestoreMode::ReplaceRedundant, 1),
+        (RestoreMode::ReplaceElastic, 0),
+    ] {
         Runtime::run(RuntimeConfig::new(4).spares(spares).resilient(true), move |ctx| {
             let world = ctx.world();
             // Failure-free fingerprint.
