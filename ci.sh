@@ -48,6 +48,10 @@ cargo test -q --test app_state_traffic > /dev/null
 # moves one class's traffic or breaks its restore fails here by name.
 cargo test -q -p gml-core --test collective_traffic > /dev/null
 cargo test -q -p gml-core --test multi_object_checkpoints > /dev/null
+# The same per read-only object: stored once, beside its live blocks on
+# another place, before a kill and after the restore and repair under every
+# mode — with the heap grown by one stored replica, not two.
+cargo test -q --test mem_plane a_read_only_object_is_stored_once -- --exact > /dev/null
 
 echo "== task resilience (chaos drill + replica vote parity) =="
 # The combined chaos drill: one executor run absorbs a task panic (replayed

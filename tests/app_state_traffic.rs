@@ -7,6 +7,14 @@
 //! unnoticed. The run-total ctl message and task counts are pinned too:
 //! they repeat exactly from run to run. The codec counters are
 //! process-global, which is why every run shares one test.
+//!
+//! Each app's read-only objects are stored once: a place holds the copy of
+//! its predecessor's block and segment, never one of its own (its live
+//! block is that replica). The shrink recovery rebuilds the lost block and
+//! the one the new layout moves from the copies their new owners hold; its
+//! repair serializes, from place 1, the block and segment whose copy died
+//! with place 2 — the frames a clean run does not encode — and moves the
+//! copies that now sit beside their blocks at places 3 and 0 on.
 
 use resilient_gml::apps::{GnmfConfig, ResilientGnmf};
 use resilient_gml::core::FailureInjector;
@@ -78,11 +86,24 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
             LinRegConfig { examples_per_place: 40, features: 6, iterations: 15, lambda: 0.0, seed: 5 };
         ResilientLinReg::make(ctx, cfg, g).unwrap()
     };
+    // Read-only `x` and `y`: a block and a segment, 2 387 B of frames per
+    // place, stored once; `w`, `r`, `p`: 291 B at places 0 and 1. The shrink
+    // restore ships the three vectors to place 3 (291 B); the repair encodes
+    // x's block 1 and y's segment 1 (2 frames, 2 305 B logical, 2 387 B wire)
+    // and moves blocks 2 and 3 with their segments: 3 × 2 387 B. Against two
+    // copies per read-only entry, that is −2 387 B per place clean, and one
+    // entry (2 387 B) more repaired and shipped. Ctl messages and tasks: the
+    // repair probes three places (2 / 3), makes four moves, each an `at` to
+    // its holder and one on to its target (0 / 8), two encodes at place 1
+    // (1 / 3) and a release at place 3 (1 / 1), where two copies from two
+    // holders took (2 / 6); the restore leaves two places alone (−2 / −2).
     check("linreg", linreg, |ctx, a| a.app.weights(ctx).unwrap().as_slice().to_vec(), [
         Pin { runs: [3, 0, 15], codec: [17, 16, 9724, 10385], shipped: [16457, 0],
-              inventory: [5065, 5065, 4774, 4774], digest: 0x60cf_db0c_44d5_81e9, ctl_tasks: [372, 539] },
-        Pin { runs: [3, 1, 18], codec: [17, 16, 9724, 10385], shipped: [21578, 5065],
-              inventory: [7452, 5065, 0, 7161], digest: 0x60cf_db0c_44d5_81e9, ctl_tasks: [391, 618] },
+              inventory: [2678, 2678, 2387, 2387], digest: 0x60cf_db0c_44d5_81e9, ctl_tasks: [372, 539] },
+        Pin { runs: [3, 1, 18], codec: [17 + 2, 16 + 2, 9724 + 2305, 10385 + 2387],
+              shipped: [21578 + 2387, 3 * 2387 + 291],
+              inventory: [2387 + 291, 2 * 2387 + 291, 0, 2387], digest: 0x60cf_db0c_44d5_81e9,
+              ctl_tasks: [391, 625] },
     ]);
 
     let logreg = |ctx: &Ctx, g: &PlaceGroup| {
@@ -96,11 +117,16 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
         };
         ResilientLogReg::make(ctx, cfg, g).unwrap()
     };
+    // The same shape, in packed frames of data-dependent size: each place's
+    // own copies of its `x` block and `y` segment are gone (−2 259, −2 259,
+    // −2 247, −2 253 B). The repair encodes x's block 1 and y's segment 1
+    // (2 frames, one of them verbatim: 2 465 B logical, 2 259 B wire), which
+    // is what the restore row ships more.
     check("logreg", logreg, |ctx, a| a.app.weights(ctx).unwrap().as_slice().to_vec(), [
         Pin { runs: [3, 0, 15], codec: [11, 6, 10004, 9257], shipped: [14489, 0],
-              inventory: [4601, 4607, 4506, 4500], digest: 0xf579_6645_45cf_136b, ctl_tasks: [327, 461] },
-        Pin { runs: [3, 1, 18], codec: [11, 6, 10004, 9257], shipped: [19132, 4595],
-              inventory: [6848, 4607, 0, 6759], digest: 0xf579_6645_45cf_136b, ctl_tasks: [339, 520] },
+              inventory: [2342, 2348, 2259, 2247], digest: 0xf579_6645_45cf_136b, ctl_tasks: [327, 461] },
+        Pin { runs: [3, 1, 18], codec: [11 + 2, 6 + 1, 10004 + 2465, 9257 + 2259], shipped: [21385, 6848],
+              inventory: [2336, 4601, 0, 2259], digest: 0xf579_6645_45cf_136b, ctl_tasks: [339, 527] },
     ]);
 
     let pagerank = |ctx: &Ctx, g: &PlaceGroup| {
@@ -108,11 +134,14 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
             PageRankConfig { nodes_per_place: 25, out_degree: 3, iterations: 15, alpha: 0.85, seed: 11 };
         ResilientPageRank::make(ctx, cfg, g).unwrap()
     };
+    // `g` and `u` stored once: −283 B at place 0, −271 at 1, −282 at 2 and
+    // −271 at 3. The repair encodes g's block 1 and u's segment 1 (2 packed
+    // frames, 1 577 B logical, 271 B wire).
     check("pagerank", pagerank, |ctx, a| a.app.ranks(ctx).unwrap().as_slice().to_vec(), [
         Pin { runs: [3, 0, 15], codec: [11, 2, 9116, 2887], shipped: [52879, 0],
-              inventory: [1403, 1403, 553, 553], digest: 0x0044_c89f_0b43_f73a, ctl_tasks: [237, 341] },
-        Pin { runs: [3, 1, 18], codec: [11, 2, 9116, 2887], shipped: [56161, 1402],
-              inventory: [1685, 1403, 0, 824], digest: 0x0044_c89f_0b43_f73a, ctl_tasks: [249, 393] },
+              inventory: [1120, 1132, 271, 282], digest: 0x0044_c89f_0b43_f73a, ctl_tasks: [237, 341] },
+        Pin { runs: [3, 1, 18], codec: [11 + 2, 2, 9116 + 1577, 2887 + 271], shipped: [56432, 1673],
+              inventory: [1131, 1403, 0, 271], digest: 0x0044_c89f_0b43_f73a, ctl_tasks: [249, 400] },
     ]);
 
     let gnmf = |ctx: &Ctx, g: &PlaceGroup| {
@@ -134,10 +163,12 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
     // The shrunk group sums W's Gram products over three places instead of
     // four, so the recovered factors differ from the clean ones in the last
     // bits (the objective agrees to 1e-9, as the app's own test checks).
+    // Read-only `v` stored once (−476, −477, −476, −478 B); the repair
+    // encodes v's block 1 (one packed frame, 929 B logical, 477 B wire).
     check("gnmf", gnmf, factors, [
         Pin { runs: [3, 0, 15], codec: [19, 15, 8648, 7454], shipped: [57518, 0],
-              inventory: [2031, 2030, 1725, 1726], digest: 0xae44_b190_47a2_7347, ctl_tasks: [423, 605] },
-        Pin { runs: [3, 1, 18], codec: [19, 15, 8648, 7454], shipped: [60404, 2822],
-              inventory: [2893, 2416, 0, 2203], digest: 0x76e2_637e_395c_1dbe, ctl_tasks: [436, 671] },
+              inventory: [1555, 1553, 1249, 1248], digest: 0xae44_b190_47a2_7347, ctl_tasks: [423, 605] },
+        Pin { runs: [3, 1, 18], codec: [19 + 1, 15, 8648 + 929, 7454 + 477], shipped: [60882, 3300],
+              inventory: [1939, 2417, 0, 1249], digest: 0x76e2_637e_395c_1dbe, ctl_tasks: [438, 677] },
     ]);
 }
