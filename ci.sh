@@ -52,6 +52,12 @@ cargo test -q -p gml-core --test multi_object_checkpoints > /dev/null
 # another place, before a kill and after the restore and repair under every
 # mode — with the heap grown by one stored replica, not two.
 cargo test -q --test mem_plane a_read_only_object_is_stored_once -- --exact > /dev/null
+# The same for the workloads' inputs: every synthetic row builder writes its
+# block straight into CSR, and the result must equal, bit for bit, a
+# transcription of the triplet builders it replaced (per-column dedup,
+# triplet list, from_triplets) — at every edge shape and at PageRank's and
+# GNMF's per-place shapes. The inputs of all four workloads are these bits.
+cargo test -q -p gml-matrix --lib builder > /dev/null
 
 echo "== task resilience (chaos drill + replica vote parity) =="
 # The combined chaos drill: one executor run absorbs a task panic (replayed

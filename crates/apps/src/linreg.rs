@@ -73,10 +73,8 @@ impl LinReg {
         })?;
         // Hidden weights generate the labels: y = X·w*.
         let w_star = DupVector::make(ctx, f, group)?;
-        let star_seed = cfg.seed.wrapping_add(1);
-        w_star.init(ctx, move |i| {
-            builder::random_vector(i + 1, star_seed).get(i)
-        })?;
+        let star = builder::random_vector(f, cfg.seed.wrapping_add(1));
+        w_star.init(ctx, move |i| star.get(i))?;
         let y = x.make_aligned_vector(ctx)?;
         x.mult(ctx, &y, &w_star)?;
         // CG state: w = 0; r = Xᵀy; p = r; rho = r·r.

@@ -74,8 +74,8 @@ impl LogReg {
         })?;
         // Labels from a hidden separator: y = 1[X·w* > 0].
         let w_star = DupVector::make(ctx, f, group)?;
-        let star_seed = cfg.seed.wrapping_add(1);
-        w_star.init(ctx, move |i| builder::random_vector(i + 1, star_seed).get(i))?;
+        let star = builder::random_vector(f, cfg.seed.wrapping_add(1));
+        w_star.init(ctx, move |i| star.get(i))?;
         let y = x.make_aligned_vector(ctx)?;
         x.mult(ctx, &y, &w_star)?;
         y.map_all(ctx, |s| if s > 0.0 { 1.0 } else { 0.0 })?;

@@ -274,6 +274,24 @@ fn bench_blocked_vs_reference(c: &mut Criterion) {
     g.finish();
 }
 
+/// The synthetic input builders at one place's share of each workload:
+/// PageRank's link block (a quarter of 131 072 nodes, out-degree 50),
+/// GNMF's `V` and LinReg's `X` — the layer number beside `setup_s`.
+fn bench_builders(c: &mut Criterion) {
+    let mut g = c.benchmark_group("builders");
+    g.sample_size(10);
+    g.bench_function("link_matrix_rows_131072_deg50_quarter", |b| {
+        b.iter(|| black_box(builder::link_matrix_rows(131_072, 50, 1, 0, 32_768)))
+    });
+    g.bench_function("random_csr_rows_20000x400_nnz10", |b| {
+        b.iter(|| black_box(builder::random_csr_rows(400, 10, 2, 0, 20_000)))
+    });
+    g.bench_function("random_dense_rows_8000x141", |b| {
+        b.iter(|| black_box(builder::random_dense_rows(141, 3, 0, 8000)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     kernels,
     bench_gemv,
@@ -281,6 +299,7 @@ criterion_group!(
     bench_extraction,
     bench_serialization,
     bench_serial_throughput,
-    bench_blocked_vs_reference
+    bench_blocked_vs_reference,
+    bench_builders
 );
 criterion_main!(kernels);

@@ -41,8 +41,11 @@ macro_rules! int_range {
             type Output = $t;
             fn sample_from<R: RngCore>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
-                let width = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % width;
+                // A range of a type at most 64 bits wide is narrower than
+                // 2^64, so the draw reduces in u64: the same value as the
+                // u128 remainder, without its library call.
+                let width = (self.end as i128 - self.start as i128) as u64;
+                let v = rng.next_u64() % width;
                 (self.start as i128 + v as i128) as $t
             }
         }
@@ -123,6 +126,37 @@ mod tests {
             assert!(u < 17);
             let i = rng.random_range(-5i64..5);
             assert!((-5..5).contains(&i));
+        }
+    }
+
+    #[test]
+    fn u64_reduction_matches_the_u128_formula() {
+        use super::RngCore;
+        fn wide(start: i128, end: i128, x: u64) -> i128 {
+            start + (x as u128 % (end - start) as u128) as i128
+        }
+        let mut widths = StdRng::seed_from_u64(3);
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..10_000 {
+            let w = (widths.next_u64() >> (widths.next_u64() % 64)).max(1);
+            let x = rng.clone().next_u64();
+            assert_eq!(rng.random_range(0..w) as i128, wide(0, w as i128, x), "width {w}");
+            let s = (widths.next_u64() >> 2) as i64 - (1 << 61);
+            let e = s.saturating_add((w >> 1).max(1) as i64);
+            let x = rng.clone().next_u64();
+            assert_eq!(rng.random_range(s..e) as i128, wide(s as i128, e as i128, x), "{s}..{e}");
+        }
+        // Width 1, the full u64 width and the widest signed range.
+        for _ in 0..100 {
+            let x = rng.clone().next_u64();
+            assert_eq!(rng.random_range(7u64..8) as i128, wide(7, 8, x));
+            let x = rng.clone().next_u64();
+            assert_eq!(rng.random_range(0..u64::MAX) as i128, wide(0, u64::MAX as i128, x));
+            let x = rng.clone().next_u64();
+            let (lo, hi) = (i64::MIN as i128, i64::MAX as i128);
+            assert_eq!(rng.random_range(i64::MIN..i64::MAX) as i128, wide(lo, hi, x));
+            let x = rng.clone().next_u64();
+            assert_eq!(rng.random_range(i8::MIN..i8::MAX) as i128, wide(-128, 127, x));
         }
     }
 
