@@ -186,7 +186,8 @@ echo "== non-test lines (per workspace crate) =="
 # included) above each file's `#[cfg(test)]`, not counting blank lines and
 # lines that are only a `//` comment — per crate, over the whole workspace,
 # for the four vendored shims together, for gml-core + gml-apps (item 3's
-# first target) and for the checkpoint store's three files (item 1's).
+# first target), for the checkpoint store's three files (item 1's) and for
+# apgas's seven observability modules (item 5's).
 non_test_lines() {
     for f in "$@"; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
@@ -204,5 +205,7 @@ printf '%-22s %6d\n' "vendored shims" \
 printf '%-22s %6d\n' "gml-core + gml-apps" "$(non_test_lines crates/core/src/*.rs crates/apps/src/*.rs)"
 printf '%-22s %6d\n' "codec+store+app_store" \
     "$(non_test_lines crates/core/src/codec.rs crates/core/src/store.rs crates/core/src/app_store.rs)"
+printf '%-22s %6d\n' "apgas observability" \
+    "$(non_test_lines crates/apgas/src/{trace,monitor,critical_path,mem,watchdog,metrics,stats}.rs)"
 
 echo "CI OK"

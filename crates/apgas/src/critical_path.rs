@@ -21,7 +21,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::trace::{Phase, SpanKind, TraceEvent};
 
-/// How one span kind contributes to the critical-path breakdown.
+/// How one span kind contributes to the critical-path breakdown; each
+/// kind's class is declared beside its name ([`SpanKind::class`]).
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
 pub enum CostClass {
     /// Application work: remote task bodies, pool jobs, object
@@ -35,38 +36,6 @@ pub enum CostClass {
     /// Executor phases and failure instants — structural, not charged to
     /// any breakdown bucket.
     Structural,
-}
-
-/// Classify a span kind for the breakdown.
-pub fn classify(kind: SpanKind) -> CostClass {
-    match kind {
-        SpanKind::AtRemote
-        | SpanKind::AsyncTask
-        | SpanKind::PoolRun
-        | SpanKind::SnapshotObj
-        | SpanKind::RestoreObj => CostClass::Compute,
-        SpanKind::Encode
-        | SpanKind::Decode
-        | SpanKind::At
-        | SpanKind::AsyncAt
-        | SpanKind::StoreSaveBatch
-        | SpanKind::StoreFetch
-        | SpanKind::StoreDelete
-        | SpanKind::CkptShip
-        | SpanKind::CkptEncode
-        | SpanKind::CkptDecode => CostClass::Ship,
-        SpanKind::CtlSpawn | SpanKind::CtlTerm | SpanKind::CtlWait => CostClass::Ctl,
-        SpanKind::Step
-        | SpanKind::Checkpoint
-        | SpanKind::Restore
-        | SpanKind::KillPlace
-        | SpanKind::PlaceDied
-        | SpanKind::SpawnPlace
-        // Replay/vote overhead is resilience bookkeeping, not application
-        // compute: the replayed body's own spans carry the compute cost.
-        | SpanKind::TaskReplay
-        | SpanKind::TaskVote => CostClass::Structural,
-    }
 }
 
 /// The critical-path profile of one executor iteration.
@@ -171,23 +140,7 @@ impl SpanDag {
 
 /// Merge `[start, end)` intervals and return total covered length.
 fn merged_len(intervals: &mut [(u64, u64)]) -> u64 {
-    intervals.sort_unstable();
-    let mut covered = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
-    for &(s, e) in intervals.iter() {
-        match cur {
-            Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-            Some((cs, ce)) => {
-                covered += ce - cs;
-                cur = Some((s, e));
-            }
-            None => cur = Some((s, e)),
-        }
-    }
-    if let Some((cs, ce)) = cur {
-        covered += ce - cs;
-    }
-    covered
+    merge(intervals).iter().map(|(s, e)| e - s).sum()
 }
 
 /// Total length of `a`'s merged coverage not covered by `b` (`b` merged).
@@ -287,7 +240,7 @@ pub fn analyze(events: &[TraceEvent], dropped: &[u64]) -> Vec<IterProfile> {
                 continue;
             }
             busy.entry(e.place).or_default().push((s, t));
-            let class = classify(e.kind);
+            let class = e.kind.class();
             if class != CostClass::Structural {
                 by_class.entry((e.place, class)).or_default().push((s, t));
             }
@@ -363,7 +316,7 @@ pub fn analyze(events: &[TraceEvent], dropped: &[u64]) -> Vec<IterProfile> {
 pub fn max_place_compute(events: &[TraceEvent], w0: u64, w1: u64) -> u64 {
     let mut per_place: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
     for e in events {
-        if e.phase != Phase::End || classify(e.kind) != CostClass::Compute {
+        if e.phase != Phase::End || e.kind.class() != CostClass::Compute {
             continue;
         }
         let s = e.t_nanos.saturating_sub(e.dur_nanos).max(w0);

@@ -29,6 +29,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::metrics::{Family, Kind};
+
 /// Number of ledger tags. Kept in sync with [`MemTag`] by `TAGS`.
 pub const TAG_COUNT: usize = 5;
 
@@ -250,6 +252,50 @@ pub fn report() -> MemReport {
     r.heap_peak_bytes = heap_peak_bytes();
     r.heap_allocs = heap_allocs();
     r
+}
+
+/// The memory plane as Prometheus families: the per-tag ledger, the
+/// counting allocator's heap gauges, then the `bytes` buffer pool's reuse
+/// counters and parked level (the `serial_arena` tag). With `mem-profile`
+/// compiled out the ledger and heap samples are 0.
+pub fn families() -> Vec<Family> {
+    let r = report();
+    let mut out = Family::table("tag", &r.tags, |t| t.tag.label().to_string(), &[
+        (Kind::Gauge, "gml_mem_tag_bytes", "Bytes currently charged to each subsystem ledger tag.", |t| {
+            t.current.into()
+        }),
+        (
+            Kind::Gauge,
+            "gml_mem_tag_high_water_bytes",
+            "High-water mark of bytes charged to each subsystem ledger tag.",
+            |t| t.high_water.into(),
+        ),
+        (
+            Kind::Counter,
+            "gml_mem_tag_charges_total",
+            "Cumulative charge operations against each subsystem ledger tag.",
+            |t| t.charges.into(),
+        ),
+    ]);
+    let a = bytes::global_pool_stats();
+    for (kind, name, help, v) in [
+        (Kind::Gauge, "gml_mem_heap_bytes", "Live heap bytes (counting allocator).", r.heap_bytes),
+        (Kind::Gauge, "gml_mem_heap_peak_bytes", "Peak live heap bytes since process start.", r.heap_peak_bytes),
+        (Kind::Counter, "gml_mem_heap_allocs_total", "Heap allocations since process start.", r.heap_allocs),
+        (Kind::Counter, "gml_arena_hits_total", "Buffer requests served from the pool.", a.hits),
+        (Kind::Counter, "gml_arena_misses_total", "Buffer requests that hit the allocator.", a.misses),
+        (Kind::Counter, "gml_arena_recycled_total", "Retired buffers parked back into the pool.", a.recycled),
+        (Kind::Gauge, "gml_arena_parked_bytes", "Capacity currently parked in the buffer pool.", a.parked_bytes),
+        (
+            Kind::Gauge,
+            "gml_arena_parked_high_water_bytes",
+            "High-water mark of parked pool capacity.",
+            a.parked_bytes_high_water,
+        ),
+    ] {
+        out.push(Family::new(kind, name, help).value(v));
+    }
+    out
 }
 
 /// RAII charge: charges `bytes` against `tag` on construction, discharges

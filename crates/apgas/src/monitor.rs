@@ -7,9 +7,10 @@
 //! from the send path and the dispatcher loop, so the hot path gains no
 //! locks. A [`MonitorServer`] serves the whole picture (runtime counters,
 //! span-latency quantiles, per-place health, plus any registered extra
-//! collectors such as the snapshot-store inventory) in Prometheus text
-//! exposition format over a hand-rolled HTTP/1.0 listener, keeping the
-//! workspace dependency-free.
+//! collectors such as the snapshot-store inventory) over a hand-rolled
+//! HTTP/1.0 listener, keeping the workspace dependency-free. Every part of
+//! that picture is a [`Family`]; [`crate::metrics::exposition`] writes the
+//! text.
 //!
 //! Enablement mirrors tracing: `RuntimeConfig::monitor_port` forces it,
 //! otherwise the `GML_MONITOR_PORT` environment variable decides (unset →
@@ -28,8 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::metrics::HistogramSnapshot;
-use crate::stats::StatsSnapshot;
+use crate::metrics::{Family, Kind};
 
 /// Per-place heartbeat counters, updated with relaxed atomics only.
 ///
@@ -80,11 +80,6 @@ impl HealthBoard {
     /// Raise the anomaly flag for `place` (watchdog verdicts land here).
     pub fn raise_anomaly(&self, place: u32) {
         self.anomaly_mask.fetch_or(1u64 << place.min(63), Ordering::Relaxed);
-    }
-
-    /// Clear the anomaly flag for `place` (e.g. after operator review).
-    pub fn clear_anomaly(&self, place: u32) {
-        self.anomaly_mask.fetch_and(!(1u64 << place.min(63)), Ordering::Relaxed);
     }
 
     /// The raw anomaly bitmask (bit *n* → place *n*, saturating at 63).
@@ -178,259 +173,34 @@ pub struct HealthSnapshot {
     pub last_activity_age_nanos: u64,
 }
 
-/// Escape a string for use inside a Prometheus label value.
-fn esc_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn family_header(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-/// Render the flat runtime counters as `gml_*_total` counter families.
-pub fn render_stats(out: &mut String, s: &StatsSnapshot) {
-    let counters: [(&str, u64, &str); 15] = [
-        ("gml_tasks_spawned_total", s.tasks_spawned, "Tasks spawned via at/async_at."),
-        ("gml_at_calls_total", s.at_calls, "Synchronous at() round trips."),
-        ("gml_ctl_spawns_total", s.ctl_spawns, "Resilient-finish spawn records at place zero."),
-        ("gml_ctl_terms_total", s.ctl_terms, "Resilient-finish termination records."),
-        ("gml_ctl_waits_total", s.ctl_waits, "Resilient-finish wait registrations."),
-        ("gml_ctl_local_total", s.ctl_local, "Resilient-finish registry operations applied directly at place zero."),
-        ("gml_bytes_shipped_total", s.bytes_shipped, "Payload bytes serialized for a place crossing."),
-        ("gml_bytes_received_total", s.bytes_received, "Payload bytes landed at a receiving place."),
-        ("gml_encode_nanos_total", s.encode_nanos, "Wall nanoseconds spent encoding payloads."),
-        ("gml_decode_nanos_total", s.decode_nanos, "Wall nanoseconds spent decoding payloads."),
-        ("gml_failures_total", s.failures, "Fail-stop place failures injected."),
-        ("gml_places_spawned_total", s.places_spawned, "Places created elastically at runtime."),
-        ("gml_task_replays_total", s.task_replays, "Task bodies replayed after a panic or timeout."),
-        ("gml_task_timeouts_total", s.task_timeouts, "Task attempts abandoned on a policy deadline."),
+/// The per-place heartbeat gauges and counters, one sample per place.
+pub fn health_families(snaps: &[HealthSnapshot]) -> Vec<Family> {
+    Family::table("place", snaps, |h| h.place.to_string(), &[
+        (Kind::Gauge, "gml_place_up", "1 while the place is alive, 0 after a fail-stop kill.", |h| {
+            h.up.into()
+        }),
+        (Kind::Gauge, "gml_place_mailbox_depth", "Envelopes enqueued but not yet dispatched.", |h| {
+            h.mailbox_depth.into()
+        }),
+        (Kind::Counter, "gml_place_tasks_dispatched_total", "Tasks handed to the worker pool.", |h| {
+            h.dispatched.into()
+        }),
+        (Kind::Counter, "gml_place_tasks_completed_total", "Dispatched tasks that finished.", |h| {
+            h.completed.into()
+        }),
         (
-            "gml_task_vote_mismatches_total",
-            s.task_vote_mismatches,
-            "Replica digest votes with at least one dissenting replica.",
+            Kind::Gauge,
+            "gml_place_anomaly",
+            "1 while the performance watchdog has this place flagged as anomalous.",
+            |h| h.anomalous.into(),
         ),
-    ];
-    for (name, v, help) in counters {
-        family_header(out, name, "counter", help);
-        out.push_str(&format!("{name} {v}\n"));
-    }
-}
-
-/// Render per-place heartbeat gauges.
-pub fn render_health(out: &mut String, snaps: &[HealthSnapshot]) {
-    family_header(out, "gml_place_up", "gauge", "1 while the place is alive, 0 after a fail-stop kill.");
-    for h in snaps {
-        out.push_str(&format!("gml_place_up{{place=\"{}\"}} {}\n", h.place, u64::from(h.up)));
-    }
-    family_header(out, "gml_place_mailbox_depth", "gauge", "Envelopes enqueued but not yet dispatched.");
-    for h in snaps {
-        out.push_str(&format!("gml_place_mailbox_depth{{place=\"{}\"}} {}\n", h.place, h.mailbox_depth));
-    }
-    family_header(out, "gml_place_tasks_dispatched_total", "counter", "Tasks handed to the worker pool.");
-    for h in snaps {
-        out.push_str(&format!(
-            "gml_place_tasks_dispatched_total{{place=\"{}\"}} {}\n",
-            h.place, h.dispatched
-        ));
-    }
-    family_header(out, "gml_place_tasks_completed_total", "counter", "Dispatched tasks that finished.");
-    for h in snaps {
-        out.push_str(&format!(
-            "gml_place_tasks_completed_total{{place=\"{}\"}} {}\n",
-            h.place, h.completed
-        ));
-    }
-    family_header(
-        out,
-        "gml_place_anomaly",
-        "gauge",
-        "1 while the performance watchdog has this place flagged as anomalous.",
-    );
-    for h in snaps {
-        out.push_str(&format!(
-            "gml_place_anomaly{{place=\"{}\"}} {}\n",
-            h.place,
-            u64::from(h.anomalous)
-        ));
-    }
-    family_header(
-        out,
-        "gml_place_last_activity_age_seconds",
-        "gauge",
-        "Seconds since the place's dispatcher last moved an envelope.",
-    );
-    for h in snaps {
-        out.push_str(&format!(
-            "gml_place_last_activity_age_seconds{{place=\"{}\"}} {:.6}\n",
-            h.place,
-            h.last_activity_age_nanos as f64 / 1e9
-        ));
-    }
-}
-
-/// Render per-place trace-ring overflow counters. A nonzero value means the
-/// seqlock ring wrapped and the oldest events were overwritten — consumers
-/// of the trace (critical-path analysis, forensics tails) saw an incomplete
-/// record for the early part of the run.
-pub fn render_dropped(out: &mut String, dropped: &[u64], flow_dropped: u64) {
-    family_header(
-        out,
-        "gml_trace_dropped_total",
-        "counter",
-        "Trace events lost to ring wraparound, per place; the kind=\"flow_half\" \
-         series counts flow arrows suppressed at Chrome export because their \
-         start span had been overwritten.",
-    );
-    for (place, d) in dropped.iter().enumerate() {
-        out.push_str(&format!("gml_trace_dropped_total{{place=\"{place}\"}} {d}\n"));
-    }
-    out.push_str(&format!("gml_trace_dropped_total{{kind=\"flow_half\"}} {flow_dropped}\n"));
-}
-
-/// Render span-latency histogram summaries: one `gml_span_latency_nanos`
-/// series per non-empty span kind / named series, with quantile labels plus
-/// `_count` and `_sum` — Prometheus summary-style, resolved from the
-/// log2-bucket snapshots.
-pub fn render_metrics(out: &mut String, series: &[(String, HistogramSnapshot)]) {
-    if series.is_empty() {
-        return;
-    }
-    family_header(
-        out,
-        "gml_span_latency_nanos",
-        "summary",
-        "Span latency quantiles per traced span kind, in nanoseconds.",
-    );
-    for (name, s) in series {
-        let span = esc_label(name);
-        for (q, v) in
-            [("0.5", s.p50()), ("0.95", s.p95()), ("0.99", s.p99()), ("1", s.max)]
-        {
-            out.push_str(&format!(
-                "gml_span_latency_nanos{{span=\"{span}\",quantile=\"{q}\"}} {v}\n"
-            ));
-        }
-        out.push_str(&format!("gml_span_latency_nanos_sum{{span=\"{span}\"}} {}\n", s.sum));
-        out.push_str(&format!("gml_span_latency_nanos_count{{span=\"{span}\"}} {}\n", s.count));
-    }
-}
-
-/// Render the intra-place compute pool's process-wide gauges and counters.
-pub fn render_pool(out: &mut String) {
-    let c = crate::pool::counters();
-    family_header(
-        out,
-        "gml_pool_workers",
-        "gauge",
-        "Compute-pool workers, including the submitting thread (fixed at first use).",
-    );
-    out.push_str(&format!("gml_pool_workers {}\n", crate::pool::workers()));
-    let counters: [(&str, u64, &str); 4] = [
-        ("gml_pool_jobs_inline_total", c.jobs_inline, "Pool jobs executed inline on the caller."),
-        ("gml_pool_jobs_parallel_total", c.jobs_parallel, "Pool jobs fanned out to helper threads."),
-        ("gml_pool_chunks_total", c.chunks, "Work chunks executed by the pool."),
-        ("gml_pool_busy_nanos_total", c.busy_nanos, "Wall nanoseconds spent inside parallel pool jobs."),
-    ];
-    for (name, v, help) in counters {
-        family_header(out, name, "counter", help);
-        out.push_str(&format!("{name} {v}\n"));
-    }
-}
-
-/// Render the memory plane: the per-tag byte ledger plus the counting
-/// allocator's process-wide heap gauges. With `mem-profile` compiled out
-/// every sample renders as 0.
-pub fn render_mem(out: &mut String) {
-    let r = crate::mem::report();
-    family_header(
-        out,
-        "gml_mem_tag_bytes",
-        "gauge",
-        "Bytes currently charged to each subsystem ledger tag.",
-    );
-    for t in &r.tags {
-        out.push_str(&format!("gml_mem_tag_bytes{{tag=\"{}\"}} {}\n", t.tag.label(), t.current));
-    }
-    family_header(
-        out,
-        "gml_mem_tag_high_water_bytes",
-        "gauge",
-        "High-water mark of bytes charged to each subsystem ledger tag.",
-    );
-    for t in &r.tags {
-        out.push_str(&format!(
-            "gml_mem_tag_high_water_bytes{{tag=\"{}\"}} {}\n",
-            t.tag.label(),
-            t.high_water
-        ));
-    }
-    family_header(
-        out,
-        "gml_mem_tag_charges_total",
-        "counter",
-        "Cumulative charge operations against each subsystem ledger tag.",
-    );
-    for t in &r.tags {
-        out.push_str(&format!(
-            "gml_mem_tag_charges_total{{tag=\"{}\"}} {}\n",
-            t.tag.label(),
-            t.charges
-        ));
-    }
-    family_header(out, "gml_mem_heap_bytes", "gauge", "Live heap bytes (counting allocator).");
-    out.push_str(&format!("gml_mem_heap_bytes {}\n", r.heap_bytes));
-    family_header(
-        out,
-        "gml_mem_heap_peak_bytes",
-        "gauge",
-        "Peak live heap bytes since process start.",
-    );
-    out.push_str(&format!("gml_mem_heap_peak_bytes {}\n", r.heap_peak_bytes));
-    family_header(
-        out,
-        "gml_mem_heap_allocs_total",
-        "counter",
-        "Heap allocations since process start.",
-    );
-    out.push_str(&format!("gml_mem_heap_allocs_total {}\n", r.heap_allocs));
-}
-
-/// Render the `bytes` buffer pool's reuse counters and parked level (the
-/// `serial_arena` ledger tag).
-pub fn render_arena(out: &mut String) {
-    let s = bytes::global_pool_stats();
-    let counters: [(&str, u64, &str); 3] = [
-        ("gml_arena_hits_total", s.hits, "Buffer requests served from the pool."),
-        ("gml_arena_misses_total", s.misses, "Buffer requests that hit the allocator."),
-        ("gml_arena_recycled_total", s.recycled, "Retired buffers parked back into the pool."),
-    ];
-    for (name, v, help) in counters {
-        family_header(out, name, "counter", help);
-        out.push_str(&format!("{name} {v}\n"));
-    }
-    family_header(
-        out,
-        "gml_arena_parked_bytes",
-        "gauge",
-        "Capacity currently parked in the buffer pool.",
-    );
-    out.push_str(&format!("gml_arena_parked_bytes {}\n", s.parked_bytes));
-    family_header(
-        out,
-        "gml_arena_parked_high_water_bytes",
-        "gauge",
-        "High-water mark of parked pool capacity.",
-    );
-    out.push_str(&format!("gml_arena_parked_high_water_bytes {}\n", s.parked_bytes_high_water));
+        (
+            Kind::Gauge,
+            "gml_place_last_activity_age_seconds",
+            "Seconds since the place's dispatcher last moved an envelope.",
+            |h| (h.last_activity_age_nanos as f64 / 1e9).into(),
+        ),
+    ])
 }
 
 /// The hand-rolled HTTP/1.0 scrape server.
@@ -523,6 +293,7 @@ fn serve_one(mut stream: TcpStream, render: &Arc<dyn Fn() -> String + Send + Syn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::exposition;
 
     #[test]
     fn disabled_board_records_nothing() {
@@ -563,8 +334,7 @@ mod tests {
         board.on_enqueue(&h);
         let snaps =
             vec![board.snapshot(0, true, &h), board.snapshot(1, false, &PlaceHealth::new())];
-        let mut out = String::new();
-        render_health(&mut out, &snaps);
+        let out = exposition(&health_families(&snaps));
         assert!(out.contains("gml_place_up{place=\"0\"} 1"));
         assert!(out.contains("gml_place_up{place=\"1\"} 0"));
         assert!(out.contains("gml_place_mailbox_depth{place=\"0\"} 1"));
@@ -579,27 +349,40 @@ mod tests {
         board.raise_anomaly(2);
         assert!(board.snapshot(2, true, &h).anomalous);
         assert_eq!(board.anomaly_mask(), 1 << 2);
-        let mut out = String::new();
-        render_health(&mut out, &[board.snapshot(2, true, &h)]);
+        let out = exposition(&health_families(&[board.snapshot(2, true, &h)]));
         assert!(out.contains("gml_place_anomaly{place=\"2\"} 1"));
-        board.clear_anomaly(2);
-        assert!(!board.snapshot(2, true, &h).anomalous);
+        assert!(!board.snapshot(3, true, &h).anomalous, "flags are per place");
     }
 
     #[test]
     fn render_dropped_emits_per_place_counters() {
-        let mut out = String::new();
-        render_dropped(&mut out, &[0, 17, 0], 3);
+        use crate::trace::SpanKind;
+        let tr = crate::trace::Tracer::enabled(16);
+        tr.ensure_place(3);
+        {
+            // Three place-1 events whose parent is a place-0 span ...
+            let _g = tr.span(0, SpanKind::At, 0);
+            for i in 0..3 {
+                tr.instant(1, SpanKind::AtRemote, i);
+            }
+        }
+        // ... which 33 more place-0 events push out of its 16-slot ring.
+        for i in 0..33 {
+            tr.instant(0, SpanKind::At, i);
+        }
+        tr.chrome_json();
+        assert_eq!(tr.flow_dropped(), 3, "each orphaned child drops one flow half");
+        let out = exposition(&[tr.dropped_family()]);
         assert!(out.contains("# TYPE gml_trace_dropped_total counter"));
-        assert!(out.contains("gml_trace_dropped_total{place=\"0\"} 0"));
-        assert!(out.contains("gml_trace_dropped_total{place=\"1\"} 17"));
-        assert!(out.contains("gml_trace_dropped_total{kind=\"flow_half\"} 3"));
+        assert!(out.contains("gml_trace_dropped_total{place=\"0\"} 19\n"));
+        assert!(out.contains("gml_trace_dropped_total{place=\"1\"} 0\n"));
+        assert!(out.contains("gml_trace_dropped_total{place=\"2\"} 0\n"));
+        assert!(out.contains("gml_trace_dropped_total{kind=\"flow_half\"} 3\n"));
     }
 
     #[test]
     fn render_mem_emits_every_tag_and_heap_gauges() {
-        let mut out = String::new();
-        render_mem(&mut out);
+        let out = exposition(&crate::mem::families());
         assert!(out.contains("# TYPE gml_mem_tag_bytes gauge"));
         for tag in crate::mem::TAGS {
             assert!(
@@ -617,8 +400,7 @@ mod tests {
 
     #[test]
     fn render_arena_emits_pool_counters() {
-        let mut out = String::new();
-        render_arena(&mut out);
+        let out = exposition(&crate::mem::families());
         for family in
             ["gml_arena_hits_total", "gml_arena_misses_total", "gml_arena_recycled_total"]
         {
@@ -630,8 +412,7 @@ mod tests {
 
     #[test]
     fn render_stats_emits_every_counter() {
-        let mut out = String::new();
-        render_stats(&mut out, &StatsSnapshot::default());
+        let out = exposition(&crate::stats::StatsSnapshot::default().families());
         for family in [
             "gml_tasks_spawned_total",
             "gml_failures_total",
@@ -647,13 +428,11 @@ mod tests {
 
     #[test]
     fn render_metrics_quantile_lines() {
-        let h = crate::metrics::Histogram::new();
+        let m = crate::metrics::MetricsRegistry::new();
         for v in [10u64, 20, 30] {
-            h.record(v);
+            m.kind(crate::trace::SpanKind::Step).record(v);
         }
-        let series = vec![("exec.step".to_string(), h.snapshot())];
-        let mut out = String::new();
-        render_metrics(&mut out, &series);
+        let out = exposition(&[m.family()]);
         assert!(out.contains("gml_span_latency_nanos{span=\"exec.step\",quantile=\"0.5\"}"));
         assert!(out.contains("gml_span_latency_nanos_count{span=\"exec.step\"} 3"));
         assert!(out.contains("gml_span_latency_nanos_sum{span=\"exec.step\"} 60"));
@@ -678,7 +457,8 @@ mod tests {
 
     #[test]
     fn label_escaping() {
-        assert_eq!(esc_label("plain"), "plain");
-        assert_eq!(esc_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let f = Family::new(Kind::Gauge, "gml_test", "Help.").labelled("span", "a\"b\\c\nd", 1u64);
+        let out = exposition(&[f, Family::new(Kind::Gauge, "gml_empty", "Never written.")]);
+        assert_eq!(out, "# HELP gml_test Help.\n# TYPE gml_test gauge\ngml_test{span=\"a\\\"b\\\\c\\nd\"} 1\n");
     }
 }

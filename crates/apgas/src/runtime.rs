@@ -16,6 +16,7 @@ use std::thread::JoinHandle;
 
 use crate::error::{ApgasError, DeadPlaceException, Result};
 use crate::finish::{self, CtlMsg, FinishScope, LedgerEntry, TaskPolicy};
+use crate::metrics::Family;
 use crate::monitor::watchdog::Watchdog;
 use crate::monitor::{self, HealthBoard, HealthSnapshot, MonitorServer, PlaceHealth};
 use crate::place::{Place, PlaceGroup};
@@ -101,6 +102,9 @@ struct PlaceState {
     health: Arc<PlaceHealth>,
 }
 
+/// A registered scrape collector: the families it adds to every scrape.
+type Collector = dyn Fn() -> Vec<Family> + Send + Sync;
+
 /// Shared runtime state. `Ctx` and dispatcher threads hold `Arc`s to this.
 ///
 /// The place list is growable: `spawn_place` (Elastic X10's dynamic place
@@ -127,7 +131,7 @@ pub(crate) struct RtInner {
     /// Extra Prometheus collectors (e.g. the snapshot-store inventory),
     /// appended to every scrape. Cleared at shutdown to break the
     /// collector-closure → Ctx → RtInner reference cycle.
-    collectors: Mutex<Vec<Box<dyn Fn() -> String + Send + Sync>>>,
+    collectors: Mutex<Vec<Box<Collector>>>,
     next_finish_id: AtomicU64,
     pub(crate) next_plh_id: AtomicU64,
     dispatchers: Mutex<Vec<JoinHandle<()>>>,
@@ -513,19 +517,6 @@ impl Ctx {
         v
     }
 
-    /// Charge already-measured encode time (for codecs that serialize
-    /// through custom paths rather than [`Self::encode`]).
-    pub fn record_encode(&self, elapsed: std::time::Duration) {
-        RuntimeStats::add(&self.rt.stats.encode_nanos, elapsed.as_nanos() as u64);
-        self.rt.tracer.complete(self.here.id(), SpanKind::Encode, 0, elapsed);
-    }
-
-    /// Charge already-measured decode time.
-    pub fn record_decode(&self, elapsed: std::time::Duration) {
-        RuntimeStats::add(&self.rt.stats.decode_nanos, elapsed.as_nanos() as u64);
-        self.rt.tracer.complete(self.here.id(), SpanKind::Decode, 0, elapsed);
-    }
-
     /// A point-in-time copy of the runtime's activity counters.
     pub fn stats(&self) -> StatsSnapshot {
         self.rt.stats.snapshot()
@@ -555,13 +546,6 @@ impl Ctx {
         self.rt.tracer.span_labeled(self.here.id(), kind, label, arg)
     }
 
-    /// Record an instant trace event at this place; returns its span id
-    /// (0 when tracing is off), usable as a causal parent.
-    #[inline]
-    pub fn trace_instant(&self, kind: SpanKind, arg: u64) -> u64 {
-        self.rt.tracer.instant(self.here.id(), kind, arg)
-    }
-
     /// A point-in-time view of every open resilient finish in the place-zero
     /// registry: pending task counts per place, recorded exceptions, and
     /// whether a waiter is already blocked. Empty under non-resilient
@@ -577,14 +561,14 @@ impl Ctx {
         self.rt.monitor.lock().as_ref().map(|m| m.addr())
     }
 
-    /// Register an extra Prometheus collector whose rendered text is
-    /// appended to every scrape — how the data layers (e.g. the resilient
-    /// snapshot store) contribute metrics without the runtime knowing about
-    /// them. Collectors run on the scrape server's thread and may use this
+    /// Register an extra Prometheus collector whose families are appended
+    /// to every scrape — how the data layers (e.g. the resilient snapshot
+    /// store) contribute metrics without the runtime knowing about them.
+    /// Collectors run on the scrape server's thread and may use this
     /// context (cloned) to reach other places.
     pub fn add_monitor_collector<F>(&self, f: F)
     where
-        F: Fn() -> String + Send + Sync + 'static,
+        F: Fn() -> Vec<Family> + Send + Sync + 'static,
     {
         self.rt.collectors.lock().push(Box::new(f));
     }
@@ -753,19 +737,17 @@ impl Runtime {
                 let Some(rt) = weak.upgrade() else {
                     return String::from("# runtime stopped\n");
                 };
-                let mut out = String::with_capacity(4096);
-                monitor::render_stats(&mut out, &rt.stats.snapshot());
-                monitor::render_health(&mut out, &rt.health_snapshots());
-                monitor::render_metrics(&mut out, &rt.tracer.metrics().snapshots());
-                monitor::render_pool(&mut out);
-                monitor::render_mem(&mut out);
-                monitor::render_arena(&mut out);
-                monitor::render_dropped(&mut out, &rt.tracer.dropped(), rt.tracer.flow_dropped());
-                rt.watchdog.render(&mut out);
+                let mut families = rt.stats.snapshot().families();
+                families.extend(monitor::health_families(&rt.health_snapshots()));
+                families.push(rt.tracer.metrics().family());
+                families.extend(crate::pool::families());
+                families.extend(crate::mem::families());
+                families.push(rt.tracer.dropped_family());
+                families.extend(rt.watchdog.families());
                 for collect in rt.collectors.lock().iter() {
-                    out.push_str(&collect());
+                    families.extend(collect());
                 }
-                out
+                crate::metrics::exposition(&families)
             });
             match MonitorServer::start(port, render) {
                 Ok(srv) => *inner.monitor.lock() = Some(srv),

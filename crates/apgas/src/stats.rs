@@ -7,90 +7,43 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters maintained by the runtime. Cheap to update; read them
-/// with [`RuntimeStats::snapshot`].
-#[derive(Default)]
-pub struct RuntimeStats {
-    /// Tasks dispatched to any place (both `async_at` and `at`).
-    pub tasks_spawned: AtomicU64,
-    /// Synchronous `at` round trips.
-    pub at_calls: AtomicU64,
-    /// Place-zero bookkeeping messages: task-spawn records (each is a
-    /// synchronous round trip to place zero in resilient mode). The three
-    /// `ctl_spawns`/`ctl_terms`/`ctl_waits` counters count *messages through
-    /// place zero's mailbox*, i.e. operations issued at any other place.
-    pub ctl_spawns: AtomicU64,
-    /// Place-zero bookkeeping messages: task terminations.
-    pub ctl_terms: AtomicU64,
-    /// Place-zero bookkeeping messages: finish-wait registrations.
-    pub ctl_waits: AtomicU64,
-    /// Registry operations (spawn, term or wait) issued at place zero and
-    /// applied to the registry directly, without a message.
-    pub ctl_local: AtomicU64,
-    /// Bytes of payload serialized for cross-place movement (maintained by
-    /// the data layers via [`crate::runtime::Ctx::record_bytes`]).
-    pub bytes_shipped: AtomicU64,
-    /// Bytes of payload that actually landed at a receiving place (maintained
-    /// via [`crate::runtime::Ctx::record_bytes_received`] at every receive
-    /// site). Mirrors `bytes_shipped` so ship volume can be cross-checked
-    /// end-to-end: in a failure-free run the two are equal; under failure,
-    /// payloads shipped to a place that died in flight are counted as shipped
-    /// but never as received.
-    pub bytes_received: AtomicU64,
-    /// Nanoseconds spent encoding cross-place payloads (maintained via
-    /// [`crate::runtime::Ctx::encode`]); with `bytes_shipped` this yields
-    /// checkpoint encode throughput.
-    pub encode_nanos: AtomicU64,
-    /// Nanoseconds spent decoding cross-place payloads (maintained via
-    /// [`crate::runtime::Ctx::decode`]).
-    pub decode_nanos: AtomicU64,
-    /// Places killed so far.
-    pub failures: AtomicU64,
-    /// Places created elastically after startup.
-    pub places_spawned: AtomicU64,
-    /// Task bodies re-executed by the task-resilience layer after a panic or
-    /// timeout (each replay attempt beyond the first counts once).
-    pub task_replays: AtomicU64,
-    /// Task attempts abandoned because they exceeded the policy deadline.
-    pub task_timeouts: AtomicU64,
-    /// Replicated-task digest votes where at least one replica disagreed
-    /// with the majority — each is a silent error caught by replication.
-    pub task_vote_mismatches: AtomicU64,
-}
-
-/// A point-in-time copy of [`RuntimeStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Tasks dispatched to any place.
-    pub tasks_spawned: u64,
-    /// Synchronous `at` round trips.
-    pub at_calls: u64,
-    /// Place-zero spawn records.
-    pub ctl_spawns: u64,
-    /// Place-zero termination records.
-    pub ctl_terms: u64,
-    /// Place-zero finish-wait registrations.
-    pub ctl_waits: u64,
-    /// Registry operations applied directly at place zero (no message).
-    pub ctl_local: u64,
-    /// Payload bytes serialized across places.
-    pub bytes_shipped: u64,
-    /// Payload bytes that landed at receiving places.
-    pub bytes_received: u64,
-    /// Nanoseconds spent encoding cross-place payloads.
-    pub encode_nanos: u64,
-    /// Nanoseconds spent decoding cross-place payloads.
-    pub decode_nanos: u64,
-    /// Places killed so far.
-    pub failures: u64,
-    /// Places created elastically after startup.
-    pub places_spawned: u64,
-    /// Task bodies replayed after a panic or timeout.
-    pub task_replays: u64,
-    /// Task attempts abandoned on a policy deadline.
-    pub task_timeouts: u64,
-    /// Replica digest votes with at least one dissenter.
-    pub task_vote_mismatches: u64,
+crate::counter_set! {
+    /// Monotonic counters maintained by the runtime. Cheap to update; read
+    /// them with [`RuntimeStats::snapshot`].
+    pub struct RuntimeStats;
+    /// A point-in-time copy of [`RuntimeStats`].
+    pub struct StatsSnapshot {
+        tasks_spawned => "gml_tasks_spawned_total", "Tasks spawned via at/async_at.";
+        at_calls => "gml_at_calls_total", "Synchronous at() round trips.";
+        /// Each is a message through place zero's mailbox, i.e. an operation
+        /// issued at any other place; so are `ctl_terms` and `ctl_waits`.
+        ctl_spawns => "gml_ctl_spawns_total", "Resilient-finish spawn records at place zero.";
+        ctl_terms => "gml_ctl_terms_total", "Resilient-finish termination records.";
+        ctl_waits => "gml_ctl_waits_total", "Resilient-finish wait registrations.";
+        ctl_local => "gml_ctl_local_total",
+            "Resilient-finish registry operations applied directly at place zero.";
+        /// Maintained by the data layers via
+        /// [`crate::runtime::Ctx::record_bytes`].
+        bytes_shipped => "gml_bytes_shipped_total", "Payload bytes serialized for a place crossing.";
+        /// Maintained via [`crate::runtime::Ctx::record_bytes_received`] at
+        /// every receive site. In a failure-free run it equals
+        /// `bytes_shipped`; a payload shipped to a place that died in flight
+        /// is counted as shipped but never as received.
+        bytes_received => "gml_bytes_received_total", "Payload bytes landed at a receiving place.";
+        /// Maintained via [`crate::runtime::Ctx::encode`]; with
+        /// `bytes_shipped` this yields checkpoint encode throughput.
+        encode_nanos => "gml_encode_nanos_total", "Wall nanoseconds spent encoding payloads.";
+        /// Maintained via [`crate::runtime::Ctx::decode`].
+        decode_nanos => "gml_decode_nanos_total", "Wall nanoseconds spent decoding payloads.";
+        failures => "gml_failures_total", "Fail-stop place failures injected.";
+        places_spawned => "gml_places_spawned_total", "Places created elastically at runtime.";
+        /// Each replay attempt beyond the first counts once.
+        task_replays => "gml_task_replays_total", "Task bodies replayed after a panic or timeout.";
+        task_timeouts => "gml_task_timeouts_total", "Task attempts abandoned on a policy deadline.";
+        /// Each is a silent error caught by replication.
+        task_vote_mismatches => "gml_task_vote_mismatches_total",
+            "Replica digest votes with at least one dissenting replica.";
+    }
 }
 
 impl StatsSnapshot {
@@ -99,76 +52,9 @@ impl StatsSnapshot {
     pub fn ctl_total(&self) -> u64 {
         self.ctl_spawns + self.ctl_terms + self.ctl_waits
     }
-
-    /// Counter-wise difference `self - earlier` (saturating).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            tasks_spawned: self.tasks_spawned.saturating_sub(earlier.tasks_spawned),
-            at_calls: self.at_calls.saturating_sub(earlier.at_calls),
-            ctl_spawns: self.ctl_spawns.saturating_sub(earlier.ctl_spawns),
-            ctl_terms: self.ctl_terms.saturating_sub(earlier.ctl_terms),
-            ctl_waits: self.ctl_waits.saturating_sub(earlier.ctl_waits),
-            ctl_local: self.ctl_local.saturating_sub(earlier.ctl_local),
-            bytes_shipped: self.bytes_shipped.saturating_sub(earlier.bytes_shipped),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            encode_nanos: self.encode_nanos.saturating_sub(earlier.encode_nanos),
-            decode_nanos: self.decode_nanos.saturating_sub(earlier.decode_nanos),
-            failures: self.failures.saturating_sub(earlier.failures),
-            places_spawned: self.places_spawned.saturating_sub(earlier.places_spawned),
-            task_replays: self.task_replays.saturating_sub(earlier.task_replays),
-            task_timeouts: self.task_timeouts.saturating_sub(earlier.task_timeouts),
-            task_vote_mismatches: self
-                .task_vote_mismatches
-                .saturating_sub(earlier.task_vote_mismatches),
-        }
-    }
-
-    /// Counter-wise sum `self + other` — for folding a late-settling delta
-    /// (e.g. background ships joined after the last report row closed) into
-    /// an already-taken delta without losing or double-counting a tick.
-    pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            tasks_spawned: self.tasks_spawned + other.tasks_spawned,
-            at_calls: self.at_calls + other.at_calls,
-            ctl_spawns: self.ctl_spawns + other.ctl_spawns,
-            ctl_terms: self.ctl_terms + other.ctl_terms,
-            ctl_waits: self.ctl_waits + other.ctl_waits,
-            ctl_local: self.ctl_local + other.ctl_local,
-            bytes_shipped: self.bytes_shipped + other.bytes_shipped,
-            bytes_received: self.bytes_received + other.bytes_received,
-            encode_nanos: self.encode_nanos + other.encode_nanos,
-            decode_nanos: self.decode_nanos + other.decode_nanos,
-            failures: self.failures + other.failures,
-            places_spawned: self.places_spawned + other.places_spawned,
-            task_replays: self.task_replays + other.task_replays,
-            task_timeouts: self.task_timeouts + other.task_timeouts,
-            task_vote_mismatches: self.task_vote_mismatches + other.task_vote_mismatches,
-        }
-    }
 }
 
 impl RuntimeStats {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            tasks_spawned: self.tasks_spawned.load(Ordering::Relaxed),
-            at_calls: self.at_calls.load(Ordering::Relaxed),
-            ctl_spawns: self.ctl_spawns.load(Ordering::Relaxed),
-            ctl_terms: self.ctl_terms.load(Ordering::Relaxed),
-            ctl_waits: self.ctl_waits.load(Ordering::Relaxed),
-            ctl_local: self.ctl_local.load(Ordering::Relaxed),
-            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            encode_nanos: self.encode_nanos.load(Ordering::Relaxed),
-            decode_nanos: self.decode_nanos.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            places_spawned: self.places_spawned.load(Ordering::Relaxed),
-            task_replays: self.task_replays.load(Ordering::Relaxed),
-            task_timeouts: self.task_timeouts.load(Ordering::Relaxed),
-            task_vote_mismatches: self.task_vote_mismatches.load(Ordering::Relaxed),
-        }
-    }
-
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }

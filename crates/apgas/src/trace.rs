@@ -35,147 +35,116 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Family, Kind, MetricsRegistry};
 use crate::sync::RwLock;
 
-/// What an instrumented operation is. Kinds are POD (`u8`) so events pack
-/// into atomic words; [`SpanKind::name`] gives the dotted display name used
-/// in trace files and the metrics report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum SpanKind {
+/// Declares every span kind once: its variant, its dotted display name and
+/// its critical-path [`CostClass`](critical_path::CostClass).
+macro_rules! span_kinds {
+    ($( $(#[$doc:meta])* $kind:ident => $name:literal, $class:ident; )*) => {
+        /// What an instrumented operation is. Kinds are POD (`u8`) so events
+        /// pack into atomic words; [`SpanKind::name`] gives the dotted display
+        /// name used in trace files and the metrics report.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum SpanKind {
+            $( $(#[$doc])* $kind, )*
+        }
+
+        impl SpanKind {
+            /// Every kind, in discriminant order.
+            pub const ALL: [SpanKind; SPAN_KIND_COUNT] = [$(SpanKind::$kind),*];
+
+            /// Dotted display name (`"exec.restore"`, `"serial.encode"`, …).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( SpanKind::$kind => $name, )*
+                }
+            }
+
+            /// How this kind counts in the critical-path breakdown.
+            pub fn class(self) -> critical_path::CostClass {
+                match self {
+                    $( SpanKind::$kind => critical_path::CostClass::$class, )*
+                }
+            }
+        }
+    };
+}
+
+span_kinds! {
     /// `Ctx::encode` — serializing a cross-place payload.
-    Encode,
+    Encode => "serial.encode", Ship;
     /// `Ctx::decode` — deserializing a received payload.
-    Decode,
+    Decode => "serial.decode", Ship;
     /// `Ctx::at` — a synchronous remote-execution round trip.
-    At,
+    At => "apgas.at", Ship;
     /// `FinishScope::async_at` — an asynchronous task dispatch.
-    AsyncAt,
+    AsyncAt => "apgas.async_at", Ship;
     /// Resilient-finish spawn record: the synchronous round trip to place
     /// zero before a task may be sent (the paper's main overhead source).
-    CtlSpawn,
+    CtlSpawn => "finish.ctl_spawn", Ctl;
     /// Resilient-finish termination record (fire-and-forget to place zero).
-    CtlTerm,
+    CtlTerm => "finish.ctl_term", Ctl;
     /// Resilient-finish wait registration + block until quiescence.
-    CtlWait,
+    CtlWait => "finish.ctl_wait", Ctl;
     /// `ResilientStore::fetch` — snapshot read (local, owner, or backup).
-    StoreFetch,
+    StoreFetch => "store.fetch", Ship;
     /// `ResilientStore::delete_snapshots` — collective old-snapshot cleanup.
-    StoreDelete,
+    StoreDelete => "store.delete_snapshot", Ship;
     /// A GML object writing its snapshot into the store.
-    SnapshotObj,
+    SnapshotObj => "object.snapshot", Compute;
     /// A GML object restoring itself from a snapshot.
-    RestoreObj,
+    RestoreObj => "object.restore", Compute;
     /// One `ResilientIterativeApp::step` call driven by the executor.
-    Step,
+    Step => "exec.step", Structural;
     /// One coordinated checkpoint (all registered objects + commit).
-    Checkpoint,
+    Checkpoint => "exec.checkpoint", Structural;
     /// One restore attempt; the label names the effective `RestoreMode`.
-    Restore,
+    Restore => "exec.restore", Structural;
     /// Fail-stop failure injection (instant).
-    KillPlace,
+    KillPlace => "place.kill", Structural;
     /// Place-zero failure detection: a `PlaceDied` ctl message (instant).
-    PlaceDied,
+    PlaceDied => "place.died", Structural;
     /// Elastic place creation (instant).
-    SpawnPlace,
+    SpawnPlace => "place.spawn", Structural;
     /// One multi-chunk compute-pool job (`apgas::pool::run`); the numeric
     /// argument is the chunk count.
-    PoolRun,
+    PoolRun => "pool.run", Compute;
     /// `ResilientStore::save_batch` — owner inserts for a whole place plus
     /// one batched backup transfer; the numeric argument is the total
     /// payload bytes of the batch.
-    StoreSaveBatch,
+    StoreSaveBatch => "store.save_batch", Ship;
     /// One deferred checkpoint ship: a batched backup transfer executed in
     /// the background after the synchronous capture phase returned.
-    CkptShip,
+    CkptShip => "ckpt.ship", Ship;
     /// The receiving-place body of a `Ctx::at` closure: what the remote
     /// place actually executed while the sender's [`SpanKind::At`] span was
     /// blocked on the round trip. Parented on the sender's `At` span.
-    AtRemote,
+    AtRemote => "apgas.at_remote", Compute;
     /// The receiving-place body of an `async_at` task. Parented on the
     /// sender's [`SpanKind::AsyncAt`] dispatch instant.
-    AsyncTask,
+    AsyncTask => "apgas.async_task", Compute;
     /// One re-execution of a task body by the task-resilience layer after a
     /// panic or timeout; the numeric argument is the attempt ordinal.
-    TaskReplay,
+    /// Replay and vote overhead is resilience bookkeeping, not application
+    /// compute: the replayed body's own spans carry the compute cost.
+    TaskReplay => "task.replay", Structural;
     /// A majority vote over replica digests of a replicated task; the
     /// numeric argument is the number of replicas polled.
-    TaskVote,
+    TaskVote => "task.vote", Structural;
     /// Checkpoint codec encode of one place's batch (delta diff +
     /// compression); the numeric argument is the logical payload bytes in.
-    CkptEncode,
+    CkptEncode => "ckpt.encode", Ship;
     /// Checkpoint codec decode of one fetched entry (chain replay
     /// included); the numeric argument is the head frame's wire bytes.
-    CkptDecode,
+    CkptDecode => "ckpt.decode", Ship;
 }
 
 /// Number of span kinds (size of per-kind arrays).
 pub const SPAN_KIND_COUNT: usize = 26;
 
 impl SpanKind {
-    /// Every kind, in discriminant order.
-    pub const ALL: [SpanKind; SPAN_KIND_COUNT] = [
-        SpanKind::Encode,
-        SpanKind::Decode,
-        SpanKind::At,
-        SpanKind::AsyncAt,
-        SpanKind::CtlSpawn,
-        SpanKind::CtlTerm,
-        SpanKind::CtlWait,
-        SpanKind::StoreFetch,
-        SpanKind::StoreDelete,
-        SpanKind::SnapshotObj,
-        SpanKind::RestoreObj,
-        SpanKind::Step,
-        SpanKind::Checkpoint,
-        SpanKind::Restore,
-        SpanKind::KillPlace,
-        SpanKind::PlaceDied,
-        SpanKind::SpawnPlace,
-        SpanKind::PoolRun,
-        SpanKind::StoreSaveBatch,
-        SpanKind::CkptShip,
-        SpanKind::AtRemote,
-        SpanKind::AsyncTask,
-        SpanKind::TaskReplay,
-        SpanKind::TaskVote,
-        SpanKind::CkptEncode,
-        SpanKind::CkptDecode,
-    ];
-
-    /// Dotted display name (`"exec.restore"`, `"serial.encode"`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Encode => "serial.encode",
-            SpanKind::Decode => "serial.decode",
-            SpanKind::At => "apgas.at",
-            SpanKind::AsyncAt => "apgas.async_at",
-            SpanKind::CtlSpawn => "finish.ctl_spawn",
-            SpanKind::CtlTerm => "finish.ctl_term",
-            SpanKind::CtlWait => "finish.ctl_wait",
-            SpanKind::StoreFetch => "store.fetch",
-            SpanKind::StoreDelete => "store.delete_snapshot",
-            SpanKind::SnapshotObj => "object.snapshot",
-            SpanKind::RestoreObj => "object.restore",
-            SpanKind::Step => "exec.step",
-            SpanKind::Checkpoint => "exec.checkpoint",
-            SpanKind::Restore => "exec.restore",
-            SpanKind::KillPlace => "place.kill",
-            SpanKind::PlaceDied => "place.died",
-            SpanKind::SpawnPlace => "place.spawn",
-            SpanKind::PoolRun => "pool.run",
-            SpanKind::StoreSaveBatch => "store.save_batch",
-            SpanKind::CkptShip => "ckpt.ship",
-            SpanKind::AtRemote => "apgas.at_remote",
-            SpanKind::AsyncTask => "apgas.async_task",
-            SpanKind::TaskReplay => "task.replay",
-            SpanKind::TaskVote => "task.vote",
-            SpanKind::CkptEncode => "ckpt.encode",
-            SpanKind::CkptDecode => "ckpt.decode",
-        }
-    }
-
     fn from_u8(v: u8) -> Option<SpanKind> {
         SpanKind::ALL.get(v as usize).copied()
     }
@@ -611,9 +580,20 @@ impl Tracer {
         self.rings.read().iter().map(|r| r.dropped()).collect()
     }
 
-    /// Total events lost to ring wraparound across all places.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped().iter().sum()
+    /// Trace-ring overflow as a Prometheus family: events lost per place,
+    /// plus the flow halves suppressed at export. A nonzero value means a
+    /// consumer of the trace (critical path, forensics tail) saw an
+    /// incomplete record of the early run.
+    pub fn dropped_family(&self) -> Family {
+        let f = Family::new(
+            Kind::Counter,
+            "gml_trace_dropped_total",
+            "Trace events lost to ring wraparound, per place; the kind=\"flow_half\" \
+             series counts flow arrows suppressed at Chrome export because their \
+             start span had been overwritten.",
+        );
+        let f = self.dropped().into_iter().enumerate().fold(f, |f, (p, d)| f.labelled("place", p, d));
+        f.labelled("kind", "flow_half", self.flow_dropped())
     }
 
     /// Flow halves dropped at Chrome-export time because the matching start
@@ -647,12 +627,7 @@ impl Tracer {
     /// hand it to the receiving place as the causal parent.
     #[inline]
     pub fn instant(&self, place: u32, kind: SpanKind, arg: u64) -> u64 {
-        if !self.is_on() {
-            return 0;
-        }
-        let span = next_span_id();
-        self.emit(place, Phase::Instant, kind, 0, arg, self.now_nanos(), 0, span, current_span_id());
-        span
+        self.instant_labeled(place, kind, "", arg)
     }
 
     /// Record an instant event with a static label. Returns the instant's
@@ -905,12 +880,17 @@ pub fn prepare_out_path(path: &std::path::Path) -> bool {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escape a string for embedding in a JSON string literal (the Chrome
+/// trace's labels, the forensics bundles' strings).
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -1294,6 +1274,10 @@ mod tests {
         assert!(validate_json("{} extra").is_err());
         assert!(validate_json("{'a':1}").is_err());
         assert!(validate_chrome_trace("{\"traceEvents\":[]}").is_err());
+        // The escaper's output is a valid string literal, control chars too
+        // (quote, backslash, \n and \u0001 are pinned in gml-core's forensics).
+        assert_eq!(escape_json("\r\t"), "\\r\\t");
+        validate_json(&format!("\"{}\"", escape_json("q\"\\\n\r\t\u{1f}é"))).unwrap();
     }
 
     #[test]
@@ -1403,7 +1387,7 @@ mod tests {
         assert_eq!(dropped.len(), 2);
         assert_eq!(dropped[0], 24, "place 0 wrapped");
         assert_eq!(dropped[1], 0, "place 1 did not");
-        assert_eq!(tr.dropped_total(), 24);
+        assert_eq!(dropped.iter().sum::<u64>(), 24);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::metrics::{Family, Kind, Value};
 use crate::monitor::HealthSnapshot;
 use crate::sync::Mutex;
 use crate::trace::critical_path::IterProfile;
@@ -199,54 +200,41 @@ impl Watchdog {
         }
     }
 
-    /// Render the watchdog's Prometheus families: last-iteration
-    /// critical-path and straggler gauges plus cumulative anomaly counters.
-    pub fn render(&self, out: &mut String) {
+    /// The watchdog's Prometheus families: last-iteration critical-path,
+    /// straggler and EWMA gauges (once an iteration was observed) plus the
+    /// cumulative anomaly counters by kind.
+    pub fn families(&self) -> Vec<Family> {
         let r = self.report();
-        let push_family = |out: &mut String, name: &str, kind: &str, help: &str| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        };
+        let mut out = Vec::new();
         if let Some(last) = &r.last {
-            push_family(
-                out,
-                "gml_iter_critical_path_nanos",
-                "gauge",
-                "Critical-path duration of the most recent executor iteration.",
-            );
-            out.push_str(&format!("gml_iter_critical_path_nanos {}\n", last.critical_path_nanos));
-            push_family(
-                out,
-                "gml_straggler_ratio",
-                "gauge",
-                "Slowest/median per-place compute ratio of the most recent iteration.",
-            );
-            out.push_str(&format!("gml_straggler_ratio {:.4}\n", last.straggler_ratio));
-            push_family(
-                out,
-                "gml_iter_wall_ewma_nanos",
-                "gauge",
-                "EWMA of executor iteration wall time.",
-            );
-            out.push_str(&format!("gml_iter_wall_ewma_nanos {}\n", r.ewma_nanos));
+            for (name, help, v) in [
+                (
+                    "gml_iter_critical_path_nanos",
+                    "Critical-path duration of the most recent executor iteration.",
+                    Value::from(last.critical_path_nanos),
+                ),
+                (
+                    "gml_straggler_ratio",
+                    "Slowest/median per-place compute ratio of the most recent iteration.",
+                    Value::from(last.straggler_ratio),
+                ),
+                ("gml_iter_wall_ewma_nanos", "EWMA of executor iteration wall time.", r.ewma_nanos.into()),
+            ] {
+                out.push(Family::new(Kind::Gauge, name, help).value(v));
+            }
         }
-        push_family(
-            out,
+        let anomalies = Family::new(
+            Kind::Counter,
             "gml_watchdog_anomalies_total",
-            "counter",
             "Anomalies flagged by the performance watchdog, by kind.",
         );
-        out.push_str(&format!(
-            "gml_watchdog_anomalies_total{{kind=\"iter_regression\"}} {}\n",
-            r.regressions
-        ));
-        out.push_str(&format!(
-            "gml_watchdog_anomalies_total{{kind=\"backlog_growth\"}} {}\n",
-            r.backlog_alarms
-        ));
-        out.push_str(&format!(
-            "gml_watchdog_anomalies_total{{kind=\"memory_pressure\"}} {}\n",
-            r.mem_alarms
-        ));
+        out.push(
+            anomalies
+                .labelled("kind", "iter_regression", r.regressions)
+                .labelled("kind", "backlog_growth", r.backlog_alarms)
+                .labelled("kind", "memory_pressure", r.mem_alarms),
+        );
+        out
     }
 }
 
@@ -326,10 +314,9 @@ mod tests {
     fn render_emits_gauges_and_counters() {
         let w = Watchdog::new(0);
         w.observe_iteration(&profile(0, 2_000_000));
-        let mut out = String::new();
-        w.render(&mut out);
+        let out = crate::metrics::exposition(&w.families());
         assert!(out.contains("gml_iter_critical_path_nanos 1000000"));
-        assert!(out.contains("gml_straggler_ratio 1.5000"));
+        assert!(out.contains("gml_straggler_ratio 1.500000\n"));
         assert!(out.contains("gml_watchdog_anomalies_total{kind=\"iter_regression\"} 0"));
         assert!(out.contains("gml_watchdog_anomalies_total{kind=\"backlog_growth\"} 0"));
         assert!(out.contains("gml_watchdog_anomalies_total{kind=\"memory_pressure\"} 0"));

@@ -65,7 +65,9 @@ type ShipTask = Helper<(GmlResult<()>, Duration)>;
 /// Checkpoints are **two-phase**: `save` runs only the short synchronous
 /// *capture* phase (serialize under the object lock, owner-side inserts);
 /// the backup transfers, read off the resulting snapshot as [`ShipOrder`]s,
-/// run on a background thread — the *ship* phase. With overlap off (the
+/// run on background threads started by `commit` — the *ship* phase. They
+/// start only once every object is captured, so no capture competes with a
+/// ship for the places' CPUs. With overlap off (the
 /// default) `commit` is the barrier that drains this snapshot's own ships,
 /// failing atomically if one of them hit a dead place. With overlap on (the
 /// executor's default) `commit` promotes the snapshot optimistically and the
@@ -79,7 +81,9 @@ pub struct AppResilientStore {
     provisional: Option<AppSnapshot>,
     provisional_ships: Vec<ShipTask>,
     pending: Option<AppSnapshot>,
-    pending_ships: Vec<ShipTask>,
+    /// The pending snapshot's backup transfers, one list per saved object;
+    /// `commit` starts a ship thread for each.
+    pending_orders: Vec<Vec<ShipOrder>>,
     current_iteration: u64,
     /// When true, `commit` defers the ship barrier to the next settle point
     /// so backup transfers overlap with compute. Off by default so direct
@@ -174,7 +178,7 @@ impl AppResilientStore {
             provisional: None,
             provisional_ships: Vec::new(),
             pending: None,
-            pending_ships: Vec::new(),
+            pending_orders: Vec::new(),
             current_iteration: 0,
             overlap: false,
             deferred_error: None,
@@ -223,6 +227,7 @@ impl AppResilientStore {
 
     /// Begin a new application snapshot, discarding any uncommitted one.
     pub fn start_new_snapshot(&mut self) {
+        self.pending_orders.clear();
         self.pending = Some(AppSnapshot {
             iteration: self.current_iteration,
             map: HashMap::new(),
@@ -236,8 +241,8 @@ impl AppResilientStore {
     ///
     /// This is the **capture** phase only: the object serializes under its
     /// lock and inserts the owner copies through a capture-only handle; the
-    /// backup transfers its snapshot implies are handed to a background ship
-    /// thread before this method returns.
+    /// backup transfers its snapshot implies are queued for the ship thread
+    /// that [`commit`](Self::commit) starts.
     pub fn save(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
         self.capture(ctx, obj, self.store.capturing())
     }
@@ -264,7 +269,7 @@ impl AppResilientStore {
         let snap = result?;
         let orders = self.store.ship_orders(&snap);
         if !orders.is_empty() {
-            self.pending_ships.push(spawn_ship(ctx, &self.store, orders, self.ship_gate.clone()));
+            self.pending_orders.push(orders);
         }
         let pending = self.pending.as_mut().expect("checked on entry");
         pending.map.insert(obj.object_id(), snap);
@@ -326,12 +331,15 @@ impl AppResilientStore {
             .take()
             .ok_or_else(|| GmlError::shape("commit() before start_new_snapshot()"))?;
         pending.end_snap_id = self.store.peek_next_id();
+        let mut ships: Vec<ShipTask> = std::mem::take(&mut self.pending_orders)
+            .into_iter()
+            .map(|orders| spawn_ship(ctx, &self.store, orders, self.ship_gate.clone()))
+            .collect();
         if self.overlap {
             self.provisional = Some(pending);
-            self.provisional_ships = std::mem::take(&mut self.pending_ships);
+            self.provisional_ships = ships;
             return Ok(());
         }
-        let mut ships = std::mem::take(&mut self.pending_ships);
         if let Err(e) = drain_ships(&mut ships, &mut self.ship_time) {
             // Put the attempt back so cancel_snapshot can clean it up.
             self.pending = Some(pending);
@@ -420,11 +428,8 @@ impl AppResilientStore {
     /// reused read-only snapshots, which still belong to the committed one).
     pub fn cancel_snapshot(&mut self, ctx: &Ctx) {
         if let Some(pending) = self.pending.take() {
-            // Join this attempt's ship threads first: their orders reference
-            // the ids about to be deleted (execute_ship skips stale orders,
-            // but the join keeps deletion and shipping from racing).
-            let mut ships = std::mem::take(&mut self.pending_ships);
-            let _ = drain_ships(&mut ships, &mut self.ship_time);
+            // Its ships never started: their orders go with its entries.
+            self.pending_orders.clear();
             // Watermark delete: every id the attempt allocated, including
             // ids burned by saves that failed before their snapshot entered
             // the map — previously those leaked partial inventory.
@@ -831,6 +836,34 @@ mod tests {
             assert_eq!(store.snapshot_iteration(), Some(7), "drain settles the last one");
             store.restore(ctx, &mut [&mut v]).unwrap();
             assert_eq!(v.read_local(ctx).unwrap().as_slice(), &[2.0, 2.0]);
+        });
+    }
+
+    #[test]
+    fn backups_ship_after_the_commit_not_during_the_capture() {
+        run(2, |ctx| {
+            let g = ctx.world();
+            let mut store = AppResilientStore::make(ctx).unwrap();
+            let v = DistVector::make(ctx, 8, &g).unwrap();
+            v.init(ctx, |i| i as f64).unwrap();
+            let entries = |store: &AppResilientStore| -> usize {
+                store.store().inventory(ctx).iter().map(|i| i.entries).sum()
+            };
+
+            store.start_new_snapshot();
+            store.save(ctx, &v).unwrap();
+            // Long enough for a ship started by the save to have landed.
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(entries(&store), 2, "only the owner copies before the commit");
+            store.commit(ctx).unwrap();
+            assert_eq!(entries(&store), 4, "the commit ships one backup per block");
+
+            // A cancelled attempt's queued orders never run.
+            store.start_new_snapshot();
+            store.save(ctx, &v).unwrap();
+            store.cancel_snapshot(ctx);
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(entries(&store), 4, "the cancelled attempt left nothing");
         });
     }
 

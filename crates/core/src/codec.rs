@@ -36,10 +36,11 @@
 //! silently wrong data. The digest is error detection, not cryptography
 //! (see [`apgas::digest`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use apgas::digest::content_digest;
+use apgas::metrics::{Family, Kind};
 use apgas::pool;
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -81,54 +82,37 @@ const PACK_MIN_SAVING: usize = 4;
 // Process-global codec counters (logical vs wire bytes, frame mix, time).
 // ---------------------------------------------------------------------------
 
-static LOGICAL_BYTES: AtomicU64 = AtomicU64::new(0);
-static WIRE_BYTES: AtomicU64 = AtomicU64::new(0);
-static FRAMES_FULL: AtomicU64 = AtomicU64::new(0);
-static FRAMES_VERBATIM: AtomicU64 = AtomicU64::new(0);
-static ENCODE_NANOS: AtomicU64 = AtomicU64::new(0);
-static DECODE_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// A point-in-time view of the codec counters. Monotonic; subtract two with
-/// [`since`](CodecSnapshot::since) for an interval, exactly like
-/// `apgas::stats::StatsSnapshot`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CodecSnapshot {
-    /// Pre-codec (logical) payload bytes encoded.
-    pub logical_bytes: u64,
-    /// Post-codec (wire) frame bytes produced.
-    pub wire_bytes: u64,
-    /// Frames emitted (verbatim ones included).
-    pub frames_full: u64,
-    /// Frames emitted *verbatim*: packing would not pay, so the payload was
-    /// stored by reference instead of being copied into records.
-    pub frames_verbatim: u64,
-    /// Always 0: there are no delta frames. Retained because the end-to-end
-    /// benchmark reads it, until a benchmark-only change drops
-    /// `core.codec.frames_delta_share`.
-    pub frames_delta: u64,
-    /// Nanoseconds place threads were busy encoding frames, summed over the
-    /// places encoding concurrently — codec CPU time, which can exceed the
-    /// wall time of the checkpoint it was spent in.
-    pub encode_nanos: u64,
-    /// Nanoseconds place threads were busy decoding frames, summed over
-    /// places like `encode_nanos`.
-    pub decode_nanos: u64,
+apgas::counter_set! {
+    /// The codec counters themselves, bumped by [`encode_entry`] and [`decode_frame`].
+    pub(crate) struct CodecCounters;
+    /// A point-in-time view of the codec counters. Monotonic; subtract two
+    /// with [`since`](CodecSnapshot::since) for an interval, exactly like
+    /// `apgas::stats::StatsSnapshot`.
+    pub struct CodecSnapshot {
+        logical_bytes => "gml_ckpt_logical_bytes_total", "Pre-codec (logical) payload bytes encoded.";
+        wire_bytes => "gml_ckpt_wire_bytes_total", "Post-codec (wire) frame bytes produced.";
+        /// Verbatim frames included.
+        frames_full => "gml_ckpt_frames_total" { kind = "full" },
+            "Checkpoint frames emitted, by kind: full counts every frame, verbatim those kept by reference.";
+        /// Packing would not pay, so the payload was stored by reference
+        /// instead of being copied into records.
+        frames_verbatim => "gml_ckpt_frames_total" { kind = "verbatim" },
+            "Checkpoint frames emitted verbatim.";
+        /// Always 0: there are no delta frames. Retained because the
+        /// end-to-end benchmark reads it, until a benchmark-only change drops
+        /// `core.codec.frames_delta_share`.
+        frames_delta;
+        /// Summed over the places encoding concurrently — codec CPU time,
+        /// which can exceed the wall time of the checkpoint it was spent in.
+        encode_nanos => "gml_ckpt_encode_nanos_total", "Nanoseconds place threads spent encoding frames.";
+        /// Summed over places like `encode_nanos`.
+        decode_nanos => "gml_ckpt_decode_nanos_total", "Nanoseconds place threads spent decoding frames.";
+    }
 }
 
-impl CodecSnapshot {
-    /// Counter-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &CodecSnapshot) -> CodecSnapshot {
-        CodecSnapshot {
-            logical_bytes: self.logical_bytes - earlier.logical_bytes,
-            wire_bytes: self.wire_bytes - earlier.wire_bytes,
-            frames_full: self.frames_full - earlier.frames_full,
-            frames_verbatim: self.frames_verbatim - earlier.frames_verbatim,
-            frames_delta: 0,
-            encode_nanos: self.encode_nanos - earlier.encode_nanos,
-            decode_nanos: self.decode_nanos - earlier.decode_nanos,
-        }
-    }
+static COUNTERS: CodecCounters = CodecCounters::new();
 
+impl CodecSnapshot {
     /// Wire/logical ratio (1.0 when nothing was encoded yet).
     pub fn compression_ratio(&self) -> f64 {
         if self.logical_bytes == 0 {
@@ -141,34 +125,18 @@ impl CodecSnapshot {
 
 /// Read the process-global codec counters.
 pub fn counters() -> CodecSnapshot {
-    CodecSnapshot {
-        logical_bytes: LOGICAL_BYTES.load(Ordering::Relaxed),
-        wire_bytes: WIRE_BYTES.load(Ordering::Relaxed),
-        frames_full: FRAMES_FULL.load(Ordering::Relaxed),
-        frames_verbatim: FRAMES_VERBATIM.load(Ordering::Relaxed),
-        frames_delta: 0,
-        encode_nanos: ENCODE_NANOS.load(Ordering::Relaxed),
-        decode_nanos: DECODE_NANOS.load(Ordering::Relaxed),
-    }
+    COUNTERS.snapshot()
 }
 
-/// Render the `gml_ckpt_*` Prometheus families (registered alongside the
-/// `gml_store_*` gauges by `ResilientStore::register_monitor`).
-pub fn render_codec(out: &mut String) {
+/// The `gml_ckpt_*` Prometheus families: the counters plus their
+/// compression ratio (registered alongside the `gml_store_*` gauges by
+/// `ResilientStore::register_monitor`).
+pub fn families() -> Vec<Family> {
     let c = counters();
-    out.push_str("# TYPE gml_ckpt_logical_bytes_total counter\n");
-    out.push_str(&format!("gml_ckpt_logical_bytes_total {}\n", c.logical_bytes));
-    out.push_str("# TYPE gml_ckpt_wire_bytes_total counter\n");
-    out.push_str(&format!("gml_ckpt_wire_bytes_total {}\n", c.wire_bytes));
-    out.push_str("# TYPE gml_ckpt_frames_total counter\n");
-    out.push_str(&format!("gml_ckpt_frames_total{{kind=\"full\"}} {}\n", c.frames_full));
-    out.push_str(&format!("gml_ckpt_frames_total{{kind=\"verbatim\"}} {}\n", c.frames_verbatim));
-    out.push_str("# TYPE gml_ckpt_encode_nanos_total counter\n");
-    out.push_str(&format!("gml_ckpt_encode_nanos_total {}\n", c.encode_nanos));
-    out.push_str("# TYPE gml_ckpt_decode_nanos_total counter\n");
-    out.push_str(&format!("gml_ckpt_decode_nanos_total {}\n", c.decode_nanos));
-    out.push_str("# TYPE gml_ckpt_compression_ratio gauge\n");
-    out.push_str(&format!("gml_ckpt_compression_ratio {:.6}\n", c.compression_ratio()));
+    let ratio = Family::new(Kind::Gauge, "gml_ckpt_compression_ratio", "Wire/logical checkpoint bytes.");
+    let mut out = c.families();
+    out.push(ratio.value(c.compression_ratio()));
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -592,11 +560,11 @@ fn encode_in_parts(payload: &Bytes, chunk_size: usize, n_parts: usize) -> Encode
     let header_digest = content_digest(&head[DIGEST_COVERS_FROM..]);
     head[4..12].copy_from_slice(&header_digest.to_le_bytes());
 
-    LOGICAL_BYTES.fetch_add(payload.len() as u64, Ordering::Relaxed);
-    WIRE_BYTES.fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
-    FRAMES_FULL.fetch_add(1, Ordering::Relaxed);
-    FRAMES_VERBATIM.fetch_add(u64::from(verbatim), Ordering::Relaxed);
-    ENCODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    COUNTERS.logical_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
+    COUNTERS.wire_bytes.fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
+    COUNTERS.frames_full.fetch_add(1, Ordering::Relaxed);
+    COUNTERS.frames_verbatim.fetch_add(u64::from(verbatim), Ordering::Relaxed);
+    COUNTERS.encode_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     EncodeOutcome { head: head.freeze(), body }
 }
 
@@ -647,7 +615,7 @@ pub(crate) fn decode_frame(head: &[u8], body: &Bytes) -> Result<Bytes, String> {
         }
         out.freeze()
     };
-    DECODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    COUNTERS.decode_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     Ok(payload)
 }
 
@@ -963,8 +931,7 @@ mod tests {
         assert!(d.frames_full >= 2, "a verbatim frame is counted as a frame too");
         assert!(d.frames_verbatim >= 1 && d.frames_verbatim < d.frames_full);
         assert_eq!(d.frames_delta, 0);
-        let mut s = String::new();
-        render_codec(&mut s);
+        let s = apgas::metrics::exposition(&families());
         assert!(s.contains("gml_ckpt_wire_bytes_total"));
         assert!(s.contains("gml_ckpt_frames_total{kind=\"full\"}"));
         assert!(s.contains("gml_ckpt_frames_total{kind=\"verbatim\"}"));

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apgas::prelude::*;
-use apgas::trace::{critical_path, Phase};
+use apgas::trace::{critical_path, escape_json, Phase};
 
 use crate::snapshot::Snapshot;
 use crate::store::{PlaceInventory, RepairReport, ResilientStore, SnapshotAudit};
@@ -172,10 +172,10 @@ impl PostMortem {
              \"reason\":\"{}\",\"dead_places\":{},\"live_spares\":{},\
              \"places_spawned\":{},\"rolled_back_to\":{},\"attempt\":{},\
              \"expected_digest\":{},\"observed_digest\":{}}}",
-            esc(d.configured_mode),
-            esc(d.effective_label),
+            escape_json(d.configured_mode),
+            escape_json(d.effective_label),
             d.rebalance,
-            esc(&d.reason),
+            escape_json(&d.reason),
             json_u32s(&d.dead_places),
             json_u32s(&d.live_spares),
             json_u32s(&d.places_spawned),
@@ -263,8 +263,8 @@ impl PostMortem {
                 e.t_nanos,
                 e.dur_nanos,
                 e.place,
-                esc(e.kind.name()),
-                esc(e.label),
+                escape_json(e.kind.name()),
+                escape_json(e.label),
                 e.arg,
                 e.span_id,
                 e.parent_id,
@@ -303,7 +303,7 @@ impl PostMortem {
             }
             s.push_str(&format!(
                 "{{\"tag\":\"{}\",\"current\":{},\"high_water\":{},\"charges\":{}}}",
-                esc(t.tag.label()),
+                escape_json(t.tag.label()),
                 t.current,
                 t.high_water,
                 t.charges,
@@ -385,23 +385,6 @@ fn json_digest(d: Option<u64>) -> String {
 fn json_u32s(v: &[u32]) -> String {
     let items: Vec<String> = v.iter().map(|n| n.to_string()).collect();
     format!("[{}]", items.join(","))
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -570,7 +553,8 @@ mod tests {
 
     #[test]
     fn esc_handles_control_chars() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        // The bundles' strings go through the tracer's escaper.
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

@@ -58,7 +58,7 @@ pub use framework::{
 };
 pub use report::{fmt_bytes, CostReport, IterRow, RestoreCost};
 pub use snapshot::{Snapshot, Snapshottable};
-pub use store::{render_inventory, PlaceInventory, RepairReport, ResilientStore, SnapshotAudit};
+pub use store::{inventory_families, PlaceInventory, RepairReport, ResilientStore, SnapshotAudit};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

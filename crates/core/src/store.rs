@@ -57,6 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use apgas::metrics::{Family, Kind};
 use apgas::prelude::*;
 use apgas::serial::Serial;
 use apgas::sync::Mutex;
@@ -1332,8 +1333,8 @@ impl ResilientStore {
         let store = self.clone();
         let cx = ctx.clone();
         ctx.add_monitor_collector(move || {
-            let mut out = render_inventory(&store.inventory(&cx));
-            codec::render_codec(&mut out);
+            let mut out = inventory_families(&store.inventory(&cx));
+            out.extend(codec::families());
             out
         });
     }
@@ -1347,32 +1348,21 @@ pub(crate) fn wait_while_set(gate: Option<&AtomicBool>) {
     }
 }
 
-/// Render a store inventory as Prometheus text (`gml_store_*` families).
-pub fn render_inventory(inv: &[PlaceInventory]) -> String {
-    let mut out = String::new();
-    for (name, help, get) in [
-        (
-            "gml_store_place_alive",
-            "1 while the shard's place is alive.",
-            (|i: &PlaceInventory| u64::from(i.alive)) as fn(&PlaceInventory) -> u64,
-        ),
-        ("gml_store_entries", "Stored (snapshot, key) entries at the place.", |i| {
-            i.entries as u64
+/// A store inventory as Prometheus families (`gml_store_*` gauges).
+pub fn inventory_families(inv: &[PlaceInventory]) -> Vec<Family> {
+    Family::table("place", inv, |i| i.place.id().to_string(), &[
+        (Kind::Gauge, "gml_store_place_alive", "1 while the shard's place is alive.", |i| i.alive.into()),
+        (Kind::Gauge, "gml_store_entries", "Stored (snapshot, key) entries at the place.", |i| {
+            (i.entries as u64).into()
         }),
-        ("gml_store_snapshots", "Distinct snapshot ids present at the place.", |i| {
-            i.snapshots as u64
+        (Kind::Gauge, "gml_store_snapshots", "Distinct snapshot ids present at the place.", |i| {
+            (i.snapshots as u64).into()
         }),
-        ("gml_store_bytes", "Logical payload bytes held at the place.", |i| i.bytes),
-        ("gml_store_wire_bytes", "Wire (framed) bytes resident at the place.", |i| {
-            i.wire_bytes
+        (Kind::Gauge, "gml_store_bytes", "Logical payload bytes held at the place.", |i| i.bytes.into()),
+        (Kind::Gauge, "gml_store_wire_bytes", "Wire (framed) bytes resident at the place.", |i| {
+            i.wire_bytes.into()
         }),
-    ] {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-        for i in inv {
-            out.push_str(&format!("{name}{{place=\"{}\"}} {}\n", i.place.id(), get(i)));
-        }
-    }
-    out
+    ])
 }
 
 #[cfg(test)]
@@ -1952,7 +1942,7 @@ mod tests {
             assert_eq!(inv[1].entries, 2, "backup copies land at place 1");
             assert!(!inv[2].alive);
             assert_eq!(inv[2].entries, 0, "dead place reports zeroes");
-            let text = render_inventory(&inv);
+            let text = apgas::metrics::exposition(&inventory_families(&inv));
             assert!(text.contains("gml_store_entries{place=\"0\"} 2"));
             assert!(text.contains("gml_store_place_alive{place=\"2\"} 0"));
             assert!(text.contains("gml_store_bytes{place=\"0\"} 150"));

@@ -238,3 +238,142 @@ fn backup_death_mid_save_recovers_and_forensics_records_degraded_snapshot() {
 
     rt.shutdown();
 }
+
+/// A traced, monitored three-place executor run with the store's collector
+/// registered; returns the body of one scrape taken after it.
+fn monitored_scrape() -> String {
+    let rt = Runtime::new(RuntimeConfig::new(3).resilient(true).trace(true).monitor_port(0));
+    let addr = rt.monitor_addr().expect("monitor server must be up");
+    rt.exec(|ctx| {
+        let group = ctx.world();
+        let v = DupVector::make(ctx, 4, &group).unwrap();
+        let mut app =
+            CounterDrill { v, iters: 6, kill_at: u64::MAX, victim: Place::ZERO, fired: false };
+        let mut store = AppResilientStore::make(ctx).unwrap();
+        store.store().register_monitor(ctx);
+        let exec = ResilientExecutor::new(ExecutorConfig::new(2, RestoreMode::Shrink));
+        exec.run_reported(ctx, &mut app, &group, &mut store).unwrap();
+    })
+    .unwrap();
+    let response = scrape(addr);
+    rt.shutdown();
+    response.split_once("\r\n\r\n").expect("an HTTP head").1.to_string()
+}
+
+/// The `(name, type)` of every family in an exposition, in order, after
+/// checking its shape: each `# TYPE` has exactly one `# HELP` for the same
+/// name right before it, no family is declared twice, and every sample
+/// line belongs to the family declared last (a summary's `_sum` and
+/// `_count` included).
+fn checked_families(body: &str) -> Vec<(String, String)> {
+    let mut families: Vec<(String, String)> = Vec::new();
+    let mut help: Option<&str> = None;
+    for line in body.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            assert!(help.is_none(), "two HELP lines in a row: {line}");
+            help = Some(rest.split(' ').next().unwrap());
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE name kind");
+            assert_eq!(help.take(), Some(name), "TYPE {name} needs one HELP right before it");
+            assert!(families.iter().all(|(n, _)| n != name), "{name} declared twice");
+            families.push((name.to_string(), kind.to_string()));
+        } else {
+            assert!(help.is_none(), "HELP without TYPE before: {line}");
+            let (name, kind) = families.last().map(|(n, k)| (n.as_str(), k.as_str())).expect(line);
+            let metric = line.split(['{', ' ']).next().unwrap();
+            let own = metric == name
+                || kind == "summary"
+                    && (metric == format!("{name}_sum") || metric == format!("{name}_count"));
+            assert!(own, "sample {line:?} outside its family {name}");
+        }
+    }
+    families
+}
+
+#[test]
+fn every_family_in_a_scrape_has_one_help_and_owns_its_samples() {
+    let families = checked_families(&monitored_scrape());
+    assert!(families.len() > 40, "a full scrape, not an empty one: {families:?}");
+}
+
+/// Every family the monitor exposed when the metric declarations were made
+/// single-source, as `(name, type)` in scrape order. A family added,
+/// dropped or retyped is a change to the scrape's contract and must edit
+/// this list on purpose.
+const FAMILIES: [(&str, &str); 54] = [
+    ("gml_tasks_spawned_total", "counter"),
+    ("gml_at_calls_total", "counter"),
+    ("gml_ctl_spawns_total", "counter"),
+    ("gml_ctl_terms_total", "counter"),
+    ("gml_ctl_waits_total", "counter"),
+    ("gml_ctl_local_total", "counter"),
+    ("gml_bytes_shipped_total", "counter"),
+    ("gml_bytes_received_total", "counter"),
+    ("gml_encode_nanos_total", "counter"),
+    ("gml_decode_nanos_total", "counter"),
+    ("gml_failures_total", "counter"),
+    ("gml_places_spawned_total", "counter"),
+    ("gml_task_replays_total", "counter"),
+    ("gml_task_timeouts_total", "counter"),
+    ("gml_task_vote_mismatches_total", "counter"),
+    ("gml_place_up", "gauge"),
+    ("gml_place_mailbox_depth", "gauge"),
+    ("gml_place_tasks_dispatched_total", "counter"),
+    ("gml_place_tasks_completed_total", "counter"),
+    ("gml_place_anomaly", "gauge"),
+    ("gml_place_last_activity_age_seconds", "gauge"),
+    ("gml_span_latency_nanos", "summary"),
+    ("gml_pool_workers", "gauge"),
+    ("gml_pool_jobs_inline_total", "counter"),
+    ("gml_pool_jobs_parallel_total", "counter"),
+    ("gml_pool_chunks_total", "counter"),
+    ("gml_pool_busy_nanos_total", "counter"),
+    ("gml_mem_tag_bytes", "gauge"),
+    ("gml_mem_tag_high_water_bytes", "gauge"),
+    ("gml_mem_tag_charges_total", "counter"),
+    ("gml_mem_heap_bytes", "gauge"),
+    ("gml_mem_heap_peak_bytes", "gauge"),
+    ("gml_mem_heap_allocs_total", "counter"),
+    ("gml_arena_hits_total", "counter"),
+    ("gml_arena_misses_total", "counter"),
+    ("gml_arena_recycled_total", "counter"),
+    ("gml_arena_parked_bytes", "gauge"),
+    ("gml_arena_parked_high_water_bytes", "gauge"),
+    ("gml_trace_dropped_total", "counter"),
+    ("gml_iter_critical_path_nanos", "gauge"),
+    ("gml_straggler_ratio", "gauge"),
+    ("gml_iter_wall_ewma_nanos", "gauge"),
+    ("gml_watchdog_anomalies_total", "counter"),
+    ("gml_store_place_alive", "gauge"),
+    ("gml_store_entries", "gauge"),
+    ("gml_store_snapshots", "gauge"),
+    ("gml_store_bytes", "gauge"),
+    ("gml_store_wire_bytes", "gauge"),
+    ("gml_ckpt_logical_bytes_total", "counter"),
+    ("gml_ckpt_wire_bytes_total", "counter"),
+    ("gml_ckpt_frames_total", "counter"),
+    ("gml_ckpt_encode_nanos_total", "counter"),
+    ("gml_ckpt_decode_nanos_total", "counter"),
+    ("gml_ckpt_compression_ratio", "gauge"),
+];
+
+/// The only families whose samples are not integers.
+const FLOAT_FAMILIES: [&str; 3] =
+    ["gml_place_last_activity_age_seconds", "gml_straggler_ratio", "gml_ckpt_compression_ratio"];
+
+#[test]
+fn a_traced_monitored_run_exposes_exactly_the_pinned_families() {
+    let body = monitored_scrape();
+    let families = checked_families(&body);
+    let got: Vec<(&str, &str)> = families.iter().map(|(n, k)| (n.as_str(), k.as_str())).collect();
+    assert_eq!(got, FAMILIES, "the scrape's (name, type) families moved");
+    // Scrapers parse integer samples as u64: they must stay integers.
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        let (metric, value) = line.rsplit_once(' ').expect("sample value");
+        if FLOAT_FAMILIES.iter().any(|f| metric.starts_with(f)) {
+            assert!(value.parse::<f64>().is_ok(), "{line}");
+        } else {
+            assert!(value.parse::<u64>().is_ok(), "integer sample written as {value:?}: {line}");
+        }
+    }
+}
