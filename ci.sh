@@ -58,6 +58,15 @@ cargo test -q --test mem_plane a_read_only_object_is_stored_once -- --exact > /d
 # triplet list, from_triplets) — at every edge shape and at PageRank's and
 # GNMF's per-place shapes. The inputs of all four workloads are these bits.
 cargo test -q -p gml-matrix --lib builder > /dev/null
+# The same for the GEMMs' bounded panels: gemm and gemm_tn_acc must equal,
+# bit for bit, a transcription of the whole-operand packers they replaced
+# — at every edge shape and at GNMF's per-place shapes — and at those
+# shapes one call of gemm, gemm_tn_acc or mult_dup_into must raise the
+# heap's peak by less than 1 MiB, and mult_dup_into must leave each output
+# block's buffer where it was.
+cargo test -q -p gml-matrix --lib whole_operand_packing > /dev/null
+cargo test -q --test mem_plane a_gemm_packs_bounded_panels -- --exact > /dev/null
+cargo test -q --test mem_plane mult_dup_into_writes_into_its_output_blocks -- --exact > /dev/null
 
 echo "== task resilience (chaos drill + replica vote parity) =="
 # The combined chaos drill: one executor run absorbs a task panic (replayed

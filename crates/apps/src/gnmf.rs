@@ -23,7 +23,7 @@ use gml_core::{
     each_place, AppState, DistBlockMatrix, DupDenseMatrix, DupOperand, GmlResult,
     ResilientIterativeApp,
 };
-use gml_matrix::{builder, BlockData, DenseMatrix};
+use gml_matrix::{builder, BlockData, DenseMatrix, SparseCSR};
 
 use crate::reference;
 
@@ -156,13 +156,10 @@ impl Gnmf {
                 let wb = wset
                     .find(vb.bi, vb.bj)
                     .ok_or_else(|| gml_core::GmlError::shape("W block missing"))?;
-                // residual block = V_b − W_b · H
-                let mut prod = DenseMatrix::zeros(vb.rows(), h.cols());
-                wb.data.to_dense().gemm(1.0, &h, 0.0, &mut prod);
-                prod.scale(-1.0);
-                prod.cell_add(&vb.data.to_dense());
-                let sq: f64 = prod.as_slice().iter().map(|x| x * x).sum();
-                local.push((vb.bi, sq));
+                let (BlockData::Sparse(v), BlockData::Dense(w)) = (&vb.data, &wb.data) else {
+                    return Err(gml_core::GmlError::shape("V blocks must be sparse, W's dense"));
+                };
+                local.push((vb.bi, residual_sq(v, w, &h)));
             }
             Ok(local)
         })?;
@@ -192,6 +189,31 @@ impl Gnmf {
         }
         Ok((app.objective(ctx)?, times))
     }
+}
+
+/// Rows of the residual [`residual_sq`] forms at a time.
+const RESIDUAL_PANEL: usize = 256;
+
+/// `‖V_b − W_b·H‖²_F` for one block, one `RESIDUAL_PANEL`-row panel at a
+/// time: the panel's rows of `W_b` times `H`, less `V_b`'s entries in
+/// those rows, squared and summed. Scratch is one panel of `W_b` and one
+/// of the residual; no dense copy of `V_b` or `W_b` is made.
+fn residual_sq(v: &SparseCSR, w: &DenseMatrix, h: &DenseMatrix) -> f64 {
+    let rows = w.rows();
+    let mut sum = 0.0;
+    for r0 in (0..rows).step_by(RESIDUAL_PANEL) {
+        let r1 = (r0 + RESIDUAL_PANEL).min(rows);
+        let mut panel = DenseMatrix::zeros(r1 - r0, h.cols());
+        w.sub_matrix(r0, r1, 0, w.cols()).gemm(1.0, h, 0.0, &mut panel);
+        for i in r0..r1 {
+            let (cols, vals) = v.row(i);
+            for (&j, &x) in cols.iter().zip(vals) {
+                panel.col_mut(j)[i - r0] -= x;
+            }
+        }
+        sum += panel.as_slice().iter().map(|x| x * x).sum::<f64>();
+    }
+    sum
 }
 // ===== TABLE2 NONRESILIENT END =====
 
@@ -302,6 +324,40 @@ mod tests {
                 w.max_abs_diff(&wr)
             );
             assert!(h.max_abs_diff(&hr) < 1e-8);
+        })
+        .unwrap();
+    }
+
+    /// The objective as it was formed before panels: each block's whole
+    /// residual, from dense copies of `V_b` and `W_b`.
+    fn objective_from_dense_copies(app: &Gnmf, ctx: &Ctx) -> f64 {
+        let (v, w) = (app.v.gather_dense(ctx).unwrap(), app.w.gather_dense(ctx).unwrap());
+        let h = app.h.local(ctx).unwrap().lock().clone();
+        let per_place = app.cfg.rows_per_place;
+        (0..v.rows() / per_place)
+            .map(|b| {
+                let (r0, r1) = (b * per_place, (b + 1) * per_place);
+                let mut prod = DenseMatrix::zeros(per_place, h.cols());
+                w.sub_matrix(r0, r1, 0, w.cols()).gemm(1.0, &h, 0.0, &mut prod);
+                prod.scale(-1.0);
+                prod.cell_add(&v.sub_matrix(r0, r1, 0, v.cols()));
+                prod.as_slice().iter().map(|x| x * x).sum::<f64>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn objective_by_panels_matches_dense_copies() {
+        Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+            // Blocks of 2½ panels, so a short last panel too.
+            let cfg = GnmfConfig { rows_per_place: 5 * RESIDUAL_PANEL / 2, ..small_cfg() };
+            let mut app = Gnmf::make(ctx, cfg, &ctx.world()).unwrap();
+            for step in 0..3 {
+                let got = app.objective(ctx).unwrap();
+                let want = objective_from_dense_copies(&app, ctx);
+                assert!((got - want).abs() <= 1e-12 * want.abs(), "step {step}: {got} vs {want}");
+                app.iterate_once(ctx).unwrap();
+            }
         })
         .unwrap();
     }

@@ -73,8 +73,8 @@ fn main() {
     report("gemm_tn_acc", gc.as_slice());
 
     // Packed-panel gemm with K crossing the KC = 256 cache block and no
-    // dimension a multiple of any tile size — exercises the pack-once-A /
-    // per-chunk-B path across several NR-aligned column chunks.
+    // dimension a multiple of any tile size — exercises the per-chunk A
+    // and B panels across several NR-aligned column chunks.
     let ka = builder::random_dense(130, 517, 113);
     let kb = builder::random_dense(517, 93, 114);
     let mut kc = DenseMatrix::from_vec(130, 93, vec![1.0; 130 * 93]);
@@ -93,4 +93,21 @@ fn main() {
     let mut z = v.clone();
     z.axpy(0.75, &w);
     report("axpy", z.as_slice());
+
+    // GNMF's per-place products: V·Hᵀ written into a block that already
+    // holds values, W·(H·Hᵀ) with A packed in MC-row blocks, and the WᵀW
+    // partial with Aᵀ packed one KC block of the 20 000 rows at a time.
+    let gv = builder::random_csr(20_000, 400, 10, 115);
+    let ght = builder::random_dense(400, 32, 116);
+    let mut vht = DenseMatrix::from_vec(20_000, 32, vec![1.0; 20_000 * 32]);
+    gv.spmm_into(&ght, &mut vht);
+    report("csr_spmm_into_gnmf", vht.as_slice());
+    let gw = builder::random_dense(20_000, 32, 117);
+    let ghh = builder::random_dense(32, 32, 118);
+    let mut whh = DenseMatrix::from_vec(20_000, 32, vec![1.0; 20_000 * 32]);
+    gw.gemm(1.0, &ghh, 0.0, &mut whh);
+    report("gemm_gnmf", whh.as_slice());
+    let mut wtw = DenseMatrix::zeros(32, 32);
+    gw.gemm_tn_acc(&whh, &mut wtw);
+    report("gemm_tn_acc_gnmf", wtw.as_slice());
 }

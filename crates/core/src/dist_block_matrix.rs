@@ -400,7 +400,8 @@ impl DistBlockMatrix {
     /// `out = self × f(D)` where `D` is a duplicated dense matrix and
     /// `f(D)` is `D`, `Dᵀ` or `D·Dᵀ` per `operand`. Entirely local to each
     /// place (the duplicated operand is available everywhere) — GNMF's
-    /// `V·Hᵀ` and `W·(H·Hᵀ)`.
+    /// `V·Hᵀ` and `W·(H·Hᵀ)`. Each product is written into the output
+    /// block's own buffer; a block of another shape is replaced.
     pub fn mult_dup_into(
         &self,
         ctx: &Ctx,
@@ -452,18 +453,20 @@ impl DistBlockMatrix {
             let so = o.local(ctx)?;
             let mut so = so.lock();
             for ba in sa.iter() {
-                let product = match &ba.data {
-                    BlockData::Dense(m) => {
-                        let mut c = DenseMatrix::zeros(m.rows(), rhs.cols());
-                        m.gemm(1.0, &rhs, 0.0, &mut c);
-                        c
-                    }
-                    BlockData::Sparse(s) => s.spmm(&rhs),
-                };
                 let slot = so.find_mut(ba.bi, ba.bj).ok_or_else(|| {
                     GmlError::data_loss(format!("output block ({},{}) missing", ba.bi, ba.bj))
                 })?;
-                slot.data = BlockData::Dense(product);
+                // The product overwrites the output block where it stands;
+                // only a block of another shape gets a new buffer.
+                let shape = (ba.rows(), rhs.cols());
+                if !matches!(&slot.data, BlockData::Dense(c) if (c.rows(), c.cols()) == shape) {
+                    slot.data = BlockData::Dense(DenseMatrix::zeros(shape.0, shape.1));
+                }
+                let BlockData::Dense(c) = &mut slot.data else { unreachable!("made dense above") };
+                match &ba.data {
+                    BlockData::Dense(m) => m.gemm(1.0, &rhs, 0.0, c),
+                    BlockData::Sparse(s) => s.spmm_into(&rhs, c),
+                }
             }
             Ok(())
         })

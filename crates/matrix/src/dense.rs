@@ -8,29 +8,40 @@
 //! `*_reference` scalar twin (the historical serial loop) as the numeric
 //! oracle for the property tests and the `kernel_reference` CI bin.
 
+use std::ops::Range;
+
 use apgas::pool;
 use apgas::serial::{read_f64_vec, write_f64_slice, Serial};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::microkernel::{self, GEMV_COLS, KC, MR, NR};
+use crate::microkernel::{self, GEMV_COLS, KC, MC, MR, NR};
 use crate::tile;
 use crate::vector::Vector;
 use crate::{apply_beta, beta_combine, debug_check_finite, min_chunk_items};
 
-/// Stream one packed A block (`MR`-row strips) against one packed B panel
-/// (`NR`-column strips) through the register microkernel, accumulating into
-/// the column-major chunk `sub` (`m` rows × `nc` columns). Shared by
+/// Stream one packed A block (`MR`-row strips of C's rows `rows`) against
+/// one packed B panel (`NR`-column strips) through the register
+/// microkernel, accumulating into the column-major chunk `sub` (leading
+/// dimension `ldc`, as many columns as the panel packs). Shared by
 /// [`DenseMatrix::gemm`] and [`DenseMatrix::gemm_tn_acc`].
-fn microkernel_block(pa_block: &[f64], pb_panel: &[f64], kb: usize, m: usize, nc: usize, sub: &mut [f64]) {
+fn microkernel_block(
+    pa_block: &[f64],
+    pb_panel: &[f64],
+    kb: usize,
+    ldc: usize,
+    rows: Range<usize>,
+    sub: &mut [f64],
+) {
+    let nc = sub.len() / ldc;
     for (t, pbs) in pb_panel.chunks_exact(kb * NR).enumerate() {
         let j0 = t * NR;
         let jw = (nc - j0).min(NR);
         for (s, pas) in pa_block.chunks_exact(kb * MR).enumerate() {
-            let i0 = s * MR;
-            let iw = (m - i0).min(MR);
+            let i0 = rows.start + s * MR;
+            let iw = (rows.end - i0).min(MR);
             let acc = microkernel::gemm_mr_nr(pas, pbs);
             for (jj, accj) in acc.iter().enumerate().take(jw) {
-                let cj = &mut sub[(j0 + jj) * m + i0..][..iw];
+                let cj = &mut sub[(j0 + jj) * ldc + i0..][..iw];
                 for (cv, &av) in cj.iter_mut().zip(accj) {
                     *cv += av;
                 }
@@ -271,12 +282,15 @@ impl DenseMatrix {
 
     /// `C = alpha * A * B + beta * C` (`beta == 0` assigns, BLAS-style;
     /// `alpha == 0` reads neither `A` nor `B`). Packed-panel cache
-    /// blocking: A is packed once into `MR`-row strips shared read-only by
-    /// every chunk; each column chunk packs its own alpha-folded
-    /// `NR`-column B panels per `KC` K-block into a zeroed scratch `Vec`
-    /// and streams them through the register microkernel. Column
-    /// chunks fan out onto the compute pool on `NR`-aligned boundaries, a
-    /// pure function of the shape, so worker-count parity is untouched.
+    /// blocking: column chunks of C fan out onto the compute pool on
+    /// `NR`-aligned boundaries, a pure function of the shape. Per `KC`
+    /// K-block a chunk packs its alpha-folded `NR`-column B panel, then
+    /// packs A one `MC`-row block at a time, straight from A, and streams
+    /// each block over the panel through the register microkernel. The
+    /// pack scratch is two zeroed `Vec`s per chunk, `MC × KC` and
+    /// `KC × nc` doubles, whatever the height of A. Every C element gets
+    /// its K-blocks in ascending order, so the blocking and the chunking
+    /// leave every bit as it is.
     pub fn gemm(&self, alpha: f64, b: &DenseMatrix, beta: f64, c: &mut DenseMatrix) {
         assert_eq!(self.cols, b.rows, "gemm inner dimension");
         assert_eq!(c.rows, self.rows, "gemm C rows");
@@ -291,13 +305,7 @@ impl DenseMatrix {
         if m == 0 || ccols == 0 {
             return;
         }
-        let strips_a = m.div_ceil(MR);
-        let mut pa = vec![0.0; strips_a * MR * kk];
-        for k0 in (0..kk).step_by(KC) {
-            let kb = KC.min(kk - k0);
-            let block = &mut pa[strips_a * MR * k0..][..strips_a * MR * kb];
-            tile::pack_a_strips(&self.data, m, k0, kb, block);
-        }
+        let mc = MC.min(m.div_ceil(MR) * MR);
         let n = pool::chunk_count_granular(ccols, min_chunk_items(kk * m), NR);
         pool::run_split(
             &mut c.data,
@@ -311,13 +319,18 @@ impl DenseMatrix {
                 let nc = r.len();
                 apply_beta(beta, sub);
                 let strips_b = nc.div_ceil(NR);
+                let mut pa = vec![0.0; mc * KC.min(kk)];
                 let mut pb = vec![0.0; strips_b * NR * KC.min(kk)];
                 for k0 in (0..kk).step_by(KC) {
                     let kb = KC.min(kk - k0);
                     let pbuf = &mut pb[..strips_b * NR * kb];
                     tile::pack_b_strips(&b.data, kk, r.start, nc, k0, kb, alpha, pbuf);
-                    let pa_block = &pa[strips_a * MR * k0..][..strips_a * MR * kb];
-                    microkernel_block(pa_block, pbuf, kb, m, nc, sub);
+                    for i0 in (0..m).step_by(MC) {
+                        let mb = MC.min(m - i0);
+                        let pa_block = &mut pa[..mb.div_ceil(MR) * MR * kb];
+                        tile::pack_a_strips(&self.data, m, i0, mb, k0, kb, pa_block);
+                        microkernel_block(pa_block, pbuf, kb, m, i0..i0 + mb, sub);
+                    }
                 }
             },
         );
@@ -394,11 +407,14 @@ impl DenseMatrix {
 
     /// `C += selfᵀ * B` where `self` is m×k, `B` is m×n and `C` is k×n —
     /// the partial-Gram product at the heart of distributed `WᵀV`/`WᵀW`.
-    /// Transpose-packs `selfᵀ` once into `MR`-row strips (contiguous reads
-    /// down A's columns) and drives the same register microkernel as
-    /// [`gemm`], accumulating K-blocks into `C` in ascending order. Column
-    /// chunks of `C` fan out onto the compute pool on `NR`-aligned
-    /// boundaries, a pure function of the shape.
+    /// Column chunks of `C` fan out onto the compute pool on `NR`-aligned
+    /// boundaries, a pure function of the shape. Per `KC` block of the
+    /// reduction a chunk transpose-packs that block of `selfᵀ` into
+    /// `MR`-row strips (contiguous reads down A's columns) and its B panel,
+    /// and drives the same register microkernel as [`gemm`], accumulating
+    /// K-blocks into `C` in ascending order. The pack scratch is two zeroed
+    /// `Vec`s per chunk, `k × KC` and `KC × nc` doubles, whatever the
+    /// reduction length.
     pub fn gemm_tn_acc(&self, b: &DenseMatrix, c: &mut DenseMatrix) {
         assert_eq!(self.rows, b.rows, "gemm_tn inner dimension");
         assert_eq!(c.rows, self.cols, "gemm_tn C rows");
@@ -410,12 +426,6 @@ impl DenseMatrix {
             return;
         }
         let strips_a = mt.div_ceil(MR);
-        let mut pa = vec![0.0; strips_a * MR * kdim];
-        for k0 in (0..kdim).step_by(KC) {
-            let kb = KC.min(kdim - k0);
-            let block = &mut pa[strips_a * MR * k0..][..strips_a * MR * kb];
-            tile::pack_at_strips(&self.data, kdim, mt, k0, kb, block);
-        }
         let n = pool::chunk_count_granular(ccols, min_chunk_items(kdim * mt), NR);
         pool::run_split(
             &mut c.data,
@@ -428,13 +438,15 @@ impl DenseMatrix {
                 let r = pool::chunk_range_granular(ccols, n, i, NR);
                 let nc = r.len();
                 let strips_b = nc.div_ceil(NR);
+                let mut pa = vec![0.0; strips_a * MR * KC.min(kdim)];
                 let mut pb = vec![0.0; strips_b * NR * KC.min(kdim)];
                 for k0 in (0..kdim).step_by(KC) {
                     let kb = KC.min(kdim - k0);
+                    let pa_block = &mut pa[..strips_a * MR * kb];
+                    tile::pack_at_strips(&self.data, kdim, mt, k0, kb, pa_block);
                     let pbuf = &mut pb[..strips_b * NR * kb];
                     tile::pack_b_strips(&b.data, kdim, r.start, nc, k0, kb, 1.0, pbuf);
-                    let pa_block = &pa[strips_a * MR * k0..][..strips_a * MR * kb];
-                    microkernel_block(pa_block, pbuf, kb, mt, nc, sub);
+                    microkernel_block(pa_block, pbuf, kb, mt, 0..mt, sub);
                 }
             },
         );
@@ -625,6 +637,182 @@ mod tests {
         a.gemm_tn_acc(&b, &mut c);
         expect.scale(2.0);
         assert!(c.max_abs_diff(&expect) < 1e-12);
+    }
+
+    /// The kernels as they packed before bounded panels: `gemm` packed the
+    /// whole of A once, shared by every column chunk, and `gemm_tn_acc`
+    /// the whole of Aᵀ, for the full reduction length. Transcribed here as
+    /// the bit-for-bit oracle for the bounded-panel kernels.
+    mod whole_operand_packing {
+        use super::*;
+        use crate::builder;
+
+        fn microkernel_block(
+            pa_block: &[f64],
+            pb_panel: &[f64],
+            kb: usize,
+            m: usize,
+            nc: usize,
+            sub: &mut [f64],
+        ) {
+            for (t, pbs) in pb_panel.chunks_exact(kb * NR).enumerate() {
+                let j0 = t * NR;
+                let jw = (nc - j0).min(NR);
+                for (s, pas) in pa_block.chunks_exact(kb * MR).enumerate() {
+                    let i0 = s * MR;
+                    let iw = (m - i0).min(MR);
+                    let acc = microkernel::gemm_mr_nr(pas, pbs);
+                    for (jj, accj) in acc.iter().enumerate().take(jw) {
+                        let cj = &mut sub[(j0 + jj) * m + i0..][..iw];
+                        for (cv, &av) in cj.iter_mut().zip(accj) {
+                            *cv += av;
+                        }
+                    }
+                }
+            }
+        }
+
+        fn gemm(a: &DenseMatrix, alpha: f64, b: &DenseMatrix, beta: f64, c: &mut DenseMatrix) {
+            let (m, kk, ccols) = (a.rows, a.cols, c.cols);
+            if alpha == 0.0 || kk == 0 {
+                apply_beta(beta, &mut c.data);
+                return;
+            }
+            if m == 0 || ccols == 0 {
+                return;
+            }
+            let strips_a = m.div_ceil(MR);
+            let mut pa = vec![0.0; strips_a * MR * kk];
+            for k0 in (0..kk).step_by(KC) {
+                let kb = KC.min(kk - k0);
+                let block = &mut pa[strips_a * MR * k0..][..strips_a * MR * kb];
+                tile::pack_a_strips(&a.data, m, 0, m, k0, kb, block);
+            }
+            let n = pool::chunk_count_granular(ccols, min_chunk_items(kk * m), NR);
+            pool::run_split(
+                &mut c.data,
+                n,
+                |i| {
+                    let r = pool::chunk_range_granular(ccols, n, i, NR);
+                    r.start * m..r.end * m
+                },
+                |i, sub| {
+                    let r = pool::chunk_range_granular(ccols, n, i, NR);
+                    let nc = r.len();
+                    apply_beta(beta, sub);
+                    let strips_b = nc.div_ceil(NR);
+                    let mut pb = vec![0.0; strips_b * NR * KC.min(kk)];
+                    for k0 in (0..kk).step_by(KC) {
+                        let kb = KC.min(kk - k0);
+                        let pbuf = &mut pb[..strips_b * NR * kb];
+                        tile::pack_b_strips(&b.data, kk, r.start, nc, k0, kb, alpha, pbuf);
+                        let pa_block = &pa[strips_a * MR * k0..][..strips_a * MR * kb];
+                        microkernel_block(pa_block, pbuf, kb, m, nc, sub);
+                    }
+                },
+            );
+        }
+
+        fn gemm_tn_acc(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
+            let (kdim, mt, ccols) = (a.rows, a.cols, c.cols);
+            if kdim == 0 || mt == 0 || ccols == 0 {
+                return;
+            }
+            let strips_a = mt.div_ceil(MR);
+            let mut pa = vec![0.0; strips_a * MR * kdim];
+            for k0 in (0..kdim).step_by(KC) {
+                let kb = KC.min(kdim - k0);
+                let block = &mut pa[strips_a * MR * k0..][..strips_a * MR * kb];
+                tile::pack_at_strips(&a.data, kdim, mt, k0, kb, block);
+            }
+            let n = pool::chunk_count_granular(ccols, min_chunk_items(kdim * mt), NR);
+            pool::run_split(
+                &mut c.data,
+                n,
+                |i| {
+                    let r = pool::chunk_range_granular(ccols, n, i, NR);
+                    r.start * mt..r.end * mt
+                },
+                |i, sub| {
+                    let r = pool::chunk_range_granular(ccols, n, i, NR);
+                    let nc = r.len();
+                    let strips_b = nc.div_ceil(NR);
+                    let mut pb = vec![0.0; strips_b * NR * KC.min(kdim)];
+                    for k0 in (0..kdim).step_by(KC) {
+                        let kb = KC.min(kdim - k0);
+                        let pbuf = &mut pb[..strips_b * NR * kb];
+                        tile::pack_b_strips(&b.data, kdim, r.start, nc, k0, kb, 1.0, pbuf);
+                        let pa_block = &pa[strips_a * MR * k0..][..strips_a * MR * kb];
+                        microkernel_block(pa_block, pbuf, kb, mt, nc, sub);
+                    }
+                },
+            );
+        }
+
+        fn bits(c: &DenseMatrix) -> Vec<u64> {
+            c.as_slice().iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// `(m, k, n)` of `A (m×k) · B (k×n)`, each with the `(alpha, beta)`
+        /// pairs it runs: m below `MR`, not a multiple of `MR`, and above
+        /// `MC` but not a multiple of it; K crossing `KC`; column counts
+        /// off `NR`; and GNMF's per-place `W · (H·Hᵀ)`, 20 000 × 32 · 32 × 32,
+        /// as GNMF calls it.
+        const GEMM_SHAPES: [(usize, usize, usize); 7] = [
+            (5, 9, 3),
+            (37, 300, 7),
+            (600, 517, 13),
+            (MC, KC, NR),
+            (2 * MC + 1, 2 * KC + 1, 2 * NR + 1),
+            (1, 1, 1),
+            (20_000, 32, 32),
+        ];
+        const SCALINGS: [(f64, f64); 4] = [(1.0, 0.0), (1.1, 0.5), (-0.75, 0.0), (1.0, 0.5)];
+
+        #[test]
+        fn gemm_is_bit_identical() {
+            for (seed, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
+                let seed = 10 * seed as u64;
+                let a = builder::random_dense(m, k, seed + 1);
+                let b = builder::random_dense(k, n, seed + 2);
+                let c0 = builder::random_dense(m, n, seed + 3);
+                let scalings = if m == 20_000 { &SCALINGS[..1] } else { &SCALINGS[..] };
+                for &(alpha, beta) in scalings {
+                    let (mut got, mut want) = (c0.clone(), c0.clone());
+                    a.gemm(alpha, &b, beta, &mut got);
+                    gemm(&a, alpha, &b, beta, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} alpha {alpha} beta {beta}");
+                }
+            }
+        }
+
+        /// `(m, k, n)` of `C (k×n) += Aᵀ (k×m) · B (m×n)`: the reduction
+        /// length m within, at and across `KC`; k below, off and at `MR`;
+        /// n off `NR`; and GNMF's per-place `WᵀW`, 20 000 × 32ᵀ · 20 000 × 32.
+        const GEMM_TN_SHAPES: [(usize, usize, usize); 6] = [
+            (9, 5, 3),
+            (KC, MR, NR),
+            (300, 37, 7),
+            (1_000, 13, 93),
+            (2 * KC + 1, 2 * MR + 1, 2 * NR + 1),
+            (20_000, 32, 32),
+        ];
+
+        #[test]
+        fn gemm_tn_acc_is_bit_identical() {
+            for (seed, &(m, k, n)) in GEMM_TN_SHAPES.iter().enumerate() {
+                let seed = 10 * seed as u64 + 100;
+                let a = builder::random_dense(m, k, seed + 1);
+                let b = builder::random_dense(m, n, seed + 2);
+                // Into zeros, then accumulated onto a non-zero C.
+                for c0 in [DenseMatrix::zeros(k, n), builder::random_dense(k, n, seed + 3)] {
+                    let (mut got, mut want) = (c0.clone(), c0);
+                    a.gemm_tn_acc(&b, &mut got);
+                    gemm_tn_acc(&a, &b, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{m}x{k}ᵀ · {m}x{n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,10 @@ pub(crate) const NR: usize = 4;
 /// K-dimension cache-block length: one packed B strip (`KC × NR` doubles)
 /// stays L1-resident while the microkernel streams A strips over it.
 pub(crate) const KC: usize = 256;
+/// M-dimension cache-block length of [`DenseMatrix::gemm`](crate::DenseMatrix::gemm):
+/// A is packed `MC × KC` at a time (512 KiB at most), so the pack scratch
+/// does not grow with the tall dimension. A multiple of `MR`.
+pub(crate) const MC: usize = 256;
 /// Accumulator lanes for the vector reductions (`dot`/`sum`).
 pub(crate) const LANES: usize = 8;
 /// Columns per register-blocked GEMV pass.

@@ -230,20 +230,28 @@ impl SparseCSR {
         y
     }
 
-    /// Sparse × dense: `self (m×n) * B (n×k) → m×k` dense. Every output
-    /// element is an independent sparse dot product; each output column is
-    /// contiguous, so row chunks within each column fan out onto the
-    /// compute pool bit-identically.
+    /// Sparse × dense: `self (m×n) * B (n×k) → m×k` dense, in a new
+    /// matrix; [`spmm_into`](Self::spmm_into) writes into one the caller
+    /// holds.
     pub fn spmm(&self, b: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(self.rows, b.cols());
+        self.spmm_into(b, &mut out);
+        out
+    }
+
+    /// `out = self (m×n) * B (n×k)`, overwriting every element of the m×k
+    /// `out`. Every output element is an independent sparse dot product;
+    /// each output column is contiguous, so row chunks within each column
+    /// fan out onto the compute pool bit-identically.
+    pub fn spmm_into(&self, b: &DenseMatrix, out: &mut DenseMatrix) {
         assert_eq!(self.cols, b.rows(), "spmm inner dimension");
+        assert_eq!((out.rows(), out.cols()), (self.rows, b.cols()), "spmm output shape");
         debug_check_finite("spmm: A", &self.values);
         debug_check_finite("spmm: B", b.as_slice());
-        let k = b.cols();
-        let mut out = DenseMatrix::zeros(self.rows, k);
         let rows = self.rows;
         let nnz_per_row = self.nnz() / rows.max(1);
         let n = pool::chunk_count(rows, min_chunk_items(nnz_per_row));
-        for kk in 0..k {
+        for kk in 0..b.cols() {
             let bcol = b.col(kk);
             pool::run_split(out.col_mut(kk), n, |i| pool::chunk_range(rows, n, i), |i, sub| {
                 let r = pool::chunk_range(rows, n, i);
@@ -253,7 +261,6 @@ impl SparseCSR {
                 }
             });
         }
-        out
     }
 
     /// Transposed sparse × dense: `selfᵀ (n×m) * B (m×k) → n×k` dense —
@@ -465,6 +472,15 @@ mod tests {
         let mut expect = DenseMatrix::zeros(3, 2);
         a.to_dense().gemm(1.0, &b, 0.0, &mut expect);
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn spmm_into_overwrites_every_element() {
+        let a = example();
+        let b = DenseMatrix::from_rows(&[&[1.0, 2.0], &[0.5, -1.0], &[3.0, 0.0], &[-2.0, 1.5]]);
+        let mut out = DenseMatrix::from_vec(3, 2, vec![f64::NAN; 6]);
+        a.spmm_into(&b, &mut out);
+        assert_eq!(out, a.spmm(&b));
     }
 
     #[test]

@@ -8,19 +8,27 @@
 
 use crate::microkernel::{MR, NR};
 
-/// Pack rows of the column-major matrix `a` (`m` rows) for the K-block
-/// `k0..k0 + kb` into `MR`-row strips:
-/// `out[s*kb*MR + p*MR + i] = a[s*MR + i, k0 + p]`, with rows beyond `m`
-/// zero-padded so the microkernel never branches on the edge. `out` must
-/// hold exactly `m.div_ceil(MR) * kb * MR` doubles.
-pub(crate) fn pack_a_strips(a: &[f64], m: usize, k0: usize, kb: usize, out: &mut [f64]) {
-    let strips = m.div_ceil(MR);
+/// Pack rows `i0..i0 + mb` of the column-major matrix `a` (leading
+/// dimension `lda`) for the K-block `k0..k0 + kb` into `MR`-row strips:
+/// `out[s*kb*MR + p*MR + i] = a[i0 + s*MR + i, k0 + p]`, with rows beyond
+/// the panel zero-padded so the microkernel never branches on the edge.
+/// `out` must hold exactly `mb.div_ceil(MR) * kb * MR` doubles.
+pub(crate) fn pack_a_strips(
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    mb: usize,
+    k0: usize,
+    kb: usize,
+    out: &mut [f64],
+) {
+    let strips = mb.div_ceil(MR);
     debug_assert_eq!(out.len(), strips * kb * MR);
     for (s, strip) in out.chunks_exact_mut(kb * MR).enumerate() {
-        let i0 = s * MR;
-        let iw = (m - i0).min(MR);
+        let r0 = i0 + s * MR;
+        let iw = (mb - s * MR).min(MR);
         for (p, dst) in strip.chunks_exact_mut(MR).enumerate() {
-            let col = &a[(k0 + p) * m + i0..][..iw];
+            let col = &a[(k0 + p) * lda + r0..][..iw];
             dst[..iw].copy_from_slice(col);
             for v in &mut dst[iw..] {
                 *v = 0.0;
@@ -112,7 +120,7 @@ mod tests {
         let (k0, kb) = (2usize, 5usize);
         let strips = m.div_ceil(MR);
         let mut out = vec![f64::NAN; strips * kb * MR];
-        pack_a_strips(&a, m, k0, kb, &mut out);
+        pack_a_strips(&a, m, 0, m, k0, kb, &mut out);
         for s in 0..strips {
             for p in 0..kb {
                 for i in 0..MR {
@@ -123,6 +131,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pack_a_reads_a_row_panel_in_place() {
+        // Rows 9..20 of a 23x5 matrix, k-block 1..4: the same strips as
+        // packing the panel copied out on its own.
+        let (m, k) = (23usize, 5usize);
+        let a: Vec<f64> = (0..m * k).map(|v| v as f64 * 0.25 - 7.0).collect();
+        let (i0, mb, k0, kb) = (9usize, 11usize, 1usize, 3usize);
+        let panel: Vec<f64> = (0..k).flat_map(|p| a[p * m + i0..][..mb].to_vec()).collect();
+        let len = mb.div_ceil(MR) * kb * MR;
+        let (mut direct, mut copied) = (vec![f64::NAN; len], vec![f64::NAN; len]);
+        pack_a_strips(&a, m, i0, mb, k0, kb, &mut direct);
+        pack_a_strips(&panel, mb, 0, mb, k0, kb, &mut copied);
+        assert_eq!(direct, copied);
     }
 
     #[test]
@@ -143,7 +166,7 @@ mod tests {
         let mut out_at = vec![f64::NAN; strips * kb * MR];
         let mut out_a = vec![f64::NAN; strips * kb * MR];
         pack_at_strips(&a, m, n, k0, kb, &mut out_at);
-        pack_a_strips(&t, n, k0, kb, &mut out_a);
+        pack_a_strips(&t, n, 0, n, k0, kb, &mut out_a);
         assert_eq!(out_at, out_a);
     }
 

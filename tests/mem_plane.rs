@@ -1,9 +1,9 @@
 //! Memory-observability drills: the `GML_MEM_BUDGET` watchdog pressure
 //! alarm, the store ledger tag reconciling byte-for-byte with the
 //! resilient store's live inventory through save / delete / restore / kill
-//! cycles, and the memory bound of a checkpointing run: the heap stays flat
+//! cycles, the memory bound of a checkpointing run: the heap stays flat
 //! from checkpoint to checkpoint and the buffer pool parks no more than its
-//! budget.
+//! budget, and a GNMF step's kernels allocating no block-sized buffer.
 //!
 //! The ledger and the allocator counters are process-global, so the tests
 //! here serialize on one mutex and this binary keeps the whole process to
@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use apgas::runtime::{Runtime, RuntimeConfig};
-use resilient_gml::core::FailureInjector;
+use resilient_gml::core::{each_place, DupOperand, FailureInjector};
 use resilient_gml::prelude::*;
 
 /// Serializes the tests: both read process-global state (env knobs, the
@@ -430,4 +430,127 @@ fn a_read_only_object_is_stored_once() {
         })
         .unwrap();
     }
+}
+
+/// Rows of a tall operand per place: GNMF's, so that a 32-column block
+/// holds 5 MB.
+const TALL: usize = 20_000;
+/// Columns of the tall operands (GNMF's rank).
+const RANK: usize = 32;
+/// Columns of the sparse matrix the GNMF-shaped drill factorises.
+const WIDE: usize = 400;
+/// What one kernel call may add to the heap's peak: a fifth of a block.
+const MIB: u64 = 1 << 20;
+
+/// How far `f` lifts the heap's peak above the live heap it starts from.
+/// A ballast first lifts the live heap to the peak so far, so that any
+/// transient `f` allocates raises the peak, whatever ran before.
+fn peak_rise(f: impl FnOnce()) -> u64 {
+    let gap = mem::heap_peak_bytes().saturating_sub(mem::heap_bytes());
+    let ballast = Vec::<u8>::with_capacity(gap as usize);
+    let before = mem::heap_peak_bytes();
+    f();
+    let rise = mem::heap_peak_bytes() - before;
+    drop(ballast);
+    rise
+}
+
+/// The packed GEMMs pack bounded panels: with its operands allocated, one
+/// call at GNMF's per-place shapes — `W·(H·Hᵀ)` into a 5 MB block, and
+/// the `WᵀW` partial over 20 000 rows — raises the heap's peak by less
+/// than 1 MiB, where packing the whole tall operand took 5 MB.
+#[test]
+fn a_gemm_packs_bounded_panels() {
+    let _guard = PROCESS_STATE.lock().unwrap();
+    if !mem::enabled() {
+        return;
+    }
+    let w = builder::random_dense(TALL, RANK, 1);
+    let hht = builder::random_dense(RANK, RANK, 2);
+    let mut whh = DenseMatrix::zeros(TALL, RANK);
+    let rise = peak_rise(|| w.gemm(1.0, &hht, 0.0, &mut whh));
+    assert!(rise < MIB, "gemm {TALL}x{RANK}·{RANK}x{RANK}: peak +{rise} B");
+    let mut wtw = DenseMatrix::zeros(RANK, RANK);
+    let rise = peak_rise(|| w.gemm_tn_acc(&whh, &mut wtw));
+    assert!(rise < MIB, "gemm_tn_acc {TALL}x{RANK}ᵀ·{TALL}x{RANK}: peak +{rise} B");
+}
+
+/// The address of the values of each of the dense matrix `x`'s blocks,
+/// per place.
+fn block_addresses(ctx: &Ctx, x: &DistBlockMatrix) -> Vec<Vec<usize>> {
+    let h = x.handle();
+    each_place(ctx, x.group().iter().enumerate(), move |ctx, _| {
+        let set = h.local(ctx)?;
+        let set = set.lock();
+        let address = |b: &MatrixBlock| match &b.data {
+            BlockData::Dense(d) => d.as_slice().as_ptr() as usize,
+            BlockData::Sparse(_) => unreachable!("the output is dense"),
+        };
+        Ok(set.iter().map(address).collect())
+    })
+    .unwrap()
+}
+
+/// `mult_dup_into` writes each product into its output block: with GNMF's
+/// per-place shapes on two places (5 MB output blocks), each of GNMF's two
+/// products raises the heap's peak by less than 1 MiB and leaves every
+/// output block's buffer where it was. A block of another shape, as a
+/// remake over another grid leaves, is replaced, and gets the same values.
+#[test]
+fn mult_dup_into_writes_into_its_output_blocks() {
+    let _guard = PROCESS_STATE.lock().unwrap();
+    if !mem::enabled() {
+        return;
+    }
+    Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+        let g = ctx.world();
+        let v = DistBlockMatrix::make(ctx, 2 * TALL, WIDE, 2, 1, 2, 1, &g, true).unwrap();
+        v.init_with(ctx, |_, _, r0, _, r, c| {
+            BlockData::Sparse(builder::random_csr_rows(c, 10, 3, r0, r0 + r))
+        })
+        .unwrap();
+        let v_rows = builder::random_csr_rows(WIDE, 10, 3, 0, 2 * TALL);
+        let w = DistBlockMatrix::make(ctx, 2 * TALL, RANK, 2, 1, 2, 1, &g, false).unwrap();
+        w.init_with(ctx, |_, _, r0, _, r, c| {
+            BlockData::Dense(builder::random_dense(r, c, 4 + r0 as u64))
+        })
+        .unwrap();
+        let h = DupDenseMatrix::make(ctx, RANK, WIDE, &g).unwrap();
+        h.init(ctx, |i, j| 1.0 / (1.0 + (i * WIDE + j) as f64)).unwrap();
+        let out = DistBlockMatrix::make(ctx, 2 * TALL, RANK, 2, 1, 2, 1, &g, false).unwrap();
+        let hd = h.local(ctx).unwrap().lock().clone();
+
+        for (x, operand) in [(&v, DupOperand::Transpose), (&w, DupOperand::Gram)] {
+            let held = block_addresses(ctx, &out);
+            let rise = peak_rise(|| x.mult_dup_into(ctx, &out, &h, operand).unwrap());
+            assert!(rise < MIB, "{operand:?}: peak +{rise} B");
+            assert_eq!(block_addresses(ctx, &out), held, "{operand:?}: an output block moved");
+            // The product a freshly allocated block gets, bit for bit.
+            let want = match operand {
+                DupOperand::Gram => {
+                    let mut hht = DenseMatrix::zeros(RANK, RANK);
+                    hd.gemm(1.0, &hd.transpose(), 0.0, &mut hht);
+                    let mut whh = DenseMatrix::zeros(2 * TALL, RANK);
+                    w.gather_dense(ctx).unwrap().gemm(1.0, &hht, 0.0, &mut whh);
+                    whh
+                }
+                _ => v_rows.spmm(&hd.transpose()),
+            };
+            let got = out.gather_dense(ctx).unwrap();
+            assert_eq!(got, want, "{operand:?}");
+
+            // Every output block of another shape: recomputed bit for bit.
+            let oh = out.handle();
+            each_place(ctx, g.iter().enumerate(), move |ctx, _| {
+                for b in oh.local(ctx)?.lock().iter_mut() {
+                    b.data = BlockData::Dense(DenseMatrix::zeros(1, RANK + 1));
+                }
+                Ok(())
+            })
+            .unwrap();
+            x.mult_dup_into(ctx, &out, &h, operand).unwrap();
+            assert_eq!(out.gather_dense(ctx).unwrap(), got, "{operand:?}: re-shaped blocks");
+        }
+    })
+    .unwrap();
 }
