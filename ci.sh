@@ -68,26 +68,17 @@ cargo test -q -p gml-matrix --lib whole_operand_packing > /dev/null
 cargo test -q --test mem_plane a_gemm_packs_bounded_panels -- --exact > /dev/null
 cargo test -q --test mem_plane mult_dup_into_writes_into_its_output_blocks -- --exact > /dev/null
 
-echo "== task resilience (chaos drill + replica vote parity) =="
-# The combined chaos drill: one executor run absorbs a task panic (replayed
-# by policy), a timed-out straggler (abandoned, replayed elsewhere), and a
-# silent checksum flip (detected before commit, restored under the
-# silent_error mode), then reconciles the memory ledger. Runs in tier-1
-# already; re-run by name so a failure is attributed loudly here.
+echo "== silent-error drill + task panic contract =="
+# The silent-error drill: a checksum flip between a step's recorded digest
+# and the pre-commit verification is detected, restored under the
+# silent_error mode, and the memory ledger reconciles. The panic contract:
+# a task that panics inside a step fails the run with a non-recoverable
+# TaskPanic, and no restore is attempted. Both run in tier-1 already;
+# re-run by name so a failure is attributed loudly here.
 cargo test -q --test failure_semantics \
-    chaos_drill_replay_timeout_and_silent_error_in_one_run -- --exact > /dev/null
-# Replica vote parity: failure_drill replays a faulting task and ends with a
-# replicated digest vote over its final matrix state. The voted digest must
-# be identical whether one replica computes it or three majority-vote on it
-# — any divergence means replication changed the answer it was guarding.
-TASK_DIR="$(mktemp -d -t gml_task_parity_XXXXXX)"
-trap 'rm -f "$TRACE_JSON"; rm -rf "$TASK_DIR"' EXIT
-for R in 1 3; do
-    cargo run --release --example failure_drill -- --replicas $R 2> /dev/null \
-        | grep '^final_state_digest' > "$TASK_DIR/r$R.txt"
-done
-diff "$TASK_DIR/r1.txt" "$TASK_DIR/r3.txt" \
-    || { echo "task parity: replicas=1 vs replicas=3 digests differ"; exit 1; }
+    silent_error_drill_rolls_back_and_reconciles -- --exact > /dev/null
+cargo test -q --test failure_semantics \
+    a_task_panic_in_a_step_fails_the_run_without_a_restore -- --exact > /dev/null
 
 echo "== kernel parity (GML_WORKERS=1 vs 4 vs 8) =="
 # The pool's determinism guarantee, enforced: the same kernels on the same
@@ -97,7 +88,7 @@ echo "== kernel parity (GML_WORKERS=1 vs 4 vs 8) =="
 # The kernel property tests (which include in-process serial_scope parity)
 # and the blocked-vs-reference suite run at all three widths too.
 PARITY_DIR="$(mktemp -d -t gml_parity_XXXXXX)"
-trap 'rm -f "$TRACE_JSON"; rm -rf "$TASK_DIR" "$PARITY_DIR"' EXIT
+trap 'rm -f "$TRACE_JSON"; rm -rf "$PARITY_DIR"' EXIT
 for W in 1 4 8; do
     GML_WORKERS=$W cargo run --release -p gml-bench --bin kernel_parity \
         | grep -v '^workers' > "$PARITY_DIR/w$W.txt"
@@ -130,7 +121,7 @@ echo "== checkpoint codec parity (raw vs framed) =="
 # digest per object. The digest lines must agree. Only digest lines are
 # diffed — per-place wire bytes legitimately differ.
 CKPT_DIR="$(mktemp -d -t gml_ckpt_parity_XXXXXX)"
-trap 'rm -f "$TRACE_JSON"; rm -rf "$TASK_DIR" "$PARITY_DIR" "$CKPT_DIR"' EXIT
+trap 'rm -f "$TRACE_JSON"; rm -rf "$PARITY_DIR" "$CKPT_DIR"' EXIT
 for C in codec_raw codec_framed; do
     cargo run --release -p gml-bench --bin checkpoint_parity -- "$C" > "$CKPT_DIR/$C.out"
     grep -E '^(dist|dup)_' "$CKPT_DIR/$C.out" > "$CKPT_DIR/$C.txt"
@@ -175,7 +166,7 @@ echo "== deterministic counts (BENCH_counts.txt) =="
 # committed file line for line. A change that moves a message, a task or a
 # byte shows up here even where no timing bound would notice it.
 COUNTS="$(mktemp -t gml_counts_XXXXXX.txt)"
-trap 'rm -f "$TRACE_JSON" "$COUNTS"; rm -rf "$TASK_DIR" "$PARITY_DIR" "$CKPT_DIR"' EXIT
+trap 'rm -f "$TRACE_JSON" "$COUNTS"; rm -rf "$PARITY_DIR" "$CKPT_DIR"' EXIT
 COUNTED='ctl_msgs_per_step|tasks_per_step|bytes_shipped_per_step'
 COUNTED="$COUNTED|logical_mb_per_ckpt|reexecuted_steps|wire_mb_resident"
 for W in logreg_ctl pagerank_spmv gnmf_ckpt linreg_restore; do

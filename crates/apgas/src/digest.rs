@@ -11,8 +11,8 @@
 //!   it, so its values are part of their output and never change.
 //! * **[`content_digest`]** — four independent multiply-rotate lanes over
 //!   64-bit words, eight bytes per step. The checkpoint codec's chunk
-//!   manifest and the task layer's replica vote hash whole payloads with
-//!   it. Every lane step is a bijection of the lane state and injective in
+//!   manifest and the debug-build check of a read-only object's live
+//!   blocks hash whole payloads with it. Every lane step is a bijection of the lane state and injective in
 //!   the word it absorbs, the lanes are combined by an operation that is a
 //!   bijection in each lane, and the length is folded in before a bijective
 //!   finalizer — so two payloads of equal length that differ in exactly

@@ -60,9 +60,6 @@ pub enum ApgasError {
     /// The requested operation is not permitted (e.g. killing place zero, or
     /// killing a place under a non-resilient runtime).
     Unsupported(String),
-    /// A replicated task's digest vote produced no majority — the replicas
-    /// disagreed too much to identify a trustworthy output.
-    VoteFailed(String),
 }
 
 impl ApgasError {
@@ -110,7 +107,6 @@ impl fmt::Display for ApgasError {
                 write!(f, "missing place-local data at place {}: {what}", place.id())
             }
             ApgasError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
-            ApgasError::VoteFailed(msg) => write!(f, "replica vote failed: {msg}"),
         }
     }
 }

@@ -48,7 +48,6 @@
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::error::{ApgasError, DeadPlaceException};
 use crate::place::Place;
@@ -56,65 +55,6 @@ use crate::runtime::{Ctx, Envelope};
 use crate::stats::RuntimeStats;
 use crate::sync::{Condvar, Mutex};
 use crate::trace::{SpanKind, TraceCtx};
-
-/// Per-task resilience policy: how often a panicked or timed-out task body
-/// is replayed, whether attempts carry a deadline, and how many places a
-/// replicated task runs at (see [`Ctx::replicated_vote`]).
-///
-/// Attach a policy per spawn with [`FinishScope::async_at_policied`]; the
-/// default is one attempt at one place.
-///
-/// Replay semantics follow the HPX software-resiliency model: a failed
-/// attempt is re-executed up to `retries` more times with jittered backoff.
-/// Bodies run under a nonzero `timeout_ms` must tolerate duplicate
-/// execution — a timed-out attempt's thread is abandoned, not cancelled,
-/// and may still complete concurrently with its replay.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskPolicy {
-    /// Extra executions granted after a panicked or timed-out attempt
-    /// (0 = fail fast, the pre-policy behaviour).
-    pub retries: u32,
-    /// Per-attempt deadline in milliseconds (0 = no deadline).
-    pub timeout_ms: u64,
-    /// Number of places a replicated task executes at (min 1 = no
-    /// replication); the majority digest wins the vote.
-    pub replicas: u32,
-    /// Base backoff between replay attempts in milliseconds; the actual
-    /// sleep is jittered and scales with the attempt ordinal.
-    pub backoff_ms: u64,
-}
-
-impl Default for TaskPolicy {
-    fn default() -> Self {
-        TaskPolicy { retries: 0, timeout_ms: 0, replicas: 1, backoff_ms: 2 }
-    }
-}
-
-impl TaskPolicy {
-    /// Builder: set the replay budget.
-    pub fn retries(mut self, n: u32) -> Self {
-        self.retries = n;
-        self
-    }
-
-    /// Builder: set the per-attempt deadline (0 disables it).
-    pub fn timeout_ms(mut self, ms: u64) -> Self {
-        self.timeout_ms = ms;
-        self
-    }
-
-    /// Builder: set the replica count (clamped to at least 1).
-    pub fn replicas(mut self, n: u32) -> Self {
-        self.replicas = n.max(1);
-        self
-    }
-
-    /// Builder: set the base replay backoff in milliseconds.
-    pub fn backoff_ms(mut self, ms: u64) -> Self {
-        self.backoff_ms = ms;
-        self
-    }
-}
 
 /// Outcome of one finished task, reported to whichever finish owns it.
 #[derive(Debug, Clone)]
@@ -578,122 +518,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A replayable task body: unlike the `FnOnce` of a plain `async_at`, a
-/// policied body may run several times (and, under a timeout, concurrently
-/// with an abandoned straggler attempt).
-pub type TaskFn = dyn Fn(&Ctx) + Send + Sync;
-
-/// Outcome of one policied attempt.
-enum Attempt {
-    Ok,
-    Panicked(String),
-    TimedOut,
-}
-
-/// Jittered backoff for replay attempt `attempt` (1-based): uniform over
-/// `[base/2, 3·base/2)` where `base = backoff_ms × attempt`. The jitter
-/// source is an xorshift64* hash of a fresh span-id draw — cheap,
-/// dependency-free decorrelation so co-failing replicas don't replay in
-/// lockstep; not random in any stronger sense.
-fn backoff_jitter(backoff_ms: u64, attempt: u32) -> Duration {
-    let mut x = crate::trace::next_span_id().wrapping_mul(0x9e3779b97f4a7c15) | 1;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    let r = x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33;
-    let base_us = backoff_ms.saturating_mul(attempt as u64).max(1).saturating_mul(1000);
-    Duration::from_micros(base_us / 2 + r % base_us)
-}
-
-/// Execute one attempt of a policied body. With no deadline the body runs
-/// inline under `catch_unwind`. With a deadline it runs on a helper thread
-/// holding a same-place [`Ctx`] clone; on timeout the helper is *abandoned*
-/// (fail-stop kill of the attempt, not the place) and may still complete
-/// invisibly — which is why policied bodies must be duplicate-tolerant.
-fn attempt_once(ctx: &Ctx, policy: &TaskPolicy, f: &Arc<TaskFn>) -> Attempt {
-    if policy.timeout_ms == 0 {
-        return match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx))) {
-            Ok(()) => Attempt::Ok,
-            Err(payload) => Attempt::Panicked(panic_message(payload)),
-        };
-    }
-    let (tx, rx) = sync_channel(1);
-    let body = Arc::clone(f);
-    let helper_ctx = ctx.clone();
-    let spawned = std::thread::Builder::new().name("gml-task-attempt".into()).spawn(move || {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&helper_ctx)));
-        let _ = tx.send(r.map_err(panic_message));
-    });
-    if spawned.is_err() {
-        // Cannot enforce the deadline without a helper; degrade to inline.
-        return match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx))) {
-            Ok(()) => Attempt::Ok,
-            Err(payload) => Attempt::Panicked(panic_message(payload)),
-        };
-    }
-    match rx.recv_timeout(Duration::from_millis(policy.timeout_ms)) {
-        Ok(Ok(())) => Attempt::Ok,
-        Ok(Err(msg)) => Attempt::Panicked(msg),
-        Err(_) => Attempt::TimedOut,
-    }
-}
-
-/// Execute one relocated attempt at place `q` via the synchronous `at`
-/// round trip (no deadline: relocation already removed the straggling
-/// place from the equation).
-fn attempt_at(ctx: &Ctx, q: Place, f: &Arc<TaskFn>) -> Attempt {
-    let body = Arc::clone(f);
-    match ctx.at(q, move |ctx| body(ctx)) {
-        Ok(()) => Attempt::Ok,
-        Err(e) => Attempt::Panicked(e.to_string()),
-    }
-}
-
-/// The replay driver a policied `async_at` body runs under: attempt, and on
-/// panic or timeout replay up to `policy.retries` more times with jittered
-/// backoff. A timed-out attempt's replay is relocated to another live place
-/// when one exists (the straggler's place may itself be the problem). When
-/// the budget is exhausted the last failure is re-raised as a panic, so the
-/// enclosing finish reports it exactly like an unpolicied task panic.
-pub(crate) fn run_policied(ctx: &Ctx, policy: TaskPolicy, f: Arc<TaskFn>) {
-    let attempts = policy.retries.saturating_add(1);
-    let mut last_failure = String::new();
-    // Where the next attempt runs: None = locally; Some(q) = relocated.
-    let mut relocate: Option<Place> = None;
-    for attempt in 0..attempts {
-        let rt = ctx.rt();
-        let outcome = if attempt == 0 {
-            attempt_once(ctx, &policy, &f)
-        } else {
-            RuntimeStats::bump(&rt.stats.task_replays);
-            std::thread::sleep(backoff_jitter(policy.backoff_ms, attempt));
-            let _span =
-                rt.tracer.span(ctx.here().id(), SpanKind::TaskReplay, attempt as u64);
-            match relocate {
-                Some(q) => attempt_at(ctx, q, &f),
-                None => attempt_once(ctx, &policy, &f),
-            }
-        };
-        match outcome {
-            Attempt::Ok => return,
-            Attempt::Panicked(msg) => {
-                last_failure = msg;
-                relocate = None;
-            }
-            Attempt::TimedOut => {
-                RuntimeStats::bump(&rt.stats.task_timeouts);
-                last_failure =
-                    format!("attempt {} timed out after {}ms", attempt + 1, policy.timeout_ms);
-                relocate = ctx
-                    .world()
-                    .iter()
-                    .find(|&q| q != ctx.here() && ctx.is_alive(q));
-            }
-        }
-    }
-    panic!("task failed after {attempts} attempt(s): {last_failure}");
-}
-
 /// The scope passed to the body of [`Ctx::finish`]; spawns tasks tracked by
 /// the enclosing finish.
 pub struct FinishScope<'a> {
@@ -716,22 +540,6 @@ impl<'a> FinishScope<'a> {
         F: FnOnce(&Ctx) + Send + 'static,
     {
         self.handle.async_at(self.ctx, p, f);
-    }
-
-    /// Spawn a task at place `p` under an explicit [`TaskPolicy`]: a
-    /// panicked or timed-out body is replayed up to `policy.retries` more
-    /// times (timed-out stragglers are replayed at another live place when
-    /// possible) before the failure surfaces at this finish's `wait`.
-    ///
-    /// The body is `Fn`, not `FnOnce` — it may execute more than once, and
-    /// under a nonzero timeout possibly concurrently with an abandoned
-    /// straggler attempt, so it must be duplicate-tolerant.
-    pub fn async_at_policied<F>(&self, p: Place, policy: TaskPolicy, f: F)
-    where
-        F: Fn(&Ctx) + Send + Sync + 'static,
-    {
-        let f: Arc<TaskFn> = Arc::new(f);
-        self.handle.async_at(self.ctx, p, move |ctx| run_policied(ctx, policy, f));
     }
 
     /// A sendable handle for spawning nested tasks from within child tasks.

@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use digest::{content_digest, fnv1a_bytes, fnv1a_f64s, Fnv1a};
 pub use error::{ApgasError, DeadPlaceException, Result};
-pub use finish::{FinishScope, LedgerEntry, TaskPolicy};
+pub use finish::{FinishScope, LedgerEntry};
 pub use mem::{MemReport, MemScope, MemTag};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
 pub use monitor::watchdog::{Watchdog, WatchdogReport};
@@ -79,7 +79,7 @@ pub use trace::{SpanGuard, SpanKind, TraceCtx, TraceEvent, Tracer};
 pub mod prelude {
     pub use crate::digest::{content_digest, fnv1a_bytes, fnv1a_f64s, Fnv1a};
     pub use crate::error::{ApgasError, DeadPlaceException, Result as ApgasResult};
-    pub use crate::finish::{FinishScope, LedgerEntry, TaskPolicy};
+    pub use crate::finish::{FinishScope, LedgerEntry};
     pub use crate::mem::{self, MemReport, MemScope, MemTag};
     pub use crate::metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
     pub use crate::monitor::watchdog::{Watchdog, WatchdogReport};

@@ -417,9 +417,7 @@ mod tests {
             "gml_tasks_spawned_total",
             "gml_failures_total",
             "gml_bytes_shipped_total",
-            "gml_task_replays_total",
-            "gml_task_timeouts_total",
-            "gml_task_vote_mismatches_total",
+            "gml_places_spawned_total",
         ] {
             assert!(out.contains(&format!("# TYPE {family} counter")), "{family} missing");
             assert!(out.contains(&format!("{family} 0")), "{family} sample missing");

@@ -52,8 +52,17 @@ impl PlhRegistry {
         Arc::clone(&self.slots.read()[p.id() as usize])
     }
 
-    pub(crate) fn set(&self, p: Place, id: u64, v: AnyArc) {
-        self.slot(p).lock().insert(id, v);
+    /// Install `v` at `p` unless `alive()` says `p` is dead. The check runs
+    /// under the slot's lock, and `kill_place` clears the alive flag before
+    /// it wipes the slot under that lock: a task still running at a killed
+    /// place cannot put memory back after the wipe, where nothing would
+    /// ever drop it.
+    pub(crate) fn set(&self, p: Place, id: u64, v: AnyArc, alive: impl FnOnce() -> bool) {
+        let slot = self.slot(p);
+        let mut map = slot.lock();
+        if alive() {
+            map.insert(id, v);
+        }
     }
 
     pub(crate) fn get(&self, p: Place, id: u64) -> Option<AnyArc> {
@@ -107,10 +116,7 @@ impl<T: Send + Sync + 'static> PlaceLocalHandle<T> {
         ctx.finish(|fs| {
             for p in group.iter() {
                 let init = Arc::clone(&init);
-                fs.async_at(p, move |ctx| {
-                    let v = init(ctx);
-                    ctx.rt().plh.set(ctx.here(), id, Arc::new(v));
-                });
+                fs.async_at(p, move |ctx| handle.set_local(ctx, init(ctx)));
             }
         })?;
         Ok(handle)
@@ -134,9 +140,10 @@ impl<T: Send + Sync + 'static> PlaceLocalHandle<T> {
     }
 
     /// Install (or replace) the value at the current place. Used by `remake`
-    /// when a GML object is re-laid-out over a new place group.
+    /// when a GML object is re-laid-out over a new place group. At a place
+    /// that has been killed it installs nothing: its memory is gone.
     pub fn set_local(&self, ctx: &Ctx, v: T) {
-        ctx.rt().plh.set(ctx.here(), self.id, Arc::new(v));
+        ctx.rt().plh.set(ctx.here(), self.id, Arc::new(v), || ctx.is_alive(ctx.here()));
     }
 
     /// True if the current place holds a value for this handle.
@@ -226,6 +233,34 @@ mod tests {
             // Data at the surviving places is intact.
             let ok = ctx.at(Place::new(2), move |ctx| plh.is_initialized(ctx)).unwrap();
             assert!(ok);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_task_outliving_its_place_cannot_put_memory_back() {
+        Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+            let world = ctx.world();
+            let plh = PlaceLocalHandle::make(ctx, &world, |_| 1u8).unwrap();
+            let victim = Place::new(1);
+            let (started, wait_started) = std::sync::mpsc::channel();
+            let (killed, wait_killed) = std::sync::mpsc::channel::<()>();
+            let (seen, wait_seen) = std::sync::mpsc::channel();
+            let res = ctx.finish(|fs| {
+                fs.async_at(victim, move |ctx| {
+                    started.send(()).unwrap();
+                    wait_killed.recv().unwrap();
+                    // Running on after the kill wiped this place's memory.
+                    plh.set_local(ctx, 2);
+                    seen.send(plh.is_initialized(ctx)).unwrap();
+                });
+                wait_started.recv().unwrap();
+                ctx.kill_place(victim).unwrap();
+                killed.send(()).unwrap();
+            });
+            assert!(res.unwrap_err().is_recoverable());
+            assert!(!wait_seen.recv().unwrap(), "the dead place got its value back");
+            assert_eq!(ctx.rt().plh.len_at(victim), 0, "dead place memory stays wiped");
         })
         .unwrap();
     }

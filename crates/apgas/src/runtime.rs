@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::error::{ApgasError, DeadPlaceException, Result};
-use crate::finish::{self, CtlMsg, FinishScope, LedgerEntry, TaskPolicy};
+use crate::finish::{self, CtlMsg, FinishScope, LedgerEntry};
 use crate::metrics::Family;
 use crate::monitor::watchdog::Watchdog;
 use crate::monitor::{self, HealthBoard, HealthSnapshot, MonitorServer, PlaceHealth};
@@ -366,67 +366,6 @@ impl Ctx {
             Ok(Err(panic)) => Err(ApgasError::TaskPanic(panic)),
             Err(_) => Err(DeadPlaceException::new(p, "place died during at()").into()),
         }
-    }
-
-    /// Execute a replicated, digest-voted computation: run `f` at up to
-    /// `policy.replicas` live places (the `target` first, then other live
-    /// world places), hash each replica's returned bytes with
-    /// [`content_digest`](crate::digest::content_digest) *at the executing
-    /// place* (only the 8-byte digest crosses back), and majority-vote on
-    /// the digests.
-    ///
-    /// Returns the majority digest. A non-unanimous vote that still has a
-    /// majority is a silent error caught by replication: it bumps
-    /// `gml_task_vote_mismatches_total` and emits a labeled `task.vote`
-    /// instant, but succeeds. No majority at all is a
-    /// [`ApgasError::VoteFailed`] error. Fewer live places than
-    /// `policy.replicas` degrades to voting over whatever is live (a single
-    /// replica is a trivially unanimous vote).
-    pub fn replicated_vote<F>(&self, target: Place, policy: TaskPolicy, f: F) -> Result<u64>
-    where
-        F: Fn(&Ctx) -> Vec<u8> + Send + Sync + Clone + 'static,
-    {
-        let replicas: Vec<Place> = std::iter::once(target)
-            .chain(self.world().iter().filter(|&p| p != target))
-            .filter(|&p| self.rt.is_alive(p))
-            .take(policy.replicas.max(1) as usize)
-            .collect();
-        if replicas.is_empty() {
-            return Err(DeadPlaceException::new(target, "no live replica for vote").into());
-        }
-        let _span =
-            self.rt.tracer.span(self.here.id(), SpanKind::TaskVote, replicas.len() as u64);
-        let mut votes: Vec<(Place, u64)> = Vec::with_capacity(replicas.len());
-        for &p in &replicas {
-            let body = f.clone();
-            let digest = self.at(p, move |ctx| crate::digest::content_digest(&body(ctx)))?;
-            votes.push((p, digest));
-        }
-        let mut counts: Vec<(u64, usize)> = Vec::new();
-        for &(_, d) in &votes {
-            match counts.iter_mut().find(|(v, _)| *v == d) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((d, 1)),
-            }
-        }
-        let (winner, n) =
-            counts.iter().copied().max_by_key(|&(_, c)| c).expect("votes nonempty");
-        if n < votes.len() {
-            RuntimeStats::bump(&self.rt.stats.task_vote_mismatches);
-            self.rt.tracer.instant_labeled(self.here.id(), SpanKind::TaskVote, "mismatch", winner);
-        }
-        if n * 2 <= votes.len() {
-            return Err(ApgasError::VoteFailed(format!(
-                "no majority among {} replica digest(s): {}",
-                votes.len(),
-                votes
-                    .iter()
-                    .map(|(p, d)| format!("place {}: {d:016x}", p.id()))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )));
-        }
-        Ok(winner)
     }
 
     /// Run `body`, then block until every task it spawned (transitively)
@@ -1461,7 +1400,7 @@ mod tests {
         rt.shutdown();
     }
 
-    // -- task-level resilience: replay, timeout, replication ----------------
+    // -- task panics --------------------------------------------------------
 
     #[test]
     fn run_catching_restores_tls_after_panic() {
@@ -1492,128 +1431,27 @@ mod tests {
     }
 
     #[test]
-    fn policied_task_replays_after_panic() {
-        let cfg = RuntimeConfig::new(2).resilient(true);
-        Runtime::run(cfg, |ctx| {
-            let hits = Arc::new(StdAtomicU64::new(0));
-            let h2 = Arc::clone(&hits);
-            ctx.finish(|fs| {
-                fs.async_at_policied(
-                    Place::new(1),
-                    TaskPolicy::default().retries(2).backoff_ms(1),
-                    move |_| {
-                        if h2.fetch_add(1, Ordering::Relaxed) == 0 {
-                            panic!("transient fault");
-                        }
-                    },
-                );
-            })
-            .unwrap();
-            assert_eq!(hits.load(Ordering::Relaxed), 2, "one failure, one replay");
-            assert!(ctx.stats().task_replays >= 1);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn policied_task_fails_after_exhausting_retries() {
-        let cfg = RuntimeConfig::new(2).resilient(true);
-        Runtime::run(cfg, |ctx| {
-            let err = ctx
-                .finish(|fs| {
-                    fs.async_at_policied(
-                        Place::new(1),
-                        TaskPolicy::default().retries(1).backoff_ms(1),
-                        |_| panic!("hard fault"),
-                    );
-                })
-                .expect_err("all attempts panic");
-            match err {
-                ApgasError::TaskPanic(msg) => {
-                    assert!(msg.contains("task failed after 2 attempt(s)"), "got: {msg}");
-                    assert!(msg.contains("hard fault"), "got: {msg}");
+    fn a_panicking_task_runs_once_and_fails_its_finish() {
+        for resilient in [false, true] {
+            Runtime::run(RuntimeConfig::new(2).resilient(resilient), |ctx| {
+                let runs = Arc::new(StdAtomicU64::new(0));
+                let r2 = Arc::clone(&runs);
+                let err = ctx
+                    .finish(|fs| {
+                        fs.async_at(Place::new(1), move |_| {
+                            r2.fetch_add(1, Ordering::Relaxed);
+                            panic!("hard fault");
+                        });
+                    })
+                    .expect_err("the task panicked");
+                assert_eq!(runs.load(Ordering::Relaxed), 1, "a task is never replayed");
+                assert!(!err.is_recoverable(), "a task panic is a program error");
+                match err {
+                    ApgasError::TaskPanic(msg) => assert!(msg.contains("hard fault"), "got: {msg}"),
+                    other => panic!("expected TaskPanic, got {other:?}"),
                 }
-                other => panic!("expected TaskPanic, got {other:?}"),
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn policied_task_timeout_replays_elsewhere() {
-        let cfg = RuntimeConfig::new(3).resilient(true);
-        Runtime::run(cfg, |ctx| {
-            let runs = Arc::new(StdAtomicU64::new(0));
-            let r2 = Arc::clone(&runs);
-            ctx.finish(|fs| {
-                fs.async_at_policied(
-                    Place::new(1),
-                    TaskPolicy::default().retries(2).timeout_ms(40).backoff_ms(1),
-                    move |_| {
-                        // First execution stalls past the deadline; the
-                        // replay (relocated to a live peer) returns at once.
-                        // The body is duplicate-tolerant: the abandoned
-                        // straggler may still finish concurrently.
-                        if r2.fetch_add(1, Ordering::Relaxed) == 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(300));
-                        }
-                    },
-                );
             })
             .unwrap();
-            let s = ctx.stats();
-            assert!(s.task_timeouts >= 1, "straggler attempt was timed out");
-            assert!(s.task_replays >= 1, "timed-out attempt was replayed");
-            assert!(runs.load(Ordering::Relaxed) >= 2);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn replicated_vote_unanimous() {
-        let cfg = RuntimeConfig::new(3).resilient(true);
-        Runtime::run(cfg, |ctx| {
-            let digest = ctx
-                .replicated_vote(Place::new(1), TaskPolicy::default().replicas(3), |_| {
-                    vec![1u8, 2, 3, 4]
-                })
-                .unwrap();
-            assert_eq!(digest, crate::digest::content_digest(&[1, 2, 3, 4]));
-            assert_eq!(ctx.stats().task_vote_mismatches, 0);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn replicated_vote_outvotes_one_dissenter() {
-        let cfg = RuntimeConfig::new(3).resilient(true);
-        Runtime::run(cfg, |ctx| {
-            let digest = ctx
-                .replicated_vote(Place::new(1), TaskPolicy::default().replicas(3), |c| {
-                    if c.here().id() == 2 {
-                        vec![0xFF] // silent corruption at one replica
-                    } else {
-                        vec![1u8, 2, 3, 4]
-                    }
-                })
-                .unwrap();
-            assert_eq!(digest, crate::digest::content_digest(&[1, 2, 3, 4]));
-            assert_eq!(ctx.stats().task_vote_mismatches, 1);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn replicated_vote_fails_without_majority() {
-        let cfg = RuntimeConfig::new(3).resilient(true);
-        Runtime::run(cfg, |ctx| {
-            let err = ctx
-                .replicated_vote(Place::new(0), TaskPolicy::default().replicas(3), |c| {
-                    vec![c.here().id() as u8] // every replica disagrees
-                })
-                .expect_err("three-way split has no majority");
-            assert!(matches!(err, ApgasError::VoteFailed(_)), "got {err:?}");
-        })
-        .unwrap();
+        }
     }
 }

@@ -37,12 +37,6 @@ crate::counter_set! {
         decode_nanos => "gml_decode_nanos_total", "Wall nanoseconds spent decoding payloads.";
         failures => "gml_failures_total", "Fail-stop place failures injected.";
         places_spawned => "gml_places_spawned_total", "Places created elastically at runtime.";
-        /// Each replay attempt beyond the first counts once.
-        task_replays => "gml_task_replays_total", "Task bodies replayed after a panic or timeout.";
-        task_timeouts => "gml_task_timeouts_total", "Task attempts abandoned on a policy deadline.";
-        /// Each is a silent error caught by replication.
-        task_vote_mismatches => "gml_task_vote_mismatches_total",
-            "Replica digest votes with at least one dissenting replica.";
     }
 }
 
@@ -99,9 +93,6 @@ mod tests {
             decode_nanos: 40,
             failures: 1,
             places_spawned: 0,
-            task_replays: 2,
-            task_timeouts: 1,
-            task_vote_mismatches: 0,
         };
         let later = StatsSnapshot {
             tasks_spawned: 25,
@@ -116,9 +107,6 @@ mod tests {
             decode_nanos: 60,
             failures: 2,
             places_spawned: 1,
-            task_replays: 5,
-            task_timeouts: 2,
-            task_vote_mismatches: 1,
         };
         let d = later.since(&earlier);
         assert_eq!(d.tasks_spawned, 15);
@@ -133,9 +121,6 @@ mod tests {
         assert_eq!(d.decode_nanos, 20);
         assert_eq!(d.failures, 1);
         assert_eq!(d.places_spawned, 1);
-        assert_eq!(d.task_replays, 3);
-        assert_eq!(d.task_timeouts, 1);
-        assert_eq!(d.task_vote_mismatches, 1);
         assert_eq!(d.ctl_total(), 11, "ctl_total sums the three message deltas, not ctl_local");
         assert_eq!(earlier.merged(&d), later, "merged is the inverse of since");
     }
@@ -158,9 +143,6 @@ mod tests {
             decode_nanos: 7,
             failures: 3,
             places_spawned: 2,
-            task_replays: 4,
-            task_timeouts: 2,
-            task_vote_mismatches: 1,
         };
         let after_reset = StatsSnapshot { tasks_spawned: 5, decode_nanos: 9, ..Default::default() };
         let d = after_reset.since(&before_reset);

@@ -125,14 +125,6 @@ span_kinds! {
     /// The receiving-place body of an `async_at` task. Parented on the
     /// sender's [`SpanKind::AsyncAt`] dispatch instant.
     AsyncTask => "apgas.async_task", Compute;
-    /// One re-execution of a task body by the task-resilience layer after a
-    /// panic or timeout; the numeric argument is the attempt ordinal.
-    /// Replay and vote overhead is resilience bookkeeping, not application
-    /// compute: the replayed body's own spans carry the compute cost.
-    TaskReplay => "task.replay", Structural;
-    /// A majority vote over replica digests of a replicated task; the
-    /// numeric argument is the number of replicas polled.
-    TaskVote => "task.vote", Structural;
     /// Checkpoint codec encode of one place's batch (delta diff +
     /// compression); the numeric argument is the logical payload bytes in.
     CkptEncode => "ckpt.encode", Ship;
@@ -142,7 +134,7 @@ span_kinds! {
 }
 
 /// Number of span kinds (size of per-kind arrays).
-pub const SPAN_KIND_COUNT: usize = 26;
+pub const SPAN_KIND_COUNT: usize = 24;
 
 impl SpanKind {
     fn from_u8(v: u8) -> Option<SpanKind> {
@@ -627,19 +619,11 @@ impl Tracer {
     /// hand it to the receiving place as the causal parent.
     #[inline]
     pub fn instant(&self, place: u32, kind: SpanKind, arg: u64) -> u64 {
-        self.instant_labeled(place, kind, "", arg)
-    }
-
-    /// Record an instant event with a static label. Returns the instant's
-    /// span id (0 when tracing is off), as [`instant`](Self::instant) does.
-    #[inline]
-    pub fn instant_labeled(&self, place: u32, kind: SpanKind, label: &'static str, arg: u64) -> u64 {
         if !self.is_on() {
             return 0;
         }
-        let id = self.labels.intern(label);
         let span = next_span_id();
-        self.emit(place, Phase::Instant, kind, id, arg, self.now_nanos(), 0, span, current_span_id());
+        self.emit(place, Phase::Instant, kind, 0, arg, self.now_nanos(), 0, span, current_span_id());
         span
     }
 

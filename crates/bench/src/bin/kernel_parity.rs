@@ -36,15 +36,6 @@ fn main() {
     a.spmv_trans(1.5, xt.as_slice(), 0.5, &mut y);
     report("csr_spmv_trans", &y);
 
-    let c = a.to_csc();
-    let mut y = vec![1.0; 40_000];
-    c.spmv(1.5, x.as_slice(), 0.5, &mut y);
-    report("csc_spmv", &y);
-
-    let mut y = vec![1.0; 30_000];
-    c.spmv_trans(1.5, xt.as_slice(), 0.5, &mut y);
-    report("csc_spmv_trans", &y);
-
     let b = builder::random_dense(1_000, 4, 104);
     let s = builder::random_csr(50_000, 1_000, 5, 105);
     report("csr_spmm", s.spmm(&b).as_slice());

@@ -108,13 +108,6 @@ pub struct PostMortem {
     /// interesting — surviving replicas inflate the store tag, rollback
     /// frees application matrices.
     pub mem: MemReport,
-    /// Cumulative task replays at capture time — how often the task layer
-    /// re-executed a panicked or timed-out body before this restore.
-    pub task_replays: u64,
-    /// Cumulative task-attempt timeouts at capture time.
-    pub task_timeouts: u64,
-    /// Cumulative replica digest-vote mismatches at capture time.
-    pub task_vote_mismatches: u64,
 }
 
 impl PostMortem {
@@ -133,7 +126,6 @@ impl PostMortem {
         if path_rows.len() > PATH_ROWS {
             path_rows.drain(..path_rows.len() - PATH_ROWS);
         }
-        let rt_stats = ctx.stats();
         PostMortem {
             seq,
             captured_at_nanos: ctx.tracer().now_nanos(),
@@ -146,9 +138,6 @@ impl PostMortem {
             trace_tail: trace_tail(&events, TRACE_TAIL_PER_PLACE),
             path_rows,
             mem: apgas::mem::report(),
-            task_replays: rt_stats.task_replays,
-            task_timeouts: rt_stats.task_timeouts,
-            task_vote_mismatches: rt_stats.task_vote_mismatches,
         }
     }
 
@@ -156,15 +145,10 @@ impl PostMortem {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str(&format!(
-            "{{\"seq\":{},\"captured_at_nanos\":{},\"pool_workers\":{},\
-             \"task_replays\":{},\"task_timeouts\":{},\"task_vote_mismatches\":{},\
-             \"decision\":{{",
+            "{{\"seq\":{},\"captured_at_nanos\":{},\"pool_workers\":{},\"decision\":{{",
             self.seq,
             self.captured_at_nanos,
             self.pool_workers,
-            self.task_replays,
-            self.task_timeouts,
-            self.task_vote_mismatches,
         ));
         let d = &self.decision;
         s.push_str(&format!(
@@ -436,9 +420,6 @@ mod tests {
             trace_tail: vec![],
             path_rows: vec![],
             mem: MemReport::default(),
-            task_replays: 0,
-            task_timeouts: 0,
-            task_vote_mismatches: 0,
         };
         pm.validate().unwrap();
         let json = pm.to_json();
@@ -448,7 +429,6 @@ mod tests {
         assert!(json.contains("\"mem\":{"), "bundle carries a memory map");
         assert!(json.contains("\"tag\":\"store_shard\""), "every ledger tag is listed");
         assert!(json.contains("\"expected_digest\":null"), "fail-stop restore: no digests");
-        assert!(json.contains("\"task_replays\":0"), "task-layer counters present");
         assert!(json.contains("\"repair\":{\"entries\":0,\"wire_bytes\":0,\"pairs\":[],"));
     }
 
@@ -508,9 +488,6 @@ mod tests {
                 complete: true,
             }],
             mem: apgas::mem::report(),
-            task_replays: 5,
-            task_timeouts: 2,
-            task_vote_mismatches: 1,
         };
         pm.validate().unwrap();
         let json = pm.to_json();
@@ -518,9 +495,6 @@ mod tests {
         assert!(json.contains("\"effective_label\":\"silent_error\""));
         assert!(json.contains("\"expected_digest\":\"123456789abcdef0\""));
         assert!(json.contains("\"observed_digest\":\"0fedcba987654321\""));
-        assert!(json.contains("\"task_replays\":5"));
-        assert!(json.contains("\"task_timeouts\":2"));
-        assert!(json.contains("\"task_vote_mismatches\":1"));
         assert!(json.contains("\"invariant_ok\":false"));
         assert!(json.contains(
             "\"repair\":{\"entries\":2,\"wire_bytes\":512,\"pairs\":[[3,0],[1,3]],\"nanos\":750}"

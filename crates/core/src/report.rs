@@ -242,7 +242,7 @@ impl CostReport {
         out.push_str(&format!(
             "total: {} rows, {} restores, ctl {} (spawn {} term {} wait {}; local {}), \
              encode {} decode {}, shipped {} received {}, peak resident {}, \
-             detect {}, task replays {} timeouts {} vote mismatches {}, \
+             detect {}, \
              ckpt logical {} wire {} (ratio {:.2}) frames {} verbatim {} codec {}\n",
             self.rows.len(),
             self.restores(),
@@ -257,9 +257,6 @@ impl CostReport {
             fmt_bytes(t.bytes_received),
             fmt_bytes(self.rows.iter().map(|r| r.resident).max().unwrap_or(0)),
             fmt_nanos(detect_total.as_nanos() as u64),
-            t.task_replays,
-            t.task_timeouts,
-            t.task_vote_mismatches,
             fmt_bytes(c.logical_bytes),
             fmt_bytes(c.wire_bytes),
             c.compression_ratio(),
@@ -396,12 +393,11 @@ mod tests {
     fn detect_column_renders_and_telescopes() {
         let mut a = row(0, 0, 0, 0);
         a.detect = Some(Duration::from_millis(2));
-        a.delta.task_replays = 1;
+        a.delta.failures = 1;
         let mut b = row(1, 0, 0, 0);
         b.detect = Some(Duration::from_millis(3));
-        b.delta.task_vote_mismatches = 1;
-        let totals =
-            StatsSnapshot { task_replays: 1, task_vote_mismatches: 1, ..Default::default() };
+        b.delta.places_spawned = 1;
+        let totals = StatsSnapshot { failures: 1, places_spawned: 1, ..Default::default() };
         let report =
             CostReport { rows: vec![a, b], totals, codec_totals: Default::default(), bundles: vec![] };
         // The new counters participate in the telescoping check.
@@ -409,8 +405,6 @@ mod tests {
         let text = report.render();
         assert!(text.contains("detect(t)"), "per-row detection column present");
         assert!(text.contains("detect 5.00ms"), "totals line sums the rows");
-        assert!(text.contains("task replays 1"), "task counters reach the totals line");
-        assert!(text.contains("vote mismatches 1"));
     }
 
     #[test]

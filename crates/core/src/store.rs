@@ -455,7 +455,9 @@ impl ResilientStore {
     }
 
     /// This place's shard, creating it on first use — elastically spawned
-    /// places join the store lazily.
+    /// places join the store lazily. A task still running at a killed place
+    /// gets an error instead: `set_local` installs nothing there, so no
+    /// shard is charged where nothing would ever drop it.
     fn shard(&self, ctx: &Ctx) -> GmlResult<std::sync::Arc<PlaceStore>> {
         if let Ok(s) = self.plh.local(ctx) {
             return Ok(s);

@@ -41,14 +41,6 @@ impl BlockData {
         }
     }
 
-    /// An all-zero payload of the same kind and given dims.
-    pub fn zeros_like(&self, rows: usize, cols: usize) -> BlockData {
-        match self {
-            BlockData::Dense(_) => BlockData::Dense(DenseMatrix::zeros(rows, cols)),
-            BlockData::Sparse(_) => BlockData::Sparse(SparseCSR::zeros(rows, cols)),
-        }
-    }
-
     /// Extract a sub-region in **local** block coordinates. For sparse
     /// payloads this runs the nnz-counting pre-pass the paper describes.
     pub fn sub_region(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> BlockData {
@@ -356,11 +348,6 @@ impl BlockSet {
         self.blocks.iter().map(|b| b.data.payload_bytes()).sum()
     }
 
-    /// Total element count across all blocks (load-balance metric).
-    pub fn element_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.rows() * b.cols()).sum()
-    }
-
     /// Remove all blocks.
     pub fn clear(&mut self) {
         self.blocks.clear();
@@ -479,7 +466,6 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert!(set.find(0, 0).is_some());
         assert!(set.find(0, 1).is_none());
-        assert_eq!(set.element_count(), 32);
         assert!(set.payload_bytes() > 32 * 8);
         set.find_mut(1, 1).expect("present").data =
             BlockData::Dense(DenseMatrix::zeros(4, 4));

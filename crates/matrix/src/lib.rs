@@ -2,8 +2,8 @@
 //! # gml-matrix — single-place matrix and vector kernels
 //!
 //! The local building blocks of the Global Matrix Library: the single-place
-//! column of Table I in the paper (`Vector`, `DenseMatrix`, `SparseCSR`,
-//! `SparseCSC`), plus the machinery the distributed layer is built from:
+//! column of Table I in the paper (`Vector`, `DenseMatrix`, `SparseCSR`),
+//! plus the machinery the distributed layer is built from:
 //!
 //! * [`Grid`](grid::Grid) — an m×n block partitioning with near-even splits
 //!   (`x10.matrix.block.Grid`), including the *overlap computation* between
@@ -57,7 +57,6 @@ pub mod builder;
 pub mod dense;
 pub mod grid;
 mod microkernel;
-pub mod sparse_csc;
 pub mod sparse_csr;
 mod tile;
 pub mod vector;
@@ -65,7 +64,6 @@ pub mod vector;
 pub use block::{BlockData, BlockSet, DenseBlockWire, MatrixBlock};
 pub use dense::DenseMatrix;
 pub use grid::{Grid, Overlap};
-pub use sparse_csc::SparseCSC;
 pub use sparse_csr::SparseCSR;
 pub use vector::Vector;
 

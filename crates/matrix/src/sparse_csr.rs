@@ -9,7 +9,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::dense::DenseMatrix;
 use crate::microkernel;
-use crate::sparse_csc::SparseCSC;
 use crate::vector::Vector;
 use crate::{apply_beta, beta_combine, debug_check_finite, min_chunk_items};
 
@@ -354,16 +353,6 @@ impl SparseCSR {
         out
     }
 
-    /// Convert to CSC.
-    pub fn to_csc(&self) -> SparseCSC {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            triplets.extend(cols.iter().zip(vals).map(|(&c, &v)| (i, c, v)));
-        }
-        SparseCSC::from_triplets(self.rows, self.cols, &triplets)
-    }
-
     /// Iterate all stored entries as `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.rows).flat_map(move |i| {
@@ -531,12 +520,6 @@ mod tests {
         let bytes = a.to_bytes();
         assert_eq!(bytes.len(), a.byte_len());
         assert_eq!(SparseCSR::from_bytes(bytes), a);
-    }
-
-    #[test]
-    fn csc_conversion_round_trip() {
-        let a = example();
-        assert_eq!(a.to_csc().to_dense(), a.to_dense());
     }
 
     #[test]

@@ -167,7 +167,7 @@ proptest! {
         prop_assert!(x.norm2_sq() >= 0.0);
     }
 
-    /// CSR ↔ CSC ↔ dense conversions are lossless.
+    /// CSR ↔ triplets ↔ dense conversions are lossless.
     #[test]
     fn format_conversions_lossless(
         m in 1usize..20,
@@ -176,12 +176,13 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let a = builder::random_csr(m, n, nnz_per_row, seed);
-        let csc = a.to_csc();
-        prop_assert_eq!(csc.nnz(), a.nnz());
-        prop_assert_eq!(csc.to_dense(), a.to_dense());
-        // And every stored entry agrees pointwise.
-        for (r, c, v) in a.iter() {
-            prop_assert_eq!(csc.get(r, c), v);
+        let triplets: Vec<_> = a.iter().collect();
+        prop_assert_eq!(triplets.len(), a.nnz());
+        prop_assert_eq!(&SparseCSR::from_triplets(m, n, &triplets), &a);
+        // And every stored entry agrees pointwise with the dense form.
+        let d = a.to_dense();
+        for (r, c, v) in triplets {
+            prop_assert_eq!(d.get(r, c), v);
         }
     }
 }
@@ -255,27 +256,6 @@ fn csr_spmv_and_trans_beta_zero_overwrite_nan_poisoned_output() {
     a.spmv_trans(1.0, xt.as_slice(), 1.0, &mut want);
     assert!(got.iter().all(|v| v.is_finite()), "spmv_trans: NaN leaked through beta == 0");
     assert_bits_eq(&got, &want, "csr spmv_trans beta=0");
-}
-
-#[test]
-fn csc_spmv_and_trans_beta_zero_overwrite_nan_poisoned_output() {
-    let a = builder::random_csr(25, 19, 3, 51).to_csc();
-    let x = builder::random_vector(19, 52);
-    let xt = builder::random_vector(25, 53);
-
-    let mut got = poisoned(25);
-    a.spmv(1.0, x.as_slice(), 0.0, &mut got);
-    let mut want = vec![0.0; 25];
-    a.spmv(1.0, x.as_slice(), 1.0, &mut want);
-    assert!(got.iter().all(|v| v.is_finite()), "spmv: NaN leaked through beta == 0");
-    assert_bits_eq(&got, &want, "csc spmv beta=0");
-
-    let mut got = poisoned(19);
-    a.spmv_trans(1.0, xt.as_slice(), 0.0, &mut got);
-    let mut want = vec![0.0; 19];
-    a.spmv_trans(1.0, xt.as_slice(), 1.0, &mut want);
-    assert!(got.iter().all(|v| v.is_finite()), "spmv_trans: NaN leaked through beta == 0");
-    assert_bits_eq(&got, &want, "csc spmv_trans beta=0");
 }
 
 #[test]
@@ -403,9 +383,6 @@ fn alpha_zero_reads_neither_input_nan_poison_regression() {
         let mut y = vec![2.0; 3];
         s.spmv_trans(0.0, &[f64::NAN; 3], beta, &mut y);
         assert!(y.iter().all(|&v| v == 2.0 * beta), "spmv_trans alpha=0 beta={beta}");
-        let mut y = vec![2.0; 3];
-        s.to_csc().spmv(0.0, &[f64::NAN; 3], beta, &mut y);
-        assert!(y.iter().all(|&v| v == 2.0 * beta), "csc spmv alpha=0 beta={beta}");
     }
 }
 
@@ -449,19 +426,6 @@ fn large_kernels_bit_identical_serial_vs_pool() {
     let mut ser = vec![1.0; 30_000];
     pool::serial_scope(|| a.spmv_trans(1.5, xt.as_slice(), 0.5, &mut ser));
     assert_bits_eq(&par, &ser, "csr spmv_trans (scatter partials)");
-
-    let c = a.to_csc();
-    let mut par = vec![1.0; 40_000];
-    c.spmv(1.5, x.as_slice(), 0.5, &mut par);
-    let mut ser = vec![1.0; 40_000];
-    pool::serial_scope(|| c.spmv(1.5, x.as_slice(), 0.5, &mut ser));
-    assert_bits_eq(&par, &ser, "csc spmv (scatter partials)");
-
-    let mut par = vec![1.0; 30_000];
-    c.spmv_trans(1.5, xt.as_slice(), 0.5, &mut par);
-    let mut ser = vec![1.0; 30_000];
-    pool::serial_scope(|| c.spmv_trans(1.5, xt.as_slice(), 0.5, &mut ser));
-    assert_bits_eq(&par, &ser, "csc spmv_trans");
 
     // Dense: tall gemv + wide gemv_trans.
     let d = builder::random_dense(40_000, 50, 10);

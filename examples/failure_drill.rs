@@ -13,18 +13,10 @@
 //! iteration is artificially slowed to trip the watchdog's regression
 //! anomaly, and the watchdog summary is printed at the end.
 //!
-//! A third phase exercises the task-resilience layer: a policied async task
-//! panics once and is replayed, and the final matrix state is replicated
-//! and digest-voted across `--replicas N` live places (default 1; the
-//! `final_state_digest` line it prints is diffed across replica counts by
-//! `ci.sh`).
-//!
 //! ```sh
 //! cargo run --release --example failure_drill
 //! # with structured tracing exported as Chrome trace JSON:
 //! cargo run --release --example failure_drill -- --trace-out /tmp/drill.json
-//! # the replicated vote over three places instead of one:
-//! cargo run --release --example failure_drill -- --replicas 3
 //! # or via the environment (equivalent; works for any binary):
 //! GML_TRACE=1 GML_TRACE_OUT=/tmp/drill.json cargo run --release --example failure_drill
 //! # with the live Prometheus endpoint (0 picks a free port, printed at start):
@@ -123,8 +115,6 @@ fn arg(flag: &str) -> Option<String> {
 
 fn main() {
     let trace_out = arg("--trace-out").map(std::path::PathBuf::from);
-    let replicas: u32 =
-        arg("--replicas").map_or(1, |n| n.parse().expect("--replicas takes a count"));
     // `--trace-out` forces tracing on; otherwise GML_TRACE decides.
     let mut cfg = RuntimeConfig::new(6).resilient(true);
     if trace_out.is_some() {
@@ -221,58 +211,6 @@ fn main() {
             );
         }
         assert_eq!(report.bundles.len() as u64, stats.restores, "one bundle per restore");
-
-        // Phase 3: the task-resilience layer. A policied async task panics
-        // on its first attempt and is replayed by `run_policied`; then the
-        // final matrix state is replicated and digest-voted across
-        // `--replicas` live places. The `task_parity` step in `ci.sh` runs
-        // this drill at `--replicas 1` and `--replicas 3` and diffs the
-        // `final_state_digest` line — a replicated vote that disagrees with
-        // the single-replica digest fails CI.
-        println!("\n=== task layer drill (replay + replicated vote) ===");
-        {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            use std::sync::Arc;
-            let attempts = Arc::new(AtomicU64::new(0));
-            let seen = Arc::clone(&attempts);
-            ctx.finish(|fs| {
-                fs.async_at_policied(
-                    Place::new(1),
-                    TaskPolicy::default().retries(2).backoff_ms(1),
-                    move |_| {
-                        if seen.fetch_add(1, Ordering::SeqCst) == 0 {
-                            panic!("transient task fault (drill)");
-                        }
-                    },
-                );
-            })
-            .expect("policied task must succeed after replay");
-            let rt_stats = ctx.stats();
-            println!(
-                "  transient task fault: {} attempt(s), {} replay(s) recorded",
-                attempts.load(Ordering::SeqCst),
-                rt_stats.task_replays
-            );
-            assert!(rt_stats.task_replays >= 1, "the panicking task must be replayed");
-
-            let final_state = app.m.gather_dense(ctx).expect("gather final");
-            let bytes: Vec<u8> =
-                final_state.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
-            let local_digest = content_digest(&bytes);
-            let voted = ctx
-                .replicated_vote(
-                    Place::new(0),
-                    TaskPolicy::default().replicas(replicas),
-                    move |_| bytes.clone(),
-                )
-                .expect("replicated vote");
-            assert_eq!(voted, local_digest, "majority digest must equal the local digest");
-            println!(
-                "  replicated vote: {} mismatch(es) recorded",
-                ctx.stats().task_vote_mismatches
-            );
-            println!("final_state_digest {voted:016x}");
-        }
 
         // Memory plane: the ledger's store_shard tag is charged on insert
         // and discharged on evict/kill, so at this settle point it equals

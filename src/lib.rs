@@ -66,7 +66,6 @@ pub mod prelude {
         SnapshotAudit, Snapshottable,
     };
     pub use gml_matrix::{
-        builder, BlockData, BlockSet, DenseMatrix, Grid, MatrixBlock, SparseCSC, SparseCSR,
-        Vector,
+        builder, BlockData, BlockSet, DenseMatrix, Grid, MatrixBlock, SparseCSR, Vector,
     };
 }

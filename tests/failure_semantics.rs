@@ -10,13 +10,13 @@ use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
 use resilient_gml::core::{
     AppResilientStore, AppState, ChecksummedStep, DistBlockMatrix, DupVector, ExecutorConfig,
-    GmlResult, ResilientExecutor, ResilientIterativeApp, ResilientStore, RestoreMode,
+    GmlError, GmlResult, ResilientExecutor, ResilientIterativeApp, ResilientStore, RestoreMode,
     Snapshottable,
 };
 use resilient_gml::matrix::{builder, BlockData};
 
 /// Serializes every test that charges the process-global `store_shard`
-/// memory ledger: the chaos drill below reconciles that ledger against one
+/// memory ledger: the drills below reconcile that ledger against one
 /// store's live inventory, which is only meaningful if no other store in
 /// this process is concurrently charging it (same pattern as
 /// `tests/mem_plane.rs`).
@@ -163,73 +163,32 @@ fn cancelled_checkpoint_leaks_nothing() {
     .unwrap();
 }
 
-/// The combined chaos drill: one executor run absorbs, in order, a task
-/// that panics mid-iteration (replayed in place by its policy), a straggler
-/// task that overruns its deadline (abandoned and replayed elsewhere), and
-/// a silent checksum flip between the recorded digest and the pre-commit
-/// verification (detected, restored on the unchanged group under the
-/// `silent_error` effective mode). Afterwards the result is bit-exact, the
-/// flight recorder carries the mismatching digest pair, the runtime stats
-/// telescoped every replay, and the store ledger still reconciles
-/// byte-for-byte with the live inventory.
+/// The silent-error drill: a checksum flip between the digest a step
+/// recorded and the pre-commit verification is detected and restored on the
+/// unchanged group under the `silent_error` effective mode. Afterwards the
+/// result is bit-exact, the flight recorder carries the mismatching digest
+/// pair, and the store ledger still reconciles byte-for-byte with the live
+/// inventory.
 #[test]
-fn chaos_drill_replay_timeout_and_silent_error_in_one_run() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
+fn silent_error_drill_rolls_back_and_reconciles() {
     let _guard = STORE_LEDGER.lock().unwrap_or_else(|e| e.into_inner());
 
     /// A counter app (the duplicated vector gains 1.0 per iteration) that
-    /// injects all three chaos events itself: the atomics make each event
-    /// fire exactly once even when the iteration re-runs after rollback.
-    struct ChaosApp {
+    /// corrupts its own output once, at the `corrupt_at_digest_call`-th
+    /// digest it is asked for.
+    struct SilentFlipApp {
         v: DupVector,
         total_iters: u64,
-        panic_hits: Arc<AtomicU64>,
-        slow_hits: Arc<AtomicU64>,
         corrupt_at_digest_call: u64,
         digest_calls: std::cell::Cell<u64>,
     }
 
-    impl ResilientIterativeApp for ChaosApp {
+    impl ResilientIterativeApp for SilentFlipApp {
         fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
             iteration >= self.total_iters
         }
 
-        fn step(&mut self, ctx: &Ctx, iteration: u64) -> GmlResult<()> {
-            if iteration == 1 {
-                // Chaos 1: a transient fault — the task panics on its first
-                // attempt ever and succeeds on the policy's replay.
-                let hits = Arc::clone(&self.panic_hits);
-                ctx.finish(|fs| {
-                    fs.async_at_policied(
-                        Place::new(1),
-                        TaskPolicy::default().retries(2).backoff_ms(1),
-                        move |_| {
-                            if hits.fetch_add(1, Ordering::SeqCst) == 0 {
-                                panic!("chaos: transient task fault");
-                            }
-                        },
-                    );
-                })?;
-            }
-            if iteration == 2 {
-                // Chaos 2: a straggler — the first attempt sleeps far past
-                // the 40ms deadline, is abandoned, and the replay (eligible
-                // to land at a different live place) returns promptly.
-                let hits = Arc::clone(&self.slow_hits);
-                ctx.finish(|fs| {
-                    fs.async_at_policied(
-                        Place::new(2),
-                        TaskPolicy::default().retries(2).timeout_ms(40).backoff_ms(1),
-                        move |_| {
-                            if hits.fetch_add(1, Ordering::SeqCst) == 0 {
-                                std::thread::sleep(std::time::Duration::from_millis(250));
-                            }
-                        },
-                    );
-                })?;
-            }
+        fn step(&mut self, ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
             self.v.apply(ctx, |x| {
                 x.cell_add_scalar(1.0);
             })
@@ -244,13 +203,13 @@ fn chaos_drill_replay_timeout_and_silent_error_in_one_run() {
         }
     }
 
-    impl ChecksummedStep for ChaosApp {
+    impl ChecksummedStep for SilentFlipApp {
         fn output_digest(&self, ctx: &Ctx) -> GmlResult<u64> {
             let n = self.digest_calls.get() + 1;
             self.digest_calls.set(n);
             if n == self.corrupt_at_digest_call {
-                // Chaos 3: flip the data after the step recorded its digest
-                // so the pre-commit verification sees a silent error.
+                // Flip the data after the step recorded its digest so the
+                // pre-commit verification sees a silent error.
                 self.v.apply(ctx, |x| {
                     x.cell_add_scalar(0.5);
                 })?;
@@ -261,13 +220,10 @@ fn chaos_drill_replay_timeout_and_silent_error_in_one_run() {
 
     Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
         let g = ctx.world();
-        let before = ctx.stats();
         let mut store = AppResilientStore::make(ctx).unwrap();
-        let mut app = ChaosApp {
+        let mut app = SilentFlipApp {
             v: DupVector::make(ctx, 3, &g).unwrap(),
             total_iters: 8,
-            panic_hits: Arc::new(AtomicU64::new(0)),
-            slow_hits: Arc::new(AtomicU64::new(0)),
             // One record after each step, one verify before each commit:
             // with interval 4, the verify at iteration 4 is call #5.
             corrupt_at_digest_call: 5,
@@ -277,22 +233,13 @@ fn chaos_drill_replay_timeout_and_silent_error_in_one_run() {
         let (final_group, stats, report) =
             exec.run_reported(ctx, &mut app, &g, &mut store).unwrap();
 
-        // Bit-exact result on the unchanged group: nothing died, every
-        // chaos event was absorbed below the application's answer.
+        // Bit-exact result on the unchanged group: nothing died, and the
+        // flip was rolled back below the application's answer.
         assert_eq!(app.v.read_local(ctx).unwrap().get(0), 8.0);
         assert_eq!(final_group, g, "no place died; the group must be unchanged");
         assert_eq!(stats.restores, 1, "exactly the silent-error rollback");
         // Iterations 0..4 re-ran after rolling back to snapshot@0.
         assert_eq!(stats.iterations_run, 12);
-
-        // Each injected task ran three times: the faulting attempt, the
-        // policy's replay, and the benign re-execution after the rollback
-        // re-ran its iteration.
-        assert_eq!(app.panic_hits.load(Ordering::SeqCst), 3, "panic task: fault+replay+rerun");
-        assert_eq!(app.slow_hits.load(Ordering::SeqCst), 3, "straggler: timeout+replay+rerun");
-        let delta = ctx.stats().since(&before);
-        assert!(delta.task_replays >= 2, "both faults replayed: {}", delta.task_replays);
-        assert!(delta.task_timeouts >= 1, "the straggler timed out: {}", delta.task_timeouts);
 
         // The flight recorder pinned the silent error: effective mode
         // silent_error, no dead places, mismatching digest pair.
@@ -304,9 +251,74 @@ fn chaos_drill_replay_timeout_and_silent_error_in_one_run() {
         assert!(stats.detect_time > std::time::Duration::ZERO);
         assert!(report.consistent_with_totals(), "rows must telescope to totals");
 
-        // Memory plane: after all that chaos the store ledger still equals
-        // the summed live inventory, byte for byte. The ledger charges wire
+        // Memory plane: after the rollback the store ledger still equals the
+        // summed live inventory, byte for byte. The ledger charges wire
         // (framed) bytes, so reconcile against the wire column.
+        if mem::enabled() {
+            let inv: u64 = store.store().inventory(ctx).iter().map(|p| p.wire_bytes).sum();
+            assert_eq!(mem::current(MemTag::StoreShard), inv, "ledger must reconcile");
+        }
+    })
+    .unwrap();
+}
+
+/// A task that panics inside a step is a program error, not a failure to
+/// recover from: every task runs once, and the executor returns the panic
+/// as a non-recoverable `TaskPanic` carrying its text. No restore is
+/// attempted, the last committed snapshot is still the recovery point, and
+/// the store ledger reconciles with the live inventory.
+#[test]
+fn a_task_panic_in_a_step_fails_the_run_without_a_restore() {
+    let _guard = STORE_LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+
+    /// A counter app whose step at `panic_at` spawns a task that panics,
+    /// before the step touches its vector.
+    struct PanickingApp {
+        v: DupVector,
+        panic_at: u64,
+    }
+
+    impl ResilientIterativeApp for PanickingApp {
+        fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+            iteration >= 8
+        }
+
+        fn step(&mut self, ctx: &Ctx, iteration: u64) -> GmlResult<()> {
+            if iteration == self.panic_at {
+                ctx.finish(|fs| fs.async_at(Place::new(1), |_| panic!("step task fault")))?;
+            }
+            self.v.apply(ctx, |x| {
+                x.cell_add_scalar(1.0);
+            })
+        }
+
+        fn state(&mut self) -> AppState<'_> {
+            AppState::default().mutable("v", &mut self.v)
+        }
+    }
+
+    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+        let g = ctx.world();
+        let before = ctx.stats();
+        let mut store = AppResilientStore::make(ctx).unwrap();
+        let mut app = PanickingApp { v: DupVector::make(ctx, 3, &g).unwrap(), panic_at: 3 };
+        let exec = ResilientExecutor::new(ExecutorConfig::new(2, RestoreMode::Shrink));
+        let err = exec.run_reported(ctx, &mut app, &g, &mut store).unwrap_err();
+
+        assert!(!err.is_recoverable(), "a task panic is not recoverable: {err}");
+        match &err {
+            GmlError::Apgas(ApgasError::TaskPanic(msg)) => {
+                assert!(msg.contains("step task fault"), "the panic text is kept: {msg}");
+            }
+            other => panic!("expected TaskPanic, got {other:?}"),
+        }
+        // Steps 0..3 ran once each and nothing was rolled back: a restore
+        // to the snapshot taken at iteration 2 would read 2.0.
+        assert_eq!(app.v.read_local(ctx).unwrap().get(0), 3.0, "no restore was attempted");
+        assert_eq!(store.snapshot_iteration(), Some(2), "the last commit is the recovery point");
+        assert_eq!(ctx.stats().since(&before).failures, 0);
+        assert_eq!(ctx.live_subset(&g), g, "no place died");
+
         if mem::enabled() {
             let inv: u64 = store.store().inventory(ctx).iter().map(|p| p.wire_bytes).sum();
             assert_eq!(mem::current(MemTag::StoreShard), inv, "ledger must reconcile");

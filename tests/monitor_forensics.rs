@@ -300,7 +300,7 @@ fn every_family_in_a_scrape_has_one_help_and_owns_its_samples() {
 /// single-source, as `(name, type)` in scrape order. A family added,
 /// dropped or retyped is a change to the scrape's contract and must edit
 /// this list on purpose.
-const FAMILIES: [(&str, &str); 54] = [
+const FAMILIES: [(&str, &str); 51] = [
     ("gml_tasks_spawned_total", "counter"),
     ("gml_at_calls_total", "counter"),
     ("gml_ctl_spawns_total", "counter"),
@@ -313,9 +313,6 @@ const FAMILIES: [(&str, &str); 54] = [
     ("gml_decode_nanos_total", "counter"),
     ("gml_failures_total", "counter"),
     ("gml_places_spawned_total", "counter"),
-    ("gml_task_replays_total", "counter"),
-    ("gml_task_timeouts_total", "counter"),
-    ("gml_task_vote_mismatches_total", "counter"),
     ("gml_place_up", "gauge"),
     ("gml_place_mailbox_depth", "gauge"),
     ("gml_place_tasks_dispatched_total", "counter"),
