@@ -25,10 +25,17 @@ cargo run --release -p gml-bench --bin trace_smoke -- "$TRACE_JSON"
 
 echo "== forensics smoke =="
 # Kills a place mid-run, scrapes the Prometheus endpoint over localhost
-# (gml_place_up must flip), and validates every post-mortem bundle with the
-# built-in JSON parser — one bundle per restore, in memory and on disk, each
-# showing the snapshots degraded by the kill and a non-zero repair.
+# (gml_place_up, read from the runtime's liveness flags, must flip), and
+# validates every post-mortem bundle with the built-in JSON parser — one
+# bundle per restore, in memory and on disk, each showing the snapshots
+# degraded by the kill and a non-zero repair. Then the scrape's contract:
+# a traced, monitored run must expose exactly the pinned (name, type)
+# families — no watchdog or per-place heartbeat family among them. It runs
+# in tier-1 already; re-run by name so a family that moves is attributed
+# loudly here.
 cargo run --release -p gml-bench --bin forensics_smoke
+cargo test -q --test monitor_forensics \
+    a_traced_monitored_run_exposes_exactly_the_pinned_families -- --exact > /dev/null
 
 echo "== traffic pins (per recovery, per app, per class) =="
 # The deterministic gate on recovery cost (ROADMAP 2(b) in small): for a
@@ -187,7 +194,7 @@ echo "== non-test lines (per workspace crate) =="
 # lines that are only a `//` comment — per crate, over the whole workspace,
 # for the four vendored shims together, for gml-core + gml-apps (item 3's
 # first target), for the checkpoint store's three files (item 1's) and for
-# apgas's seven observability modules (item 5's).
+# apgas's six observability modules (item 5's).
 non_test_lines() {
     for f in "$@"; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
@@ -206,6 +213,6 @@ printf '%-22s %6d\n' "gml-core + gml-apps" "$(non_test_lines crates/core/src/*.r
 printf '%-22s %6d\n' "codec+store+app_store" \
     "$(non_test_lines crates/core/src/codec.rs crates/core/src/store.rs crates/core/src/app_store.rs)"
 printf '%-22s %6d\n' "apgas observability" \
-    "$(non_test_lines crates/apgas/src/{trace,monitor,critical_path,mem,watchdog,metrics,stats}.rs)"
+    "$(non_test_lines crates/apgas/src/{trace,monitor,critical_path,mem,metrics,stats}.rs)"
 
 echo "CI OK"

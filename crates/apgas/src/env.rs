@@ -1,6 +1,6 @@
 //! The library's environment variables, named and parsed in one place.
 //!
-//! Six variables configure a process; nothing else in the workspace reads
+//! Five variables configure a process; nothing else in the workspace reads
 //! a `GML_*` name (the benchmark harness's own `GML_BENCH_*` aside). A
 //! value that is set but does not parse is reported on stderr, naming the
 //! variable and the default used instead: a silent fallback would hide a
@@ -12,7 +12,8 @@ use std::path::PathBuf;
 /// Compute-pool width ([`crate::pool`]); unset or `0` sizes it from the
 /// machine. Read once per process.
 pub const WORKERS: &str = "GML_WORKERS";
-/// Structured tracing (`1`/`true`/`on`/`yes`) for a runtime whose
+/// Structured tracing (`1`/`true`/`on`/`yes`; `0`/`false`/`off`/`no` or
+/// empty for off) for a runtime whose
 /// [`RuntimeConfig::trace`](crate::runtime::RuntimeConfig::trace) is unset.
 pub const TRACE: &str = "GML_TRACE";
 /// Where a traced runtime writes its Chrome trace at shutdown.
@@ -20,14 +21,11 @@ pub const TRACE_OUT: &str = "GML_TRACE_OUT";
 /// Port of the Prometheus scrape endpoint (`0` → ephemeral) for a runtime
 /// that does not set one; unset → no endpoint.
 pub const MONITOR_PORT: &str = "GML_MONITOR_PORT";
-/// Process heap budget in bytes for the watchdog's memory-pressure alarm;
-/// unset or `0` → no alarm.
-pub const MEM_BUDGET: &str = "GML_MEM_BUDGET";
 /// Directory each restore's post-mortem bundle is also written to.
 pub const FORENSICS_DIR: &str = "GML_FORENSICS_DIR";
 
 /// Every variable the library reads.
-pub const NAMES: [&str; 6] = [WORKERS, TRACE, TRACE_OUT, MONITOR_PORT, MEM_BUDGET, FORENSICS_DIR];
+pub const NAMES: [&str; 5] = [WORKERS, TRACE, TRACE_OUT, MONITOR_PORT, FORENSICS_DIR];
 
 /// [`WORKERS`]: the forced pool width, `0` for auto-sizing.
 pub(crate) fn workers() -> usize {
@@ -36,8 +34,7 @@ pub(crate) fn workers() -> usize {
 
 /// [`TRACE`]: whether tracing is switched on.
 pub(crate) fn trace() -> bool {
-    let v = std::env::var(TRACE).unwrap_or_default().to_ascii_lowercase();
-    matches!(v.as_str(), "1" | "true" | "on" | "yes")
+    switch(TRACE).unwrap_or(false)
 }
 
 /// [`TRACE_OUT`]: the trace export path, if one is set.
@@ -48,11 +45,6 @@ pub(crate) fn trace_out() -> Option<PathBuf> {
 /// [`MONITOR_PORT`]: the scrape endpoint's port, if one is set.
 pub(crate) fn monitor_port() -> Option<u16> {
     parsed(MONITOR_PORT, "monitoring disabled")
-}
-
-/// [`MEM_BUDGET`]: the heap budget in bytes, `0` for none.
-pub(crate) fn mem_budget() -> u64 {
-    parsed(MEM_BUDGET, "no budget").unwrap_or(0)
 }
 
 /// [`FORENSICS_DIR`]: the post-mortem directory, if one is set.
@@ -69,6 +61,20 @@ fn parsed<T: std::str::FromStr>(name: &str, default: &str) -> Option<T> {
         eprintln!("{name}: unparsable value {raw:?}; using default ({default})");
     }
     v
+}
+
+/// An on/off variable: `None` when it is unset or — loudly — when it is
+/// neither an on nor an off value; the caller's default is off.
+fn switch(name: &str) -> Option<bool> {
+    let raw = std::env::var(name).ok()?;
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" | "yes" => Some(true),
+        "" | "0" | "false" | "off" | "no" => Some(false),
+        _ => {
+            eprintln!("{name}: unparsable value {raw:?}; using default (off)");
+            None
+        }
+    }
 }
 
 fn path(name: &str) -> Option<PathBuf> {
@@ -90,6 +96,29 @@ mod tests {
         assert_eq!(parsed::<usize>(var, "auto"), None, "a typo falls back");
         std::env::set_var(var, "70000");
         assert_eq!(parsed::<u16>(var, "off"), None, "out of range falls back");
+        std::env::remove_var(var);
+    }
+
+    #[test]
+    fn switch_names_its_off_values_and_rejects_the_rest() {
+        // A name unique to this test, so no concurrent test reads it.
+        let var = "GML_TEST_SWITCH_XYZ";
+        assert_eq!(switch(var), None, "unset");
+        for (raw, want) in [
+            ("1", Some(true)),
+            (" On ", Some(true)),
+            ("YES", Some(true)),
+            ("", Some(false)),
+            ("0", Some(false)),
+            ("false", Some(false)),
+            ("Off", Some(false)),
+            ("no", Some(false)),
+            ("enable", None),
+            ("2", None),
+        ] {
+            std::env::set_var(var, raw);
+            assert_eq!(switch(var), want, "{raw:?}");
+        }
         std::env::remove_var(var);
     }
 }

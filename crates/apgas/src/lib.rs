@@ -65,8 +65,7 @@ pub use error::{ApgasError, DeadPlaceException, Result};
 pub use finish::{FinishScope, LedgerEntry};
 pub use mem::{MemReport, MemScope, MemTag};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
-pub use monitor::watchdog::{Watchdog, WatchdogReport};
-pub use monitor::{HealthBoard, HealthSnapshot, MonitorServer, PlaceHealth};
+pub use monitor::MonitorServer;
 pub use place::{Place, PlaceGroup};
 pub use plh::PlaceLocalHandle;
 pub use runtime::{Ctx, Helper, Runtime, RuntimeConfig};
@@ -82,8 +81,7 @@ pub mod prelude {
     pub use crate::finish::{FinishScope, LedgerEntry};
     pub use crate::mem::{self, MemReport, MemScope, MemTag};
     pub use crate::metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
-    pub use crate::monitor::watchdog::{Watchdog, WatchdogReport};
-    pub use crate::monitor::{HealthSnapshot, MonitorServer};
+    pub use crate::monitor::MonitorServer;
     pub use crate::place::{Place, PlaceGroup};
     pub use crate::plh::PlaceLocalHandle;
     pub use crate::pool;

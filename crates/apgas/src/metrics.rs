@@ -7,8 +7,8 @@
 //! kind ([`crate::trace::SpanKind`]) feeds one histogram.
 //!
 //! Every metric leaves the process as a [`Family`]: each exporter (runtime
-//! counters, place health, span latency, pool, memory plane, trace drops,
-//! watchdog, and whatever collectors the data layers register) returns
+//! counters, place liveness, span latency, pool, memory plane, trace drops,
+//! and whatever collectors the data layers register) returns
 //! families, and [`exposition`] is the one writer of the Prometheus text
 //! format. A set of monotonic counters is declared once with
 //! [`counter_set!`](crate::counter_set): field, family name and help.
@@ -375,7 +375,7 @@ fn escape_label(s: &str) -> String {
 
 /// Write `families` in the Prometheus text exposition format: `# HELP` and
 /// `# TYPE` once per family, then its samples. A family with no samples is
-/// left out (a summary of no spans, a watchdog that has seen no iteration).
+/// left out (a summary of no spans, as when tracing is off).
 pub fn exposition(families: &[Family]) -> String {
     let mut out = String::with_capacity(8192);
     for f in families.iter().filter(|f| !f.samples.is_empty()) {

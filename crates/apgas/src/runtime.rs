@@ -16,15 +16,13 @@ use std::thread::JoinHandle;
 
 use crate::error::{ApgasError, DeadPlaceException, Result};
 use crate::finish::{self, CtlMsg, FinishScope, LedgerEntry};
-use crate::metrics::Family;
-use crate::monitor::watchdog::Watchdog;
-use crate::monitor::{self, HealthBoard, HealthSnapshot, MonitorServer, PlaceHealth};
+use crate::metrics::{Family, Kind};
+use crate::monitor::MonitorServer;
 use crate::place::{Place, PlaceGroup};
 use crate::plh::PlhRegistry;
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::sync::{Mutex, RwLock};
 use crate::thread_cache::ThreadCache;
-use crate::trace::critical_path::IterProfile;
 use crate::trace::{SpanGuard, SpanKind, TraceCtx, Tracer};
 
 /// Configuration for a [`Runtime`].
@@ -42,8 +40,8 @@ pub struct RuntimeConfig {
     /// Structured tracing ([`crate::trace`]): `Some(on)` forces it, `None`
     /// (the default) defers to the `GML_TRACE` environment variable.
     pub trace: Option<bool>,
-    /// Live health monitoring ([`crate::monitor`]): `Some(port)` serves the
-    /// Prometheus scrape endpoint on `127.0.0.1:port` (0 → ephemeral),
+    /// The scrape endpoint ([`crate::monitor`]): `Some(port)` serves
+    /// Prometheus metrics on `127.0.0.1:port` (0 → ephemeral),
     /// `None` (the default) defers to the `GML_MONITOR_PORT` environment
     /// variable (unset → disabled).
     pub monitor_port: Option<u16>,
@@ -73,7 +71,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Serve the Prometheus health/metrics endpoint on `127.0.0.1:port`
+    /// Serve the Prometheus metrics endpoint on `127.0.0.1:port`
     /// (0 → ephemeral port; read it back via
     /// [`Runtime::monitor_addr`]), overriding `GML_MONITOR_PORT`.
     pub fn monitor_port(mut self, port: u16) -> Self {
@@ -99,7 +97,6 @@ pub(crate) enum Envelope {
 struct PlaceState {
     alive: AtomicBool,
     tx: Sender<Envelope>,
-    health: Arc<PlaceHealth>,
 }
 
 /// A registered scrape collector: the families it adds to every scrape.
@@ -119,10 +116,6 @@ pub(crate) struct RtInner {
     cache: ThreadCache,
     pub(crate) stats: RuntimeStats,
     pub(crate) tracer: Tracer,
-    /// Heartbeat switchboard; a single branch per update when disabled.
-    health: HealthBoard,
-    /// Online anomaly detection: iteration-time EWMA + backlog trends.
-    watchdog: Arc<Watchdog>,
     /// Where the trace is exported at shutdown (`GML_TRACE_OUT`, read once
     /// at startup; `None` when tracing is off).
     trace_out: Option<std::path::PathBuf>,
@@ -160,7 +153,6 @@ impl RtInner {
         if !st.alive.load(Ordering::Acquire) {
             return Err(DeadPlaceException::new(p, "send to dead place"));
         }
-        self.health.on_enqueue(&st.health);
         // Mailbox ledger: envelope-header bytes queued but not yet drained
         // (closure captures are opaque to the runtime and not charged; the
         // dispatcher discharges after recv). A failed send discharges
@@ -173,21 +165,14 @@ impl RtInner {
         })
     }
 
-    /// Freeze every place's heartbeat gauges (liveness read from the same
-    /// flag `kill_place` flips, so `up` reflects kills immediately).
-    fn health_snapshots(&self) -> Vec<HealthSnapshot> {
-        self.places
-            .read()
-            .iter()
-            .enumerate()
-            .map(|(id, st)| {
-                self.health.snapshot(
-                    id as u32,
-                    st.alive.load(Ordering::Acquire),
-                    &st.health,
-                )
-            })
-            .collect()
+    /// `gml_place_up`, one sample per place, read from the flag
+    /// `kill_place` flips, so the gauge drops the instant a kill lands.
+    fn place_up_family(&self) -> Family {
+        let help = "1 while the place is alive, 0 after a fail-stop kill.";
+        self.places.read().iter().enumerate().fold(
+            Family::new(Kind::Gauge, "gml_place_up", help),
+            |f, (id, st)| f.labelled("place", id, st.alive.load(Ordering::Acquire)),
+        )
     }
 
     /// Start one dispatcher-backed place with the next free id. Used both
@@ -196,12 +181,7 @@ impl RtInner {
         let mut places = self.places.write();
         let id = places.len() as u32;
         let (tx, rx) = channel();
-        let health = Arc::new(PlaceHealth::new());
-        places.push(Arc::new(PlaceState {
-            alive: AtomicBool::new(true),
-            tx,
-            health: Arc::clone(&health),
-        }));
+        places.push(Arc::new(PlaceState { alive: AtomicBool::new(true), tx }));
         drop(places);
         self.plh.ensure_place(id as usize + 1);
         self.tracer.ensure_place(id as usize + 1);
@@ -212,7 +192,7 @@ impl RtInner {
         crate::pool::note_dispatcher();
         let h = std::thread::Builder::new()
             .name(format!("apgas-place-{id}"))
-            .spawn(move || dispatch_loop(rt, place, rx, health))
+            .spawn(move || dispatch_loop(rt, place, rx))
             .expect("spawn place dispatcher");
         self.dispatchers.lock().push(h);
         place
@@ -511,56 +491,6 @@ impl Ctx {
     {
         self.rt.collectors.lock().push(Box::new(f));
     }
-
-    /// The runtime's performance watchdog (always present; it only does
-    /// work when fed via [`Self::observe_iteration`] and
-    /// [`Self::observe_memory`]).
-    pub fn watchdog(&self) -> &Watchdog {
-        &self.rt.watchdog
-    }
-
-    /// Feed one executor-iteration profile to the watchdog and fold its
-    /// verdicts into the [`HealthBoard`] anomaly flags: a wall-time
-    /// regression flags the iteration's dominant place, a growing mailbox
-    /// backlog flags the congested place. Returns whether the iteration
-    /// itself regressed.
-    pub fn observe_iteration(&self, profile: &IterProfile) -> bool {
-        let regressed = self.rt.watchdog.observe_iteration(profile);
-        if regressed {
-            self.rt.health.raise_anomaly(profile.dominant_place);
-        }
-        if self.rt.health.is_on() {
-            if let Some(p) = self.rt.watchdog.observe_backlog(&self.rt.health_snapshots()) {
-                self.rt.health.raise_anomaly(p);
-            }
-        }
-        regressed
-    }
-
-    /// Feed the live heap level to the watchdog's memory-pressure check
-    /// (a no-op without a `GML_MEM_BUDGET`). Memory is process-wide
-    /// (places share one address space here), so a pressure alarm flags
-    /// place zero, the coordinator. With `mem-profile` compiled out the
-    /// heap level reads 0 and a budget never trips. Returns whether the
-    /// sample signalled pressure.
-    pub fn observe_memory(&self) -> bool {
-        let pressed = self.rt.watchdog.observe_memory(crate::mem::heap_bytes());
-        if pressed {
-            self.rt.health.raise_anomaly(0);
-        }
-        pressed
-    }
-
-    /// A point-in-time copy of every place's heartbeat gauges (including
-    /// watchdog anomaly flags). All-zero counters when monitoring is off.
-    pub fn health_snapshots(&self) -> Vec<HealthSnapshot> {
-        self.rt.health_snapshots()
-    }
-
-    /// The watchdog anomaly bitmask (bit *n* → place *n*).
-    pub fn anomaly_mask(&self) -> u64 {
-        self.rt.health.anomaly_mask()
-    }
 }
 
 /// The pending result of [`Ctx::spawn_helper`].
@@ -644,8 +574,6 @@ impl Runtime {
             cache: ThreadCache::new(),
             stats: RuntimeStats::default(),
             tracer,
-            health: HealthBoard::new(monitor_port.is_some()),
-            watchdog: Arc::new(Watchdog::new(crate::env::mem_budget())),
             trace_out,
             monitor: Mutex::new(None),
             collectors: Mutex::new(Vec::new()),
@@ -677,12 +605,11 @@ impl Runtime {
                     return String::from("# runtime stopped\n");
                 };
                 let mut families = rt.stats.snapshot().families();
-                families.extend(monitor::health_families(&rt.health_snapshots()));
+                families.push(rt.place_up_family());
                 families.push(rt.tracer.metrics().family());
                 families.extend(crate::pool::families());
                 families.extend(crate::mem::families());
                 families.push(rt.tracer.dropped_family());
-                families.extend(rt.watchdog.families());
                 for collect in rt.collectors.lock().iter() {
                     families.extend(collect());
                 }
@@ -719,16 +646,6 @@ impl Runtime {
     /// The runtime's trace collector.
     pub fn tracer(&self) -> &Tracer {
         &self.inner.tracer
-    }
-
-    /// The runtime's performance watchdog.
-    pub fn watchdog(&self) -> &Watchdog {
-        &self.inner.watchdog
-    }
-
-    /// The watchdog anomaly bitmask (bit *n* → place *n*).
-    pub fn anomaly_mask(&self) -> u64 {
-        self.inner.health.anomaly_mask()
     }
 
     /// Local address of the Prometheus scrape endpoint, when monitoring is
@@ -792,25 +709,15 @@ impl Drop for Runtime {
     }
 }
 
-fn dispatch_loop(rt: Arc<RtInner>, place: Place, rx: Receiver<Envelope>, health: Arc<PlaceHealth>) {
+fn dispatch_loop(rt: Arc<RtInner>, place: Place, rx: Receiver<Envelope>) {
     while let Ok(env) = rx.recv() {
-        rt.health.on_dequeue(&health);
         crate::mem::discharge(crate::mem::MemTag::Mailbox, std::mem::size_of::<Envelope>());
         match env {
             Envelope::Stop => break,
             Envelope::Task { run } => {
                 if rt.is_alive(place) {
                     let ctx = Ctx::new(Arc::clone(&rt), place);
-                    rt.health.on_dispatch(&health);
-                    if rt.health.is_on() {
-                        let h2 = Arc::clone(&health);
-                        rt.cache.submit(Box::new(move || {
-                            run(&ctx);
-                            ctx.rt.health.on_complete(&h2);
-                        }));
-                    } else {
-                        rt.cache.submit(Box::new(move || run(&ctx)));
-                    }
+                    rt.cache.submit(Box::new(move || run(&ctx)));
                 }
                 // Dead place: queued work is silently dropped; reply
                 // channels inside `run` disconnect and callers observe a

@@ -3,11 +3,7 @@
 //! must be indistinguishable from the uninstrumented baseline (the disabled
 //! `SpanGuard` takes no clock reading and touches no atomics), while
 //! `trace_on` shows the real price of a ring push + histogram record.
-//! The `monitor_overhead` group does the same for the health board that
-//! feeds the Prometheus endpoint: disabled, its per-task updates must be a
-//! single branch.
 
-use apgas::monitor::{HealthBoard, PlaceHealth};
 use apgas::serial::write_slice;
 use apgas::trace::{SpanKind, Tracer, DEFAULT_RING_CAPACITY};
 use bytes::BytesMut;
@@ -71,55 +67,5 @@ fn bench_hot_loop(c: &mut Criterion) {
     g.finish();
 }
 
-/// The dispatcher-loop health instrumentation, monitor off vs on: one
-/// dispatch/complete pair per task, exactly as `dispatch_loop` issues them.
-fn bench_monitor_updates(c: &mut Criterion) {
-    let mut g = c.benchmark_group("monitor_overhead");
-
-    let off = HealthBoard::new(false);
-    let off_h = PlaceHealth::default();
-    g.bench_function("dispatch_complete_disabled", |b| {
-        b.iter(|| {
-            off.on_dispatch(black_box(&off_h));
-            off.on_complete(black_box(&off_h));
-        })
-    });
-
-    let on = HealthBoard::new(true);
-    let on_h = PlaceHealth::default();
-    g.bench_function("dispatch_complete_enabled", |b| {
-        b.iter(|| {
-            on.on_dispatch(black_box(&on_h));
-            on.on_complete(black_box(&on_h));
-        })
-    });
-
-    // The same hot encode loop as above, with the per-task health updates
-    // a monitored dispatcher adds around it.
-    let data = builder::random_vector(10_000, 17).into_vec();
-    let encode = |data: &[f64]| {
-        let mut buf = BytesMut::with_capacity(8 + 8 * data.len());
-        write_slice(data, &mut buf);
-        buf.freeze()
-    };
-    g.bench_function("encode_10k_monitor_off", |b| {
-        b.iter(|| {
-            off.on_dispatch(&off_h);
-            let r = black_box(encode(black_box(&data)));
-            off.on_complete(&off_h);
-            r
-        })
-    });
-    g.bench_function("encode_10k_monitor_on", |b| {
-        b.iter(|| {
-            on.on_dispatch(&on_h);
-            let r = black_box(encode(black_box(&data)));
-            on.on_complete(&on_h);
-            r
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(trace_overhead, bench_span_primitives, bench_hot_loop, bench_monitor_updates);
+criterion_group!(trace_overhead, bench_span_primitives, bench_hot_loop);
 criterion_main!(trace_overhead);

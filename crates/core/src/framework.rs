@@ -448,24 +448,15 @@ impl ResilientExecutor {
             };
             row.step = t.elapsed();
             // With tracing on, reconstruct this pass's cross-place critical
-            // path from the rings (the Step span just closed) and feed the
-            // watchdog so regressions and stragglers are flagged online.
+            // path from the rings (the Step span just closed) for the row.
             if ctx.tracer().is_on() {
                 let events = ctx.tracer().events();
                 let dropped = ctx.tracer().dropped();
                 let profiles = critical_path::analyze(&events, &dropped);
                 // Re-executed iterations share a number after rollback;
                 // the latest window is this pass's.
-                if let Some(p) =
-                    profiles.iter().rev().find(|p| p.iteration == row.iteration)
-                {
-                    row.path = Some(*p);
-                    ctx.observe_iteration(p);
-                }
+                row.path = profiles.iter().rev().find(|p| p.iteration == row.iteration).copied();
             }
-            // The heap sample needs no trace: a memory budget is checked on
-            // every pass, traced or not.
-            ctx.observe_memory();
             stats.step_time += t.elapsed();
             // Record the output digest the moment the step produced it —
             // the reference the pre-commit verification compares against.

@@ -9,9 +9,7 @@
 //! through the `ResilientExecutor`, kills another place mid-run, and prints
 //! the per-iteration resilience cost report plus the span latency table.
 //! With tracing on, the report gains the per-iteration critical-path
-//! breakdown (compute/ship/ctl/idle, dominant place, straggler ratio), one
-//! iteration is artificially slowed to trip the watchdog's regression
-//! anomaly, and the watchdog summary is printed at the end.
+//! breakdown (compute/ship/ctl/idle, dominant place, straggler ratio).
 //!
 //! ```sh
 //! cargo run --release --example failure_drill
@@ -44,20 +42,13 @@ fn layout_report(label: &str, m: &DistBlockMatrix) {
 }
 
 /// A minimal executor-driven app: each step halves the matrix and reduces
-/// its Frobenius norm (a collective, so a dead place surfaces here). At
-/// `slow_at` it turns `straggler` into an artificial laggard for ~300ms —
-/// the same doc-hidden gate idiom `tests/checkpoint_pipeline.rs` uses to
-/// park ship threads — so the watchdog's iteration-regression anomaly has
-/// something real to catch.
+/// its Frobenius norm (a collective, so a dead place surfaces here).
 struct NormDrill {
     m: DistBlockMatrix,
     iters: u64,
     kill_at: u64,
     victim: Place,
     fired: bool,
-    slow_at: u64,
-    straggler: Place,
-    slowed: bool,
 }
 
 impl ResilientIterativeApp for NormDrill {
@@ -70,26 +61,6 @@ impl ResilientIterativeApp for NormDrill {
             self.fired = true;
             println!("  !! killing place {} at iteration {iteration}", self.victim);
             ctx.kill_place(self.victim)?;
-        }
-        if iteration == self.slow_at && !self.slowed && ctx.tracer().is_on() {
-            self.slowed = true;
-            println!(
-                "  !! slowing place {} for ~300ms at iteration {iteration}",
-                self.straggler
-            );
-            use std::sync::atomic::{AtomicBool, Ordering};
-            use std::sync::Arc;
-            let gate = Arc::new(AtomicBool::new(true));
-            let opener = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(300));
-                opener.store(false, Ordering::SeqCst);
-            });
-            ctx.at(self.straggler, move |_| {
-                while gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            })?;
         }
         self.m.scale(ctx, 0.5)?;
         let norm = self.m.frobenius_norm_sq(ctx)?;
@@ -188,9 +159,6 @@ fn main() {
             kill_at: 5,
             victim: Place::new(4),
             fired: false,
-            slow_at: 7,
-            straggler: Place::new(1),
-            slowed: false,
         };
         let exec = ResilientExecutor::new(ExecutorConfig::new(2, RestoreMode::ShrinkRebalance));
         let (final_group, stats, report) =
@@ -228,35 +196,6 @@ fn main() {
                 fmt_bytes(mem::heap_peak_bytes()),
             );
             assert_eq!(ledger, inv, "store ledger must reconcile with live inventory");
-        }
-
-        // The watchdog sampled every pass online; the artificial straggler
-        // above must have tripped the iteration-regression anomaly.
-        if ctx.tracer().is_on() {
-            let wd = ctx.watchdog().report();
-            println!("--- watchdog ---");
-            println!(
-                "  iterations observed: {} | ewma wall: {:.1}ms | regressions: {} | \
-                 backlog alarms: {}",
-                wd.observed,
-                wd.ewma_nanos as f64 / 1e6,
-                wd.regressions,
-                wd.backlog_alarms
-            );
-            if let Some(p) = wd.last {
-                println!(
-                    "  last iteration: path {:.1}ms of {:.1}ms wall, dominant place {}, \
-                     straggler ratio {:.2}",
-                    p.critical_path_nanos as f64 / 1e6,
-                    p.wall_nanos as f64 / 1e6,
-                    p.dominant_place,
-                    p.straggler_ratio
-                );
-            }
-            assert!(wd.regressions >= 1, "the artificial straggler must trip the watchdog");
-            let mask = ctx.anomaly_mask();
-            println!("  anomaly mask: {mask:#08b}");
-            assert_ne!(mask, 0, "an anomaly flag must be raised on the HealthBoard");
         }
     })
     .expect("runtime");

@@ -185,31 +185,6 @@ fn main() {
                 );
                 assert_eq!(ledger, inv, "store ledger must reconcile with live inventory");
             }
-            // With tracing on, the report above includes the per-iteration
-            // critical-path table; the watchdog sampled the same profiles
-            // online — print what it saw.
-            if ctx.tracer().is_on() {
-                let wd = ctx.watchdog().report();
-                println!(
-                    "  watchdog: {} iterations observed, ewma wall {:.1}ms, \
-                     {} regression(s), {} backlog alarm(s), anomaly mask {:#b}",
-                    wd.observed,
-                    wd.ewma_nanos as f64 / 1e6,
-                    wd.regressions,
-                    wd.backlog_alarms,
-                    ctx.anomaly_mask()
-                );
-                if let Some(p) = wd.last {
-                    println!(
-                        "  last iteration: critical path {:.1}ms of {:.1}ms wall \
-                         (dominant place {}, straggler ratio {:.2})",
-                        p.critical_path_nanos as f64 / 1e6,
-                        p.wall_nanos as f64 / 1e6,
-                        p.dominant_place,
-                        p.straggler_ratio
-                    );
-                }
-            }
             println!("  max |ranks - baseline| = {diff:.2e} (exact recovery)");
             assert!(diff < 1e-12);
         })

@@ -1,9 +1,9 @@
-//! Memory-observability drills: the `GML_MEM_BUDGET` watchdog pressure
-//! alarm, the store ledger tag reconciling byte-for-byte with the
-//! resilient store's live inventory through save / delete / restore / kill
-//! cycles, the memory bound of a checkpointing run: the heap stays flat
-//! from checkpoint to checkpoint and the buffer pool parks no more than its
-//! budget, and a GNMF step's kernels allocating no block-sized buffer.
+//! Memory-observability drills: the store ledger tag reconciling
+//! byte-for-byte with the resilient store's live inventory through save /
+//! delete / restore / kill cycles, the memory bound of a checkpointing run:
+//! the heap stays flat from checkpoint to checkpoint and the buffer pool
+//! parks no more than its budget, and a GNMF step's kernels allocating no
+//! block-sized buffer.
 //!
 //! The ledger and the allocator counters are process-global, so the tests
 //! here serialize on one mutex and this binary keeps the whole process to
@@ -15,78 +15,9 @@ use apgas::runtime::{Runtime, RuntimeConfig};
 use resilient_gml::core::{each_place, DupOperand, FailureInjector};
 use resilient_gml::prelude::*;
 
-/// Serializes the tests: both read process-global state (env knobs, the
-/// memory ledger), so they must not interleave.
+/// Serializes the tests: they read process-global state (the memory
+/// ledger, the allocator counters), so they must not interleave.
 static PROCESS_STATE: Mutex<()> = Mutex::new(());
-
-/// Drill: with a tiny `GML_MEM_BUDGET`, the first heap sample must trip
-/// the watchdog's memory-pressure anomaly (the process heap is far above
-/// any 1 KiB budget) and flag place zero on the health board.
-#[test]
-fn tiny_mem_budget_trips_memory_pressure_anomaly() {
-    let _guard = PROCESS_STATE.lock().unwrap();
-    if !mem::enabled() {
-        return; // heap_bytes() reads 0 with mem-profile off: budget never trips
-    }
-    std::env::set_var("GML_MEM_BUDGET", "1024");
-    Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
-        assert_eq!(ctx.anomaly_mask(), 0, "board starts clean");
-        ctx.observe_memory();
-        ctx.observe_memory();
-        let wd = ctx.watchdog().report();
-        assert!(
-            wd.mem_alarms >= 1,
-            "heap {} must press a 1 KiB budget (alarms: {})",
-            mem::heap_bytes(),
-            wd.mem_alarms
-        );
-        assert_ne!(
-            ctx.anomaly_mask() & 1,
-            0,
-            "memory pressure flags place zero on the health board"
-        );
-    })
-    .unwrap();
-    std::env::remove_var("GML_MEM_BUDGET");
-}
-
-/// With no budget configured, the same observations raise nothing.
-#[test]
-fn unset_mem_budget_stays_quiet() {
-    let _guard = PROCESS_STATE.lock().unwrap();
-    std::env::remove_var("GML_MEM_BUDGET");
-    Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
-        assert!(!ctx.observe_memory());
-        assert!(!ctx.observe_memory());
-        assert_eq!(ctx.watchdog().report().mem_alarms, 0);
-        assert_eq!(ctx.anomaly_mask(), 0);
-    })
-    .unwrap();
-}
-
-/// The executor samples the heap on every pass whether or not tracing is
-/// on: an untraced run under a tiny budget raises the alarm too.
-#[test]
-fn untraced_executor_run_raises_memory_pressure() {
-    let _guard = PROCESS_STATE.lock().unwrap();
-    if !mem::enabled() {
-        return;
-    }
-    std::env::set_var("GML_MEM_BUDGET", "1024");
-    Runtime::run(RuntimeConfig::new(2).resilient(true).trace(false), |ctx| {
-        let world = ctx.world();
-        let dv = DistVector::make(ctx, 64, &world).unwrap();
-        let dup = DupVector::make(ctx, 64, &world).unwrap();
-        let mut store = AppResilientStore::make(ctx).unwrap();
-        let exec = ResilientExecutor::new(ExecutorConfig::new(5, RestoreMode::Shrink));
-        exec.run(ctx, &mut Steady { dv, dup }, &world, &mut store).unwrap();
-        assert!(!ctx.tracer().is_on());
-        assert!(ctx.watchdog().report().mem_alarms >= 1, "an untraced run must sample the heap");
-        assert_ne!(ctx.anomaly_mask() & 1, 0, "memory pressure flags place zero");
-    })
-    .unwrap();
-    std::env::remove_var("GML_MEM_BUDGET");
-}
 
 /// Sum of live-place **wire** bytes, as the store reports them — the ledger
 /// charges framed (post-codec) bytes, so that is the reconcilable column.

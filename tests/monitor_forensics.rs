@@ -92,7 +92,6 @@ fn monitored_run_flips_gauges_and_records_one_bundle_per_restore() {
     assert_eq!(gauge(&after, "gml_place_up", 0), Some(1), "place zero is immortal");
     assert_eq!(gauge(&after, "gml_store_place_alive", victim.id()), Some(0));
     assert!(after.contains("gml_tasks_spawned_total"), "runtime counters exposed");
-    assert!(after.contains("gml_place_mailbox_depth"), "health gauges exposed");
 
     // (b) Exactly one valid bundle per restore, and the recorded mode
     // matches the label on the Restore span that actually ran.
@@ -121,6 +120,23 @@ fn monitored_run_flips_gauges_and_records_one_bundle_per_restore() {
     rt.shutdown();
     // After shutdown the endpoint is gone.
     assert!(TcpStream::connect(addr).is_err(), "monitor must stop with the runtime");
+}
+
+/// A place added at run time is scraped like a configured one: up once
+/// spawned, down once killed — its gauge reads the same liveness flag.
+#[test]
+fn a_spawned_place_is_scraped_up_and_then_down() {
+    let rt = Runtime::new(RuntimeConfig::new(2).resilient(true).monitor_port(0));
+    let addr = rt.monitor_addr().expect("monitor server must be up");
+    assert_eq!(gauge(&scrape(addr), "gml_place_up", 2), None, "no place 2 yet");
+    let fresh = rt.exec(|ctx| ctx.spawn_place().unwrap()).unwrap();
+    assert_eq!(fresh, Place::new(2));
+    assert_eq!(gauge(&scrape(addr), "gml_place_up", 2), Some(1), "spawned place is up");
+    rt.kill_place(fresh).unwrap();
+    let after = scrape(addr);
+    assert_eq!(gauge(&after, "gml_place_up", 2), Some(0), "killed place is down");
+    assert_eq!(gauge(&after, "gml_place_up", 1), Some(1), "the others stay up");
+    rt.shutdown();
 }
 
 #[test]
@@ -296,11 +312,10 @@ fn every_family_in_a_scrape_has_one_help_and_owns_its_samples() {
     assert!(families.len() > 40, "a full scrape, not an empty one: {families:?}");
 }
 
-/// Every family the monitor exposed when the metric declarations were made
-/// single-source, as `(name, type)` in scrape order. A family added,
-/// dropped or retyped is a change to the scrape's contract and must edit
-/// this list on purpose.
-const FAMILIES: [(&str, &str); 51] = [
+/// Every family a traced, monitored run's scrape exposes, as `(name, type)`
+/// in scrape order. A family added, dropped or retyped is a change to the
+/// scrape's contract and must edit this list on purpose.
+const FAMILIES: [(&str, &str); 42] = [
     ("gml_tasks_spawned_total", "counter"),
     ("gml_at_calls_total", "counter"),
     ("gml_ctl_spawns_total", "counter"),
@@ -314,11 +329,6 @@ const FAMILIES: [(&str, &str); 51] = [
     ("gml_failures_total", "counter"),
     ("gml_places_spawned_total", "counter"),
     ("gml_place_up", "gauge"),
-    ("gml_place_mailbox_depth", "gauge"),
-    ("gml_place_tasks_dispatched_total", "counter"),
-    ("gml_place_tasks_completed_total", "counter"),
-    ("gml_place_anomaly", "gauge"),
-    ("gml_place_last_activity_age_seconds", "gauge"),
     ("gml_span_latency_nanos", "summary"),
     ("gml_pool_workers", "gauge"),
     ("gml_pool_jobs_inline_total", "counter"),
@@ -337,10 +347,6 @@ const FAMILIES: [(&str, &str); 51] = [
     ("gml_arena_parked_bytes", "gauge"),
     ("gml_arena_parked_high_water_bytes", "gauge"),
     ("gml_trace_dropped_total", "counter"),
-    ("gml_iter_critical_path_nanos", "gauge"),
-    ("gml_straggler_ratio", "gauge"),
-    ("gml_iter_wall_ewma_nanos", "gauge"),
-    ("gml_watchdog_anomalies_total", "counter"),
     ("gml_store_place_alive", "gauge"),
     ("gml_store_entries", "gauge"),
     ("gml_store_snapshots", "gauge"),
@@ -355,8 +361,7 @@ const FAMILIES: [(&str, &str); 51] = [
 ];
 
 /// The only families whose samples are not integers.
-const FLOAT_FAMILIES: [&str; 3] =
-    ["gml_place_last_activity_age_seconds", "gml_straggler_ratio", "gml_ckpt_compression_ratio"];
+const FLOAT_FAMILIES: [&str; 1] = ["gml_ckpt_compression_ratio"];
 
 #[test]
 fn a_traced_monitored_run_exposes_exactly_the_pinned_families() {
