@@ -55,6 +55,10 @@ cargo test -q --test app_state_traffic > /dev/null
 # moves one class's traffic or breaks its restore fails here by name.
 cargo test -q -p gml-core --test collective_traffic > /dev/null
 cargo test -q -p gml-core --test multi_object_checkpoints > /dev/null
+# The ship, not the capture, frames: every committed replica must be a frame, the same at both places.
+cargo test -q -p gml-core --lib \
+    app_store::tests::the_committed_generation_is_framed_on_one_place_after_a_degraded_promote_and_its_repair \
+    -- --exact > /dev/null
 # The same per read-only object: stored once, beside its live blocks on
 # another place, before a kill and after the restore and repair under every
 # mode — with the heap grown by one stored replica, not two.

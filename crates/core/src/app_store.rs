@@ -63,9 +63,11 @@ type ShipTask = Helper<(GmlResult<()>, Duration)>;
 /// Driver-side coordinator for atomic application checkpoints.
 ///
 /// Checkpoints are **two-phase**: `save` runs only the short synchronous
-/// *capture* phase (serialize under the object lock, owner-side inserts);
-/// the backup transfers, read off the resulting snapshot as [`ShipOrder`]s,
-/// run on background threads started by `commit` — the *ship* phase. They
+/// *capture* phase (serialize under the object lock, owner-side inserts of
+/// the serialized buffers); the backup transfers, read off the resulting
+/// snapshot as [`ShipOrder`]s, run on background threads started by
+/// `commit` — the *ship* phase, which also frames each stored replica at
+/// its owner ([`crate::codec`]) before it ships it. They
 /// start only once every object is captured, so no capture competes with a
 /// ship for the places' CPUs. With overlap off (the
 /// default) `commit` is the barrier that drains this snapshot's own ships,
@@ -618,7 +620,10 @@ mod tests {
     /// Every live place holds exactly the replicas the committed object
     /// snapshots record there — nothing of a retired generation, of a
     /// cancelled attempt or of a repair gone astray, and nothing missing.
-    /// Returns the store's entries, logical bytes and wire bytes.
+    /// Every entry whose places are alive has both its replicas; every
+    /// stored replica is a frame (the store is `AppResilientStore::make`'s),
+    /// and the two of an entry are bit-identical. Returns the store's
+    /// entries, logical bytes and wire bytes.
     fn assert_holds_exactly_the_committed_generation(
         ctx: &Ctx,
         store: &AppResilientStore,
@@ -637,8 +642,22 @@ mod tests {
         }
         for snap in &snaps {
             let audit = store.store().audit_snapshot(ctx, snap);
-            assert_eq!(audit.fully_redundant, audit.entries, "{audit:?}");
+            let alive = |e: &&crate::snapshot::EntryLoc| ctx.is_alive(e.owner) && ctx.is_alive(e.backup);
+            let whole = snap.entries.values().filter(alive);
+            assert_eq!((audit.fully_redundant, audit.lost), (whole.count(), 0), "{audit:?}");
             assert!(audit.invariant_ok(), "{audit:?}");
+            for (&key, e) in snap.entries.iter() {
+                let stored = [(e.owner, !e.live), (e.backup, e.backup != e.owner)];
+                let held = stored.into_iter().filter(|&(p, copy)| copy && ctx.is_alive(p));
+                let copies: Vec<_> = held
+                    .map(|(p, _)| store.store().stored_at(ctx, p, snap.snap_id, key).expect("counted"))
+                    .collect();
+                let at = format!("snapshot {} key {key}", snap.snap_id);
+                assert!(copies.iter().all(|c| c.head.is_some()), "{at}: a replica is not framed");
+                if let [a, b] = &copies[..] {
+                    assert!(a.head == b.head && a.body == b.body, "{at}: the replicas differ");
+                }
+            }
         }
         totals
     }
@@ -740,6 +759,46 @@ mod tests {
         checkpoints_around_a_restore(RestoreMode::ReplaceRedundant, 1, true);
     }
 
+    /// Three settle points the executor runs above do not reach, held to the
+    /// same invariant: a one-place group, whose pair collapses onto its place
+    /// and so has no ship to frame it; a degraded promote (the backup killed
+    /// while its ship is parked); and the repair after it.
+    #[test]
+    fn the_committed_generation_is_framed_on_one_place_after_a_degraded_promote_and_its_repair() {
+        run(3, |ctx| {
+            let g = ctx.world();
+            let one: PlaceGroup = [g.place(2)].into_iter().collect();
+            let mut alone = AppResilientStore::make(ctx).unwrap();
+            let w = DistVector::make(ctx, 1024, &one).unwrap();
+            w.init(ctx, |i| noise(i, 1)).unwrap();
+            alone.start_new_snapshot();
+            alone.save(ctx, &w).unwrap();
+            alone.commit(ctx).unwrap();
+            assert_eq!(assert_holds_exactly_the_committed_generation(ctx, &alone)[0], 1);
+
+            let mut store = AppResilientStore::make(ctx).unwrap();
+            let mut v = DupVector::make(ctx, 1024, &g).unwrap();
+            v.init(ctx, |i| noise(i, 0)).unwrap();
+            store.set_overlap(true);
+            let gate = Arc::new(AtomicBool::new(true));
+            store.set_ship_gate(gate.clone());
+            store.start_new_snapshot();
+            store.save(ctx, &v).unwrap();
+            store.commit(ctx).unwrap();
+            ctx.kill_place(g.place(1)).unwrap();
+            gate.store(false, Ordering::Release);
+            store.drain(ctx).unwrap();
+            assert!(store.has_snapshot(), "promoted, degraded");
+            assert_holds_exactly_the_committed_generation(ctx, &store);
+
+            let survivors = g.without(&[g.place(1)]);
+            v.remake(ctx, &survivors).unwrap();
+            store.restore(ctx, &mut [&mut v]).unwrap();
+            assert_eq!(store.repair(ctx, &survivors).unwrap().entries, 1);
+            assert_holds_exactly_the_committed_generation(ctx, &store);
+        });
+    }
+
     #[test]
     fn read_only_snapshot_is_reused_across_commits() {
         run(2, |ctx| {
@@ -839,24 +898,43 @@ mod tests {
         });
     }
 
+    /// The capture stores the serialized blocks and encodes nothing; the
+    /// commit's ships frame them, each once, and ship the backups.
     #[test]
     fn backups_ship_after_the_commit_not_during_the_capture() {
         run(2, |ctx| {
             let g = ctx.world();
-            let mut store = AppResilientStore::make(ctx).unwrap();
             let v = DistVector::make(ctx, 8, &g).unwrap();
             v.init(ctx, |i| i as f64).unwrap();
             let entries = |store: &AppResilientStore| -> usize {
                 store.store().inventory(ctx).iter().map(|i| i.entries).sum()
             };
 
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            // Long enough for a ship started by the save to have landed.
-            std::thread::sleep(Duration::from_millis(50));
-            assert_eq!(entries(&store), 2, "only the owner copies before the commit");
-            store.commit(ctx).unwrap();
-            assert_eq!(entries(&store), 4, "the commit ships one backup per block");
+            // The codec counters are process-wide and other tests encode
+            // beside this one: an attempt whose readings they moved is made
+            // again, on a store of its own.
+            let attempt = || {
+                let mut store = AppResilientStore::make(ctx).unwrap();
+                store.start_new_snapshot();
+                let before = crate::codec::counters();
+                store.save(ctx, &v).unwrap();
+                let captured = crate::codec::counters().since(&before);
+                // Long enough for a ship started by the save to have landed.
+                std::thread::sleep(Duration::from_millis(50));
+                assert_eq!(entries(&store), 2, "only the owner copies before the commit");
+                store.commit(ctx).unwrap();
+                let committed = crate::codec::counters().since(&before);
+                assert_eq!(entries(&store), 4, "the commit ships one backup per block");
+                let saved = store.snapshot_of(v.object_id()).unwrap().total_bytes() as u64;
+                let readings = (captured, committed.logical_bytes, saved);
+                (captured == Default::default() && committed.logical_bytes == saved)
+                    .then_some(store)
+                    .ok_or(readings)
+            };
+            let mut readings = Vec::new();
+            let mut store = (0..20)
+                .find_map(|_| attempt().map_err(|r| readings.push(r)).ok())
+                .unwrap_or_else(|| panic!("(capture, commit's logical bytes, saved): {readings:?}"));
 
             // A cancelled attempt's queued orders never run.
             store.start_new_snapshot();

@@ -1,6 +1,12 @@
 //! The checkpoint codec plane: self-contained frames with lossless f64
 //! compression, sitting between *capture* and *ship* in the resilient store.
 //!
+//! The capture only serializes: it stores each serialized buffer at its
+//! owner as it came. The ship frames it there, once, puts the frame in its
+//! place and sends that frame to the backup, behind the steps. Only a
+//! replica with no ship after it is framed at capture: a pair collapsed
+//! onto a one-place group's only place.
+//!
 //! Every snapshot entry the store would ship raw can instead be wrapped in a
 //! self-describing **frame** of two parts: a *head* (fixed header + one chunk
 //! digest per chunk of the payload, [`content_digest`], eight bytes per

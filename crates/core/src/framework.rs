@@ -536,9 +536,10 @@ impl ResilientExecutor {
         let now = ctx.stats();
         row.delta = now.since(prev_snap);
         *prev_snap = now;
-        // Codec plane: logical vs wire checkpoint bytes this pass encoded
-        // plus the encode+decode wall time spent, from the same shared
-        // boundary discipline as the counter snapshots.
+        // Codec plane: logical vs wire checkpoint bytes encoded during this
+        // pass — by the ships that ran in it, whichever checkpoint they
+        // belong to — plus the encode+decode time spent, from the same
+        // shared boundary discipline as the counter snapshots.
         let now_codec = crate::codec::counters();
         let codec_delta = now_codec.since(prev_codec);
         *prev_codec = now_codec;

@@ -81,19 +81,25 @@ pub struct IterRow {
     /// `ResilientStore::inventory` wire bytes at every commit point. Zero
     /// when `mem-profile` is compiled out.
     pub ckpt_bytes: u64,
-    /// Logical (pre-codec) checkpoint bytes this pass fed the codec plane.
-    /// Zero over a raw store (nothing was framed).
+    /// Logical (pre-codec) checkpoint bytes the codec plane framed during
+    /// this pass. Frames are made by the ships, so a checkpoint's bytes land
+    /// in the rows its ship ran in — with overlap on usually the next
+    /// step's, not the checkpoint's own. Zero over a raw store (nothing was
+    /// framed).
     pub ckpt_logical: u64,
-    /// Wire (post-codec) checkpoint bytes the codec emitted this pass; the
-    /// ratio `ckpt_wire / ckpt_logical` is the pass's compression factor.
+    /// Wire (post-codec) checkpoint bytes the codec emitted during this pass
+    /// (attributed like `ckpt_logical`); the ratio `ckpt_wire /
+    /// ckpt_logical` is the compression factor of those frames.
     pub ckpt_wire: u64,
-    /// The frames the codec emitted this pass (verbatim ones included), and
-    /// of those the verbatim ones (payload stored by reference, not packed).
+    /// The frames the codec emitted during this pass (verbatim ones
+    /// included), and of those the verbatim ones (payload stored by
+    /// reference, not packed); attributed like `ckpt_logical`.
     pub ckpt_frames: [u64; 2],
-    /// Time the checkpoint codec was busy encoding + decoding frames this
-    /// pass, **summed over the place threads** that ran it. Places encode
-    /// concurrently, so this is CPU time of the codec, not wall time: it can
-    /// exceed the wall time of the checkpoint it was spent in.
+    /// Time the checkpoint codec was busy encoding + decoding frames during
+    /// this pass, **summed over the threads** that ran it, attributed like
+    /// `ckpt_logical`: the ships encode concurrently with the steps and
+    /// with each other, so this is CPU time of the codec, not wall time,
+    /// and not part of the checkpoint's own wall time.
     pub codec_time: Duration,
     /// Runtime counter deltas consumed by this pass.
     pub delta: StatsSnapshot,
@@ -184,9 +190,12 @@ impl CostReport {
     /// frame bytes (both 0 over a raw store), `f/v` counts the frames the
     /// codec emitted and, of those, the verbatim ones, and `codec(cpu)` is
     /// the time the checkpoint codec was busy encoding + decoding frames,
-    /// summed over the place threads that did so concurrently (not wall
-    /// time). A restore cell ends with what its repair re-replicated:
-    /// `+entries/bytes`.
+    /// summed over the threads that did so concurrently (not wall time).
+    /// Those four columns count what was encoded during the pass: the ships
+    /// frame a checkpoint's replicas, so its bytes and codec time land in
+    /// the rows its ship ran in — under overlap usually the next step's —
+    /// as a read-only object's live blocks' always did. A restore cell
+    /// ends with what its repair re-replicated: `+entries/bytes`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

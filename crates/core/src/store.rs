@@ -41,7 +41,10 @@
 //! [`AppResilientStore::make`] keeps a checkpoint-codec frame
 //! ([`crate::codec`], *framed*) — a small *head* (header + chunk-digest
 //! manifest) and a *body*, which for a payload that would not shrink is that
-//! same serialized buffer, held by refcount. A frame restores from itself
+//! same serialized buffer, held by refcount. A framed store's capture only
+//! serializes, and keeps the buffer raw at its owner: the ship that
+//! follows frames it there, keeps the frame in its place and ships it, so
+//! every committed replica is a frame. A frame restores from itself
 //! alone, so an entry is recoverable exactly when one of its two replica
 //! places is alive. Either way a payload is copied once per place boundary
 //! it crosses (owner → backup on save, holder → fetcher on restore) and
@@ -68,8 +71,9 @@ use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{live_digest, EntryLoc, Live, LiveSource, Snapshot};
 
-/// One stored replica. Without a `head` (the raw store) `body` *is* the
-/// logical payload. With one, the entry is a codec frame decoding to
+/// One stored replica. Without a `head` (the raw store, or a framed store's
+/// capture until its ship frames it) `body` *is* the logical payload. With
+/// one, the entry is a codec frame decoding to
 /// `logical` bytes: `head` is its header + digest manifest and `body` its
 /// record stream or, under a verbatim head, again the payload itself.
 #[derive(Clone)]
@@ -78,6 +82,9 @@ pub(crate) struct StoredEntry {
     pub(crate) body: Bytes,
     pub(crate) logical: u64,
 }
+
+/// `(key, stored replica)` pairs, as one place saves, frames or ships them.
+type Entries = Vec<(u64, StoredEntry)>;
 
 impl StoredEntry {
     fn raw(payload: Bytes) -> Self {
@@ -165,6 +172,27 @@ impl PlaceStore {
 
     fn len(&self) -> usize {
         self.map.lock().len()
+    }
+
+    /// Under one lock, put each frame in place of its key's raw entry, and
+    /// return the frames whose key is still here.
+    fn replace_raw(&self, snap_id: u64, frames: Entries) -> Entries {
+        let (mut added, mut freed, mut map) = (0, 0, self.map.lock());
+        let kept: Entries = frames
+            .into_iter()
+            .filter(|(key, frame)| {
+                let Some(entry) = map.get_mut(&(snap_id, *key)) else { return false };
+                if entry.head.is_none() {
+                    (added, freed) = (added + frame.wire(), freed + entry.wire());
+                    *entry = frame.clone();
+                }
+                true
+            })
+            .collect();
+        drop(map);
+        mem::charge(MemTag::StoreShard, added);
+        mem::discharge(MemTag::StoreShard, freed);
+        kept
     }
 
     /// Presence test without cloning the payload (audit probes).
@@ -368,9 +396,10 @@ pub struct ResilientStore {
     /// place. Production use keeps this on.
     redundant: bool,
     /// When true, [`save_batch`](Self::save_batch) inserts the owner copies
-    /// and ships nothing: the backup transfers are left to whoever holds the
-    /// resulting [`Snapshot`] ([`ship_orders`](Self::ship_orders)). Only the
-    /// handle an `AppResilientStore` passes to `make_snapshot` is built so.
+    /// and ships nothing: the backup transfers, and the framing of every
+    /// copy they ship, are left to whoever holds the resulting [`Snapshot`]
+    /// ([`ship_orders`](Self::ship_orders)). Only the handle an
+    /// `AppResilientStore` passes to `make_snapshot` is built so.
     capture_only: bool,
     /// When true, `save_batch` stores and ships every entry as a checkpoint
     /// codec frame ([`crate::codec`]). Bare stores are raw — the parity
@@ -526,9 +555,10 @@ impl ResilientStore {
     /// (`backup == here`), leaving one copy only — a one-place application
     /// has no second place to survive on, matching the paper's model.
     ///
-    /// A capture-only handle stops after the owner inserts. Either way a
-    /// backup that is already dead fails the save here, so the enclosing
-    /// checkpoint aborts and is cancelled (atomic commit).
+    /// A capture-only handle stops after the owner inserts, and leaves the
+    /// framing of what it ships to the ship. Either way a backup that is
+    /// already dead fails the save here, so the enclosing checkpoint aborts
+    /// and is cancelled (atomic commit).
     pub fn save_batch(
         &self,
         ctx: &Ctx,
@@ -539,14 +569,15 @@ impl ResilientStore {
         let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
         let _span = ctx.trace_span(SpanKind::StoreSaveBatch, total as u64);
         let shard = self.shard(ctx)?;
-        let stored = self.encode_batch(ctx, entries);
+        let ships = self.redundant && backup != ctx.here() && !entries.is_empty();
+        let stored = self.encode_batch(ctx, entries, ships && self.capture_only);
         for (key, entry) in &stored {
             // Owner copies: a refcount bump only — the serialized buffer
             // produced at this place IS the stored replica; no place
             // boundary is crossed.
             shard.insert(snap_id, *key, entry.clone());
         }
-        if self.redundant && backup != ctx.here() && !stored.is_empty() {
+        if ships {
             self.check_backup(ctx, backup)?;
             if !self.capture_only {
                 self.ship_entries(ctx, snap_id, stored, backup, false)?;
@@ -558,9 +589,11 @@ impl ResilientStore {
     /// What one place's batch is stored and shipped as: the payloads as they
     /// came in a raw store, else each framed by `codec::encode_entry` —
     /// packed where that is proven to pay, else kept verbatim, the
-    /// serialized buffer itself becoming the entry's body.
-    fn encode_batch(&self, ctx: &Ctx, entries: Vec<(u64, Bytes)>) -> Vec<(u64, StoredEntry)> {
-        if !self.framed {
+    /// serialized buffer itself becoming the entry's body. A `deferred`
+    /// batch — a capture the commit's ship will frame here — is stored as
+    /// it came too (see [`frame_shipped`](Self::frame_shipped)).
+    fn encode_batch(&self, ctx: &Ctx, entries: Vec<(u64, Bytes)>, deferred: bool) -> Entries {
+        if !self.framed || deferred {
             return entries.into_iter().map(|(k, v)| (k, StoredEntry::raw(v))).collect();
         }
         let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
@@ -577,6 +610,22 @@ impl ResilientStore {
         StoredEntry { head: Some(head), body, logical: payload.len() as u64 }
     }
 
+    /// Frame, at the owner and before they ship, the raw entries a capture
+    /// left (see [`encode_batch`](Self::encode_batch)), and keep each frame
+    /// in the shard in place of its raw entry. An entry deleted since it was
+    /// read is dropped from the batch, like a key that was missing.
+    fn frame_shipped(&self, ctx: &Ctx, shard: &PlaceStore, snap_id: u64, entries: Entries) -> Entries {
+        // A capture's batch is raw throughout; a repair's, of committed
+        // entries, is framed throughout.
+        if !self.framed || entries.iter().any(|(_, e)| e.head.is_some()) {
+            return entries;
+        }
+        let span = ctx.trace_span(SpanKind::CkptEncode, entries.iter().map(|(_, e)| e.logical).sum());
+        let framed = entries.into_iter().map(|(key, e)| (key, self.frame(&e.body))).collect();
+        drop(span);
+        shard.replace_raw(snap_id, framed)
+    }
+
     /// The batched backup transfer: one `at` to `backup` carrying the whole
     /// frame of `(key, stored entry)` pairs. Runs at the owning place. With
     /// `fresh` the entries were serialized for this transfer, and nothing
@@ -585,7 +634,7 @@ impl ResilientStore {
         &self,
         ctx: &Ctx,
         snap_id: u64,
-        entries: Vec<(u64, StoredEntry)>,
+        entries: Entries,
         backup: Place,
         fresh: bool,
     ) -> GmlResult<()> {
@@ -654,7 +703,8 @@ impl ResilientStore {
     }
 
     /// The owner's half of a [`ShipOrder`]: read the entries from its
-    /// source here and ship them. Stored frames go as stored, in one batch;
+    /// source here and ship them. Stored entries go in one batch, as stored
+    /// once a capture's raw ones are framed here;
     /// moved frames and live blocks go one entry at a time, so that at most
     /// one is in flight: a moved frame is deleted here once its copy landed,
     /// and a live block is serialized and encoded here and shipped.
@@ -664,11 +714,12 @@ impl ResilientStore {
         // and ship; the order is stale and skipping is the correct quiet
         // outcome.
         if let Source::Stored = order.source {
-            let entries: Vec<(u64, StoredEntry)> = order
+            let entries: Entries = order
                 .keys
                 .iter()
                 .filter_map(|&k| shard.get(order.snap_id, k).map(|v| (k, v)))
                 .collect();
+            let entries = self.frame_shipped(ctx, &shard, order.snap_id, entries);
             let wire = entries.iter().map(|(_, e)| e.wire()).sum();
             let found = entries.len();
             self.ship_entries(ctx, order.snap_id, entries, order.backup, false)?;
@@ -1365,6 +1416,17 @@ pub fn inventory_families(inv: &[PlaceInventory]) -> Vec<Family> {
             i.wire_bytes.into()
         }),
     ])
+}
+
+#[cfg(test)]
+impl ResilientStore {
+    /// The replica of `(snap_id, key)` that `at` holds, as stored: `None`
+    /// where there is none, or the place is dead.
+    pub(crate) fn stored_at(&self, ctx: &Ctx, at: Place, snap_id: u64, key: u64) -> Option<StoredEntry> {
+        let plh = self.plh;
+        let read = move |ctx: &Ctx| plh.local(ctx).ok().and_then(|s| s.get(snap_id, key));
+        ctx.at(at, read).ok().flatten()
+    }
 }
 
 #[cfg(test)]
