@@ -59,6 +59,14 @@ cargo test -q -p gml-core --test multi_object_checkpoints > /dev/null
 cargo test -q -p gml-core --lib \
     app_store::tests::the_committed_generation_is_framed_on_one_place_after_a_degraded_promote_and_its_repair \
     -- --exact > /dev/null
+# A capture holds each mutable class by reference: a write while the ship is
+# parked copies each held block once, the restore brings back what the
+# capture saw, and at GNMF's per-place shapes a capture lifts the heap's peak
+# by less than 1 MiB.
+cargo test -q -p gml-core --lib \
+    app_store::tests::a_write_between_the_commit_and_the_ship_copies_each_held_block_once \
+    -- --exact > /dev/null
+cargo test -q --test mem_plane a_capture_serializes_nothing -- --exact > /dev/null
 # The same per read-only object: stored once, beside its live blocks on
 # another place, before a kill and after the restore and repair under every
 # mode — with the heap grown by one stored replica, not two.

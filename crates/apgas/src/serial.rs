@@ -16,8 +16,9 @@
 //! in-memory representation, so [`SerialElem`] moves whole slices with a
 //! single `put_slice`/`copy_to_slice` — one `memcpy` per payload instead of
 //! one bounds-checked push per element. Big-endian targets transparently
-//! fall back to an element-wise `to_le_bytes` loop (also exposed as
-//! [`fallback`] so the byte-identity property is testable on any host).
+//! fall back to an element-wise `to_le_bytes` loop, the [`SerialElem`]
+//! defaults; `tests/serial_bulk_properties.rs` holds the bulk path to that
+//! element-wise reference byte for byte.
 //! Encode buffers come from the process-wide pool inside the vendored
 //! `bytes` crate, so steady-state checkpoint loops reallocate nothing.
 //!
@@ -443,34 +444,6 @@ pub fn read_usize_vec(buf: &mut Bytes) -> Vec<usize> {
     read_vec(buf)
 }
 
-/// The element-wise reference codec, kept callable on every target so the
-/// byte-identity of the bulk fast path is testable on LE hardware (where the
-/// `cfg`-selected big-endian fallback would otherwise never compile in).
-/// Not part of the public API surface.
-#[doc(hidden)]
-pub mod fallback {
-    use super::*;
-
-    /// Element-wise length-prefixed encode — the reference the bulk path
-    /// must match byte-for-byte.
-    pub fn write_slice<T: Serial>(data: &[T], buf: &mut BytesMut) {
-        buf.put_u64_le(data.len() as u64);
-        for v in data {
-            v.write(buf);
-        }
-    }
-
-    /// Element-wise length-prefixed decode.
-    pub fn read_vec<T: Serial>(buf: &mut Bytes) -> Vec<T> {
-        let n = buf.get_u64_le() as usize;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::read(buf));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,19 +509,22 @@ mod tests {
 
     #[test]
     fn bulk_matches_fallback_encoding() {
+        // The element-wise encoding: a length prefix, then each element.
+        fn reference<T: Serial>(data: &[T]) -> BytesMut {
+            let mut buf = BytesMut::new();
+            buf.put_u64_le(data.len() as u64);
+            data.iter().for_each(|v| v.write(&mut buf));
+            buf
+        }
         let f = vec![1.0f64, -2.5, f64::NAN.copysign(-1.0), 1e300, 0.0];
         let mut bulk = BytesMut::new();
         write_slice(&f, &mut bulk);
-        let mut reference = BytesMut::new();
-        fallback::write_slice(&f, &mut reference);
-        assert_eq!(bulk.as_ref(), reference.as_ref(), "f64 bulk must match element-wise");
+        assert_eq!(bulk.as_ref(), reference(&f).as_ref(), "f64 bulk must match element-wise");
 
         let u = vec![0usize, 1, usize::MAX, 42];
         let mut bulk = BytesMut::new();
         write_usize_slice(&u, &mut bulk);
-        let mut reference = BytesMut::new();
-        fallback::write_slice(&u, &mut reference);
-        assert_eq!(bulk.as_ref(), reference.as_ref(), "usize bulk must match element-wise");
+        assert_eq!(bulk.as_ref(), reference(&u).as_ref(), "usize bulk must match element-wise");
     }
 
     #[test]

@@ -4,9 +4,34 @@
 //! fallback), and decode must round-trip exactly — including non-finite
 //! floats, whose bit patterns must survive untouched.
 
-use apgas::serial::{fallback, read_vec, write_slice, Serial};
+use apgas::serial::{read_vec, write_slice, Serial};
 use bytes::BytesMut;
 use proptest::prelude::*;
+
+/// The element-wise reference codec the bulk path must match byte for byte:
+/// what a big-endian target runs, written out so that it runs here too.
+mod fallback {
+    use apgas::serial::Serial;
+    use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+    /// Element-wise length-prefixed encode.
+    pub fn write_slice<T: Serial>(data: &[T], buf: &mut BytesMut) {
+        buf.put_u64_le(data.len() as u64);
+        for v in data {
+            v.write(buf);
+        }
+    }
+
+    /// Element-wise length-prefixed decode.
+    pub fn read_vec<T: Serial>(buf: &mut Bytes) -> Vec<T> {
+        let n = buf.get_u64_le() as usize;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::read(buf));
+        }
+        out
+    }
+}
 
 /// Deterministically expand a seed into `n` raw 64-bit patterns
 /// (SplitMix64), so the suites cover arbitrary bit patterns — not just

@@ -3,7 +3,7 @@
 //! extraction (the restore hot path), serialization (the checkpoint hot
 //! path), and every blocked kernel against its scalar reference twin.
 
-use apgas::serial::{fallback, read_vec, write_slice, Serial};
+use apgas::serial::{read_vec, write_slice, Serial};
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use gml_matrix::{builder, DenseMatrix, SparseCSR, Vector};
@@ -99,13 +99,6 @@ fn bench_serial_throughput(c: &mut Criterion) {
             black_box(buf.freeze())
         })
     });
-    g.bench_function("vec_f64_1m_encode_elementwise", |b| {
-        b.iter(|| {
-            let mut buf = BytesMut::with_capacity(8 + 8 * data.len());
-            fallback::write_slice(black_box(&data), &mut buf);
-            black_box(buf.freeze())
-        })
-    });
 
     let encoded = {
         let mut buf = BytesMut::with_capacity(8 + 8 * data.len());
@@ -116,13 +109,6 @@ fn bench_serial_throughput(c: &mut Criterion) {
         b.iter_batched(
             || encoded.clone(),
             |mut by| black_box(read_vec::<f64>(&mut by)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("vec_f64_1m_decode_elementwise", |b| {
-        b.iter_batched(
-            || encoded.clone(),
-            |mut by| black_box(fallback::read_vec::<f64>(&mut by)),
             BatchSize::LargeInput,
         )
     });

@@ -63,13 +63,16 @@ type ShipTask = Helper<(GmlResult<()>, Duration)>;
 /// Driver-side coordinator for atomic application checkpoints.
 ///
 /// Checkpoints are **two-phase**: `save` runs only the short synchronous
-/// *capture* phase (serialize under the object lock, owner-side inserts of
-/// the serialized buffers); the backup transfers, read off the resulting
-/// snapshot as [`ShipOrder`]s, run on background threads started by
-/// `commit` — the *ship* phase, which also frames each stored replica at
-/// its owner ([`crate::codec`]) before it ships it. They
-/// start only once every object is captured, so no capture competes with a
-/// ship for the places' CPUs. With overlap off (the
+/// *capture* phase, which copies nothing: under the object lock each owner
+/// keeps a handle on its values, and the object's next write copies a value
+/// away from its handle instead ([`gml_matrix::Shared`]). The rest, read off
+/// the resulting snapshot as [`ShipOrder`]s, runs on background threads
+/// started by `commit` — the *ship* phase, which serializes each held value
+/// at its owner, frames it there ([`crate::codec`]), keeps the frame in the
+/// handle's place and ships it. The ships start only once every object is
+/// captured, so no capture competes with a ship for the places' CPUs; the
+/// sooner a ship is done, the fewer values a step's writes copy. With
+/// overlap off (the
 /// default) `commit` is the barrier that drains this snapshot's own ships,
 /// failing atomically if one of them hit a dead place. With overlap on (the
 /// executor's default) `commit` promotes the snapshot optimistically and the
@@ -241,9 +244,9 @@ impl AppResilientStore {
 
     /// Snapshot `obj` into the pending application snapshot.
     ///
-    /// This is the **capture** phase only: the object serializes under its
-    /// lock and inserts the owner copies through a capture-only handle; the
-    /// backup transfers its snapshot implies are queued for the ship thread
+    /// This is the **capture** phase only: under its lock the object hands
+    /// its owners a handle on each value, through a capture-only handle on
+    /// the store; serializing and shipping them is queued for the ship thread
     /// that [`commit`](Self::commit) starts.
     pub fn save(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
         self.capture(ctx, obj, self.store.capturing())
@@ -898,8 +901,8 @@ mod tests {
         });
     }
 
-    /// The capture stores the serialized blocks and encodes nothing; the
-    /// commit's ships frame them, each once, and ship the backups.
+    /// The capture holds the blocks and encodes nothing; the commit's ships
+    /// serialize and frame them, each once, and ship the backups.
     #[test]
     fn backups_ship_after_the_commit_not_during_the_capture() {
         run(2, |ctx| {
@@ -942,6 +945,89 @@ mod tests {
             store.cancel_snapshot(ctx);
             std::thread::sleep(Duration::from_millis(50));
             assert_eq!(entries(&store), 4, "the cancelled attempt left nothing");
+        });
+    }
+
+    /// One object of each of the four mutable classes.
+    type Mutables = (crate::DistBlockMatrix, DistVector, DupVector, crate::DupDenseMatrix);
+
+    /// Every value of `objs`, gathered to the driver.
+    fn values(ctx: &Ctx, (m, x, v, d): &Mutables) -> impl PartialEq {
+        let d = d.local(ctx).unwrap().lock().clone();
+        (m.gather_dense(ctx).unwrap(), x.gather(ctx).unwrap(), v.read_local(ctx).unwrap(), d)
+    }
+
+    /// Scale every value of `objs` by `alpha`, at every place.
+    fn scale_all(ctx: &Ctx, (m, x, v, d): &Mutables, alpha: f64) {
+        m.scale(ctx, alpha).unwrap();
+        x.scale(ctx, alpha).unwrap();
+        v.scale_all(ctx, alpha).unwrap();
+        d.apply(ctx, move |a| {
+            a.scale(alpha);
+        })
+        .unwrap();
+    }
+
+    /// A capture holds each of the four mutable classes by reference. Each
+    /// held block a write reaches while the ship is parked is copied once —
+    /// a duplicated object's capture holds its root's copy only — and the
+    /// ship serializes what the capture saw. A write after the drain copies
+    /// nothing.
+    #[test]
+    fn a_write_between_the_commit_and_the_ship_copies_each_held_block_once() {
+        run(4, |ctx| {
+            let g = ctx.world();
+            let m = crate::DistBlockMatrix::make(ctx, 64, 3, 8, 1, 4, 1, &g, false).unwrap();
+            m.init_with(ctx, |_, _, r0, _, rows, cols| {
+                let values = (0..rows * cols).map(|i| (r0 * cols + i) as f64).collect();
+                gml_matrix::BlockData::Dense(gml_matrix::DenseMatrix::from_vec(rows, cols, values))
+            })
+            .unwrap();
+            let x = DistVector::make(ctx, 64, &g).unwrap();
+            x.init(ctx, |i| i as f64).unwrap();
+            let v = DupVector::make(ctx, 16, &g).unwrap();
+            v.init(ctx, |i| -(i as f64)).unwrap();
+            let d = crate::DupDenseMatrix::make(ctx, 3, 4, &g).unwrap();
+            d.init(ctx, |i, j| (i * 4 + j) as f64).unwrap();
+            let mut objs: Mutables = (m, x, v, d);
+            // Eight blocks, four segments and the two roots' copies.
+            let held_blocks = 8 + 4 + 1 + 1;
+            let copies_writing = |objs: &Mutables| {
+                let before = crate::codec::counters().cow_copies;
+                scale_all(ctx, objs, 2.0);
+                crate::codec::counters().cow_copies - before
+            };
+
+            // The counter is process-wide and other tests write beside this
+            // one: an attempt whose readings they moved is made again.
+            let attempt = |objs: &Mutables| {
+                let captured = values(ctx, objs);
+                let mut store = AppResilientStore::make(ctx).unwrap();
+                store.set_overlap(true);
+                let gate = Arc::new(AtomicBool::new(true));
+                store.set_ship_gate(gate.clone());
+                store.start_new_snapshot();
+                let (m, x, v, d) = objs;
+                for obj in [m as &dyn Snapshottable, x, v, d] {
+                    store.save(ctx, obj).unwrap();
+                }
+                store.commit(ctx).unwrap();
+                let parked = copies_writing(objs);
+                gate.store(false, Ordering::Release);
+                store.drain(ctx).unwrap();
+                let shipped = copies_writing(objs);
+                let exact = (parked, shipped) == (held_blocks, 0);
+                exact.then_some((store, captured)).ok_or((parked, shipped))
+            };
+            let mut readings = Vec::new();
+            let (store, captured) = (0..20)
+                .find_map(|_| attempt(&objs).map_err(|r| readings.push(r)).ok())
+                .unwrap_or_else(|| panic!("(copies while parked, after the drain): {readings:?}"));
+
+            scale_all(ctx, &objs, 0.0);
+            let (m, x, v, d) = &mut objs;
+            store.restore(ctx, &mut [m, x, v, d]).unwrap();
+            assert!(values(ctx, &objs) == captured, "the restore brings back what the capture saw");
         });
     }
 

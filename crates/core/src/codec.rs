@@ -1,11 +1,13 @@
 //! The checkpoint codec plane: self-contained frames with lossless f64
 //! compression, sitting between *capture* and *ship* in the resilient store.
 //!
-//! The capture only serializes: it stores each serialized buffer at its
-//! owner as it came. The ship frames it there, once, puts the frame in its
-//! place and sends that frame to the backup, behind the steps. Only a
-//! replica with no ship after it is framed at capture: a pair collapsed
-//! onto a one-place group's only place.
+//! The capture copies nothing: its owner keeps a handle on each value, and
+//! the object's next write copies away from it instead (copy-on-write). The
+//! ship serializes and frames the value there, once, puts the frame in the
+//! handle's place and sends that frame to the backup, behind the steps. A
+//! replica with no second place to ship to — a pair collapsed onto a
+//! one-place group's place — is framed the same way by an order that ships
+//! nothing.
 //!
 //! Every snapshot entry the store would ship raw can instead be wrapped in a
 //! self-describing **frame** of two parts: a *head* (fixed header + one chunk
@@ -113,6 +115,10 @@ apgas::counter_set! {
         encode_nanos => "gml_ckpt_encode_nanos_total", "Nanoseconds place threads spent encoding frames.";
         /// Summed over places like `encode_nanos`.
         decode_nanos => "gml_ckpt_decode_nanos_total", "Nanoseconds place threads spent decoding frames.";
+        /// Counted where the write copies, in `gml_matrix::shared`, which
+        /// cannot reach this crate: [`counters`] reads it from there, and the
+        /// live field stays zero.
+        cow_copies => "gml_ckpt_cow_copies_total", "Values a write copied because a checkpoint capture still held them.";
     }
 }
 
@@ -131,7 +137,7 @@ impl CodecSnapshot {
 
 /// Read the process-global codec counters.
 pub fn counters() -> CodecSnapshot {
-    COUNTERS.snapshot()
+    CodecSnapshot { cow_copies: gml_matrix::shared::forced_copies(), ..COUNTERS.snapshot() }
 }
 
 /// The `gml_ckpt_*` Prometheus families: the counters plus their

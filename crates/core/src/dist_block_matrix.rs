@@ -20,7 +20,7 @@ use apgas::serial::Serial;
 use apgas::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gml_matrix::{
-    BlockData, BlockSet, DenseBlockWire, DenseMatrix, Grid, MatrixBlock, Overlap, Vector,
+    BlockData, BlockSet, DenseBlockWire, DenseMatrix, Grid, MatrixBlock, Overlap, Shared, Vector,
 };
 
 use crate::collective::{each_place, leave_group};
@@ -269,9 +269,7 @@ impl DistBlockMatrix {
             let xv = xlh.local(ctx)?;
             let xv = xv.lock();
             // Zero my segments, then accumulate block products.
-            for seg in ystore.segs.values_mut() {
-                seg.fill(0.0);
-            }
+            ystore.fill(0.0);
             for b in set.iter() {
                 let seg = ystore.get_mut(b.bi)?;
                 let xs = xv.segment(b.col_offset, b.cols());
@@ -319,7 +317,7 @@ impl DistBlockMatrix {
             sum.cell_add(&ctx.decode::<Vector>(bytes));
         }
         // Install at root, broadcast to the rest of the group.
-        *out.local(ctx)?.lock() = sum;
+        *out.local(ctx)?.lock() = Shared::new(sum);
         out.sync(ctx)
     }
 
@@ -393,7 +391,7 @@ impl DistBlockMatrix {
             ctx.record_bytes_received(bytes.len());
             sum.cell_add(&ctx.decode::<DenseMatrix>(bytes));
         }
-        *out.local(ctx)?.lock() = sum;
+        *out.local(ctx)?.lock() = Shared::new(sum);
         out.sync(ctx)
     }
 
@@ -619,9 +617,10 @@ impl DistBlockMatrix {
             let sparse = self.sparse;
             each_place(ctx, new_places.iter().enumerate(), move |ctx, idx| {
                 let held = plh.local(ctx).ok();
-                let mut old = held.as_ref().map_or_else(Vec::new, |set| into_blocks(&mut set.lock()));
+                let into_blocks = |set: &Mutex<BlockSet>| std::mem::take(&mut *set.lock()).into_blocks();
+                let mut old = held.as_deref().map_or_else(Vec::new, into_blocks);
                 if let Ok(gone) = retired.local(ctx) {
-                    old.extend(into_blocks(&mut gone.lock()));
+                    old.extend(into_blocks(&gone));
                 }
                 // This place's blocks in grid order, each the one it held
                 // over the same range if it did.
@@ -697,26 +696,6 @@ fn gram_block_acc(a: &BlockData, b: &BlockData, acc: &mut DenseMatrix) -> GmlRes
     }
 }
 
-/// The blocks of `set`, moved out; `set` is left empty.
-fn into_blocks(set: &mut BlockSet) -> Vec<MatrixBlock> {
-    let blocks = set.iter_mut().map(take_block).collect();
-    set.clear();
-    blocks
-}
-
-/// `block`, moved out: what is left in its place is empty and covers no
-/// range a block of any grid does.
-fn take_block(block: &mut MatrixBlock) -> MatrixBlock {
-    let moved_out = MatrixBlock {
-        bi: 0,
-        bj: 0,
-        row_offset: 0,
-        col_offset: 0,
-        data: BlockData::Dense(DenseMatrix::zeros(0, 0)),
-    };
-    std::mem::replace(block, moved_out)
-}
-
 /// A read-only matrix's blocks as its snapshot reads them: entry `key` is
 /// block `key` of the grid at snapshot time.
 struct LiveBlocks {
@@ -726,35 +705,31 @@ struct LiveBlocks {
 }
 
 impl LiveBlocks {
-    /// `f` of entry `key`'s block in `set`, if `set` holds it.
-    fn with_block<R>(
-        &self,
-        set: &mut BlockSet,
-        key: u64,
-        f: impl FnOnce(&mut MatrixBlock) -> R,
-    ) -> Option<R> {
+    /// Entry `key`'s block in `set`, if `set` holds it.
+    fn block<'a>(&self, set: &'a BlockSet, key: u64) -> Option<&'a MatrixBlock> {
         let (bi, bj) = self.grid.block_pos(key as usize);
         let range = self.grid.block_range(bi, bj);
-        set.find_mut(bi, bj).filter(|b| b.global_range() == range).map(f)
+        set.find(bi, bj).filter(|b| b.global_range() == range)
     }
 }
 
 impl LiveSource for LiveBlocks {
     fn read(&self, ctx: &Ctx, key: u64) -> Option<Bytes> {
         let sets = [self.plh, self.retired].into_iter().filter_map(|h| h.local(ctx).ok());
-        sets.into_iter().find_map(|set| self.with_block(&mut set.lock(), key, |b| ctx.encode(&*b)))
+        sets.into_iter().find_map(|set| self.block(&set.lock(), key).map(|b| ctx.encode(b)))
     }
 
     fn holds(&self, ctx: &Ctx, key: u64, retired: bool) -> bool {
         let sets = [Some(self.plh), retired.then_some(self.retired)].into_iter().flatten();
         let mut sets = sets.filter_map(|h| h.local(ctx).ok());
-        sets.any(|set| self.with_block(&mut set.lock(), key, |_| ()).is_some())
+        sets.any(|set| self.block(&set.lock(), key).is_some())
     }
 
     fn take_retired(&self, ctx: &Ctx, key: u64) -> Option<Bytes> {
         let set = self.retired.local(ctx).ok()?;
-        let block = self.with_block(&mut set.lock(), key, take_block)?;
-        Some(ctx.encode(&block))
+        let mut set = set.lock();
+        let (bi, bj) = self.block(&set, key).map(|b| (b.bi, b.bj))?;
+        Some(ctx.encode(&set.take(bi, bj)?))
     }
 
     fn has_retired(&self, ctx: &Ctx) -> bool {
@@ -907,15 +882,16 @@ impl Snapshottable for DistBlockMatrix {
         let snap_id = store.fresh_snap_id();
         let plh = self.plh;
         let (group, store, grid) = (self.group.clone(), store.clone(), self.grid.clone());
+        let id = self.object_id;
         let entries = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
-            // Capture: serialize every block under one short lock (the bulk
-            // encode path), then hand the whole batch to the store — one
-            // framed backup transfer for the place instead of one round trip
-            // per block.
+            // Capture: hold every block under one short lock, then hand the
+            // whole batch to the store — one backup transfer for the place
+            // instead of one round trip per block.
             let parts: Vec<(u64, Part)> = {
                 let set = plh.local(ctx)?;
                 let set = set.lock();
-                set.iter().map(|b| (grid.block_id(b.bi, b.bj) as u64, store.part(ctx, b))).collect()
+                let part = |b: &Shared<MatrixBlock>| (grid.block_id(b.bi, b.bj) as u64, store.part(id, b));
+                set.iter_shared().map(part).collect()
             };
             store.save_local_parts(ctx, snap_id, &group, parts)
         })?;

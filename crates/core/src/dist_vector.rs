@@ -14,46 +14,59 @@ use std::sync::Arc;
 use apgas::prelude::*;
 use apgas::sync::Mutex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gml_matrix::Vector;
+use gml_matrix::{Shared, Vector};
 
 use crate::collective::{each_place, leave_group};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{LiveSource, Snapshot, Snapshottable};
 use crate::store::{Part, ResilientStore};
 
-/// The segments one place holds: segment id → data.
+/// The segments one place holds: segment id → data, each in a [`Shared`]
+/// so that a capture holds it by reference.
 #[derive(Default)]
 pub(crate) struct SegmentStore {
-    pub(crate) segs: HashMap<usize, Vector>,
+    segs: HashMap<usize, Shared<Vector>>,
     /// The layout's splits: segment `s` covers `splits[s]..splits[s + 1]`.
     splits: Arc<Vec<usize>>,
 }
 
 /// Segments a read-only vector's restore moved off a place, by the range
 /// each covers.
-type Retired = HashMap<(usize, usize), Vector>;
+type Retired = HashMap<(usize, usize), Shared<Vector>>;
 
 impl SegmentStore {
     /// The zero-filled segments `segs` of the layout cut at `splits`.
     fn zeroed(segs: &[usize], splits: &Arc<Vec<usize>>) -> Self {
-        let segs = segs.iter().map(|&s| (s, Vector::zeros(splits[s + 1] - splits[s]))).collect();
+        let zeros = |s: usize| Shared::new(Vector::zeros(splits[s + 1] - splits[s]));
+        let segs = segs.iter().map(|&s| (s, zeros(s))).collect();
         SegmentStore { segs, splits: Arc::clone(splits) }
     }
 
     /// Segment `s`, if this place holds it over `lo..hi`.
     fn covering(&self, s: usize, (lo, hi): (usize, usize)) -> Option<&Vector> {
         let covers = self.splits.get(s..s + 2) == Some(&[lo, hi][..]);
-        covers.then(|| self.segs.get(&s)).flatten()
+        covers.then(|| self.segs.get(&s).map(|seg| &**seg)).flatten()
     }
 
     /// Segment `s`, which the layout places here: its absence is data loss.
     pub(crate) fn get(&self, s: usize) -> GmlResult<&Vector> {
+        self.shared(s).map(|seg| &**seg)
+    }
+
+    /// Segment `s`'s cell, for a capture to hold (see [`get`](Self::get)).
+    fn shared(&self, s: usize) -> GmlResult<&Shared<Vector>> {
         self.segs.get(&s).ok_or_else(|| Self::missing(s))
     }
 
-    /// Segment `s` for writing (see [`get`](Self::get)).
+    /// Segment `s` for writing (see [`get`](Self::get)): copied first if a
+    /// capture still holds it.
     pub(crate) fn get_mut(&mut self, s: usize) -> GmlResult<&mut Vector> {
-        self.segs.get_mut(&s).ok_or_else(|| Self::missing(s))
+        self.segs.get_mut(&s).map(|seg| &mut **seg).ok_or_else(|| Self::missing(s))
+    }
+
+    /// Set every segment here to `value`.
+    pub(crate) fn fill(&mut self, value: f64) {
+        self.segs.values_mut().for_each(|seg| seg.fill(value));
     }
 
     fn missing(s: usize) -> GmlError {
@@ -439,7 +452,7 @@ impl DistVector {
                 let segs = place_segs[idx].iter().map(|&s| {
                     let range = (splits[s], splits[s + 1]);
                     let seg = old.remove(&range).inspect(|_| kept.push(s));
-                    (s, seg.unwrap_or_else(|| Vector::zeros(range.1 - range.0)))
+                    (s, seg.unwrap_or_else(|| Shared::new(Vector::zeros(range.1 - range.0))))
                 });
                 let store = SegmentStore { segs: segs.collect(), splits: Arc::clone(&splits) };
                 if retire {
@@ -468,16 +481,16 @@ impl Snapshottable for DistVector {
         let snap_id = store.fresh_snap_id();
         let plh = self.plh;
         let place_segs = Arc::clone(&self.place_segs);
-        let (group, store) = (self.group.clone(), store.clone());
+        let (group, store, id) = (self.group.clone(), store.clone(), self.object_id);
         let entries = each_place(ctx, self.seg_places(), move |ctx, idx| {
-            // Capture: encode every local segment under one short lock,
-            // then ship them as a single framed batch.
+            // Capture: hold every local segment under one short lock, then
+            // hand them to the store as one batch.
             let parts: Vec<(u64, Part)> = {
                 let st = plh.local(ctx)?;
                 let st = st.lock();
                 place_segs[idx]
                     .iter()
-                    .map(|&s| Ok((s as u64, store.part(ctx, st.get(s)?))))
+                    .map(|&s| Ok((s as u64, store.part(id, st.shared(s)?))))
                     .collect::<GmlResult<_>>()?
             };
             store.save_local_parts(ctx, snap_id, &group, parts)
@@ -551,7 +564,7 @@ impl Snapshottable for DistVector {
                     seg
                 };
                 let st = plh.local(ctx)?;
-                st.lock().segs.insert(s, seg);
+                st.lock().segs.insert(s, Shared::new(seg));
             }
             Ok(())
         })
@@ -580,7 +593,7 @@ impl LiveSource for LiveSegments {
         let (s, range) = (key as usize, self.range(key));
         let held = self.plh.local(ctx).ok();
         let held = held.and_then(|st| st.lock().covering(s, range).map(|seg| ctx.encode(seg)));
-        held.or_else(|| self.retired.local(ctx).ok()?.lock().get(&range).map(|seg| ctx.encode(seg)))
+        held.or_else(|| self.retired.local(ctx).ok()?.lock().get(&range).map(|seg| ctx.encode(&**seg)))
     }
 
     fn holds(&self, ctx: &Ctx, key: u64, retired: bool) -> bool {
@@ -596,7 +609,7 @@ impl LiveSource for LiveSegments {
 
     fn take_retired(&self, ctx: &Ctx, key: u64) -> Option<Bytes> {
         let seg = self.retired.local(ctx).ok()?.lock().remove(&self.range(key))?;
-        Some(ctx.encode(&seg))
+        Some(ctx.encode(&*seg))
     }
 
     fn release(&self, ctx: &Ctx) {

@@ -7,7 +7,8 @@
 //! [`Dup::sync`] — the `P.sync()` of the paper's PageRank listing. Copies
 //! trade memory for communication-free reads. Changing the place group
 //! "simply means duplicating the vector on a different number of places"
-//! (§IV-A2), and restore re-loads a full copy per place.
+//! (§IV-A2), and restore re-loads a full copy per place. Each copy lives in
+//! a [`Shared`], so a capture holds the root's by reference.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -16,17 +17,17 @@ use apgas::prelude::*;
 use apgas::serial::Serial;
 use apgas::sync::Mutex;
 use bytes::{Bytes, BytesMut};
-use gml_matrix::{DenseMatrix, Vector};
+use gml_matrix::{DenseMatrix, Shared, Vector};
 
 use crate::collective::{each_place, leave_group};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{LiveSource, Snapshot, Snapshottable};
-use crate::store::ResilientStore;
+use crate::store::{Contents, ResilientStore};
 
 /// What a duplicated payload supplies beyond its wire form: the shape that
 /// fixes its dimensions, and the zeroed value of a shape. The shape is what
 /// a snapshot's descriptor records, in the shape's own wire form.
-pub trait DupPayload: Serial + Send + 'static {
+pub trait DupPayload: Serial + Contents + Clone + Send + Sync + 'static {
     /// A vector's length, a matrix's rows and columns.
     type Shape: Serial + Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static;
     /// The all-zero value of `shape`.
@@ -52,7 +53,7 @@ pub struct Dup<T: DupPayload> {
     object_id: u64,
     shape: T::Shape,
     group: PlaceGroup,
-    plh: PlaceLocalHandle<Mutex<T>>,
+    plh: PlaceLocalHandle<Mutex<Shared<T>>>,
     /// The places whose copy the last remake left as it was.
     kept: HashSet<Place>,
 }
@@ -66,7 +67,7 @@ pub type DupDenseMatrix = Dup<DenseMatrix>;
 impl<T: DupPayload> Dup<T> {
     /// An all-zero object of `shape`, duplicated over `group`.
     fn make_shaped(ctx: &Ctx, shape: T::Shape, group: &PlaceGroup) -> GmlResult<Self> {
-        let plh = PlaceLocalHandle::make(ctx, group, move |_| Mutex::new(T::zeros(shape)))?;
+        let plh = PlaceLocalHandle::make(ctx, group, move |_| Mutex::new(Shared::new(T::zeros(shape))))?;
         let kept = HashSet::new();
         Ok(Dup { object_id: crate::fresh_object_id(), shape, group: group.clone(), plh, kept })
     }
@@ -78,7 +79,7 @@ impl<T: DupPayload> Dup<T> {
 
     /// The copy at the current place (X10's `local()`); the caller must be
     /// executing at a place of the group.
-    pub fn local(&self, ctx: &Ctx) -> GmlResult<Arc<Mutex<T>>> {
+    pub fn local(&self, ctx: &Ctx) -> GmlResult<Arc<Mutex<Shared<T>>>> {
         Ok(self.plh.local(ctx)?)
     }
 
@@ -90,7 +91,7 @@ impl<T: DupPayload> Dup<T> {
 
     /// The copyable handle naming every place's copy, for collectives that
     /// read the local copy inside their own tasks.
-    pub fn handle(&self) -> PlaceLocalHandle<Mutex<T>> {
+    pub fn handle(&self) -> PlaceLocalHandle<Mutex<Shared<T>>> {
         self.plh
     }
 
@@ -114,13 +115,13 @@ impl<T: DupPayload> Dup<T> {
         let plh = self.plh;
         // Serialize once at the root.
         let payload: Bytes = ctx.at(root, move |ctx| -> ApgasResult<Bytes> {
-            Ok(ctx.encode(&*plh.local(ctx)?.lock()))
+            Ok(ctx.encode(&**plh.local(ctx)?.lock()))
         })??;
         let others: Vec<_> = self.group.iter().enumerate().filter(|&(_, p)| p != root).collect();
         ctx.record_bytes(payload.len() * others.len());
         each_place(ctx, others, move |ctx, _| {
             ctx.record_bytes_received(payload.len());
-            *plh.local(ctx)?.lock() = ctx.decode::<T>(payload.clone());
+            *plh.local(ctx)?.lock() = Shared::new(ctx.decode::<T>(payload.clone()));
             Ok(())
         })
         .map(drop)
@@ -137,7 +138,7 @@ impl<T: DupPayload> Dup<T> {
         let kept = each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
             let kept = plh.is_initialized(ctx);
             if !kept {
-                plh.set_local(ctx, Mutex::new(T::zeros(shape)));
+                plh.set_local(ctx, Mutex::new(Shared::new(T::zeros(shape))));
             }
             Ok(kept.then(|| ctx.here()))
         })?;
@@ -268,10 +269,10 @@ impl<T: DupPayload> Snapshottable for Dup<T> {
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {
         let _span = ctx.trace_span(SpanKind::SnapshotObj, self.object_id);
         let snap_id = store.fresh_snap_id();
-        let (plh, store, group) = (self.plh, store.clone(), self.group.clone());
+        let (plh, store, group, id) = (self.plh, store.clone(), self.group.clone(), self.object_id);
         // The root's copy is the one saved.
         let entries = ctx.at(self.root(), move |ctx| -> GmlResult<_> {
-            let part = store.part(ctx, &*plh.local(ctx)?.lock());
+            let part = store.part(id, &plh.local(ctx)?.lock());
             // A single-entry batch: same transport as the multi-block
             // objects, so deferred shipping applies uniformly.
             store.save_local_parts(ctx, snap_id, &group, vec![(0, part)])
@@ -306,7 +307,7 @@ impl<T: DupPayload> Snapshottable for Dup<T> {
         let (plh, store, snap) = (self.plh, store.clone(), snapshot.clone());
         each_place(ctx, places, move |ctx, _| {
             let bytes = snap.fetch(ctx, &store, 0)?;
-            *plh.local(ctx)?.lock() = ctx.decode::<T>(bytes);
+            *plh.local(ctx)?.lock() = Shared::new(ctx.decode::<T>(bytes));
             Ok(())
         })
         .map(drop)
@@ -314,11 +315,11 @@ impl<T: DupPayload> Snapshottable for Dup<T> {
 }
 
 /// A read-only duplicated object's copies as its snapshot reads them.
-struct LiveCopy<T>(PlaceLocalHandle<Mutex<T>>);
+struct LiveCopy<T>(PlaceLocalHandle<Mutex<Shared<T>>>);
 
 impl<T: DupPayload> LiveSource for LiveCopy<T> {
     fn read(&self, ctx: &Ctx, _key: u64) -> Option<Bytes> {
-        Some(ctx.encode(&*self.0.local(ctx).ok()?.lock()))
+        Some(ctx.encode(&**self.0.local(ctx).ok()?.lock()))
     }
 
     fn holds(&self, ctx: &Ctx, _key: u64, _retired: bool) -> bool {

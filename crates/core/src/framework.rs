@@ -242,9 +242,9 @@ pub struct RunStats {
     pub step_time: Duration,
     /// Wall time spent checkpointing.
     pub checkpoint_time: Duration,
-    /// Synchronous *capture* portion of the checkpoints (serialize under
-    /// the object locks + owner-side inserts), as accumulated by the app
-    /// store's two-phase protocol.
+    /// Synchronous *capture* portion of the checkpoints (a handle on each
+    /// value under the object locks, kept at its owner), as accumulated by
+    /// the app store's two-phase protocol.
     pub capture_time: Duration,
     /// Background *ship* busy time (backup transfers), harvested when ship
     /// threads are joined. With overlap on, this time ran concurrently with

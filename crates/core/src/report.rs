@@ -55,9 +55,9 @@ pub struct IterRow {
     /// Wall time of the checkpoint taken this pass, if any (failed,
     /// cancelled checkpoints included — their cost is real).
     pub checkpoint: Option<Duration>,
-    /// Synchronous *capture* portion of this pass's checkpoint (serialize
-    /// under the object locks + owner inserts). `Some` exactly when
-    /// `checkpoint` is.
+    /// Synchronous *capture* portion of this pass's checkpoint (a handle
+    /// on each value under the object locks, kept at its owner). `Some`
+    /// exactly when `checkpoint` is.
     pub capture: Option<Duration>,
     /// Background *ship* busy time harvested by this pass. With overlap on,
     /// a checkpoint's ships are joined — and therefore show up — at the
@@ -176,15 +176,16 @@ impl CostReport {
 
     /// Render the Table-III-style per-iteration cost table plus a totals
     /// line. `step / ckpt / restore` are wall times; `capture` is the
-    /// synchronous serialize-and-insert portion of the checkpoint and
-    /// `ship(t)` the background backup-transfer busy time harvested this
-    /// pass (under overlap it belongs to the previous checkpoint and ran
-    /// concurrently with compute); `detect(t)` is the wall time spent
-    /// computing and comparing output digests for silent-error detection
-    /// (`-` when the app opted out); `ctl` counts place-zero bookkeeping
-    /// messages; `enc+dec` is codec wall time; `ship / recv` are payload
-    /// bytes. `resident / ckptmem` are memory *levels* at the pass's close
-    /// boundary (live heap, store-ledger bytes) rather than deltas; both
+    /// synchronous portion of the checkpoint, which serializes nothing, and
+    /// `ship(t)` the background serialize, encode and backup-transfer busy
+    /// time harvested this pass (under overlap it belongs to the previous
+    /// checkpoint and ran concurrently with compute); `detect(t)` is the
+    /// wall time spent computing and comparing output digests for
+    /// silent-error detection (`-` when the app opted out); `ctl` counts
+    /// place-zero bookkeeping messages; `enc+dec` is codec wall time;
+    /// `ship / recv` are payload bytes. `resident / ckptmem` are memory
+    /// *levels* at the pass's close boundary (live heap, store-ledger
+    /// bytes) rather than deltas; both
     /// read 0 with `mem-profile` compiled out. `logical / wire` split this
     /// pass's checkpoint volume into pre-codec payload bytes and post-codec
     /// frame bytes (both 0 over a raw store), `f/v` counts the frames the

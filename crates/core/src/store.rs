@@ -36,22 +36,27 @@
 //!
 //! [`AppResilientStore::repair`]: crate::app_store::AppResilientStore::repair
 //!
-//! What a shard holds per entry is fixed by how the store was made: the bare
-//! store keeps the serialized payload as it came (*raw*); the store under
-//! [`AppResilientStore::make`] keeps a checkpoint-codec frame
-//! ([`crate::codec`], *framed*) — a small *head* (header + chunk-digest
-//! manifest) and a *body*, which for a payload that would not shrink is that
-//! same serialized buffer, held by refcount. A framed store's capture only
-//! serializes, and keeps the buffer raw at its owner: the ship that
-//! follows frames it there, keeps the frame in its place and ships it, so
-//! every committed replica is a frame. A frame restores from itself
-//! alone, so an entry is recoverable exactly when one of its two replica
-//! places is alive. Either way a payload is copied once per place boundary
-//! it crosses (owner → backup on save, holder → fetcher on restore) and
-//! nowhere else. A live entry is serialized at its owner into a buffer made
-//! for that one transfer, of which the owner keeps no handle: that
-//! serialization is the crossing's one copy, and the receiver keeps the
-//! buffer as it came.
+//! A capture copies nothing: its owner's shard keeps a [`Held`] handle on
+//! each value of a mutable object, and the object's next write copies the
+//! value away from it instead ([`gml_matrix::Shared`]). The ship that
+//! follows serializes the handle at the owner and keeps what it made in the
+//! handle's place, then ships that; a replica with no ship — a pair
+//! collapsed onto a one-place group's place, or the non-redundant store's
+//! one copy — is serialized the same way by an order that ships nothing.
+//! What a shard keeps of a serialized entry is fixed by how the store was
+//! made: the bare store keeps the serialized payload as it came (*raw*);
+//! the store under [`AppResilientStore::make`] keeps a checkpoint-codec
+//! frame ([`crate::codec`], *framed*) — a small *head* (header +
+//! chunk-digest manifest) and a *body*, which for a payload that would not
+//! shrink is that same serialized buffer, held by refcount. So every
+//! committed replica of a framed store is a frame. A frame restores from
+//! itself alone, so an entry is recoverable exactly when one of its two
+//! replica places is alive. Either way a payload is copied once per place
+//! boundary it crosses (owner → backup on save, holder → fetcher on
+//! restore) and nowhere else. A live entry is serialized at its owner into
+//! a buffer made for that one transfer, of which the owner keeps no handle:
+//! that serialization is the crossing's one copy, and the receiver keeps
+//! the buffer as it came.
 //!
 //! [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
 
@@ -60,20 +65,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use apgas::digest::Fnv1a;
 use apgas::metrics::{Family, Kind};
 use apgas::prelude::*;
 use apgas::serial::Serial;
 use apgas::sync::Mutex;
 use bytes::Bytes;
+use gml_matrix::{BlockData, DenseMatrix, MatrixBlock, Shared, Vector};
 
 use crate::codec;
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{live_digest, EntryLoc, Live, LiveSource, Snapshot};
 
-/// One stored replica. Without a `head` (the raw store, or a framed store's
-/// capture until its ship frames it) `body` *is* the logical payload. With
-/// one, the entry is a codec frame decoding to
+/// One serialized replica. Without a `head` (the raw store) `body` *is* the
+/// logical payload. With one, the entry is a codec frame decoding to
 /// `logical` bytes: `head` is its header + digest manifest and `body` its
 /// record stream or, under a verbatim head, again the payload itself.
 #[derive(Clone)]
@@ -85,6 +91,135 @@ pub(crate) struct StoredEntry {
 
 /// `(key, stored replica)` pairs, as one place saves, frames or ships them.
 type Entries = Vec<(u64, StoredEntry)>;
+
+/// A mutable object's value as a capture holds it: a handle on the value,
+/// not a copy ([`Shared::held`]) — the object's next write copies away from
+/// it instead. Its owner's shard keeps it until the ship serializes it
+/// there.
+#[derive(Clone)]
+pub struct Held {
+    value: Arc<dyn Captured>,
+    /// The value's serialized length.
+    len: usize,
+    /// In a debug build, the object and the value's digest at capture, which
+    /// the ship holds the value to when it serializes it.
+    witness: Option<(u64, u64)>,
+}
+
+/// What a ship needs of a captured value, whatever its type.
+trait Captured: Send + Sync {
+    fn encode(&self, ctx: &Ctx) -> Bytes;
+    fn digest(&self) -> u64;
+}
+
+impl<T: Serial + Contents + Send + Sync> Captured for T {
+    fn encode(&self, ctx: &Ctx) -> Bytes {
+        ctx.encode(self)
+    }
+
+    fn digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        self.fold(&mut h);
+        h.finish()
+    }
+}
+
+/// What a debug build's capture check reads of a captured value: its
+/// contents where they lie, with no copy made.
+pub trait Contents {
+    /// Fold the value's shape and contents into `h`.
+    fn fold(&self, h: &mut Fnv1a);
+}
+
+impl Contents for Vector {
+    fn fold(&self, h: &mut Fnv1a) {
+        h.write_f64s(self.as_slice());
+    }
+}
+
+impl Contents for DenseMatrix {
+    fn fold(&self, h: &mut Fnv1a) {
+        h.write_u64(self.rows() as u64);
+        h.write_u64(self.cols() as u64);
+        h.write_f64s(self.as_slice());
+    }
+}
+
+impl Contents for MatrixBlock {
+    fn fold(&self, h: &mut Fnv1a) {
+        [self.bi, self.bj, self.row_offset, self.col_offset].iter().for_each(|&x| h.write_u64(x as u64));
+        match &self.data {
+            BlockData::Dense(d) => d.fold(h),
+            BlockData::Sparse(s) => s.iter().for_each(|(i, j, v)| {
+                [i, j].iter().for_each(|&x| h.write_u64(x as u64));
+                h.write_f64s(&[v]);
+            }),
+        }
+    }
+}
+
+/// A payload given already serialized ([`ResilientStore::save_batch`]).
+struct Serialized(Bytes);
+
+impl Captured for Serialized {
+    fn encode(&self, _ctx: &Ctx) -> Bytes {
+        self.0.clone()
+    }
+
+    fn digest(&self) -> u64 {
+        apgas::digest::content_digest(&self.0)
+    }
+}
+
+impl Held {
+    /// `payload`, held as its own serialization.
+    fn serialized(payload: Bytes) -> Self {
+        Held { len: payload.len(), value: Arc::new(Serialized(payload)), witness: None }
+    }
+
+    /// The value serialized, at its owner. In a debug build a value that
+    /// no longer matches its digest at capture fails instead, naming the
+    /// object and the entry's key: resuming from it would resume from data
+    /// the capture never saw.
+    fn serialize(&self, ctx: &Ctx, key: u64) -> GmlResult<Bytes> {
+        match self.witness {
+            Some((object, digest)) if self.value.digest() != digest => {
+                Err(GmlError::Unrecoverable(format!(
+                    "object {object} changed under its capture: entry {key} no longer matches \
+                     the digest taken then"
+                )))
+            }
+            _ => Ok(self.value.encode(ctx)),
+        }
+    }
+}
+
+/// What a shard keeps under one key.
+#[derive(Clone)]
+enum Slot {
+    /// A capture's handle, until its ship serializes it here. Charged
+    /// nothing: it is the object's own memory until a write copies away
+    /// from it.
+    Held(Held),
+    /// A serialized replica.
+    Stored(StoredEntry),
+}
+
+impl Slot {
+    fn wire(&self) -> usize {
+        match self {
+            Slot::Held(_) => 0,
+            Slot::Stored(e) => e.wire(),
+        }
+    }
+
+    fn logical(&self) -> u64 {
+        match self {
+            Slot::Held(h) => h.len as u64,
+            Slot::Stored(e) => e.logical,
+        }
+    }
+}
 
 impl StoredEntry {
     fn raw(payload: Bytes) -> Self {
@@ -119,9 +254,10 @@ impl StoredEntry {
     }
 }
 
-/// Per-place storage shard: `(snapshot id, key) → stored replica`.
+/// Per-place storage shard: `(snapshot id, key) → held value or stored
+/// replica`.
 ///
-/// Every byte held here is charged to the memory ledger's
+/// Every serialized byte held here is charged to the memory ledger's
 /// [`StoreShard`](apgas::mem::MemTag::StoreShard) tag — **wire** bytes (the
 /// frames actually resident), the same quantity
 /// [`ResilientStore::inventory`] reports as `wire_bytes`, so the two
@@ -131,7 +267,7 @@ impl StoredEntry {
 /// encoder's allocation by refcount; the ledger counts held bytes, not
 /// unique heap blocks — the allocator-level view is `mem::heap_bytes`.)
 pub(crate) struct PlaceStore {
-    map: Mutex<HashMap<(u64, u64), StoredEntry>>,
+    map: Mutex<HashMap<(u64, u64), Slot>>,
 }
 
 impl PlaceStore {
@@ -140,16 +276,31 @@ impl PlaceStore {
     }
 
     fn insert(&self, snap_id: u64, key: u64, value: StoredEntry) {
-        let added = value.wire();
-        let replaced = self.map.lock().insert((snap_id, key), value);
+        self.put(snap_id, key, Slot::Stored(value));
+    }
+
+    fn put(&self, snap_id: u64, key: u64, slot: Slot) {
+        let added = slot.wire();
+        let replaced = self.map.lock().insert((snap_id, key), slot);
         mem::charge(MemTag::StoreShard, added);
         if let Some(old) = replaced {
             mem::discharge(MemTag::StoreShard, old.wire());
         }
     }
 
+    /// The serialized replica of `(snap_id, key)`: none while a capture's
+    /// handle is all there is.
     fn get(&self, snap_id: u64, key: u64) -> Option<StoredEntry> {
-        self.map.lock().get(&(snap_id, key)).cloned()
+        match self.map.lock().get(&(snap_id, key)) {
+            Some(Slot::Stored(e)) => Some(e.clone()),
+            _ => None,
+        }
+    }
+
+    /// What is here of each of `keys`, in their order.
+    fn slots(&self, snap_id: u64, keys: &[u64]) -> Vec<(u64, Slot)> {
+        let map = self.map.lock();
+        keys.iter().filter_map(|&k| map.get(&(snap_id, k)).map(|slot| (k, slot.clone()))).collect()
     }
 
     fn remove(&self, snap_id: u64, key: u64) {
@@ -174,24 +325,25 @@ impl PlaceStore {
         self.map.lock().len()
     }
 
-    /// Under one lock, put each frame in place of its key's raw entry, and
-    /// return the frames whose key is still here.
-    fn replace_raw(&self, snap_id: u64, frames: Entries) -> Entries {
-        let (mut added, mut freed, mut map) = (0, 0, self.map.lock());
-        let kept: Entries = frames
+    /// Under one lock, put each serialized entry in place of its key's
+    /// handle, and return the entries whose key is still here. The handles
+    /// are dropped after the lock.
+    fn replace_held(&self, snap_id: u64, entries: Entries) -> Entries {
+        let (mut added, mut released, mut map) = (0, Vec::new(), self.map.lock());
+        let kept: Entries = entries
             .into_iter()
-            .filter(|(key, frame)| {
-                let Some(entry) = map.get_mut(&(snap_id, *key)) else { return false };
-                if entry.head.is_none() {
-                    (added, freed) = (added + frame.wire(), freed + entry.wire());
-                    *entry = frame.clone();
+            .filter(|(key, entry)| {
+                let Some(slot) = map.get_mut(&(snap_id, *key)) else { return false };
+                if let Slot::Held(_) = slot {
+                    added += entry.wire();
+                    released.push(std::mem::replace(slot, Slot::Stored(entry.clone())));
                 }
                 true
             })
             .collect();
         drop(map);
         mem::charge(MemTag::StoreShard, added);
-        mem::discharge(MemTag::StoreShard, freed);
+        drop(released);
         kept
     }
 
@@ -209,7 +361,7 @@ impl PlaceStore {
         let mut wire = 0u64;
         for ((sid, _), v) in map.iter() {
             snaps.insert(*sid);
-            logical += v.logical;
+            logical += v.logical();
             wire += v.wire() as u64;
         }
         (map.len(), snaps.len(), logical, wire)
@@ -221,7 +373,7 @@ impl Drop for PlaceStore {
     /// place-local map), so the remaining charge is discharged here —
     /// keeping the ledger equal to the *live* inventory across failures.
     fn drop(&mut self) {
-        let held: usize = self.map.lock().values().map(StoredEntry::wire).sum();
+        let held: usize = self.map.lock().values().map(Slot::wire).sum();
         mem::discharge(MemTag::StoreShard, held);
     }
 }
@@ -319,7 +471,9 @@ fn second_replica(group: &PlaceGroup, first: Place) -> GmlResult<Place> {
 
 /// One backup transfer: a capture's ([`ResilientStore::ship_orders`]) or a
 /// repair's. The order carries only metadata; the payloads are read by key
-/// at ship time, at `owner`, from `source`.
+/// at ship time, at `owner`, from `source`. A capture's order whose
+/// `backup` is its `owner` ships nothing: it only serializes what the
+/// capture holds there.
 #[derive(Clone)]
 pub(crate) struct ShipOrder {
     pub(crate) snap_id: u64,
@@ -335,7 +489,8 @@ pub(crate) struct ShipOrder {
 /// Where a [`ShipOrder`]'s payloads are read.
 #[derive(Clone)]
 pub(crate) enum Source {
-    /// The frames in the holder's shard, shipped in one batch.
+    /// The holder's shard, shipped in one batch: its frames, and what a
+    /// capture holds there, serialized first.
     Stored,
     /// The frames in the holder's shard, one at a time, each deleted there
     /// once its copy landed: a repair moving a stored copy off the place
@@ -378,8 +533,9 @@ struct Probe {
 /// One part of an object as its capture hands it to
 /// [`ResilientStore::save_local_parts`].
 pub enum Part {
-    /// Serialized now; stored at its owner, shipped to its backup.
-    Stored(Bytes),
+    /// A mutable object's value, held by reference: its owner keeps the
+    /// handle until the ship serializes it there, and ships that.
+    Held(Held),
     /// A read-only object's block, of this serialized length: it stays the
     /// owner replica, and only the ship serializes it.
     Live(usize),
@@ -395,15 +551,16 @@ pub struct ResilientStore {
     /// halves checkpoint cost but loses snapshot data with the owning
     /// place. Production use keeps this on.
     redundant: bool,
-    /// When true, [`save_batch`](Self::save_batch) inserts the owner copies
-    /// and ships nothing: the backup transfers, and the framing of every
-    /// copy they ship, are left to whoever holds the resulting [`Snapshot`]
+    /// When true, [`save_local_parts`](Self::save_local_parts) only keeps
+    /// the captured handles at their owner: serializing and shipping them
+    /// is left to whoever holds the resulting [`Snapshot`]
     /// ([`ship_orders`](Self::ship_orders)). Only the handle an
-    /// `AppResilientStore` passes to `make_snapshot` is built so.
+    /// `AppResilientStore` passes to `make_snapshot` is built so; any other
+    /// serializes and ships its captures before `save_local_parts` returns.
     capture_only: bool,
-    /// When true, `save_batch` stores and ships every entry as a checkpoint
-    /// codec frame ([`crate::codec`]). Bare stores are raw — the parity
-    /// reference; [`AppResilientStore::make`] builds a framed one.
+    /// When true, every serialized entry is stored and shipped as a
+    /// checkpoint codec frame ([`crate::codec`]). Bare stores are raw — the
+    /// parity reference; [`AppResilientStore::make`] builds a framed one.
     ///
     /// [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
     framed: bool,
@@ -451,21 +608,31 @@ impl ResilientStore {
         ResilientStore { live: true, ..self.capturing() }
     }
 
-    /// `item` as a capture hands it to [`save_local_parts`]: serialized, or
-    /// under a live-capturing handle only measured.
+    /// `item`, a value of object `object_id`, as a capture hands it to
+    /// [`save_local_parts`]: held by reference, or under a live-capturing
+    /// handle only measured. Nothing is serialized; a debug build digests
+    /// the value where it lies.
     ///
     /// [`save_local_parts`]: Self::save_local_parts
-    pub(crate) fn part<T: Serial>(&self, ctx: &Ctx, item: &T) -> Part {
+    pub(crate) fn part<T>(&self, object_id: u64, item: &Shared<T>) -> Part
+    where
+        T: Serial + Contents + Send + Sync + 'static,
+    {
         if self.live {
-            Part::Live(item.byte_len())
-        } else {
-            Part::Stored(ctx.encode(item))
+            return Part::Live(item.byte_len());
         }
+        let witness = cfg!(debug_assertions).then(|| (object_id, Captured::digest(&**item)));
+        Part::Held(Held { value: item.held(), len: item.byte_len(), witness })
     }
 
     /// Whether backup copies are being written.
     pub fn is_redundant(&self) -> bool {
         self.redundant
+    }
+
+    /// Whether an entry owned by `owner` and backed up at `backup` ships.
+    fn ships(&self, owner: Place, backup: Place) -> bool {
+        self.redundant && owner != backup
     }
 
     /// Allocate a namespace for one object snapshot.
@@ -500,8 +667,8 @@ impl ResilientStore {
     /// `second_replica` in the object's group. Every `make_snapshot` calls
     /// this from a task running at the owning place and hands the returned
     /// locations to [`Snapshot::gathered`](crate::snapshot::Snapshot::gathered).
-    /// A live part is only recorded: its block is the owner replica, and
-    /// the ship reads it.
+    /// A held part goes to [`hold`](Self::hold); a live part is only
+    /// recorded: its block is the owner replica, and the ship reads it.
     pub fn save_local_parts(
         &self,
         ctx: &Ctx,
@@ -512,24 +679,45 @@ impl ResilientStore {
         let owner = ctx.here();
         let backup = second_replica(group, owner)?;
         let mut locs = Vec::with_capacity(parts.len());
-        let mut stored = Vec::new();
+        let mut held = Vec::new();
         for (key, part) in parts {
             let (len, live) = match part {
-                Part::Stored(payload) => {
-                    let len = payload.len();
-                    stored.push((key, payload));
+                Part::Held(value) => {
+                    let len = value.len;
+                    held.push((key, value));
                     (len, false)
                 }
                 Part::Live(len) => (len, true),
             };
             locs.push((key, EntryLoc { owner, backup, len, live }));
         }
-        if stored.is_empty() {
-            self.check_backup(ctx, backup)?;
-        } else {
-            self.save_batch(ctx, snap_id, stored, backup)?;
-        }
+        self.hold(ctx, snap_id, backup, held)?;
         Ok(locs)
+    }
+
+    /// Keep `held` in this place's shard, the owner's, under `snap_id`.
+    /// Unless this handle only captures, then serialize them here and ship
+    /// them to `backup` in **one** batched transfer — a single `at` round
+    /// trip whatever the number of keys — before returning. Over a
+    /// single-place group the backup collapses onto the owner (`backup ==
+    /// here`), leaving one copy only — a one-place application has no second
+    /// place to survive on, matching the paper's model. A backup that is
+    /// already dead fails the save, so the enclosing checkpoint aborts and is
+    /// cancelled (atomic commit).
+    fn hold(&self, ctx: &Ctx, snap_id: u64, backup: Place, held: Vec<(u64, Held)>) -> GmlResult<()> {
+        let total: usize = held.iter().map(|(_, value)| value.len).sum();
+        let _span = ctx.trace_span(SpanKind::StoreSaveBatch, total as u64);
+        let shard = self.shard(ctx)?;
+        let keys: Vec<u64> = held.iter().map(|&(key, _)| key).collect();
+        held.into_iter().for_each(|(key, value)| shard.put(snap_id, key, Slot::Held(value)));
+        self.check_backup(ctx, backup)?;
+        if self.capture_only || keys.is_empty() {
+            return Ok(());
+        }
+        let owner = ctx.here();
+        let backup = if self.ships(owner, backup) { backup } else { owner };
+        let order = ShipOrder { snap_id, owner, backup, keys, total, source: Source::Stored };
+        self.ship_from_here(ctx, &order).map(drop)
     }
 
     /// Fail fast on a backup that is already dead, so the enclosing
@@ -545,20 +733,11 @@ impl ResilientStore {
         Ok(())
     }
 
-    /// Save a whole place's snapshot entries at once: local inserts for
-    /// every pair, then **one** batched backup transfer carrying the entire
-    /// frame to `backup` — a single `at` round trip whatever the number of
-    /// keys. Must be called from a task running at the owning place. Returns
-    /// the total payload size.
-    ///
-    /// Over a single-place group the backup collapses onto the owner
-    /// (`backup == here`), leaving one copy only — a one-place application
-    /// has no second place to survive on, matching the paper's model.
-    ///
-    /// A capture-only handle stops after the owner inserts, and leaves the
-    /// framing of what it ships to the ship. Either way a backup that is
-    /// already dead fails the save here, so the enclosing checkpoint aborts
-    /// and is cancelled (atomic commit).
+    /// Save already serialized payloads as this place's entries of
+    /// `snap_id`, backed up at `backup`, the way [`hold`](Self::hold) saves
+    /// a capture's values: each payload is its own serialization, so its
+    /// buffer becomes the stored replica. Must be called from a task running
+    /// at the owning place. Returns the total payload size.
     pub fn save_batch(
         &self,
         ctx: &Ctx,
@@ -567,41 +746,15 @@ impl ResilientStore {
         backup: Place,
     ) -> GmlResult<usize> {
         let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
-        let _span = ctx.trace_span(SpanKind::StoreSaveBatch, total as u64);
-        let shard = self.shard(ctx)?;
-        let ships = self.redundant && backup != ctx.here() && !entries.is_empty();
-        let stored = self.encode_batch(ctx, entries, ships && self.capture_only);
-        for (key, entry) in &stored {
-            // Owner copies: a refcount bump only — the serialized buffer
-            // produced at this place IS the stored replica; no place
-            // boundary is crossed.
-            shard.insert(snap_id, *key, entry.clone());
-        }
-        if ships {
-            self.check_backup(ctx, backup)?;
-            if !self.capture_only {
-                self.ship_entries(ctx, snap_id, stored, backup, false)?;
-            }
-        }
+        let held = entries.into_iter().map(|(key, payload)| (key, Held::serialized(payload)));
+        self.hold(ctx, snap_id, backup, held.collect())?;
         Ok(total)
     }
 
-    /// What one place's batch is stored and shipped as: the payloads as they
-    /// came in a raw store, else each framed by `codec::encode_entry` —
-    /// packed where that is proven to pay, else kept verbatim, the
-    /// serialized buffer itself becoming the entry's body. A `deferred`
-    /// batch — a capture the commit's ship will frame here — is stored as
-    /// it came too (see [`frame_shipped`](Self::frame_shipped)).
-    fn encode_batch(&self, ctx: &Ctx, entries: Vec<(u64, Bytes)>, deferred: bool) -> Entries {
-        if !self.framed || deferred {
-            return entries.into_iter().map(|(k, v)| (k, StoredEntry::raw(v))).collect();
-        }
-        let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
-        let _span = ctx.trace_span(SpanKind::CkptEncode, total as u64);
-        entries.into_iter().map(|(key, payload)| (key, self.frame(&payload))).collect()
-    }
-
-    /// One payload as this store keeps it (see [`encode_batch`](Self::encode_batch)).
+    /// One payload as this store keeps it: as it came in a raw store, else
+    /// framed by `codec::encode_entry` — packed where that is proven to pay,
+    /// else kept verbatim, the serialized buffer itself becoming the entry's
+    /// body.
     fn frame(&self, payload: &Bytes) -> StoredEntry {
         if !self.framed {
             return StoredEntry::raw(payload.clone());
@@ -610,20 +763,27 @@ impl ResilientStore {
         StoredEntry { head: Some(head), body, logical: payload.len() as u64 }
     }
 
-    /// Frame, at the owner and before they ship, the raw entries a capture
-    /// left (see [`encode_batch`](Self::encode_batch)), and keep each frame
-    /// in the shard in place of its raw entry. An entry deleted since it was
-    /// read is dropped from the batch, like a key that was missing.
-    fn frame_shipped(&self, ctx: &Ctx, shard: &PlaceStore, snap_id: u64, entries: Entries) -> Entries {
-        // A capture's batch is raw throughout; a repair's, of committed
-        // entries, is framed throughout.
-        if !self.framed || entries.iter().any(|(_, e)| e.head.is_some()) {
-            return entries;
+    /// The entries of a `Stored` order that are here, as they ship: each
+    /// one a capture still holds is serialized and framed first, at the
+    /// owner, and kept in the shard in place of its handle. An entry deleted
+    /// since it was read — a cancel — is left out, like a missing key.
+    fn serialize_held(&self, ctx: &Ctx, shard: &PlaceStore, order: &ShipOrder) -> GmlResult<Entries> {
+        let (mut entries, mut held) = (Vec::new(), Vec::new());
+        for (key, slot) in shard.slots(order.snap_id, &order.keys) {
+            match slot {
+                Slot::Stored(entry) => entries.push((key, entry)),
+                Slot::Held(value) => held.push((key, value)),
+            }
         }
-        let span = ctx.trace_span(SpanKind::CkptEncode, entries.iter().map(|(_, e)| e.logical).sum());
-        let framed = entries.into_iter().map(|(key, e)| (key, self.frame(&e.body))).collect();
-        drop(span);
-        shard.replace_raw(snap_id, framed)
+        if held.is_empty() {
+            return Ok(entries);
+        }
+        let span = ctx.trace_span(SpanKind::CkptEncode, held.iter().map(|(_, h)| h.len as u64).sum());
+        let serialized = held.iter().map(|(key, value)| Ok((*key, self.frame(&value.serialize(ctx, *key)?))));
+        let serialized = serialized.collect::<GmlResult<Entries>>()?;
+        drop((span, held));
+        entries.extend(shard.replace_held(order.snap_id, serialized));
+        Ok(entries)
     }
 
     /// The batched backup transfer: one `at` to `backup` carrying the whole
@@ -669,23 +829,27 @@ impl ResilientStore {
         Ok(())
     }
 
-    /// The backup transfers a capture of `snap` left undone, read off the
-    /// snapshot: its entries grouped by `(owner, backup)` replica pair, in
-    /// the owner's group order, keys ascending — the same on every run. None
-    /// for a non-redundant store, nor for a pair collapsed onto one place.
-    /// A live snapshot's orders read its live blocks.
+    /// What a capture of `snap` left undone, read off the snapshot: its
+    /// entries grouped by `(owner, backup)` replica pair, in the owner's
+    /// group order, keys ascending — the same on every run. A held entry
+    /// whose pair does not ship (a non-redundant store, a pair collapsed
+    /// onto one place) has an order whose backup is its owner: it only
+    /// serializes; a live one has none. A live snapshot's orders read its
+    /// live blocks.
     pub(crate) fn ship_orders(&self, snap: &Snapshot) -> Vec<ShipOrder> {
-        let shipped = snap.entries.iter().filter(|(_, loc)| self.redundant && loc.owner != loc.backup);
-        let mut entries: Vec<(u64, EntryLoc)> = shipped.map(|(&key, &loc)| (key, loc)).collect();
-        entries.sort_unstable_by_key(|&(key, loc)| (snap.group.index_of(loc.owner), loc.backup, key));
-        let of_one_pair = entries.chunk_by(|a, b| (a.1.owner, a.1.backup) == (b.1.owner, b.1.backup));
+        let backup = |loc: &EntryLoc| if self.ships(loc.owner, loc.backup) { loc.backup } else { loc.owner };
+        let todo = snap.entries.iter().filter(|(_, loc)| !loc.live || backup(loc) != loc.owner);
+        let mut entries: Vec<(u64, Place, Place, usize)> =
+            todo.map(|(&key, loc)| (key, loc.owner, backup(loc), loc.len)).collect();
+        entries.sort_unstable_by_key(|&(key, owner, backup, _)| (snap.group.index_of(owner), backup, key));
+        let of_one_pair = entries.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2));
         let source = snap.live.clone().map_or(Source::Stored, Source::Live);
         let orders = of_one_pair.map(|entries| ShipOrder {
             snap_id: snap.snap_id,
-            owner: entries[0].1.owner,
-            backup: entries[0].1.backup,
-            keys: entries.iter().map(|&(key, _)| key).collect(),
-            total: entries.iter().map(|(_, loc)| loc.len).sum(),
+            owner: entries[0].1,
+            backup: entries[0].2,
+            keys: entries.iter().map(|&(key, ..)| key).collect(),
+            total: entries.iter().map(|&(.., len)| len).sum(),
             source: source.clone(),
         });
         orders.collect()
@@ -704,25 +868,23 @@ impl ResilientStore {
 
     /// The owner's half of a [`ShipOrder`]: read the entries from its
     /// source here and ship them. Stored entries go in one batch, as stored
-    /// once a capture's raw ones are framed here;
-    /// moved frames and live blocks go one entry at a time, so that at most
-    /// one is in flight: a moved frame is deleted here once its copy landed,
-    /// and a live block is serialized and encoded here and shipped.
+    /// once what a capture holds here is serialized and framed in place —
+    /// an order whose backup is its owner stops there; moved frames and live
+    /// blocks go one entry at a time, so that at most one is in flight: a
+    /// moved frame is deleted here once its copy landed, and a live block is
+    /// serialized and encoded here and shipped.
     fn ship_from_here(&self, ctx: &Ctx, order: &ShipOrder) -> GmlResult<Shipped> {
         let shard = self.shard(ctx)?;
         // A missing key means the snapshot was cancelled between capture
         // and ship; the order is stale and skipping is the correct quiet
         // outcome.
         if let Source::Stored = order.source {
-            let entries: Entries = order
-                .keys
-                .iter()
-                .filter_map(|&k| shard.get(order.snap_id, k).map(|v| (k, v)))
-                .collect();
-            let entries = self.frame_shipped(ctx, &shard, order.snap_id, entries);
+            let entries = self.serialize_held(ctx, &shard, order)?;
             let wire = entries.iter().map(|(_, e)| e.wire()).sum();
             let found = entries.len();
-            self.ship_entries(ctx, order.snap_id, entries, order.backup, false)?;
+            if order.backup != order.owner {
+                self.ship_entries(ctx, order.snap_id, entries, order.backup, false)?;
+            }
             return Ok(Shipped { found, wire, digests: Vec::new() });
         }
         let mut shipped = Shipped { found: 0, wire: 0, digests: Vec::new() };
@@ -1599,16 +1761,41 @@ mod tests {
         .unwrap();
     }
 
+    /// A value that serializes as its bytes alone.
+    struct Raw(Vec<u8>);
+
+    impl Serial for Raw {
+        fn write(&self, buf: &mut bytes::BytesMut) {
+            buf.extend_from_slice(&self.0);
+        }
+        fn read(buf: &mut Bytes) -> Self {
+            Raw(std::mem::take(buf).to_vec())
+        }
+        fn byte_len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    impl Contents for Raw {
+        fn fold(&self, h: &mut Fnv1a) {
+            h.write(&self.0);
+        }
+    }
+
+    /// `bytes`, held by a capture through `store`.
+    fn held(store: &ResilientStore, bytes: Vec<u8>) -> Part {
+        store.part(42, &Shared::new(Raw(bytes)))
+    }
+
     #[test]
     fn save_fails_when_backup_dies() {
         with_store(3, 0, |ctx, store| {
             ctx.kill_place(Place::new(2)).unwrap();
             let sid = store.fresh_snap_id();
             // A capture ships nothing, and still refuses a dead backup.
-            let err = store
-                .capturing()
-                .save_batch(ctx, sid, vec![(0, Bytes::from_static(b"x"))], Place::new(2))
-                .unwrap_err();
+            let group: PlaceGroup = [Place::ZERO, Place::new(2)].into_iter().collect();
+            let part = vec![(0, held(&store, b"x".to_vec()))];
+            let err = store.capturing().save_local_parts(ctx, sid, &group, part).unwrap_err();
             assert!(err.is_recoverable(), "dead backup is a recoverable failure: {err}");
         });
     }
@@ -1620,7 +1807,7 @@ mod tests {
         let mut entries = Vec::new();
         for (i, owner) in group.iter().enumerate() {
             let (s2, g2) = (store.clone(), group.clone());
-            let part = vec![(i as u64, Part::Stored(Bytes::from(vec![i as u8; 64])))];
+            let part = vec![(i as u64, held(store, vec![i as u8; 64]))];
             let locs = ctx.at(owner, move |ctx| s2.save_local_parts(ctx, sid, &g2, part).unwrap());
             entries.extend(locs.unwrap());
         }
@@ -1642,7 +1829,7 @@ mod tests {
             assert!(store.audit_snapshot(ctx, &snap).invariant_ok());
             // A place outside the group has no next place to back up to.
             let sid = store.fresh_snap_id();
-            let part = vec![(0, Part::Stored(Bytes::new()))];
+            let part = vec![(0, held(&store, Vec::new()))];
             let outsider = store.save_local_parts(ctx, sid, &group, part);
             assert!(matches!(outsider, Err(GmlError::Shape(_))));
         });
@@ -1914,17 +2101,45 @@ mod tests {
         });
     }
 
+    /// A held value that no longer matches its digest at capture is not
+    /// serialized: the ship fails, naming the object and the entry's key.
     #[test]
-    fn a_one_place_group_and_a_non_redundant_store_yield_no_ship_order() {
+    fn a_held_value_unlike_its_capture_fails_its_ship_naming_object_and_key() {
+        with_store(2, 0, |ctx, store| {
+            let Part::Held(mut value) = held(&store, vec![1, 2, 3]) else { unreachable!("held") };
+            let digest = Captured::digest(&Raw(vec![1, 2, 3]));
+            value.witness = Some((42, digest));
+            assert!(value.serialize(ctx, 7).is_ok(), "as captured");
+            value.witness = Some((42, digest ^ 1));
+            let err = value.serialize(ctx, 7).unwrap_err();
+            assert!(!err.is_recoverable(), "{err}");
+            assert!(err.to_string().contains("object 42 changed under its capture: entry 7"), "{err}");
+        });
+    }
+
+    /// A capture with no second place to ship to is serialized where it
+    /// is held, by an order whose backup is its owner.
+    #[test]
+    fn a_one_place_group_and_a_non_redundant_store_yield_orders_that_ship_nothing() {
         Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
             let alone: PlaceGroup = [Place::new(1)].into_iter().collect();
             let store = ResilientStore::make(ctx).unwrap();
             let snap = saved_snapshot(ctx, &store.capturing(), &alone);
             assert_eq!(snap.entry(0).unwrap().backup, Place::new(1), "collapsed onto the owner");
-            assert!(store.ship_orders(&snap).is_empty());
             let single = ResilientStore::make_with_redundancy(ctx, false).unwrap();
-            let snap = saved_snapshot(ctx, &single.capturing(), &ctx.world());
-            assert!(single.ship_orders(&snap).is_empty());
+            let spread = saved_snapshot(ctx, &single.capturing(), &ctx.world());
+            for (store, snap) in [(&store, &snap), (&single, &spread)] {
+                let orders = store.ship_orders(snap);
+                assert_eq!(orders.len(), snap.entries.len(), "one order per owner");
+                assert!(orders.iter().all(|o| o.owner == o.backup), "none ships");
+                assert!(snap.fetch(ctx, store, 0).is_err(), "nothing serialized before the orders run");
+                let before = ctx.stats().bytes_shipped;
+                orders.into_iter().for_each(|o| store.execute_ship(ctx, o).unwrap());
+                assert_eq!(ctx.stats().bytes_shipped, before, "nothing shipped");
+                for (&key, _) in snap.entries.iter() {
+                    assert_eq!(snap.fetch(ctx, store, key).unwrap(), vec![key as u8; 64]);
+                }
+            }
         })
         .unwrap();
     }

@@ -13,6 +13,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::dense::DenseMatrix;
 use crate::grid::Grid;
+use crate::shared::Shared;
 use crate::sparse_csr::SparseCSR;
 
 /// The payload of one block: dense or sparse.
@@ -163,10 +164,10 @@ impl MatrixBlock {
         let fits = |b: &MatrixBlock| {
             matches!(b.data, BlockData::Dense(_)) && (b.rows(), b.cols()) == dims
         };
-        let Some(at) = spare.blocks.iter().position(fits).filter(|_| !sparse) else {
+        let Some(at) = spare.blocks.iter().position(|b| fits(b)).filter(|_| !sparse) else {
             return MatrixBlock::zeros(grid, bi, bj, sparse);
         };
-        let mut block = spare.blocks.swap_remove(at);
+        let mut block = spare.blocks.swap_remove(at).into_inner();
         let (r0, _, c0, _) = grid.block_range(bi, bj);
         (block.bi, block.bj, block.row_offset, block.col_offset) = (bi, bj, r0, c0);
         if let BlockData::Dense(d) = &mut block.data {
@@ -291,10 +292,13 @@ impl Serial for MatrixBlock {
     }
 }
 
-/// The blocks one place holds.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The blocks one place holds, each in a [`Shared`]: a checkpoint capture
+/// takes a handle on each, and [`iter_mut`](Self::iter_mut) /
+/// [`find_mut`](Self::find_mut) copy a block before writing it only while
+/// such a handle is still alive.
+#[derive(Debug, Default, PartialEq)]
 pub struct BlockSet {
-    blocks: Vec<MatrixBlock>,
+    blocks: Vec<Shared<MatrixBlock>>,
 }
 
 impl BlockSet {
@@ -305,7 +309,7 @@ impl BlockSet {
 
     /// Build from an explicit list of blocks.
     pub fn from_blocks(blocks: Vec<MatrixBlock>) -> Self {
-        BlockSet { blocks }
+        BlockSet { blocks: blocks.into_iter().map(Shared::new).collect() }
     }
 
     /// Length.
@@ -320,32 +324,49 @@ impl BlockSet {
 
     /// Add a block to the set.
     pub fn push(&mut self, b: MatrixBlock) {
-        self.blocks.push(b);
+        self.blocks.push(Shared::new(b));
     }
 
     /// Iterate over the blocks.
     pub fn iter(&self) -> impl Iterator<Item = &MatrixBlock> {
+        self.blocks.iter().map(|b| &**b)
+    }
+
+    /// Iterate over the blocks' cells, for a capture to take handles on.
+    pub fn iter_shared(&self) -> impl Iterator<Item = &Shared<MatrixBlock>> {
         self.blocks.iter()
     }
 
     /// Iterate mutably over the blocks.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut MatrixBlock> {
-        self.blocks.iter_mut()
+        self.blocks.iter_mut().map(|b| &mut **b)
     }
 
     /// Find the block at grid position `(bi, bj)`.
     pub fn find(&self, bi: usize, bj: usize) -> Option<&MatrixBlock> {
-        self.blocks.iter().find(|b| b.bi == bi && b.bj == bj)
+        self.iter().find(|b| b.bi == bi && b.bj == bj)
     }
 
     /// Find the block at grid position `(bi, bj)`, mutably.
     pub fn find_mut(&mut self, bi: usize, bj: usize) -> Option<&mut MatrixBlock> {
-        self.blocks.iter_mut().find(|b| b.bi == bi && b.bj == bj)
+        let at = self.blocks.iter().position(|b| b.bi == bi && b.bj == bj)?;
+        Some(&mut *self.blocks[at])
+    }
+
+    /// Take the block at grid position `(bi, bj)` out of the set.
+    pub fn take(&mut self, bi: usize, bj: usize) -> Option<MatrixBlock> {
+        let at = self.blocks.iter().position(|b| b.bi == bi && b.bj == bj)?;
+        Some(self.blocks.swap_remove(at).into_inner())
+    }
+
+    /// The blocks, moved out.
+    pub fn into_blocks(self) -> Vec<MatrixBlock> {
+        self.blocks.into_iter().map(Shared::into_inner).collect()
     }
 
     /// Total payload bytes across all blocks (checkpoint sizing).
     pub fn payload_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.data.payload_bytes()).sum()
+        self.iter().map(|b| b.data.payload_bytes()).sum()
     }
 
     /// Remove all blocks.

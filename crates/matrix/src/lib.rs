@@ -12,6 +12,9 @@
 //! * [`MatrixBlock`](block::MatrixBlock) / [`BlockSet`](block::BlockSet) —
 //!   dense-or-sparse blocks tagged with their grid position
 //!   (`x10.matrix.distblock.BlockSet`);
+//! * [`Shared`](shared::Shared) — the copy-on-write cell every place-local
+//!   value of a mutable object lives in, so that a checkpoint capture holds
+//!   it by reference;
 //! * deterministic random builders for benchmark workloads.
 //!
 //! # Intra-place parallelism and blocked kernels
@@ -57,6 +60,7 @@ pub mod builder;
 pub mod dense;
 pub mod grid;
 mod microkernel;
+pub mod shared;
 pub mod sparse_csr;
 mod tile;
 pub mod vector;
@@ -64,6 +68,7 @@ pub mod vector;
 pub use block::{BlockData, BlockSet, DenseBlockWire, MatrixBlock};
 pub use dense::DenseMatrix;
 pub use grid::{Grid, Overlap};
+pub use shared::Shared;
 pub use sparse_csr::SparseCSR;
 pub use vector::Vector;
 

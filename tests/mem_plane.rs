@@ -485,3 +485,38 @@ fn mult_dup_into_writes_into_its_output_blocks() {
     })
     .unwrap();
 }
+
+/// A capture holds its objects by reference: at GNMF's per-place shapes on
+/// two places — `W`'s 5 MB dense blocks and the duplicated `H` — saving
+/// both raises the heap's peak by less than 1 MiB, where serializing them
+/// took a block per place. The commit's ship serializes them.
+#[test]
+fn a_capture_serializes_nothing() {
+    let _guard = PROCESS_STATE.lock().unwrap();
+    if !mem::enabled() {
+        return;
+    }
+    Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+        let g = ctx.world();
+        let w = DistBlockMatrix::make(ctx, 2 * TALL, RANK, 2, 1, 2, 1, &g, false).unwrap();
+        w.init_with(ctx, |_, _, r0, _, r, c| {
+            BlockData::Dense(builder::random_dense(r, c, 4 + r0 as u64))
+        })
+        .unwrap();
+        let h = DupDenseMatrix::make(ctx, RANK, WIDE, &g).unwrap();
+        h.init(ctx, |i, j| 1.0 / (1.0 + (i * WIDE + j) as f64)).unwrap();
+        let mut store = AppResilientStore::make(ctx).unwrap();
+        store.start_new_snapshot();
+        let rise = peak_rise(|| {
+            store.save(ctx, &w).unwrap();
+            store.save(ctx, &h).unwrap();
+        });
+        assert!(rise < MIB, "capture: peak +{rise} B");
+        store.commit(ctx).unwrap();
+        let stored: u64 = store.store().inventory(ctx).iter().map(|p| p.bytes).sum();
+        let saved = [&w as &dyn Snapshottable, &h].map(|o| store.snapshot_of(o.object_id()).unwrap());
+        let saved: usize = saved.iter().map(|s| s.total_bytes()).sum();
+        assert_eq!(stored, 2 * saved as u64, "the commit's ship stored both replicas");
+    })
+    .unwrap();
+}

@@ -315,7 +315,7 @@ fn every_family_in_a_scrape_has_one_help_and_owns_its_samples() {
 /// Every family a traced, monitored run's scrape exposes, as `(name, type)`
 /// in scrape order. A family added, dropped or retyped is a change to the
 /// scrape's contract and must edit this list on purpose.
-const FAMILIES: [(&str, &str); 42] = [
+const FAMILIES: [(&str, &str); 43] = [
     ("gml_tasks_spawned_total", "counter"),
     ("gml_at_calls_total", "counter"),
     ("gml_ctl_spawns_total", "counter"),
@@ -357,6 +357,7 @@ const FAMILIES: [(&str, &str); 42] = [
     ("gml_ckpt_frames_total", "counter"),
     ("gml_ckpt_encode_nanos_total", "counter"),
     ("gml_ckpt_decode_nanos_total", "counter"),
+    ("gml_ckpt_cow_copies_total", "counter"),
     ("gml_ckpt_compression_ratio", "gauge"),
 ];
 
