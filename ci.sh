@@ -67,9 +67,10 @@ cargo test -q -p gml-core --lib \
     app_store::tests::a_write_between_the_commit_and_the_ship_copies_each_held_block_once \
     -- --exact > /dev/null
 cargo test -q --test mem_plane a_capture_serializes_nothing -- --exact > /dev/null
-# The same per read-only object: stored once, beside its live blocks on
-# another place, before a kill and after the restore and repair under every
-# mode — with the heap grown by one stored replica, not two.
+# The same per read-only object: framed once, on another place than its
+# blocks, which the store holds as themselves, before a kill and after the
+# restore and repair under every mode — with the heap grown by one stored
+# replica, not two, and no block copied by the recovery.
 cargo test -q --test mem_plane a_read_only_object_is_stored_once -- --exact > /dev/null
 # The same for the workloads' inputs: every synthetic row builder writes its
 # block straight into CSR, and the result must equal, bit for bit, a

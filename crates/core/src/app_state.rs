@@ -11,9 +11,9 @@
 //! matrix's layout *after* the matrix was remade, so the matrix must be
 //! declared first.
 //!
-//! A read-only object's blocks are its snapshot's live replicas: a remake
-//! keeps every block a place still holds where the new layout keeps it, and
-//! the restore rebuilds only the others.
+//! A read-only object's blocks are its snapshot's first replicas, held by
+//! the store: a remake keeps every block a place still holds where the new
+//! layout keeps it, and the restore rebuilds only the others.
 
 use apgas::prelude::*;
 

@@ -9,14 +9,12 @@
 //! except that **read-only** objects' snapshots are shared across
 //! application snapshots (`save_read_only`), which is why the paper's
 //! PageRank checkpoints are so much cheaper than a full re-save. A read-only
-//! object is also stored only once: its live blocks are the owner replicas
-//! and only the backups are stored ([`EntryLoc::live`]); the capture
-//! serializes nothing, and the ship serializes, encodes and ships one block
-//! at a time. A restore that re-cuts a read-only object leaves none of its
-//! blocks under a saved key, and the repair then keeps that snapshot twice,
-//! like a mutable one's.
-//!
-//! [`EntryLoc::live`]: crate::snapshot::EntryLoc::live
+//! object is also framed only once: it is captured like any other object,
+//! and its ship frames each held block for the backup alone and keeps the
+//! owner's handle on the block as the owner replica
+//! ([`Snapshot::read_only`]). A restore that re-cuts a read-only object
+//! leaves none of its blocks under a saved key, and the repair then keeps
+//! that snapshot framed twice, like a mutable one's.
 //!
 //! After a failure the committed snapshot is still the state the
 //! application rolled back to, only short of a replica for the entries the
@@ -249,17 +247,13 @@ impl AppResilientStore {
     /// the store; serializing and shipping them is queued for the ship thread
     /// that [`commit`](Self::commit) starts.
     pub fn save(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
-        self.capture(ctx, obj, self.store.capturing())
+        self.capture(ctx, obj, false)
     }
 
-    /// [`save`](Self::save) through `handle`: a capturing one, or for a
-    /// read-only object's first save a live-capturing one.
-    fn capture(
-        &mut self,
-        ctx: &Ctx,
-        obj: &dyn Snapshottable,
-        handle: ResilientStore,
-    ) -> GmlResult<()> {
+    /// [`save`](Self::save), or for a `read_only` object its first save: the
+    /// same capture, whose ship keeps the held blocks as the owner replicas
+    /// ([`Snapshot::read_only`]).
+    fn capture(&mut self, ctx: &Ctx, obj: &dyn Snapshottable, read_only: bool) -> GmlResult<()> {
         // Checked before anything is allocated: without an open attempt
         // there is no watermark, so nothing `make_snapshot` inserted could
         // ever be reclaimed by `cancel_snapshot`.
@@ -267,11 +261,11 @@ impl AppResilientStore {
             return Err(GmlError::shape("save() before start_new_snapshot()"));
         }
         let t0 = Instant::now();
-        let result = obj.make_snapshot(ctx, &handle);
+        let result = obj.make_snapshot(ctx, &self.store.capturing());
         self.capture_time += t0.elapsed();
         // A failed capture yields no snapshot and so no order; the watermark
         // in `cancel_snapshot` wipes the partial owner inserts.
-        let snap = result?;
+        let snap = Snapshot { read_only, ..result? };
         let orders = self.store.ship_orders(&snap);
         if !orders.is_empty() {
             self.pending_orders.push(orders);
@@ -289,11 +283,13 @@ impl AppResilientStore {
     /// re-saved, so that every committed checkpoint can absorb the next
     /// failure.
     ///
-    /// A save stores one copy of each entry, the backup: `obj`'s live blocks
-    /// are the owner replicas, so the capture serializes nothing and the
-    /// ship serializes one block at a time. `obj` must not change after its
-    /// first save; in a debug build a recovery that finds a live block
-    /// unlike its first save fails naming the object.
+    /// A save frames one copy of each entry, the backup: the owner keeps
+    /// its capture's handle on each of `obj`'s blocks as the owner replica,
+    /// and the ship serializes one block at a time for the backup. `obj`
+    /// must not change after its first save: a write copies a block away
+    /// from the store's handle, and a recovery whose remake finds a block
+    /// so copied, kept or given up, that differs from the handle's value
+    /// fails, naming the object.
     pub fn save_read_only(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
         // With overlap on, the newest committed state may still be the
         // provisional snapshot — reuse from it first so the reuse chain
@@ -312,7 +308,7 @@ impl AppResilientStore {
                 pending.map.insert(obj.object_id(), snap);
                 Ok(())
             }
-            None => self.capture(ctx, obj, self.store.capturing_live()),
+            None => self.capture(ctx, obj, true),
         }
     }
 
@@ -479,9 +475,9 @@ impl AppResilientStore {
     /// snapshot: every entry of it that is down to one live replica gets its
     /// stored frame copied to the holder's next place in `group` — the group
     /// the application continues on — and is fully redundant again under the
-    /// snap id it always had; a read-only object's entry gets a stored copy
-    /// apart from its live block, or, where the restore re-cut the object,
-    /// becomes a stored entry kept twice (see `ResilientStore`'s repair).
+    /// snap id it always had; a read-only object's entry gets a frame apart
+    /// from its held block, or, where the restore re-cut the object, is
+    /// framed twice (see `ResilientStore`'s repair).
     /// Costs what the dead places held, whatever the application's size;
     /// with nothing degraded (a silent-error rollback) it does nothing.
     /// Errors as [`ResilientStore`]'s repair does: data loss when an entry
@@ -607,26 +603,28 @@ mod tests {
         (h ^ h >> 29) as f64 / u64::MAX as f64
     }
 
-    /// How many replicas of `snap`'s entries `place` should hold, and their
-    /// logical bytes.
-    fn held_at(snap: &Snapshot, place: Place) -> (usize, u64) {
-        // A live entry's owner replica is its block, not a stored copy.
-        let copies = |e: &crate::snapshot::EntryLoc| {
-            usize::from(e.owner == place && !e.live)
-                + usize::from(e.backup == place && e.backup != e.owner)
+    /// How many frames of `snap`'s entries `place` should hold, and their
+    /// logical bytes: an entry's first replica is a frame unless the store
+    /// holds the block itself there.
+    fn held_at(ctx: &Ctx, store: &ResilientStore, snap: &Snapshot, place: Place) -> (usize, u64) {
+        let copies = |(&key, e): (&u64, &crate::snapshot::EntryLoc)| {
+            let block = e.owner == place && store.held_at(ctx, place, snap.snap_id, key).is_some();
+            let frames = usize::from(e.owner == place && !block)
+                + usize::from(e.backup == place && e.backup != e.owner);
+            (frames, (e.len * frames) as u64)
         };
-        let replicas = snap.entries.values().map(copies).sum();
-        let bytes: usize = snap.entries.values().map(|e| e.len * copies(e)).sum();
-        (replicas, bytes as u64)
+        snap.entries.iter().map(copies).fold((0, 0), |(n, b), (m, c)| (n + m, b + c))
     }
 
     /// Every live place holds exactly the replicas the committed object
     /// snapshots record there — nothing of a retired generation, of a
     /// cancelled attempt or of a repair gone astray, and nothing missing.
-    /// Every entry whose places are alive has both its replicas; every
-    /// stored replica is a frame (the store is `AppResilientStore::make`'s),
-    /// and the two of an entry are bit-identical. Returns the store's
-    /// entries, logical bytes and wire bytes.
+    /// Every entry whose places are alive has both its replicas; a first
+    /// replica the store holds as a block is the block its object holds;
+    /// every other replica is a frame (the store is
+    /// `AppResilientStore::make`'s), and the two frames of an entry are
+    /// bit-identical. Returns the store's entries, logical bytes and wire
+    /// bytes.
     fn assert_holds_exactly_the_committed_generation(
         ctx: &Ctx,
         store: &AppResilientStore,
@@ -634,7 +632,8 @@ mod tests {
         let snaps = store.committed_snapshots();
         let mut totals = [0; 3];
         for inv in store.store().inventory(ctx).iter().filter(|inv| inv.alive) {
-            let held: Vec<(usize, u64)> = snaps.iter().map(|s| held_at(s, inv.place)).collect();
+            let held: Vec<(usize, u64)> =
+                snaps.iter().map(|s| held_at(ctx, store.store(), s, inv.place)).collect();
             let entries: usize = held.iter().map(|h| h.0).sum();
             let snapshots = held.iter().filter(|h| h.0 > 0).count();
             let bytes: u64 = held.iter().map(|h| h.1).sum();
@@ -650,12 +649,14 @@ mod tests {
             assert_eq!((audit.fully_redundant, audit.lost), (whole.count(), 0), "{audit:?}");
             assert!(audit.invariant_ok(), "{audit:?}");
             for (&key, e) in snap.entries.iter() {
-                let stored = [(e.owner, !e.live), (e.backup, e.backup != e.owner)];
+                let at = format!("snapshot {} key {key}", snap.snap_id);
+                let block = store.store().held_at(ctx, e.owner, snap.snap_id, key);
+                assert!(block.is_none_or(|live| live), "{at}: a held block its object gave up");
+                let stored = [(e.owner, block.is_none()), (e.backup, e.backup != e.owner)];
                 let held = stored.into_iter().filter(|&(p, copy)| copy && ctx.is_alive(p));
                 let copies: Vec<_> = held
                     .map(|(p, _)| store.store().stored_at(ctx, p, snap.snap_id, key).expect("counted"))
                     .collect();
-                let at = format!("snapshot {} key {key}", snap.snap_id);
                 assert!(copies.iter().all(|c| c.head.is_some()), "{at}: a replica is not framed");
                 if let [a, b] = &copies[..] {
                     assert!(a.head == b.head && a.body == b.body, "{at}: the replicas differ");
@@ -714,9 +715,9 @@ mod tests {
             let [entries, logical, wire] = assert_holds_exactly_the_committed_generation(ctx, &store);
             assert_eq!(store.snapshot_iteration(), Some(15));
             // `x`: four packed frames of 1 024 values, stored once beside
-            // its live segments since its first save; or, where a shrink
-            // re-cut it over three places, twice since the repair turned its
-            // retired segments into stored copies. `v`: one verbatim frame of
+            // its held segments since its first save; or, where a shrink
+            // re-cut it over three places, twice since the repair framed the
+            // old segments the store alone still held. `v`: one verbatim frame of
             // 8 200 bytes in three chunks, a head beside the payload, stored
             // twice.
             let recut = matches!(mode, RestoreMode::Shrink | RestoreMode::ShrinkRebalance);
@@ -1189,13 +1190,11 @@ mod tests {
 
     /// A read-only vector its step changes after its first save: breaking
     /// the contract `save_read_only` states.
-    #[cfg(debug_assertions)]
     struct Tampered {
         x: DistVector,
         v: DupVector,
     }
 
-    #[cfg(debug_assertions)]
     impl ResilientIterativeApp for Tampered {
         fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
             iteration >= 8
@@ -1216,27 +1215,80 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     fn a_read_only_object_changed_after_its_first_save_fails_the_next_recovery() {
-        run(4, |ctx| {
-            let g = ctx.world();
-            let x = DistVector::make(ctx, 4096, &g).unwrap();
-            x.init(ctx, |i| i as f64).unwrap();
-            let v = DupVector::make(ctx, 16, &g).unwrap();
-            let id = x.object_id();
-            let mut app = Tampered { x, v };
-            let mut store = AppResilientStore::make(ctx).unwrap();
-            // Saved at 0 (its digests recorded as the commit ships it),
-            // changed at 2, reused at 3; place 2 dies at 5. The repair that
-            // ends the recovery digests the changed blocks where it finds
-            // them and refuses them, before the run resumes.
-            let cfg = ExecutorConfig::new(3, RestoreMode::Shrink).overlap_ship(false);
-            let err = ResilientExecutor::new(cfg).run(ctx, &mut app, &g, &mut store).unwrap_err();
-            assert!(!err.is_recoverable(), "{err}");
-            let named = format!("read-only object {id} was modified after its first save");
-            assert!(err.to_string().contains(&named), "{err}");
-        });
+        for mode in [RestoreMode::Shrink, RestoreMode::ReplaceElastic] {
+            run(4, move |ctx| {
+                let g = ctx.world();
+                let x = DistVector::make(ctx, 4096, &g).unwrap();
+                x.init(ctx, |i| i as f64).unwrap();
+                let v = DupVector::make(ctx, 16, &g).unwrap();
+                let id = x.object_id();
+                let mut app = Tampered { x, v };
+                let mut store = AppResilientStore::make(ctx).unwrap();
+                // Saved at 0, changed at 2 — each segment copied away from
+                // the store's handle on it — and reused at 3; place 2 dies
+                // at 5. The remake compares each segment of places 0, 1 and
+                // 3 with the value the store's handle still holds, whether
+                // it keeps the segment (a replacement keeps the layout) or
+                // gives it up (shrink re-cuts the vector), and the restore
+                // refuses the changed object, before the run resumes.
+                let cfg = ExecutorConfig::new(3, mode).overlap_ship(false);
+                let err = ResilientExecutor::new(cfg).run(ctx, &mut app, &g, &mut store).unwrap_err();
+                assert!(!err.is_recoverable(), "{mode:?}: {err}");
+                let named = format!("read-only object {id} was modified after its first save");
+                assert!(err.to_string().contains(&named), "{mode:?}: {err}");
+            });
+        }
+    }
+
+    /// A read-only matrix's and duplicated vector's blocks that a write
+    /// copied away from the store's handles, and that a remake then keeps
+    /// or — re-cutting the matrix — gives up: restored, and refused only
+    /// where the write changed them.
+    #[test]
+    fn a_read_only_block_a_write_changed_is_refused_and_one_it_left_alone_restored() {
+        for (alpha, rebalance) in [(1.0, false), (2.0, false), (1.0, true), (2.0, true)] {
+            run(4, move |ctx| {
+                let g = ctx.world();
+                let mut m = crate::DistBlockMatrix::make(ctx, 16, 3, 4, 1, 4, 1, &g, false).unwrap();
+                m.init_with(ctx, |_, _, r0, _, rows, cols| {
+                    let values = (0..rows * cols).map(|i| (r0 * cols + i) as f64).collect();
+                    gml_matrix::BlockData::Dense(gml_matrix::DenseMatrix::from_vec(rows, cols, values))
+                })
+                .unwrap();
+                let mut d = DupVector::make(ctx, 8, &g).unwrap();
+                d.init(ctx, |i| i as f64).unwrap();
+                let (m_values, d_values) = (m.gather_dense(ctx).unwrap(), d.read_local(ctx).unwrap());
+                let mut store = AppResilientStore::make(ctx).unwrap();
+                store.start_new_snapshot();
+                store.save_read_only(ctx, &m).unwrap();
+                store.save_read_only(ctx, &d).unwrap();
+                store.commit(ctx).unwrap();
+                m.scale(ctx, alpha).unwrap();
+                d.scale_all(ctx, alpha).unwrap();
+                ctx.kill_place(Place::new(2)).unwrap();
+                let survivors = g.without(&[Place::new(2)]);
+                m.remake(ctx, &survivors, rebalance).unwrap();
+                d.remake(ctx, &survivors).unwrap();
+                let objs: [&mut dyn Snapshottable; 2] = [&mut m, &mut d];
+                for (obj, object) in objs.into_iter().zip(["matrix", "vector"]) {
+                    let id = obj.object_id();
+                    match (store.restore(ctx, &mut [obj]), alpha) {
+                        (Ok(()), 1.0) => {}
+                        (Err(e), 2.0) => {
+                            let named = format!("read-only object {id} was modified after its first save");
+                            assert!(!e.is_recoverable() && e.to_string().contains(&named), "{object}: {e}");
+                        }
+                        (res, _) => panic!("{object}, written by {alpha}, rebalance {rebalance}: {res:?}"),
+                    }
+                }
+                if alpha == 1.0 {
+                    assert_eq!(m.gather_dense(ctx).unwrap(), m_values);
+                    assert_eq!(d.read_local(ctx).unwrap(), d_values);
+                }
+            });
+        }
     }
 
     #[test]

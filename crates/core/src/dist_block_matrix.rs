@@ -12,7 +12,6 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use apgas::prelude::*;
@@ -27,8 +26,8 @@ use crate::collective::{each_place, leave_group};
 use crate::dist_vector::DistVector;
 use crate::dup_vector::{DupDenseMatrix, DupVector};
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{LiveSource, Snapshot, Snapshottable};
-use crate::store::{Part, ResilientStore};
+use crate::snapshot::{modified, Snapshot, Snapshottable};
+use crate::store::{Held, ResilientStore};
 
 /// Block-cyclic block → group-index map over a `rp × cp` place grid:
 /// block `(bi, bj)` goes to place-grid cell `(bi mod rp, bj mod cp)`.
@@ -55,16 +54,14 @@ pub struct DistBlockMatrix {
     col_blocks_per_place: usize,
     group: PlaceGroup,
     plh: PlaceLocalHandle<Mutex<BlockSet>>,
-    /// The blocks the last [`remake`](Self::remake) moved off each place
-    /// while the matrix's snapshot read its blocks as live replicas, kept
-    /// there until the repair drops them.
-    retired: PlaceLocalHandle<Mutex<BlockSet>>,
-    /// The blocks (ids in `grid`) the last remake left, contents and all, on
-    /// the place that held them.
+    /// The blocks (ids in `grid`) the last [`remake`](Self::remake) left,
+    /// contents and all, on the place that held them while a store still
+    /// held them — a read-only save's blocks, unwritten.
     kept: HashSet<usize>,
-    /// Whether the last snapshot of the matrix reads its blocks as live
-    /// replicas (a read-only save).
-    live_saved: AtomicBool,
+    /// The id, in the grid before the last remake, of a block it found
+    /// written away from a value a store still held — a read-only save's
+    /// block, changed.
+    changed: Option<u64>,
     sparse: bool,
 }
 
@@ -97,12 +94,9 @@ impl DistBlockMatrix {
         let grid = Grid::partition(rows, cols, row_blocks, col_blocks);
         let dist = Arc::new(block_cyclic(&grid, row_places, col_places));
         let plh = Self::alloc(ctx, &grid, &dist, group, sparse)?;
-        // Filled at a place only when a restore retires a block there.
-        let nowhere = PlaceGroup::from_iter([]);
-        let retired = PlaceLocalHandle::make(ctx, &nowhere, |_| Mutex::new(BlockSet::new()))?;
         Ok(DistBlockMatrix {
             kept: HashSet::new(),
-            live_saved: AtomicBool::new(false),
+            changed: None,
             object_id: crate::fresh_object_id(),
             grid,
             dist,
@@ -112,7 +106,6 @@ impl DistBlockMatrix {
             col_blocks_per_place: col_blocks.div_ceil(col_places),
             group: group.clone(),
             plh,
-            retired,
             sparse,
         })
     }
@@ -587,12 +580,14 @@ impl DistBlockMatrix {
     ///
     /// A place that holds a block the new layout leaves on it keeps it,
     /// contents and all; the others start zeroed, in the buffers of the
-    /// blocks the place gives up where their dimensions fit. Call
-    /// `restore_snapshot` to repopulate: it rewrites every block unless the
-    /// snapshot reads a kept block as its live replica (a read-only save).
-    /// A matrix saved so does not reuse the blocks a place gives up: it
-    /// retires them there, where the restore and the repair may read them,
-    /// until the repair drops them.
+    /// blocks the place gives up where their dimensions fit and nothing else
+    /// holds them. Call `restore_snapshot` to repopulate: it rewrites every
+    /// block but a read-only snapshot's kept block that the store still
+    /// holds as the entry's first replica. A block a place gives up that a
+    /// store holds — a read-only save's — lives on only there, uncopied.
+    /// Every old block, kept or given up, that a write copied away from a
+    /// value a store still holds is compared with that value here: a
+    /// read-only snapshot's restore refuses the matrix if one differs.
     pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup, rebalance: bool) -> GmlResult<()> {
         if !new_places.len().is_multiple_of(self.col_places) {
             return Err(GmlError::shape("new group size not divisible by col_places"));
@@ -607,21 +602,19 @@ impl DistBlockMatrix {
         } else {
             (self.grid.clone(), block_cyclic(&self.grid, new_rp, self.col_places))
         };
-        let (plh, retired) = (self.plh, self.retired);
-        let retire = self.live_saved.load(Ordering::Relaxed);
+        let plh = self.plh;
         leave_group(ctx, plh, &self.group, new_places)?;
         let dist = Arc::new(new_dist);
-        let kept = {
-            let grid = new_grid.clone();
+        let found = {
+            let (grid, old_grid) = (new_grid.clone(), self.grid.clone());
             let dist = Arc::clone(&dist);
             let sparse = self.sparse;
             each_place(ctx, new_places.iter().enumerate(), move |ctx, idx| {
                 let held = plh.local(ctx).ok();
                 let into_blocks = |set: &Mutex<BlockSet>| std::mem::take(&mut *set.lock()).into_blocks();
                 let mut old = held.as_deref().map_or_else(Vec::new, into_blocks);
-                if let Ok(gone) = retired.local(ctx) {
-                    old.extend(into_blocks(&gone));
-                }
+                let changed = old.iter().find(|b| b.changed_from_held());
+                let changed = changed.map(|b| old_grid.block_id(b.bi, b.bj) as u64);
                 // This place's blocks in grid order, each the one it held
                 // over the same range if it did.
                 let mine = grid.block_iter().filter(|&(bi, bj)| dist[grid.block_id(bi, bj)] == idx);
@@ -630,29 +623,26 @@ impl DistBlockMatrix {
                     .map(|(bi, bj)| {
                         let same = (bi, bj, grid.block_range(bi, bj));
                         let at = old.iter().position(|b| (b.bi, b.bj, b.global_range()) == same);
-                        kept.extend(at.map(|_| grid.block_id(bi, bj)));
+                        let held = at.filter(|&at| old[at].is_held());
+                        kept.extend(held.map(|_| grid.block_id(bi, bj)));
                         ((bi, bj), at.map(|at| old.swap_remove(at)))
                     })
                     .collect();
-                let (gone, mut spare) = match retire {
-                    true => (old, BlockSet::new()),
-                    false => (Vec::new(), BlockSet::from_blocks(old)),
-                };
+                let mut spare = BlockSet::from_blocks(old);
                 let set = slots.into_iter().map(|((bi, bj), block)| {
-                    block.unwrap_or_else(|| MatrixBlock::zeros_reusing(&grid, bi, bj, sparse, &mut spare))
+                    let zeros = |spare| Shared::new(MatrixBlock::zeros_reusing(&grid, bi, bj, sparse, spare));
+                    block.unwrap_or_else(|| zeros(&mut spare))
                 });
                 let set = BlockSet::from_blocks(set.collect());
-                if retire {
-                    retired.set_local(ctx, Mutex::new(BlockSet::from_blocks(gone)));
-                }
                 match held {
                     Some(slot) => *slot.lock() = set,
                     None => plh.set_local(ctx, Mutex::new(set)),
                 }
-                Ok(kept)
+                Ok((kept, changed))
             })?
         };
-        self.kept = kept.into_iter().flatten().collect();
+        self.kept = found.iter().flat_map(|(kept, _)| kept.iter().copied()).collect();
+        self.changed = found.iter().find_map(|&(_, changed)| changed);
         self.grid = new_grid;
         self.dist = dist;
         self.row_places = new_rp;
@@ -696,51 +686,6 @@ fn gram_block_acc(a: &BlockData, b: &BlockData, acc: &mut DenseMatrix) -> GmlRes
     }
 }
 
-/// A read-only matrix's blocks as its snapshot reads them: entry `key` is
-/// block `key` of the grid at snapshot time.
-struct LiveBlocks {
-    plh: PlaceLocalHandle<Mutex<BlockSet>>,
-    retired: PlaceLocalHandle<Mutex<BlockSet>>,
-    grid: Grid,
-}
-
-impl LiveBlocks {
-    /// Entry `key`'s block in `set`, if `set` holds it.
-    fn block<'a>(&self, set: &'a BlockSet, key: u64) -> Option<&'a MatrixBlock> {
-        let (bi, bj) = self.grid.block_pos(key as usize);
-        let range = self.grid.block_range(bi, bj);
-        set.find(bi, bj).filter(|b| b.global_range() == range)
-    }
-}
-
-impl LiveSource for LiveBlocks {
-    fn read(&self, ctx: &Ctx, key: u64) -> Option<Bytes> {
-        let sets = [self.plh, self.retired].into_iter().filter_map(|h| h.local(ctx).ok());
-        sets.into_iter().find_map(|set| self.block(&set.lock(), key).map(|b| ctx.encode(b)))
-    }
-
-    fn holds(&self, ctx: &Ctx, key: u64, retired: bool) -> bool {
-        let sets = [Some(self.plh), retired.then_some(self.retired)].into_iter().flatten();
-        let mut sets = sets.filter_map(|h| h.local(ctx).ok());
-        sets.any(|set| self.block(&set.lock(), key).is_some())
-    }
-
-    fn take_retired(&self, ctx: &Ctx, key: u64) -> Option<Bytes> {
-        let set = self.retired.local(ctx).ok()?;
-        let mut set = set.lock();
-        let (bi, bj) = self.block(&set, key).map(|b| (b.bi, b.bj))?;
-        Some(ctx.encode(&set.take(bi, bj)?))
-    }
-
-    fn has_retired(&self, ctx: &Ctx) -> bool {
-        self.retired.local(ctx).is_ok_and(|set| !set.lock().is_empty())
-    }
-
-    fn release(&self, ctx: &Ctx) {
-        self.retired.remove_local(ctx);
-    }
-}
-
 /// What one block of the restored layout needs from the stored blocks **one**
 /// holder has: the unit of transfer of a restore. Under an unchanged grid
 /// that is the one stored block it was saved as; under a re-cut grid, the
@@ -750,6 +695,8 @@ struct RestoreRequest {
     bi: usize,
     bj: usize,
     parts: Vec<Overlap>,
+    /// The block's id, under an unchanged grid its entry's key.
+    id: u64,
 }
 
 /// A stored block as its holder hands it out during a restore.
@@ -807,12 +754,15 @@ impl Piece {
 /// request in `requests` from this place's replicas. Each stored block is
 /// fetched — digest-verified, and decoded unless dense — **once**, however
 /// many requests and overlaps read it; a request's pieces go to their
-/// destination block in one transfer (none when that block is here).
+/// destination block in one transfer (none when that block is here). With
+/// `rehold` each destination block is its read-only entry's block again,
+/// and the store holds it there as the entry's first replica.
 fn serve_restore(
     ctx: &Ctx,
     store: &ResilientStore,
     snap: &Snapshot,
     old_grid: &Grid,
+    rehold: bool,
     plh: PlaceLocalHandle<Mutex<BlockSet>>,
     requests: &[RestoreRequest],
 ) -> GmlResult<()> {
@@ -845,9 +795,10 @@ fn serve_restore(
             };
             pieces.push((*ov, piece));
         }
-        let (bi, bj) = (req.bi, req.bj);
+        let (bi, bj, key) = (req.bi, req.bj, req.id);
         let remote = req.dest != ctx.here();
         let shipped: usize = pieces.iter().map(|(ov, piece)| piece.wire_len(ov)).sum();
+        let (store, snap) = (store.clone(), snap.clone());
         let paste = move |ctx: &Ctx| -> GmlResult<()> {
             let set = plh.local(ctx)?;
             let mut set = set.lock();
@@ -859,6 +810,9 @@ fn serve_restore(
             }
             if remote {
                 ctx.record_bytes_received(shipped);
+            }
+            if let Some(block) = set.iter_shared().find(|b| rehold && (b.bi, b.bj) == (bi, bj)) {
+                store.rehold(ctx, &snap, key, block)?;
             }
             Ok(())
         };
@@ -887,7 +841,7 @@ impl Snapshottable for DistBlockMatrix {
             // Capture: hold every block under one short lock, then hand the
             // whole batch to the store — one backup transfer for the place
             // instead of one round trip per block.
-            let parts: Vec<(u64, Part)> = {
+            let parts: Vec<(u64, Held)> = {
                 let set = plh.local(ctx)?;
                 let set = set.lock();
                 let part = |b: &Shared<MatrixBlock>| (grid.block_id(b.bi, b.bj) as u64, store.part(id, b));
@@ -899,12 +853,7 @@ impl Snapshottable for DistBlockMatrix {
         self.grid.write(&mut desc);
         desc.put_u8(self.sparse as u8);
         let entries = entries.into_iter().flatten();
-        let snap =
-            Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries);
-        let (plh, retired, grid) = (self.plh, self.retired, self.grid.clone());
-        let snap = snap.reading_live(LiveBlocks { plh, retired, grid });
-        self.live_saved.store(snap.live.is_some(), Ordering::Relaxed);
-        Ok(snap)
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -923,19 +872,26 @@ impl Snapshottable for DistBlockMatrix {
         if was_sparse != self.sparse {
             return Err(GmlError::shape("snapshot payload kind mismatch"));
         }
+        if let Some(key) = self.changed.filter(|_| snapshot.read_only) {
+            return Err(modified(self.object_id, key));
+        }
         // Every block of the current layout is assembled, in the zeroed
         // buffer `remake` gave it, from the stored blocks it overlaps: the
         // block it was saved as when the grid is unchanged (block-by-block
         // restore), sub-regions of several when it was re-cut (overlap-copy
-        // restore). A block `remake` kept is left as it is where the
-        // snapshot reads it as the entry's live replica. Planned here, per
-        // holder; carried out by the holders.
+        // restore). Under an unchanged grid a read-only snapshot's block
+        // `remake` kept is left as it is where the store still holds it as
+        // the entry's first replica, and restored where a write copied it
+        // away (without changing it: `remake` found none changed); a block
+        // rebuilt is held again. Planned here, per holder; carried out by
+        // the holders.
         let same_grid = old_grid == self.grid;
+        let read_only = same_grid && snapshot.read_only;
         let mut plan: BTreeMap<Place, Vec<RestoreRequest>> = BTreeMap::new();
         for (bi, bj) in self.grid.block_iter() {
             let dest = self.group.place(self.block_owner(bi, bj));
             let id = self.grid.block_id(bi, bj);
-            if same_grid && self.kept.contains(&id) && snapshot.entry(id as u64)?.live {
+            if read_only && self.kept.contains(&id) {
                 continue;
             }
             let mut by_holder: BTreeMap<Place, Vec<Overlap>> = BTreeMap::new();
@@ -943,10 +899,10 @@ impl Snapshottable for DistBlockMatrix {
                 let key = old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
                 let loc = snapshot.entry(key)?;
                 // The destination's own replica if it has one, else the
-                // first live stored one, else a live entry's block at its
+                // first live frame, else a read-only entry's block at its
                 // owner.
                 let any = |p: Place| (p == loc.owner || p == loc.backup) && ctx.is_alive(p);
-                let stored = |p: Place| any(p) && (p == loc.backup || !loc.live);
+                let stored = |p: Place| any(p) && (p == loc.backup || !snapshot.read_only);
                 let holder = Some(dest)
                     .filter(|&p| any(p))
                     .or_else(|| [loc.owner, loc.backup].into_iter().find(|&p| stored(p)))
@@ -955,13 +911,14 @@ impl Snapshottable for DistBlockMatrix {
                 by_holder.entry(holder).or_default().push(ov);
             }
             for (holder, parts) in by_holder {
-                plan.entry(holder).or_default().push(RestoreRequest { dest, bi, bj, parts });
+                let id = id as u64;
+                plan.entry(holder).or_default().push(RestoreRequest { dest, bi, bj, parts, id });
             }
         }
         let (holders, requests): (Vec<Place>, Vec<Vec<RestoreRequest>>) = plan.into_iter().unzip();
         let (plh, store, snap) = (self.plh, store.clone(), snapshot.clone());
         each_place(ctx, holders.into_iter().enumerate(), move |ctx, i| {
-            serve_restore(ctx, &store, &snap, &old_grid, plh, &requests[i])
+            serve_restore(ctx, &store, &snap, &old_grid, read_only, plh, &requests[i])
         })
         .map(drop)
     }

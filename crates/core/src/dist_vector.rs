@@ -8,18 +8,17 @@
 //! block rows after a failure.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use apgas::prelude::*;
 use apgas::sync::Mutex;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use gml_matrix::{Shared, Vector};
 
 use crate::collective::{each_place, leave_group};
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{LiveSource, Snapshot, Snapshottable};
-use crate::store::{Part, ResilientStore};
+use crate::snapshot::{modified, Snapshot, Snapshottable};
+use crate::store::{Held, ResilientStore};
 
 /// The segments one place holds: segment id → data, each in a [`Shared`]
 /// so that a capture holds it by reference.
@@ -30,22 +29,12 @@ pub(crate) struct SegmentStore {
     splits: Arc<Vec<usize>>,
 }
 
-/// Segments a read-only vector's restore moved off a place, by the range
-/// each covers.
-type Retired = HashMap<(usize, usize), Shared<Vector>>;
-
 impl SegmentStore {
     /// The zero-filled segments `segs` of the layout cut at `splits`.
     fn zeroed(segs: &[usize], splits: &Arc<Vec<usize>>) -> Self {
         let zeros = |s: usize| Shared::new(Vector::zeros(splits[s + 1] - splits[s]));
         let segs = segs.iter().map(|&s| (s, zeros(s))).collect();
         SegmentStore { segs, splits: Arc::clone(splits) }
-    }
-
-    /// Segment `s`, if this place holds it over `lo..hi`.
-    fn covering(&self, s: usize, (lo, hi): (usize, usize)) -> Option<&Vector> {
-        let covers = self.splits.get(s..s + 2) == Some(&[lo, hi][..]);
-        covers.then(|| self.segs.get(&s).map(|seg| &**seg)).flatten()
     }
 
     /// Segment `s`, which the layout places here: its absence is data loss.
@@ -110,16 +99,14 @@ pub struct DistVector {
     pub(crate) place_segs: Arc<Vec<Vec<usize>>>,
     pub(crate) group: PlaceGroup,
     pub(crate) plh: PlaceLocalHandle<Mutex<SegmentStore>>,
-    /// The segments the last remake moved off each place while the
-    /// vector's snapshot read its segments as live replicas, kept there
-    /// until the repair drops them.
-    retired: PlaceLocalHandle<Mutex<Retired>>,
     /// The segments the last remake left, contents and all, on the place
-    /// that held them.
+    /// that held them while a store still held them — a read-only save's
+    /// segments, unwritten.
     kept: HashSet<usize>,
-    /// Whether the last snapshot of the vector reads its segments as live
-    /// replicas (a read-only save).
-    live_saved: AtomicBool,
+    /// The index, in the layout before the last remake, of a segment it
+    /// found written away from a value a store still held — a read-only
+    /// save's segment, changed.
+    changed: Option<u64>,
 }
 
 impl DistVector {
@@ -154,9 +141,6 @@ impl DistVector {
                 Mutex::new(SegmentStore::zeroed(&place_segs[my_index], &splits))
             })?
         };
-        // Filled at a place only when a restore retires a segment there.
-        let nowhere = PlaceGroup::from_iter([]);
-        let retired = PlaceLocalHandle::make(ctx, &nowhere, |_| Mutex::new(Retired::new()))?;
         Ok(DistVector {
             object_id: crate::fresh_object_id(),
             splits,
@@ -164,9 +148,8 @@ impl DistVector {
             place_segs,
             group: group.clone(),
             plh,
-            retired,
             kept: HashSet::new(),
-            live_saved: AtomicBool::new(false),
+            changed: None,
         })
     }
 
@@ -415,11 +398,13 @@ impl DistVector {
     ///
     /// A place that holds a segment over a range the new layout leaves on
     /// it keeps it, contents and all; the others start zeroed. Call
-    /// `restore_snapshot` to repopulate: it rewrites every segment unless
-    /// the snapshot reads a kept one as its live replica (a read-only
-    /// save). A vector saved so retires the segments a place gives up,
-    /// where the restore and the repair may read them, until the repair
-    /// drops them.
+    /// `restore_snapshot` to repopulate: it rewrites every segment but a
+    /// read-only snapshot's kept segment that the store still holds as the
+    /// entry's first replica. A segment a place gives up that a store holds
+    /// — a read-only save's — lives on only there. Every old segment, kept
+    /// or given up, that a write copied away from a value a store still
+    /// holds is compared with that value here: a read-only snapshot's
+    /// restore refuses the vector if one differs.
     pub fn remake_with_layout(
         &mut self,
         ctx: &Ctx,
@@ -433,36 +418,33 @@ impl DistVector {
         if *splits.last().expect("non-empty") != self.len() {
             return Err(GmlError::shape("remake cannot change total length"));
         }
-        let (plh, retired) = (self.plh, self.retired);
-        let retire = self.live_saved.load(Ordering::Relaxed);
+        let plh = self.plh;
         leave_group(ctx, plh, &self.group, new_places)?;
         let place_segs = Arc::new(owner_lists(&seg_owner, new_places.len()));
         let splits = Arc::new(splits);
-        let kept = {
+        let found = {
             let place_segs = Arc::clone(&place_segs);
             let splits = Arc::clone(&splits);
             each_place(ctx, new_places.iter().enumerate(), move |ctx, idx| {
-                let gone = retired.local(ctx).map(|r| std::mem::take(&mut *r.lock()));
-                let mut old = gone.unwrap_or_default();
+                let (mut old, mut changed) = (HashMap::new(), None);
                 if let Ok(held) = plh.local(ctx) {
                     let SegmentStore { segs, splits } = std::mem::take(&mut *held.lock());
+                    changed = segs.iter().find(|(_, v)| v.changed_from_held()).map(|(&s, _)| s as u64);
                     old.extend(segs.into_iter().map(|(s, v)| ((splits[s], splits[s + 1]), v)));
                 }
                 let mut kept = Vec::new();
                 let segs = place_segs[idx].iter().map(|&s| {
                     let range = (splits[s], splits[s + 1]);
-                    let seg = old.remove(&range).inspect(|_| kept.push(s));
+                    let seg = old.remove(&range).inspect(|seg| kept.extend(seg.is_held().then_some(s)));
                     (s, seg.unwrap_or_else(|| Shared::new(Vector::zeros(range.1 - range.0))))
                 });
                 let store = SegmentStore { segs: segs.collect(), splits: Arc::clone(&splits) };
-                if retire {
-                    retired.set_local(ctx, Mutex::new(old));
-                }
                 plh.set_local(ctx, Mutex::new(store));
-                Ok(kept)
+                Ok((kept, changed))
             })?
         };
-        self.kept = kept.into_iter().flatten().collect();
+        self.kept = found.iter().flat_map(|(kept, _)| kept.iter().copied()).collect();
+        self.changed = found.iter().find_map(|&(_, changed)| changed);
         self.splits = splits;
         self.seg_owner = Arc::new(seg_owner);
         self.place_segs = place_segs;
@@ -485,7 +467,7 @@ impl Snapshottable for DistVector {
         let entries = each_place(ctx, self.seg_places(), move |ctx, idx| {
             // Capture: hold every local segment under one short lock, then
             // hand them to the store as one batch.
-            let parts: Vec<(u64, Part)> = {
+            let parts: Vec<(u64, Held)> = {
                 let st = plh.local(ctx)?;
                 let st = st.lock();
                 place_segs[idx]
@@ -502,12 +484,7 @@ impl Snapshottable for DistVector {
             desc.put_u64_le(s as u64);
         }
         let entries = entries.into_iter().flatten();
-        let snap =
-            Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries);
-        let (plh, retired, splits) = (self.plh, self.retired, Arc::clone(&self.splits));
-        let snap = snap.reading_live(LiveSegments { plh, retired, splits });
-        self.live_saved.store(snap.live.is_some(), Ordering::Relaxed);
-        Ok(snap)
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -523,14 +500,19 @@ impl Snapshottable for DistVector {
         if *old_splits.last().expect("non-empty") != self.len() {
             return Err(GmlError::shape("snapshot length != DistVector length"));
         }
+        if let Some(key) = self.changed.filter(|_| snapshot.read_only) {
+            return Err(modified(self.object_id, key));
+        }
         let same_layout = old_splits == **self.splits;
         // Per place, the segments to restore: under an unchanged layout a
-        // segment `remake` kept is left as it is where the snapshot reads it
-        // as the entry's live replica.
+        // read-only snapshot's segment `remake` kept is left as it is where
+        // the store still holds it as the entry's first replica, and
+        // restored where a write copied it away (without changing it:
+        // `remake` found none changed); a segment rebuilt is held again.
+        let read_only = same_layout && snapshot.read_only;
         let mut todo = self.place_segs.as_ref().clone();
-        if same_layout {
-            let live = |s: &usize| snapshot.entry(*s as u64).is_ok_and(|l| l.live);
-            todo.iter_mut().for_each(|segs| segs.retain(|s| !(self.kept.contains(s) && live(s))));
+        if read_only {
+            todo.iter_mut().for_each(|segs| segs.retain(|s| !self.kept.contains(s)));
         }
         let places: Vec<(usize, Place)> =
             self.group.iter().enumerate().filter(|&(idx, _)| !todo[idx].is_empty()).collect();
@@ -564,56 +546,15 @@ impl Snapshottable for DistVector {
                     seg
                 };
                 let st = plh.local(ctx)?;
-                st.lock().segs.insert(s, Shared::new(seg));
+                let mut st = st.lock();
+                st.segs.insert(s, Shared::new(seg));
+                if read_only {
+                    store.rehold(ctx, &snap, s as u64, st.shared(s)?)?;
+                }
             }
             Ok(())
         })
         .map(drop)
-    }
-}
-
-/// A read-only vector's segments as its snapshot reads them: entry `s` is
-/// the segment over `splits[s]..splits[s + 1]` of the layout at snapshot
-/// time.
-struct LiveSegments {
-    plh: PlaceLocalHandle<Mutex<SegmentStore>>,
-    retired: PlaceLocalHandle<Mutex<Retired>>,
-    splits: Arc<Vec<usize>>,
-}
-
-impl LiveSegments {
-    fn range(&self, key: u64) -> (usize, usize) {
-        let s = key as usize;
-        (self.splits[s], self.splits[s + 1])
-    }
-}
-
-impl LiveSource for LiveSegments {
-    fn read(&self, ctx: &Ctx, key: u64) -> Option<Bytes> {
-        let (s, range) = (key as usize, self.range(key));
-        let held = self.plh.local(ctx).ok();
-        let held = held.and_then(|st| st.lock().covering(s, range).map(|seg| ctx.encode(seg)));
-        held.or_else(|| self.retired.local(ctx).ok()?.lock().get(&range).map(|seg| ctx.encode(&**seg)))
-    }
-
-    fn holds(&self, ctx: &Ctx, key: u64, retired: bool) -> bool {
-        let covered =
-            |store: &SegmentStore| store.covering(key as usize, self.range(key)).is_some();
-        let gone = || self.retired.local(ctx).is_ok_and(|r| r.lock().contains_key(&self.range(key)));
-        self.plh.local(ctx).is_ok_and(|store| covered(&store.lock())) || retired && gone()
-    }
-
-    fn has_retired(&self, ctx: &Ctx) -> bool {
-        self.retired.local(ctx).is_ok_and(|r| !r.lock().is_empty())
-    }
-
-    fn take_retired(&self, ctx: &Ctx, key: u64) -> Option<Bytes> {
-        let seg = self.retired.local(ctx).ok()?.lock().remove(&self.range(key))?;
-        Some(ctx.encode(&*seg))
-    }
-
-    fn release(&self, ctx: &Ctx) {
-        self.retired.remove_local(ctx);
     }
 }
 

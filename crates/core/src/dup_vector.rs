@@ -10,7 +10,7 @@
 //! (§IV-A2), and restore re-loads a full copy per place. Each copy lives in
 //! a [`Shared`], so a capture holds the root's by reference.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use apgas::prelude::*;
@@ -21,13 +21,13 @@ use gml_matrix::{DenseMatrix, Shared, Vector};
 
 use crate::collective::{each_place, leave_group};
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{LiveSource, Snapshot, Snapshottable};
+use crate::snapshot::{modified, Snapshot, Snapshottable};
 use crate::store::{Contents, ResilientStore};
 
 /// What a duplicated payload supplies beyond its wire form: the shape that
 /// fixes its dimensions, and the zeroed value of a shape. The shape is what
 /// a snapshot's descriptor records, in the shape's own wire form.
-pub trait DupPayload: Serial + Contents + Clone + Send + Sync + 'static {
+pub trait DupPayload: Serial + Contents + Clone + PartialEq + Send + Sync + 'static {
     /// A vector's length, a matrix's rows and columns.
     type Shape: Serial + Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static;
     /// The all-zero value of `shape`.
@@ -54,8 +54,13 @@ pub struct Dup<T: DupPayload> {
     shape: T::Shape,
     group: PlaceGroup,
     plh: PlaceLocalHandle<Mutex<Shared<T>>>,
-    /// The places whose copy the last remake left as it was.
-    kept: HashSet<Place>,
+    /// The places whose copy the last remake left as it was, each with
+    /// whether a store still held it then — a read-only save's root copy,
+    /// unwritten.
+    kept: HashMap<Place, bool>,
+    /// Whether the last remake found a copy written away from a value a
+    /// store still held — a read-only save's root copy, changed.
+    changed: bool,
 }
 
 /// A vector with one full duplicate per place of its group.
@@ -68,8 +73,8 @@ impl<T: DupPayload> Dup<T> {
     /// An all-zero object of `shape`, duplicated over `group`.
     fn make_shaped(ctx: &Ctx, shape: T::Shape, group: &PlaceGroup) -> GmlResult<Self> {
         let plh = PlaceLocalHandle::make(ctx, group, move |_| Mutex::new(Shared::new(T::zeros(shape))))?;
-        let kept = HashSet::new();
-        Ok(Dup { object_id: crate::fresh_object_id(), shape, group: group.clone(), plh, kept })
+        let (kept, changed) = (HashMap::new(), false);
+        Ok(Dup { object_id: crate::fresh_object_id(), shape, group: group.clone(), plh, kept, changed })
     }
 
     /// The place group this object is laid out over.
@@ -130,19 +135,25 @@ impl<T: DupPayload> Dup<T> {
     /// Re-duplicate over `new_places`: a place of both groups keeps its
     /// copy, contents and all, and a new one starts zeroed. Call
     /// [`Snapshottable::restore_snapshot`] to repopulate: it rewrites every
-    /// copy unless the snapshot reads a kept one as its live replica (a
-    /// read-only save).
+    /// copy but, for a read-only snapshot, the kept ones — unless the root's
+    /// is not the one the store holds as the entry's first replica. A kept
+    /// copy that a write copied away from a value a store still holds is
+    /// compared with that value here: a read-only snapshot's restore
+    /// refuses the object if it differs.
     pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup) -> GmlResult<()> {
         let (plh, shape) = (self.plh, self.shape);
         leave_group(ctx, plh, &self.group, new_places)?;
         let kept = each_place(ctx, new_places.iter().enumerate(), move |ctx, _| {
-            let kept = plh.is_initialized(ctx);
-            if !kept {
-                plh.set_local(ctx, Mutex::new(Shared::new(T::zeros(shape))));
+            if let Ok(copy) = plh.local(ctx) {
+                let copy = copy.lock();
+                return Ok(Some((ctx.here(), copy.is_held(), copy.changed_from_held())));
             }
-            Ok(kept.then(|| ctx.here()))
+            plh.set_local(ctx, Mutex::new(Shared::new(T::zeros(shape))));
+            Ok(None)
         })?;
-        self.kept = kept.into_iter().flatten().collect();
+        let kept = kept.into_iter().flatten();
+        self.changed = kept.clone().any(|(_, _, changed)| changed);
+        self.kept = kept.map(|(p, held, _)| (p, held)).collect();
         self.group = new_places.clone();
         Ok(())
     }
@@ -279,9 +290,7 @@ impl<T: DupPayload> Snapshottable for Dup<T> {
         })??;
         let mut desc = BytesMut::new();
         self.shape.write(&mut desc);
-        let snap =
-            Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries);
-        Ok(snap.reading_live(LiveCopy(self.plh)))
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -298,32 +307,30 @@ impl<T: DupPayload> Snapshottable for Dup<T> {
                 self.shape
             )));
         }
+        if self.changed && snapshot.read_only {
+            return Err(modified(self.object_id, 0));
+        }
         // Each place of the (possibly new) group loads its own duplicate
-        // concurrently (§IV-B2) — but where the snapshot reads the object's
-        // copies as its live replica, a place whose copy `remake` kept.
-        let live = snapshot.entry(0)?.live;
-        let kept = |p: &Place| live && self.kept.contains(p);
-        let places: Vec<_> = self.group.iter().enumerate().filter(|(_, p)| !kept(p)).collect();
+        // concurrently (§IV-B2) — but for a read-only snapshot, a place
+        // whose copy `remake` kept keeps it, unless it is the root's and the
+        // store does not hold it as the entry's first replica: then it is
+        // restored (without changing it: `remake` found it unchanged) and
+        // held again.
+        let (read_only, root) = (snapshot.read_only, self.root());
+        let stays = |p: &Place| read_only && self.kept.get(p).is_some_and(|&held| held || *p != root);
+        let places: Vec<_> = self.group.iter().enumerate().filter(|(_, p)| !stays(p)).collect();
         let (plh, store, snap) = (self.plh, store.clone(), snapshot.clone());
         each_place(ctx, places, move |ctx, _| {
-            let bytes = snap.fetch(ctx, &store, 0)?;
-            *plh.local(ctx)?.lock() = Shared::new(ctx.decode::<T>(bytes));
+            let value = ctx.decode::<T>(snap.fetch(ctx, &store, 0)?);
+            let copy = plh.local(ctx)?;
+            let mut copy = copy.lock();
+            *copy = Shared::new(value);
+            if read_only && ctx.here() == root {
+                store.rehold(ctx, &snap, 0, &copy)?;
+            }
             Ok(())
         })
         .map(drop)
-    }
-}
-
-/// A read-only duplicated object's copies as its snapshot reads them.
-struct LiveCopy<T>(PlaceLocalHandle<Mutex<Shared<T>>>);
-
-impl<T: DupPayload> LiveSource for LiveCopy<T> {
-    fn read(&self, ctx: &Ctx, _key: u64) -> Option<Bytes> {
-        Some(ctx.encode(&**self.0.local(ctx).ok()?.lock()))
-    }
-
-    fn holds(&self, ctx: &Ctx, _key: u64, _retired: bool) -> bool {
-        self.0.is_initialized(ctx)
     }
 }
 

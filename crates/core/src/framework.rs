@@ -1470,8 +1470,9 @@ mod tests {
             assert!(!store.has_snapshot());
             assert_eq!(entries(&store), 0);
             // A scratch object is remade by a restore but never saved: the
-            // store holds the read-only matrix's three blocks once (its live
-            // blocks are the owner replicas) and the vector twice.
+            // store frames the read-only matrix's three blocks once (it holds
+            // the blocks themselves as the owner replicas) and the vector
+            // twice.
             app.case = 3;
             app.checkpoint(ctx, &mut store).unwrap();
             assert_eq!(entries(&store), 3 + 2);

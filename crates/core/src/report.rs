@@ -195,7 +195,7 @@ impl CostReport {
     /// Those four columns count what was encoded during the pass: the ships
     /// frame a checkpoint's replicas, so its bytes and codec time land in
     /// the rows its ship ran in — under overlap usually the next step's —
-    /// as a read-only object's live blocks' always did. A restore cell
+    /// as a read-only object's frames always did. A restore cell
     /// ends with what its repair re-replicated: `+entries/bytes`.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -8,19 +8,17 @@
 //! is held by the driver activity at place zero, matching the paper's
 //! place-zero-coordinated checkpoints.
 //!
-//! A read-only object's snapshot ([`AppResilientStore::save_read_only`])
-//! stores one copy of each entry, the backup: its first replica is the
-//! object's live block at the owner ([`EntryLoc::live`]), read through the
-//! object's [`LiveSource`].
+//! A read-only object's snapshot ([`AppResilientStore::save_read_only`],
+//! [`Snapshot::read_only`]) stores one frame of each entry, at the backup:
+//! its first replica is a handle on the object's own block, which the
+//! owner's shard holds ([`crate::store`]).
 //!
 //! [`AppResilientStore::save_read_only`]: crate::app_store::AppResilientStore::save_read_only
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use apgas::digest::content_digest;
 use apgas::prelude::*;
-use apgas::sync::Mutex;
 use bytes::Bytes;
 
 use crate::error::{GmlError, GmlResult};
@@ -31,17 +29,15 @@ use crate::store::ResilientStore;
 pub struct EntryLoc {
     /// The first replica's place: the place that produced the entry or,
     /// once a repair re-replicated it, the holder that survived — for a
-    /// live entry, the place holding its block live.
+    /// read-only object's entry, the place whose shard holds its block,
+    /// where one does.
     pub owner: Place,
     /// The second replica's place: `owner`'s next place in the group the
-    /// copy was placed under (for a live entry, any live place but `owner`).
+    /// copy was placed under (for a read-only object's entry, any live
+    /// place but `owner`).
     pub backup: Place,
     /// Payload size in bytes.
     pub len: usize,
-    /// The first replica is the object's live block at `owner`, not a
-    /// stored copy: an entry of a read-only object, which never rolls back,
-    /// so the store keeps only the copy at `backup`.
-    pub live: bool,
 }
 
 /// Metadata for one object snapshot: a key → location map plus a
@@ -64,69 +60,23 @@ pub struct Snapshot {
     /// the group its replica pair was placed under; every other entry was
     /// placed under `group`.
     pub placed_under: HashMap<u64, PlaceGroup>,
-    /// The object's live state, for a snapshot of live entries.
-    pub live: Option<Live>,
+    /// Saved by [`save_read_only`]: each entry's first replica is the
+    /// owner's handle on the object's own block, which its ship keeps and a
+    /// restore leaves where the object still holds it; only the backup is a
+    /// frame.
+    ///
+    /// [`save_read_only`]: crate::app_store::AppResilientStore::save_read_only
+    pub read_only: bool,
 }
 
-/// Where a read-only object's snapshot reads its live entries' first
-/// replicas: the object's own place-local blocks. Each method runs at the
-/// place it asks about, and nothing it returns shares that place's memory.
-pub trait LiveSource: Send + Sync {
-    /// Serialize, into a buffer of this place's, the block this place
-    /// holds for entry `key`: in the object's current layout, or retired
-    /// here by a remake that moved it.
-    fn read(&self, ctx: &Ctx, key: u64) -> Option<Bytes>;
-    /// Whether this place holds entry `key`'s block in the object's current
-    /// layout or, with `retired`, one a remake retired here.
-    fn holds(&self, ctx: &Ctx, key: u64, retired: bool) -> bool;
-    /// Whether this place keeps blocks a remake retired.
-    fn has_retired(&self, _ctx: &Ctx) -> bool {
-        false
-    }
-    /// Serialize the block a remake retired here for entry `key`, and drop
-    /// it.
-    fn take_retired(&self, _ctx: &Ctx, _key: u64) -> Option<Bytes> {
-        None
-    }
-    /// Drop the blocks a remake retired here: the repair has given every
-    /// entry a stored copy apart from its live block.
-    fn release(&self, _ctx: &Ctx) {}
-}
-
-/// A snapshot's [`LiveSource`], with the contract's witness: in a debug
-/// build, each entry's payload digest as the ship that first stored it
-/// serialized it, kept at the driver. A read-only object must not change
-/// after its first save.
-#[derive(Clone)]
-pub struct Live {
-    pub(crate) source: Arc<dyn LiveSource>,
-    object_id: u64,
-    digests: Arc<Mutex<HashMap<u64, u64>>>,
-}
-
-/// `payload`'s digest in a debug build, where the read-only contract is
-/// checked; `None` otherwise.
-pub(crate) fn live_digest(payload: &[u8]) -> Option<u64> {
-    cfg!(debug_assertions).then(|| content_digest(payload))
-}
-
-impl Live {
-    /// Hold entry `key`'s block, read at its place with digest `digest`, to
-    /// the first save: record the digest if this is it, else refuse a block
-    /// that no longer matches — resuming from it would resume from data the
-    /// checkpoint never held. Called at the driver, with the digests the
-    /// reading places sent back.
-    pub(crate) fn check(&self, key: u64, digest: Option<u64>) -> GmlResult<()> {
-        let Some(digest) = digest else { return Ok(()) };
-        match *self.digests.lock().entry(key).or_insert(digest) {
-            d if d == digest => Ok(()),
-            _ => Err(GmlError::Unrecoverable(format!(
-                "read-only object {} was modified after its first save: entry {key} no longer \
-                 matches the digest recorded then",
-                self.object_id
-            ))),
-        }
-    }
+/// The error of a read-only object found written since its first save at
+/// entry `key`: resuming from it would resume from data the checkpoint
+/// never held.
+pub(crate) fn modified(object_id: u64, key: u64) -> GmlError {
+    GmlError::Unrecoverable(format!(
+        "read-only object {object_id} was modified after its first save: entry {key} no longer \
+         matches what the store holds of it"
+    ))
 }
 
 /// Wire size of one gathered [`EntryLoc`] record: key, owner, backup and
@@ -165,19 +115,8 @@ impl Snapshot {
             entries: Arc::new(entries),
             descriptor,
             placed_under: HashMap::new(),
-            live: None,
+            read_only: false,
         }
-    }
-
-    /// Attach the object's live state, which the first replica of a live
-    /// entry is read from. Every `make_snapshot` passes its object's; a
-    /// snapshot without live entries does not keep it.
-    pub fn reading_live(mut self, source: impl LiveSource + 'static) -> Self {
-        if self.entries.values().any(|e| e.live) {
-            let (source, digests) = (Arc::new(source), Arc::default());
-            self.live = Some(Live { source, object_id: self.object_id, digests });
-        }
-        self
     }
 
     /// Total payload bytes across all entries.
@@ -207,15 +146,15 @@ impl Snapshot {
             .ok_or_else(|| GmlError::data_loss(format!("snapshot {} has no key {key}", self.snap_id)))
     }
 
-    /// Fetch an entry's payload from wherever it survives: a live entry
-    /// from its block if this place holds it, else from its stored copy,
-    /// else from the block at its owner.
+    /// Fetch an entry's payload from wherever it survives: this place's
+    /// replica, else the owner's, else the backup's — a read-only entry's
+    /// frame at its backup before its block at the owner, which is
+    /// serialized there.
     pub fn fetch(&self, ctx: &Ctx, store: &ResilientStore, key: u64) -> GmlResult<Bytes> {
         let loc = self.entry(key)?;
-        match &self.live {
-            Some(live) if loc.live => store.fetch_live(ctx, self, key, loc, live),
-            _ => store.fetch(ctx, self.snap_id, key, loc.owner, loc.backup),
-        }
+        let (first, then) =
+            if self.read_only { (loc.backup, loc.owner) } else { (loc.owner, loc.backup) };
+        store.fetch(ctx, self.snap_id, key, first, then)
     }
 }
 
@@ -260,7 +199,7 @@ mod tests {
     use apgas::runtime::{Runtime, RuntimeConfig};
 
     fn loc(owner: u32, backup: u32, len: usize) -> EntryLoc {
-        EntryLoc { owner: Place::new(owner), backup: Place::new(backup), len, live: false }
+        EntryLoc { owner: Place::new(owner), backup: Place::new(backup), len }
     }
 
     #[test]

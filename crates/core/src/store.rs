@@ -8,19 +8,22 @@
 //! local insert plus one remote copy), while the cost of *loading* depends
 //! on whether the requested data happens to live at the loading place.
 //!
-//! A **read-only** object's pair is kept **once**, at the backup
-//! ([`EntryLoc::live`]): its first replica is the object's live block,
-//! which never rolls back and dies with the same place an owner copy would.
-//! The capture records only where each block is; the ship then takes one
-//! live block at a time to its backup, serialized and encoded at the owner.
-//! After a restore has kept every survivor's block where the new layout
-//! keeps it and rebuilt the rest, [`AppResilientStore::repair`] leaves each
-//! block one stored copy on a live place other than the one holding it
-//! live: it moves a copy that now sits beside its block, and serializes the
-//! live block whose copy died. A restore that re-cut the object leaves no
-//! block under a saved key: the repair then turns each old block, retired
-//! at its place, into that place's stored copy, and the snapshot is kept
-//! twice like a mutable one.
+//! A **read-only** object's pair is framed **once**, at the backup
+//! ([`Snapshot::read_only`]): its first replica is the owner's [`Held`]
+//! handle on the object's own block, which nothing writes and which dies
+//! with the same place an owner frame would. It is captured like a mutable
+//! object; its ship frames each held block for the backup alone and keeps
+//! the handle. A restore leaves each block the object still holds where the
+//! store holds it, and re-holds each block it rebuilds under its saved key
+//! at the block's new place, so a block a remake gives up lives on only
+//! through the store's handle. [`AppResilientStore::repair`] then decides
+//! from what the live places hold, one rule for every entry: a held block
+//! its object no longer holds is dropped where the entry's block is held
+//! live on another place and framed where it is otherwise; a frame beside a
+//! live handle of its entry moves to that place's next place; an entry left
+//! on one place gets a frame at its next place. A restore that re-cut the
+//! object leaves no block under a saved key, so each old block ends with
+//! two frames, like a mutable object's.
 //!
 //! The store spans **all** places, spares included, so that a spare place
 //! substituted by the replace-redundant mode can fetch data saved before it
@@ -37,26 +40,26 @@
 //! [`AppResilientStore::repair`]: crate::app_store::AppResilientStore::repair
 //!
 //! A capture copies nothing: its owner's shard keeps a [`Held`] handle on
-//! each value of a mutable object, and the object's next write copies the
-//! value away from it instead ([`gml_matrix::Shared`]). The ship that
-//! follows serializes the handle at the owner and keeps what it made in the
-//! handle's place, then ships that; a replica with no ship — a pair
-//! collapsed onto a one-place group's place, or the non-redundant store's
-//! one copy — is serialized the same way by an order that ships nothing.
-//! What a shard keeps of a serialized entry is fixed by how the store was
-//! made: the bare store keeps the serialized payload as it came (*raw*);
-//! the store under [`AppResilientStore::make`] keeps a checkpoint-codec
-//! frame ([`crate::codec`], *framed*) — a small *head* (header +
-//! chunk-digest manifest) and a *body*, which for a payload that would not
-//! shrink is that same serialized buffer, held by refcount. So every
-//! committed replica of a framed store is a frame. A frame restores from
-//! itself alone, so an entry is recoverable exactly when one of its two
-//! replica places is alive. Either way a payload is copied once per place
-//! boundary it crosses (owner → backup on save, holder → fetcher on
-//! restore) and nowhere else. A live entry is serialized at its owner into
-//! a buffer made for that one transfer, of which the owner keeps no handle:
-//! that serialization is the crossing's one copy, and the receiver keeps
-//! the buffer as it came.
+//! each value, and the object's next write copies the value away from it
+//! instead ([`gml_matrix::Shared`]). The ship that follows serializes the
+//! handle at the owner and keeps what it made in the handle's place, then
+//! ships that; a replica with no ship — a pair collapsed onto a one-place
+//! group's place, or the non-redundant store's one copy — is serialized the
+//! same way by an order that ships nothing. What a shard keeps of a
+//! serialized entry is fixed by how the store was made: the bare store
+//! keeps the serialized payload as it came (*raw*); the store under
+//! [`AppResilientStore::make`] keeps a checkpoint-codec frame
+//! ([`crate::codec`], *framed*) — a small *head* (header + chunk-digest
+//! manifest) and a *body*, which for a payload that would not shrink is that
+//! same serialized buffer, held by refcount. So every committed replica of
+//! a framed store is a frame, or a read-only object's held block. A frame
+//! restores from itself alone, so an entry is recoverable exactly when one
+//! of its two replica places is alive. Either way a payload is copied once
+//! per place boundary it crosses (owner → backup on save, holder → fetcher
+//! on restore) and nowhere else. A held block is serialized at its holder
+//! into a buffer made for that one transfer, of which the holder keeps no
+//! handle: that serialization is the crossing's one copy, and the receiver
+//! keeps the buffer as it came.
 //!
 //! [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
 
@@ -76,7 +79,7 @@ use gml_matrix::{BlockData, DenseMatrix, MatrixBlock, Shared, Vector};
 use crate::codec;
 use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
-use crate::snapshot::{live_digest, EntryLoc, Live, LiveSource, Snapshot};
+use crate::snapshot::{EntryLoc, Snapshot};
 
 /// One serialized replica. Without a `head` (the raw store) `body` *is* the
 /// logical payload. With one, the entry is a codec frame decoding to
@@ -92,10 +95,10 @@ pub(crate) struct StoredEntry {
 /// `(key, stored replica)` pairs, as one place saves, frames or ships them.
 type Entries = Vec<(u64, StoredEntry)>;
 
-/// A mutable object's value as a capture holds it: a handle on the value,
-/// not a copy ([`Shared::held`]) — the object's next write copies away from
-/// it instead. Its owner's shard keeps it until the ship serializes it
-/// there.
+/// An object's value as a capture holds it: a handle on the value, not a
+/// copy ([`Shared::held`]) — the object's next write copies away from it
+/// instead. Its owner's shard keeps it until the ship serializes it there
+/// or, for a read-only object, for as long as the snapshot lives.
 #[derive(Clone)]
 pub struct Held {
     value: Arc<dyn Captured>,
@@ -192,9 +195,20 @@ impl Held {
             _ => Ok(self.value.encode(ctx)),
         }
     }
+
+    /// Whether something besides the store — its object — still holds the
+    /// value: the object has not written it since, nor given it up. The
+    /// repair reads this when nothing else can hold it: the executor drains
+    /// the store before it restores, so no ship holds a clone and a re-save
+    /// of a degraded read-only object has replaced its old snapshot, whose
+    /// handles would share the allocation; a fetch's clone lives only while
+    /// it serializes.
+    fn is_live(&self) -> bool {
+        Arc::strong_count(&self.value) > 1
+    }
 }
 
-/// What a shard keeps under one key.
+/// What a shard keeps under one key of [`Shard::slots`].
 #[derive(Clone)]
 enum Slot {
     /// A capture's handle, until its ship serializes it here. Charged
@@ -236,26 +250,45 @@ impl StoredEntry {
     /// must not share the sender's allocation, or the simulated failure
     /// would not cost a transfer (and `kill` would not model memory loss).
     /// Called at the receiver, which is also where the bytes are accounted.
-    fn received(&self, ctx: &Ctx) -> Self {
+    /// An entry the sender serialized for this one transfer, of which it
+    /// keeps no handle, is `fresh`: that serialization was the crossing's
+    /// one copy, so the receiver keeps it as it came.
+    fn received(self, ctx: &Ctx, fresh: bool) -> Self {
         ctx.record_bytes_received(self.wire());
+        if fresh {
+            return self;
+        }
         StoredEntry {
             head: self.head.as_deref().map(Bytes::copy_from_slice),
             body: Bytes::copy_from_slice(&self.body),
             logical: self.logical,
         }
     }
-
-    /// The same crossing for a frame the sender serialized for this one
-    /// transfer and keeps no handle on: that serialization was the
-    /// crossing's one copy, so the receiver keeps the frame as it came.
-    fn received_fresh(self, ctx: &Ctx) -> Self {
-        ctx.record_bytes_received(self.wire());
-        self
-    }
 }
 
-/// Per-place storage shard: `(snapshot id, key) → held value or stored
-/// replica`.
+/// One place's `(snapshot id, key)` → replica maps.
+#[derive(Default)]
+struct Shard {
+    /// What a save stored, or a capture holds until its ship serializes it.
+    slots: HashMap<(u64, u64), Slot>,
+    /// A read-only object's first replicas: handles on its own blocks. App
+    /// state, not the store's: charged nothing and not in the inventory.
+    held: HashMap<(u64, u64), Held>,
+}
+
+/// What a live place holds of a read-only snapshot's entry, as the repair
+/// reads it.
+#[derive(Clone, Copy, PartialEq)]
+enum Holding {
+    /// A frame.
+    Frame,
+    /// A handle on a block its object still holds.
+    Block,
+    /// A handle on a block its object gave up or copied away from.
+    Orphan,
+}
+
+/// Per-place storage shard.
 ///
 /// Every serialized byte held here is charged to the memory ledger's
 /// [`StoreShard`](apgas::mem::MemTag::StoreShard) tag — **wire** bytes (the
@@ -267,12 +300,12 @@ impl StoredEntry {
 /// encoder's allocation by refcount; the ledger counts held bytes, not
 /// unique heap blocks — the allocator-level view is `mem::heap_bytes`.)
 pub(crate) struct PlaceStore {
-    map: Mutex<HashMap<(u64, u64), Slot>>,
+    map: Mutex<Shard>,
 }
 
 impl PlaceStore {
     fn new() -> Self {
-        PlaceStore { map: Mutex::new(HashMap::new()) }
+        PlaceStore { map: Mutex::new(Shard::default()) }
     }
 
     fn insert(&self, snap_id: u64, key: u64, value: StoredEntry) {
@@ -281,7 +314,7 @@ impl PlaceStore {
 
     fn put(&self, snap_id: u64, key: u64, slot: Slot) {
         let added = slot.wire();
-        let replaced = self.map.lock().insert((snap_id, key), slot);
+        let replaced = self.map.lock().slots.insert((snap_id, key), slot);
         mem::charge(MemTag::StoreShard, added);
         if let Some(old) = replaced {
             mem::discharge(MemTag::StoreShard, old.wire());
@@ -291,49 +324,62 @@ impl PlaceStore {
     /// The serialized replica of `(snap_id, key)`: none while a capture's
     /// handle is all there is.
     fn get(&self, snap_id: u64, key: u64) -> Option<StoredEntry> {
-        match self.map.lock().get(&(snap_id, key)) {
+        match self.map.lock().slots.get(&(snap_id, key)) {
             Some(Slot::Stored(e)) => Some(e.clone()),
             _ => None,
         }
     }
 
+    /// What is here of `(snap_id, key)` as it would cross to a fetcher: its
+    /// frame, or a read-only object's held block serialized here into a raw
+    /// entry made for the transfer (`true`). A capture's handle is not
+    /// served: its ship has not run.
+    fn read(&self, ctx: &Ctx, snap_id: u64, key: u64) -> Option<(StoredEntry, bool)> {
+        let held = {
+            let shard = self.map.lock();
+            if let Some(Slot::Stored(e)) = shard.slots.get(&(snap_id, key)) {
+                return Some((e.clone(), false));
+            }
+            shard.held.get(&(snap_id, key))?.clone()
+        };
+        Some((StoredEntry::raw(held.value.encode(ctx)), true))
+    }
+
     /// What is here of each of `keys`, in their order.
     fn slots(&self, snap_id: u64, keys: &[u64]) -> Vec<(u64, Slot)> {
-        let map = self.map.lock();
-        keys.iter().filter_map(|&k| map.get(&(snap_id, k)).map(|slot| (k, slot.clone()))).collect()
+        let shard = self.map.lock();
+        keys.iter().filter_map(|&k| shard.slots.get(&(snap_id, k)).map(|slot| (k, slot.clone()))).collect()
     }
 
     fn remove(&self, snap_id: u64, key: u64) {
-        if let Some(old) = self.map.lock().remove(&(snap_id, key)) {
+        if let Some(old) = self.map.lock().slots.remove(&(snap_id, key)) {
             mem::discharge(MemTag::StoreShard, old.wire());
         }
     }
 
     fn remove_snapshots(&self, snap_ids: &[u64]) {
-        let mut freed = 0usize;
-        self.map.lock().retain(|(sid, _), v| {
-            let keep = !snap_ids.contains(sid);
-            if !keep {
-                freed += v.wire();
-            }
-            keep
-        });
+        let mut shard = self.map.lock();
+        let gone = shard.slots.iter().filter(|((sid, _), _)| snap_ids.contains(sid));
+        let freed: usize = gone.map(|(_, slot)| slot.wire()).sum();
+        shard.slots.retain(|(sid, _), _| !snap_ids.contains(sid));
+        shard.held.retain(|(sid, _), _| !snap_ids.contains(sid));
+        drop(shard);
         mem::discharge(MemTag::StoreShard, freed);
     }
 
     fn len(&self) -> usize {
-        self.map.lock().len()
+        self.map.lock().slots.len()
     }
 
     /// Under one lock, put each serialized entry in place of its key's
     /// handle, and return the entries whose key is still here. The handles
     /// are dropped after the lock.
     fn replace_held(&self, snap_id: u64, entries: Entries) -> Entries {
-        let (mut added, mut released, mut map) = (0, Vec::new(), self.map.lock());
+        let (mut added, mut released, mut shard) = (0, Vec::new(), self.map.lock());
         let kept: Entries = entries
             .into_iter()
             .filter(|(key, entry)| {
-                let Some(slot) = map.get_mut(&(snap_id, *key)) else { return false };
+                let Some(slot) = shard.slots.get_mut(&(snap_id, *key)) else { return false };
                 if let Slot::Held(_) = slot {
                     added += entry.wire();
                     released.push(std::mem::replace(slot, Slot::Stored(entry.clone())));
@@ -341,30 +387,54 @@ impl PlaceStore {
                 true
             })
             .collect();
-        drop(map);
+        drop(shard);
         mem::charge(MemTag::StoreShard, added);
         drop(released);
         kept
     }
 
-    /// Presence test without cloning the payload (audit probes).
-    fn contains(&self, snap_id: u64, key: u64) -> bool {
-        self.map.lock().contains_key(&(snap_id, key))
+    /// Keep, as a read-only object's first replicas, each of `keys` that a
+    /// capture holds here, and return the handles this place holds of them.
+    fn keep(&self, snap_id: u64, keys: &[u64]) -> Vec<(u64, Held)> {
+        let mut shard = self.map.lock();
+        for &key in keys {
+            if let Some(Slot::Held(h)) = shard.slots.remove(&(snap_id, key)) {
+                shard.held.insert((snap_id, key), h);
+            }
+        }
+        keys.iter().filter_map(|&k| shard.held.get(&(snap_id, k)).map(|h| (k, h.clone()))).collect()
+    }
+
+    /// Presence test without cloning the payload (audit probes): a frame
+    /// or a handle.
+    fn holds(&self, snap_id: u64, key: u64) -> bool {
+        let shard = self.map.lock();
+        shard.held.contains_key(&(snap_id, key)) || shard.slots.contains_key(&(snap_id, key))
+    }
+
+    /// What this place holds of each snapshot in `snaps` (by index and id):
+    /// its frames, and its handles on blocks.
+    fn holdings(&self, snaps: &[(usize, u64)]) -> Vec<(usize, u64, Holding)> {
+        let shard = self.map.lock();
+        let index = |snap_id: u64| snaps.iter().find(|&&(_, id)| id == snap_id).map(|&(si, _)| si);
+        let frames = shard.slots.iter().filter_map(|(&(id, key), slot)| match slot {
+            Slot::Stored(_) => Some((index(id)?, key, Holding::Frame)),
+            Slot::Held(_) => None,
+        });
+        let handles = shard.held.iter().filter_map(|(&(id, key), h)| {
+            Some((index(id)?, key, if h.is_live() { Holding::Block } else { Holding::Orphan }))
+        });
+        frames.chain(handles).collect()
     }
 
     /// `(entries, distinct snapshots, logical bytes, wire bytes)` under one
     /// lock.
     fn inventory(&self) -> (usize, usize, u64, u64) {
-        let map = self.map.lock();
-        let mut snaps = std::collections::HashSet::new();
-        let mut logical = 0u64;
-        let mut wire = 0u64;
-        for ((sid, _), v) in map.iter() {
-            snaps.insert(*sid);
-            logical += v.logical();
-            wire += v.wire() as u64;
-        }
-        (map.len(), snaps.len(), logical, wire)
+        let shard = self.map.lock();
+        let snaps: HashSet<u64> = shard.slots.keys().map(|&(sid, _)| sid).collect();
+        let logical = shard.slots.values().map(Slot::logical).sum();
+        let wire = shard.slots.values().map(|v| v.wire() as u64).sum();
+        (shard.slots.len(), snaps.len(), logical, wire)
     }
 }
 
@@ -373,7 +443,7 @@ impl Drop for PlaceStore {
     /// place-local map), so the remaining charge is discharged here —
     /// keeping the ledger equal to the *live* inventory across failures.
     fn drop(&mut self) {
-        let held: usize = self.map.lock().values().map(Slot::wire).sum();
+        let held: usize = self.map.lock().slots.values().map(Slot::wire).sum();
         mem::discharge(MemTag::StoreShard, held);
     }
 }
@@ -381,6 +451,8 @@ impl Drop for PlaceStore {
 /// Per-place inventory of one store shard, as reported by
 /// [`ResilientStore::inventory`] — the exporter's
 /// `gml_store_*{place=...}` gauges and the flight recorder's store section.
+/// A read-only object's held blocks are its own memory, not the store's,
+/// and are not counted.
 #[derive(Clone, Copy, Debug)]
 pub struct PlaceInventory {
     /// The shard's place.
@@ -403,10 +475,9 @@ pub struct PlaceInventory {
 /// Result of auditing one [`Snapshot`](crate::snapshot::Snapshot) against
 /// the double-redundancy invariant (§IV-B): every entry present at both its
 /// replica places, the second of them the first's *next place* in the group
-/// the copy was placed under (the rule of `second_replica`) — for a live
-/// entry, any place but the one holding the block live. A live replica is
-/// present only while its place is alive and holds the block, in the
-/// object's current layout or retired there by a remake until the repair.
+/// the copy was placed under (the rule of `second_replica`) — for a
+/// read-only object's entry, any place but the first. A replica is present
+/// while its place is alive and its shard holds a frame or a handle of it.
 #[derive(Clone, Copy, Debug)]
 pub struct SnapshotAudit {
     /// The audited snapshot's store namespace.
@@ -473,7 +544,7 @@ fn second_replica(group: &PlaceGroup, first: Place) -> GmlResult<Place> {
 /// repair's. The order carries only metadata; the payloads are read by key
 /// at ship time, at `owner`, from `source`. A capture's order whose
 /// `backup` is its `owner` ships nothing: it only serializes what the
-/// capture holds there.
+/// capture holds there, or keeps a read-only object's handles.
 #[derive(Clone)]
 pub(crate) struct ShipOrder {
     pub(crate) snap_id: u64,
@@ -486,59 +557,32 @@ pub(crate) struct ShipOrder {
     pub(crate) source: Source,
 }
 
-/// Where a [`ShipOrder`]'s payloads are read.
-#[derive(Clone)]
+/// What a [`ShipOrder`] ships of the holder's shard.
+#[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Source {
-    /// The holder's shard, shipped in one batch: its frames, and what a
-    /// capture holds there, serialized first.
+    /// Its frames, in one batch, and what a capture holds there, serialized
+    /// and framed in place first: a mutable object's save, or a repair
+    /// copying a frame.
     Stored,
-    /// The frames in the holder's shard, one at a time, each deleted there
-    /// once its copy landed: a repair moving a stored copy off the place
-    /// that holds its block live.
+    /// Its frames, one at a time, each deleted there once its copy landed:
+    /// a repair moving a frame off the place holding its block.
     Moved,
-    /// The live blocks at the holder, serialized and encoded one at a time:
-    /// a read-only object's first save, or a repair whose stored copy died.
-    Live(Live),
+    /// Its handles on a read-only object's blocks, which it keeps: each
+    /// serialized and framed there for the backup alone, one at a time — the
+    /// object's first save, or a repair whose frame died.
+    Held,
 }
 
-/// What one [`ShipOrder`] shipped, as its holder reports it back: entries
-/// and wire bytes and, in a debug build, each live block's digest as read
-/// there.
-struct Shipped {
-    found: usize,
-    wire: usize,
-    digests: Vec<(u64, Option<u64>)>,
-}
-
-impl Shipped {
-    /// Hold the live blocks the order read to their first save. Runs at the
-    /// driver, which keeps the digests.
-    fn check(&self, order: &ShipOrder) -> GmlResult<()> {
-        let Source::Live(live) = &order.source else { return Ok(()) };
-        self.digests.iter().try_for_each(|&(key, digest)| live.check(key, digest))
-    }
-}
-
-/// What [`ResilientStore::probe_live`] found out about the live entries of
-/// a repair's snapshots (by snapshot index and key): the place holding each
-/// block, the entries whose stored copy is where recorded, and the places
-/// keeping retired blocks.
+/// What a repair read off the live places' shards of its read-only
+/// snapshots' entries (by snapshot index and key).
 #[derive(Default)]
-struct Probe {
-    live_at: HashMap<(usize, u64), Place>,
-    stored_at: HashSet<(usize, u64)>,
-    retired_at: Vec<Place>,
-}
-
-/// One part of an object as its capture hands it to
-/// [`ResilientStore::save_local_parts`].
-pub enum Part {
-    /// A mutable object's value, held by reference: its owner keeps the
-    /// handle until the ship serializes it there, and ships that.
-    Held(Held),
-    /// A read-only object's block, of this serialized length: it stays the
-    /// owner replica, and only the ship serializes it.
-    Live(usize),
+struct Holdings {
+    /// The place where each entry's object holds its block.
+    blocks: HashMap<(usize, u64), Place>,
+    /// The places holding each entry's frame.
+    frames: HashMap<(usize, u64), Vec<Place>>,
+    /// Per place, the entries whose block it holds for no object any more.
+    orphans: BTreeMap<Place, Vec<(usize, u64)>>,
 }
 
 /// Handle to the distributed double in-memory store. Cheap to clone and
@@ -564,9 +608,6 @@ pub struct ResilientStore {
     ///
     /// [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
     framed: bool,
-    /// When true, captures record live entries ([`Part::Live`]): only the
-    /// handle `save_read_only` passes to `make_snapshot` is built so.
-    live: bool,
     /// Entry payloads handed out by [`fetch`](Self::fetch), at any place.
     handed_out: Arc<AtomicU64>,
 }
@@ -592,7 +633,6 @@ impl ResilientStore {
             redundant,
             capture_only: false,
             framed,
-            live: false,
             handed_out: Arc::new(AtomicU64::new(0)),
         })
     }
@@ -602,27 +642,29 @@ impl ResilientStore {
         ResilientStore { capture_only: true, ..self.clone() }
     }
 
-    /// This store as a capturing handle whose captures keep a read-only
-    /// object's live blocks as owner replicas (see `live`).
-    pub(crate) fn capturing_live(&self) -> Self {
-        ResilientStore { live: true, ..self.capturing() }
-    }
-
     /// `item`, a value of object `object_id`, as a capture hands it to
-    /// [`save_local_parts`]: held by reference, or under a live-capturing
-    /// handle only measured. Nothing is serialized; a debug build digests
-    /// the value where it lies.
+    /// [`save_local_parts`]: held by reference. Nothing is serialized; a
+    /// debug build digests the value where it lies.
     ///
     /// [`save_local_parts`]: Self::save_local_parts
-    pub(crate) fn part<T>(&self, object_id: u64, item: &Shared<T>) -> Part
+    pub(crate) fn part<T>(&self, object_id: u64, item: &Shared<T>) -> Held
     where
         T: Serial + Contents + Send + Sync + 'static,
     {
-        if self.live {
-            return Part::Live(item.byte_len());
-        }
         let witness = cfg!(debug_assertions).then(|| (object_id, Captured::digest(&**item)));
-        Part::Held(Held { value: item.held(), len: item.byte_len(), witness })
+        Held { value: item.held(), len: item.byte_len(), witness }
+    }
+
+    /// Hold `item`, a block a restore rebuilt here under entry `key` of
+    /// read-only snapshot `snap`, as that entry's first replica at this
+    /// place — in place of a handle this place had on it.
+    pub(crate) fn rehold<T>(&self, ctx: &Ctx, snap: &Snapshot, key: u64, item: &Shared<T>) -> GmlResult<()>
+    where
+        T: Serial + Contents + Send + Sync + 'static,
+    {
+        let held = self.part(snap.object_id, item);
+        self.shard(ctx)?.map.lock().held.insert((snap.snap_id, key), held);
+        Ok(())
     }
 
     /// Whether backup copies are being written.
@@ -665,33 +707,21 @@ impl ResilientStore {
     /// Save the parts of an object that the **current place** owns, and say
     /// where they went: the backup of everything a place owns lives at its
     /// `second_replica` in the object's group. Every `make_snapshot` calls
-    /// this from a task running at the owning place and hands the returned
-    /// locations to [`Snapshot::gathered`](crate::snapshot::Snapshot::gathered).
-    /// A held part goes to [`hold`](Self::hold); a live part is only
-    /// recorded: its block is the owner replica, and the ship reads it.
+    /// this from a task running at the owning place, with the values its
+    /// capture held (`part`), and hands the returned locations to
+    /// [`Snapshot::gathered`](crate::snapshot::Snapshot::gathered).
     pub fn save_local_parts(
         &self,
         ctx: &Ctx,
         snap_id: u64,
         group: &PlaceGroup,
-        parts: Vec<(u64, Part)>,
+        parts: Vec<(u64, Held)>,
     ) -> GmlResult<Vec<(u64, EntryLoc)>> {
         let owner = ctx.here();
         let backup = second_replica(group, owner)?;
-        let mut locs = Vec::with_capacity(parts.len());
-        let mut held = Vec::new();
-        for (key, part) in parts {
-            let (len, live) = match part {
-                Part::Held(value) => {
-                    let len = value.len;
-                    held.push((key, value));
-                    (len, false)
-                }
-                Part::Live(len) => (len, true),
-            };
-            locs.push((key, EntryLoc { owner, backup, len, live }));
-        }
-        self.hold(ctx, snap_id, backup, held)?;
+        let locs = parts.iter().map(|(key, value)| (*key, EntryLoc { owner, backup, len: value.len }));
+        let locs = locs.collect();
+        self.hold(ctx, snap_id, backup, parts)?;
         Ok(locs)
     }
 
@@ -763,6 +793,12 @@ impl ResilientStore {
         StoredEntry { head: Some(head), body, logical: payload.len() as u64 }
     }
 
+    /// `value`, entry `key`'s held value, serialized and framed here.
+    fn frame_held(&self, ctx: &Ctx, key: u64, value: &Held) -> GmlResult<StoredEntry> {
+        let _span = ctx.trace_span(SpanKind::CkptEncode, value.len as u64);
+        Ok(self.frame(&value.serialize(ctx, key)?))
+    }
+
     /// The entries of a `Stored` order that are here, as they ship: each
     /// one a capture still holds is serialized and framed first, at the
     /// owner, and kept in the shard in place of its handle. An entry deleted
@@ -789,7 +825,7 @@ impl ResilientStore {
     /// The batched backup transfer: one `at` to `backup` carrying the whole
     /// frame of `(key, stored entry)` pairs. Runs at the owning place. With
     /// `fresh` the entries were serialized for this transfer, and nothing
-    /// here refers to them any more (see `StoredEntry::received_fresh`).
+    /// here refers to them any more (see `StoredEntry::received`).
     fn ship_entries(
         &self,
         ctx: &Ctx,
@@ -821,8 +857,7 @@ impl ResilientStore {
                 // of the payload after it was serialized. Frames ship as
                 // stored, so the backup replica is bit-identical to the
                 // owner's.
-                let entry = if fresh { entry.received_fresh(ctx) } else { entry.received(ctx) };
-                shard.insert(snap_id, key, entry);
+                shard.insert(snap_id, key, entry.received(ctx, fresh));
             }
             Ok(())
         })??;
@@ -831,26 +866,24 @@ impl ResilientStore {
 
     /// What a capture of `snap` left undone, read off the snapshot: its
     /// entries grouped by `(owner, backup)` replica pair, in the owner's
-    /// group order, keys ascending — the same on every run. A held entry
-    /// whose pair does not ship (a non-redundant store, a pair collapsed
-    /// onto one place) has an order whose backup is its owner: it only
-    /// serializes; a live one has none. A live snapshot's orders read its
-    /// live blocks.
+    /// group order, keys ascending — the same on every run. An entry whose
+    /// pair does not ship (a non-redundant store, a pair collapsed onto one
+    /// place) has an order whose backup is its owner: it only serializes —
+    /// or, for a read-only object, keeps the handles.
     pub(crate) fn ship_orders(&self, snap: &Snapshot) -> Vec<ShipOrder> {
         let backup = |loc: &EntryLoc| if self.ships(loc.owner, loc.backup) { loc.backup } else { loc.owner };
-        let todo = snap.entries.iter().filter(|(_, loc)| !loc.live || backup(loc) != loc.owner);
         let mut entries: Vec<(u64, Place, Place, usize)> =
-            todo.map(|(&key, loc)| (key, loc.owner, backup(loc), loc.len)).collect();
+            snap.entries.iter().map(|(&key, loc)| (key, loc.owner, backup(loc), loc.len)).collect();
         entries.sort_unstable_by_key(|&(key, owner, backup, _)| (snap.group.index_of(owner), backup, key));
         let of_one_pair = entries.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2));
-        let source = snap.live.clone().map_or(Source::Stored, Source::Live);
+        let source = if snap.read_only { Source::Held } else { Source::Stored };
         let orders = of_one_pair.map(|entries| ShipOrder {
             snap_id: snap.snap_id,
             owner: entries[0].1,
             backup: entries[0].2,
             keys: entries.iter().map(|&(key, ..)| key).collect(),
             total: entries.iter().map(|&(.., len)| len).sum(),
-            source: source.clone(),
+            source,
         });
         orders.collect()
     }
@@ -861,59 +894,53 @@ impl ResilientStore {
     /// while the next iteration computes).
     pub(crate) fn execute_ship(&self, ctx: &Ctx, order: ShipOrder) -> GmlResult<()> {
         let _span = ctx.trace_span(SpanKind::CkptShip, order.total as u64);
-        let (store, sent) = (self.clone(), order.clone());
-        let shipped = ctx.at(order.owner, move |ctx| store.ship_from_here(ctx, &sent))??;
-        shipped.check(&order)
+        let store = self.clone();
+        ctx.at(order.owner, move |ctx| store.ship_from_here(ctx, &order))?.map(drop)
     }
 
     /// The owner's half of a [`ShipOrder`]: read the entries from its
-    /// source here and ship them. Stored entries go in one batch, as stored
-    /// once what a capture holds here is serialized and framed in place —
-    /// an order whose backup is its owner stops there; moved frames and live
-    /// blocks go one entry at a time, so that at most one is in flight: a
-    /// moved frame is deleted here once its copy landed, and a live block is
-    /// serialized and encoded here and shipped.
-    fn ship_from_here(&self, ctx: &Ctx, order: &ShipOrder) -> GmlResult<Shipped> {
+    /// source here and ship them; return how many it found and their wire
+    /// bytes. Stored entries go in one batch, as stored once what a capture
+    /// holds here is serialized and framed in place — an order whose backup
+    /// is its owner stops there; moved frames and held blocks go one entry
+    /// at a time, so that at most one is in flight: a moved frame is deleted
+    /// here once its copy landed, and a held block is serialized and framed
+    /// here for the backup, its handle kept.
+    fn ship_from_here(&self, ctx: &Ctx, order: &ShipOrder) -> GmlResult<(usize, usize)> {
         let shard = self.shard(ctx)?;
+        let (snap_id, backup) = (order.snap_id, order.backup);
         // A missing key means the snapshot was cancelled between capture
         // and ship; the order is stale and skipping is the correct quiet
         // outcome.
-        if let Source::Stored = order.source {
-            let entries = self.serialize_held(ctx, &shard, order)?;
-            let wire = entries.iter().map(|(_, e)| e.wire()).sum();
-            let found = entries.len();
-            if order.backup != order.owner {
-                self.ship_entries(ctx, order.snap_id, entries, order.backup, false)?;
+        match order.source {
+            Source::Stored => {
+                let entries = self.serialize_held(ctx, &shard, order)?;
+                let found = (entries.len(), entries.iter().map(|(_, e)| e.wire()).sum());
+                if backup != order.owner {
+                    self.ship_entries(ctx, snap_id, entries, backup, false)?;
+                }
+                Ok(found)
             }
-            return Ok(Shipped { found, wire, digests: Vec::new() });
-        }
-        let mut shipped = Shipped { found: 0, wire: 0, digests: Vec::new() };
-        for &key in &order.keys {
-            let wire = match &order.source {
-                Source::Live(live) => {
-                    let Some(payload) = live.source.read(ctx, key) else { continue };
-                    shipped.digests.push((key, live_digest(&payload)));
-                    let entry = {
-                        let _span = ctx.trace_span(SpanKind::CkptEncode, payload.len() as u64);
-                        self.frame(&payload)
-                    };
-                    drop(payload);
-                    let (wire, entries) = (entry.wire(), vec![(key, entry)]);
-                    self.ship_entries(ctx, order.snap_id, entries, order.backup, true)?;
-                    wire
+            Source::Moved => order.keys.iter().try_fold((0, 0), |(found, wire), &key| {
+                let Some(entry) = shard.get(snap_id, key) else { return Ok((found, wire)) };
+                let sent = entry.wire();
+                self.ship_entries(ctx, snap_id, vec![(key, entry)], backup, false)?;
+                shard.remove(snap_id, key);
+                Ok((found + 1, wire + sent))
+            }),
+            Source::Held => {
+                let held = shard.keep(snap_id, &order.keys);
+                if backup == order.owner {
+                    return Ok((held.len(), 0));
                 }
-                _ => {
-                    let Some(entry) = shard.get(order.snap_id, key) else { continue };
-                    let wire = entry.wire();
-                    self.ship_entries(ctx, order.snap_id, vec![(key, entry)], order.backup, false)?;
-                    shard.remove(order.snap_id, key);
-                    wire
-                }
-            };
-            shipped.found += 1;
-            shipped.wire += wire;
+                held.into_iter().try_fold((0, 0), |(found, wire), (key, value)| {
+                    let entry = self.frame_held(ctx, key, &value)?;
+                    let sent = entry.wire();
+                    self.ship_entries(ctx, snap_id, vec![(key, entry)], backup, true)?;
+                    Ok((found + 1, wire + sent))
+                })
+            }
         }
-        Ok(shipped)
     }
 
     /// Give every entry of `snaps` that a failure left short of a replica
@@ -924,27 +951,28 @@ impl ResilientStore {
     /// rewritten and remember the group they were placed under, so the
     /// snapshots are fully redundant again and audit clean.
     ///
-    /// - A stored entry with one live replica has that frame shipped *as
-    ///   stored* (no decode, no re-encode; one copy, at the receiver, like a
-    ///   save's backup) from its holder to the holder's `second_replica`.
-    /// - A live entry is left one stored copy on a live place other than the
-    ///   one now holding its block live (found by asking each place of
-    ///   `group`): a copy that sits beside the block moves to that place's
-    ///   `second_replica`, and a block whose copy died is serialized there.
-    /// - A live entry whose block no place holds any more — the restore
-    ///   re-cut its object — becomes a stored one: its owner turns the block
-    ///   a remake retired there into its stored copy, and an entry left with
-    ///   one copy gets a second as above.
+    /// - A mutable object's entry with one live replica has that frame
+    ///   shipped *as stored* (no decode, no re-encode; one copy, at the
+    ///   receiver, like a save's backup) from its holder to the holder's
+    ///   `second_replica`.
+    /// - A read-only object's entry is decided from what the live places of
+    ///   `group` hold of it, asked first: a held block its object no longer
+    ///   holds is dropped where the entry's block is held live on another
+    ///   place, and framed where it is otherwise; then a frame beside a live
+    ///   handle of its entry moves to that place's `second_replica`, and an
+    ///   entry left on one place gets a frame at that place's
+    ///   `second_replica` — its frame shipped as stored, or its handle
+    ///   serialized. Its recorded locations are the places holding it.
     ///
-    /// Then every place drops the blocks a remake retired. An entry with no
-    /// live replica is [`GmlError::DataLoss`]. A place dying under the
-    /// repair is a recoverable error and leaves every recorded location as
-    /// it was, except for the copies it had already moved (copies that did
-    /// land elsewhere are harmless strays under ids the snapshot's deletion
-    /// sweeps): the caller recovers and repairs again. Never reads a dead
-    /// place and never touches a replica that is still alive where it
-    /// should be. `gate` is the failure drills' ship gate: while it is set
-    /// the planned transfers wait.
+    /// An entry with no live replica is [`GmlError::DataLoss`]. A place
+    /// dying under the repair is a recoverable error and leaves every
+    /// recorded location as it was, except for the copies it had already
+    /// moved (copies that did land elsewhere are harmless strays under ids
+    /// the snapshot's deletion sweeps): the caller recovers and repairs
+    /// again, from what the shards then hold. Never reads a dead place and
+    /// never touches a replica that is still alive where it should be.
+    /// `gate` is the failure drills' ship gate: while it is set the planned
+    /// transfers wait.
     pub(crate) fn repair(
         &self,
         ctx: &Ctx,
@@ -958,54 +986,40 @@ impl ResilientStore {
             // The ablation store keeps one copy by design.
             return Ok(report);
         }
-        let probe = self.probe_live(ctx, snaps, group)?;
-        let owner_copies = self.demote(ctx, snaps, group, &probe)?;
+        let mut held = self.probe(ctx, snaps, group)?;
+        self.settle_orphans(ctx, snaps, &mut held)?;
         // Per holder → target pair, the (snapshot index, key, source) entries
-        // to re-home; the live entries whose block moved away from a stored
-        // copy that can stay where it is; and the entries that stop being
-        // live.
+        // to re-home; and the read-only entries whose two replicas stay where
+        // they are, with the places they are at.
         let mut plan: BTreeMap<_, Vec<(usize, u64, Source)>> = BTreeMap::new();
-        let (mut relabel, mut demoted) = (Vec::new(), Vec::new());
+        let mut placed = Vec::new();
         for (si, snap) in snaps.iter().enumerate() {
             for (&key, loc) in snap.entries.iter() {
-                let stored = probe.stored_at.contains(&(si, key));
-                let (holder, source) = match (loc.live, &snap.live) {
-                    (true, Some(_)) if !probe.live_at.contains_key(&(si, key)) => {
-                        demoted.push((si, key));
-                        match (owner_copies.contains(&(si, key)), stored) {
-                            (true, true) => continue,
-                            (true, false) => (loc.owner, Source::Stored),
-                            (false, true) => (loc.backup, Source::Stored),
-                            (false, false) => {
-                                return Err(GmlError::data_loss(format!(
-                                    "snapshot {} key {key}: its block is gone and its copy at {} \
-                                     with it",
-                                    snap.snap_id, loc.backup
-                                )))
-                            }
-                        }
-                    }
-                    (true, Some(live)) => {
-                        let at = probe.live_at[&(si, key)];
-                        if stored && loc.backup != at {
-                            if loc.owner != at {
-                                relabel.push((si, key, at));
-                            }
+                let lost = || format!("snapshot {} key {key}: no live replica", snap.snap_id);
+                let (holder, source) = if snap.read_only {
+                    let live = held.blocks.get(&(si, key)).copied();
+                    let frames = held.frames.get(&(si, key)).map_or(&[][..], Vec::as_slice);
+                    // The places holding the entry: its live block's first,
+                    // then its recorded owner's.
+                    let mut at: Vec<Place> = frames.iter().copied().chain(live).collect();
+                    at.sort_by_key(|&p| (Some(p) != live, p != loc.owner));
+                    at.dedup();
+                    match at[..] {
+                        [owner, backup, ..] => {
+                            placed.push((si, key, owner, backup));
                             continue;
                         }
-                        (at, if stored { Source::Moved } else { Source::Live(live.clone()) })
+                        [_] if live.is_none() => (at[0], Source::Stored),
+                        [_] => (at[0], if frames.is_empty() { Source::Held } else { Source::Moved }),
+                        [] => return Err(GmlError::data_loss(lost())),
                     }
-                    _ => match (ctx.is_alive(loc.owner), ctx.is_alive(loc.backup)) {
+                } else {
+                    match (ctx.is_alive(loc.owner), ctx.is_alive(loc.backup)) {
                         (true, true) => continue,
                         (true, false) => (loc.owner, Source::Stored),
                         (false, true) => (loc.backup, Source::Stored),
-                        (false, false) => {
-                            return Err(GmlError::data_loss(format!(
-                                "snapshot {} key {key}: owner {} and backup {} both dead",
-                                snap.snap_id, loc.owner, loc.backup
-                            )))
-                        }
-                    },
+                        (false, false) => return Err(GmlError::data_loss(lost())),
+                    }
                 };
                 let target = second_replica(group, holder)?;
                 if target != holder {
@@ -1014,43 +1028,61 @@ impl ResilientStore {
             }
         }
         // Per pair: one batch per snapshot of stored frames to copy, one
-        // order per moved or live entry.
+        // order per moved frame or held block.
         let orders: Vec<Vec<ShipOrder>> = plan
             .iter_mut()
             .map(|(&(owner, backup), moved)| {
                 moved.sort_unstable_by_key(|&(si, key, _)| (si, key));
                 let batch = |a: &(usize, u64, Source), b: &(usize, u64, Source)| {
-                    a.0 == b.0 && matches!((&a.2, &b.2), (Source::Stored, Source::Stored))
+                    a.0 == b.0 && (a.2, b.2) == (Source::Stored, Source::Stored)
                 };
                 let orders = moved.chunk_by(batch).map(|moved| {
                     let snap = &snaps[moved[0].0];
                     let keys: Vec<u64> = moved.iter().map(|&(_, key, _)| key).collect();
                     let total = keys.iter().map(|k| snap.entries[k].len).sum();
-                    let (snap_id, source) = (snap.snap_id, moved[0].2.clone());
+                    let (snap_id, source) = (snap.snap_id, moved[0].2);
                     ShipOrder { snap_id, owner, backup, keys, total, source }
                 });
                 orders.collect()
             })
             .collect();
-        if orders.is_empty() {
-            self.relabel(snaps, relabel, demoted);
-            self.release_retired(ctx, snaps, probe.retired_at)?;
-            return Ok(report);
+        if !orders.is_empty() {
+            wait_while_set(gate);
+            report.pairs = plan.keys().copied().collect();
+            self.ship_repairs(ctx, snaps, group, orders.into_iter().flatten(), &mut report)?;
         }
-        wait_while_set(gate);
-        let report_pairs: Vec<(Place, Place)> = plan.keys().copied().collect();
-        let (moves, rest): (Vec<ShipOrder>, Vec<ShipOrder>) =
-            orders.into_iter().flatten().partition(|o| matches!(o.source, Source::Moved));
+        for (si, key, owner, backup) in placed {
+            let loc = Arc::make_mut(&mut snaps[si].entries).get_mut(&key).expect("planned from it");
+            (loc.owner, loc.backup) = (owner, backup);
+        }
+        if !report.pairs.is_empty() {
+            report.time = t0.elapsed();
+        }
+        Ok(report)
+    }
+
+    /// Carry out a repair's `orders` — the moves first, one after another,
+    /// then the rest, concurrently per holder — and record in `snaps` and
+    /// `report` the ones that landed.
+    fn ship_repairs(
+        &self,
+        ctx: &Ctx,
+        snaps: &mut [&mut Snapshot],
+        group: &PlaceGroup,
+        orders: impl Iterator<Item = ShipOrder>,
+        report: &mut RepairReport,
+    ) -> GmlResult<()> {
+        let (moves, rest): (Vec<ShipOrder>, Vec<ShipOrder>) = orders.partition(|o| o.source == Source::Moved);
         // Moves go first, one after another: the buffer a moved copy leaves
         // is what the next copy lands in, so moving holds at most one frame
         // more than the store does. Each is recorded once it landed — its old
         // copy is gone — whatever happens after it.
-        let mut landed: Vec<(&ShipOrder, u64)> = Vec::new();
+        let mut landed: Vec<(&ShipOrder, usize)> = Vec::new();
         let mut outcome = Ok(());
         for order in &moves {
             let (store, sent) = (self.clone(), order.clone());
             match ctx.at(order.owner, move |ctx| store.repair_order(ctx, &sent)) {
-                Ok(Ok(shipped)) => landed.push((order, shipped.wire as u64)),
+                Ok(Ok(wire)) => landed.push((order, wire)),
                 Ok(Err(e)) => outcome = Err(e),
                 Err(e) => outcome = Err(e.into()),
             }
@@ -1059,8 +1091,7 @@ impl ResilientStore {
             }
         }
         // The other transfers of distinct holders run concurrently, and are
-        // recorded only if all of them landed and every live block they read
-        // is the one first saved.
+        // recorded only if all of them landed.
         let mut by_holder: BTreeMap<Place, Vec<ShipOrder>> = BTreeMap::new();
         rest.into_iter().for_each(|o| by_holder.entry(o.owner).or_default().push(o));
         let (holders, batches): (Vec<Place>, Vec<Vec<ShipOrder>>) = by_holder.into_iter().unzip();
@@ -1071,12 +1102,8 @@ impl ResilientStore {
                 let orders = tasks[i].iter();
                 orders.map(|order| store.repair_order(ctx, order)).collect::<GmlResult<Vec<_>>>()
             });
-            let sent = batches.iter().flatten();
-            match shipped.map(|s| sent.zip(s.into_iter().flatten()).collect::<Vec<_>>()) {
-                Ok(shipped) => {
-                    outcome = shipped.iter().try_for_each(|(order, s)| s.check(order));
-                    landed.extend(shipped.into_iter().map(|(order, s)| (order, s.wire as u64)));
-                }
+            match shipped {
+                Ok(shipped) => landed.extend(batches.iter().flatten().zip(shipped.into_iter().flatten())),
                 Err(e) => outcome = Err(e),
             }
         }
@@ -1088,208 +1115,105 @@ impl ResilientStore {
                 snap.placed_under.insert(key, group.clone());
                 report.entries += 1;
             }
-            report.wire_bytes += wire;
+            report.wire_bytes += wire as u64;
         }
-        outcome?;
-        self.relabel(snaps, relabel, demoted);
-        self.release_retired(ctx, snaps, probe.retired_at)?;
-        report.pairs = report_pairs;
-        report.time = t0.elapsed();
-        Ok(report)
-    }
-
-    /// Record what a repair found without shipping: the live entries whose
-    /// block now sits at another place than recorded, and the entries that
-    /// stop being live.
-    fn relabel(
-        &self,
-        snaps: &mut [&mut Snapshot],
-        moved: Vec<(usize, u64, Place)>,
-        demoted: Vec<(usize, u64)>,
-    ) {
-        for (si, key, at) in moved {
-            let loc = Arc::make_mut(&mut snaps[si].entries).get_mut(&key).expect("planned from it");
-            loc.owner = at;
-        }
-        for (si, key) in demoted {
-            let loc = Arc::make_mut(&mut snaps[si].entries).get_mut(&key).expect("planned from it");
-            loc.live = false;
-        }
+        outcome
     }
 
     /// One order of a repair, at its holder: every entry it names must be
-    /// here to go.
-    fn repair_order(&self, ctx: &Ctx, order: &ShipOrder) -> GmlResult<Shipped> {
+    /// here to go. Returns the wire bytes it shipped.
+    fn repair_order(&self, ctx: &Ctx, order: &ShipOrder) -> GmlResult<usize> {
         let _span = ctx.trace_span(SpanKind::CkptShip, order.total as u64);
-        let shipped = self.ship_from_here(ctx, order)?;
-        if shipped.found != order.keys.len() {
+        let (found, wire) = self.ship_from_here(ctx, order)?;
+        if found != order.keys.len() {
             return Err(GmlError::data_loss(format!(
-                "snapshot {}: {} holds {} of the {} entries it should",
+                "snapshot {}: {} holds {found} of the {} entries it should",
                 order.snap_id,
                 order.owner,
-                shipped.found,
                 order.keys.len()
             )));
         }
-        Ok(shipped)
+        Ok(wire)
     }
 
-    /// Ask every live place of `group` about the live entries of `snaps`:
-    /// which it holds in its object's current layout, which it keeps the
-    /// stored copy of, and whether it keeps blocks a remake retired. The
-    /// first answer of a place holding a block is the one recorded. No task
-    /// when no snapshot is live. In a debug build each place also sends
-    /// back the digest of every block it holds, which is held to the first
-    /// save here.
-    fn probe_live(&self, ctx: &Ctx, snaps: &[&mut Snapshot], group: &PlaceGroup) -> GmlResult<Probe> {
-        let lives: Vec<_> = snaps
-            .iter()
-            .enumerate()
-            .filter_map(|(si, snap)| {
-                let keys = snap.entries.iter().filter(|(_, loc)| loc.live);
-                let keys: Vec<(u64, EntryLoc)> = keys.map(|(&key, &loc)| (key, loc)).collect();
-                Some((si, snap.snap_id, Arc::clone(&snap.live.as_ref()?.source), keys))
-            })
-            .collect();
-        let mut probe = Probe::default();
-        if lives.is_empty() {
-            return Ok(probe);
+    /// Ask every live place of `group` what it holds of the read-only
+    /// snapshots among `snaps`: frames, handles on blocks their object still
+    /// holds, and handles on blocks it holds for no object any more. The
+    /// first place found holding an entry's block live is the one recorded.
+    /// No task when no snapshot is read-only.
+    fn probe(&self, ctx: &Ctx, snaps: &[&mut Snapshot], group: &PlaceGroup) -> GmlResult<Holdings> {
+        let read_only: Vec<(usize, u64)> =
+            snaps.iter().enumerate().filter(|(_, s)| s.read_only).map(|(si, s)| (si, s.snap_id)).collect();
+        let mut held = Holdings::default();
+        if read_only.is_empty() {
+            return Ok(held);
         }
-        let lives = Arc::new(lives);
-        let places: Vec<(usize, Place)> =
-            group.iter().filter(|&p| ctx.is_alive(p)).enumerate().collect();
-        let plh = self.plh;
+        let places: Vec<(usize, Place)> = group.iter().filter(|&p| ctx.is_alive(p)).enumerate().collect();
+        let (plh, read_only) = (self.plh, Arc::new(read_only));
         let probed = each_place(ctx, places.clone(), move |ctx, _| {
-            let shard = plh.local(ctx).ok();
-            let here = ctx.here();
-            let (mut held, mut stored, mut retired) = (Vec::new(), Vec::new(), false);
-            for (si, snap_id, source, keys) in lives.iter() {
-                for &(key, loc) in keys {
-                    if source.holds(ctx, key, false) {
-                        let digest = cfg!(debug_assertions)
-                            .then(|| source.read(ctx, key))
-                            .flatten()
-                            .and_then(|payload| live_digest(&payload));
-                        held.push((*si, key, digest));
-                    }
-                    let copy_here = shard.as_ref().is_some_and(|s| s.contains(*snap_id, key));
-                    if loc.backup == here && copy_here {
-                        stored.push((*si, key));
-                    }
-                }
-                retired |= source.has_retired(ctx);
-            }
-            Ok((held, stored, retired))
+            Ok(plh.local(ctx).map(|shard| shard.holdings(&read_only)).unwrap_or_default())
         })?;
-        for ((_, place), (held, stored, retired)) in places.into_iter().zip(probed) {
-            for (si, key, digest) in held {
-                if let Some(live) = &snaps[si].live {
-                    live.check(key, digest)?;
+        for ((_, place), holdings) in places.into_iter().zip(probed) {
+            for (si, key, holding) in holdings {
+                match holding {
+                    Holding::Frame => held.frames.entry((si, key)).or_default().push(place),
+                    Holding::Block => {
+                        held.blocks.entry((si, key)).or_insert(place);
+                    }
+                    Holding::Orphan => held.orphans.entry(place).or_default().push((si, key)),
                 }
-                probe.live_at.entry((si, key)).or_insert(place);
-            }
-            probe.stored_at.extend(stored);
-            if retired {
-                probe.retired_at.push(place);
             }
         }
-        Ok(probe)
+        Ok(held)
     }
 
-    /// Turn the live entries whose block no place of `group` holds — a
-    /// restore re-cut their object — into stored ones: at each place that
-    /// keeps retired blocks, every such entry it owns has its block
-    /// serialized into the place's stored copy (one block at a time, each
-    /// dropped as it goes), or keeps the copy an earlier attempt made.
-    /// Returns the entries whose owner now has a stored copy. A place of
-    /// `group` that died since the restore is a recoverable error: the
-    /// blocks it was given are gone, and the caller restores again.
-    fn demote(
-        &self,
-        ctx: &Ctx,
-        snaps: &[&mut Snapshot],
-        group: &PlaceGroup,
-        probe: &Probe,
-    ) -> GmlResult<HashSet<(usize, u64)>> {
-        let mut gone: BTreeMap<Place, Vec<(usize, u64, u64)>> = BTreeMap::new();
-        for (si, snap) in snaps.iter().enumerate() {
-            let live = snap.entries.iter().filter(|(_, loc)| loc.live && snap.live.is_some());
-            for (&key, loc) in live.filter(|(key, _)| !probe.live_at.contains_key(&(si, **key))) {
-                gone.entry(loc.owner).or_default().push((si, snap.snap_id, key));
-            }
-        }
-        if gone.is_empty() {
-            return Ok(HashSet::new());
-        }
-        if let Some(dead) = group.iter().find(|&p| !ctx.is_alive(p)) {
-            let why = "died holding a restored block";
-            return Err(GmlError::from(apgas::ApgasError::DeadPlace(
-                apgas::DeadPlaceException::new(dead, why),
-            )));
-        }
-        gone.retain(|&owner, _| ctx.is_alive(owner));
-        let sources: Vec<Option<Arc<dyn LiveSource>>> =
-            snaps.iter().map(|s| s.live.as_ref().map(|l| Arc::clone(&l.source))).collect();
-        let (owners, keys): (Vec<Place>, Vec<_>) = gone.into_iter().unzip();
-        let (store, keys, sources) = (self.clone(), Arc::new(keys), Arc::new(sources));
-        let copied = each_place(ctx, owners.into_iter().enumerate(), move |ctx, i| {
-            let shard = store.shard(ctx)?;
-            let mut copied = Vec::new();
-            for &(si, snap_id, key) in &keys[i] {
-                let source = sources[si].as_ref().expect("a live snapshot");
-                if let Some(payload) = source.take_retired(ctx, key) {
-                    copied.push((si, key, live_digest(&payload)));
-                    shard.insert(snap_id, key, store.frame(&payload));
-                } else if shard.contains(snap_id, key) {
-                    copied.push((si, key, None));
-                }
-            }
-            Ok(copied)
-        })?;
-        let mut owner_copies = HashSet::new();
-        for (si, key, digest) in copied.into_iter().flatten() {
-            if let Some(live) = &snaps[si].live {
-                live.check(key, digest)?;
-            }
-            owner_copies.insert((si, key));
-        }
-        Ok(owner_copies)
-    }
-
-    /// Drop the blocks a remake retired at `places`: the repair has left
-    /// every live entry a stored copy apart from its block.
-    fn release_retired(
-        &self,
-        ctx: &Ctx,
-        snaps: &[&mut Snapshot],
-        places: Vec<Place>,
-    ) -> GmlResult<()> {
-        if places.is_empty() {
+    /// Settle, where it is, each handle a place holds on a block no object
+    /// holds any more: drop it where the entry's block is held live on
+    /// another place, and frame it otherwise — a restore re-cut its object —
+    /// recording the frame in `held`.
+    fn settle_orphans(&self, ctx: &Ctx, snaps: &[&mut Snapshot], held: &mut Holdings) -> GmlResult<()> {
+        if held.orphans.is_empty() {
             return Ok(());
         }
-        let sources = snaps.iter().filter_map(|s| s.live.as_ref().map(|l| Arc::clone(&l.source)));
-        let sources: Arc<Vec<Arc<dyn LiveSource>>> = Arc::new(sources.collect());
-        each_place(ctx, places.into_iter().enumerate(), move |ctx, _| {
-            sources.iter().for_each(|source| source.release(ctx));
+        let (places, orphans): (Vec<Place>, Vec<Vec<(usize, u64)>>) =
+            std::mem::take(&mut held.orphans).into_iter().unzip();
+        let alone = |e: &(usize, u64)| !held.blocks.contains_key(e);
+        let todo: Vec<Vec<(u64, u64, bool)>> = orphans
+            .iter()
+            .map(|entries| entries.iter().map(|e @ &(si, key)| (snaps[si].snap_id, key, alone(e))).collect())
+            .collect();
+        let (store, todo) = (self.clone(), Arc::new(todo));
+        each_place(ctx, places.iter().copied().enumerate(), move |ctx, i| {
+            let shard = store.shard(ctx)?;
+            for &(snap_id, key, frame) in &todo[i] {
+                let value = shard.map.lock().held.remove(&(snap_id, key));
+                if let Some(value) = value.filter(|_| frame) {
+                    shard.insert(snap_id, key, store.frame_held(ctx, key, &value)?);
+                }
+            }
             Ok(())
-        })
-        .map(drop)
+        })?;
+        for (place, entries) in places.into_iter().zip(orphans) {
+            entries.into_iter().filter(alone).for_each(|e| held.frames.entry(e).or_default().push(place));
+        }
+        Ok(())
     }
 
-    /// Fetch an entry's **logical payload** from wherever it survives. A raw
-    /// entry is its payload; a frame is decoded from its own head and body,
-    /// every chunk digest-verified — the body of a verbatim frame is then
-    /// handed on by refcount. Any mismatch is reported as data loss, never
-    /// returned as data.
+    /// Fetch an entry's **logical payload** from wherever it survives: this
+    /// place's shard, else `first`'s, else `then`'s. A raw entry is its
+    /// payload; a frame is decoded from its own head and body, every chunk
+    /// digest-verified — the body of a verbatim frame is then handed on by
+    /// refcount; a read-only object's held block is serialized where it is
+    /// held. Any mismatch is reported as data loss, never returned as data.
     pub fn fetch(
         &self,
         ctx: &Ctx,
         snap_id: u64,
         key: u64,
-        owner: Place,
-        backup: Place,
+        first: Place,
+        then: Place,
     ) -> GmlResult<Bytes> {
-        let entry = self.fetch_stored(ctx, snap_id, key, owner, backup)?;
+        let entry = self.fetch_stored(ctx, snap_id, key, first, then)?;
         let payload = match &entry.head {
             None => entry.body,
             Some(head) => {
@@ -1303,42 +1227,6 @@ impl ResilientStore {
         Ok(payload)
     }
 
-    /// A live entry's payload: the block here if this is its owner, else
-    /// its stored copy at the backup (or one that a repair which did not
-    /// complete left at the owner), else the block at its owner, serialized
-    /// there for this transfer.
-    pub(crate) fn fetch_live(
-        &self,
-        ctx: &Ctx,
-        snap: &Snapshot,
-        key: u64,
-        loc: EntryLoc,
-        live: &Live,
-    ) -> GmlResult<Bytes> {
-        let here = loc.owner == ctx.here();
-        if let Some(payload) = here.then(|| live.source.read(ctx, key)).flatten() {
-            self.handed_out.fetch_add(1, Ordering::Relaxed);
-            return Ok(payload);
-        }
-        if let Ok(payload) = self.fetch(ctx, snap.snap_id, key, loc.backup, loc.owner) {
-            return Ok(payload);
-        }
-        let source = Arc::clone(&live.source);
-        let read = move |ctx: &Ctx| source.read(ctx, key).inspect(|p| ctx.record_bytes(p.len()));
-        let sent = (!here && ctx.is_alive(loc.owner)).then(|| ctx.at(loc.owner, read).ok()).flatten();
-        let Some(payload) = sent.flatten() else {
-            return Err(GmlError::data_loss(format!(
-                "snapshot {} key {key}: stored copy at {} and block at {} both unavailable",
-                snap.snap_id, loc.backup, loc.owner
-            )));
-        };
-        // The owner serialized the block for this transfer and keeps no
-        // handle on it: that was the crossing's one copy.
-        ctx.record_bytes_received(payload.len());
-        self.handed_out.fetch_add(1, Ordering::Relaxed);
-        Ok(payload)
-    }
-
     /// How many entry payloads [`fetch`](Self::fetch) has handed out so far,
     /// over all places — verified and decoded each time, so this is what a
     /// restore's read amplification is counted in (raw and framed stores
@@ -1348,25 +1236,23 @@ impl ResilientStore {
     }
 
     /// Fetch an entry **as stored** (frame or raw) from this place's shard
-    /// first, then the owner's, then the backup's.
+    /// first, then `first`'s, then `then`'s.
     fn fetch_stored(
         &self,
         ctx: &Ctx,
         snap_id: u64,
         key: u64,
-        owner: Place,
-        backup: Place,
+        first: Place,
+        then: Place,
     ) -> GmlResult<StoredEntry> {
         let mut span = ctx.trace_span(SpanKind::StoreFetch, 0);
         // Local shard hit: no place boundary crossed, so a refcount handoff
         // of the stored buffer is honest (and free).
-        if let Ok(shard) = self.plh.local(ctx) {
-            if let Some(e) = shard.get(snap_id, key) {
-                span.set_arg(e.wire() as u64);
-                return Ok(e);
-            }
+        if let Some((e, _)) = self.plh.local(ctx).ok().and_then(|shard| shard.read(ctx, snap_id, key)) {
+            span.set_arg(e.wire() as u64);
+            return Ok(e);
         }
-        for source in [owner, backup] {
+        for source in [first, then] {
             if source == ctx.here() || !ctx.is_alive(source) {
                 continue;
             }
@@ -1377,13 +1263,13 @@ impl ResilientStore {
             // fetch's causal context crosses as a framed 12-byte header,
             // excluded from byte accounting like the save path's.
             let header = TraceCtx::capture(ctx.tracer(), ctx.here().id()).to_bytes();
-            let got: Option<StoredEntry> = ctx
+            let got = ctx
                 .at(source, move |ctx| {
                     let _adopt = TraceCtx::from_bytes(header).adopt();
-                    plh.local(ctx).ok().and_then(|s| s.get(snap_id, key))
+                    plh.local(ctx).ok().and_then(|s| s.read(ctx, snap_id, key))
                 })
                 .unwrap_or(None);
-            if let Some(e) = got {
+            if let Some((e, fresh)) = got {
                 span.set_arg(e.wire() as u64);
                 ctx.record_bytes(e.wire());
                 // The only wire copy on the fetch path — the entry lands in
@@ -1391,11 +1277,11 @@ impl ResilientStore {
                 // (and is accounted) is the frame, not its decoded
                 // expansion; a verbatim frame needs no other copy to become
                 // the payload again.
-                return Ok(e.received(ctx));
+                return Ok(e.received(ctx, fresh));
             }
         }
         Err(GmlError::data_loss(format!(
-            "snapshot {snap_id} key {key}: owner {owner} and backup {backup} both unavailable"
+            "snapshot {snap_id} key {key}: replicas at {first} and {then} both unavailable"
         )))
     }
 
@@ -1461,23 +1347,22 @@ impl ResilientStore {
     }
 
     /// Audit one snapshot against the double-redundancy invariant: probe
-    /// every recorded replica for presence (one batched `at` per live
-    /// place) and check backup placement against the group's next-place
-    /// rule. Tolerates any pattern of dead places — after losing both
-    /// replicas of an entry it *reports* the loss instead of failing.
+    /// every recorded replica's shard for presence (one batched `at` per
+    /// live place) and check backup placement against the group's
+    /// next-place rule. Tolerates any pattern of dead places — after losing
+    /// both replicas of an entry it *reports* the loss instead of failing.
     pub fn audit_snapshot(
         &self,
         ctx: &Ctx,
         snap: &Snapshot,
     ) -> SnapshotAudit {
-        // Batch presence probes: every (place, key) pair we must check —
-        // a stored copy, or a live block in its object's current layout —
+        // Batch presence probes: every (place, key) pair we must check,
         // grouped by place so each live place is visited exactly once.
-        let mut probes: HashMap<Place, Vec<(u64, bool)>> = HashMap::new();
+        let mut probes: HashMap<Place, Vec<u64>> = HashMap::new();
         for (key, loc) in snap.entries.iter() {
-            probes.entry(loc.owner).or_default().push((*key, loc.live));
+            probes.entry(loc.owner).or_default().push(*key);
             if loc.backup != loc.owner {
-                probes.entry(loc.backup).or_default().push((*key, false));
+                probes.entry(loc.backup).or_default().push(*key);
             }
         }
         let snap_id = snap.snap_id;
@@ -1486,21 +1371,15 @@ impl ResilientStore {
             if !ctx.is_alive(place) {
                 continue;
             }
-            let (plh, live) = (self.plh, snap.live.as_ref().map(|l| Arc::clone(&l.source)));
-            let keys2 = keys.clone();
+            let (plh, keys2) = (self.plh, keys.clone());
             let found: Vec<bool> = ctx
                 .at(place, move |ctx| {
                     let shard = plh.local(ctx).ok();
-                    let held = |&(key, is_live): &(u64, bool)| match (is_live, &live, &shard) {
-                        (true, Some(live), _) => live.holds(ctx, key, true),
-                        (false, _, Some(shard)) => shard.contains(snap_id, key),
-                        _ => false,
-                    };
-                    keys2.iter().map(held).collect()
+                    keys2.iter().map(|&key| shard.as_ref().is_some_and(|s| s.holds(snap_id, key))).collect()
                 })
                 // The place died between the liveness check and the probe.
                 .unwrap_or_else(|_| vec![false; keys.len()]);
-            for ((key, _), ok) in keys.into_iter().zip(found) {
+            for (key, ok) in keys.into_iter().zip(found) {
                 if ok {
                     present.insert((place, key));
                 }
@@ -1518,11 +1397,7 @@ impl ResilientStore {
         };
         for (key, loc) in snap.entries.iter() {
             let owner_ok = present.contains(&(loc.owner, *key));
-            let backup_ok = if loc.backup == loc.owner {
-                owner_ok
-            } else {
-                present.contains(&(loc.backup, *key))
-            };
+            let backup_ok = loc.backup == loc.owner && owner_ok || present.contains(&(loc.backup, *key));
             match (owner_ok, backup_ok) {
                 (true, true) => audit.fully_redundant += 1,
                 (false, false) => audit.lost += 1,
@@ -1530,7 +1405,7 @@ impl ResilientStore {
             }
             let placed_under = snap.placed_under.get(key).unwrap_or(&snap.group);
             let next = second_replica(placed_under, loc.owner).ok() == Some(loc.backup);
-            if !(next || loc.live && loc.backup != loc.owner) {
+            if !(next || snap.read_only && loc.backup != loc.owner) {
                 audit.placement_violations += 1;
             }
         }
@@ -1587,6 +1462,16 @@ impl ResilientStore {
     pub(crate) fn stored_at(&self, ctx: &Ctx, at: Place, snap_id: u64, key: u64) -> Option<StoredEntry> {
         let plh = self.plh;
         let read = move |ctx: &Ctx| plh.local(ctx).ok().and_then(|s| s.get(snap_id, key));
+        ctx.at(at, read).ok().flatten()
+    }
+
+    /// Whether `at` holds a handle on the block of `(snap_id, key)` that its
+    /// object still holds: `None` where it holds no handle, or is dead.
+    pub(crate) fn held_at(&self, ctx: &Ctx, at: Place, snap_id: u64, key: u64) -> Option<bool> {
+        let plh = self.plh;
+        let read = move |ctx: &Ctx| {
+            plh.local(ctx).ok().and_then(|s| s.map.lock().held.get(&(snap_id, key)).map(Held::is_live))
+        };
         ctx.at(at, read).ok().flatten()
     }
 }
@@ -1783,7 +1668,7 @@ mod tests {
     }
 
     /// `bytes`, held by a capture through `store`.
-    fn held(store: &ResilientStore, bytes: Vec<u8>) -> Part {
+    fn held(store: &ResilientStore, bytes: Vec<u8>) -> Held {
         store.part(42, &Shared::new(Raw(bytes)))
     }
 
@@ -1913,7 +1798,7 @@ mod tests {
             let pairs = [(Place::ZERO, Place::new(2)), (Place::new(2), Place::new(3))];
             assert_eq!(report.pairs, pairs);
             for (key, (owner, backup)) in [(0, pairs[0]), (1, pairs[1])] {
-                let loc = EntryLoc { owner, backup, len: 64, live: false };
+                let loc = EntryLoc { owner, backup, len: 64 };
                 assert_eq!(snap.entry(key).unwrap(), loc);
             }
             assert_eq!(snap.entry(2).unwrap().owner, Place::new(2));
@@ -2002,7 +1887,7 @@ mod tests {
             // Backup deliberately placed two hops away instead of next.
             let wrong_backup = Place::new(2);
             store.save_batch(ctx, sid, vec![(0, Bytes::from_static(b"misplaced"))], wrong_backup).unwrap();
-            let loc = EntryLoc { owner: Place::ZERO, backup: wrong_backup, len: 9, live: false };
+            let loc = EntryLoc { owner: Place::ZERO, backup: wrong_backup, len: 9 };
             let snap = Snapshot::gathered(ctx, sid, 7, &group, Bytes::new(), [(0, loc)]);
             let audit = store.audit_snapshot(ctx, &snap);
             assert_eq!(audit.fully_redundant, 1, "both copies exist...");
@@ -2106,7 +1991,7 @@ mod tests {
     #[test]
     fn a_held_value_unlike_its_capture_fails_its_ship_naming_object_and_key() {
         with_store(2, 0, |ctx, store| {
-            let Part::Held(mut value) = held(&store, vec![1, 2, 3]) else { unreachable!("held") };
+            let mut value = held(&store, vec![1, 2, 3]);
             let digest = Captured::digest(&Raw(vec![1, 2, 3]));
             value.witness = Some((42, digest));
             assert!(value.serialize(ctx, 7).is_ok(), "as captured");

@@ -7,8 +7,8 @@
 //!
 //! One fixed shape: four places (a spare besides, for replace-redundant), a
 //! read-only 16 × 6 dense matrix in four blocks of 4 rows (entry wire size
-//! `B`; block `k` is live at place `k`, its one stored copy at place
-//! `k + 1`) and a mutable duplicated vector of 6 (entry wire size `W`, owner
+//! `B`; block `k` is live at place `k`, where the store holds it as itself,
+//! its one frame at place `k + 1`) and a mutable duplicated vector of 6 (entry wire size `W`, owner
 //! place 0, backup place 1), a checkpoint every 10 of 30 iterations, place 2
 //! killed entering iteration 15: it held block 2 live and block 1's copy. A
 //! step ships nothing and the commit is the ship barrier, so the report row
@@ -111,10 +111,10 @@ fn a_recovery_ships_what_the_dead_place_held_and_takes_no_checkpoint() {
         // (blocks of 6, 5, 5 rows now), as column runs of 6 columns; every
         // other run is read where it lands. Four (holder, block) reads and
         // three vector fetches. No block is under a saved key any more: the
-        // repair turns the old blocks places 0, 1 and 3 retired into their
-        // stored copies (three encodes, nothing shipped), and ships the two
-        // left with one copy — block 1 from place 1 to place 3, block 2 from
-        // place 3 to place 0.
+        // repair frames the old blocks that places 0, 1 and 3 hold for the
+        // store alone where they are (three encodes, nothing shipped), and
+        // ships the two left with one copy — block 1 from place 1 to place
+        // 3, block 2 from place 3 to place 0.
         (RestoreMode::ShrinkRebalance, (2 + 3) * 6 * 8 + w, 4 + 3, (2, 2 * b), 3),
         // Place 3 sends the spare block 2's 4 × 6 values from its copy, which
         // stays where it is beside the block now live at the spare; the

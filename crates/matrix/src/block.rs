@@ -150,9 +150,10 @@ impl MatrixBlock {
     }
 
     /// [`zeros`](Self::zeros), but built in the buffer of a dense block of
-    /// the same dimensions taken out of `spare` when there is one: the
-    /// buffer is re-labelled and zero-filled in place, so a place that is
-    /// re-laid-out keeps writing to pages it has already touched.
+    /// the same dimensions taken out of `spare` when there is one that
+    /// nothing else holds: the buffer is re-labelled and zero-filled in
+    /// place, so a place that is re-laid-out keeps writing to pages it has
+    /// already touched.
     pub fn zeros_reusing(
         grid: &Grid,
         bi: usize,
@@ -164,7 +165,8 @@ impl MatrixBlock {
         let fits = |b: &MatrixBlock| {
             matches!(b.data, BlockData::Dense(_)) && (b.rows(), b.cols()) == dims
         };
-        let Some(at) = spare.blocks.iter().position(|b| fits(b)).filter(|_| !sparse) else {
+        let free = |b: &Shared<MatrixBlock>| fits(b) && !b.is_held();
+        let Some(at) = spare.blocks.iter().position(free).filter(|_| !sparse) else {
             return MatrixBlock::zeros(grid, bi, bj, sparse);
         };
         let mut block = spare.blocks.swap_remove(at).into_inner();
@@ -307,9 +309,10 @@ impl BlockSet {
         BlockSet { blocks: Vec::new() }
     }
 
-    /// Build from an explicit list of blocks.
-    pub fn from_blocks(blocks: Vec<MatrixBlock>) -> Self {
-        BlockSet { blocks: blocks.into_iter().map(Shared::new).collect() }
+    /// Build from an explicit list of blocks' cells: a held block stays
+    /// held.
+    pub fn from_blocks(blocks: Vec<Shared<MatrixBlock>>) -> Self {
+        BlockSet { blocks }
     }
 
     /// Length.
@@ -353,15 +356,10 @@ impl BlockSet {
         Some(&mut *self.blocks[at])
     }
 
-    /// Take the block at grid position `(bi, bj)` out of the set.
-    pub fn take(&mut self, bi: usize, bj: usize) -> Option<MatrixBlock> {
-        let at = self.blocks.iter().position(|b| b.bi == bi && b.bj == bj)?;
-        Some(self.blocks.swap_remove(at).into_inner())
-    }
-
-    /// The blocks, moved out.
-    pub fn into_blocks(self) -> Vec<MatrixBlock> {
-        self.blocks.into_iter().map(Shared::into_inner).collect()
+    /// The blocks' cells, moved out: a held block stays held, and nothing
+    /// is copied.
+    pub fn into_blocks(self) -> Vec<Shared<MatrixBlock>> {
+        self.blocks
     }
 
     /// Total payload bytes across all blocks (checkpoint sizing).
@@ -449,6 +447,15 @@ mod tests {
             MatrixBlock::zeros(&g, 0, 0, true)
         );
         assert_eq!(spare.len(), 1);
+        // Nor a block something else still holds: its buffer is not this
+        // place's to reuse.
+        let held = spare.iter_shared().next().expect("left").held();
+        assert_eq!(
+            MatrixBlock::zeros_reusing(&g, 1, 0, false, &mut spare),
+            MatrixBlock::zeros(&g, 1, 0, false)
+        );
+        assert_eq!(spare.len(), 1);
+        drop(held);
     }
 
     #[test]

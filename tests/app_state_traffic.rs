@@ -9,12 +9,13 @@
 //! process-global, which is why every run shares one test.
 //!
 //! Each app's read-only objects are stored once: a place holds the copy of
-//! its predecessor's block and segment, never one of its own (its live
-//! block is that replica). The shrink recovery rebuilds the lost block and
-//! the one the new layout moves from the copies their new owners hold; its
-//! repair serializes, from place 1, the block and segment whose copy died
-//! with place 2 — the frames a clean run does not encode — and moves the
-//! copies that now sit beside their blocks at places 3 and 0 on.
+//! its predecessor's block and segment, never one of its own (the store
+//! holds its live block as that replica). The shrink recovery rebuilds the
+//! lost block and the one the new layout moves from the copies their new
+//! owners hold; its repair serializes, from place 1, the block and segment
+//! whose copy died with place 2 — the frames a clean run does not encode —
+//! and moves the copies that now sit beside their blocks at places 3 and 0
+//! on.
 
 use resilient_gml::apps::{GnmfConfig, ResilientGnmf};
 use resilient_gml::core::FailureInjector;
@@ -93,10 +94,11 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
     // and moves blocks 2 and 3 with their segments: 3 × 2 387 B. Against two
     // copies per read-only entry, that is −2 387 B per place clean, and one
     // entry (2 387 B) more repaired and shipped. Ctl messages and tasks: the
-    // repair probes three places (2 / 3), makes four moves, each an `at` to
-    // its holder and one on to its target (0 / 8), two encodes at place 1
-    // (1 / 3) and a release at place 3 (1 / 1), where two copies from two
-    // holders took (2 / 6); the restore leaves two places alone (−2 / −2).
+    // repair probes three places (2 / 3), drops at place 3 the block and
+    // segment the store alone held there (1 / 1), makes four moves, each an
+    // `at` to its holder and one on to its target (0 / 8), and two encodes
+    // at place 1 (1 / 3), where two copies from two holders took (2 / 6);
+    // the restore leaves two places alone (−2 / −2).
     check("linreg", linreg, |ctx, a| a.app.weights(ctx).unwrap().as_slice().to_vec(), [
         Pin { runs: [3, 0, 15], codec: [17, 16, 9724, 10385], shipped: [16457, 0],
               inventory: [2678, 2678, 2387, 2387], digest: 0x60cf_db0c_44d5_81e9, ctl_tasks: [372, 539] },

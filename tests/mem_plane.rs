@@ -271,33 +271,42 @@ impl ResilientIterativeApp for ReadOnlyBeside {
     }
 }
 
-/// The stored placement of a read-only snapshot: one frame per block, on a
-/// live place other than the one holding the block live (which the audit
-/// finds holding it) — or, with `twice`, two frames per block of a re-cut
-/// matrix's old layout, on two live places — every entry fully redundant,
-/// and the store holding nothing else but the mutable vector's two copies.
+/// The stored placement of a read-only snapshot, as the store holds it:
+/// each block's first replica is the block itself — a handle the store
+/// holds on the live block's own allocation — beside one frame on another
+/// live place; or, with `twice`, two frames per block of a re-cut matrix's
+/// old layout, on two live places. Every entry is fully redundant, and the
+/// store holds nothing else but the mutable vector's two copies.
 fn assert_stored(ctx: &Ctx, store: &AppResilientStore, x: &DistBlockMatrix, twice: bool) {
     let snap = store.snapshot_of(x.object_id()).unwrap();
     for (key, loc) in snap.entries.iter() {
-        assert!(loc.live != twice && loc.backup != loc.owner, "block {key}: {loc:?}");
+        assert!(loc.backup != loc.owner, "block {key}: {loc:?}");
         assert!(ctx.is_alive(loc.owner) && ctx.is_alive(loc.backup), "block {key}: {loc:?}");
     }
     let audit = store.store().audit_snapshot(ctx, &snap);
     assert_eq!((audit.fully_redundant, audit.entries), (4, 4), "{audit:?}");
     assert!(audit.invariant_ok(), "{audit:?}");
+    // The other side of each handle: every block the matrix holds is held
+    // by the store, or, once re-cut, by nothing else.
+    let h = x.handle();
+    let held = each_place(ctx, x.group().iter().enumerate(), move |ctx, _| {
+        Ok(h.local(ctx)?.lock().iter_shared().map(|b| b.is_held()).collect::<Vec<_>>())
+    });
+    let held: Vec<bool> = held.unwrap().into_iter().flatten().collect();
+    assert!(held.iter().all(|&h| h != twice), "blocks held by the store: {held:?}");
     let entries: usize = store.store().inventory(ctx).iter().map(|p| p.entries).sum();
     let frames = if twice { 2 * 4 } else { 4 };
     assert_eq!(entries, frames + 2, "the matrix's frames, and the vector twice");
 }
 
 /// A read-only object is stored once: its live blocks are the owner
-/// replicas. After the first checkpoint settles each block has one stored
-/// frame, on another place, and the heap has grown by that replica and at
-/// most one block in flight — not by two replicas. A kill under each mode,
-/// the restore and the repair leave the same placement (but for
-/// shrink-rebalance, which re-cuts the matrix: its old blocks are then kept
-/// twice, like a mutable object's), ledger and inventory agreeing, and the
-/// failure-free values.
+/// replicas, held by the store. After the first checkpoint settles each
+/// block has one stored frame, on another place, and the heap has grown by
+/// that replica and at most one block in flight — not by two replicas. A
+/// kill under each mode, the restore and the repair copy no block and leave
+/// the same placement (but for shrink-rebalance, which re-cuts the matrix:
+/// its old blocks are then kept twice, like a mutable object's), ledger and
+/// inventory agreeing, and the failure-free values.
 #[test]
 fn a_read_only_object_is_stored_once() {
     let _guard = PROCESS_STATE.lock().unwrap();
@@ -339,6 +348,7 @@ fn a_read_only_object_is_stored_once() {
             assert!(block > (RO_ROWS * RO_COLS * 8) as u64, "{wire:?}");
             assert!(rise < 4 * block + block, "{mode:?}: heap +{rise} B (block {block} B)");
 
+            let copies = resilient_gml::matrix::shared::forced_copies();
             let dead = [Place::new(2)];
             ctx.kill_place(dead[0]).unwrap();
             let (group, rebalance) = match mode {
@@ -353,6 +363,8 @@ fn a_read_only_object_is_stored_once() {
             };
             app.restore(ctx, &group, &mut store, 0, rebalance).unwrap();
             store.repair(ctx, &group).unwrap();
+            let copied = resilient_gml::matrix::shared::forced_copies() - copies;
+            assert_eq!(copied, 0, "{mode:?}: the recovery copied a block the store holds");
             assert_stored(ctx, &store, &app.x, rebalance);
             let inventory: u64 = store.store().inventory(ctx).iter().map(|p| p.wire_bytes).sum();
             assert_eq!(mem::current(MemTag::StoreShard), inventory, "{mode:?}: ledger");
