@@ -72,6 +72,8 @@ cargo test -q --test mem_plane a_capture_serializes_nothing -- --exact > /dev/nu
 # restore and repair under every mode — with the heap grown by one stored
 # replica, not two, and no block copied by the recovery.
 cargo test -q --test mem_plane a_read_only_object_is_stored_once -- --exact > /dev/null
+# A packed frame is made from its value: framing PageRank's per-place block lifts the heap's peak by under a quarter of it.
+cargo test -q --test mem_plane a_packed_frame_is_made_from_its_value -- --exact > /dev/null
 # The same for the workloads' inputs: every synthetic row builder writes its
 # block straight into CSR, and the result must equal, bit for bit, a
 # transcription of the triplet builders it replaced (per-column dedup,

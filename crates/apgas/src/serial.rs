@@ -22,6 +22,15 @@
 //! Encode buffers come from the process-wide pool inside the vendored
 //! `bytes` crate, so steady-state checkpoint loops reallocate nothing.
 //!
+//! # Wire runs
+//!
+//! [`Serial::write_runs`] yields a value's wire image as [`Run`]s whose
+//! concatenation is its serialization: a small written header and then,
+//! for the types that hold big numeric arrays, each array's LE byte view
+//! where it lies (the same view the bulk `write_slice` copies from). A
+//! reader that only needs the image — the checkpoint codec probing and
+//! packing chunks — then needs no serialized copy of the value.
+//!
 //! The fast path changes how many *intermediate* copies the codec makes,
 //! never how many wire crossings the simulation charges for: each place
 //! crossing still materializes exactly one freshly-owned buffer (see
@@ -56,6 +65,78 @@ pub trait Serial: Sized {
         let v = Self::read(&mut buf);
         debug_assert!(buf.is_empty(), "trailing bytes after deserialization");
         v
+    }
+
+    /// Append this value's wire image to `runs`, as byte runs whose
+    /// concatenation is exactly what [`write`](Self::write) writes. The
+    /// default writes the serialization: alone in [`Runs`], one run. A type
+    /// that holds big numeric arrays overrides it to yield its small header
+    /// and then the arrays viewed where they lie ([`Runs::put_elems`]), so
+    /// that a reader of the image — the checkpoint codec — needs no
+    /// serialized copy of the value.
+    fn write_runs<'a>(&'a self, runs: &mut Runs<'a>) {
+        runs.put(self);
+    }
+}
+
+/// One run of a value's wire image ([`Serial::write_runs`]).
+pub enum Run<'a> {
+    /// Bytes of the value, viewed where they lie.
+    View(&'a [u8]),
+    /// Bytes written for the image: a header, or a whole serialization.
+    Written(Bytes),
+}
+
+impl std::ops::Deref for Run<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Run::View(view) => view,
+            Run::Written(bytes) => bytes,
+        }
+    }
+}
+
+/// A value's wire image being built as [`Run`]s: what is written collects in
+/// one open run, which a view closes.
+#[derive(Default)]
+pub struct Runs<'a> {
+    runs: Vec<Run<'a>>,
+    open: BytesMut,
+}
+
+impl<'a> Runs<'a> {
+    /// `value`'s wire image as runs.
+    pub fn of<T: Serial>(value: &'a T) -> Vec<Run<'a>> {
+        let mut runs = Runs::default();
+        value.write_runs(&mut runs);
+        runs.close();
+        runs.runs
+    }
+
+    /// Append `value` serialized.
+    pub fn put<T: Serial>(&mut self, value: &T) {
+        self.open.reserve(value.byte_len());
+        value.write(&mut self.open);
+    }
+
+    /// Append `data`'s elements as [`SerialElem::write_slice`] writes them
+    /// (no length prefix): viewed where they lie when that is their wire
+    /// image, else written.
+    pub fn put_elems<T: SerialElem>(&mut self, data: &'a [T]) {
+        match T::wire_view(data) {
+            Some(view) => {
+                self.close();
+                self.runs.push(Run::View(view));
+            }
+            None => T::write_slice(data, &mut self.open),
+        }
+    }
+
+    fn close(&mut self) {
+        if !self.open.is_empty() {
+            self.runs.push(Run::Written(std::mem::take(&mut self.open).freeze()));
+        }
     }
 }
 
@@ -169,10 +250,18 @@ impl Serial for crate::trace::TraceCtx {
 /// it, and composite element types (strings, options, tuples, nested
 /// vectors) just keep the defaults.
 pub trait SerialElem: Serial {
-    /// Append all elements of `data` (no length prefix) to `buf`.
+    /// `data`'s memory, where it is also its wire image (no length prefix):
+    /// on a little-endian target, for the fixed-width primitives.
+    fn wire_view(_data: &[Self]) -> Option<&[u8]> {
+        None
+    }
+
+    /// Append all elements of `data` (no length prefix) to `buf`: its
+    /// [`wire_view`](Self::wire_view) in bulk, else element by element.
     fn write_slice(data: &[Self], buf: &mut BytesMut) {
-        for v in data {
-            v.write(buf);
+        match Self::wire_view(data) {
+            Some(raw) => bulk_write_bytes(raw, buf),
+            None => data.iter().for_each(|v| v.write(buf)),
         }
     }
 
@@ -193,13 +282,11 @@ pub trait SerialElem: Serial {
 /// Payload size above which the bulk `memcpy` fans out to the compute pool
 /// (4 MiB: at least four [`pool::PAR_COPY_CHUNK`](crate::pool::PAR_COPY_CHUNK)
 /// chunks). Below it a single `memcpy` wins outright.
-#[cfg(target_endian = "little")]
 const PAR_BULK_MIN: usize = 4 << 20;
 
 /// Append `raw` to `buf` — one `memcpy` for small payloads, a pool-chunked
 /// copy above [`PAR_BULK_MIN`]. Byte-identical either way, for any worker
 /// count: the chunks are fixed-size disjoint ranges of one copy.
-#[cfg(target_endian = "little")]
 fn bulk_write_bytes(raw: &[u8], buf: &mut BytesMut) {
     if raw.len() < PAR_BULK_MIN {
         buf.put_slice(raw);
@@ -231,26 +318,33 @@ fn bulk_read_bytes(buf: &mut Bytes, dst: &mut [u8]) {
     buf.advance(n);
 }
 
+mod sealed {
+    /// Fixed-width numeric types without padding, whose every byte pattern
+    /// is a value.
+    pub trait Plain: Copy {}
+}
+
+/// `data`'s memory as bytes: on a little-endian target, its LE wire image.
+fn le_view<T: sealed::Plain>(data: &[T]) -> &[u8] {
+    // Safety: `Plain` is implemented only below, for padding-free
+    // fixed-width numeric types, so every byte of the slice is initialized
+    // and reading it as `u8` is valid for the slice's lifetime.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
+}
+
 /// Marks a primitive as bit-identical between memory and the LE wire format,
 /// enabling the whole-slice `memcpy` fast path on little-endian targets.
 /// Big-endian targets keep the element-wise default (still correct: the wire
 /// stays LE via `to_le_bytes` in the per-element codecs).
 macro_rules! impl_serial_elem_bulk {
     ($t:ty) => {
+        impl sealed::Plain for $t {}
+
         impl SerialElem for $t {
             #[cfg(target_endian = "little")]
             #[inline]
-            fn write_slice(data: &[Self], buf: &mut BytesMut) {
-                // Safety: $t is a plain fixed-width numeric type; viewing its
-                // slice memory as bytes is always valid, and on LE targets
-                // those bytes already are the wire encoding.
-                let raw = unsafe {
-                    std::slice::from_raw_parts(
-                        data.as_ptr() as *const u8,
-                        std::mem::size_of_val(data),
-                    )
-                };
-                bulk_write_bytes(raw, buf);
+            fn wire_view(data: &[Self]) -> Option<&[u8]> {
+                Some(le_view(data))
             }
 
             #[cfg(target_endian = "little")]
@@ -288,43 +382,11 @@ impl_serial_elem_bulk!(u32);
 impl_serial_elem_bulk!(u64);
 impl_serial_elem_bulk!(i64);
 impl_serial_elem_bulk!(f64);
-
 // usize is wire-encoded as u64; its in-memory image matches only on 64-bit
-// little-endian targets, so the bulk override is gated on both.
-#[cfg(all(target_endian = "little", target_pointer_width = "64"))]
-impl SerialElem for usize {
-    #[inline]
-    fn write_slice(data: &[Self], buf: &mut BytesMut) {
-        // Safety: on a 64-bit LE target, &[usize] and &[u64] have identical
-        // layout and the bytes are the LE wire encoding.
-        let raw = unsafe {
-            std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data))
-        };
-        bulk_write_bytes(raw, buf);
-    }
-
-    #[inline]
-    fn read_slice_into(n: usize, buf: &mut Bytes, out: &mut Vec<Self>) {
-        let byte_len = n * 8;
-        assert!(buf.remaining() >= byte_len, "buffer underflow in bulk read");
-        out.reserve(n);
-        let start = out.len();
-        // Safety: same argument as the macro above, with usize == u64 layout.
-        unsafe {
-            let dst =
-                std::slice::from_raw_parts_mut(out.as_mut_ptr().add(start) as *mut u8, byte_len);
-            bulk_read_bytes(buf, dst);
-            out.set_len(start + n);
-        }
-    }
-
-    #[inline]
-    fn slice_byte_len(data: &[Self]) -> usize {
-        8 * data.len()
-    }
-}
-
-#[cfg(not(all(target_endian = "little", target_pointer_width = "64")))]
+// targets, where it is a u64 in all but name.
+#[cfg(target_pointer_width = "64")]
+impl_serial_elem_bulk!(usize);
+#[cfg(not(target_pointer_width = "64"))]
 impl SerialElem for usize {}
 
 // Composite element types keep the element-wise defaults.

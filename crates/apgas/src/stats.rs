@@ -30,8 +30,10 @@ crate::counter_set! {
         /// `bytes_shipped`; a payload shipped to a place that died in flight
         /// is counted as shipped but never as received.
         bytes_received => "gml_bytes_received_total", "Payload bytes landed at a receiving place.";
-        /// Maintained via [`crate::runtime::Ctx::encode`]; with
-        /// `bytes_shipped` this yields checkpoint encode throughput.
+        /// Maintained via [`crate::runtime::Ctx::encode`]. A checkpoint
+        /// frame that packs is made from the value's wire runs and never
+        /// serialized, so only a frame kept verbatim is counted here; the
+        /// checkpoint codec's own encode time covers all of the framing.
         encode_nanos => "gml_encode_nanos_total", "Wall nanoseconds spent encoding payloads.";
         /// Maintained via [`crate::runtime::Ctx::decode`].
         decode_nanos => "gml_decode_nanos_total", "Wall nanoseconds spent decoding payloads.";

@@ -3,11 +3,18 @@
 //!
 //! The capture copies nothing: its owner keeps a handle on each value, and
 //! the object's next write copies away from it instead (copy-on-write). The
-//! ship serializes and frames the value there, once, puts the frame in the
-//! handle's place and sends that frame to the backup, behind the steps. A
-//! replica with no second place to ship to — a pair collapsed onto a
-//! one-place group's place — is framed the same way by an order that ships
-//! nothing.
+//! ship frames the value there, once, puts the frame in the handle's place
+//! and sends that frame to the backup, behind the steps. A replica with no
+//! second place to ship to — a pair collapsed onto a one-place group's
+//! place — is framed the same way by an order that ships nothing.
+//!
+//! **Framed from the value.** [`encode_entry`] reads the payload as the
+//! value's wire runs ([`apgas::serial::Serial::write_runs`]): a small
+//! written header, then each array viewed where it lies. A chunk inside one
+//! run is read in place; only a chunk that straddles runs is copied, into a
+//! chunk-sized buffer. So a packed frame's payload never exists in one
+//! buffer; a verbatim frame's body is the value's one serialization, made
+//! once the form is decided.
 //!
 //! Every snapshot entry the store would ship raw can instead be wrapped in a
 //! self-describing **frame** of two parts: a *head* (fixed header + one chunk
@@ -26,13 +33,16 @@
 //! * **Verbatim** — a frame in which packing would not save that share has
 //!   no records: its body *is* the serialized payload, held by refcount,
 //!   never copied into a frame buffer and handed back by refcount on restore.
+//!   The runs end to end are that payload, byte for byte.
 //!
-//! **Decide, then emit.** Pass 1 reads each chunk once: its digest and the
-//! zero-byte / zero-run counts of its XOR residuals — which planes pack and
-//! how many bytes that provably saves, with no transpose and no store. The
-//! frame's form is a pure function of those numbers. Pass 2 writes the
-//! records of a packed frame, in chunk order, so a frame's bytes do not
-//! depend on how many pool workers shared the passes.
+//! **Decide, then emit.** Pass 1 reads each chunk once, where it lies: its
+//! digest and the zero-byte / zero-run counts of its XOR residuals — which
+//! planes pack and how many bytes that provably saves, with no transpose
+//! and no store. The frame's form is a pure function of those numbers.
+//! Pass 2 writes the records of a packed frame, in chunk order, into one
+//! body buffer that pass 1 bounds, so a frame's bytes depend neither on how
+//! many pool workers shared the passes nor on where the runs split the
+//! payload.
 //!
 //! **What a frame guarantees.** Restore is bit-identical. The header carries
 //! a digest of its own fields and of the manifest — a whole-payload digest
@@ -44,12 +54,14 @@
 //! silently wrong data. The digest is error detection, not cryptography
 //! (see [`apgas::digest`]).
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use apgas::digest::content_digest;
 use apgas::metrics::{Family, Kind};
 use apgas::pool;
+use apgas::serial::Run;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Frame magic: `"GLCK"` little-endian. A payload that does not start with
@@ -83,7 +95,8 @@ const PAR_MIN_CHUNKS: usize = 256;
 /// buys is resident memory, two replicas per generation, and what it costs
 /// besides CPU is the by-reference body. The recorded payloads save 0.3 %
 /// and 12 % (dense numeric state) or 84 % (CSR indices), nothing in
-/// between; a quarter sits in that gap.
+/// between; a quarter sits in that gap. Packing costs no payload-sized
+/// buffer: a packed frame is made from the value's runs where they lie.
 const PACK_MIN_SAVING: usize = 4;
 
 // ---------------------------------------------------------------------------
@@ -112,6 +125,9 @@ apgas::counter_set! {
         frames_delta;
         /// Summed over the places encoding concurrently — codec CPU time,
         /// which can exceed the wall time of the checkpoint it was spent in.
+        /// All of the framing: a verbatim frame's serialization included
+        /// (which apgas's `gml_encode_nanos_total` counts as well); a packed
+        /// frame has none.
         encode_nanos => "gml_ckpt_encode_nanos_total", "Nanoseconds place threads spent encoding frames.";
         /// Summed over places like `encode_nanos`.
         decode_nanos => "gml_ckpt_decode_nanos_total", "Nanoseconds place threads spent decoding frames.";
@@ -488,75 +504,117 @@ struct Probe {
     saving: usize,
 }
 
-/// Encode one logical payload into a frame.
-pub(crate) fn encode_entry(payload: &Bytes) -> EncodeOutcome {
+/// Bytes `at` of the payload that `runs` make up, run `i` starting at
+/// byte `starts[i]`: borrowed from the one run that holds them, else copied
+/// into `buf` from the runs they straddle.
+fn read_runs<'a>(runs: &'a [Run], starts: &[usize], at: Range<usize>, buf: &'a mut Vec<u8>) -> &'a [u8] {
+    let of = |i: usize, r: Range<usize>| &runs[i][r.start - starts[i]..r.end - starts[i]];
+    // The run the range starts in: the last to start at or before it.
+    let mut i = starts.partition_point(|&s| s <= at.start) - 1;
+    if at.end <= starts[i + 1] {
+        return of(i, at);
+    }
+    buf.clear();
+    while buf.len() < at.len() {
+        buf.extend_from_slice(of(i, at.start + buf.len()..at.end.min(starts[i + 1])));
+        i += 1;
+    }
+    buf
+}
+
+/// Encode one logical payload, given as its wire runs, into a frame.
+/// `serialized` makes the payload in one buffer, the runs end to end; only
+/// a verbatim frame calls it, for its body.
+pub(crate) fn encode_entry(runs: &[Run], serialized: impl FnOnce() -> Bytes) -> EncodeOutcome {
     // Fan out over contiguous chunk ranges when there is enough to probe.
-    let n_parts = match payload.len() / CHUNK / PAR_MIN_CHUNKS {
+    let n_parts = match runs.iter().map(|run| run.len()).sum::<usize>() / CHUNK / PAR_MIN_CHUNKS {
         wide if wide >= 2 => pool::workers().min(wide),
         _ => 1,
     };
-    encode_in_parts(payload, CHUNK, n_parts)
+    encode_in_parts(runs, serialized, CHUNK, n_parts)
 }
 
 /// [`encode_entry`] in chunks of `chunk_size` bytes (a multiple of 8) over
-/// `n_parts` contiguous chunk ranges; the frame does not depend on `n_parts`.
-fn encode_in_parts(payload: &Bytes, chunk_size: usize, n_parts: usize) -> EncodeOutcome {
+/// `n_parts` contiguous chunk ranges; the frame depends neither on
+/// `n_parts` nor on where the runs split the payload.
+fn encode_in_parts(
+    runs: &[Run],
+    serialized: impl FnOnce() -> Bytes,
+    chunk_size: usize,
+    n_parts: usize,
+) -> EncodeOutcome {
     let t0 = Instant::now();
-    let n_chunks = payload.len().div_ceil(chunk_size);
-    let chunk = |ci: usize| &payload[ci * chunk_size..payload.len().min((ci + 1) * chunk_size)];
+    // Where each run starts, then the payload's length.
+    let mut starts = vec![0];
+    runs.iter().for_each(|run| starts.push(starts[starts.len() - 1] + run.len()));
+    let len = starts[runs.len()];
+    let n_chunks = len.div_ceil(chunk_size);
+    let extent = |ci: usize| ci * chunk_size..len.min((ci + 1) * chunk_size);
     let part = |i: usize| pool::chunk_range(n_chunks, n_parts, i);
 
-    // Pass 1 reads every chunk once: its digest and what packing it would
-    // save.
+    // Pass 1 reads every chunk once, where it lies: its digest and what
+    // packing it would save.
     let mut probes = vec![Probe::default(); n_chunks];
     pool::run_split(&mut probes, n_parts, part, |i, probes| {
+        let mut buf = Vec::new();
         for (ci, p) in part(i).zip(probes) {
-            p.digest = content_digest(chunk(ci));
-            (p.mask, p.saving) = probe_chunk(chunk(ci));
+            let chunk = read_runs(runs, &starts, extent(ci), &mut buf);
+            p.digest = content_digest(chunk);
+            (p.mask, p.saving) = probe_chunk(chunk);
         }
     });
 
     // The frame's form, from pass 1 alone. A chunk packs if that saves its
     // share of the chunk, the frame packs if that saves its share of the
     // payload.
-    let packable = |ci: usize| probes[ci].saving * PACK_MIN_SAVING >= chunk(ci).len();
-    // How many bytes packing the packable chunks of `range` is proven to save.
-    let saved_in = |range: std::ops::Range<usize>| -> usize {
-        range.filter(|&ci| packable(ci)).map(|ci| probes[ci].saving).sum()
-    };
-    let saved = saved_in(0..n_chunks);
-    let verbatim = saved == 0 || saved * PACK_MIN_SAVING < payload.len();
+    let packable = |ci: usize| probes[ci].saving * PACK_MIN_SAVING >= extent(ci).len();
+    // How many bytes packing chunk `ci` is proven to save.
+    let saving = |ci: usize| if packable(ci) { probes[ci].saving } else { 0 };
+    let saved: usize = (0..n_chunks).map(saving).sum();
+    let verbatim = saved == 0 || saved * PACK_MIN_SAVING < len;
 
-    // Pass 2 writes what the form calls for: nothing for a verbatim frame —
-    // the payload itself, by refcount, is the body — else one record per
-    // chunk, in chunk order, each part into its own buffer.
+    // Pass 2 writes what the form calls for: for a verbatim frame the
+    // serialized payload, whose buffer is the body; else one record per
+    // chunk, in chunk order, each part into its own stretch of the body, as
+    // long as pass 1 bounds its records. The stretches are then closed up.
     let body = if verbatim {
-        payload.clone()
+        serialized()
     } else {
-        let mut outs: Vec<BytesMut> = (0..n_parts).map(|_| BytesMut::new()).collect();
-        pool::run_split(&mut outs, n_parts, |i| i..i + 1, |i, out| {
-            // Part 0's buffer becomes the body: it has room for the others.
-            let range = if i == 0 { 0..n_chunks } else { part(i) };
-            let bytes = payload.len().min(range.end * chunk_size) - range.start * chunk_size;
-            let saved = if i == 0 { saved } else { saved_in(range.clone()) };
-            let mut buf = BytesMut::with_capacity(range.len() * CHUNK_RECORD + bytes - saved);
-            let mut scratch = Scratch::default();
+        let bound = |i: usize| part(i).map(|ci| CHUNK_RECORD + extent(ci).len() - saving(ci)).sum();
+        let bounds: Vec<usize> = (0..n_parts).map(bound).collect();
+        let mut body = BytesMut::with_capacity(bounds.iter().sum());
+        body.resize(bounds.iter().sum(), 0);
+        let (mut stretches, mut rest) = (Vec::new(), &mut body[..]);
+        for &bound in &bounds {
+            let (stretch, tail) = std::mem::take(&mut rest).split_at_mut(bound);
+            stretches.push((stretch, 0));
+            rest = tail;
+        }
+        pool::run_split(&mut stretches, n_parts, |i| i..i + 1, |i, stretch| {
+            let (dst, at) = &mut stretch[0];
+            let (mut scratch, mut buf) = (Scratch::default(), Vec::new());
             for ci in part(i) {
+                let chunk = read_runs(runs, &starts, extent(ci), &mut buf);
                 let (mask, data) = if packable(ci) {
-                    (probes[ci].mask, pack_chunk(chunk(ci), probes[ci].mask, &mut scratch))
+                    (probes[ci].mask, pack_chunk(chunk, probes[ci].mask, &mut scratch))
                 } else {
-                    (0, chunk(ci))
+                    (0, chunk)
                 };
-                buf.put_u32_le(ci as u32);
-                buf.put_u8(mask);
-                buf.put_u32_le(data.len() as u32);
-                buf.put_slice(data);
+                let record = &mut dst[*at..*at + CHUNK_RECORD + data.len()];
+                record[..4].copy_from_slice(&(ci as u32).to_le_bytes());
+                record[4] = mask;
+                record[5..CHUNK_RECORD].copy_from_slice(&(data.len() as u32).to_le_bytes());
+                record[CHUNK_RECORD..].copy_from_slice(data);
+                *at += record.len();
             }
-            out[0] = buf;
         });
-        let mut outs = outs.into_iter();
-        let mut body = outs.next().expect("at least one part");
-        outs.for_each(|out| body.put_slice(&out));
+        let lens: Vec<usize> = stretches.into_iter().map(|(_, len)| len).collect();
+        let (mut from, mut end) = (0, 0);
+        for (bound, len) in bounds.into_iter().zip(lens) {
+            body.copy_within(from..from + len, end);
+            (from, end) = (from + bound, end + len);
+        }
+        body.resize(end, 0);
         body.freeze()
     };
 
@@ -565,14 +623,14 @@ fn encode_in_parts(payload: &Bytes, chunk_size: usize, n_parts: usize) -> Encode
     head.put_u64_le(0); // header digest, below
     head.put_u8(if verbatim { FLAG_VERBATIM } else { 0 });
     head.put_u32_le(chunk_size as u32);
-    head.put_u64_le(payload.len() as u64);
+    head.put_u64_le(len as u64);
     head.put_u32_le(n_chunks as u32);
     head.put_u32_le(if verbatim { 0 } else { n_chunks as u32 });
     probes.iter().for_each(|p| head.put_u64_le(p.digest));
     let header_digest = content_digest(&head[DIGEST_COVERS_FROM..]);
     head[4..12].copy_from_slice(&header_digest.to_le_bytes());
 
-    COUNTERS.logical_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
+    COUNTERS.logical_bytes.fetch_add(len as u64, Ordering::Relaxed);
     COUNTERS.wire_bytes.fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
     COUNTERS.frames_full.fetch_add(1, Ordering::Relaxed);
     COUNTERS.frames_verbatim.fetch_add(u64::from(verbatim), Ordering::Relaxed);
@@ -636,14 +694,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Encode a borrowed payload as the store does.
+    /// Encode a borrowed payload as the store encodes a serialized one.
     fn encode(payload: &[u8]) -> EncodeOutcome {
-        encode_entry(&Bytes::copy_from_slice(payload))
+        let payload = Bytes::copy_from_slice(payload);
+        encode_entry(&[Run::Written(payload.clone())], || payload)
     }
 
     /// Encode a borrowed payload in chunks of `chunk` bytes, in one part.
     fn encode_chunked(payload: &[u8], chunk: usize) -> EncodeOutcome {
-        encode_in_parts(&Bytes::copy_from_slice(payload), chunk, 1)
+        encode_runs(&[Run::View(payload)], chunk, 1)
+    }
+
+    /// `runs` encoded in chunks of `chunk` bytes over `n_parts` parts, a
+    /// verbatim body made by joining them.
+    fn encode_runs(runs: &[Run], chunk: usize, n_parts: usize) -> EncodeOutcome {
+        let joined = || Bytes::from(runs.iter().flat_map(|run| run.to_vec()).collect::<Vec<u8>>());
+        encode_in_parts(runs, joined, chunk, n_parts)
     }
 
     /// `decode_frame` on borrowed parts.
@@ -819,17 +885,47 @@ mod tests {
         // 3 MiB: two pool-sized ranges wherever the pool has two workers.
         let values: Vec<f64> = (0..3 << 17).map(|i| (i as f64).sqrt()).collect();
         let payload = Bytes::from(f64_payload(&values));
-        let fanned = encode_entry(&payload);
-        let serial = encode_in_parts(&payload, CHUNK, 1);
+        let fanned = encode_entry(&[Run::View(&payload)], || payload.clone());
+        let serial = encode_runs(&[Run::View(&payload)], CHUNK, 1);
         assert_eq!((&fanned.head, &fanned.body), (&serial.head, &serial.body));
         assert_eq!(&decode(&fanned).unwrap()[..], &payload[..]);
+    }
+
+    #[test]
+    fn a_value_framed_from_its_runs_is_framed_as_its_serialization() {
+        use apgas::serial::Serial;
+        use gml_matrix::{builder, BlockData, DenseMatrix, MatrixBlock};
+        // A CSR block packs (its indices do), a noise block does not; each
+        // framed from the header and arrays where they lie, and from its
+        // serialization, at every part count.
+        let grid = gml_matrix::Grid::partition(4000, 300, 1, 1);
+        let sparse = BlockData::Sparse(builder::random_csr(4000, 300, 9, 5));
+        let dense = BlockData::Dense(DenseMatrix::from_vec(100, 300, noise_f64s(30_000)));
+        for (data, packs) in [(sparse, true), (dense, false)] {
+            let block = MatrixBlock { data, ..MatrixBlock::zeros(&grid, 0, 0, false) };
+            let runs = apgas::serial::Runs::of(&block);
+            assert!(runs.len() > 1, "a header, then the arrays in place");
+            let whole = [Run::Written(block.to_bytes())];
+            let one = encode_runs(&whole, CHUNK, 1);
+            assert_eq!(is_verbatim(&one), !packs);
+            for n_parts in [1, 2, 3, 7] {
+                let framed = encode_runs(&runs, CHUNK, n_parts);
+                assert_eq!((&framed.head, &framed.body), (&one.head, &one.body));
+            }
+            assert_eq!(decode(&one).unwrap(), whole[0][..]);
+        }
+    }
+
+    fn noise_f64s(n: usize) -> Vec<f64> {
+        let mut seed = 0x1357_2468_aceb_df01u64;
+        (0..n).map(|_| f64::from_bits(xorshift(&mut seed) >> 2)).collect()
     }
 
     #[test]
     fn a_verbatim_body_is_the_payload_itself_going_in_and_coming_out() {
         let mut seed = 0x0f1e_2d3c_4b5a_6978u64;
         let payload = Bytes::from(noise_bytes(10_000, &mut seed));
-        let out = encode_entry(&payload);
+        let out = encode_entry(&[Run::View(&payload)], || payload.clone());
         assert!(is_verbatim(&out));
         assert_eq!(out.body.as_ptr(), payload.as_ptr(), "stored by reference");
         let back = decode_frame(&out.head, &out.body).unwrap();
@@ -1020,16 +1116,72 @@ mod tests {
                 });
             }
             payload.extend(noise_bytes(tail, &mut seed));
-            let payload = Bytes::from(payload);
-            let one = encode_in_parts(&payload, chunk, 1);
+            let one = encode_runs(&[Run::View(&payload)], chunk, 1);
             // Half and half saves 17 – 28 %, on either side of the line.
             if shape != 2 {
                 prop_assert_eq!(is_verbatim(&one), shape != 1);
             }
             prop_assert_eq!(&decode(&one).unwrap()[..], &payload[..]);
             for n_parts in [2, 3, 7] {
-                let many = encode_in_parts(&payload, chunk, n_parts);
+                let many = encode_runs(&[Run::View(&payload)], chunk, n_parts);
                 prop_assert_eq!((&many.head, &many.body), (&one.head, &one.body));
+            }
+        }
+
+        // The same frames from the payload split into runs anywhere: empty
+        // runs, runs shorter than a chunk and chunks spread over three runs
+        // and more, of either form, at every part count. A verbatim body is
+        // the serialized payload itself.
+        #[test]
+        fn a_frame_does_not_depend_on_where_its_runs_split_the_payload(
+            shape in 0u8..3,
+            chunk_words in 8usize..40,
+            seed in any::<u64>(),
+            tail in 0usize..8,
+            cuts in prop::collection::vec((0u8..4, any::<u64>()), 0..40),
+        ) {
+            let chunk = 8 * chunk_words;
+            let mut seed = seed | 1;
+            let mut payload: Vec<u8> = Vec::new();
+            for c in 0..12 {
+                let ramp = shape == 1 || (shape == 2 && c % 2 == 0);
+                let bytes = if ramp { ramp_bytes(chunk_words) } else { noise_bytes(chunk, &mut seed) };
+                payload.extend(bytes);
+            }
+            payload.extend(noise_bytes(tail, &mut seed));
+            // Each cut ends a run: empty, a few bytes, under a chunk or a
+            // few chunks long.
+            let mut runs = Vec::new();
+            let mut at = 0;
+            for &(size, r) in &cuts {
+                let len = match size {
+                    0 => 0,
+                    1 => r as usize % 8 + 1,
+                    2 => r as usize % chunk,
+                    _ => r as usize % (3 * chunk),
+                };
+                let end = payload.len().min(at + len);
+                runs.push(Run::View(&payload[at..end]));
+                at = end;
+            }
+            runs.push(Run::View(&payload[at..]));
+            let whole = Bytes::from(payload.clone());
+            let one = encode_in_parts(&[Run::View(&payload)], || whole.clone(), chunk, 1);
+            // Half and half lies on either side of the line.
+            if shape != 2 {
+                prop_assert_eq!(is_verbatim(&one), shape == 0);
+            }
+            if is_verbatim(&one) {
+                prop_assert_eq!(one.body.as_ptr(), whole.as_ptr(), "a lone run is the body");
+            }
+            // And every chunk spread over many runs, with empty ones between.
+            let fine: Vec<Run> =
+                payload.chunks(5).flat_map(|c| [Run::View(c), Run::View(&[])]).collect();
+            for n_parts in [1, 2, 3, 7] {
+                for runs in [&runs, &fine] {
+                    let split = encode_runs(runs, chunk, n_parts);
+                    prop_assert_eq!((&split.head, &split.body), (&one.head, &one.body));
+                }
             }
         }
     }

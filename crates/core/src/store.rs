@@ -41,25 +41,29 @@
 //!
 //! A capture copies nothing: its owner's shard keeps a [`Held`] handle on
 //! each value, and the object's next write copies the value away from it
-//! instead ([`gml_matrix::Shared`]). The ship that follows serializes the
-//! handle at the owner and keeps what it made in the handle's place, then
-//! ships that; a replica with no ship — a pair collapsed onto a one-place
-//! group's place, or the non-redundant store's one copy — is serialized the
-//! same way by an order that ships nothing. What a shard keeps of a
-//! serialized entry is fixed by how the store was made: the bare store
-//! keeps the serialized payload as it came (*raw*); the store under
-//! [`AppResilientStore::make`] keeps a checkpoint-codec frame
-//! ([`crate::codec`], *framed*) — a small *head* (header + chunk-digest
-//! manifest) and a *body*, which for a payload that would not shrink is that
-//! same serialized buffer, held by refcount. So every committed replica of
-//! a framed store is a frame, or a read-only object's held block. A frame
-//! restores from itself alone, so an entry is recoverable exactly when one
-//! of its two replica places is alive. Either way a payload is copied once
-//! per place boundary it crosses (owner → backup on save, holder → fetcher
-//! on restore) and nowhere else. A held block is serialized at its holder
-//! into a buffer made for that one transfer, of which the holder keeps no
-//! handle: that serialization is the crossing's one copy, and the receiver
-//! keeps the buffer as it came.
+//! instead ([`gml_matrix::Shared`]). The ship that follows turns the handle
+//! into a stored replica at the owner and keeps that in the handle's place,
+//! then ships it; a replica with no ship — a pair collapsed onto a one-place
+//! group's place, or the non-redundant store's one copy — is made the same
+//! way by an order that ships nothing. What a shard keeps of an entry is
+//! fixed by how the store was made: the bare store keeps the serialized
+//! payload (*raw*); the store under [`AppResilientStore::make`] keeps a
+//! checkpoint-codec frame ([`crate::codec`], *framed*) — a small *head*
+//! (header + chunk-digest manifest) and a *body*. A frame is made from the
+//! value's wire runs where they lie: a frame that packs never has the value
+//! serialized in one buffer, and a frame that would not shrink keeps as its
+//! body the value's one serialization (a payload given serialized: that
+//! buffer), held by refcount. So every committed replica of a framed store
+//! is a frame, or a read-only object's held block. A frame restores from
+//! itself alone, so an entry is recoverable exactly when one of its two
+//! replica places is alive. Either way a payload is copied once per place
+//! boundary it crosses (owner → backup on save, holder → fetcher on
+//! restore) and nowhere else. A held block crosses as a frame or buffer
+//! made at its holder for that one transfer, of which the holder keeps no
+//! handle — a verbatim frame's serialization, or for a fetch the block
+//! serialized: that is the crossing's one copy, and the receiver keeps it
+//! as it came. (A packed frame is smaller than the block, so nothing
+//! payload-sized is made for it at all.)
 //!
 //! [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
 
@@ -71,7 +75,7 @@ use std::time::{Duration, Instant};
 use apgas::digest::Fnv1a;
 use apgas::metrics::{Family, Kind};
 use apgas::prelude::*;
-use apgas::serial::Serial;
+use apgas::serial::{Run, Runs, Serial};
 use apgas::sync::Mutex;
 use bytes::Bytes;
 use gml_matrix::{BlockData, DenseMatrix, MatrixBlock, Shared, Vector};
@@ -112,12 +116,17 @@ pub struct Held {
 /// What a ship needs of a captured value, whatever its type.
 trait Captured: Send + Sync {
     fn encode(&self, ctx: &Ctx) -> Bytes;
+    fn runs(&self) -> Vec<Run<'_>>;
     fn digest(&self) -> u64;
 }
 
 impl<T: Serial + Contents + Send + Sync> Captured for T {
     fn encode(&self, ctx: &Ctx) -> Bytes {
         ctx.encode(self)
+    }
+
+    fn runs(&self) -> Vec<Run<'_>> {
+        Runs::of(self)
     }
 
     fn digest(&self) -> u64 {
@@ -169,6 +178,10 @@ impl Captured for Serialized {
         self.0.clone()
     }
 
+    fn runs(&self) -> Vec<Run<'_>> {
+        vec![Run::Written(self.0.clone())]
+    }
+
     fn digest(&self) -> u64 {
         apgas::digest::content_digest(&self.0)
     }
@@ -180,11 +193,10 @@ impl Held {
         Held { len: payload.len(), value: Arc::new(Serialized(payload)), witness: None }
     }
 
-    /// The value serialized, at its owner. In a debug build a value that
-    /// no longer matches its digest at capture fails instead, naming the
-    /// object and the entry's key: resuming from it would resume from data
-    /// the capture never saw.
-    fn serialize(&self, ctx: &Ctx, key: u64) -> GmlResult<Bytes> {
+    /// In a debug build, fail a value that no longer matches its digest at
+    /// capture, naming the object and the entry's key: resuming from it
+    /// would resume from data the capture never saw.
+    fn check(&self, key: u64) -> GmlResult<()> {
         match self.witness {
             Some((object, digest)) if self.value.digest() != digest => {
                 Err(GmlError::Unrecoverable(format!(
@@ -192,7 +204,7 @@ impl Held {
                      the digest taken then"
                 )))
             }
-            _ => Ok(self.value.encode(ctx)),
+            _ => Ok(()),
         }
     }
 
@@ -560,16 +572,15 @@ pub(crate) struct ShipOrder {
 /// What a [`ShipOrder`] ships of the holder's shard.
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Source {
-    /// Its frames, in one batch, and what a capture holds there, serialized
-    /// and framed in place first: a mutable object's save, or a repair
-    /// copying a frame.
+    /// Its frames, in one batch, and what a capture holds there, framed in
+    /// place first: a mutable object's save, or a repair copying a frame.
     Stored,
     /// Its frames, one at a time, each deleted there once its copy landed:
     /// a repair moving a frame off the place holding its block.
     Moved,
     /// Its handles on a read-only object's blocks, which it keeps: each
-    /// serialized and framed there for the backup alone, one at a time — the
-    /// object's first save, or a repair whose frame died.
+    /// framed there for the backup alone, one at a time — the object's first
+    /// save, or a repair whose frame died.
     Held,
 }
 
@@ -781,27 +792,30 @@ impl ResilientStore {
         Ok(total)
     }
 
-    /// One payload as this store keeps it: as it came in a raw store, else
-    /// framed by `codec::encode_entry` — packed where that is proven to pay,
-    /// else kept verbatim, the serialized buffer itself becoming the entry's
-    /// body.
-    fn frame(&self, payload: &Bytes) -> StoredEntry {
+    /// Entry `key`'s held value as this store keeps it: serialized in a raw
+    /// store, else framed by `codec::encode_entry` from the value's wire
+    /// runs where they lie — packed where that is proven to pay, with no
+    /// serialized copy of the value made; else kept verbatim, its one
+    /// serialization (a given payload's own buffer) becoming the body.
+    fn frame(&self, ctx: &Ctx, key: u64, value: &Held) -> GmlResult<StoredEntry> {
+        value.check(key)?;
         if !self.framed {
-            return StoredEntry::raw(payload.clone());
+            return Ok(StoredEntry::raw(value.value.encode(ctx)));
         }
-        let codec::EncodeOutcome { head, body } = codec::encode_entry(payload);
-        StoredEntry { head: Some(head), body, logical: payload.len() as u64 }
+        let serialized = || value.value.encode(ctx);
+        let codec::EncodeOutcome { head, body } = codec::encode_entry(&value.value.runs(), serialized);
+        Ok(StoredEntry { head: Some(head), body, logical: value.len as u64 })
     }
 
-    /// `value`, entry `key`'s held value, serialized and framed here.
+    /// [`frame`](Self::frame), under its own span.
     fn frame_held(&self, ctx: &Ctx, key: u64, value: &Held) -> GmlResult<StoredEntry> {
         let _span = ctx.trace_span(SpanKind::CkptEncode, value.len as u64);
-        Ok(self.frame(&value.serialize(ctx, key)?))
+        self.frame(ctx, key, value)
     }
 
     /// The entries of a `Stored` order that are here, as they ship: each
-    /// one a capture still holds is serialized and framed first, at the
-    /// owner, and kept in the shard in place of its handle. An entry deleted
+    /// one a capture still holds is framed first, at the owner, and kept in
+    /// the shard in place of its handle. An entry deleted
     /// since it was read — a cancel — is left out, like a missing key.
     fn serialize_held(&self, ctx: &Ctx, shard: &PlaceStore, order: &ShipOrder) -> GmlResult<Entries> {
         let (mut entries, mut held) = (Vec::new(), Vec::new());
@@ -815,7 +829,7 @@ impl ResilientStore {
             return Ok(entries);
         }
         let span = ctx.trace_span(SpanKind::CkptEncode, held.iter().map(|(_, h)| h.len as u64).sum());
-        let serialized = held.iter().map(|(key, value)| Ok((*key, self.frame(&value.serialize(ctx, *key)?))));
+        let serialized = held.iter().map(|(key, value)| Ok((*key, self.frame(ctx, *key, value)?)));
         let serialized = serialized.collect::<GmlResult<Entries>>()?;
         drop((span, held));
         entries.extend(shard.replace_held(order.snap_id, serialized));
@@ -901,11 +915,11 @@ impl ResilientStore {
     /// The owner's half of a [`ShipOrder`]: read the entries from its
     /// source here and ship them; return how many it found and their wire
     /// bytes. Stored entries go in one batch, as stored once what a capture
-    /// holds here is serialized and framed in place — an order whose backup
-    /// is its owner stops there; moved frames and held blocks go one entry
-    /// at a time, so that at most one is in flight: a moved frame is deleted
-    /// here once its copy landed, and a held block is serialized and framed
-    /// here for the backup, its handle kept.
+    /// holds here is framed in place — an order whose backup is its owner
+    /// stops there; moved frames and held blocks go one entry at a time, so
+    /// that at most one is in flight: a moved frame is deleted here once its
+    /// copy landed, and a held block is framed here for the backup, its
+    /// handle kept.
     fn ship_from_here(&self, ctx: &Ctx, order: &ShipOrder) -> GmlResult<(usize, usize)> {
         let shard = self.shard(ctx)?;
         let (snap_id, backup) = (order.snap_id, order.backup);
@@ -1990,13 +2004,13 @@ mod tests {
     /// serialized: the ship fails, naming the object and the entry's key.
     #[test]
     fn a_held_value_unlike_its_capture_fails_its_ship_naming_object_and_key() {
-        with_store(2, 0, |ctx, store| {
+        with_store(2, 0, |_, store| {
             let mut value = held(&store, vec![1, 2, 3]);
             let digest = Captured::digest(&Raw(vec![1, 2, 3]));
             value.witness = Some((42, digest));
-            assert!(value.serialize(ctx, 7).is_ok(), "as captured");
+            assert!(value.check(7).is_ok(), "as captured");
             value.witness = Some((42, digest ^ 1));
-            let err = value.serialize(ctx, 7).unwrap_err();
+            let err = value.check(7).unwrap_err();
             assert!(!err.is_recoverable(), "{err}");
             assert!(err.to_string().contains("object 42 changed under its capture: entry 7"), "{err}");
         });

@@ -8,7 +8,7 @@
 //! blocks are re-mapped onto fewer places without repartitioning (§III-A,
 //! Fig 1-b).
 
-use apgas::serial::Serial;
+use apgas::serial::{Runs, Serial};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::dense::DenseMatrix;
@@ -116,6 +116,18 @@ impl Serial for BlockData {
         1 + match self {
             BlockData::Dense(d) => d.byte_len(),
             BlockData::Sparse(s) => s.byte_len(),
+        }
+    }
+    fn write_runs<'a>(&'a self, runs: &mut Runs<'a>) {
+        match self {
+            BlockData::Dense(d) => {
+                runs.put(&0u8);
+                d.write_runs(runs);
+            }
+            BlockData::Sparse(s) => {
+                runs.put(&1u8);
+                s.write_runs(runs);
+            }
         }
     }
 }
@@ -292,6 +304,10 @@ impl Serial for MatrixBlock {
     fn byte_len(&self) -> usize {
         32 + self.data.byte_len()
     }
+    fn write_runs<'a>(&'a self, runs: &mut Runs<'a>) {
+        [self.bi, self.bj, self.row_offset, self.col_offset].iter().for_each(|x| runs.put(x));
+        self.data.write_runs(runs);
+    }
 }
 
 /// The blocks one place holds, each in a [`Shared`]: a checkpoint capture
@@ -376,6 +392,64 @@ impl BlockSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder;
+    use proptest::prelude::*;
+
+    /// `value`'s wire runs end to end, and how many of them are views.
+    fn runs_of<T: Serial>(value: &T) -> (Vec<u8>, usize) {
+        let runs = Runs::of(value);
+        let views = runs.iter().filter(|r| matches!(r, apgas::serial::Run::View(_))).count();
+        (runs.iter().flat_map(|r| r.iter().copied()).collect(), views)
+    }
+
+    proptest! {
+        // Every type that yields its arrays in place: the runs end to end
+        // are its serialization byte for byte, at every edge shape — no
+        // rows, one row, empty arrays, rows with no entries — and each
+        // array is one view of the value's own memory on a little-endian
+        // target.
+        #[test]
+        fn the_wire_runs_of_a_value_are_its_serialization(
+            rows in 0usize..5,
+            cols in 0usize..9,
+            nnz_per_row in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let sparse = if cols == 0 {
+                SparseCSR::zeros(rows, cols)
+            } else {
+                builder::random_csr(rows, cols, nnz_per_row.min(cols), seed)
+            };
+            let dense = builder::random_dense(rows, cols, seed);
+            let vector = builder::random_vector(rows * cols, seed);
+            let le = usize::from(cfg!(target_endian = "little"));
+            let (bytes, views) = runs_of(&sparse);
+            prop_assert_eq!(&bytes[..], &sparse.to_bytes()[..]);
+            prop_assert_eq!(views, 3 * le);
+            let (bytes, views) = runs_of(&dense);
+            prop_assert_eq!(&bytes[..], &dense.to_bytes()[..]);
+            prop_assert_eq!(views, le);
+            let (bytes, views) = runs_of(&vector);
+            prop_assert_eq!(&bytes[..], &vector.to_bytes()[..]);
+            prop_assert_eq!(views, le);
+            let grid = Grid::partition(rows + 3, cols + 2, 2, 1);
+            for data in [BlockData::Sparse(sparse), BlockData::Dense(dense)] {
+                let (bytes, _) = runs_of(&data);
+                prop_assert_eq!(&bytes[..], &data.to_bytes()[..]);
+                let block = MatrixBlock { data, ..MatrixBlock::zeros(&grid, 1, 0, false) };
+                let (bytes, _) = runs_of(&block);
+                prop_assert_eq!(&bytes[..], &block.to_bytes()[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_type_without_runs_of_its_own_yields_its_serialization_as_one_run() {
+        let value = (7u32, vec![1.5f64, -2.0]);
+        let runs = Runs::of(&value);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(&runs[0][..], &value.to_bytes()[..]);
+    }
 
     fn dense_block(grid: &Grid, bi: usize, bj: usize) -> MatrixBlock {
         let mut b = MatrixBlock::zeros(grid, bi, bj, false);

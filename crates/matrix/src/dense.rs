@@ -11,7 +11,7 @@
 use std::ops::Range;
 
 use apgas::pool;
-use apgas::serial::{read_f64_vec, write_f64_slice, Serial};
+use apgas::serial::{read_f64_vec, write_f64_slice, Runs, Serial};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::microkernel::{self, GEMV_COLS, KC, MC, MR, NR};
@@ -558,6 +558,10 @@ impl Serial for DenseMatrix {
     }
     fn byte_len(&self) -> usize {
         16 + 8 + 8 * self.data.len()
+    }
+    fn write_runs<'a>(&'a self, runs: &mut Runs<'a>) {
+        [self.rows, self.cols, self.data.len()].iter().for_each(|x| runs.put(x));
+        runs.put_elems(&self.data);
     }
 }
 

@@ -4,7 +4,7 @@
 //! for the determinism and finite-values contracts.
 
 use apgas::pool;
-use apgas::serial::{Serial, SerialElem};
+use apgas::serial::{Runs, Serial, SerialElem};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::dense::DenseMatrix;
@@ -388,6 +388,12 @@ impl Serial for SparseCSR {
     }
     fn byte_len(&self) -> usize {
         24 + 8 * (self.row_ptr.len() + 2 * self.nnz())
+    }
+    fn write_runs<'a>(&'a self, runs: &mut Runs<'a>) {
+        [self.rows, self.cols, self.nnz()].iter().for_each(|x| runs.put(x));
+        runs.put_elems(&self.row_ptr);
+        runs.put_elems(&self.col_idx);
+        runs.put_elems(&self.values);
     }
 }
 

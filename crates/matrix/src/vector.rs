@@ -8,7 +8,7 @@
 //! the plain serial scalar loops as numeric oracles.
 
 use apgas::pool;
-use apgas::serial::{read_f64_vec, write_f64_slice, Serial};
+use apgas::serial::{read_f64_vec, write_f64_slice, Runs, Serial};
 use bytes::{Bytes, BytesMut};
 
 use crate::microkernel;
@@ -227,6 +227,10 @@ impl Serial for Vector {
     }
     fn byte_len(&self) -> usize {
         8 + 8 * self.data.len()
+    }
+    fn write_runs<'a>(&'a self, runs: &mut Runs<'a>) {
+        runs.put(&self.data.len());
+        runs.put_elems(&self.data);
     }
 }
 
