@@ -55,6 +55,9 @@ cargo test -q --test app_state_traffic > /dev/null
 # moves one class's traffic or breaks its restore fails here by name.
 cargo test -q -p gml-core --test collective_traffic > /dev/null
 cargo test -q -p gml-core --test multi_object_checkpoints > /dev/null
+# One layout for every distributed class: a vector aligned to a block or a one-block-per-place matrix follows it through every restore mode.
+cargo test -q -p gml-core --test multi_object_checkpoints \
+    aligned_vectors_follow_their_matrices_through_every_restore_mode -- --exact > /dev/null
 # The ship, not the capture, frames: every committed replica must be a frame, the same at both places.
 cargo test -q -p gml-core --lib \
     app_store::tests::the_committed_generation_is_framed_on_one_place_after_a_degraded_promote_and_its_repair \
@@ -208,8 +211,9 @@ echo "== non-test lines (per workspace crate) =="
 # included) above each file's `#[cfg(test)]`, not counting blank lines and
 # lines that are only a `//` comment — per crate, over the whole workspace,
 # for the four vendored shims together, for gml-core + gml-apps (item 3's
-# first target), for the checkpoint store's three files (item 1's) and for
-# apgas's six observability modules (item 5's).
+# first target), for the checkpoint store's three files (item 1's), for the
+# distributed classes' four files (item 17's) and for apgas's six
+# observability modules (item 5's).
 non_test_lines() {
     for f in "$@"; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
@@ -227,6 +231,8 @@ printf '%-22s %6d\n' "vendored shims" \
 printf '%-22s %6d\n' "gml-core + gml-apps" "$(non_test_lines crates/core/src/*.rs crates/apps/src/*.rs)"
 printf '%-22s %6d\n' "codec+store+app_store" \
     "$(non_test_lines crates/core/src/codec.rs crates/core/src/store.rs crates/core/src/app_store.rs)"
+printf '%-22s %6d\n' "distributed classes" \
+    "$(non_test_lines crates/core/src/{dist_block_matrix,dist_vector,dist_dense,app_state}.rs)"
 printf '%-22s %6d\n' "apgas observability" \
     "$(non_test_lines crates/apgas/src/{trace,monitor,critical_path,mem,metrics,stats}.rs)"
 

@@ -7,7 +7,7 @@
 //!
 //! Exits non-zero on any violation.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use apgas::prelude::Place;
 use apgas::runtime::{Runtime, RuntimeConfig};
@@ -104,7 +104,10 @@ fn traced_run() {
 /// The disabled span guard must cost (close to) nothing: time a hot encode
 /// loop bare and under a disabled tracer, and require the instrumented
 /// variant to stay within a generous factor — catching only a broken
-/// fast path (e.g. an unconditional clock read), not scheduler noise.
+/// fast path (e.g. an unconditional clock read), not scheduler noise. The
+/// two arms run in alternating blocks, each pair swapping which goes first,
+/// and each arm is judged by its fastest block: a block a preemption or a
+/// frequency step slowed is outvoted by the arm's other blocks.
 fn disabled_overhead_bound() {
     const ROUNDS: usize = 2_000;
     let data: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
@@ -119,21 +122,37 @@ fn disabled_overhead_bound() {
         std::hint::black_box(encode(&data));
         let _g = off.span(0, SpanKind::Encode, 0);
     }
-    let t0 = Instant::now();
-    for _ in 0..ROUNDS {
-        std::hint::black_box(encode(std::hint::black_box(&data)));
+    let bare_block = || {
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            std::hint::black_box(encode(std::hint::black_box(&data)));
+        }
+        t0.elapsed()
+    };
+    let traced_block = || {
+        let t1 = Instant::now();
+        for _ in 0..ROUNDS {
+            let _g = off.span(0, SpanKind::Encode, data.len() as u64);
+            std::hint::black_box(encode(std::hint::black_box(&data)));
+        }
+        t1.elapsed()
+    };
+    let (mut bare, mut traced_off) = (Duration::MAX, Duration::MAX);
+    // Five pairs of blocks, the bare arm first in the even ones.
+    for pair in 0..5 {
+        let (b, t) = if pair % 2 == 0 {
+            let b = bare_block();
+            (b, traced_block())
+        } else {
+            let t = traced_block();
+            (bare_block(), t)
+        };
+        (bare, traced_off) = (bare.min(b), traced_off.min(t));
     }
-    let bare = t0.elapsed();
-    let t1 = Instant::now();
-    for _ in 0..ROUNDS {
-        let _g = off.span(0, SpanKind::Encode, data.len() as u64);
-        std::hint::black_box(encode(std::hint::black_box(&data)));
-    }
-    let traced_off = t1.elapsed();
     let ratio = traced_off.as_secs_f64() / bare.as_secs_f64().max(1e-9);
     println!(
-        "trace smoke: disabled-path overhead {bare:?} bare vs {traced_off:?} traced-off \
-         (ratio {ratio:.3})"
+        "trace smoke: disabled-path overhead {bare:?} bare vs {traced_off:?} traced-off, \
+         fastest of five alternating blocks each (ratio {ratio:.3})"
     );
     assert!(
         ratio < 1.5,

@@ -7,8 +7,8 @@
 //! The order of the declaration is the order of everything derived from it:
 //! a checkpoint saves the non-scratch objects in it, a restore remakes every
 //! object in it and then restores the non-scratch ones in it. A vector
-//! declared [`aligned`](AppState::aligned) to a matrix is remade with the
-//! matrix's layout *after* the matrix was remade, so the matrix must be
+//! declared [`aligned`](AppState::aligned) to a matrix is remade onto the
+//! matrix's row layout *after* the matrix was remade, so the matrix must be
 //! declared first.
 //!
 //! A read-only object's blocks are its snapshot's first replicas, held by
@@ -18,6 +18,7 @@
 use apgas::prelude::*;
 
 use crate::app_store::AppResilientStore;
+use crate::dist_block_matrix::Layout;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::Snapshottable;
 use crate::{
@@ -65,9 +66,6 @@ state_objects!(
     DupVector, DistVector, DupDenseMatrix, DistBlockMatrix, DistDenseMatrix, DistSparseMatrix
 );
 
-/// A `DistVector` layout: segment splits and each segment's owner index.
-type Layout = (Vec<usize>, Vec<usize>);
-
 struct Entry<'a> {
     name: &'static str,
     obj: StateObj<'a>,
@@ -106,7 +104,9 @@ impl<'a> AppState<'a> {
     }
 
     /// Lay the object declared last — a `DistVector` — out row-aligned with
-    /// the `DistBlockMatrix` declared earlier as `matrix`.
+    /// the distributed matrix declared earlier as `matrix`: a
+    /// `DistBlockMatrix`, or a `DistDenseMatrix` or `DistSparseMatrix`,
+    /// whose every restore re-cuts its grid.
     pub fn aligned(mut self, matrix: &'static str) -> Self {
         if let Some(last) = self.entries.last_mut() {
             last.aligned = Some(matrix);
@@ -121,15 +121,18 @@ impl<'a> AppState<'a> {
         let Some(name) = entry.aligned else { return Ok(None) };
         let matrix = self.entries[..i].iter().find(|m| m.name == name).map(|m| &m.obj);
         match (&entry.obj, matrix) {
-            (StateObj::DistVector(_), Some(StateObj::DistBlockMatrix(m))) => {
-                m.aligned_layout().map(Some)
+            (StateObj::DistVector(_), Some(StateObj::DistBlockMatrix(m))) => m.aligned_layout(),
+            (StateObj::DistVector(_), Some(StateObj::DistDenseMatrix(m))) => m.inner.aligned_layout(),
+            (StateObj::DistVector(_), Some(StateObj::DistSparseMatrix(m))) => {
+                m.inner.aligned_layout()
             }
             _ => Err(GmlError::shape(format!(
-                "`{}` is aligned to `{name}`: not a DistVector aligned to a DistBlockMatrix \
+                "`{}` is aligned to `{name}`: not a DistVector aligned to a distributed matrix \
                  declared before it",
                 entry.name
             ))),
         }
+        .map(Some)
     }
 
     /// Refuse a declaration that is empty or names an alignment it cannot
@@ -174,10 +177,8 @@ impl<'a> AppState<'a> {
             // matrix was remade.
             let layout = self.layout_of(i)?;
             match (&mut self.entries[i].obj, layout) {
-                (StateObj::DistVector(v), Some((splits, owners))) => {
-                    v.remake_with_layout(ctx, splits, owners, places)?
-                }
-                (StateObj::DistVector(v), None) => v.remake(ctx, places)?,
+                (StateObj::DistVector(v), Some(layout)) => v.remake_onto(ctx, layout)?,
+                (StateObj::DistVector(v), None) => v.remake(ctx, places, rebalance)?,
                 (StateObj::DistBlockMatrix(m), _) => m.remake(ctx, places, rebalance)?,
                 (StateObj::DupVector(v), _) => v.remake(ctx, places)?,
                 (StateObj::DupDenseMatrix(m), _) => m.remake(ctx, places)?,

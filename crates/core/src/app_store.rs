@@ -715,12 +715,12 @@ mod tests {
             let [entries, logical, wire] = assert_holds_exactly_the_committed_generation(ctx, &store);
             assert_eq!(store.snapshot_iteration(), Some(15));
             // `x`: four packed frames of 1 024 values, stored once beside
-            // its held segments since its first save; or, where a shrink
-            // re-cut it over three places, twice since the repair framed the
-            // old segments the store alone still held. `v`: one verbatim frame of
-            // 8 200 bytes in three chunks, a head beside the payload, stored
-            // twice.
-            let recut = matches!(mode, RestoreMode::Shrink | RestoreMode::ShrinkRebalance);
+            // its held segments since its first save (a shrink re-maps the
+            // same four segments); or, where shrink-rebalance re-cut it over
+            // three places, twice since the repair framed the old segments
+            // the store alone still held. `v`: one verbatim frame of 8 200
+            // bytes in three chunks, a head beside the payload, stored twice.
+            let recut = mode == RestoreMode::ShrinkRebalance;
             let x_copies = if recut { 2 } else { 1 };
             let (x_entries, x_logical) = (x_copies * 4, x_copies * 4 * 8200);
             let v_wire = 8200 + 33 + 8 * 3;
@@ -1180,7 +1180,7 @@ mod tests {
                 ctx.kill_place(Place::new(2)).unwrap();
                 let survivors = g.without(&[Place::new(2)]);
                 m.remake(ctx, &survivors, rebalance).unwrap();
-                y.remake(ctx, &survivors).unwrap();
+                y.remake(ctx, &survivors, rebalance).unwrap();
                 store.restore(ctx, &mut [&mut m, &mut y]).unwrap();
                 assert_eq!(m.gather_dense(ctx).unwrap(), m_values, "rebalance {rebalance}");
                 assert_eq!(y.gather(ctx).unwrap(), y_values, "rebalance {rebalance}");

@@ -1,14 +1,18 @@
-//! The block-distributed matrix (`DistBlockMatrix`) — the workhorse of the
-//! paper's resilience story.
+//! The block-distributed objects: the generic [`Dist`] and its two
+//! instances, [`DistBlockMatrix`] — the workhorse of the paper's resilience
+//! story — and [`DistVector`], an `n × 1` layout of vector segments.
 //!
 //! Unlike `DistDenseMatrix`/`DistSparseMatrix` (one block per place), a
-//! `DistBlockMatrix` assigns **one or more blocks to each place** via a
-//! block-cyclic map over a `row_places × col_places` place grid. Because
-//! places hold block *sets*, the computation can be restored after a place
-//! failure by **re-mapping the same blocks** among the survivors with no
+//! `Dist` assigns **one or more blocks to each place** via a block-cyclic map
+//! over a `row_places × col_places` place grid. Because places hold block
+//! *sets*, the computation can be restored after a place failure by
+//! **re-mapping the same blocks** among the survivors with no
 //! repartitioning (shrink mode, Fig 1-b) — or the data grid can be
 //! recalculated for even load (shrink-rebalance, Fig 1-c) at the price of a
-//! sub-block overlap-copy restore.
+//! sub-block overlap-copy restore. The layout, the remake, the capture and
+//! the restore planner are written once, for every payload
+//! ([`DistPayload`]): a matrix's blocks and a vector's segments are laid
+//! out, remade, saved and restored by the same code.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -27,7 +31,142 @@ use crate::dist_vector::DistVector;
 use crate::dup_vector::{DupDenseMatrix, DupVector};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{modified, Snapshot, Snapshottable};
-use crate::store::{Held, ResilientStore};
+use crate::store::{Contents, Held, ResilientStore};
+
+/// What a [`Dist`] holds per block: a matrix's [`MatrixBlock`] or a
+/// vector's segment ([`Vector`]). A block is saved as its own wire form,
+/// keyed by its block id; a restore cuts each overlap out of its stored
+/// block at the holder and pastes it into the block of the current layout.
+pub trait DistPayload: Serial + Contents + Clone + PartialEq + Send + Sync + 'static {
+    /// A fetched stored block, as its holder keeps it while it serves the
+    /// overlaps that read it.
+    type Stored;
+    /// One overlap on its way from its holder into a destination block.
+    type Piece: Send + 'static;
+    /// Block `(bi, bj)` of `grid`, zeroed — in the buffer of a block of
+    /// `spare` where one fits.
+    fn zeros(grid: &Grid, bi: usize, bj: usize, sparse: bool, spare: &mut Vec<Shared<Self>>)
+        -> Self;
+    /// The holder's form of a stored block's verified payload.
+    fn stored(ctx: &Ctx, payload: Bytes) -> Self::Stored;
+    /// The piece of `stored`, block `(ov.old_bi, ov.old_bj)` of `old`, that
+    /// `ov` reads. An overlap that is all of a stored block is its only
+    /// reader (the restored layout's blocks are disjoint), so it may take it.
+    fn cut(stored: &mut Self::Stored, ov: &Overlap, old: &Grid) -> Self::Piece;
+    /// Bytes `piece`, overlap `ov`, moves to its destination.
+    fn wire_len(piece: &Self::Piece, ov: &Overlap) -> usize;
+    /// Write `piece`, overlap `ov`, into this block, whose global origin is
+    /// `origin`.
+    fn paste(&mut self, piece: Self::Piece, ov: &Overlap, origin: (usize, usize));
+}
+
+/// A stored matrix block as its holder keeps it during a restore.
+pub enum StoredBlock {
+    /// A dense block stays the verified serialized payload it is: regions
+    /// are copied out of its f64 image at the destination.
+    Dense(Bytes),
+    /// Anything else is decoded, once.
+    Decoded(MatrixBlock),
+}
+
+/// One overlap of a stored matrix block on its way into a destination block.
+pub enum Piece {
+    /// The holder's dense payload, by refcount; the destination copies the
+    /// overlap's column runs out of it — the one copy of this transfer.
+    Dense(Bytes),
+    /// The overlap cut out of a decoded (sparse) block at the holder; the
+    /// whole block, moved, when the overlap is all of it.
+    Cut(BlockData),
+}
+
+impl DistPayload for MatrixBlock {
+    type Stored = StoredBlock;
+    type Piece = Piece;
+
+    fn zeros(grid: &Grid, bi: usize, bj: usize, sparse: bool, spare: &mut Vec<Shared<Self>>)
+        -> Self {
+        MatrixBlock::zeros_reusing(grid, bi, bj, sparse, spare)
+    }
+
+    fn stored(ctx: &Ctx, payload: Bytes) -> StoredBlock {
+        match DenseBlockWire::parse(&payload) {
+            Some(_) => StoredBlock::Dense(payload),
+            None => StoredBlock::Decoded(ctx.decode(payload)),
+        }
+    }
+
+    fn cut(stored: &mut StoredBlock, ov: &Overlap, _: &Grid) -> Piece {
+        match stored {
+            StoredBlock::Dense(payload) => Piece::Dense(payload.clone()),
+            StoredBlock::Decoded(b) if b.global_range() == (ov.r0, ov.r1, ov.c0, ov.c1) => {
+                let taken = BlockData::Dense(DenseMatrix::zeros(0, 0));
+                Piece::Cut(std::mem::replace(&mut b.data, taken))
+            }
+            StoredBlock::Decoded(b) => Piece::Cut(b.sub_region_global(ov.r0, ov.r1, ov.c0, ov.c1)),
+        }
+    }
+
+    fn wire_len(piece: &Piece, ov: &Overlap) -> usize {
+        match piece {
+            Piece::Dense(_) => 8 * (ov.r1 - ov.r0) * (ov.c1 - ov.c0),
+            Piece::Cut(region) => region.payload_bytes(),
+        }
+    }
+
+    /// A piece that is all of the block becomes its payload; a dense one is
+    /// copied into the buffer the block already has.
+    fn paste(&mut self, piece: Piece, ov: &Overlap, _: (usize, usize)) {
+        let (rows, cols) = (self.rows(), self.cols());
+        match piece {
+            Piece::Dense(payload) => {
+                let src = DenseBlockWire::parse(&payload).expect("parsed at the holder");
+                if !matches!(self.data, BlockData::Dense(_)) {
+                    self.data = BlockData::Dense(DenseMatrix::zeros(rows, cols));
+                }
+                self.paste_dense_wire(&src, ov.r0, ov.r1, ov.c0, ov.c1);
+            }
+            Piece::Cut(region) if (region.rows(), region.cols()) == (rows, cols) => {
+                self.data = region;
+            }
+            Piece::Cut(region) => {
+                self.data.paste(ov.r0 - self.row_offset, ov.c0 - self.col_offset, &region);
+            }
+        }
+    }
+}
+
+/// A segment is stored as its wire form, a length and then the
+/// little-endian f64s: an overlap is a slice of that image, by refcount,
+/// decoded where it lands.
+impl DistPayload for Vector {
+    type Stored = Bytes;
+    type Piece = Bytes;
+
+    fn zeros(grid: &Grid, bi: usize, _: usize, _: bool, _: &mut Vec<Shared<Self>>) -> Self {
+        let (lo, hi) = grid.row_range(bi);
+        Vector::zeros(hi - lo)
+    }
+
+    fn stored(_: &Ctx, payload: Bytes) -> Bytes {
+        payload
+    }
+
+    fn cut(stored: &mut Bytes, ov: &Overlap, old: &Grid) -> Bytes {
+        let lo = old.row_range(ov.old_bi).0;
+        stored.slice(8 + 8 * (ov.r0 - lo)..8 + 8 * (ov.r1 - lo))
+    }
+
+    fn wire_len(piece: &Bytes, _: &Overlap) -> usize {
+        piece.len()
+    }
+
+    fn paste(&mut self, piece: Bytes, ov: &Overlap, (lo, _): (usize, usize)) {
+        let run = &mut self.as_mut_slice()[ov.r0 - lo..ov.r1 - lo];
+        for (x, le) in run.iter_mut().zip(piece.chunks_exact(8)) {
+            *x = f64::from_le_bytes(le.try_into().expect("8-byte chunk"));
+        }
+    }
+}
 
 /// Block-cyclic block → group-index map over a `rp × cp` place grid:
 /// block `(bi, bj)` goes to place-grid cell `(bi mod rp, bj mod cp)`.
@@ -39,22 +178,114 @@ fn block_cyclic(grid: &Grid, rp: usize, cp: usize) -> Vec<usize> {
     dist
 }
 
-/// A matrix partitioned into a grid of blocks, distributed block-cyclically
-/// over a place grid.
-pub struct DistBlockMatrix {
-    object_id: u64,
-    grid: Grid,
+/// Where a [`Dist`]'s blocks are: its grid, each block at the group index
+/// the block-cyclic map over a `row_places × col_places` place grid drawn
+/// from `group` gives it.
+#[derive(Clone)]
+pub(crate) struct Layout {
+    pub(crate) grid: Grid,
     /// Block id → group index.
-    dist: Arc<Vec<usize>>,
+    pub(crate) dist: Arc<Vec<usize>>,
     row_places: usize,
     col_places: usize,
-    /// Row blocks per place row, fixed at `make` time; rebalance preserves
-    /// this ratio when it recalculates the grid.
-    row_blocks_per_place: usize,
-    col_blocks_per_place: usize,
-    group: PlaceGroup,
-    plh: PlaceLocalHandle<Mutex<BlockSet>>,
-    /// The blocks (ids in `grid`) the last [`remake`](Self::remake) left,
+    /// Blocks per place row and per place column, fixed at `make` time: a
+    /// rebalance keeps this ratio when it re-cuts the grid.
+    per_place: (usize, usize),
+    pub(crate) group: PlaceGroup,
+}
+
+impl Layout {
+    pub(crate) fn new(
+        grid: Grid,
+        (row_places, col_places): (usize, usize),
+        per_place: (usize, usize),
+        group: &PlaceGroup,
+    ) -> Self {
+        let dist = Arc::new(block_cyclic(&grid, row_places, col_places));
+        Layout { grid, dist, row_places, col_places, per_place, group: group.clone() }
+    }
+
+    /// The layout over `new_places` (§IV-A2 / §V-B): with `rebalance` false
+    /// (shrink, replace-redundant) the **data grid is kept** and only the
+    /// block → place map is recomputed; with `rebalance` true
+    /// (shrink-rebalance) the grid is recalculated for the new group size,
+    /// preserving the blocks-per-place ratio.
+    fn remade(&self, new_places: &PlaceGroup, rebalance: bool) -> GmlResult<Layout> {
+        let cp = self.col_places;
+        if !new_places.len().is_multiple_of(cp) {
+            return Err(GmlError::shape("new group size not divisible by col_places"));
+        }
+        let rp = new_places.len() / cp;
+        let (rows, cols) = (self.grid.rows(), self.grid.cols());
+        let grid = if rebalance {
+            let rb = (self.per_place.0 * rp).min(rows).max(rp);
+            Grid::partition(rows, cols, rb, (self.per_place.1 * cp).max(cp))
+        } else {
+            self.grid.clone()
+        };
+        Ok(Layout::new(grid, (rp, cp), self.per_place, new_places))
+    }
+
+    /// The `(group index, place)` pairs of the places that hold a block —
+    /// the participants of a capture and of a vector's collectives.
+    pub(crate) fn places(&self) -> Vec<(usize, Place)> {
+        self.group.iter().enumerate().filter(|(idx, _)| self.dist.contains(idx)).collect()
+    }
+
+    /// True when both layouts are one block column cut at the same rows,
+    /// with each block row on the same place.
+    pub(crate) fn rows_aligned(&self, other: &Layout) -> bool {
+        self.grid.col_blocks() == 1
+            && other.grid.col_blocks() == 1
+            && self.grid.row_splits() == other.grid.row_splits()
+            && self.dist == other.dist
+            && self.group == other.group
+    }
+}
+
+/// The data loss of a block its layout places here but that is not here.
+pub(crate) fn missing(id: usize) -> GmlError {
+    GmlError::data_loss(format!("block {id} missing"))
+}
+
+/// Place `idx`'s blocks under `grid` and `dist`, in id order: each the block
+/// of `old` (laid out over `old_grid`) at the same position over the same
+/// range if there is one, else zeroed — in the buffer of one of the rest
+/// where it fits and nothing else holds it. With the ids of the blocks kept
+/// that a store still holds.
+fn place_blocks<T: DistPayload>(
+    (grid, dist, idx): (&Grid, &[usize], usize),
+    (old_grid, mut old): (&Grid, Vec<(usize, Shared<T>)>),
+    sparse: bool,
+) -> (BlockSet<T>, Vec<usize>) {
+    let mut kept = Vec::new();
+    let mine = grid.block_iter().filter(|&(bi, bj)| dist[grid.block_id(bi, bj)] == idx);
+    let slots: Vec<_> = mine
+        .map(|(bi, bj)| {
+            let id = grid.block_id(bi, bj);
+            let range = grid.block_range(bi, bj);
+            let same = |(at, _): &(usize, Shared<T>)| {
+                old_grid.block_pos(*at) == (bi, bj) && old_grid.block_range(bi, bj) == range
+            };
+            let at = old.iter().position(same);
+            kept.extend(at.filter(|&at| old[at].1.is_held()).map(|_| id));
+            (bi, bj, id, at.map(|at| old.swap_remove(at).1))
+        })
+        .collect();
+    let mut spare: Vec<_> = old.into_iter().map(|(_, b)| b).collect();
+    let set = slots.into_iter().map(|(bi, bj, id, block)| {
+        let zeros = |spare| Shared::new(T::zeros(grid, bi, bj, sparse, spare));
+        (id, block.unwrap_or_else(|| zeros(&mut spare)))
+    });
+    (BlockSet::from_blocks(set.collect()), kept)
+}
+
+/// A grid of blocks of `T` distributed block-cyclically over a place grid.
+pub struct Dist<T: DistPayload> {
+    pub(crate) object_id: u64,
+    pub(crate) layout: Layout,
+    pub(crate) plh: PlaceLocalHandle<Mutex<BlockSet<T>>>,
+    /// The blocks (ids in the grid) the last [`remake`](Self::remake) left,
     /// contents and all, on the place that held them while a store still
     /// held them — a read-only save's blocks, unwritten.
     kept: HashSet<usize>,
@@ -63,6 +294,93 @@ pub struct DistBlockMatrix {
     /// block, changed.
     changed: Option<u64>,
     sparse: bool,
+}
+
+/// A matrix partitioned into a grid of blocks, distributed block-cyclically
+/// over a place grid.
+pub type DistBlockMatrix = Dist<MatrixBlock>;
+
+impl<T: DistPayload> Dist<T> {
+    /// Zeroed blocks laid out as `layout`.
+    pub(crate) fn with_layout(ctx: &Ctx, layout: Layout, sparse: bool) -> GmlResult<Self> {
+        let (grid, dist) = (layout.grid.clone(), Arc::clone(&layout.dist));
+        let group = layout.group.clone();
+        let plh = PlaceLocalHandle::make(ctx, &layout.group, move |ctx| {
+            let idx = group.index_of(ctx.here()).expect("place in group");
+            Mutex::new(place_blocks((&grid, &dist, idx), (&grid, Vec::new()), sparse).0)
+        })?;
+        let object_id = crate::fresh_object_id();
+        Ok(Dist { object_id, layout, plh, kept: HashSet::new(), changed: None, sparse })
+    }
+
+    /// The block partitioning.
+    pub fn grid(&self) -> &Grid {
+        &self.layout.grid
+    }
+
+    /// The place group this object is laid out over.
+    pub fn group(&self) -> &PlaceGroup {
+        &self.layout.group
+    }
+
+    /// The copyable handle naming every place's block set, for building
+    /// custom per-place collectives over them.
+    pub fn handle(&self) -> PlaceLocalHandle<Mutex<BlockSet<T>>> {
+        self.plh
+    }
+
+    /// Re-lay out over `new_places` (§IV-A2 / §V-B).
+    ///
+    /// * `rebalance = false` (shrink / replace-redundant): the **data grid
+    ///   is kept**; only the block → place map is recomputed. Restoring
+    ///   afterwards is block-by-block, but load may be imbalanced.
+    /// * `rebalance = true` (shrink-rebalance): the grid is recalculated for
+    ///   the new group size (preserving the blocks-per-place ratio), giving
+    ///   even load at the cost of an overlap-copy restore.
+    ///
+    /// A place that holds a block the new layout leaves on it keeps it,
+    /// contents and all; the others start zeroed, in the buffers of the
+    /// blocks the place gives up where their dimensions fit and nothing else
+    /// holds them. Call `restore_snapshot` to repopulate: it rewrites every
+    /// block but a read-only snapshot's kept block that the store still
+    /// holds as the entry's first replica. A block a place gives up that a
+    /// store holds — a read-only save's — lives on only there, uncopied.
+    /// Every old block, kept or given up, that a write copied away from a
+    /// value a store still holds is compared with that value here: a
+    /// read-only snapshot's restore refuses the object if one differs.
+    pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup, rebalance: bool) -> GmlResult<()> {
+        let layout = self.layout.remade(new_places, rebalance)?;
+        self.remake_onto(ctx, layout)
+    }
+
+    /// A remake's second step: move the blocks onto `layout`, a layout of
+    /// the same dimensions — for an aligned vector, the row layout of its
+    /// matrix — as [`remake`](Self::remake) says.
+    pub(crate) fn remake_onto(&mut self, ctx: &Ctx, layout: Layout) -> GmlResult<()> {
+        let (old_grid, grid) = (self.layout.grid.clone(), layout.grid.clone());
+        if (old_grid.rows(), old_grid.cols()) != (grid.rows(), grid.cols()) {
+            return Err(GmlError::shape("remake cannot change the dimensions"));
+        }
+        let plh = self.plh;
+        leave_group(ctx, plh, &self.layout.group, &layout.group)?;
+        let (dist, sparse) = (Arc::clone(&layout.dist), self.sparse);
+        let found = each_place(ctx, layout.group.iter().enumerate(), move |ctx, idx| {
+            let held = plh.local(ctx).ok();
+            let take = |set: &Mutex<BlockSet<T>>| std::mem::take(&mut *set.lock()).into_blocks();
+            let old = held.as_deref().map_or_else(Vec::new, take);
+            let changed = old.iter().find(|(_, b)| b.changed_from_held()).map(|&(id, _)| id as u64);
+            let (set, kept) = place_blocks((&grid, &dist, idx), (&old_grid, old), sparse);
+            match held {
+                Some(slot) => *slot.lock() = set,
+                None => plh.set_local(ctx, Mutex::new(set)),
+            }
+            Ok((kept, changed))
+        })?;
+        self.kept = found.iter().flat_map(|(kept, _)| kept.iter().copied()).collect();
+        self.changed = found.iter().find_map(|&(_, changed)| changed);
+        self.layout = layout;
+        Ok(())
+    }
 }
 
 impl DistBlockMatrix {
@@ -92,80 +410,19 @@ impl DistBlockMatrix {
             return Err(GmlError::shape("need at least one block per place in each dimension"));
         }
         let grid = Grid::partition(rows, cols, row_blocks, col_blocks);
-        let dist = Arc::new(block_cyclic(&grid, row_places, col_places));
-        let plh = Self::alloc(ctx, &grid, &dist, group, sparse)?;
-        Ok(DistBlockMatrix {
-            kept: HashSet::new(),
-            changed: None,
-            object_id: crate::fresh_object_id(),
-            grid,
-            dist,
-            row_places,
-            col_places,
-            row_blocks_per_place: row_blocks.div_ceil(row_places),
-            col_blocks_per_place: col_blocks.div_ceil(col_places),
-            group: group.clone(),
-            plh,
-            sparse,
-        })
-    }
-
-    /// Allocate empty block sets for a given grid/distribution.
-    fn alloc(
-        ctx: &Ctx,
-        grid: &Grid,
-        dist: &Arc<Vec<usize>>,
-        group: &PlaceGroup,
-        sparse: bool,
-    ) -> GmlResult<PlaceLocalHandle<Mutex<BlockSet>>> {
-        let grid = grid.clone();
-        let dist = Arc::clone(dist);
-        let group2 = group.clone();
-        Ok(PlaceLocalHandle::make(ctx, group, move |ctx| {
-            let spare = &mut BlockSet::new();
-            Mutex::new(Self::local_blocks(&grid, &dist, &group2, ctx.here(), sparse, spare))
-        })?)
-    }
-
-    /// Build the (zeroed) block set that `place` owns under a layout, in the
-    /// buffers of `spare`'s blocks where their dimensions fit.
-    fn local_blocks(
-        grid: &Grid,
-        dist: &[usize],
-        group: &PlaceGroup,
-        place: Place,
-        sparse: bool,
-        spare: &mut BlockSet,
-    ) -> BlockSet {
-        let mut set = BlockSet::new();
-        if let Some(idx) = group.index_of(place) {
-            for (bi, bj) in grid.block_iter() {
-                if dist[grid.block_id(bi, bj)] == idx {
-                    set.push(MatrixBlock::zeros_reusing(grid, bi, bj, sparse, spare));
-                }
-            }
-        }
-        set
+        let per_place = (row_blocks.div_ceil(row_places), col_blocks.div_ceil(col_places));
+        let layout = Layout::new(grid, (row_places, col_places), per_place, group);
+        Self::with_layout(ctx, layout, sparse)
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.grid.rows()
+        self.layout.grid.rows()
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.grid.cols()
-    }
-
-    /// The block partitioning.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
-    /// The place group this object is laid out over.
-    pub fn group(&self) -> &PlaceGroup {
-        &self.group
+        self.layout.grid.cols()
     }
 
     /// True for sparse payloads.
@@ -175,12 +432,12 @@ impl DistBlockMatrix {
 
     /// The group index owning block `(bi, bj)`.
     pub fn block_owner(&self, bi: usize, bj: usize) -> usize {
-        self.dist[self.grid.block_id(bi, bj)]
+        self.layout.dist[self.layout.grid.block_id(bi, bj)]
     }
 
     /// Number of blocks held by group index `idx` (load-balance metric).
     pub fn blocks_at(&self, idx: usize) -> usize {
-        self.dist.iter().filter(|&&o| o == idx).count()
+        self.layout.dist.iter().filter(|&&o| o == idx).count()
     }
 
     /// Fill the matrix: `f(bi, bj, r0, c0, rows, cols)` produces each
@@ -194,7 +451,7 @@ impl DistBlockMatrix {
             + 'static,
     {
         let plh = self.plh;
-        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let set = plh.local(ctx)?;
             let mut set = set.lock();
             for b in set.iter_mut() {
@@ -209,37 +466,30 @@ impl DistBlockMatrix {
         .map(drop)
     }
 
-    /// The segment layout a `DistVector` must have to receive `self * x`:
-    /// one segment per block row, co-located with that block row's blocks.
+    /// The layout a `DistVector` must have to receive `self * x`: an
+    /// `n × 1` grid cut at this matrix's block rows, each segment on the
+    /// place of its block row's blocks.
     ///
     /// Requires `col_places == 1` (all blocks of a block row on one place).
-    pub fn aligned_layout(&self) -> GmlResult<(Vec<usize>, Vec<usize>)> {
-        if self.col_places != 1 {
+    pub(crate) fn aligned_layout(&self) -> GmlResult<Layout> {
+        let l = &self.layout;
+        if l.col_places != 1 {
             return Err(GmlError::shape(
                 "row-aligned vectors require col_places == 1 (row-block distribution)",
             ));
         }
-        let splits = self.grid.row_splits().to_vec();
-        let owners = (0..self.grid.row_blocks())
-            .map(|bi| self.dist[self.grid.block_id(bi, 0)])
-            .collect();
-        Ok((splits, owners))
+        let grid = Grid::partition(self.rows(), 1, l.grid.row_blocks(), 1);
+        Ok(Layout::new(grid, (l.row_places, 1), (l.per_place.0, 1), &l.group))
     }
 
     /// Create a zero `DistVector` aligned with this matrix's block rows.
     pub fn make_aligned_vector(&self, ctx: &Ctx) -> GmlResult<DistVector> {
-        let (splits, owners) = self.aligned_layout()?;
-        DistVector::make_with_layout(ctx, splits, owners, &self.group)
+        DistVector::with_layout(ctx, self.aligned_layout()?, false)
     }
 
     /// True if `v` has the row-aligned layout of this matrix.
     pub fn is_aligned(&self, v: &DistVector) -> bool {
-        match self.aligned_layout() {
-            Ok((splits, owners)) => {
-                *v.splits == splits && *v.seg_owner == owners && v.group == self.group
-            }
-            Err(_) => false,
-        }
+        self.aligned_layout().is_ok_and(|l| l.rows_aligned(&v.layout))
     }
 
     /// `y = self * x` where `x` is duplicated and `y` is row-aligned with
@@ -254,7 +504,7 @@ impl DistBlockMatrix {
         let plh = self.plh;
         let ylh = y.plh;
         let xlh = x.handle();
-        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let set = plh.local(ctx)?;
             let set = set.lock();
             let ystore = ylh.local(ctx)?;
@@ -262,9 +512,9 @@ impl DistBlockMatrix {
             let xv = xlh.local(ctx)?;
             let xv = xv.lock();
             // Zero my segments, then accumulate block products.
-            ystore.fill(0.0);
+            ystore.iter_mut().for_each(|seg| seg.fill(0.0));
             for b in set.iter() {
-                let seg = ystore.get_mut(b.bi)?;
+                let seg = ystore.get_mut(b.bi).ok_or_else(|| missing(b.bi))?;
                 let xs = xv.segment(b.col_offset, b.cols());
                 b.data.gemv(1.0, xs, 1.0, seg.as_mut_slice());
             }
@@ -287,14 +537,14 @@ impl DistBlockMatrix {
         let plh = self.plh;
         let xlh = x.plh;
         let cols = self.cols();
-        let partials = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        let partials = each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let set = plh.local(ctx)?;
             let set = set.lock();
             let xstore = xlh.local(ctx)?;
             let xstore = xstore.lock();
             let mut partial = Vector::zeros(cols);
             for b in set.iter() {
-                let seg = xstore.get(b.bi)?;
+                let seg = xstore.get(b.bi).ok_or_else(|| missing(b.bi))?;
                 let yslice = &mut partial.as_mut_slice()[b.col_offset..b.col_offset + b.cols()];
                 b.data.gemv_trans(1.0, seg.as_slice(), 1.0, yslice);
             }
@@ -314,23 +564,11 @@ impl DistBlockMatrix {
         out.sync(ctx)
     }
 
-    /// The copyable handle naming every place's block set, for building
-    /// custom per-place collectives over them.
-    pub fn handle(&self) -> PlaceLocalHandle<Mutex<BlockSet>> {
-        self.plh
-    }
-
     /// True when `other` has the same row partitioning **and** the same
     /// block-row → place mapping (the precondition for local row-wise
     /// combined operations such as [`Self::gram_into`]).
     pub fn row_aligned_with(&self, other: &DistBlockMatrix) -> bool {
-        self.grid.row_splits() == other.grid.row_splits()
-            && self.group == other.group
-            && self.grid.col_blocks() == 1
-            && other.grid.col_blocks() == 1
-            && (0..self.grid.row_blocks()).all(|bi| {
-                self.dist[self.grid.block_id(bi, 0)] == other.dist[other.grid.block_id(bi, 0)]
-            })
+        self.layout.rows_aligned(&other.layout)
     }
 
     /// `out = selfᵀ × other` (the distributed Gram-style product): both
@@ -356,7 +594,7 @@ impl DistBlockMatrix {
         // both handles then name the same mutex, which must be locked once.
         let same = self.object_id == other.object_id;
         let (k1, k2) = (self.cols(), other.cols());
-        let partials = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        let partials = each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let sa = a.local(ctx)?;
             let sa = sa.lock();
             let mut acc = DenseMatrix::zeros(k1, k2);
@@ -424,7 +662,7 @@ impl DistBlockMatrix {
         let a = self.plh;
         let o = out.plh;
         let d = dup.handle();
-        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             // Materialise the effective operand once per place.
             let local = d.local(ctx)?;
             let local = local.lock();
@@ -481,7 +719,7 @@ impl DistBlockMatrix {
         }
         let a = self.plh;
         let b = other.plh;
-        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let sa = a.local(ctx)?;
             let mut sa = sa.lock();
             let sb = b.local(ctx)?;
@@ -503,7 +741,7 @@ impl DistBlockMatrix {
     /// `self *= alpha` applied block-wise at every place.
     pub fn scale(&self, ctx: &Ctx, alpha: f64) -> GmlResult<()> {
         let plh = self.plh;
-        each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let set = plh.local(ctx)?;
             let mut set = set.lock();
             for b in set.iter_mut() {
@@ -524,17 +762,16 @@ impl DistBlockMatrix {
     /// Squared Frobenius norm, reduced deterministically in block-id order.
     pub fn frobenius_norm_sq(&self, ctx: &Ctx) -> GmlResult<f64> {
         let plh = self.plh;
-        let grid = self.grid.clone();
-        let gathered = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        let gathered = each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let set = plh.local(ctx)?;
             let set = set.lock();
             let mut local = Vec::with_capacity(set.len());
-            for b in set.iter() {
+            for (id, b) in set.entries() {
                 let sq = match &b.data {
                     BlockData::Dense(d) => d.as_slice().iter().map(|v| v * v).sum::<f64>(),
                     BlockData::Sparse(s) => s.iter().map(|(_, _, v)| v * v).sum::<f64>(),
                 };
-                local.push((grid.block_id(b.bi, b.bj), sq));
+                local.push((id, sq));
             }
             ctx.record_bytes(16 * local.len());
             ctx.record_bytes_received(16 * local.len());
@@ -549,7 +786,7 @@ impl DistBlockMatrix {
     /// O(rows*cols) memory).
     pub fn gather_dense(&self, ctx: &Ctx) -> GmlResult<DenseMatrix> {
         let plh = self.plh;
-        let pieces = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        let pieces = each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
             let set = plh.local(ctx)?;
             let set = set.lock();
             let mut local = Vec::with_capacity(set.len());
@@ -569,86 +806,6 @@ impl DistBlockMatrix {
         Ok(out)
     }
 
-    /// Re-lay out over `new_places` (§IV-A2 / §V-B).
-    ///
-    /// * `rebalance = false` (shrink / replace-redundant): the **data grid
-    ///   is kept**; only the block → place map is recomputed. Restoring
-    ///   afterwards is block-by-block, but load may be imbalanced.
-    /// * `rebalance = true` (shrink-rebalance): the grid is recalculated for
-    ///   the new group size (preserving the blocks-per-place ratio), giving
-    ///   even load at the cost of an overlap-copy restore.
-    ///
-    /// A place that holds a block the new layout leaves on it keeps it,
-    /// contents and all; the others start zeroed, in the buffers of the
-    /// blocks the place gives up where their dimensions fit and nothing else
-    /// holds them. Call `restore_snapshot` to repopulate: it rewrites every
-    /// block but a read-only snapshot's kept block that the store still
-    /// holds as the entry's first replica. A block a place gives up that a
-    /// store holds — a read-only save's — lives on only there, uncopied.
-    /// Every old block, kept or given up, that a write copied away from a
-    /// value a store still holds is compared with that value here: a
-    /// read-only snapshot's restore refuses the matrix if one differs.
-    pub fn remake(&mut self, ctx: &Ctx, new_places: &PlaceGroup, rebalance: bool) -> GmlResult<()> {
-        if !new_places.len().is_multiple_of(self.col_places) {
-            return Err(GmlError::shape("new group size not divisible by col_places"));
-        }
-        let new_rp = new_places.len() / self.col_places;
-        let (new_grid, new_dist) = if rebalance {
-            let rb = (self.row_blocks_per_place * new_rp).min(self.rows()).max(new_rp);
-            let cb = (self.col_blocks_per_place * self.col_places).max(self.col_places);
-            let grid = Grid::partition(self.rows(), self.cols(), rb, cb);
-            let dist = block_cyclic(&grid, new_rp, self.col_places);
-            (grid, dist)
-        } else {
-            (self.grid.clone(), block_cyclic(&self.grid, new_rp, self.col_places))
-        };
-        let plh = self.plh;
-        leave_group(ctx, plh, &self.group, new_places)?;
-        let dist = Arc::new(new_dist);
-        let found = {
-            let (grid, old_grid) = (new_grid.clone(), self.grid.clone());
-            let dist = Arc::clone(&dist);
-            let sparse = self.sparse;
-            each_place(ctx, new_places.iter().enumerate(), move |ctx, idx| {
-                let held = plh.local(ctx).ok();
-                let into_blocks = |set: &Mutex<BlockSet>| std::mem::take(&mut *set.lock()).into_blocks();
-                let mut old = held.as_deref().map_or_else(Vec::new, into_blocks);
-                let changed = old.iter().find(|b| b.changed_from_held());
-                let changed = changed.map(|b| old_grid.block_id(b.bi, b.bj) as u64);
-                // This place's blocks in grid order, each the one it held
-                // over the same range if it did.
-                let mine = grid.block_iter().filter(|&(bi, bj)| dist[grid.block_id(bi, bj)] == idx);
-                let mut kept = Vec::new();
-                let slots: Vec<_> = mine
-                    .map(|(bi, bj)| {
-                        let same = (bi, bj, grid.block_range(bi, bj));
-                        let at = old.iter().position(|b| (b.bi, b.bj, b.global_range()) == same);
-                        let held = at.filter(|&at| old[at].is_held());
-                        kept.extend(held.map(|_| grid.block_id(bi, bj)));
-                        ((bi, bj), at.map(|at| old.swap_remove(at)))
-                    })
-                    .collect();
-                let mut spare = BlockSet::from_blocks(old);
-                let set = slots.into_iter().map(|((bi, bj), block)| {
-                    let zeros = |spare| Shared::new(MatrixBlock::zeros_reusing(&grid, bi, bj, sparse, spare));
-                    block.unwrap_or_else(|| zeros(&mut spare))
-                });
-                let set = BlockSet::from_blocks(set.collect());
-                match held {
-                    Some(slot) => *slot.lock() = set,
-                    None => plh.set_local(ctx, Mutex::new(set)),
-                }
-                Ok((kept, changed))
-            })?
-        };
-        self.kept = found.iter().flat_map(|(kept, _)| kept.iter().copied()).collect();
-        self.changed = found.iter().find_map(|&(_, changed)| changed);
-        self.grid = new_grid;
-        self.dist = dist;
-        self.row_places = new_rp;
-        self.group = new_places.clone();
-        Ok(())
-    }
 }
 
 /// How a duplicated dense operand participates in
@@ -692,129 +849,61 @@ fn gram_block_acc(a: &BlockData, b: &BlockData, acc: &mut DenseMatrix) -> GmlRes
 /// overlaps with each stored block it straddles.
 struct RestoreRequest {
     dest: Place,
-    bi: usize,
-    bj: usize,
-    parts: Vec<Overlap>,
     /// The block's id, under an unchanged grid its entry's key.
-    id: u64,
-}
-
-/// A stored block as its holder hands it out during a restore.
-enum StoredBlock {
-    /// A dense block stays the verified serialized payload it is: regions
-    /// are copied out of its f64 image at the destination.
-    Dense(Bytes),
-    /// Anything else is decoded, once.
-    Decoded(MatrixBlock),
-}
-
-/// One overlap on its way into a destination block.
-enum Piece {
-    /// The holder's dense payload, by refcount; the destination copies the
-    /// overlap's column runs out of it — the one copy of this transfer.
-    Dense(Bytes),
-    /// The overlap cut out of a decoded (sparse) block at the holder; the
-    /// whole block, moved, when the overlap is all of it.
-    Cut(BlockData),
-}
-
-impl Piece {
-    /// Bytes the overlap `ov` moves to its destination.
-    fn wire_len(&self, ov: &Overlap) -> usize {
-        match self {
-            Piece::Dense(_) => 8 * (ov.r1 - ov.r0) * (ov.c1 - ov.c0),
-            Piece::Cut(region) => region.payload_bytes(),
-        }
-    }
-
-    /// Write the overlap into `block`. A piece that is all of `block`
-    /// becomes its payload; a dense one is copied into the buffer `block`
-    /// already has.
-    fn paste_into(self, block: &mut MatrixBlock, ov: &Overlap) {
-        let (rows, cols) = (block.rows(), block.cols());
-        match self {
-            Piece::Dense(payload) => {
-                let src = DenseBlockWire::parse(&payload).expect("parsed at the holder");
-                if !matches!(block.data, BlockData::Dense(_)) {
-                    block.data = BlockData::Dense(DenseMatrix::zeros(rows, cols));
-                }
-                block.paste_dense_wire(&src, ov.r0, ov.r1, ov.c0, ov.c1);
-            }
-            Piece::Cut(region) if (region.rows(), region.cols()) == (rows, cols) => {
-                block.data = region;
-            }
-            Piece::Cut(region) => {
-                block.data.paste(ov.r0 - block.row_offset, ov.c0 - block.col_offset, &region);
-            }
-        }
-    }
+    id: usize,
+    /// The block's global origin.
+    origin: (usize, usize),
+    parts: Vec<Overlap>,
 }
 
 /// The holder's side of a restore, running at the holder: serve every
 /// request in `requests` from this place's replicas. Each stored block is
-/// fetched — digest-verified, and decoded unless dense — **once**, however
-/// many requests and overlaps read it; a request's pieces go to their
-/// destination block in one transfer (none when that block is here). With
-/// `rehold` each destination block is its read-only entry's block again,
-/// and the store holds it there as the entry's first replica.
-fn serve_restore(
+/// fetched — digest-verified, and kept in its holder's form
+/// ([`DistPayload::stored`]) — **once**, however many requests and overlaps
+/// read it; a request's pieces go to their destination block in one
+/// transfer (none when that block is here). With `rehold` each destination
+/// block is its read-only entry's block again, and the store holds it there
+/// as the entry's first replica.
+fn serve_restore<T: DistPayload>(
     ctx: &Ctx,
     store: &ResilientStore,
     snap: &Snapshot,
     old_grid: &Grid,
     rehold: bool,
-    plh: PlaceLocalHandle<Mutex<BlockSet>>,
+    plh: PlaceLocalHandle<Mutex<BlockSet<T>>>,
     requests: &[RestoreRequest],
 ) -> GmlResult<()> {
-    let key_of = |ov: &Overlap| old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
-    let mut stored: HashMap<u64, StoredBlock> = HashMap::new();
+    let mut stored: HashMap<u64, T::Stored> = HashMap::new();
     for req in requests {
         let mut pieces = Vec::with_capacity(req.parts.len());
         for ov in &req.parts {
-            let key = key_of(ov);
-            if let Entry::Vacant(slot) = stored.entry(key) {
-                let payload = snap.fetch(ctx, store, key)?;
-                slot.insert(match DenseBlockWire::parse(&payload) {
-                    Some(_) => StoredBlock::Dense(payload),
-                    None => StoredBlock::Decoded(ctx.decode(payload)),
-                });
-            }
-            // An overlap that is all of a stored block is that block's only
-            // reader (the restored layout's blocks are disjoint), so it may
-            // take a decoded block whole instead of copying out of it.
-            let whole = |b: &MatrixBlock| b.global_range() == (ov.r0, ov.r1, ov.c0, ov.c1);
-            let piece = match &stored[&key] {
-                StoredBlock::Dense(payload) => Piece::Dense(payload.clone()),
-                StoredBlock::Decoded(b) if whole(b) => match stored.remove(&key) {
-                    Some(StoredBlock::Decoded(b)) => Piece::Cut(b.data),
-                    _ => unreachable!("matched as decoded"),
-                },
-                StoredBlock::Decoded(b) => {
-                    Piece::Cut(b.sub_region_global(ov.r0, ov.r1, ov.c0, ov.c1))
-                }
+            let key = old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
+            let held = match stored.entry(key) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => slot.insert(T::stored(ctx, snap.fetch(ctx, store, key)?)),
             };
-            pieces.push((*ov, piece));
+            pieces.push((*ov, T::cut(held, ov, old_grid)));
         }
-        let (bi, bj, key) = (req.bi, req.bj, req.id);
+        let (id, origin) = (req.id, req.origin);
         let remote = req.dest != ctx.here();
-        let shipped: usize = pieces.iter().map(|(ov, piece)| piece.wire_len(ov)).sum();
+        let shipped: usize = pieces.iter().map(|(ov, piece)| T::wire_len(piece, ov)).sum();
         let (store, snap) = (store.clone(), snap.clone());
         let paste = move |ctx: &Ctx| -> GmlResult<()> {
             let set = plh.local(ctx)?;
             let mut set = set.lock();
             let block = set
-                .find_mut(bi, bj)
-                .ok_or_else(|| GmlError::data_loss(format!("block ({bi},{bj}) not allocated")))?;
+                .get_mut(id)
+                .ok_or_else(|| GmlError::data_loss(format!("block {id} not allocated")))?;
             for (ov, piece) in pieces {
-                piece.paste_into(block, &ov);
+                block.paste(piece, &ov, origin);
             }
             if remote {
                 ctx.record_bytes_received(shipped);
             }
-            if let Some(block) = set.iter_shared().find(|b| rehold && (b.bi, b.bj) == (bi, bj)) {
-                store.rehold(ctx, &snap, key, block)?;
+            match set.shared(id).filter(|_| rehold) {
+                Some(block) => store.rehold(ctx, &snap, id as u64, block),
+                None => Ok(()),
             }
-            Ok(())
         };
         if remote {
             ctx.record_bytes(shipped);
@@ -826,7 +915,7 @@ fn serve_restore(
     Ok(())
 }
 
-impl Snapshottable for DistBlockMatrix {
+impl<T: DistPayload> Snapshottable for Dist<T> {
     fn object_id(&self) -> u64 {
         self.object_id
     }
@@ -834,26 +923,25 @@ impl Snapshottable for DistBlockMatrix {
     fn make_snapshot(&self, ctx: &Ctx, store: &ResilientStore) -> GmlResult<Snapshot> {
         let _span = ctx.trace_span(SpanKind::SnapshotObj, self.object_id);
         let snap_id = store.fresh_snap_id();
-        let plh = self.plh;
-        let (group, store, grid) = (self.group.clone(), store.clone(), self.grid.clone());
-        let id = self.object_id;
-        let entries = each_place(ctx, self.group.iter().enumerate(), move |ctx, _| {
+        let (plh, id) = (self.plh, self.object_id);
+        let (group, store) = (self.layout.group.clone(), store.clone());
+        // A place that holds no block has nothing to capture.
+        let entries = each_place(ctx, self.layout.places(), move |ctx, _| {
             // Capture: hold every block under one short lock, then hand the
             // whole batch to the store — one backup transfer for the place
             // instead of one round trip per block.
             let parts: Vec<(u64, Held)> = {
                 let set = plh.local(ctx)?;
                 let set = set.lock();
-                let part = |b: &Shared<MatrixBlock>| (grid.block_id(b.bi, b.bj) as u64, store.part(id, b));
-                set.iter_shared().map(part).collect()
+                set.entries().map(|(key, b)| (key as u64, store.part(id, b))).collect()
             };
             store.save_local_parts(ctx, snap_id, &group, parts)
         })?;
         let mut desc = BytesMut::new();
-        self.grid.write(&mut desc);
+        self.layout.grid.write(&mut desc);
         desc.put_u8(self.sparse as u8);
-        let entries = entries.into_iter().flatten();
-        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, &self.group, desc.freeze(), entries))
+        let (entries, group) = (entries.into_iter().flatten(), &self.layout.group);
+        Ok(Snapshot::gathered(ctx, snap_id, self.object_id, group, desc.freeze(), entries))
     }
 
     fn restore_snapshot(
@@ -866,8 +954,9 @@ impl Snapshottable for DistBlockMatrix {
         let mut desc = snapshot.descriptor.clone();
         let old_grid = Grid::read(&mut desc);
         let was_sparse = desc.get_u8() != 0;
-        if (old_grid.rows(), old_grid.cols()) != (self.rows(), self.cols()) {
-            return Err(GmlError::shape("snapshot matrix dims mismatch"));
+        let grid = &self.layout.grid;
+        if (old_grid.rows(), old_grid.cols()) != (grid.rows(), grid.cols()) {
+            return Err(GmlError::shape("snapshot dims mismatch"));
         }
         if was_sparse != self.sparse {
             return Err(GmlError::shape("snapshot payload kind mismatch"));
@@ -885,17 +974,16 @@ impl Snapshottable for DistBlockMatrix {
         // away (without changing it: `remake` found none changed); a block
         // rebuilt is held again. Planned here, per holder; carried out by
         // the holders.
-        let same_grid = old_grid == self.grid;
-        let read_only = same_grid && snapshot.read_only;
+        let read_only = old_grid == *grid && snapshot.read_only;
         let mut plan: BTreeMap<Place, Vec<RestoreRequest>> = BTreeMap::new();
-        for (bi, bj) in self.grid.block_iter() {
-            let dest = self.group.place(self.block_owner(bi, bj));
-            let id = self.grid.block_id(bi, bj);
+        for (bi, bj) in grid.block_iter() {
+            let id = grid.block_id(bi, bj);
+            let dest = self.layout.group.place(self.layout.dist[id]);
             if read_only && self.kept.contains(&id) {
                 continue;
             }
             let mut by_holder: BTreeMap<Place, Vec<Overlap>> = BTreeMap::new();
-            for ov in self.grid.overlaps(&old_grid, bi, bj) {
+            for ov in grid.overlaps(&old_grid, bi, bj) {
                 let key = old_grid.block_id(ov.old_bi, ov.old_bj) as u64;
                 let loc = snapshot.entry(key)?;
                 // The destination's own replica if it has one, else the
@@ -910,9 +998,10 @@ impl Snapshottable for DistBlockMatrix {
                     .ok_or_else(|| GmlError::data_loss(format!("block {key}: no live replica")))?;
                 by_holder.entry(holder).or_default().push(ov);
             }
+            let (r0, _, c0, _) = grid.block_range(bi, bj);
             for (holder, parts) in by_holder {
-                let id = id as u64;
-                plan.entry(holder).or_default().push(RestoreRequest { dest, bi, bj, parts, id });
+                let request = RestoreRequest { dest, id, origin: (r0, c0), parts };
+                plan.entry(holder).or_default().push(request);
             }
         }
         let (holders, requests): (Vec<Place>, Vec<Vec<RestoreRequest>>) = plan.into_iter().unzip();
@@ -1417,11 +1506,10 @@ mod tests {
             let g = ctx.world();
             let m = DistBlockMatrix::make(ctx, 8, 4, 2, 1, 2, 1, &g, false).unwrap();
             let x = DupVector::make(ctx, 4, &g).unwrap();
-            let bad = DistVector::make(ctx, 8, &g).unwrap(); // default layout ≠ aligned? (here equal sizes but owners match)
-            // Construct a genuinely misaligned vector.
-            let bad2 = DistVector::make_with_layout(ctx, vec![0, 1, 8], vec![0, 1], &g).unwrap();
-            assert!(m.mult(ctx, &bad2, &x).is_err());
-            let _ = bad;
+            // Four segments where the matrix has two block rows.
+            let other = DistBlockMatrix::make(ctx, 8, 1, 4, 1, 2, 1, &g, false).unwrap();
+            let bad = other.make_aligned_vector(ctx).unwrap();
+            assert!(m.mult(ctx, &bad, &x).is_err());
         });
     }
 }

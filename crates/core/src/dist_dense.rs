@@ -39,7 +39,7 @@ impl BlockKind for SparseCSR {
 /// A matrix row-partitioned with exactly one block per place, its blocks
 /// of kind `T`.
 pub struct DistMatrix<T> {
-    inner: DistBlockMatrix,
+    pub(crate) inner: DistBlockMatrix,
     kind: PhantomData<T>,
 }
 
@@ -90,6 +90,11 @@ impl<T: BlockKind> DistMatrix<T> {
     /// A row-aligned output vector for `mult`.
     pub fn make_aligned_vector(&self, ctx: &Ctx) -> GmlResult<DistVector> {
         self.inner.make_aligned_vector(ctx)
+    }
+
+    /// True if `v` has the row-aligned layout of this matrix.
+    pub fn is_aligned(&self, v: &DistVector) -> bool {
+        self.inner.is_aligned(v)
     }
 
     /// Gather as a single dense matrix (testing aid; O(rows*cols)).

@@ -16,11 +16,15 @@
 //! | Matrix | [`DupDenseMatrix`] | [`DistBlockMatrix`], [`DistDenseMatrix`], [`DistSparseMatrix`] |
 //!
 //! Each twin is one type: [`DupVector`] and [`DupDenseMatrix`] are the
-//! generic duplicated object [`Dup`] over a vector and a dense matrix, and
-//! [`DistDenseMatrix`] and [`DistSparseMatrix`] the one-block-per-place
-//! [`DistMatrix`] over dense and sparse blocks, a `DistBlockMatrix` inside.
-//! The `handle()` of a duplicated object or a `DistBlockMatrix`, for
-//! app-defined collectives, is its [`apgas::PlaceLocalHandle`].
+//! generic duplicated object [`Dup`] over a vector and a dense matrix;
+//! [`DistVector`] and [`DistBlockMatrix`] the generic block-distributed
+//! object [`Dist`] over vector segments and matrix blocks — a vector is a
+//! one-column block layout, laid out, remade, saved and restored by the
+//! matrix's code; and [`DistDenseMatrix`] and [`DistSparseMatrix`] the
+//! one-block-per-place [`DistMatrix`] over dense and sparse blocks, a
+//! `DistBlockMatrix` inside. The `handle()` of a duplicated or a
+//! block-distributed object, for app-defined collectives, is its
+//! [`apgas::PlaceLocalHandle`].
 //!
 //! plus the resilience machinery: [`Snapshottable`], [`ResilientStore`],
 //! [`AppResilientStore`], [`ResilientExecutor`] and [`RestoreMode`], and
@@ -46,7 +50,7 @@ pub use app_state::AppState;
 pub use app_store::AppResilientStore;
 pub use codec::CodecSnapshot;
 pub use collective::each_place;
-pub use dist_block_matrix::{DistBlockMatrix, DupOperand};
+pub use dist_block_matrix::{Dist, DistBlockMatrix, DistPayload, DupOperand};
 pub use dist_dense::{DistDenseMatrix, DistMatrix, DistSparseMatrix};
 pub use dist_vector::DistVector;
 pub use dup_vector::{Dup, DupDenseMatrix, DupVector};

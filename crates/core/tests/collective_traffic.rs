@@ -217,10 +217,11 @@ fn dist_sparse_snapshot_ships_each_block_to_the_next_place() {
 #[test]
 fn dist_vector_make_snapshot_skips_places_without_segments() {
     on_four_places(|ctx| {
-        let g = ctx.world();
+        // Three segments of 4 over three of the four places: place 3 holds
+        // nothing.
+        let g = PlaceGroup::first(3);
         let store = ResilientStore::make(ctx).unwrap();
-        // Three segments of 4 over four places: place 3 holds nothing.
-        let v = DistVector::make_with_layout(ctx, vec![0, 4, 8, 12], vec![0, 1, 2], &g).unwrap();
+        let v = DistVector::make(ctx, 12, &g).unwrap();
         v.init(ctx, |i| i as f64).unwrap();
         let mut snap = None;
         let d = delta(ctx, || snap = Some(v.make_snapshot(ctx, &store).unwrap()));
@@ -235,7 +236,7 @@ fn dist_vector_make_snapshot_skips_places_without_segments() {
         for (key, owner) in [(0, 0), (1, 1), (2, 2)] {
             let loc = snap.entry(key).unwrap();
             assert_eq!(loc.owner, g.place(owner));
-            assert_eq!(loc.backup, g.place(owner + 1), "backup = next place of the group");
+            assert_eq!(loc.backup, g.place((owner + 1) % 3), "backup = next place of the group");
             assert_eq!(loc.len as u64, vector_wire(4));
         }
     });

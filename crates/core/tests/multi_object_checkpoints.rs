@@ -219,3 +219,95 @@ fn dup_dense_participates_in_mult_pipelines() {
     })
     .unwrap();
 }
+
+/// A block matrix and a one-block-per-place matrix, each with a vector made
+/// by its `make_aligned_vector` and declared `aligned` to it.
+struct AlignedPairs {
+    block: DistBlockMatrix,
+    y: DistVector,
+    one_block: DistDenseMatrix,
+    z: DistVector,
+}
+
+impl ResilientIterativeApp for AlignedPairs {
+    fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+        iteration >= 1
+    }
+
+    fn step(&mut self, _ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
+        Ok(())
+    }
+
+    fn state(&mut self) -> AppState<'_> {
+        AppState::default()
+            .read_only("block", &mut self.block)
+            .mutable("y", &mut self.y)
+            .aligned("block")
+            .read_only("one_block", &mut self.one_block)
+            .mutable("z", &mut self.z)
+            .aligned("one_block")
+    }
+}
+
+/// A vector aligned to a matrix follows it through every restore mode: to
+/// the block matrix's kept grid under shrink and replace-redundant and its
+/// re-cut one under shrink-rebalance, and to the one-block-per-place
+/// matrix's grid, which every restore re-cuts. Each is still aligned with
+/// its matrix afterwards, holds its values, and takes the matrix's `mult`.
+#[test]
+fn aligned_vectors_follow_their_matrices_through_every_restore_mode() {
+    for (mode, spares) in [
+        (RestoreMode::Shrink, 0usize),
+        (RestoreMode::ShrinkRebalance, 0),
+        (RestoreMode::ReplaceRedundant, 1),
+    ] {
+        Runtime::run(RuntimeConfig::new(4).spares(spares).resilient(true), move |ctx| {
+            let world = ctx.world();
+            // Two row blocks per place: a shrink keeps the eight blocks over
+            // three places, a rebalance re-cuts them into six.
+            let block = DistBlockMatrix::make(ctx, 24, 5, 8, 1, 4, 1, &world, false).unwrap();
+            block
+                .init_with(ctx, |_, _, r0, c0, r, c| {
+                    BlockData::Dense(builder::random_dense(r, c, (r0 * 7 + c0) as u64))
+                })
+                .unwrap();
+            let one_block = DistDenseMatrix::make(ctx, 22, 5, &world).unwrap();
+            one_block.init(ctx, |r, c| (r * 5 + c) as f64 * 0.25).unwrap();
+            let y = block.make_aligned_vector(ctx).unwrap();
+            y.init(ctx, |i| i as f64).unwrap();
+            let z = one_block.make_aligned_vector(ctx).unwrap();
+            z.init(ctx, |i| -(i as f64)).unwrap();
+            let values = (y.gather(ctx).unwrap(), z.gather(ctx).unwrap());
+            let mut app = AlignedPairs { block, y, one_block, z };
+            let mut store = AppResilientStore::make(ctx).unwrap();
+            app.checkpoint(ctx, &mut store).unwrap();
+
+            let dead = [Place::new(2)];
+            ctx.kill_place(dead[0]).unwrap();
+            let (group, rebalance) = match mode {
+                RestoreMode::Shrink => (world.without(&dead), false),
+                RestoreMode::ShrinkRebalance => (world.without(&dead), true),
+                _ => (world.replace(&dead, &ctx.live_spares()).unwrap(), false),
+            };
+            app.restore(ctx, &group, &mut store, 0, rebalance).unwrap();
+            let row_blocks = if rebalance { 6 } else { 8 };
+            assert_eq!(app.block.grid().row_blocks(), row_blocks, "{mode:?}");
+            assert_eq!(app.one_block.grid().row_blocks(), group.len(), "{mode:?}");
+            assert!(app.block.is_aligned(&app.y), "{mode:?}: y left its matrix");
+            assert!(app.one_block.is_aligned(&app.z), "{mode:?}: z left its matrix");
+            let restored = (app.y.gather(ctx).unwrap(), app.z.gather(ctx).unwrap());
+            assert_eq!(restored, values, "{mode:?}");
+
+            let x = DupVector::make(ctx, 5, &group).unwrap();
+            x.init(ctx, |i| 1.0 + i as f64).unwrap();
+            let xv = x.read_local(ctx).unwrap();
+            app.block.mult(ctx, &app.y, &x).unwrap();
+            app.one_block.mult(ctx, &app.z, &x).unwrap();
+            let y_expect = app.block.gather_dense(ctx).unwrap().mult_vec(&xv);
+            let z_expect = app.one_block.gather_dense(ctx).unwrap().mult_vec(&xv);
+            assert!(app.y.gather(ctx).unwrap().max_abs_diff(&y_expect) < 1e-10, "{mode:?}");
+            assert!(app.z.gather(ctx).unwrap().max_abs_diff(&z_expect) < 1e-10, "{mode:?}");
+        })
+        .unwrap();
+    }
+}

@@ -171,17 +171,17 @@ impl MatrixBlock {
         bi: usize,
         bj: usize,
         sparse: bool,
-        spare: &mut BlockSet,
+        spare: &mut Vec<Shared<MatrixBlock>>,
     ) -> Self {
         let dims = grid.block_dims(bi, bj);
         let fits = |b: &MatrixBlock| {
             matches!(b.data, BlockData::Dense(_)) && (b.rows(), b.cols()) == dims
         };
         let free = |b: &Shared<MatrixBlock>| fits(b) && !b.is_held();
-        let Some(at) = spare.blocks.iter().position(free).filter(|_| !sparse) else {
+        let Some(at) = spare.iter().position(free).filter(|_| !sparse) else {
             return MatrixBlock::zeros(grid, bi, bj, sparse);
         };
-        let mut block = spare.blocks.swap_remove(at).into_inner();
+        let mut block = spare.swap_remove(at).into_inner();
         let (r0, _, c0, _) = grid.block_range(bi, bj);
         (block.bi, block.bj, block.row_offset, block.col_offset) = (bi, bj, r0, c0);
         if let BlockData::Dense(d) = &mut block.data {
@@ -310,24 +310,31 @@ impl Serial for MatrixBlock {
     }
 }
 
-/// The blocks one place holds, each in a [`Shared`]: a checkpoint capture
-/// takes a handle on each, and [`iter_mut`](Self::iter_mut) /
-/// [`find_mut`](Self::find_mut) copy a block before writing it only while
-/// such a handle is still alive.
-#[derive(Debug, Default, PartialEq)]
-pub struct BlockSet {
-    blocks: Vec<Shared<MatrixBlock>>,
+/// The blocks one place holds — a matrix's [`MatrixBlock`]s or a vector's
+/// segments — each with its id in the owning grid and in a [`Shared`]: a
+/// checkpoint capture takes a handle on each, and
+/// [`iter_mut`](Self::iter_mut) / [`get_mut`](Self::get_mut) copy a block
+/// before writing it only while such a handle is still alive.
+#[derive(Debug, PartialEq)]
+pub struct BlockSet<T = MatrixBlock> {
+    blocks: Vec<(usize, Shared<T>)>,
 }
 
-impl BlockSet {
-    /// Create a new instance.
-    pub fn new() -> Self {
+impl<T> Default for BlockSet<T> {
+    fn default() -> Self {
         BlockSet { blocks: Vec::new() }
     }
+}
 
-    /// Build from an explicit list of blocks' cells: a held block stays
+impl<T> BlockSet<T> {
+    /// Create a new instance.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Build from an explicit list of `(id, cell)` pairs: a held block stays
     /// held.
-    pub fn from_blocks(blocks: Vec<Shared<MatrixBlock>>) -> Self {
+    pub fn from_blocks(blocks: Vec<(usize, Shared<T>)>) -> Self {
         BlockSet { blocks }
     }
 
@@ -341,26 +348,61 @@ impl BlockSet {
         self.blocks.is_empty()
     }
 
-    /// Add a block to the set.
-    pub fn push(&mut self, b: MatrixBlock) {
-        self.blocks.push(Shared::new(b));
+    /// Add block `id` to the set.
+    pub fn push(&mut self, id: usize, b: T) {
+        self.blocks.push((id, Shared::new(b)));
     }
 
     /// Iterate over the blocks.
-    pub fn iter(&self) -> impl Iterator<Item = &MatrixBlock> {
-        self.blocks.iter().map(|b| &**b)
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.blocks.iter().map(|(_, b)| &**b)
     }
 
     /// Iterate over the blocks' cells, for a capture to take handles on.
-    pub fn iter_shared(&self) -> impl Iterator<Item = &Shared<MatrixBlock>> {
-        self.blocks.iter()
+    pub fn iter_shared(&self) -> impl Iterator<Item = &Shared<T>> {
+        self.blocks.iter().map(|(_, b)| b)
     }
 
+    /// Iterate over the blocks' ids and cells.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, &Shared<T>)> {
+        self.blocks.iter().map(|(id, b)| (*id, b))
+    }
+
+    /// Block `id`'s cell.
+    pub fn shared(&self, id: usize) -> Option<&Shared<T>> {
+        self.entries().find(|&(at, _)| at == id).map(|(_, b)| b)
+    }
+
+    /// Block `id`.
+    pub fn get(&self, id: usize) -> Option<&T> {
+        self.shared(id).map(|b| &**b)
+    }
+
+    /// The blocks' `(id, cell)` pairs, moved out: a held block stays held,
+    /// and nothing is copied.
+    pub fn into_blocks(self) -> Vec<(usize, Shared<T>)> {
+        self.blocks
+    }
+}
+
+impl<T: Clone> BlockSet<T> {
     /// Iterate mutably over the blocks.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut MatrixBlock> {
-        self.blocks.iter_mut().map(|b| &mut **b)
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.entries_mut().map(|(_, b)| b)
     }
 
+    /// Iterate mutably over the blocks, with their ids.
+    pub fn entries_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
+        self.blocks.iter_mut().map(|(id, b)| (*id, &mut **b))
+    }
+
+    /// Block `id`, mutably.
+    pub fn get_mut(&mut self, id: usize) -> Option<&mut T> {
+        self.blocks.iter_mut().find(|(at, _)| *at == id).map(|(_, b)| &mut **b)
+    }
+}
+
+impl BlockSet {
     /// Find the block at grid position `(bi, bj)`.
     pub fn find(&self, bi: usize, bj: usize) -> Option<&MatrixBlock> {
         self.iter().find(|b| b.bi == bi && b.bj == bj)
@@ -368,24 +410,12 @@ impl BlockSet {
 
     /// Find the block at grid position `(bi, bj)`, mutably.
     pub fn find_mut(&mut self, bi: usize, bj: usize) -> Option<&mut MatrixBlock> {
-        let at = self.blocks.iter().position(|b| b.bi == bi && b.bj == bj)?;
-        Some(&mut *self.blocks[at])
-    }
-
-    /// The blocks' cells, moved out: a held block stays held, and nothing
-    /// is copied.
-    pub fn into_blocks(self) -> Vec<Shared<MatrixBlock>> {
-        self.blocks
+        self.blocks.iter_mut().find(|(_, b)| b.bi == bi && b.bj == bj).map(|(_, b)| &mut **b)
     }
 
     /// Total payload bytes across all blocks (checkpoint sizing).
     pub fn payload_bytes(&self) -> usize {
         self.iter().map(|b| b.data.payload_bytes()).sum()
-    }
-
-    /// Remove all blocks.
-    pub fn clear(&mut self) {
-        self.blocks.clear();
     }
 }
 
@@ -498,9 +528,8 @@ mod tests {
     #[test]
     fn zeros_reusing_takes_over_a_matching_dense_buffer() {
         let g = Grid::partition(8, 4, 2, 1);
-        let mut spare = BlockSet::new();
-        spare.push(dense_block(&g, 0, 0));
-        let held = match &spare.find(0, 0).expect("pushed").data {
+        let mut spare = vec![Shared::new(dense_block(&g, 0, 0))];
+        let held = match &spare[0].data {
             BlockData::Dense(d) => d.as_slice().as_ptr(),
             BlockData::Sparse(_) => unreachable!(),
         };
@@ -511,7 +540,7 @@ mod tests {
         assert!(spare.is_empty());
         // Nothing that fits: other dimensions, or a sparse block wanted.
         let other = Grid::partition(8, 4, 4, 1);
-        spare.push(dense_block(&g, 0, 0));
+        spare.push(Shared::new(dense_block(&g, 0, 0)));
         assert_eq!(
             MatrixBlock::zeros_reusing(&other, 2, 0, false, &mut spare),
             MatrixBlock::zeros(&other, 2, 0, false)
@@ -523,7 +552,7 @@ mod tests {
         assert_eq!(spare.len(), 1);
         // Nor a block something else still holds: its buffer is not this
         // place's to reuse.
-        let held = spare.iter_shared().next().expect("left").held();
+        let held = spare[0].held();
         assert_eq!(
             MatrixBlock::zeros_reusing(&g, 1, 0, false, &mut spare),
             MatrixBlock::zeros(&g, 1, 0, false)
@@ -563,8 +592,8 @@ mod tests {
     fn block_set_find_and_metrics() {
         let g = Grid::partition(8, 8, 2, 2);
         let mut set = BlockSet::new();
-        set.push(dense_block(&g, 0, 0));
-        set.push(dense_block(&g, 1, 1));
+        set.push(0, dense_block(&g, 0, 0));
+        set.push(3, dense_block(&g, 1, 1));
         assert_eq!(set.len(), 2);
         assert!(set.find(0, 0).is_some());
         assert!(set.find(0, 1).is_none());
@@ -572,6 +601,8 @@ mod tests {
         set.find_mut(1, 1).expect("present").data =
             BlockData::Dense(DenseMatrix::zeros(4, 4));
         assert_eq!(set.find(1, 1).expect("present").data.to_dense(), DenseMatrix::zeros(4, 4));
+        assert_eq!(set.get(3), set.find(1, 1));
+        assert!(set.get(1).is_none() && set.get_mut(1).is_none());
     }
 
     #[test]

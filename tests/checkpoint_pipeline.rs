@@ -80,7 +80,7 @@ fn backup_killed_mid_batch_aborts_checkpoint_atomically() {
 
         // The committed snapshot is still fully restorable on the survivors.
         let survivors = world.without(&[Place::new(1)]);
-        dv.remake(ctx, &survivors).unwrap();
+        dv.remake(ctx, &survivors, false).unwrap();
         dup.remake(ctx, &survivors).unwrap();
         store.restore(ctx, &mut [&mut dv, &mut dup]).unwrap();
         let v = dv.gather(ctx).unwrap();
@@ -269,7 +269,7 @@ fn owner_killed_after_commit_restores_from_the_backup_copy(form: Form) {
 
             if kill_owner {
                 ctx.kill_place(Place::new(2)).unwrap();
-                dv.remake(ctx, &world.without(&[Place::new(2)])).unwrap();
+                dv.remake(ctx, &world.without(&[Place::new(2)]), false).unwrap();
             } else {
                 dv.for_each_segment(ctx, |_, _, seg| seg.as_mut_slice().fill(0.0)).unwrap();
             }
@@ -329,7 +329,7 @@ fn backup_killed_mid_ship_aborts_atomically(form: Form) {
         assert_eq!(inventory_fingerprint(ctx, &store), baseline, "partial epoch left behind");
         assert_all_of_form(ctx, &store, form);
         assert_eq!(store.snapshot_iteration(), Some(0));
-        dv.remake(ctx, &world.without(&[Place::new(1)])).unwrap();
+        dv.remake(ctx, &world.without(&[Place::new(1)]), false).unwrap();
         store.restore(ctx, &mut [&mut dv]).unwrap();
         let v = dv.gather(ctx).unwrap();
         assert!((0..4_096).all(|i| v.get(i) == form.value(i, 0)));

@@ -106,8 +106,10 @@ fn store_ledger_reconciles_with_inventory_through_lifecycle() {
 
         // The next checkpoint, on the survivors, retires the repaired
         // generation whole — the copies the repair placed included.
+        // Re-cut for the three survivors (a shrink without rebalance would
+        // keep four segments, one survivor holding two).
         let survivors = world.without(&[Place::new(2)]);
-        dv.remake(ctx, &survivors).unwrap();
+        dv.remake(ctx, &survivors, true).unwrap();
         noisy.remake(ctx, &survivors).unwrap();
         store.restore(ctx, &mut [&mut dv, &mut noisy]).unwrap();
         store.set_current_iteration(2);

@@ -9,7 +9,9 @@
 use proptest::prelude::*;
 
 use apgas::runtime::{Runtime, RuntimeConfig};
-use resilient_gml::core::{DistBlockMatrix, DistVector, ResilientStore, Snapshottable};
+use resilient_gml::core::{
+    AppResilientStore, DistBlockMatrix, DistVector, ResilientStore, Snapshottable,
+};
 use resilient_gml::matrix::{builder, BlockData, Grid};
 
 fn dense_fill(r0: usize, c0: usize, rows: usize, cols: usize) -> BlockData {
@@ -62,27 +64,55 @@ proptest! {
         .unwrap();
     }
 
-    /// DistVector restore across arbitrary relayouts (same total length).
+    /// DistVector restore after a shrink, under both `rebalance` values: a
+    /// vector is remade by the matrix's rule. Re-cut, its segments are
+    /// rebuilt from their overlaps; not re-cut, it keeps its segments,
+    /// re-mapped block-cyclically over the survivors. Then a survivor keeps,
+    /// contents and all, every segment it is mapped again, and the restore
+    /// of its read-only snapshot fetches only the segments that moved — the
+    /// dead place's, and those the new map moved between survivors.
     #[test]
     fn dist_vector_relayout_restore(
         places in 2usize..5,
         len in 4usize..60,
         victim_idx in 1usize..4,
+        rebalance in any::<bool>(),
     ) {
         let victim_idx = victim_idx.min(places - 1).max(1);
         Runtime::run(RuntimeConfig::new(places).resilient(true), move |ctx| {
             let world = ctx.world();
-            let store = ResilientStore::make(ctx).unwrap();
+            let mut store = AppResilientStore::make(ctx).unwrap();
             let mut v = DistVector::make(ctx, len, &world).unwrap();
             v.init(ctx, |i| (i as f64).sin()).unwrap();
             let reference = v.gather(ctx).unwrap();
-            let snap = v.make_snapshot(ctx, &store).unwrap();
+            store.start_new_snapshot();
+            store.save_read_only(ctx, &v).unwrap();
+            store.commit(ctx).unwrap();
+            let before: Vec<_> = (0..places).map(|s| (v.seg_range(s), v.seg_place(s))).collect();
 
             let victim = world.place(victim_idx);
             ctx.kill_place(victim).unwrap();
             let survivors = world.without(&[victim]);
-            v.remake(ctx, &survivors).unwrap();
-            v.restore_snapshot(ctx, &store, &snap).unwrap();
+            v.remake(ctx, &survivors, rebalance).unwrap();
+            let reads = store.store().payloads_handed_out();
+            if rebalance {
+                assert_eq!(v.num_segments(), places - 1, "re-cut for the survivors");
+                store.restore(ctx, &mut [&mut v]).unwrap();
+            } else {
+                let kept = v.gather(ctx).unwrap();
+                let mut moved = 0;
+                for (s, &((lo, hi), place)) in before.iter().enumerate() {
+                    assert_eq!(v.seg_range(s), (lo, hi), "the same segments");
+                    let stays = v.seg_place(s) == place;
+                    assert!(stays || v.seg_place(s) != victim);
+                    moved += u64::from(!stays);
+                    for i in lo..hi {
+                        assert_eq!(kept.get(i), if stays { reference.get(i) } else { 0.0 });
+                    }
+                }
+                store.restore(ctx, &mut [&mut v]).unwrap();
+                assert_eq!(store.store().payloads_handed_out() - reads, moved, "moved segments only");
+            }
             assert_eq!(v.gather(ctx).unwrap(), reference);
         })
         .unwrap();
