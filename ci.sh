@@ -77,6 +77,12 @@ cargo test -q --test mem_plane a_capture_serializes_nothing -- --exact > /dev/nu
 cargo test -q --test mem_plane a_read_only_object_is_stored_once -- --exact > /dev/null
 # A packed frame is made from its value: framing PageRank's per-place block lifts the heap's peak by under a quarter of it.
 cargo test -q --test mem_plane a_packed_frame_is_made_from_its_value -- --exact > /dev/null
+# Survivors keep their blocks: a shrink leaves each survivor's blocks and buffers in place and sends each lost one to the least-loaded survivor.
+cargo test -q -p gml-core --lib \
+    dist_block_matrix::tests::a_shrink_keeps_every_survivors_blocks_and_sends_the_lost_to_the_least_loaded \
+    -- --exact > /dev/null
+# A shrink rebuilds only the dead place's block: its kill, restore and repair lift the heap's peak by under a quarter block.
+cargo test -q --test mem_plane a_shrink_rebuilds_only_the_dead_places_block -- --exact > /dev/null
 # The same for the workloads' inputs: every synthetic row builder writes its
 # block straight into CSR, and the result must equal, bit for bit, a
 # transcription of the triplet builders it replaced (per-column dedup,

@@ -9,10 +9,14 @@
 //! **re-mapping the same blocks** among the survivors with no
 //! repartitioning (shrink mode, Fig 1-b) — or the data grid can be
 //! recalculated for even load (shrink-rebalance, Fig 1-c) at the price of a
-//! sub-block overlap-copy restore. The layout, the remake, the capture and
-//! the restore planner are written once, for every payload
-//! ([`DistPayload`]): a matrix's blocks and a vector's segments are laid
-//! out, remade, saved and restored by the same code.
+//! sub-block overlap-copy restore. The re-map moves only what the failure
+//! took: every survivor keeps its blocks, and each of the dead place's goes
+//! to the survivor holding the fewest, a tie to the dead place's successor,
+//! which holds its backup frame — not GML's block-cyclic re-map over the
+//! survivors, which moves blocks between live places too. The layout, the
+//! remake, the capture and the restore planner are written once, for every
+//! payload ([`DistPayload`]): a matrix's blocks and a vector's segments are
+//! laid out, remade, saved and restored by the same code.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -178,15 +182,15 @@ fn block_cyclic(grid: &Grid, rp: usize, cp: usize) -> Vec<usize> {
     dist
 }
 
-/// Where a [`Dist`]'s blocks are: its grid, each block at the group index
+/// Where a [`Dist`]'s blocks are: its grid, each block at a group index —
 /// the block-cyclic map over a `row_places × col_places` place grid drawn
-/// from `group` gives it.
+/// from `group` when it is made or re-cut, and what a shrink or a
+/// replacement leaves of that map ([`Layout::remade`]) afterwards.
 #[derive(Clone)]
 pub(crate) struct Layout {
     pub(crate) grid: Grid,
     /// Block id → group index.
     pub(crate) dist: Arc<Vec<usize>>,
-    row_places: usize,
     col_places: usize,
     /// Blocks per place row and per place column, fixed at `make` time: a
     /// rebalance keeps this ratio when it re-cuts the grid.
@@ -202,28 +206,63 @@ impl Layout {
         group: &PlaceGroup,
     ) -> Self {
         let dist = Arc::new(block_cyclic(&grid, row_places, col_places));
-        Layout { grid, dist, row_places, col_places, per_place, group: group.clone() }
+        Layout { grid, dist, col_places, per_place, group: group.clone() }
     }
 
-    /// The layout over `new_places` (§IV-A2 / §V-B): with `rebalance` false
-    /// (shrink, replace-redundant) the **data grid is kept** and only the
-    /// block → place map is recomputed; with `rebalance` true
+    /// The layout over `new_places` (§IV-A2 / §V-B): with `rebalance` true
     /// (shrink-rebalance) the grid is recalculated for the new group size,
-    /// preserving the blocks-per-place ratio.
+    /// preserving the blocks-per-place ratio, and laid out block-cyclically;
+    /// with `rebalance` false (shrink, replace-redundant) the **data grid is
+    /// kept** and so is every block whose place is in `new_places`
+    /// ([`Layout::kept_on`]).
     fn remade(&self, new_places: &PlaceGroup, rebalance: bool) -> GmlResult<Layout> {
         let cp = self.col_places;
         if !new_places.len().is_multiple_of(cp) {
             return Err(GmlError::shape("new group size not divisible by col_places"));
         }
         let rp = new_places.len() / cp;
+        if !rebalance {
+            let dist = Arc::new(self.kept_on(new_places));
+            return Ok(Layout { dist, group: new_places.clone(), ..self.clone() });
+        }
         let (rows, cols) = (self.grid.rows(), self.grid.cols());
-        let grid = if rebalance {
-            let rb = (self.per_place.0 * rp).min(rows).max(rp);
-            Grid::partition(rows, cols, rb, (self.per_place.1 * cp).max(cp))
-        } else {
-            self.grid.clone()
-        };
+        let rb = (self.per_place.0 * rp).min(rows).max(rp);
+        let grid = Grid::partition(rows, cols, rb, (self.per_place.1 * cp).max(cp));
         Ok(Layout::new(grid, (rp, cp), self.per_place, new_places))
+    }
+
+    /// The block → group-index map over `new_places` in which survivors keep
+    /// their blocks. A block whose place is in `new_places` stays there. A
+    /// lost block goes to the place that took its group index where one
+    /// did (replace-redundant); else — a shrink — to the place holding the
+    /// fewest blocks, a tie to the first of the survivors in ring order from
+    /// the dead place's successor, which holds the lost blocks' backup
+    /// frames, and then of the places new to the group. The lost blocks of
+    /// one block row move together, so a row stays on one place (what an
+    /// aligned vector needs). Unlike GML's block-cyclic remake, nothing
+    /// moves between live places.
+    fn kept_on(&self, new_places: &PlaceGroup) -> Vec<usize> {
+        let old = &self.group;
+        let at = |idx: usize| new_places.index_of(old.place(idx));
+        let mut dist: Vec<_> = self.dist.iter().map(|&idx| at(idx)).collect();
+        let mut load = vec![0usize; new_places.len()];
+        dist.iter().flatten().for_each(|&idx| load[idx] += 1);
+        let mut rows = HashMap::new();
+        for (id, to) in dist.iter_mut().enumerate().filter(|(_, to)| to.is_none()) {
+            let dead = self.dist[id];
+            let row = *rows.entry((self.grid.block_pos(id).0, dead)).or_insert_with(|| {
+                let fresh = |idx: &usize| !old.contains(new_places.place(*idx));
+                if dead < new_places.len() && fresh(&dead) {
+                    return dead;
+                }
+                let ring = (1..=old.len()).filter_map(|k| at((dead + k) % old.len()));
+                let fresh = (0..new_places.len()).filter(fresh);
+                ring.chain(fresh).min_by_key(|&idx| load[idx]).expect("a non-empty group")
+            });
+            load[row] += 1;
+            *to = Some(row);
+        }
+        dist.into_iter().flatten().collect()
     }
 
     /// The `(group index, place)` pairs of the places that hold a block —
@@ -332,8 +371,12 @@ impl<T: DistPayload> Dist<T> {
     /// Re-lay out over `new_places` (§IV-A2 / §V-B).
     ///
     /// * `rebalance = false` (shrink / replace-redundant): the **data grid
-    ///   is kept**; only the block → place map is recomputed. Restoring
-    ///   afterwards is block-by-block, but load may be imbalanced.
+    ///   is kept**, and so is every block on a place of `new_places`. A lost
+    ///   block goes to the place that took its group index, or under a
+    ///   shrink to the survivor holding the fewest blocks — a tie to the
+    ///   dead place's successor, which holds its backup frame. Restoring
+    ///   afterwards rebuilds only the lost blocks, but load may be
+    ///   imbalanced.
     /// * `rebalance = true` (shrink-rebalance): the grid is recalculated for
     ///   the new group size (preserving the blocks-per-place ratio), giving
     ///   even load at the cost of an overlap-copy restore.
@@ -479,7 +522,9 @@ impl DistBlockMatrix {
             ));
         }
         let grid = Grid::partition(self.rows(), 1, l.grid.row_blocks(), 1);
-        Ok(Layout::new(grid, (l.row_places, 1), (l.per_place.0, 1), &l.group))
+        let rows = (0..grid.row_blocks()).map(|bi| l.dist[l.grid.block_id(bi, 0)]).collect();
+        let (col_places, per_place) = (1, (l.per_place.0, 1));
+        Ok(Layout { grid, dist: Arc::new(rows), col_places, per_place, ..l.clone() })
     }
 
     /// Create a zero `DistVector` aligned with this matrix's block rows.
@@ -1451,21 +1496,116 @@ mod tests {
             ctx.kill_place(Place::new(2)).unwrap();
             let survivors = g.without(&[Place::new(2)]);
             m.remake(ctx, &survivors, false).unwrap();
-            // Blocks 0 and 1 stay where they were, contents and all; blocks
-            // 2 and 3 (rows 4..8) move and start zeroed.
+            // Blocks 0, 1 and 3 stay where they were, contents and all;
+            // block 2 (rows 4..6), lost, goes to place 3 and starts zeroed.
             let mut kept = coord_reference(8, 4);
-            (4..8).for_each(|i| (0..4).for_each(|j| kept.set(i, j, 0.0)));
+            (4..6).for_each(|i| (0..4).for_each(|j| kept.set(i, j, 0.0)));
             assert_eq!(m.gather_dense(ctx).unwrap(), kept, "kept, or zeroed in place");
             m.restore_snapshot(ctx, &store, &snap).unwrap();
             assert_eq!(m.gather_dense(ctx).unwrap(), coord_reference(8, 4));
             let after = buffers(ctx, &survivors);
-            // Place 0 keeps block 0's buffer and takes block 3 in a new one;
-            // place 1 keeps block 1's; place 3 gives block 3's to block 2.
-            assert_eq!(after[0][0], before[0][0]);
-            assert_eq!(after[0][1].0, (3, 0));
+            // Places 0 and 1 keep their buffers; place 3, the dead place's
+            // successor, keeps block 3's and takes block 2 in a new one.
+            assert_eq!(after[0], before[0]);
             assert_eq!(after[1], before[1]);
-            assert_eq!(after[2], vec![((2, 0), before[3][0].1)]);
+            assert_eq!(after[2][0].0, (2, 0));
+            assert_eq!(after[2][1], before[3][0]);
         });
+    }
+
+    /// Each place's blocks of `m`, by id, with the address of each one's
+    /// dense buffer.
+    fn block_buffers(ctx: &Ctx, m: &DistBlockMatrix) -> Vec<Vec<(usize, usize)>> {
+        let (handle, grid) = (m.handle(), m.grid().clone());
+        each_place(ctx, m.group().iter().enumerate(), move |ctx, _| {
+            let set = handle.local(ctx)?;
+            let set = set.lock();
+            let buffer = |b: &MatrixBlock| match &b.data {
+                BlockData::Dense(d) => (grid.block_id(b.bi, b.bj), d.as_slice().as_ptr() as usize),
+                BlockData::Sparse(_) => unreachable!("dense blocks"),
+            };
+            Ok(set.iter().map(buffer).collect())
+        })
+        .unwrap()
+    }
+
+    /// Survivors keep their blocks through two shrinks, eight blocks on
+    /// four places: every survivor keeps its block ids and their buffers,
+    /// each lost block goes to the survivor holding the fewest, a tie to
+    /// the first in ring order from the dead place's successor, the values
+    /// come back, and a vector aligned with the matrix stays aligned.
+    #[test]
+    fn a_shrink_keeps_every_survivors_blocks_and_sends_the_lost_to_the_least_loaded() {
+        run(4, |ctx| {
+            let g = ctx.world();
+            let store = ResilientStore::make(ctx).unwrap();
+            let mut m = DistBlockMatrix::make(ctx, 16, 4, 8, 1, 4, 1, &g, false).unwrap();
+            m.init_with(ctx, coord_fill).unwrap();
+            let mut y = m.make_aligned_vector(ctx).unwrap();
+            y.init(ctx, |i| i as f64).unwrap();
+            let mut group = g.clone();
+            // Place 1 dies holding blocks 1 and 5. All survivors hold two:
+            // block 1 goes to place 2, its successor, and block 5 then to
+            // place 3, next in ring order. Place 2 dies next holding blocks
+            // 1, 2 and 6: block 1 goes to place 0 (two against three), block
+            // 2 to place 3 (a tie at three, place 3 its successor) and block
+            // 6 to place 0.
+            for (dead, landed) in [(1, vec![(1, 2), (5, 3)]), (2, vec![(1, 0), (2, 3), (6, 0)])] {
+                let m_snap = m.make_snapshot(ctx, &store).unwrap();
+                let y_snap = y.make_snapshot(ctx, &store).unwrap();
+                let before = block_buffers(ctx, &m);
+                ctx.kill_place(Place::new(dead)).unwrap();
+                let survivors = group.without(&[Place::new(dead)]);
+                m.remake(ctx, &survivors, false).unwrap();
+                y.remake_onto(ctx, m.aligned_layout().unwrap()).unwrap();
+                assert!(m.is_aligned(&y), "place {dead} lost: y left its matrix");
+                m.restore_snapshot(ctx, &store, &m_snap).unwrap();
+                y.restore_snapshot(ctx, &store, &y_snap).unwrap();
+                let after = block_buffers(ctx, &m);
+                for (p, kept) in group.iter().zip(before).filter(|(p, _)| p.id() != dead) {
+                    let now = &after[survivors.index_of(p).unwrap()];
+                    let stayed = kept.iter().all(|b| now.contains(b));
+                    assert!(stayed, "{p}: had {kept:?}, holds {now:?}");
+                    let took: Vec<usize> =
+                        now.iter().filter(|b| !kept.contains(b)).map(|b| b.0).collect();
+                    let want: Vec<usize> =
+                        landed.iter().filter(|l| l.1 == p.id()).map(|l| l.0).collect();
+                    assert_eq!(took, want, "{p}: the lost blocks it took");
+                }
+                assert_eq!(m.gather_dense(ctx).unwrap(), coord_reference(16, 4));
+                let values: Vec<f64> = (0..16).map(|i| i as f64).collect();
+                assert_eq!(y.gather(ctx).unwrap().as_slice(), values.as_slice());
+                group = survivors;
+            }
+        });
+    }
+
+    /// Under replace-redundant every block keeps its group index: the
+    /// survivors' blocks stay where they are, buffers and all, and the
+    /// dead place's go to the spare that took its index.
+    #[test]
+    fn a_replacement_keeps_every_blocks_group_index() {
+        Runtime::run(RuntimeConfig::new(4).spares(1).resilient(true), |ctx| {
+            let g = ctx.world();
+            let store = ResilientStore::make(ctx).unwrap();
+            let mut m = DistBlockMatrix::make(ctx, 16, 4, 8, 1, 4, 1, &g, false).unwrap();
+            m.init_with(ctx, coord_fill).unwrap();
+            let snap = m.make_snapshot(ctx, &store).unwrap();
+            let owners = |m: &DistBlockMatrix| -> Vec<usize> {
+                (0..8).map(|bi| m.block_owner(bi, 0)).collect()
+            };
+            let (made, before) = (owners(&m), block_buffers(ctx, &m));
+            ctx.kill_place(Place::new(1)).unwrap();
+            let replaced = g.replace(&[Place::new(1)], &ctx.live_spares()).unwrap();
+            m.remake(ctx, &replaced, false).unwrap();
+            assert_eq!(owners(&m), made);
+            m.restore_snapshot(ctx, &store, &snap).unwrap();
+            let after = block_buffers(ctx, &m);
+            assert!([0, 2, 3].iter().all(|&idx| after[idx] == before[idx]), "{after:?}");
+            assert_eq!(after[1].iter().map(|b| b.0).collect::<Vec<_>>(), [1, 5]);
+            assert_eq!(m.gather_dense(ctx).unwrap(), coord_reference(16, 4));
+        })
+        .unwrap();
     }
 
     #[test]

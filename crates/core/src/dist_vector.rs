@@ -420,11 +420,12 @@ mod tests {
             let snap = v.make_snapshot(ctx, &store).unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
             let survivors = g.without(&[Place::new(1)]);
-            // The same three segments over two places: place 0 holds two.
+            // The same three segments over two places: place 2, the dead
+            // place's successor, keeps its own and takes segment 1.
             v.remake(ctx, &survivors, false).unwrap();
             assert_eq!((v.num_segments(), v.seg_range(2)), (3, (8, 12)));
             let places: Vec<Place> = (0..3).map(|s| v.seg_place(s)).collect();
-            assert_eq!(places, [Place::new(0), Place::new(2), Place::new(0)]);
+            assert_eq!(places, [Place::new(0), Place::new(2), Place::new(2)]);
             v.restore_snapshot(ctx, &store, &snap).unwrap();
             let full = v.gather(ctx).unwrap();
             assert_eq!(full.as_slice(), (0..12).map(|i| i as f64).collect::<Vec<_>>().as_slice());

@@ -99,13 +99,13 @@ fn a_recovery_ships_what_the_dead_place_held_and_takes_no_checkpoint() {
     // The vector lost nothing; it is fetched by every place of the new
     // group that holds no replica of it.
     for (mode, fetched, payloads, repaired, encoded) in [
-        // Blocks 0 and 1 stay live where they are. Block 2, lost, and block
-        // 3, which the new layout moves to place 0, are rebuilt from the
-        // copies at their new owners: no matrix byte moves. Place 3 fetches
-        // the vector. The repair serializes block 1 (its copy died) from
-        // place 1 to place 3, and moves the copies of block 2 (now live at
-        // 3) to place 0 and of block 3 (now live at 0) to place 1.
-        (RestoreMode::Shrink, w, 2 + 3, (3, 3 * b), 1),
+        // Blocks 0, 1 and 3 stay live where they are. Block 2, lost, goes
+        // to place 3, the dead place's successor, and is rebuilt from the
+        // copy there: no matrix byte moves. Place 3 fetches the vector. The
+        // repair serializes block 1 (its copy died) from place 1 to place 3
+        // and moves the copy of block 2 (now live at 3) to place 0; nothing
+        // at place 3 is dropped or rebuilt.
+        (RestoreMode::Shrink, w, 1 + 3, (2, 2 * b), 1),
         // Rows 4..6 of block 1 go from its live block at place 1 to place 0
         // and rows 8..11 of block 2 from its copy at place 3 to place 1
         // (blocks of 6, 5, 5 rows now), as column runs of 6 columns; every

@@ -10,12 +10,12 @@
 //!
 //! Each app's read-only objects are stored once: a place holds the copy of
 //! its predecessor's block and segment, never one of its own (the store
-//! holds its live block as that replica). The shrink recovery rebuilds the
-//! lost block and the one the new layout moves from the copies their new
-//! owners hold; its repair serializes, from place 1, the block and segment
-//! whose copy died with place 2 — the frames a clean run does not encode —
-//! and moves the copies that now sit beside their blocks at places 3 and 0
-//! on.
+//! holds its live block as that replica). The shrink recovery leaves every
+//! survivor's blocks where they are and rebuilds the lost block at place 3,
+//! the dead place's successor, from the copy it holds there; its repair
+//! serializes, from place 1, the block and segment whose copy died with
+//! place 2 — the frames a clean run does not encode — and moves the copy
+//! that now sits beside its block at place 3 on to place 0.
 
 use resilient_gml::apps::{GnmfConfig, ResilientGnmf};
 use resilient_gml::core::FailureInjector;
@@ -91,21 +91,21 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
     // place, stored once; `w`, `r`, `p`: 291 B at places 0 and 1. The shrink
     // restore ships the three vectors to place 3 (291 B); the repair encodes
     // x's block 1 and y's segment 1 (2 frames, 2 305 B logical, 2 387 B wire)
-    // and moves blocks 2 and 3 with their segments: 3 × 2 387 B. Against two
-    // copies per read-only entry, that is −2 387 B per place clean, and one
-    // entry (2 387 B) more repaired and shipped. Ctl messages and tasks: the
-    // repair probes three places (2 / 3), drops at place 3 the block and
-    // segment the store alone held there (1 / 1), makes four moves, each an
-    // `at` to its holder and one on to its target (0 / 8), and two encodes
-    // at place 1 (1 / 3), where two copies from two holders took (2 / 6);
-    // the restore leaves two places alone (−2 / −2).
+    // and moves block 2 with its segment from place 3 to place 0: 2 × 2 387
+    // B. Against two copies per read-only entry, that is −2 387 B per place
+    // clean, and nothing more repaired or shipped. Ctl messages and tasks:
+    // the repair probes three places (2 / 3), makes two moves, each an `at`
+    // to its holder and one on to its target (0 / 4), and two encodes at
+    // place 1 (1 / 3), where two copies from two holders took (2 / 6); the
+    // restore leaves two places alone and rebuilds x's block 2 and y's
+    // segment 2 at place 3 alone (−2 / −4).
     check("linreg", linreg, |ctx, a| a.app.weights(ctx).unwrap().as_slice().to_vec(), [
         Pin { runs: [3, 0, 15], codec: [17, 16, 9724, 10385], shipped: [16457, 0],
               inventory: [2678, 2678, 2387, 2387], digest: 0x60cf_db0c_44d5_81e9, ctl_tasks: [372, 539] },
         Pin { runs: [3, 1, 18], codec: [17 + 2, 16 + 2, 9724 + 2305, 10385 + 2387],
-              shipped: [21578 + 2387, 3 * 2387 + 291],
-              inventory: [2387 + 291, 2 * 2387 + 291, 0, 2387], digest: 0x60cf_db0c_44d5_81e9,
-              ctl_tasks: [391, 625] },
+              shipped: [21578, 2 * 2387 + 291],
+              inventory: [2 * 2387 + 291, 2387 + 291, 0, 2387], digest: 0x60cf_db0c_44d5_81e9,
+              ctl_tasks: [390, 618] },
     ]);
 
     let logreg = |ctx: &Ctx, g: &PlaceGroup| {
@@ -127,8 +127,8 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
     check("logreg", logreg, |ctx, a| a.app.weights(ctx).unwrap().as_slice().to_vec(), [
         Pin { runs: [3, 0, 15], codec: [11, 6, 10004, 9257], shipped: [14489, 0],
               inventory: [2342, 2348, 2259, 2247], digest: 0xf579_6645_45cf_136b, ctl_tasks: [327, 461] },
-        Pin { runs: [3, 1, 18], codec: [11 + 2, 6 + 1, 10004 + 2465, 9257 + 2259], shipped: [21385, 6848],
-              inventory: [2336, 4601, 0, 2259], digest: 0xf579_6645_45cf_136b, ctl_tasks: [339, 527] },
+        Pin { runs: [3, 1, 18], codec: [11 + 2, 6 + 1, 10004 + 2465, 9257 + 2259], shipped: [19132, 4595],
+              inventory: [4589, 2348, 0, 2259], digest: 0xf579_6645_45cf_136b, ctl_tasks: [338, 520] },
     ]);
 
     let pagerank = |ctx: &Ctx, g: &PlaceGroup| {
@@ -142,8 +142,8 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
     check("pagerank", pagerank, |ctx, a| a.app.ranks(ctx).unwrap().as_slice().to_vec(), [
         Pin { runs: [3, 0, 15], codec: [11, 2, 9116, 2887], shipped: [52879, 0],
               inventory: [1120, 1132, 271, 282], digest: 0x0044_c89f_0b43_f73a, ctl_tasks: [237, 341] },
-        Pin { runs: [3, 1, 18], codec: [11 + 2, 2, 9116 + 1577, 2887 + 271], shipped: [56432, 1673],
-              inventory: [1131, 1403, 0, 271], digest: 0x0044_c89f_0b43_f73a, ctl_tasks: [249, 400] },
+        Pin { runs: [3, 1, 18], codec: [11 + 2, 2, 9116 + 1577, 2887 + 271], shipped: [56161, 1402],
+              inventory: [1402, 1132, 0, 271], digest: 0x0044_c89f_0b43_f73a, ctl_tasks: [248, 393] },
     ]);
 
     let gnmf = |ctx: &Ctx, g: &PlaceGroup| {
@@ -164,13 +164,15 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
     };
     // The shrunk group sums W's Gram products over three places instead of
     // four, so the recovered factors differ from the clean ones in the last
-    // bits (the objective agrees to 1e-9, as the app's own test checks).
+    // bits (the objective agrees to 1e-9, as the app's own test checks);
+    // which place sums which blocks — where the shrink left them — sets
+    // those bits.
     // Read-only `v` stored once (−476, −477, −476, −478 B); the repair
     // encodes v's block 1 (one packed frame, 929 B logical, 477 B wire).
     check("gnmf", gnmf, factors, [
         Pin { runs: [3, 0, 15], codec: [19, 15, 8648, 7454], shipped: [57518, 0],
               inventory: [1555, 1553, 1249, 1248], digest: 0xae44_b190_47a2_7347, ctl_tasks: [423, 605] },
-        Pin { runs: [3, 1, 18], codec: [19 + 1, 15, 8648 + 929, 7454 + 477], shipped: [60882, 3300],
-              inventory: [1939, 2417, 0, 1249], digest: 0x76e2_637e_395c_1dbe, ctl_tasks: [438, 677] },
+        Pin { runs: [3, 1, 18], codec: [19 + 1, 15, 8648 + 929, 7454 + 477], shipped: [60436, 2822],
+              inventory: [2417, 1553, 0, 1635], digest: 0xb587_8224_badc_2393, ctl_tasks: [437, 673] },
     ]);
 }

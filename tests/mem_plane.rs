@@ -273,6 +273,21 @@ impl ResilientIterativeApp for ReadOnlyBeside {
     }
 }
 
+/// A read-only matrix of `RO_ROWS`-row blocks of values nothing packs, one
+/// block per place of `g`, beside a small mutable vector.
+fn read_only_beside(ctx: &Ctx, g: &PlaceGroup) -> ReadOnlyBeside {
+    let n = g.len();
+    let x = DistBlockMatrix::make(ctx, n * RO_ROWS, RO_COLS, n, 1, n, 1, g, false).unwrap();
+    x.init_with(ctx, |_, _, r0, _, r, c| {
+        let noise = |i: usize| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) as f64;
+        BlockData::Dense(DenseMatrix::from_vec(r, c, (r0..r0 + r * c).map(noise).collect()))
+    })
+    .unwrap();
+    let v = DupVector::make(ctx, 64, g).unwrap();
+    v.init(ctx, |i| i as f64).unwrap();
+    ReadOnlyBeside { x, v }
+}
+
 /// The stored placement of a read-only snapshot, as the store holds it:
 /// each block's first replica is the block itself — a handle the store
 /// holds on the live block's own allocation — beside one frame on another
@@ -323,17 +338,9 @@ fn a_read_only_object_is_stored_once() {
     ] {
         Runtime::run(RuntimeConfig::new(4).spares(1).resilient(true), move |ctx| {
             let g = ctx.world();
-            let x = DistBlockMatrix::make(ctx, 4 * RO_ROWS, RO_COLS, 4, 1, 4, 1, &g, false);
-            let x = x.unwrap();
-            x.init_with(ctx, |_, _, r0, _, r, c| {
-                let noise = |i: usize| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) as f64;
-                BlockData::Dense(DenseMatrix::from_vec(r, c, (r0..r0 + r * c).map(noise).collect()))
-            })
-            .unwrap();
-            let v = DupVector::make(ctx, 64, &g).unwrap();
-            v.init(ctx, |i| i as f64).unwrap();
-            let (x_values, v_values) = (x.gather_dense(ctx).unwrap(), v.read_local(ctx).unwrap());
-            let mut app = ReadOnlyBeside { x, v };
+            let mut app = read_only_beside(ctx, &g);
+            let x_values = app.x.gather_dense(ctx).unwrap();
+            let v_values = app.v.read_local(ctx).unwrap();
             let mut store = AppResilientStore::make(ctx).unwrap();
             store.set_overlap(true);
 
@@ -375,6 +382,45 @@ fn a_read_only_object_is_stored_once() {
         })
         .unwrap();
     }
+}
+
+/// A shrink moves only what the failure took: with a read-only matrix of
+/// one 2 MiB block per place on four places, losing place 2 leaves every
+/// survivor's block where it is, rebuilds block 2 at place 3 — the dead
+/// place's successor — from the frame there, and the repair serializes
+/// block 1 (its frame died) and moves block 2's frame on to place 0. That
+/// block and that frame take the room the dead place's block and frame
+/// left, so the heap's peak rises over its pre-kill level by slack alone
+/// (17 KB), under a quarter of a block; a block-cyclic re-map over the
+/// survivors also rebuilds block 3 at place 0 before place 3 drops its
+/// own, and lifts the peak by a whole block. The ledger still equals the
+/// inventory, and the values are the failure-free ones.
+#[test]
+fn a_shrink_rebuilds_only_the_dead_places_block() {
+    let _guard = PROCESS_STATE.lock().unwrap();
+    if !mem::enabled() {
+        return;
+    }
+    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+        let g = ctx.world();
+        let mut app = read_only_beside(ctx, &g);
+        let x_values = app.x.gather_dense(ctx).unwrap();
+        let mut store = AppResilientStore::make(ctx).unwrap();
+        app.checkpoint(ctx, &mut store).unwrap();
+        store.drain(ctx).unwrap();
+        let block = (RO_ROWS * RO_COLS * 8) as u64;
+        let dead = [Place::new(2)];
+        let survivors = g.without(&dead);
+        let rise = peak_rise(|| {
+            ctx.kill_place(dead[0]).unwrap();
+            app.restore(ctx, &survivors, &mut store, 0, false).unwrap();
+            store.repair(ctx, &survivors).unwrap();
+        });
+        assert!(rise < block / 4, "kill, restore and repair: peak +{rise} B (block {block} B)");
+        assert_eq!(mem::current(MemTag::StoreShard), inventory_bytes(ctx, &store), "ledger");
+        assert_eq!(app.x.gather_dense(ctx).unwrap(), x_values);
+    })
+    .unwrap();
 }
 
 /// Rows of a tall operand per place: GNMF's, so that a 32-column block
