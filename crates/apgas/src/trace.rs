@@ -111,9 +111,10 @@ span_kinds! {
     /// One multi-chunk compute-pool job (`apgas::pool::run`); the numeric
     /// argument is the chunk count.
     PoolRun => "pool.run", Compute;
-    /// `ResilientStore::save_batch` — owner inserts for a whole place plus
-    /// one batched backup transfer; the numeric argument is the total
-    /// payload bytes of the batch.
+    /// One place's save of its entries of a snapshot (the store's `hold`):
+    /// the owner keeps what its capture holds and, unless the ship is
+    /// deferred, frames it and sends it in one batched backup transfer; the
+    /// numeric argument is the total payload bytes of the batch.
     StoreSaveBatch => "store.save_batch", Ship;
     /// One deferred checkpoint ship: a batched backup transfer executed in
     /// the background after the synchronous capture phase returned.

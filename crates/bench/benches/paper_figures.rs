@@ -30,5 +30,4 @@ fn main() {
     figures::restore_figure(AppKind::PageRank, "Fig7");
     figures::breakdown_table();
     figures::bookkeeping_ablation();
-    figures::redundancy_ablation_table();
 }

@@ -19,10 +19,7 @@ fn catalog() -> [(&'static str, fn()); 10] {
         ("fig6", || figures::restore_figure(AppKind::LogReg, "Fig6")),
         ("fig7", || figures::restore_figure(AppKind::PageRank, "Fig7")),
         ("table4", figures::breakdown_table),
-        ("ablations", || {
-            figures::bookkeeping_ablation();
-            figures::redundancy_ablation_table();
-        }),
+        ("ablations", figures::bookkeeping_ablation),
     ]
 }
 

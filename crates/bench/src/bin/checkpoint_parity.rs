@@ -1,35 +1,27 @@
-//! Parity oracle for the checkpoint codec (`codec_raw` | `codec_framed`):
-//! runs two checkpoint epochs through an `AppResilientStore` — over a raw
-//! store, the reference, or the framed one `AppResilientStore::make` builds
-//! — with a small deterministic mutation between them, so the restored
-//! generation is not the first one saved; wipes the objects, restores, and
-//! prints every place's store inventory, the restored digests, a measured
-//! `max_abs_err` line and the forms the codec chose (`frames full=…
-//! verbatim=…`). One object has random mantissas, so nothing in it packs:
-//! its frames must come out verbatim on the framed leg (ci.sh requires
-//! `verbatim > 0` there and `verbatim == 0` on the raw leg, which never
-//! frames). ci.sh diffs the digest lines across the two legs (inventories
-//! are *not* comparable: wire bytes legitimately differ). Both legs
-//! additionally self-assert `max_abs_err == 0` — restore must be
-//! bit-identical, not merely close.
+//! Parity oracle for the checkpoint codec: runs two checkpoint epochs of
+//! six objects through an `AppResilientStore`, with a small deterministic
+//! mutation between them, so the restored generation is not the first one
+//! saved; wipes the objects, restores, and prints every place's store
+//! inventory, one digest line per object twice — `before NAME DIGEST` for
+//! the values before the wipe and `after NAME DIGEST` for the restored ones
+//! — a measured `max_abs_err` line and the forms the codec chose (`frames
+//! full=… verbatim=…`). Most objects pack; one has random mantissas, so
+//! nothing in it packs and its frames come out verbatim. ci.sh diffs the
+//! `before` lines against the `after` lines and requires `full > 0` and
+//! `verbatim > 0`, so both frame forms are restored. The binary also
+//! self-asserts `max_abs_err == 0` — restore must be bit-identical, not
+//! merely close.
 //!
-//! Usage: `cargo run --release -p gml-bench --bin checkpoint_parity -- <mode>`
+//! Usage: `cargo run --release -p gml-bench --bin checkpoint_parity`
 
 use apgas::digest::fnv1a_f64s;
-use apgas::runtime::{Runtime, RuntimeConfig};
+use apgas::runtime::{Ctx, Runtime, RuntimeConfig};
 use gml_core::{
     AppResilientStore, DistDenseMatrix, DistSparseMatrix, DistVector, DupDenseMatrix, DupVector,
 };
 use gml_matrix::builder;
 
-fn report(name: &str, values: &[f64]) {
-    // The shared bit-pattern digest (see `apgas::digest`) — one
-    // implementation for parity gates, replica votes, and checksummed
-    // steps, instead of a drifting local copy.
-    println!("{name} {:016x}", fnv1a_f64s(values));
-}
-
-/// Deterministic pseudo-random fill, identical in both processes.
+/// Deterministic pseudo-random fill.
 fn val(i: usize) -> f64 {
     ((i.wrapping_mul(2654435761)) % 10_000) as f64 * 0.25 - 1250.0
 }
@@ -51,19 +43,43 @@ fn val_mutated(i: usize) -> f64 {
     }
 }
 
+/// The six objects' values, by name, as the digest lines print them.
+fn values(
+    ctx: &Ctx,
+    dv: &DistVector,
+    dup: &DupVector,
+    dd: &DupDenseMatrix,
+    dm: &DistDenseMatrix,
+    ds: &DistSparseMatrix,
+    dn: &DupDenseMatrix,
+) -> [(&'static str, Vec<f64>); 6] {
+    [
+        ("dist_vector", dv.gather(ctx).unwrap().as_slice().to_vec()),
+        ("dup_vector", dup.read_local(ctx).unwrap().as_slice().to_vec()),
+        ("dup_dense", dd.local(ctx).unwrap().lock().as_slice().to_vec()),
+        ("dist_dense", dm.gather_dense(ctx).unwrap().as_slice().to_vec()),
+        ("dist_sparse", ds.gather_dense(ctx).unwrap().as_slice().to_vec()),
+        ("dup_dense_noise", dn.local(ctx).unwrap().lock().as_slice().to_vec()),
+    ]
+}
+
+/// One digest line per object — the shared bit-pattern digest (see
+/// `apgas::digest`).
+fn report(when: &str, objects: &[(&str, Vec<f64>)]) {
+    for (name, values) in objects {
+        println!("{when} {name} {:016x}", fnv1a_f64s(values));
+    }
+}
+
 fn main() {
-    let mode = std::env::args().nth(1).unwrap_or_default();
-    if !matches!(mode.as_str(), "codec_raw" | "codec_framed") {
-        eprintln!("usage: checkpoint_parity {{codec_raw|codec_framed}} (got {mode:?})");
+    if std::env::args().len() > 1 {
+        eprintln!("usage: checkpoint_parity (it takes no arguments)");
         std::process::exit(2);
     }
-    println!("mode {mode}");
 
     Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
         let g = ctx.world();
 
-        // The same objects, ids, and contents in every mode: creation order
-        // fixes the object ids, the store counter fixes the snap ids.
         let mut dv = DistVector::make(ctx, 10_000, &g).unwrap();
         dv.init(ctx, val).unwrap();
         let mut dup = DupVector::make(ctx, 4_096, &g).unwrap();
@@ -78,13 +94,8 @@ fn main() {
         })
         .unwrap();
 
-        // Raw or framed store, two epochs, restore.
         let counters0 = gml_core::codec::counters();
-        let mut store = match mode.as_str() {
-            "codec_raw" => AppResilientStore::make_with_redundancy(ctx, true),
-            _ => AppResilientStore::make(ctx),
-        }
-        .unwrap();
+        let mut store = AppResilientStore::make(ctx).unwrap();
         // The incompressible object.
         let mut dn = DupDenseMatrix::make(ctx, 128, 96, &g).unwrap();
         dn.init(ctx, |i, j| noise(i * 96 + j)).unwrap();
@@ -120,16 +131,10 @@ fn main() {
 
         print_inventory(&store.store().inventory(ctx));
 
-        // Capture the expected post-mutation values, wipe, restore from the
-        // committed snapshots.
-        let want: [Vec<f64>; 6] = [
-            dv.gather(ctx).unwrap().as_slice().to_vec(),
-            dup.read_local(ctx).unwrap().as_slice().to_vec(),
-            dd.local(ctx).unwrap().lock().as_slice().to_vec(),
-            dm.gather_dense(ctx).unwrap().as_slice().to_vec(),
-            ds.gather_dense(ctx).unwrap().as_slice().to_vec(),
-            dn.local(ctx).unwrap().lock().as_slice().to_vec(),
-        ];
+        // Digest the post-mutation values, wipe, restore from the committed
+        // snapshots and digest again.
+        let want = values(ctx, &dv, &dup, &dd, &dm, &ds, &dn);
+        report("before", &want);
         dv.init(ctx, |_| 0.0).unwrap();
         dup.init(ctx, |_| 0.0).unwrap();
         dd.init(ctx, |_, _| 0.0).unwrap();
@@ -138,33 +143,19 @@ fn main() {
         store
             .restore(ctx, &mut [&mut dv, &mut dup, &mut dd, &mut dm, &mut ds, &mut dn])
             .unwrap();
+        let got = values(ctx, &dv, &dup, &dd, &dm, &ds, &dn);
+        report("after", &got);
 
-        report("dist_vector", dv.gather(ctx).unwrap().as_slice());
-        report("dup_vector", dup.read_local(ctx).unwrap().as_slice());
-        report("dup_dense", dd.local(ctx).unwrap().lock().as_slice());
-        report("dist_dense", dm.gather_dense(ctx).unwrap().as_slice());
-        report("dist_sparse", ds.gather_dense(ctx).unwrap().as_slice());
-        report("dup_dense_noise", dn.local(ctx).unwrap().lock().as_slice());
-
-        // Measured restore error against the pre-wipe values: both legs must
-        // be *bit-identical* (exactly zero).
-        let got: [Vec<f64>; 6] = [
-            dv.gather(ctx).unwrap().as_slice().to_vec(),
-            dup.read_local(ctx).unwrap().as_slice().to_vec(),
-            dd.local(ctx).unwrap().lock().as_slice().to_vec(),
-            dm.gather_dense(ctx).unwrap().as_slice().to_vec(),
-            ds.gather_dense(ctx).unwrap().as_slice().to_vec(),
-            dn.local(ctx).unwrap().lock().as_slice().to_vec(),
-        ];
+        // Measured restore error against the pre-wipe values: it must be
+        // *bit-identical* (exactly zero).
         let max_err = want
             .iter()
             .zip(got.iter())
-            .flat_map(|(w, g)| w.iter().zip(g.iter()).map(|(a, b)| (a - b).abs()))
+            .flat_map(|((_, w), (_, g))| w.iter().zip(g.iter()).map(|(a, b)| (a - b).abs()))
             .fold(0.0f64, f64::max);
         println!("max_abs_err {max_err:e} ok={}", max_err == 0.0);
-        assert!(max_err == 0.0, "restore error {max_err:e} in mode {mode}");
-        // The forms the codec chose, per leg (all zero on the raw leg: the
-        // raw store never frames).
+        assert!(max_err == 0.0, "restore error {max_err:e}");
+        // The forms the codec chose.
         let c = gml_core::codec::counters().since(&counters0);
         println!("frames full={} verbatim={}", c.frames_full, c.frames_verbatim);
     })

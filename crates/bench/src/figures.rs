@@ -159,28 +159,6 @@ pub fn bookkeeping_ablation() {
     t.emit("ablation_bookkeeping.csv");
 }
 
-/// Ablation B: the double in-memory store's backup copies — what the
-/// next-place replica costs per checkpoint (and what it buys: survival of
-/// a single failure, which the non-redundant variant cannot offer).
-pub fn redundancy_ablation_table() {
-    let places = *bench_places().last().expect("non-empty sweep");
-    let mut t = Table::new(
-        format!("Ablation B: checkpoint cost with/without backup copies at {places} places"),
-        &["app", "redundant ms", "no-backup ms", "redundant KiB", "no-backup KiB"],
-    );
-    for kind in AppKind::ALL {
-        let a = crate::harness::redundancy_ablation(kind, places);
-        t.row(vec![
-            kind.name().to_string(),
-            ms(a.redundant_ms),
-            ms(a.non_redundant_ms),
-            format!("{:.0}", a.redundant_bytes as f64 / 1024.0),
-            format!("{:.0}", a.non_redundant_bytes as f64 / 1024.0),
-        ]);
-    }
-    t.emit("ablation_redundancy.csv");
-}
-
 /// Count the non-blank, non-comment lines of a marked region. Marker lines
 /// themselves are excluded.
 fn region_loc(source: &str, marker: &str) -> usize {

@@ -308,69 +308,6 @@ pub fn iteration_profile(kind: AppKind, places: usize, iterations: u64) -> Itera
     }
 }
 
-/// One checkpoint measured with and without double redundancy (ablation of
-/// the store's next-place backup copies).
-#[derive(Clone, Copy, Debug)]
-pub struct RedundancyAblation {
-    /// Checkpoint time with backup copies (ms).
-    pub redundant_ms: f64,
-    /// Checkpoint time without backup copies (ms).
-    pub non_redundant_ms: f64,
-    /// Bytes shipped with backup copies.
-    pub redundant_bytes: u64,
-    /// Bytes shipped without backup copies.
-    pub non_redundant_bytes: u64,
-}
-
-/// Measure one full application checkpoint under both store variants.
-/// Repeats each measurement and reports the median to tame scheduler noise.
-pub fn redundancy_ablation(kind: AppKind, places: usize) -> RedundancyAblation {
-    const REPS: usize = 5;
-    let mut out = [(0.0, 0u64); 2];
-    for (i, redundant) in [(0, true), (1, false)] {
-        let mut times = Vec::with_capacity(REPS);
-        let mut bytes = 0u64;
-        for _ in 0..REPS {
-            let cfg = RuntimeConfig::new(places).resilient(true);
-            let (t_ms, b) = Runtime::run(cfg, move |ctx| -> GmlResult<(f64, u64)> {
-                let world = ctx.world();
-                let mut store = AppResilientStore::make_with_redundancy(ctx, redundant)?;
-                store.set_current_iteration(0);
-                let before = ctx.stats().bytes_shipped;
-                let t = std::time::Instant::now();
-                match kind {
-                    AppKind::LinReg => {
-                        let mut app = ResilientLinReg::make(ctx, linreg_cfg(1), &world)?;
-                        app.checkpoint(ctx, &mut store)?;
-                    }
-                    AppKind::LogReg => {
-                        let mut app = ResilientLogReg::make(ctx, logreg_cfg(1), &world)?;
-                        app.checkpoint(ctx, &mut store)?;
-                    }
-                    AppKind::PageRank => {
-                        let mut app =
-                            ResilientPageRank::make(ctx, pagerank_cfg_for(1, places), &world)?;
-                        app.checkpoint(ctx, &mut store)?;
-                    }
-                }
-                Ok((t.elapsed().as_secs_f64() * 1000.0, ctx.stats().bytes_shipped - before))
-            })
-            .expect("runtime")
-            .expect("ablation run");
-            times.push(t_ms);
-            bytes = b;
-        }
-        times.sort_by(f64::total_cmp);
-        out[i] = (times[REPS / 2], bytes);
-    }
-    RedundancyAblation {
-        redundant_ms: out[0].0,
-        non_redundant_ms: out[1].0,
-        redundant_bytes: out[0].1,
-        non_redundant_bytes: out[1].1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,12 +318,6 @@ mod tests {
         assert!(p.ctl_per_iter > 0.0, "resilient runs produce bookkeeping");
         assert!(p.tasks_per_iter > 0.0);
         assert!(p.bytes_per_iter > 0.0);
-    }
-
-    #[test]
-    fn redundancy_ablation_smoke() {
-        let a = redundancy_ablation(AppKind::PageRank, 2);
-        assert!(a.redundant_bytes > a.non_redundant_bytes);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | `fig6` | Fig 6 — LogReg total time with one failure |
 //! | `fig7` | Fig 7 — PageRank total time with one failure |
 //! | `table4` | Table IV — checkpoint/restore % of total time |
-//! | `ablations` | the bookkeeping and store-redundancy ablations (DESIGN.md) |
+//! | `ablations` | the resilient-runtime bookkeeping ablation (DESIGN.md) |
 //!
 //! `cargo bench -p gml-bench` runs the criterion microbenches plus a quick
 //! pass over every figure/table. Environment knobs:

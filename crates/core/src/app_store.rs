@@ -158,25 +158,12 @@ fn drain_ships(ships: &mut Vec<ShipTask>, ship_time: &mut Duration) -> GmlResult
 }
 
 impl AppResilientStore {
-    /// Create the store (shards at every place, spares included). Its
-    /// entries are *framed*: stored and shipped as self-contained checkpoint
-    /// codec frames ([`crate::codec`]), packed where that is proven to pay.
+    /// Create the store over a [`ResilientStore`] (shards at every place,
+    /// spares included): every entry kept twice, as self-contained
+    /// checkpoint codec frames ([`crate::codec`]).
     pub fn make(ctx: &Ctx) -> GmlResult<Self> {
-        Ok(Self::with_store(ResilientStore::make_full(ctx, true, true)?))
-    }
-
-    /// Create the store with backup copies toggled (ablation; see
-    /// [`ResilientStore::make_with_redundancy`]). The ablation path stores
-    /// its entries *raw*, so its byte accounting stays directly comparable
-    /// to the historical baselines — and makes it the parity reference the
-    /// framed store is compared against.
-    pub fn make_with_redundancy(ctx: &Ctx, redundant: bool) -> GmlResult<Self> {
-        Ok(Self::with_store(ResilientStore::make_with_redundancy(ctx, redundant)?))
-    }
-
-    fn with_store(store: ResilientStore) -> Self {
-        AppResilientStore {
-            store,
+        Ok(AppResilientStore {
+            store: ResilientStore::make(ctx)?,
             committed: None,
             provisional: None,
             provisional_ships: Vec::new(),
@@ -188,7 +175,7 @@ impl AppResilientStore {
             capture_time: Duration::ZERO,
             ship_time: Duration::ZERO,
             ship_gate: None,
-        }
+        })
     }
 
     /// Toggle checkpoint/compute overlap (see the type docs). The executor
@@ -1104,7 +1091,7 @@ mod tests {
     #[test]
     fn the_orders_of_a_dist_vector_come_out_in_group_order_on_every_run() {
         run(4, |ctx| {
-            let store = ResilientStore::make_full(ctx, true, true).unwrap();
+            let store = ResilientStore::make(ctx).unwrap();
             let x = DistVector::make(ctx, 4096, &ctx.world()).unwrap();
             // A snapshot's entry map iterates in a different order each time.
             for _ in 0..8 {

@@ -16,11 +16,10 @@
 //! buffer; a verbatim frame's body is the value's one serialization, made
 //! once the form is decided.
 //!
-//! Every snapshot entry the store would ship raw can instead be wrapped in a
-//! self-describing **frame** of two parts: a *head* (fixed header + one chunk
-//! digest per chunk of the payload, [`content_digest`], eight bytes per
-//! step) and a *body*. A frame restores from its own head and body alone,
-//! and takes one of two forms:
+//! Every snapshot entry the store keeps is a self-describing **frame** of
+//! two parts: a *head* (fixed header + one chunk digest per chunk of the
+//! payload, [`content_digest`], eight bytes per step) and a *body*. A frame
+//! restores from its own head and body alone, and takes one of two forms:
 //!
 //! * **Packed** — every chunk of the payload is a record in the body. A
 //!   chunk that shrinks is XOR-ed against its previous 64-bit word
@@ -64,9 +63,8 @@ use apgas::pool;
 use apgas::serial::Run;
 use bytes::{BufMut, Bytes, BytesMut};
 
-/// Frame magic: `"GLCK"` little-endian. A payload that does not start with
-/// this is not a frame (raw entries never collide: the store tracks
-/// framed-ness explicitly and never guesses from content).
+/// Frame magic: `"GLCK"` little-endian. A head that does not start with this
+/// is not a frame.
 const FRAME_MAGIC: u32 = 0x4b43_4c47;
 
 /// Frame flag: no records — the body is the payload. Clear: the frame is

@@ -84,8 +84,7 @@ pub struct IterRow {
     /// Logical (pre-codec) checkpoint bytes the codec plane framed during
     /// this pass. Frames are made by the ships, so a checkpoint's bytes land
     /// in the rows its ship ran in — with overlap on usually the next
-    /// step's, not the checkpoint's own. Zero over a raw store (nothing was
-    /// framed).
+    /// step's, not the checkpoint's own.
     pub ckpt_logical: u64,
     /// Wire (post-codec) checkpoint bytes the codec emitted during this pass
     /// (attributed like `ckpt_logical`); the ratio `ckpt_wire /
@@ -119,7 +118,7 @@ pub struct CostReport {
     pub totals: StatsSnapshot,
     /// Checkpoint-codec counter deltas for the whole run (same shared
     /// boundaries, so the rows' logical/wire/codec-time columns sum to
-    /// exactly this too). All-zero over a raw store.
+    /// exactly this too). All-zero where nothing was framed.
     pub codec_totals: CodecSnapshot,
     /// One flight-recorder bundle per restore, in restore order (see
     /// [`PostMortem`]).
@@ -142,8 +141,8 @@ impl CostReport {
     /// Do the rows' codec columns (logical bytes, wire bytes, frame forms,
     /// codec busy time) telescope to [`CostReport::codec_totals`]? True by
     /// construction — the codec counters are sampled at the same shared row
-    /// boundaries as the runtime counters. Vacuously true over a raw store
-    /// (all zeros).
+    /// boundaries as the runtime counters. Vacuously true where nothing was
+    /// framed (all zeros).
     pub fn codec_consistent(&self) -> bool {
         let logical: u64 = self.rows.iter().map(|r| r.ckpt_logical).sum();
         let wire: u64 = self.rows.iter().map(|r| r.ckpt_wire).sum();
@@ -188,7 +187,7 @@ impl CostReport {
     /// bytes) rather than deltas; both
     /// read 0 with `mem-profile` compiled out. `logical / wire` split this
     /// pass's checkpoint volume into pre-codec payload bytes and post-codec
-    /// frame bytes (both 0 over a raw store), `f/v` counts the frames the
+    /// frame bytes (both 0 where nothing was framed), `f/v` counts the frames the
     /// codec emitted and, of those, the verbatim ones, and `codec(cpu)` is
     /// the time the checkpoint codec was busy encoding + decoding frames,
     /// summed over the threads that did so concurrently (not wall time).
@@ -517,7 +516,7 @@ mod tests {
         let mut bad = report.clone();
         bad.rows[1].ckpt_frames[1] += 1;
         assert!(!bad.codec_consistent());
-        // A run over a raw store (all zeros) is vacuously consistent.
+        // A run that framed nothing (all zeros) is vacuously consistent.
         let raw = CostReport {
             rows: vec![row(0, 0, 0, 0)],
             totals: StatsSnapshot::default(),

@@ -43,29 +43,23 @@
 //! each value, and the object's next write copies the value away from it
 //! instead ([`gml_matrix::Shared`]). The ship that follows turns the handle
 //! into a stored replica at the owner and keeps that in the handle's place,
-//! then ships it; a replica with no ship — a pair collapsed onto a one-place
-//! group's place, or the non-redundant store's one copy — is made the same
-//! way by an order that ships nothing. What a shard keeps of an entry is
-//! fixed by how the store was made: the bare store keeps the serialized
-//! payload (*raw*); the store under [`AppResilientStore::make`] keeps a
-//! checkpoint-codec frame ([`crate::codec`], *framed*) — a small *head*
-//! (header + chunk-digest manifest) and a *body*. A frame is made from the
-//! value's wire runs where they lie: a frame that packs never has the value
+//! then ships it; a pair collapsed onto a one-place group's place is made
+//! the same way by an order that ships nothing. Every stored replica is a
+//! checkpoint-codec frame ([`crate::codec`]): a small *head* (header +
+//! chunk-digest manifest) and a *body*. A frame is made from the value's
+//! wire runs where they lie: a frame that packs never has the value
 //! serialized in one buffer, and a frame that would not shrink keeps as its
-//! body the value's one serialization (a payload given serialized: that
-//! buffer), held by refcount. So every committed replica of a framed store
-//! is a frame, or a read-only object's held block. A frame restores from
-//! itself alone, so an entry is recoverable exactly when one of its two
-//! replica places is alive. Either way a payload is copied once per place
-//! boundary it crosses (owner → backup on save, holder → fetcher on
+//! body the value's one serialization, held by refcount. So every committed
+//! replica is a frame, or a read-only object's held block. A frame restores
+//! from itself alone, so an entry is recoverable exactly when one of its
+//! two replica places is alive. Either way a payload is copied once per
+//! place boundary it crosses (owner → backup on save, holder → fetcher on
 //! restore) and nowhere else. A held block crosses as a frame or buffer
 //! made at its holder for that one transfer, of which the holder keeps no
 //! handle — a verbatim frame's serialization, or for a fetch the block
 //! serialized: that is the crossing's one copy, and the receiver keeps it
 //! as it came. (A packed frame is smaller than the block, so nothing
 //! payload-sized is made for it at all.)
-//!
-//! [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,10 +79,11 @@ use crate::collective::each_place;
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{EntryLoc, Snapshot};
 
-/// One serialized replica. Without a `head` (the raw store) `body` *is* the
-/// logical payload. With one, the entry is a codec frame decoding to
-/// `logical` bytes: `head` is its header + digest manifest and `body` its
-/// record stream or, under a verbatim head, again the payload itself.
+/// One serialized replica: a codec frame decoding to `logical` bytes, `head`
+/// its header + digest manifest and `body` its record stream or, under a
+/// verbatim head, the payload itself. Only a read-only object's held block
+/// serialized for one fetch ([`PlaceStore::read`]) has no head: its `body`
+/// *is* the payload.
 #[derive(Clone)]
 pub(crate) struct StoredEntry {
     pub(crate) head: Option<Bytes>,
@@ -170,29 +165,7 @@ impl Contents for MatrixBlock {
     }
 }
 
-/// A payload given already serialized ([`ResilientStore::save_batch`]).
-struct Serialized(Bytes);
-
-impl Captured for Serialized {
-    fn encode(&self, _ctx: &Ctx) -> Bytes {
-        self.0.clone()
-    }
-
-    fn runs(&self) -> Vec<Run<'_>> {
-        vec![Run::Written(self.0.clone())]
-    }
-
-    fn digest(&self) -> u64 {
-        apgas::digest::content_digest(&self.0)
-    }
-}
-
 impl Held {
-    /// `payload`, held as its own serialization.
-    fn serialized(payload: Bytes) -> Self {
-        Held { len: payload.len(), value: Arc::new(Serialized(payload)), witness: None }
-    }
-
     /// In a debug build, fail a value that no longer matches its digest at
     /// capture, naming the object and the entry's key: resuming from it
     /// would resume from data the capture never saw.
@@ -248,10 +221,6 @@ impl Slot {
 }
 
 impl StoredEntry {
-    fn raw(payload: Bytes) -> Self {
-        StoredEntry { head: None, logical: payload.len() as u64, body: payload }
-    }
-
     /// Wire bytes: what the entry occupies in a shard and costs to ship.
     fn wire(&self) -> usize {
         self.head.as_ref().map_or(0, |h| h.len()) + self.body.len()
@@ -307,10 +276,9 @@ enum Holding {
 /// frames actually resident), the same quantity
 /// [`ResilientStore::inventory`] reports as `wire_bytes`, so the two
 /// reconcile exactly at any quiescent point. *Logical* payload bytes — what
-/// the frames decode back to — are reported separately; in a raw store the
-/// two quantities coincide. (Owner copies may share the
-/// encoder's allocation by refcount; the ledger counts held bytes, not
-/// unique heap blocks — the allocator-level view is `mem::heap_bytes`.)
+/// the frames decode back to — are reported separately. (Owner copies may
+/// share the encoder's allocation by refcount; the ledger counts held bytes,
+/// not unique heap blocks — the allocator-level view is `mem::heap_bytes`.)
 pub(crate) struct PlaceStore {
     map: Mutex<Shard>,
 }
@@ -343,9 +311,9 @@ impl PlaceStore {
     }
 
     /// What is here of `(snap_id, key)` as it would cross to a fetcher: its
-    /// frame, or a read-only object's held block serialized here into a raw
-    /// entry made for the transfer (`true`). A capture's handle is not
-    /// served: its ship has not run.
+    /// frame, or a read-only object's held block serialized here into an
+    /// entry without a head, made for the transfer (`true`). A capture's
+    /// handle is not served: its ship has not run.
     fn read(&self, ctx: &Ctx, snap_id: u64, key: u64) -> Option<(StoredEntry, bool)> {
         let held = {
             let shard = self.map.lock();
@@ -354,7 +322,8 @@ impl PlaceStore {
             }
             shard.held.get(&(snap_id, key))?.clone()
         };
-        Some((StoredEntry::raw(held.value.encode(ctx)), true))
+        let payload = held.value.encode(ctx);
+        Some((StoredEntry { head: None, logical: payload.len() as u64, body: payload }, true))
     }
 
     /// What is here of each of `keys`, in their order.
@@ -476,8 +445,8 @@ pub struct PlaceInventory {
     pub entries: usize,
     /// Distinct snapshot ids with at least one entry here.
     pub snapshots: usize,
-    /// Total *logical* payload bytes held — what the stored entries decode
-    /// back to. Equals `wire_bytes` in a raw store.
+    /// Total *logical* payload bytes held — what the stored frames decode
+    /// back to.
     pub bytes: u64,
     /// Total *wire* bytes actually resident (frames as stored/shipped).
     /// This is the quantity the `StoreShard` memory-ledger tag charges.
@@ -501,8 +470,7 @@ pub struct SnapshotAudit {
     /// Entries whose payload is present at both replica places.
     pub fully_redundant: usize,
     /// Entries down to exactly one surviving replica (one more failure away
-    /// from loss). A non-redundant (ablation) store reports every entry
-    /// here by design.
+    /// from loss).
     pub degraded: usize,
     /// Entries with **no** surviving replica — the invariant violation a
     /// double failure produces.
@@ -602,10 +570,6 @@ struct Holdings {
 pub struct ResilientStore {
     plh: PlaceLocalHandle<PlaceStore>,
     next_snap_id: Arc<AtomicU64>,
-    /// When false, backup copies are skipped — an **ablation** switch that
-    /// halves checkpoint cost but loses snapshot data with the owning
-    /// place. Production use keeps this on.
-    redundant: bool,
     /// When true, [`save_local_parts`](Self::save_local_parts) only keeps
     /// the captured handles at their owner: serializing and shipping them
     /// is left to whoever holds the resulting [`Snapshot`]
@@ -613,12 +577,6 @@ pub struct ResilientStore {
     /// `AppResilientStore` passes to `make_snapshot` is built so; any other
     /// serializes and ships its captures before `save_local_parts` returns.
     capture_only: bool,
-    /// When true, every serialized entry is stored and shipped as a
-    /// checkpoint codec frame ([`crate::codec`]). Bare stores are raw — the
-    /// parity reference; [`AppResilientStore::make`] builds a framed one.
-    ///
-    /// [`AppResilientStore::make`]: crate::app_store::AppResilientStore::make
-    framed: bool,
     /// Entry payloads handed out by [`fetch`](Self::fetch), at any place.
     handed_out: Arc<AtomicU64>,
 }
@@ -626,24 +584,11 @@ pub struct ResilientStore {
 impl ResilientStore {
     /// Create the store's shard at every place (including spares).
     pub fn make(ctx: &Ctx) -> GmlResult<Self> {
-        Self::make_full(ctx, true, false)
-    }
-
-    /// Create the store with the backup copies toggled (see `redundant`).
-    pub fn make_with_redundancy(ctx: &Ctx, redundant: bool) -> GmlResult<Self> {
-        Self::make_full(ctx, redundant, false)
-    }
-
-    /// Every public constructor, here and on `AppResilientStore`, ends here.
-    pub(crate) fn make_full(ctx: &Ctx, redundant: bool, framed: bool) -> GmlResult<Self> {
-        let all = ctx.all_places();
-        let plh = PlaceLocalHandle::make(ctx, &all, |_| PlaceStore::new())?;
+        let plh = PlaceLocalHandle::make(ctx, &ctx.all_places(), |_| PlaceStore::new())?;
         Ok(ResilientStore {
             plh,
             next_snap_id: Arc::new(AtomicU64::new(1)),
-            redundant,
             capture_only: false,
-            framed,
             handed_out: Arc::new(AtomicU64::new(0)),
         })
     }
@@ -676,16 +621,6 @@ impl ResilientStore {
         let held = self.part(snap.object_id, item);
         self.shard(ctx)?.map.lock().held.insert((snap.snap_id, key), held);
         Ok(())
-    }
-
-    /// Whether backup copies are being written.
-    pub fn is_redundant(&self) -> bool {
-        self.redundant
-    }
-
-    /// Whether an entry owned by `owner` and backed up at `backup` ships.
-    fn ships(&self, owner: Place, backup: Place) -> bool {
-        self.redundant && owner != backup
     }
 
     /// Allocate a namespace for one object snapshot.
@@ -755,9 +690,7 @@ impl ResilientStore {
         if self.capture_only || keys.is_empty() {
             return Ok(());
         }
-        let owner = ctx.here();
-        let backup = if self.ships(owner, backup) { backup } else { owner };
-        let order = ShipOrder { snap_id, owner, backup, keys, total, source: Source::Stored };
+        let order = ShipOrder { snap_id, owner: ctx.here(), backup, keys, total, source: Source::Stored };
         self.ship_from_here(ctx, &order).map(drop)
     }
 
@@ -766,7 +699,7 @@ impl ResilientStore {
     /// ship barrier. A death *after* this check is caught by the transfer
     /// itself.
     fn check_backup(&self, ctx: &Ctx, backup: Place) -> GmlResult<()> {
-        if self.redundant && backup != ctx.here() && !ctx.is_alive(backup) {
+        if backup != ctx.here() && !ctx.is_alive(backup) {
             return Err(GmlError::from(apgas::ApgasError::DeadPlace(
                 apgas::DeadPlaceException::new(backup, "backup died before batch ship"),
             )));
@@ -774,34 +707,12 @@ impl ResilientStore {
         Ok(())
     }
 
-    /// Save already serialized payloads as this place's entries of
-    /// `snap_id`, backed up at `backup`, the way [`hold`](Self::hold) saves
-    /// a capture's values: each payload is its own serialization, so its
-    /// buffer becomes the stored replica. Must be called from a task running
-    /// at the owning place. Returns the total payload size.
-    pub fn save_batch(
-        &self,
-        ctx: &Ctx,
-        snap_id: u64,
-        entries: Vec<(u64, Bytes)>,
-        backup: Place,
-    ) -> GmlResult<usize> {
-        let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
-        let held = entries.into_iter().map(|(key, payload)| (key, Held::serialized(payload)));
-        self.hold(ctx, snap_id, backup, held.collect())?;
-        Ok(total)
-    }
-
-    /// Entry `key`'s held value as this store keeps it: serialized in a raw
-    /// store, else framed by `codec::encode_entry` from the value's wire
-    /// runs where they lie — packed where that is proven to pay, with no
-    /// serialized copy of the value made; else kept verbatim, its one
-    /// serialization (a given payload's own buffer) becoming the body.
+    /// Entry `key`'s held value framed by `codec::encode_entry` from the
+    /// value's wire runs where they lie — packed where that is proven to
+    /// pay, with no serialized copy of the value made; else kept verbatim,
+    /// its one serialization becoming the body.
     fn frame(&self, ctx: &Ctx, key: u64, value: &Held) -> GmlResult<StoredEntry> {
         value.check(key)?;
-        if !self.framed {
-            return Ok(StoredEntry::raw(value.value.encode(ctx)));
-        }
         let serialized = || value.value.encode(ctx);
         let codec::EncodeOutcome { head, body } = codec::encode_entry(&value.value.runs(), serialized);
         Ok(StoredEntry { head: Some(head), body, logical: value.len as u64 })
@@ -849,8 +760,8 @@ impl ResilientStore {
         fresh: bool,
     ) -> GmlResult<()> {
         // Wire accounting: what actually crosses the place boundary is the
-        // stored (possibly framed) bytes — in a framed store this is where
-        // packing shows up in `bytes_shipped`.
+        // frames as stored — this is where packing shows up in
+        // `bytes_shipped`.
         let total: usize = entries.iter().map(|(_, e)| e.wire()).sum();
         let store = self.clone();
         ctx.record_bytes(total);
@@ -881,13 +792,12 @@ impl ResilientStore {
     /// What a capture of `snap` left undone, read off the snapshot: its
     /// entries grouped by `(owner, backup)` replica pair, in the owner's
     /// group order, keys ascending — the same on every run. An entry whose
-    /// pair does not ship (a non-redundant store, a pair collapsed onto one
-    /// place) has an order whose backup is its owner: it only serializes —
-    /// or, for a read-only object, keeps the handles.
+    /// pair collapsed onto one place has an order whose backup is its
+    /// owner: it only serializes — or, for a read-only object, keeps the
+    /// handles.
     pub(crate) fn ship_orders(&self, snap: &Snapshot) -> Vec<ShipOrder> {
-        let backup = |loc: &EntryLoc| if self.ships(loc.owner, loc.backup) { loc.backup } else { loc.owner };
         let mut entries: Vec<(u64, Place, Place, usize)> =
-            snap.entries.iter().map(|(&key, loc)| (key, loc.owner, backup(loc), loc.len)).collect();
+            snap.entries.iter().map(|(&key, loc)| (key, loc.owner, loc.backup, loc.len)).collect();
         entries.sort_unstable_by_key(|&(key, owner, backup, _)| (snap.group.index_of(owner), backup, key));
         let of_one_pair = entries.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2));
         let source = if snap.read_only { Source::Held } else { Source::Stored };
@@ -996,10 +906,6 @@ impl ResilientStore {
     ) -> GmlResult<RepairReport> {
         let t0 = Instant::now();
         let mut report = RepairReport::default();
-        if !self.redundant {
-            // The ablation store keeps one copy by design.
-            return Ok(report);
-        }
         let mut held = self.probe(ctx, snaps, group)?;
         self.settle_orphans(ctx, snaps, &mut held)?;
         // Per holder → target pair, the (snapshot index, key, source) entries
@@ -1214,11 +1120,11 @@ impl ResilientStore {
     }
 
     /// Fetch an entry's **logical payload** from wherever it survives: this
-    /// place's shard, else `first`'s, else `then`'s. A raw entry is its
-    /// payload; a frame is decoded from its own head and body, every chunk
-    /// digest-verified — the body of a verbatim frame is then handed on by
-    /// refcount; a read-only object's held block is serialized where it is
-    /// held. Any mismatch is reported as data loss, never returned as data.
+    /// place's shard, else `first`'s, else `then`'s. A frame is decoded from
+    /// its own head and body, every chunk digest-verified — the body of a
+    /// verbatim frame is then handed on by refcount; a read-only object's
+    /// held block is serialized where it is held, and that is the payload.
+    /// Any mismatch is reported as data loss, never returned as data.
     pub fn fetch(
         &self,
         ctx: &Ctx,
@@ -1243,14 +1149,13 @@ impl ResilientStore {
 
     /// How many entry payloads [`fetch`](Self::fetch) has handed out so far,
     /// over all places — verified and decoded each time, so this is what a
-    /// restore's read amplification is counted in (raw and framed stores
-    /// alike).
+    /// restore's read amplification is counted in.
     pub fn payloads_handed_out(&self) -> u64 {
         self.handed_out.load(Ordering::Relaxed)
     }
 
-    /// Fetch an entry **as stored** (frame or raw) from this place's shard
-    /// first, then `first`'s, then `then`'s.
+    /// Fetch an entry **as stored** (a frame, or a held block serialized)
+    /// from this place's shard first, then `first`'s, then `then`'s.
     fn fetch_stored(
         &self,
         ctx: &Ctx,
@@ -1287,10 +1192,9 @@ impl ResilientStore {
                 span.set_arg(e.wire() as u64);
                 ctx.record_bytes(e.wire());
                 // The only wire copy on the fetch path — the entry lands in
-                // this place's "memory". In a framed store, what crosses
-                // (and is accounted) is the frame, not its decoded
-                // expansion; a verbatim frame needs no other copy to become
-                // the payload again.
+                // this place's "memory". What crosses (and is accounted) is
+                // the frame, not its decoded expansion; a verbatim frame
+                // needs no other copy to become the payload again.
                 return Ok(e.received(ctx, fresh));
             }
         }
@@ -1508,7 +1412,7 @@ mod tests {
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
             let payload = Bytes::from_static(b"hello");
-            store.save_batch(ctx, sid, vec![(7, payload.clone())], Place::new(1)).unwrap();
+            save(ctx, &store, sid, vec![(7, payload.clone())], Place::new(1)).unwrap();
             let got = store.fetch(ctx, sid, 7, Place::ZERO, Place::new(1)).unwrap();
             assert_eq!(got, payload);
         });
@@ -1521,7 +1425,7 @@ mod tests {
             let s2 = store.clone();
             // Save at place 1, backup at place 2.
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_batch(ctx, sid, vec![(3, Bytes::from_static(b"xyz"))], Place::new(2)).unwrap();
+                save(ctx, &s2, sid, vec![(3, Bytes::from_static(b"xyz"))], Place::new(2)).unwrap();
             })
             .unwrap();
             // Fetch from place 3 (neither owner nor backup): goes remote.
@@ -1541,7 +1445,7 @@ mod tests {
             let sid = store.fresh_snap_id();
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"vital"))], Place::new(2)).unwrap();
+                save(ctx, &s2, sid, vec![(1, Bytes::from_static(b"vital"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
@@ -1556,7 +1460,7 @@ mod tests {
             let sid = store.fresh_snap_id();
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"vital"))], Place::new(2)).unwrap();
+                save(ctx, &s2, sid, vec![(1, Bytes::from_static(b"vital"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(2)).unwrap();
@@ -1571,7 +1475,7 @@ mod tests {
             let sid = store.fresh_snap_id();
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"gone"))], Place::new(2)).unwrap();
+                save(ctx, &s2, sid, vec![(1, Bytes::from_static(b"gone"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
@@ -1587,11 +1491,12 @@ mod tests {
         with_store(2, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
             let before = ctx.stats().bytes_shipped;
-            store
-                .save_batch(ctx, sid, vec![(0, Bytes::from(vec![7u8; 1024]))], Place::new(1))
+            save(ctx, &store, sid, vec![(0, Bytes::from(vec![7u8; 1024]))], Place::new(1))
                 .unwrap();
             let after = ctx.stats().bytes_shipped;
-            assert_eq!(after - before, 1024, "backup transfer is accounted");
+            // The frame: a 41-byte head (33 fixed + one 8-byte chunk digest)
+            // and a 33-byte packed body.
+            assert_eq!(after - before, 41 + 33, "backup transfer is accounted");
         });
     }
 
@@ -1599,8 +1504,8 @@ mod tests {
     fn delete_snapshot_removes_everywhere() {
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
-            store.save_batch(ctx, sid, vec![(0, Bytes::from_static(b"a"))], Place::new(1)).unwrap();
-            store.save_batch(ctx, sid, vec![(1, Bytes::from_static(b"b"))], Place::new(1)).unwrap();
+            save(ctx, &store, sid, vec![(0, Bytes::from_static(b"a"))], Place::new(1)).unwrap();
+            save(ctx, &store, sid, vec![(1, Bytes::from_static(b"b"))], Place::new(1)).unwrap();
             assert_eq!(store.entries_at(ctx, Place::ZERO).unwrap(), 2);
             assert_eq!(store.entries_at(ctx, Place::new(1)).unwrap(), 2);
             store.delete_snapshots(ctx, &[sid]).unwrap();
@@ -1615,8 +1520,8 @@ mod tests {
         with_store(2, 0, |ctx, store| {
             let a = store.fresh_snap_id();
             let b = store.fresh_snap_id();
-            store.save_batch(ctx, a, vec![(0, Bytes::from_static(b"a"))], Place::new(1)).unwrap();
-            store.save_batch(ctx, b, vec![(0, Bytes::from_static(b"b"))], Place::new(1)).unwrap();
+            save(ctx, &store, a, vec![(0, Bytes::from_static(b"a"))], Place::new(1)).unwrap();
+            save(ctx, &store, b, vec![(0, Bytes::from_static(b"b"))], Place::new(1)).unwrap();
             store.delete_snapshots(ctx, &[a]).unwrap();
             assert!(store.fetch(ctx, a, 0, Place::ZERO, Place::new(1)).is_err());
             assert!(store.fetch(ctx, b, 0, Place::ZERO, Place::new(1)).is_ok());
@@ -1630,34 +1535,13 @@ mod tests {
             // Owner place 1, backup the *spare* place 2 (stores span spares).
             let s2 = store.clone();
             ctx.at(Place::new(1), move |ctx| {
-                s2.save_batch(ctx, sid, vec![(9, Bytes::from_static(b"s"))], Place::new(2)).unwrap();
+                save(ctx, &s2, sid, vec![(9, Bytes::from_static(b"s"))], Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
             let got = store.fetch(ctx, sid, 9, Place::new(1), Place::new(2)).unwrap();
             assert_eq!(got, Bytes::from_static(b"s"));
         });
-    }
-
-    #[test]
-    fn non_redundant_store_is_cheaper_but_fragile() {
-        Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
-            let store = ResilientStore::make_with_redundancy(ctx, false).unwrap();
-            assert!(!store.is_redundant());
-            let sid = store.fresh_snap_id();
-            let s2 = store.clone();
-            let before = ctx.stats().bytes_shipped;
-            ctx.at(Place::new(1), move |ctx| {
-                s2.save_batch(ctx, sid, vec![(0, Bytes::from(vec![1u8; 512]))], Place::new(2)).unwrap();
-            })
-            .unwrap();
-            // Ablation: no backup transfer happened...
-            assert_eq!(ctx.stats().bytes_shipped - before, 0);
-            // ...so the data dies with its owner.
-            ctx.kill_place(Place::new(1)).unwrap();
-            assert!(store.fetch(ctx, sid, 0, Place::new(1), Place::new(2)).is_err());
-        })
-        .unwrap();
     }
 
     /// A value that serializes as its bytes alone.
@@ -1684,6 +1568,20 @@ mod tests {
     /// `bytes`, held by a capture through `store`.
     fn held(store: &ResilientStore, bytes: Vec<u8>) -> Held {
         store.part(42, &Shared::new(Raw(bytes)))
+    }
+
+    /// Save `entries` as this place's entries of `sid`, backed up at
+    /// `backup`, the way a `make_snapshot` saves a place's blocks: held by a
+    /// capture, then framed here and shipped in one batch.
+    fn save(
+        ctx: &Ctx,
+        store: &ResilientStore,
+        sid: u64,
+        entries: Vec<(u64, Bytes)>,
+        backup: Place,
+    ) -> GmlResult<()> {
+        let parts = entries.into_iter().map(|(key, bytes)| (key, held(store, bytes.to_vec())));
+        store.hold(ctx, sid, backup, parts.collect())
     }
 
     #[test]
@@ -1807,8 +1705,10 @@ mod tests {
             // Each holder copies to *its* next place among the survivors;
             // keys 2 and 3 kept both replicas and are not touched.
             assert_eq!(report.entries, 2);
-            assert_eq!(report.wire_bytes, 2 * 64);
-            assert_eq!(ctx.stats().bytes_shipped - shipped, 2 * 64);
+            // Keys 0 and 1's frames: a 41-byte head each, and packed bodies
+            // of 17 (zeros) and 33 bytes.
+            assert_eq!(report.wire_bytes, 2 * 41 + 17 + 33);
+            assert_eq!(ctx.stats().bytes_shipped - shipped, 2 * 41 + 17 + 33);
             let pairs = [(Place::ZERO, Place::new(2)), (Place::new(2), Place::new(3))];
             assert_eq!(report.pairs, pairs);
             for (key, (owner, backup)) in [(0, pairs[0]), (1, pairs[1])] {
@@ -1879,28 +1779,13 @@ mod tests {
     }
 
     #[test]
-    fn a_non_redundant_store_has_nothing_to_repair() {
-        Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
-            let store = ResilientStore::make_with_redundancy(ctx, false).unwrap();
-            let group = ctx.world();
-            let mut snap = saved_snapshot(ctx, &store, &group);
-            ctx.kill_place(Place::new(2)).unwrap();
-            let survivors = group.without(&[Place::new(2)]);
-            let report = store.repair(ctx, &mut [&mut snap], &survivors, None).unwrap();
-            assert_eq!(report, RepairReport::default());
-            assert_eq!(store.entries_at(ctx, Place::ZERO).unwrap(), 1, "one copy by design");
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn audit_flags_backup_misplacement() {
         with_store(4, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
             let group = ctx.world();
             // Backup deliberately placed two hops away instead of next.
             let wrong_backup = Place::new(2);
-            store.save_batch(ctx, sid, vec![(0, Bytes::from_static(b"misplaced"))], wrong_backup).unwrap();
+            save(ctx, &store, sid, vec![(0, Bytes::from_static(b"misplaced"))], wrong_backup).unwrap();
             let loc = EntryLoc { owner: Place::ZERO, backup: wrong_backup, len: 9 };
             let snap = Snapshot::gathered(ctx, sid, 7, &group, Bytes::new(), [(0, loc)]);
             let audit = store.audit_snapshot(ctx, &snap);
@@ -1917,11 +1802,13 @@ mod tests {
             let before = ctx.stats();
             let entries: Vec<(u64, Bytes)> =
                 (0..8u64).map(|k| (k, Bytes::from(vec![k as u8; 128]))).collect();
-            let total = store.save_batch(ctx, sid, entries, Place::new(1)).unwrap();
-            assert_eq!(total, 8 * 128);
+            save(ctx, &store, sid, entries, Place::new(1)).unwrap();
             let after = ctx.stats();
-            assert_eq!(after.bytes_shipped - before.bytes_shipped, 8 * 128);
-            assert_eq!(after.bytes_received - before.bytes_received, 8 * 128);
+            // Eight frames, each a 41-byte head and a packed body: 17 bytes
+            // for key 0's zeros, 33 for each other key.
+            let wire = 8 * 41 + 17 + 7 * 33;
+            assert_eq!(after.bytes_shipped - before.bytes_shipped, wire);
+            assert_eq!(after.bytes_received - before.bytes_received, wire);
             // One batched round trip, not eight.
             assert_eq!(after.at_calls - before.at_calls, 1, "a batch is one `at`");
             for k in 0..8u64 {
@@ -1941,7 +1828,7 @@ mod tests {
                     (0u64, Bytes::from_static(b"alpha")),
                     (1u64, Bytes::from_static(b"beta")),
                 ];
-                s2.save_batch(ctx, sid, entries, Place::new(2)).unwrap();
+                save(ctx, &s2, sid, entries, Place::new(2)).unwrap();
             })
             .unwrap();
             ctx.kill_place(Place::new(1)).unwrap();
@@ -1955,8 +1842,7 @@ mod tests {
         with_store(3, 0, |ctx, store| {
             ctx.kill_place(Place::new(2)).unwrap();
             let sid = store.fresh_snap_id();
-            let err = store
-                .save_batch(ctx, sid, vec![(0, Bytes::from_static(b"x"))], Place::new(2))
+            let err = save(ctx, &store, sid, vec![(0, Bytes::from_static(b"x"))], Place::new(2))
                 .unwrap_err();
             assert!(err.is_recoverable(), "dead backup is a recoverable failure: {err}");
         });
@@ -1993,7 +1879,10 @@ mod tests {
             for order in store.ship_orders(&a) {
                 store.execute_ship(ctx, order).unwrap();
             }
-            assert_eq!(ctx.stats().bytes_shipped - before, meta + 4 * 64, "exactly a's backups");
+            // a's four frames: a 41-byte head each, and packed bodies of 17
+            // (key 0's zeros) and 3 × 33 bytes.
+            let frames = 4 * 41 + 17 + 3 * 33;
+            assert_eq!(ctx.stats().bytes_shipped - before, meta + frames, "exactly a's backups");
             let (a, b) = (store.audit_snapshot(ctx, &a), store.audit_snapshot(ctx, &b));
             assert_eq!((a.fully_redundant, b.fully_redundant), (4, 0));
             assert!(a.invariant_ok() && b.invariant_ok());
@@ -2019,34 +1908,25 @@ mod tests {
     /// A capture with no second place to ship to is serialized where it
     /// is held, by an order whose backup is its owner.
     #[test]
-    fn a_one_place_group_and_a_non_redundant_store_yield_orders_that_ship_nothing() {
-        Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
+    fn a_one_place_group_yields_orders_that_ship_nothing() {
+        with_store(3, 0, |ctx, store| {
             let alone: PlaceGroup = [Place::new(1)].into_iter().collect();
-            let store = ResilientStore::make(ctx).unwrap();
             let snap = saved_snapshot(ctx, &store.capturing(), &alone);
             assert_eq!(snap.entry(0).unwrap().backup, Place::new(1), "collapsed onto the owner");
-            let single = ResilientStore::make_with_redundancy(ctx, false).unwrap();
-            let spread = saved_snapshot(ctx, &single.capturing(), &ctx.world());
-            for (store, snap) in [(&store, &snap), (&single, &spread)] {
-                let orders = store.ship_orders(snap);
-                assert_eq!(orders.len(), snap.entries.len(), "one order per owner");
-                assert!(orders.iter().all(|o| o.owner == o.backup), "none ships");
-                assert!(snap.fetch(ctx, store, 0).is_err(), "nothing serialized before the orders run");
-                let before = ctx.stats().bytes_shipped;
-                orders.into_iter().for_each(|o| store.execute_ship(ctx, o).unwrap());
-                assert_eq!(ctx.stats().bytes_shipped, before, "nothing shipped");
-                for (&key, _) in snap.entries.iter() {
-                    assert_eq!(snap.fetch(ctx, store, key).unwrap(), vec![key as u8; 64]);
-                }
-            }
-        })
-        .unwrap();
+            let orders = store.ship_orders(&snap);
+            assert_eq!(orders.len(), 1, "one order for the one owner");
+            assert!(orders.iter().all(|o| o.owner == o.backup), "none ships");
+            assert!(snap.fetch(ctx, &store, 0).is_err(), "nothing serialized before the order runs");
+            let before = ctx.stats().bytes_shipped;
+            orders.into_iter().for_each(|o| store.execute_ship(ctx, o).unwrap());
+            assert_eq!(ctx.stats().bytes_shipped, before, "nothing shipped");
+            assert_eq!(snap.fetch(ctx, &store, 0).unwrap(), vec![0u8; 64]);
+        });
     }
 
     #[test]
     fn a_verbatim_entry_is_the_serialized_buffer_at_the_owner_and_one_copy_at_the_backup() {
-        Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
-            let store = ResilientStore::make_full(ctx, true, true).unwrap();
+        with_store(2, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
             // Noise: no byte plane packs, so the frame is verbatim.
             let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -2058,7 +1938,7 @@ mod tests {
             });
             let payload = Bytes::from(noise.collect::<Vec<u8>>());
             let before = ctx.stats().bytes_shipped;
-            store.save_batch(ctx, sid, vec![(0, payload.clone())], Place::new(1)).unwrap();
+            save(ctx, &store, sid, vec![(0, payload.clone())], Place::new(1)).unwrap();
 
             let owner = store.shard(ctx).unwrap().get(sid, 0).unwrap();
             let s2 = store.clone();
@@ -2066,8 +1946,8 @@ mod tests {
             let backup = ctx.at(Place::new(1), at_backup).unwrap();
             let (owner_head, backup_head) = (owner.head.unwrap(), backup.head.unwrap());
             // One honest copy per hop: none at the owner, one at the backup.
-            assert_eq!(owner.body.as_ptr(), payload.as_ptr(), "the owner holds the serializer's buffer");
-            assert_ne!(backup.body.as_ptr(), payload.as_ptr(), "the backup holds its own");
+            assert_eq!(owner.body, payload, "the owner's body is the value's one serialization");
+            assert_ne!(backup.body.as_ptr(), owner.body.as_ptr(), "the backup holds its own");
             assert_ne!(backup_head.as_ptr(), owner_head.as_ptr());
             assert_eq!((&backup_head, &backup.body), (&owner_head, &payload), "bit-identical");
             let wire = (owner_head.len() + payload.len()) as u64;
@@ -2075,14 +1955,13 @@ mod tests {
             assert_eq!(store.inventory(ctx)[1].wire_bytes, wire);
             // Reading it back at the owner verifies it and copies nothing.
             let got = store.fetch(ctx, sid, 0, Place::ZERO, Place::new(1)).unwrap();
-            assert_eq!(got.as_ptr(), payload.as_ptr());
-        })
-        .unwrap();
+            assert_eq!(got.as_ptr(), owner.body.as_ptr());
+        });
     }
 
     #[test]
     fn ledger_reconciles_with_inventory_through_save_delete_and_kill() {
-        // The StoreShard ledger tag must equal the summed inventory payload
+        // The StoreShard ledger tag must equal the summed inventory wire
         // bytes at every quiescent point — including after a kill drops a
         // whole shard. Guarded on mem profiling being compiled in; other
         // tests' stores run concurrently, so compare *deltas* of this
@@ -2094,10 +1973,13 @@ mod tests {
         }
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
-            store.save_batch(ctx, sid, vec![(0, Bytes::from(vec![1u8; 4096]))], Place::new(1)).unwrap();
+            save(ctx, &store, sid, vec![(0, Bytes::from(vec![1u8; 4096]))], Place::new(1)).unwrap();
             let inv: u64 = store.inventory(ctx).iter().map(|i| i.bytes).sum();
             assert_eq!(inv, 2 * 4096, "owner + backup copies");
-            assert!(mem::current(MemTag::StoreShard) >= inv);
+            // Each copy a frame: a 41-byte head and a 57-byte packed body.
+            let wire: u64 = store.inventory(ctx).iter().map(|i| i.wire_bytes).sum();
+            assert_eq!(wire, 2 * (41 + 57));
+            assert!(mem::current(MemTag::StoreShard) >= wire);
             store.delete_snapshots(ctx, &[sid]).unwrap();
             let inv_after: u64 = store.inventory(ctx).iter().map(|i| i.bytes).sum();
             assert_eq!(inv_after, 0);
@@ -2108,8 +1990,8 @@ mod tests {
     fn inventory_counts_entries_and_zeroes_dead_places() {
         with_store(3, 0, |ctx, store| {
             let sid = store.fresh_snap_id();
-            store.save_batch(ctx, sid, vec![(0, Bytes::from(vec![1u8; 100]))], Place::new(1)).unwrap();
-            store.save_batch(ctx, sid, vec![(1, Bytes::from(vec![2u8; 50]))], Place::new(1)).unwrap();
+            save(ctx, &store, sid, vec![(0, Bytes::from(vec![1u8; 100]))], Place::new(1)).unwrap();
+            save(ctx, &store, sid, vec![(1, Bytes::from(vec![2u8; 50]))], Place::new(1)).unwrap();
             ctx.kill_place(Place::new(2)).unwrap();
             let inv = store.inventory(ctx);
             assert_eq!(inv.len(), 3);

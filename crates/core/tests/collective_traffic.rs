@@ -12,6 +12,12 @@
 //! records, one Term per task (a message from every place but zero) and one
 //! local wait: `2k + 1` bookkeeping operations. A synchronous `ctx.at` is
 //! counted as one task spawned and no bookkeeping.
+//!
+//! The store keeps every entry as a checkpoint codec frame, so a snapshot
+//! ships frames: a head ([`HEAD`]) and a body, which for these small,
+//! regular payloads packs to less than the payload.
+
+use std::sync::Mutex;
 
 use apgas::prelude::*;
 use apgas::runtime::{Runtime, RuntimeConfig};
@@ -33,20 +39,16 @@ fn dense_wire(rows: usize, cols: usize) -> u64 {
     16 + vector_wire(rows * cols)
 }
 
-/// `MatrixBlock::write`: four u64 coordinates and a one-byte payload tag,
-/// then the payload.
-fn block_wire(payload: u64) -> u64 {
-    32 + 1 + payload
-}
-
-/// `SparseCSR::write` of `rows` rows with `nnz` non-zeros: rows, cols and
-/// nnz, then the row pointers, column indices and values.
-fn sparse_wire(rows: usize, nnz: usize) -> u64 {
-    24 + 8 * (rows as u64 + 1) + 16 * nnz as u64
-}
-
 /// Entry metadata gathered home per entry a place other than zero owns.
 const META: u64 = 32;
+
+/// A frame's head: 33 fixed bytes and one 8-byte digest per 4096-byte chunk
+/// of the payload — every payload here is one chunk.
+const HEAD: u64 = 33 + 8;
+
+/// Held by every test that frames: the codec's counters are process-global,
+/// and `save_then_restore` counts the frames its save made.
+static FRAMING: Mutex<()> = Mutex::new(());
 
 fn ctl_ops(d: &StatsSnapshot) -> u64 {
     d.ctl_total() + d.ctl_local
@@ -133,13 +135,17 @@ fn dup_dense_sync_skips_the_root() {
     });
 }
 
-/// Snapshot `obj` into a fresh raw store, then restore it in place: the
-/// traffic of each call.
+/// Snapshot `obj` into a fresh store, then restore it in place: the
+/// traffic of each call. The save frames each entry once, at its owner.
 fn save_then_restore(ctx: &Ctx, obj: &mut dyn Snapshottable) -> (StatsSnapshot, StatsSnapshot) {
+    let _framing = FRAMING.lock().unwrap_or_else(|e| e.into_inner());
     let store = ResilientStore::make(ctx).unwrap();
     let mut snap: Option<Snapshot> = None;
+    let frames = gml_core::codec::counters().frames_full;
     let save = delta(ctx, || snap = Some(obj.make_snapshot(ctx, &store).unwrap()));
     let snap = snap.unwrap();
+    let framed = gml_core::codec::counters().frames_full - frames;
+    assert_eq!(framed, snap.entries.len() as u64, "one frame per entry");
     let restore = delta(ctx, || obj.restore_snapshot(ctx, &store, &snap).unwrap());
     (save, restore)
 }
@@ -167,7 +173,8 @@ fn dup_vector_snapshot_saves_the_root_copy_and_restores_it_everywhere() {
         let mut v = DupVector::make(ctx, 5, &ctx.world()).unwrap();
         v.init(ctx, |i| i as f64).unwrap();
         let (save, restore) = save_then_restore(ctx, &mut v);
-        assert_dup_save_and_restore(&save, &restore, vector_wire(5));
+        // vector_wire(5) = 48 B, framed as a head and a 30-byte body.
+        assert_dup_save_and_restore(&save, &restore, HEAD + 30);
     });
 }
 
@@ -177,18 +184,20 @@ fn dup_dense_snapshot_saves_the_root_copy_and_restores_it_everywhere() {
         let mut m = DupDenseMatrix::make(ctx, 3, 4, &ctx.world()).unwrap();
         m.init(ctx, |i, j| (i * 4 + j) as f64).unwrap();
         let (save, restore) = save_then_restore(ctx, &mut m);
-        assert_dup_save_and_restore(&save, &restore, dense_wire(3, 4));
+        // dense_wire(3, 4) = 120 B, framed as a head and a 41-byte body.
+        assert_dup_save_and_restore(&save, &restore, HEAD + 41);
     });
 }
 
 /// A one-block-per-place matrix's save is one finish over the group in
 /// which every place ships its block to the next place in one `at`, and
 /// the three places other than zero send their entry's metadata home.
-fn assert_one_block_per_place_save(save: &StatsSnapshot, block: u64) {
+/// `frames` is the four blocks' frames together.
+fn assert_one_block_per_place_save(save: &StatsSnapshot, frames: u64) {
     assert_eq!(save.at_calls, 4, "one batched backup transfer per place");
     assert_eq!(save.tasks_spawned, 4 + 4);
     assert_eq!(ctl_ops(save), 2 * 4 + 1);
-    assert_eq!(save.bytes_shipped, 4 * block + 3 * META);
+    assert_eq!(save.bytes_shipped, frames + 3 * META);
     assert_eq!(save.bytes_received, save.bytes_shipped);
 }
 
@@ -198,7 +207,10 @@ fn dist_dense_snapshot_ships_each_block_to_the_next_place() {
         let mut m = DistDenseMatrix::make(ctx, 8, 3, &ctx.world()).unwrap();
         m.init(ctx, |r, c| (r * 3 + c) as f64).unwrap();
         let (save, _) = save_then_restore(ctx, &mut m);
-        assert_one_block_per_place_save(&save, block_wire(dense_wire(2, 3)));
+        // Each block is 105 B — a 33-byte `MatrixBlock` header and
+        // dense_wire(2, 3) — framed as a head and a body of 35 bytes
+        // (block 0) or 39 (blocks 1 to 3).
+        assert_one_block_per_place_save(&save, 4 * HEAD + 35 + 3 * 39);
     });
 }
 
@@ -209,8 +221,11 @@ fn dist_sparse_snapshot_ships_each_block_to_the_next_place() {
         m.init_blocks(ctx, |_, r0, _, rows, cols| builder::random_csr(rows, cols, 2, r0 as u64))
             .unwrap();
         let (save, _) = save_then_restore(ctx, &mut m);
-        // Three rows of two non-zeros per block.
-        assert_one_block_per_place_save(&save, block_wire(sparse_wire(3, 6)));
+        // Three rows of two non-zeros per block: 185 B — a 33-byte
+        // `MatrixBlock` header, 24 of CSR shape, 32 of row pointers and 96
+        // of non-zeros — framed as a head and a body of 91, 94, 91 and 96
+        // bytes.
+        assert_one_block_per_place_save(&save, 4 * HEAD + 91 + 94 + 91 + 96);
     });
 }
 
@@ -219,6 +234,7 @@ fn dist_vector_make_snapshot_skips_places_without_segments() {
     on_four_places(|ctx| {
         // Three segments of 4 over three of the four places: place 3 holds
         // nothing.
+        let _framing = FRAMING.lock().unwrap_or_else(|e| e.into_inner());
         let g = PlaceGroup::first(3);
         let store = ResilientStore::make(ctx).unwrap();
         let v = DistVector::make(ctx, 12, &g).unwrap();
@@ -229,9 +245,10 @@ fn dist_vector_make_snapshot_skips_places_without_segments() {
         assert_eq!(d.at_calls, 3, "one batched backup transfer per owner");
         assert_eq!(d.tasks_spawned, 3 + 3, "place 3 has no segment, so no task");
         assert_eq!(ctl_ops(&d), 2 * 3 + 1);
-        // One backup copy per segment, plus 32 B of entry metadata home from
+        // One backup copy per segment — vector_wire(4) = 40 B, framed as a
+        // head and a 29-byte body — plus 32 B of entry metadata home from
         // each of the two owners that are not the driver's place.
-        assert_eq!(d.bytes_shipped, 3 * vector_wire(4) + 2 * 32);
+        assert_eq!(d.bytes_shipped, 3 * (HEAD + 29) + 2 * 32);
         assert_eq!(d.bytes_received, d.bytes_shipped);
         for (key, owner) in [(0, 0), (1, 1), (2, 2)] {
             let loc = snap.entry(key).unwrap();
@@ -244,6 +261,7 @@ fn dist_vector_make_snapshot_skips_places_without_segments() {
 
 #[test]
 fn a_two_object_commit_retires_both_old_snapshots_in_one_fan_out() {
+    let _framing = FRAMING.lock().unwrap_or_else(|e| e.into_inner());
     on_four_places(|ctx| {
         let g = ctx.world();
         let mut store = AppResilientStore::make(ctx).unwrap();

@@ -1,5 +1,5 @@
 //! Failure drills for the two-phase (capture/ship) checkpoint pipeline:
-//! a backup killed mid-`save_batch` must abort the checkpoint atomically
+//! a backup killed before a save's capture must abort the checkpoint atomically
 //! (cancelled snapshot, no partial inventory), and a place killed during
 //! the asynchronous ship phase must surface at the commit barrier so the
 //! executor restores from the previous committed snapshot. The same drills
@@ -26,7 +26,7 @@ fn inventory_fingerprint(ctx: &Ctx, store: &AppResilientStore) -> Vec<(u32, bool
         .collect()
 }
 
-/// Drill 1 — the backup place dies mid-`save_batch`: the save fails at
+/// Drill 1 — the backup place dies before the capture: the save fails at
 /// capture time (dead-backup fail-fast), the attempt is cancelled, and the
 /// watermark delete leaves the store inventory bit-identical to its
 /// pre-attempt state — no partial inventory, committed snapshot intact and
@@ -56,7 +56,7 @@ fn backup_killed_mid_batch_aborts_checkpoint_atomically() {
         store.set_current_iteration(3);
         store.start_new_snapshot();
         // DupVector first: its owner (place 0) is alive, so this exercises
-        // the pure dead-backup fail-fast inside save_batch.
+        // the pure dead-backup fail-fast of the owner's capture.
         let err = store.save(ctx, &dup).unwrap_err();
         assert!(err.is_recoverable(), "dead backup must be recoverable: {err:?}");
         // The DistVector save also fails (place 1 is an owner too), but its

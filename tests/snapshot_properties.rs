@@ -123,33 +123,30 @@ proptest! {
     #[test]
     fn double_store_survives_any_single_failure(
         places in 3usize..6,
-        keys in 1usize..6,
+        blocks_per_place in 1usize..6,
         victim_idx in 1usize..5,
     ) {
         let victim_idx = victim_idx.min(places - 1).max(1);
         Runtime::run(RuntimeConfig::new(places).resilient(true), move |ctx| {
             let world = ctx.world();
             let store = ResilientStore::make(ctx).unwrap();
-            let sid = store.fresh_snap_id();
-            // Key k saved by place (k mod places) with backup at the next
-            // group index — the paper's placement rule.
-            let mut locs = Vec::new();
-            for k in 0..keys {
-                let owner_idx = k % places;
-                let owner = world.place(owner_idx);
-                let backup = world.place(world.next_index(owner_idx));
-                let store2 = store.clone();
-                let payload = bytes::Bytes::from(vec![k as u8; 64]);
-                ctx.at(owner, move |ctx| {
-                    store2.save_batch(ctx, sid, vec![(k as u64, payload)], backup).unwrap();
-                })
+            // Block k at place k mod places, saved by its place with the
+            // backup at the next group index — the paper's placement rule.
+            let blocks = blocks_per_place * places;
+            let m = DistBlockMatrix::make(ctx, 2 * blocks, 3, blocks, 1, places, 1, &world, false)
                 .unwrap();
-                locs.push((k as u64, owner, backup));
+            m.init_with(ctx, |_, _, r0, c0, r, c| dense_fill(r0, c0, r, c)).unwrap();
+            let snap = m.make_snapshot(ctx, &store).unwrap();
+            let saved: Vec<_> = (0..blocks as u64).map(|k| snap.fetch(ctx, &store, k).unwrap()).collect();
+            for k in 0..blocks as u64 {
+                let (loc, owner_idx) = (snap.entry(k).unwrap(), k as usize % places);
+                assert_eq!(loc.owner, world.place(owner_idx));
+                assert_eq!(loc.backup, world.place(world.next_index(owner_idx)));
             }
             ctx.kill_place(world.place(victim_idx)).unwrap();
-            for (k, owner, backup) in locs {
-                let got = store.fetch(ctx, sid, k, owner, backup).unwrap();
-                assert_eq!(got, bytes::Bytes::from(vec![k as u8; 64]));
+            assert!(snap.reachable(ctx, &store));
+            for (k, payload) in saved.into_iter().enumerate() {
+                assert_eq!(snap.fetch(ctx, &store, k as u64).unwrap(), payload);
             }
         })
         .unwrap();
