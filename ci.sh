@@ -94,10 +94,19 @@ cargo test -q -p gml-matrix --lib builder > /dev/null
 # — at every edge shape and at GNMF's per-place shapes — and at those
 # shapes one call of gemm, gemm_tn_acc or mult_dup_into must raise the
 # heap's peak by less than 1 MiB, and mult_dup_into must leave each output
-# block's buffer where it was.
+# block's buffer where it was. GNMF's W update, a row panel at a time, must
+# equal the whole-product sequence it replaced (two mult_dup_into, two
+# zip_blocks) bit for bit — at block heights around the panel's, with a
+# place holding two blocks and at GNMF's per-place shape — and at that
+# shape raise the heap's peak by less than 1 MiB and leave each W block's
+# buffer where it was.
 cargo test -q -p gml-matrix --lib whole_operand_packing > /dev/null
+cargo test -q -p gml-core --lib \
+    dist_block_matrix::tests::nmf_update_matches_the_four_call_sequence_bit_for_bit \
+    -- --exact > /dev/null
 cargo test -q --test mem_plane a_gemm_packs_bounded_panels -- --exact > /dev/null
 cargo test -q --test mem_plane mult_dup_into_writes_into_its_output_blocks -- --exact > /dev/null
+cargo test -q --test mem_plane nmf_update_updates_w_where_it_lies -- --exact > /dev/null
 
 echo "== silent-error drill + task panic contract =="
 # The silent-error drill: a checksum flip between a step's recorded digest

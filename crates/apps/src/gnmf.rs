@@ -11,17 +11,19 @@
 //!
 //! `V` (sparse, m×n) and `W` (dense, m×k) are row-distributed and
 //! row-aligned; `H` (dense, k×n) is duplicated. Per iteration: two
-//! distributed Gram products with allreduce (`WᵀV`, `WᵀW`), two local
-//! matrix products (`V·Hᵀ`, `W·(H·Hᵀ)`), and element-wise updates — a
-//! heavier, gemm-shaped communication pattern than the paper's three
-//! benchmarks, exercising the matrix-matrix side of the library.
+//! distributed Gram products with allreduce (`WᵀV`, `WᵀW`), the H update
+//! at the root and its broadcast, then one place-local pass that updates
+//! `W` a row panel at a time, forming only a panel's rows of `V·Hᵀ` and
+//! `W·(H·Hᵀ)` ([`DistBlockMatrix::nmf_update`]) — a heavier, gemm-shaped
+//! communication pattern than the paper's three benchmarks, exercising the
+//! matrix-matrix side of the library.
 
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
 use gml_core::{
-    each_place, AppState, DistBlockMatrix, DupDenseMatrix, DupOperand, GmlResult,
-    ResilientIterativeApp,
+    each_place, AppState, DistBlockMatrix, DupDenseMatrix, GmlResult, ResilientIterativeApp,
+    ROW_PANEL,
 };
 use gml_matrix::{builder, BlockData, DenseMatrix, SparseCSR};
 
@@ -71,12 +73,11 @@ pub struct Gnmf {
     w: DistBlockMatrix,
     /// Right factor (dense, duplicated).
     h: DupDenseMatrix,
-    /// Temporaries: `WᵀV` (k×n), `WᵀW` (k×k) duplicated; `V·Hᵀ`,
-    /// `W·(H·Hᵀ)` (m×k) distributed.
+    /// Temporaries: `WᵀV` (k×n) and `WᵀW` (k×k), duplicated. The W
+    /// update's `V·Hᵀ` and `W·(H·Hᵀ)` live only a row panel at a time,
+    /// inside [`DistBlockMatrix::nmf_update`].
     wtv: DupDenseMatrix,
     wtw: DupDenseMatrix,
-    vht: DistBlockMatrix,
-    whh: DistBlockMatrix,
 }
 
 impl Gnmf {
@@ -102,9 +103,7 @@ impl Gnmf {
         h.init(ctx, move |i, j| h_init.get(i, j))?;
         let wtv = DupDenseMatrix::make(ctx, k, n, group)?;
         let wtw = DupDenseMatrix::make(ctx, k, k, group)?;
-        let vht = DistBlockMatrix::make(ctx, m, k, places, 1, places, 1, group, false)?;
-        let whh = DistBlockMatrix::make(ctx, m, k, places, 1, places, 1, group, false)?;
-        Ok(Gnmf { cfg, v, w, h, wtv, wtw, vht, whh })
+        Ok(Gnmf { cfg, v, w, h, wtv, wtw })
     }
 
     /// One multiplicative update of `H` then `W`.
@@ -128,14 +127,7 @@ impl Gnmf {
         }
         self.h.sync(ctx)?;
         // W update: W ∘= (V·Hᵀ) ⊘ (W·(H·Hᵀ) + ε), fully local per place.
-        self.v.mult_dup_into(ctx, &self.vht, &self.h, DupOperand::Transpose)?;
-        self.w.mult_dup_into(ctx, &self.whh, &self.h, DupOperand::Gram)?;
-        self.w.zip_blocks(ctx, &self.vht, |x, y| {
-            x.cell_mult(y);
-        })?;
-        self.w.zip_blocks(ctx, &self.whh, move |x, y| {
-            x.cell_div_guarded(y, eps);
-        })
+        self.w.nmf_update(ctx, &self.v, &self.h, eps)
     }
 
     /// The factorisation objective `‖V − W·H‖²_F`, reduced across places in
@@ -191,18 +183,15 @@ impl Gnmf {
     }
 }
 
-/// Rows of the residual [`residual_sq`] forms at a time.
-const RESIDUAL_PANEL: usize = 256;
-
-/// `‖V_b − W_b·H‖²_F` for one block, one `RESIDUAL_PANEL`-row panel at a
+/// `‖V_b − W_b·H‖²_F` for one block, one [`ROW_PANEL`]-row panel at a
 /// time: the panel's rows of `W_b` times `H`, less `V_b`'s entries in
 /// those rows, squared and summed. Scratch is one panel of `W_b` and one
 /// of the residual; no dense copy of `V_b` or `W_b` is made.
 fn residual_sq(v: &SparseCSR, w: &DenseMatrix, h: &DenseMatrix) -> f64 {
     let rows = w.rows();
     let mut sum = 0.0;
-    for r0 in (0..rows).step_by(RESIDUAL_PANEL) {
-        let r1 = (r0 + RESIDUAL_PANEL).min(rows);
+    for r0 in (0..rows).step_by(ROW_PANEL) {
+        let r1 = (r0 + ROW_PANEL).min(rows);
         let mut panel = DenseMatrix::zeros(r1 - r0, h.cols());
         w.sub_matrix(r0, r1, 0, w.cols()).gemm(1.0, h, 0.0, &mut panel);
         for i in r0..r1 {
@@ -246,8 +235,6 @@ impl ResilientIterativeApp for ResilientGnmf {
         AppState::default()
             .read_only("v", &mut a.v)
             .mutable("w", &mut a.w)
-            .scratch("vht", &mut a.vht)
-            .scratch("whh", &mut a.whh)
             .mutable("h", &mut a.h)
             .scratch("wtv", &mut a.wtv)
             .scratch("wtw", &mut a.wtw)
@@ -350,7 +337,7 @@ mod tests {
     fn objective_by_panels_matches_dense_copies() {
         Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
             // Blocks of 2½ panels, so a short last panel too.
-            let cfg = GnmfConfig { rows_per_place: 5 * RESIDUAL_PANEL / 2, ..small_cfg() };
+            let cfg = GnmfConfig { rows_per_place: 5 * ROW_PANEL / 2, ..small_cfg() };
             let mut app = Gnmf::make(ctx, cfg, &ctx.world()).unwrap();
             for step in 0..3 {
                 let got = app.objective(ctx).unwrap();
@@ -380,24 +367,43 @@ mod tests {
 
     #[test]
     fn resilient_gnmf_recovers_exactly() {
-        for mode in [RestoreMode::Shrink, RestoreMode::ShrinkRebalance] {
-            Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
+        for (mode, spares) in [
+            (RestoreMode::Shrink, 0),
+            (RestoreMode::ShrinkRebalance, 0),
+            (RestoreMode::ReplaceRedundant, 1),
+        ] {
+            Runtime::run(RuntimeConfig::new(4).spares(spares).resilient(true), move |ctx| {
                 let cfg = small_cfg();
                 let g = ctx.world();
-                let (obj_expect, _) = Gnmf::run_simple(ctx, cfg, &g).unwrap();
+                let mut clean = Gnmf::make(ctx, cfg, &g).unwrap();
+                for _ in 0..cfg.iterations {
+                    clean.iterate_once(ctx).unwrap();
+                }
+                let obj_expect = clean.objective(ctx).unwrap();
+                // Read before the run: `clean` spans the place it kills.
+                let factors_expect = clean.factors(ctx).unwrap();
                 let app = ResilientGnmf::make(ctx, cfg, &g).unwrap();
                 let mut injected = FailureInjector::new(app, 8, Place::new(2));
                 let mut store = AppResilientStore::make(ctx).unwrap();
                 let exec = ResilientExecutor::new(ExecutorConfig::new(5, mode));
                 let (final_group, stats) =
                     exec.run(ctx, &mut injected, &g, &mut store).unwrap();
-                assert_eq!(final_group.len(), 3);
                 assert_eq!(stats.restores, 1);
                 let obj = injected.app.app.objective(ctx).unwrap();
                 assert!(
                     (obj - obj_expect).abs() < 1e-9,
                     "{mode:?}: objective after recovery {obj} vs {obj_expect}"
                 );
+                match mode {
+                    // The spare takes the dead place's group index, so every
+                    // reduction sums in the clean run's order: the same bits.
+                    RestoreMode::ReplaceRedundant => {
+                        assert_eq!(final_group.len(), 4);
+                        let (w, h) = injected.app.app.factors(ctx).unwrap();
+                        assert_eq!((w, h), factors_expect, "{mode:?}: factors");
+                    }
+                    _ => assert_eq!(final_group.len(), 3),
+                }
             })
             .unwrap();
         }

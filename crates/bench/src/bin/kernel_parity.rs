@@ -93,6 +93,13 @@ fn main() {
     let mut vht = DenseMatrix::from_vec(20_000, 32, vec![1.0; 20_000 * 32]);
     gv.spmm_into(&ght, &mut vht);
     report("csr_spmm_into_gnmf", vht.as_slice());
+    // A row range of the same product, as GNMF's W update forms it a panel
+    // at a time: the same bits as those rows of the whole.
+    let mut vht_rows = DenseMatrix::from_vec(10_000, 32, vec![1.0; 10_000 * 32]);
+    gv.spmm_rows_into(5_000..15_000, &ght, &mut vht_rows);
+    let want = vht.sub_matrix(5_000, 15_000, 0, 32);
+    assert_eq!(vht_rows, want, "spmm_rows_into != those rows of spmm_into");
+    report("csr_spmm_rows_into_gnmf", vht_rows.as_slice());
     let gw = builder::random_dense(20_000, 32, 117);
     let ghh = builder::random_dense(32, 32, 118);
     let mut whh = DenseMatrix::from_vec(20_000, 32, vec![1.0; 20_000 * 32]);

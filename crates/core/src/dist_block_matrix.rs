@@ -673,9 +673,12 @@ impl DistBlockMatrix {
 
     /// `out = self × f(D)` where `D` is a duplicated dense matrix and
     /// `f(D)` is `D`, `Dᵀ` or `D·Dᵀ` per `operand`. Entirely local to each
-    /// place (the duplicated operand is available everywhere) — GNMF's
-    /// `V·Hᵀ` and `W·(H·Hᵀ)`. Each product is written into the output
-    /// block's own buffer; a block of another shape is replaced.
+    /// place (the duplicated operand is available everywhere). Each product
+    /// is written into the output block's own buffer; a block of another
+    /// shape is replaced. GNMF's W update no longer uses it
+    /// ([`Self::nmf_update`] forms its two products a panel at a time); its
+    /// only caller outside the tests is the benchmark's replay of the old
+    /// GNMF step.
     pub fn mult_dup_into(
         &self,
         ctx: &Ctx,
@@ -747,8 +750,92 @@ impl DistBlockMatrix {
         .map(drop)
     }
 
+    /// GNMF's W update, `self ∘= (V·Hᵀ) ⊘ (self·(H·Hᵀ) + ε)`, for a dense
+    /// `self` (m×k) row-aligned with `v` (m×n) and a duplicated `h` (k×n),
+    /// in one place-local pass. Each place forms `Hᵀ` and `G = H·Hᵀ` once;
+    /// then each [`ROW_PANEL`]-row panel of each local block gets its rows
+    /// of `V·Hᵀ` and `self·G` in panel-sized scratch and is updated where it
+    /// lies, each element multiplied, then divided by its guarded
+    /// denominator. A row of either product depends on that row alone, so
+    /// the result is, bit for bit, that of forming both m×k products first
+    /// ([`Self::mult_dup_into`]) and combining them ([`Self::zip_blocks`]),
+    /// without the two m×k matrices and in one finish instead of four.
+    pub fn nmf_update(
+        &self,
+        ctx: &Ctx,
+        v: &DistBlockMatrix,
+        h: &DupDenseMatrix,
+        eps: f64,
+    ) -> GmlResult<()> {
+        if self.is_sparse() {
+            return Err(GmlError::shape("nmf_update: the updated matrix must be dense"));
+        }
+        if !self.row_aligned_with(v) || v.cols() != h.cols() || self.cols() != h.rows() {
+            return Err(GmlError::shape(
+                "nmf_update: self (m×k) and v (m×n) must be row-aligned, h k×n",
+            ));
+        }
+        if self.object_id == v.object_id {
+            return Err(GmlError::shape("nmf_update: v must be a distinct matrix"));
+        }
+        let (w, vh, d) = (self.plh, v.plh, h.handle());
+        each_place(ctx, self.group().iter().enumerate(), move |ctx, _| {
+            let local = d.local(ctx)?;
+            let local = local.lock();
+            let ht = local.transpose();
+            let mut g = DenseMatrix::zeros(local.rows(), local.rows());
+            local.gemm(1.0, &ht, 0.0, &mut g);
+            drop(local);
+            let k = g.cols();
+            let sv = vh.local(ctx)?;
+            let sv = sv.lock();
+            let sw = w.local(ctx)?;
+            let mut sw = sw.lock();
+            for bw in sw.iter_mut() {
+                let bv = sv.find(bw.bi, bw.bj).ok_or_else(|| {
+                    GmlError::data_loss(format!("block ({},{}) missing", bw.bi, bw.bj))
+                })?;
+                let BlockData::Dense(x) = &mut bw.data else {
+                    return Err(GmlError::shape("nmf_update: the updated matrix must be dense"));
+                };
+                let rows = x.rows();
+                // The panel's rows of W, V·Hᵀ and W·G: made once per block
+                // (and once more for a short last panel), each product
+                // overwriting what the panel before left.
+                let scratch = |height| [(); 3].map(|_| DenseMatrix::zeros(height, k));
+                let [mut wp, mut num, mut den] = scratch(ROW_PANEL.min(rows));
+                for r0 in (0..rows).step_by(ROW_PANEL) {
+                    let r1 = (r0 + ROW_PANEL).min(rows);
+                    if r1 - r0 != wp.rows() {
+                        [wp, num, den] = scratch(r1 - r0);
+                    }
+                    match &bv.data {
+                        BlockData::Dense(m) => {
+                            m.sub_matrix(r0, r1, 0, m.cols()).gemm(1.0, &ht, 0.0, &mut num)
+                        }
+                        BlockData::Sparse(s) => s.spmm_rows_into(r0..r1, &ht, &mut num),
+                    }
+                    for j in 0..k {
+                        wp.col_mut(j).copy_from_slice(&x.col(j)[r0..r1]);
+                    }
+                    wp.gemm(1.0, &g, 0.0, &mut den);
+                    for j in 0..k {
+                        let col = &mut x.col_mut(j)[r0..r1];
+                        for ((a, n), d) in col.iter_mut().zip(num.col(j)).zip(den.col(j)) {
+                            *a *= *n;
+                            *a /= *d + eps;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })
+        .map(drop)
+    }
+
     /// Element-wise combine with a row-aligned dense matrix:
-    /// `f(&mut self_block, &other_block)` at every place.
+    /// `f(&mut self_block, &other_block)` at every place. Its only caller
+    /// outside the tests is the benchmark's replay of the old GNMF step.
     pub fn zip_blocks<F>(&self, ctx: &Ctx, other: &DistBlockMatrix, f: F) -> GmlResult<()>
     where
         F: Fn(&mut DenseMatrix, &DenseMatrix) + Send + Sync + Clone + 'static,
@@ -853,8 +940,13 @@ impl DistBlockMatrix {
 
 }
 
+/// Rows of the panel [`DistBlockMatrix::nmf_update`] forms its products
+/// in, and GNMF's residual too: 256 rows of rank 32 are 64 KiB of scratch.
+pub const ROW_PANEL: usize = 256;
+
 /// How a duplicated dense operand participates in
-/// [`DistBlockMatrix::mult_dup_into`].
+/// [`DistBlockMatrix::mult_dup_into`] (whose only caller outside the tests
+/// is the benchmark's replay of the old GNMF step).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DupOperand {
     /// Multiply by `D`.
@@ -1288,6 +1380,91 @@ mod tests {
             let mut expect = DenseMatrix::zeros(8, 3);
             w.gather_dense(ctx).unwrap().gemm(1.0, &hht, 0.0, &mut expect);
             assert!(out2.gather_dense(ctx).unwrap().max_abs_diff(&expect) < 1e-10);
+        });
+    }
+
+    /// `nmf_update` against the sequence it replaced — `V·Hᵀ` and
+    /// `W·(H·Hᵀ)` formed whole by `mult_dup_into`, folded into `W` by two
+    /// `zip_blocks` — bit for bit: at block heights around the panel's, with
+    /// a place holding two blocks (as a shrink leaves one), with a dense
+    /// `V`, and at GNMF's per-place shape.
+    #[test]
+    fn nmf_update_matches_the_four_call_sequence_bit_for_bit() {
+        fn bits(ctx: &Ctx, x: &DistBlockMatrix) -> Vec<u64> {
+            x.gather_dense(ctx).unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
+        }
+        run(2, |ctx| {
+            let g = ctx.world();
+            let eps = 1e-9;
+            for (height, blocks, k, n, sparse) in [
+                (1, 2, 3, 7, true),
+                (ROW_PANEL - 1, 2, 3, 7, true),
+                (ROW_PANEL, 2, 3, 7, true),
+                (ROW_PANEL + 1, 2, 3, 7, true),
+                (5 * ROW_PANEL / 2, 3, 5, 11, true),
+                (ROW_PANEL + 1, 3, 4, 9, false),
+                (20_000, 2, 32, 400, true),
+            ] {
+                let m = height * blocks;
+                let make = |cols, sparse| {
+                    DistBlockMatrix::make(ctx, m, cols, blocks, 1, 2, 1, &g, sparse).unwrap()
+                };
+                let v = make(n, sparse);
+                v.init_with(ctx, move |_, _, r0, _, r, c| {
+                    let mut s = builder::random_csr_rows(c, 10.min(c), 5, r0, r0 + r);
+                    s.map_values(|x| x.abs() + 1e-3);
+                    if sparse {
+                        BlockData::Sparse(s)
+                    } else {
+                        BlockData::Dense(s.to_dense())
+                    }
+                })
+                .unwrap();
+                let (w, w_old) = (make(k, false), make(k, false));
+                for x in [&w, &w_old] {
+                    x.init_with(ctx, |_, _, r0, _, r, c| {
+                        let mut d = builder::random_dense_rows(c, 6, r0, r0 + r);
+                        d.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
+                        BlockData::Dense(d)
+                    })
+                    .unwrap();
+                }
+                if blocks == 3 {
+                    assert_eq!(w.blocks_at(0), 2, "place 0 holds two blocks");
+                }
+                let h = crate::DupDenseMatrix::make(ctx, k, n, &g).unwrap();
+                h.init(ctx, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0 + 0.05).unwrap();
+
+                let (vht, whh) = (make(k, false), make(k, false));
+                v.mult_dup_into(ctx, &vht, &h, DupOperand::Transpose).unwrap();
+                w_old.mult_dup_into(ctx, &whh, &h, DupOperand::Gram).unwrap();
+                w_old.zip_blocks(ctx, &vht, |x, y| {
+                    x.cell_mult(y);
+                })
+                .unwrap();
+                w_old.zip_blocks(ctx, &whh, move |x, y| {
+                    x.cell_div_guarded(y, eps);
+                })
+                .unwrap();
+                w.nmf_update(ctx, &v, &h, eps).unwrap();
+                assert_eq!(bits(ctx, &w), bits(ctx, &w_old), "{height} rows × {blocks} blocks");
+            }
+        });
+    }
+
+    #[test]
+    fn nmf_update_rejects_mismatched_operands() {
+        run(2, |ctx| {
+            let g = ctx.world();
+            let v = DistBlockMatrix::make(ctx, 8, 5, 2, 1, 2, 1, &g, true).unwrap();
+            let w = DistBlockMatrix::make(ctx, 8, 3, 2, 1, 2, 1, &g, false).unwrap();
+            let h = crate::DupDenseMatrix::make(ctx, 3, 5, &g).unwrap();
+            let wrong_h = crate::DupDenseMatrix::make(ctx, 3, 4, &g).unwrap();
+            let other_rows = DistBlockMatrix::make(ctx, 8, 5, 4, 1, 2, 1, &g, true).unwrap();
+            assert!(w.nmf_update(ctx, &v, &wrong_h, 1e-9).is_err(), "h's cols != v's");
+            assert!(w.nmf_update(ctx, &other_rows, &h, 1e-9).is_err(), "not row-aligned");
+            assert!(v.nmf_update(ctx, &v, &h, 1e-9).is_err(), "sparse self");
+            assert!(w.nmf_update(ctx, &v, &h, 1e-9).is_ok());
         });
     }
 

@@ -50,7 +50,7 @@ pub use app_state::AppState;
 pub use app_store::AppResilientStore;
 pub use codec::CodecSnapshot;
 pub use collective::each_place;
-pub use dist_block_matrix::{Dist, DistBlockMatrix, DistPayload, DupOperand};
+pub use dist_block_matrix::{Dist, DistBlockMatrix, DistPayload, DupOperand, ROW_PANEL};
 pub use dist_dense::{DistDenseMatrix, DistMatrix, DistSparseMatrix};
 pub use dist_vector::DistVector;
 pub use dup_vector::{Dup, DupDenseMatrix, DupVector};

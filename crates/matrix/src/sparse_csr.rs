@@ -3,6 +3,8 @@
 //! The multiply kernels fan out onto [`apgas::pool`]; see the crate docs
 //! for the determinism and finite-values contracts.
 
+use std::ops::Range;
+
 use apgas::pool;
 use apgas::serial::{Runs, Serial, SerialElem};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -239,23 +241,33 @@ impl SparseCSR {
     }
 
     /// `out = self (m×n) * B (n×k)`, overwriting every element of the m×k
-    /// `out`. Every output element is an independent sparse dot product;
-    /// each output column is contiguous, so row chunks within each column
-    /// fan out onto the compute pool bit-identically.
+    /// `out`: [`spmm_rows_into`](Self::spmm_rows_into) over every row.
     pub fn spmm_into(&self, b: &DenseMatrix, out: &mut DenseMatrix) {
+        self.spmm_rows_into(0..self.rows, b, out);
+    }
+
+    /// `out = self[rows, :] * B`: the product's rows `rows`, overwriting
+    /// every element of the `rows.len() × k` `out`, with no copy of those
+    /// rows made. Every output element is an independent sparse dot
+    /// product; each output column is contiguous, so row chunks within
+    /// each column fan out onto the compute pool bit-identically, and a
+    /// row's bits do not depend on the range it is computed in.
+    pub fn spmm_rows_into(&self, rows: Range<usize>, b: &DenseMatrix, out: &mut DenseMatrix) {
         assert_eq!(self.cols, b.rows(), "spmm inner dimension");
-        assert_eq!((out.rows(), out.cols()), (self.rows, b.cols()), "spmm output shape");
-        debug_check_finite("spmm: A", &self.values);
+        assert!(rows.start <= rows.end && rows.end <= self.rows, "spmm row range out of bounds");
+        let len = rows.len();
+        assert_eq!((out.rows(), out.cols()), (len, b.cols()), "spmm output shape");
+        let (lo, hi) = (self.row_ptr[rows.start], self.row_ptr[rows.end]);
+        debug_check_finite("spmm: A", &self.values[lo..hi]);
         debug_check_finite("spmm: B", b.as_slice());
-        let rows = self.rows;
-        let nnz_per_row = self.nnz() / rows.max(1);
-        let n = pool::chunk_count(rows, min_chunk_items(nnz_per_row));
+        let nnz_per_row = (hi - lo) / len.max(1);
+        let n = pool::chunk_count(len, min_chunk_items(nnz_per_row));
         for kk in 0..b.cols() {
             let bcol = b.col(kk);
-            pool::run_split(out.col_mut(kk), n, |i| pool::chunk_range(rows, n, i), |i, sub| {
-                let r = pool::chunk_range(rows, n, i);
+            pool::run_split(out.col_mut(kk), n, |i| pool::chunk_range(len, n, i), |i, sub| {
+                let r = pool::chunk_range(len, n, i);
                 for (di, oik) in sub.iter_mut().enumerate() {
-                    let (cols, vals) = self.row(r.start + di);
+                    let (cols, vals) = self.row(rows.start + r.start + di);
                     *oik = microkernel::sparse_row_dot(cols, vals, bcol);
                 }
             });
@@ -476,6 +488,18 @@ mod tests {
         let mut out = DenseMatrix::from_vec(3, 2, vec![f64::NAN; 6]);
         a.spmm_into(&b, &mut out);
         assert_eq!(out, a.spmm(&b));
+    }
+
+    #[test]
+    fn spmm_rows_into_is_the_products_rows() {
+        let a = example();
+        let b = DenseMatrix::from_rows(&[&[1.0, 2.0], &[0.5, -1.0], &[3.0, 0.0], &[-2.0, 1.5]]);
+        let whole = a.spmm(&b);
+        for (r0, r1) in [(0, 0), (0, 1), (1, 3), (0, 3), (2, 3)] {
+            let mut out = DenseMatrix::from_vec(r1 - r0, 2, vec![f64::NAN; 2 * (r1 - r0)]);
+            a.spmm_rows_into(r0..r1, &b, &mut out);
+            assert_eq!(out, whole.sub_matrix(r0, r1, 0, 2), "rows {r0}..{r1}");
+        }
     }
 
     #[test]

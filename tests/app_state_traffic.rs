@@ -171,8 +171,8 @@ fn each_app_saves_remakes_and_fetches_exactly_what_it_did() {
     // encodes v's block 1 (one packed frame, 929 B logical, 477 B wire).
     check("gnmf", gnmf, factors, [
         Pin { runs: [3, 0, 15], codec: [19, 15, 8648, 7454], shipped: [57518, 0],
-              inventory: [1555, 1553, 1249, 1248], digest: 0xae44_b190_47a2_7347, ctl_tasks: [423, 605] },
+              inventory: [1555, 1553, 1249, 1248], digest: 0xae44_b190_47a2_7347, ctl_tasks: [288, 425] },
         Pin { runs: [3, 1, 18], codec: [19 + 1, 15, 8648 + 929, 7454 + 477], shipped: [60436, 2822],
-              inventory: [2417, 1553, 0, 1635], digest: 0xb587_8224_badc_2393, ctl_tasks: [437, 673] },
+              inventory: [2417, 1553, 0, 1635], digest: 0xb587_8224_badc_2393, ctl_tasks: [301, 481] },
     ]);
 }

@@ -546,6 +546,53 @@ fn mult_dup_into_writes_into_its_output_blocks() {
     .unwrap();
 }
 
+/// GNMF's W update forms its products a row panel at a time: with GNMF's
+/// per-place shapes on two places (5 MB `W` blocks), one `nmf_update`
+/// raises the heap's peak by less than 1 MiB — where the products it
+/// replaced took two m×k matrices — and, with no capture holding `W`,
+/// leaves every `W` block's buffer where it was, holding the update the
+/// whole products give.
+#[test]
+fn nmf_update_updates_w_where_it_lies() {
+    let _guard = PROCESS_STATE.lock().unwrap();
+    if !mem::enabled() {
+        return;
+    }
+    Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+        let g = ctx.world();
+        let eps = 1e-9;
+        let v = DistBlockMatrix::make(ctx, 2 * TALL, WIDE, 2, 1, 2, 1, &g, true).unwrap();
+        v.init_with(ctx, |_, _, r0, _, r, c| {
+            BlockData::Sparse(builder::random_csr_rows(c, 10, 3, r0, r0 + r))
+        })
+        .unwrap();
+        let v_rows = builder::random_csr_rows(WIDE, 10, 3, 0, 2 * TALL);
+        let w = DistBlockMatrix::make(ctx, 2 * TALL, RANK, 2, 1, 2, 1, &g, false).unwrap();
+        w.init_with(ctx, |_, _, r0, _, r, c| {
+            BlockData::Dense(builder::random_dense(r, c, 4 + r0 as u64))
+        })
+        .unwrap();
+        let h = DupDenseMatrix::make(ctx, RANK, WIDE, &g).unwrap();
+        h.init(ctx, |i, j| 1.0 / (1.0 + (i * WIDE + j) as f64)).unwrap();
+        let hd = h.local(ctx).unwrap().lock().clone();
+        let mut want = w.gather_dense(ctx).unwrap();
+
+        let held = block_addresses(ctx, &w);
+        let rise = peak_rise(|| w.nmf_update(ctx, &v, &h, eps).unwrap());
+        assert!(rise < MIB, "nmf_update: peak +{rise} B");
+        assert_eq!(block_addresses(ctx, &w), held, "a W block moved");
+
+        let mut hht = DenseMatrix::zeros(RANK, RANK);
+        hd.gemm(1.0, &hd.transpose(), 0.0, &mut hht);
+        let mut whh = DenseMatrix::zeros(2 * TALL, RANK);
+        want.gemm(1.0, &hht, 0.0, &mut whh);
+        want.cell_mult(&v_rows.spmm(&hd.transpose()));
+        want.cell_div_guarded(&whh, eps);
+        assert_eq!(w.gather_dense(ctx).unwrap(), want);
+    })
+    .unwrap();
+}
+
 /// A capture holds its objects by reference: at GNMF's per-place shapes on
 /// two places — `W`'s 5 MB dense blocks and the duplicated `H` — saving
 /// both raises the heap's peak by less than 1 MiB, where serializing them
