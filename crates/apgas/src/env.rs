@@ -1,6 +1,6 @@
 //! The library's environment variables, named and parsed in one place.
 //!
-//! Five variables configure a process; nothing else in the workspace reads
+//! Four variables configure a process; nothing else in the workspace reads
 //! a `GML_*` name (the benchmark harness's own `GML_BENCH_*` aside). A
 //! value that is set but does not parse is reported on stderr, naming the
 //! variable and the default used instead: a silent fallback would hide a
@@ -18,14 +18,11 @@ pub const WORKERS: &str = "GML_WORKERS";
 pub const TRACE: &str = "GML_TRACE";
 /// Where a traced runtime writes its Chrome trace at shutdown.
 pub const TRACE_OUT: &str = "GML_TRACE_OUT";
-/// Port of the Prometheus scrape endpoint (`0` → ephemeral) for a runtime
-/// that does not set one; unset → no endpoint.
-pub const MONITOR_PORT: &str = "GML_MONITOR_PORT";
 /// Directory each restore's post-mortem bundle is also written to.
 pub const FORENSICS_DIR: &str = "GML_FORENSICS_DIR";
 
 /// Every variable the library reads.
-pub const NAMES: [&str; 5] = [WORKERS, TRACE, TRACE_OUT, MONITOR_PORT, FORENSICS_DIR];
+pub const NAMES: [&str; 4] = [WORKERS, TRACE, TRACE_OUT, FORENSICS_DIR];
 
 /// [`WORKERS`]: the forced pool width, `0` for auto-sizing.
 pub(crate) fn workers() -> usize {
@@ -40,11 +37,6 @@ pub(crate) fn trace() -> bool {
 /// [`TRACE_OUT`]: the trace export path, if one is set.
 pub(crate) fn trace_out() -> Option<PathBuf> {
     path(TRACE_OUT)
-}
-
-/// [`MONITOR_PORT`]: the scrape endpoint's port, if one is set.
-pub(crate) fn monitor_port() -> Option<u16> {
-    parsed(MONITOR_PORT, "monitoring disabled")
 }
 
 /// [`FORENSICS_DIR`]: the post-mortem directory, if one is set.

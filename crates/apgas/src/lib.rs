@@ -48,7 +48,6 @@ pub mod env;
 pub mod error;
 pub mod mem;
 pub mod metrics;
-pub mod monitor;
 pub mod place;
 pub mod pool;
 pub mod serial;
@@ -65,7 +64,6 @@ pub use error::{ApgasError, DeadPlaceException, Result};
 pub use finish::{FinishScope, LedgerEntry};
 pub use mem::{MemReport, MemScope, MemTag};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
-pub use monitor::MonitorServer;
 pub use place::{Place, PlaceGroup};
 pub use plh::PlaceLocalHandle;
 pub use runtime::{Ctx, Helper, Runtime, RuntimeConfig};
@@ -81,7 +79,6 @@ pub mod prelude {
     pub use crate::finish::{FinishScope, LedgerEntry};
     pub use crate::mem::{self, MemReport, MemScope, MemTag};
     pub use crate::metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
-    pub use crate::monitor::MonitorServer;
     pub use crate::place::{Place, PlaceGroup};
     pub use crate::plh::PlaceLocalHandle;
     pub use crate::pool;

@@ -1,17 +1,12 @@
-//! Log-bucketed latency histograms and the labeled metrics registry.
+//! Log-bucketed latency histograms and the per-span-kind registry.
 //!
 //! The flat counters in [`crate::stats`] answer *how much*; the histograms
 //! here answer *how long, and how badly in the tail* — the distinction the
 //! paper's evaluation leans on (mean checkpoint time in Table III hides the
 //! p99 ctl round trip that dominates Figs 2–4 at scale). Every traced span
-//! kind ([`crate::trace::SpanKind`]) feeds one histogram.
-//!
-//! Every metric leaves the process as a [`Family`]: each exporter (runtime
-//! counters, place liveness, span latency, pool, memory plane, trace drops,
-//! and whatever collectors the data layers register) returns
-//! families, and [`exposition`] is the one writer of the Prometheus text
-//! format. A set of monotonic counters is declared once with
-//! [`counter_set!`](crate::counter_set): field, family name and help.
+//! kind ([`crate::trace::SpanKind`]) feeds one histogram, and
+//! [`MetricsRegistry::report`] renders them as a table. A set of monotonic
+//! counters is declared once with [`counter_set!`](crate::counter_set).
 //!
 //! Buckets are powers of two over nanoseconds: bucket 0 holds the value 0,
 //! bucket *i* (i ≥ 1) holds values in `[2^(i-1), 2^i)`. Recording is a
@@ -20,7 +15,6 @@
 //! (clamped to the exact observed maximum), so `p50 ≤ p95 ≤ p99 ≤ max`
 //! always holds.
 
-use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::trace::{SpanKind, SPAN_KIND_COUNT};
@@ -185,33 +179,13 @@ impl MetricsRegistry {
     }
 
     /// Snapshot every non-empty series as `(span name, snapshot)` pairs,
-    /// in kind order. This is what the Prometheus family and the report
-    /// table render.
+    /// in kind order. This is what the report table renders.
     pub fn snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
         SpanKind::ALL
             .into_iter()
             .map(|k| (k.name(), self.kind(k).snapshot()))
             .filter(|(_, s)| s.count > 0)
             .collect()
-    }
-
-    /// Every non-empty series as one `gml_span_latency_nanos` summary:
-    /// quantile samples resolved from the log2 buckets, plus `_sum` and
-    /// `_count`, labelled by span name.
-    pub fn family(&self) -> Family {
-        let mut f = Family::new(
-            Kind::Summary,
-            "gml_span_latency_nanos",
-            "Span latency quantiles per traced span kind, in nanoseconds.",
-        );
-        for (span, s) in self.snapshots() {
-            for (q, v) in [("0.5", s.p50()), ("0.95", s.p95()), ("0.99", s.p99()), ("1", s.max)] {
-                f.push("", vec![("span", span.into()), ("quantile", q.into())], v);
-            }
-            f.push("_sum", vec![("span", span.into())], s.sum);
-            f.push("_count", vec![("span", span.into())], s.count);
-        }
-        f
     }
 
     /// Render every non-empty series as an aligned latency table
@@ -239,178 +213,11 @@ impl MetricsRegistry {
     }
 }
 
-/// The type of a Prometheus family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kind {
-    /// A monotonic total.
-    Counter,
-    /// A level that can go down.
-    Gauge,
-    /// Quantile samples plus `_sum` and `_count`.
-    Summary,
-}
-
-/// A sample's value: integers are written exactly (scrapers parse them as
-/// `u64`), floats with six decimals.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Value {
-    /// An exact count or level.
-    Int(u64),
-    /// A ratio or a duration in seconds.
-    Float(f64),
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::Int(v)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Int(u64::from(v))
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
-    }
-}
-
-/// A sample's `(key, value)` label pairs; values are escaped when written.
-pub type Labels = Vec<(&'static str, String)>;
-
-/// One family of a [`Family::table`]: kind, name, help, and the value of
-/// an item.
-pub type TableRow<T> = (Kind, &'static str, &'static str, fn(&T) -> Value);
-
-/// One sample line of a [`Family`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct Sample {
-    /// Appended to the family name: `""`, or a summary's `_sum` / `_count`.
-    pub suffix: &'static str,
-    /// The sample's labels.
-    pub labels: Labels,
-    /// The sample's value.
-    pub value: Value,
-}
-
-/// One Prometheus metric family: what every exporter returns and
-/// [`exposition`] writes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Family {
-    /// Family name, e.g. `gml_place_up`.
-    pub name: &'static str,
-    /// Counter, gauge or summary.
-    pub kind: Kind,
-    /// The `# HELP` text.
-    pub help: &'static str,
-    /// The sample lines, in order.
-    pub samples: Vec<Sample>,
-}
-
-impl Family {
-    /// A family with no samples yet.
-    pub fn new(kind: Kind, name: &'static str, help: &'static str) -> Self {
-        Family { name, kind, help, samples: Vec::new() }
-    }
-
-    /// Append one sample.
-    pub fn push(&mut self, suffix: &'static str, labels: Labels, value: impl Into<Value>) {
-        self.samples.push(Sample { suffix, labels, value: value.into() });
-    }
-
-    /// With one unlabelled sample.
-    pub fn value(mut self, value: impl Into<Value>) -> Self {
-        self.push("", Vec::new(), value);
-        self
-    }
-
-    /// With one more sample, labelled `key="label"`.
-    pub fn labelled(mut self, key: &'static str, label: impl ToString, value: impl Into<Value>) -> Self {
-        self.push("", vec![(key, label.to_string())], value);
-        self
-    }
-
-    /// One family per `(kind, name, help, value)` row, with one sample per
-    /// item labelled `key="label(item)"` — how per-place and per-tag tables
-    /// become families.
-    pub fn table<T>(
-        key: &'static str,
-        items: &[T],
-        label: impl Fn(&T) -> String,
-        rows: &[TableRow<T>],
-    ) -> Vec<Family> {
-        rows.iter()
-            .map(|&(kind, name, help, get)| {
-                items.iter().fold(Family::new(kind, name, help), |f, item| {
-                    f.labelled(key, label(item), get(item))
-                })
-            })
-            .collect()
-    }
-}
-
-/// Append a counter sample to `families`: to the last family when it has
-/// the same name (one sample per label), else as a new counter family.
-pub fn push_counter(
-    families: &mut Vec<Family>,
-    name: &'static str,
-    help: &'static str,
-    labels: &[(&'static str, &str)],
-    value: u64,
-) {
-    if families.last().is_none_or(|f| f.name != name) {
-        families.push(Family::new(Kind::Counter, name, help));
-    }
-    let labels = labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
-    families.last_mut().expect("pushed above").push("", labels, value);
-}
-
-/// Escape a Prometheus label value: backslash, double quote and newline.
-fn escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-/// Write `families` in the Prometheus text exposition format: `# HELP` and
-/// `# TYPE` once per family, then its samples. A family with no samples is
-/// left out (a summary of no spans, as when tracing is off).
-pub fn exposition(families: &[Family]) -> String {
-    let mut out = String::with_capacity(8192);
-    for f in families.iter().filter(|f| !f.samples.is_empty()) {
-        let kind = match f.kind {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Summary => "summary",
-        };
-        let _ = writeln!(out, "# HELP {} {}\n# TYPE {} {kind}", f.name, f.help, f.name);
-        for s in &f.samples {
-            out.push_str(f.name);
-            out.push_str(s.suffix);
-            if !s.labels.is_empty() {
-                let labels: Vec<String> =
-                    s.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))).collect();
-                let _ = write!(out, "{{{}}}", labels.join(","));
-            }
-            let _ = match s.value {
-                Value::Int(v) => writeln!(out, " {v}"),
-                Value::Float(v) => writeln!(out, " {v:.6}"),
-            };
-        }
-    }
-    out
-}
-
-/// Declare a set of monotonic counters once. Each entry names a field,
-/// its Prometheus family and its help text, which is also the field's doc;
-/// an entry with no family is kept in the snapshot but not exported.
-/// Entries that share a family name sit next to each other, each with its
-/// own `{key = "label"}`, and become one family (the first entry's help).
+/// Declare a set of monotonic counters once: each entry is a field and its
+/// doc, which documents both the live counter and its snapshot.
 ///
 /// Generates the live struct of `AtomicU64`s (`new`, `snapshot`) and its
-/// `Copy` snapshot (`since`, `merged`, `families`), all derived from the
-/// one list.
+/// `Copy` snapshot (`since`, `merged`), all derived from the one list.
 #[macro_export]
 macro_rules! counter_set {
     (
@@ -420,20 +227,20 @@ macro_rules! counter_set {
         pub struct $snap:ident {
             $(
                 $(#[$doc:meta])*
-                $field:ident $(=> $family:literal $({ $key:ident = $label:literal })?, $help:literal)?;
+                $field:ident;
             )*
         }
     ) => {
         $(#[$live_meta])*
         #[derive(Default)]
         $live_vis struct $live {
-            $( $(#[doc = $help])? $(#[$doc])* pub $field: ::std::sync::atomic::AtomicU64, )*
+            $( $(#[$doc])* pub $field: ::std::sync::atomic::AtomicU64, )*
         }
 
         $(#[$snap_meta])*
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct $snap {
-            $( $(#[doc = $help])? $(#[$doc])* pub $field: u64, )*
+            $( $(#[$doc])* pub $field: u64, )*
         }
 
         impl $live {
@@ -460,19 +267,6 @@ macro_rules! counter_set {
             /// double-counting a tick.
             pub fn merged(&self, other: &Self) -> Self {
                 $snap { $( $field: self.$field + other.$field, )* }
-            }
-
-            /// The exported counters as Prometheus families, in declaration
-            /// order.
-            pub fn families(&self) -> Vec<$crate::metrics::Family> {
-                let mut out = Vec::new();
-                $($(
-                    $crate::metrics::push_counter(
-                        &mut out, $family, $help,
-                        &[$((stringify!($key), $label))?], self.$field,
-                    );
-                )?)*
-                out
             }
         }
     };

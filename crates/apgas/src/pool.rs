@@ -39,10 +39,9 @@
 //! # Observability
 //!
 //! Multi-chunk jobs emit a `pool.run` trace span
-//! ([`SpanKind::PoolRun`](crate::trace::SpanKind::PoolRun)) through the
-//! observer installed by the runtime, and the counters exported by
-//! [`families`] (`gml_pool_*`) track inline vs. parallel jobs, chunks
-//! executed and wall time spent in parallel sections.
+//! ([`SpanKind::PoolRun`](crate::trace::SpanKind::PoolRun)), with their
+//! chunk count and wall time, through the observer installed by the
+//! runtime.
 
 use std::cell::Cell;
 use std::mem::MaybeUninit;
@@ -53,7 +52,6 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Family, Kind};
 use crate::sync::{Condvar, Mutex, RwLock};
 
 /// Upper bound on the number of chunks any job is split into. Small enough
@@ -150,41 +148,8 @@ pub fn serial_scope<R>(f: impl FnOnce() -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// Counters and trace observer
+// Trace observer
 // ---------------------------------------------------------------------------
-
-crate::counter_set! {
-    /// The pool's process-wide counters.
-    pub(crate) struct PoolStats;
-    /// Snapshot of the pool's process-wide counters.
-    pub struct PoolCounters {
-        /// Single chunk, one worker, or [`serial_scope`].
-        jobs_inline => "gml_pool_jobs_inline_total", "Pool jobs executed inline on the caller.";
-        jobs_parallel => "gml_pool_jobs_parallel_total", "Pool jobs fanned out to helper threads.";
-        /// Inline or not.
-        chunks => "gml_pool_chunks_total", "Work chunks executed by the pool.";
-        busy_nanos => "gml_pool_busy_nanos_total", "Wall nanoseconds spent inside parallel pool jobs.";
-    }
-}
-
-static STATS: PoolStats = PoolStats::new();
-
-/// Read the pool counters (monitor collectors and tests).
-pub fn counters() -> PoolCounters {
-    STATS.snapshot()
-}
-
-/// The pool's width and counters as Prometheus families.
-pub fn families() -> Vec<Family> {
-    let width = Family::new(
-        Kind::Gauge,
-        "gml_pool_workers",
-        "Compute-pool workers, including the submitting thread (fixed at first use).",
-    );
-    let mut out = vec![width.value(workers() as u64)];
-    out.extend(counters().families());
-    out
-}
 
 /// Callback invoked after every parallel (multi-worker) job with the chunk
 /// count and wall time; the runtime installs one that emits a `pool.run`
@@ -338,8 +303,6 @@ pub fn run(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     let inline =
         n_chunks == 1 || FORCE_SERIAL.with(|c| c.get()) || shared().workers == 1;
     if inline {
-        STATS.jobs_inline.fetch_add(1, Ordering::Relaxed);
-        STATS.chunks.fetch_add(n_chunks as u64, Ordering::Relaxed);
         for i in 0..n_chunks {
             task(i);
         }
@@ -378,9 +341,6 @@ pub fn run(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
         drop(job.done.wait_while(st, |st| st.helpers > 0));
     }
     let elapsed = started.elapsed();
-    STATS.jobs_parallel.fetch_add(1, Ordering::Relaxed);
-    STATS.chunks.fetch_add(n_chunks as u64, Ordering::Relaxed);
-    STATS.busy_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     let observer = OBSERVER.read().clone();
     if let Some(obs) = observer {
         obs(n_chunks, elapsed);

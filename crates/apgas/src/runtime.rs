@@ -16,8 +16,6 @@ use std::thread::JoinHandle;
 
 use crate::error::{ApgasError, DeadPlaceException, Result};
 use crate::finish::{self, CtlMsg, FinishScope, LedgerEntry};
-use crate::metrics::{Family, Kind};
-use crate::monitor::MonitorServer;
 use crate::place::{Place, PlaceGroup};
 use crate::plh::PlhRegistry;
 use crate::stats::{RuntimeStats, StatsSnapshot};
@@ -40,17 +38,12 @@ pub struct RuntimeConfig {
     /// Structured tracing ([`crate::trace`]): `Some(on)` forces it, `None`
     /// (the default) defers to the `GML_TRACE` environment variable.
     pub trace: Option<bool>,
-    /// The scrape endpoint ([`crate::monitor`]): `Some(port)` serves
-    /// Prometheus metrics on `127.0.0.1:port` (0 → ephemeral),
-    /// `None` (the default) defers to the `GML_MONITOR_PORT` environment
-    /// variable (unset → disabled).
-    pub monitor_port: Option<u16>,
 }
 
 impl RuntimeConfig {
     /// A non-resilient runtime with `places` active places and no spares.
     pub fn new(places: usize) -> Self {
-        RuntimeConfig { places, spares: 0, resilient: false, trace: None, monitor_port: None }
+        RuntimeConfig { places, spares: 0, resilient: false, trace: None }
     }
 
     /// Set the number of spare places.
@@ -68,14 +61,6 @@ impl RuntimeConfig {
     /// Force structured tracing on or off, overriding `GML_TRACE`.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = Some(on);
-        self
-    }
-
-    /// Serve the Prometheus metrics endpoint on `127.0.0.1:port`
-    /// (0 → ephemeral port; read it back via
-    /// [`Runtime::monitor_addr`]), overriding `GML_MONITOR_PORT`.
-    pub fn monitor_port(mut self, port: u16) -> Self {
-        self.monitor_port = Some(port);
         self
     }
 
@@ -99,9 +84,6 @@ struct PlaceState {
     tx: Sender<Envelope>,
 }
 
-/// A registered scrape collector: the families it adds to every scrape.
-type Collector = dyn Fn() -> Vec<Family> + Send + Sync;
-
 /// Shared runtime state. `Ctx` and dispatcher threads hold `Arc`s to this.
 ///
 /// The place list is growable: `spawn_place` (Elastic X10's dynamic place
@@ -119,12 +101,6 @@ pub(crate) struct RtInner {
     /// Where the trace is exported at shutdown (`GML_TRACE_OUT`, read once
     /// at startup; `None` when tracing is off).
     trace_out: Option<std::path::PathBuf>,
-    /// The Prometheus scrape server, when monitoring is enabled.
-    monitor: Mutex<Option<MonitorServer>>,
-    /// Extra Prometheus collectors (e.g. the snapshot-store inventory),
-    /// appended to every scrape. Cleared at shutdown to break the
-    /// collector-closure → Ctx → RtInner reference cycle.
-    collectors: Mutex<Vec<Box<Collector>>>,
     next_finish_id: AtomicU64,
     pub(crate) next_plh_id: AtomicU64,
     dispatchers: Mutex<Vec<JoinHandle<()>>>,
@@ -163,16 +139,6 @@ impl RtInner {
             crate::mem::discharge(crate::mem::MemTag::Mailbox, std::mem::size_of::<Envelope>());
             DeadPlaceException::new(p, "runtime shut down")
         })
-    }
-
-    /// `gml_place_up`, one sample per place, read from the flag
-    /// `kill_place` flips, so the gauge drops the instant a kill lands.
-    fn place_up_family(&self) -> Family {
-        let help = "1 while the place is alive, 0 after a fail-stop kill.";
-        self.places.read().iter().enumerate().fold(
-            Family::new(Kind::Gauge, "gml_place_up", help),
-            |f, (id, st)| f.labelled("place", id, st.alive.load(Ordering::Acquire)),
-        )
     }
 
     /// Start one dispatcher-backed place with the next free id. Used both
@@ -473,24 +439,6 @@ impl Ctx {
     pub fn finish_ledger(&self) -> Vec<LedgerEntry> {
         self.rt.finish_svc.ledger()
     }
-
-    /// Local address of the Prometheus scrape endpoint, when monitoring is
-    /// enabled for this runtime.
-    pub fn monitor_addr(&self) -> Option<std::net::SocketAddr> {
-        self.rt.monitor.lock().as_ref().map(|m| m.addr())
-    }
-
-    /// Register an extra Prometheus collector whose families are appended
-    /// to every scrape — how the data layers (e.g. the resilient snapshot
-    /// store) contribute metrics without the runtime knowing about them.
-    /// Collectors run on the scrape server's thread and may use this
-    /// context (cloned) to reach other places.
-    pub fn add_monitor_collector<F>(&self, f: F)
-    where
-        F: Fn() -> Vec<Family> + Send + Sync + 'static,
-    {
-        self.rt.collectors.lock().push(Box::new(f));
-    }
 }
 
 /// The pending result of [`Ctx::spawn_helper`].
@@ -564,7 +512,6 @@ impl Runtime {
         if let Some(path) = &trace_out {
             crate::trace::prepare_out_path(path);
         }
-        let monitor_port = cfg.monitor_port.or_else(crate::env::monitor_port);
         let inner = Arc::new(RtInner {
             cfg,
             places: RwLock::new(Vec::new()),
@@ -575,8 +522,6 @@ impl Runtime {
             stats: RuntimeStats::default(),
             tracer,
             trace_out,
-            monitor: Mutex::new(None),
-            collectors: Mutex::new(Vec::new()),
             next_finish_id: AtomicU64::new(1),
             next_plh_id: AtomicU64::new(1),
             dispatchers: Mutex::new(Vec::new()),
@@ -595,30 +540,6 @@ impl Runtime {
                     rt.tracer.complete(0, SpanKind::PoolRun, chunks as u64, elapsed);
                 }
             })));
-        }
-        if let Some(port) = monitor_port {
-            // Weak so the server's render closure does not keep the runtime
-            // alive (the server itself lives inside RtInner).
-            let weak = Arc::downgrade(&inner);
-            let render: Arc<dyn Fn() -> String + Send + Sync> = Arc::new(move || {
-                let Some(rt) = weak.upgrade() else {
-                    return String::from("# runtime stopped\n");
-                };
-                let mut families = rt.stats.snapshot().families();
-                families.push(rt.place_up_family());
-                families.push(rt.tracer.metrics().family());
-                families.extend(crate::pool::families());
-                families.extend(crate::mem::families());
-                families.push(rt.tracer.dropped_family());
-                for collect in rt.collectors.lock().iter() {
-                    families.extend(collect());
-                }
-                crate::metrics::exposition(&families)
-            });
-            match MonitorServer::start(port, render) {
-                Ok(srv) => *inner.monitor.lock() = Some(srv),
-                Err(e) => eprintln!("monitor: failed to bind 127.0.0.1:{port}: {e}"),
-            }
         }
         Runtime { inner }
     }
@@ -648,12 +569,6 @@ impl Runtime {
         &self.inner.tracer
     }
 
-    /// Local address of the Prometheus scrape endpoint, when monitoring is
-    /// enabled ([`RuntimeConfig::monitor_port`] / `GML_MONITOR_PORT`).
-    pub fn monitor_addr(&self) -> Option<std::net::SocketAddr> {
-        self.inner.monitor.lock().as_ref().map(|m| m.addr())
-    }
-
     /// Export the retained trace as Chrome `trace_event` JSON at `path`.
     pub fn write_chrome_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.inner.tracer.chrome_json())
@@ -674,13 +589,6 @@ impl Runtime {
             }
         }
         self.inner.stopping.store(true, Ordering::Release);
-        // Stop the scrape server before the dispatchers so no scrape races
-        // the teardown; dropping collectors breaks their Ctx → RtInner
-        // reference cycle.
-        if let Some(mut srv) = self.inner.monitor.lock().take() {
-            srv.stop();
-        }
-        self.inner.collectors.lock().clear();
         for st in self.inner.places.read().iter() {
             let _ = st.tx.send(Envelope::Stop);
         }

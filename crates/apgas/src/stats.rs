@@ -13,32 +13,42 @@ crate::counter_set! {
     pub struct RuntimeStats;
     /// A point-in-time copy of [`RuntimeStats`].
     pub struct StatsSnapshot {
-        tasks_spawned => "gml_tasks_spawned_total", "Tasks spawned via at/async_at.";
-        at_calls => "gml_at_calls_total", "Synchronous at() round trips.";
-        /// Each is a message through place zero's mailbox, i.e. an operation
-        /// issued at any other place; so are `ctl_terms` and `ctl_waits`.
-        ctl_spawns => "gml_ctl_spawns_total", "Resilient-finish spawn records at place zero.";
-        ctl_terms => "gml_ctl_terms_total", "Resilient-finish termination records.";
-        ctl_waits => "gml_ctl_waits_total", "Resilient-finish wait registrations.";
-        ctl_local => "gml_ctl_local_total",
-            "Resilient-finish registry operations applied directly at place zero.";
-        /// Maintained by the data layers via
-        /// [`crate::runtime::Ctx::record_bytes`].
-        bytes_shipped => "gml_bytes_shipped_total", "Payload bytes serialized for a place crossing.";
-        /// Maintained via [`crate::runtime::Ctx::record_bytes_received`] at
-        /// every receive site. In a failure-free run it equals
-        /// `bytes_shipped`; a payload shipped to a place that died in flight
-        /// is counted as shipped but never as received.
-        bytes_received => "gml_bytes_received_total", "Payload bytes landed at a receiving place.";
-        /// Maintained via [`crate::runtime::Ctx::encode`]. A checkpoint
-        /// frame that packs is made from the value's wire runs and never
-        /// serialized, so only a frame kept verbatim is counted here; the
-        /// checkpoint codec's own encode time covers all of the framing.
-        encode_nanos => "gml_encode_nanos_total", "Wall nanoseconds spent encoding payloads.";
-        /// Maintained via [`crate::runtime::Ctx::decode`].
-        decode_nanos => "gml_decode_nanos_total", "Wall nanoseconds spent decoding payloads.";
-        failures => "gml_failures_total", "Fail-stop place failures injected.";
-        places_spawned => "gml_places_spawned_total", "Places created elastically at runtime.";
+        /// Tasks spawned via at/async_at.
+        tasks_spawned;
+        /// Synchronous at() round trips.
+        at_calls;
+        /// Resilient-finish spawn records at place zero. Each is a message
+        /// through place zero's mailbox, i.e. an operation issued at any
+        /// other place; so are `ctl_terms` and `ctl_waits`.
+        ctl_spawns;
+        /// Resilient-finish termination records.
+        ctl_terms;
+        /// Resilient-finish wait registrations.
+        ctl_waits;
+        /// Resilient-finish registry operations applied directly at place zero.
+        ctl_local;
+        /// Payload bytes serialized for a place crossing. Maintained by the
+        /// data layers via [`crate::runtime::Ctx::record_bytes`].
+        bytes_shipped;
+        /// Payload bytes landed at a receiving place. Maintained via
+        /// [`crate::runtime::Ctx::record_bytes_received`] at every receive
+        /// site. In a failure-free run it equals `bytes_shipped`; a payload
+        /// shipped to a place that died in flight is counted as shipped but
+        /// never as received.
+        bytes_received;
+        /// Wall nanoseconds spent encoding payloads. Maintained via
+        /// [`crate::runtime::Ctx::encode`]. A checkpoint frame that packs is
+        /// made from the value's wire runs and never serialized, so only a
+        /// frame kept verbatim is counted here; the checkpoint codec's own
+        /// encode time covers all of the framing.
+        encode_nanos;
+        /// Wall nanoseconds spent decoding payloads. Maintained via
+        /// [`crate::runtime::Ctx::decode`].
+        decode_nanos;
+        /// Fail-stop place failures injected.
+        failures;
+        /// Places created elastically at runtime.
+        places_spawned;
     }
 }
 

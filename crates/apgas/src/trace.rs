@@ -7,14 +7,17 @@
 //! those phases; this module can. Every instrumented operation emits
 //! [`TraceEvent`]s (span begin/end, or an instant) into a fixed-capacity
 //! ring owned by the place it ran at, and feeds a latency histogram in the
-//! [`crate::metrics::MetricsRegistry`]. Three sinks read it back:
+//! [`crate::metrics::MetricsRegistry`]. Four sinks read it back:
 //!
 //! 1. [`Tracer::chrome_json`] — a Chrome `trace_event` JSON document,
 //!    loadable in `chrome://tracing` / Perfetto (one track per place);
 //! 2. the metrics registry's [`report`](crate::metrics::MetricsRegistry::report)
 //!    table (p50/p95/p99/max per span kind);
 //! 3. the executor's per-iteration cost report (`gml-core`), built from
-//!    counter deltas plus these spans.
+//!    counter deltas plus these spans;
+//! 4. each restore's forensics bundle (`gml-core`), which keeps the last
+//!    events of every place and critical-path rows flagged incomplete where
+//!    [`Tracer::dropped`] shows events lost.
 //!
 //! **Zero-cost when off.** Tracing is enabled per runtime, via
 //! `RuntimeConfig::trace(true)` or `GML_TRACE=1`. When disabled, every
@@ -35,7 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Family, Kind, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::sync::RwLock;
 
 /// Declares every span kind once: its variant, its dotted display name and
@@ -420,10 +423,9 @@ impl EventRing {
     }
 
     /// Events lost to ring wraparound so far: everything pushed beyond the
-    /// retained window has been overwritten. Feeds the
-    /// `gml_trace_dropped_total` Prometheus family and lets the
-    /// critical-path analyzer flag drop-affected iterations as incomplete
-    /// instead of reporting a bogus path.
+    /// retained window has been overwritten. Feeds [`Tracer::dropped`],
+    /// which lets the critical-path analyzer flag drop-affected iterations
+    /// as incomplete instead of reporting a bogus path.
     pub fn dropped(&self) -> u64 {
         self.pushed().saturating_sub(self.slots.len() as u64)
     }
@@ -571,22 +573,6 @@ impl Tracer {
     /// Per-place counts of events lost to ring wraparound (index = place).
     pub fn dropped(&self) -> Vec<u64> {
         self.rings.read().iter().map(|r| r.dropped()).collect()
-    }
-
-    /// Trace-ring overflow as a Prometheus family: events lost per place,
-    /// plus the flow halves suppressed at export. A nonzero value means a
-    /// consumer of the trace (critical path, forensics tail) saw an
-    /// incomplete record of the early run.
-    pub fn dropped_family(&self) -> Family {
-        let f = Family::new(
-            Kind::Counter,
-            "gml_trace_dropped_total",
-            "Trace events lost to ring wraparound, per place; the kind=\"flow_half\" \
-             series counts flow arrows suppressed at Chrome export because their \
-             start span had been overwritten.",
-        );
-        let f = self.dropped().into_iter().enumerate().fold(f, |f, (p, d)| f.labelled("place", p, d));
-        f.labelled("kind", "flow_half", self.flow_dropped())
     }
 
     /// Flow halves dropped at Chrome-export time because the matching start
@@ -1373,6 +1359,26 @@ mod tests {
         assert_eq!(dropped[0], 24, "place 0 wrapped");
         assert_eq!(dropped[1], 0, "place 1 did not");
         assert_eq!(dropped.iter().sum::<u64>(), 24);
+    }
+
+    #[test]
+    fn chrome_export_counts_orphaned_flow_halves_and_per_place_drops() {
+        let tr = Tracer::enabled(16);
+        tr.ensure_place(3);
+        {
+            // Three place-1 events whose parent is a place-0 span ...
+            let _g = tr.span(0, SpanKind::At, 0);
+            for i in 0..3 {
+                tr.instant(1, SpanKind::AtRemote, i);
+            }
+        }
+        // ... which 33 more place-0 events push out of its 16-slot ring.
+        for i in 0..33 {
+            tr.instant(0, SpanKind::At, i);
+        }
+        tr.chrome_json();
+        assert_eq!(tr.flow_dropped(), 3, "each orphaned child drops one flow half");
+        assert_eq!(tr.dropped(), vec![19, 0, 0], "35 place-0 events in 16 slots; the others kept all");
     }
 
     #[test]

@@ -58,7 +58,6 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use apgas::digest::content_digest;
-use apgas::metrics::{Family, Kind};
 use apgas::pool;
 use apgas::serial::Run;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -108,31 +107,34 @@ apgas::counter_set! {
     /// with [`since`](CodecSnapshot::since) for an interval, exactly like
     /// `apgas::stats::StatsSnapshot`.
     pub struct CodecSnapshot {
-        logical_bytes => "gml_ckpt_logical_bytes_total", "Pre-codec (logical) payload bytes encoded.";
-        wire_bytes => "gml_ckpt_wire_bytes_total", "Post-codec (wire) frame bytes produced.";
-        /// Verbatim frames included.
-        frames_full => "gml_ckpt_frames_total" { kind = "full" },
-            "Checkpoint frames emitted, by kind: full counts every frame, verbatim those kept by reference.";
-        /// Packing would not pay, so the payload was stored by reference
-        /// instead of being copied into records.
-        frames_verbatim => "gml_ckpt_frames_total" { kind = "verbatim" },
-            "Checkpoint frames emitted verbatim.";
+        /// Pre-codec (logical) payload bytes encoded.
+        logical_bytes;
+        /// Post-codec (wire) frame bytes produced.
+        wire_bytes;
+        /// Checkpoint frames emitted, verbatim ones included.
+        frames_full;
+        /// Checkpoint frames emitted verbatim: packing would not pay, so the
+        /// payload was stored by reference instead of being copied into
+        /// records.
+        frames_verbatim;
         /// Always 0: there are no delta frames. Retained because the
         /// end-to-end benchmark reads it, until a benchmark-only change drops
         /// `core.codec.frames_delta_share`.
         frames_delta;
-        /// Summed over the places encoding concurrently — codec CPU time,
-        /// which can exceed the wall time of the checkpoint it was spent in.
-        /// All of the framing: a verbatim frame's serialization included
-        /// (which apgas's `gml_encode_nanos_total` counts as well); a packed
-        /// frame has none.
-        encode_nanos => "gml_ckpt_encode_nanos_total", "Nanoseconds place threads spent encoding frames.";
-        /// Summed over places like `encode_nanos`.
-        decode_nanos => "gml_ckpt_decode_nanos_total", "Nanoseconds place threads spent decoding frames.";
-        /// Counted where the write copies, in `gml_matrix::shared`, which
-        /// cannot reach this crate: [`counters`] reads it from there, and the
-        /// live field stays zero.
-        cow_copies => "gml_ckpt_cow_copies_total", "Values a write copied because a checkpoint capture still held them.";
+        /// Nanoseconds place threads spent encoding frames, summed over the
+        /// places encoding concurrently — codec CPU time, which can exceed
+        /// the wall time of the checkpoint it was spent in. All of the
+        /// framing: a verbatim frame's serialization included (which apgas's
+        /// `encode_nanos` counts as well); a packed frame has none.
+        encode_nanos;
+        /// Nanoseconds place threads spent decoding frames, summed over
+        /// places like `encode_nanos`.
+        decode_nanos;
+        /// Values a write copied because a checkpoint capture still held
+        /// them. Counted where the write copies, in `gml_matrix::shared`,
+        /// which cannot reach this crate: [`counters`] reads it from there,
+        /// and the live field stays zero.
+        cow_copies;
     }
 }
 
@@ -152,17 +154,6 @@ impl CodecSnapshot {
 /// Read the process-global codec counters.
 pub fn counters() -> CodecSnapshot {
     CodecSnapshot { cow_copies: gml_matrix::shared::forced_copies(), ..COUNTERS.snapshot() }
-}
-
-/// The `gml_ckpt_*` Prometheus families: the counters plus their
-/// compression ratio (registered alongside the `gml_store_*` gauges by
-/// `ResilientStore::register_monitor`).
-pub fn families() -> Vec<Family> {
-    let c = counters();
-    let ratio = Family::new(Kind::Gauge, "gml_ckpt_compression_ratio", "Wire/logical checkpoint bytes.");
-    let mut out = c.families();
-    out.push(ratio.value(c.compression_ratio()));
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,11 +1028,6 @@ mod tests {
         assert!(d.frames_full >= 2, "a verbatim frame is counted as a frame too");
         assert!(d.frames_verbatim >= 1 && d.frames_verbatim < d.frames_full);
         assert_eq!(d.frames_delta, 0);
-        let s = apgas::metrics::exposition(&families());
-        assert!(s.contains("gml_ckpt_wire_bytes_total"));
-        assert!(s.contains("gml_ckpt_frames_total{kind=\"full\"}"));
-        assert!(s.contains("gml_ckpt_frames_total{kind=\"verbatim\"}"));
-        assert!(s.contains("gml_ckpt_compression_ratio"));
     }
 
     proptest! {

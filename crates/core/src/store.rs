@@ -67,7 +67,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apgas::digest::Fnv1a;
-use apgas::metrics::{Family, Kind};
 use apgas::prelude::*;
 use apgas::serial::{Run, Runs, Serial};
 use apgas::sync::Mutex;
@@ -1329,23 +1328,6 @@ impl ResilientStore {
         }
         audit
     }
-
-    /// Register a Prometheus collector reporting this store's per-place
-    /// inventory (`gml_store_*` gauges) plus the checkpoint codec's
-    /// counters on every scrape of the runtime's monitor endpoint. No-op
-    /// when monitoring is disabled.
-    pub fn register_monitor(&self, ctx: &Ctx) {
-        if ctx.monitor_addr().is_none() {
-            return;
-        }
-        let store = self.clone();
-        let cx = ctx.clone();
-        ctx.add_monitor_collector(move || {
-            let mut out = inventory_families(&store.inventory(&cx));
-            out.extend(codec::families());
-            out
-        });
-    }
 }
 
 /// Failure-drill hook: park while the ship gate is set, so a test can kill a
@@ -1354,23 +1336,6 @@ pub(crate) fn wait_while_set(gate: Option<&AtomicBool>) {
     while gate.is_some_and(|g| g.load(Ordering::Acquire)) {
         std::thread::sleep(Duration::from_micros(200));
     }
-}
-
-/// A store inventory as Prometheus families (`gml_store_*` gauges).
-pub fn inventory_families(inv: &[PlaceInventory]) -> Vec<Family> {
-    Family::table("place", inv, |i| i.place.id().to_string(), &[
-        (Kind::Gauge, "gml_store_place_alive", "1 while the shard's place is alive.", |i| i.alive.into()),
-        (Kind::Gauge, "gml_store_entries", "Stored (snapshot, key) entries at the place.", |i| {
-            (i.entries as u64).into()
-        }),
-        (Kind::Gauge, "gml_store_snapshots", "Distinct snapshot ids present at the place.", |i| {
-            (i.snapshots as u64).into()
-        }),
-        (Kind::Gauge, "gml_store_bytes", "Logical payload bytes held at the place.", |i| i.bytes.into()),
-        (Kind::Gauge, "gml_store_wire_bytes", "Wire (framed) bytes resident at the place.", |i| {
-            i.wire_bytes.into()
-        }),
-    ])
 }
 
 #[cfg(test)]
@@ -2002,10 +1967,6 @@ mod tests {
             assert_eq!(inv[1].entries, 2, "backup copies land at place 1");
             assert!(!inv[2].alive);
             assert_eq!(inv[2].entries, 0, "dead place reports zeroes");
-            let text = apgas::metrics::exposition(&inventory_families(&inv));
-            assert!(text.contains("gml_store_entries{place=\"0\"} 2"));
-            assert!(text.contains("gml_store_place_alive{place=\"2\"} 0"));
-            assert!(text.contains("gml_store_bytes{place=\"0\"} 150"));
         });
     }
 }

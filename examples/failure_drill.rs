@@ -17,8 +17,6 @@
 //! cargo run --release --example failure_drill -- --trace-out /tmp/drill.json
 //! # or via the environment (equivalent; works for any binary):
 //! GML_TRACE=1 GML_TRACE_OUT=/tmp/drill.json cargo run --release --example failure_drill
-//! # with the live Prometheus endpoint (0 picks a free port, printed at start):
-//! GML_MONITOR_PORT=0 cargo run --release --example failure_drill
 //! # write each restore's post-mortem bundle to disk:
 //! GML_FORENSICS_DIR=/tmp cargo run --release --example failure_drill
 //! ```
@@ -92,17 +90,12 @@ fn main() {
         cfg = cfg.trace(true);
     }
     let rt = Runtime::new(cfg);
-    if let Some(addr) = rt.monitor_addr() {
-        println!("monitor: scrape http://{addr}/metrics");
-    }
     rt.exec(move |ctx| {
         let world = ctx.world();
         let store = ResilientStore::make(ctx).expect("store");
         // Created up-front: the store spans every place, so it must exist
         // before any failure is injected.
         let mut app_store = AppResilientStore::make(ctx).expect("app store");
-        // Publish the store's per-place inventory on the monitor endpoint.
-        app_store.store().register_monitor(ctx);
 
         // 12x8 blocks over a 6x1 place grid: two block-rows per place.
         let mut m =
@@ -113,8 +106,8 @@ fn main() {
         .expect("init");
         let reference = m.gather_dense(ctx).expect("gather");
         // Charge the gathered reference copy to the ledger's app_matrix tag
-        // for as long as it lives — it shows up in the monitor's
-        // `gml_mem_tag_bytes{tag="app_matrix"}` gauge and in post-mortems.
+        // for as long as it lives — it shows up in the ledger's report and
+        // in post-mortems.
         let _ref_mem = MemScope::new(MemTag::AppMatrix, reference.len() * 8);
         layout_report("initial layout", &m);
 

@@ -110,9 +110,6 @@ fn main() {
             cfg = cfg.trace(true);
         }
         let rt = Runtime::new(cfg);
-        if let Some(addr) = rt.monitor_addr() {
-            println!("  monitor: scrape http://{addr}/metrics");
-        }
         rt.exec(move |ctx| {
             let world = ctx.world();
             let mut app = FailureInjector {
@@ -122,7 +119,6 @@ fn main() {
                 fired: false,
             };
             let mut store = AppResilientStore::make(ctx).unwrap();
-            store.store().register_monitor(ctx);
             let exec = ResilientExecutor::new(ExecutorConfig::new(10, mode));
             let (final_group, stats, report) =
                 exec.run_reported(ctx, &mut app, &world, &mut store).expect("resilient run");
