@@ -15,7 +15,9 @@ cargo clippy --all-targets -- -D warnings
 echo "== trace smoke =="
 # A traced example run must leave behind a valid, non-empty Chrome trace;
 # trace_smoke re-validates that file, runs its own traced resilient
-# workload, and bounds the cost of the disabled tracing fast path.
+# workload with a kill (its export must hold one exec.restore slice per
+# restore and one exec.step slice per row that stepped, unless a ring
+# wrapped), and bounds the cost of the disabled tracing fast path.
 TRACE_JSON="$(mktemp -t gml_trace_XXXXXX.json)"
 trap 'rm -f "$TRACE_JSON"' EXIT
 GML_TRACE=1 GML_TRACE_OUT="$TRACE_JSON" \
@@ -220,9 +222,9 @@ echo "== non-test lines (per workspace crate) =="
 # lines that are only a `//` comment — per crate, over the whole workspace,
 # for the four vendored shims together, for gml-core + gml-apps (item 3's
 # first target), for the checkpoint store's three files (item 1's), for the
-# distributed classes' four files (item 17's), for apgas's five
+# distributed classes' four files (item 17's), for apgas's four
 # observability modules (item 5's) and for all of the observability code
-# (item 21's: those five, gml-core's forensics and report, and the
+# (item 21's: those four, gml-core's forensics and report, and the
 # benchmark's spans and replay).
 non_test_lines() {
     for f in "$@"; do
@@ -244,9 +246,9 @@ printf '%-22s %6d\n' "codec+store+app_store" \
 printf '%-22s %6d\n' "distributed classes" \
     "$(non_test_lines crates/core/src/{dist_block_matrix,dist_vector,dist_dense,app_state}.rs)"
 printf '%-22s %6d\n' "apgas observability" \
-    "$(non_test_lines crates/apgas/src/{trace,critical_path,mem,metrics,stats}.rs)"
+    "$(non_test_lines crates/apgas/src/{trace,mem,metrics,stats}.rs)"
 printf '%-22s %6d\n' "observability (item 21)" \
-    "$(non_test_lines crates/apgas/src/{trace,critical_path,mem,metrics,stats}.rs \
+    "$(non_test_lines crates/apgas/src/{trace,mem,metrics,stats}.rs \
         crates/core/src/{forensics,report}.rs e2e_bench/src/{spans,replay}.rs)"
 
 echo "CI OK"

@@ -54,7 +54,7 @@ use crate::place::Place;
 use crate::runtime::{Ctx, Envelope};
 use crate::stats::RuntimeStats;
 use crate::sync::{Condvar, Mutex};
-use crate::trace::{SpanKind, TraceCtx};
+use crate::trace::SpanKind;
 
 /// Outcome of one finished task, reported to whichever finish owns it.
 #[derive(Debug, Clone)]
@@ -64,21 +64,16 @@ pub(crate) enum TaskOutcome {
 }
 
 /// Bookkeeping messages processed by the place-zero finish service.
-///
-/// `Spawn`/`Term`/`PlaceDied` carry a [`TraceCtx`] — the causal parent on
-/// the sending place — so place zero's bookkeeping instants link back to
-/// the activity that caused them (rendered as flow arrows into place
-/// zero's track, making the resilient-finish funnel visible).
 pub(crate) enum CtlMsg {
     /// Record a task about to be sent to `dst` under finish `fid`.
     /// Synchronous: the spawner blocks until `ack` fires.
-    Spawn { fid: u64, dst: Place, ack: SyncSender<SpawnAck>, tctx: TraceCtx },
+    Spawn { fid: u64, dst: Place, ack: SyncSender<SpawnAck> },
     /// A task under finish `fid` finished at `place`.
-    Term { fid: u64, place: Place, outcome: TaskOutcome, tctx: TraceCtx },
+    Term { fid: u64, place: Place, outcome: TaskOutcome },
     /// The finish body is done; signal `waiter` when all tasks are done.
     Wait { fid: u64, waiter: Arc<Waiter> },
     /// A place died: adjust every finish that had tasks there.
-    PlaceDied { place: Place, tctx: TraceCtx },
+    PlaceDied { place: Place },
 }
 
 /// Spawn-record acknowledgement from place zero.
@@ -159,12 +154,12 @@ impl FinishService {
     /// Apply one bookkeeping message. Runs on place zero's dispatcher thread.
     pub(crate) fn handle(&self, is_alive: impl Fn(Place) -> bool, msg: CtlMsg) {
         match msg {
-            CtlMsg::Spawn { fid, dst, ack, tctx: _ } => {
+            CtlMsg::Spawn { fid, dst, ack } => {
                 let _ = ack.send(self.record_spawn(is_alive, fid, dst));
             }
-            CtlMsg::Term { fid, place, outcome, tctx: _ } => self.record_term(fid, place, outcome),
+            CtlMsg::Term { fid, place, outcome } => self.record_term(fid, place, outcome),
             CtlMsg::Wait { fid, waiter } => self.register_wait(fid, waiter),
-            CtlMsg::PlaceDied { place, tctx: _ } => self.place_died(place),
+            CtlMsg::PlaceDied { place } => self.place_died(place),
         }
     }
 
@@ -373,15 +368,7 @@ impl FinishHandle {
     {
         let rt = ctx.rt();
         RuntimeStats::bump(&rt.stats.tasks_spawned);
-        // The dispatch instant is the causal anchor: the receiving place's
-        // task span parents to it, so the Chrome export draws a flow arrow
-        // from this exact point to wherever the task actually ran.
-        let dispatch = rt.tracer.instant(ctx.here().id(), SpanKind::AsyncAt, p.id() as u64);
-        let tctx = if dispatch != 0 {
-            TraceCtx { parent: dispatch, origin: ctx.here().id() }
-        } else {
-            TraceCtx::NONE
-        };
+        rt.tracer.instant(ctx.here().id(), SpanKind::AsyncAt, p.id() as u64);
         match self {
             FinishHandle::Local(state) => {
                 if !rt.is_alive(p) {
@@ -394,7 +381,7 @@ impl FinishHandle {
                     p,
                     Envelope::Task {
                         run: Box::new(move |ctx| {
-                            let outcome = run_catching(ctx, tctx, SpanKind::AsyncTask, f);
+                            let outcome = run_catching(ctx, f);
                             state2.terminated(outcome);
                         }),
                     },
@@ -421,17 +408,9 @@ impl FinishHandle {
                     let _span =
                         rt.tracer.span(ctx.here().id(), SpanKind::CtlSpawn, p.id() as u64);
                     let (ack_tx, ack_rx) = sync_channel(1);
-                    // Parent the place-zero bookkeeping instant to this
-                    // CtlSpawn span (captured inside its guard scope).
-                    let spawn_tctx = TraceCtx::capture(&rt.tracer, ctx.here().id());
                     // An undeliverable record (runtime shutting down) drops
                     // `ack_tx` with the message, so the recv below fails.
-                    let _ = rt.send_ctl(CtlMsg::Spawn {
-                        fid,
-                        dst: p,
-                        ack: ack_tx,
-                        tctx: spawn_tctx,
-                    });
+                    let _ = rt.send_ctl(CtlMsg::Spawn { fid, dst: p, ack: ack_tx });
                     ack_rx.recv().ok()
                 };
                 // Dead target: the exception is already recorded at the
@@ -443,33 +422,18 @@ impl FinishHandle {
                     p,
                     Envelope::Task {
                         run: Box::new(move |ctx| {
-                            let outcome = run_catching(ctx, tctx, SpanKind::AsyncTask, f);
+                            let outcome = run_catching(ctx, f);
                             let rt = ctx.rt();
                             let here = ctx.here();
                             if here == Place::ZERO {
                                 RuntimeStats::bump(&rt.stats.ctl_local);
                                 rt.finish_svc.record_term(fid, here, outcome);
                             } else if rt.is_alive(here) {
-                                // Re-adopt the sender context just for the
-                                // bookkeeping instant so CtlTerm still links
-                                // into the causal chain; nothing in this
-                                // scope unwinds, so the guard cannot leak.
-                                let _adopt = tctx.adopt();
                                 RuntimeStats::bump(&rt.stats.ctl_terms);
-                                let term = rt.tracer.instant(here.id(), SpanKind::CtlTerm, fid);
-                                let term_tctx = if term != 0 {
-                                    TraceCtx { parent: term, origin: here.id() }
-                                } else {
-                                    TraceCtx::NONE
-                                };
+                                rt.tracer.instant(here.id(), SpanKind::CtlTerm, fid);
                                 // Undeliverable only at shutdown, when no
                                 // finish is left to hear of it.
-                                let _ = rt.send_ctl(CtlMsg::Term {
-                                    fid,
-                                    place: here,
-                                    outcome,
-                                    tctx: term_tctx,
-                                });
+                                let _ = rt.send_ctl(CtlMsg::Term { fid, place: here, outcome });
                             }
                             // If our place died mid-run, PlaceDied already
                             // accounted for us at the registry.
@@ -484,23 +448,16 @@ impl FinishHandle {
     }
 }
 
-/// Run a received task body, converting panics into a reportable outcome.
+/// Run a received task body under an [`SpanKind::AsyncTask`] span,
+/// converting panics into a reportable outcome.
 ///
-/// The TLS trace adoption and the task span live strictly *inside* the
-/// unwind boundary: a panic unwinds through both guards before being caught
-/// here, so the executing thread can never be left carrying the sender's
-/// adopted parent span into whatever task it dispatches next. (Before this
-/// scoping, a panic left the guard-restore to the enclosing closure — one
-/// mis-nested early return away from poisoning the thread's causal state.)
-pub(crate) fn run_catching<F: FnOnce(&Ctx)>(
-    ctx: &Ctx,
-    tctx: TraceCtx,
-    kind: SpanKind,
-    f: F,
-) -> TaskOutcome {
+/// The span lives strictly *inside* the unwind boundary: a panic unwinds
+/// through its guard before being caught here, so the executing thread's
+/// current span is back where it was for whatever task it runs next.
+pub(crate) fn run_catching<F: FnOnce(&Ctx)>(ctx: &Ctx, f: F) -> TaskOutcome {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _adopt = tctx.adopt();
-        let _span = ctx.rt().tracer.span(ctx.here().id(), kind, tctx.origin as u64);
+        let here = ctx.here().id();
+        let _span = ctx.rt().tracer.span(here, SpanKind::AsyncTask, here as u64);
         f(ctx)
     })) {
         Ok(()) => TaskOutcome::Completed,
@@ -590,7 +547,7 @@ mod tests {
     fn service_counts_spawn_term_wait() {
         let svc = FinishService::default();
         let (ack, ack_rx) = sync_channel(1);
-        svc.handle(alive_all, CtlMsg::Spawn { fid: 1, dst: Place::new(2), ack, tctx: TraceCtx::NONE });
+        svc.handle(alive_all, CtlMsg::Spawn { fid: 1, dst: Place::new(2), ack });
         assert_eq!(ack_rx.recv().unwrap(), SpawnAck::Ok);
         assert_eq!(svc.open_finishes(), 1);
 
@@ -601,7 +558,7 @@ mod tests {
 
         svc.handle(
             alive_all,
-            CtlMsg::Term { fid: 1, place: Place::new(2), outcome: TaskOutcome::Completed, tctx: TraceCtx::NONE },
+            CtlMsg::Term { fid: 1, place: Place::new(2), outcome: TaskOutcome::Completed },
         );
         let report = waiter.block();
         assert!(report.dead.is_empty());
@@ -631,12 +588,12 @@ mod tests {
         let p = Place::new(2);
         for _ in 0..3 {
             let (ack, ack_rx) = sync_channel(1);
-            svc.handle(alive_all, CtlMsg::Spawn { fid: 9, dst: p, ack, tctx: TraceCtx::NONE });
+            svc.handle(alive_all, CtlMsg::Spawn { fid: 9, dst: p, ack });
             assert_eq!(ack_rx.recv().unwrap(), SpawnAck::Ok);
         }
         let waiter = Waiter::new();
         svc.handle(alive_all, CtlMsg::Wait { fid: 9, waiter: Arc::clone(&waiter) });
-        svc.handle(alive_all, CtlMsg::PlaceDied { place: p, tctx: TraceCtx::NONE });
+        svc.handle(alive_all, CtlMsg::PlaceDied { place: p });
         let report = waiter.block();
         assert_eq!(report.dead.len(), 1, "3 lost tasks collapse into one DPE per place");
         assert_eq!(svc.open_finishes(), 0);

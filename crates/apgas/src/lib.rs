@@ -69,8 +69,7 @@ pub use plh::PlaceLocalHandle;
 pub use runtime::{Ctx, Helper, Runtime, RuntimeConfig};
 pub use serial::Serial;
 pub use stats::RuntimeStats;
-pub use trace::critical_path::{CostClass, IterProfile, SpanDag};
-pub use trace::{SpanGuard, SpanKind, TraceCtx, TraceEvent, Tracer};
+pub use trace::{SpanGuard, SpanKind, TraceEvent, Tracer};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
@@ -84,8 +83,7 @@ pub mod prelude {
     pub use crate::pool;
     pub use crate::runtime::{Ctx, Helper, Runtime, RuntimeConfig};
     pub use crate::serial::Serial;
-    pub use crate::trace::critical_path::IterProfile;
-    pub use crate::trace::{SpanGuard, SpanKind, TraceCtx, TraceEvent, Tracer};
+    pub use crate::trace::{SpanGuard, SpanKind, TraceEvent, Tracer};
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::plh::PlhRegistry;
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::sync::{Mutex, RwLock};
 use crate::thread_cache::ThreadCache;
-use crate::trace::{SpanGuard, SpanKind, TraceCtx, Tracer};
+use crate::trace::{SpanGuard, SpanKind, Tracer};
 
 /// Configuration for a [`Runtime`].
 #[derive(Clone, Copy, Debug)]
@@ -277,26 +277,19 @@ impl Ctx {
         RuntimeStats::bump(&self.rt.stats.at_calls);
         RuntimeStats::bump(&self.rt.stats.tasks_spawned);
         let _span = self.rt.tracer.span(self.here.id(), SpanKind::At, p.id() as u64);
-        // Capture the causal context *inside* the At span so the receiving
-        // place's body span parents to it and the Chrome export can draw a
-        // sender→receiver flow arrow.
-        let tctx = TraceCtx::capture(&self.rt.tracer, self.here.id());
+        let from = self.here.id();
         let (tx, rx) = sync_channel::<std::result::Result<R, String>>(1);
         self.rt.send(
             p,
             Envelope::Task {
                 run: Box::new(move |ctx| {
-                    // Adoption and the body span live strictly inside the
-                    // unwind boundary: a panicking body unwinds through both
-                    // guards before being caught, so the executing thread
-                    // never leaks the sender's parent span to the next task.
+                    // The body span lives strictly inside the unwind
+                    // boundary: a panicking body unwinds through its guard
+                    // before being caught, so the thread's current span is
+                    // restored for the next task.
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let _adopt = tctx.adopt();
-                        let _span = ctx.rt.tracer.span(
-                            ctx.here.id(),
-                            SpanKind::AtRemote,
-                            tctx.origin as u64,
-                        );
+                        let _span =
+                            ctx.rt.tracer.span(ctx.here.id(), SpanKind::AtRemote, from as u64);
                         f(ctx)
                     }));
                     if ctx.rt.is_alive(ctx.here) {
@@ -470,20 +463,13 @@ fn kill_place_inner(rt: &Arc<RtInner>, p: Place) -> Result<()> {
         .ok_or_else(|| ApgasError::Unsupported(format!("no such place {p}")))?;
     if st.alive.swap(false, Ordering::AcqRel) {
         RuntimeStats::bump(&rt.stats.failures);
-        // Shown on the victim's track: the fail-stop instant. Its id
-        // parents place zero's detection instant, so the export draws a
-        // kill → detection flow arrow.
-        let kill = rt.tracer.instant(p.id(), SpanKind::KillPlace, p.id() as u64);
-        let tctx = if kill != 0 {
-            TraceCtx { parent: kill, origin: p.id() }
-        } else {
-            TraceCtx::NONE
-        };
+        // Shown on the victim's track: the fail-stop instant.
+        rt.tracer.instant(p.id(), SpanKind::KillPlace, p.id() as u64);
         // The place's memory is gone.
         rt.plh.clear_place(p);
         // Tell the place-zero registry so open finishes settle their counts
         // (after shutdown there is no registry traffic left to settle).
-        let _ = rt.send_ctl(CtlMsg::PlaceDied { place: p, tctx });
+        let _ = rt.send_ctl(CtlMsg::PlaceDied { place: p });
     }
     Ok(())
 }
@@ -633,30 +619,25 @@ fn dispatch_loop(rt: Arc<RtInner>, place: Place, rx: Receiver<Envelope>) {
             }
             Envelope::FinishCtl(msg) => {
                 debug_assert_eq!(place, Place::ZERO, "finish bookkeeping only at place zero");
-                // Stamp the bookkeeping's arrival on place zero's track,
-                // parented to the sending activity, so the export shows
-                // ctl traffic flowing into the resilient-finish funnel.
+                // Stamp the bookkeeping's arrival on place zero's track.
                 match &msg {
-                    CtlMsg::PlaceDied { place: dead, tctx } => {
+                    CtlMsg::PlaceDied { place: dead } => {
                         // Failure *detection*: the registry learns of the
                         // death here, on place zero's track.
-                        let _adopt = tctx.adopt();
                         rt.tracer.instant(
                             Place::ZERO.id(),
                             SpanKind::PlaceDied,
                             dead.id() as u64,
                         );
                     }
-                    CtlMsg::Spawn { dst, tctx, .. } => {
-                        let _adopt = tctx.adopt();
+                    CtlMsg::Spawn { dst, .. } => {
                         rt.tracer.instant(
                             Place::ZERO.id(),
                             SpanKind::CtlSpawn,
                             dst.id() as u64,
                         );
                     }
-                    CtlMsg::Term { fid, tctx, .. } => {
-                        let _adopt = tctx.adopt();
+                    CtlMsg::Term { fid, .. } => {
                         rt.tracer.instant(Place::ZERO.id(), SpanKind::CtlTerm, *fid);
                     }
                     CtlMsg::Wait { .. } => {}
@@ -1219,28 +1200,20 @@ mod tests {
 
     #[test]
     fn run_catching_restores_tls_after_panic() {
-        // Regression: the TLS trace adoption must live strictly inside the
-        // unwind boundary, so a panicking task cannot leak its adopted
-        // parent span into the next task the thread runs.
+        // The task span lives strictly inside the unwind boundary, so a
+        // panicking task cannot leave its span as the thread's current one
+        // for the next task the thread runs.
         let cfg = RuntimeConfig::new(1).trace(true);
         Runtime::run(cfg, |ctx| {
+            let _outer = ctx.trace_span(SpanKind::Step, 0);
             let before = crate::trace::current_span_id();
-            let tctx = {
-                let _span = ctx.trace_span(SpanKind::AsyncTask, 0);
-                TraceCtx::capture(ctx.tracer(), ctx.here().id())
-            };
-            assert_ne!(tctx.parent, 0, "tracing is on; capture sees the live span");
-            assert_ne!(tctx.parent, before, "captured parent is the inner span");
-            let out =
-                finish::run_catching(ctx, tctx, SpanKind::AsyncTask, |_| panic!("boom"));
+            assert_ne!(before, 0, "tracing is on; the outer span is current");
+            let out = finish::run_catching(ctx, |_| {
+                assert_ne!(crate::trace::current_span_id(), before, "the task span is current");
+                panic!("boom")
+            });
             assert!(matches!(out, finish::TaskOutcome::Panicked(_)));
-            // The panic unwound through the adopt guard: the thread's causal
-            // parent is back to what it was before the doomed task, so a
-            // clean follow-up task parents where this task does — not on
-            // the dead task's adopted context.
             assert_eq!(crate::trace::current_span_id(), before);
-            let clean = TraceCtx::capture(ctx.tracer(), ctx.here().id());
-            assert_eq!(clean.parent, before, "clean follow-up sees the pre-panic parent");
         })
         .unwrap();
     }

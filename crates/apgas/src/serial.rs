@@ -212,30 +212,6 @@ impl Serial for String {
     }
 }
 
-/// Wire format of the causal trace context every cross-place message frames
-/// ahead of its payload: `parent` span id (LE u64) then `origin` place
-/// (LE u32) — 12 bytes. The store's batched backup transport ships this
-/// header with every frame; a future multi-process transport prepends it to
-/// `at`/`async_at`/ctl envelopes unchanged (the in-process runtime carries
-/// the same struct inside the task closure instead of on a wire).
-impl Serial for crate::trace::TraceCtx {
-    #[inline]
-    fn write(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.parent);
-        buf.put_u32_le(self.origin);
-    }
-    #[inline]
-    fn read(buf: &mut Bytes) -> Self {
-        let parent = buf.get_u64_le();
-        let origin = buf.get_u32_le();
-        crate::trace::TraceCtx { parent, origin }
-    }
-    #[inline]
-    fn byte_len(&self) -> usize {
-        12
-    }
-}
-
 // ---------------------------------------------------------------------------
 // SerialElem: element types with (optionally bulk) slice codecs
 // ---------------------------------------------------------------------------
@@ -599,23 +575,6 @@ mod tests {
         assert_eq!(read_vec::<u64>(&mut r), data);
         assert_eq!(u32::read(&mut r), 17);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn trace_ctx_frames_as_twelve_bytes() {
-        use crate::trace::TraceCtx;
-        let ctx = TraceCtx { parent: 0xDEAD_BEEF_1234_5678, origin: 42 };
-        let bytes = ctx.to_bytes();
-        assert_eq!(bytes.len(), 12, "framed header is parent:u64 + origin:u32");
-        assert_eq!(TraceCtx::from_bytes(bytes), ctx);
-        round_trip(TraceCtx::NONE);
-        // The header composes into larger frames like any Serial value.
-        let mut buf = BytesMut::new();
-        ctx.write(&mut buf);
-        vec![1.0f64, 2.0].write(&mut buf);
-        let mut r = buf.freeze();
-        assert_eq!(TraceCtx::read(&mut r), ctx);
-        assert_eq!(Vec::<f64>::read(&mut r), vec![1.0, 2.0]);
     }
 
     #[test]

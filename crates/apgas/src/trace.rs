@@ -16,8 +16,8 @@
 //! 3. the executor's per-iteration cost report (`gml-core`), built from
 //!    counter deltas plus these spans;
 //! 4. each restore's forensics bundle (`gml-core`), which keeps the last
-//!    events of every place and critical-path rows flagged incomplete where
-//!    [`Tracer::dropped`] shows events lost.
+//!    events of every place beside the per-place loss counts of
+//!    [`Tracer::dropped`].
 //!
 //! **Zero-cost when off.** Tracing is enabled per runtime, via
 //! `RuntimeConfig::trace(true)` or `GML_TRACE=1`. When disabled, every
@@ -41,10 +41,9 @@ use std::time::{Duration, Instant};
 use crate::metrics::MetricsRegistry;
 use crate::sync::RwLock;
 
-/// Declares every span kind once: its variant, its dotted display name and
-/// its critical-path [`CostClass`](critical_path::CostClass).
+/// Declares every span kind once: its variant and its dotted display name.
 macro_rules! span_kinds {
-    ($( $(#[$doc:meta])* $kind:ident => $name:literal, $class:ident; )*) => {
+    ($( $(#[$doc:meta])* $kind:ident => $name:literal; )*) => {
         /// What an instrumented operation is. Kinds are POD (`u8`) so events
         /// pack into atomic words; [`SpanKind::name`] gives the dotted display
         /// name used in trace files and the metrics report.
@@ -64,77 +63,70 @@ macro_rules! span_kinds {
                     $( SpanKind::$kind => $name, )*
                 }
             }
-
-            /// How this kind counts in the critical-path breakdown.
-            pub fn class(self) -> critical_path::CostClass {
-                match self {
-                    $( SpanKind::$kind => critical_path::CostClass::$class, )*
-                }
-            }
         }
     };
 }
 
 span_kinds! {
     /// `Ctx::encode` — serializing a cross-place payload.
-    Encode => "serial.encode", Ship;
+    Encode => "serial.encode";
     /// `Ctx::decode` — deserializing a received payload.
-    Decode => "serial.decode", Ship;
+    Decode => "serial.decode";
     /// `Ctx::at` — a synchronous remote-execution round trip.
-    At => "apgas.at", Ship;
+    At => "apgas.at";
     /// `FinishScope::async_at` — an asynchronous task dispatch.
-    AsyncAt => "apgas.async_at", Ship;
+    AsyncAt => "apgas.async_at";
     /// Resilient-finish spawn record: the synchronous round trip to place
     /// zero before a task may be sent (the paper's main overhead source).
-    CtlSpawn => "finish.ctl_spawn", Ctl;
+    CtlSpawn => "finish.ctl_spawn";
     /// Resilient-finish termination record (fire-and-forget to place zero).
-    CtlTerm => "finish.ctl_term", Ctl;
+    CtlTerm => "finish.ctl_term";
     /// Resilient-finish wait registration + block until quiescence.
-    CtlWait => "finish.ctl_wait", Ctl;
+    CtlWait => "finish.ctl_wait";
     /// `ResilientStore::fetch` — snapshot read (local, owner, or backup).
-    StoreFetch => "store.fetch", Ship;
+    StoreFetch => "store.fetch";
     /// `ResilientStore::delete_snapshots` — collective old-snapshot cleanup.
-    StoreDelete => "store.delete_snapshot", Ship;
+    StoreDelete => "store.delete_snapshot";
     /// A GML object writing its snapshot into the store.
-    SnapshotObj => "object.snapshot", Compute;
+    SnapshotObj => "object.snapshot";
     /// A GML object restoring itself from a snapshot.
-    RestoreObj => "object.restore", Compute;
+    RestoreObj => "object.restore";
     /// One `ResilientIterativeApp::step` call driven by the executor.
-    Step => "exec.step", Structural;
+    Step => "exec.step";
     /// One coordinated checkpoint (all registered objects + commit).
-    Checkpoint => "exec.checkpoint", Structural;
+    Checkpoint => "exec.checkpoint";
     /// One restore attempt; the label names the effective `RestoreMode`.
-    Restore => "exec.restore", Structural;
+    Restore => "exec.restore";
     /// Fail-stop failure injection (instant).
-    KillPlace => "place.kill", Structural;
+    KillPlace => "place.kill";
     /// Place-zero failure detection: a `PlaceDied` ctl message (instant).
-    PlaceDied => "place.died", Structural;
+    PlaceDied => "place.died";
     /// Elastic place creation (instant).
-    SpawnPlace => "place.spawn", Structural;
+    SpawnPlace => "place.spawn";
     /// One multi-chunk compute-pool job (`apgas::pool::run`); the numeric
     /// argument is the chunk count.
-    PoolRun => "pool.run", Compute;
+    PoolRun => "pool.run";
     /// One place's save of its entries of a snapshot (the store's `hold`):
     /// the owner keeps what its capture holds and, unless the ship is
     /// deferred, frames it and sends it in one batched backup transfer; the
     /// numeric argument is the total payload bytes of the batch.
-    StoreSaveBatch => "store.save_batch", Ship;
+    StoreSaveBatch => "store.save_batch";
     /// One deferred checkpoint ship: a batched backup transfer executed in
     /// the background after the synchronous capture phase returned.
-    CkptShip => "ckpt.ship", Ship;
+    CkptShip => "ckpt.ship";
     /// The receiving-place body of a `Ctx::at` closure: what the remote
     /// place actually executed while the sender's [`SpanKind::At`] span was
-    /// blocked on the round trip. Parented on the sender's `At` span.
-    AtRemote => "apgas.at_remote", Compute;
-    /// The receiving-place body of an `async_at` task. Parented on the
-    /// sender's [`SpanKind::AsyncAt`] dispatch instant.
-    AsyncTask => "apgas.async_task", Compute;
+    /// blocked on the round trip; the argument is the sending place.
+    AtRemote => "apgas.at_remote";
+    /// The receiving-place body of an `async_at` task; the argument is the
+    /// place the task runs at.
+    AsyncTask => "apgas.async_task";
     /// Checkpoint codec encode of one place's batch (delta diff +
     /// compression); the numeric argument is the logical payload bytes in.
-    CkptEncode => "ckpt.encode", Ship;
+    CkptEncode => "ckpt.encode";
     /// Checkpoint codec decode of one fetched entry (chain replay
     /// included); the numeric argument is the head frame's wire bytes.
-    CkptDecode => "ckpt.decode", Ship;
+    CkptDecode => "ckpt.decode";
 }
 
 /// Number of span kinds (size of per-kind arrays).
@@ -190,14 +182,14 @@ pub struct TraceEvent {
     /// Process-unique identity of this span/instant (0 only for legacy or
     /// synthesized events). Begin and End of the same span share one id.
     pub span_id: u64,
-    /// The causal parent's [`span_id`](Self::span_id): the enclosing span on
-    /// the same thread, or — for a receiving-place span — the *sender's*
-    /// span carried across the place crossing. 0 means "root".
+    /// The [`span_id`](Self::span_id) of the span enclosing this one on the
+    /// same thread; 0 means none. Work a place crossing runs on another
+    /// thread starts a new root.
     pub parent_id: u64,
 }
 
 // ---------------------------------------------------------------------------
-// Span identity and causal context propagation.
+// Span identity and same-thread nesting.
 // ---------------------------------------------------------------------------
 
 /// Process-global span-id allocator. Ids are unique across every tracer,
@@ -211,9 +203,8 @@ pub fn next_span_id() -> u64 {
 }
 
 thread_local! {
-    /// The innermost live span on this thread — the causal parent of any
-    /// event this thread emits next. Crossing helpers ([`TraceCtx`])
-    /// transplant it into the receiving task's thread.
+    /// The innermost live span on this thread — the parent of any event
+    /// this thread emits next.
     static CURRENT_SPAN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -221,62 +212,6 @@ thread_local! {
 #[inline]
 pub fn current_span_id() -> u64 {
     CURRENT_SPAN.with(|c| c.get())
-}
-
-/// The causal trace context carried across a place crossing: the sender-side
-/// span the receiving place's work should be parented on, plus the place it
-/// was captured at. This is the framed header the serialization plane ships
-/// with `at`/`async_at`/ctl messages and store save/fetch traffic (see
-/// `impl Serial for TraceCtx` in [`crate::serial`] for the wire format).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// The sender-side span id receiver spans adopt as their parent
-    /// (0 = no causal parent / tracing off).
-    pub parent: u64,
-    /// The place the context was captured at.
-    pub origin: u32,
-}
-
-impl TraceCtx {
-    /// An empty context: no parent, origin place 0.
-    pub const NONE: TraceCtx = TraceCtx { parent: 0, origin: 0 };
-
-    /// Capture the current thread's causal context at `origin`. When the
-    /// tracer is off this is a single branch returning [`TraceCtx::NONE`],
-    /// so disabled runs capture (and later adopt) nothing.
-    #[inline]
-    pub fn capture(tracer: &Tracer, origin: u32) -> TraceCtx {
-        if !tracer.is_on() {
-            return TraceCtx::NONE;
-        }
-        TraceCtx { parent: current_span_id(), origin }
-    }
-
-    /// Install this context as the receiving thread's causal parent for the
-    /// guard's lifetime; the previous parent is restored on drop. A `NONE`
-    /// context installs nothing (zero TLS traffic on untraced runs).
-    #[inline]
-    pub fn adopt(self) -> AdoptGuard {
-        if self.parent == 0 {
-            return AdoptGuard { prev: None };
-        }
-        let prev = CURRENT_SPAN.with(|c| c.replace(self.parent));
-        AdoptGuard { prev: Some(prev) }
-    }
-}
-
-/// RAII guard for [`TraceCtx::adopt`]: restores the thread's previous causal
-/// parent when dropped.
-pub struct AdoptGuard {
-    prev: Option<u64>,
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            CURRENT_SPAN.with(|c| c.set(prev));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -423,9 +358,7 @@ impl EventRing {
     }
 
     /// Events lost to ring wraparound so far: everything pushed beyond the
-    /// retained window has been overwritten. Feeds [`Tracer::dropped`],
-    /// which lets the critical-path analyzer flag drop-affected iterations
-    /// as incomplete instead of reporting a bogus path.
+    /// retained window has been overwritten. Feeds [`Tracer::dropped`].
     pub fn dropped(&self) -> u64 {
         self.pushed().saturating_sub(self.slots.len() as u64)
     }
@@ -509,12 +442,6 @@ pub struct Tracer {
     rings: RwLock<Vec<Arc<EventRing>>>,
     labels: LabelTable,
     metrics: MetricsRegistry,
-    /// Flow halves dropped at export time: drawn events whose causal parent
-    /// was overwritten in a ring before export, so the viewer would have
-    /// shown an arrow from nowhere. Counted per [`chrome_json`] call.
-    ///
-    /// [`chrome_json`]: Tracer::chrome_json
-    flow_dropped: AtomicU64,
 }
 
 impl Tracer {
@@ -527,7 +454,6 @@ impl Tracer {
             rings: RwLock::new(Vec::new()),
             labels: LabelTable::default(),
             metrics: MetricsRegistry::new(),
-            flow_dropped: AtomicU64::new(0),
         }
     }
 
@@ -575,13 +501,6 @@ impl Tracer {
         self.rings.read().iter().map(|r| r.dropped()).collect()
     }
 
-    /// Flow halves dropped at Chrome-export time because the matching start
-    /// span had been overwritten in a ring (cumulative across exports).
-    /// Without this suppression the export would draw arrows from nowhere.
-    pub fn flow_dropped(&self) -> u64 {
-        self.flow_dropped.load(Ordering::Relaxed)
-    }
-
     #[inline]
     #[allow(clippy::too_many_arguments)] // internal POD fan-in, not an API
     fn emit(
@@ -601,17 +520,14 @@ impl Tracer {
         }
     }
 
-    /// Record an instant event (no duration). Returns the instant's
-    /// process-unique span id (0 when tracing is off) so a dispatch site can
-    /// hand it to the receiving place as the causal parent.
+    /// Record an instant event (no duration).
     #[inline]
-    pub fn instant(&self, place: u32, kind: SpanKind, arg: u64) -> u64 {
+    pub fn instant(&self, place: u32, kind: SpanKind, arg: u64) {
         if !self.is_on() {
-            return 0;
+            return;
         }
         let span = next_span_id();
         self.emit(place, Phase::Instant, kind, 0, arg, self.now_nanos(), 0, span, current_span_id());
-        span
     }
 
     /// Begin a span; the returned guard emits the end event (and feeds the
@@ -647,8 +563,8 @@ impl Tracer {
         let label = self.labels.intern(label);
         let t0 = self.now_nanos();
         let span_id = next_span_id();
-        // This span becomes the thread's innermost live span: its children
-        // (including work adopted at other places) parent on it.
+        // This span becomes the thread's innermost live span: the spans and
+        // instants this thread emits inside it parent on it.
         let prev = CURRENT_SPAN.with(|c| c.replace(span_id));
         self.emit(place, Phase::Begin, kind, label, arg, t0, 0, span_id, prev);
         SpanGuard { tracer: Some(self), place, kind, label, arg, t0, span_id, parent_id: prev, prev }
@@ -700,10 +616,7 @@ impl Tracer {
 
     /// Export the retained events as a Chrome `trace_event` JSON document
     /// (one thread track per place; span ends become complete `"X"` events
-    /// so rendering is robust to interleaved same-place spans). Cross-place
-    /// parent links become `flow` events (`"s"` at the sender span, `"f"`
-    /// with `"bp":"e"` at the receiver span), so the viewer draws an arrow
-    /// from every `at`/`async_at` dispatch to the work it caused.
+    /// so rendering is robust to interleaved same-place spans).
     pub fn chrome_json(&self) -> String {
         let events = self.events();
         let mut out = String::with_capacity(events.len() * 96 + 256);
@@ -720,23 +633,6 @@ impl Tracer {
                 "{{\"ph\":\"M\",\"pid\":0,\"tid\":{p},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":\"place {p}\"}}}}"
             ));
-        }
-        // Span id → (place, begin ts) of the *drawn* event (End slices and
-        // instants), for resolving cross-place flow arrows. `known` also
-        // remembers Begin-only (still-open) spans: a parent found there was
-        // not lost, merely unfinished, so its flows are not "dropped".
-        let mut drawn: std::collections::HashMap<u64, (u32, u64)> = std::collections::HashMap::new();
-        let known: std::collections::HashSet<u64> = events.iter().map(|e| e.span_id).collect();
-        for e in &events {
-            match e.phase {
-                Phase::End => {
-                    drawn.insert(e.span_id, (e.place, e.t_nanos.saturating_sub(e.dur_nanos)));
-                }
-                Phase::Instant => {
-                    drawn.entry(e.span_id).or_insert((e.place, e.t_nanos));
-                }
-                Phase::Begin => {}
-            }
         }
         for e in &events {
             let (ph, ts, dur) = match e.phase {
@@ -771,50 +667,10 @@ impl Tracer {
                 e.span_id,
                 e.parent_id,
             ));
-            // Cross-place causality: if this drawn event's parent was drawn
-            // at another place, emit a flow pair (id = the child span id)
-            // linking sender → receiver. A parent absent from the drained
-            // events entirely was overwritten in its ring — emitting the
-            // finish half alone would draw an arrow from nowhere, so the
-            // flow is dropped and counted instead.
-            if e.parent_id != 0 {
-                match drawn.get(&e.parent_id) {
-                    Some(&(pplace, pts)) if pplace != e.place => {
-                        out.push_str(&format!(
-                            ",{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{},\
-                             \"ts\":{:.3},\"pid\":0,\"tid\":{}}}",
-                            e.kind.name(),
-                            e.span_id,
-                            pts as f64 / 1e3,
-                            pplace
-                        ));
-                        out.push_str(&format!(
-                            ",{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\
-                             \"id\":{},\"ts\":{:.3},\"pid\":0,\"tid\":{}}}",
-                            e.kind.name(),
-                            e.span_id,
-                            ts as f64 / 1e3,
-                            e.place
-                        ));
-                    }
-                    Some(_) => {} // same-place nesting: no arrow to draw
-                    None if !known.contains(&e.parent_id) => {
-                        self.flow_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {} // parent span still open (Begin retained): not lost
-                }
-            }
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Count the cross-place flow pairs ([`"ph":"s"`] starts) a Chrome export
-/// holds. `trace_smoke` uses this to assert a multi-place run's export links
-/// sender spans to receiver spans.
-pub fn count_flow_events(chrome_json: &str) -> usize {
-    chrome_json.matches("\"ph\":\"s\"").count()
 }
 
 /// Prepare a trace export destination: create any missing parent
@@ -892,8 +748,7 @@ impl SpanGuard<'_> {
     }
 
     /// This span's process-unique id (0 when tracing is off). While the
-    /// guard lives, this is also the thread's current span — the causal
-    /// parent a [`TraceCtx::capture`] inside the span will carry.
+    /// guard lives, this is also the thread's current span.
     pub fn id(&self) -> u64 {
         self.span_id
     }
@@ -1086,12 +941,6 @@ fn parse_number(b: &[u8], i: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
-// The per-iteration critical-path analyzer lives in its own file but is
-// addressed as `trace::critical_path`, mirroring how it consumes this
-// module's events.
-#[path = "critical_path.rs"]
-pub mod critical_path;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1283,70 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_ctx_carries_parent_across_threads() {
-        let tr = Arc::new(Tracer::enabled(256));
-        tr.ensure_place(2);
-        let ctx = {
-            let _g = tr.span(0, SpanKind::At, 9);
-            TraceCtx::capture(&tr, 0)
-        };
-        assert_ne!(ctx.parent, 0);
-        // Simulate the receiving place's dispatcher thread adopting the
-        // context before running the task body.
-        let tr2 = Arc::clone(&tr);
-        std::thread::spawn(move || {
-            let _adopt = ctx.adopt();
-            let _g = tr2.span(1, SpanKind::AtRemote, 0);
-        })
-        .join()
-        .unwrap();
-        let ev = tr.events();
-        let remote =
-            ev.iter().find(|e| e.kind == SpanKind::AtRemote && e.phase == Phase::End).unwrap();
-        assert_eq!(remote.parent_id, ctx.parent, "receiver span parents on the sender span");
-        assert_eq!(current_span_id(), 0, "adoption never leaks into other threads");
-    }
-
-    #[test]
-    fn disabled_tracer_captures_no_context() {
-        let tr = Tracer::disabled();
-        let ctx = TraceCtx::capture(&tr, 3);
-        assert_eq!(ctx, TraceCtx::NONE);
-        let _adopt = ctx.adopt(); // must be inert
-        assert_eq!(current_span_id(), 0);
-    }
-
-    #[test]
-    fn chrome_json_links_cross_place_spans_with_flow_events() {
-        let tr = Arc::new(Tracer::enabled(256));
-        tr.ensure_place(2);
-        let ctx = {
-            let _g = tr.span(0, SpanKind::At, 0);
-            TraceCtx::capture(&tr, 0)
-        };
-        let tr2 = Arc::clone(&tr);
-        std::thread::spawn(move || {
-            let _adopt = ctx.adopt();
-            let _g = tr2.span(1, SpanKind::AtRemote, 0);
-        })
-        .join()
-        .unwrap();
-        let json = tr.chrome_json();
-        validate_chrome_trace(&json).expect("flow-bearing export stays valid JSON");
-        assert_eq!(count_flow_events(&json), 1, "one cross-place edge, one flow pair");
-        assert!(json.contains("\"ph\":\"f\""), "flow finish present");
-        assert!(json.contains("\"bp\":\"e\""), "flow binds to the enclosing slice");
-        // Same-place nesting must NOT produce flows.
-        let tr3 = Tracer::enabled(256);
-        tr3.ensure_place(1);
-        {
-            let _a = tr3.span(0, SpanKind::Step, 0);
-            let _b = tr3.span(0, SpanKind::Checkpoint, 0);
-        }
-        assert_eq!(count_flow_events(&tr3.chrome_json()), 0);
-    }
-
-    #[test]
     fn tracer_reports_per_place_drops() {
         let tr = Tracer::enabled(16);
         tr.ensure_place(2);
@@ -1359,26 +1144,6 @@ mod tests {
         assert_eq!(dropped[0], 24, "place 0 wrapped");
         assert_eq!(dropped[1], 0, "place 1 did not");
         assert_eq!(dropped.iter().sum::<u64>(), 24);
-    }
-
-    #[test]
-    fn chrome_export_counts_orphaned_flow_halves_and_per_place_drops() {
-        let tr = Tracer::enabled(16);
-        tr.ensure_place(3);
-        {
-            // Three place-1 events whose parent is a place-0 span ...
-            let _g = tr.span(0, SpanKind::At, 0);
-            for i in 0..3 {
-                tr.instant(1, SpanKind::AtRemote, i);
-            }
-        }
-        // ... which 33 more place-0 events push out of its 16-slot ring.
-        for i in 0..33 {
-            tr.instant(0, SpanKind::At, i);
-        }
-        tr.chrome_json();
-        assert_eq!(tr.flow_dropped(), 3, "each orphaned child drops one flow half");
-        assert_eq!(tr.dropped(), vec![19, 0, 0], "35 place-0 events in 16 slots; the others kept all");
     }
 
     #[test]

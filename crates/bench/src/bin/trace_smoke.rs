@@ -11,8 +11,7 @@ use std::time::{Duration, Instant};
 
 use apgas::prelude::Place;
 use apgas::runtime::{Runtime, RuntimeConfig};
-use apgas::trace::critical_path::SpanDag;
-use apgas::trace::{count_flow_events, validate_chrome_trace, Phase, SpanKind, Tracer};
+use apgas::trace::{validate_chrome_trace, SpanKind, Tracer};
 use gml_apps::ResilientPageRank;
 use gml_bench::workloads;
 use gml_core::{AppResilientStore, ExecutorConfig, FailureInjector, ResilientExecutor, RestoreMode};
@@ -56,48 +55,22 @@ fn traced_run() {
         "restore span must be recorded"
     );
 
-    // Causal propagation: every cross-place receiver span (remote `at`
-    // bodies, `async_at` tasks) must resolve its parent to a sender-side
-    // span, the reconstructed DAG must be sound, and the Chrome export must
-    // draw a flow arrow per cross-place link.
-    let events = rt.tracer().events();
+    // The export holds the executor's phases as they ran: one
+    // `exec.restore` slice per restore and one `exec.step` slice per row
+    // that stepped. Only a wrapped ring may have lost some.
+    let slices = |name: &str| json.matches(&format!("\"name\":\"{name}\",\"ph\":\"X\"")).count();
+    let (restores, steps) = (slices("exec.restore"), slices("exec.step"));
+    let stepped = report.rows.iter().filter(|r| !r.step.is_zero()).count();
     let wrapped = rt.tracer().dropped().iter().any(|&d| d > 0);
-    let mut receivers = 0usize;
-    let mut linked = 0usize;
-    for e in &events {
-        if e.phase != Phase::End
-            || !matches!(e.kind, SpanKind::AtRemote | SpanKind::AsyncTask)
-        {
-            continue;
-        }
-        receivers += 1;
-        assert!(e.parent_id != 0, "receiver span {:?} has no causal parent", e.kind);
-        match events.iter().find(|p| p.span_id == e.parent_id) {
-            Some(parent) if parent.place != e.place => linked += 1,
-            Some(_) => {} // self-targeted at: parented, but no place crossing
-            None => assert!(
-                wrapped,
-                "parent {} of a receiver span missing without ring wrap",
-                e.parent_id
-            ),
-        }
-    }
-    assert!(receivers > 0, "a resilient run must produce receiver spans");
-    let flows = count_flow_events(&json);
     if !wrapped {
-        assert!(linked > 0, "a 4-place run must produce cross-place causal links");
-        let dag = SpanDag::build(&events);
-        assert!(dag.is_complete(), "every parent_id must resolve within the trace");
-        assert!(dag.is_acyclic(), "span DAG must be acyclic");
-        assert!(
-            flows >= linked,
-            "export draws {flows} flow arrows for {linked} cross-place links"
-        );
+        assert_eq!(restores as u64, report.restores(), "one exec.restore slice per restore");
+        assert_eq!(steps, stepped, "one exec.step slice per row that stepped");
     }
     rt.shutdown();
     println!(
-        "trace smoke: traced resilient run OK ({n} events, {receivers} receiver spans, \
-         {linked} cross-place links, {flows} flow arrows)"
+        "trace smoke: traced resilient run OK ({n} events, {restores} restore and {steps} step \
+         slices{})",
+        if wrapped { ", rings wrapped" } else { "" }
     );
 }
 

@@ -20,16 +20,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apgas::prelude::*;
-use apgas::trace::{critical_path, escape_json, Phase};
+use apgas::trace::{escape_json, Phase};
 
 use crate::snapshot::Snapshot;
 use crate::store::{PlaceInventory, RepairReport, ResilientStore, SnapshotAudit};
 
 /// How many trailing trace events per place a bundle retains.
 const TRACE_TAIL_PER_PLACE: usize = 64;
-
-/// How many trailing per-iteration critical-path rows a bundle retains.
-const PATH_ROWS: usize = 8;
 
 /// Why the executor restored the way it did: the configured mode, what
 /// actually happened (fallbacks included), and the inputs to that decision.
@@ -98,10 +95,10 @@ pub struct PostMortem {
     /// The last [`TRACE_TAIL_PER_PLACE`] trace events of each place, in
     /// global time order (empty when tracing is off).
     pub trace_tail: Vec<TraceEvent>,
-    /// The last [`PATH_ROWS`] per-iteration critical-path profiles the
-    /// tracer could still reconstruct at capture time (empty when tracing is
-    /// off). Shows where the pre-failure iterations spent their time.
-    pub path_rows: Vec<IterProfile>,
+    /// Per-place counts of trace events lost to ring wraparound by capture
+    /// time ([`Tracer::dropped`], index = place; empty when tracing is off).
+    /// A non-zero count says that place's `trace_tail` has gaps.
+    pub trace_dropped: Vec<u64>,
     /// Memory-ledger snapshot at capture time (all zeroes with the
     /// `mem-profile` feature off): per-tag levels plus the process-wide
     /// allocator counters. A restore is exactly when the memory map is
@@ -121,11 +118,7 @@ impl PostMortem {
         decision: RestoreDecision,
         seq: u64,
     ) -> Self {
-        let events = ctx.tracer().events();
-        let mut path_rows = critical_path::analyze(&events, &ctx.tracer().dropped());
-        if path_rows.len() > PATH_ROWS {
-            path_rows.drain(..path_rows.len() - PATH_ROWS);
-        }
+        let (trace_tail, trace_dropped) = trace_sections(ctx.tracer());
         PostMortem {
             seq,
             captured_at_nanos: ctx.tracer().now_nanos(),
@@ -135,8 +128,8 @@ impl PostMortem {
             store: store.inventory(ctx),
             snapshots: committed.iter().map(|s| store.audit_snapshot(ctx, s)).collect(),
             repair: RepairReport::default(),
-            trace_tail: trace_tail(&events, TRACE_TAIL_PER_PLACE),
-            path_rows,
+            trace_tail,
+            trace_dropped,
             mem: apgas::mem::report(),
         }
     }
@@ -160,9 +153,9 @@ impl PostMortem {
             escape_json(d.effective_label),
             d.rebalance,
             escape_json(&d.reason),
-            json_u32s(&d.dead_places),
-            json_u32s(&d.live_spares),
-            json_u32s(&d.places_spawned),
+            json_nums(&d.dead_places),
+            json_nums(&d.live_spares),
+            json_nums(&d.places_spawned),
             d.rolled_back_to,
             d.attempt,
             json_digest(d.expected_digest),
@@ -254,28 +247,8 @@ impl PostMortem {
                 e.parent_id,
             ));
         }
-        s.push_str("],\"path_rows\":[");
-        for (i, p) in self.path_rows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"iteration\":{},\"wall_nanos\":{},\"critical_path_nanos\":{},\
-                 \"compute_nanos\":{},\"ship_nanos\":{},\"ctl_nanos\":{},\"idle_nanos\":{},\
-                 \"dominant_place\":{},\"straggler_ratio\":{:.4},\"complete\":{}}}",
-                p.iteration,
-                p.wall_nanos,
-                p.critical_path_nanos,
-                p.compute_nanos,
-                p.ship_nanos,
-                p.ctl_nanos,
-                p.idle_nanos,
-                p.dominant_place,
-                p.straggler_ratio,
-                p.complete,
-            ));
-        }
-        s.push_str("],\"mem\":{");
+        s.push_str(&format!("],\"trace_dropped\":{}", json_nums(&self.trace_dropped)));
+        s.push_str(",\"mem\":{");
         let m = &self.mem;
         s.push_str(&format!(
             "\"heap_bytes\":{},\"heap_peak_bytes\":{},\"heap_allocs\":{},\"tags\":[",
@@ -331,6 +304,13 @@ impl PostMortem {
     }
 }
 
+/// A bundle's two trace sections, read from `tracer`: the last
+/// [`TRACE_TAIL_PER_PLACE`] events of each place, and each place's count of
+/// events lost to ring wraparound.
+fn trace_sections(tracer: &Tracer) -> (Vec<TraceEvent>, Vec<u64>) {
+    (trace_tail(&tracer.events(), TRACE_TAIL_PER_PLACE), tracer.dropped())
+}
+
 /// Keep only the last `per_place` events of each place, preserving the
 /// input's (global time) order.
 fn trace_tail(events: &[TraceEvent], per_place: usize) -> Vec<TraceEvent> {
@@ -366,7 +346,7 @@ fn json_digest(d: Option<u64>) -> String {
     }
 }
 
-fn json_u32s(v: &[u32]) -> String {
+fn json_nums<T: ToString>(v: &[T]) -> String {
     let items: Vec<String> = v.iter().map(|n| n.to_string()).collect();
     format!("[{}]", items.join(","))
 }
@@ -418,7 +398,7 @@ mod tests {
             snapshots: vec![],
             repair: RepairReport::default(),
             trace_tail: vec![],
-            path_rows: vec![],
+            trace_dropped: vec![],
             mem: MemReport::default(),
         };
         pm.validate().unwrap();
@@ -475,18 +455,7 @@ mod tests {
                 time: std::time::Duration::from_nanos(750),
             },
             trace_tail: vec![event(1, 0), event(2, 1)],
-            path_rows: vec![IterProfile {
-                iteration: 9,
-                wall_nanos: 100,
-                critical_path_nanos: 80,
-                compute_nanos: 60,
-                ship_nanos: 15,
-                ctl_nanos: 5,
-                idle_nanos: 20,
-                dominant_place: 1,
-                straggler_ratio: 1.25,
-                complete: true,
-            }],
+            trace_dropped: vec![0, 0],
             mem: apgas::mem::report(),
         };
         pm.validate().unwrap();
@@ -502,8 +471,35 @@ mod tests {
         assert!(json.contains("\"kind\":\"exec.step\""));
         assert!(json.contains("\"phase\":\"instant\""));
         assert!(json.contains("\"span_id\":2"), "trace tail carries span identity");
-        assert!(json.contains("\"iteration\":9"));
-        assert!(json.contains("\"straggler_ratio\":1.2500"));
+        assert!(json.contains("\"trace_dropped\":[0,0]"));
+    }
+
+    #[test]
+    fn a_wrapped_ring_shows_in_the_bundles_trace_dropped() {
+        let tracer = Tracer::enabled(16);
+        tracer.ensure_place(2);
+        for i in 0..40 {
+            tracer.instant(1, SpanKind::At, i);
+        }
+        let (trace_tail, trace_dropped) = trace_sections(&tracer);
+        assert_eq!(trace_tail.len(), 16, "a 16-slot ring keeps its newest 16");
+        let pm = PostMortem {
+            seq: 1,
+            captured_at_nanos: tracer.now_nanos(),
+            pool_workers: 1,
+            decision: decision(),
+            ledger: vec![],
+            store: vec![],
+            snapshots: vec![],
+            repair: RepairReport::default(),
+            trace_tail,
+            trace_dropped,
+            mem: MemReport::default(),
+        };
+        assert_eq!(pm.trace_dropped[0], 0, "place 0 lost nothing");
+        assert_ne!(pm.trace_dropped[1], 0, "place 1's ring wrapped");
+        pm.validate().unwrap();
+        assert!(pm.to_json().contains("\"trace_dropped\":[0,24]"));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
-use apgas::trace::critical_path;
 
 use crate::app_state::AppState;
 use crate::app_store::AppResilientStore;
@@ -346,7 +345,6 @@ impl ResilientExecutor {
                 detect: None,
                 restore: None,
                 delta: Default::default(),
-                path: None,
                 resident: 0,
                 ckpt_bytes: 0,
                 ckpt_logical: 0,
@@ -401,7 +399,8 @@ impl ResilientExecutor {
                     let _span = ctx.trace_span(SpanKind::Checkpoint, iteration);
                     app.checkpoint(ctx, store)
                 };
-                row.checkpoint = Some(t.elapsed());
+                let d = t.elapsed();
+                row.checkpoint = Some(d);
                 // Harvest the two-phase split. With overlap on, the ship
                 // time joined here mostly belongs to the *previous*
                 // checkpoint's transfers (this commit was their barrier).
@@ -414,7 +413,7 @@ impl ResilientExecutor {
                 stats.ship_time += ship;
                 match result {
                     Ok(()) => {
-                        stats.checkpoint_time += t.elapsed();
+                        stats.checkpoint_time += d;
                         stats.checkpoints += 1;
                         if let Some(mttf) = self.cfg.mttf {
                             interval = young_iterations(&stats, mttf, interval);
@@ -422,7 +421,7 @@ impl ResilientExecutor {
                         next_checkpoint = iteration + interval;
                     }
                     Err(e) if e.is_recoverable() => {
-                        stats.checkpoint_time += t.elapsed();
+                        stats.checkpoint_time += d;
                         store.cancel_snapshot(ctx);
                         recorded = None;
                         let cost = self.recover(
@@ -446,18 +445,9 @@ impl ResilientExecutor {
                 let _span = ctx.trace_span(SpanKind::Step, iteration);
                 app.step(ctx, iteration)
             };
-            row.step = t.elapsed();
-            // With tracing on, reconstruct this pass's cross-place critical
-            // path from the rings (the Step span just closed) for the row.
-            if ctx.tracer().is_on() {
-                let events = ctx.tracer().events();
-                let dropped = ctx.tracer().dropped();
-                let profiles = critical_path::analyze(&events, &dropped);
-                // Re-executed iterations share a number after rollback;
-                // the latest window is this pass's.
-                row.path = profiles.iter().rev().find(|p| p.iteration == row.iteration).copied();
-            }
-            stats.step_time += t.elapsed();
+            let d = t.elapsed();
+            row.step = d;
+            stats.step_time += d;
             // Record the output digest the moment the step produced it —
             // the reference the pre-commit verification compares against.
             // The digest is a collective too, so one that fails is handled

@@ -14,7 +14,6 @@ use std::time::Duration;
 
 use apgas::metrics::fmt_nanos;
 use apgas::stats::StatsSnapshot;
-use apgas::IterProfile;
 
 use crate::codec::CodecSnapshot;
 use crate::forensics::PostMortem;
@@ -102,10 +101,6 @@ pub struct IterRow {
     pub codec_time: Duration,
     /// Runtime counter deltas consumed by this pass.
     pub delta: StatsSnapshot,
-    /// Cross-place critical-path profile of this pass's step window,
-    /// reconstructed from the trace rings. `None` when tracing is off or
-    /// the pass had no step.
-    pub path: Option<IterProfile>,
 }
 
 /// The full per-iteration cost breakdown of one executor run.
@@ -159,18 +154,6 @@ impl CostReport {
     /// Total restores across all rows.
     pub fn restores(&self) -> u64 {
         self.rows.iter().filter(|r| r.restore.is_some()).count() as u64
-    }
-
-    /// Do the critical-path profiles telescope with the iteration totals:
-    /// path ≤ wall, breakdown parts ≤ path, idle = wall − path? Vacuously
-    /// true when no row carries a profile. Asserted by tests and the CI
-    /// trace smoke.
-    pub fn paths_consistent(&self) -> bool {
-        self.rows.iter().filter_map(|r| r.path.as_ref()).all(|p| {
-            p.critical_path_nanos <= p.wall_nanos
-                && p.compute_nanos + p.ship_nanos + p.ctl_nanos <= p.critical_path_nanos
-                && p.idle_nanos == p.wall_nanos - p.critical_path_nanos
-        })
     }
 
     /// Render the Table-III-style per-iteration cost table plus a totals
@@ -273,39 +256,6 @@ impl CostReport {
             c.frames_verbatim,
             fmt_nanos(c.encode_nanos + c.decode_nanos),
         ));
-        if self.rows.iter().any(|r| r.path.is_some()) {
-            out.push_str(&self.render_paths());
-        }
-        out
-    }
-
-    /// Render the per-iteration critical-path table (only rows that carry a
-    /// profile). `path` is the dominant place's busy coverage within the
-    /// step window; `compute/ship/ctl` decompose it with overlap removed;
-    /// `idle` is the window time no place was working the path;
-    /// `straggler` is slowest/median per-place compute. A trailing `!` on
-    /// the iter column marks a profile degraded by trace-ring drops.
-    pub fn render_paths(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "critical path:\n{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6} {:>9}\n",
-            "iter", "wall", "path", "compute", "ship", "ctl", "idle", "place", "straggler"
-        ));
-        for r in &self.rows {
-            let Some(p) = &r.path else { continue };
-            out.push_str(&format!(
-                "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6} {:>9.2}\n",
-                format!("{}{}", p.iteration, if p.complete { "" } else { "!" }),
-                fmt_nanos(p.wall_nanos),
-                fmt_nanos(p.critical_path_nanos),
-                fmt_nanos(p.compute_nanos),
-                fmt_nanos(p.ship_nanos),
-                fmt_nanos(p.ctl_nanos),
-                fmt_nanos(p.idle_nanos),
-                p.dominant_place,
-                p.straggler_ratio,
-            ));
-        }
         out
     }
 }
@@ -348,7 +298,6 @@ mod tests {
                 ctl_spawns: ctl,
                 ..Default::default()
             },
-            path: None,
         }
     }
 
@@ -433,42 +382,6 @@ mod tests {
         assert!(text.contains("3.0MB"), "resident level rendered");
         assert!(text.contains("2.0KB"), "ckpt bytes rendered");
         assert!(text.contains("peak resident 3.0MB"), "totals line carries the peak");
-    }
-
-    #[test]
-    fn render_paths_table_and_consistency() {
-        let mut r = row(3, 0, 0, 0);
-        r.path = Some(IterProfile {
-            iteration: 3,
-            wall_nanos: 1_000_000,
-            critical_path_nanos: 700_000,
-            compute_nanos: 500_000,
-            ship_nanos: 150_000,
-            ctl_nanos: 50_000,
-            idle_nanos: 300_000,
-            dominant_place: 2,
-            straggler_ratio: 1.75,
-            complete: true,
-        });
-        let report = CostReport {
-            totals: r.delta,
-            rows: vec![r],
-            codec_totals: Default::default(),
-            bundles: vec![],
-        };
-        assert!(report.paths_consistent());
-        let text = report.render();
-        assert!(text.contains("critical path:"));
-        assert!(text.contains("straggler"));
-        assert!(text.contains("1.75"));
-        // Inconsistent profile is caught.
-        let mut bad = report.clone();
-        bad.rows[0].path.as_mut().unwrap().critical_path_nanos = 2_000_000;
-        assert!(!bad.paths_consistent());
-        // Drop-degraded profiles are marked.
-        let mut dropped = report;
-        dropped.rows[0].path.as_mut().unwrap().complete = false;
-        assert!(dropped.render().contains("3!"));
     }
 
     #[test]

@@ -764,15 +764,7 @@ impl ResilientStore {
         let total: usize = entries.iter().map(|(_, e)| e.wire()).sum();
         let store = self.clone();
         ctx.record_bytes(total);
-        // Causal context rides the batch frame as a real 12-byte serialized
-        // header (`TraceCtx: Serial`) and is decoded + adopted before the
-        // receiving side does its work, so the backup's copies link back to
-        // the owning place's save span. Trace plumbing, not payload: the
-        // header is deliberately excluded from `record_bytes` accounting,
-        // as is the per-entry logical length.
-        let header = TraceCtx::capture(ctx.tracer(), ctx.here().id()).to_bytes();
         ctx.at(backup, move |ctx| -> GmlResult<()> {
-            let _adopt = TraceCtx::from_bytes(header).adopt();
             let shard = store.shard(ctx)?;
             for (key, entry) in entries {
                 // Batching collapses B round trips into one, but each entry
@@ -1177,13 +1169,9 @@ impl ResilientStore {
             let plh = self.plh;
             // The remote lookup hands back the shard's buffer by refcount
             // (free in the simulation); the single honest wire copy for this
-            // place crossing is made below, at the fetching place. The
-            // fetch's causal context crosses as a framed 12-byte header,
-            // excluded from byte accounting like the save path's.
-            let header = TraceCtx::capture(ctx.tracer(), ctx.here().id()).to_bytes();
+            // place crossing is made below, at the fetching place.
             let got = ctx
                 .at(source, move |ctx| {
-                    let _adopt = TraceCtx::from_bytes(header).adopt();
                     plh.local(ctx).ok().and_then(|s| s.read(ctx, snap_id, key))
                 })
                 .unwrap_or(None);

@@ -8,8 +8,6 @@
 //! A second phase then drives a tiny iterative app (scale + Frobenius norm)
 //! through the `ResilientExecutor`, kills another place mid-run, and prints
 //! the per-iteration resilience cost report plus the span latency table.
-//! With tracing on, the report gains the per-iteration critical-path
-//! breakdown (compute/ship/ctl/idle, dominant place, straggler ratio).
 //!
 //! ```sh
 //! cargo run --release --example failure_drill

@@ -5,9 +5,7 @@
 //! (c) a non-empty Chrome trace JSON export that parses.
 
 use apgas::runtime::{Runtime, RuntimeConfig};
-use apgas::trace::critical_path::{self, SpanDag};
-use apgas::trace::{count_flow_events, validate_chrome_trace, Phase};
-use proptest::prelude::*;
+use apgas::trace::{validate_chrome_trace, Phase};
 use resilient_gml::prelude::*;
 
 /// Minimal executor app over a `DistBlockMatrix`: each step scales the
@@ -151,139 +149,17 @@ fn chrome_trace_export_is_valid_nonempty_json() {
     rt.shutdown();
 }
 
-/// Causal-linking drill: a nested `async_at` fan-out across 4 places must
-/// leave every receiver task span holding a `parent_id` that resolves to the
-/// *sender's* dispatch instant at a different place, and the reconstructed
-/// span DAG must be acyclic and complete (no dangling parents).
+/// Each timed phase is read off the clock once: the run totals are the
+/// sums of the rows, exactly, on a traced run with a kill and a restore.
 #[test]
-fn async_at_fanout_receiver_spans_link_back_to_senders() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let rt = Runtime::new(RuntimeConfig::new(4).resilient(true).trace(true));
-    let hits = Arc::new(AtomicU64::new(0));
-    let hits2 = Arc::clone(&hits);
-    rt.exec(move |ctx| {
-        ctx.finish(|fs| {
-            let h = fs.handle();
-            for i in 1..4u32 {
-                let h = h.clone();
-                let hits = Arc::clone(&hits2);
-                // First hop: 0 -> i. Second hop, nested: i -> (i + 1) % 4.
-                fs.async_at(Place::new(i), move |cx| {
-                    let inner = Arc::clone(&hits);
-                    h.async_at(cx, Place::new((i + 1) % 4), move |_| {
-                        inner.fetch_add(1, Ordering::Relaxed);
-                    });
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        })
-        .unwrap();
-    })
-    .unwrap();
-    assert_eq!(hits.load(Ordering::Relaxed), 6, "all 6 tasks ran");
-
-    let events = rt.tracer().events();
-    let tasks: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == SpanKind::AsyncTask && e.phase == Phase::End)
-        .collect();
-    assert_eq!(tasks.len(), 6, "one task span per spawn");
-    for t in &tasks {
-        assert_ne!(t.parent_id, 0, "receiver span must carry a causal parent");
-        let sender = events
-            .iter()
-            .find(|e| e.span_id == t.parent_id)
-            .unwrap_or_else(|| panic!("parent {} of task span {} not in trace", t.parent_id, t.span_id));
-        assert_eq!(sender.kind, SpanKind::AsyncAt, "parent is the dispatch instant");
-        assert_ne!(sender.place, t.place, "the link crosses places");
-        assert_eq!(sender.arg, t.place as u64, "dispatch targeted the place the task ran at");
-    }
-
-    // The reconstructed DAG is sound: every parent resolves, no cycles.
-    let dag = SpanDag::build(&events);
-    assert!(dag.is_complete(), "every parent_id resolves to a traced span");
-    assert!(dag.is_acyclic());
-    assert!(dag.max_depth() >= 2, "nested spawn produces a chain of at least two hops");
-
-    // The Chrome export draws a flow arrow for each cross-place link.
-    let json = rt.tracer().chrome_json();
-    validate_chrome_trace(&json).unwrap();
-    assert!(
-        count_flow_events(&json) >= 6,
-        "at least one flow arrow per cross-place task link"
-    );
+fn run_totals_are_the_sums_of_the_rows_phase_times() {
+    let (rt, stats, report) = run_drill(RestoreMode::Shrink, Some(3));
+    assert_eq!(stats.restores, 1);
+    let step: std::time::Duration = report.rows.iter().map(|r| r.step).sum();
+    let checkpoint: std::time::Duration = report.rows.iter().filter_map(|r| r.checkpoint).sum();
+    assert_eq!(stats.step_time, step);
+    assert_eq!(stats.checkpoint_time, checkpoint);
     rt.shutdown();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
-
-    /// Telescoping invariant of the critical-path analyzer over synthetic
-    /// iteration windows: path ≤ wall, path ≥ max single-place compute, and
-    /// the breakdown never exceeds the path it decomposes.
-    #[test]
-    fn critical_path_telescopes_between_compute_floor_and_wall(
-        wall in 1_000u64..1_000_000,
-        spans in prop::collection::vec(
-            // (place, start permille of wall, duration permille, kind selector)
-            (0u32..4, 0u64..1000, 1u64..1000, 0u8..3),
-            1..24,
-        ),
-    ) {
-        let mut events = Vec::new();
-        let mut next_id = 1u64;
-        for &(place, start_pm, dur_pm, kind_sel) in &spans {
-            let start = start_pm * wall / 1000; // < wall since start_pm < 1000
-            let dur = (dur_pm * wall / 1000).clamp(1, wall - start);
-            let kind = match kind_sel {
-                0 => SpanKind::AtRemote,  // compute
-                1 => SpanKind::Encode,    // ship
-                _ => SpanKind::CtlSpawn,  // ctl
-            };
-            events.push(TraceEvent {
-                t_nanos: start + dur,
-                dur_nanos: dur,
-                place,
-                phase: Phase::End,
-                kind,
-                label: "",
-                arg: 0,
-                span_id: next_id,
-                parent_id: 0,
-            });
-            next_id += 1;
-        }
-        // The iteration window: one exec.step span covering [0, wall].
-        events.push(TraceEvent {
-            t_nanos: wall,
-            dur_nanos: wall,
-            place: 0,
-            phase: Phase::End,
-            kind: SpanKind::Step,
-            label: "",
-            arg: 7,
-            span_id: next_id,
-            parent_id: 0,
-        });
-
-        let profiles = critical_path::analyze(&events, &[0, 0, 0, 0]);
-        prop_assert_eq!(profiles.len(), 1);
-        let p = profiles[0];
-        prop_assert_eq!(p.iteration, 7);
-        prop_assert!(p.complete);
-        prop_assert!(p.critical_path_nanos <= p.wall_nanos);
-        let floor = critical_path::max_place_compute(&events, 0, wall);
-        prop_assert!(
-            p.critical_path_nanos >= floor,
-            "path {} must cover the busiest place's compute {}",
-            p.critical_path_nanos, floor
-        );
-        prop_assert!(p.compute_nanos + p.ship_nanos + p.ctl_nanos <= p.critical_path_nanos);
-        prop_assert_eq!(p.idle_nanos, p.wall_nanos - p.critical_path_nanos);
-        prop_assert!(p.straggler_ratio >= 1.0);
-    }
 }
 
 #[test]
