@@ -50,6 +50,11 @@ cargo test -q --test app_state_traffic > /dev/null
 # moves one class's traffic or breaks its restore fails here by name.
 cargo test -q -p gml-core --test collective_traffic > /dev/null
 cargo test -q -p gml-core --test multi_object_checkpoints > /dev/null
+# The executor's decision as data: every (mode, dead count, spares, trigger,
+# fallback_rebalance, snapshot) case yields the plan — group, spawns, label,
+# rebalance, resume step — or the error it is pinned to, with no Ctx.
+cargo test -q -p gml-core --lib \
+    framework::tests::every_recovery_case_decides_its_pinned_plan -- --exact > /dev/null
 # One layout for every distributed class: a vector aligned to a block or a one-block-per-place matrix follows it through every restore mode.
 cargo test -q -p gml-core --test multi_object_checkpoints \
     aligned_vectors_follow_their_matrices_through_every_restore_mode -- --exact > /dev/null
@@ -223,9 +228,10 @@ echo "== non-test lines (per workspace crate) =="
 # for the four vendored shims together, for gml-core + gml-apps (item 3's
 # first target), for the checkpoint store's three files (item 1's), for the
 # distributed classes' four files (item 17's), for apgas's four
-# observability modules (item 5's) and for all of the observability code
+# observability modules (item 5's), for all of the observability code
 # (item 21's: those four, gml-core's forensics and report, and the
-# benchmark's spans and replay).
+# benchmark's spans and replay) and for the executor's recovery and its
+# records (item 24's: framework, forensics and report).
 non_test_lines() {
     for f in "$@"; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
@@ -250,5 +256,7 @@ printf '%-22s %6d\n' "apgas observability" \
 printf '%-22s %6d\n' "observability (item 21)" \
     "$(non_test_lines crates/apgas/src/{trace,mem,metrics,stats}.rs \
         crates/core/src/{forensics,report}.rs e2e_bench/src/{spans,replay}.rs)"
+printf '%-22s %6d\n' "recovery (item 24)" \
+    "$(non_test_lines crates/core/src/{framework,forensics,report}.rs)"
 
 echo "CI OK"

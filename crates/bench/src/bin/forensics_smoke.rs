@@ -56,16 +56,17 @@ fn main() {
     assert_eq!(report.bundles.len() as u64, stats.restores, "one bundle per restore");
     for b in &report.bundles {
         b.validate().expect("bundle must serialize to valid JSON");
-        assert_eq!(b.decision.configured_mode, "shrink");
-        assert_eq!(b.decision.effective_label, "shrink");
-        assert!(b.decision.dead_places.contains(&victim.id()));
+        assert_eq!(b.configured_mode, "shrink");
+        assert_eq!(b.cost.label, "shrink");
+        assert!(b.dead_places.contains(&victim.id()));
         assert!(!b.trace_tail.is_empty(), "tracing was on: the tail must hold events");
         // The kill cost snapshot entries a replica; the bundle says what the
         // recovery re-replicated, and from where to where.
         assert!(b.snapshots.iter().any(|a| a.degraded > 0), "audited before the repair");
-        let repair = &b.repair;
-        assert!(repair.entries > 0 && repair.wire_bytes > 0, "nothing repaired: {repair:?}");
-        assert!(!repair.pairs.is_empty());
+        let cost = &b.cost;
+        let repaired = cost.repaired_entries > 0 && cost.repaired_bytes > 0;
+        assert!(repaired, "nothing repaired: {cost:?}");
+        assert!(!b.repair_pairs.is_empty());
     }
 
     // The bundles also landed on disk, as valid JSON.

@@ -18,55 +18,21 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use apgas::prelude::*;
 use apgas::trace::{escape_json, Phase};
 
+use crate::report::RestoreCost;
 use crate::snapshot::Snapshot;
-use crate::store::{PlaceInventory, RepairReport, ResilientStore, SnapshotAudit};
+use crate::store::{PlaceInventory, ResilientStore, SnapshotAudit};
 
 /// How many trailing trace events per place a bundle retains.
 const TRACE_TAIL_PER_PLACE: usize = 64;
 
-/// Why the executor restored the way it did: the configured mode, what
-/// actually happened (fallbacks included), and the inputs to that decision.
-#[derive(Clone, Debug)]
-pub struct RestoreDecision {
-    /// The [`RestoreMode`](crate::framework::RestoreMode) label the executor
-    /// was configured with.
-    pub configured_mode: &'static str,
-    /// The label of what actually ran — differs from `configured_mode` when
-    /// replace-redundant ran out of spares and fell back to a shrink variant
-    /// (the only mode that can fall back), or when a silent error rolled
-    /// back on the unchanged group (`silent_error`). Matches the label on
-    /// the corresponding `exec.restore` trace span by construction.
-    pub effective_label: &'static str,
-    /// Whether the data grid was repartitioned.
-    pub rebalance: bool,
-    /// One human-readable sentence explaining the choice.
-    pub reason: String,
-    /// The dead places this restore reacted to.
-    pub dead_places: Vec<u32>,
-    /// Spare places that were live when the decision was made.
-    pub live_spares: Vec<u32>,
-    /// Places created elastically for this restore.
-    pub places_spawned: Vec<u32>,
-    /// The iteration rolled back to.
-    pub rolled_back_to: u64,
-    /// Which restore attempt of this recovery succeeded (> 1 when another
-    /// place died mid-restore).
-    pub attempt: u32,
-    /// For a `silent_error` restore: the output digest recorded when the
-    /// step computed it. `None` for fail-stop (dead-place) restores.
-    pub expected_digest: Option<u64>,
-    /// For a `silent_error` restore: the mismatching digest observed at the
-    /// commit boundary. `None` for fail-stop restores.
-    pub observed_digest: Option<u64>,
-}
-
 /// A post-mortem bundle: everything worth knowing about the runtime at the
 /// moment one restore completed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PostMortem {
     /// 1-based restore ordinal within the run (equals `RunStats::restores`
     /// at capture time).
@@ -79,8 +45,26 @@ pub struct PostMortem {
     /// the intra-place parallelism it ran with (results are bit-identical
     /// across worker counts by construction; timings are not).
     pub pool_workers: usize,
-    /// Why this restore mode, with its inputs.
-    pub decision: RestoreDecision,
+    /// The recovery as its cost-report row records it — the same value:
+    /// the effective label (what ran, fallback included; the label on the
+    /// `exec.restore` trace span), rebalance, the iteration rolled back to,
+    /// the attempts made and what the repair re-replicated.
+    pub cost: RestoreCost,
+    /// The [`RestoreMode`](crate::framework::RestoreMode) label the executor
+    /// was configured with.
+    pub configured_mode: &'static str,
+    /// One human-readable sentence explaining the plan.
+    pub reason: String,
+    /// For a `silent_error` restore: the output digest recorded when the
+    /// step computed it and the mismatching one observed at the commit
+    /// boundary. `None` for fail-stop (dead-place) restores.
+    pub digests: Option<(u64, u64)>,
+    /// The dead places the successful attempt reacted to.
+    pub dead_places: Vec<u32>,
+    /// Spare places that were live when that attempt decided.
+    pub live_spares: Vec<u32>,
+    /// Places this recovery created elastically and restored on.
+    pub places_spawned: Vec<u32>,
     /// The resilient-finish ledger at capture time (normally drained;
     /// leftover pending counts point at tasks orphaned by the failure).
     pub ledger: Vec<LedgerEntry>,
@@ -89,9 +73,11 @@ pub struct PostMortem {
     /// Redundancy audit of every committed object snapshot, as the failure
     /// left it: taken before the recovery's repair.
     pub snapshots: Vec<SnapshotAudit>,
-    /// What that repair then re-replicated (the executor fills this in after
-    /// capturing the bundle; all-zero when nothing was degraded).
-    pub repair: RepairReport,
+    /// The repair's holder → target transfers (its entry and byte counts
+    /// are `cost`'s).
+    pub repair_pairs: Vec<(Place, Place)>,
+    /// Wall time of the repair.
+    pub repair_time: Duration,
     /// The last [`TRACE_TAIL_PER_PLACE`] trace events of each place, in
     /// global time order (empty when tracing is off).
     pub trace_tail: Vec<TraceEvent>,
@@ -108,29 +94,23 @@ pub struct PostMortem {
 }
 
 impl PostMortem {
-    /// Capture a bundle from the live runtime. `committed` is the set of
-    /// object snapshots the application just restored from, not yet
-    /// repaired.
-    pub fn capture(
-        ctx: &Ctx,
-        store: &ResilientStore,
-        committed: &[Snapshot],
-        decision: RestoreDecision,
-        seq: u64,
-    ) -> Self {
+    /// Capture the runtime's sections of a bundle. `committed` is the set
+    /// of object snapshots the application just restored from, not yet
+    /// repaired. The recovery's own fields are left at their defaults, for
+    /// the executor to fill in once the repair is done.
+    pub fn capture(ctx: &Ctx, store: &ResilientStore, committed: &[Snapshot], seq: u64) -> Self {
         let (trace_tail, trace_dropped) = trace_sections(ctx.tracer());
         PostMortem {
             seq,
             captured_at_nanos: ctx.tracer().now_nanos(),
             pool_workers: apgas::pool::workers(),
-            decision,
             ledger: ctx.finish_ledger(),
             store: store.inventory(ctx),
             snapshots: committed.iter().map(|s| store.audit_snapshot(ctx, s)).collect(),
-            repair: RepairReport::default(),
             trace_tail,
             trace_dropped,
             mem: apgas::mem::report(),
+            ..Default::default()
         }
     }
 
@@ -143,23 +123,23 @@ impl PostMortem {
             self.captured_at_nanos,
             self.pool_workers,
         ));
-        let d = &self.decision;
+        let c = &self.cost;
         s.push_str(&format!(
             "\"configured_mode\":\"{}\",\"effective_label\":\"{}\",\"rebalance\":{},\
              \"reason\":\"{}\",\"dead_places\":{},\"live_spares\":{},\
              \"places_spawned\":{},\"rolled_back_to\":{},\"attempt\":{},\
              \"expected_digest\":{},\"observed_digest\":{}}}",
-            escape_json(d.configured_mode),
-            escape_json(d.effective_label),
-            d.rebalance,
-            escape_json(&d.reason),
-            json_nums(&d.dead_places),
-            json_nums(&d.live_spares),
-            json_nums(&d.places_spawned),
-            d.rolled_back_to,
-            d.attempt,
-            json_digest(d.expected_digest),
-            json_digest(d.observed_digest),
+            escape_json(self.configured_mode),
+            escape_json(c.label),
+            c.rebalance,
+            escape_json(&self.reason),
+            json_nums(&self.dead_places),
+            json_nums(&self.live_spares),
+            json_nums(&self.places_spawned),
+            c.rolled_back_to,
+            c.attempts,
+            json_digest(self.digests.map(|(e, _)| e)),
+            json_digest(self.digests.map(|(_, o)| o)),
         ));
         s.push_str(",\"ledger\":[");
         for (i, e) in self.ledger.iter().enumerate() {
@@ -215,13 +195,13 @@ impl PostMortem {
             ));
         }
         let pairs: Vec<String> =
-            self.repair.pairs.iter().map(|(h, t)| format!("[{},{}]", h.id(), t.id())).collect();
+            self.repair_pairs.iter().map(|(h, t)| format!("[{},{}]", h.id(), t.id())).collect();
         s.push_str(&format!(
             "],\"repair\":{{\"entries\":{},\"wire_bytes\":{},\"pairs\":[{}],\"nanos\":{}}}",
-            self.repair.entries,
-            self.repair.wire_bytes,
+            c.repaired_entries,
+            c.repaired_bytes,
             pairs.join(","),
-            self.repair.time.as_nanos(),
+            self.repair_time.as_nanos(),
         ));
         s.push_str(",\"trace_tail\":[");
         for (i, e) in self.trace_tail.iter().enumerate() {
@@ -356,19 +336,22 @@ mod tests {
     use super::*;
     use apgas::trace::SpanKind;
 
-    fn decision() -> RestoreDecision {
-        RestoreDecision {
+    /// A replace-redundant recovery that fell back to a shrink.
+    fn bundle() -> PostMortem {
+        PostMortem {
+            seq: 1,
+            captured_at_nanos: 42,
+            pool_workers: 1,
+            cost: RestoreCost {
+                label: "shrink",
+                rolled_back_to: 10,
+                attempts: 1,
+                ..Default::default()
+            },
             configured_mode: "replace_redundant",
-            effective_label: "shrink",
-            rebalance: false,
             reason: "spares exhausted: 1 dead, 0 live spares \"left\"".into(),
             dead_places: vec![2],
-            live_spares: vec![],
-            places_spawned: vec![],
-            rolled_back_to: 10,
-            attempt: 1,
-            expected_digest: None,
-            observed_digest: None,
+            ..Default::default()
         }
     }
 
@@ -388,19 +371,7 @@ mod tests {
 
     #[test]
     fn empty_bundle_is_valid_json() {
-        let pm = PostMortem {
-            seq: 1,
-            captured_at_nanos: 42,
-            pool_workers: 1,
-            decision: decision(),
-            ledger: vec![],
-            store: vec![],
-            snapshots: vec![],
-            repair: RepairReport::default(),
-            trace_tail: vec![],
-            trace_dropped: vec![],
-            mem: MemReport::default(),
-        };
+        let pm = bundle();
         pm.validate().unwrap();
         let json = pm.to_json();
         assert!(json.contains("\"configured_mode\":\"replace_redundant\""));
@@ -414,15 +385,17 @@ mod tests {
 
     #[test]
     fn populated_bundle_is_valid_json() {
-        let mut dec = decision();
-        dec.effective_label = "silent_error";
-        dec.expected_digest = Some(0x1234_5678_9abc_def0);
-        dec.observed_digest = Some(0x0fed_cba9_8765_4321);
         let pm = PostMortem {
             seq: 3,
             captured_at_nanos: 99,
             pool_workers: 4,
-            decision: dec,
+            cost: RestoreCost {
+                label: "silent_error",
+                repaired_entries: 2,
+                repaired_bytes: 512,
+                ..bundle().cost
+            },
+            digests: Some((0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321)),
             ledger: vec![LedgerEntry {
                 fid: 7,
                 pending: vec![(0, 1), (2, 3)],
@@ -448,15 +421,12 @@ mod tests {
                 placement_violations: 0,
                 bytes: 256,
             }],
-            repair: RepairReport {
-                entries: 2,
-                wire_bytes: 512,
-                pairs: vec![(Place::new(3), Place::new(0)), (Place::new(1), Place::new(3))],
-                time: std::time::Duration::from_nanos(750),
-            },
+            repair_pairs: vec![(Place::new(3), Place::new(0)), (Place::new(1), Place::new(3))],
+            repair_time: Duration::from_nanos(750),
             trace_tail: vec![event(1, 0), event(2, 1)],
             trace_dropped: vec![0, 0],
             mem: apgas::mem::report(),
+            ..bundle()
         };
         pm.validate().unwrap();
         let json = pm.to_json();
@@ -484,17 +454,10 @@ mod tests {
         let (trace_tail, trace_dropped) = trace_sections(&tracer);
         assert_eq!(trace_tail.len(), 16, "a 16-slot ring keeps its newest 16");
         let pm = PostMortem {
-            seq: 1,
             captured_at_nanos: tracer.now_nanos(),
-            pool_workers: 1,
-            decision: decision(),
-            ledger: vec![],
-            store: vec![],
-            snapshots: vec![],
-            repair: RepairReport::default(),
             trace_tail,
             trace_dropped,
-            mem: MemReport::default(),
+            ..bundle()
         };
         assert_eq!(pm.trace_dropped[0], 0, "place 0 lost nothing");
         assert_ne!(pm.trace_dropped[1], 0, "place 1's ring wrapped");

@@ -25,7 +25,7 @@ use apgas::prelude::*;
 use crate::app_state::AppState;
 use crate::app_store::AppResilientStore;
 use crate::error::{GmlError, GmlResult};
-use crate::forensics::{PostMortem, RestoreDecision};
+use crate::forensics::PostMortem;
 use crate::report::{CostReport, IterRow, RestoreCost};
 
 /// How the application adapts to the loss of places (§V-B).
@@ -352,122 +352,90 @@ impl ResilientExecutor {
                 ckpt_frames: [0; 2],
                 codec_time: Duration::ZERO,
             };
-            // Periodic coordinated checkpoint. A recovery leaves
-            // `next_checkpoint` alone: it was set an interval past the
-            // snapshot the run has just returned to.
-            if interval > 0 && iteration >= next_checkpoint {
-                // Re-derive the output digest and compare it against the
-                // one recorded when the step produced the data. A mismatch
-                // means the state mutated between compute and commit;
-                // rather than checkpoint the corrupted state, roll back to
-                // the last *committed* snapshot as if a place had died. The
-                // digest is itself a collective: a place that dies under it
-                // is recovered from like one that dies under a step.
-                let trigger = match (app.as_checksummed(), recorded) {
-                    (Some(cs), Some((rec_iter, expected))) => {
-                        let t = Instant::now();
-                        let observed = cs.output_digest(ctx);
-                        let d = t.elapsed();
-                        row.detect = Some(row.detect.unwrap_or(Duration::ZERO) + d);
-                        stats.detect_time += d;
-                        match observed {
-                            Ok(observed) => (observed != expected).then_some(
-                                GmlError::SilentError { iteration: rec_iter, expected, observed },
-                            ),
-                            Err(e) if e.is_recoverable() => Some(e),
-                            Err(e) => {
-                                let _ = store.drain(ctx);
-                                return Err(e);
-                            }
+            // One pass: at most one checkpoint, then one step. A recoverable
+            // failure anywhere in it — a silent error found before the
+            // commit, a failed checkpoint, a failed step or digest — ends
+            // the pass and is recovered from below.
+            let pass = (|| -> GmlResult<()> {
+                // Periodic coordinated checkpoint. A recovery leaves
+                // `next_checkpoint` alone: it was set an interval past the
+                // snapshot the run has just returned to.
+                if interval > 0 && iteration >= next_checkpoint {
+                    // Re-derive the output digest and compare it against the
+                    // one recorded when the step produced the data. A
+                    // mismatch means the state mutated between compute and
+                    // commit; rather than checkpoint the corrupted state,
+                    // roll back to the last *committed* snapshot as if a
+                    // place had died. The digest is itself a collective: a
+                    // place that dies under it is recovered from like one
+                    // that dies under a step.
+                    if let (Some(cs), Some((at, expected))) = (app.as_checksummed(), recorded) {
+                        let digest = || cs.output_digest(ctx);
+                        let observed = timed(&mut row.detect, &mut stats.detect_time, digest)?;
+                        if observed != expected {
+                            return Err(GmlError::SilentError { iteration: at, expected, observed });
                         }
                     }
-                    _ => None,
-                };
-                if let Some(trigger) = trigger {
-                    recorded = None;
-                    let cost = self.recover(
-                        ctx, app, store, &mut group, &mut iteration, &mut restores_left,
-                        &mut stats, &mut bundles, &trigger,
-                    )?;
-                    row.restore = Some(cost);
-                    Self::close_row(ctx, &mut rows, row, &mut prev_snap, &mut prev_codec);
-                    continue;
-                }
-                store.set_current_iteration(iteration);
-                let t = Instant::now();
-                let result = {
-                    let _span = ctx.trace_span(SpanKind::Checkpoint, iteration);
-                    app.checkpoint(ctx, store)
-                };
-                let d = t.elapsed();
-                row.checkpoint = Some(d);
-                // Harvest the two-phase split. With overlap on, the ship
-                // time joined here mostly belongs to the *previous*
-                // checkpoint's transfers (this commit was their barrier).
-                let (capture, ship) = store.take_phases();
-                row.capture = Some(capture);
-                if ship > Duration::ZERO {
-                    row.ship = Some(ship);
-                }
-                stats.capture_time += capture;
-                stats.ship_time += ship;
-                match result {
-                    Ok(()) => {
-                        stats.checkpoint_time += d;
-                        stats.checkpoints += 1;
-                        if let Some(mttf) = self.cfg.mttf {
-                            interval = young_iterations(&stats, mttf, interval);
+                    store.set_current_iteration(iteration);
+                    let t = Instant::now();
+                    let result = {
+                        let _span = ctx.trace_span(SpanKind::Checkpoint, iteration);
+                        app.checkpoint(ctx, store)
+                    };
+                    let d = t.elapsed();
+                    row.checkpoint = Some(d);
+                    stats.checkpoint_time += d;
+                    // Harvest the two-phase split. With overlap on, the ship
+                    // time joined here mostly belongs to the *previous*
+                    // checkpoint's transfers (this commit was their barrier).
+                    let (capture, ship) = store.take_phases();
+                    row.capture = Some(capture);
+                    if ship > Duration::ZERO {
+                        row.ship = Some(ship);
+                    }
+                    stats.capture_time += capture;
+                    stats.ship_time += ship;
+                    if let Err(e) = result {
+                        if e.is_recoverable() {
+                            store.cancel_snapshot(ctx);
                         }
-                        next_checkpoint = iteration + interval;
-                    }
-                    Err(e) if e.is_recoverable() => {
-                        stats.checkpoint_time += d;
-                        store.cancel_snapshot(ctx);
-                        recorded = None;
-                        let cost = self.recover(
-                            ctx, app, store, &mut group, &mut iteration, &mut restores_left,
-                            &mut stats, &mut bundles, &e,
-                        )?;
-                        row.restore = Some(cost);
-                        Self::close_row(ctx, &mut rows, row, &mut prev_snap, &mut prev_codec);
-                        continue;
-                    }
-                    Err(e) => {
-                        let _ = store.drain(ctx);
                         return Err(e);
                     }
+                    stats.checkpoints += 1;
+                    if let Some(mttf) = self.cfg.mttf {
+                        interval = young_iterations(&stats, mttf, interval);
+                    }
+                    next_checkpoint = iteration + interval;
                 }
-            }
 
-            // One iteration of the algorithm.
-            let t = Instant::now();
-            let result = {
-                let _span = ctx.trace_span(SpanKind::Step, iteration);
-                app.step(ctx, iteration)
-            };
-            let d = t.elapsed();
-            row.step = d;
-            stats.step_time += d;
-            // Record the output digest the moment the step produced it —
-            // the reference the pre-commit verification compares against.
-            // The digest is a collective too, so one that fails is handled
-            // like the step failing: the iteration does not count and a
-            // dead place is recovered from.
-            let result = result.and_then(|()| {
-                let Some(cs) = app.as_checksummed() else { return Ok(None) };
-                let td = Instant::now();
-                let digest = cs.output_digest(ctx);
-                let d = td.elapsed();
-                row.detect = Some(row.detect.unwrap_or(Duration::ZERO) + d);
-                stats.detect_time += d;
-                digest.map(Some)
-            });
-            match result {
-                Ok(digest) => {
-                    stats.iterations_run += 1;
-                    recorded = digest.map(|d| (iteration, d));
-                    iteration += 1;
-                }
+                // One iteration of the algorithm.
+                let t = Instant::now();
+                let result = {
+                    let _span = ctx.trace_span(SpanKind::Step, iteration);
+                    app.step(ctx, iteration)
+                };
+                let d = t.elapsed();
+                row.step = d;
+                stats.step_time += d;
+                result?;
+                // Record the output digest the moment the step produced it —
+                // the reference the pre-commit verification compares
+                // against. The digest is a collective too, so one that fails
+                // is handled like the step failing: the iteration does not
+                // count and a dead place is recovered from.
+                recorded = match app.as_checksummed() {
+                    Some(cs) => Some((
+                        iteration,
+                        timed(&mut row.detect, &mut stats.detect_time, || cs.output_digest(ctx))?,
+                    )),
+                    None => None,
+                };
+                stats.iterations_run += 1;
+                iteration += 1;
+                Ok(())
+            })();
+            match pass {
+                Ok(()) => {}
                 Err(e) if e.is_recoverable() => {
                     recorded = None;
                     let cost = self.recover(
@@ -546,15 +514,14 @@ impl ResilientExecutor {
         rows.push(row);
     }
 
-    /// Pick a new group per the restore mode, roll the application back and
-    /// re-replicate what the failure took from the snapshot it rolled back
-    /// to. Returns the wall time and effective shape of the recovery, and
-    /// pushes one flight-recorder [`PostMortem`] bundle when it succeeds —
-    /// the snapshots audited as the failure left them, then what the repair
-    /// did. `trigger` is the error being recovered from: a dead-place error
-    /// selects the configured restore mode, a [`GmlError::SilentError`]
-    /// restores on the unchanged group under the `silent_error` effective
-    /// mode.
+    /// Recover from `trigger` (§V-B's split: the executor picks the places,
+    /// the app's `restore` acts on them). Settle the store, then per attempt
+    /// [`decide`] a [`Plan`], spawn what it asks for, restore the app on its
+    /// group, capture the post-mortem and repair the snapshot. Each attempt
+    /// is charged to `restores_left`; a recoverable error under the restore
+    /// or the repair costs another. A success is recorded once: the
+    /// returned [`RestoreCost`] is the row's, and the pushed bundle holds the
+    /// same value beside the plan's reason and its inputs.
     #[allow(clippy::too_many_arguments)]
     fn recover<A: ResilientIterativeApp>(
         &self,
@@ -568,13 +535,16 @@ impl ResilientExecutor {
         bundles: &mut Vec<PostMortem>,
         trigger: &GmlError,
     ) -> GmlResult<RestoreCost> {
-        let recover_t0 = Instant::now();
+        let t0 = Instant::now();
         // Settle any in-flight overlap-mode checkpoint before reading the
         // committed snapshot: a provisional snapshot whose ships all landed
         // (or that is still fully usable) promotes and becomes the rollback
         // target; one that lost payload is discarded. The drain error
         // itself is moot — we are already recovering from the failure.
         let _ = store.drain(ctx);
+        // The places this recovery spawned: an elastic retry substitutes
+        // those still alive before it spawns more.
+        let mut spawned: Vec<Place> = Vec::new();
         let mut attempts: u32 = 0;
         loop {
             if *restores_left == 0 {
@@ -582,192 +552,169 @@ impl ResilientExecutor {
             }
             *restores_left -= 1;
             attempts += 1;
-            let snapshot_iter = store.snapshot_iteration().ok_or_else(|| {
-                GmlError::Unrecoverable("place failure before any committed checkpoint".into())
-            })?;
             let dead: Vec<Place> = group.iter().filter(|p| !ctx.is_alive(*p)).collect();
-            let spares = ctx.live_spares();
-            let mut spawned: Vec<Place> = Vec::new();
-            let survivors = group.len() - dead.len();
-            let mut digests: Option<(u64, u64)> = None;
-            let (new_group, rebalance, label, reason) = if dead.is_empty() {
-                // No place died. The only recoverable error without a corpse
-                // is a detected silent error: the places are fine but the
-                // data is not, so restore the committed snapshot on the
-                // *unchanged* group (no shrink, no substitution, no
-                // rebalance — the grid is intact, only its contents rolled
-                // back).
-                let GmlError::SilentError { iteration: det_iter, expected, observed } =
-                    trigger
-                else {
-                    return Err(GmlError::Unrecoverable(
-                        "recoverable error but no dead place observed".into(),
-                    ));
-                };
-                digests = Some((*expected, *observed));
-                (
-                    group.clone(),
-                    false,
-                    "silent_error",
-                    format!(
-                        "silent data corruption detected at iteration {det_iter}: recorded \
-                         digest {expected:016x}, observed {observed:016x}; no place died — \
-                         rolling back to the committed snapshot on the unchanged group"
-                    ),
-                )
-            } else {
-                match self.cfg.mode {
-                    RestoreMode::Shrink => (
-                        group.without(&dead),
-                        false,
-                        RestoreMode::Shrink.label(),
-                        format!(
-                            "configured shrink: continue on the {survivors} surviving place(s), \
-                             same data grid"
-                        ),
-                    ),
-                    RestoreMode::ShrinkRebalance => (
-                        group.without(&dead),
-                        true,
-                        RestoreMode::ShrinkRebalance.label(),
-                        format!(
-                            "configured shrink_rebalance: repartition the data grid over the \
-                             {survivors} surviving place(s)"
-                        ),
-                    ),
-                    RestoreMode::ReplaceRedundant => {
-                        match group.replace(&dead, &spares) {
-                            Some(g) => (
-                                g,
-                                false,
-                                RestoreMode::ReplaceRedundant.label(),
-                                format!(
-                                    "configured replace_redundant: {} dead place(s) substituted \
-                                     from {} live spare(s)",
-                                    dead.len(),
-                                    spares.len()
-                                ),
-                            ),
-                            // Spares exhausted: fall back to the user-chosen
-                            // shrink variant (the label reports what actually
-                            // happened, not what was configured).
-                            None => (
-                                group.without(&dead),
-                                self.cfg.fallback_rebalance,
-                                Self::fallback_label(self.cfg.fallback_rebalance),
-                                format!(
-                                    "replace_redundant fell back: {} dead place(s) but only {} \
-                                     live spare(s); shrinking{}",
-                                    dead.len(),
-                                    spares.len(),
-                                    if self.cfg.fallback_rebalance { " with rebalance" } else { "" }
-                                ),
-                            ),
-                        }
-                    }
-                    RestoreMode::ReplaceElastic => {
-                        // Create brand-new places on demand (Elastic X10).
-                        let mut fresh = Vec::with_capacity(dead.len());
-                        for _ in &dead {
-                            fresh.push(ctx.spawn_place()?);
-                        }
-                        spawned = fresh.clone();
-                        let g = group.replace(&dead, &fresh).expect(
-                            "one spawned place per dead one, each outside every existing group",
-                        );
-                        (
-                            g,
-                            false,
-                            RestoreMode::ReplaceElastic.label(),
-                            format!(
-                                "configured replace_elastic: spawned {} fresh place(s) to \
-                                 substitute for the dead ones",
-                                fresh.len()
-                            ),
-                        )
-                    }
-                }
+            let live_spares = ctx.live_spares();
+            spawned.retain(|p| ctx.is_alive(*p));
+            let spares =
+                if self.cfg.mode == RestoreMode::ReplaceElastic { &spawned } else { &live_spares };
+            let snapshot = store.snapshot_iteration();
+            let plan = decide(&self.cfg, group, &dead, spares, snapshot, trigger)?;
+            let fresh = (0..plan.spawn).map(|_| ctx.spawn_place()).collect::<Result<Vec<_>, _>>()?;
+            spawned.extend(&fresh);
+            let new_group =
+                plan.group.replace(&dead, &fresh).expect("one spawned place per dead one left");
+            let restored = {
+                let _span = ctx.trace_span_labeled(SpanKind::Restore, plan.label, plan.resume_at);
+                app.restore(ctx, &new_group, store, plan.resume_at, plan.rebalance)
             };
-            if new_group.is_empty() {
-                return Err(GmlError::Unrecoverable("no live places remain".into()));
-            }
-            let result = {
-                let _span = ctx.trace_span_labeled(SpanKind::Restore, label, snapshot_iter);
-                app.restore(ctx, &new_group, store, snapshot_iter, rebalance)
-            };
-            match result {
-                Ok(()) => {
-                    // Flight recorder: one bundle per successful restore,
-                    // captured before the repair so that its audit shows
-                    // what the failure did to the snapshots. `label` is the
-                    // same value the Restore span above was tagged with, so
-                    // the recorded mode matches the trace by construction.
-                    let decision = RestoreDecision {
-                        configured_mode: self.cfg.mode.label(),
-                        effective_label: label,
-                        rebalance,
-                        reason,
-                        dead_places: dead.iter().map(|p| p.id()).collect(),
-                        live_spares: spares.iter().map(|p| p.id()).collect(),
-                        places_spawned: spawned.iter().map(|p| p.id()).collect(),
-                        rolled_back_to: snapshot_iter,
-                        attempt: attempts,
-                        expected_digest: digests.map(|(e, _)| e),
-                        observed_digest: digests.map(|(_, o)| o),
-                    };
-                    let mut bundle = PostMortem::capture(
-                        ctx,
-                        store.store(),
-                        &store.committed_snapshots(),
-                        decision,
-                        stats.restores + 1,
-                    );
-                    // The restored state is the committed snapshot; all the
-                    // failure took from it is a replica of the entries the
-                    // dead places held. Put those back and resume.
-                    bundle.repair = match store.repair(ctx, &new_group) {
-                        Ok(report) => report,
-                        // A place died under the repair: like one dying
-                        // under the restore, below.
-                        Err(e) if e.is_recoverable() => continue,
-                        Err(e) => return Err(e),
-                    };
-                    bundle.maybe_write_env_dir();
-                    let (repaired_entries, repaired_bytes) =
-                        (bundle.repair.entries, bundle.repair.wire_bytes);
-                    bundles.push(bundle);
-                    stats.restores += 1;
-                    *group = new_group;
-                    *iteration = snapshot_iter;
-                    let time = recover_t0.elapsed();
-                    stats.restore_time += time;
-                    return Ok(RestoreCost {
-                        label,
-                        rebalance,
-                        time,
-                        repaired_entries,
-                        repaired_bytes,
-                        rolled_back_to: snapshot_iter,
-                        attempts,
-                    });
-                }
-                Err(e) if e.is_recoverable() => {
-                    // Another place died during the restore: go around again
-                    // from the (unchanged) old group minus all dead places.
-                    continue;
-                }
+            // The post-mortem is captured before the repair, so that its
+            // audit shows what the failure did to the snapshots.
+            let repaired = restored.and_then(|()| {
+                let committed = store.committed_snapshots();
+                let seq = stats.restores + 1;
+                let captured = PostMortem::capture(ctx, store.store(), &committed, seq);
+                Ok((captured, store.repair(ctx, &new_group)?))
+            });
+            let (captured, repair) = match repaired {
+                Ok(done) => done,
+                // Another place died under the restore or the repair: go
+                // round again from the unchanged old group.
+                Err(e) if e.is_recoverable() => continue,
                 Err(e) => return Err(e),
-            }
+            };
+            let cost = RestoreCost {
+                label: plan.label,
+                rebalance: plan.rebalance,
+                time: t0.elapsed(),
+                repaired_entries: repair.entries,
+                repaired_bytes: repair.wire_bytes,
+                rolled_back_to: plan.resume_at,
+                attempts,
+            };
+            let ids = |places: &[Place]| places.iter().map(|p| p.id()).collect();
+            let bundle = PostMortem {
+                cost,
+                configured_mode: self.cfg.mode.label(),
+                reason: plan.reason,
+                digests: plan.digests,
+                dead_places: ids(&dead),
+                live_spares: ids(&live_spares),
+                places_spawned: ids(&spawned),
+                repair_pairs: repair.pairs,
+                repair_time: repair.time,
+                ..captured
+            };
+            bundle.maybe_write_env_dir();
+            bundles.push(bundle);
+            stats.restores += 1;
+            stats.restore_time += cost.time;
+            *group = new_group;
+            *iteration = plan.resume_at;
+            return Ok(cost);
         }
     }
+}
 
-    fn fallback_label(rebalance: bool) -> &'static str {
-        if rebalance {
-            RestoreMode::ShrinkRebalance.label()
-        } else {
-            RestoreMode::Shrink.label()
-        }
+/// Time `f`, adding its wall time to a row's column and to a run's total.
+fn timed<T>(column: &mut Option<Duration>, total: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    let d = t.elapsed();
+    *column = Some(column.unwrap_or(Duration::ZERO) + d);
+    *total += d;
+    out
+}
+
+/// What one recovery attempt is to do, as [`decide`] chose it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Plan {
+    /// The group to restore on. An elastic plan's still holds the dead
+    /// places that its `spawn` fresh places are to replace, in group order.
+    pub group: PlaceGroup,
+    /// How many places to spawn: one per dead place left in `group`.
+    pub spawn: usize,
+    /// Whether the data grid is repartitioned.
+    pub rebalance: bool,
+    /// What runs, fallback included: a [`RestoreMode::label`] or
+    /// `"silent_error"`. The restore's trace span carries it too.
+    pub label: &'static str,
+    /// The step to resume at: the committed snapshot's iteration.
+    pub resume_at: u64,
+    /// One human-readable sentence explaining the choice.
+    pub reason: String,
+    /// A silent error's recorded and observed output digests.
+    pub digests: Option<(u64, u64)>,
+}
+
+/// Decide how to recover from `trigger`, from the inputs alone: no `Ctx`,
+/// no spawn, no clock. `dead` are `group`'s dead places, in group order;
+/// `spares` the live places a replace mode may substitute for them — the
+/// runtime's spares under replace-redundant, the places this recovery has
+/// already spawned under replace-elastic. With no dead place, only a
+/// silent error is recoverable: the snapshot is restored on the unchanged
+/// group. Replace-redundant without enough spares falls back to the shrink
+/// variant `fallback_rebalance` names.
+pub(crate) fn decide(
+    cfg: &ExecutorConfig,
+    group: &PlaceGroup,
+    dead: &[Place],
+    spares: &[Place],
+    snapshot_iteration: Option<u64>,
+    trigger: &GmlError,
+) -> GmlResult<Plan> {
+    use RestoreMode::*;
+    let unrecoverable = |why: &str| GmlError::Unrecoverable(why.into());
+    let resume_at = snapshot_iteration
+        .ok_or_else(|| unrecoverable("place failure before any committed checkpoint"))?;
+    if dead.is_empty() {
+        let &GmlError::SilentError { iteration, expected, observed } = trigger else {
+            return Err(unrecoverable("recoverable error but no dead place observed"));
+        };
+        let reason = format!(
+            "silent data corruption detected at iteration {iteration}: recorded digest \
+             {expected:016x}, observed {observed:016x}; no place died — rolling back to the \
+             committed snapshot on the unchanged group"
+        );
+        let (group, label, digests) = (group.clone(), "silent_error", Some((expected, observed)));
+        return Ok(Plan { group, spawn: 0, rebalance: false, label, resume_at, reason, digests });
     }
+    // What runs: the configured mode, or the shrink variant the user chose
+    // when replace-redundant lacks spares.
+    let replaced = group.replace(dead, spares);
+    let mode = match cfg.mode {
+        ReplaceRedundant if replaced.is_none() && cfg.fallback_rebalance => ShrinkRebalance,
+        ReplaceRedundant if replaced.is_none() => Shrink,
+        mode => mode,
+    };
+    let (n, s, left) = (dead.len(), spares.len(), group.len() - dead.len());
+    let reuse = if mode == ReplaceElastic { s.min(n) } else { 0 };
+    let new_group = match mode {
+        Shrink | ShrinkRebalance => group.without(dead),
+        ReplaceRedundant => replaced.expect("no fallback: the spares sufficed"),
+        ReplaceElastic => group.replace(&dead[..reuse], spares).expect("spawns are in no group"),
+    };
+    if new_group.is_empty() {
+        return Err(unrecoverable("no live places remain"));
+    }
+    // An elastic plan spawns a place for each dead one it kept in its group:
+    // those it could not fill from the places an earlier attempt spawned.
+    let spawn = new_group.iter().filter(|p| dead.contains(p)).count();
+    let what = match mode {
+        _ if mode != cfg.mode => {
+            let with = if cfg.fallback_rebalance { " with rebalance" } else { "" };
+            format!("{n} dead place(s) but only {s} live spare(s); shrinking{with}")
+        }
+        Shrink => format!("continue on the {left} surviving place(s), same data grid"),
+        ShrinkRebalance => format!("repartition the data grid over the {left} surviving place(s)"),
+        ReplaceRedundant => format!("{n} dead place(s) substituted from {s} live spare(s)"),
+        ReplaceElastic => format!("spawned {spawn} fresh place(s) to substitute for the dead ones"),
+    };
+    let reason = match mode {
+        _ if mode != cfg.mode => format!("replace_redundant fell back: {what}"),
+        _ => format!("configured {}: {what}", mode.label()),
+    };
+    let (rebalance, label) = (mode == ShrinkRebalance, mode.label());
+    Ok(Plan { group: new_group, spawn, rebalance, label, resume_at, reason, digests: None })
 }
 
 /// Wraps an app to inject a fail-stop failure of `victim` at the start of
@@ -1079,16 +1026,16 @@ mod tests {
             // The flight recorder labels the restore silent_error and
             // carries the mismatching digest pair.
             let pm = &report.bundles[0];
-            assert_eq!(pm.decision.effective_label, "silent_error");
-            assert!(pm.decision.dead_places.is_empty());
-            let expected = pm.decision.expected_digest.unwrap();
-            let observed = pm.decision.observed_digest.unwrap();
+            assert_eq!(pm.cost.label, "silent_error");
+            assert!(pm.dead_places.is_empty());
+            let (expected, observed) = pm.digests.unwrap();
             assert_ne!(expected, observed);
             pm.validate().unwrap();
             // No place died: every replica is where it was, so there is
             // nothing to repair, and the rollback takes no checkpoint of its
             // own — 0 and 5, as in a clean run.
-            assert_eq!(pm.repair, crate::store::RepairReport::default());
+            assert_eq!((pm.cost.repaired_entries, pm.cost.repaired_bytes), (0, 0));
+            assert!(pm.repair_pairs.is_empty());
             assert_eq!(stats.checkpoints, 2);
             // The cost report renders the silent restore and stays
             // telescoped.
@@ -1287,6 +1234,209 @@ mod tests {
             assert_eq!(ctx.stats().places_spawned, 3, "one fresh place per failure");
         })
         .unwrap();
+    }
+
+    #[test]
+    fn an_elastic_retry_reuses_the_places_its_failed_attempt_spawned() {
+        Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+            let g = ctx.world();
+            let (mut inner, mut store) = counter_app(ctx, &g, 20);
+            inner.kill_at = Some((7, Place::new(1)));
+            /// Kills a second group place inside the first restore, so the
+            /// first attempt fails after it has spawned a place for place 1.
+            struct KillInRestore {
+                inner: CounterApp,
+                victim: Option<Place>,
+            }
+            impl ResilientIterativeApp for KillInRestore {
+                fn is_finished(&self, ctx: &Ctx, it: u64) -> bool {
+                    self.inner.is_finished(ctx, it)
+                }
+                fn step(&mut self, ctx: &Ctx, it: u64) -> GmlResult<()> {
+                    self.inner.step(ctx, it)
+                }
+                fn checkpoint(&mut self, ctx: &Ctx, s: &mut AppResilientStore) -> GmlResult<()> {
+                    self.inner.checkpoint(ctx, s)
+                }
+                fn restore(
+                    &mut self,
+                    ctx: &Ctx,
+                    g: &PlaceGroup,
+                    s: &mut AppResilientStore,
+                    si: u64,
+                    rb: bool,
+                ) -> GmlResult<()> {
+                    if let Some(victim) = self.victim.take() {
+                        ctx.kill_place(victim)?;
+                    }
+                    self.inner.restore(ctx, g, s, si, rb)
+                }
+            }
+            // Place 3 is not place 1's backup holder (2 is), so the second
+            // death loses no snapshot entry.
+            let mut app = KillInRestore { inner, victim: Some(Place::new(3)) };
+            let exec =
+                ResilientExecutor::new(ExecutorConfig::new(5, RestoreMode::ReplaceElastic));
+            let (final_group, stats, report) =
+                exec.run_reported(ctx, &mut app, &g, &mut store).unwrap();
+            assert_eq!(app.inner.value(ctx), 20.0, "rollback + re-execution is exact");
+            assert_eq!(final_group.len(), 4, "group back to full strength");
+            assert!(final_group.iter().all(|p| ctx.is_alive(p)), "{final_group:?}");
+            assert_eq!(stats.restores, 1);
+            assert_eq!(report.bundles[0].cost.attempts, 2);
+            assert_eq!(ctx.stats().places_spawned, 2, "one place per dead one, none left idle");
+            assert_eq!(report.bundles[0].places_spawned, vec![4, 5]);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn every_recovery_case_decides_its_pinned_plan() {
+        use apgas::{ApgasError, DeadPlaceException};
+        let places = |ids: &[u32]| -> Vec<Place> { ids.iter().map(|&i| Place::new(i)).collect() };
+        let group = PlaceGroup::new(places(&[0, 1, 2, 3]));
+        let dead_place: GmlError =
+            ApgasError::DeadPlace(DeadPlaceException::new(Place::new(1), "test")).into();
+        let silent = GmlError::SilentError { iteration: 4, expected: 1, observed: 2 };
+        // Per (dead, spares): the shrunk group, the replace-redundant group
+        // (`None`: too few spares, so it falls back to a shrink), and the
+        // elastic group before its spawns with how many places it spawns.
+        // Under replace-elastic, `spares` are the live places an earlier
+        // attempt of the same recovery spawned.
+        type Ids = &'static [u32];
+        type Row = (Ids, Ids, Ids, Option<Ids>, Ids, usize);
+        #[rustfmt::skip]
+        let table: [Row; 15] = [
+            (&[],           &[],     &[0, 1, 2, 3], Some(&[0, 1, 2, 3]), &[0, 1, 2, 3], 0),
+            (&[],           &[4],    &[0, 1, 2, 3], Some(&[0, 1, 2, 3]), &[0, 1, 2, 3], 0),
+            (&[],           &[4, 5], &[0, 1, 2, 3], Some(&[0, 1, 2, 3]), &[0, 1, 2, 3], 0),
+            (&[2],          &[],     &[0, 1, 3],    None,                &[0, 1, 2, 3], 1),
+            (&[2],          &[4],    &[0, 1, 3],    Some(&[0, 1, 4, 3]), &[0, 1, 4, 3], 0),
+            (&[2],          &[4, 5], &[0, 1, 3],    Some(&[0, 1, 4, 3]), &[0, 1, 4, 3], 0),
+            (&[1, 3],       &[],     &[0, 2],       None,                &[0, 1, 2, 3], 2),
+            (&[1, 3],       &[4],    &[0, 2],       None,                &[0, 4, 2, 3], 1),
+            (&[1, 3],       &[4, 5], &[0, 2],       Some(&[0, 4, 2, 5]), &[0, 4, 2, 5], 0),
+            (&[1, 2, 3],    &[],     &[0],          None,                &[0, 1, 2, 3], 3),
+            (&[1, 2, 3],    &[4],    &[0],          None,                &[0, 4, 2, 3], 2),
+            (&[1, 2, 3],    &[4, 5], &[0],          None,                &[0, 4, 5, 3], 1),
+            (&[0, 1, 2, 3], &[],     &[],           None,                &[0, 1, 2, 3], 4),
+            (&[0, 1, 2, 3], &[4],    &[],           None,                &[4, 1, 2, 3], 3),
+            (&[0, 1, 2, 3], &[4, 5], &[],           None,                &[4, 5, 2, 3], 2),
+        ];
+        let modes = [
+            RestoreMode::Shrink,
+            RestoreMode::ShrinkRebalance,
+            RestoreMode::ReplaceRedundant,
+            RestoreMode::ReplaceElastic,
+        ];
+        let mut cases = 0;
+        for (dead, spares, shrunk, replaced, elastic, spawn) in table {
+            for mode in modes {
+                for fallback_rebalance in [false, true] {
+                    for trigger in [&dead_place, &silent] {
+                        for snapshot in [None, Some(10)] {
+                            let cfg =
+                                ExecutorConfig { fallback_rebalance, ..ExecutorConfig::new(5, mode) };
+                            let case = format!(
+                                "{mode:?} dead {dead:?} spares {spares:?} fallback_rebalance \
+                                 {fallback_rebalance} trigger {trigger} snapshot {snapshot:?}"
+                            );
+                            // (group, spawn, rebalance, label, reason's opening) or the error.
+                            let shrink = |rebalance: bool| {
+                                let label = if rebalance { "shrink_rebalance" } else { "shrink" };
+                                let why = match mode {
+                                    RestoreMode::ReplaceRedundant => {
+                                        "replace_redundant fell back:"
+                                    }
+                                    _ if rebalance => "configured shrink_rebalance:",
+                                    _ => "configured shrink:",
+                                };
+                                (places(shrunk), 0, rebalance, label, why)
+                            };
+                            let want = if snapshot.is_none() {
+                                Err("place failure before any committed checkpoint")
+                            } else if dead.is_empty() {
+                                match trigger {
+                                    GmlError::SilentError { .. } => Ok((
+                                        places(&[0, 1, 2, 3]),
+                                        0,
+                                        false,
+                                        "silent_error",
+                                        "silent data corruption detected at iteration 4:",
+                                    )),
+                                    _ => Err("recoverable error but no dead place observed"),
+                                }
+                            } else {
+                                let plan = match (mode, replaced) {
+                                    (RestoreMode::Shrink, _) => shrink(false),
+                                    (RestoreMode::ShrinkRebalance, _) => shrink(true),
+                                    (RestoreMode::ReplaceRedundant, Some(g)) => (
+                                        places(g),
+                                        0,
+                                        false,
+                                        "replace_redundant",
+                                        "configured replace_redundant:",
+                                    ),
+                                    (RestoreMode::ReplaceRedundant, None) => {
+                                        shrink(fallback_rebalance)
+                                    }
+                                    (RestoreMode::ReplaceElastic, _) => (
+                                        places(elastic),
+                                        spawn,
+                                        false,
+                                        "replace_elastic",
+                                        "configured replace_elastic:",
+                                    ),
+                                };
+                                if plan.0.is_empty() {
+                                    Err("no live places remain")
+                                } else {
+                                    Ok(plan)
+                                }
+                            };
+                            let (dead, spares) = (places(dead), places(spares));
+                            let got = decide(&cfg, &group, &dead, &spares, snapshot, trigger);
+                            match (got, want) {
+                                (Ok(plan), Ok((g, spawn, rebalance, label, why))) => {
+                                    assert_eq!(plan.group.as_slice(), &g[..], "{case}");
+                                    assert_eq!(
+                                        (plan.spawn, plan.rebalance, plan.label, plan.resume_at),
+                                        (spawn, rebalance, label, 10),
+                                        "{case}"
+                                    );
+                                    let reason = &plan.reason;
+                                    assert!(reason.starts_with(why), "{case}: {reason}");
+                                    let digests = (label == "silent_error").then_some((1, 2));
+                                    assert_eq!(plan.digests, digests, "{case}");
+                                }
+                                (Err(GmlError::Unrecoverable(got)), Err(want)) => {
+                                    assert_eq!(got, want, "{case}")
+                                }
+                                (got, want) => panic!("{case}: got {got:?}, want {want:?}"),
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 15 * 4 * 2 * 2 * 2);
+        // The reasons a bundle's JSON has always carried, word for word.
+        let cfg = ExecutorConfig::new(5, RestoreMode::ReplaceElastic);
+        let plan = decide(&cfg, &group, &places(&[2]), &[], Some(10), &dead_place).unwrap();
+        assert_eq!(
+            plan.reason,
+            "configured replace_elastic: spawned 1 fresh place(s) to substitute for the dead ones"
+        );
+        let mut cfg = ExecutorConfig::new(5, RestoreMode::ReplaceRedundant);
+        cfg.fallback_rebalance = true;
+        let (dead, spares) = (places(&[1, 3]), places(&[4]));
+        let plan = decide(&cfg, &group, &dead, &spares, Some(10), &dead_place).unwrap();
+        assert_eq!(
+            plan.reason,
+            "replace_redundant fell back: 2 dead place(s) but only 1 live spare(s); shrinking \
+             with rebalance"
+        );
     }
 
     #[test]

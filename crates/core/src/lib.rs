@@ -55,7 +55,7 @@ pub use dist_dense::{DistDenseMatrix, DistMatrix, DistSparseMatrix};
 pub use dist_vector::DistVector;
 pub use dup_vector::{Dup, DupDenseMatrix, DupVector};
 pub use error::{GmlError, GmlResult};
-pub use forensics::{PostMortem, RestoreDecision};
+pub use forensics::PostMortem;
 pub use framework::{
     young_interval, ChaosInjector, ChecksummedStep, ExecutorConfig, FailureInjector,
     ResilientExecutor, ResilientIterativeApp, RestoreMode, RunStats,

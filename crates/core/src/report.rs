@@ -18,12 +18,14 @@ use apgas::stats::StatsSnapshot;
 use crate::codec::CodecSnapshot;
 use crate::forensics::PostMortem;
 
-/// Wall time and shape of one restore performed by the executor.
-#[derive(Clone, Copy, Debug)]
+/// Wall time and shape of one restore performed by the executor: the one
+/// record of a recovery, held by its row and by its post-mortem bundle.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RestoreCost {
     /// The *effective* restore mode label: what actually happened, fallback
     /// included (`"shrink"`, `"shrink_rebalance"`, `"replace_redundant"`,
-    /// `"replace_elastic"`).
+    /// `"replace_elastic"`, or `"silent_error"` for a rollback on the
+    /// unchanged group).
     pub label: &'static str,
     /// Whether the data grid was repartitioned.
     pub rebalance: bool,

@@ -166,7 +166,7 @@ fn main() {
             b.validate().expect("post-mortem bundle must be valid JSON");
             println!(
                 "--- post-mortem #{}: {} -> {} ({}) ---",
-                b.seq, b.decision.configured_mode, b.decision.effective_label, b.decision.reason
+                b.seq, b.configured_mode, b.cost.label, b.reason
             );
         }
         assert_eq!(report.bundles.len() as u64, stats.restores, "one bundle per restore");

@@ -159,9 +159,7 @@ fn main() {
                 println!(
                     "  post-mortem #{}: {} -> {} ({})",
                     b.seq,
-                    b.decision.configured_mode,
-                    b.decision.effective_label,
-                    b.decision.reason
+                    b.configured_mode, b.cost.label, b.reason
                 );
             }
             assert_eq!(report.bundles.len() as u64, stats.restores, "one bundle per restore");

@@ -62,7 +62,7 @@ pub mod prelude {
         CostReport, DistBlockMatrix, DistDenseMatrix, DistSparseMatrix, DistVector,
         DupDenseMatrix, DupVector, ExecutorConfig, GmlError, GmlResult, IterRow,
         PlaceInventory, PostMortem, RepairReport, ResilientExecutor, ResilientIterativeApp,
-        ResilientStore, RestoreCost, RestoreDecision, RestoreMode, RunStats, Snapshot,
+        ResilientStore, RestoreCost, RestoreMode, RunStats, Snapshot,
         SnapshotAudit, Snapshottable,
     };
     pub use gml_matrix::{

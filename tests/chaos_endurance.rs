@@ -190,7 +190,7 @@ fn back_to_back_failures_between_checkpoints() {
             assert_eq!(stats.checkpoints, 5, "{mode:?}: 0, 8, 16, 24, 32 and none extra");
             assert!(diff < 1e-12, "{mode:?}, then place {second}: diff {diff:.2e}");
             for bundle in &report.bundles {
-                assert!(bundle.repair.entries > 0 && bundle.repair.wire_bytes > 0);
+                assert!(bundle.cost.repaired_entries > 0 && bundle.cost.repaired_bytes > 0);
                 assert!(bundle.snapshots.iter().all(|a| a.lost == 0 && a.invariant_ok()));
             }
         }
@@ -209,6 +209,15 @@ fn a_place_dying_under_the_repair_costs_another_attempt_or_is_data_loss() {
     let cost = report.rows.iter().find_map(|r| r.restore).expect("one recovery");
     assert_eq!(cost.attempts, 2, "the first attempt's repair hit the dead place");
     assert!(diff < 1e-12, "diff {diff:.2e}");
+    // One bundle, for the attempt that succeeded: it records the recovery as
+    // the row does, and reacted to both victims.
+    assert_eq!(report.bundles.len(), 1);
+    let b = &report.bundles[0];
+    assert_eq!(
+        (b.cost.attempts, b.cost.rolled_back_to, b.cost.label),
+        (2, cost.rolled_back_to, cost.label)
+    );
+    assert_eq!(b.dead_places, vec![2, 4]);
     // Place 3 is the one holder of what place 2 owned: losing it before the
     // repair has copied that on is a double failure, and says so.
     let err = run_with_kills(RestoreMode::Shrink, kills, Some(Place::new(3))).unwrap_err();

@@ -244,9 +244,10 @@ fn silent_error_drill_rolls_back_and_reconciles() {
         // The flight recorder pinned the silent error: effective mode
         // silent_error, no dead places, mismatching digest pair.
         let pm = &report.bundles[0];
-        assert_eq!(pm.decision.effective_label, "silent_error");
-        assert!(pm.decision.dead_places.is_empty());
-        assert_ne!(pm.decision.expected_digest, pm.decision.observed_digest);
+        assert_eq!(pm.cost.label, "silent_error");
+        assert!(pm.dead_places.is_empty());
+        let (expected, observed) = pm.digests.expect("a silent error carries its digests");
+        assert_ne!(expected, observed);
         pm.validate().unwrap();
         assert!(stats.detect_time > std::time::Duration::ZERO);
         assert!(report.consistent_with_totals(), "rows must telescope to totals");

@@ -68,9 +68,9 @@ fn a_kill_marks_the_victim_dead_and_records_one_bundle_per_restore() {
     let b = &report.bundles[0];
     b.validate().expect("bundle must serialize to valid JSON");
     assert_eq!(b.seq, 1);
-    assert_eq!(b.decision.configured_mode, "shrink");
-    assert_eq!(b.decision.dead_places, vec![victim.id()]);
-    assert_eq!(b.decision.rolled_back_to, 3, "rolled back to the iteration-3 checkpoint");
+    assert_eq!(b.configured_mode, "shrink");
+    assert_eq!(b.dead_places, vec![victim.id()]);
+    assert_eq!(b.cost.rolled_back_to, 3, "rolled back to the iteration-3 checkpoint");
     let restore_labels: Vec<&str> = rt
         .tracer()
         .events()
@@ -78,7 +78,7 @@ fn a_kill_marks_the_victim_dead_and_records_one_bundle_per_restore() {
         .filter(|e| e.kind == SpanKind::Restore && e.phase == Phase::End)
         .map(|e| e.label)
         .collect();
-    assert_eq!(restore_labels, vec![b.decision.effective_label], "bundle matches the span");
+    assert_eq!(restore_labels, vec![b.cost.label], "bundle matches the span");
 
     // The bundle's store audit saw the committed snapshot.
     assert!(!b.snapshots.is_empty(), "committed snapshots were audited");
@@ -186,8 +186,8 @@ fn backup_death_mid_save_recovers_and_forensics_records_degraded_snapshot() {
     assert_eq!(report.bundles.len(), 1, "one bundle for the one restore");
     let b = &report.bundles[0];
     b.validate().expect("bundle must serialize to valid JSON");
-    assert_eq!(b.decision.dead_places, vec![victim.id()]);
-    assert_eq!(b.decision.rolled_back_to, 0, "rolled back to the first committed snapshot");
+    assert_eq!(b.dead_places, vec![victim.id()]);
+    assert_eq!(b.cost.rolled_back_to, 0, "rolled back to the first committed snapshot");
 
     // The audited snapshot lost its backup but not its data: degraded, not
     // lost, and the invariant still holds — one more failure from loss.
@@ -198,9 +198,9 @@ fn backup_death_mid_save_recovers_and_forensics_records_degraded_snapshot() {
     assert!(audit.invariant_ok(), "degradation is not an invariant violation");
     // ... and that what the recovery then did about it: the one entry, copied
     // from its owner to the owner's next place among the survivors.
-    assert_eq!(b.repair.entries, 1);
-    assert_eq!(b.repair.pairs, vec![(Place::ZERO, Place::new(2))]);
-    assert!(b.repair.wire_bytes > 0 && b.to_json().contains("\"repair\":{\"entries\":1,"));
+    assert_eq!(b.cost.repaired_entries, 1);
+    assert_eq!(b.repair_pairs, vec![(Place::ZERO, Place::new(2))]);
+    assert!(b.cost.repaired_bytes > 0 && b.to_json().contains("\"repair\":{\"entries\":1,"));
 
     // The bundle's store inventory shows the dead backup, and the recorded
     // pool width makes the replay comparable.
